@@ -1,0 +1,336 @@
+//! Golden trace digests: length + FNV-1a 64 of the full JSONL event
+//! stream (or protocol response stream) of a fixed set of seeded runs,
+//! committed in `tests/golden/trace_digests.txt`. A refactor of the
+//! enactor must leave every line of that file untouched; regenerate
+//! only for an intended behaviour change with
+//! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
+//! convention as `tests/golden/chrome_trace.json`).
+
+use moteur::daemon::protocol;
+use moteur::prelude::*;
+use moteur::{Daemon, DaemonConfig, RingBufferSink};
+use moteur_gridsim::GridConfig;
+use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
+
+const BRONZE_XML: &str = include_str!("../../../examples/workflows/bronze-standard.xml");
+const IMAGE_BYTES: u64 = 7_864_320;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn digest_line(name: &str, stream: &str) -> String {
+    format!(
+        "{name} len={} fnv1a={:016x}\n",
+        stream.len(),
+        fnv1a(stream.as_bytes())
+    )
+}
+
+/// Run `enact` with a capturing sink and return the event stream as
+/// JSONL text.
+fn jsonl(enact: impl FnOnce(Obs)) -> String {
+    let (sink, buffer) = RingBufferSink::new(1_000_000);
+    enact(Obs::new(vec![Box::new(sink)]));
+    assert_eq!(buffer.dropped(), 0, "ring buffer must not wrap");
+    buffer
+        .snapshot()
+        .iter()
+        .map(|e| e.to_json() + "\n")
+        .collect()
+}
+
+fn bronze() -> Workflow {
+    moteur_scufl::parse_workflow(BRONZE_XML).expect("bronze-standard.xml parses")
+}
+
+fn bronze_inputs(n_pairs: usize) -> InputData {
+    let imgs = |prefix: &str| -> Vec<DataValue> {
+        (0..n_pairs)
+            .map(|j| DataValue::File {
+                gfn: format!("gfn://lacassagne/{prefix}{j:03}.hdr"),
+                bytes: IMAGE_BYTES,
+            })
+            .collect()
+    };
+    InputData::new()
+        .set("referenceImage", imgs("ref"))
+        .set("floatingImage", imgs("float"))
+        .set(
+            "methodToTest",
+            vec![DataValue::File {
+                gfn: "gfn://lacassagne/method.txt".into(),
+                bytes: 64,
+            }],
+        )
+}
+
+/// Bronze-Standard on the 2006 EGEE grid model under `config`.
+fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> String {
+    jsonl(|obs| {
+        let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), config.seed, &obs);
+        run_observed(
+            &bronze(),
+            &bronze_inputs(n_pairs),
+            config,
+            &mut backend,
+            obs,
+        )
+        .expect("bronze completes");
+    })
+}
+
+fn double(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
+    let x = inputs[0].value.as_num().ok_or("not a number")?;
+    Ok(vec![("out".into(), DataValue::from(x * 2.0))])
+}
+
+fn negate(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
+    let x = inputs[0].value.as_num().ok_or("not a number")?;
+    Ok(vec![("out".into(), DataValue::from(-x))])
+}
+
+/// nums → double → negate → sink over 100 items at the given capacity
+/// (`None` → the default configuration).
+fn chain(capacity: Option<usize>) -> String {
+    let mut wf = Workflow::new("chain");
+    let src = wf.add_source("nums");
+    let d = wf.add_service("double", &["in"], &["out"], ServiceBinding::local(double));
+    let n = wf.add_service("negate", &["in"], &["out"], ServiceBinding::local(negate));
+    let sink = wf.add_sink("sink");
+    wf.connect(src, "out", d, "in").unwrap();
+    wf.connect(d, "out", n, "in").unwrap();
+    wf.connect(n, "out", sink, "in").unwrap();
+    let inputs = InputData::new().set(
+        "nums",
+        (0..100).map(|i| DataValue::from(i as f64)).collect(),
+    );
+    let mut config = EnactorConfig::sp_dp();
+    if let Some(cap) = capacity {
+        config = config.with_port_capacity(cap);
+    }
+    let stream = jsonl(|obs| {
+        let mut backend = VirtualBackend::new();
+        run_observed(&wf, &inputs, config, &mut backend, obs).expect("chain completes");
+    });
+    assert_eq!(
+        stream.contains("port_suspended") && stream.contains("port_resumed"),
+        capacity.is_some(),
+        "bounded chains suspend and resume; the default never does"
+    );
+    stream
+}
+
+fn descriptor(name: &str) -> ExecutableDescriptor {
+    ExecutableDescriptor {
+        executable: FileItem {
+            name: name.into(),
+            access: AccessMethod::Local,
+            value: name.into(),
+        },
+        inputs: vec![InputSlot {
+            name: "in".into(),
+            option: "-in".into(),
+            access: Some(AccessMethod::Gfn),
+            bytes: None,
+        }],
+        outputs: vec![OutputSlot {
+            name: "out".into(),
+            option: "-out".into(),
+            access: AccessMethod::Gfn,
+        }],
+        sandboxes: vec![],
+        nondeterministic: false,
+    }
+}
+
+/// The `fault_tolerance.rs` outlier scenario — 11 fast jobs and one
+/// 1000 s outlier — under a percentile-adaptive timeout that
+/// replicates, then mutes: samples accrue, the deadline tightens over
+/// the running outlier, a replica races it.
+fn adaptive_timeout_with_replication() -> String {
+    let mut wf = Workflow::new("outlier");
+    let src = wf.add_source("s");
+    let cost = CostModel::by_index(|idx| {
+        if idx.0[0] == 0 {
+            1000.0
+        } else {
+            10.0 + f64::from(idx.0[0])
+        }
+    });
+    let p = wf.add_service(
+        "job",
+        &["in"],
+        &["out"],
+        ServiceBinding::descriptor(descriptor("job"), ServiceProfile::new(0.0).with_cost(cost)),
+    );
+    let sink = wf.add_sink("sink");
+    wf.connect(src, "out", p, "in").unwrap();
+    wf.connect(p, "out", sink, "in").unwrap();
+    let inputs = InputData::new().set(
+        "s",
+        (0..12)
+            .map(|j| DataValue::File {
+                gfn: format!("gfn://in/{j}"),
+                bytes: 1000,
+            })
+            .collect(),
+    );
+    let ft = FtConfig::from_legacy(1).with_default(FtPolicy {
+        retry: RetryPolicy::Fixed { max_retries: 1 },
+        timeout: TimeoutPolicy::Adaptive {
+            percentile: 0.5,
+            multiplier: 3.0,
+            min_samples: 4,
+            fallback: f64::INFINITY,
+        },
+        on_timeout: TimeoutAction::Replicate { max_replicas: 2 },
+    });
+    let stream = jsonl(|obs| {
+        let mut backend = VirtualBackend::new();
+        run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+            .expect("the outlier eventually completes");
+    });
+    for kind in ["job_timed_out", "job_replicated", "job_cancelled"] {
+        assert!(stream.contains(kind), "scenario must exercise {kind}");
+    }
+    stream
+}
+
+/// `run_cached` cold then warm over one in-memory store: the second
+/// stream is all cache hits.
+fn cached_cold_then_warm() -> String {
+    let mut store = DataStore::in_memory(StoreConfig::default());
+    let config = EnactorConfig::sp_dp_jg().with_seed(5);
+    let pass = |store: &mut DataStore| {
+        jsonl(|obs| {
+            let mut backend = SimBackend::with_obs(GridConfig::ideal(), 5, &obs);
+            run_cached(
+                &bronze(),
+                &bronze_inputs(6),
+                config,
+                &mut backend,
+                obs,
+                store,
+            )
+            .expect("cached bronze completes");
+        })
+    };
+    let cold = pass(&mut store);
+    let warm = pass(&mut store);
+    assert!(warm.contains("cache_hit"), "the warm pass replays");
+    cold + &warm
+}
+
+fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
+    let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
+    let i = moteur_scufl::parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
+    Ok((w, i))
+}
+
+/// Four tenants submit one workflow each (distinct stream lengths),
+/// the daemon drains, and every `status` plus the final `metrics`
+/// response is part of the golden stream.
+fn daemon_wave() -> String {
+    let workflow = r#"<scufl name="tiny">
+  <source name="s" bytes="64"/>
+  <processor name="p" compute="5">
+    <executable name="x">
+      <access type="URL"><path value="http://h"/></access>
+      <value value="x"/>
+      <input name="in" option="-i"><access type="GFN"/></input>
+      <output name="out" option="-o"><access type="GFN"/></output>
+    </executable>
+    <outputsize slot="out" bytes="10"/>
+  </processor>
+  <sink name="k"/>
+  <link from="s:out" to="p:in"/>
+  <link from="p:out" to="k:in"/>
+</scufl>"#;
+    let esc = |s: &str| s.replace('"', "\\\"").replace('\n', "\\n");
+    let mut session = String::new();
+    for (t, tenant) in ["alice", "bob", "carol", "dave"].iter().enumerate() {
+        let items: String = (0..3 + 2 * t)
+            .map(|j| format!(r#"<item type="file" gfn="gfn://x/i{j}" bytes="64"/>"#))
+            .collect();
+        let inputs = format!(r#"<inputdata><input name="s">{items}</input></inputdata>"#);
+        session.push_str(&format!(
+            "{{\"schema\":\"moteur/daemon/v1\",\"op\":\"submit\",\"tenant\":\"{tenant}\",\"workflow\":\"{}\",\"inputs\":\"{}\"}}\n",
+            esc(workflow),
+            esc(&inputs)
+        ));
+    }
+    session.push_str("{\"schema\":\"moteur/daemon/v1\",\"op\":\"metrics\"}\n");
+    session.push_str("{\"schema\":\"moteur/daemon/v1\",\"op\":\"drain\"}\n");
+    for id in 1..=4 {
+        session.push_str(&format!(
+            "{{\"schema\":\"moteur/daemon/v1\",\"op\":\"status\",\"id\":{id}}}\n"
+        ));
+    }
+    session.push_str("{\"schema\":\"moteur/daemon/v1\",\"op\":\"metrics\"}\n");
+    session.push_str("{\"schema\":\"moteur/daemon/v1\",\"op\":\"shutdown\"}\n");
+    let mut daemon = Daemon::new(
+        Box::new(VirtualBackend::new()),
+        DataStore::in_memory(StoreConfig::default()),
+        parser,
+        DaemonConfig::default(),
+    );
+    let mut out = Vec::new();
+    protocol::serve(&mut daemon, session.as_bytes(), &mut out).expect("in-memory io");
+    let out = String::from_utf8(out).expect("responses are utf-8");
+    assert_eq!(
+        out.matches(r#""state":"succeeded""#).count(),
+        4,
+        "all four tenants finish: {out}"
+    );
+    out
+}
+
+#[test]
+fn trace_digests_match_the_committed_goldens() {
+    let actual = [
+        digest_line(
+            "bronze_sp_dp_jg_egee_seed11",
+            &bronze_on_egee(EnactorConfig::sp_dp_jg().with_seed(11), 12),
+        ),
+        digest_line(
+            "bronze_sp_dp_batch3_egee_seed7",
+            &bronze_on_egee(EnactorConfig::sp_dp().with_seed(7).with_batching(3), 12),
+        ),
+        digest_line(
+            "bronze_nop_egee_seed3",
+            &bronze_on_egee(EnactorConfig::nop().with_seed(3), 4),
+        ),
+        digest_line("chain_default", &chain(None)),
+        digest_line("chain_capacity_1", &chain(Some(1))),
+        digest_line("chain_capacity_4", &chain(Some(4))),
+        digest_line("chain_capacity_64", &chain(Some(64))),
+        digest_line(
+            "adaptive_timeout_replication",
+            &adaptive_timeout_with_replication(),
+        ),
+        digest_line("run_cached_cold_then_warm", &cached_cold_then_warm()),
+        digest_line("daemon_wave_4_tenants", &daemon_wave()),
+    ]
+    .concat();
+
+    let golden_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/trace_digests.txt"
+    );
+    if std::env::var_os("MOTEUR_BLESS").is_some() {
+        std::fs::write(golden_path, &actual).expect("write golden file");
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file committed (regenerate with MOTEUR_BLESS=1)");
+    for (got, want) in actual.lines().zip(golden.lines()) {
+        assert_eq!(
+            got, want,
+            "trace changed; if intentional, regenerate with \
+             MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces"
+        );
+    }
+    assert_eq!(actual, golden, "golden file has a different set of lines");
+}
