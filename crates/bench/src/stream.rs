@@ -2,17 +2,18 @@
 //! service chain and prove the enactor's memory high-water mark is
 //! O(port-capacity), not O(stream length).
 //!
-//! Two phases, run with the counting allocator attached:
+//! The same chain on the same enactment path at two port capacities,
+//! run with the counting allocator attached:
 //!
 //! - **eager reference** — a small slice of the stream (default 10⁴
-//!   items) enacted in the legacy eager mode, sampling live heap bytes
-//!   before and after while the [`moteur::WorkflowResult`] is still
-//!   held. The delta divided by the item count is the eager per-item
-//!   retained footprint (tokens, history trees, invocation records,
-//!   sink outputs), whose projection onto the full stream is what
-//!   streaming mode must undercut.
+//!   items) at the default, unbounded capacity, sampling live heap
+//!   bytes before and after while the [`moteur::WorkflowResult`] is
+//!   still held. The delta divided by the item count is the per-item
+//!   retained footprint when nothing ever fills (tokens, history
+//!   trees, invocation records, sink outputs), whose projection onto
+//!   the full stream is what a bounded capacity must undercut.
 //! - **stream** — the full stream (default 10⁶ items) through the same
-//!   chain with `port_capacity` bounded ports. The input vector is an
+//!   chain at capacity `port_capacity`. The input vector is an
 //!   unavoidable O(n) cost and is measured separately; everything the
 //!   *pipeline* adds on top of it — ready queues, in-flight
 //!   invocations, the retained result — must stay inside
@@ -34,7 +35,7 @@ use std::time::Instant;
 /// Schema tag of [`render_stream_json`].
 pub const STREAM_SCHEMA: &str = "moteur-bench/stream/v1";
 
-/// Ceiling on the streaming pipeline's peak live bytes *beyond* the
+/// Ceiling on the bounded pipeline's peak live bytes *beyond* the
 /// input vector, independent of stream length.
 ///
 /// At port capacity 64 the pipeline retains a few hundred tokens,
@@ -44,8 +45,8 @@ pub const STREAM_SCHEMA: &str = "moteur-bench/stream/v1";
 /// enacted items retain (hundreds of bytes each, i.e. hundreds of MB).
 pub const PIPELINE_PEAK_BUDGET: u64 = 64 * 1024 * 1024;
 
-/// Minimum factor by which the streaming pipeline peak must undercut
-/// the eager projection for the same stream length.
+/// Minimum factor by which the bounded pipeline peak must undercut
+/// the unbounded-capacity projection for the same stream length.
 pub const EAGER_UNDERCUT_FACTOR: f64 = 4.0;
 
 /// Campaign shape.
@@ -55,7 +56,7 @@ pub struct StreamSpec {
     pub n_items: usize,
     /// Port capacity of every bounded inter-service edge.
     pub port_capacity: usize,
-    /// Stream length of the eager reference phase (kept small: its
+    /// Stream length of the unbounded reference phase (kept small: its
     /// whole point is to measure the per-item retained footprint that
     /// would make the full stream infeasible).
     pub eager_items: usize,
@@ -80,7 +81,7 @@ pub struct StreamReport {
     /// Whether the counting global allocator was installed; without it
     /// every byte axis reads 0 and only the functional checks apply.
     pub alloc_installed: bool,
-    /// Exact sink tally of the streaming phase.
+    /// Exact sink tally of the bounded phase.
     pub items_completed: usize,
     pub jobs_submitted: usize,
     pub wall_secs: f64,
@@ -88,21 +89,21 @@ pub struct StreamReport {
     /// Live-byte cost of materialising the input stream (O(n_items),
     /// unavoidable: the stream exists before enactment starts).
     pub input_bytes: u64,
-    /// Peak live bytes the streaming pipeline added beyond the
+    /// Peak live bytes the bounded pipeline added beyond the
     /// materialised inputs — the axis that must stay independent of
     /// stream length in *derived* state. It includes the source
     /// cursor's one flat copy of the input values (the same order of
     /// bytes as `input_bytes`, ~30 B/item for numeric streams), but
     /// none of the per-item tokens, history trees or records that make
-    /// eager enactment O(n_items × ~750 B).
+    /// unbounded enactment O(n_items × ~750 B).
     pub pipeline_peak_bytes: u64,
-    /// Retained footprint per item of the eager reference phase.
+    /// Retained footprint per item of the unbounded reference phase.
     pub eager_bytes_per_item: f64,
-    /// Throughput of the eager reference phase, for the "comparable
+    /// Throughput of the unbounded reference phase, for the "comparable
     /// items/sec" comparison (informational: wall numbers are
     /// machine-dependent and not gated).
     pub eager_items_per_sec: f64,
-    /// `eager_bytes_per_item × n_items`: what eager enactment would
+    /// `eager_bytes_per_item × n_items`: what unbounded ports would
     /// retain on the full stream.
     pub eager_projected_bytes: f64,
 }
@@ -149,9 +150,9 @@ fn stream_inputs(n: usize) -> InputData {
     InputData::new().set("items", (0..n).map(|i| DataValue::from(i as f64)).collect())
 }
 
-/// Run both phases and assemble the report. The streaming phase runs
+/// Run both phases and assemble the report. The bounded phase runs
 /// first so the process-wide peak high-water mark during it is not
-/// contaminated by the eager reference.
+/// contaminated by the unbounded reference.
 pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
     if spec.n_items == 0 || spec.port_capacity == 0 || spec.eager_items == 0 {
         return Err(MoteurError::new(
@@ -182,7 +183,7 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
     drop(result);
     drop(inputs);
 
-    // Phase 2: the eager reference, measured on live bytes (immune to
+    // Phase 2: the unbounded reference, measured on live bytes (immune to
     // the high-water mark left behind by phase 1).
     let ref_inputs = stream_inputs(spec.eager_items);
     let live_before_eager = moteur_prof::alloc::live_bytes();

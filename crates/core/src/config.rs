@@ -50,15 +50,15 @@ pub struct EnactorConfig {
     /// Optional SLO to track during enactment; `None` disables the
     /// burn-rate check.
     pub slo: Option<SloConfig>,
-    /// Streaming enactment: bound every inter-processor edge to this
-    /// many queued-or-in-flight data items. A producer whose consumer
-    /// is full suspends instead of eagerly fanning out, and resumes
-    /// when the consumer drains — back-pressure end to end, so peak
-    /// memory is O(capacity) instead of O(stream length). `None`
-    /// (the default) keeps the legacy eager path: sources emit their
-    /// whole stream up front and traces stay byte-identical with
-    /// earlier releases.
-    pub port_capacity: Option<usize>,
+    /// Capacity of every inter-processor edge, in queued-or-in-flight
+    /// data items. A producer whose consumer is full suspends and
+    /// resumes when the consumer drains — back-pressure end to end, so
+    /// peak memory is O(capacity). The same value bounds what a run
+    /// retains: the first `port_capacity` sink tokens and invocation
+    /// records, and a window of `max(port_capacity, 512)` timeout
+    /// samples. The default, `usize::MAX`, never fills: every source
+    /// emits its whole stream at start and everything is retained.
+    pub port_capacity: usize,
 }
 
 impl Default for EnactorConfig {
@@ -72,7 +72,7 @@ impl Default for EnactorConfig {
             data_batching: 1,
             preflight: true,
             slo: None,
-            port_capacity: None,
+            port_capacity: usize::MAX,
         }
     }
 }
@@ -167,11 +167,10 @@ impl EnactorConfig {
         self
     }
 
-    /// Enable streaming enactment with bounded ports: at most `cap`
-    /// data items queued or in flight per inter-processor edge
-    /// (clamped to ≥ 1). See [`EnactorConfig::port_capacity`].
+    /// Bound every inter-processor edge to `cap` data items queued or
+    /// in flight (clamped to ≥ 1). See [`EnactorConfig::port_capacity`].
     pub fn with_port_capacity(mut self, cap: usize) -> Self {
-        self.port_capacity = Some(cap.max(1));
+        self.port_capacity = cap.max(1);
         self
     }
 
@@ -236,15 +235,15 @@ mod tests {
 
     #[test]
     fn port_capacity_defaults_off_and_clamps_to_one() {
-        assert_eq!(EnactorConfig::default().port_capacity, None);
-        assert_eq!(EnactorConfig::sp_dp().port_capacity, None);
+        assert_eq!(EnactorConfig::default().port_capacity, usize::MAX);
+        assert_eq!(EnactorConfig::sp_dp().port_capacity, usize::MAX);
         assert_eq!(
             EnactorConfig::sp_dp().with_port_capacity(8).port_capacity,
-            Some(8)
+            8
         );
         assert_eq!(
             EnactorConfig::sp_dp().with_port_capacity(0).port_capacity,
-            Some(1)
+            1
         );
     }
 }

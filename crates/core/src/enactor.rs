@@ -75,7 +75,7 @@ pub fn run<B: Backend>(
     config: EnactorConfig,
     backend: &mut B,
 ) -> Result<WorkflowResult, MoteurError> {
-    run_observed(workflow, inputs, config, backend, Obs::off())
+    enact(workflow, inputs, config, None, backend, Obs::off(), None)
 }
 
 /// [`run`] with observability: every enactment step emits a
@@ -88,7 +88,7 @@ pub fn run_observed<B: Backend>(
     backend: &mut B,
     obs: Obs,
 ) -> Result<WorkflowResult, MoteurError> {
-    run_inner(workflow, inputs, config, backend, obs, None)
+    enact(workflow, inputs, config, None, backend, obs, None)
 }
 
 /// [`run_observed`] with a provenance-keyed data manager: before each
@@ -107,7 +107,7 @@ pub fn run_cached<B: Backend>(
     obs: Obs,
     store: &mut DataStore,
 ) -> Result<WorkflowResult, MoteurError> {
-    run_inner(workflow, inputs, config, backend, obs, Some(store))
+    enact(workflow, inputs, config, None, backend, obs, Some(store))
 }
 
 /// [`run_observed`] under an explicit fault-tolerance configuration:
@@ -126,7 +126,7 @@ pub fn run_fault_tolerant<B: Backend>(
     backend: &mut B,
     obs: Obs,
 ) -> Result<WorkflowResult, MoteurError> {
-    run_ft_inner(workflow, inputs, config, ft.clone(), backend, obs, None)
+    enact(workflow, inputs, config, Some(ft), backend, obs, None)
 }
 
 /// [`run_fault_tolerant`] with a provenance-keyed data manager (see
@@ -141,40 +141,34 @@ pub fn run_fault_tolerant_cached<B: Backend>(
     obs: Obs,
     store: &mut DataStore,
 ) -> Result<WorkflowResult, MoteurError> {
-    run_ft_inner(
+    enact(
         workflow,
         inputs,
         config,
-        ft.clone(),
+        Some(ft),
         backend,
         obs,
         Some(store),
     )
 }
 
-fn run_inner<B: Backend>(
+/// The one-shot session behind every `run*` entry point: start one
+/// instance, wait on the backend until it is idle, finish it. Without
+/// an explicit `ft`, the configuration's single retry counter is
+/// expressed as a fixed-policy fault-tolerance configuration.
+fn enact<B: Backend>(
     workflow: &Workflow,
     inputs: &InputData,
     config: EnactorConfig,
+    ft: Option<&FtConfig>,
     backend: &mut B,
     obs: Obs,
     store: Option<&mut DataStore>,
 ) -> Result<WorkflowResult, MoteurError> {
-    // The legacy entry points express their single retry counter as a
-    // fixed-policy fault-tolerance configuration.
-    let ft = FtConfig::from_legacy(config.max_job_retries);
-    run_ft_inner(workflow, inputs, config, ft, backend, obs, store)
-}
-
-fn run_ft_inner<B: Backend>(
-    workflow: &Workflow,
-    inputs: &InputData,
-    config: EnactorConfig,
-    ft: FtConfig,
-    backend: &mut B,
-    obs: Obs,
-    store: Option<&mut DataStore>,
-) -> Result<WorkflowResult, MoteurError> {
+    let ft = ft.map_or_else(
+        || FtConfig::from_legacy(config.max_job_retries),
+        Clone::clone,
+    );
     let mut ctx = EnactCtx { backend, store };
     let mut instance = WorkflowInstance::start(workflow, inputs, config, ft, &mut ctx, obs)?;
     instance.event_loop(&mut ctx)?;
@@ -225,27 +219,30 @@ struct ProcState {
     barrier_fired: bool,
     /// For synchronization processors: the collected streams, per port.
     sync_buffers: Vec<Vec<Token>>,
-    /// Streaming mode: currently blocked on a full downstream port.
-    /// Tracked so the suspend/resume trace events fire once per
-    /// transition rather than once per blocked firing attempt.
+    /// Currently blocked on a full downstream port. Tracked so the
+    /// suspend/resume trace events fire once per transition rather
+    /// than once per blocked firing attempt.
     suspended: bool,
 }
 
-/// One source's unemitted input stream in streaming mode. Instead of
-/// routing the whole stream up front, the enactor pulls items off the
-/// cursor one at a time while the source's downstream ports have room —
-/// the head of the end-to-end back-pressure chain.
+/// One source's unemitted input stream. The enactor pulls items off
+/// the cursor one at a time, by move, while the source's downstream
+/// ports have room — the head of the end-to-end back-pressure chain.
+/// With unbounded ports there is always room, so the first pump drains
+/// every cursor.
 struct SourceCursor {
     proc: ProcId,
     name: String,
-    values: Vec<DataValue>,
-    next: usize,
+    values: std::vec::IntoIter<DataValue>,
+    /// Stream position of the next item to emit.
+    next: u32,
 }
 
-/// Streaming mode keeps at most this many completion-duration samples
-/// per processor (a ring, overwritten oldest-first) so the adaptive
-/// timeout statistics stay O(1) in the stream length.
-const SAMPLE_RING: usize = 512;
+/// Smallest window of completion-duration samples kept per processor
+/// for the adaptive timeout statistics. The window is a ring
+/// (overwritten oldest-first) of `max(port_capacity, SAMPLE_WINDOW)`
+/// samples, so it stays O(capacity) however long the stream is.
+const SAMPLE_WINDOW: usize = 512;
 
 /// One workflow invocation carried by a backend job (batched grid jobs
 /// carry several).
@@ -297,7 +294,6 @@ pub struct WorkflowInstance {
     workflow: Workflow,
     config: EnactorConfig,
     ft: FtConfig,
-    catalog: Catalog,
     rng: Rng,
     states: Vec<ProcState>,
     /// SCC id per processor and whether that SCC is a real cycle.
@@ -316,16 +312,13 @@ pub struct WorkflowInstance {
     /// Whether the last SLO projection exceeded the threshold (the
     /// breach event fires on the false→true transition only).
     slo_breached: bool,
+    /// The first `port_capacity` tokens each sink received.
     sink_outputs: HashMap<String, Vec<Token>>,
-    /// Tokens delivered per sink — the full tally even in streaming
-    /// mode, where `sink_outputs` retains only the first
-    /// `port_capacity` tokens as a sample.
+    /// Tokens delivered per sink — the full tally.
     sink_counts: HashMap<String, usize>,
-    /// Unemitted source streams (streaming mode only; empty in the
-    /// legacy eager mode, where sources route everything up front).
+    /// Unemitted source streams, one cursor per source.
     source_cursors: Vec<SourceCursor>,
-    /// Per-processor write cursor into the [`SAMPLE_RING`]-sized
-    /// `proc_samples` ring (streaming mode only).
+    /// Per-processor write cursor into the `proc_samples` ring.
     sample_cursors: Vec<usize>,
     records: Vec<InvocationRecord>,
     start_time: SimTime,
@@ -562,7 +555,6 @@ impl WorkflowInstance {
             config,
             ft,
             rng: Rng::new(config.seed ^ 0x4D4F_5445_5552), // "MOTEUR"
-            catalog: Catalog::new(),
             states,
             scc_ids,
             in_cycle,
@@ -702,62 +694,52 @@ impl WorkflowInstance {
                 .get(&name)
                 .ok_or_else(|| MoteurError::new(format!("no input data for source `{name}`")))?
                 .to_vec();
-            if self.config.port_capacity.is_some() {
-                // Streaming: hold the stream back and emit on demand as
-                // downstream ports drain (see `pump_sources`).
-                self.source_cursors.push(SourceCursor {
-                    proc: src,
-                    name,
-                    values,
-                    next: 0,
-                });
-            } else {
-                for (j, value) in values.into_iter().enumerate() {
-                    let token = Token::from_source(&name, j as u32, value);
-                    self.route(ctx, src, 0, token);
-                }
-            }
+            self.source_cursors.push(SourceCursor {
+                proc: src,
+                name,
+                values: values.into_iter(),
+                next: 0,
+            });
         }
+        // Sources emit at start time as far as their ports allow; the
+        // rest follows on demand as downstream ports drain.
+        self.pump_sources(ctx);
         Ok(())
     }
 
-    /// Streaming mode: emit the next items of every source whose
-    /// downstream ports have room, suspending the source (once, with a
-    /// trace event) when they fill and resuming it when they drain.
-    /// Returns whether anything was emitted. A no-op in eager mode.
+    /// Emit the next items of every source whose downstream ports have
+    /// room, suspending the source (once, with a trace event) when
+    /// they fill and resuming it when they drain. Returns whether
+    /// anything was emitted.
     fn pump_sources<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>) -> bool {
-        let Some(cap) = self.config.port_capacity else {
-            return false;
-        };
         let mut emitted = false;
         for c in 0..self.source_cursors.len() {
             let proc = self.source_cursors[c].proc;
             let name = self.source_cursors[c].name.clone();
-            loop {
-                if self.source_cursors[c].next >= self.source_cursors[c].values.len() {
+            while !self.source_cursors[c].values.as_slice().is_empty() {
+                if !self.has_port_room(proc.0) {
+                    self.set_suspended(ctx, proc.0, true);
                     break;
                 }
-                if !self.has_port_room(proc.0, cap) {
-                    self.set_suspended(ctx, proc.0, true, cap);
-                    break;
-                }
-                self.set_suspended(ctx, proc.0, false, cap);
-                let j = self.source_cursors[c].next;
-                self.source_cursors[c].next += 1;
-                let value = self.source_cursors[c].values[j].clone();
-                self.route(ctx, proc, 0, Token::from_source(&name, j as u32, value));
+                self.set_suspended(ctx, proc.0, false);
+                let cursor = &mut self.source_cursors[c];
+                let value = cursor.values.next().expect("checked non-empty");
+                let token = Token::from_source(&name, cursor.next, value);
+                cursor.next += 1;
+                self.route(ctx, proc, 0, token);
                 emitted = true;
             }
         }
         emitted
     }
 
-    /// Streaming mode: is there room on every bounded outgoing edge of
-    /// `p` for one more data item? Sinks and synchronization
-    /// processors are documented unbounded collection points; SP-off
-    /// stage barriers and intra-cycle edges must buffer whole streams
-    /// by construction, so those edges are exempt too.
-    fn has_port_room(&self, p: usize, cap: usize) -> bool {
+    /// Is there room on every outgoing edge of `p` for one more data
+    /// item? Capacity is a property of the edge: sinks and
+    /// synchronization processors are documented unbounded collection
+    /// points, and SP-off stage barriers and intra-cycle edges must
+    /// buffer whole streams by construction, so those edges never
+    /// fill; every other edge holds `port_capacity` items.
+    fn has_port_room(&self, p: usize) -> bool {
         if !self.config.service_parallelism {
             return true;
         }
@@ -774,11 +756,11 @@ impl WorkflowInstance {
                 if self.in_cycle[p] && self.scc_ids[q] == self.scc_ids[p] {
                     return true;
                 }
-                self.port_depth(p, q) < cap
+                self.port_depth(p, q) < self.config.port_capacity
             })
     }
 
-    /// Occupancy of the bounded edge `p → q`: items queued at the
+    /// Occupancy of the edge `p → q`: items queued at the
     /// consumer (complete matches plus partial tokens waiting in its
     /// match engine) plus the producer's in-flight invocations, each
     /// of which delivers one more item on completion.
@@ -794,7 +776,6 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         p: usize,
         blocked: bool,
-        cap: usize,
     ) {
         if self.states[p].suspended == blocked {
             return;
@@ -813,19 +794,20 @@ impl WorkflowInstance {
             .unwrap_or(0);
         let at = ctx.backend.now();
         let processor = self.workflow.processors[p].name.clone();
+        let capacity = self.config.port_capacity;
         self.obs.record(&if blocked {
             TraceEvent::PortSuspended {
                 at,
                 processor,
                 depth,
-                capacity: cap,
+                capacity,
             }
         } else {
             TraceEvent::PortResumed {
                 at,
                 processor,
                 depth,
-                capacity: cap,
+                capacity,
             }
         });
     }
@@ -877,7 +859,7 @@ impl WorkflowInstance {
     /// left behind once the instance reports itself idle.
     fn deadlock_check(&self) -> Result<(), MoteurError> {
         for c in &self.source_cursors {
-            let left = c.values.len() - c.next;
+            let left = c.values.len();
             if left > 0 {
                 return Err(MoteurError::new(format!(
                     "deadlock: source `{}` still holds {left} unemitted items",
@@ -992,10 +974,9 @@ impl WorkflowInstance {
                 ProcessorKind::Sink => {
                     *self.sink_counts.entry(target.name.clone()).or_default() += 1;
                     let out = self.sink_outputs.entry(target.name.clone()).or_default();
-                    // Streaming mode keeps only the first
-                    // `port_capacity` sink tokens as a sample;
-                    // `sink_counts` carries the full tally.
-                    if self.config.port_capacity.is_none_or(|cap| out.len() < cap) {
+                    // Only the first `port_capacity` sink tokens are
+                    // retained; `sink_counts` carries the full tally.
+                    if out.len() < self.config.port_capacity {
                         out.push(token.clone());
                     }
                 }
@@ -1050,8 +1031,8 @@ impl WorkflowInstance {
             if budget.is_some_and(|b| dispatched >= b) {
                 return Ok(dispatched);
             }
-            // Streaming: feed the pipeline before firing so ports freed
-            // by the previous round pull the next items off the source
+            // Feed the pipeline before firing so ports freed by the
+            // previous round pull the next items off the source
             // cursors. Source emission is not a dispatch and never
             // counts against the daemon's budget.
             let mut fired = self.pump_sources(ctx);
@@ -1080,9 +1061,7 @@ impl WorkflowInstance {
                     && self.can_fire(p, &exhausted)
                     && budget.is_none_or(|b| dispatched < b)
                 {
-                    if let Some(cap) = self.config.port_capacity {
-                        self.set_suspended(ctx, p, false, cap);
-                    }
+                    self.set_suspended(ctx, p, false);
                     let batchable = self.config.data_batching > 1 && !local_binding;
                     if batchable {
                         let k = self.config.data_batching.min(self.states[p].ready.len());
@@ -1100,13 +1079,11 @@ impl WorkflowInstance {
                 // A processor held back *only* by a full downstream
                 // port is suspended: it transitions once into the
                 // suspended state and resumes when the port drains.
-                if let Some(cap) = self.config.port_capacity {
-                    if !self.states[p].ready.is_empty()
-                        && self.can_fire_ignoring_room(p, &exhausted)
-                        && !self.has_port_room(p, cap)
-                    {
-                        self.set_suspended(ctx, p, true, cap);
-                    }
+                if !self.states[p].ready.is_empty()
+                    && self.can_fire_ignoring_room(p, &exhausted)
+                    && !self.has_port_room(p)
+                {
+                    self.set_suspended(ctx, p, true);
                 }
             }
             if !fired {
@@ -1116,15 +1093,10 @@ impl WorkflowInstance {
     }
 
     fn can_fire(&self, p: usize, exhausted: &[bool]) -> bool {
-        if let Some(cap) = self.config.port_capacity {
-            if !self.has_port_room(p, cap) {
-                return false;
-            }
-        }
-        self.can_fire_ignoring_room(p, exhausted)
+        self.has_port_room(p) && self.can_fire_ignoring_room(p, exhausted)
     }
 
-    /// [`WorkflowInstance::can_fire`] minus the streaming port-room
+    /// [`WorkflowInstance::can_fire`] minus the port-room
     /// check — the configuration-level gates only (DP, SP, control
     /// links). Used to distinguish "suspended on back-pressure" from
     /// "not runnable anyway".
@@ -1172,10 +1144,11 @@ impl WorkflowInstance {
                 let proc = &self.workflow.processors[p];
                 let quiet = self.states[p].ready.is_empty() && self.states[p].inflight == 0;
                 let value = match proc.kind {
-                    // Eager mode emits whole streams up front; in
-                    // streaming mode a source is exhausted only once
-                    // its cursor drained.
-                    ProcessorKind::Source => self.source_drained(p),
+                    // A source is exhausted once its cursor drained.
+                    ProcessorKind::Source => self
+                        .source_cursors
+                        .iter()
+                        .all(|c| c.proc.0 != p || c.values.as_slice().is_empty()),
                     ProcessorKind::Sink => self.preds_exhausted(p, &ex, true),
                     ProcessorKind::Service => {
                         if self.in_cycle[p] {
@@ -1215,27 +1188,6 @@ impl WorkflowInstance {
         }
     }
 
-    /// Streaming mode: drop the file catalog before building a job.
-    /// Every job build registers all the files it stages (inputs via
-    /// `bind_port`, outputs explicitly), so the catalog only needs the
-    /// live job's entries — resetting keeps it O(job) instead of
-    /// O(stream length). A no-op in eager mode, where grouped stages
-    /// may look up files registered by earlier builds.
-    fn reset_catalog_for_streaming(&mut self) {
-        if self.config.port_capacity.is_some() {
-            self.catalog = Catalog::new();
-        }
-    }
-
-    /// Will source `p` emit nothing more? Always true in eager mode
-    /// (streams are routed up front); cursor-drained in streaming mode.
-    fn source_drained(&self, p: usize) -> bool {
-        self.source_cursors
-            .iter()
-            .find(|c| c.proc.0 == p)
-            .is_none_or(|c| c.next >= c.values.len())
-    }
-
     fn eval_cost(&mut self, cost: &CostModel, index: &DataIndex) -> f64 {
         eval_cost_with(&mut self.rng, cost, index)
     }
@@ -1246,7 +1198,6 @@ impl WorkflowInstance {
         proc: ProcId,
         matched: MatchedSet,
     ) -> Result<(), MoteurError> {
-        self.reset_catalog_for_streaming();
         let binding = self.workflow.processors[proc.0]
             .binding
             .clone()
@@ -1329,7 +1280,6 @@ impl WorkflowInstance {
         proc: ProcId,
         batch: Vec<MatchedSet>,
     ) -> Result<(), MoteurError> {
-        self.reset_catalog_for_streaming();
         let binding = self.workflow.processors[proc.0]
             .binding
             .clone()
@@ -1594,6 +1544,10 @@ impl WorkflowInstance {
         invocation: InvocationId,
     ) -> Result<(JobPlan, f64, ServiceOutputs), MoteurError> {
         let p = &self.workflow.processors[proc.0];
+        // Every file the plan looks up is registered by this build
+        // (inputs via `bind_port`, outputs below), so the catalog is
+        // O(job), not O(stream length).
+        let mut catalog = Catalog::new();
         let mut binding = Binding::new();
         for (port_idx, port_name) in p.inputs.iter().enumerate() {
             let token = &matched.tokens[port_idx];
@@ -1604,14 +1558,8 @@ impl WorkflowInstance {
                 port: port_name.clone(),
                 bytes: Self::staged_bytes(&token.value),
             });
-            binding = Self::bind_port(
-                binding,
-                descriptor,
-                port_name,
-                token,
-                &mut self.catalog,
-                &p.name,
-            )?;
+            binding =
+                Self::bind_port(binding, descriptor, port_name, token, &mut catalog, &p.name)?;
         }
         for (slot, value) in &profile.fixed_params {
             binding = binding.bind_value(slot.clone(), value.clone());
@@ -1620,11 +1568,11 @@ impl WorkflowInstance {
         for out in &descriptor.outputs {
             let gfn = self.output_gfn(&p.name, invocation, &out.name);
             let bytes = profile.output_size(&out.name);
-            self.catalog.register(gfn.clone(), bytes);
+            catalog.register(gfn.clone(), bytes);
             binding = binding.bind_output(out.name.clone(), gfn.clone(), bytes);
             outputs.push((out.name.clone(), DataValue::File { gfn, bytes }));
         }
-        let plan = plan_single(descriptor, &binding, &self.catalog)?;
+        let plan = plan_single(descriptor, &binding, &catalog)?;
         let compute = self.eval_cost(&profile.compute.clone(), &matched.index);
         Ok((plan, compute, outputs))
     }
@@ -1638,6 +1586,7 @@ impl WorkflowInstance {
         invocation: InvocationId,
     ) -> Result<(JobPlan, f64, ServiceOutputs), MoteurError> {
         let p = &self.workflow.processors[proc.0];
+        let mut catalog = Catalog::new();
         let mut members: Vec<GroupMember> = Vec::with_capacity(group.stages.len());
         let mut stage_outputs: Vec<HashMap<String, (String, u64)>> = Vec::new();
         let mut compute_total = 0.0;
@@ -1659,7 +1608,7 @@ impl WorkflowInstance {
                             &stage.descriptor,
                             slot_name,
                             token,
-                            &mut self.catalog,
+                            &mut catalog,
                             &p.name,
                         )?;
                     }
@@ -1688,7 +1637,7 @@ impl WorkflowInstance {
                     self.workflow.name, p.name, stage.name, invocation.0, out.name
                 );
                 let bytes = stage.profile.output_size(&out.name);
-                self.catalog.register(gfn.clone(), bytes);
+                catalog.register(gfn.clone(), bytes);
                 binding = binding.bind_output(out.name.clone(), gfn.clone(), bytes);
                 outs.insert(out.name.clone(), (gfn, bytes));
             }
@@ -1716,7 +1665,7 @@ impl WorkflowInstance {
             external.push(gfn.clone());
             outputs.push((p.outputs[port_idx].clone(), DataValue::File { gfn, bytes }));
         }
-        let plan = compose_group(&members, &self.catalog, &external)?;
+        let plan = compose_group(&members, &catalog, &external)?;
         self.obs.emit(|| TraceEvent::GroupComposed {
             at: ctx.backend.now(),
             processor: p.name.clone(),
@@ -1731,7 +1680,6 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         proc: ProcId,
     ) -> Result<(), MoteurError> {
-        self.reset_catalog_for_streaming();
         let p = &self.workflow.processors[proc.0];
         let buffers = std::mem::take(&mut self.states[proc.0].sync_buffers);
         let mut tokens = Vec::with_capacity(buffers.len());
@@ -1801,7 +1749,6 @@ impl WorkflowInstance {
                             bytes: Self::staged_bytes(&t.value),
                         });
                         if let DataValue::File { gfn, bytes } = &t.value {
-                            self.catalog.register(gfn.clone(), *bytes);
                             fetch.push(TransferFile {
                                 name: gfn.clone(),
                                 bytes: *bytes,
@@ -1815,7 +1762,6 @@ impl WorkflowInstance {
                 for out in &descriptor.outputs {
                     let gfn = self.output_gfn(&p.name, invocation, &out.name);
                     let bytes = profile.output_size(&out.name);
-                    self.catalog.register(gfn.clone(), bytes);
                     store.push(TransferFile {
                         name: gfn.clone(),
                         bytes,
@@ -2253,10 +2199,11 @@ impl WorkflowInstance {
         }
         let sample = c.finished_at.since(pend.submitted).as_secs_f64();
         let samples = &mut self.proc_samples[proc_id.0];
-        if self.config.port_capacity.is_some() && samples.len() >= SAMPLE_RING {
-            // Streaming mode bounds the timeout statistics: overwrite
-            // the oldest sample (percentiles don't care about order).
-            let slot = self.sample_cursors[proc_id.0] % SAMPLE_RING;
+        let window = self.config.port_capacity.max(SAMPLE_WINDOW);
+        if samples.len() >= window {
+            // The timeout statistics are bounded: overwrite the oldest
+            // sample (percentiles don't care about order).
+            let slot = self.sample_cursors[proc_id.0] % window;
             samples[slot] = sample;
             self.sample_cursors[proc_id.0] = self.sample_cursors[proc_id.0].wrapping_add(1);
         } else {
@@ -2275,14 +2222,10 @@ impl WorkflowInstance {
             };
             let proc_name = self.workflow.processors[proc_id.0].name.clone();
             let proc_outputs = self.workflow.processors[proc_id.0].outputs.clone();
-            // Streaming mode keeps only the first `port_capacity`
-            // invocation records as a sample (`completed` and
-            // `sink_counts` carry the full tallies).
-            if self
-                .config
-                .port_capacity
-                .is_none_or(|cap| self.records.len() < cap)
-            {
+            // Only the first `port_capacity` invocation records are
+            // retained (`completed` and `sink_counts` carry the full
+            // tallies).
+            if self.records.len() < self.config.port_capacity {
                 self.records.push(InvocationRecord {
                     processor: proc_name.clone(),
                     index: entry.index.clone(),

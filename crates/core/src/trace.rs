@@ -29,17 +29,17 @@ impl InvocationRecord {
 #[derive(Debug)]
 pub struct WorkflowResult {
     /// Tokens collected by each sink, keyed by sink name, in arrival
-    /// order. In streaming mode
-    /// ([`crate::EnactorConfig::port_capacity`]) only the first
-    /// `port_capacity` tokens per sink are retained as a sample;
+    /// order: the first [`crate::EnactorConfig::port_capacity`] tokens
+    /// per sink (all of them under the default capacity);
     /// `sink_counts` carries the full tally.
     pub sink_outputs: HashMap<String, Vec<Token>>,
-    /// Total number of tokens each sink received — exact in every
-    /// mode, even when `sink_outputs` is truncated by streaming.
+    /// Total number of tokens each sink received — exact whatever the
+    /// port capacity.
     pub sink_counts: HashMap<String, usize>,
     /// Total execution time (Σ of the paper's model).
     pub makespan: SimDuration,
-    /// One record per fired invocation, in completion order.
+    /// One record per fired invocation, in completion order (the
+    /// first `port_capacity` of them).
     pub invocations: Vec<InvocationRecord>,
     /// Number of jobs submitted to the backend (the paper's job
     /// counts: 72/396/756 ungrouped, fewer with JG).
@@ -59,8 +59,8 @@ impl WorkflowResult {
         self.sink_outputs.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// How many tokens a named sink received in total (exact even in
-    /// streaming mode, where [`WorkflowResult::sink`] is a sample).
+    /// How many tokens a named sink received in total (exact even
+    /// when a port capacity truncates [`WorkflowResult::sink`]).
     pub fn sink_count(&self, name: &str) -> usize {
         self.sink_counts.get(name).copied().unwrap_or(0)
     }

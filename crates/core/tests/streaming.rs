@@ -235,7 +235,7 @@ fn unbounded_cold_path_emits_no_port_events_and_stays_byte_stable() {
     let trace = |_: ()| -> Vec<String> {
         let (obs, buffer) = capture();
         let mut backend = VirtualBackend::new();
-        // Default configuration: port_capacity is None, the eager path.
+        // Default configuration: port_capacity is unbounded.
         run_observed(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend, obs).unwrap();
         buffer.snapshot().iter().map(TraceEvent::to_json).collect()
     };
