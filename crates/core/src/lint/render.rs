@@ -151,13 +151,21 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Documents
+/// arrive from outside the program (daemon protocol lines, files named
+/// on the command line) and the parser recurses per level, so the
+/// bound is what keeps hostile input from overflowing the stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 impl JsonValue {
     /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected, nesting beyond [`MAX_JSON_DEPTH`]
+    /// rejected).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -219,6 +227,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -244,8 +254,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -253,6 +263,22 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
@@ -483,6 +509,17 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"yA"));
         assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_instead_of_overflowing_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Unclosed, far beyond any stack: still a plain `Err`.
+        assert!(JsonValue::parse(&"[".repeat(300_000)).is_err());
+        assert!(JsonValue::parse(&r#"{"a":"#.repeat(300_000)).is_err());
     }
 
     #[test]

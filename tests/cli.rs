@@ -179,6 +179,23 @@ fn bad_usage_and_bad_files_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// Regression: a timeline file is outside input; nesting deep enough
+/// to overflow the recursive JSON parser's stack must fail like any
+/// other malformed file, not abort the process.
+#[test]
+fn timeline_render_rejects_deeply_nested_json_without_aborting() {
+    let dir = in_temp_dir();
+    std::fs::write(dir.path().join("deep.json"), "[".repeat(300_000)).unwrap();
+    let out = moteur()
+        .args(["timeline", "render", "deep.json"])
+        .current_dir(dir.path())
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "a clean failure, not a signal");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("moteur: deep.json: nesting"), "{stderr}");
+}
+
 #[test]
 fn unknown_config_is_rejected() {
     let dir = in_temp_dir();

@@ -178,6 +178,22 @@ fn malformed_and_unknown_requests_get_error_responses() {
     );
 }
 
+/// Regression: the JSON parser used to recurse once per `[` with no
+/// bound, so one hostile line aborted the whole daemon with a stack
+/// overflow instead of costing its sender an error response.
+#[test]
+fn deeply_nested_request_gets_an_error_response_and_the_session_continues() {
+    let responses = run_session(&["[".repeat(300_000), req("metrics")]);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(responses[0].contains(r#""ok":false"#), "{}", responses[0]);
+    assert!(responses[0].contains("nesting"), "{}", responses[0]);
+    assert!(
+        responses[1].contains(r#""op":"metrics","ok":true"#),
+        "{}",
+        responses[1]
+    );
+}
+
 #[test]
 fn check_protocol_self_test_passes() {
     let out = moteur()
