@@ -30,6 +30,10 @@ pub struct MatchEngine {
     /// Dot state: per port, tokens queued by index (queues handle loop
     /// feedback where the same index legitimately recurs).
     dot: Vec<BTreeMap<DataIndex, VecDeque<Token>>>,
+    /// Tokens currently queued in `dot`, kept as a count so
+    /// [`MatchEngine::pending`] — read on every port-room check — is
+    /// O(1) however long the queues grow.
+    dot_pending: usize,
     /// Cross state: per port, all tokens seen so far.
     cross: Vec<Vec<Token>>,
 }
@@ -39,6 +43,7 @@ impl MatchEngine {
         MatchEngine {
             strategy,
             dot: (0..ports).map(|_| BTreeMap::new()).collect(),
+            dot_pending: 0,
             cross: (0..ports).map(|_| Vec::new()).collect(),
         }
     }
@@ -70,6 +75,7 @@ impl MatchEngine {
             .entry(index.clone())
             .or_default()
             .push_back(token);
+        self.dot_pending += 1;
         // A match exists when every port has a queued token at `index`.
         let ready = self
             .dot
@@ -90,6 +96,7 @@ impl MatchEngine {
                 t
             })
             .collect();
+        self.dot_pending -= tokens.len();
         vec![MatchedSet { tokens, index }]
     }
 
@@ -138,14 +145,7 @@ impl MatchEngine {
     /// Tokens buffered without a complete match yet (dot only; cross
     /// never holds back a possible combination).
     pub fn pending(&self) -> usize {
-        match self.strategy {
-            IterationStrategy::Dot => self
-                .dot
-                .iter()
-                .map(|m| m.values().map(VecDeque::len).sum::<usize>())
-                .sum(),
-            IterationStrategy::Cross => 0,
-        }
+        self.dot_pending
     }
 }
 
