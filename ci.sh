@@ -21,6 +21,12 @@ cargo test -q --offline
 # registration, bench).
 cargo test --workspace --offline
 
+# The benchmark is a package of its own that drives the product through
+# its public surface (benchmark/src/sut.rs): building and testing it
+# here makes a signature break fail CI instead of the benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # Static analysis over the bundled example workflows: errors AND
 # warnings fail the build (notes — e.g. grouping advice — are fine).
 # `plan` runs the same lint pass plus the cardinality/transfer planner,
