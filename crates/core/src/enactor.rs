@@ -165,10 +165,9 @@ fn enact<B: Backend>(
     obs: Obs,
     store: Option<&mut DataStore>,
 ) -> Result<WorkflowResult, MoteurError> {
-    let ft = ft.map_or_else(
-        || FtConfig::from_legacy(config.max_job_retries),
-        Clone::clone,
-    );
+    let ft = ft
+        .cloned()
+        .unwrap_or_else(|| FtConfig::from_legacy(config.max_job_retries));
     let mut ctx = EnactCtx { backend, store };
     let mut instance = WorkflowInstance::start(workflow, inputs, config, ft, &mut ctx, obs)?;
     instance.event_loop(&mut ctx)?;
@@ -715,7 +714,6 @@ impl WorkflowInstance {
         let mut emitted = false;
         for c in 0..self.source_cursors.len() {
             let proc = self.source_cursors[c].proc;
-            let name = self.source_cursors[c].name.clone();
             while !self.source_cursors[c].values.as_slice().is_empty() {
                 if !self.has_port_room(proc.0) {
                     self.set_suspended(ctx, proc.0, true);
@@ -724,7 +722,7 @@ impl WorkflowInstance {
                 self.set_suspended(ctx, proc.0, false);
                 let cursor = &mut self.source_cursors[c];
                 let value = cursor.values.next().expect("checked non-empty");
-                let token = Token::from_source(&name, cursor.next, value);
+                let token = Token::from_source(&cursor.name, cursor.next, value);
                 cursor.next += 1;
                 self.route(ctx, proc, 0, token);
                 emitted = true;

@@ -8,6 +8,7 @@
 
 use moteur::daemon::protocol;
 use moteur::prelude::*;
+use moteur::store::key::Fnv1a;
 use moteur::{Daemon, DaemonConfig, RingBufferSink};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -15,18 +16,10 @@ use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, Ou
 const BRONZE_XML: &str = include_str!("../../../examples/workflows/bronze-standard.xml");
 const IMAGE_BYTES: u64 = 7_864_320;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn digest_line(name: &str, stream: &str) -> String {
-    format!(
-        "{name} len={} fnv1a={:016x}\n",
-        stream.len(),
-        fnv1a(stream.as_bytes())
-    )
+    let mut hash = Fnv1a::new();
+    hash.write(stream.as_bytes());
+    format!("{name} len={} fnv1a={:016x}\n", stream.len(), hash.finish())
 }
 
 /// Run `enact` with a capturing sink and return the event stream as
