@@ -26,6 +26,11 @@ cargo test --workspace --offline
 # here makes a signature break fail CI instead of the benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml
+# Correctness smokes, not measurements: every op's output is checked
+# (hits, misses, grid jobs, makespan; one ok response per protocol
+# line) and a wrong one exits non-zero. About a second of ops each.
+bash benchmark/run.sh --workload memo_warm --seed 1 --seconds 1 --trace 0
+bash benchmark/run.sh --workload daemon_wave --seed 1 --seconds 1 --trace 0
 
 # Static analysis over the bundled example workflows: errors AND
 # warnings fail the build (notes — e.g. grouping advice — are fine).

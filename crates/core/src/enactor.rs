@@ -290,7 +290,9 @@ struct PendingJob {
 /// now a single-instance session: [`WorkflowInstance::start`], the
 /// same wait loop, [`WorkflowInstance::finish`].
 pub struct WorkflowInstance {
-    workflow: Workflow,
+    /// Shared so a firing can hold the processor's binding by
+    /// reference count while it mutates the rest of the instance.
+    workflow: Arc<Workflow>,
     config: EnactorConfig,
     ft: FtConfig,
     rng: Rng,
@@ -550,7 +552,7 @@ impl WorkflowInstance {
         let start_time = ctx.backend.now();
         let n_procs = workflow.processors.len();
         WorkflowInstance {
-            workflow,
+            workflow: Arc::new(workflow),
             config,
             ft,
             rng: Rng::new(config.seed ^ 0x4D4F_5445_5552), // "MOTEUR"
@@ -1112,11 +1114,15 @@ impl WorkflowInstance {
     /// the same cycle are skipped unless `include_cycle` (barriers may
     /// not sit inside cycles anyway).
     fn preds_exhausted(&self, p: usize, exhausted: &[bool], include_cycle: bool) -> bool {
-        self.workflow.data_preds(ProcId(p)).into_iter().all(|q| {
-            if !include_cycle && self.in_cycle[p] && self.scc_ids[q.0] == self.scc_ids[p] {
+        // Straight over the links: a predecessor feeding several ports
+        // is checked once per link, which `all` does not mind, and this
+        // runs on every firing round.
+        self.workflow.in_links(ProcId(p)).all(|l| {
+            let q = l.from.proc.0;
+            if !include_cycle && self.in_cycle[p] && self.scc_ids[q] == self.scc_ids[p] {
                 true
             } else {
-                exhausted[q.0]
+                exhausted[q]
             }
         })
     }
@@ -1161,10 +1167,10 @@ impl WorkflowInstance {
                                     && self.states[m].inflight == 0
                                     && self
                                         .workflow
-                                        .data_preds(ProcId(m))
-                                        .into_iter()
-                                        .filter(|q| self.scc_ids[q.0] != scc)
-                                        .all(|q| ex[q.0])
+                                        .in_links(ProcId(m))
+                                        .map(|l| l.from.proc.0)
+                                        .filter(|&q| self.scc_ids[q] != scc)
+                                        .all(|q| ex[q])
                             })
                         } else if proc.synchronization {
                             quiet
@@ -1186,22 +1192,17 @@ impl WorkflowInstance {
         }
     }
 
-    fn eval_cost(&mut self, cost: &CostModel, index: &DataIndex) -> f64 {
-        eval_cost_with(&mut self.rng, cost, index)
-    }
-
     fn fire<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
         proc: ProcId,
         matched: MatchedSet,
     ) -> Result<(), MoteurError> {
-        let binding = self.workflow.processors[proc.0]
-            .binding
-            .clone()
-            .ok_or_else(|| MoteurError::new("firing an unbound processor"))?;
         let invocation = InvocationId(self.next_invocation);
         self.next_invocation += 1;
+        // Consult the data manager before touching the binding: a hit
+        // needs none of it (an unbound processor has no digest, so it
+        // cannot hit).
         let probe = self.probe_cache(ctx, proc, &matched);
         if let CacheProbe::Hit {
             outputs,
@@ -1227,7 +1228,12 @@ impl WorkflowInstance {
             }
             _ => None,
         };
-        let (payload, grid_outputs) = match &binding {
+        let workflow = Arc::clone(&self.workflow);
+        let binding = workflow.processors[proc.0]
+            .binding
+            .as_ref()
+            .ok_or_else(|| MoteurError::new("firing an unbound processor"))?;
+        let (payload, grid_outputs) = match binding {
             ServiceBinding::Local(service) => (
                 JobPayload::Local {
                     service: service.clone(),
@@ -1278,10 +1284,6 @@ impl WorkflowInstance {
         proc: ProcId,
         batch: Vec<MatchedSet>,
     ) -> Result<(), MoteurError> {
-        let binding = self.workflow.processors[proc.0]
-            .binding
-            .clone()
-            .ok_or_else(|| MoteurError::new("firing an unbound processor"))?;
         let invocation = InvocationId(self.next_invocation);
         self.next_invocation += 1;
         // Consult the data manager first: memoized members leave the
@@ -1311,6 +1313,11 @@ impl WorkflowInstance {
         if misses.is_empty() {
             return Ok(());
         }
+        let workflow = Arc::clone(&self.workflow);
+        let binding = workflow.processors[proc.0]
+            .binding
+            .as_ref()
+            .ok_or_else(|| MoteurError::new("firing an unbound processor"))?;
         let mut command_lines = Vec::new();
         let mut fetch: Vec<TransferFile> = Vec::new();
         let mut store: Vec<TransferFile> = Vec::new();
@@ -1325,7 +1332,7 @@ impl WorkflowInstance {
                     processor: self.workflow.processors[proc.0].name.clone(),
                 });
             }
-            let (plan, compute, outputs) = match &binding {
+            let (plan, compute, outputs) = match binding {
                 ServiceBinding::Descriptor {
                     descriptor,
                     profile,
@@ -1571,7 +1578,7 @@ impl WorkflowInstance {
             outputs.push((out.name.clone(), DataValue::File { gfn, bytes }));
         }
         let plan = plan_single(descriptor, &binding, &catalog)?;
-        let compute = self.eval_cost(&profile.compute.clone(), &matched.index);
+        let compute = eval_cost_with(&mut self.rng, &profile.compute, &matched.index);
         Ok((plan, compute, outputs))
     }
 
@@ -1678,7 +1685,8 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         proc: ProcId,
     ) -> Result<(), MoteurError> {
-        let p = &self.workflow.processors[proc.0];
+        let workflow = Arc::clone(&self.workflow);
+        let p = &workflow.processors[proc.0];
         let buffers = std::mem::take(&mut self.states[proc.0].sync_buffers);
         let mut tokens = Vec::with_capacity(buffers.len());
         let mut histories = Vec::new();
@@ -1703,7 +1711,7 @@ impl WorkflowInstance {
         self.next_invocation += 1;
         let binding = p
             .binding
-            .clone()
+            .as_ref()
             .ok_or_else(|| MoteurError::new("synchronization processor without binding"))?;
         let matched = MatchedSet {
             tokens,
@@ -1717,7 +1725,7 @@ impl WorkflowInstance {
             // never memoized.
             cache_key: None,
         };
-        match &binding {
+        match binding {
             ServiceBinding::Local(service) => self.submit(
                 ctx,
                 proc,
@@ -1774,7 +1782,7 @@ impl WorkflowInstance {
                     fetch,
                     store,
                 };
-                let compute = self.eval_cost(&profile.compute.clone(), &DataIndex::scalar());
+                let compute = eval_cost_with(&mut self.rng, &profile.compute, &DataIndex::scalar());
                 self.submit(
                     ctx,
                     proc,

@@ -308,56 +308,62 @@ impl<'a> Parser<'a> {
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
+        u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
+    }
+
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next delimiter in one piece, so
+            // every byte is validated and moved once. Both delimiters
+            // are ASCII: a run ends on a char boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(
+                std::str::from_utf8(&rest[..run]).map_err(|_| "non-utf8 string".to_string())?,
+            );
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'r') => out.push('\r'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let mut code = self.hex4(self.pos + 1)?;
+                    self.pos += 4;
+                    // ASCII-escaping writers spell an astral scalar as a
+                    // high surrogate followed by an escaped low one.
+                    if (0xD800..0xDC00).contains(&code)
+                        && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                    {
+                        if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            self.pos += 6;
+                        }
+                    }
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| format!("invalid code point {code:#x}"))?,
+                    );
+                }
+                other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -509,6 +515,30 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"yA"));
         assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
         assert!(JsonValue::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn json_parser_joins_escaped_surrogate_pairs() {
+        // What `json.dumps("😀")` sends: ASCII-escaping is Python's default.
+        let v = JsonValue::parse(r#"["\ud83d\ude00","a\uD834\uDD1Eb","\u00e9"]"#).unwrap();
+        let items: Vec<_> = v.as_array().unwrap().iter().map(|s| s.as_str()).collect();
+        assert_eq!(items, [Some("\u{1F600}"), Some("a\u{1D11E}b"), Some("é")]);
+        // Lone, mis-ordered or half-escaped surrogates stay typed errors.
+        for (text, code) in [
+            (r#""\ud83d""#, "0xd83d"),
+            (r#""\ud83dx""#, "0xd83d"),
+            (r#""\ude00""#, "0xde00"),
+            (r#""\ude00\ud83d""#, "0xde00"),
+            (r#""\ud83d\u0041""#, "0xd83d"),
+            (r#""\ud83d\ud83d""#, "0xd83d"),
+            (r#""\ud83d\ude0""#, "0xd83d"),
+        ] {
+            assert_eq!(
+                JsonValue::parse(text).unwrap_err(),
+                format!("invalid code point {code}"),
+                "{text}"
+            );
+        }
     }
 
     #[test]

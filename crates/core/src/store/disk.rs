@@ -3,9 +3,12 @@
 //! per line).
 //!
 //! Both files are rewritten whole on [`DataStore::save`], sorted by
-//! key, so identical contents serialise byte-identically. Loading
-//! verifies the schema tag first and rejects anything else with a
-//! typed error — a future v2 layout will not be silently misread.
+//! key, so identical contents serialise byte-identically — which is
+//! why a store nothing changed in since it was loaded or saved skips
+//! the write: the files already hold exactly those bytes. Loading is
+//! one linear pass over each file; it verifies the schema tag first and
+//! rejects anything else with a typed error — a future v2 layout will
+//! not be silently misread.
 //!
 //! Numbers are stored as the hex spelling of their IEEE-754 bit
 //! pattern: JSON has no NaN/∞ and decimal round-trips are easy to get
@@ -109,8 +112,19 @@ fn encode_value(value: &DataValue) -> Option<String> {
     })
 }
 
-fn bad(what: &str) -> MoteurError {
+pub(super) fn bad(what: &str) -> MoteurError {
     MoteurError::new(format!("corrupt data store: {what}"))
+}
+
+/// A byte count as [`save`] writes it: a non-negative integer no
+/// larger than 2^53, the range in which the JSON number carried it
+/// exactly. Anything else is not this store's output.
+fn byte_count(v: Option<&JsonValue>, what: &str) -> Result<u64, MoteurError> {
+    const MAX_EXACT: f64 = (1u64 << 53) as f64;
+    v.and_then(JsonValue::as_f64)
+        .filter(|n| n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n))
+        .map(|n| n as u64)
+        .ok_or_else(|| bad(what))
 }
 
 fn decode_value(v: &JsonValue) -> Result<DataValue, MoteurError> {
@@ -139,10 +153,7 @@ fn decode_value(v: &JsonValue) -> Result<DataValue, MoteurError> {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| bad("file value without `gfn`"))?
                 .to_string(),
-            bytes: v
-                .get("bytes")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| bad("file value without `bytes`"))? as u64,
+            bytes: byte_count(v.get("bytes"), "file value without valid `bytes`")?,
         }),
         "list" => {
             let Some(JsonValue::Array(items)) = v.get("items") else {
@@ -229,15 +240,12 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
                 .and_then(JsonValue::as_str)
                 .and_then(ProvenanceKey::from_hex)
                 .ok_or_else(|| bad("entry without a valid `pk`"))?;
-            let footprint =
-                row.get("footprint")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| bad("entry without a `footprint`"))? as u64;
+            let footprint = byte_count(row.get("footprint"), "entry without a valid `footprint`")?;
             let value = decode_value(
                 row.get("value")
                     .ok_or_else(|| bad("entry without a `value`"))?,
             )?;
-            store.load_data(key, value, footprint);
+            store.load_data(key, value, footprint)?;
         }
     }
 
@@ -326,6 +334,195 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A store of `n` one-output invocations over 100-byte files, saved
+    /// into `dir`; returns the invocation keys in insertion order.
+    fn saved_store(dir: &Path, n: u32) -> Vec<InvocationKey> {
+        let mut store = DataStore::open(dir, StoreConfig::default()).unwrap();
+        let keys = (0..n)
+            .map(|i| {
+                let value = DataValue::File {
+                    gfn: format!("gfn://img{i:04}.hdr"),
+                    bytes: 100,
+                };
+                let pk = store.insert(&value, &History::source("s", i)).unwrap();
+                let ik = invocation_key("svc", u64::from(i), &[pk]);
+                store.record_invocation(ik, "svc", vec![("out".into(), pk)]);
+                ik
+            })
+            .collect();
+        store.save().unwrap();
+        keys
+    }
+
+    fn empty_index() -> String {
+        format!("{{\"schema\":\"{STORE_SCHEMA}\",\"invocations\":[]}}\n")
+    }
+
+    fn files(dir: &Path) -> (Vec<u8>, Vec<u8>) {
+        (
+            std::fs::read(dir.join(INDEX_FILE)).unwrap(),
+            std::fs::read(dir.join(DATA_FILE)).unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_hits_only_session_leaves_the_directory_alone() {
+        let dir = temp_dir("clean");
+        let keys = saved_store(&dir, 20);
+        let mut reader = DataStore::open(&dir, StoreConfig::default()).unwrap();
+        // Another process adds an entry while the reader is live.
+        let mut writer = DataStore::open(&dir, StoreConfig::default()).unwrap();
+        let pk = writer
+            .insert(&DataValue::from("late"), &History::source("s", 99))
+            .unwrap();
+        writer.record_invocation(invocation_key("svc", 99, &[pk]), "svc", vec![]);
+        writer.save().unwrap();
+        let before = files(&dir);
+        let mtime = |name| {
+            std::fs::metadata(dir.join(name))
+                .unwrap()
+                .modified()
+                .unwrap()
+        };
+        let stamps = (mtime(INDEX_FILE), mtime(DATA_FILE));
+
+        for ik in &keys {
+            assert!(reader.lookup(*ik).is_some());
+        }
+        assert_eq!(reader.gc(), 0, "nothing dangling, nothing pruned");
+        reader.save().unwrap();
+        assert_eq!(files(&dir), before, "the writer's additions survive");
+        assert_eq!((mtime(INDEX_FILE), mtime(DATA_FILE)), stamps);
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [INDEX_FILE, DATA_FILE], "no .tmp or lock residue");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_mutation_makes_the_next_save_write() {
+        let small = || StoreConfig::default().with_max_bytes(250);
+        let dir = temp_dir("dirty");
+        // A fresh directory gets its (empty) pair on the first save.
+        DataStore::open(&dir, small()).unwrap().save().unwrap();
+        assert_eq!(files(&dir).0, empty_index().into_bytes());
+        saved_store(&dir, 2);
+
+        // Each step reopens (clean), mutates one way, saves, and must
+        // find the files changed.
+        let step = |what: &str, mutate: &dyn Fn(&mut DataStore)| {
+            let before = files(&dir);
+            let mut store = DataStore::open(&dir, small()).unwrap();
+            mutate(&mut store);
+            store.save().unwrap();
+            let after = files(&dir);
+            assert_ne!(after, before, "{what} was not saved");
+            store.save().unwrap();
+            assert_eq!(files(&dir), after, "a second save has nothing to add");
+        };
+        step("insert", &|s| {
+            s.insert(&DataValue::from("x"), &History::source("s", 7));
+        });
+        step("record_invocation", &|s| {
+            s.record_invocation(invocation_key("svc", 7, &[]), "svc", vec![]);
+        });
+        step("eviction", &|s| {
+            let big = DataValue::File {
+                gfn: "gfn://big".into(),
+                bytes: 200,
+            };
+            s.insert(&big, &History::source("s", 8));
+            assert!(s.stats().evictions > 0);
+        });
+        step("gc", &|s| assert!(s.gc() > 0, "evicted outputs dangle"));
+        step("clear", &|s| s.clear());
+        assert_eq!(files(&dir).1, b"", "cleared store saved empty");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_files_are_errors_never_panics() {
+        let dir = temp_dir("truncated");
+        saved_store(&dir, 200);
+        let (index, data) = files(&dir);
+        let open = || DataStore::open(&dir, StoreConfig::default());
+        for cut in (0..index.len() - 1).step_by(97) {
+            std::fs::write(dir.join(INDEX_FILE), &index[..cut]).unwrap();
+            assert!(open().is_err(), "index.json cut at {cut}");
+        }
+        std::fs::write(dir.join(INDEX_FILE), &index).unwrap();
+        for cut in (0..data.len()).step_by(97) {
+            std::fs::write(dir.join(DATA_FILE), &data[..cut]).unwrap();
+            // A cut between lines is a shorter, well-formed file.
+            let whole_lines = cut == 0 || data[cut - 1] == b'\n' || data[cut] == b'\n';
+            match open() {
+                Ok(store) if whole_lines => {
+                    let lines = data[..cut].split(|b| *b == b'\n').filter(|l| !l.is_empty());
+                    assert_eq!(store.stats().entries, lines.count());
+                }
+                Ok(_) => panic!("store.jsonl cut mid-line at {cut} loaded"),
+                Err(e) => assert!(!whole_lines, "store.jsonl cut at {cut}: {e}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hostile_byte_counts_are_typed_errors() {
+        let dir = temp_dir("numbers");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(INDEX_FILE), empty_index()).unwrap();
+        let row = |pk: u64, footprint: &str, bytes: &str| {
+            format!(
+                "{{\"pk\":\"{pk:016x}\",\"footprint\":{footprint},\
+                 \"value\":{{\"t\":\"file\",\"gfn\":\"g\",\"bytes\":{bytes}}}}}\n"
+            )
+        };
+        let open = |text: String| {
+            std::fs::write(dir.join(DATA_FILE), text).unwrap();
+            DataStore::open(&dir, StoreConfig::default())
+        };
+        for bad in [
+            "-5.5",
+            "-1",
+            "0.5",
+            "1e300",
+            "9007199254740994",
+            "\"7\"",
+            "null",
+        ] {
+            let err = open(row(1, bad, "7")).unwrap_err().to_string();
+            assert!(
+                err.contains("corrupt data store") && err.contains("footprint"),
+                "{bad}: {err}"
+            );
+            let err = open(row(1, "7", bad)).unwrap_err().to_string();
+            assert!(
+                err.contains("corrupt data store") && err.contains("bytes"),
+                "{bad}: {err}"
+            );
+        }
+        // The largest exact integer loads; enough of them overflow the
+        // byte gauge, which is an error rather than a wrapped total.
+        let max = "9007199254740992";
+        assert_eq!(open(row(1, max, max)).unwrap().stats().bytes, 1 << 53);
+        let many: String = (0..2048).map(|pk| row(pk, max, "7")).collect();
+        let err = open(many).unwrap_err().to_string();
+        assert!(
+            err.contains("corrupt data store") && err.contains("overflow"),
+            "{err}"
+        );
+        // A repeated `pk` line replaces the entry and its charge.
+        let stats = open(row(1, "100", "7") + &row(1, "30", "7") + &row(2, "5", "7"))
+            .unwrap()
+            .stats();
+        assert_eq!((stats.entries, stats.bytes), (2, 35));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn concurrent_writers_on_one_cache_dir_do_not_corrupt_it() {
         let dir = temp_dir("concurrent");
@@ -397,11 +594,7 @@ mod tests {
     fn corrupt_lines_surface_as_typed_errors() {
         let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join(INDEX_FILE),
-            format!("{{\"schema\":\"{STORE_SCHEMA}\",\"invocations\":[]}}\n"),
-        )
-        .unwrap();
+        std::fs::write(dir.join(INDEX_FILE), empty_index()).unwrap();
         std::fs::write(dir.join(DATA_FILE), "not json\n").unwrap();
         assert!(DataStore::open(&dir, StoreConfig::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);

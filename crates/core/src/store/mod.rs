@@ -38,6 +38,7 @@ use crate::value::DataValue;
 use moteur_gridsim::Distribution;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// On-disk schema tag; bump on any incompatible layout change.
 pub const STORE_SCHEMA: &str = "moteur-store/v1";
@@ -156,6 +157,11 @@ pub struct DataStore {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// Whether the persisted contents (data and index; the LRU clock
+    /// and the counters are not persisted) changed since the last load
+    /// or save. Atomic only so [`DataStore::save`] can clear it through
+    /// `&self`.
+    dirty: AtomicBool,
 }
 
 impl DataStore {
@@ -171,12 +177,14 @@ impl DataStore {
             hits: 0,
             misses: 0,
             evictions: 0,
+            dirty: AtomicBool::new(false),
         }
     }
 
     /// Open (or initialise) a persistent store rooted at `dir`. An
     /// existing store is loaded and its schema version checked; a fresh
-    /// directory starts empty — nothing is written until [`save`].
+    /// directory starts empty — nothing is written until [`save`], and
+    /// that first save writes the (possibly empty) pair of files.
     ///
     /// [`save`]: DataStore::save
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self, MoteurError> {
@@ -184,19 +192,30 @@ impl DataStore {
         std::fs::create_dir_all(dir)?;
         let mut store = Self::in_memory(config);
         store.dir = Some(dir.to_path_buf());
-        if dir.join(disk::INDEX_FILE).exists() {
+        let indexed = dir.join(disk::INDEX_FILE).exists();
+        if indexed {
             disk::load(&mut store, dir)?;
         }
+        // A loaded store has nothing to write back; a directory missing
+        // either file gets the pair on the first save.
+        *store.dirty.get_mut() = !(indexed && dir.join(disk::DATA_FILE).exists());
         Ok(store)
     }
 
     /// Persist the store into its directory (no-op for in-memory
-    /// stores). Writes are whole-file and sorted by key, so saving the
-    /// same contents twice produces byte-identical files.
+    /// stores, and for a store whose contents have not changed since
+    /// it was loaded or last saved: the files already hold them, and
+    /// leaving them alone keeps whatever a concurrent writer added).
+    /// Writes are whole-file and sorted by key, so saving the same
+    /// contents twice produces byte-identical files.
     pub fn save(&self) -> Result<(), MoteurError> {
         match &self.dir {
-            Some(dir) => disk::save(self, dir),
-            None => Ok(()),
+            Some(dir) if self.dirty.load(Ordering::Relaxed) => {
+                disk::save(self, dir)?;
+                self.dirty.store(false, Ordering::Relaxed);
+                Ok(())
+            }
+            _ => Ok(()),
         }
     }
 
@@ -238,6 +257,7 @@ impl DataStore {
         }
         self.evict_to_fit(footprint);
         self.bytes += footprint;
+        *self.dirty.get_mut() = true;
         self.data.insert(
             key,
             DataEntry {
@@ -257,6 +277,7 @@ impl DataStore {
         service: impl Into<String>,
         outputs: Vec<(String, ProvenanceKey)>,
     ) {
+        *self.dirty.get_mut() = true;
         self.invocations.insert(
             key,
             InvocationEntry {
@@ -271,22 +292,18 @@ impl DataStore {
     /// some); partial entries count as misses. Hits refresh the LRU
     /// clock of every returned item.
     pub fn lookup(&mut self, key: InvocationKey) -> Option<Vec<(String, DataValue)>> {
-        let complete = self
-            .invocations
-            .get(&key)
-            .is_some_and(|inv| inv.outputs.iter().all(|(_, pk)| self.data.contains_key(pk)));
-        if !complete {
+        // `invocations` is read while `data` is written: disjoint fields.
+        let Some(outputs) = Self::complete_outputs(&self.invocations, &self.data, key) else {
             self.misses += 1;
             return None;
-        }
+        };
         self.hits += 1;
         self.tick += 1;
-        let inv = self.invocations.get(&key).expect("checked above");
-        let mut out = Vec::with_capacity(inv.outputs.len());
-        for (port, pk) in inv.outputs.clone() {
-            let entry = self.data.get_mut(&pk).expect("checked above");
+        let mut out = Vec::with_capacity(outputs.len());
+        for (port, pk) in outputs {
+            let entry = self.data.get_mut(pk).expect("checked above");
             entry.last_used = self.tick;
-            out.push((port, entry.value.clone()));
+            out.push((port.clone(), entry.value.clone()));
         }
         Some(out)
     }
@@ -294,9 +311,21 @@ impl DataStore {
     /// Whether an invocation would hit, without touching the counters
     /// or the LRU clock.
     pub fn contains(&self, key: InvocationKey) -> bool {
-        self.invocations
+        Self::complete_outputs(&self.invocations, &self.data, key).is_some()
+    }
+
+    /// The recorded outputs of `key`, if all of them are still stored.
+    /// Takes the two maps rather than `&self` so a caller can go on to
+    /// write `data` while holding the result.
+    fn complete_outputs<'a>(
+        invocations: &'a HashMap<InvocationKey, InvocationEntry>,
+        data: &HashMap<ProvenanceKey, DataEntry>,
+        key: InvocationKey,
+    ) -> Option<&'a [(String, ProvenanceKey)]> {
+        invocations
             .get(&key)
-            .is_some_and(|inv| inv.outputs.iter().all(|(_, pk)| self.data.contains_key(pk)))
+            .map(|inv| inv.outputs.as_slice())
+            .filter(|outs| outs.iter().all(|(_, pk)| data.contains_key(pk)))
     }
 
     /// Drop invocation-index entries whose data items were evicted.
@@ -306,7 +335,9 @@ impl DataStore {
         let before = self.invocations.len();
         self.invocations
             .retain(|_, inv| inv.outputs.iter().all(|(_, pk)| data.contains_key(pk)));
-        before - self.invocations.len()
+        let pruned = before - self.invocations.len();
+        *self.dirty.get_mut() |= pruned > 0;
+        pruned
     }
 
     /// Drop everything (data, index and counters). The directory, if
@@ -319,6 +350,7 @@ impl DataStore {
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
+        *self.dirty.get_mut() = true;
     }
 
     pub fn stats(&self) -> StoreStats {
@@ -364,18 +396,25 @@ impl DataStore {
             .map(|(k, e)| (*k, e.service.as_str(), e.outputs.as_slice()))
     }
 
-    /// Load-path insert: trusts the persisted key and footprint.
-    pub(crate) fn load_data(&mut self, key: ProvenanceKey, value: DataValue, footprint: u64) {
+    /// Load-path insert: trusts the persisted key and footprint. A
+    /// repeated key replaces the earlier entry and its charge.
+    pub(crate) fn load_data(
+        &mut self,
+        key: ProvenanceKey,
+        value: DataValue,
+        footprint: u64,
+    ) -> Result<(), MoteurError> {
         self.tick += 1;
-        self.bytes += footprint;
-        self.data.insert(
-            key,
-            DataEntry {
-                value,
-                footprint,
-                last_used: self.tick,
-            },
-        );
+        let entry = DataEntry {
+            value,
+            footprint,
+            last_used: self.tick,
+        };
+        let replaced = self.data.insert(key, entry).map_or(0, |old| old.footprint);
+        self.bytes = (self.bytes - replaced)
+            .checked_add(footprint)
+            .ok_or_else(|| disk::bad("entry footprints overflow"))?;
+        Ok(())
     }
 }
 

@@ -194,6 +194,21 @@ fn deeply_nested_request_gets_an_error_response_and_the_session_continues() {
     );
 }
 
+/// Regression: a stock `json.dumps` client ASCII-escapes astral
+/// characters as surrogate pairs, which the parser used to reject.
+#[test]
+fn ascii_escaped_astral_characters_are_accepted_and_the_session_continues() {
+    let session = [submit_line(r"\ud83d\ude00", 2), req("drain"), req("list")];
+    let responses = run_session(&session);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(responses[0].contains(r#""op":"submit","ok":true,"id":1"#));
+    assert!(
+        responses[2].contains("\"tenant\":\"\u{1F600}\""),
+        "{}",
+        responses[2]
+    );
+}
+
 #[test]
 fn check_protocol_self_test_passes() {
     let out = moteur()
