@@ -67,12 +67,11 @@ impl DaemonReport {
         }
     }
 
-    /// Did the wave meet its headline targets? Every submission must
-    /// succeed and the wave must reuse ≥ 90% of the seed's derivations
-    /// (the ISSUE's cross-tenant sharing bar, also enforced in CI by
-    /// `gate::check_daemon`).
+    /// The gate's verdict ([`crate::gate::DAEMON`]) on this report:
+    /// every submission succeeded, the wave reused the seed's
+    /// derivations, and admission stayed bounded.
     pub fn ok(&self) -> bool {
-        self.succeeded == self.n_workflows && self.cross_tenant_hit_ratio() >= 0.9
+        crate::gate::DAEMON.passes(&render_daemon_json(self))
     }
 }
 

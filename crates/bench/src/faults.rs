@@ -17,8 +17,9 @@
 //!   completion wins). This is the strategy that should beat naive.
 //!
 //! `BENCH_faults.json` records the per-strategy makespans and the
-//! timeout/replica/resubmission traffic; the CI gate requires
-//! `timeout+replication` to beat `naive` on mean makespan.
+//! timeout/replica/resubmission traffic; the CI gate
+//! ([`crate::gate::FAULTS`]) requires `timeout+replication` to beat
+//! `naive` on mean makespan.
 
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::obs::json::{self, JsonObject};
@@ -46,7 +47,7 @@ impl FaultStrategy {
         FaultStrategy::TimeoutReplication,
     ];
 
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             FaultStrategy::Naive => "naive",
             FaultStrategy::Backoff => "backoff",
@@ -151,17 +152,9 @@ impl FaultsReport {
         self.outcomes.iter().find(|o| o.strategy == strategy)
     }
 
-    /// The gate predicate: speculative replication must beat the legacy
-    /// strategy on mean makespan, and nothing may be quarantined.
+    /// The gate's verdict ([`crate::gate::FAULTS`]) on this report.
     pub fn ok(&self) -> bool {
-        let (Some(naive), Some(repl)) = (
-            self.outcome(FaultStrategy::Naive.name()),
-            self.outcome(FaultStrategy::TimeoutReplication.name()),
-        ) else {
-            return false;
-        };
-        repl.mean_makespan_secs < naive.mean_makespan_secs
-            && self.outcomes.iter().all(|o| o.quarantined == 0)
+        crate::gate::FAULTS.passes(&render_faults_json(self))
     }
 
     /// `naive_mean / replication_mean` — headline speed-up.
@@ -250,19 +243,21 @@ pub fn render_faults_json(report: &FaultsReport) -> String {
             .uint("quarantined", o.quarantined as u64)
             .finish()
     }));
-    JsonObject::new()
-        .str("schema", FAULTS_SCHEMA)
-        .str("workflow", "bronze")
-        .str("grid", "egee-2006 (middleware retries off)")
-        .str("config", "sp+dp")
-        .uint("n_data", report.spec.n_data as u64)
-        .uint("seed", report.spec.seed)
-        .uint("repeats", report.spec.repeats as u64)
-        .num("failure_probability", report.spec.failure_probability)
-        .bool("ok", report.ok())
-        .num("replication_speedup", report.replication_speedup())
-        .raw("strategies", &outcomes)
-        .finish()
+    crate::gate::FAULTS.render_with_verdict(|ok| {
+        JsonObject::new()
+            .str("schema", FAULTS_SCHEMA)
+            .str("workflow", "bronze")
+            .str("grid", "egee-2006 (middleware retries off)")
+            .str("config", "sp+dp")
+            .uint("n_data", report.spec.n_data as u64)
+            .uint("seed", report.spec.seed)
+            .uint("repeats", report.spec.repeats as u64)
+            .num("failure_probability", report.spec.failure_probability)
+            .bool("ok", ok)
+            .num("replication_speedup", report.replication_speedup())
+            .raw("strategies", &outcomes)
+            .finish()
+    })
 }
 
 /// Human rendering, one strategy per block.

@@ -1,24 +1,39 @@
-//! Bench regression gate: compare a fresh `BENCH_summary.json` against
-//! the committed baseline and fail when performance regressed.
+//! Bench regression gate, stated as data.
 //!
-//! Three families of checks, all driven by the stable summary schema
-//! (see [`crate::sweep::SUMMARY_SCHEMA`]):
+//! Every campaign that writes a `BENCH_*.json` document has one table
+//! here: a [`Campaign`] naming the document's schema and a list of
+//! [`Row`]s, each a labelled comparison `lhs op rhs` between numbers
+//! read from the document ([`Expr`]). [`Campaign::check`] is the only
+//! interpreter: it opens the document ([`expect_schema`]), looks the
+//! operands up, turns a missing or mistyped field into an `Err`, and
+//! returns one [`GateCheck`] per row.
 //!
-//! - **makespan**: per configuration, `makespan_at_max` must not exceed
-//!   the baseline by more than the threshold fraction;
-//! - **speedup**: each named ratio must not fall below the baseline by
-//!   more than the threshold fraction (a lost speed-up means an
-//!   optimisation stopped working even if absolute times moved);
-//! - **drift**: the fresh summary's `drift_ok` flags must all hold —
-//!   the model and the enactor must still agree on the ideal grid.
+//! The same tables give every verdict in the crate. A report's `ok()`
+//! (and the `"ok"` field of its document) is its table evaluated over
+//! the document the report renders, a campaign command exits by the
+//! table's verdict on the file it just wrote, and `moteur-bench gate`
+//! walks [`GATED`] over the files it finds — so each bound and each
+//! comparison is written once, in a row below.
+//!
+//! To gate something new, add a [`Row`] to the campaign's table: pick
+//! the `what` label the report prints, the operands and the [`Op`];
+//! add `.when_alloc()` if the numbers only exist under the counting
+//! allocator, or make the right-hand side [`Expr::Baseline`] to compare
+//! against the committed baseline with the gate's threshold as slack.
+//! The table test at the bottom of this file then asks for a one-field
+//! mutation of the campaign's document that fails exactly that row.
 //!
 //! `ci.sh` wires this behind `moteur-bench gate`; the documented
 //! `MOTEUR_BENCH_UPDATE_BASELINE=1` override (handled by the binary,
-//! not here) rewrites the baseline instead of failing.
+//! not here) rewrites the baselines instead of comparing.
 
-use moteur::lint::JsonValue;
+use crate::faults::FaultStrategy;
+use crate::scale::ALLOCS_PER_EVENT_BUDGET;
+use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET};
+use moteur::obs::json::{expect_schema, JsonValue};
 
-/// One baseline-vs-current comparison.
+/// One evaluated row: the right-hand side (`baseline`), the left-hand
+/// side (`current`) and whether the comparison held.
 #[derive(Debug, Clone)]
 pub struct GateCheck {
     /// What was compared, e.g. `makespan/nop` or `speedup/nop_over_sp`.
@@ -71,174 +86,8 @@ impl GateReport {
     }
 }
 
-fn parse_summary(label: &str, json: &str) -> Result<JsonValue, String> {
-    let value = JsonValue::parse(json).map_err(|e| format!("{label}: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::sweep::SUMMARY_SCHEMA) => Ok(value),
-        Some(other) => Err(format!(
-            "{label}: schema `{other}`, expected `{}`",
-            crate::sweep::SUMMARY_SCHEMA
-        )),
-        None => Err(format!("{label}: missing schema tag")),
-    }
-}
-
-fn config_field(summary: &JsonValue, config: &str, field: &str) -> Option<f64> {
-    summary
-        .get("configs")?
-        .as_array()?
-        .iter()
-        .find(|c| c.get("config").and_then(JsonValue::as_str) == Some(config))?
-        .get(field)?
-        .as_f64()
-}
-
-fn config_names(summary: &JsonValue) -> Vec<String> {
-    summary
-        .get("configs")
-        .and_then(JsonValue::as_array)
-        .map(|cs| {
-            cs.iter()
-                .filter_map(|c| c.get("config").and_then(JsonValue::as_str))
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Compare a current summary against the baseline.
-///
-/// Fails with `Err` on malformed/mismatched documents; regressions are
-/// reported through the returned [`GateReport`], not as errors.
-pub fn check_gate(
-    baseline_json: &str,
-    current_json: &str,
-    threshold: f64,
-) -> Result<GateReport, String> {
-    let baseline = parse_summary("baseline", baseline_json)?;
-    let current = parse_summary("current", current_json)?;
-    let mut checks = Vec::new();
-
-    for config in config_names(&baseline) {
-        let Some(base) = config_field(&baseline, &config, "makespan_at_max") else {
-            continue;
-        };
-        match config_field(&current, &config, "makespan_at_max") {
-            Some(cur) => {
-                checks.push(GateCheck {
-                    what: format!("makespan/{config}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur <= base * (1.0 + threshold) + 1e-9,
-                });
-            }
-            None => {
-                // A configuration that vanished from the summary is a
-                // regression of coverage, not of speed.
-                checks.push(GateCheck {
-                    what: format!("makespan/{config} (missing)"),
-                    baseline: base,
-                    current: f64::NAN,
-                    ok: false,
-                });
-            }
-        }
-        let drift_ok = current
-            .get("configs")
-            .and_then(JsonValue::as_array)
-            .and_then(|cs| {
-                cs.iter()
-                    .find(|c| c.get("config").and_then(JsonValue::as_str) == Some(&*config))
-            })
-            .and_then(|c| c.get("drift_ok"))
-            .and_then(JsonValue::as_bool);
-        if let Some(ok) = drift_ok {
-            checks.push(GateCheck {
-                what: format!("drift/{config}"),
-                baseline: 1.0,
-                current: f64::from(u8::from(ok)),
-                ok,
-            });
-        }
-    }
-
-    if let Some(JsonValue::Object(pairs)) = baseline.get("speedups") {
-        for (name, value) in pairs {
-            let Some(base) = value.as_f64() else { continue };
-            let cur = current
-                .get("speedups")
-                .and_then(|s| s.get(name))
-                .and_then(JsonValue::as_f64);
-            match cur {
-                Some(cur) => checks.push(GateCheck {
-                    what: format!("speedup/{name}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur >= base * (1.0 - threshold) - 1e-9,
-                }),
-                None => checks.push(GateCheck {
-                    what: format!("speedup/{name} (missing)"),
-                    baseline: base,
-                    current: f64::NAN,
-                    ok: false,
-                }),
-            }
-        }
-    }
-
-    Ok(GateReport { threshold, checks })
-}
-
-/// Checks over a `BENCH_faults.json` document (schema
-/// `moteur-bench/faults/v1`): timeout+replication must beat naive
-/// resubmission on mean makespan, and no strategy may have quarantined
-/// an item. Returned as [`GateCheck`]s so the binary can fold them into
-/// the same report as the baseline comparison.
-pub fn check_faults(faults_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(faults_json).map_err(|e| format!("faults: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::faults::FAULTS_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "faults: schema `{other}`, expected `{}`",
-                crate::faults::FAULTS_SCHEMA
-            ))
-        }
-        None => return Err("faults: missing schema tag".to_string()),
-    }
-    let strategies = value
-        .get("strategies")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "faults: missing strategies array".to_string())?;
-    let mean = |name: &str| -> Option<f64> {
-        strategies
-            .iter()
-            .find(|s| s.get("strategy").and_then(JsonValue::as_str) == Some(name))?
-            .get("mean_makespan_secs")?
-            .as_f64()
-    };
-    let naive = mean("naive").ok_or_else(|| "faults: missing `naive` strategy".to_string())?;
-    let replication = mean("timeout+replication")
-        .ok_or_else(|| "faults: missing `timeout+replication` strategy".to_string())?;
-    let quarantined: f64 = strategies
-        .iter()
-        .filter_map(|s| s.get("quarantined").and_then(JsonValue::as_f64))
-        .sum();
-    Ok(vec![
-        GateCheck {
-            what: "faults/replication_vs_naive".to_string(),
-            baseline: naive,
-            current: replication,
-            ok: replication < naive,
-        },
-        GateCheck {
-            what: "faults/quarantined".to_string(),
-            baseline: 0.0,
-            current: quarantined,
-            ok: quarantined == 0.0,
-        },
-    ])
-}
+/// Default allowed regression: 10 %.
+pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// Cross-tenant sharing bar for the daemon wave: the warm tenants must
 /// reuse at least this fraction of the seed tenant's derivations.
@@ -252,450 +101,554 @@ pub const DAEMON_HIT_RATIO_FLOOR: f64 = 0.9;
 /// unless admission or fair dispatch regresses.
 pub const DAEMON_TTFJ_P99_CEILING_SECS: f64 = 600.0;
 
-/// Checks over a `BENCH_daemon.json` document (schema
-/// `moteur-bench/daemon/v1`): every submission in the wave must have
-/// succeeded, the cross-tenant cache-hit ratio must clear
-/// [`DAEMON_HIT_RATIO_FLOOR`], and the p99 time-to-first-job must stay
-/// under [`DAEMON_TTFJ_P99_CEILING_SECS`].
-pub fn check_daemon(daemon_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(daemon_json).map_err(|e| format!("daemon: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::daemon::DAEMON_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "daemon: schema `{other}`, expected `{}`",
-                crate::daemon::DAEMON_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("daemon: missing schema tag".to_string()),
-    }
-    let num = |field: &str| -> Result<f64, String> {
-        value
-            .get(field)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("daemon: missing `{field}`"))
-    };
-    let n_workflows = num("n_workflows")?;
-    let succeeded = num("succeeded")?;
-    let hit_ratio = num("cross_tenant_hit_ratio")?;
-    let ttfj_p99 = num("ttfj_p99_secs")?;
-    Ok(vec![
-        GateCheck {
-            what: "daemon/completed".to_string(),
-            baseline: n_workflows,
-            current: succeeded,
-            ok: succeeded == n_workflows,
-        },
-        GateCheck {
-            what: "daemon/cross_tenant_hit_ratio".to_string(),
-            baseline: DAEMON_HIT_RATIO_FLOOR,
-            current: hit_ratio,
-            ok: hit_ratio >= DAEMON_HIT_RATIO_FLOOR,
-        },
-        GateCheck {
-            what: "daemon/ttfj_p99_secs".to_string(),
-            baseline: DAEMON_TTFJ_P99_CEILING_SECS,
-            current: ttfj_p99,
-            ok: ttfj_p99 <= DAEMON_TTFJ_P99_CEILING_SECS,
-        },
-    ])
+/// An operand: a number read from a campaign document. Booleans read
+/// as 0/1 and arrays as their length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Expr {
+    Const(f64),
+    /// A top-level field.
+    Top(&'static str),
+    /// Field `.3` of the element of array `.0` whose field `.1` is `.2`.
+    In(&'static str, &'static str, &'static str, &'static str),
+    /// A field of the element an [`Each`] row is visiting.
+    Elem(&'static str),
+    /// The element an [`Each`] row is visiting, itself.
+    Value,
+    /// Field `.1` summed over the elements of array `.0`.
+    Sum(&'static str, &'static str),
+    /// 1 when the string found by `.0` is `.1`, else 0.
+    Is(&'static Expr, &'static str),
+    Mul(&'static Expr, &'static Expr),
+    Min(&'static Expr, &'static Expr),
+    /// Right-hand side only: the row's left-hand side read from the
+    /// baseline document. `AtMost`/`AtLeast` then allow the gate's
+    /// threshold as relative slack, and the row is skipped when no
+    /// baseline is given.
+    Baseline,
 }
 
-/// Checks over a `BENCH_timeline.json` document (schema
-/// `moteur-bench/timeline/v1`): the ideal-grid byte accounting must
-/// reconcile (timeline link-byte totals == the enactor's
-/// `bytes_transferred`) and the loaded grid must be attributed to the
-/// CE batch queues.
-pub fn check_timeline(timeline_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(timeline_json).map_err(|e| format!("timeline: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::timeline::TIMELINE_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "timeline: schema `{other}`, expected `{}`",
-                crate::timeline::TIMELINE_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("timeline: missing schema tag".to_string()),
-    }
-    let scenarios = value
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "timeline: missing scenarios array".to_string())?;
-    let scenario = |name: &str| -> Result<&JsonValue, String> {
-        scenarios
-            .iter()
-            .find(|s| s.get("scenario").and_then(JsonValue::as_str) == Some(name))
-            .ok_or_else(|| format!("timeline: missing `{name}` scenario"))
-    };
-    let field = |s: &JsonValue, name: &str| -> f64 {
-        s.get(name).and_then(JsonValue::as_f64).unwrap_or(f64::NAN)
-    };
-    let ideal = scenario("ideal")?;
-    let loaded = scenario("egee-loaded")?;
-    let enactor_bytes = field(ideal, "bytes_transferred");
-    let timeline_bytes = field(ideal, "timeline_link_bytes");
-    let queue_verdict = loaded.get("verdict").and_then(JsonValue::as_str) == Some("queue-wait");
-    Ok(vec![
-        GateCheck {
-            what: "timeline/ideal_byte_accounting".to_string(),
-            baseline: enactor_bytes,
-            current: timeline_bytes,
-            ok: enactor_bytes > 0.0 && timeline_bytes == enactor_bytes,
-        },
-        GateCheck {
-            what: "timeline/loaded_queue_verdict".to_string(),
-            baseline: 1.0,
-            current: f64::from(u8::from(queue_verdict)),
-            ok: queue_verdict,
-        },
-    ])
+/// The comparison `lhs op rhs`; `EqualNonZero` also requires `rhs > 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    Below,
+    AtMost,
+    Equal,
+    EqualNonZero,
+    AtLeast,
+    Above,
 }
 
-/// Checks over a `BENCH_plan.json` document (schema
-/// `moteur-bench/plan/v1`): every scenario's static per-edge byte
-/// intervals must contain the observed per-(consumer, port) staging
-/// totals, and the planner's site partition must beat centralized
-/// routing on the data-heavy bronze variant in its own cost model.
-pub fn check_plan(plan_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(plan_json).map_err(|e| format!("plan: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::plan::PLAN_BENCH_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "plan: schema `{other}`, expected `{}`",
-                crate::plan::PLAN_BENCH_SCHEMA
-            ))
-        }
-        None => return Err("plan: missing schema tag".to_string()),
-    }
-    let scenarios = value
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "plan: missing scenarios array".to_string())?;
-    if scenarios.is_empty() {
-        return Err("plan: empty scenarios array".to_string());
-    }
-    let mut checks = Vec::new();
-    for s in scenarios {
-        let name = s
-            .get("scenario")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "plan: scenario without a name".to_string())?;
-        let contained = s.get("all_contained").and_then(JsonValue::as_bool) == Some(true);
-        let edges = s
-            .get("edges")
-            .and_then(JsonValue::as_array)
-            .map_or(0, <[JsonValue]>::len);
-        checks.push(GateCheck {
-            what: format!("plan/{name}_containment"),
-            baseline: edges as f64,
-            current: f64::from(u8::from(contained)) * edges as f64,
-            ok: contained,
-        });
-    }
-    let centralized = value
-        .get("heavy_centralized_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| "plan: missing heavy_centralized_secs".to_string())?;
-    let partitioned = value
-        .get("heavy_partitioned_secs")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| "plan: missing heavy_partitioned_secs".to_string())?;
-    checks.push(GateCheck {
-        what: "plan/partition_advantage".to_string(),
-        baseline: centralized,
-        current: partitioned,
-        ok: partitioned < centralized,
-    });
-    Ok(checks)
+/// What an `each` row visits: one check per element, labelled by
+/// substituting the element's name for `{}` in the row's `what`.
+/// Elements are enumerated from the baseline document when there is
+/// one; an element the current document lacks is a failed `(missing)`
+/// check, and visiting nothing is an error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Each {
+    /// The elements of array `.0`, named by their field `.1`.
+    Of(&'static str, &'static str),
+    /// The fields of object `.0`, named by their key.
+    Fields(&'static str),
 }
 
-/// Checks over a `BENCH_scale.json` document (schema
-/// `moteur-bench/scale/v1`), optionally against a committed baseline.
-///
-/// Wall-clock throughput is machine-dependent, so the absolute checks
-/// only require the campaign to have reached its event/job targets
-/// with positive throughput, and — when the counting allocator was
-/// installed — the simulator to stay inside its allocations-per-event
-/// budget ([`crate::scale::ALLOCS_PER_EVENT_BUDGET`]). The baseline
-/// comparison gates the *deterministic* throughput proxies only:
-/// `allocs_per_event` and `peak_alloc_bytes` must not exceed the
-/// baseline by more than `threshold` — an allocation regression is
-/// how a >10 % event-loop slowdown shows up reproducibly in CI.
-pub fn check_scale(
-    scale_json: &str,
-    baseline_json: Option<&str>,
-    threshold: f64,
-) -> Result<Vec<GateCheck>, String> {
-    let parse = |label: &str, json: &str| -> Result<JsonValue, String> {
-        let value = JsonValue::parse(json).map_err(|e| format!("scale {label}: {e}"))?;
-        match value.get("schema").and_then(JsonValue::as_str) {
-            Some(crate::scale::SCALE_SCHEMA) => Ok(value),
-            Some(other) => Err(format!(
-                "scale {label}: schema `{other}`, expected `{}`",
-                crate::scale::SCALE_SCHEMA
-            )),
-            None => Err(format!("scale {label}: missing schema tag")),
-        }
-    };
-    let current = parse("current", scale_json)?;
-    let field = |doc: &JsonValue, name: &str| -> Result<f64, String> {
-        doc.get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("scale: missing `{name}`"))
-    };
-    let target = field(&current, "target_events")?;
-    let events = field(&current, "events_processed")?;
-    let enact_target = field(&current, "enact_jobs")?;
-    let jobs = field(&current, "enact_jobs_submitted")?;
-    let events_per_sec = field(&current, "events_per_sec")?;
-    let jobs_per_sec = field(&current, "jobs_per_sec")?;
-    let mut checks = vec![
-        GateCheck {
-            what: "scale/events_target".to_string(),
-            baseline: target,
-            current: events,
-            ok: events >= target,
-        },
-        GateCheck {
-            what: "scale/jobs_target".to_string(),
-            baseline: enact_target,
-            current: jobs,
-            ok: jobs >= enact_target,
-        },
-        GateCheck {
-            what: "scale/throughput_positive".to_string(),
-            baseline: 0.0,
-            current: events_per_sec.min(jobs_per_sec),
-            ok: events_per_sec > 0.0 && jobs_per_sec > 0.0,
-        },
-    ];
-    let alloc_installed = current.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true);
-    if alloc_installed {
-        let allocs_per_event = field(&current, "allocs_per_event")?;
-        checks.push(GateCheck {
-            what: "scale/allocs_per_event_budget".to_string(),
-            baseline: crate::scale::ALLOCS_PER_EVENT_BUDGET,
-            current: allocs_per_event,
-            ok: allocs_per_event <= crate::scale::ALLOCS_PER_EVENT_BUDGET,
-        });
+/// One gate criterion.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    pub what: &'static str,
+    pub lhs: Expr,
+    pub op: Op,
+    pub rhs: Expr,
+    pub each: Option<Each>,
+    /// Only checked when every document the row reads has
+    /// `"alloc_installed": true`.
+    pub when_alloc: bool,
+}
+
+const fn row(what: &'static str, lhs: Expr, op: Op, rhs: Expr) -> Row {
+    Row {
+        what,
+        lhs,
+        op,
+        rhs,
+        each: None,
+        when_alloc: false,
     }
-    if let Some(baseline_json) = baseline_json {
-        let baseline = parse("baseline", baseline_json)?;
-        let base_installed =
-            baseline.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true);
-        if alloc_installed && base_installed {
-            for name in ["allocs_per_event", "peak_alloc_bytes"] {
-                let base = field(&baseline, name)?;
-                let cur = field(&current, name)?;
-                checks.push(GateCheck {
-                    what: format!("scale/{name}"),
-                    baseline: base,
-                    current: cur,
-                    ok: cur <= base * (1.0 + threshold) + 1e-9,
-                });
+}
+
+impl Row {
+    const fn each(mut self, each: Each) -> Row {
+        self.each = Some(each);
+        self
+    }
+
+    const fn when_alloc(mut self) -> Row {
+        self.when_alloc = true;
+        self
+    }
+}
+
+/// One campaign's gate: the document it writes and the rows it must
+/// satisfy. `name` is also the error label, the `gate --<name>` flag
+/// and the middle of the file name.
+#[derive(Debug)]
+pub struct Campaign {
+    pub name: &'static str,
+    pub schema: &'static str,
+    /// `(flag, default path)` of the committed baseline, when
+    /// `moteur-bench gate` compares this campaign against one.
+    pub baseline: Option<(&'static str, &'static str)>,
+    pub rows: &'static [Row],
+}
+
+use Expr::{Baseline, Const, Elem, In, Is, Min, Mul, Sum, Top, Value};
+use Op::{Above, AtLeast, AtMost, Below, Equal, EqualNonZero};
+
+const CONFIGS: Each = Each::Of("configs", "config");
+
+/// `BENCH_summary.json` against the committed baseline: no makespan
+/// regression, no lost speed-up (an optimisation that stopped working
+/// shows there even if absolute times moved), and model and enactor
+/// still agreeing on the ideal grid.
+pub static SUMMARY: Campaign = Campaign {
+    name: "summary",
+    schema: crate::sweep::SUMMARY_SCHEMA,
+    baseline: Some(("--baseline", "results/BENCH_baseline.json")),
+    rows: &[
+        row("makespan/{}", Elem("makespan_at_max"), AtMost, Baseline).each(CONFIGS),
+        row("drift/{}", Elem("drift_ok"), Equal, Const(1.0)).each(CONFIGS),
+        row("speedup/{}", Value, AtLeast, Baseline).each(Each::Fields("speedups")),
+    ],
+};
+
+/// `BENCH_warm.json`: the cold run still satisfies eqs. 1–4 and every
+/// warm invocation hits the store. Checked by `moteur-bench warm`
+/// only; the gate has no warm document.
+pub static WARM: Campaign = Campaign {
+    name: "warm",
+    schema: crate::warm::WARM_SCHEMA,
+    baseline: None,
+    rows: &[
+        row("warm/cold_drift", Top("drift_ok"), Equal, Const(1.0)),
+        row("warm/misses", Top("cache_misses"), Equal, Const(0.0)),
+    ],
+};
+
+const fn mean_makespan(strategy: FaultStrategy) -> Expr {
+    In(
+        "strategies",
+        "strategy",
+        strategy.name(),
+        "mean_makespan_secs",
+    )
+}
+
+/// `BENCH_faults.json`: timeout+replication beats naive resubmission
+/// on mean makespan and no strategy quarantined an item.
+pub static FAULTS: Campaign = Campaign {
+    name: "faults",
+    schema: crate::faults::FAULTS_SCHEMA,
+    baseline: None,
+    rows: &[
+        row(
+            "faults/replication_vs_naive",
+            mean_makespan(FaultStrategy::TimeoutReplication),
+            Below,
+            mean_makespan(FaultStrategy::Naive),
+        ),
+        row(
+            "faults/quarantined",
+            Sum("strategies", "quarantined"),
+            Equal,
+            Const(0.0),
+        ),
+    ],
+};
+
+/// `BENCH_timeline.json`: the timeline's link-byte totals equal the
+/// enactor's `bytes_transferred` on the ideal grid, and the loaded grid
+/// is attributed to the CE batch queues.
+pub static TIMELINE: Campaign = Campaign {
+    name: "timeline",
+    schema: crate::timeline::TIMELINE_BENCH_SCHEMA,
+    baseline: None,
+    rows: &[
+        row(
+            "timeline/ideal_byte_accounting",
+            In("scenarios", "scenario", "ideal", "timeline_link_bytes"),
+            EqualNonZero,
+            In("scenarios", "scenario", "ideal", "bytes_transferred"),
+        ),
+        row(
+            "timeline/loaded_queue_verdict",
+            Is(
+                &In("scenarios", "scenario", "egee-loaded", "verdict"),
+                "queue-wait",
+            ),
+            Equal,
+            Const(1.0),
+        ),
+    ],
+};
+
+/// `BENCH_plan.json`: every scenario's static per-edge byte intervals
+/// contain the observed staging totals (shown as contained edges out
+/// of edges), and the site partition beats centralized routing on the
+/// data-heavy bronze variant in the planner's own cost model.
+pub static PLAN: Campaign = Campaign {
+    name: "plan",
+    schema: crate::plan::PLAN_BENCH_SCHEMA,
+    baseline: None,
+    rows: &[
+        row(
+            "plan/{}_containment",
+            Mul(&Elem("all_contained"), &Elem("edges")),
+            EqualNonZero,
+            Elem("edges"),
+        )
+        .each(Each::Of("scenarios", "scenario")),
+        row(
+            "plan/partition_advantage",
+            Top("heavy_partitioned_secs"),
+            Below,
+            Top("heavy_centralized_secs"),
+        ),
+    ],
+};
+
+/// `BENCH_daemon.json`: every submission succeeded, the wave reused
+/// the seed tenant's derivations, and admission stayed bounded.
+pub static DAEMON: Campaign = Campaign {
+    name: "daemon",
+    schema: crate::daemon::DAEMON_BENCH_SCHEMA,
+    baseline: None,
+    rows: &[
+        row(
+            "daemon/completed",
+            Top("succeeded"),
+            Equal,
+            Top("n_workflows"),
+        ),
+        row(
+            "daemon/cross_tenant_hit_ratio",
+            Top("cross_tenant_hit_ratio"),
+            AtLeast,
+            Const(DAEMON_HIT_RATIO_FLOOR),
+        ),
+        row(
+            "daemon/ttfj_p99_secs",
+            Top("ttfj_p99_secs"),
+            AtMost,
+            Const(DAEMON_TTFJ_P99_CEILING_SECS),
+        ),
+    ],
+};
+
+/// `BENCH_scale.json`. Wall-clock throughput is machine-dependent, so
+/// the absolute rows only require the event/job targets and positive
+/// throughput, plus the allocations-per-event budget. The baseline
+/// rows gate the *deterministic* throughput proxies: an allocation
+/// regression is how a >10 % event-loop slowdown shows up reproducibly
+/// in CI.
+pub static SCALE: Campaign = Campaign {
+    name: "scale",
+    schema: crate::scale::SCALE_SCHEMA,
+    baseline: Some(("--scale-baseline", "results/BENCH_scale_baseline.json")),
+    rows: &[
+        row(
+            "scale/events_target",
+            Top("events_processed"),
+            AtLeast,
+            Top("target_events"),
+        ),
+        row(
+            "scale/jobs_target",
+            Top("enact_jobs_submitted"),
+            AtLeast,
+            Top("enact_jobs"),
+        ),
+        row(
+            "scale/throughput_positive",
+            Min(&Top("events_per_sec"), &Top("jobs_per_sec")),
+            Above,
+            Const(0.0),
+        ),
+        row(
+            "scale/allocs_per_event_budget",
+            Top("allocs_per_event"),
+            AtMost,
+            Const(ALLOCS_PER_EVENT_BUDGET),
+        )
+        .when_alloc(),
+        row(
+            "scale/allocs_per_event",
+            Top("allocs_per_event"),
+            AtMost,
+            Baseline,
+        )
+        .when_alloc(),
+        row(
+            "scale/peak_alloc_bytes",
+            Top("peak_alloc_bytes"),
+            AtMost,
+            Baseline,
+        )
+        .when_alloc(),
+    ],
+};
+
+/// `BENCH_stream.json`, all absolute: every item completed with
+/// positive throughput, and the pipeline's peak live bytes beyond the
+/// materialised inputs sit inside the budget *and* undercut the eager
+/// per-item projection — together the O(port-capacity)-not-O(n-items)
+/// memory claim on any machine.
+pub static STREAM: Campaign = Campaign {
+    name: "stream",
+    schema: crate::stream::STREAM_SCHEMA,
+    baseline: None,
+    rows: &[
+        row(
+            "stream/items_completed",
+            Top("items_completed"),
+            AtLeast,
+            Top("n_items"),
+        ),
+        row(
+            "stream/throughput_positive",
+            Top("items_per_sec"),
+            Above,
+            Const(0.0),
+        ),
+        row(
+            "stream/pipeline_peak_budget",
+            Top("pipeline_peak_bytes"),
+            AtMost,
+            Const(PIPELINE_PEAK_BUDGET as f64),
+        )
+        .when_alloc(),
+        row(
+            "stream/undercuts_eager_projection",
+            Mul(&Top("pipeline_peak_bytes"), &Const(EAGER_UNDERCUT_FACTOR)),
+            AtMost,
+            Top("eager_projected_bytes"),
+        )
+        .when_alloc(),
+    ],
+};
+
+/// What `moteur-bench gate` checks, in report order: [`SUMMARY`], which
+/// it cannot run without, then every campaign whose document is around.
+pub static GATED: [&Campaign; 7] = [
+    &SUMMARY, &FAULTS, &TIMELINE, &PLAN, &DAEMON, &SCALE, &STREAM,
+];
+
+impl Each {
+    fn names<'a>(&self, doc: &'a JsonValue) -> Option<Vec<&'a str>> {
+        match self {
+            Each::Of(array, key) => doc.array_at(array)?.iter().map(|e| e.str_at(key)).collect(),
+            Each::Fields(object) => match doc.get(object)? {
+                JsonValue::Object(fields) => Some(fields.iter().map(|(k, _)| k.as_str()).collect()),
+                _ => None,
+            },
+        }
+    }
+
+    fn elem<'a>(&self, doc: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
+        match self {
+            Each::Of(array, key) => doc
+                .array_at(array)?
+                .iter()
+                .find(|e| e.str_at(key) == Some(name)),
+            Each::Fields(object) => doc.get(object)?.get(name),
+        }
+    }
+}
+
+/// Where operands are looked up: a document and, under an `each` row,
+/// the element being visited.
+struct Scope<'a> {
+    label: &'a str,
+    doc: &'a JsonValue,
+    elem: Option<&'a JsonValue>,
+}
+
+impl Expr {
+    fn find<'a>(&self, scope: &Scope<'a>) -> Option<&'a JsonValue> {
+        match *self {
+            Top(field) => scope.doc.get(field),
+            In(array, key, name, field) => Each::Of(array, key).elem(scope.doc, name)?.get(field),
+            Elem(field) => scope.elem?.get(field),
+            Value => scope.elem,
+            _ => None,
+        }
+    }
+
+    fn num(&self, scope: &Scope) -> Result<f64, String> {
+        let flag = |b: bool| f64::from(u8::from(b));
+        let value = match *self {
+            Const(c) => Some(c),
+            Sum(array, field) => scope
+                .doc
+                .array_at(array)
+                .and_then(|items| items.iter().map(|e| e.f64_at(field)).sum()),
+            Is(found, literal) => found.find(scope).map(|v| flag(v.as_str() == Some(literal))),
+            Mul(a, b) => Some(a.num(scope)? * b.num(scope)?),
+            Min(a, b) => Some(a.num(scope)?.min(b.num(scope)?)),
+            _ => match self.find(scope) {
+                Some(JsonValue::Number(n)) => Some(*n),
+                Some(JsonValue::Bool(b)) => Some(flag(*b)),
+                Some(JsonValue::Array(items)) => Some(items.len() as f64),
+                _ => None,
+            },
+        };
+        value.ok_or_else(|| format!("{}: missing or invalid {self:?}", scope.label))
+    }
+}
+
+impl Campaign {
+    /// The document's file name, `BENCH_<name>.json`.
+    pub fn file(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// Evaluate the table over `current`, and over `baseline` for the
+    /// rows that compare against one (skipped without it); `threshold`
+    /// is the relative slack those rows allow.
+    ///
+    /// Fails with `Err` on a malformed, mis-tagged or incomplete
+    /// document; a criterion that does not hold is reported through
+    /// its [`GateCheck`], not as an error.
+    pub fn check(
+        &self,
+        current: &str,
+        baseline: Option<&str>,
+        threshold: f64,
+    ) -> Result<Vec<GateCheck>, String> {
+        let base_label = format!("{} baseline", self.name);
+        let current = expect_schema(current, self.name, self.schema)?;
+        let baseline = baseline
+            .map(|doc| expect_schema(doc, &base_label, self.schema))
+            .transpose()?;
+        let alloc = |doc: &JsonValue| doc.bool_at("alloc_installed") == Some(true);
+        let mut checks = Vec::new();
+        for rows in self
+            .rows
+            .chunk_by(|a, b| a.each.is_some() && a.each == b.each)
+        {
+            let each = rows[0].each;
+            let names = match each {
+                None => vec![""],
+                Some(each) => each
+                    .names(baseline.as_ref().unwrap_or(&current))
+                    .filter(|names| !names.is_empty())
+                    .ok_or_else(|| format!("{}: missing or empty {each:?}", self.name))?,
+            };
+            for name in names {
+                let scope = |label, doc| Scope {
+                    label,
+                    doc,
+                    elem: each.and_then(|each| each.elem(doc, name)),
+                };
+                let here = scope(self.name, &current);
+                for row in rows {
+                    let against = match (row.rhs, &baseline) {
+                        (Baseline, None) => continue,
+                        (Baseline, Some(doc)) => Some(doc),
+                        _ => None,
+                    };
+                    if row.when_alloc && !(alloc(&current) && against.is_none_or(alloc)) {
+                        continue;
+                    }
+                    let rhs = match against {
+                        Some(doc) => row.lhs.num(&scope(&base_label, doc))?,
+                        None => row.rhs.num(&here)?,
+                    };
+                    // An element only the baseline has is a coverage
+                    // regression, not a malformed document: it reads as
+                    // NaN, which fails every comparison.
+                    let missing = each.is_some() && here.elem.is_none();
+                    let lhs = if missing {
+                        f64::NAN
+                    } else {
+                        row.lhs.num(&here)?
+                    };
+                    let bound = match (against, row.op) {
+                        (Some(_), AtMost) => rhs * (1.0 + threshold) + 1e-9,
+                        (Some(_), AtLeast) => rhs * (1.0 - threshold) - 1e-9,
+                        _ => rhs,
+                    };
+                    checks.push(GateCheck {
+                        what: row.what.replace("{}", name)
+                            + if missing { " (missing)" } else { "" },
+                        baseline: rhs,
+                        current: lhs,
+                        ok: match row.op {
+                            Below => lhs < bound,
+                            AtMost => lhs <= bound,
+                            Equal => lhs == bound,
+                            EqualNonZero => lhs == bound && bound > 0.0,
+                            AtLeast => lhs >= bound,
+                            Above => lhs > bound,
+                        },
+                    });
+                }
             }
         }
+        Ok(checks)
     }
-    Ok(checks)
-}
 
-/// Checks over a `BENCH_stream.json` document (schema
-/// `moteur-bench/stream/v1`).
-///
-/// All checks are absolute — no committed baseline. The campaign must
-/// have completed every item with positive throughput, and — when the
-/// counting allocator was installed — the streaming pipeline's peak
-/// live bytes beyond the materialised inputs must sit inside
-/// [`crate::stream::PIPELINE_PEAK_BUDGET`] *and* undercut the eager
-/// per-item projection by at least
-/// [`crate::stream::EAGER_UNDERCUT_FACTOR`]. Together these pin the
-/// O(port-capacity)-not-O(n-items) memory claim on any machine.
-pub fn check_stream(stream_json: &str) -> Result<Vec<GateCheck>, String> {
-    let value = JsonValue::parse(stream_json).map_err(|e| format!("stream: {e}"))?;
-    match value.get("schema").and_then(JsonValue::as_str) {
-        Some(crate::stream::STREAM_SCHEMA) => {}
-        Some(other) => {
-            return Err(format!(
-                "stream: schema `{other}`, expected `{}`",
-                crate::stream::STREAM_SCHEMA
-            ))
+    /// What `doc` fails on its own, without a baseline: the failed
+    /// rows' labels, or the one error that made it unreadable. Empty
+    /// means the campaign passed.
+    pub fn failures(&self, doc: &str) -> Vec<String> {
+        match self.check(doc, None, DEFAULT_THRESHOLD) {
+            Ok(checks) => checks
+                .into_iter()
+                .filter(|c| !c.ok)
+                .map(|c| c.what)
+                .collect(),
+            Err(e) => vec![e],
         }
-        None => return Err("stream: missing schema tag".to_string()),
     }
-    let field = |name: &str| -> Result<f64, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("stream: missing `{name}`"))
-    };
-    let n_items = field("n_items")?;
-    let completed = field("items_completed")?;
-    let items_per_sec = field("items_per_sec")?;
-    let mut checks = vec![
-        GateCheck {
-            what: "stream/items_completed".to_string(),
-            baseline: n_items,
-            current: completed,
-            ok: completed >= n_items,
-        },
-        GateCheck {
-            what: "stream/throughput_positive".to_string(),
-            baseline: 0.0,
-            current: items_per_sec,
-            ok: items_per_sec > 0.0,
-        },
-    ];
-    if value.get("alloc_installed").and_then(JsonValue::as_bool) == Some(true) {
-        let pipeline_peak = field("pipeline_peak_bytes")?;
-        let projected = field("eager_projected_bytes")?;
-        checks.push(GateCheck {
-            what: "stream/pipeline_peak_budget".to_string(),
-            baseline: crate::stream::PIPELINE_PEAK_BUDGET as f64,
-            current: pipeline_peak,
-            ok: pipeline_peak <= crate::stream::PIPELINE_PEAK_BUDGET as f64,
-        });
-        checks.push(GateCheck {
-            what: "stream/undercuts_eager_projection".to_string(),
-            baseline: projected,
-            current: pipeline_peak * crate::stream::EAGER_UNDERCUT_FACTOR,
-            ok: pipeline_peak * crate::stream::EAGER_UNDERCUT_FACTOR <= projected,
-        });
-    }
-    Ok(checks)
-}
 
-/// Default allowed regression: 10 %.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
+    /// The verdict behind every report's `ok()`.
+    pub fn passes(&self, doc: &str) -> bool {
+        self.failures(doc).is_empty()
+    }
+
+    /// Render a document whose `"ok"` field is this table's verdict on
+    /// the rest of it (no row reads `"ok"`).
+    pub fn render_with_verdict(&self, render: impl Fn(bool) -> String) -> String {
+        render(self.passes(&render(false)))
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{render_summary_json, run_sweep, SweepSpec};
+    use crate::{daemon, faults, plan, scale, stream, sweep, timeline, warm};
 
-    fn summary_json() -> String {
-        let (_, summary) = run_sweep(&SweepSpec::new(vec![1, 2])).unwrap();
-        render_summary_json(&summary)
+    /// A campaign, a passing document rendered by its own
+    /// `render_*_json`, one mutation per table row — `(row index, label
+    /// of the check it must fail, anchor text, field after the anchor,
+    /// new value)` — and a field whose absence must be an error.
+    struct Fixture {
+        campaign: &'static Campaign,
+        doc: String,
+        breaks: Vec<(usize, &'static str, &'static str, &'static str, String)>,
+        required: &'static str,
     }
 
-    #[test]
-    fn identical_summaries_pass_the_gate() {
-        let json = summary_json();
-        let report = check_gate(&json, &json, DEFAULT_THRESHOLD).unwrap();
-        assert!(report.ok(), "{}", report.render());
-        // 6 makespan + 6 drift + 3 speedup checks.
-        assert_eq!(report.checks.len(), 15);
-        assert!(report.render().contains("PASS"));
+    /// `doc` with the value of the first `"field":` after `anchor` replaced.
+    fn set_field(doc: &str, anchor: &str, field: &str, value: &str) -> String {
+        let tagged = format!("\"{field}\":");
+        let at = doc.find(anchor).expect(anchor);
+        let start = at + doc[at..].find(&tagged).expect(field) + tagged.len();
+        let end = start + doc[start..].find([',', '}']).expect("value ends");
+        format!("{}{value}{}", &doc[..start], &doc[end..])
     }
 
-    #[test]
-    fn injected_2x_slowdown_fails_the_gate() {
-        let baseline = summary_json();
-        // Double every makespan (and, via the recomputed ratio columns
-        // staying textual, leave speedups untouched): the makespan
-        // checks must trip.
-        let mut slowed = String::new();
-        for part in baseline.split("\"makespan_at_max\":") {
-            if slowed.is_empty() {
-                slowed.push_str(part);
-                continue;
-            }
-            let end = part
-                .find([',', '}'])
-                .expect("makespan_at_max value terminated");
-            let value: f64 = part[..end].parse().expect("numeric makespan");
-            slowed.push_str(&format!("\"makespan_at_max\":{}", value * 2.0));
-            slowed.push_str(&part[end..]);
-        }
-        let report = check_gate(&baseline, &slowed, DEFAULT_THRESHOLD).unwrap();
-        assert!(!report.ok());
-        let failed: Vec<&str> = report.failures().map(|c| c.what.as_str()).collect();
-        assert!(failed.iter().all(|w| w.starts_with("makespan/")));
-        assert_eq!(failed.len(), 6, "{failed:?}");
-        assert!(report.render().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn lost_speedup_fails_even_when_makespans_hold() {
-        let baseline = summary_json();
-        // Claim the optimisations stopped paying off: all ratios 1.0.
-        let current = {
-            let start = baseline.find("\"speedups\":{").unwrap();
-            let end = baseline[start..].find('}').unwrap() + start;
-            let mut s = baseline[..start].to_string();
-            s.push_str(
-                "\"speedups\":{\"nop_over_sp\":1.0,\"nop_over_sp_dp\":1.0,\
-                 \"nop_over_sp_dp_jg\":1.0",
-            );
-            s.push_str(&baseline[end..]);
-            s
-        };
-        let report = check_gate(&baseline, &current, DEFAULT_THRESHOLD).unwrap();
-        assert!(!report.ok());
-        assert!(report.failures().all(|c| c.what.starts_with("speedup/")));
-    }
-
-    #[test]
-    fn drift_flag_failure_trips_the_gate() {
-        let baseline = summary_json();
-        let current = baseline.replacen("\"drift_ok\":true", "\"drift_ok\":false", 1);
-        let report = check_gate(&baseline, &current, DEFAULT_THRESHOLD).unwrap();
-        assert!(!report.ok());
-        assert_eq!(report.failures().count(), 1);
-        assert!(report.failures().next().unwrap().what.starts_with("drift/"));
-    }
-
-    #[test]
-    fn faults_gate_requires_replication_to_win_and_zero_quarantines() {
-        let report = crate::faults::FaultsReport {
-            spec: crate::faults::FaultsSpec {
-                n_data: 2,
-                seed: 1,
-                repeats: 1,
-                failure_probability: 0.04,
-            },
-            outcomes: ["naive", "backoff", "timeout+replication"]
-                .into_iter()
-                .enumerate()
-                .map(|(i, name)| crate::faults::StrategyOutcome {
-                    strategy: name,
-                    makespans_secs: vec![1000.0 - 100.0 * i as f64],
-                    mean_makespan_secs: 1000.0 - 100.0 * i as f64,
-                    max_makespan_secs: 1000.0 - 100.0 * i as f64,
-                    jobs_submitted: 10,
-                    timeouts: 0,
-                    replicas: 0,
-                    resubmissions: 0,
-                    quarantined: 0,
-                })
-                .collect(),
-        };
-        let json = crate::faults::render_faults_json(&report);
-        let checks = check_faults(&json).unwrap();
-        assert_eq!(checks.len(), 2);
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-
-        // Replication slower than naive must trip the first check …
-        let losing = json.replacen(
-            "\"mean_makespan_secs\":800",
-            "\"mean_makespan_secs\":2000",
-            1,
-        );
-        let checks = check_faults(&losing).unwrap();
-        assert!(!checks[0].ok, "{checks:?}");
-        // … and a quarantine the second.
-        let poisoned = json.replacen("\"quarantined\":0", "\"quarantined\":1", 1);
-        let checks = check_faults(&poisoned).unwrap();
-        assert!(!checks[1].ok, "{checks:?}");
-
-        assert!(check_faults("{\"schema\":\"other/v1\"}").is_err());
-        assert!(check_faults("{").is_err());
-    }
-
-    #[test]
-    fn daemon_gate_requires_completion_sharing_and_bounded_admission() {
-        let report = crate::daemon::DaemonReport {
+    fn daemon_report() -> daemon::DaemonReport {
+        daemon::DaemonReport {
             n_workflows: 100,
             n_tenants: 4,
             n_data: 2,
@@ -709,256 +662,444 @@ mod tests {
             cross_tenant_misses: 0,
             store_entries: 10,
             tenants: Vec::new(),
-        };
-        let json = crate::daemon::render_daemon_json(&report);
-        let checks = check_daemon(&json).unwrap();
-        assert_eq!(checks.len(), 3);
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-
-        // A lost workflow trips the completion check …
-        let lossy = json.replacen("\"succeeded\":100", "\"succeeded\":99", 1);
-        let checks = check_daemon(&lossy).unwrap();
-        assert!(!checks[0].ok, "{checks:?}");
-        // … recomputation trips the sharing floor …
-        let cold = json.replacen(
-            "\"cross_tenant_hit_ratio\":1",
-            "\"cross_tenant_hit_ratio\":0.5",
-            1,
-        );
-        let checks = check_daemon(&cold).unwrap();
-        assert!(!checks[1].ok, "{checks:?}");
-        // … and a starved submission trips the admission ceiling.
-        let starved = json.replacen("\"ttfj_p99_secs\":120", "\"ttfj_p99_secs\":1e9", 1);
-        let checks = check_daemon(&starved).unwrap();
-        assert!(!checks[2].ok, "{checks:?}");
-
-        assert!(check_daemon("{\"schema\":\"other/v1\"}").is_err());
-        assert!(check_daemon("{").is_err());
+        }
     }
 
-    #[test]
-    fn timeline_gate_requires_byte_reconciliation_and_queue_verdict() {
-        let report = crate::timeline::TimelineReport {
-            spec: crate::timeline::TimelineSpec {
+    fn fixtures() -> Vec<Fixture> {
+        let s = |v: &str| v.to_string();
+        let (_, summary) = sweep::run_sweep(&sweep::SweepSpec::new(vec![1, 2])).unwrap();
+        let warm = warm::WarmReport {
+            n_data: 2,
+            seed: 1,
+            cold_makespan_secs: 330.0,
+            warm_makespan_secs: 5.0,
+            cold_jobs: 10,
+            warm_jobs: 0,
+            predicted_secs: 330.0,
+            rel_error: 0.0,
+            drift_ok: true,
+            hits: 10,
+            misses: 0,
+            speedup: 66.0,
+            store_entries: 10,
+            store_bytes: 1000,
+        };
+        let faults = faults::FaultsReport {
+            spec: faults::FaultsSpec {
+                n_data: 2,
+                seed: 1,
+                repeats: 1,
+                failure_probability: 0.04,
+            },
+            outcomes: FaultStrategy::ALL
+                .into_iter()
+                .enumerate()
+                .map(|(i, strategy)| faults::StrategyOutcome {
+                    strategy: strategy.name(),
+                    makespans_secs: vec![1000.0 - 100.0 * i as f64],
+                    mean_makespan_secs: 1000.0 - 100.0 * i as f64,
+                    max_makespan_secs: 1000.0 - 100.0 * i as f64,
+                    jobs_submitted: 10,
+                    timeouts: 0,
+                    replicas: 0,
+                    resubmissions: 0,
+                    quarantined: 0,
+                })
+                .collect(),
+        };
+        let outcome = |scenario, bytes, link_bytes, verdict: &str| timeline::TimelineOutcome {
+            scenario,
+            makespan_secs: 330.0,
+            jobs_submitted: 13,
+            bytes_transferred: bytes,
+            timeline_link_bytes: link_bytes,
+            peak_queue_depth: 0,
+            verdict: verdict.to_string(),
+            dominant_fraction: 1.0,
+            queue_wait_secs: 0.0,
+            transfer_secs: 0.0,
+            compute_secs: 330.0,
+        };
+        let timeline = timeline::TimelineReport {
+            spec: timeline::TimelineSpec {
                 ideal_n_data: 2,
                 loaded_n_data: 6,
                 seed: 1,
             },
             outcomes: vec![
-                crate::timeline::TimelineOutcome {
-                    scenario: "ideal",
-                    makespan_secs: 330.0,
-                    jobs_submitted: 13,
-                    bytes_transferred: 1000,
-                    timeline_link_bytes: 1000,
-                    peak_queue_depth: 0,
-                    verdict: "compute".to_string(),
-                    dominant_fraction: 1.0,
-                    queue_wait_secs: 0.0,
-                    transfer_secs: 0.0,
-                    compute_secs: 330.0,
-                },
-                crate::timeline::TimelineOutcome {
-                    scenario: "egee-loaded",
-                    makespan_secs: 9000.0,
-                    jobs_submitted: 31,
-                    bytes_transferred: 5000,
-                    timeline_link_bytes: 4800,
-                    peak_queue_depth: 14,
-                    verdict: "queue-wait".to_string(),
-                    dominant_fraction: 0.7,
-                    queue_wait_secs: 7000.0,
-                    transfer_secs: 1000.0,
-                    compute_secs: 2000.0,
-                },
+                outcome("ideal", 1000, 1000, "compute"),
+                outcome("egee-loaded", 5000, 4800, "queue-wait"),
             ],
         };
-        let json = crate::timeline::render_timeline_json(&report);
-        let checks = check_timeline(&json).unwrap();
-        assert_eq!(checks.len(), 2);
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-
-        // A lost transfer byte must trip the accounting check …
-        let lossy = json.replacen(
-            "\"timeline_link_bytes\":1000",
-            "\"timeline_link_bytes\":999",
-            1,
-        );
-        let checks = check_timeline(&lossy).unwrap();
-        assert!(!checks[0].ok, "{checks:?}");
-        // … and a mis-attributed loaded run the verdict check.
-        let wrong = json.replacen("\"verdict\":\"queue-wait\"", "\"verdict\":\"transfer\"", 1);
-        let checks = check_timeline(&wrong).unwrap();
-        assert!(!checks[1].ok, "{checks:?}");
-
-        assert!(check_timeline("{\"schema\":\"other/v1\"}").is_err());
-        assert!(check_timeline("{").is_err());
-    }
-
-    #[test]
-    fn plan_gate_requires_containment_and_partition_advantage() {
-        let report = crate::plan::run_plan_bench(&crate::plan::PlanSpec {
+        let plan = plan::run_plan_bench(&plan::PlanSpec {
             n_data: 2,
             seed: 2006,
         })
         .unwrap();
-        let json = crate::plan::render_plan_bench_json(&report);
-        let checks = check_plan(&json).unwrap();
-        // bronze + cross containment, plus the partition comparison.
-        assert_eq!(checks.len(), 3);
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-
-        // A broken containment flag must trip that scenario's check …
-        let outside = json.replacen("\"all_contained\":true", "\"all_contained\":false", 1);
-        let checks = check_plan(&outside).unwrap();
-        assert!(!checks[0].ok, "{checks:?}");
-        // … and a partition that stopped paying the advantage check.
-        let worse = {
-            let cent = format!("\"heavy_centralized_secs\":{}", report.heavy_centralized);
-            let idx = json.find(&cent).expect("centralized field present");
-            let mut s = json[..idx].to_string();
-            s.push_str(&format!(
-                "\"heavy_centralized_secs\":{}",
-                report.heavy_partitioned - 1.0
-            ));
-            s.push_str(&json[idx + cent.len()..]);
-            s
+        let scale = scale::ScaleReport {
+            spec: scale::ScaleSpec {
+                target_events: 1000,
+                enact_jobs: 50,
+                seed: 1,
+            },
+            alloc_installed: true,
+            events_processed: 1200,
+            gridsim_jobs: 100,
+            gridsim_wall_secs: 0.5,
+            events_per_sec: 2400.0,
+            allocs_per_event: 5.0,
+            enact_jobs_submitted: 50,
+            enact_wall_secs: 0.2,
+            jobs_per_sec: 250.0,
+            enact_makespan_secs: 330.0,
+            peak_alloc_bytes: 1_000_000,
+            subsystems: Vec::new(),
+            prof: moteur::Prof::off().report(),
         };
-        let checks = check_plan(&worse).unwrap();
-        assert!(!checks.last().unwrap().ok, "{checks:?}");
+        let stream = stream::StreamReport {
+            spec: stream::StreamSpec {
+                n_items: 1000,
+                port_capacity: 16,
+                eager_items: 100,
+                seed: 1,
+            },
+            alloc_installed: true,
+            items_completed: 1000,
+            jobs_submitted: 2000,
+            wall_secs: 0.5,
+            items_per_sec: 2000.0,
+            input_bytes: 32_000,
+            pipeline_peak_bytes: 40_000,
+            eager_bytes_per_item: 750.0,
+            eager_items_per_sec: 400.0,
+            eager_projected_bytes: 1e12,
+        };
+        vec![
+            Fixture {
+                campaign: &WARM,
+                doc: warm::render_warm_json(&warm),
+                breaks: vec![
+                    (0, "warm/cold_drift", "", "drift_ok", s("false")),
+                    (1, "warm/misses", "", "cache_misses", s("1")),
+                ],
+                required: "cache_misses",
+            },
+            Fixture {
+                campaign: &SUMMARY,
+                doc: sweep::render_summary_json(&summary),
+                breaks: vec![
+                    (
+                        0,
+                        "makespan/sp",
+                        "\"config\":\"sp\"",
+                        "makespan_at_max",
+                        s("1e9"),
+                    ),
+                    (1, "drift/dp", "\"config\":\"dp\"", "drift_ok", s("false")),
+                    (
+                        2,
+                        "speedup/nop_over_sp",
+                        "\"speedups\"",
+                        "nop_over_sp",
+                        s("0.5"),
+                    ),
+                ],
+                required: "drift_ok",
+            },
+            Fixture {
+                campaign: &FAULTS,
+                doc: faults::render_faults_json(&faults),
+                breaks: vec![
+                    (
+                        0,
+                        "faults/replication_vs_naive",
+                        "\"strategy\":\"timeout+replication\"",
+                        "mean_makespan_secs",
+                        s("2000"),
+                    ),
+                    (1, "faults/quarantined", "", "quarantined", s("1")),
+                ],
+                required: "quarantined",
+            },
+            Fixture {
+                campaign: &TIMELINE,
+                doc: timeline::render_timeline_json(&timeline),
+                breaks: vec![
+                    (
+                        0,
+                        "timeline/ideal_byte_accounting",
+                        "\"scenario\":\"ideal\"",
+                        "timeline_link_bytes",
+                        s("999"),
+                    ),
+                    (
+                        1,
+                        "timeline/loaded_queue_verdict",
+                        "\"scenario\":\"egee-loaded\"",
+                        "verdict",
+                        s("\"transfer\""),
+                    ),
+                ],
+                required: "verdict",
+            },
+            Fixture {
+                campaign: &PLAN,
+                doc: plan::render_plan_bench_json(&plan),
+                breaks: vec![
+                    (
+                        0,
+                        "plan/cross_containment",
+                        "\"scenario\":\"cross\"",
+                        "all_contained",
+                        s("false"),
+                    ),
+                    (
+                        1,
+                        "plan/partition_advantage",
+                        "",
+                        "heavy_centralized_secs",
+                        s("0"),
+                    ),
+                ],
+                required: "edges",
+            },
+            Fixture {
+                campaign: &DAEMON,
+                doc: daemon::render_daemon_json(&daemon_report()),
+                breaks: vec![
+                    (0, "daemon/completed", "", "succeeded", s("99")),
+                    (
+                        1,
+                        "daemon/cross_tenant_hit_ratio",
+                        "",
+                        "cross_tenant_hit_ratio",
+                        s("0.5"),
+                    ),
+                    (2, "daemon/ttfj_p99_secs", "", "ttfj_p99_secs", s("1e9")),
+                ],
+                required: "succeeded",
+            },
+            Fixture {
+                campaign: &SCALE,
+                doc: scale::render_scale_json(&scale),
+                breaks: vec![
+                    (0, "scale/events_target", "", "events_processed", s("900")),
+                    (1, "scale/jobs_target", "", "enact_jobs_submitted", s("49")),
+                    (2, "scale/throughput_positive", "", "jobs_per_sec", s("0")),
+                    (
+                        3,
+                        "scale/allocs_per_event_budget",
+                        "",
+                        "allocs_per_event",
+                        (scale::ALLOCS_PER_EVENT_BUDGET * 2.0).to_string(),
+                    ),
+                    (
+                        4,
+                        "scale/allocs_per_event",
+                        "",
+                        "allocs_per_event",
+                        s("7.5"),
+                    ),
+                    (
+                        5,
+                        "scale/peak_alloc_bytes",
+                        "",
+                        "peak_alloc_bytes",
+                        s("2000000"),
+                    ),
+                ],
+                required: "events_per_sec",
+            },
+            Fixture {
+                campaign: &STREAM,
+                doc: stream::render_stream_json(&stream),
+                breaks: vec![
+                    (0, "stream/items_completed", "", "items_completed", s("900")),
+                    (1, "stream/throughput_positive", "", "items_per_sec", s("0")),
+                    (
+                        2,
+                        "stream/pipeline_peak_budget",
+                        "",
+                        "pipeline_peak_bytes",
+                        (stream::PIPELINE_PEAK_BUDGET + 1).to_string(),
+                    ),
+                    // Inside the absolute budget, but within 4x of the
+                    // eager projection.
+                    (
+                        3,
+                        "stream/undercuts_eager_projection",
+                        "",
+                        "eager_projected_bytes",
+                        s("120000"),
+                    ),
+                ],
+                required: "n_items",
+            },
+        ]
+    }
 
-        assert!(check_plan("{\"schema\":\"other/v1\"}").is_err());
-        assert!(check_plan("{").is_err());
+    fn failed(checks: &[GateCheck]) -> Vec<&str> {
+        let failed = checks.iter().filter(|c| !c.ok);
+        failed.map(|c| c.what.as_str()).collect()
     }
 
     #[test]
-    fn scale_gate_checks_targets_budget_and_baseline() {
-        let doc = |allocs: f64, peak: u64| {
-            format!(
-                "{{\"schema\":\"moteur-bench/scale/v1\",\"target_events\":1000,\
-                 \"enact_jobs\":50,\"seed\":1,\"alloc_installed\":true,\
-                 \"events_processed\":1200,\"gridsim_jobs\":100,\
-                 \"gridsim_wall_secs\":0.5,\"events_per_sec\":2400,\
-                 \"allocs_per_event\":{allocs},\"enact_jobs_submitted\":50,\
-                 \"enact_wall_secs\":0.2,\"jobs_per_sec\":250,\
-                 \"enact_makespan_secs\":330,\"peak_alloc_bytes\":{peak},\
-                 \"ok\":true,\"subsystems\":[]}}"
-            )
-        };
-        let json = doc(5.0, 1_000_000);
-        let checks = check_scale(&json, None, DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(checks.len(), 4, "{checks:?}");
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-
-        // Against an identical baseline the deterministic axes pass …
-        let checks = check_scale(&json, Some(&json), DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(checks.len(), 6, "{checks:?}");
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
-        // … an allocation regression beyond the threshold trips them …
-        let bloated = doc(5.0 * 1.5, 1_000_000);
-        let checks = check_scale(&bloated, Some(&json), DEFAULT_THRESHOLD).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "scale/allocs_per_event" && !c.ok),
-            "{checks:?}"
-        );
-        // … as does blowing the absolute per-event budget …
-        let hog = doc(crate::scale::ALLOCS_PER_EVENT_BUDGET * 2.0, 1_000_000);
-        let checks = check_scale(&hog, None, DEFAULT_THRESHOLD).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "scale/allocs_per_event_budget" && !c.ok),
-            "{checks:?}"
-        );
-        // … and a shortfall against the event target.
-        let short = json.replacen("\"events_processed\":1200", "\"events_processed\":900", 1);
-        let checks = check_scale(&short, None, DEFAULT_THRESHOLD).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "scale/events_target" && !c.ok),
-            "{checks:?}"
-        );
-
-        // Without the counting allocator the budget axis is skipped.
-        let uncounted = json.replacen("\"alloc_installed\":true", "\"alloc_installed\":false", 1);
-        let checks = check_scale(&uncounted, Some(&uncounted), DEFAULT_THRESHOLD).unwrap();
-        assert_eq!(checks.len(), 3, "{checks:?}");
-
-        assert!(check_scale("{\"schema\":\"other/v1\"}", None, DEFAULT_THRESHOLD).is_err());
-        assert!(check_scale("{", None, DEFAULT_THRESHOLD).is_err());
+    fn every_campaign_is_covered_by_a_fixture() {
+        let covered: Vec<&str> = fixtures().iter().map(|f| f.campaign.name).collect();
+        let tables = [&WARM].into_iter().chain(GATED);
+        assert_eq!(covered, tables.map(|c| c.name).collect::<Vec<_>>());
     }
 
     #[test]
-    fn stream_gate_checks_completion_budget_and_eager_undercut() {
-        let doc = |completed: u64, peak: u64, projected: u64| {
-            format!(
-                "{{\"schema\":\"moteur-bench/stream/v1\",\"n_items\":1000,\
-                 \"port_capacity\":16,\"eager_items\":100,\"seed\":1,\
-                 \"alloc_installed\":true,\"items_completed\":{completed},\
-                 \"jobs_submitted\":2000,\"wall_secs\":0.5,\
-                 \"items_per_sec\":2000,\"input_bytes\":32000,\
-                 \"pipeline_peak_bytes\":{peak},\
-                 \"eager_bytes_per_item\":750.0,\"eager_items_per_sec\":400,\
-                 \"eager_projected_bytes\":{projected},\"ok\":true}}"
-            )
-        };
-        let json = doc(1000, 40_000, 750_000);
-        let checks = check_stream(&json).unwrap();
-        assert_eq!(checks.len(), 4, "{checks:?}");
-        assert!(checks.iter().all(|c| c.ok), "{checks:?}");
+    fn a_passing_document_passes_and_each_mutation_fails_exactly_its_row() {
+        for f in fixtures() {
+            let name = f.campaign.name;
+            let checks = f
+                .campaign
+                .check(&f.doc, Some(&f.doc), DEFAULT_THRESHOLD)
+                .unwrap();
+            assert!(failed(&checks).is_empty(), "{name}: {checks:?}");
+            assert!(checks.len() >= f.campaign.rows.len(), "{name}: {checks:?}");
+            assert!(f.campaign.passes(&f.doc), "{name}");
 
-        // An incomplete stream trips the completion axis …
-        let short = doc(900, 40_000, 750_000);
-        let checks = check_stream(&short).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "stream/items_completed" && !c.ok),
-            "{checks:?}"
-        );
-        // … blowing the absolute budget trips the peak axis …
-        let hog = doc(1000, crate::stream::PIPELINE_PEAK_BUDGET + 1, u64::MAX);
-        let checks = check_stream(&hog).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "stream/pipeline_peak_budget" && !c.ok),
-            "{checks:?}"
-        );
-        // … and a peak within 4x of the eager projection trips the
-        // undercut axis even inside the absolute budget.
-        let near_eager = doc(1000, 40_000, 40_000 * 3);
-        let checks = check_stream(&near_eager).unwrap();
-        assert!(
-            checks
-                .iter()
-                .any(|c| c.what == "stream/undercuts_eager_projection" && !c.ok),
-            "{checks:?}"
-        );
-
-        // Without the counting allocator the memory axes are skipped.
-        let uncounted = json.replacen("\"alloc_installed\":true", "\"alloc_installed\":false", 1);
-        let checks = check_stream(&uncounted).unwrap();
-        assert_eq!(checks.len(), 2, "{checks:?}");
-
-        assert!(check_stream("{\"schema\":\"other/v1\"}").is_err());
-        assert!(check_stream("{").is_err());
+            let rows: Vec<usize> = f.breaks.iter().map(|b| b.0).collect();
+            assert_eq!(
+                rows,
+                (0..f.campaign.rows.len()).collect::<Vec<_>>(),
+                "{name}: one mutation per row"
+            );
+            for (row, label, anchor, field, value) in &f.breaks {
+                let broken = set_field(&f.doc, anchor, field, value);
+                // A baseline row sees the pristine document as its
+                // baseline; an absolute row's regression is shared by
+                // both sides, so no relative row can trip with it.
+                let baseline = match f.campaign.rows[*row].rhs {
+                    Baseline => &f.doc,
+                    _ => &broken,
+                };
+                let checks = f
+                    .campaign
+                    .check(&broken, Some(baseline), DEFAULT_THRESHOLD)
+                    .unwrap();
+                assert_eq!(failed(&checks), [*label], "{name} row {row}");
+            }
+        }
     }
 
     #[test]
-    fn missing_config_and_bad_schema_are_caught() {
-        let baseline = summary_json();
-        let current = baseline.replacen("\"config\":\"nop\"", "\"config\":\"gone\"", 2);
-        let report = check_gate(&baseline, &current, DEFAULT_THRESHOLD).unwrap();
-        assert!(report
-            .failures()
-            .any(|c| c.what == "makespan/nop (missing)"));
+    fn unreadable_documents_are_errors_for_every_campaign() {
+        for f in fixtures() {
+            let name = f.campaign.name;
+            let check = |doc: &str| f.campaign.check(doc, None, DEFAULT_THRESHOLD);
+            let wrong_schema = f.doc.replacen(f.campaign.schema, "other/v1", 1);
+            let err = check(&wrong_schema).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{name}: unsupported schema")),
+                "{err}"
+            );
+            let err = check(&f.doc[..f.doc.len() / 2]).unwrap_err();
+            assert!(err.starts_with(&format!("{name}: ")), "{err}");
+            let gone = f.doc.replace(&format!("\"{}\":", f.required), "\"gone\":");
+            let err = check(&gone).unwrap_err();
+            assert!(err.contains(f.required), "{name}: {err}");
+            assert!(check("{").is_err() && check("[]").is_err(), "{name}");
+            assert_eq!(f.campaign.failures(&gone), [err], "{name}");
+            // The baseline is held to the same schema.
+            let err = f
+                .campaign
+                .check(&f.doc, Some(&wrong_schema), DEFAULT_THRESHOLD)
+                .unwrap_err();
+            assert!(err.starts_with(&format!("{name} baseline: ")), "{err}");
+        }
+    }
 
-        let bad = baseline.replacen("moteur-bench/summary/v1", "other/v9", 1);
-        assert!(check_gate(&bad, &baseline, DEFAULT_THRESHOLD).is_err());
-        assert!(check_gate(&baseline, "{", DEFAULT_THRESHOLD).is_err());
+    #[test]
+    fn allocator_rows_only_apply_when_both_documents_counted_allocations() {
+        for f in fixtures() {
+            let guarded = f.campaign.rows.iter().filter(|r| r.when_alloc).count();
+            if guarded == 0 {
+                continue;
+            }
+            let uncounted = set_field(&f.doc, "", "alloc_installed", "false");
+            let count = |current: &str, baseline: &str| {
+                let checks = f.campaign.check(current, Some(baseline), DEFAULT_THRESHOLD);
+                checks.unwrap().len()
+            };
+            let all = f.campaign.rows.len();
+            assert_eq!(count(&f.doc, &f.doc), all);
+            assert_eq!(count(&uncounted, &uncounted), all - guarded);
+            let relative = f.campaign.rows.iter().filter(|r| r.rhs == Baseline).count();
+            assert_eq!(count(&f.doc, &uncounted), all - relative);
+        }
+    }
+
+    #[test]
+    fn the_summary_gate_walks_the_baselines_configs_and_speedups() {
+        let summary = fixtures().swap_remove(1);
+        let checks = SUMMARY
+            .check(&summary.doc, Some(&summary.doc), DEFAULT_THRESHOLD)
+            .unwrap();
+        let labels: Vec<&str> = checks.iter().map(|c| c.what.as_str()).collect();
+        // Interleaved per configuration, then the three ratios.
+        assert_eq!(labels.len(), 15, "{labels:?}");
+        assert_eq!(
+            labels[..4],
+            ["makespan/nop", "drift/nop", "makespan/jg", "drift/jg"]
+        );
+        assert!(labels[12..].iter().all(|l| l.starts_with("speedup/")));
+        let report = GateReport {
+            threshold: DEFAULT_THRESHOLD,
+            checks,
+        };
+        assert!(report.ok() && report.render().contains("PASS"));
+        // On its own (the campaign's exit verdict) only drift is checked.
+        assert_eq!(SUMMARY.check(&summary.doc, None, 0.0).unwrap().len(), 6);
+
+        // A configuration the baseline has and the summary lost is a
+        // failed check, not an error.
+        let lost = summary
+            .doc
+            .replacen("\"config\":\"nop\"", "\"config\":\"gone\"", 1);
+        let report = GateReport {
+            threshold: DEFAULT_THRESHOLD,
+            checks: SUMMARY
+                .check(&lost, Some(&summary.doc), DEFAULT_THRESHOLD)
+                .unwrap(),
+        };
+        let failures: Vec<&str> = report.failures().map(|c| c.what.as_str()).collect();
+        assert_eq!(failures, ["makespan/nop (missing)", "drift/nop (missing)"]);
+        assert!(report.render().contains("REGRESSED"));
+        // sp takes 450 s at n_data 2: 4 % slower passes at 10 %, and the
+        // threshold is the caller's.
+        let slower = set_field(&summary.doc, "\"config\":\"sp\"", "makespan_at_max", "470");
+        assert!(failed(&SUMMARY.check(&slower, Some(&summary.doc), 0.10).unwrap()).is_empty());
+        assert_eq!(
+            failed(&SUMMARY.check(&slower, Some(&summary.doc), 0.01).unwrap()),
+            ["makespan/sp"]
+        );
+    }
+
+    /// The case that failed before the tables: `ok()` ignored the p99
+    /// ceiling, so `moteur-bench daemon` exited 0 on a wave the gate
+    /// then rejected. A campaign's verdict is the gate's verdict on the
+    /// document it wrote.
+    #[test]
+    fn a_reports_ok_is_the_gates_verdict_on_its_document() {
+        let mut report = daemon_report();
+        assert!(report.ok());
+        report.ttfj_p99_secs = DAEMON_TTFJ_P99_CEILING_SECS + 1.0;
+        assert!(!report.ok());
+        assert_eq!(
+            DAEMON.failures(&daemon::render_daemon_json(&report)),
+            ["daemon/ttfj_p99_secs"]
+        );
+        // Documents that carry an `"ok"` field carry this verdict.
+        for f in fixtures() {
+            let (row, _, anchor, field, value) = &f.breaks[0];
+            if !f.doc.contains("\"ok\":true") || f.campaign.rows[*row].rhs == Baseline {
+                continue;
+            }
+            assert!(!f.campaign.passes(&set_field(&f.doc, anchor, field, value)));
+        }
     }
 }

@@ -16,7 +16,8 @@
 //! observatory: `campaign` sweeps the six configurations over a range
 //! of campaign sizes and writes `BENCH_point.json`/`BENCH_summary.json`
 //! ([`sweep`]); `gate` compares a summary against the committed
-//! baseline and fails CI on regressions ([`gate`]).
+//! baseline and fails CI on regressions ([`gate`], where every
+//! campaign's pass criteria are one table of rows).
 //!
 //! The library half hosts the Fig. 9 Bronze-Standard workflow
 //! ([`bronze`]) and the campaign runner ([`campaign`]) shared by the
@@ -77,7 +78,7 @@ pub use faults::{
     render_faults, render_faults_json, run_faults, FaultStrategy, FaultsReport, FaultsSpec,
     StrategyOutcome, FAULTS_SCHEMA,
 };
-pub use gate::{check_gate, GateCheck, GateReport, DEFAULT_THRESHOLD};
+pub use gate::{GateCheck, GateReport, DEFAULT_THRESHOLD};
 pub use plan::{
     render_plan_bench, render_plan_bench_json, run_plan_bench, PlanBenchReport, PlanSpec,
     PLAN_BENCH_SCHEMA,

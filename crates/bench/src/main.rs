@@ -28,8 +28,12 @@
 //! (fits, drift, speed-ups) into `--out-dir` (default: the current
 //! directory). `gate` compares a summary against the committed baseline
 //! and exits non-zero on regression; setting
-//! `MOTEUR_BENCH_UPDATE_BASELINE=1` rewrites the baseline from the
-//! current summary instead (use after an intentional perf change).
+//! `MOTEUR_BENCH_UPDATE_BASELINE=1` rewrites the baselines from the
+//! current documents instead (use after an intentional perf change).
+//! Every pass criterion named below is a row of a table in
+//! `moteur_bench::gate`; a campaign command exits by its table's
+//! verdict on the file it wrote, which is the verdict `gate` reaches
+//! when it reads that file back.
 //! `warm` enacts one campaign twice against a shared data manager and
 //! writes the cold-vs-warm comparison to `BENCH_warm.json`.
 //! `faults` enacts the campaign on an unreliable grid under the three
@@ -48,8 +52,9 @@
 //! chains across several tenants of one enactment daemon sharing a
 //! memo table, and writes throughput, time-to-first-job percentiles
 //! and the cross-tenant cache-hit ratio to `BENCH_daemon.json`,
-//! exiting non-zero unless every submission succeeds and the wave
-//! reuses ≥ 90% of the seed tenant's derivations.
+//! exiting non-zero unless every submission succeeds, the wave
+//! reuses ≥ 90% of the seed tenant's derivations and the p99
+//! time-to-first-job stays bounded.
 //! `scale` pushes the simulator through a million events and the
 //! enactor through ten thousand jobs with the self-profiler attached
 //! and writes `BENCH_scale.json` (throughput, allocations per event,
@@ -60,11 +65,12 @@
 //! bytes, the eager projection), exiting non-zero unless the pipeline
 //! high-water mark stays O(port-capacity).
 
+use moteur::obs::json::expect_schema;
 use moteur_bench::daemon::{render_daemon, render_daemon_json, run_daemon_campaign};
 use moteur_bench::faults::{render_faults, render_faults_json, run_faults, FaultsSpec};
 use moteur_bench::gate::{
-    check_daemon, check_faults, check_gate, check_plan, check_scale, check_stream, check_timeline,
-    DEFAULT_THRESHOLD,
+    Campaign, GateReport, DAEMON, DEFAULT_THRESHOLD, FAULTS, GATED, PLAN, SCALE, STREAM, SUMMARY,
+    TIMELINE, WARM,
 };
 use moteur_bench::plan::{render_plan_bench, render_plan_bench_json, run_plan_bench, PlanSpec};
 use moteur_bench::scale::{render_scale, render_scale_json, run_scale, ScaleSpec};
@@ -77,12 +83,16 @@ use moteur_bench::timeline::{render_timeline, render_timeline_json, run_timeline
 use moteur_bench::warm::{render_warm, render_warm_json, run_warm_pair};
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// The scale campaign reports real allocation counts and the live-heap
 /// high-water mark, so this binary routes every allocation through the
 /// profiler's counting wrapper around the system allocator.
 #[global_allocator]
 static ALLOC: moteur_prof::alloc::CountingAlloc = moteur_prof::alloc::CountingAlloc;
+
+/// A subcommand's outcome: the exit code, or the message to fail with.
+type Outcome = Result<ExitCode, Box<dyn std::error::Error>>;
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -91,9 +101,37 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("moteur-bench: {msg}");
-    ExitCode::FAILURE
+/// `name`'s value parsed and validated, or `default` when the flag is
+/// absent; anything else fails with "`name` needs `needs`".
+fn flag<T: FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+    needs: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    match flag_value(args, name).map(str::parse) {
+        None => Ok(default),
+        Some(Ok(v)) if valid(&v) => Ok(v),
+        Some(_) => Err(format!("{name} needs {needs}")),
+    }
+}
+
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+fn positive<T: FromStr + PartialOrd + Default>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let above_zero = |v: &T| *v > T::default();
+    flag(args, name, default, "a positive integer", above_zero)
+}
+
+fn seed(args: &[String], default: u64) -> Result<u64, String> {
+    flag(args, "--seed", default, "an integer", any)
 }
 
 fn usage() -> ExitCode {
@@ -138,42 +176,50 @@ fn parse_sweep(spec: &str) -> Option<Vec<usize>> {
     (!sizes.is_empty() && !sizes.contains(&0)).then_some(sizes)
 }
 
-fn cmd_campaign(args: &[String]) -> ExitCode {
-    let Some(sizes) = parse_sweep(flag_value(args, "--sweep").unwrap_or("ndata=1..6")) else {
-        return fail("--sweep needs `ndata=LO..HI` or `ndata=A,B,C` (all > 0)");
-    };
-    let mut spec = SweepSpec::new(sizes);
-    if let Some(s) = flag_value(args, "--seed") {
-        match s.parse() {
-            Ok(v) => spec.seed = v,
-            Err(_) => return fail("--seed needs an integer"),
-        }
+fn write_doc(args: &[String], file: &str, json: String) -> Result<String, String> {
+    let path = Path::new(flag_value(args, "--out-dir").unwrap_or(".")).join(file);
+    std::fs::write(&path, json + "\n").map_err(|e| format!("writing {}: {e}", path.display()))?;
+    Ok(path.display().to_string())
+}
+
+/// The tail every campaign command shares: print the human report,
+/// write the document, and exit by the campaign's gate table evaluated
+/// over the document just written.
+fn conclude(args: &[String], campaign: &Campaign, human: &str, json: String) -> Outcome {
+    print!("{human}");
+    let failed = campaign.failures(&json);
+    println!("wrote {}", write_doc(args, &campaign.file(), json)?);
+    if failed.is_empty() {
+        return Ok(ExitCode::SUCCESS);
     }
+    eprintln!(
+        "moteur-bench: {} campaign failed: {}",
+        campaign.name,
+        failed.join(", ")
+    );
+    Ok(ExitCode::FAILURE)
+}
+
+fn cmd_campaign(args: &[String]) -> Outcome {
+    let sizes = parse_sweep(flag_value(args, "--sweep").unwrap_or("ndata=1..6"))
+        .ok_or("--sweep needs `ndata=LO..HI` or `ndata=A,B,C` (all > 0)")?;
+    let mut spec = SweepSpec::new(sizes);
+    spec.seed = seed(args, spec.seed)?;
     if let Some(s) = flag_value(args, "--workflow") {
-        match SweepWorkflow::parse(s) {
-            Some(w) => spec.workflow = w,
-            None => return fail(format!("unknown workflow `{s}` (chain|bronze)")),
-        }
+        spec.workflow =
+            SweepWorkflow::parse(s).ok_or(format!("unknown workflow `{s}` (chain|bronze)"))?;
     }
     if let Some(s) = flag_value(args, "--grid") {
-        match SweepGrid::parse(s) {
-            Some(g) => spec.grid = g,
-            None => return fail(format!("unknown grid `{s}` (ideal|egee)")),
-        }
+        spec.grid = SweepGrid::parse(s).ok_or(format!("unknown grid `{s}` (ideal|egee)"))?;
     }
-    if let Some(s) = flag_value(args, "--overhead") {
-        match s.parse() {
-            Ok(v) => spec.overhead = v,
-            Err(_) => return fail("--overhead needs a number (seconds)"),
-        }
-    }
-    if let Some(s) = flag_value(args, "--tolerance") {
-        match s.parse() {
-            Ok(v) => spec.tolerance = v,
-            Err(_) => return fail("--tolerance needs a fraction (e.g. 0.05)"),
-        }
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
+    spec.overhead = flag(args, "--overhead", spec.overhead, "a number (seconds)", any)?;
+    spec.tolerance = flag(
+        args,
+        "--tolerance",
+        spec.tolerance,
+        "a fraction (e.g. 0.05)",
+        any,
+    )?;
 
     eprintln!(
         "sweeping {} on the {} grid over n_data {:?}...",
@@ -181,480 +227,224 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         spec.grid.name(),
         spec.sizes
     );
-    let (points, summary) = match run_sweep(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_summary(&summary));
-
-    let point_path = out_dir.join("BENCH_point.json");
-    if let Err(e) = std::fs::write(&point_path, render_points_json(&spec, &points) + "\n") {
-        return fail(format!("writing {}: {e}", point_path.display()));
-    }
-    let summary_path = out_dir.join("BENCH_summary.json");
-    if let Err(e) = std::fs::write(&summary_path, render_summary_json(&summary) + "\n") {
-        return fail(format!("writing {}: {e}", summary_path.display()));
-    }
-    println!(
-        "wrote {} ({} points) and {}",
-        point_path.display(),
-        points.len(),
-        summary_path.display()
+    let (points, summary) = run_sweep(&spec)?;
+    let point_path = write_doc(args, "BENCH_point.json", render_points_json(&spec, &points))?;
+    let human = format!(
+        "{}wrote {point_path} ({} points)\n",
+        render_summary(&summary),
+        points.len()
     );
-    if summary.configs.iter().all(|c| c.drift_ok) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: model-vs-observed drift beyond tolerance (see summary)");
-        ExitCode::FAILURE
-    }
+    conclude(args, &SUMMARY, &human, render_summary_json(&summary))
 }
 
-fn cmd_gate(args: &[String]) -> ExitCode {
-    let summary_path = flag_value(args, "--summary").unwrap_or("BENCH_summary.json");
-    let baseline_path = flag_value(args, "--baseline").unwrap_or("results/BENCH_baseline.json");
-    let threshold: f64 = match flag_value(args, "--threshold").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(DEFAULT_THRESHOLD),
-        Err(_) => return fail("--threshold needs a fraction (e.g. 0.10)"),
+fn cmd_gate(args: &[String]) -> Outcome {
+    let needs = "a fraction (e.g. 0.10)";
+    let threshold = flag(args, "--threshold", DEFAULT_THRESHOLD, needs, any)?;
+    let update = std::env::var("MOTEUR_BENCH_UPDATE_BASELINE").as_deref() == Ok("1");
+    let mut report = GateReport {
+        threshold,
+        checks: Vec::new(),
     };
-    let current = match std::fs::read_to_string(summary_path) {
-        Ok(s) => s,
-        Err(e) => return fail(format!("reading {summary_path}: {e}")),
-    };
-    let scale_path = flag_value(args, "--scale");
-    let scale_implicit = scale_path.is_none();
-    let scale_path = scale_path.unwrap_or("BENCH_scale.json");
-    let scale_baseline_path =
-        flag_value(args, "--scale-baseline").unwrap_or("results/BENCH_scale_baseline.json");
-    if std::env::var("MOTEUR_BENCH_UPDATE_BASELINE").as_deref() == Ok("1") {
-        if let Err(e) = std::fs::write(baseline_path, &current) {
-            return fail(format!("updating {baseline_path}: {e}"));
+    let mut updates = Vec::new();
+    // The summary and its baseline must exist. Every other campaign is
+    // folded in when its document is around: explicitly via its flag,
+    // or implicitly when the default artifact sits in the current
+    // directory; scale brings its own optional baseline for the
+    // deterministic allocation axes.
+    for campaign in GATED {
+        let required = campaign.name == SUMMARY.name;
+        if update && campaign.baseline.is_none() {
+            continue;
         }
-        println!("baseline {baseline_path} updated from {summary_path}");
-        // Re-seed the scale baseline too when a fresh document is
-        // around; its deterministic axes are machine-independent.
-        match std::fs::read_to_string(scale_path) {
-            Ok(scale) => {
-                if let Err(e) = std::fs::write(scale_baseline_path, &scale) {
-                    return fail(format!("updating {scale_baseline_path}: {e}"));
-                }
-                println!("baseline {scale_baseline_path} updated from {scale_path}");
+        let explicit = flag_value(args, &format!("--{}", campaign.name));
+        let path = explicit.map_or_else(|| campaign.file(), str::to_string);
+        let doc = match std::fs::read_to_string(&path) {
+            Ok(doc) => doc,
+            Err(_) if explicit.is_none() && !required => continue,
+            Err(e) => return Err(format!("reading {path}: {e}").into()),
+        };
+        let baseline_path = campaign
+            .baseline
+            .map(|(flag, default)| flag_value(args, flag).unwrap_or(default));
+        if let (true, Some(baseline_path)) = (update, baseline_path) {
+            // Its deterministic axes are machine-independent, so the
+            // scale baseline is re-seeded too — but only ever from a
+            // document of the schema the comparison would accept.
+            expect_schema(&doc, campaign.name, campaign.schema)?;
+            updates.push((baseline_path, path, doc));
+            continue;
+        }
+        let baseline = match baseline_path.map(|p| (p, std::fs::read_to_string(p))) {
+            Some((_, Ok(baseline))) => Some(baseline),
+            Some((p, Err(e))) if required => {
+                return Err(format!(
+                    "reading {p}: {e} (run with MOTEUR_BENCH_UPDATE_BASELINE=1 to seed it)"
+                )
+                .into())
             }
-            Err(_) if scale_implicit => {}
-            Err(e) => return fail(format!("reading {scale_path}: {e}")),
+            _ => None,
+        };
+        report
+            .checks
+            .extend(campaign.check(&doc, baseline.as_deref(), threshold)?);
+    }
+    if update {
+        for (baseline_path, path, doc) in updates {
+            std::fs::write(baseline_path, doc)
+                .map_err(|e| format!("updating {baseline_path}: {e}"))?;
+            println!("baseline {baseline_path} updated from {path}");
         }
-        return ExitCode::SUCCESS;
-    }
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            return fail(format!(
-                "reading {baseline_path}: {e} (run with MOTEUR_BENCH_UPDATE_BASELINE=1 to seed it)"
-            ))
-        }
-    };
-    let mut report = match check_gate(&baseline, &current, threshold) {
-        Ok(report) => report,
-        Err(e) => return fail(e),
-    };
-    // Fold the fault-injection checks in when a faults document is
-    // around: explicitly via --faults, or implicitly when the default
-    // artifact sits next to the summary.
-    let faults_path = flag_value(args, "--faults");
-    let implicit = faults_path.is_none();
-    let faults_path = faults_path.unwrap_or("BENCH_faults.json");
-    match std::fs::read_to_string(faults_path) {
-        Ok(json) => match check_faults(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {faults_path}: {e}")),
-    }
-    // Same convention for the telemetry document.
-    let timeline_path = flag_value(args, "--timeline");
-    let implicit = timeline_path.is_none();
-    let timeline_path = timeline_path.unwrap_or("BENCH_timeline.json");
-    match std::fs::read_to_string(timeline_path) {
-        Ok(json) => match check_timeline(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {timeline_path}: {e}")),
-    }
-    // And for the static-planner document.
-    let plan_path = flag_value(args, "--plan");
-    let implicit = plan_path.is_none();
-    let plan_path = plan_path.unwrap_or("BENCH_plan.json");
-    match std::fs::read_to_string(plan_path) {
-        Ok(json) => match check_plan(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {plan_path}: {e}")),
-    }
-    // And for the daemon wave.
-    let daemon_path = flag_value(args, "--daemon");
-    let implicit = daemon_path.is_none();
-    let daemon_path = daemon_path.unwrap_or("BENCH_daemon.json");
-    match std::fs::read_to_string(daemon_path) {
-        Ok(json) => match check_daemon(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {daemon_path}: {e}")),
-    }
-    // And for the scale campaign, with its own committed baseline for
-    // the deterministic allocation axes.
-    match std::fs::read_to_string(scale_path) {
-        Ok(json) => {
-            let scale_baseline = std::fs::read_to_string(scale_baseline_path).ok();
-            match check_scale(&json, scale_baseline.as_deref(), threshold) {
-                Ok(mut checks) => report.checks.append(&mut checks),
-                Err(e) => return fail(e),
-            }
-        }
-        Err(_) if scale_implicit => {}
-        Err(e) => return fail(format!("reading {scale_path}: {e}")),
-    }
-    // And for the streaming campaign (absolute checks only).
-    let stream_path = flag_value(args, "--stream");
-    let implicit = stream_path.is_none();
-    let stream_path = stream_path.unwrap_or("BENCH_stream.json");
-    match std::fs::read_to_string(stream_path) {
-        Ok(json) => match check_stream(&json) {
-            Ok(mut checks) => report.checks.append(&mut checks),
-            Err(e) => return fail(e),
-        },
-        Err(_) if implicit => {}
-        Err(e) => return fail(format!("reading {stream_path}: {e}")),
+        return Ok(ExitCode::SUCCESS);
     }
     print!("{}", report.render());
-    if report.ok() {
+    Ok(if report.ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_warm(args: &[String]) -> ExitCode {
-    let n_data: usize = match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(6),
-        Err(_) => return fail("--ndata needs a positive integer"),
-    };
-    if n_data == 0 {
-        return fail("--ndata needs a positive integer");
-    }
-    let seed: u64 = match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(2006),
-        Err(_) => return fail("--seed needs an integer"),
-    };
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+fn cmd_warm(args: &[String]) -> Outcome {
+    let n_data: usize = positive(args, "--ndata", 6)?;
+    let seed = seed(args, 2006)?;
     eprintln!("warm-restart pair: bronze-chain, ideal grid, sp+dp, n_data {n_data}...");
-    let report = match run_warm_pair(n_data, seed) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_warm(&report));
-    let path = out_dir.join("BENCH_warm.json");
-    if let Err(e) = std::fs::write(&path, render_warm_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.drift_ok && report.misses == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: warm pair failed (cold drift or unexpected warm misses)");
-        ExitCode::FAILURE
-    }
+    let report = run_warm_pair(n_data, seed)?;
+    conclude(
+        args,
+        &WARM,
+        &render_warm(&report),
+        render_warm_json(&report),
+    )
 }
 
-fn cmd_faults(args: &[String]) -> ExitCode {
+fn cmd_faults(args: &[String]) -> Outcome {
     let mut spec = FaultsSpec::default();
-    match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_data = v,
-        Ok(Some(_)) => return fail("--ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    match flag_value(args, "--repeats").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.repeats = v,
-        Ok(Some(_)) => return fail("--repeats needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--repeats needs a positive integer"),
-    }
-    match flag_value(args, "--failure-probability")
-        .map(str::parse::<f64>)
-        .transpose()
-    {
-        Ok(Some(p)) if (0.0..=1.0).contains(&p) => spec.failure_probability = p,
-        Ok(Some(_)) => return fail("--failure-probability needs a fraction in [0, 1]"),
-        Ok(None) => {}
-        Err(_) => return fail("--failure-probability needs a fraction in [0, 1]"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+    spec.n_data = positive(args, "--ndata", spec.n_data)?;
+    spec.seed = seed(args, spec.seed)?;
+    spec.repeats = positive(args, "--repeats", spec.repeats)?;
+    let (p, fraction) = (spec.failure_probability, "a fraction in [0, 1]");
+    spec.failure_probability = flag(args, "--failure-probability", p, fraction, |p| {
+        (0.0..=1.0).contains(p)
+    })?;
     eprintln!(
         "fault injection: bronze on unreliable egee-2006 (p_fail {:.0}%), n_data {} x {} seeds...",
         spec.failure_probability * 100.0,
         spec.n_data,
         spec.repeats
     );
-    let report = match run_faults(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_faults(&report));
-    let path = out_dir.join("BENCH_faults.json");
-    if let Err(e) = std::fs::write(&path, render_faults_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: timeout+replication did not beat the naive strategy");
-        ExitCode::FAILURE
-    }
+    let report = run_faults(&spec)?;
+    conclude(
+        args,
+        &FAULTS,
+        &render_faults(&report),
+        render_faults_json(&report),
+    )
 }
 
-fn cmd_timeline(args: &[String]) -> ExitCode {
+fn cmd_timeline(args: &[String]) -> Outcome {
     let mut spec = TimelineSpec::default();
-    match flag_value(args, "--ideal-ndata")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.ideal_n_data = v,
-        Ok(Some(_)) => return fail("--ideal-ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ideal-ndata needs a positive integer"),
-    }
-    match flag_value(args, "--loaded-ndata")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.loaded_n_data = v,
-        Ok(Some(_)) => return fail("--loaded-ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--loaded-ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+    spec.ideal_n_data = positive(args, "--ideal-ndata", spec.ideal_n_data)?;
+    spec.loaded_n_data = positive(args, "--loaded-ndata", spec.loaded_n_data)?;
+    spec.seed = seed(args, spec.seed)?;
     eprintln!(
         "timeline telemetry: bronze sp+dp, ideal n_data {} / egee n_data {}...",
         spec.ideal_n_data, spec.loaded_n_data
     );
-    let report = match run_timeline(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_timeline(&report));
-    let path = out_dir.join("BENCH_timeline.json");
-    if let Err(e) = std::fs::write(&path, render_timeline_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: byte accounting or queue attribution failed");
-        ExitCode::FAILURE
-    }
+    let report = run_timeline(&spec)?;
+    conclude(
+        args,
+        &TIMELINE,
+        &render_timeline(&report),
+        render_timeline_json(&report),
+    )
 }
 
-fn cmd_plan(args: &[String]) -> ExitCode {
+fn cmd_plan(args: &[String]) -> Outcome {
     let mut spec = PlanSpec::default();
-    match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_data = v,
-        Ok(Some(_)) => return fail("--ndata needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--ndata needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+    spec.n_data = positive(args, "--ndata", spec.n_data)?;
+    spec.seed = seed(args, spec.seed)?;
     eprintln!(
         "static plan check: bronze + cross sweep on the ideal grid, n_data {}...",
         spec.n_data
     );
-    let report = match run_plan_bench(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_plan_bench(&report));
-    let path = out_dir.join("BENCH_plan.json");
-    if let Err(e) = std::fs::write(&path, render_plan_bench_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: static bounds missed observed staging or the partition lost");
-        ExitCode::FAILURE
-    }
+    let report = run_plan_bench(&spec)?;
+    conclude(
+        args,
+        &PLAN,
+        &render_plan_bench(&report),
+        render_plan_bench_json(&report),
+    )
 }
 
-fn cmd_scale(args: &[String]) -> ExitCode {
+fn cmd_scale(args: &[String]) -> Outcome {
     let mut spec = ScaleSpec::default();
-    match flag_value(args, "--events").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.target_events = v,
-        Ok(Some(_)) => return fail("--events needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--events needs a positive integer"),
-    }
-    match flag_value(args, "--jobs").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.enact_jobs = v,
-        Ok(Some(_)) => return fail("--jobs needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--jobs needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+    spec.target_events = positive(args, "--events", spec.target_events)?;
+    spec.enact_jobs = positive(args, "--jobs", spec.enact_jobs)?;
+    spec.seed = seed(args, spec.seed)?;
     eprintln!(
         "scale campaign: {} gridsim events + {} enactor jobs (seed {})...",
         spec.target_events, spec.enact_jobs, spec.seed
     );
-    let report = match run_scale(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_scale(&report));
-    let path = out_dir.join("BENCH_scale.json");
-    if let Err(e) = std::fs::write(&path, render_scale_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: scale campaign missed a target or blew the allocation budget");
-        ExitCode::FAILURE
-    }
+    let report = run_scale(&spec)?;
+    conclude(
+        args,
+        &SCALE,
+        &render_scale(&report),
+        render_scale_json(&report),
+    )
 }
 
-fn cmd_stream(args: &[String]) -> ExitCode {
+fn cmd_stream(args: &[String]) -> Outcome {
     let mut spec = StreamSpec::default();
-    match flag_value(args, "--items").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.n_items = v,
-        Ok(Some(_)) => return fail("--items needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--items needs a positive integer"),
-    }
-    match flag_value(args, "--capacity").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => spec.port_capacity = v,
-        Ok(Some(_)) => return fail("--capacity needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--capacity needs a positive integer"),
-    }
-    match flag_value(args, "--eager-items")
-        .map(str::parse)
-        .transpose()
-    {
-        Ok(Some(v)) if v > 0 => spec.eager_items = v,
-        Ok(Some(_)) => return fail("--eager-items needs a positive integer"),
-        Ok(None) => {}
-        Err(_) => return fail("--eager-items needs a positive integer"),
-    }
-    match flag_value(args, "--seed").map(str::parse).transpose() {
-        Ok(v) => spec.seed = v.unwrap_or(spec.seed),
-        Err(_) => return fail("--seed needs an integer"),
-    }
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+    spec.n_items = positive(args, "--items", spec.n_items)?;
+    spec.port_capacity = positive(args, "--capacity", spec.port_capacity)?;
+    spec.eager_items = positive(args, "--eager-items", spec.eager_items)?;
+    spec.seed = seed(args, spec.seed)?;
     eprintln!(
         "stream campaign: {} items through port capacity {} (seed {})...",
         spec.n_items, spec.port_capacity, spec.seed
     );
-    let report = match run_stream(&spec) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_stream(&report));
-    let path = out_dir.join("BENCH_stream.json");
-    if let Err(e) = std::fs::write(&path, render_stream_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "moteur-bench: stream campaign missed an item or blew the pipeline memory budget"
-        );
-        ExitCode::FAILURE
-    }
+    let report = run_stream(&spec)?;
+    conclude(
+        args,
+        &STREAM,
+        &render_stream(&report),
+        render_stream_json(&report),
+    )
 }
 
-fn cmd_daemon(args: &[String]) -> ExitCode {
-    let n_workflows: usize = match flag_value(args, "--workflows").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--workflows needs a positive integer"),
-        Ok(None) => 100,
-    };
-    let n_tenants: usize = match flag_value(args, "--tenants").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--tenants needs a positive integer"),
-        Ok(None) => 4,
-    };
-    let n_data: usize = match flag_value(args, "--ndata").map(str::parse).transpose() {
-        Ok(Some(v)) if v > 0 => v,
-        Ok(Some(_)) | Err(_) => return fail("--ndata needs a positive integer"),
-        Ok(None) => 2,
-    };
-    let out_dir = Path::new(flag_value(args, "--out-dir").unwrap_or("."));
-
+fn cmd_daemon(args: &[String]) -> Outcome {
+    let n_workflows: usize = positive(args, "--workflows", 100)?;
+    let n_tenants: usize = positive(args, "--tenants", 4)?;
+    let n_data: usize = positive(args, "--ndata", 2)?;
     eprintln!(
         "daemon wave: {n_workflows} bronze-chain submissions across {n_tenants} tenants (n_data {n_data})..."
     );
-    let report = match run_daemon_campaign(n_workflows, n_tenants, n_data) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
-    };
-    print!("{}", render_daemon(&report));
-    let path = out_dir.join("BENCH_daemon.json");
-    if let Err(e) = std::fs::write(&path, render_daemon_json(&report) + "\n") {
-        return fail(format!("writing {}: {e}", path.display()));
-    }
-    println!("wrote {}", path.display());
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("moteur-bench: daemon wave failed (incomplete or cross-tenant reuse below 90%)");
-        ExitCode::FAILURE
-    }
+    let report = run_daemon_campaign(n_workflows, n_tenants, n_data)?;
+    conclude(
+        args,
+        &DAEMON,
+        &render_daemon(&report),
+        render_daemon_json(&report),
+    )
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("gate") => cmd_gate(&args[1..]),
-        Some("warm") => cmd_warm(&args[1..]),
-        Some("faults") => cmd_faults(&args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
-        Some("plan") => cmd_plan(&args[1..]),
-        Some("scale") => cmd_scale(&args[1..]),
-        Some("stream") => cmd_stream(&args[1..]),
-        Some("daemon") => cmd_daemon(&args[1..]),
-        _ => usage(),
-    }
+    let cmd = match args.first().map(String::as_str) {
+        Some("campaign") => cmd_campaign,
+        Some("gate") => cmd_gate,
+        Some("warm") => cmd_warm,
+        Some("faults") => cmd_faults,
+        Some("timeline") => cmd_timeline,
+        Some("plan") => cmd_plan,
+        Some("scale") => cmd_scale,
+        Some("stream") => cmd_stream,
+        Some("daemon") => cmd_daemon,
+        _ => return usage(),
+    };
+    cmd(&args[1..]).unwrap_or_else(|msg| {
+        eprintln!("moteur-bench: {msg}");
+        ExitCode::FAILURE
+    })
 }

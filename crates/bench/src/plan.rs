@@ -109,13 +109,9 @@ impl PlanBenchReport {
         self.outcomes.iter().find(|o| o.scenario == scenario)
     }
 
-    /// The gate predicate: containment on every edge of every workflow,
-    /// and the partition must beat centralized routing on the
-    /// data-heavy variant.
+    /// The gate's verdict ([`crate::gate::PLAN`]) on this report.
     pub fn ok(&self) -> bool {
-        !self.outcomes.is_empty()
-            && self.outcomes.iter().all(PlanOutcome::all_contained)
-            && self.heavy_partitioned < self.heavy_centralized
+        crate::gate::PLAN.passes(&render_plan_bench_json(self))
     }
 }
 
@@ -287,20 +283,23 @@ pub fn render_plan_bench_json(report: &PlanBenchReport) -> String {
             .raw("edges", &edges)
             .finish()
     }));
-    JsonObject::new()
-        .str("schema", PLAN_BENCH_SCHEMA)
-        .uint("n_data", report.spec.n_data as u64)
-        .uint("seed", report.spec.seed)
-        .num("heavy_centralized_secs", report.heavy_centralized)
-        .num("heavy_partitioned_secs", report.heavy_partitioned)
-        .bool("ok", report.ok())
-        .raw("scenarios", &outcomes)
-        .finish()
+    crate::gate::PLAN.render_with_verdict(|ok| {
+        JsonObject::new()
+            .str("schema", PLAN_BENCH_SCHEMA)
+            .uint("n_data", report.spec.n_data as u64)
+            .uint("seed", report.spec.seed)
+            .num("heavy_centralized_secs", report.heavy_centralized)
+            .num("heavy_partitioned_secs", report.heavy_partitioned)
+            .bool("ok", ok)
+            .raw("scenarios", &outcomes)
+            .finish()
+    })
 }
 
 /// Human rendering, one workflow per block.
 pub fn render_plan_bench(report: &PlanBenchReport) -> String {
     use std::fmt::Write as _;
+    let failed = crate::gate::PLAN.failures(&render_plan_bench_json(report));
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -332,10 +331,10 @@ pub fn render_plan_bench(report: &PlanBenchReport) -> String {
         "  data-heavy bronze: centralized {:.1} s, partitioned {:.1} s {}",
         report.heavy_centralized,
         report.heavy_partitioned,
-        if report.heavy_partitioned < report.heavy_centralized {
-            "(partition pays)"
-        } else {
+        if failed.iter().any(|what| what == "plan/partition_advantage") {
             "(GATE FAILS)"
+        } else {
+            "(partition pays)"
         },
     );
     let _ = writeln!(

@@ -19,7 +19,7 @@
 //! throughputs, the peak bytes ever live in the process, the
 //! per-event allocation rate and the profiler's per-subsystem wall
 //! fractions. Wall-clock throughput is machine-dependent, so
-//! [`crate::gate::check_scale`] gates on the deterministic axes
+//! [`crate::gate::SCALE`] gates on the deterministic axes
 //! (allocations per event, peak bytes) and only sanity-checks the
 //! wall numbers for positivity.
 
@@ -103,13 +103,10 @@ pub struct ScaleReport {
 }
 
 impl ScaleReport {
-    /// The gate predicate on the axes that hold on any machine.
+    /// The gate's verdict ([`crate::gate::SCALE`]) on the axes that
+    /// hold on any machine (no baseline).
     pub fn ok(&self) -> bool {
-        self.events_processed >= self.spec.target_events
-            && self.events_per_sec > 0.0
-            && self.jobs_per_sec > 0.0
-            && self.enact_jobs_submitted >= self.spec.enact_jobs
-            && (!self.alloc_installed || self.allocs_per_event <= ALLOCS_PER_EVENT_BUDGET)
+        crate::gate::SCALE.passes(&render_scale_json(self))
     }
 }
 
@@ -219,25 +216,27 @@ pub fn render_scale_json(report: &ScaleReport) -> String {
             .num("fraction", s.fraction)
             .finish()
     }));
-    JsonObject::new()
-        .str("schema", SCALE_SCHEMA)
-        .uint("target_events", report.spec.target_events)
-        .uint("enact_jobs", report.spec.enact_jobs as u64)
-        .uint("seed", report.spec.seed)
-        .bool("alloc_installed", report.alloc_installed)
-        .uint("events_processed", report.events_processed)
-        .uint("gridsim_jobs", report.gridsim_jobs)
-        .num("gridsim_wall_secs", report.gridsim_wall_secs)
-        .num("events_per_sec", report.events_per_sec)
-        .num("allocs_per_event", report.allocs_per_event)
-        .uint("enact_jobs_submitted", report.enact_jobs_submitted as u64)
-        .num("enact_wall_secs", report.enact_wall_secs)
-        .num("jobs_per_sec", report.jobs_per_sec)
-        .num("enact_makespan_secs", report.enact_makespan_secs)
-        .uint("peak_alloc_bytes", report.peak_alloc_bytes)
-        .bool("ok", report.ok())
-        .raw("subsystems", &subsystems)
-        .finish()
+    crate::gate::SCALE.render_with_verdict(|ok| {
+        JsonObject::new()
+            .str("schema", SCALE_SCHEMA)
+            .uint("target_events", report.spec.target_events)
+            .uint("enact_jobs", report.spec.enact_jobs as u64)
+            .uint("seed", report.spec.seed)
+            .bool("alloc_installed", report.alloc_installed)
+            .uint("events_processed", report.events_processed)
+            .uint("gridsim_jobs", report.gridsim_jobs)
+            .num("gridsim_wall_secs", report.gridsim_wall_secs)
+            .num("events_per_sec", report.events_per_sec)
+            .num("allocs_per_event", report.allocs_per_event)
+            .uint("enact_jobs_submitted", report.enact_jobs_submitted as u64)
+            .num("enact_wall_secs", report.enact_wall_secs)
+            .num("jobs_per_sec", report.jobs_per_sec)
+            .num("enact_makespan_secs", report.enact_makespan_secs)
+            .uint("peak_alloc_bytes", report.peak_alloc_bytes)
+            .bool("ok", ok)
+            .raw("subsystems", &subsystems)
+            .finish()
+    })
 }
 
 /// Human rendering.

@@ -21,7 +21,7 @@
 //!
 //! `BENCH_stream.json` (schema [`STREAM_SCHEMA`]) records throughput,
 //! the input and pipeline footprints and the eager projection;
-//! [`crate::gate::check_stream`] gates on completion, positive
+//! [`crate::gate::STREAM`] gates on completion, positive
 //! throughput, the absolute pipeline budget and the requirement that
 //! the pipeline peak undercuts the eager projection by at least 4×.
 
@@ -109,16 +109,9 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// The gate predicate on the axes that hold on any machine.
+    /// The gate's verdict ([`crate::gate::STREAM`]) on this report.
     pub fn ok(&self) -> bool {
-        let functional = self.items_completed >= self.spec.n_items && self.items_per_sec > 0.0;
-        if !self.alloc_installed {
-            return functional;
-        }
-        functional
-            && self.pipeline_peak_bytes <= PIPELINE_PEAK_BUDGET
-            && (self.pipeline_peak_bytes as f64) * EAGER_UNDERCUT_FACTOR
-                <= self.eager_projected_bytes
+        crate::gate::STREAM.passes(&render_stream_json(self))
     }
 }
 
@@ -217,25 +210,27 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
 
 /// Serialise the report (`BENCH_stream.json`).
 pub fn render_stream_json(report: &StreamReport) -> String {
-    JsonObject::new()
-        .str("schema", STREAM_SCHEMA)
-        .uint("n_items", report.spec.n_items as u64)
-        .uint("port_capacity", report.spec.port_capacity as u64)
-        .uint("eager_items", report.spec.eager_items as u64)
-        .uint("seed", report.spec.seed)
-        .bool("alloc_installed", report.alloc_installed)
-        .uint("items_completed", report.items_completed as u64)
-        .uint("jobs_submitted", report.jobs_submitted as u64)
-        .num("wall_secs", report.wall_secs)
-        .num("items_per_sec", report.items_per_sec)
-        .uint("input_bytes", report.input_bytes)
-        .uint("pipeline_peak_bytes", report.pipeline_peak_bytes)
-        .uint("pipeline_peak_budget", PIPELINE_PEAK_BUDGET)
-        .num("eager_bytes_per_item", report.eager_bytes_per_item)
-        .num("eager_items_per_sec", report.eager_items_per_sec)
-        .num("eager_projected_bytes", report.eager_projected_bytes)
-        .bool("ok", report.ok())
-        .finish()
+    crate::gate::STREAM.render_with_verdict(|ok| {
+        JsonObject::new()
+            .str("schema", STREAM_SCHEMA)
+            .uint("n_items", report.spec.n_items as u64)
+            .uint("port_capacity", report.spec.port_capacity as u64)
+            .uint("eager_items", report.spec.eager_items as u64)
+            .uint("seed", report.spec.seed)
+            .bool("alloc_installed", report.alloc_installed)
+            .uint("items_completed", report.items_completed as u64)
+            .uint("jobs_submitted", report.jobs_submitted as u64)
+            .num("wall_secs", report.wall_secs)
+            .num("items_per_sec", report.items_per_sec)
+            .uint("input_bytes", report.input_bytes)
+            .uint("pipeline_peak_bytes", report.pipeline_peak_bytes)
+            .uint("pipeline_peak_budget", PIPELINE_PEAK_BUDGET)
+            .num("eager_bytes_per_item", report.eager_bytes_per_item)
+            .num("eager_items_per_sec", report.eager_items_per_sec)
+            .num("eager_projected_bytes", report.eager_projected_bytes)
+            .bool("ok", ok)
+            .finish()
+    })
 }
 
 /// Human rendering.

@@ -13,7 +13,7 @@
 //! `BENCH_timeline.json` records both regimes — peak queue depth,
 //! bytes through the enactor, the attributed verdict — and the CI gate
 //! (`moteur-bench gate`) requires the invariant and the attribution to
-//! hold ([`crate::gate::check_timeline`]).
+//! hold ([`crate::gate::TIMELINE`]).
 
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::obs::json::JsonObject;
@@ -79,17 +79,9 @@ impl TimelineReport {
         self.outcomes.iter().find(|o| o.scenario == scenario)
     }
 
-    /// The gate predicate: the byte-accounting invariant must hold on
-    /// the ideal grid, and the loaded grid must be attributed to the
-    /// CE batch queues.
+    /// The gate's verdict ([`crate::gate::TIMELINE`]) on this report.
     pub fn ok(&self) -> bool {
-        let (Some(ideal), Some(loaded)) = (self.outcome("ideal"), self.outcome("egee-loaded"))
-        else {
-            return false;
-        };
-        ideal.timeline_link_bytes == ideal.bytes_transferred
-            && ideal.bytes_transferred > 0
-            && loaded.verdict == "queue-wait"
+        crate::gate::TIMELINE.passes(&render_timeline_json(self))
     }
 }
 
@@ -174,16 +166,18 @@ pub fn render_timeline_json(report: &TimelineReport) -> String {
             .num("compute_secs", o.compute_secs)
             .finish()
     }));
-    JsonObject::new()
-        .str("schema", TIMELINE_BENCH_SCHEMA)
-        .str("workflow", "bronze")
-        .str("config", "sp+dp")
-        .uint("ideal_n_data", report.spec.ideal_n_data as u64)
-        .uint("loaded_n_data", report.spec.loaded_n_data as u64)
-        .uint("seed", report.spec.seed)
-        .bool("ok", report.ok())
-        .raw("scenarios", &outcomes)
-        .finish()
+    crate::gate::TIMELINE.render_with_verdict(|ok| {
+        JsonObject::new()
+            .str("schema", TIMELINE_BENCH_SCHEMA)
+            .str("workflow", "bronze")
+            .str("config", "sp+dp")
+            .uint("ideal_n_data", report.spec.ideal_n_data as u64)
+            .uint("loaded_n_data", report.spec.loaded_n_data as u64)
+            .uint("seed", report.spec.seed)
+            .bool("ok", ok)
+            .raw("scenarios", &outcomes)
+            .finish()
+    })
 }
 
 /// Human rendering, one regime per block.

@@ -7,7 +7,7 @@
 #[global_allocator]
 static ALLOC: moteur_prof::alloc::CountingAlloc = moteur_prof::alloc::CountingAlloc;
 
-use moteur_bench::gate::{check_scale, DEFAULT_THRESHOLD};
+use moteur_bench::gate::{DEFAULT_THRESHOLD, SCALE};
 use moteur_bench::scale::{render_scale_json, run_scale, ScaleSpec, ALLOCS_PER_EVENT_BUDGET};
 
 fn quick_spec() -> ScaleSpec {
@@ -48,7 +48,7 @@ fn simulator_allocation_rate_stays_inside_the_budget() {
 fn fresh_scale_json_passes_its_own_gate() {
     let report = run_scale(&quick_spec()).unwrap();
     let json = render_scale_json(&report);
-    let checks = check_scale(&json, Some(&json), DEFAULT_THRESHOLD).unwrap();
+    let checks = SCALE.check(&json, Some(&json), DEFAULT_THRESHOLD).unwrap();
     // 4 absolute checks (allocator installed) + 2 baseline axes.
     assert_eq!(checks.len(), 6, "{checks:?}");
     assert!(checks.iter().all(|c| c.ok), "{checks:?}");

@@ -21,8 +21,7 @@ use super::{Daemon, InstanceStatus};
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
 use crate::ft::FtConfig;
-use crate::lint::JsonValue;
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{array, expect_schema, JsonObject, JsonValue};
 use std::io::{BufRead, Write};
 
 /// Schema tag carried by every protocol message.
@@ -55,31 +54,17 @@ impl Request {
     /// Parse one protocol line. The schema field is mandatory so
     /// protocol drift fails loudly instead of best-effort.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let v = JsonValue::parse(line)?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `schema`")?;
-        if schema != DAEMON_SCHEMA {
-            return Err(format!(
-                "unsupported schema `{schema}` (expected `{DAEMON_SCHEMA}`)"
-            ));
-        }
-        let op = v
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `op`")?;
+        let v = expect_schema(line, "request", DAEMON_SCHEMA)?;
+        let op = v.str_at("op").ok_or("request: missing `op`")?;
         let id = |v: &JsonValue| -> Result<u32, String> {
-            v.get("id")
-                .and_then(JsonValue::as_usize)
+            v.u64_at("id")
                 .and_then(|n| u32::try_from(n).ok())
                 .ok_or_else(|| "missing or invalid `id`".into())
         };
         match op {
             "submit" => {
                 let field = |k: &str| -> Result<String, String> {
-                    v.get(k)
-                        .and_then(JsonValue::as_str)
+                    v.str_at(k)
                         .map(str::to_owned)
                         .ok_or_else(|| format!("missing `{k}`"))
                 };
@@ -87,19 +72,12 @@ impl Request {
                     tenant: field("tenant")?,
                     workflow: field("workflow")?,
                     inputs: field("inputs")?,
-                    config: v
-                        .get("config")
-                        .and_then(JsonValue::as_str)
+                    config: optional(&v, "config", JsonValue::as_str)?
                         .unwrap_or("sp+dp")
                         .to_owned(),
-                    max_retries: v
-                        .get("max_retries")
-                        .and_then(JsonValue::as_usize)
-                        .and_then(|n| u32::try_from(n).ok())
+                    max_retries: optional(&v, "max_retries", |n| u32::try_from(n.as_u64()?).ok())?
                         .unwrap_or(EnactorConfig::default().max_job_retries),
-                    continue_on_error: v
-                        .get("continue_on_error")
-                        .and_then(JsonValue::as_bool)
+                    continue_on_error: optional(&v, "continue_on_error", JsonValue::as_bool)?
                         .unwrap_or(false),
                 })
             }
@@ -153,6 +131,19 @@ impl Request {
             Request::Shutdown => "shutdown",
         }
     }
+}
+
+/// An optional request field: absent is `None`; present, it must read
+/// as a `T` — a mistyped value is an error naming the field, never a
+/// silent fall-back to the default.
+fn optional<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    read: impl Fn(&'a JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|field| read(field).ok_or_else(|| format!("invalid `{key}`")))
+        .transpose()
 }
 
 fn respond(op: &str) -> JsonObject {
@@ -404,5 +395,43 @@ mod tests {
         assert_eq!(config, "sp+dp");
         assert_eq!(max_retries, EnactorConfig::default().max_job_retries);
         assert!(!continue_on_error);
+    }
+
+    #[test]
+    fn present_but_mistyped_optional_fields_are_errors_naming_the_field() {
+        let submit = |extra: &str| {
+            Request::parse(&format!(
+                r#"{{"schema":"{DAEMON_SCHEMA}","op":"submit","tenant":"t","workflow":"<w/>","inputs":"<i/>",{extra}}}"#
+            ))
+        };
+        for (extra, field) in [
+            (r#""max_retries":"five""#, "max_retries"),
+            (r#""max_retries":1.5"#, "max_retries"),
+            (r#""max_retries":-1"#, "max_retries"),
+            (r#""max_retries":4294967296"#, "max_retries"),
+            (r#""continue_on_error":"yes""#, "continue_on_error"),
+            (r#""continue_on_error":1"#, "continue_on_error"),
+            (r#""config":7"#, "config"),
+            (r#""config":null"#, "config"),
+        ] {
+            assert_eq!(
+                submit(extra).unwrap_err(),
+                format!("invalid `{field}`"),
+                "{extra}"
+            );
+        }
+        // Well-typed values still land, at both ends of the retry range.
+        let ok = submit(r#""max_retries":4294967295,"continue_on_error":true,"config":"nop""#);
+        let Ok(Request::Submit {
+            config,
+            max_retries,
+            continue_on_error,
+            ..
+        }) = ok
+        else {
+            panic!("{ok:?}")
+        };
+        assert_eq!((config.as_str(), max_retries), ("nop", u32::MAX));
+        assert!(continue_on_error);
     }
 }

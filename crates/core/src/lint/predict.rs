@@ -13,7 +13,7 @@ use crate::graph::{ProcessorKind, Workflow};
 use crate::grouping::group_workflow;
 use crate::lint::rules::cardinality::output_cardinalities;
 use crate::model::TimeMatrix;
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{array, JsonObject, JsonValue};
 use std::fmt::Write as _;
 
 /// One configuration's predicted cost.
@@ -190,29 +190,21 @@ pub const CONFIG_KEYS: [&str; 6] = ["nop", "jg", "dp", "sp", "sp+dp", "sp+dp+jg"
 /// the drift layer and external tools consume.
 pub fn prediction_from_json(json: &str) -> Result<Prediction, MoteurError> {
     let bad = |what: &str| MoteurError::new(format!("prediction JSON: {what}"));
-    let value = crate::lint::render::JsonValue::parse(json)
-        .map_err(|e| bad(&format!("parse error: {e}")))?;
+    let value = JsonValue::parse(json).map_err(|e| bad(&format!("parse error: {e}")))?;
     let n_data = value
-        .get("n_data")
-        .and_then(crate::lint::render::JsonValue::as_usize)
-        .ok_or_else(|| bad("missing n_data"))?;
+        .u64_at("n_data")
+        .ok_or_else(|| bad("missing n_data"))? as usize;
     let overhead = value
-        .get("overhead")
-        .and_then(crate::lint::render::JsonValue::as_f64)
+        .f64_at("overhead")
         .ok_or_else(|| bad("missing overhead"))?;
     let n_services = value
-        .get("n_services")
-        .and_then(crate::lint::render::JsonValue::as_usize)
-        .ok_or_else(|| bad("missing n_services"))?;
-    let rows = value
-        .get("rows")
-        .and_then(crate::lint::render::JsonValue::as_array)
-        .ok_or_else(|| bad("missing rows"))?;
+        .u64_at("n_services")
+        .ok_or_else(|| bad("missing n_services"))? as usize;
+    let rows = value.array_at("rows").ok_or_else(|| bad("missing rows"))?;
     let mut parsed = Vec::with_capacity(rows.len());
     for row in rows {
         let config_str = row
-            .get("config")
-            .and_then(crate::lint::render::JsonValue::as_str)
+            .str_at("config")
             .ok_or_else(|| bad("row missing config"))?;
         // Configs are a closed set; intern against it rather than leak.
         let config = CONFIG_KEYS
@@ -220,18 +212,12 @@ pub fn prediction_from_json(json: &str) -> Result<Prediction, MoteurError> {
             .find(|k| **k == config_str)
             .copied()
             .ok_or_else(|| bad(&format!("unknown config '{config_str}'")))?;
-        let jobs = row
-            .get("jobs")
-            .and_then(crate::lint::render::JsonValue::as_usize)
-            .ok_or_else(|| bad("row missing jobs"))?;
-        let makespan = row
-            .get("makespan")
-            .and_then(crate::lint::render::JsonValue::as_f64)
-            .ok_or_else(|| bad("row missing makespan"))?;
         parsed.push(PredictionRow {
             config,
-            jobs: jobs as u64,
-            makespan,
+            jobs: row.u64_at("jobs").ok_or_else(|| bad("row missing jobs"))?,
+            makespan: row
+                .f64_at("makespan")
+                .ok_or_else(|| bad("row missing makespan"))?,
         });
     }
     Ok(Prediction {
@@ -386,7 +372,7 @@ mod tests {
             assert!(table.contains(config), "table missing {config}");
             assert!(json.contains(&format!("\"config\":\"{config}\"")));
         }
-        let parsed = crate::lint::render::JsonValue::parse(&json).unwrap();
+        let parsed = JsonValue::parse(&json).unwrap();
         assert_eq!(parsed.get("rows").unwrap().as_array().unwrap().len(), 6);
     }
 

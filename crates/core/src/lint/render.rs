@@ -1,13 +1,13 @@
 //! Diagnostic renderers: rustc-style human output and a JSON codec.
 //!
-//! The JSON side is a *codec*, not just an exporter: because the
-//! workspace is hermetic (no serde), [`report_from_json`] hand-rolls a
-//! small JSON parser so `moteur lint --json` output round-trips back
-//! into a [`LintReport`] — which is also how the test suite proves the
-//! output is well-formed.
+//! The JSON side is a *codec*, not just an exporter:
+//! [`report_from_json`] reads `moteur lint --json` output back into a
+//! [`LintReport`] through the workspace parser
+//! ([`crate::obs::json::JsonValue`]) — which is also how the test suite
+//! proves the output is well-formed.
 
 use crate::lint::diag::{Diagnostic, Label, LintReport, Severity};
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{array, JsonObject, JsonValue};
 use moteur_xml::Span;
 use std::fmt::Write as _;
 
@@ -131,348 +131,35 @@ pub fn report_to_json(report: &LintReport) -> String {
 }
 
 // ---------------------------------------------------------------------
-// JSON import (hand-rolled parser — the workspace has no serde)
+// JSON import
 // ---------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (always stored as `f64`).
-    Number(f64),
-    /// A string, with escapes decoded.
-    String(String),
-    /// An array, in document order.
-    Array(Vec<JsonValue>),
-    /// An object, fields in document order (duplicates kept).
-    Object(Vec<(String, JsonValue)>),
-}
-
-/// Deepest array/object nesting [`JsonValue::parse`] accepts. Documents
-/// arrive from outside the program (daemon protocol lines, files named
-/// on the command line) and the parser recurses per level, so the
-/// bound is what keeps hostile input from overflowing the stack.
-pub const MAX_JSON_DEPTH: usize = 128;
-
-impl JsonValue {
-    /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected, nesting beyond [`MAX_JSON_DEPTH`]
-    /// rejected).
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Field lookup (`None` for non-objects and absent keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_f64()
-            .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-            .map(|n| n as usize)
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open around `pos`.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
-        if self.depth == MAX_JSON_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
-                self.pos
-            ));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
-    }
-
-    /// The four hex digits of a `\u` escape starting at byte `at`.
-    fn hex4(&self, at: usize) -> Result<u32, String> {
-        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
-        u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next delimiter in one piece, so
-            // every byte is validated and moved once. Both delimiters
-            // are ASCII: a run ends on a char boundary.
-            let rest = &self.bytes[self.pos..];
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or("unterminated string")?;
-            out.push_str(
-                std::str::from_utf8(&rest[..run]).map_err(|_| "non-utf8 string".to_string())?,
-            );
-            self.pos += run + 1;
-            if rest[run] == b'"' {
-                return Ok(out);
-            }
-            match self.peek() {
-                Some(b'"') => out.push('"'),
-                Some(b'\\') => out.push('\\'),
-                Some(b'/') => out.push('/'),
-                Some(b'n') => out.push('\n'),
-                Some(b't') => out.push('\t'),
-                Some(b'r') => out.push('\r'),
-                Some(b'b') => out.push('\u{8}'),
-                Some(b'f') => out.push('\u{c}'),
-                Some(b'u') => {
-                    let mut code = self.hex4(self.pos + 1)?;
-                    self.pos += 4;
-                    // ASCII-escaping writers spell an astral scalar as a
-                    // high surrogate followed by an escaped low one.
-                    if (0xD800..0xDC00).contains(&code)
-                        && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
-                    {
-                        if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
-                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            self.pos += 6;
-                        }
-                    }
-                    out.push(
-                        char::from_u32(code)
-                            .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                    );
-                }
-                other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-            }
-            self.pos += 1;
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
-}
 
 /// Rebuild a [`LintReport`] from `moteur lint --json` output.
 pub fn report_from_json(text: &str) -> Result<LintReport, String> {
     let root = JsonValue::parse(text)?;
     let diags = root
-        .get("diagnostics")
-        .and_then(JsonValue::as_array)
+        .array_at("diagnostics")
         .ok_or("missing `diagnostics` array")?;
     let mut report = LintReport::default();
     for d in diags {
-        let code = d
-            .get("code")
-            .and_then(JsonValue::as_str)
-            .ok_or("diagnostic without `code`")?;
+        let code = d.str_at("code").ok_or("diagnostic without `code`")?;
         let code = intern_code(code).ok_or_else(|| format!("unknown rule code `{code}`"))?;
         let severity = d
-            .get("severity")
-            .and_then(JsonValue::as_str)
+            .str_at("severity")
             .and_then(Severity::from_name)
             .ok_or("diagnostic without a valid `severity`")?;
-        let message = d
-            .get("message")
-            .and_then(JsonValue::as_str)
-            .ok_or("diagnostic without `message`")?
-            .to_string();
+        let message = d.str_at("message").ok_or("diagnostic without `message`")?;
         let mut diag = Diagnostic::new(code, severity, message);
-        if let Some(labels) = d.get("labels").and_then(JsonValue::as_array) {
-            for l in labels {
-                let start = l
-                    .get("start")
-                    .and_then(JsonValue::as_usize)
-                    .ok_or("label without `start`")?;
-                let end = l
-                    .get("end")
-                    .and_then(JsonValue::as_usize)
-                    .ok_or("label without `end`")?;
-                diag.labels.push(Label {
-                    span: Span::new(start, end),
-                    message: l
-                        .get("message")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    primary: l
-                        .get("primary")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
-                });
-            }
+        for l in d.array_at("labels").unwrap_or_default() {
+            let start = l.u64_at("start").ok_or("label without `start`")?;
+            let end = l.u64_at("end").ok_or("label without `end`")?;
+            diag.labels.push(Label {
+                span: Span::new(start as usize, end as usize),
+                message: l.str_at("message").unwrap_or_default().to_string(),
+                primary: l.bool_at("primary").unwrap_or(false),
+            });
         }
-        if let Some(help) = d.get("help").and_then(JsonValue::as_str) {
-            diag.help = Some(help.to_string());
-        }
+        diag.help = d.str_at("help").map(str::to_string);
         report.push(diag);
     }
     Ok(report)
@@ -506,50 +193,6 @@ mod tests {
     fn json_rejects_unknown_codes() {
         let json = r#"{"diagnostics":[{"code":"X999","severity":"error","message":"m"}]}"#;
         assert!(report_from_json(json).unwrap_err().contains("X999"));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = JsonValue::parse(r#"{"a":[1,-2.5,true,null],"b":"x\n\"yA"}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 4);
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x\n\"yA"));
-        assert!(JsonValue::parse("{\"a\":1} trailing").is_err());
-        assert!(JsonValue::parse("[1,]").is_err());
-    }
-
-    #[test]
-    fn json_parser_joins_escaped_surrogate_pairs() {
-        // What `json.dumps("😀")` sends: ASCII-escaping is Python's default.
-        let v = JsonValue::parse(r#"["\ud83d\ude00","a\uD834\uDD1Eb","\u00e9"]"#).unwrap();
-        let items: Vec<_> = v.as_array().unwrap().iter().map(|s| s.as_str()).collect();
-        assert_eq!(items, [Some("\u{1F600}"), Some("a\u{1D11E}b"), Some("é")]);
-        // Lone, mis-ordered or half-escaped surrogates stay typed errors.
-        for (text, code) in [
-            (r#""\ud83d""#, "0xd83d"),
-            (r#""\ud83dx""#, "0xd83d"),
-            (r#""\ude00""#, "0xde00"),
-            (r#""\ude00\ud83d""#, "0xde00"),
-            (r#""\ud83d\u0041""#, "0xd83d"),
-            (r#""\ud83d\ud83d""#, "0xd83d"),
-            (r#""\ud83d\ude0""#, "0xd83d"),
-        ] {
-            assert_eq!(
-                JsonValue::parse(text).unwrap_err(),
-                format!("invalid code point {code}"),
-                "{text}"
-            );
-        }
-    }
-
-    #[test]
-    fn json_parser_bounds_nesting_instead_of_overflowing_the_stack() {
-        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
-        assert!(JsonValue::parse(&nested(MAX_JSON_DEPTH)).is_ok());
-        let err = JsonValue::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
-        assert!(err.contains("nesting deeper than 128"), "{err}");
-        // Unclosed, far beyond any stack: still a plain `Err`.
-        assert!(JsonValue::parse(&"[".repeat(300_000)).is_err());
-        assert!(JsonValue::parse(&r#"{"a":"#.repeat(300_000)).is_err());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 
 pub use moteur_prof::{PathEntry, Prof, ProfReport, ProfScope, Subsystem, SubsystemStat};
 
-use super::json::{array, JsonObject};
-use crate::lint::JsonValue;
+use super::json::{array, expect_schema, JsonObject, JsonValue};
 
 /// Schema tag of the canonical profile document.
 pub const PROF_SCHEMA: &str = "moteur/prof/v1";
@@ -53,10 +52,7 @@ pub fn to_json(report: &ProfReport) -> String {
 }
 
 fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-        .map(|n| n as u64)
+    v.u64_at(key)
         .ok_or_else(|| format!("prof: missing or invalid `{key}`"))
 }
 
@@ -65,21 +61,14 @@ fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
 /// `to_json(&from_json(doc)?)` reproduces `doc` byte-for-byte for any
 /// document this module rendered.
 pub fn from_json(text: &str) -> Result<ProfReport, String> {
-    let doc = JsonValue::parse(text).map_err(|e| format!("prof: {e}"))?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some(PROF_SCHEMA) => {}
-        Some(other) => return Err(format!("prof: unsupported schema `{other}`")),
-        None => return Err("prof: missing schema tag".to_string()),
-    }
+    let doc = expect_schema(text, "prof", PROF_SCHEMA)?;
     let subsystems = doc
-        .get("subsystems")
-        .and_then(JsonValue::as_array)
+        .array_at("subsystems")
         .ok_or("prof: missing `subsystems` array")?
         .iter()
         .map(|s| {
             let name = s
-                .get("subsystem")
-                .and_then(JsonValue::as_str)
+                .str_at("subsystem")
                 .ok_or("prof: subsystem entry missing name")?;
             let subsystem = Subsystem::from_name(name)
                 .ok_or_else(|| format!("prof: unknown subsystem `{name}`"))?;
@@ -93,15 +82,11 @@ pub fn from_json(text: &str) -> Result<ProfReport, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     let paths = doc
-        .get("paths")
-        .and_then(JsonValue::as_array)
+        .array_at("paths")
         .ok_or("prof: missing `paths` array")?
         .iter()
         .map(|p| {
-            let stack = p
-                .get("stack")
-                .and_then(JsonValue::as_str)
-                .ok_or("prof: path entry missing stack")?;
+            let stack = p.str_at("stack").ok_or("prof: path entry missing stack")?;
             Ok(PathEntry {
                 stack: stack.to_string(),
                 calls: field_u64(p, "calls")?,

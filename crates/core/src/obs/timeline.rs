@@ -31,9 +31,8 @@
 //! per-CE busy integrals, per-service durations — the input to
 //! [`super::detect`].
 
-use super::json::{self, JsonObject};
+use super::json::{self, JsonObject, JsonValue};
 use super::{EventSink, TraceEvent};
-use crate::lint::JsonValue;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -248,45 +247,33 @@ impl Timeline {
     /// `moteur timeline render`).
     pub fn from_json(text: &str) -> Result<Timeline, String> {
         let obj = JsonValue::parse(text)?;
-        match obj.get("schema").and_then(JsonValue::as_str) {
+        match obj.str_at("schema") {
             Some(TIMELINE_SCHEMA) => {}
             Some(other) => return Err(format!("unsupported timeline schema `{other}`")),
             None => return Err("timeline: missing schema field".into()),
         }
         let capacity = obj
-            .get("capacity")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(DEFAULT_CAPACITY as f64) as usize;
+            .u64_at("capacity")
+            .map_or(DEFAULT_CAPACITY, |c| c as usize);
         let mut timeline = Timeline::with_capacity(capacity);
         let series = obj
-            .get("series")
-            .and_then(JsonValue::as_array)
+            .array_at("series")
             .ok_or("timeline: missing series array")?;
         for e in series {
-            let name = e
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or("timeline: series without name")?;
-            let kind = match e.get("kind").and_then(JsonValue::as_str) {
+            let name = e.str_at("name").ok_or("timeline: series without name")?;
+            let kind = match e.str_at("kind") {
                 Some("counter") => SeriesKind::Counter,
                 _ => SeriesKind::Gauge,
             };
             let mut s = Series::new(name, kind, capacity);
-            if let Some(points) = e.get("points").and_then(JsonValue::as_array) {
-                for p in points {
-                    if let Some(pair) = p.as_array() {
-                        if let (Some(t), Some(v)) = (
-                            pair.first().and_then(JsonValue::as_f64),
-                            pair.get(1).and_then(JsonValue::as_f64),
-                        ) {
-                            s.points.push((t, v));
-                            s.last = Some((t, v));
-                        }
-                    }
+            for p in e.array_at("points").unwrap_or_default() {
+                if let Some([JsonValue::Number(t), JsonValue::Number(v), ..]) = p.as_array() {
+                    s.points.push((*t, *v));
+                    s.last = Some((*t, *v));
                 }
             }
-            s.seen = e.get("seen").and_then(JsonValue::as_f64).unwrap_or(0.0) as u64;
-            s.total = e.get("total").and_then(JsonValue::as_f64).unwrap_or(0.0);
+            s.seen = e.u64_at("seen").unwrap_or(0);
+            s.total = e.f64_at("total").unwrap_or(0.0);
             timeline.series.insert(s.name.clone(), s);
         }
         Ok(timeline)

@@ -795,10 +795,10 @@ mod tests {
     fn json_is_wellformed_and_tagged() {
         let report = analyze(&pipeline(), &opts(10));
         let json = plan_to_json(&report);
-        let v = crate::lint::render::JsonValue::parse(&json).unwrap();
+        let v = crate::obs::json::JsonValue::parse(&json).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some("moteur/plan/v1"));
         assert_eq!(v.get("edges").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("n_data").unwrap().as_usize(), Some(10));
+        assert_eq!(v.u64_at("n_data"), Some(10));
         let human = render_plan(&report);
         assert!(human.contains("site fragments"));
         assert!(human.contains("a:out → b:in"));

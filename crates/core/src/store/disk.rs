@@ -17,7 +17,7 @@
 
 use super::{DataStore, InvocationKey, ProvenanceKey, STORE_SCHEMA};
 use crate::error::MoteurError;
-use crate::lint::render::JsonValue;
+use crate::obs::json::JsonValue;
 use crate::obs::json::{array, JsonObject};
 use crate::value::DataValue;
 use std::io::Write as _;
@@ -116,49 +116,36 @@ pub(super) fn bad(what: &str) -> MoteurError {
     MoteurError::new(format!("corrupt data store: {what}"))
 }
 
-/// A byte count as [`save`] writes it: a non-negative integer no
-/// larger than 2^53, the range in which the JSON number carried it
-/// exactly. Anything else is not this store's output.
-fn byte_count(v: Option<&JsonValue>, what: &str) -> Result<u64, MoteurError> {
-    const MAX_EXACT: f64 = (1u64 << 53) as f64;
-    v.and_then(JsonValue::as_f64)
-        .filter(|n| n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n))
-        .map(|n| n as u64)
-        .ok_or_else(|| bad(what))
-}
-
 fn decode_value(v: &JsonValue) -> Result<DataValue, MoteurError> {
     let tag = v
-        .get("t")
-        .and_then(JsonValue::as_str)
+        .str_at("t")
         .ok_or_else(|| bad("value without a `t` tag"))?;
     match tag {
         "str" => Ok(DataValue::Str(
-            v.get("v")
-                .and_then(JsonValue::as_str)
+            v.str_at("v")
                 .ok_or_else(|| bad("str value without `v`"))?
                 .to_string(),
         )),
         "num" => {
             let bits = v
-                .get("bits")
-                .and_then(JsonValue::as_str)
+                .str_at("bits")
                 .and_then(|s| u64::from_str_radix(s, 16).ok())
                 .ok_or_else(|| bad("num value without hex `bits`"))?;
             Ok(DataValue::Num(f64::from_bits(bits)))
         }
         "file" => Ok(DataValue::File {
             gfn: v
-                .get("gfn")
-                .and_then(JsonValue::as_str)
+                .str_at("gfn")
                 .ok_or_else(|| bad("file value without `gfn`"))?
                 .to_string(),
-            bytes: byte_count(v.get("bytes"), "file value without valid `bytes`")?,
+            bytes: v
+                .u64_at("bytes")
+                .ok_or_else(|| bad("file value without valid `bytes`"))?,
         }),
         "list" => {
-            let Some(JsonValue::Array(items)) = v.get("items") else {
-                return Err(bad("list value without `items`"));
-            };
+            let items = v
+                .array_at("items")
+                .ok_or_else(|| bad("list value without `items`"))?;
             Ok(DataValue::List(
                 items.iter().map(decode_value).collect::<Result<_, _>>()?,
             ))
@@ -218,7 +205,7 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
     let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
     let index_text = std::fs::read_to_string(dir.join(INDEX_FILE))?;
     let index = JsonValue::parse(&index_text).map_err(|e| bad(&format!("index.json: {e}")))?;
-    match index.get("schema").and_then(JsonValue::as_str) {
+    match index.str_at("schema") {
         Some(s) if s == STORE_SCHEMA => {}
         Some(other) => {
             return Err(MoteurError::new(format!(
@@ -236,11 +223,12 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
         for line in text.lines().filter(|l| !l.trim().is_empty()) {
             let row = JsonValue::parse(line).map_err(|e| bad(&format!("store.jsonl: {e}")))?;
             let key = row
-                .get("pk")
-                .and_then(JsonValue::as_str)
+                .str_at("pk")
                 .and_then(ProvenanceKey::from_hex)
                 .ok_or_else(|| bad("entry without a valid `pk`"))?;
-            let footprint = byte_count(row.get("footprint"), "entry without a valid `footprint`")?;
+            let footprint = row
+                .u64_at("footprint")
+                .ok_or_else(|| bad("entry without a valid `footprint`"))?;
             let value = decode_value(
                 row.get("value")
                     .ok_or_else(|| bad("entry without a `value`"))?,
@@ -249,34 +237,29 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
         }
     }
 
-    let rows = match index.get("invocations") {
-        Some(JsonValue::Array(rows)) => rows.as_slice(),
-        _ => return Err(bad("index.json without an `invocations` array")),
-    };
+    let rows = index
+        .array_at("invocations")
+        .ok_or_else(|| bad("index.json without an `invocations` array"))?;
     for row in rows {
         let key = row
-            .get("key")
-            .and_then(JsonValue::as_str)
+            .str_at("key")
             .and_then(InvocationKey::from_hex)
             .ok_or_else(|| bad("invocation without a valid `key`"))?;
         let service = row
-            .get("service")
-            .and_then(JsonValue::as_str)
+            .str_at("service")
             .ok_or_else(|| bad("invocation without a `service`"))?
             .to_string();
-        let Some(JsonValue::Array(outs)) = row.get("outputs") else {
-            return Err(bad("invocation without an `outputs` array"));
-        };
+        let outs = row
+            .array_at("outputs")
+            .ok_or_else(|| bad("invocation without an `outputs` array"))?;
         let mut outputs = Vec::with_capacity(outs.len());
         for o in outs {
             let port = o
-                .get("port")
-                .and_then(JsonValue::as_str)
+                .str_at("port")
                 .ok_or_else(|| bad("output without a `port`"))?
                 .to_string();
             let pk = o
-                .get("pk")
-                .and_then(JsonValue::as_str)
+                .str_at("pk")
                 .and_then(ProvenanceKey::from_hex)
                 .ok_or_else(|| bad("output without a valid `pk`"))?;
             outputs.push((port, pk));

@@ -178,6 +178,32 @@ fn malformed_and_unknown_requests_get_error_responses() {
     );
 }
 
+/// Regression: a submit whose optional fields were present but
+/// mistyped used to be enacted with the defaults and answer `"ok":true`.
+#[test]
+fn mistyped_optional_submit_fields_are_refused_and_the_session_continues() {
+    let mistyped = submit_line("alice", 1).replacen(
+        "{",
+        r#"{"max_retries":"five","continue_on_error":"yes","config":7,"#,
+        1,
+    );
+    let responses = run_session(&[mistyped, submit_line("alice", 1), req("list")]);
+    assert_eq!(responses.len(), 3, "{responses:?}");
+    assert!(responses[0].contains(r#""ok":false"#), "{}", responses[0]);
+    assert!(
+        responses[0].contains("invalid `config`"),
+        "{}",
+        responses[0]
+    );
+    // Nothing was enacted for the refused line: the next submit is id 1.
+    assert!(
+        responses[1].contains(r#""op":"submit","ok":true,"id":1"#),
+        "{}",
+        responses[1]
+    );
+    assert_eq!(responses[2].matches(r#""tenant":"alice""#).count(), 1);
+}
+
 /// Regression: the JSON parser used to recurse once per `[` with no
 /// bound, so one hostile line aborted the whole daemon with a stack
 /// overflow instead of costing its sender an error response.
