@@ -29,7 +29,7 @@
 
 use crate::faults::FaultStrategy;
 use crate::scale::ALLOCS_PER_EVENT_BUDGET;
-use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET};
+use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET, UNBOUNDED_PACE_FACTOR};
 use moteur::obs::json::{expect_schema, JsonValue};
 
 /// One evaluated row: the right-hand side (`baseline`), the left-hand
@@ -432,6 +432,16 @@ pub static STREAM: Campaign = Campaign {
             Top("eager_projected_bytes"),
         )
         .when_alloc(),
+        // Both rates are wall-clock, but from one process on one host:
+        // their ratio is the enactor's, not the machine's. An event
+        // loop whose work per completion grows with the number of
+        // invocations in flight loses this row by an order of magnitude.
+        row(
+            "stream/unbounded_keeps_pace",
+            Mul(&Top("eager_items_per_sec"), &Const(UNBOUNDED_PACE_FACTOR)),
+            AtLeast,
+            Top("items_per_sec"),
+        ),
     ],
 };
 
@@ -771,7 +781,7 @@ mod tests {
             input_bytes: 32_000,
             pipeline_peak_bytes: 40_000,
             eager_bytes_per_item: 750.0,
-            eager_items_per_sec: 400.0,
+            eager_items_per_sec: 1500.0,
             eager_projected_bytes: 1e12,
         };
         vec![
@@ -931,6 +941,13 @@ mod tests {
                         "",
                         "eager_projected_bytes",
                         s("120000"),
+                    ),
+                    (
+                        4,
+                        "stream/unbounded_keeps_pace",
+                        "",
+                        "eager_items_per_sec",
+                        s("400"),
                     ),
                 ],
                 required: "n_items",

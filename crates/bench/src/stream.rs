@@ -22,8 +22,10 @@
 //! `BENCH_stream.json` (schema [`STREAM_SCHEMA`]) records throughput,
 //! the input and pipeline footprints and the eager projection;
 //! [`crate::gate::STREAM`] gates on completion, positive
-//! throughput, the absolute pipeline budget and the requirement that
-//! the pipeline peak undercuts the eager projection by at least 4×.
+//! throughput, the absolute pipeline budget, the requirement that
+//! the pipeline peak undercuts the eager projection by at least 4×,
+//! and the requirement that the unbounded reference keeps within 4× of
+//! the bounded stream's items/s.
 
 use moteur::obs::json::JsonObject;
 use moteur::{
@@ -48,6 +50,12 @@ pub const PIPELINE_PEAK_BUDGET: u64 = 64 * 1024 * 1024;
 /// Minimum factor by which the bounded pipeline peak must undercut
 /// the unbounded-capacity projection for the same stream length.
 pub const EAGER_UNDERCUT_FACTOR: f64 = 4.0;
+
+/// The unbounded reference phase may run at most this many times
+/// slower, per item, than the bounded stream. Everything is in flight
+/// at once there, so a per-completion cost that grows with the number
+/// of pending invocations shows up as a ratio of tens, not of two.
+pub const UNBOUNDED_PACE_FACTOR: f64 = 4.0;
 
 /// Campaign shape.
 #[derive(Debug, Clone)]
@@ -99,9 +107,9 @@ pub struct StreamReport {
     pub pipeline_peak_bytes: u64,
     /// Retained footprint per item of the unbounded reference phase.
     pub eager_bytes_per_item: f64,
-    /// Throughput of the unbounded reference phase, for the "comparable
-    /// items/sec" comparison (informational: wall numbers are
-    /// machine-dependent and not gated).
+    /// Throughput of the unbounded reference phase. Machine-dependent
+    /// like every wall number, so it is gated only as a ratio against
+    /// `items_per_sec` of the same run ([`UNBOUNDED_PACE_FACTOR`]).
     pub eager_items_per_sec: f64,
     /// `eager_bytes_per_item × n_items`: what unbounded ports would
     /// retain on the full stream.
@@ -127,7 +135,7 @@ fn shift(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
 
 /// items → double → shift → out: two local services per item, so a
 /// million-item stream is two million invocations.
-fn stream_chain() -> Workflow {
+pub fn stream_chain() -> Workflow {
     let mut wf = Workflow::new("stream-chain");
     let src = wf.add_source("items");
     let d = wf.add_service("double", &["in"], &["out"], ServiceBinding::local(double));
@@ -139,7 +147,7 @@ fn stream_chain() -> Workflow {
     wf
 }
 
-fn stream_inputs(n: usize) -> InputData {
+pub fn stream_inputs(n: usize) -> InputData {
     InputData::new().set("items", (0..n).map(|i| DataValue::from(i as f64)).collect())
 }
 

@@ -36,7 +36,12 @@ pub struct InvocationId(pub u64);
 #[derive(Clone)]
 pub enum JobPayload {
     /// A wrapper-service grid job: transfer plan plus compute seconds.
-    Grid { plan: JobPlan, compute_seconds: f64 },
+    /// The plan is shared, so the copy the enactor keeps for a possible
+    /// resubmission costs a reference count, not the command lines.
+    Grid {
+        plan: Arc<JobPlan>,
+        compute_seconds: f64,
+    },
     /// An in-process service call with its input tokens.
     Local {
         service: Arc<dyn LocalService>,
@@ -137,15 +142,23 @@ pub trait Backend {
 /// Output list of a service invocation: `(port name, value)` pairs.
 pub type ServiceOutputs = Vec<(String, DataValue)>;
 
+/// What [`VirtualBackend`] holds for one submitted invocation.
+#[derive(Debug)]
+struct VirtualJob {
+    started: SimTime,
+    /// Result of a local call, executed eagerly at submission.
+    local: Option<Result<ServiceOutputs, String>>,
+}
+
 /// Ideal virtual-time backend: unlimited parallelism, zero overhead.
 #[derive(Default, Debug)]
 pub struct VirtualBackend {
     clock: SimTime,
     heap: BinaryHeap<Reverse<(SimTime, u64, InvocationId)>>,
     seq: u64,
-    /// Results of local calls executed eagerly at submission.
-    local_results: Vec<(InvocationId, Result<ServiceOutputs, String>)>,
-    starts: std::collections::HashMap<u64, SimTime>,
+    /// Exactly the in-flight set, by invocation tag: inserted at
+    /// submit, removed at delivery or cancellation.
+    in_flight: std::collections::HashMap<u64, VirtualJob>,
     /// Invocations cancelled while still on the heap; their entries are
     /// discarded (without advancing the clock) when popped.
     cancelled: std::collections::HashSet<u64>,
@@ -161,21 +174,14 @@ impl VirtualBackend {
         loop {
             let Reverse((at, _, invocation)) = self.heap.pop()?;
             if self.cancelled.remove(&invocation.0) {
-                self.starts.remove(&invocation.0);
-                self.local_results.retain(|(i, _)| *i != invocation);
                 continue;
             }
             self.clock = self.clock.max(at);
-            let started_at = self.starts.remove(&invocation.0).unwrap_or(SimTime::ZERO);
-            let outputs = if let Some(pos) = self
-                .local_results
-                .iter()
-                .position(|(i, _)| *i == invocation)
-            {
-                let (_, r) = self.local_results.swap_remove(pos);
-                r.map(Some)
-            } else {
-                Ok(None)
+            let job = self.in_flight.remove(&invocation.0);
+            let started_at = job.as_ref().map_or(SimTime::ZERO, |j| j.started);
+            let outputs = match job.and_then(|j| j.local) {
+                Some(result) => result.map(Some),
+                None => Ok(None),
             };
             return Some(BackendCompletion {
                 invocation,
@@ -190,30 +196,21 @@ impl VirtualBackend {
 
 impl Backend for VirtualBackend {
     fn submit(&mut self, job: BackendJob) -> Result<(), MoteurError> {
-        let start = self.clock;
-        self.starts.insert(job.invocation.0, start);
-        match job.payload {
+        let started = self.clock;
+        let (seconds, local) = match job.payload {
             JobPayload::Grid {
                 compute_seconds, ..
-            } => {
-                let end = start + moteur_gridsim::SimDuration::from_secs_f64(compute_seconds);
-                self.heap.push(Reverse((end, self.seq, job.invocation)));
-                self.seq += 1;
-            }
-            JobPayload::Local { service, inputs } => {
-                // Local calls are logic, not timing: run eagerly, zero
-                // virtual duration.
-                let result = service.invoke(&inputs);
-                self.local_results.push((job.invocation, result));
-                self.heap.push(Reverse((start, self.seq, job.invocation)));
-                self.seq += 1;
-            }
-            JobPayload::Fetch { transfer_seconds } => {
-                let end = start + moteur_gridsim::SimDuration::from_secs_f64(transfer_seconds);
-                self.heap.push(Reverse((end, self.seq, job.invocation)));
-                self.seq += 1;
-            }
-        }
+            } => (compute_seconds, None),
+            // Local calls are logic, not timing: run eagerly, zero
+            // virtual duration.
+            JobPayload::Local { service, inputs } => (0.0, Some(service.invoke(&inputs))),
+            JobPayload::Fetch { transfer_seconds } => (transfer_seconds, None),
+        };
+        self.in_flight
+            .insert(job.invocation.0, VirtualJob { started, local });
+        let end = started + moteur_gridsim::SimDuration::from_secs_f64(seconds);
+        self.heap.push(Reverse((end, self.seq, job.invocation)));
+        self.seq += 1;
         Ok(())
     }
 
@@ -225,11 +222,8 @@ impl Backend for VirtualBackend {
         loop {
             let head = self.heap.peek().map(|Reverse((at, _, inv))| (*at, *inv));
             match head {
-                Some((_, inv)) if self.cancelled.contains(&inv.0) => {
+                Some((_, inv)) if self.cancelled.remove(&inv.0) => {
                     self.heap.pop();
-                    self.cancelled.remove(&inv.0);
-                    self.starts.remove(&inv.0);
-                    self.local_results.retain(|(i, _)| *i != inv);
                 }
                 Some((at, _)) if at <= deadline => {
                     let c = self.pop_live().expect("peeked a live entry");
@@ -244,14 +238,13 @@ impl Backend for VirtualBackend {
     }
 
     fn cancel(&mut self, invocation: InvocationId) -> bool {
-        // `starts` holds exactly the in-flight set: inserted at submit,
-        // removed at delivery (or here, so double-cancel is false).
-        if self.starts.remove(&invocation.0).is_some() {
+        // Removed here, so a double cancel is false; the heap entry
+        // stays behind and is discarded when it surfaces.
+        let live = self.in_flight.remove(&invocation.0).is_some();
+        if live {
             self.cancelled.insert(invocation.0);
-            true
-        } else {
-            false
         }
+        live
     }
 
     fn now(&self) -> SimTime {
@@ -625,11 +618,11 @@ mod tests {
             invocation: InvocationId(id),
             processor: format!("p{id}"),
             payload: JobPayload::Grid {
-                plan: JobPlan {
+                plan: Arc::new(JobPlan {
                     command_lines: vec!["x".into()],
                     fetch: vec![],
                     store: vec![],
-                },
+                }),
                 compute_seconds: secs,
             },
         }

@@ -42,7 +42,7 @@ use moteur_wrapper::{
     compose_group, plan_single, Binding, Catalog, ExecutableDescriptor, GroupMember, JobPlan,
     TransferFile,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The workflow's input data: one value stream per source name (the
@@ -260,7 +260,7 @@ struct PendingJob {
     proc: ProcId,
     entries: Vec<PendEntry>,
     /// Retained for enactor-level resubmission of failed grid jobs.
-    job: BackendJob,
+    payload: JobPayload,
     retries: u32,
     submitted: SimTime,
     /// Attempt tags currently live at the backend. Failure resubmits
@@ -277,6 +277,71 @@ struct PendingJob {
     muted: bool,
     /// Speculative replicas launched so far.
     replicas: u32,
+}
+
+impl PendingJob {
+    /// When the timeout window this invocation is *armed* under opened:
+    /// `None` while timeouts do not apply to it (muted, or waiting in
+    /// the backoff queue with no live attempt). Its key in the
+    /// processor's deadline index.
+    fn armed_since(&self) -> Option<SimTime> {
+        (!self.muted && !self.attempts.is_empty()).then_some(self.window_start)
+    }
+}
+
+/// The workflow's links, compiled once at [`WorkflowInstance::start`]
+/// so that routing a token, checking port room and checking control
+/// links read a per-processor list instead of scanning every link.
+struct Routes {
+    /// `targets[proc][out_port]` → the `(consumer, in_port)` ends of
+    /// the links leaving that port, in link order.
+    targets: Vec<Vec<Vec<(ProcId, usize)>>>,
+    /// Per processor, the consumers on its *bounded* outgoing edges.
+    /// Sinks and synchronization barriers are unbounded collection
+    /// points, intra-cycle edges must buffer whole streams, and with SP
+    /// off every stage is a barrier: those edges never fill and are
+    /// left out here, once.
+    bounded: Vec<Vec<usize>>,
+    /// Per processor, the processors a control link orders before it.
+    control_before: Vec<Vec<usize>>,
+}
+
+impl Routes {
+    /// `workflow` has passed [`Workflow::validate`], so every link end
+    /// names an existing processor and port.
+    fn compile(
+        workflow: &Workflow,
+        config: &EnactorConfig,
+        scc_ids: &[usize],
+        in_cycle: &[bool],
+    ) -> Self {
+        let n = workflow.processors.len();
+        let mut targets: Vec<Vec<Vec<(ProcId, usize)>>> = workflow
+            .processors
+            .iter()
+            .map(|p| vec![Vec::new(); p.outputs.len()])
+            .collect();
+        let mut bounded = vec![Vec::new(); n];
+        for l in &workflow.links {
+            let (p, q) = (l.from.proc.0, l.to.proc.0);
+            targets[p][l.from.port].push((l.to.proc, l.to.port));
+            let consumer = &workflow.processors[q];
+            let collects = consumer.kind != ProcessorKind::Service || consumer.synchronization;
+            let intra_cycle = in_cycle[p] && scc_ids[q] == scc_ids[p];
+            if config.service_parallelism && !collects && !intra_cycle {
+                bounded[p].push(q);
+            }
+        }
+        let mut control_before = vec![Vec::new(); n];
+        for &(before, after) in &workflow.control {
+            control_before[after.0].push(before.0);
+        }
+        Routes {
+            targets,
+            bounded,
+            control_before,
+        }
+    }
 }
 
 /// A resumable workflow enactment: the paper's event loop broken into
@@ -300,7 +365,13 @@ pub struct WorkflowInstance {
     /// SCC id per processor and whether that SCC is a real cycle.
     scc_ids: Vec<usize>,
     in_cycle: Vec<bool>,
+    routes: Routes,
     pending: HashMap<u64, PendingJob>,
+    /// The deadline index: per processor, its armed invocations keyed
+    /// `(window_start, logical id)`. Every change to a pending
+    /// invocation goes through `insert_pending`, `update_pending` or
+    /// `remove_pending`, which keep this in step.
+    armed: Vec<BTreeSet<(SimTime, u64)>>,
     next_invocation: u64,
     jobs_submitted: usize,
     inflight_total: usize,
@@ -313,10 +384,11 @@ pub struct WorkflowInstance {
     /// Whether the last SLO projection exceeded the threshold (the
     /// breach event fires on the false→true transition only).
     slo_breached: bool,
-    /// The first `port_capacity` tokens each sink received.
-    sink_outputs: HashMap<String, Vec<Token>>,
-    /// Tokens delivered per sink — the full tally.
-    sink_counts: HashMap<String, usize>,
+    /// The first `port_capacity` tokens each sink received, by
+    /// processor id (empty for everything that is not a sink).
+    sink_outputs: Vec<Vec<Token>>,
+    /// Tokens delivered per sink, by processor id — the full tally.
+    sink_counts: Vec<usize>,
     /// Unemitted source streams, one cursor per source.
     source_cursors: Vec<SourceCursor>,
     /// Per-processor write cursor into the `proc_samples` ring.
@@ -518,7 +590,7 @@ impl WorkflowInstance {
         for &id in &scc_ids {
             *scc_sizes.entry(id).or_insert(0) += 1;
         }
-        let in_cycle = (0..workflow.processors.len())
+        let in_cycle: Vec<bool> = (0..workflow.processors.len())
             .map(|v| {
                 scc_sizes[&scc_ids[v]] > 1
                     || workflow
@@ -551,6 +623,7 @@ impl WorkflowInstance {
         };
         let start_time = ctx.backend.now();
         let n_procs = workflow.processors.len();
+        let routes = Routes::compile(&workflow, &config, &scc_ids, &in_cycle);
         WorkflowInstance {
             workflow: Arc::new(workflow),
             config,
@@ -559,15 +632,17 @@ impl WorkflowInstance {
             states,
             scc_ids,
             in_cycle,
+            routes,
             pending: HashMap::new(),
+            armed: vec![BTreeSet::new(); n_procs],
             next_invocation: 0,
             jobs_submitted: 0,
             inflight_total: 0,
             bytes_transferred: 0,
             completed: 0,
             slo_breached: false,
-            sink_outputs: HashMap::new(),
-            sink_counts: HashMap::new(),
+            sink_outputs: vec![Vec::new(); n_procs],
+            sink_counts: vec![0; n_procs],
             source_cursors: Vec::new(),
             sample_cursors: vec![0; n_procs],
             records: Vec::new(),
@@ -645,11 +720,7 @@ impl WorkflowInstance {
         invocation: InvocationId,
         transfer_seconds: f64,
     ) -> Result<(), MoteurError> {
-        let job = BackendJob {
-            invocation,
-            processor: self.workflow.processors[proc.0].name.clone(),
-            payload: JobPayload::Fetch { transfer_seconds },
-        };
+        let payload = JobPayload::Fetch { transfer_seconds };
         let submitted = ctx.backend.now();
         let n_outputs = entries
             .iter()
@@ -658,28 +729,28 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::CacheHit {
             at: submitted,
             invocation: invocation.0,
-            processor: job.processor.clone(),
+            processor: self.workflow.processors[proc.0].name.clone(),
             outputs: n_outputs,
             transfer_seconds,
         });
-        ctx.backend.submit(job.clone())?;
-        self.pending.insert(
+        ctx.backend
+            .submit(self.backend_job(proc, invocation, payload.clone()))?;
+        self.insert_pending(
             invocation.0,
             PendingJob {
                 proc,
                 entries,
-                job,
+                payload,
                 retries: 0,
                 submitted,
                 attempts: vec![invocation.0],
                 window_start: submitted,
-                // A cache replay is a pure transfer; it never times out.
+                // A cache replay is a pure transfer; it never times out
+                // (born muted, it never enters the deadline index).
                 muted: true,
                 replicas: 0,
             },
         );
-        self.states[proc.0].inflight += 1;
-        self.inflight_total += 1;
         self.emit_gauges(ctx);
         Ok(())
     }
@@ -738,26 +809,12 @@ impl WorkflowInstance {
     /// synchronization processors are documented unbounded collection
     /// points, and SP-off stage barriers and intra-cycle edges must
     /// buffer whole streams by construction, so those edges never
-    /// fill; every other edge holds `port_capacity` items.
+    /// fill (and are not in `Routes::bounded`); every other edge holds
+    /// `port_capacity` items.
     fn has_port_room(&self, p: usize) -> bool {
-        if !self.config.service_parallelism {
-            return true;
-        }
-        self.workflow
-            .links
+        self.routes.bounded[p]
             .iter()
-            .filter(|l| l.from.proc.0 == p)
-            .all(|l| {
-                let q = l.to.proc.0;
-                let target = &self.workflow.processors[q];
-                if target.kind != ProcessorKind::Service || target.synchronization {
-                    return true;
-                }
-                if self.in_cycle[p] && self.scc_ids[q] == self.scc_ids[p] {
-                    return true;
-                }
-                self.port_depth(p, q) < self.config.port_capacity
-            })
+            .all(|&q| self.port_depth(p, q) < self.config.port_capacity)
     }
 
     /// Occupancy of the edge `p → q`: items queued at the
@@ -784,12 +841,10 @@ impl WorkflowInstance {
         if !self.obs.enabled() {
             return;
         }
-        let depth = self
-            .workflow
-            .links
+        let depth = self.routes.targets[p]
             .iter()
-            .filter(|l| l.from.proc.0 == p)
-            .map(|l| self.port_depth(p, l.to.proc.0))
+            .flatten()
+            .map(|&(q, _)| self.port_depth(p, q.0))
             .max()
             .unwrap_or(0);
         let at = ctx.backend.now();
@@ -894,9 +949,18 @@ impl WorkflowInstance {
     /// runnable work was left behind.
     pub fn finish(self, now: SimTime) -> Result<WorkflowResult, MoteurError> {
         self.deadlock_check()?;
+        // Name-keyed on the way out; a sink nothing reached has no entry.
+        let mut sink_outputs = HashMap::new();
+        let mut sink_counts = HashMap::new();
+        let tallies = self.sink_outputs.into_iter().zip(self.sink_counts);
+        for (p, (tokens, count)) in tallies.enumerate().filter(|(_, (_, n))| *n > 0) {
+            let name = &self.workflow.processors[p].name;
+            sink_outputs.insert(name.clone(), tokens);
+            sink_counts.insert(name.clone(), count);
+        }
         Ok(WorkflowResult {
-            sink_outputs: self.sink_outputs,
-            sink_counts: self.sink_counts,
+            sink_outputs,
+            sink_counts,
             makespan: now.since(self.start_time),
             invocations: self.records,
             jobs_submitted: self.jobs_submitted,
@@ -909,17 +973,24 @@ impl WorkflowInstance {
     /// machinery becomes actionable: a pending invocation's timeout
     /// deadline or a backoff-deferred resubmission's due time. `None`
     /// when only completions can move the workflow forward.
+    ///
+    /// A timeout budget is a property of the *processor* (its policy
+    /// and its completion samples), not of the job, so every armed
+    /// invocation of a processor has the deadline `window_start +
+    /// budget` with one shared budget, and the earliest of them belongs
+    /// to the smallest `window_start` — the first key of the
+    /// processor's deadline index. The minimum is therefore taken over
+    /// processors, not over pending invocations, with the budget
+    /// evaluated once per processor per call. It is still evaluated on
+    /// demand (deadlines are not stored), so an adaptive timeout keeps
+    /// tightening over already-running jobs as samples accrue.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let mut wake: Option<SimTime> = None;
-        for p in self.pending.values() {
-            if let Some(d) = self.deadline_of(p) {
-                wake = Some(wake.map_or(d, |w| w.min(d)));
-            }
-        }
-        for &(t, _) in &self.deferred {
-            wake = Some(wake.map_or(t, |w| w.min(t)));
-        }
-        wake
+        let timeouts = self.armed.iter().enumerate().filter_map(|(p, armed)| {
+            let &(opened, _) = armed.first()?;
+            Some(opened + self.timeout_budget(ProcId(p))?)
+        });
+        let backoffs = self.deferred.iter().map(|&(due, _)| due);
+        timeouts.chain(backoffs).min()
     }
 
     /// Current timeout budget of `proc` in seconds, from its policy and
@@ -932,16 +1003,91 @@ impl WorkflowInstance {
             .timeout_secs(&self.proc_samples[proc.0])
     }
 
-    /// The live deadline of one pending invocation. Computed on demand
-    /// (not stored) so an adaptive timeout tightens over already-running
-    /// jobs as completion samples accrue — exactly the outlier-catching
-    /// behaviour a percentile policy promises.
-    fn deadline_of(&self, p: &PendingJob) -> Option<SimTime> {
-        if p.muted || p.attempts.is_empty() {
-            return None;
+    /// [`WorkflowInstance::timeout_secs_for`] on the virtual clock.
+    fn timeout_budget(&self, proc: ProcId) -> Option<SimDuration> {
+        self.timeout_secs_for(proc).map(SimDuration::from_secs_f64)
+    }
+
+    /// The pending invocations whose timeout window has expired at
+    /// `now`, in ascending logical id — the order they are acted on,
+    /// whichever processor they belong to. Each processor's index is
+    /// ordered by `window_start` and its budget is shared (see
+    /// [`WorkflowInstance::next_wake`]), so the expired invocations of
+    /// a processor are exactly a prefix of its index.
+    fn expired_at(&self, now: SimTime) -> Vec<u64> {
+        let mut expired = Vec::new();
+        for (p, armed) in self.armed.iter().enumerate() {
+            if armed.is_empty() {
+                continue;
+            }
+            let Some(budget) = self.timeout_budget(ProcId(p)) else {
+                continue;
+            };
+            let due = armed
+                .iter()
+                .take_while(|&&(opened, _)| opened + budget <= now);
+            expired.extend(due.map(|&(_, logical)| logical));
         }
-        self.timeout_secs_for(p.proc)
-            .map(|s| p.window_start + SimDuration::from_secs_f64(s))
+        expired.sort_unstable();
+        expired
+    }
+
+    /// Take a new invocation of `pend.proc` into the pending table, the
+    /// in-flight counts and the deadline index.
+    fn insert_pending(&mut self, logical: u64, pend: PendingJob) {
+        if let Some(opened) = pend.armed_since() {
+            self.armed[pend.proc.0].insert((opened, logical));
+        }
+        self.states[pend.proc.0].inflight += 1;
+        self.inflight_total += 1;
+        self.pending.insert(logical, pend);
+    }
+
+    /// Change a pending invocation, re-keying it in the deadline index
+    /// when the change moved its timeout window, muted it or took its
+    /// last live attempt away.
+    fn update_pending<R>(&mut self, logical: u64, change: impl FnOnce(&mut PendingJob) -> R) -> R {
+        let pend = self
+            .pending
+            .get_mut(&logical)
+            .expect("updated invocation is pending");
+        let before = pend.armed_since();
+        let result = change(pend);
+        let after = pend.armed_since();
+        if before != after {
+            let armed = &mut self.armed[pend.proc.0];
+            if let Some(opened) = before {
+                armed.remove(&(opened, logical));
+            }
+            if let Some(opened) = after {
+                armed.insert((opened, logical));
+            }
+        }
+        result
+    }
+
+    /// Take a terminated invocation out of the pending table, the
+    /// in-flight counts and the deadline index.
+    fn remove_pending(&mut self, logical: u64) -> PendingJob {
+        let pend = self
+            .pending
+            .remove(&logical)
+            .expect("removed invocation is pending");
+        if let Some(opened) = pend.armed_since() {
+            self.armed[pend.proc.0].remove(&(opened, logical));
+        }
+        self.states[pend.proc.0].inflight -= 1;
+        self.inflight_total -= 1;
+        pend
+    }
+
+    /// The backend job carrying `payload` for `proc` under `tag`.
+    fn backend_job(&self, proc: ProcId, tag: InvocationId, payload: JobPayload) -> BackendJob {
+        BackendJob {
+            invocation: tag,
+            processor: self.workflow.processors[proc.0].name.clone(),
+            payload,
+        }
     }
 
     /// Deliver a token to every input port linked to `(proc, out_port)`.
@@ -961,19 +1107,12 @@ impl WorkflowInstance {
                 index: token.index.to_string(),
             }
         });
-        let targets: Vec<(ProcId, usize)> = self
-            .workflow
-            .links
-            .iter()
-            .filter(|l| l.from.proc == proc && l.from.port == out_port)
-            .map(|l| (l.to.proc, l.to.port))
-            .collect();
-        for (tp, tport) in targets {
+        for &(tp, tport) in &self.routes.targets[proc.0][out_port] {
             let target = &self.workflow.processors[tp.0];
             match target.kind {
                 ProcessorKind::Sink => {
-                    *self.sink_counts.entry(target.name.clone()).or_default() += 1;
-                    let out = self.sink_outputs.entry(target.name.clone()).or_default();
+                    self.sink_counts[tp.0] += 1;
+                    let out = &mut self.sink_outputs[tp.0];
                     // Only the first `port_capacity` sink tokens are
                     // retained; `sink_counts` carries the full tally.
                     if out.len() < self.config.port_capacity {
@@ -1128,11 +1267,9 @@ impl WorkflowInstance {
     }
 
     fn control_ok(&self, p: usize, exhausted: &[bool]) -> bool {
-        self.workflow
-            .control
+        self.routes.control_before[p]
             .iter()
-            .filter(|(_, after)| after.0 == p)
-            .all(|(before, _)| exhausted[before.0])
+            .all(|&before| exhausted[before])
     }
 
     /// Fixpoint computation of "will emit no more tokens".
@@ -1249,7 +1386,7 @@ impl WorkflowInstance {
                     .build_descriptor_job(ctx, proc, descriptor, profile, &matched, invocation)?;
                 (
                     JobPayload::Grid {
-                        plan,
+                        plan: Arc::new(plan),
                         compute_seconds: compute,
                     },
                     Some(outputs),
@@ -1260,7 +1397,7 @@ impl WorkflowInstance {
                     self.build_grouped_job(ctx, proc, group, &matched, invocation)?;
                 (
                     JobPayload::Grid {
-                        plan,
+                        plan: Arc::new(plan),
                         compute_seconds: compute,
                     },
                     Some(outputs),
@@ -1377,7 +1514,7 @@ impl WorkflowInstance {
             entries,
             invocation,
             JobPayload::Grid {
-                plan,
+                plan: Arc::new(plan),
                 compute_seconds: compute_total,
             },
         )
@@ -1453,11 +1590,6 @@ impl WorkflowInstance {
         invocation: InvocationId,
         payload: JobPayload,
     ) -> Result<(), MoteurError> {
-        let job = BackendJob {
-            invocation,
-            processor: self.workflow.processors[proc.0].name.clone(),
-            payload,
-        };
         let submitted = ctx.backend.now();
         // Emit before handing the job to the backend so the enactor's
         // submission event precedes any grid-side event for the same
@@ -1465,17 +1597,20 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobSubmitted {
             at: submitted,
             invocation: invocation.0,
-            processor: job.processor.clone(),
-            grid: matches!(job.payload, JobPayload::Grid { .. }),
+            processor: self.workflow.processors[proc.0].name.clone(),
+            grid: matches!(payload, JobPayload::Grid { .. }),
             batched: entries.len(),
         });
-        ctx.backend.submit(job.clone())?;
-        self.pending.insert(
+        ctx.backend
+            .submit(self.backend_job(proc, invocation, payload.clone()))?;
+        self.jobs_submitted += 1;
+        self.bytes_transferred += Self::payload_bytes(&payload);
+        self.insert_pending(
             invocation.0,
             PendingJob {
                 proc,
                 entries,
-                job,
+                payload,
                 retries: 0,
                 submitted,
                 attempts: vec![invocation.0],
@@ -1484,10 +1619,6 @@ impl WorkflowInstance {
                 replicas: 0,
             },
         );
-        self.states[proc.0].inflight += 1;
-        self.inflight_total += 1;
-        self.jobs_submitted += 1;
-        self.bytes_transferred += Self::payload_bytes(&self.pending[&invocation.0].job.payload);
         self.emit_gauges(ctx);
         Ok(())
     }
@@ -1789,7 +1920,7 @@ impl WorkflowInstance {
                     vec![entry(Some(outputs))],
                     invocation,
                     JobPayload::Grid {
-                        plan,
+                        plan: Arc::new(plan),
                         compute_seconds: compute,
                     },
                 )
@@ -1839,38 +1970,37 @@ impl WorkflowInstance {
         if let Some(ce) = ce {
             self.note_ce_failure(ctx, ce);
         }
-        let (proc, live, retries) = {
-            let p = self
-                .pending
-                .get_mut(&logical)
-                .expect("caller checked pending");
+        let proc = self.pending[&logical].proc;
+        let policy = *self.ft.policy_for(&self.workflow.processors[proc.0].name);
+        let max_retries = policy.retry.max_retries();
+        // Losing the last live attempt disarms the invocation: it
+        // leaves the deadline index until it is resubmitted, so a
+        // backoff deferral cannot time out.
+        let (live, retry) = self.update_pending(logical, |p| {
             p.attempts.retain(|&t| t != tag);
-            (p.proc, p.attempts.len(), p.retries)
-        };
+            let retry = (p.attempts.is_empty() && p.retries < max_retries).then(|| {
+                p.retries += 1;
+                p.retries
+            });
+            (p.attempts.len(), retry)
+        });
         if live > 0 {
             // A speculative replica is still running; the race is not
             // lost yet.
             return Ok(());
         }
-        let name = self.workflow.processors[proc.0].name.clone();
-        let policy = *self.ft.policy_for(&name);
-        if retries < policy.retry.max_retries() {
-            let retry = retries + 1;
-            self.pending
-                .get_mut(&logical)
-                .expect("still pending")
-                .retries = retry;
-            let delay = policy.retry.delay(retry, &mut self.rng);
-            if delay > 0.0 {
-                let due = ctx.backend.now() + SimDuration::from_secs_f64(delay);
-                self.deferred.push((due, logical));
-                self.emit_gauges(ctx);
-            } else {
-                self.resubmit(ctx, logical)?;
-            }
-            return Ok(());
+        let Some(retry) = retry else {
+            return self.terminal_failure(ctx, logical, message);
+        };
+        let delay = policy.retry.delay(retry, &mut self.rng);
+        if delay > 0.0 {
+            let due = ctx.backend.now() + SimDuration::from_secs_f64(delay);
+            self.deferred.push((due, logical));
+            self.emit_gauges(ctx);
+        } else {
+            self.resubmit(ctx, logical)?;
         }
-        self.terminal_failure(ctx, logical, message)
+        Ok(())
     }
 
     /// Resubmit `logical` now, reusing its logical tag (the previous
@@ -1882,25 +2012,21 @@ impl WorkflowInstance {
         logical: u64,
     ) -> Result<(), MoteurError> {
         let now = ctx.backend.now();
-        let (job, retry, proc) = {
-            let p = self
-                .pending
-                .get_mut(&logical)
-                .expect("resubmitted invocation is pending");
+        let (payload, retry, proc) = self.update_pending(logical, |p| {
             p.attempts = vec![logical];
             p.window_start = now;
-            (p.job.clone(), p.retries, p.proc)
-        };
-        let name = self.workflow.processors[proc.0].name.clone();
+            (p.payload.clone(), p.retries, p.proc)
+        });
         self.obs.emit(|| TraceEvent::JobResubmitted {
             at: now,
             invocation: logical,
-            processor: name,
+            processor: self.workflow.processors[proc.0].name.clone(),
             retry,
             attempt: logical,
         });
-        self.bytes_transferred += Self::payload_bytes(&job.payload);
-        ctx.backend.submit(job)
+        self.bytes_transferred += Self::payload_bytes(&payload);
+        ctx.backend
+            .submit(self.backend_job(proc, InvocationId(logical), payload))
     }
 
     /// Resubmit every backoff-deferred invocation whose due time has
@@ -1929,20 +2055,15 @@ impl WorkflowInstance {
         Ok(())
     }
 
-    /// Act on every pending invocation whose timeout window expired.
+    /// Act on every pending invocation whose timeout window expired:
+    /// the expired prefix of each processor's deadline index (see
+    /// [`WorkflowInstance::expired_at`] for why a prefix is all of
+    /// them), merged and handled in ascending logical id.
     fn handle_timeouts<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
     ) -> Result<(), MoteurError> {
-        let now = ctx.backend.now();
-        let mut expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| self.deadline_of(p).is_some_and(|d| d <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable(); // deterministic order over the HashMap
-        for logical in expired {
+        for logical in self.expired_at(ctx.backend.now()) {
             self.handle_one_timeout(ctx, logical)?;
         }
         Ok(())
@@ -1958,8 +2079,9 @@ impl WorkflowInstance {
             let p = &self.pending[&logical];
             (p.proc, p.retries, p.replicas)
         };
-        let name = self.workflow.processors[proc.0].name.clone();
-        let policy = *self.ft.policy_for(&name);
+        let workflow = Arc::clone(&self.workflow);
+        let name = &workflow.processors[proc.0].name;
+        let policy = *self.ft.policy_for(name);
         let budget = self.timeout_secs_for(proc).unwrap_or(0.0);
         match policy.on_timeout {
             TimeoutAction::Resubmit => {
@@ -1977,14 +2099,12 @@ impl WorkflowInstance {
                     let fresh = self.next_invocation;
                     self.next_invocation += 1;
                     self.attempt_of.insert(fresh, logical);
-                    let (mut job, retry) = {
-                        let p = self.pending.get_mut(&logical).expect("still pending");
+                    let (payload, retry) = self.update_pending(logical, |p| {
                         p.retries += 1;
                         p.attempts = vec![fresh];
                         p.window_start = now;
-                        (p.job.clone(), p.retries)
-                    };
-                    job.invocation = InvocationId(fresh);
+                        (p.payload.clone(), p.retries)
+                    });
                     self.obs.emit(|| TraceEvent::JobResubmitted {
                         at: now,
                         invocation: logical,
@@ -1992,8 +2112,9 @@ impl WorkflowInstance {
                         retry,
                         attempt: fresh,
                     });
-                    self.bytes_transferred += Self::payload_bytes(&job.payload);
-                    ctx.backend.submit(job)?;
+                    self.bytes_transferred += Self::payload_bytes(&payload);
+                    ctx.backend
+                        .submit(self.backend_job(proc, InvocationId(fresh), payload))?;
                 } else {
                     self.obs.emit(|| TraceEvent::JobTimedOut {
                         at: now,
@@ -2021,14 +2142,12 @@ impl WorkflowInstance {
                     let fresh = self.next_invocation;
                     self.next_invocation += 1;
                     self.attempt_of.insert(fresh, logical);
-                    let (mut job, n) = {
-                        let p = self.pending.get_mut(&logical).expect("still pending");
+                    let (payload, n) = self.update_pending(logical, |p| {
                         p.replicas += 1;
                         p.attempts.push(fresh);
                         p.window_start = now;
-                        (p.job.clone(), p.replicas)
-                    };
-                    job.invocation = InvocationId(fresh);
+                        (p.payload.clone(), p.replicas)
+                    });
                     self.obs.emit(|| TraceEvent::JobReplicated {
                         at: now,
                         invocation: logical,
@@ -2036,11 +2155,12 @@ impl WorkflowInstance {
                         replica: n,
                         attempt: fresh,
                     });
-                    self.bytes_transferred += Self::payload_bytes(&job.payload);
-                    ctx.backend.submit(job)?;
+                    self.bytes_transferred += Self::payload_bytes(&payload);
+                    ctx.backend
+                        .submit(self.backend_job(proc, InvocationId(fresh), payload))?;
                 } else {
                     // Replica cap reached: let the race run to the end.
-                    self.pending.get_mut(&logical).expect("still pending").muted = true;
+                    self.update_pending(logical, |p| p.muted = true);
                 }
             }
         }
@@ -2051,10 +2171,7 @@ impl WorkflowInstance {
     /// the backend cannot retract are remembered so their late
     /// completions are dropped.
     fn cancel_attempts<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>, logical: u64) {
-        let attempts = match self.pending.get_mut(&logical) {
-            Some(p) => std::mem::take(&mut p.attempts),
-            None => return,
-        };
+        let attempts = self.update_pending(logical, |p| std::mem::take(&mut p.attempts));
         for tag in attempts {
             self.attempt_of.remove(&tag);
             if !ctx.backend.cancel(InvocationId(tag)) {
@@ -2090,13 +2207,9 @@ impl WorkflowInstance {
         logical: u64,
         message: String,
     ) -> Result<(), MoteurError> {
-        let pend = self
-            .pending
-            .remove(&logical)
-            .expect("terminal invocation is pending");
-        self.states[pend.proc.0].inflight -= 1;
-        self.inflight_total -= 1;
-        let name = self.workflow.processors[pend.proc.0].name.clone();
+        let pend = self.remove_pending(logical);
+        let workflow = Arc::clone(&self.workflow);
+        let name = &workflow.processors[pend.proc.0].name;
         self.obs.emit(|| TraceEvent::JobFailed {
             at: ctx.backend.now(),
             invocation: logical,
@@ -2151,14 +2264,11 @@ impl WorkflowInstance {
         ids.sort_unstable();
         for logical in ids {
             self.cancel_attempts(ctx, logical);
-            let pend = self.pending.remove(&logical).expect("listed above");
-            self.states[pend.proc.0].inflight -= 1;
-            self.inflight_total -= 1;
-            let name = self.workflow.processors[pend.proc.0].name.clone();
+            let pend = self.remove_pending(logical);
             self.obs.emit(|| TraceEvent::JobCancelled {
                 at,
                 invocation: logical,
-                processor: name,
+                processor: self.workflow.processors[pend.proc.0].name.clone(),
                 reason: "abort",
             });
         }
@@ -2175,14 +2285,10 @@ impl WorkflowInstance {
         winner: u64,
         c: BackendCompletion,
     ) -> Result<(), MoteurError> {
-        let mut pend = self
-            .pending
-            .remove(&logical)
-            .expect("caller checked pending");
-        self.states[pend.proc.0].inflight -= 1;
-        self.inflight_total -= 1;
+        let mut pend = self.remove_pending(logical);
         let proc_id = pend.proc;
-        let name = self.workflow.processors[proc_id.0].name.clone();
+        let workflow = Arc::clone(&self.workflow);
+        let proc = &workflow.processors[proc_id.0];
         for tag in pend.attempts.drain(..) {
             if tag == winner {
                 continue;
@@ -2195,7 +2301,7 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::JobCancelled {
                 at,
                 invocation: tag,
-                processor: name.clone(),
+                processor: proc.name.clone(),
                 reason: "superseded",
             });
         }
@@ -2226,14 +2332,12 @@ impl WorkflowInstance {
                     ))
                 }
             };
-            let proc_name = self.workflow.processors[proc_id.0].name.clone();
-            let proc_outputs = self.workflow.processors[proc_id.0].outputs.clone();
             // Only the first `port_capacity` invocation records are
             // retained (`completed` and `sink_counts` carry the full
             // tallies).
             if self.records.len() < self.config.port_capacity {
                 self.records.push(InvocationRecord {
-                    processor: proc_name.clone(),
+                    processor: proc.name.clone(),
                     index: entry.index.clone(),
                     submitted: pend.submitted,
                     started: c.started_at,
@@ -2241,7 +2345,7 @@ impl WorkflowInstance {
                     retries: pend.retries,
                 });
             }
-            let history = History::derived(proc_name.clone(), entry.input_histories.clone());
+            let history = History::derived(proc.name.clone(), entry.input_histories);
             if let Some(key) = entry.cache_key.filter(|_| ctx.store.is_some()) {
                 let prof = self.obs.prof().clone();
                 let _prof = prof.scope(Subsystem::StoreIo);
@@ -2265,16 +2369,18 @@ impl WorkflowInstance {
                 // invocation; partial ones (an Opaque output, or an
                 // output too large for the store's budget) are dropped.
                 if !recorded.is_empty() && recorded.len() == outputs.len() {
-                    store.record_invocation(key, proc_name.clone(), recorded);
+                    store.record_invocation(key, proc.name.clone(), recorded);
                 }
             }
             for (port_name, value) in outputs {
-                let port_idx = proc_outputs
+                let port_idx = proc
+                    .outputs
                     .iter()
                     .position(|o| *o == port_name)
                     .ok_or_else(|| {
                         MoteurError::new(format!(
-                            "service `{proc_name}` produced a value on unknown port `{port_name}`"
+                            "service `{}` produced a value on unknown port `{port_name}`",
+                            proc.name
                         ))
                     })?;
                 let token = Token {
@@ -2288,7 +2394,7 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobCompleted {
             at: ctx.backend.now(),
             invocation: logical,
-            processor: self.workflow.processors[proc_id.0].name.clone(),
+            processor: proc.name.clone(),
         });
         self.completed += 1;
         self.check_slo(ctx);
@@ -2322,3 +2428,6 @@ fn buffers_to_tokens(buffers: &[Vec<Token>], p: &crate::graph::Processor) -> Vec
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests;

@@ -21,6 +21,7 @@ use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
 use moteur_prof::{Prof, Subsystem};
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Who occupies a worker slot or a queue position.
 #[derive(Debug, Clone)]
@@ -89,6 +90,9 @@ pub struct GridSim {
     events_processed: u64,
     /// Self-profiler handle; [`Prof::off`] keeps every scope a branch.
     prof: Prof,
+    /// `pick_ce` calls and their wall nanos since the last drain
+    /// flushed them to the profiler.
+    picks: (u64, u64),
 }
 
 impl std::fmt::Debug for GridSim {
@@ -159,6 +163,7 @@ impl GridSim {
             observer: None,
             events_processed: 0,
             prof: Prof::off(),
+            picks: (0, 0),
         };
         // Dispatch the initial backlog so workers start busy.
         for i in 0..sim.ces.len() {
@@ -345,7 +350,8 @@ impl GridSim {
     /// Profiling granularity: one `event_queue` scope per drain call
     /// (the loop runs millions of events per second, so a scope per
     /// event would measure the profiler, not the simulator); the events
-    /// dispatched inside it are batch-counted as `sim_step`.
+    /// dispatched inside it are batch-counted as `sim_step`, and the
+    /// broker's `pick_ce` scans are handed over the same way.
     pub fn next_completion(&mut self) -> Option<GridJobCompletion> {
         if let Some(c) = self.completions.pop_front() {
             return Some(c);
@@ -372,7 +378,7 @@ impl GridSim {
             self.events_processed += 1;
             self.handle(event);
         };
-        prof.add_batch(Subsystem::SimStep, self.events_processed - drained_from, 0);
+        self.flush_batches(&prof, drained_from);
         result
     }
 
@@ -408,8 +414,17 @@ impl GridSim {
                 }
             }
         };
-        prof.add_batch(Subsystem::SimStep, self.events_processed - drained_from, 0);
+        self.flush_batches(&prof, drained_from);
         result
+    }
+
+    /// Hand the drain's batch counters to the profiler, below the open
+    /// `event_queue` scope: the events dispatched since
+    /// `drained_from`, and the broker's matchmaking scans.
+    fn flush_batches(&mut self, prof: &Prof, drained_from: u64) {
+        prof.add_batch(Subsystem::SimStep, self.events_processed - drained_from, 0);
+        let (calls, wall_nanos) = std::mem::take(&mut self.picks);
+        prof.add_batch(Subsystem::PickCe, calls, wall_nanos);
     }
 
     /// Cancel a submitted job. Returns `true` if the job was still in
@@ -502,8 +517,7 @@ impl GridSim {
     /// fall back to the least-bad one, modelling a match that will sit
     /// in its queue until the CE returns.
     fn pick_ce(&mut self) -> CeId {
-        let prof = self.prof.clone();
-        let _prof = prof.scope(Subsystem::PickCe);
+        let started = self.prof.is_enabled().then(Instant::now);
         let mut best_available: Option<usize> = None;
         let mut best_available_rank = f64::INFINITY;
         let mut best_any = 0usize;
@@ -531,6 +545,10 @@ impl GridSim {
         let best = best_available.unwrap_or(best_any);
         // The broker optimistically counts its own decision.
         self.broker_view[best] += 1;
+        if let Some(started) = started {
+            self.picks.0 += 1;
+            self.picks.1 += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
         CeId(best)
     }
 

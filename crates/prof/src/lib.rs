@@ -30,10 +30,9 @@
 pub mod alloc;
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The instrumented subsystems. A closed set: adding a variant is an
@@ -107,6 +106,11 @@ const N_SUBSYSTEMS: usize = Subsystem::ALL.len();
 /// One subsystem's accumulators. Relaxed atomics: totals are exact (no
 /// sample loss), only cross-slot ordering is unspecified, which a
 /// post-run snapshot never observes.
+///
+/// A subsystem's calls and wall time are the sums over the call paths
+/// that end in it (every scope lands in exactly one), so closing a
+/// scope adds them once, in the path table; `calls` and `wall_nanos`
+/// here take only what a full path table turned away.
 #[derive(Debug, Default)]
 struct Slot {
     calls: AtomicU64,
@@ -115,19 +119,58 @@ struct Slot {
     alloc_bytes: AtomicU64,
 }
 
-/// Per-call-path accumulators, keyed by the packed path.
-#[derive(Debug, Default, Clone, Copy)]
-struct PathStat {
-    calls: u64,
-    wall_nanos: u64,
+/// One call path's accumulators. `key` is the packed path, 0 while the
+/// slot is free (a packed path is never 0).
+#[derive(Debug, Default)]
+struct PathSlot {
+    key: AtomicU64,
+    calls: AtomicU64,
+    wall_nanos: AtomicU64,
 }
+
+/// Capacity of the call-path table (a power of two). A run of this
+/// workspace produces under ten distinct paths; past the capacity a new
+/// path still counts toward its subsystem's totals and only the path
+/// table misses it, like a nesting deeper than [`MAX_DEPTH`].
+const PATH_SLOTS: usize = 64;
 
 #[derive(Debug)]
 struct ProfInner {
     slots: [Slot; N_SUBSYSTEMS],
-    /// Packed call path → stats. `BTreeMap` so snapshots iterate in a
-    /// deterministic order regardless of discovery order.
-    paths: Mutex<BTreeMap<u64, PathStat>>,
+    /// Packed call path → stats: an open-addressed table of atomics, so
+    /// closing a scope takes no lock and never allocates. Snapshots
+    /// sort by packed path, so their order does not depend on discovery
+    /// order.
+    paths: [PathSlot; PATH_SLOTS],
+}
+
+impl ProfInner {
+    /// Count `calls` invocations totalling `wall_nanos` of the
+    /// subsystem `path` ends in, reached along `path`.
+    fn add(&self, path: u64, calls: u64, wall_nanos: u64) {
+        // Fibonacci hashing: paths differ in their low bytes.
+        let hash = path.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = (hash >> (u64::BITS - PATH_SLOTS.trailing_zeros())) as usize;
+        for _ in 0..PATH_SLOTS {
+            let slot = &self.paths[i];
+            let key = match slot.key.load(Ordering::Relaxed) {
+                0 => slot
+                    .key
+                    .compare_exchange(0, path, Ordering::Relaxed, Ordering::Relaxed)
+                    .map_or_else(|claimed| claimed, |_| path),
+                key => key,
+            };
+            if key == path {
+                slot.calls.fetch_add(calls, Ordering::Relaxed);
+                slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+                return;
+            }
+            i = (i + 1) % PATH_SLOTS;
+        }
+        let slot = &self.slots[leaf_index(path)];
+        slot.calls.fetch_add(calls, Ordering::Relaxed);
+        slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+    }
 }
 
 thread_local! {
@@ -144,11 +187,18 @@ thread_local! {
 const MAX_DEPTH: u32 = 8;
 
 fn push_path(path: u64, subsystem: Subsystem) -> u64 {
+    let level = subsystem.index() as u64 + 1;
     if path >> ((MAX_DEPTH - 1) * 8) != 0 {
-        // Saturated: keep the existing path rather than corrupting it.
-        return path;
+        // Saturated: the innermost tracked level stands for everything
+        // below it, so a path always ends in the subsystem it counts.
+        return (path & !0xff) | level;
     }
-    (path << 8) | (subsystem.index() as u64 + 1)
+    (path << 8) | level
+}
+
+/// Index of the subsystem a (non-empty) packed path ends in.
+fn leaf_index(path: u64) -> usize {
+    (path & 0xff) as usize - 1
 }
 
 /// Unpack a path into subsystem names, outermost first.
@@ -184,7 +234,7 @@ impl Prof {
         Prof {
             inner: Some(Arc::new(ProfInner {
                 slots: Default::default(),
-                paths: Mutex::new(BTreeMap::new()),
+                paths: std::array::from_fn(|_| PathSlot::default()),
             })),
         }
     }
@@ -201,9 +251,12 @@ impl Prof {
         match &self.inner {
             None => ProfScope { active: None },
             Some(inner) => {
-                let prev_path = CURRENT_PATH.with(Cell::get);
-                let path = push_path(prev_path, subsystem);
-                CURRENT_PATH.with(|c| c.set(path));
+                let (prev_path, path) = CURRENT_PATH.with(|c| {
+                    let prev = c.get();
+                    let path = push_path(prev, subsystem);
+                    c.set(path);
+                    (prev, path)
+                });
                 let (start_allocs, start_bytes) = alloc::totals();
                 ProfScope {
                     active: Some(ActiveScope {
@@ -235,14 +288,8 @@ impl Prof {
         if calls == 0 && wall_nanos == 0 {
             return;
         }
-        let slot = &inner.slots[subsystem.index()];
-        slot.calls.fetch_add(calls, Ordering::Relaxed);
-        slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
         let path = push_path(CURRENT_PATH.with(Cell::get), subsystem);
-        let mut paths = inner.paths.lock().expect("prof path lock poisoned");
-        let stat = paths.entry(path).or_default();
-        stat.calls += calls;
-        stat.wall_nanos += wall_nanos;
+        inner.add(path, calls, wall_nanos);
     }
 
     /// Snapshot the counters into an immutable report.
@@ -250,7 +297,7 @@ impl Prof {
         let Some(inner) = &self.inner else {
             return ProfReport::default();
         };
-        let subsystems = Subsystem::ALL
+        let mut subsystems: Vec<SubsystemStat> = Subsystem::ALL
             .iter()
             .map(|&s| {
                 let slot = &inner.slots[s.index()];
@@ -263,15 +310,30 @@ impl Prof {
                 }
             })
             .collect();
-        let paths = inner
+        let mut by_path: Vec<(u64, u64, u64)> = inner
             .paths
-            .lock()
-            .expect("prof path lock poisoned")
             .iter()
-            .map(|(&packed, &stat)| PathEntry {
+            .map(|slot| {
+                (
+                    slot.key.load(Ordering::Relaxed),
+                    slot.calls.load(Ordering::Relaxed),
+                    slot.wall_nanos.load(Ordering::Relaxed),
+                )
+            })
+            .filter(|&(packed, ..)| packed != 0)
+            .collect();
+        by_path.sort_unstable();
+        for &(packed, calls, wall_nanos) in &by_path {
+            let stat = &mut subsystems[leaf_index(packed)];
+            stat.calls += calls;
+            stat.wall_nanos += wall_nanos;
+        }
+        let paths = by_path
+            .into_iter()
+            .map(|(packed, calls, wall_nanos)| PathEntry {
                 stack: unpack_path(packed).join(";"),
-                calls: stat.calls,
-                wall_nanos: stat.wall_nanos,
+                calls,
+                wall_nanos,
             })
             .collect();
         ProfReport { subsystems, paths }
@@ -309,18 +371,17 @@ impl Drop for ProfScope<'_> {
         };
         let nanos = u64::try_from(scope.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let (allocs, bytes) = alloc::totals();
-        let slot = &scope.inner.slots[scope.subsystem.index()];
-        slot.calls.fetch_add(1, Ordering::Relaxed);
-        slot.wall_nanos.fetch_add(nanos, Ordering::Relaxed);
-        slot.allocs
-            .fetch_add(allocs.saturating_sub(scope.start_allocs), Ordering::Relaxed);
-        slot.alloc_bytes
-            .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
+        // Nothing was allocated (or the counting allocator is not
+        // installed): leave the slot's cache line alone.
+        if allocs != scope.start_allocs {
+            let slot = &scope.inner.slots[scope.subsystem.index()];
+            slot.allocs
+                .fetch_add(allocs.saturating_sub(scope.start_allocs), Ordering::Relaxed);
+            slot.alloc_bytes
+                .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
+        }
         CURRENT_PATH.with(|c| c.set(scope.prev_path));
-        let mut paths = scope.inner.paths.lock().expect("prof path lock poisoned");
-        let stat = paths.entry(scope.path).or_default();
-        stat.calls += 1;
-        stat.wall_nanos += nanos;
+        scope.inner.add(scope.path, 1, nanos);
     }
 }
 
@@ -570,6 +631,44 @@ mod tests {
         // A disabled handle swallows batches like it swallows scopes.
         Prof::off().add_batch(Subsystem::SimStep, 5, 5);
         assert!(Prof::off().report().subsystems.is_empty());
+    }
+
+    #[test]
+    fn a_saturated_path_ends_in_the_scope_it_counts() {
+        let prof = Prof::enabled();
+        fn recurse(prof: &Prof, depth: u32) {
+            let _s = prof.scope(Subsystem::Fire);
+            if depth > 1 {
+                recurse(prof, depth - 1);
+            } else {
+                let _leaf = prof.scope(Subsystem::PickCe);
+            }
+        }
+        recurse(&prof, MAX_DEPTH);
+        let report = prof.report();
+        let calls = |s: Subsystem| report.subsystems[s.index()].calls;
+        assert_eq!(calls(Subsystem::Fire), u64::from(MAX_DEPTH));
+        assert_eq!(calls(Subsystem::PickCe), 1);
+        let deepest = report.paths.last().expect("paths recorded");
+        assert_eq!(deepest.stack.matches(';').count() + 1, MAX_DEPTH as usize);
+        assert!(deepest.stack.ends_with(";pick_ce"), "{}", deepest.stack);
+    }
+
+    #[test]
+    fn a_full_path_table_still_counts_every_call() {
+        // 8 roots + 64 nested pairs: more distinct paths than slots.
+        let prof = Prof::enabled();
+        for outer in Subsystem::ALL {
+            let _outer = prof.scope(outer);
+            for inner in Subsystem::ALL {
+                let _inner = prof.scope(inner);
+            }
+        }
+        let report = prof.report();
+        assert_eq!(report.paths.len(), PATH_SLOTS);
+        for stat in &report.subsystems {
+            assert_eq!(stat.calls, 1 + N_SUBSYSTEMS as u64, "{:?}", stat.subsystem);
+        }
     }
 
     #[test]
