@@ -143,7 +143,11 @@ fn bench_enactor() {
     );
     bench("enactor/5x50_virtual_dsp", || {
         let mut backend = VirtualBackend::new();
-        black_box(run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap());
+        black_box(
+            Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+                .run(&mut backend)
+                .unwrap(),
+        );
     });
     let bronze = moteur_bench::bronze_workflow();
     bench("enactor/grouping_transform_bronze", || {

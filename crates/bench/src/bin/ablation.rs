@@ -8,7 +8,7 @@
 //! under DP and DP+SP, and shows the speed-up rising from ≈1 with the
 //! variability — a quantitative confirmation of the paper's argument.
 
-use moteur::{run, EnactorConfig, SimBackend};
+use moteur::{Enactment, EnactorConfig, SimBackend};
 use moteur_analysis::Table;
 use moteur_bench::{bronze_inputs, bronze_workflow};
 use moteur_gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
@@ -60,12 +60,14 @@ fn main() {
         let mut dsp_total = 0.0;
         for seed in 0..repeats {
             let mut b1 = SimBackend::new(grid_with_sigma(500.0, sigma), seed);
-            dp_total += run(&workflow, &inputs, EnactorConfig::dp(), &mut b1)
+            dp_total += Enactment::new(&workflow, &inputs, EnactorConfig::dp())
+                .run(&mut b1)
                 .expect("dp run")
                 .makespan
                 .as_secs_f64();
             let mut b2 = SimBackend::new(grid_with_sigma(500.0, sigma), seed);
-            dsp_total += run(&workflow, &inputs, EnactorConfig::sp_dp(), &mut b2)
+            dsp_total += Enactment::new(&workflow, &inputs, EnactorConfig::sp_dp())
+                .run(&mut b2)
                 .expect("dsp run")
                 .makespan
                 .as_secs_f64();

@@ -68,7 +68,9 @@ fn enact(t: &TimeMatrix, config: EnactorConfig) -> WorkflowResult {
             .collect(),
     );
     let mut backend = VirtualBackend::new();
-    run(&chain(t), &inputs, config, &mut backend).expect("diagram runs succeed")
+    Enactment::new(&chain(t), &inputs, config)
+        .run(&mut backend)
+        .expect("diagram runs succeed")
 }
 
 fn show(title: &str, result: &WorkflowResult) {

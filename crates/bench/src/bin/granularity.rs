@@ -105,15 +105,11 @@ fn main() {
         let mut total = 0.0;
         for seed in 0..repeats {
             let mut backend = SimBackend::new(grid(median, sigma), seed);
-            total += run(
-                &wf,
-                &inputs,
-                EnactorConfig::sp_dp().with_batching(g),
-                &mut backend,
-            )
-            .expect("sweep run")
-            .makespan
-            .as_secs_f64();
+            total += Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_batching(g))
+                .run(&mut backend)
+                .expect("sweep run")
+                .makespan
+                .as_secs_f64();
         }
         table.add_row(vec![
             g.to_string(),

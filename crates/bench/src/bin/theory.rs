@@ -62,7 +62,8 @@ fn measured(t: &TimeMatrix, config: EnactorConfig) -> f64 {
             .collect(),
     );
     let mut backend = VirtualBackend::new();
-    run(&wf, &inputs, config, &mut backend)
+    Enactment::new(&wf, &inputs, config)
+        .run(&mut backend)
         .expect("ideal run")
         .makespan
         .as_secs_f64()

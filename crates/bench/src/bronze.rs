@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn model_prediction_matches_quiet_grid_simulation() {
-        use moteur::{run, EnactorConfig, SimBackend, TimeMatrix};
+        use moteur::{Enactment, EnactorConfig, SimBackend, TimeMatrix};
         use moteur_gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
         // A quiet grid with a constant per-job overhead lets the model
         // predict the makespan of the *critical path*; the full DAG has
@@ -360,7 +360,8 @@ mod tests {
         let t = TimeMatrix::from_workflow(&wf, n, overhead).unwrap();
         let predicted = t.sigma_dsp();
         let mut backend = SimBackend::new(grid, 1);
-        let measured = run(&wf, &bronze_inputs(n), EnactorConfig::sp_dp(), &mut backend)
+        let measured = Enactment::new(&wf, &bronze_inputs(n), EnactorConfig::sp_dp())
+            .run(&mut backend)
             .unwrap()
             .makespan
             .as_secs_f64();

@@ -3,7 +3,7 @@
 //! behind Table 1, Table 2, Fig. 10 and the §5 speed-up analyses.
 
 use crate::bronze::{bronze_inputs, bronze_workflow};
-use moteur::{run_observed, EnactorConfig, Obs, SimBackend, WorkflowResult};
+use moteur::{Enactment, EnactorConfig, Obs, SimBackend, WorkflowResult};
 use moteur_analysis::Series;
 use moteur_gridsim::GridConfig;
 
@@ -35,7 +35,9 @@ pub fn run_point_observed(
     let workflow = bronze_workflow();
     let inputs = bronze_inputs(n_pairs);
     let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), seed, &obs);
-    let result = run_observed(&workflow, &inputs, config, &mut backend, obs)
+    let result = Enactment::new(&workflow, &inputs, config)
+        .obs(obs)
+        .run(&mut backend)
         .expect("bronze campaign must complete");
     let point = CampaignPoint {
         config,

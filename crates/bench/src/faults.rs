@@ -24,8 +24,8 @@
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::obs::json::{self, JsonObject};
 use moteur::{
-    run_fault_tolerant, EnactorConfig, FtConfig, FtPolicy, MoteurError, Obs, RetryPolicy,
-    RingBufferSink, SimBackend, TimeoutAction, TimeoutPolicy,
+    Enactment, EnactorConfig, FtConfig, FtPolicy, MoteurError, Obs, RetryPolicy, RingBufferSink,
+    SimBackend, TimeoutAction, TimeoutPolicy,
 };
 use moteur_gridsim::GridConfig;
 
@@ -192,7 +192,10 @@ pub fn run_faults(spec: &FaultsSpec) -> Result<FaultsReport, MoteurError> {
             let obs = Obs::new(vec![Box::new(sink)]);
             let mut backend = SimBackend::with_obs(spec.grid(), seed, &obs);
             let config = EnactorConfig::sp_dp().with_seed(seed);
-            let result = run_fault_tolerant(&workflow, &inputs, config, &ft, &mut backend, obs)?;
+            let result = Enactment::new(&workflow, &inputs, config)
+                .ft(&ft)
+                .obs(obs)
+                .run(&mut backend)?;
             makespans.push(result.makespan.as_secs_f64());
             jobs += result.jobs_submitted;
             quarantined += result.quarantined.len();

@@ -23,8 +23,8 @@ use crate::bronze::{bronze_inputs, bronze_workflow, bronze_workflow_xml, IMAGE_B
 use moteur::obs::json::JsonObject;
 use moteur::plan::interval::{CardInterval, SourceSizes};
 use moteur::{
-    plan_workflow, run_fault_tolerant, DataValue, EnactorConfig, FtConfig, InputData, MoteurError,
-    Obs, PlanOptions, SimBackend, TimelineSink, Workflow,
+    plan_workflow, DataValue, Enactment, EnactorConfig, FtConfig, InputData, MoteurError, Obs,
+    PlanOptions, SimBackend, TimelineSink, Workflow,
 };
 use moteur_gridsim::GridConfig;
 use moteur_scufl::parse_workflow;
@@ -209,7 +209,10 @@ pub fn run_plan_bench(spec: &PlanSpec) -> Result<PlanBenchReport, MoteurError> {
         let obs = Obs::new(vec![Box::new(sink)]);
         let mut backend = SimBackend::with_obs(GridConfig::ideal(), spec.seed, &obs);
         let config = EnactorConfig::sp_dp().with_seed(spec.seed);
-        let result = run_fault_tolerant(&wf, &inputs, config, &ft, &mut backend, obs)?;
+        let result = Enactment::new(&wf, &inputs, config)
+            .ft(&ft)
+            .obs(obs)
+            .run(&mut backend)?;
         let state = state.lock().expect("timeline state");
         let edges = plan
             .edges

@@ -26,7 +26,7 @@
 use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow};
 use moteur::obs::json::JsonObject;
 use moteur::{
-    run_cached, DataStore, EnactorConfig, MoteurError, Obs, Prof, ProfReport, SimBackend,
+    DataStore, Enactment, EnactorConfig, MoteurError, Obs, Prof, ProfReport, SimBackend,
     StoreConfig, Subsystem,
 };
 use moteur_gridsim::{GridConfig, GridJobSpec, GridSim};
@@ -161,7 +161,10 @@ fn run_enact_phase(spec: &ScaleSpec, prof: &Prof) -> Result<(usize, f64, f64), M
     let mut backend = SimBackend::with_obs(GridConfig::ideal(), spec.seed, &obs);
     let config = EnactorConfig::sp_dp().with_seed(spec.seed);
     let start = Instant::now();
-    let result = run_cached(&workflow, &inputs, config, &mut backend, obs, &mut store)?;
+    let result = Enactment::new(&workflow, &inputs, config)
+        .obs(obs)
+        .store(Some(&mut store))
+        .run(&mut backend)?;
     let wall = start.elapsed().as_secs_f64();
     Ok((result.jobs_submitted, wall, result.makespan.as_secs_f64()))
 }

@@ -29,8 +29,8 @@
 
 use moteur::obs::json::JsonObject;
 use moteur::{
-    run, DataValue, EnactorConfig, InputData, MoteurError, ServiceBinding, Token, VirtualBackend,
-    Workflow,
+    DataValue, Enactment, EnactorConfig, InputData, MoteurError, ServiceBinding, Token,
+    VirtualBackend, Workflow,
 };
 use std::time::Instant;
 
@@ -172,7 +172,7 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
         .with_port_capacity(spec.port_capacity);
     let mut backend = VirtualBackend::new();
     let start = Instant::now();
-    let result = run(&workflow, &inputs, config, &mut backend)?;
+    let result = Enactment::new(&workflow, &inputs, config).run(&mut backend)?;
     let wall = start.elapsed().as_secs_f64();
     // Anything the pipeline allocated on top of the materialised
     // inputs pushed the high-water mark to at least `live + X`, so
@@ -190,12 +190,12 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
     let live_before_eager = moteur_prof::alloc::live_bytes();
     let mut ref_backend = VirtualBackend::new();
     let eager_start = Instant::now();
-    let eager_result = run(
+    let eager_result = Enactment::new(
         &workflow,
         &ref_inputs,
         EnactorConfig::sp_dp().with_seed(spec.seed),
-        &mut ref_backend,
-    )?;
+    )
+    .run(&mut ref_backend)?;
     let eager_wall = eager_start.elapsed().as_secs_f64();
     let retained = moteur_prof::alloc::live_bytes().saturating_sub(live_before_eager);
     let eager_bytes_per_item = retained as f64 / spec.eager_items as f64;

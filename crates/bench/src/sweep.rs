@@ -16,7 +16,7 @@ use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow, bronze_inputs, b
 use moteur::lint::CONFIG_KEYS;
 use moteur::obs::json::{array, JsonObject};
 use moteur::{
-    check_drift, fit_sweep, predict, run, EnactorConfig, InputData, MakespanFit, MoteurError,
+    check_drift, fit_sweep, predict, Enactment, EnactorConfig, InputData, MakespanFit, MoteurError,
     Observation, SimBackend, SweepPoint, Workflow,
 };
 use moteur_gridsim::GridConfig;
@@ -204,7 +204,8 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<(Vec<BenchPoint>, BenchSummary), Mo
             let key = config_key(cfg.label());
             let inputs = spec.workflow.inputs(n);
             let mut backend = SimBackend::new(spec.grid.config(), spec.seed);
-            let result = run(&workflow, &inputs, cfg.with_seed(spec.seed), &mut backend)?;
+            let result =
+                Enactment::new(&workflow, &inputs, cfg.with_seed(spec.seed)).run(&mut backend)?;
             let makespan = result.makespan.as_secs_f64();
             let drift = check_drift(
                 &prediction,

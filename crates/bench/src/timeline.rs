@@ -18,7 +18,7 @@
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::obs::json::JsonObject;
 use moteur::{
-    detect_bottlenecks, run_fault_tolerant, EnactorConfig, FtConfig, MoteurError, Obs, SimBackend,
+    detect_bottlenecks, Enactment, EnactorConfig, FtConfig, MoteurError, Obs, SimBackend,
     TimelineSink,
 };
 use moteur_gridsim::GridConfig;
@@ -120,7 +120,10 @@ pub fn run_timeline(spec: &TimelineSpec) -> Result<TimelineReport, MoteurError> 
         let obs = Obs::new(vec![Box::new(sink)]);
         let mut backend = SimBackend::with_obs(grid, spec.seed, &obs);
         let config = EnactorConfig::sp_dp().with_seed(spec.seed);
-        let result = run_fault_tolerant(&workflow, &inputs, config, &ft, &mut backend, obs)?;
+        let result = Enactment::new(&workflow, &inputs, config)
+            .ft(&ft)
+            .obs(obs)
+            .run(&mut backend)?;
         let state = state.lock().expect("timeline state");
         let detect = detect_bottlenecks(&state.stats);
         outcomes.push(TimelineOutcome {

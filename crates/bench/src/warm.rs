@@ -13,7 +13,7 @@
 use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow};
 use moteur::obs::json::JsonObject;
 use moteur::{
-    check_drift, predict, run_cached, DataStore, EnactorConfig, MetricsSink, MoteurError, Obs,
+    check_drift, predict, DataStore, Enactment, EnactorConfig, MetricsSink, MoteurError, Obs,
     Observation, SimBackend, StoreConfig,
 };
 use moteur_gridsim::GridConfig;
@@ -66,14 +66,9 @@ pub fn run_warm_pair(n_data: usize, seed: u64) -> Result<WarmReport, MoteurError
 
     // Cold: populate the store; all probes miss.
     let mut backend = SimBackend::new(GridConfig::ideal(), seed);
-    let cold = run_cached(
-        &workflow,
-        &bronze_chain_inputs(n_data),
-        config,
-        &mut backend,
-        Obs::off(),
-        &mut store,
-    )?;
+    let cold = Enactment::new(&workflow, &bronze_chain_inputs(n_data), config)
+        .store(Some(&mut store))
+        .run(&mut backend)?;
     let cold_makespan_secs = cold.makespan.as_secs_f64();
     let drift = check_drift(
         &prediction,
@@ -95,14 +90,10 @@ pub fn run_warm_pair(n_data: usize, seed: u64) -> Result<WarmReport, MoteurError
     let (sink, registry) = MetricsSink::new();
     let obs = Obs::new(vec![Box::new(sink)]);
     let mut backend = SimBackend::with_obs(GridConfig::ideal(), seed, &obs);
-    let warm = run_cached(
-        &workflow,
-        &bronze_chain_inputs(n_data),
-        config,
-        &mut backend,
-        obs.clone(),
-        &mut store,
-    )?;
+    let warm = Enactment::new(&workflow, &bronze_chain_inputs(n_data), config)
+        .obs(obs.clone())
+        .store(Some(&mut store))
+        .run(&mut backend)?;
     obs.flush()
         .map_err(|e| MoteurError::new(format!("flushing metrics: {e}")))?;
     let (hits, misses) = {

@@ -9,9 +9,7 @@
 //! second is the case a "skip the walk when no policy is set" shortcut
 //! would still lose.
 
-use moteur::{
-    run_fault_tolerant, EnactorConfig, FtConfig, FtPolicy, Obs, TimeoutPolicy, VirtualBackend,
-};
+use moteur::{Enactment, EnactorConfig, FtConfig, FtPolicy, TimeoutPolicy, VirtualBackend};
 use moteur_bench::stream::{stream_chain, stream_inputs};
 use std::time::Instant;
 
@@ -25,15 +23,10 @@ fn best_of_three(n: usize, ft: &FtConfig) -> f64 {
         .map(|_| {
             let mut backend = VirtualBackend::new();
             let start = Instant::now();
-            let result = run_fault_tolerant(
-                &workflow,
-                &inputs,
-                EnactorConfig::sp_dp(),
-                ft,
-                &mut backend,
-                Obs::off(),
-            )
-            .unwrap();
+            let result = Enactment::new(&workflow, &inputs, EnactorConfig::sp_dp())
+                .ft(ft)
+                .run(&mut backend)
+                .unwrap();
             assert_eq!(result.sink_count("out"), n);
             start.elapsed().as_secs_f64()
         })

@@ -7,7 +7,7 @@
 //! minimum is robust against scheduler preemption) and the comparison
 //! retries a few times before failing.
 
-use moteur::{run_observed, EnactorConfig, Obs, Prof, SimBackend};
+use moteur::{Enactment, EnactorConfig, Obs, Prof, SimBackend};
 use moteur_bench::{bronze_chain_inputs, bronze_chain_workflow};
 use moteur_gridsim::GridConfig;
 use std::time::Instant;
@@ -22,7 +22,10 @@ fn one_run(prof: Prof) -> f64 {
     let mut backend = SimBackend::with_obs(GridConfig::ideal(), 2006, &obs);
     let config = EnactorConfig::sp_dp().with_seed(2006);
     let start = Instant::now();
-    let result = run_observed(&workflow, &inputs, config, &mut backend, obs).unwrap();
+    let result = Enactment::new(&workflow, &inputs, config)
+        .obs(obs)
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(result.jobs_submitted, 5 * ITEMS, "5 services per item");
     start.elapsed().as_secs_f64()
 }

@@ -34,8 +34,6 @@ pub struct EnactorConfig {
     pub job_grouping: bool,
     /// Seed for stochastic cost models.
     pub seed: u64,
-    /// Enactor-level resubmissions of terminally failed grid jobs.
-    pub max_job_retries: u32,
     /// Data batching — the paper's §5.4 future work ("grouping jobs of
     /// a single service, thus finding a trade-off between data
     /// parallelism and the system's overhead"): up to this many ready
@@ -68,7 +66,6 @@ impl Default for EnactorConfig {
             service_parallelism: true,
             job_grouping: false,
             seed: 0,
-            max_job_retries: 5,
             data_batching: 1,
             preflight: true,
             slo: None,

@@ -76,7 +76,7 @@ impl Request {
                         .unwrap_or("sp+dp")
                         .to_owned(),
                     max_retries: optional(&v, "max_retries", |n| u32::try_from(n.as_u64()?).ok())?
-                        .unwrap_or(EnactorConfig::default().max_job_retries),
+                        .unwrap_or_else(|| FtConfig::default().default.retry.max_retries()),
                     continue_on_error: optional(&v, "continue_on_error", JsonValue::as_bool)?
                         .unwrap_or(false),
                 })
@@ -393,7 +393,7 @@ mod tests {
             panic!("parsed a submit")
         };
         assert_eq!(config, "sp+dp");
-        assert_eq!(max_retries, EnactorConfig::default().max_job_retries);
+        assert_eq!(max_retries, FtConfig::default().default.retry.max_retries());
         assert!(!continue_on_error);
     }
 

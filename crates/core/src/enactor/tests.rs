@@ -1,9 +1,17 @@
 //! The deadline index against its oracle: the full scan over `pending`
 //! that `next_wake` and `handle_timeouts` used to be, kept here as the
 //! reference every step of a seeded random enactment is compared with.
+//! And the `compat` shims against the [`Enactment`] each forwards to.
 
+use super::attempts::PendingJob;
 use super::*;
-use crate::ft::{FtPolicy, RetryPolicy, TimeoutPolicy};
+use crate::backend::{BackendCompletion, ServiceOutputs};
+use crate::ft::{FtPolicy, RetryPolicy, TimeoutAction, TimeoutPolicy};
+use crate::obs::sinks::RingBufferSink;
+use crate::service::ServiceProfile;
+use crate::store::StoreConfig;
+use moteur_gridsim::SimDuration;
+use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -338,4 +346,116 @@ fn windows_expiring_at_the_same_instant_are_handled_in_logical_id_order() {
         .map(|q| q.processor.as_str())
         .collect();
     assert_eq!(order, ["slow", "fast"], "ascending logical id");
+}
+
+/// A → B over `n` files, both stages descriptor-bound, so a data
+/// manager has something to memoize.
+fn descriptor_chain(n: usize) -> (Workflow, InputData) {
+    let stage = |name: &str| {
+        let descriptor = ExecutableDescriptor {
+            executable: FileItem {
+                name: name.into(),
+                access: AccessMethod::Local,
+                value: name.into(),
+            },
+            inputs: vec![InputSlot {
+                name: "in".into(),
+                option: "-i".into(),
+                access: Some(AccessMethod::Gfn),
+                bytes: None,
+            }],
+            outputs: vec![OutputSlot {
+                name: "out".into(),
+                option: "-o".into(),
+                access: AccessMethod::Gfn,
+            }],
+            sandboxes: vec![],
+            nondeterministic: false,
+        };
+        ServiceBinding::descriptor(descriptor, ServiceProfile::new(10.0))
+    };
+    let mut wf = Workflow::new("shims");
+    let s = wf.add_source("s");
+    let a = wf.add_service("A", &["in"], &["out"], stage("A"));
+    let b = wf.add_service("B", &["in"], &["out"], stage("B"));
+    let sink = wf.add_sink("sink");
+    wf.connect(s, "out", a, "in").unwrap();
+    wf.connect(a, "out", b, "in").unwrap();
+    wf.connect(b, "out", sink, "in").unwrap();
+    let files = (0..n).map(|j| DataValue::File {
+        gfn: format!("gfn://in/{j}"),
+        bytes: 100,
+    });
+    (wf, InputData::new().set("s", files.collect()))
+}
+
+/// One way into the enactor, given everything any of them takes.
+type WayIn<'a> =
+    &'a dyn Fn(&mut FatedBackend, Obs, &mut DataStore) -> Result<WorkflowResult, MoteurError>;
+
+/// What the test compares of one pass: makespan, `jobs_submitted` and
+/// the sink tallies.
+type Headline = (SimDuration, usize, Vec<(String, usize)>);
+
+/// Enact twice over one store — cold, then warm — on a backend that
+/// fails every fourth submission. Returns the JSONL event stream of
+/// both passes and each pass's headline.
+fn cold_then_warm(enact: WayIn) -> (String, Vec<Headline>) {
+    let mut store = DataStore::in_memory(StoreConfig::default());
+    let mut stream = String::new();
+    let mut results = Vec::new();
+    for _pass in 0..2 {
+        let mut submissions = 0;
+        let mut backend = FatedBackend::new(Box::new(move |_| {
+            submissions += 1;
+            (10.0, submissions % 4 == 0)
+        }));
+        let (sink, buffer) = RingBufferSink::new(100_000);
+        let result = enact(&mut backend, Obs::new(vec![Box::new(sink)]), &mut store).unwrap();
+        stream.extend(buffer.snapshot().iter().map(|e| e.to_json() + "\n"));
+        let mut sinks: Vec<_> = result.sink_counts.into_iter().collect();
+        sinks.sort();
+        results.push((result.makespan, result.jobs_submitted, sinks));
+    }
+    (stream, results)
+}
+
+#[test]
+fn each_compat_shim_enacts_exactly_like_the_enactment_it_forwards_to() {
+    let (wf, inputs) = descriptor_chain(9);
+    let config = EnactorConfig::sp_dp().with_seed(3);
+    // Unlike the default, no retry and no abort: a shim that dropped
+    // `ft` would retry where the enactment quarantines.
+    let ft = FtConfig::from_legacy(0).with_continue_on_error(true);
+    let table: [(&str, WayIn, WayIn); 3] = [
+        (
+            "run_observed",
+            &|b, obs, _| compat::run_observed(&wf, &inputs, config, b, obs),
+            &|b, obs, _| Enactment::new(&wf, &inputs, config).obs(obs).run(b),
+        ),
+        (
+            "run_fault_tolerant",
+            &|b, obs, _| compat::run_fault_tolerant(&wf, &inputs, config, &ft, b, obs),
+            &|b, obs, _| Enactment::new(&wf, &inputs, config).ft(&ft).obs(obs).run(b),
+        ),
+        (
+            "run_fault_tolerant_cached",
+            &|b, obs, s| compat::run_fault_tolerant_cached(&wf, &inputs, config, &ft, b, obs, s),
+            &|b, obs, s| {
+                let enactment = Enactment::new(&wf, &inputs, config).ft(&ft).obs(obs);
+                enactment.store(Some(s)).run(b)
+            },
+        ),
+    ];
+    let mut streams = Vec::new();
+    for (name, shim, enactment) in table {
+        let forwarded = cold_then_warm(shim);
+        assert_eq!(forwarded, cold_then_warm(enactment), "{name}");
+        streams.push(forwarded.0);
+    }
+    // The three rows are three different enactments: what each shim
+    // forwards (the observer, `ft`, the store) changed the stream.
+    assert!(streams[0].contains("job_resubmitted") && !streams[0].contains("job_failed"));
+    assert!(streams[1].contains("job_failed") && !streams[1].contains("cache_hit"));
+    assert!(streams[2].contains("job_failed") && streams[2].contains("cache_hit"));
 }

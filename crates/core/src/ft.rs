@@ -224,7 +224,7 @@ impl FtConfig {
 
 impl Default for FtConfig {
     fn default() -> Self {
-        FtConfig::from_legacy(crate::config::EnactorConfig::default().max_job_retries)
+        FtConfig::from_legacy(5)
     }
 }
 

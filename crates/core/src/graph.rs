@@ -402,18 +402,24 @@ impl Workflow {
         ids
     }
 
+    /// Which processors sit on a data-link cycle: the members of a
+    /// non-trivial SCC, and processors with a self-link.
+    pub fn cycle_members(&self) -> Vec<bool> {
+        let mut on_cycle = vec![false; self.processors.len()];
+        for component in self.sccs().iter().filter(|c| c.len() > 1) {
+            for p in component {
+                on_cycle[p.0] = true;
+            }
+        }
+        for l in self.links.iter().filter(|l| l.from.proc == l.to.proc) {
+            on_cycle[l.from.proc.0] = true;
+        }
+        on_cycle
+    }
+
     /// Does the graph contain a data-link cycle?
     pub fn has_cycle(&self) -> bool {
-        let n = self.processors.len();
-        if self.sccs().iter().any(|c| c.len() > 1) {
-            return true;
-        }
-        // Self loops.
-        (0..n).any(|v| {
-            self.links
-                .iter()
-                .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
-        })
+        self.cycle_members().contains(&true)
     }
 
     /// Number of *services* on the longest source→sink path (`n_W` of

@@ -57,20 +57,7 @@ fn is_groupable_service(wf: &Workflow, id: ProcId, in_cycle: &[bool]) -> bool {
 }
 
 fn find_groupable_pair(wf: &Workflow) -> Option<(ProcId, ProcId)> {
-    let scc_ids = wf.scc_ids();
-    let mut sizes = std::collections::HashMap::new();
-    for &id in &scc_ids {
-        *sizes.entry(id).or_insert(0usize) += 1;
-    }
-    let in_cycle: Vec<bool> = (0..wf.processors.len())
-        .map(|v| {
-            sizes[&scc_ids[v]] > 1
-                || wf
-                    .links
-                    .iter()
-                    .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
-        })
-        .collect();
+    let in_cycle = wf.cycle_members();
     for p in (0..wf.processors.len()).map(ProcId) {
         if !is_groupable_service(wf, p, &in_cycle) {
             continue;

@@ -51,7 +51,9 @@
 //!
 //! let inputs = InputData::new().set("source", vec!["D0".into(), "D1".into(), "D2".into()]);
 //! let mut backend = VirtualBackend::new();
-//! let result = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+//! let result = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+//!     .run(&mut backend)
+//!     .unwrap();
 //! assert_eq!(result.sink("results").len(), 6, "3 data × 2 branches");
 //! ```
 
@@ -90,10 +92,9 @@ pub use daemon::{
     TenantMetrics,
 };
 pub use dot::to_dot;
-pub use enactor::{
-    run, run_cached, run_fault_tolerant, run_fault_tolerant_cached, run_observed, EnactCtx,
-    InputData, WorkflowInstance,
-};
+#[doc(hidden)]
+pub use enactor::compat::{run_fault_tolerant, run_fault_tolerant_cached, run_observed};
+pub use enactor::{EnactCtx, Enactment, InputData, WorkflowInstance};
 pub use error::MoteurError;
 pub use ft::{
     FtConfig, FtPolicy, QuarantineEntry, RetryPolicy, TimeoutAction, TimeoutPolicy, WorkflowReport,
@@ -144,9 +145,7 @@ pub use value::DataValue;
 pub mod prelude {
     pub use crate::backend::{Backend, LocalBackend, SimBackend, VirtualBackend};
     pub use crate::config::EnactorConfig;
-    pub use crate::enactor::{
-        run, run_cached, run_fault_tolerant, run_fault_tolerant_cached, run_observed, InputData,
-    };
+    pub use crate::enactor::{Enactment, InputData};
     pub use crate::error::MoteurError;
     pub use crate::ft::{
         FtConfig, FtPolicy, RetryPolicy, TimeoutAction, TimeoutPolicy, WorkflowReport,

@@ -9,11 +9,10 @@
 use crate::graph::{IterationStrategy, ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
 use crate::service::ServiceBinding;
-use std::collections::HashMap;
 
 /// Run the §3.6 job-grouping rules (M030–M031).
 pub fn check(wf: &Workflow, report: &mut LintReport) {
-    let in_cycle = cycle_members(wf);
+    let in_cycle = wf.cycle_members();
     for (i, p) in wf.processors.iter().enumerate() {
         let p_id = ProcId(i);
         if p.kind != ProcessorKind::Service {
@@ -126,23 +125,4 @@ fn blocking_reason(wf: &Workflow, p_id: ProcId, q_id: ProcId, in_cycle: &[bool])
         }
     }
     None
-}
-
-/// Which processors sit on a data-link cycle (same membership test the
-/// grouping transform uses).
-fn cycle_members(wf: &Workflow) -> Vec<bool> {
-    let scc_ids = wf.scc_ids();
-    let mut sizes: HashMap<usize, usize> = HashMap::new();
-    for &id in &scc_ids {
-        *sizes.entry(id).or_insert(0) += 1;
-    }
-    (0..wf.processors.len())
-        .map(|v| {
-            sizes[&scc_ids[v]] > 1
-                || wf
-                    .links
-                    .iter()
-                    .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
-        })
-        .collect()
 }

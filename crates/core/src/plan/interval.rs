@@ -170,18 +170,7 @@ impl SourceSizes {
 /// - a sink passes its input port stream through.
 pub fn output_intervals(wf: &Workflow, sizes: &SourceSizes) -> Vec<CardInterval> {
     let n = wf.processors.len();
-    let scc_ids = wf.scc_ids();
-    let mut scc_size: BTreeMap<usize, usize> = BTreeMap::new();
-    for &c in &scc_ids {
-        *scc_size.entry(c).or_insert(0) += 1;
-    }
-    let in_cycle = |v: usize| {
-        scc_size[&scc_ids[v]] > 1
-            || wf
-                .links
-                .iter()
-                .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
-    };
+    let in_cycle = wf.cycle_members();
 
     let mut out: Vec<Option<CardInterval>> = vec![None; n];
     // Fixpoint iteration; cycles resolve immediately, so the acyclic
@@ -193,7 +182,7 @@ pub fn output_intervals(wf: &Workflow, sizes: &SourceSizes) -> Vec<CardInterval>
                 continue;
             }
             let p = &wf.processors[v];
-            let interval = if in_cycle(v) {
+            let interval = if in_cycle[v] {
                 Some(CardInterval::unbounded())
             } else if p.kind == ProcessorKind::Source {
                 Some(CardInterval::exact(sizes.of(&p.name)))

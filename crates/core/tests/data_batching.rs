@@ -82,9 +82,13 @@ fn batching_reduces_job_count_and_preserves_results() {
     let wf = single_service_workflow(10.0);
     let data = inputs(12);
     let mut b1 = SimBackend::new(overhead_grid(), 1);
-    let plain = run(&wf, &data, EnactorConfig::sp_dp(), &mut b1).unwrap();
+    let plain = Enactment::new(&wf, &data, EnactorConfig::sp_dp())
+        .run(&mut b1)
+        .unwrap();
     let mut b2 = SimBackend::new(overhead_grid(), 1);
-    let batched = run(&wf, &data, EnactorConfig::sp_dp().with_batching(4), &mut b2).unwrap();
+    let batched = Enactment::new(&wf, &data, EnactorConfig::sp_dp().with_batching(4))
+        .run(&mut b2)
+        .unwrap();
     assert_eq!(plain.jobs_submitted, 12);
     assert_eq!(batched.jobs_submitted, 3, "12 data / batch 4");
     assert_eq!(plain.sink("sink").len(), batched.sink("sink").len());
@@ -108,15 +112,11 @@ fn batching_trades_overhead_against_parallelism() {
     let data = inputs(12);
     let time_at = |g: usize| -> f64 {
         let mut backend = SimBackend::new(overhead_grid(), 1);
-        run(
-            &wf,
-            &data,
-            EnactorConfig::sp_dp().with_batching(g),
-            &mut backend,
-        )
-        .unwrap()
-        .makespan
-        .as_secs_f64()
+        Enactment::new(&wf, &data, EnactorConfig::sp_dp().with_batching(g))
+            .run(&mut backend)
+            .unwrap()
+            .makespan
+            .as_secs_f64()
     };
     assert!((time_at(1) - 110.0).abs() < 1e-6, "{}", time_at(1));
     assert!((time_at(3) - 130.0).abs() < 1e-6, "{}", time_at(3));
@@ -131,15 +131,11 @@ fn batching_wins_when_the_sequential_baseline_pays_overhead_per_job() {
     let data = inputs(12);
     let time_at = |g: usize| -> f64 {
         let mut backend = SimBackend::new(overhead_grid(), 1);
-        run(
-            &wf,
-            &data,
-            EnactorConfig::nop().with_batching(g),
-            &mut backend,
-        )
-        .unwrap()
-        .makespan
-        .as_secs_f64()
+        Enactment::new(&wf, &data, EnactorConfig::nop().with_batching(g))
+            .run(&mut backend)
+            .unwrap()
+            .makespan
+            .as_secs_f64()
     };
     // g=1: 12 × 110 = 1320. g=4: 3 × 140 = 420. g=12: 220.
     assert!((time_at(1) - 1320.0).abs() < 1e-6);
@@ -155,13 +151,9 @@ fn batched_jobs_failures_retry_the_whole_batch() {
     let wf = single_service_workflow(5.0);
     let data = inputs(9);
     let mut backend = SimBackend::new(grid, 3);
-    let result = run(
-        &wf,
-        &data,
-        EnactorConfig::sp_dp().with_batching(3),
-        &mut backend,
-    )
-    .unwrap();
+    let result = Enactment::new(&wf, &data, EnactorConfig::sp_dp().with_batching(3))
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(
         result.sink("sink").len(),
         9,
@@ -189,13 +181,9 @@ fn local_services_are_never_batched() {
     wf.connect(svc, "out", sink, "in").unwrap();
     let data = InputData::new().set("data", (0..6).map(|i| DataValue::from(i as f64)).collect());
     let mut backend = VirtualBackend::new();
-    let r = run(
-        &wf,
-        &data,
-        EnactorConfig::sp_dp().with_batching(3),
-        &mut backend,
-    )
-    .unwrap();
+    let r = Enactment::new(&wf, &data, EnactorConfig::sp_dp().with_batching(3))
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(
         r.jobs_submitted, 6,
         "each local call remains its own invocation"
@@ -243,7 +231,87 @@ fn batching_composes_with_job_grouping() {
     let data = inputs(8);
     let mut backend = SimBackend::new(overhead_grid(), 1);
     let cfg = EnactorConfig::sp_dp_jg().with_batching(2);
-    let r = run(&wf, &data, cfg, &mut backend).unwrap();
+    let r = Enactment::new(&wf, &data, cfg).run(&mut backend).unwrap();
     assert_eq!(r.jobs_submitted, 4, "8 data / (2 per batch), A+B fused");
     assert_eq!(r.sink("sink").len(), 8);
+}
+
+/// A→B chain of descriptor-bound services, so a replayed output of A
+/// is B's memoizable input.
+fn two_stage_workflow() -> Workflow {
+    let mut wf = Workflow::new("batch-store");
+    let src = wf.add_source("data");
+    let stage =
+        |name: &str| ServiceBinding::descriptor(descriptor(name), ServiceProfile::new(10.0));
+    let a = wf.add_service("A", &["in"], &["out"], stage("A"));
+    let b = wf.add_service("B", &["in"], &["out"], stage("B"));
+    let sink = wf.add_sink("sink");
+    wf.connect(src, "out", a, "in").unwrap();
+    wf.connect(a, "out", b, "in").unwrap();
+    wf.connect(b, "out", sink, "in").unwrap();
+    wf
+}
+
+fn run_with_store(data: &InputData, batch: usize, store: &mut DataStore) -> WorkflowResult {
+    let mut backend = SimBackend::new(overhead_grid(), 1);
+    Enactment::new(
+        &two_stage_workflow(),
+        data,
+        EnactorConfig::sp_dp().with_batching(batch),
+    )
+    .store(Some(store))
+    .run(&mut backend)
+    .unwrap()
+}
+
+#[test]
+fn batched_and_unbatched_runs_agree_against_a_half_warm_store() {
+    // Warm over the first 5 of 10 items: with 3 per batch the second
+    // batch of A is two hits and a miss.
+    let half_warm = || {
+        let mut store = DataStore::in_memory(StoreConfig::default());
+        run_with_store(&inputs(5), 1, &mut store);
+        store
+    };
+    let data = inputs(10);
+    let plain = run_with_store(&data, 1, &mut half_warm());
+    let batched = run_with_store(&data, 3, &mut half_warm());
+    assert_eq!(plain.jobs_submitted, 10, "5 misses × 2 stages");
+    assert_eq!(
+        batched.jobs_submitted, 6,
+        "the misses travel as {{5}}, {{6,7,8}}, {{9}} through each stage"
+    );
+    let by_index = |r: &WorkflowResult| {
+        let mut tokens = r.sink("sink").to_vec();
+        tokens.sort_by(|a, b| a.index.cmp(&b.index));
+        tokens
+    };
+    let (plain, batched) = (by_index(&plain), by_index(&batched));
+    assert_eq!(plain.len(), 10);
+    // The warm half is replayed from the store: the very same tokens.
+    assert_eq!(plain[..5], batched[..5]);
+    // A computed output's file name carries the id of the job that
+    // wrote it, which batching renumbers; everything else is equal.
+    let shape = |t: &Token| {
+        (
+            t.index.clone(),
+            t.history.clone(),
+            t.value.as_file().map(|f| f.1),
+        )
+    };
+    assert_eq!(
+        plain.iter().map(shape).collect::<Vec<_>>(),
+        batched.iter().map(shape).collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn a_fully_warm_batched_rerun_submits_no_grid_job() {
+    let mut store = DataStore::in_memory(StoreConfig::default());
+    let data = inputs(10);
+    let cold = run_with_store(&data, 3, &mut store);
+    assert_eq!(cold.jobs_submitted, 8, "⌈10/3⌉ batches × 2 stages");
+    let warm = run_with_store(&data, 3, &mut store);
+    assert_eq!(warm.jobs_submitted, 0, "every batch member is replayed");
+    assert_eq!(warm.sink("sink").len(), 10);
 }

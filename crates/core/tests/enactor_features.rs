@@ -74,7 +74,9 @@ fn dot_product_workflow_produces_min_n_m_results() {
         .set("A", file_inputs(5, "a"))
         .set("B", file_inputs(3, "b"));
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), 3, "dot: min(5, 3)");
     assert_eq!(r.jobs_submitted, 3);
 }
@@ -100,7 +102,9 @@ fn cross_product_workflow_produces_n_times_m_results() {
         .set("A", file_inputs(4, "a"))
         .set("B", file_inputs(3, "b"));
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), 12, "cross: 4 × 3");
     // All index pairs distinct and two-dimensional.
     let mut seen = std::collections::HashSet::new();
@@ -157,7 +161,9 @@ fn dot_pairing_is_correct_when_branches_complete_out_of_order() {
 
     let inputs = InputData::new().set("imgs", file_inputs(nd as usize, "img"));
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), nd as usize);
     for t in r.sink("sink") {
         // The history tree must show both inputs deriving from the
@@ -205,7 +211,9 @@ fn synchronization_processor_fires_once_with_whole_streams() {
 
     let inputs = InputData::new().set("nums", vec![1.0.into(), 2.0.into(), 3.0.into(), 4.0.into()]);
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     let out = r.sink("sink");
     assert_eq!(out.len(), 1, "a barrier produces a single result");
     assert_eq!(out[0].value.as_num(), Some(5.0), "mean of 2,4,6,8");
@@ -246,7 +254,9 @@ fn descriptor_bound_barrier_runs_on_grid_backend() {
 
     let inputs = InputData::new().set("imgs", file_inputs(5, "img"));
     let mut backend = SimBackend::new(GridConfig::ideal(), 1);
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), 1);
     assert_eq!(r.jobs_submitted, 6, "5 registrations + 1 barrier job");
     // Ideal grid: barrier starts at 30s (after all registers), ends 40s.
@@ -306,7 +316,9 @@ fn fig2_loop_iterates_until_runtime_convergence() {
     // Data 0 starts at 0 (needs 5 iterations), data 1 at 3 (needs 2).
     let inputs = InputData::new().set("source", vec![0.0.into(), 3.0.into()]);
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     let mut results: Vec<f64> = r
         .sink("sink")
         .iter()
@@ -338,7 +350,9 @@ fn control_link_orders_independent_services() {
 
     let inputs = InputData::new().set("s", file_inputs(3, "d"));
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     let a_done = r
         .invocations_of("A")
         .iter()
@@ -407,9 +421,13 @@ fn grouping_halves_submissions_and_cuts_overhead() {
     let inputs = InputData::new().set("imgs", file_inputs(4, "img"));
 
     let mut b1 = SimBackend::new(quiet_grid(), 7);
-    let plain = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut b1).unwrap();
+    let plain = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut b1)
+        .unwrap();
     let mut b2 = SimBackend::new(quiet_grid(), 7);
-    let grouped = run(&wf, &inputs, EnactorConfig::sp_dp_jg(), &mut b2).unwrap();
+    let grouped = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp_jg())
+        .run(&mut b2)
+        .unwrap();
 
     assert_eq!(plain.jobs_submitted, 8, "2 jobs × 4 data");
     assert_eq!(grouped.jobs_submitted, 4, "1 grouped job × 4 data");
@@ -431,7 +449,9 @@ fn grouping_preserves_results_and_provenance_shape() {
     let wf = two_stage_workflow();
     let inputs = InputData::new().set("imgs", file_inputs(3, "img"));
     let mut backend = VirtualBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp_jg(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp_jg())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), 3);
     for t in r.sink("sink") {
         // Each result is a file produced by the merged processor.
@@ -456,7 +476,9 @@ fn enactor_resubmits_terminally_failed_grid_jobs() {
     let wf = two_stage_workflow();
     let inputs = InputData::new().set("imgs", file_inputs(6, "img"));
     let mut backend = SimBackend::new(cfg, 11);
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink("sink").len(), 6, "all results eventually delivered");
     let retried: u32 = r.invocations.iter().map(|i| i.retries).sum();
     assert!(
@@ -476,7 +498,9 @@ fn local_service_errors_abort_the_workflow() {
     wf.connect(p, "out", sink, "in").unwrap();
     let inputs = InputData::new().set("s", vec![1.0.into()]);
     let mut backend = VirtualBackend::new();
-    let err = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap_err();
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap_err();
     assert!(err.to_string().contains("broken"), "{err}");
 }
 
@@ -484,7 +508,9 @@ fn local_service_errors_abort_the_workflow() {
 fn missing_source_data_is_reported() {
     let wf = two_stage_workflow();
     let mut backend = VirtualBackend::new();
-    let err = run(&wf, &InputData::new(), EnactorConfig::sp_dp(), &mut backend).unwrap_err();
+    let err = Enactment::new(&wf, &InputData::new(), EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap_err();
     assert!(
         err.to_string().contains("no input data for source"),
         "{err}"
@@ -516,7 +542,9 @@ fn local_backend_runs_a_real_pipeline_on_threads() {
 
     let inputs = InputData::new().set("nums", (0..20).map(|i| DataValue::from(i as f64)).collect());
     let mut backend = LocalBackend::new();
-    let r = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .unwrap();
     let mut got: Vec<f64> = r
         .sink("sink")
         .iter()

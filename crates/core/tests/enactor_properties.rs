@@ -110,7 +110,11 @@ fn results_are_independent_of_configuration() {
                 let data = inputs(n_data);
                 let reference = {
                     let mut backend = VirtualBackend::new();
-                    fingerprint(&run(&wf, &data, EnactorConfig::nop(), &mut backend).unwrap())
+                    fingerprint(
+                        &Enactment::new(&wf, &data, EnactorConfig::nop())
+                            .run(&mut backend)
+                            .unwrap(),
+                    )
                 };
                 for config in [
                     EnactorConfig::dp(),
@@ -120,7 +124,9 @@ fn results_are_independent_of_configuration() {
                     EnactorConfig::sp_dp().with_batching(3),
                 ] {
                     let mut backend = VirtualBackend::new();
-                    let r = run(&wf, &data, config, &mut backend).unwrap();
+                    let r = Enactment::new(&wf, &data, config)
+                        .run(&mut backend)
+                        .unwrap();
                     assert_eq!(
                         fingerprint(&r).len(),
                         reference.len(),
@@ -149,7 +155,9 @@ fn invocation_records_are_well_formed() {
             for n_data in 1usize..5 {
                 let wf = layered_workflow(width, depth);
                 let mut backend = VirtualBackend::new();
-                let r = run(&wf, &inputs(n_data), EnactorConfig::sp_dp(), &mut backend).unwrap();
+                let r = Enactment::new(&wf, &inputs(n_data), EnactorConfig::sp_dp())
+                    .run(&mut backend)
+                    .unwrap();
                 assert_eq!(r.invocations.len(), (width * depth + 1) * n_data);
                 let mut last = 0.0f64;
                 for rec in &r.invocations {
@@ -172,15 +180,13 @@ fn batching_preserves_cardinality() {
             let wf = layered_workflow(1, 2);
             let data = inputs(n_data);
             let mut b1 = VirtualBackend::new();
-            let plain = run(&wf, &data, EnactorConfig::sp_dp(), &mut b1).unwrap();
+            let plain = Enactment::new(&wf, &data, EnactorConfig::sp_dp())
+                .run(&mut b1)
+                .unwrap();
             let mut b2 = VirtualBackend::new();
-            let batched = run(
-                &wf,
-                &data,
-                EnactorConfig::sp_dp().with_batching(batch),
-                &mut b2,
-            )
-            .unwrap();
+            let batched = Enactment::new(&wf, &data, EnactorConfig::sp_dp().with_batching(batch))
+                .run(&mut b2)
+                .unwrap();
             assert_eq!(plain.sink("sink").len(), batched.sink("sink").len());
             assert!(batched.jobs_submitted <= plain.jobs_submitted);
         }

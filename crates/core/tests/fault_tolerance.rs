@@ -5,9 +5,7 @@
 //! obligation to cancel — not abandon — in-flight invocations.
 
 use moteur::prelude::*;
-use moteur::{
-    run_fault_tolerant, run_fault_tolerant_cached, EventBuffer, QuarantineEntry, RingBufferSink,
-};
+use moteur::{EventBuffer, QuarantineEntry, RingBufferSink};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -92,15 +90,10 @@ fn continue_on_error_quarantines_the_item_and_keeps_the_rest_flowing() {
     let (wf, inputs) = poisoned_workflow();
     let ft = FtConfig::from_legacy(0).with_continue_on_error(true);
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("degrades instead of aborting");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("degrades instead of aborting");
     assert!(!r.ok());
     assert_eq!(r.sink("sink").len(), 3, "a, b, c made it through");
     assert_eq!(r.quarantined.len(), 1);
@@ -124,15 +117,10 @@ fn without_continue_on_error_the_same_failure_aborts() {
     let (wf, inputs) = poisoned_workflow();
     let ft = FtConfig::from_legacy(0);
     let mut backend = VirtualBackend::new();
-    let err = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .unwrap_err();
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .unwrap_err();
     assert!(err.to_string().contains("poisoned input"), "{err}");
 }
 
@@ -162,15 +150,10 @@ fn local_failures_respect_the_retry_policy() {
     let inputs = InputData::new().set("s", vec![1.0.into()]);
     let ft = FtConfig::from_legacy(2);
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("third attempt succeeds");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("third attempt succeeds");
     assert_eq!(calls.load(Ordering::SeqCst), 3, "initial + 2 retries");
     assert_eq!(r.sink("sink").len(), 1);
     assert_eq!(r.invocations[0].retries, 2);
@@ -205,15 +188,10 @@ fn exponential_backoff_spaces_resubmissions_in_virtual_time() {
         on_timeout: TimeoutAction::Resubmit,
     });
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("third attempt succeeds");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("third attempt succeeds");
     // Local calls cost no virtual time, so the makespan is exactly the
     // two backoff waits: 10 s + 20 s.
     let makespan = r.makespan.as_secs_f64();
@@ -249,15 +227,10 @@ fn enactor_retries_compose_with_grid_middleware_retries() {
     let inputs = InputData::new().set("s", file_inputs(1, "in"));
     let ft = FtConfig::from_legacy(2); // E
     let mut backend = SimBackend::new(cfg, 7);
-    let err = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .unwrap_err();
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .unwrap_err();
     assert!(err.to_string().contains("failed"), "{err}");
     let records = backend.sim().records();
     assert_eq!(records.len(), 3, "E+1 enactor submissions");
@@ -302,7 +275,10 @@ fn replication_races_a_slow_job_and_first_completion_wins() {
     });
     let (obs, buffer) = capture();
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .run(&mut backend)
         .expect("the original attempt wins the race");
     assert!(r.ok());
     assert_eq!(r.sink("sink").len(), 1);
@@ -339,7 +315,10 @@ fn critical_path_ignores_cancelled_and_replicated_attempts() {
     });
     let (obs, buffer) = capture();
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .run(&mut backend)
         .expect("the original attempt wins the race");
     // Item 0 runs 0→100 and times out at 30; its replica (30→130)
     // loses and is cancelled when the original completes at t=100.
@@ -388,7 +367,10 @@ fn timeout_resubmission_exhausts_the_retry_budget_then_fails() {
     });
     let (obs, buffer) = capture();
     let mut backend = VirtualBackend::new();
-    let err = run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .run(&mut backend)
         .unwrap_err();
     assert!(err.to_string().contains("timed out"), "{err}");
     let events = buffer.snapshot();
@@ -428,15 +410,10 @@ fn adaptive_timeout_learns_from_completions_and_catches_the_outlier() {
         })
         .with_continue_on_error(true);
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("degrades gracefully");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("degrades gracefully");
     assert_eq!(r.sink("sink").len(), 7, "the fast jobs all delivered");
     assert_eq!(r.quarantined.len(), 1, "the outlier was quarantined");
     assert!(
@@ -475,7 +452,10 @@ fn repeated_failures_blacklist_the_computing_element() {
         .with_continue_on_error(true);
     let (obs, buffer) = capture();
     let mut backend = SimBackend::new(cfg, 3);
-    let r = run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .run(&mut backend)
         .expect("degrades gracefully");
     assert!(!r.ok(), "with p=1 the item is eventually quarantined");
     let events = buffer.snapshot();
@@ -513,7 +493,10 @@ fn abort_cancels_pending_invocations_instead_of_abandoning_them() {
     let ft = FtConfig::from_legacy(0);
     let (obs, buffer) = capture();
     let mut backend = VirtualBackend::new();
-    let err = run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .run(&mut backend)
         .unwrap_err();
     assert!(err.to_string().contains("broken"), "{err}");
     let events = buffer.snapshot();
@@ -554,16 +537,11 @@ fn quarantined_invocations_are_never_memoized() {
         .with_continue_on_error(true);
     let mut store = DataStore::in_memory(StoreConfig::default());
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant_cached(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-        &mut store,
-    )
-    .expect("degrades gracefully");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .store(Some(&mut store))
+        .run(&mut backend)
+        .expect("degrades gracefully");
     assert_eq!(r.quarantined.len(), 1);
     assert_eq!(
         store.stats().invocations,
@@ -574,16 +552,12 @@ fn quarantined_invocations_are_never_memoized() {
     // and re-attempts (and re-quarantines) the poisoned one.
     let (obs, buffer) = capture();
     let mut backend2 = VirtualBackend::new();
-    let r2 = run_fault_tolerant_cached(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend2,
-        obs,
-        &mut store,
-    )
-    .expect("still degrades gracefully");
+    let r2 = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .obs(obs)
+        .store(Some(&mut store))
+        .run(&mut backend2)
+        .expect("still degrades gracefully");
     assert_eq!(r2.quarantined.len(), 1, "the poison is not cached away");
     let hits = buffer
         .snapshot()
@@ -642,15 +616,10 @@ fn local_backend_discards_late_completion_after_timeout_resubmit() {
         },
     );
     let mut backend = LocalBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp(),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("late completion is discarded, not fatal");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("late completion is discarded, not fatal");
     assert_eq!(r.sink("sink").len(), 1, "exactly one result delivered");
     assert_eq!(
         r.invocations

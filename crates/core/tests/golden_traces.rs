@@ -7,6 +7,7 @@
 //! convention as `tests/golden/chrome_trace.json`).
 
 use moteur::daemon::protocol;
+use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::store::key::Fnv1a;
 use moteur::{Daemon, DaemonConfig, RingBufferSink};
@@ -64,14 +65,10 @@ fn bronze_inputs(n_pairs: usize) -> InputData {
 fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> String {
     jsonl(|obs| {
         let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), config.seed, &obs);
-        run_observed(
-            &bronze(),
-            &bronze_inputs(n_pairs),
-            config,
-            &mut backend,
-            obs,
-        )
-        .expect("bronze completes");
+        Enactment::new(&bronze(), &bronze_inputs(n_pairs), config)
+            .obs(obs)
+            .run(&mut backend)
+            .expect("bronze completes");
     })
 }
 
@@ -106,7 +103,10 @@ fn chain(capacity: Option<usize>) -> String {
     }
     let stream = jsonl(|obs| {
         let mut backend = VirtualBackend::new();
-        run_observed(&wf, &inputs, config, &mut backend, obs).expect("chain completes");
+        Enactment::new(&wf, &inputs, config)
+            .obs(obs)
+            .run(&mut backend)
+            .expect("chain completes");
     });
     assert_eq!(
         stream.contains("port_suspended") && stream.contains("port_resumed"),
@@ -183,7 +183,10 @@ fn adaptive_timeout_with_replication() -> String {
     });
     let stream = jsonl(|obs| {
         let mut backend = VirtualBackend::new();
-        run_fault_tolerant(&wf, &inputs, EnactorConfig::sp_dp(), &ft, &mut backend, obs)
+        Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+            .ft(&ft)
+            .obs(obs)
+            .run(&mut backend)
             .expect("the outlier eventually completes");
     });
     for kind in ["job_timed_out", "job_replicated", "job_cancelled"] {
@@ -192,29 +195,138 @@ fn adaptive_timeout_with_replication() -> String {
     stream
 }
 
-/// `run_cached` cold then warm over one in-memory store: the second
-/// stream is all cache hits.
+/// A store-backed enactment, cold then warm over one in-memory store:
+/// the second stream is all cache hits.
 fn cached_cold_then_warm() -> String {
     let mut store = DataStore::in_memory(StoreConfig::default());
     let config = EnactorConfig::sp_dp_jg().with_seed(5);
     let pass = |store: &mut DataStore| {
         jsonl(|obs| {
             let mut backend = SimBackend::with_obs(GridConfig::ideal(), 5, &obs);
-            run_cached(
-                &bronze(),
-                &bronze_inputs(6),
-                config,
-                &mut backend,
-                obs,
-                store,
-            )
-            .expect("cached bronze completes");
+            Enactment::new(&bronze(), &bronze_inputs(6), config)
+                .obs(obs)
+                .store(Some(store))
+                .run(&mut backend)
+                .expect("cached bronze completes");
         })
     };
     let cold = pass(&mut store);
     let warm = pass(&mut store);
     assert!(warm.contains("cache_hit"), "the warm pass replays");
     cold + &warm
+}
+
+/// The five-service critical path of the Bronze Standard (crestLines →
+/// … → MultiTransfoTest), every stage descriptor-bound.
+fn bronze_chain() -> Workflow {
+    let mut wf = Workflow::new("bronze-chain");
+    let mut prev = wf.add_source("images");
+    for (name, compute) in [
+        ("crestLines", 90.0),
+        ("crestMatch", 35.0),
+        ("PFMatchICP", 60.0),
+        ("PFRegister", 25.0),
+        ("MultiTransfoTest", 120.0),
+    ] {
+        let profile = ServiceProfile::new(compute).with_output_bytes("out", 2048);
+        let stage = wf.add_service(
+            name,
+            &["in"],
+            &["out"],
+            ServiceBinding::descriptor(descriptor(name), profile),
+        );
+        wf.connect(prev, "out", stage, "in").unwrap();
+        prev = stage;
+    }
+    let sink = wf.add_sink("accuracy");
+    wf.connect(prev, "out", sink, "in").unwrap();
+    wf
+}
+
+fn chain_images(n: usize) -> InputData {
+    InputData::new().set(
+        "images",
+        (0..n)
+            .map(|j| DataValue::File {
+                gfn: format!("gfn://lacassagne/pair{j:03}.hdr"),
+                bytes: IMAGE_BYTES,
+            })
+            .collect(),
+    )
+}
+
+/// The Bronze chain, three invocations per grid job, against a store a
+/// run over the first half of the images left behind: memoized members
+/// leave their batch and are replayed as individual fetches (the second
+/// batch of the first stage is two hits and a miss), the misses travel
+/// as one grid job.
+fn batched_half_warm_store() -> String {
+    let config = EnactorConfig::sp_dp().with_seed(9).with_batching(3);
+    let mut store = DataStore::in_memory(StoreConfig::default());
+    let mut pass = |n: usize| {
+        jsonl(|obs| {
+            let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), 9, &obs);
+            Enactment::new(&bronze_chain(), &chain_images(n), config)
+                .obs(obs)
+                .store(Some(&mut store))
+                .run(&mut backend)
+                .expect("batched chain completes");
+        })
+    };
+    pass(5);
+    let stream = pass(10);
+    for trace in ["cache_hit", "cache_miss", "\"batched\":3", "\"batched\":1"] {
+        assert!(stream.contains(trace), "scenario must exercise {trace}");
+    }
+    stream
+}
+
+/// The Bronze chain on a grid that fails a quarter of its jobs, under
+/// exponential backoff plus a fixed timeout that resubmits: failed
+/// attempts wait in the backoff queue and come back under their own
+/// tag, timed-out attempts are cancelled and relaunched under a fresh
+/// one.
+fn backoff_then_timeout_resubmit() -> String {
+    let mut grid = GridConfig::egee_2006();
+    grid.failure_probability = 0.25;
+    grid.max_retries = 0; // every failure reaches the enactor
+    let ft = FtConfig::from_legacy(0)
+        .with_default(FtPolicy {
+            retry: RetryPolicy::ExponentialBackoff {
+                max_retries: 4,
+                base_delay: 30.0,
+                factor: 2.0,
+                max_delay: 300.0,
+            },
+            timeout: TimeoutPolicy::Fixed { seconds: 900.0 },
+            on_timeout: TimeoutAction::Resubmit,
+        })
+        .with_continue_on_error(true);
+    let config = EnactorConfig::sp_dp().with_seed(13);
+    let stream = jsonl(|obs| {
+        let mut backend = SimBackend::with_obs(grid, 13, &obs);
+        Enactment::new(&bronze_chain(), &chain_images(12), config)
+            .ft(&ft)
+            .obs(obs)
+            .run(&mut backend)
+            .expect("degrades instead of aborting");
+    });
+    let resubmits: Vec<JsonValue> = stream
+        .lines()
+        .filter(|l| l.contains("\"job_resubmitted\""))
+        .map(|l| JsonValue::parse(l).expect("events are JSON"))
+        .collect();
+    let same_tag = |e: &JsonValue| e.u64_at("attempt") == e.u64_at("invocation");
+    assert!(
+        resubmits.iter().any(same_tag),
+        "a backoff deferral came due and reused its tag"
+    );
+    assert!(
+        !resubmits.iter().all(same_tag),
+        "a timeout relaunched under a fresh tag"
+    );
+    assert!(stream.contains("\"action\":\"resubmit\""));
+    stream
 }
 
 fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
@@ -306,6 +418,11 @@ fn trace_digests_match_the_committed_goldens() {
         ),
         digest_line("run_cached_cold_then_warm", &cached_cold_then_warm()),
         digest_line("daemon_wave_4_tenants", &daemon_wave()),
+        digest_line("batched_half_warm_store", &batched_half_warm_store()),
+        digest_line(
+            "backoff_then_timeout_resubmit",
+            &backoff_then_timeout_resubmit(),
+        ),
     ]
     .concat();
 

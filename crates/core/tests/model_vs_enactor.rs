@@ -70,7 +70,9 @@ fn inputs_for(t: &TimeMatrix) -> InputData {
 fn enact(t: &TimeMatrix, config: EnactorConfig) -> WorkflowResult {
     let wf = chain_workflow(t);
     let mut backend = VirtualBackend::new();
-    run(&wf, &inputs_for(t), config, &mut backend).expect("enactment succeeds")
+    Enactment::new(&wf, &inputs_for(t), config)
+        .run(&mut backend)
+        .expect("enactment succeeds")
 }
 
 fn assert_close(measured: f64, expected: f64, what: &str) {

@@ -5,9 +5,7 @@
 //! perturb the simulation.
 
 use moteur::prelude::*;
-use moteur::{
-    chrome_trace, critical_path, run_observed, EventBuffer, JsonlSink, MetricsSink, RingBufferSink,
-};
+use moteur::{chrome_trace, critical_path, EventBuffer, JsonlSink, MetricsSink, RingBufferSink};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::sync::{Arc, Mutex};
@@ -88,14 +86,10 @@ fn pipeline() -> (Workflow, InputData) {
 fn run_with_obs(obs: Obs, seed: u64) -> WorkflowResult {
     let (wf, inputs) = pipeline();
     let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), seed, &obs);
-    run_observed(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_seed(seed),
-        &mut backend,
-        obs,
-    )
-    .expect("pipeline completes")
+    Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_seed(seed))
+        .obs(obs)
+        .run(&mut backend)
+        .expect("pipeline completes")
 }
 
 fn captured(seed: u64) -> (Vec<TraceEvent>, WorkflowResult) {
@@ -241,13 +235,9 @@ fn jsonl_sink_writes_one_parsable_object_per_event() {
 fn observation_does_not_perturb_the_run() {
     let (wf, inputs) = pipeline();
     let mut blind_backend = SimBackend::new(GridConfig::egee_2006(), 13);
-    let blind = run(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_seed(13),
-        &mut blind_backend,
-    )
-    .expect("pipeline completes");
+    let blind = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_seed(13))
+        .run(&mut blind_backend)
+        .expect("pipeline completes");
     let (sink, _buffer) = RingBufferSink::new(100_000);
     let observed = run_with_obs(Obs::new(vec![Box::new(sink)]), 13);
     assert_eq!(
@@ -280,13 +270,9 @@ fn deterministic_result() -> WorkflowResult {
             .collect(),
     );
     let mut backend = SimBackend::new(GridConfig::ideal(), 1);
-    run(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_seed(1),
-        &mut backend,
-    )
-    .expect("golden workflow completes")
+    Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_seed(1))
+        .run(&mut backend)
+        .expect("golden workflow completes")
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! sharing, or token arrival order.
 
 use moteur::{
-    history_from_xml, history_to_xml, invocation_key, provenance_key, run_cached, DataStore,
-    DataValue, EnactorConfig, History, InputData, Obs, ServiceBinding, ServiceProfile, SimBackend,
+    history_from_xml, history_to_xml, invocation_key, provenance_key, DataStore, DataValue,
+    Enactment, EnactorConfig, History, InputData, ServiceBinding, ServiceProfile, SimBackend,
     StoreConfig, Workflow,
 };
 use moteur_gridsim::GridConfig;
@@ -165,7 +165,10 @@ fn memoization_is_invariant_under_completion_order() {
     // Cold on the stochastic grid: completions arrive out of order.
     let wf = build();
     let mut egee = SimBackend::new(GridConfig::egee_2006(), 11);
-    let cold = run_cached(&wf, &inputs(), config, &mut egee, Obs::off(), &mut store).unwrap();
+    let cold = Enactment::new(&wf, &inputs(), config)
+        .store(Some(&mut store))
+        .run(&mut egee)
+        .unwrap();
     assert_eq!(cold.jobs_submitted, 8);
     assert_eq!(store.stats().misses, 8);
 
@@ -173,10 +176,16 @@ fn memoization_is_invariant_under_completion_order() {
     // a different seed (a different out-of-order interleaving): both
     // must hit on every invocation.
     let mut ideal = SimBackend::new(GridConfig::ideal(), 11);
-    let warm = run_cached(&wf, &inputs(), config, &mut ideal, Obs::off(), &mut store).unwrap();
+    let warm = Enactment::new(&wf, &inputs(), config)
+        .store(Some(&mut store))
+        .run(&mut ideal)
+        .unwrap();
     assert_eq!(warm.jobs_submitted, 0, "ideal-grid warm run must all hit");
     let mut egee2 = SimBackend::new(GridConfig::egee_2006(), 999);
-    let warm2 = run_cached(&wf, &inputs(), config, &mut egee2, Obs::off(), &mut store).unwrap();
+    let warm2 = Enactment::new(&wf, &inputs(), config)
+        .store(Some(&mut store))
+        .run(&mut egee2)
+        .unwrap();
     assert_eq!(warm2.jobs_submitted, 0, "reordered warm run must all hit");
     assert_eq!(store.stats().hits, 16);
 }

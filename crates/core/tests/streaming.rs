@@ -5,7 +5,7 @@
 //! byte-identical when ports are unbounded.
 
 use moteur::prelude::*;
-use moteur::{run_fault_tolerant, EventBuffer, RingBufferSink};
+use moteur::{EventBuffer, RingBufferSink};
 
 fn capture() -> (Obs, EventBuffer) {
     let (sink, buffer) = RingBufferSink::new(100_000);
@@ -54,17 +54,15 @@ fn bounded_ports_deliver_the_same_results_as_eager_enactment() {
     let wf = chain();
     let inputs = nums(50);
     let mut eager_backend = VirtualBackend::new();
-    let eager = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut eager_backend).unwrap();
+    let eager = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut eager_backend)
+        .unwrap();
     let mut backend = VirtualBackend::new();
     // Capacity 64 > stream length: nothing is truncated, so the full
     // result sets are comparable.
-    let streamed = run(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_port_capacity(64),
-        &mut backend,
-    )
-    .unwrap();
+    let streamed = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_port_capacity(64))
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(sorted_sink(&streamed, "sink"), sorted_sink(&eager, "sink"));
     assert_eq!(streamed.sink_count("sink"), 50);
     assert_eq!(eager.sink_count("sink"), 50);
@@ -75,13 +73,9 @@ fn bounded_ports_deliver_the_same_results_as_eager_enactment() {
 fn capacity_one_pipeline_completes_with_exact_sink_counts() {
     let wf = chain();
     let mut backend = VirtualBackend::new();
-    let r = run(
-        &wf,
-        &nums(12),
-        EnactorConfig::sp_dp().with_port_capacity(1),
-        &mut backend,
-    )
-    .unwrap();
+    let r = Enactment::new(&wf, &nums(12), EnactorConfig::sp_dp().with_port_capacity(1))
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink_count("sink"), 12, "every item flowed through");
     // Streaming bounds the retained sample to the port capacity; the
     // tally stays exact.
@@ -93,12 +87,12 @@ fn capacity_one_pipeline_completes_with_exact_sink_counts() {
 fn streaming_truncates_retained_outputs_but_keeps_exact_tallies() {
     let wf = chain();
     let mut backend = VirtualBackend::new();
-    let r = run(
+    let r = Enactment::new(
         &wf,
         &nums(100),
         EnactorConfig::sp_dp().with_port_capacity(4),
-        &mut backend,
     )
+    .run(&mut backend)
     .unwrap();
     assert_eq!(r.sink_count("sink"), 100);
     assert_eq!(r.sink("sink").len(), 4, "retained sample is O(capacity)");
@@ -110,14 +104,10 @@ fn full_ports_suspend_the_producer_and_drains_resume_it() {
     let wf = chain();
     let (obs, buffer) = capture();
     let mut backend = VirtualBackend::new();
-    let r = run_observed(
-        &wf,
-        &nums(20),
-        EnactorConfig::sp_dp().with_port_capacity(1),
-        &mut backend,
-        obs,
-    )
-    .unwrap();
+    let r = Enactment::new(&wf, &nums(20), EnactorConfig::sp_dp().with_port_capacity(1))
+        .obs(obs)
+        .run(&mut backend)
+        .unwrap();
     assert_eq!(r.sink_count("sink"), 20);
     let events = buffer.snapshot();
     let suspends = events
@@ -163,13 +153,9 @@ fn barrier_on_a_bounded_port_still_collects_the_whole_stream() {
     wf.connect(m, "out", sink, "in").unwrap();
     let inputs = InputData::new().set("nums", (1..=8).map(|i| DataValue::from(i as f64)).collect());
     let mut backend = VirtualBackend::new();
-    let r = run(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_port_capacity(2),
-        &mut backend,
-    )
-    .unwrap();
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_port_capacity(2))
+        .run(&mut backend)
+        .unwrap();
     // The barrier is a documented unbounded collection point: all 8
     // doubled items reach it despite the bounded upstream edge, and it
     // fires once over the whole stream.
@@ -210,15 +196,10 @@ fn quarantine_under_bounded_ports_frees_the_port_slot() {
     let inputs = InputData::new().set("s", values);
     let ft = FtConfig::from_legacy(0).with_continue_on_error(true);
     let mut backend = VirtualBackend::new();
-    let r = run_fault_tolerant(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp().with_port_capacity(2),
-        &ft,
-        &mut backend,
-        Obs::off(),
-    )
-    .expect("quarantine must release the port slot, not wedge the stream");
+    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_port_capacity(2))
+        .ft(&ft)
+        .run(&mut backend)
+        .expect("quarantine must release the port slot, not wedge the stream");
     assert_eq!(r.quarantined.len(), 1);
     assert_eq!(r.quarantined[0].processor, "filter");
     assert_eq!(
@@ -236,7 +217,10 @@ fn unbounded_cold_path_emits_no_port_events_and_stays_byte_stable() {
         let (obs, buffer) = capture();
         let mut backend = VirtualBackend::new();
         // Default configuration: port_capacity is unbounded.
-        run_observed(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend, obs).unwrap();
+        Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+            .obs(obs)
+            .run(&mut backend)
+            .unwrap();
         buffer.snapshot().iter().map(TraceEvent::to_json).collect()
     };
     let first = trace(());

@@ -99,6 +99,16 @@ impl JobPlan {
     pub fn store_bytes(&self) -> u64 {
         self.store.iter().map(|f| f.bytes).sum()
     }
+
+    /// Run `other`'s commands after this plan's in the same job: a file
+    /// both stage in is fetched once.
+    pub fn absorb(&mut self, other: JobPlan) {
+        self.command_lines.extend(other.command_lines);
+        for f in other.fetch {
+            push_fetch(&mut self.fetch, f.name, f.bytes);
+        }
+        self.store.extend(other.store);
+    }
 }
 
 /// Local (worker-side) file name for a GFN/URL: its last path segment.
@@ -330,6 +340,29 @@ mod tests {
             .filter(|f| f.name.contains("same.hdr"))
             .count();
         assert_eq!(image_fetches, 1);
+    }
+
+    #[test]
+    fn absorbing_a_plan_keeps_both_jobs_and_fetches_shared_files_once() {
+        let catalog = Catalog::new();
+        let other_pair = Binding::new()
+            .bind_file("floating_image", "gfn://img/float2.hdr")
+            .bind_file("reference_image", "gfn://img/ref.hdr")
+            .bind_value("scale", "2")
+            .bind_output("crest_reference", "gfn://out/crest_ref2.crest", 1)
+            .bind_output("crest_floating", "gfn://out/crest_float2.crest", 1);
+        let mut plan = plan_single(&crest_lines_example(), &binding(), &catalog).unwrap();
+        let other = plan_single(&crest_lines_example(), &other_pair, &catalog).unwrap();
+        let alone = plan.clone();
+        plan.absorb(other.clone());
+        assert_eq!(
+            plan.command_lines,
+            [alone.command_lines, other.command_lines].concat()
+        );
+        // Only the second floating image is new: the executable, the
+        // sandboxes and the reference image are already staged in.
+        assert_eq!(plan.fetch.len(), alone.fetch.len() + 1);
+        assert_eq!(plan.store, [alone.store, other.store].concat());
     }
 
     #[test]

@@ -101,13 +101,9 @@ fn main() {
         probetotal = probetotal
     );
     let mut backend = SimBackend::new(spiky_grid(), 99);
-    let probe = run(
-        &wf,
-        &inputs(0, probetotal),
-        EnactorConfig::sp_dp(),
-        &mut backend,
-    )
-    .expect("probe wave");
+    let probe = Enactment::new(&wf, &inputs(0, probetotal), EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .expect("probe wave");
     let records = backend.sim().records();
     let model = GranularityModel::fit_overheads(records, COMPUTE_SECS, total - probetotal);
     println!(
@@ -128,30 +124,22 @@ fn main() {
         "\nphase 2: processing the remaining {} data with batch size {g}...",
         total - probetotal
     );
-    let batched = run(
+    let batched = Enactment::new(
         &wf,
         &inputs(probetotal, total),
         EnactorConfig::sp_dp().with_batching(g),
-        &mut backend,
     )
+    .run(&mut backend)
     .expect("batched wave");
 
     // Counterfactual: the same wave without batching, fresh identical grid.
     let mut fresh = SimBackend::new(spiky_grid(), 99);
-    let _warmup = run(
-        &wf,
-        &inputs(0, probetotal),
-        EnactorConfig::sp_dp(),
-        &mut fresh,
-    )
-    .expect("counterfactual warm-up");
-    let unbatched = run(
-        &wf,
-        &inputs(probetotal, total),
-        EnactorConfig::sp_dp(),
-        &mut fresh,
-    )
-    .expect("counterfactual wave");
+    let _warmup = Enactment::new(&wf, &inputs(0, probetotal), EnactorConfig::sp_dp())
+        .run(&mut fresh)
+        .expect("counterfactual warm-up");
+    let unbatched = Enactment::new(&wf, &inputs(probetotal, total), EnactorConfig::sp_dp())
+        .run(&mut fresh)
+        .expect("counterfactual wave");
 
     println!(
         "  probe wave:        {:>8.0} s, {} jobs",

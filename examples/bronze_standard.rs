@@ -256,8 +256,9 @@ fn main() {
 
     println!("enacting the Fig. 9 workflow on the thread-pool backend (DP + SP)...");
     let mut backend = LocalBackend::new();
-    let result =
-        run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).expect("bronze standard run");
+    let result = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .expect("bronze standard run");
     println!(
         "done in {:.2} s wall clock, {} service invocations\n",
         result.makespan.as_secs_f64(),

@@ -70,7 +70,9 @@ fn main() {
     );
 
     let mut backend = LocalBackend::new();
-    let result = run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend).expect("loop converges");
+    let result = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .expect("loop converges");
 
     println!("start        iterations   final x");
     println!("----------------------------------");

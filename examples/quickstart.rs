@@ -66,7 +66,9 @@ fn main() {
         EnactorConfig::sp_dp(),
     ] {
         let mut backend = VirtualBackend::new();
-        let result = run(&wf, &inputs, config, &mut backend).expect("enactment succeeds");
+        let result = Enactment::new(&wf, &inputs, config)
+            .run(&mut backend)
+            .expect("enactment succeeds");
         println!(
             "=== {} === makespan {} s, {} jobs, {} results collected",
             config.label(),

@@ -65,11 +65,11 @@ use moteur_repro::moteur::{
     check_protocol, chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram,
     export_provenance, group_workflow, lint_workflow, plan_to_json, plan_workflow, predict,
     prof_to_json, render_critical_path, render_human, render_openmetrics_with_prof, render_plan,
-    render_prediction, render_report, report_to_json, run_fault_tolerant,
-    run_fault_tolerant_cached, serve, to_dot, Backend, Daemon, DaemonConfig, DataStore,
-    EnactorConfig, EventSink, FtConfig, FtPolicy, InputData, JsonlSink, MetricsSink, MoteurError,
-    Obs, PlanOptions, Prof, RetryPolicy, SimBackend, SloConfig, SourceSizes, SpanSink, StoreConfig,
-    TenantConfig, Timeline, TimelineSink, TimeoutAction, TimeoutPolicy, VirtualBackend, Workflow,
+    render_prediction, render_report, report_to_json, serve, to_dot, Backend, Daemon, DaemonConfig,
+    DataStore, Enactment, EnactorConfig, EventSink, FtConfig, FtPolicy, InputData, JsonlSink,
+    MetricsSink, MoteurError, Obs, PlanOptions, Prof, RetryPolicy, SimBackend, SloConfig,
+    SourceSizes, SpanSink, StoreConfig, TenantConfig, Timeline, TimelineSink, TimeoutAction,
+    TimeoutPolicy, VirtualBackend, Workflow,
 };
 use moteur_repro::scufl::{
     lint_source, parse_input_data, parse_workflow, write_input_data, write_workflow,
@@ -619,9 +619,9 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 }
 
 /// Build the fault-tolerance configuration from `moteur run` flags.
-/// Without any FT flag this reproduces the legacy enactor behaviour
-/// (immediate resubmission up to `max_job_retries`, no timeout).
-fn parse_ft_config(args: &[String], legacy_max_retries: u32) -> Result<FtConfig, String> {
+/// Without any FT flag this is [`FtConfig::default`] (immediate
+/// resubmission of a failed job, no timeout).
+fn parse_ft_config(args: &[String]) -> Result<FtConfig, String> {
     fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
         flag_value(args, flag)
             .map(|v| {
@@ -631,7 +631,9 @@ fn parse_ft_config(args: &[String], legacy_max_retries: u32) -> Result<FtConfig,
             .transpose()
     }
 
-    let max_retries: u32 = parsed(args, "--max-retries")?.unwrap_or(legacy_max_retries);
+    let defaults = FtConfig::default();
+    let max_retries: u32 =
+        parsed(args, "--max-retries")?.unwrap_or(defaults.default.retry.max_retries());
     let base_delay: f64 = parsed(args, "--retry-base")?.unwrap_or(10.0);
     let factor: f64 = parsed(args, "--retry-factor")?.unwrap_or(2.0);
     let max_delay: f64 = parsed(args, "--retry-max-delay")?.unwrap_or(300.0);
@@ -684,7 +686,7 @@ fn parse_ft_config(args: &[String], legacy_max_retries: u32) -> Result<FtConfig,
         }
     };
 
-    let mut ft = FtConfig::from_legacy(legacy_max_retries)
+    let mut ft = defaults
         .with_default(FtPolicy {
             retry,
             timeout,
@@ -857,18 +859,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
         config.label(),
         flag_value(args, "--grid").unwrap_or("egee")
     );
-    let ft = match parse_ft_config(args, config.max_job_retries) {
+    let ft = match parse_ft_config(args) {
         Ok(ft) => ft,
         Err(e) => return fail(e),
     };
     let mut backend = SimBackend::with_obs(grid, seed, &obs);
-    let run_result = match store.as_mut() {
-        Some(s) => {
-            run_fault_tolerant_cached(&wf, &inputs, config, &ft, &mut backend, obs.clone(), s)
-        }
-        None => run_fault_tolerant(&wf, &inputs, config, &ft, &mut backend, obs.clone()),
-    };
-    let result = match run_result {
+    let enactment = Enactment::new(&wf, &inputs, config)
+        .ft(&ft)
+        .obs(obs.clone())
+        .store(store.as_mut());
+    let result = match enactment.run(&mut backend) {
         Ok(r) => r,
         Err(e) if e.is_lint() => {
             return fail(format!(

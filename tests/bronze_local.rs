@@ -129,7 +129,9 @@ fn mini_bronze_runs_with_real_registration_on_threads() {
     let wf = mini_workflow();
     let (data, _) = inputs(2);
     let mut backend = LocalBackend::new();
-    let result = run(&wf, &data, EnactorConfig::sp_dp(), &mut backend).expect("run");
+    let result = Enactment::new(&wf, &data, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .expect("run");
     // 2 crestLines + 2 crestMatch + 2 Yasmina + 1 barrier.
     assert_eq!(result.jobs_submitted, 7);
     let spread = result.sink("spread")[0].value.as_num().expect("number");
@@ -144,9 +146,13 @@ fn parallelism_configuration_does_not_change_results() {
     let wf = mini_workflow();
     let (data, _) = inputs(2);
     let mut b1 = LocalBackend::new();
-    let r1 = run(&wf, &data, EnactorConfig::sp_dp(), &mut b1).expect("parallel");
+    let r1 = Enactment::new(&wf, &data, EnactorConfig::sp_dp())
+        .run(&mut b1)
+        .expect("parallel");
     let mut b2 = LocalBackend::new();
-    let r2 = run(&wf, &data, EnactorConfig::nop(), &mut b2).expect("sequential");
+    let r2 = Enactment::new(&wf, &data, EnactorConfig::nop())
+        .run(&mut b2)
+        .expect("sequential");
     let s1 = r1.sink("spread")[0].value.as_num().unwrap();
     let s2 = r2.sink("spread")[0].value.as_num().unwrap();
     assert!(

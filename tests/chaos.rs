@@ -6,7 +6,7 @@
 use moteur_repro::bench::{bronze_inputs, bronze_workflow};
 use moteur_repro::gridsim::config::{Downtime, QueueDiscipline};
 use moteur_repro::gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
-use moteur_repro::moteur::{run, EnactorConfig, SimBackend};
+use moteur_repro::moteur::{Enactment, EnactorConfig, SimBackend};
 
 fn hostile_grid() -> GridConfig {
     let mut ces = Vec::new();
@@ -74,13 +74,9 @@ fn bronze_standard_survives_a_hostile_grid() {
     let n = 8;
     let inputs = bronze_inputs(n);
     let mut backend = SimBackend::new(hostile_grid(), 13);
-    let result = run(
-        &wf,
-        &inputs,
-        EnactorConfig::sp_dp_jg().with_batching(2),
-        &mut backend,
-    )
-    .expect("the workflow must complete despite failures and downtime");
+    let result = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp_jg().with_batching(2))
+        .run(&mut backend)
+        .expect("the workflow must complete despite failures and downtime");
     // All results present.
     assert_eq!(result.sink("accuracy_translation").len(), 1);
     assert_eq!(result.sink("accuracy_rotation").len(), 1);
@@ -99,7 +95,8 @@ fn hostile_runs_are_reproducible_per_seed() {
     let inputs = bronze_inputs(4);
     let run_once = |seed: u64| {
         let mut backend = SimBackend::new(hostile_grid(), seed);
-        run(&wf, &inputs, EnactorConfig::sp_dp(), &mut backend)
+        Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+            .run(&mut backend)
             .expect("completes")
             .makespan
     };

@@ -198,7 +198,7 @@ fn same_seed_gridsim_runs_write_identical_timelines() {
 fn warm_restart_across_processes_elides_grid_jobs() {
     let dir = tempdir::TempDir::new();
     write_example(dir.path());
-    let run_cached = || {
+    let enact_cached = || {
         let out = moteur()
             .args([
                 "run",
@@ -223,9 +223,9 @@ fn warm_restart_across_processes_elides_grid_jobs() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let cold = run_cached();
+    let cold = enact_cached();
     assert!(cold.contains("73 jobs submitted"), "cold: {cold}");
-    let warm = run_cached();
+    let warm = enact_cached();
     assert!(
         warm.contains("1 jobs submitted"),
         "warm should keep only the barrier: {warm}"
@@ -248,7 +248,7 @@ fn warm_restart_across_processes_elides_grid_jobs() {
         .output()
         .expect("spawn");
     assert!(out.status.success());
-    let recold = run_cached();
+    let recold = enact_cached();
     assert!(
         recold.contains("73 jobs submitted"),
         "cleared cache re-runs everything: {recold}"

@@ -4,7 +4,7 @@
 
 use moteur_repro::bench::{bronze_inputs, bronze_workflow, bronze_workflow_xml};
 use moteur_repro::gridsim::GridConfig;
-use moteur_repro::moteur::{run, EnactorConfig, SimBackend};
+use moteur_repro::moteur::{Enactment, EnactorConfig, SimBackend};
 use moteur_repro::scufl::{parse_input_data, parse_workflow, write_input_data, write_workflow};
 
 #[test]
@@ -26,13 +26,9 @@ fn bronze_workflow_survives_a_full_xml_round_trip_and_enacts() {
     let data_reloaded = parse_input_data(&data_xml).expect("data set reloads");
 
     let mut backend = SimBackend::new(GridConfig::egee_2006(), 77);
-    let result = run(
-        &reloaded,
-        &data_reloaded,
-        EnactorConfig::sp_dp(),
-        &mut backend,
-    )
-    .expect("reloaded workflow enacts");
+    let result = Enactment::new(&reloaded, &data_reloaded, EnactorConfig::sp_dp())
+        .run(&mut backend)
+        .expect("reloaded workflow enacts");
     assert_eq!(result.jobs_submitted, n * 6 + 1);
     assert_eq!(result.sink("accuracy_translation").len(), 1);
     assert_eq!(result.sink("accuracy_rotation").len(), 1);
@@ -45,8 +41,12 @@ fn reloaded_workflow_produces_identical_timings_to_the_built_in_one() {
     let inputs = bronze_inputs(2);
     let mut b1 = SimBackend::new(GridConfig::egee_2006(), 5);
     let mut b2 = SimBackend::new(GridConfig::egee_2006(), 5);
-    let r1 = run(&original, &inputs, EnactorConfig::sp_dp(), &mut b1).unwrap();
-    let r2 = run(&reloaded, &inputs, EnactorConfig::sp_dp(), &mut b2).unwrap();
+    let r1 = Enactment::new(&original, &inputs, EnactorConfig::sp_dp())
+        .run(&mut b1)
+        .unwrap();
+    let r2 = Enactment::new(&reloaded, &inputs, EnactorConfig::sp_dp())
+        .run(&mut b2)
+        .unwrap();
     assert_eq!(
         r1.makespan, r2.makespan,
         "XML round trip must not change semantics"
