@@ -1,7 +1,7 @@
 #!/bin/sh
-# Local mirror of .github/workflows/ci.yml for machines without Actions.
-# The workspace has no external crate dependencies, so everything runs
-# with the network off.
+# The whole of CI: .github/workflows/ci.yml checks out and runs this
+# script, and so does a machine without Actions. The workspace has no
+# external crate dependencies, so everything runs with the network off.
 set -eux
 
 export CARGO_NET_OFFLINE=true
@@ -55,22 +55,23 @@ for wf in examples/workflows/*.xml; do
   cargo run --offline --quiet --bin moteur -- plan "$wf" --deny-warnings
 done
 
-# Perf observatory: sweep the six Table-1 configurations on the ideal
-# grid (deterministic, seconds of wall-clock) and gate the result
-# against the committed baseline. Fails on >10% makespan regression,
-# lost speed-up, or model-vs-observed drift beyond 5%. After an
-# intentional perf change, refresh the baseline with
-#   MOTEUR_BENCH_UPDATE_BASELINE=1 ./ci.sh
-# (or run `moteur-bench gate` directly) and commit the new
-# results/BENCH_baseline.json.
+# Perf observatory. Each `moteur-bench` campaign below rewrites its
+# committed BENCH_*.json in place and exits by its own table of pass
+# criteria (crates/bench/src/gate.rs). No document carries a wall-clock
+# field — benchmark/ owns those — so the closing `git diff --exit-code`
+# is the regression gate: the committed file is the baseline, at zero
+# tolerance in both directions.
+#
+# First the sweep of the six Table-1 configurations on the ideal grid;
+# fails on model-vs-observed drift beyond 5%. Writes BENCH_point.json
+# and BENCH_summary.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   campaign --sweep ndata=1..6 --out-dir .
 
 # Fault injection: the campaign on an unreliable egee-2006 (middleware
 # retries off, >=4% failure probability) under naive / backoff /
 # timeout+replication. Fails unless timeout+replication beats naive on
-# mean makespan and nothing is quarantined; writes BENCH_faults.json,
-# which the gate below re-checks alongside the baseline comparison.
+# mean makespan and nothing is quarantined; writes BENCH_faults.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   faults --out-dir .
 
@@ -78,7 +79,7 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # the ideal (byte-accounting) and queue-saturated regimes. Fails unless
 # the timeline's per-link byte totals reconcile with the enactor and
 # the loaded regime is attributed to the CE queues; writes
-# BENCH_timeline.json, re-checked by the gate below.
+# BENCH_timeline.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   timeline --out-dir .
 
@@ -86,33 +87,33 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # `moteur plan` must contain the bytes the enactor actually bound onto
 # that (consumer, port), and the greedy site partition must beat
 # centralized routing on the data-heavy bronze variant. Writes
-# BENCH_plan.json, re-checked by the gate below.
+# BENCH_plan.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   plan --out-dir .
 
 # Scale campaign: a million gridsim events plus ten thousand enactor
-# jobs with the self-profiler attached (release build — the point is
-# hot-path throughput). Writes BENCH_scale.json; the gate re-checks the
-# event/job targets, the allocation budget, and the deterministic
-# allocation axes (allocs/event, peak live bytes) against the committed
-# results/BENCH_scale_baseline.json at the 10% threshold.
+# jobs with the self-profiler attached (release build: a million events
+# in seconds, and the allocation counts are the shipped code's). Fails
+# unless the event and job targets are reached inside the
+# allocations-per-event budget; writes BENCH_scale.json (counts,
+# allocations per event, peak live bytes — no throughput).
 cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
   scale --out-dir .
 
 # Streaming campaign: a million-item stream through a bounded-port
-# chain (release build — the point is throughput and the memory
-# high-water mark). Fails unless every item completes and the
-# pipeline's peak live bytes beyond the materialised inputs stay inside
-# the absolute budget while undercutting the eager per-item projection
-# by >=4x; writes BENCH_stream.json, re-checked by the gate below.
+# chain (release build, as above — the point is the memory high-water
+# mark). Fails unless every item completes and the pipeline's peak live
+# bytes beyond the materialised inputs stay inside the absolute budget
+# while undercutting the eager per-item projection by >=4x; writes
+# BENCH_stream.json.
 cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
   stream --out-dir .
 
 # Multi-tenant daemon: a 100-submission wave across four tenants of
 # one enactment daemon sharing a memo table. Fails unless every
 # submission succeeds, the wave reuses >=90% of the seed tenant's
-# derivations and the p99 time-to-first-job stays bounded; writes
-# BENCH_daemon.json, re-checked on the same rows by the gate below.
+# derivations and the p99 time-to-first-job (virtual seconds) stays
+# bounded; writes BENCH_daemon.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   daemon --out-dir .
 
@@ -120,22 +121,44 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # type through render + parse.
 cargo run --offline --quiet --bin moteur -- daemon --check-protocol
 
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
-  gate --faults BENCH_faults.json --timeline BENCH_timeline.json \
-  --plan BENCH_plan.json --scale BENCH_scale.json --daemon BENCH_daemon.json \
-  --stream BENCH_stream.json
-
 # Data manager: cold/warm pair on the deterministic chain. Fails if the
 # cold run drifts from eq. 1-4 or any warm invocation misses the cache;
 # writes BENCH_warm.json.
 cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
   warm --ndata 6 --out-dir .
 
-# The virtual-time documents are committed and carry no wall-clock
-# field, so the campaigns above must have rewritten them byte for byte:
-# a change that moves one has to commit the new file (and say why).
+# The nine documents are committed exactly as the commands above write
+# them, and every field is a function of (code, seed, command line), so
+# the campaigns must have rewritten them byte for byte: a change that
+# moves a number has to commit the new file (and say why), which makes
+# `git log -p -- 'BENCH_*.json'` the trajectory. The allocation counts
+# and live-byte marks of scale and stream belong to (code, seed, command
+# line, toolchain): a toolchain bump that moves them is answered by
+# committing the regenerated files, not by loosening this comparison.
 git diff --exit-code -- BENCH_point.json BENCH_summary.json BENCH_warm.json \
-  BENCH_faults.json BENCH_timeline.json BENCH_plan.json
+  BENCH_faults.json BENCH_timeline.json BENCH_plan.json BENCH_scale.json \
+  BENCH_stream.json BENCH_daemon.json
+
+# The paper's evidence: regenerate every results/*.txt with the command
+# EXPERIMENTS.md documents for it (stdout only; progress goes to
+# stderr) and compare with the committed files. A couple of seconds
+# once the release binaries are built.
+cargo build --release --offline -p moteur-bench --bins
+evidence() {
+  bin=$1
+  shift
+  cargo run --release --offline --quiet -p moteur-bench --bin "$bin" -- "$@" \
+    >"results/$bin.txt"
+}
+evidence table1 --repeats 5
+evidence table2 --repeats 5
+evidence speedups --repeats 5
+evidence fig10
+evidence diagrams
+evidence theory
+evidence ablation
+evidence granularity
+git diff --exit-code -- results/
 
 # Graceful degradation end-to-end: a run whose timeout budget is
 # unsatisfiable must quarantine (not abort), emit a workflow report

@@ -38,7 +38,9 @@ pub fn median(xs: &[f64]) -> f64 {
 pub struct Line {
     pub intercept: f64,
     pub slope: f64,
-    /// Coefficient of determination.
+    /// Coefficient of determination. A constant series (`ss_tot = 0`,
+    /// e.g. DP on an unsaturated grid) fits perfectly by convention:
+    /// `1.0` when the residuals are zero too, else `0.0`.
     pub r_squared: f64,
 }
 
@@ -48,34 +50,47 @@ impl Line {
     }
 }
 
-/// Ordinary least squares over `(x, y)` points. Returns `None` for
-/// fewer than 2 points or a degenerate (vertical) configuration.
+/// Ordinary least squares over `(x, y)` points — the paper's empirical
+/// instrument (§4): regressing makespan on the number of input data
+/// sets, the **y-intercept** is the fixed cost of running on the grid
+/// at all and the **slope** the marginal cost per extra data set.
+/// Sums are taken about the means, so large offsets (makespans in the
+/// 10⁵ s) do not cancel. Returns `None` for fewer than 2 points or a
+/// degenerate (vertical) configuration — a line is not identifiable
+/// there.
 pub fn linear_regression(points: &[(f64, f64)]) -> Option<Line> {
     if points.len() < 2 {
         return None;
     }
     let n = points.len() as f64;
-    let sx: f64 = points.iter().map(|(x, _)| x).sum();
-    let sy: f64 = points.iter().map(|(_, y)| y).sum();
-    let sxx: f64 = points.iter().map(|(x, _)| x * x).sum();
-    let sxy: f64 = points.iter().map(|(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
+    let mean_x = points.iter().map(|(x, _)| x).sum::<f64>() / n;
+    let mean_y = points.iter().map(|(_, y)| y).sum::<f64>() / n;
+    let mut sxx = 0.0;
+    let mut sxy = 0.0;
+    for (x, y) in points {
+        let dx = x - mean_x;
+        sxx += dx * dx;
+        sxy += dx * (y - mean_y);
+    }
+    if sxx == 0.0 {
         return None;
     }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
-    let my = sy / n;
-    let ss_tot: f64 = points.iter().map(|(_, y)| (y - my) * (y - my)).sum();
-    let ss_res: f64 = points
-        .iter()
-        .map(|(x, y)| {
-            let e = y - (intercept + slope * x);
-            e * e
-        })
-        .sum();
+    let slope = sxy / sxx;
+    let intercept = mean_y - slope * mean_x;
+    let mut ss_res = 0.0;
+    let mut ss_tot = 0.0;
+    for (x, y) in points {
+        ss_res += (y - (intercept + slope * x)).powi(2);
+        ss_tot += (y - mean_y).powi(2);
+    }
     let r_squared = if ss_tot == 0.0 {
-        1.0
+        // Constant series: the flat line is an exact fit unless the
+        // residuals say otherwise (they cannot, but keep the guard).
+        if ss_res < 1e-12 {
+            1.0
+        } else {
+            0.0
+        }
     } else {
         1.0 - ss_res / ss_tot
     };
@@ -112,6 +127,30 @@ mod tests {
     }
 
     #[test]
+    fn regression_recovers_the_papers_table2_nop_line() {
+        // 20784 + 884·n at the paper's sizes: the offset is large
+        // against the slope, which is what the centred sums are for.
+        let pts: Vec<(f64, f64)> = [12.0, 66.0, 126.0]
+            .iter()
+            .map(|&n| (n, 20784.0 + 884.0 * n))
+            .collect();
+        let line = linear_regression(&pts).unwrap();
+        assert!((line.intercept - 20784.0).abs() < 1e-6);
+        assert!((line.slope - 884.0).abs() < 1e-9);
+        assert!((line.r_squared - 1.0).abs() < 1e-12);
+        assert!((line.predict(100.0) - (20784.0 + 88_400.0)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn constant_series_is_flat_with_perfect_r2() {
+        // DP on an unsaturated grid: makespan independent of n_data.
+        let line = linear_regression(&[(1.0, 500.0), (8.0, 500.0), (16.0, 500.0)]).unwrap();
+        assert!(line.slope.abs() < 1e-12);
+        assert!((line.intercept - 500.0).abs() < 1e-9);
+        assert_eq!(line.r_squared, 1.0);
+    }
+
+    #[test]
     fn regression_on_papers_nop_series() {
         // Table 1 NOP: (12, 32855), (66, 76354), (126, 133493) →
         // Table 2 reports intercept 20784, slope 884.
@@ -137,5 +176,9 @@ mod tests {
         let line = linear_regression(&[(0.0, 0.0), (1.0, 2.0), (2.0, 1.0), (3.0, 3.0)]).unwrap();
         assert!(line.r_squared < 1.0);
         assert!(line.r_squared > 0.0);
+        let line =
+            linear_regression(&[(1.0, 10.0), (2.0, 21.0), (3.0, 29.0), (4.0, 42.0)]).unwrap();
+        assert!(line.r_squared > 0.98, "r2 {}", line.r_squared);
+        assert!(line.slope > 9.0 && line.slope < 12.0);
     }
 }

@@ -5,13 +5,14 @@
 //! to populate the shared memo table. Then `n_workflows` identical
 //! submissions arrive across `n_tenants` tenants and are multiplexed
 //! by the daemon's weighted fair scheduler over a single virtual-time
-//! backend. The campaign reports sustained throughput (wall-clock
-//! workflows per second), the p50/p99 time-to-first-job in virtual
-//! seconds (admission latency: how long a submission waits behind its
-//! tenant's in-flight cap), and the cross-tenant cache-hit ratio — the
-//! paper's "several data-intensive applications share one data
-//! manager" scenario, where the second tenant's identical submission
-//! must not recompute what the first already derived.
+//! backend. The campaign reports the p50/p99 time-to-first-job in
+//! virtual seconds (admission latency: how long a submission waits
+//! behind its tenant's in-flight cap) and the cross-tenant cache-hit
+//! ratio — the paper's "several data-intensive applications share one
+//! data manager" scenario, where the second tenant's identical
+//! submission must not recompute what the first already derived.
+//! Workflows per host-second are `benchmark/`'s to measure
+//! (`daemon_wave`).
 
 use crate::bronze::{bronze_chain_workflow_xml, IMAGE_BYTES};
 use moteur::obs::json::{array, JsonObject};
@@ -40,9 +41,6 @@ pub struct DaemonReport {
     pub n_data: usize,
     /// Wave instances that reached `Succeeded`.
     pub succeeded: usize,
-    /// Wall-clock duration of the wave (submit + drain), host seconds.
-    pub wall_secs: f64,
-    pub workflows_per_sec: f64,
     /// Time-to-first-job percentiles over the wave, virtual seconds.
     pub ttfj_p50_secs: f64,
     pub ttfj_p99_secs: f64,
@@ -139,7 +137,6 @@ pub fn run_daemon_campaign(
     }
 
     // The wave: concurrent identical submissions across the tenants.
-    let clock = std::time::Instant::now();
     let mut ids = Vec::with_capacity(n_workflows);
     for j in 0..n_workflows {
         let tenant = format!("t{}", j % n_tenants);
@@ -152,7 +149,6 @@ pub fn run_daemon_campaign(
         )?);
     }
     daemon.drain();
-    let wall_secs = clock.elapsed().as_secs_f64();
 
     let mut succeeded = 0usize;
     let mut ttfj: Vec<f64> = Vec::with_capacity(n_workflows);
@@ -196,12 +192,6 @@ pub fn run_daemon_campaign(
         n_tenants,
         n_data,
         succeeded,
-        wall_secs,
-        workflows_per_sec: if wall_secs > 0.0 {
-            n_workflows as f64 / wall_secs
-        } else {
-            f64::INFINITY
-        },
         ttfj_p50_secs: percentile(&ttfj, 0.50),
         ttfj_p99_secs: percentile(&ttfj, 0.99),
         seed_jobs: seed.jobs_submitted,
@@ -231,8 +221,6 @@ pub fn render_daemon_json(report: &DaemonReport) -> String {
         .uint("n_tenants", report.n_tenants as u64)
         .uint("n_data", report.n_data as u64)
         .uint("succeeded", report.succeeded as u64)
-        .num("wall_secs", report.wall_secs)
-        .num("workflows_per_sec", report.workflows_per_sec)
         .num("ttfj_p50_secs", report.ttfj_p50_secs)
         .num("ttfj_p99_secs", report.ttfj_p99_secs)
         .uint("seed_jobs", report.seed_jobs as u64)
@@ -253,11 +241,7 @@ pub fn render_daemon(report: &DaemonReport) -> String {
         "daemon wave: {} bronze-chain submissions across {} tenants (n_data {}), shared store",
         report.n_workflows, report.n_tenants, report.n_data
     );
-    let _ = writeln!(
-        out,
-        "  {} succeeded in {:.2} s wall ({:.0} workflows/s sustained)",
-        report.succeeded, report.wall_secs, report.workflows_per_sec
-    );
+    let _ = writeln!(out, "  {} succeeded", report.succeeded);
     let _ = writeln!(
         out,
         "  time-to-first-job p50 {:.1} s, p99 {:.1} s (virtual)",

@@ -1,4 +1,4 @@
-//! Bench regression gate, stated as data.
+//! Every campaign's pass criteria, stated as data.
 //!
 //! Every campaign that writes a `BENCH_*.json` document has one table
 //! here: a [`Campaign`] naming the document's schema and a list of
@@ -10,84 +10,39 @@
 //!
 //! The same tables give every verdict in the crate. A report's `ok()`
 //! (and the `"ok"` field of its document) is its table evaluated over
-//! the document the report renders, a campaign command exits by the
-//! table's verdict on the file it just wrote, and `moteur-bench gate`
-//! walks [`GATED`] over the files it finds — so each bound and each
-//! comparison is written once, in a row below.
+//! the document the report renders, and a campaign command exits by
+//! the table's verdict on the file it just wrote — so each bound and
+//! each comparison is written once, in a row below.
+//!
+//! The rows are absolute: they say what must hold of a document on its
+//! own. "No worse than before" is not a row. Every field a campaign
+//! writes is a function of (code, seed, command line), the nine
+//! documents are committed as `ci.sh` writes them, and its closing
+//! `git diff --exit-code` compares them byte for byte — the committed
+//! document is the baseline, at zero tolerance in both directions, and
+//! a change that moves a number commits the regenerated file.
 //!
 //! To gate something new, add a [`Row`] to the campaign's table: pick
-//! the `what` label the report prints, the operands and the [`Op`];
-//! add `.when_alloc()` if the numbers only exist under the counting
-//! allocator, or make the right-hand side [`Expr::Baseline`] to compare
-//! against the committed baseline with the gate's threshold as slack.
-//! The table test at the bottom of this file then asks for a one-field
-//! mutation of the campaign's document that fails exactly that row.
-//!
-//! `ci.sh` wires this behind `moteur-bench gate`; the documented
-//! `MOTEUR_BENCH_UPDATE_BASELINE=1` override (handled by the binary,
-//! not here) rewrites the baselines instead of comparing.
+//! the `what` label the failure message prints, the operands and the
+//! [`Op`]; add `.when_alloc()` if the numbers only exist under the
+//! counting allocator. The table test at the bottom of this file then
+//! asks for a one-field mutation of the campaign's document that fails
+//! exactly that row.
 
 use crate::faults::FaultStrategy;
 use crate::scale::ALLOCS_PER_EVENT_BUDGET;
-use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET, UNBOUNDED_PACE_FACTOR};
+use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET};
 use moteur::obs::json::{expect_schema, JsonValue};
 
-/// One evaluated row: the right-hand side (`baseline`), the left-hand
-/// side (`current`) and whether the comparison held.
+/// One evaluated row: both sides and whether the comparison held.
 #[derive(Debug, Clone)]
 pub struct GateCheck {
-    /// What was compared, e.g. `makespan/nop` or `speedup/nop_over_sp`.
+    /// What was compared, e.g. `drift/nop` or `daemon/ttfj_p99_secs`.
     pub what: String,
-    pub baseline: f64,
-    pub current: f64,
+    pub lhs: f64,
+    pub rhs: f64,
     pub ok: bool,
 }
-
-/// The gate's verdict.
-#[derive(Debug, Clone)]
-pub struct GateReport {
-    /// Allowed relative regression (e.g. `0.10` = 10 %).
-    pub threshold: f64,
-    pub checks: Vec<GateCheck>,
-}
-
-impl GateReport {
-    /// True when every check passed.
-    pub fn ok(&self) -> bool {
-        self.checks.iter().all(|c| c.ok)
-    }
-
-    /// Failed checks only.
-    pub fn failures(&self) -> impl Iterator<Item = &GateCheck> {
-        self.checks.iter().filter(|c| !c.ok)
-    }
-
-    /// Human rendering, one line per check.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "bench gate (threshold {:.0}%): {}",
-            self.threshold * 100.0,
-            if self.ok() { "PASS" } else { "FAIL" }
-        );
-        for c in &self.checks {
-            let _ = writeln!(
-                out,
-                "  {:<28} baseline {:>12.2} current {:>12.2}  {}",
-                c.what,
-                c.baseline,
-                c.current,
-                if c.ok { "ok" } else { "REGRESSED" }
-            );
-        }
-        out
-    }
-}
-
-/// Default allowed regression: 10 %.
-pub const DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// Cross-tenant sharing bar for the daemon wave: the warm tenants must
 /// reuse at least this fraction of the seed tenant's derivations.
@@ -119,12 +74,6 @@ pub enum Expr {
     /// 1 when the string found by `.0` is `.1`, else 0.
     Is(&'static Expr, &'static str),
     Mul(&'static Expr, &'static Expr),
-    Min(&'static Expr, &'static Expr),
-    /// Right-hand side only: the row's left-hand side read from the
-    /// baseline document. `AtMost`/`AtLeast` then allow the gate's
-    /// threshold as relative slack, and the row is skipped when no
-    /// baseline is given.
-    Baseline,
 }
 
 /// The comparison `lhs op rhs`; `EqualNonZero` also requires `rhs > 0`.
@@ -140,9 +89,7 @@ pub enum Op {
 
 /// What an `each` row visits: one check per element, labelled by
 /// substituting the element's name for `{}` in the row's `what`.
-/// Elements are enumerated from the baseline document when there is
-/// one; an element the current document lacks is a failed `(missing)`
-/// check, and visiting nothing is an error.
+/// Visiting nothing is an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Each {
     /// The elements of array `.0`, named by their field `.1`.
@@ -159,8 +106,7 @@ pub struct Row {
     pub op: Op,
     pub rhs: Expr,
     pub each: Option<Each>,
-    /// Only checked when every document the row reads has
-    /// `"alloc_installed": true`.
+    /// Only checked when the document has `"alloc_installed": true`.
     pub when_alloc: bool,
 }
 
@@ -187,46 +133,35 @@ impl Row {
     }
 }
 
-/// One campaign's gate: the document it writes and the rows it must
-/// satisfy. `name` is also the error label, the `gate --<name>` flag
-/// and the middle of the file name.
+/// One campaign's table: the document it writes and the rows it must
+/// satisfy. `name` is also the error label and the middle of the file
+/// name.
 #[derive(Debug)]
 pub struct Campaign {
     pub name: &'static str,
     pub schema: &'static str,
-    /// `(flag, default path)` of the committed baseline, when
-    /// `moteur-bench gate` compares this campaign against one.
-    pub baseline: Option<(&'static str, &'static str)>,
     pub rows: &'static [Row],
 }
 
-use Expr::{Baseline, Const, Elem, In, Is, Min, Mul, Sum, Top, Value};
-use Op::{Above, AtLeast, AtMost, Below, Equal, EqualNonZero};
+use Expr::{Const, Elem, In, Is, Mul, Sum, Top, Value};
+use Op::{AtLeast, AtMost, Below, Equal, EqualNonZero};
 
 const CONFIGS: Each = Each::Of("configs", "config");
 
-/// `BENCH_summary.json` against the committed baseline: no makespan
-/// regression, no lost speed-up (an optimisation that stopped working
-/// shows there even if absolute times moved), and model and enactor
-/// still agreeing on the ideal grid.
+/// `BENCH_summary.json`: model and enactor still agree on the ideal
+/// grid. (The makespans and speed-ups themselves are held by the byte
+/// comparison with the committed document.)
 pub static SUMMARY: Campaign = Campaign {
     name: "summary",
     schema: crate::sweep::SUMMARY_SCHEMA,
-    baseline: Some(("--baseline", "results/BENCH_baseline.json")),
-    rows: &[
-        row("makespan/{}", Elem("makespan_at_max"), AtMost, Baseline).each(CONFIGS),
-        row("drift/{}", Elem("drift_ok"), Equal, Const(1.0)).each(CONFIGS),
-        row("speedup/{}", Value, AtLeast, Baseline).each(Each::Fields("speedups")),
-    ],
+    rows: &[row("drift/{}", Elem("drift_ok"), Equal, Const(1.0)).each(CONFIGS)],
 };
 
 /// `BENCH_warm.json`: the cold run still satisfies eqs. 1–4 and every
-/// warm invocation hits the store. Checked by `moteur-bench warm`
-/// only; the gate has no warm document.
+/// warm invocation hits the store.
 pub static WARM: Campaign = Campaign {
     name: "warm",
     schema: crate::warm::WARM_SCHEMA,
-    baseline: None,
     rows: &[
         row("warm/cold_drift", Top("drift_ok"), Equal, Const(1.0)),
         row("warm/misses", Top("cache_misses"), Equal, Const(0.0)),
@@ -247,7 +182,6 @@ const fn mean_makespan(strategy: FaultStrategy) -> Expr {
 pub static FAULTS: Campaign = Campaign {
     name: "faults",
     schema: crate::faults::FAULTS_SCHEMA,
-    baseline: None,
     rows: &[
         row(
             "faults/replication_vs_naive",
@@ -270,7 +204,6 @@ pub static FAULTS: Campaign = Campaign {
 pub static TIMELINE: Campaign = Campaign {
     name: "timeline",
     schema: crate::timeline::TIMELINE_BENCH_SCHEMA,
-    baseline: None,
     rows: &[
         row(
             "timeline/ideal_byte_accounting",
@@ -297,7 +230,6 @@ pub static TIMELINE: Campaign = Campaign {
 pub static PLAN: Campaign = Campaign {
     name: "plan",
     schema: crate::plan::PLAN_BENCH_SCHEMA,
-    baseline: None,
     rows: &[
         row(
             "plan/{}_containment",
@@ -320,7 +252,6 @@ pub static PLAN: Campaign = Campaign {
 pub static DAEMON: Campaign = Campaign {
     name: "daemon",
     schema: crate::daemon::DAEMON_BENCH_SCHEMA,
-    baseline: None,
     rows: &[
         row(
             "daemon/completed",
@@ -343,16 +274,11 @@ pub static DAEMON: Campaign = Campaign {
     ],
 };
 
-/// `BENCH_scale.json`. Wall-clock throughput is machine-dependent, so
-/// the absolute rows only require the event/job targets and positive
-/// throughput, plus the allocations-per-event budget. The baseline
-/// rows gate the *deterministic* throughput proxies: an allocation
-/// regression is how a >10 % event-loop slowdown shows up reproducibly
-/// in CI.
+/// `BENCH_scale.json`: the event and job targets were reached inside
+/// the allocations-per-event budget.
 pub static SCALE: Campaign = Campaign {
     name: "scale",
     schema: crate::scale::SCALE_SCHEMA,
-    baseline: Some(("--scale-baseline", "results/BENCH_scale_baseline.json")),
     rows: &[
         row(
             "scale/events_target",
@@ -367,56 +293,28 @@ pub static SCALE: Campaign = Campaign {
             Top("enact_jobs"),
         ),
         row(
-            "scale/throughput_positive",
-            Min(&Top("events_per_sec"), &Top("jobs_per_sec")),
-            Above,
-            Const(0.0),
-        ),
-        row(
             "scale/allocs_per_event_budget",
             Top("allocs_per_event"),
             AtMost,
             Const(ALLOCS_PER_EVENT_BUDGET),
         )
         .when_alloc(),
-        row(
-            "scale/allocs_per_event",
-            Top("allocs_per_event"),
-            AtMost,
-            Baseline,
-        )
-        .when_alloc(),
-        row(
-            "scale/peak_alloc_bytes",
-            Top("peak_alloc_bytes"),
-            AtMost,
-            Baseline,
-        )
-        .when_alloc(),
     ],
 };
 
-/// `BENCH_stream.json`, all absolute: every item completed with
-/// positive throughput, and the pipeline's peak live bytes beyond the
-/// materialised inputs sit inside the budget *and* undercut the eager
-/// per-item projection — together the O(port-capacity)-not-O(n-items)
-/// memory claim on any machine.
+/// `BENCH_stream.json`: every item completed, and the pipeline's peak
+/// live bytes beyond the materialised inputs sit inside the budget
+/// *and* undercut the eager per-item projection — together the
+/// O(port-capacity)-not-O(n-items) memory claim.
 pub static STREAM: Campaign = Campaign {
     name: "stream",
     schema: crate::stream::STREAM_SCHEMA,
-    baseline: None,
     rows: &[
         row(
             "stream/items_completed",
             Top("items_completed"),
             AtLeast,
             Top("n_items"),
-        ),
-        row(
-            "stream/throughput_positive",
-            Top("items_per_sec"),
-            Above,
-            Const(0.0),
         ),
         row(
             "stream/pipeline_peak_budget",
@@ -432,24 +330,8 @@ pub static STREAM: Campaign = Campaign {
             Top("eager_projected_bytes"),
         )
         .when_alloc(),
-        // Both rates are wall-clock, but from one process on one host:
-        // their ratio is the enactor's, not the machine's. An event
-        // loop whose work per completion grows with the number of
-        // invocations in flight loses this row by an order of magnitude.
-        row(
-            "stream/unbounded_keeps_pace",
-            Mul(&Top("eager_items_per_sec"), &Const(UNBOUNDED_PACE_FACTOR)),
-            AtLeast,
-            Top("items_per_sec"),
-        ),
     ],
 };
-
-/// What `moteur-bench gate` checks, in report order: [`SUMMARY`], which
-/// it cannot run without, then every campaign whose document is around.
-pub static GATED: [&Campaign; 7] = [
-    &SUMMARY, &FAULTS, &TIMELINE, &PLAN, &DAEMON, &SCALE, &STREAM,
-];
 
 impl Each {
     fn names<'a>(&self, doc: &'a JsonValue) -> Option<Vec<&'a str>> {
@@ -502,7 +384,6 @@ impl Expr {
                 .and_then(|items| items.iter().map(|e| e.f64_at(field)).sum()),
             Is(found, literal) => found.find(scope).map(|v| flag(v.as_str() == Some(literal))),
             Mul(a, b) => Some(a.num(scope)? * b.num(scope)?),
-            Min(a, b) => Some(a.num(scope)?.min(b.num(scope)?)),
             _ => match self.find(scope) {
                 Some(JsonValue::Number(n)) => Some(*n),
                 Some(JsonValue::Bool(b)) => Some(flag(*b)),
@@ -520,97 +401,52 @@ impl Campaign {
         format!("BENCH_{}.json", self.name)
     }
 
-    /// Evaluate the table over `current`, and over `baseline` for the
-    /// rows that compare against one (skipped without it); `threshold`
-    /// is the relative slack those rows allow.
+    /// Evaluate the table over `doc`.
     ///
     /// Fails with `Err` on a malformed, mis-tagged or incomplete
     /// document; a criterion that does not hold is reported through
     /// its [`GateCheck`], not as an error.
-    pub fn check(
-        &self,
-        current: &str,
-        baseline: Option<&str>,
-        threshold: f64,
-    ) -> Result<Vec<GateCheck>, String> {
-        let base_label = format!("{} baseline", self.name);
-        let current = expect_schema(current, self.name, self.schema)?;
-        let baseline = baseline
-            .map(|doc| expect_schema(doc, &base_label, self.schema))
-            .transpose()?;
-        let alloc = |doc: &JsonValue| doc.bool_at("alloc_installed") == Some(true);
+    pub fn check(&self, doc: &str) -> Result<Vec<GateCheck>, String> {
+        let doc = expect_schema(doc, self.name, self.schema)?;
+        let alloc = doc.bool_at("alloc_installed") == Some(true);
         let mut checks = Vec::new();
-        for rows in self
-            .rows
-            .chunk_by(|a, b| a.each.is_some() && a.each == b.each)
-        {
-            let each = rows[0].each;
-            let names = match each {
+        for row in self.rows.iter().filter(|row| alloc || !row.when_alloc) {
+            let names = match row.each {
                 None => vec![""],
                 Some(each) => each
-                    .names(baseline.as_ref().unwrap_or(&current))
+                    .names(&doc)
                     .filter(|names| !names.is_empty())
                     .ok_or_else(|| format!("{}: missing or empty {each:?}", self.name))?,
             };
             for name in names {
-                let scope = |label, doc| Scope {
-                    label,
-                    doc,
-                    elem: each.and_then(|each| each.elem(doc, name)),
+                let scope = Scope {
+                    label: self.name,
+                    doc: &doc,
+                    elem: row.each.and_then(|each| each.elem(&doc, name)),
                 };
-                let here = scope(self.name, &current);
-                for row in rows {
-                    let against = match (row.rhs, &baseline) {
-                        (Baseline, None) => continue,
-                        (Baseline, Some(doc)) => Some(doc),
-                        _ => None,
-                    };
-                    if row.when_alloc && !(alloc(&current) && against.is_none_or(alloc)) {
-                        continue;
-                    }
-                    let rhs = match against {
-                        Some(doc) => row.lhs.num(&scope(&base_label, doc))?,
-                        None => row.rhs.num(&here)?,
-                    };
-                    // An element only the baseline has is a coverage
-                    // regression, not a malformed document: it reads as
-                    // NaN, which fails every comparison.
-                    let missing = each.is_some() && here.elem.is_none();
-                    let lhs = if missing {
-                        f64::NAN
-                    } else {
-                        row.lhs.num(&here)?
-                    };
-                    let bound = match (against, row.op) {
-                        (Some(_), AtMost) => rhs * (1.0 + threshold) + 1e-9,
-                        (Some(_), AtLeast) => rhs * (1.0 - threshold) - 1e-9,
-                        _ => rhs,
-                    };
-                    checks.push(GateCheck {
-                        what: row.what.replace("{}", name)
-                            + if missing { " (missing)" } else { "" },
-                        baseline: rhs,
-                        current: lhs,
-                        ok: match row.op {
-                            Below => lhs < bound,
-                            AtMost => lhs <= bound,
-                            Equal => lhs == bound,
-                            EqualNonZero => lhs == bound && bound > 0.0,
-                            AtLeast => lhs >= bound,
-                            Above => lhs > bound,
-                        },
-                    });
-                }
+                let (lhs, rhs) = (row.lhs.num(&scope)?, row.rhs.num(&scope)?);
+                checks.push(GateCheck {
+                    what: row.what.replace("{}", name),
+                    lhs,
+                    rhs,
+                    ok: match row.op {
+                        Below => lhs < rhs,
+                        AtMost => lhs <= rhs,
+                        Equal => lhs == rhs,
+                        EqualNonZero => lhs == rhs && rhs > 0.0,
+                        AtLeast => lhs >= rhs,
+                        Op::Above => lhs > rhs,
+                    },
+                });
             }
         }
         Ok(checks)
     }
 
-    /// What `doc` fails on its own, without a baseline: the failed
-    /// rows' labels, or the one error that made it unreadable. Empty
-    /// means the campaign passed.
+    /// What `doc` fails: the failed rows' labels, or the one error that
+    /// made it unreadable. Empty means the campaign passed.
     pub fn failures(&self, doc: &str) -> Vec<String> {
-        match self.check(doc, None, DEFAULT_THRESHOLD) {
+        match self.check(doc) {
             Ok(checks) => checks
                 .into_iter()
                 .filter(|c| !c.ok)
@@ -663,8 +499,6 @@ mod tests {
             n_tenants: 4,
             n_data: 2,
             succeeded: 100,
-            wall_secs: 0.5,
-            workflows_per_sec: 200.0,
             ttfj_p50_secs: 0.0,
             ttfj_p99_secs: 120.0,
             seed_jobs: 10,
@@ -755,15 +589,10 @@ mod tests {
             alloc_installed: true,
             events_processed: 1200,
             gridsim_jobs: 100,
-            gridsim_wall_secs: 0.5,
-            events_per_sec: 2400.0,
             allocs_per_event: 5.0,
             enact_jobs_submitted: 50,
-            enact_wall_secs: 0.2,
-            jobs_per_sec: 250.0,
             enact_makespan_secs: 330.0,
             peak_alloc_bytes: 1_000_000,
-            subsystems: Vec::new(),
             prof: moteur::Prof::off().report(),
         };
         let stream = stream::StreamReport {
@@ -776,12 +605,9 @@ mod tests {
             alloc_installed: true,
             items_completed: 1000,
             jobs_submitted: 2000,
-            wall_secs: 0.5,
-            items_per_sec: 2000.0,
             input_bytes: 32_000,
             pipeline_peak_bytes: 40_000,
             eager_bytes_per_item: 750.0,
-            eager_items_per_sec: 1500.0,
             eager_projected_bytes: 1e12,
         };
         vec![
@@ -797,23 +623,7 @@ mod tests {
             Fixture {
                 campaign: &SUMMARY,
                 doc: sweep::render_summary_json(&summary),
-                breaks: vec![
-                    (
-                        0,
-                        "makespan/sp",
-                        "\"config\":\"sp\"",
-                        "makespan_at_max",
-                        s("1e9"),
-                    ),
-                    (1, "drift/dp", "\"config\":\"dp\"", "drift_ok", s("false")),
-                    (
-                        2,
-                        "speedup/nop_over_sp",
-                        "\"speedups\"",
-                        "nop_over_sp",
-                        s("0.5"),
-                    ),
-                ],
+                breaks: vec![(0, "drift/dp", "\"config\":\"dp\"", "drift_ok", s("false"))],
                 required: "drift_ok",
             },
             Fixture {
@@ -895,39 +705,23 @@ mod tests {
                 breaks: vec![
                     (0, "scale/events_target", "", "events_processed", s("900")),
                     (1, "scale/jobs_target", "", "enact_jobs_submitted", s("49")),
-                    (2, "scale/throughput_positive", "", "jobs_per_sec", s("0")),
                     (
-                        3,
+                        2,
                         "scale/allocs_per_event_budget",
                         "",
                         "allocs_per_event",
                         (scale::ALLOCS_PER_EVENT_BUDGET * 2.0).to_string(),
                     ),
-                    (
-                        4,
-                        "scale/allocs_per_event",
-                        "",
-                        "allocs_per_event",
-                        s("7.5"),
-                    ),
-                    (
-                        5,
-                        "scale/peak_alloc_bytes",
-                        "",
-                        "peak_alloc_bytes",
-                        s("2000000"),
-                    ),
                 ],
-                required: "events_per_sec",
+                required: "events_processed",
             },
             Fixture {
                 campaign: &STREAM,
                 doc: stream::render_stream_json(&stream),
                 breaks: vec![
                     (0, "stream/items_completed", "", "items_completed", s("900")),
-                    (1, "stream/throughput_positive", "", "items_per_sec", s("0")),
                     (
-                        2,
+                        1,
                         "stream/pipeline_peak_budget",
                         "",
                         "pipeline_peak_bytes",
@@ -936,18 +730,11 @@ mod tests {
                     // Inside the absolute budget, but within 4x of the
                     // eager projection.
                     (
-                        3,
+                        2,
                         "stream/undercuts_eager_projection",
                         "",
                         "eager_projected_bytes",
                         s("120000"),
-                    ),
-                    (
-                        4,
-                        "stream/unbounded_keeps_pace",
-                        "",
-                        "eager_items_per_sec",
-                        s("400"),
                     ),
                 ],
                 required: "n_items",
@@ -962,19 +749,19 @@ mod tests {
 
     #[test]
     fn every_campaign_is_covered_by_a_fixture() {
+        // Every table above: one per campaign command of `moteur-bench`.
+        let tables = [
+            &WARM, &SUMMARY, &FAULTS, &TIMELINE, &PLAN, &DAEMON, &SCALE, &STREAM,
+        ];
         let covered: Vec<&str> = fixtures().iter().map(|f| f.campaign.name).collect();
-        let tables = [&WARM].into_iter().chain(GATED);
-        assert_eq!(covered, tables.map(|c| c.name).collect::<Vec<_>>());
+        assert_eq!(covered, tables.map(|c| c.name));
     }
 
     #[test]
     fn a_passing_document_passes_and_each_mutation_fails_exactly_its_row() {
         for f in fixtures() {
             let name = f.campaign.name;
-            let checks = f
-                .campaign
-                .check(&f.doc, Some(&f.doc), DEFAULT_THRESHOLD)
-                .unwrap();
+            let checks = f.campaign.check(&f.doc).unwrap();
             assert!(failed(&checks).is_empty(), "{name}: {checks:?}");
             assert!(checks.len() >= f.campaign.rows.len(), "{name}: {checks:?}");
             assert!(f.campaign.passes(&f.doc), "{name}");
@@ -987,17 +774,7 @@ mod tests {
             );
             for (row, label, anchor, field, value) in &f.breaks {
                 let broken = set_field(&f.doc, anchor, field, value);
-                // A baseline row sees the pristine document as its
-                // baseline; an absolute row's regression is shared by
-                // both sides, so no relative row can trip with it.
-                let baseline = match f.campaign.rows[*row].rhs {
-                    Baseline => &f.doc,
-                    _ => &broken,
-                };
-                let checks = f
-                    .campaign
-                    .check(&broken, Some(baseline), DEFAULT_THRESHOLD)
-                    .unwrap();
+                let checks = f.campaign.check(&broken).unwrap();
                 assert_eq!(failed(&checks), [*label], "{name} row {row}");
             }
         }
@@ -1007,7 +784,7 @@ mod tests {
     fn unreadable_documents_are_errors_for_every_campaign() {
         for f in fixtures() {
             let name = f.campaign.name;
-            let check = |doc: &str| f.campaign.check(doc, None, DEFAULT_THRESHOLD);
+            let check = |doc: &str| f.campaign.check(doc);
             let wrong_schema = f.doc.replacen(f.campaign.schema, "other/v1", 1);
             let err = check(&wrong_schema).unwrap_err();
             assert!(
@@ -1021,87 +798,29 @@ mod tests {
             assert!(err.contains(f.required), "{name}: {err}");
             assert!(check("{").is_err() && check("[]").is_err(), "{name}");
             assert_eq!(f.campaign.failures(&gone), [err], "{name}");
-            // The baseline is held to the same schema.
-            let err = f
-                .campaign
-                .check(&f.doc, Some(&wrong_schema), DEFAULT_THRESHOLD)
-                .unwrap_err();
-            assert!(err.starts_with(&format!("{name} baseline: ")), "{err}");
         }
     }
 
     #[test]
-    fn allocator_rows_only_apply_when_both_documents_counted_allocations() {
+    fn allocator_rows_only_apply_when_the_document_counted_allocations() {
         for f in fixtures() {
             let guarded = f.campaign.rows.iter().filter(|r| r.when_alloc).count();
             if guarded == 0 {
                 continue;
             }
             let uncounted = set_field(&f.doc, "", "alloc_installed", "false");
-            let count = |current: &str, baseline: &str| {
-                let checks = f.campaign.check(current, Some(baseline), DEFAULT_THRESHOLD);
-                checks.unwrap().len()
-            };
-            let all = f.campaign.rows.len();
-            assert_eq!(count(&f.doc, &f.doc), all);
-            assert_eq!(count(&uncounted, &uncounted), all - guarded);
-            let relative = f.campaign.rows.iter().filter(|r| r.rhs == Baseline).count();
-            assert_eq!(count(&f.doc, &uncounted), all - relative);
+            let count = |doc: &str| f.campaign.check(doc).unwrap().len();
+            assert_eq!(count(&f.doc), f.campaign.rows.len());
+            assert_eq!(count(&uncounted), f.campaign.rows.len() - guarded);
         }
     }
 
-    #[test]
-    fn the_summary_gate_walks_the_baselines_configs_and_speedups() {
-        let summary = fixtures().swap_remove(1);
-        let checks = SUMMARY
-            .check(&summary.doc, Some(&summary.doc), DEFAULT_THRESHOLD)
-            .unwrap();
-        let labels: Vec<&str> = checks.iter().map(|c| c.what.as_str()).collect();
-        // Interleaved per configuration, then the three ratios.
-        assert_eq!(labels.len(), 15, "{labels:?}");
-        assert_eq!(
-            labels[..4],
-            ["makespan/nop", "drift/nop", "makespan/jg", "drift/jg"]
-        );
-        assert!(labels[12..].iter().all(|l| l.starts_with("speedup/")));
-        let report = GateReport {
-            threshold: DEFAULT_THRESHOLD,
-            checks,
-        };
-        assert!(report.ok() && report.render().contains("PASS"));
-        // On its own (the campaign's exit verdict) only drift is checked.
-        assert_eq!(SUMMARY.check(&summary.doc, None, 0.0).unwrap().len(), 6);
-
-        // A configuration the baseline has and the summary lost is a
-        // failed check, not an error.
-        let lost = summary
-            .doc
-            .replacen("\"config\":\"nop\"", "\"config\":\"gone\"", 1);
-        let report = GateReport {
-            threshold: DEFAULT_THRESHOLD,
-            checks: SUMMARY
-                .check(&lost, Some(&summary.doc), DEFAULT_THRESHOLD)
-                .unwrap(),
-        };
-        let failures: Vec<&str> = report.failures().map(|c| c.what.as_str()).collect();
-        assert_eq!(failures, ["makespan/nop (missing)", "drift/nop (missing)"]);
-        assert!(report.render().contains("REGRESSED"));
-        // sp takes 450 s at n_data 2: 4 % slower passes at 10 %, and the
-        // threshold is the caller's.
-        let slower = set_field(&summary.doc, "\"config\":\"sp\"", "makespan_at_max", "470");
-        assert!(failed(&SUMMARY.check(&slower, Some(&summary.doc), 0.10).unwrap()).is_empty());
-        assert_eq!(
-            failed(&SUMMARY.check(&slower, Some(&summary.doc), 0.01).unwrap()),
-            ["makespan/sp"]
-        );
-    }
-
     /// The case that failed before the tables: `ok()` ignored the p99
-    /// ceiling, so `moteur-bench daemon` exited 0 on a wave the gate
-    /// then rejected. A campaign's verdict is the gate's verdict on the
-    /// document it wrote.
+    /// ceiling, so `moteur-bench daemon` exited 0 on a wave its own
+    /// criteria rejected. A campaign's verdict is its table's verdict
+    /// on the document it wrote.
     #[test]
-    fn a_reports_ok_is_the_gates_verdict_on_its_document() {
+    fn a_reports_ok_is_the_tables_verdict_on_its_document() {
         let mut report = daemon_report();
         assert!(report.ok());
         report.ttfj_p99_secs = DAEMON_TTFJ_P99_CEILING_SECS + 1.0;
@@ -1112,11 +831,10 @@ mod tests {
         );
         // Documents that carry an `"ok"` field carry this verdict.
         for f in fixtures() {
-            let (row, _, anchor, field, value) = &f.breaks[0];
-            if !f.doc.contains("\"ok\":true") || f.campaign.rows[*row].rhs == Baseline {
-                continue;
+            let (_, _, anchor, field, value) = &f.breaks[0];
+            if f.doc.contains("\"ok\":true") {
+                assert!(!f.campaign.passes(&set_field(&f.doc, anchor, field, value)));
             }
-            assert!(!f.campaign.passes(&set_field(&f.doc, anchor, field, value)));
         }
     }
 }

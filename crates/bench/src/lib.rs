@@ -13,16 +13,23 @@
 //! | `speedups` | §5.2/§5.3 — speed-ups and slope / y-intercept ratios |
 //!
 //! The `moteur-bench` binary itself (`src/main.rs`) drives the perf
-//! observatory: `campaign` sweeps the six configurations over a range
-//! of campaign sizes and writes `BENCH_point.json`/`BENCH_summary.json`
-//! ([`sweep`]); `gate` compares a summary against the committed
-//! baseline and fails CI on regressions ([`gate`], where every
-//! campaign's pass criteria are one table of rows).
+//! observatory: eight campaign commands, each writing `BENCH_*.json`
+//! documents whose every field is a function of (code, seed, command
+//! line) — virtual seconds, job, hit and call counts, allocation counts
+//! and live bytes, never the wall clock, which `benchmark/` owns. Two
+//! runs write the same bytes, so the committed documents are the
+//! baseline and CI compares them with `git diff --exit-code`. Each
+//! campaign's pass criteria are one table of rows in [`gate`], and the
+//! command exits by that table's verdict on the file it wrote.
 //!
 //! The library half hosts the Fig. 9 Bronze-Standard workflow
 //! ([`bronze`]) and the campaign runner ([`campaign`]) shared by the
 //! binaries, the integration tests and the examples.
-
+//!
+//! `moteur-bench campaign` sweeps the six configurations over a range
+//! of campaign sizes and writes `BENCH_point.json`/`BENCH_summary.json`
+//! ([`sweep`]).
+//!
 //! `moteur-bench warm` runs the same campaign twice against one
 //! provenance-keyed data manager and documents the cold-vs-warm
 //! speed-up in `BENCH_warm.json` ([`warm`]).
@@ -40,18 +47,18 @@
 //!
 //! `moteur-bench daemon` drives the multi-tenant enactment daemon
 //! through a concurrent submission wave against one shared memo table
-//! and writes sustained throughput, time-to-first-job percentiles and
-//! the cross-tenant cache-hit ratio to `BENCH_daemon.json` ([`daemon`]).
+//! and writes time-to-first-job percentiles and the cross-tenant
+//! cache-hit ratio to `BENCH_daemon.json` ([`daemon`]).
 //!
 //! `moteur-bench scale` drives the simulator through a million events
 //! and the enactor through ten thousand jobs with the self-profiler
-//! attached, and writes host throughput, allocation rates and
-//! per-subsystem wall fractions to `BENCH_scale.json` ([`scale`]).
+//! attached, and writes event and job counts, allocation rates and
+//! per-subsystem call counts to `BENCH_scale.json` ([`scale`]).
 //!
 //! `moteur-bench stream` pushes a million-item stream through a
-//! bounded-port service chain and writes throughput plus the
-//! O(port-capacity) pipeline memory high-water mark (versus the eager
-//! per-item projection) to `BENCH_stream.json` ([`stream`]).
+//! bounded-port service chain and writes the O(port-capacity)
+//! pipeline memory high-water mark (versus the eager per-item
+//! projection) to `BENCH_stream.json` ([`stream`]).
 
 pub mod bronze;
 pub mod campaign;
@@ -78,14 +85,14 @@ pub use faults::{
     render_faults, render_faults_json, run_faults, FaultStrategy, FaultsReport, FaultsSpec,
     StrategyOutcome, FAULTS_SCHEMA,
 };
-pub use gate::{GateCheck, GateReport, DEFAULT_THRESHOLD};
+pub use gate::GateCheck;
 pub use plan::{
     render_plan_bench, render_plan_bench_json, run_plan_bench, PlanBenchReport, PlanSpec,
     PLAN_BENCH_SCHEMA,
 };
 pub use scale::{
-    render_scale, render_scale_json, run_scale, ScaleReport, ScaleSpec, SubsystemShare,
-    ALLOCS_PER_EVENT_BUDGET, SCALE_SCHEMA,
+    render_scale, render_scale_json, run_scale, ScaleReport, ScaleSpec, ALLOCS_PER_EVENT_BUDGET,
+    SCALE_SCHEMA,
 };
 pub use stream::{
     render_stream, render_stream_json, run_stream, StreamReport, StreamSpec, EAGER_UNDERCUT_FACTOR,

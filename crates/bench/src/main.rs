@@ -1,15 +1,10 @@
-//! `moteur-bench` — the perf observatory's campaign and regression-gate
-//! driver.
+//! `moteur-bench` — the perf observatory's campaign driver.
 //!
 //! ```text
 //! moteur-bench campaign [--sweep ndata=1..6] [--seed N]
 //!                       [--workflow chain|bronze] [--grid ideal|egee]
 //!                       [--overhead SECS] [--tolerance FRAC]
 //!                       [--out-dir DIR]
-//! moteur-bench gate [--summary PATH] [--baseline PATH] [--threshold FRAC]
-//!                   [--faults PATH] [--timeline PATH] [--plan PATH]
-//!                   [--scale PATH] [--scale-baseline PATH] [--daemon PATH]
-//!                   [--stream PATH]
 //! moteur-bench warm [--ndata N] [--seed N] [--out-dir DIR]
 //! moteur-bench faults [--ndata N] [--seed N] [--repeats R]
 //!                     [--failure-probability P] [--out-dir DIR]
@@ -23,17 +18,19 @@
 //!                     [--out-dir DIR]
 //! ```
 //!
+//! Every field of every document is a function of (code, seed,
+//! command line): virtual seconds, job, hit and call counts,
+//! allocation counts and live bytes, no wall clock (`benchmark/` owns
+//! that). Two runs of one command write the same bytes, so the
+//! committed `BENCH_*.json` are the baseline: `ci.sh` regenerates all
+//! nine and ends with `git diff --exit-code`. Every pass criterion
+//! named below is a row of a table in `moteur_bench::gate`; a campaign
+//! command exits by its table's verdict on the file it wrote.
+//!
 //! `campaign` runs the six Table-1 configurations over the sweep and
 //! writes `BENCH_point.json` (raw cells) and `BENCH_summary.json`
 //! (fits, drift, speed-ups) into `--out-dir` (default: the current
-//! directory). `gate` compares a summary against the committed baseline
-//! and exits non-zero on regression; setting
-//! `MOTEUR_BENCH_UPDATE_BASELINE=1` rewrites the baselines from the
-//! current documents instead (use after an intentional perf change).
-//! Every pass criterion named below is a row of a table in
-//! `moteur_bench::gate`; a campaign command exits by its table's
-//! verdict on the file it wrote, which is the verdict `gate` reaches
-//! when it reads that file back.
+//! directory), exiting non-zero when model and enactor drift apart.
 //! `warm` enacts one campaign twice against a shared data manager and
 //! writes the cold-vs-warm comparison to `BENCH_warm.json`.
 //! `faults` enacts the campaign on an unreliable grid under the three
@@ -50,28 +47,24 @@
 //! on the data-heavy bronze variant.
 //! `daemon` submits a concurrent wave of identical Bronze-Standard
 //! chains across several tenants of one enactment daemon sharing a
-//! memo table, and writes throughput, time-to-first-job percentiles
-//! and the cross-tenant cache-hit ratio to `BENCH_daemon.json`,
+//! memo table, and writes time-to-first-job percentiles (virtual
+//! seconds) and the cross-tenant cache-hit ratio to `BENCH_daemon.json`,
 //! exiting non-zero unless every submission succeeds, the wave
 //! reuses ≥ 90% of the seed tenant's derivations and the p99
 //! time-to-first-job stays bounded.
 //! `scale` pushes the simulator through a million events and the
 //! enactor through ten thousand jobs with the self-profiler attached
-//! and writes `BENCH_scale.json` (throughput, allocations per event,
-//! peak live bytes, per-subsystem wall shares), exiting non-zero when
-//! a target is missed or the allocation budget is blown.
+//! and writes `BENCH_scale.json` (event and job counts, allocations
+//! per event, peak live bytes, per-subsystem call counts), exiting
+//! non-zero when a target is missed or the allocation budget is blown.
 //! `stream` pushes a million-item stream through a bounded-port chain
-//! and writes `BENCH_stream.json` (throughput, input vs pipeline peak
-//! bytes, the eager projection), exiting non-zero unless the pipeline
-//! high-water mark stays O(port-capacity).
+//! and writes `BENCH_stream.json` (item and job counts, input vs
+//! pipeline peak bytes, the eager projection), exiting non-zero unless
+//! the pipeline high-water mark stays O(port-capacity).
 
-use moteur::obs::json::expect_schema;
 use moteur_bench::daemon::{render_daemon, render_daemon_json, run_daemon_campaign};
 use moteur_bench::faults::{render_faults, render_faults_json, run_faults, FaultsSpec};
-use moteur_bench::gate::{
-    Campaign, GateReport, DAEMON, DEFAULT_THRESHOLD, FAULTS, GATED, PLAN, SCALE, STREAM, SUMMARY,
-    TIMELINE, WARM,
-};
+use moteur_bench::gate::{Campaign, DAEMON, FAULTS, PLAN, SCALE, STREAM, SUMMARY, TIMELINE, WARM};
 use moteur_bench::plan::{render_plan_bench, render_plan_bench_json, run_plan_bench, PlanSpec};
 use moteur_bench::scale::{render_scale, render_scale_json, run_scale, ScaleSpec};
 use moteur_bench::stream::{render_stream, render_stream_json, run_stream, StreamSpec};
@@ -85,9 +78,9 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-/// The scale campaign reports real allocation counts and the live-heap
-/// high-water mark, so this binary routes every allocation through the
-/// profiler's counting wrapper around the system allocator.
+/// The scale and stream campaigns report real allocation counts and
+/// live-heap high-water marks, so this binary routes every allocation
+/// through the profiler's counting wrapper around the system allocator.
 #[global_allocator]
 static ALLOC: moteur_prof::alloc::CountingAlloc = moteur_prof::alloc::CountingAlloc;
 
@@ -138,10 +131,6 @@ fn usage() -> ExitCode {
     eprintln!("usage: moteur-bench campaign [--sweep ndata=1..6] [--seed N]");
     eprintln!("                    [--workflow chain|bronze] [--grid ideal|egee]");
     eprintln!("                    [--overhead SECS] [--tolerance FRAC] [--out-dir DIR]");
-    eprintln!("       moteur-bench gate [--summary PATH] [--baseline PATH] [--threshold FRAC]");
-    eprintln!("                    [--faults PATH] [--timeline PATH] [--plan PATH]");
-    eprintln!("                    [--scale PATH] [--scale-baseline PATH] [--daemon PATH]");
-    eprintln!("                    [--stream PATH]");
     eprintln!("       moteur-bench warm [--ndata N] [--seed N] [--out-dir DIR]");
     eprintln!("       moteur-bench faults [--ndata N] [--seed N] [--repeats R]");
     eprintln!("                    [--failure-probability P] [--out-dir DIR]");
@@ -153,8 +142,6 @@ fn usage() -> ExitCode {
     eprintln!("                    [--seed N] [--out-dir DIR]");
     eprintln!("       moteur-bench daemon [--workflows N] [--tenants N] [--ndata N]");
     eprintln!("                    [--out-dir DIR]");
-    eprintln!();
-    eprintln!("env: MOTEUR_BENCH_UPDATE_BASELINE=1  rewrite the gate baseline and pass");
     ExitCode::from(2)
 }
 
@@ -235,73 +222,6 @@ fn cmd_campaign(args: &[String]) -> Outcome {
         points.len()
     );
     conclude(args, &SUMMARY, &human, render_summary_json(&summary))
-}
-
-fn cmd_gate(args: &[String]) -> Outcome {
-    let needs = "a fraction (e.g. 0.10)";
-    let threshold = flag(args, "--threshold", DEFAULT_THRESHOLD, needs, any)?;
-    let update = std::env::var("MOTEUR_BENCH_UPDATE_BASELINE").as_deref() == Ok("1");
-    let mut report = GateReport {
-        threshold,
-        checks: Vec::new(),
-    };
-    let mut updates = Vec::new();
-    // The summary and its baseline must exist. Every other campaign is
-    // folded in when its document is around: explicitly via its flag,
-    // or implicitly when the default artifact sits in the current
-    // directory; scale brings its own optional baseline for the
-    // deterministic allocation axes.
-    for campaign in GATED {
-        let required = campaign.name == SUMMARY.name;
-        if update && campaign.baseline.is_none() {
-            continue;
-        }
-        let explicit = flag_value(args, &format!("--{}", campaign.name));
-        let path = explicit.map_or_else(|| campaign.file(), str::to_string);
-        let doc = match std::fs::read_to_string(&path) {
-            Ok(doc) => doc,
-            Err(_) if explicit.is_none() && !required => continue,
-            Err(e) => return Err(format!("reading {path}: {e}").into()),
-        };
-        let baseline_path = campaign
-            .baseline
-            .map(|(flag, default)| flag_value(args, flag).unwrap_or(default));
-        if let (true, Some(baseline_path)) = (update, baseline_path) {
-            // Its deterministic axes are machine-independent, so the
-            // scale baseline is re-seeded too — but only ever from a
-            // document of the schema the comparison would accept.
-            expect_schema(&doc, campaign.name, campaign.schema)?;
-            updates.push((baseline_path, path, doc));
-            continue;
-        }
-        let baseline = match baseline_path.map(|p| (p, std::fs::read_to_string(p))) {
-            Some((_, Ok(baseline))) => Some(baseline),
-            Some((p, Err(e))) if required => {
-                return Err(format!(
-                    "reading {p}: {e} (run with MOTEUR_BENCH_UPDATE_BASELINE=1 to seed it)"
-                )
-                .into())
-            }
-            _ => None,
-        };
-        report
-            .checks
-            .extend(campaign.check(&doc, baseline.as_deref(), threshold)?);
-    }
-    if update {
-        for (baseline_path, path, doc) in updates {
-            std::fs::write(baseline_path, doc)
-                .map_err(|e| format!("updating {baseline_path}: {e}"))?;
-            println!("baseline {baseline_path} updated from {path}");
-        }
-        return Ok(ExitCode::SUCCESS);
-    }
-    print!("{}", report.render());
-    Ok(if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn cmd_warm(args: &[String]) -> Outcome {
@@ -433,7 +353,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = match args.first().map(String::as_str) {
         Some("campaign") => cmd_campaign,
-        Some("gate") => cmd_gate,
         Some("warm") => cmd_warm,
         Some("faults") => cmd_faults,
         Some("timeline") => cmd_timeline,

@@ -2,7 +2,7 @@
 //! configurations over a range of campaign sizes, fit the paper's
 //! y-intercept/slope model (§4) to each, check model-vs-observed drift
 //! (eq. 1–4), and serialise everything in the stable `BENCH_*` schemas
-//! the regression gate consumes.
+//! CI regenerates and compares with the committed files.
 //!
 //! The default load is [`bronze_chain_workflow`]: the Bronze-Standard
 //! critical path as a pure streaming pipeline on [`GridConfig::ideal`].
@@ -16,9 +16,10 @@ use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow, bronze_inputs, b
 use moteur::lint::CONFIG_KEYS;
 use moteur::obs::json::{array, JsonObject};
 use moteur::{
-    check_drift, fit_sweep, predict, Enactment, EnactorConfig, InputData, MakespanFit, MoteurError,
-    Observation, SimBackend, SweepPoint, Workflow,
+    check_drift, predict, Enactment, EnactorConfig, InputData, MoteurError, Observation,
+    SimBackend, Workflow,
 };
+use moteur_analysis::{linear_regression, Line};
 use moteur_gridsim::GridConfig;
 
 /// Which workflow a sweep enacts.
@@ -143,7 +144,7 @@ pub struct BenchPoint {
 pub struct ConfigSummary {
     pub config: &'static str,
     /// `None` only for degenerate sweeps (fewer than two sizes).
-    pub fit: Option<MakespanFit>,
+    pub fit: Option<Line>,
     /// Observed makespan at the largest swept size.
     pub makespan_at_max: f64,
     /// Worst model-vs-observed relative error across the sweep.
@@ -182,8 +183,8 @@ fn config_key(label: &str) -> &'static str {
         .expect("table1 label must have a predict key")
 }
 
-/// The speed-up ratios the gate tracks, as (name, numerator, denominator)
-/// over `makespan_at_max`.
+/// The speed-up ratios the summary records, as (name, numerator,
+/// denominator) over `makespan_at_max`.
 const SPEEDUP_RATIOS: [(&str, &str, &str); 3] = [
     ("nop_over_sp", "nop", "sp"),
     ("nop_over_sp_dp", "nop", "sp+dp"),
@@ -236,12 +237,9 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<(Vec<BenchPoint>, BenchSummary), Mo
         .map(|cfg| {
             let key = config_key(cfg.label());
             let mine: Vec<&BenchPoint> = points.iter().filter(|p| p.config == key).collect();
-            let sweep: Vec<SweepPoint> = mine
+            let sweep: Vec<(f64, f64)> = mine
                 .iter()
-                .map(|p| SweepPoint {
-                    n_data: p.n_data,
-                    makespan_secs: p.makespan_secs,
-                })
+                .map(|p| (p.n_data as f64, p.makespan_secs))
                 .collect();
             let at_max = mine
                 .iter()
@@ -249,7 +247,7 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<(Vec<BenchPoint>, BenchSummary), Mo
                 .expect("every config measured at max size");
             ConfigSummary {
                 config: key,
-                fit: fit_sweep(&sweep),
+                fit: linear_regression(&sweep),
                 makespan_at_max: at_max.makespan_secs,
                 max_rel_error: mine.iter().map(|p| p.rel_error).fold(0.0, f64::max),
                 drift_ok: mine.iter().all(|p| p.rel_error <= spec.tolerance),
@@ -313,8 +311,7 @@ pub fn render_points_json(spec: &SweepSpec, points: &[BenchPoint]) -> String {
         .finish()
 }
 
-/// Serialise the roll-up (`BENCH_summary.json`) — the file the
-/// regression gate compares against the committed baseline.
+/// Serialise the roll-up (`BENCH_summary.json`).
 pub fn render_summary_json(summary: &BenchSummary) -> String {
     let configs = summary.configs.iter().map(|c| {
         let mut o = JsonObject::new().str("config", c.config);
@@ -324,9 +321,13 @@ pub fn render_summary_json(summary: &BenchSummary) -> String {
                     .num("intercept", fit.intercept)
                     .num("slope", fit.slope)
                     .num("r_squared", fit.r_squared);
-                o = match fit.intercept_slope_ratio {
-                    Some(r) => o.num("intercept_slope_ratio", r),
-                    None => o.raw("intercept_slope_ratio", "null"),
+                // The paper's break-even indicator: the campaign size
+                // at which variable cost catches up with fixed cost.
+                // Undefined for a (numerically) flat line.
+                o = if fit.slope.abs() < 1e-12 {
+                    o.raw("intercept_slope_ratio", "null")
+                } else {
+                    o.num("intercept_slope_ratio", fit.intercept / fit.slope)
                 };
             }
             None => {
@@ -438,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn speedups_cover_the_gate_ratios() {
+    fn speedups_cover_the_three_ratios() {
         let (_, summary) = run_sweep(&quick_spec()).unwrap();
         let names: Vec<&str> = summary.speedups.iter().map(|(n, _)| *n).collect();
         assert_eq!(

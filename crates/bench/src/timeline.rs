@@ -11,9 +11,9 @@
 //!   bottleneck detector must attribute the run to `queue-wait`.
 //!
 //! `BENCH_timeline.json` records both regimes — peak queue depth,
-//! bytes through the enactor, the attributed verdict — and the CI gate
-//! (`moteur-bench gate`) requires the invariant and the attribution to
-//! hold ([`crate::gate::TIMELINE`]).
+//! bytes through the enactor, the attributed verdict — and the
+//! campaign's table ([`crate::gate::TIMELINE`]) requires the invariant
+//! and the attribution to hold.
 
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::obs::json::JsonObject;

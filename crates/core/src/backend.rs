@@ -24,13 +24,22 @@ use crate::value::DataValue;
 use moteur_gridsim::{GridConfig, GridJobSpec, GridSim, JobOutcome, SimTime};
 use moteur_wrapper::JobPlan;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Correlation id for one fired invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InvocationId(pub u64);
+
+/// Hasher of the maps keyed by ids the program mints itself
+/// (invocation and attempt tags): `RandomState`'s SipHash with fixed
+/// keys. Nobody hostile picks these keys, and under insert/remove churn
+/// a table grows or rehashes in place depending on where its
+/// tombstones fall, i.e. on the hash keys — per-process keys made the
+/// live-byte high-water mark of a run differ from one process to the
+/// next. No iteration order is relied on either way.
+pub(crate) type IdHasher = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
 
 /// What to run.
 #[derive(Clone)]
@@ -158,10 +167,10 @@ pub struct VirtualBackend {
     seq: u64,
     /// Exactly the in-flight set, by invocation tag: inserted at
     /// submit, removed at delivery or cancellation.
-    in_flight: std::collections::HashMap<u64, VirtualJob>,
+    in_flight: HashMap<u64, VirtualJob, IdHasher>,
     /// Invocations cancelled while still on the heap; their entries are
     /// discarded (without advancing the clock) when popped.
-    cancelled: std::collections::HashSet<u64>,
+    cancelled: HashSet<u64, IdHasher>,
 }
 
 impl VirtualBackend {
@@ -263,14 +272,14 @@ pub struct SimBackend {
     /// Latest simulator job for each invocation tag, so cancellation
     /// can reach back into the simulator. A resubmission with the same
     /// tag overwrites the entry — only the live attempt is cancellable.
-    jobs: std::collections::HashMap<u64, moteur_gridsim::JobId>,
+    jobs: HashMap<u64, moteur_gridsim::JobId, IdHasher>,
 }
 
 impl SimBackend {
     pub fn new(config: GridConfig, seed: u64) -> Self {
         SimBackend {
             sim: GridSim::new(config, seed),
-            jobs: std::collections::HashMap::new(),
+            jobs: HashMap::default(),
         }
     }
 

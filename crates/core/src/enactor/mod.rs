@@ -32,7 +32,7 @@ mod completion;
 mod compose;
 mod ports;
 
-use crate::backend::{Backend, BackendJob, InvocationId, JobPayload, WaitOutcome};
+use crate::backend::{Backend, BackendJob, IdHasher, InvocationId, JobPayload, WaitOutcome};
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
 use crate::ft::{FtConfig, QuarantineEntry};
@@ -237,7 +237,7 @@ pub struct WorkflowInstance {
     scc_ids: Vec<usize>,
     in_cycle: Vec<bool>,
     routes: Routes,
-    pending: HashMap<u64, PendingJob>,
+    pending: HashMap<u64, PendingJob, IdHasher>,
     /// The deadline index: per processor, its armed invocations keyed
     /// `(window_start, logical id)`. Every change to a pending
     /// invocation goes through `insert_pending`, `update_pending` or
@@ -279,11 +279,11 @@ pub struct WorkflowInstance {
     /// Fresh attempt tag → logical invocation id. Same-tag failure
     /// resubmits need no entry; only replicas and timeout resubmits
     /// are registered here.
-    attempt_of: HashMap<u64, u64>,
+    attempt_of: HashMap<u64, u64, IdHasher>,
     /// Attempt tags whose backend job could not be retracted
     /// ([`Backend::cancel`] returned `false`); their late completions
     /// are dropped on arrival.
-    cancelled_attempts: HashSet<u64>,
+    cancelled_attempts: HashSet<u64, IdHasher>,
     /// Backoff queue: `(due time, logical invocation)` awaiting
     /// resubmission. Deferred invocations still count as in flight.
     deferred: Vec<(SimTime, u64)>,
@@ -416,7 +416,7 @@ impl WorkflowInstance {
             scc_ids,
             in_cycle,
             routes,
-            pending: HashMap::new(),
+            pending: HashMap::default(),
             armed: vec![BTreeSet::new(); n_procs],
             next_invocation: 0,
             jobs_submitted: 0,
@@ -433,8 +433,8 @@ impl WorkflowInstance {
             obs,
             history_xml: HistoryXmlCache::new(),
             digests,
-            attempt_of: HashMap::new(),
-            cancelled_attempts: HashSet::new(),
+            attempt_of: HashMap::default(),
+            cancelled_attempts: HashSet::default(),
             deferred: Vec::new(),
             proc_samples: vec![Vec::new(); n_procs],
             ce_failures: HashMap::new(),

@@ -112,7 +112,6 @@ pub use obs::chrome::{chrome_trace, chrome_trace_with_metrics};
 pub use obs::critical::{analyze as critical_path, render as render_critical_path, CriticalPath};
 pub use obs::detect::{analyze as detect_bottlenecks, Bottleneck, DetectReport, Straggler};
 pub use obs::drift::{check_drift, DriftEntry, DriftReport, Observation};
-pub use obs::fit::{fit_sweep, MakespanFit, SweepPoint};
 pub use obs::metrics::{MetricsRegistry, MetricsSink};
 pub use obs::openmetrics::render as render_openmetrics;
 pub use obs::openmetrics::render_daemon as render_daemon_openmetrics;

@@ -24,33 +24,54 @@
 
 use std::fmt::Write as _;
 
+/// Append `s` to `out`, escaped for inclusion inside JSON double
+/// quotes. Every byte that needs escaping is ASCII, so the runs between
+/// them are copied whole.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Append `v` to `out` as a JSON number (`null` for non-finite values,
+/// which JSON cannot represent).
+fn push_num(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
 /// Render an `f64` as a JSON number (`null` for non-finite values,
 /// which JSON cannot represent).
 pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_num(&mut out, v);
+    out
 }
 
 /// Incremental single-line JSON object writer.
@@ -59,29 +80,37 @@ pub struct JsonObject {
     buf: String,
 }
 
+/// Starting capacity of a [`JsonObject`]: most lines of an event
+/// stream fit, so writing one is one allocation, or two.
+const LINE_CAPACITY: usize = 128;
+
 impl JsonObject {
     pub fn new() -> Self {
-        JsonObject {
-            buf: String::from("{"),
-        }
+        let mut buf = String::with_capacity(LINE_CAPACITY);
+        buf.push('{');
+        JsonObject { buf }
     }
 
     fn key(&mut self, k: &str) {
         if self.buf.len() > 1 {
             self.buf.push(',');
         }
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.buf.push('"');
+        push_escaped(&mut self.buf, k);
+        self.buf.push_str("\":");
     }
 
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push('"');
+        push_escaped(&mut self.buf, v);
+        self.buf.push('"');
         self
     }
 
     pub fn num(mut self, k: &str, v: f64) -> Self {
         self.key(k);
-        self.buf.push_str(&num(v));
+        push_num(&mut self.buf, v);
         self
     }
 
@@ -464,6 +493,13 @@ mod tests {
     fn escapes_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+        // Runs between escapes are copied whole, multi-byte characters
+        // and the unescaped DEL included; an escape may open or close.
+        assert_eq!(escape("é\t😀\u{7f}\r"), "é\\t😀\u{7f}\\r");
+        assert_eq!(escape("\"\u{1f}x"), "\\\"\\u001fx");
+        assert_eq!(escape(""), "");
+        let o = JsonObject::new().str("k\"\n", "v\\é").finish();
+        assert_eq!(o, "{\"k\\\"\\n\":\"v\\\\é\"}");
     }
 
     #[test]

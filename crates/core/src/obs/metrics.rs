@@ -130,6 +130,20 @@ impl Histogram {
     }
 }
 
+/// `map[name]`, inserted from `make` when absent. The key is looked up
+/// first: a metric is created once and updated per event, and
+/// `entry(name.to_string())` would allocate the key on every update.
+pub(super) fn entry<'a, V>(
+    map: &'a mut BTreeMap<String, V>,
+    name: &str,
+    make: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), make());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
 /// All metrics of one run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
@@ -159,7 +173,7 @@ impl MetricsRegistry {
     }
 
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        *entry(&mut self.counters, name, || 0) += by;
     }
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -171,16 +185,13 @@ impl MetricsRegistry {
     }
 
     pub fn gauge_add(&mut self, name: &str, at: f64, delta: i64) {
-        let g = self.gauges.entry(name.to_string()).or_default();
+        let g = entry(&mut self.gauges, name, Gauge::default);
         let value = g.current + delta;
         g.update(at, value);
     }
 
     pub fn gauge_set(&mut self, name: &str, at: f64, value: i64) {
-        self.gauges
-            .entry(name.to_string())
-            .or_default()
-            .update(at, value);
+        entry(&mut self.gauges, name, Gauge::default).update(at, value);
     }
 
     pub fn gauge(&self, name: &str) -> Option<&Gauge> {
@@ -200,10 +211,7 @@ impl MetricsRegistry {
     }
 
     pub fn observe(&mut self, name: &str, make: impl FnOnce() -> Histogram, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(make)
-            .observe(value);
+        entry(&mut self.histograms, name, make).observe(value);
     }
 
     /// Full snapshot as a JSON object:

@@ -41,7 +41,6 @@ pub mod chrome;
 pub mod critical;
 pub mod detect;
 pub mod drift;
-pub mod fit;
 pub mod json;
 pub mod metrics;
 pub mod openmetrics;

@@ -169,9 +169,7 @@ impl Timeline {
 
     fn series_mut(&mut self, name: &str, kind: SeriesKind) -> &mut Series {
         let capacity = self.capacity;
-        self.series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(name, kind, capacity))
+        super::metrics::entry(&mut self.series, name, || Series::new(name, kind, capacity))
     }
 
     /// Sample a gauge level at virtual time `t`.
@@ -499,10 +497,9 @@ impl ResourceStats {
     }
 }
 
-/// Per-invocation lifecycle marks for phase attribution.
+/// Grid-level lifecycle marks of one attempt, for phase attribution.
 #[derive(Debug, Clone, Copy, Default)]
 struct JobMarks {
-    submitted: Option<f64>,
     enqueued: Option<f64>,
     started: Option<f64>,
     /// Transfer seconds of the current attempt (from the link event).
@@ -510,12 +507,21 @@ struct JobMarks {
 }
 
 /// Shared state behind a [`TimelineSink`] handle.
+///
+/// Like the series, the two maps are bounded by what is in flight, not
+/// by the length of the run: each entry is dropped by the event that
+/// ends its lifecycle, so a daemon-lifetime sink does not grow.
 #[derive(Debug, Default)]
 pub struct TimelineState {
     pub timeline: Timeline,
     pub stats: ResourceStats,
+    /// By attempt tag, from the attempt's first grid event until its
+    /// `GridDelivered` or `GridCancelled`.
     marks: HashMap<u64, JobMarks>,
-    services: HashMap<u64, String>,
+    /// Service and submission time by logical invocation id, from
+    /// `JobSubmitted` / `CacheHit` until the invocation's terminal
+    /// event.
+    services: HashMap<u64, (String, f64)>,
 }
 
 /// An [`EventSink`] sampling every lifecycle event into a [`Timeline`]
@@ -620,8 +626,7 @@ impl EventSink for TimelineSink {
                 processor,
                 ..
             } => {
-                state.services.insert(*invocation, processor.clone());
-                state.marks.entry(*invocation).or_default().submitted = Some(t);
+                state.services.insert(*invocation, (processor.clone(), t));
                 state.timeline.counter("enactor.jobs_submitted", t, 1.0);
             }
             TraceEvent::EdgeStaged {
@@ -641,8 +646,7 @@ impl EventSink for TimelineSink {
                 processor,
                 ..
             } => {
-                state.services.insert(*invocation, processor.clone());
-                state.marks.entry(*invocation).or_default().submitted = Some(t);
+                state.services.insert(*invocation, (processor.clone(), t));
                 state.timeline.counter("enactor.cache_hits", t, 1.0);
             }
             TraceEvent::GridEnqueued { invocation, .. } => {
@@ -663,19 +667,18 @@ impl EventSink for TimelineSink {
                     m.attempt_transfer = 0.0;
                 }
             }
+            TraceEvent::GridDelivered { invocation, .. }
+            | TraceEvent::GridCancelled { invocation, .. } => {
+                state.marks.remove(invocation);
+            }
             TraceEvent::JobCompleted { invocation, .. } => {
                 state.stats.completed += 1;
                 state.timeline.counter("enactor.completed", t, 1.0);
-                let submitted = state
-                    .marks
-                    .get(invocation)
-                    .and_then(|m| m.submitted)
-                    .unwrap_or(t);
-                if let Some(service) = state.services.get(invocation) {
+                if let Some((service, submitted)) = state.services.remove(invocation) {
                     state
                         .stats
                         .service_durations
-                        .entry(service.clone())
+                        .entry(service)
                         .or_default()
                         .push(DurationSample {
                             invocation: *invocation,
@@ -683,13 +686,23 @@ impl EventSink for TimelineSink {
                         });
                 }
             }
-            TraceEvent::JobFailed { .. } => {
+            TraceEvent::JobFailed { invocation, .. } => {
                 state.stats.failed += 1;
                 state.timeline.counter("enactor.failed", t, 1.0);
+                state.services.remove(invocation);
             }
-            TraceEvent::JobCancelled { .. } => {
+            TraceEvent::JobCancelled {
+                invocation, reason, ..
+            } => {
                 state.stats.cancelled += 1;
                 state.timeline.counter("enactor.cancelled", t, 1.0);
+                // A superseded attempt is not an invocation: its tag is
+                // fresh, or it is the logical id of the invocation whose
+                // `JobCompleted` is the next event and still needs the
+                // entry.
+                if *reason != "superseded" {
+                    state.services.remove(invocation);
+                }
             }
             TraceEvent::EnactorGauges {
                 inflight,
@@ -895,6 +908,175 @@ mod tests {
         let d = &stats.service_durations["svc"];
         assert_eq!(d.len(), 1);
         assert!((d[0].secs - 26.0).abs() < 1e-9);
+    }
+
+    /// The sink's per-invocation and per-attempt entries end with the
+    /// lifecycle they belong to: after every kind of lifecycle has run
+    /// to its end nothing is left, and dropping them moved no aggregate
+    /// (the expected numbers are what the never-forgetting sink
+    /// computed for the same events).
+    #[test]
+    fn sink_forgets_finished_invocations_and_attempts() {
+        use moteur_gridsim::SimTime;
+        let at = SimTime::from_secs_f64;
+        let processor = || "svc".to_string();
+        // One grid attempt under `tag`: queued at `t`, started 10 s
+        // later with 4 s of transfers, then run for 20 s unless `cut`.
+        let attempt = |tag: u64, t: f64, cut: bool| {
+            let mut events = vec![
+                TraceEvent::GridEnqueued {
+                    at: at(t),
+                    invocation: tag,
+                    ce: 0,
+                    attempt: 1,
+                },
+                TraceEvent::GridStarted {
+                    at: at(t + 10.0),
+                    invocation: tag,
+                    ce: 0,
+                },
+                TraceEvent::GridLinkTransfer {
+                    at: at(t + 10.0),
+                    invocation: tag,
+                    ce: 0,
+                    bytes_in: 700,
+                    bytes_out: 300,
+                    stage_in_secs: 3.0,
+                    stage_out_secs: 1.0,
+                },
+            ];
+            if !cut {
+                events.push(TraceEvent::GridFinished {
+                    at: at(t + 30.0),
+                    invocation: tag,
+                    ce: 0,
+                    success: true,
+                });
+            }
+            events
+        };
+        let submitted = |invocation: u64| TraceEvent::JobSubmitted {
+            at: at(0.0),
+            invocation,
+            processor: processor(),
+            grid: true,
+            batched: 1,
+        };
+        let delivered = |t: f64, invocation: u64, success: bool| TraceEvent::GridDelivered {
+            at: at(t),
+            invocation,
+            success,
+        };
+        let grid_cancelled = |t: f64, invocation: u64| TraceEvent::GridCancelled {
+            at: at(t),
+            invocation,
+        };
+        let completed = |t: f64, invocation: u64| TraceEvent::JobCompleted {
+            at: at(t),
+            invocation,
+            processor: processor(),
+        };
+        let cancelled = |t: f64, invocation: u64, reason: &'static str| TraceEvent::JobCancelled {
+            at: at(t),
+            invocation,
+            processor: processor(),
+            reason,
+        };
+
+        // 1: one attempt, delivered.
+        let mut events = vec![submitted(1)];
+        events.extend(attempt(1, 0.0, false));
+        events.extend([delivered(31.0, 1, true), completed(31.0, 1)]);
+        // 2: timed out mid-run, resubmitted under the fresh tag 1002.
+        events.push(submitted(2));
+        events.extend(attempt(2, 0.0, true));
+        events.push(grid_cancelled(100.0, 2));
+        events.extend(attempt(1002, 100.0, false));
+        events.extend([delivered(131.0, 1002, true), completed(131.0, 2)]);
+        // 3: the replica 1003 loses to the original attempt.
+        events.push(submitted(3));
+        events.extend(attempt(3, 0.0, false));
+        events.extend(attempt(1003, 15.0, true));
+        events.extend([
+            delivered(31.0, 3, true),
+            grid_cancelled(31.0, 1003),
+            cancelled(31.0, 1003, "superseded"),
+            completed(31.0, 3),
+        ]);
+        // 4: the replica 1004 wins; the loser carries the logical id
+        // and is cancelled before the invocation completes.
+        events.push(submitted(4));
+        events.extend(attempt(4, 50.0, true));
+        events.extend(attempt(1004, 0.0, false));
+        events.extend([
+            delivered(31.0, 1004, true),
+            grid_cancelled(31.0, 4),
+            cancelled(31.0, 4, "superseded"),
+            completed(31.0, 4),
+        ]);
+        // 5: failed for good.
+        events.push(submitted(5));
+        events.extend(attempt(5, 0.0, false));
+        events.extend([
+            delivered(31.0, 5, false),
+            TraceEvent::JobFailed {
+                at: at(31.0),
+                invocation: 5,
+                processor: processor(),
+                error: "boom".into(),
+            },
+        ]);
+        // 6: drained by an abort while queued. 7: answered by the data
+        // manager, no grid event at all.
+        events.extend([
+            submitted(6),
+            TraceEvent::GridEnqueued {
+                at: at(1.0),
+                invocation: 6,
+                ce: 0,
+                attempt: 1,
+            },
+            grid_cancelled(2.0, 6),
+            cancelled(2.0, 6, "abort"),
+            TraceEvent::CacheHit {
+                at: at(5.0),
+                invocation: 7,
+                processor: processor(),
+                outputs: 1,
+                transfer_seconds: 2.0,
+            },
+            completed(7.0, 7),
+        ]);
+
+        let mut sink = TimelineSink::new();
+        for event in &events {
+            sink.record(event);
+        }
+        let state = sink.state();
+        let state = state.lock().unwrap();
+        assert!(state.marks.is_empty(), "{:?}", state.marks);
+        assert!(state.services.is_empty(), "{:?}", state.services);
+        let stats = &state.stats;
+        // Eight attempts started (10 s queued, 4 s of transfers each);
+        // the five that finished computed 20 s − 4 s.
+        assert_eq!(stats.queue_wait_secs, 80.0);
+        assert_eq!(stats.transfer_secs, 32.0);
+        assert_eq!(stats.compute_secs, 80.0);
+        assert_eq!(stats.total_link_bytes(), 8000);
+        assert_eq!(
+            (stats.completed, stats.failed, stats.cancelled),
+            (5, 1, 3),
+            "{stats:?}"
+        );
+        let durations: Vec<(u64, f64)> = stats.service_durations["svc"]
+            .iter()
+            .map(|d| (d.invocation, d.secs))
+            .collect();
+        assert_eq!(
+            durations,
+            [(1, 31.0), (2, 131.0), (3, 31.0), (4, 31.0), (7, 2.0)]
+        );
+        assert_eq!(stats.t_end, 131.0);
     }
 
     #[test]
