@@ -23,6 +23,15 @@ if grep -rnw --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
   exit 1
 fi
 
+# One spelling per run output: the fourteen per-format flags that
+# `--emit kind=path` replaced may not come back in the documents a user
+# (or the next builder) copies commands from.
+if grep -nE -e '--(events|chrome-trace|metrics|openmetrics|spans|timeline|timeline-csv|profile|profile-collapsed|provenance|workflow-report|report|critical-path|diagram)([^a-z-]|$)' \
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md ci.sh; then
+  echo "a removed output flag is documented: spell it --emit kind=path" >&2
+  exit 1
+fi
+
 # API docs must build clean: broken intra-doc links and malformed
 # doc blocks are errors, not noise.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -30,6 +39,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Tier-1: the root package must build in release and pass its tests.
 cargo build --release --offline
 cargo test -q --offline
+
+# README's CLI reference is the binaries' own `--help`, which is derived
+# from the flag tables (src/cli.rs) and the export table (src/emit.rs):
+# rewrite the two fenced blocks between their markers and compare with
+# the committed file, the same rule as the BENCH_*.json below.
+for bin in moteur moteur-gridsim; do
+  cargo run --offline --quiet --bin "$bin" -- --help >target/help.txt
+  awk -v from="<!-- $bin --help -->" -v to="<!-- /$bin --help -->" '
+    $0 == from {
+      print; print "```text"
+      while ((getline line < "target/help.txt") > 0) print line
+      close("target/help.txt"); print "```"; skip = 1; next
+    }
+    $0 == to { skip = 0 }
+    !skip' README.md >target/README.md
+  cp target/README.md README.md
+done
+git diff --exit-code -- README.md
 
 # The full workspace (core, gridsim, scufl, wrapper, xmlish, analysis,
 # registration, bench).
@@ -167,7 +194,7 @@ cargo run --offline --quiet --bin moteur -- example
 if cargo run --offline --quiet --bin moteur -- \
     run bronze-standard.xml inputs-12.xml --config sp+dp \
     --timeout 40 --max-retries 0 --continue-on-error \
-    --workflow-report degraded-report.json; then
+    --emit workflow-report=degraded-report.json; then
   echo "continue-on-error run should exit non-zero" >&2
   exit 1
 fi

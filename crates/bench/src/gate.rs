@@ -67,8 +67,6 @@ pub enum Expr {
     In(&'static str, &'static str, &'static str, &'static str),
     /// A field of the element an [`Each`] row is visiting.
     Elem(&'static str),
-    /// The element an [`Each`] row is visiting, itself.
-    Value,
     /// Field `.1` summed over the elements of array `.0`.
     Sum(&'static str, &'static str),
     /// 1 when the string found by `.0` is `.1`, else 0.
@@ -84,7 +82,6 @@ pub enum Op {
     Equal,
     EqualNonZero,
     AtLeast,
-    Above,
 }
 
 /// What an `each` row visits: one check per element, labelled by
@@ -94,8 +91,6 @@ pub enum Op {
 pub enum Each {
     /// The elements of array `.0`, named by their field `.1`.
     Of(&'static str, &'static str),
-    /// The fields of object `.0`, named by their key.
-    Fields(&'static str),
 }
 
 /// One gate criterion.
@@ -143,7 +138,7 @@ pub struct Campaign {
     pub rows: &'static [Row],
 }
 
-use Expr::{Const, Elem, In, Is, Mul, Sum, Top, Value};
+use Expr::{Const, Elem, In, Is, Mul, Sum, Top};
 use Op::{AtLeast, AtMost, Below, Equal, EqualNonZero};
 
 const CONFIGS: Each = Each::Of("configs", "config");
@@ -335,23 +330,15 @@ pub static STREAM: Campaign = Campaign {
 
 impl Each {
     fn names<'a>(&self, doc: &'a JsonValue) -> Option<Vec<&'a str>> {
-        match self {
-            Each::Of(array, key) => doc.array_at(array)?.iter().map(|e| e.str_at(key)).collect(),
-            Each::Fields(object) => match doc.get(object)? {
-                JsonValue::Object(fields) => Some(fields.iter().map(|(k, _)| k.as_str()).collect()),
-                _ => None,
-            },
-        }
+        let Each::Of(array, key) = self;
+        doc.array_at(array)?.iter().map(|e| e.str_at(key)).collect()
     }
 
     fn elem<'a>(&self, doc: &'a JsonValue, name: &str) -> Option<&'a JsonValue> {
-        match self {
-            Each::Of(array, key) => doc
-                .array_at(array)?
-                .iter()
-                .find(|e| e.str_at(key) == Some(name)),
-            Each::Fields(object) => doc.get(object)?.get(name),
-        }
+        let Each::Of(array, key) = self;
+        doc.array_at(array)?
+            .iter()
+            .find(|e| e.str_at(key) == Some(name))
     }
 }
 
@@ -369,7 +356,6 @@ impl Expr {
             Top(field) => scope.doc.get(field),
             In(array, key, name, field) => Each::Of(array, key).elem(scope.doc, name)?.get(field),
             Elem(field) => scope.elem?.get(field),
-            Value => scope.elem,
             _ => None,
         }
     }
@@ -435,7 +421,6 @@ impl Campaign {
                         Equal => lhs == rhs,
                         EqualNonZero => lhs == rhs && rhs > 0.0,
                         AtLeast => lhs >= rhs,
-                        Op::Above => lhs > rhs,
                     },
                 });
             }

@@ -74,6 +74,7 @@ use moteur_bench::sweep::{
 };
 use moteur_bench::timeline::{render_timeline, render_timeline_json, run_timeline, TimelineSpec};
 use moteur_bench::warm::{render_warm, render_warm_json, run_warm_pair};
+use moteur_gridsim::GridConfig;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -197,7 +198,8 @@ fn cmd_campaign(args: &[String]) -> Outcome {
             SweepWorkflow::parse(s).ok_or(format!("unknown workflow `{s}` (chain|bronze)"))?;
     }
     if let Some(s) = flag_value(args, "--grid") {
-        spec.grid = SweepGrid::parse(s).ok_or(format!("unknown grid `{s}` (ideal|egee)"))?;
+        spec.grid =
+            SweepGrid::parse(s).ok_or(format!("unknown grid `{s}` ({})", GridConfig::PRESETS))?;
     }
     spec.overhead = flag(args, "--overhead", spec.overhead, "a number (seconds)", any)?;
     spec.tolerance = flag(

@@ -21,10 +21,9 @@
 
 use crate::bronze::{bronze_inputs, bronze_workflow, bronze_workflow_xml, IMAGE_BYTES};
 use moteur::obs::json::JsonObject;
-use moteur::plan::interval::{CardInterval, SourceSizes};
 use moteur::{
-    plan_workflow, DataValue, Enactment, EnactorConfig, FtConfig, InputData, MoteurError, Obs,
-    PlanOptions, SimBackend, TimelineSink, Workflow,
+    plan_workflow, CardInterval, DataValue, Enactment, EnactorConfig, FtConfig, InputData,
+    MoteurError, Obs, PlanOptions, SimBackend, SourceSizes, TimelineSink, Workflow,
 };
 use moteur_gridsim::GridConfig;
 use moteur_scufl::parse_workflow;

@@ -81,18 +81,13 @@ impl SweepGrid {
     }
 
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ideal" => Some(Self::Ideal),
-            "egee" => Some(Self::Egee),
-            _ => None,
-        }
+        [Self::Ideal, Self::Egee]
+            .into_iter()
+            .find(|g| g.name() == s)
     }
 
     fn config(self) -> GridConfig {
-        match self {
-            Self::Ideal => GridConfig::ideal(),
-            Self::Egee => GridConfig::egee_2006(),
-        }
+        GridConfig::preset(self.name()).expect("every sweep grid names a preset")
     }
 }
 

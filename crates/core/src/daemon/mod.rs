@@ -340,8 +340,8 @@ impl Daemon {
     }
 
     /// Cancel a queued or running instance, draining its in-flight
-    /// jobs from the shared backend ([`WorkflowInstance::abort`]
-    /// through a [`ScopedBackend`] retracts only this instance's
+    /// jobs from the shared backend (`WorkflowInstance::abort`
+    /// through a `ScopedBackend` retracts only this instance's
     /// attempt tags). `false` when the id is unknown or the instance
     /// already reached a terminal state.
     pub fn cancel(&mut self, id: u32) -> bool {

@@ -102,7 +102,7 @@ impl<'a> Enactment<'a> {
 
     /// Enact under an explicit fault-tolerance configuration: retry
     /// policies, timeouts with resubmission or speculative replication,
-    /// CE blacklisting and graceful degradation (see [`crate::ft`]).
+    /// CE blacklisting and graceful degradation (see [`FtConfig`]).
     pub fn ft(mut self, ft: &'a FtConfig) -> Self {
         self.ft = Some(ft);
         self
@@ -121,7 +121,7 @@ impl<'a> Enactment<'a> {
     /// store's transfer cost instead of running its grid job, and
     /// completed invocations are recorded back, so a second run over
     /// the same inputs short-circuits all deterministic grid work (see
-    /// [`crate::store`]). Quarantined invocations never complete, so a
+    /// [`DataStore`]). Quarantined invocations never complete, so a
     /// degraded run cannot poison the store.
     pub fn store(mut self, store: Option<&'a mut DataStore>) -> Self {
         self.store = store;

@@ -32,17 +32,6 @@ pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
     Ok(wf)
 }
 
-/// Number of service processors that would be fused away by grouping.
-pub fn groupable_pairs(workflow: &Workflow) -> usize {
-    let mut wf = workflow.clone();
-    let mut count = 0;
-    while let Some((p, q)) = find_groupable_pair(&wf) {
-        wf = merge_pair(&wf, p, q).expect("find_groupable_pair returned a mergeable pair");
-        count += 1;
-    }
-    count
-}
-
 fn is_groupable_service(wf: &Workflow, id: ProcId, in_cycle: &[bool]) -> bool {
     let p = wf.processor(id);
     p.kind == ProcessorKind::Service
@@ -389,7 +378,6 @@ mod tests {
             ServiceBinding::Grouped(gb) => assert_eq!(gb.stages.len(), 3),
             _ => panic!("expected grouped"),
         }
-        assert_eq!(groupable_pairs(&w), 2);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //!
 //! The crate provides:
 //!
-//! - a service-based **workflow model** ([`graph`]) with ports, data
+//! - a service-based **workflow model** ([`Workflow`]) with ports, data
 //!   links, coordination constraints, synchronization barriers and
 //!   cycles (run-time-bounded optimization loops, paper Fig. 2);
-//! - **iteration strategies** ([`iterate`]) — streaming dot and cross
+//! - **iteration strategies** ([`IterationStrategy`]) — streaming dot and cross
 //!   products over input streams (Fig. 3) — with provenance
-//!   **history trees** ([`token`]) resolving the out-of-order causality
+//!   **history trees** ([`History`]) resolving the out-of-order causality
 //!   problem of §3.3;
-//! - the **enactor** ([`enactor`]) combining workflow, data and service
-//!   parallelism plus **job grouping** ([`grouping`]) through the
+//! - the **enactor** ([`Enactment`]) combining workflow, data and service
+//!   parallelism plus **job grouping** ([`group_workflow`]) through the
 //!   generic code wrapper (`moteur-wrapper`);
-//! - pluggable **backends** ([`backend`]): ideal virtual time, the
+//! - pluggable **backends** ([`Backend`]): ideal virtual time, the
 //!   EGEE-like grid simulator, and real worker threads;
 //! - the paper's **theoretical makespan model** ([`model`], eqs. 1–4)
 //!   and ASCII **execution diagrams** ([`diagram`], Figs. 4–6);
@@ -57,87 +57,76 @@
 //! assert_eq!(result.sink("results").len(), 6, "3 data × 2 branches");
 //! ```
 
-pub mod backend;
-pub mod config;
-pub mod daemon;
+mod backend;
+mod config;
+mod daemon;
 pub mod diagram;
-pub mod dot;
-pub mod enactor;
-pub mod error;
-pub mod ft;
-pub mod granularity;
-pub mod graph;
-pub mod grouping;
-pub mod iterate;
+mod dot;
+mod enactor;
+mod error;
+mod ft;
+mod granularity;
+mod graph;
+mod grouping;
+mod iterate;
 pub mod lint;
 pub mod model;
 pub mod obs;
-pub mod plan;
-pub mod provenance;
-pub mod report;
-pub mod service;
-pub mod store;
-pub mod token;
-pub mod trace;
-pub mod value;
+mod plan;
+mod provenance;
+mod report;
+mod service;
+mod store;
+mod token;
+mod trace;
+mod value;
 
+// The crate's surface. Every name below has a reader outside
+// `crates/core/src` (DESIGN §3 lists which); everything else is
+// crate-private, so rustc reports what loses its last caller.
 pub use backend::{
-    Backend, BackendCompletion, BackendJob, InvocationId, JobPayload, LocalBackend, ScopedBackend,
-    SimBackend, VirtualBackend,
+    Backend, BackendJob, InvocationId, JobPayload, LocalBackend, SimBackend, VirtualBackend,
 };
 pub use config::{EnactorConfig, SloConfig};
-pub use daemon::protocol::{apply as daemon_apply, check_protocol, serve, Request, DAEMON_SCHEMA};
-pub use daemon::{
-    Daemon, DaemonConfig, DaemonMetrics, InstanceState, InstanceStatus, ScuflParser, TenantConfig,
-    TenantMetrics,
-};
+pub use daemon::protocol::{apply as daemon_apply, check_protocol, serve, Request};
+pub use daemon::{Daemon, DaemonConfig, InstanceState, TenantConfig};
 pub use dot::to_dot;
 #[doc(hidden)]
 pub use enactor::compat::{run_fault_tolerant, run_fault_tolerant_cached, run_observed};
-pub use enactor::{EnactCtx, Enactment, InputData, WorkflowInstance};
+pub use enactor::{Enactment, InputData};
 pub use error::MoteurError;
-pub use ft::{
-    FtConfig, FtPolicy, QuarantineEntry, RetryPolicy, TimeoutAction, TimeoutPolicy, WorkflowReport,
-};
-pub use granularity::{inverse_normal_cdf, GranularityModel};
-pub use graph::{IterationStrategy, Link, PortRef, ProcId, Processor, ProcessorKind, Workflow};
-pub use grouping::{group_workflow, groupable_pairs};
-pub use iterate::{MatchEngine, MatchedSet};
+pub use ft::{FtConfig, FtPolicy, QuarantineEntry, RetryPolicy, TimeoutAction, TimeoutPolicy};
+pub use granularity::GranularityModel;
+pub use graph::{IterationStrategy, ProcId, ProcessorKind, Workflow};
+pub use grouping::group_workflow;
+pub use iterate::MatchEngine;
 pub use lint::{
     lint_errors, lint_workflow, predict, render_human, render_prediction, report_from_json,
-    report_to_json, Diagnostic, LintReport, Prediction, Severity,
+    report_to_json, Diagnostic, LintReport, Severity,
 };
 pub use model::TimeMatrix;
 pub use obs::chrome::{chrome_trace, chrome_trace_with_metrics};
-pub use obs::critical::{analyze as critical_path, render as render_critical_path, CriticalPath};
-pub use obs::detect::{analyze as detect_bottlenecks, Bottleneck, DetectReport, Straggler};
-pub use obs::drift::{check_drift, DriftEntry, DriftReport, Observation};
+pub use obs::critical::{analyze as critical_path, render as render_critical_path};
+pub use obs::detect::analyze as detect_bottlenecks;
+pub use obs::drift::{check_drift, Observation};
 pub use obs::metrics::{MetricsRegistry, MetricsSink};
-pub use obs::openmetrics::render as render_openmetrics;
-pub use obs::openmetrics::render_daemon as render_daemon_openmetrics;
 pub use obs::openmetrics::render_with_prof as render_openmetrics_with_prof;
-pub use obs::prof::{
-    from_json as prof_from_json, to_json as prof_to_json, Prof, ProfReport, ProfScope, Subsystem,
-    PROF_SCHEMA,
-};
-pub use obs::sinks::{EventBuffer, JsonlSink, NullSink, RingBufferSink};
-pub use obs::span::{GridPhase, Span, SpanBuffer, SpanId, SpanKind, SpanSink, SpanTree};
-pub use obs::timeline::{ResourceStats, Timeline, TimelineSink, TIMELINE_SCHEMA};
+pub use obs::prof::{from_json as prof_from_json, to_json as prof_to_json, Prof, ProfReport};
+pub use obs::sinks::{EventBuffer, JsonlSink, RingBufferSink};
+pub use obs::span::{Span, SpanBuffer, SpanKind, SpanSink};
+pub use obs::timeline::{Timeline, TimelineSink};
 pub use obs::{EventSink, Obs, TraceEvent};
-pub use plan::interval::{output_intervals, CardInterval, SourceSizes};
-pub use plan::{analyze as plan_workflow, plan_to_json, render_plan, PlanOptions, PlanReport};
+pub use plan::interval::{CardInterval, SourceSizes};
+pub use plan::{analyze as plan_workflow, plan_to_json, render_plan, PlanOptions};
 pub use provenance::{export_provenance, history_from_xml, history_to_xml};
-pub use report::{render_report, service_stats, total_busy, ServiceStats};
-pub use service::{
-    CostModel, GroupSource, GroupedBinding, GroupedStage, LocalService, ServiceBinding,
-    ServiceProfile,
-};
+pub use report::render_report;
+pub use service::{CostModel, ServiceBinding, ServiceProfile};
+pub use store::key::Fnv1a;
 pub use store::{
-    descriptor_digest, group_digest, invocation_key, provenance_key, DataStore, HistoryXmlCache,
-    InvocationKey, ProvenanceKey, StoreConfig, StoreStats, STORE_SCHEMA,
+    invocation_key, provenance_key, DataStore, HistoryXmlCache, ProvenanceKey, StoreConfig,
 };
 pub use token::{DataIndex, History, Token};
-pub use trace::{InvocationRecord, WorkflowResult};
+pub use trace::WorkflowResult;
 pub use value::DataValue;
 
 /// Common imports for building and running workflows.

@@ -1,6 +1,6 @@
 //! Job-grouping legality rules (M030–M031, paper §3.6).
 //!
-//! Mirrors the conditions of [`crate::grouping`]'s transform, but
+//! Mirrors the conditions of [`crate::group_workflow`]'s transform, but
 //! instead of merging it *explains*: M030 points out sequential pairs
 //! the `jg` optimisation would fuse (saving one grid submission per
 //! invocation), M031 points out pairs that look sequential yet cannot

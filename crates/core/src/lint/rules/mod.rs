@@ -1,7 +1,7 @@
 //! The static rule registry.
 //!
 //! Each submodule contributes one family of checks over the parsed
-//! [`Workflow`] (plus its [`crate::graph::SourceSpans`] side table):
+//! [`Workflow`] (plus its `SourceSpans` side table):
 //!
 //! | module         | codes       | concern                               |
 //! |----------------|-------------|---------------------------------------|

@@ -1,5 +1,5 @@
 //! Planner-backed rules (M080–M085): findings that need the interval
-//! cardinality domain and the static transfer model of [`crate::plan`],
+//! cardinality domain and the static transfer model of [`crate::plan_workflow`],
 //! not just graph shape.
 //!
 //! The family reads the same analysis `moteur plan` reports on, with

@@ -13,7 +13,6 @@
 //! whose y-intercept estimates latency and slope the pipelining period
 //! — so the report carries the same metrics as the makespan model.
 
-use super::json::{array, JsonObject};
 use crate::trace::{InvocationRecord, WorkflowResult};
 use std::collections::HashMap;
 
@@ -218,7 +217,7 @@ fn fit(processor: &str, records: &[&InvocationRecord]) -> Option<PipelineFit> {
     })
 }
 
-/// Human-readable report of a [`CriticalPath`].
+/// Human-readable report of a `CriticalPath`.
 pub fn render(cp: &CriticalPath) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -262,42 +261,6 @@ pub fn render(cp: &CriticalPath) -> String {
         );
     }
     out
-}
-
-/// JSON rendering of a [`CriticalPath`] (for `--metrics`-style export).
-pub fn to_json(cp: &CriticalPath) -> String {
-    let steps = array(cp.steps.iter().map(|s| {
-        JsonObject::new()
-            .str("processor", &s.processor)
-            .str("index", &s.index)
-            .num("submitted", s.submitted_secs)
-            .num("started", s.started_secs)
-            .num("finished", s.finished_secs)
-            .finish()
-    }));
-    let shares = array(cp.shares.iter().map(|s| {
-        JsonObject::new()
-            .str("processor", &s.processor)
-            .uint("steps", s.steps as u64)
-            .num("wait_secs", s.wait_secs)
-            .num("exec_secs", s.exec_secs)
-            .finish()
-    }));
-    let fits = array(cp.fits.iter().map(|f| {
-        JsonObject::new()
-            .str("processor", &f.processor)
-            .uint("invocations", f.invocations as u64)
-            .num("intercept_secs", f.intercept_secs)
-            .num("slope_secs", f.slope_secs)
-            .num("r_squared", f.r_squared)
-            .finish()
-    }));
-    JsonObject::new()
-        .num("makespan_secs", cp.makespan_secs)
-        .raw("steps", &steps)
-        .raw("shares", &shares)
-        .raw("fits", &fits)
-        .finish()
 }
 
 #[cfg(test)]
@@ -373,7 +336,6 @@ mod tests {
         assert!(cp.steps.is_empty());
         assert_eq!(cp.coverage(), 0.0);
         assert!(render(&cp).contains("critical path"));
-        assert!(to_json(&cp).starts_with('{'));
     }
 
     #[test]

@@ -30,23 +30,24 @@
 //!
 //! Consumers:
 //!
-//! - [`sinks`] — no-op, in-memory ring buffer, JSONL writer;
-//! - [`metrics`] — counters, gauges with timelines, fixed-bucket
+//! - [`crate::RingBufferSink`], [`crate::JsonlSink`] — in-memory ring
+//!   buffer, JSONL writer;
+//! - [`crate::MetricsSink`] — counters, gauges with timelines, fixed-bucket
 //!   histograms, exported as one JSON snapshot;
-//! - [`chrome`] — Chrome trace-event (Perfetto-loadable) export of the
+//! - [`crate::chrome_trace`] — Chrome trace-event (Perfetto-loadable) export of the
 //!   DP/SP pipeline structure;
-//! - [`critical`] — critical-path analysis of a finished run.
+//! - [`crate::critical_path`] — critical-path analysis of a finished run.
 
-pub mod chrome;
-pub mod critical;
-pub mod detect;
-pub mod drift;
+pub(crate) mod chrome;
+pub(crate) mod critical;
+pub(crate) mod detect;
+pub(crate) mod drift;
 pub mod json;
-pub mod metrics;
-pub mod openmetrics;
-pub mod prof;
-pub mod sinks;
-pub mod span;
+pub(crate) mod metrics;
+pub(crate) mod openmetrics;
+pub(crate) mod prof;
+pub(crate) mod sinks;
+pub(crate) mod span;
 pub mod timeline;
 
 use json::JsonObject;

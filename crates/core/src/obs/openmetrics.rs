@@ -321,9 +321,9 @@ pub fn render_daemon(m: &crate::daemon::DaemonMetrics) -> String {
     out
 }
 
-/// [`render`] plus the `moteur_prof_*` self-profiler families. The prof
+/// `render` plus the `moteur_prof_*` self-profiler families. The prof
 /// fragment is inserted before the `# EOF` terminator; a `None` or
-/// inactive report leaves the snapshot byte-identical to [`render`].
+/// inactive report leaves the snapshot byte-identical to `render`.
 pub fn render_with_prof(
     registry: &MetricsRegistry,
     spans: Option<&SpanTree>,

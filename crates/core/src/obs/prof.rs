@@ -14,7 +14,7 @@
 //! and with it they depend only on the allocation sequence, which the
 //! seeded single-threaded hot paths make reproducible.
 
-pub use moteur_prof::{PathEntry, Prof, ProfReport, ProfScope, Subsystem, SubsystemStat};
+pub use moteur_prof::{PathEntry, Prof, ProfReport, Subsystem, SubsystemStat};
 
 use super::json::{array, expect_schema, JsonObject, JsonValue};
 

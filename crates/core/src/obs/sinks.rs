@@ -1,20 +1,11 @@
-//! Built-in [`EventSink`] implementations: no-op, bounded in-memory
-//! ring buffer, and JSONL stream writer.
+//! Built-in [`EventSink`] implementations: bounded in-memory ring
+//! buffer and JSONL stream writer.
 
 use super::{EventSink, TraceEvent};
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
-
-/// Discards every event. Useful to measure dispatch overhead and as an
-/// explicit "enabled but silent" configuration in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _event: &TraceEvent) {}
-}
 
 /// Shared view over a [`RingBufferSink`]'s contents.
 #[derive(Debug, Clone)]
@@ -206,13 +197,6 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains("\"type\":\"job_completed\""));
         }
-    }
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let mut sink = NullSink;
-        sink.record(&ev(0));
-        sink.flush().unwrap();
     }
 
     #[test]

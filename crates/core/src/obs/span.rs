@@ -271,7 +271,7 @@ struct ItemState {
     mark: SimTime,
 }
 
-/// [`EventSink`] folding the event stream into a [`SpanTree`].
+/// [`EventSink`] folding the event stream into a `SpanTree`.
 #[derive(Debug)]
 pub struct SpanSink {
     tree: Arc<Mutex<SpanTree>>,

@@ -29,7 +29,7 @@
 //! sparkline/heatmap renderer (`moteur timeline render`). The
 //! [`TimelineSink`] also aggregates [`ResourceStats`] — phase totals,
 //! per-CE busy integrals, per-service durations — the input to
-//! [`super::detect`].
+//! [`crate::detect_bottlenecks`].
 
 use super::json::{self, JsonObject, JsonValue};
 use super::{EventSink, TraceEvent};

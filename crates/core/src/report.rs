@@ -4,7 +4,7 @@
 //! grid overhead they paid.
 
 use crate::trace::WorkflowResult;
-use moteur_gridsim::{percentile, SimDuration};
+use moteur_gridsim::percentile;
 use std::collections::BTreeMap;
 
 /// Aggregated timings of one processor.
@@ -100,23 +100,12 @@ pub fn render_report(result: &WorkflowResult) -> String {
     out
 }
 
-/// Total busy time across all services — the "grid time consumed" that
-/// the paper's 9-day campaign total reflects.
-pub fn total_busy(result: &WorkflowResult) -> SimDuration {
-    let secs: f64 = result
-        .invocations
-        .iter()
-        .map(|r| r.finished.since(r.started).as_secs_f64())
-        .sum();
-    SimDuration::from_secs_f64(secs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::token::DataIndex;
     use crate::trace::InvocationRecord;
-    use moteur_gridsim::SimTime;
+    use moteur_gridsim::{SimDuration, SimTime};
     use std::collections::HashMap;
 
     fn result_with(records: Vec<InvocationRecord>) -> WorkflowResult {
@@ -182,15 +171,6 @@ mod tests {
         let text = render_report(&r);
         assert!(text.contains("crestLines"), "{text}");
         assert!(text.contains("makespan 100.0s over 3 jobs"));
-    }
-
-    #[test]
-    fn total_busy_sums_execution_windows() {
-        let r = result_with(vec![
-            rec("A", 0.0, 0.0, 10.0, 0),
-            rec("B", 0.0, 5.0, 25.0, 0),
-        ]);
-        assert!((total_busy(&r).as_secs_f64() - 30.0).abs() < 1e-6);
     }
 
     #[test]

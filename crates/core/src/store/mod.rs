@@ -28,7 +28,7 @@ mod disk;
 pub mod key;
 
 pub use key::{
-    descriptor_digest, group_digest, invocation_key, provenance_key, Fnv1a, HistoryXmlCache,
+    descriptor_digest, group_digest, invocation_key, provenance_key, HistoryXmlCache,
     InvocationKey, ProvenanceKey,
 };
 

@@ -2,9 +2,8 @@
 //! memo table, per-instance cancel isolation, admission control and
 //! weighted-fair dispatch.
 
-use moteur::daemon::protocol;
 use moteur::{
-    Daemon, DaemonConfig, DataStore, EnactorConfig, FtConfig, InputData, InstanceState,
+    serve, Daemon, DaemonConfig, DataStore, EnactorConfig, FtConfig, InputData, InstanceState,
     MoteurError, StoreConfig, TenantConfig, VirtualBackend, Workflow,
 };
 
@@ -246,7 +245,7 @@ fn protocol_surfaces_weight_zero_rejection_as_error_response() {
         },
     );
     let mut out = Vec::new();
-    protocol::serve(&mut d, session.as_bytes(), &mut out).unwrap();
+    serve(&mut d, session.as_bytes(), &mut out).unwrap();
     let response = String::from_utf8(out).unwrap();
     assert!(response.contains(r#""ok":false"#), "{response}");
     assert!(response.contains("weight 0"), "{response}");
@@ -291,7 +290,7 @@ fn serve_is_byte_stable_across_identical_sessions() {
     let run = |input: &str| -> String {
         let mut d = daemon();
         let mut out = Vec::new();
-        protocol::serve(&mut d, input.as_bytes(), &mut out).unwrap();
+        serve(&mut d, input.as_bytes(), &mut out).unwrap();
         String::from_utf8(out).unwrap()
     };
     let first = run(&session);

@@ -6,11 +6,9 @@
 //! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
 //! convention as `tests/golden/chrome_trace.json`).
 
-use moteur::daemon::protocol;
 use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
-use moteur::store::key::Fnv1a;
-use moteur::{Daemon, DaemonConfig, RingBufferSink};
+use moteur::{serve, Daemon, DaemonConfig, Fnv1a, RingBufferSink};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
@@ -383,7 +381,7 @@ fn daemon_wave() -> String {
         DaemonConfig::default(),
     );
     let mut out = Vec::new();
-    protocol::serve(&mut daemon, session.as_bytes(), &mut out).expect("in-memory io");
+    serve(&mut daemon, session.as_bytes(), &mut out).expect("in-memory io");
     let out = String::from_utf8(out).expect("responses are utf-8");
     assert_eq!(
         out.matches(r#""state":"succeeded""#).count(),

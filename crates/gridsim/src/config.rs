@@ -201,6 +201,20 @@ impl GridConfig {
         }
     }
 
+    /// The labels [`GridConfig::preset`] resolves, as "unknown grid"
+    /// messages list them.
+    pub const PRESETS: &'static str = "egee|ideal";
+
+    /// Resolve a preset by its CLI label (`egee`, `ideal`); `None` for
+    /// an unknown label.
+    pub fn preset(name: &str) -> Option<Self> {
+        match name {
+            "egee" => Some(Self::egee_2006()),
+            "ideal" => Some(Self::ideal()),
+            _ => None,
+        }
+    }
+
     /// Total worker slots across the grid.
     pub fn total_slots(&self) -> usize {
         self.ces.iter().map(|c| c.slots).sum()
@@ -235,6 +249,16 @@ mod tests {
             "chain mean {chain_mean}"
         );
         assert!(c.failure_probability > 0.0);
+    }
+
+    #[test]
+    fn presets_resolve_exactly_the_listed_labels() {
+        for name in GridConfig::PRESETS.split('|') {
+            assert!(GridConfig::preset(name).is_some(), "{name}");
+        }
+        assert_eq!(GridConfig::preset("ideal").unwrap().ces.len(), 1);
+        assert!(GridConfig::preset("egee").unwrap().ces.len() >= 10);
+        assert!(GridConfig::preset("virtual").is_none());
     }
 
     #[test]

@@ -1,118 +1,56 @@
 //! `moteur-gridsim` — drive the grid simulator directly, without the
-//! workflow enactor, and expose the same observability surface
-//! (`--openmetrics`, `--events`, `--spans`) as `moteur run`.
+//! workflow enactor, and expose the same observability surface as
+//! `moteur run`: `--emit` offers the rows of `moteur_repro::emit` that
+//! need no workflow result.
 //!
 //! Useful for characterising the simulated infrastructure itself: how
 //! big and how variable is the per-job overhead a given grid
 //! configuration produces, independent of any workflow structure.
+//! `moteur-gridsim --help` prints the flags (derived from the table
+//! below).
 //!
-//! ```text
-//! moteur-gridsim [--jobs N] [--compute SECS] [--seed N] [--grid egee|ideal]
-//!                [--openmetrics out.om] [--events out.jsonl] [--spans out.jsonl]
-//!                [--timeline out.json] [--timeline-csv out.csv]
-//!                [--profile out.json] [--profile-collapsed out.folded]
-//! ```
-//!
-//! `--profile` enables the deterministic self-profiler: the canonical
-//! `moteur/prof/v1` document it writes contains only call and
+//! `--emit profile=PATH` enables the deterministic self-profiler: the
+//! canonical `moteur/prof/v1` document it writes contains only call and
 //! allocation counters, so two runs with identical inputs produce
 //! byte-identical files.
 //!
-//! `--timeline` samples the same virtual-time resource series as
-//! `moteur run --timeline` (per-CE queue depth/running/utilization,
-//! per-link bytes and bandwidth) and prints a bottleneck attribution.
+//! `--emit timeline=PATH` samples the same virtual-time resource series
+//! as `moteur run` (per-CE queue depth/running/utilization, per-link
+//! bytes and bandwidth) and prints a bottleneck attribution.
 
+use moteur_repro::cli::{command, text, typed, Args, Command, Flag, Outcome};
+use moteur_repro::emit::{self, Emit};
 use moteur_repro::gridsim::{summarize, GridConfig, GridJobSpec, GridSim, JobOutcome};
-use moteur_repro::moteur::{
-    detect_bottlenecks, prof_to_json, render_openmetrics_with_prof, EventSink, JsonlSink,
-    MetricsSink, Obs, Prof, SpanSink, TimelineSink, TraceEvent,
-};
+use moteur_repro::moteur::TraceEvent;
 use std::process::ExitCode;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    typed("--jobs", "N", "a positive integer", "jobs to submit (default 25)"),
+    typed("--compute", "SECS", "a number (seconds)", "compute time of each job (default 120)"),
+    typed("--seed", "N", "an integer", "seed of the simulated grid (default 2006)"),
+    text("--grid", "NAME", "egee|ideal (default egee)"),
+    text("--emit", "KIND=PATH,..", "write the run's outputs, one PATH per KIND"),
+];
 
-fn fail(msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("moteur-gridsim: {msg}");
-    ExitCode::FAILURE
-}
+const ABOUT: &str = "submit N identical jobs to the simulated grid";
+static COMMAND: Command =
+    command("", "", ABOUT, FLAGS, run).hooks(emit::removed_flag, || emit::help(false));
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: moteur-gridsim [--jobs N] [--compute SECS] [--seed N] [--grid egee|ideal]"
-        );
-        eprintln!("       [--openmetrics out.om] [--events out.jsonl] [--spans out.jsonl]");
-        eprintln!("       [--timeline out.json] [--timeline-csv out.csv]");
-        eprintln!("       [--profile out.json] [--profile-collapsed out.folded]");
-        return ExitCode::from(2);
-    }
-    let jobs: usize = match flag_value(&args, "--jobs").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(25),
-        Err(_) => return fail("--jobs needs a positive integer"),
-    };
-    let compute: f64 = match flag_value(&args, "--compute").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(120.0),
-        Err(_) => return fail("--compute needs a number (seconds)"),
-    };
-    let seed: u64 = match flag_value(&args, "--seed").map(str::parse).transpose() {
-        Ok(v) => v.unwrap_or(2006),
-        Err(_) => return fail("--seed needs an integer"),
-    };
-    let grid_name = flag_value(&args, "--grid").unwrap_or("egee");
-    let grid = match grid_name {
-        "egee" => GridConfig::egee_2006(),
-        "ideal" => GridConfig::ideal(),
-        other => return fail(format!("unknown grid `{other}`")),
-    };
+    COMMAND.main("moteur-gridsim", &args)
+}
 
-    let events_path = flag_value(&args, "--events");
-    let openmetrics_path = flag_value(&args, "--openmetrics");
-    let spans_path = flag_value(&args, "--spans");
-    let mut sinks: Vec<Box<dyn EventSink>> = Vec::new();
-    if let Some(path) = events_path {
-        match JsonlSink::create(path) {
-            Ok(sink) => sinks.push(Box::new(sink)),
-            Err(e) => return fail(format!("creating {path}: {e}")),
-        }
-    }
-    let metrics = if openmetrics_path.is_some() {
-        let (sink, registry) = MetricsSink::new();
-        sinks.push(Box::new(sink));
-        Some(registry)
-    } else {
-        None
-    };
-    let spans = if spans_path.is_some() || openmetrics_path.is_some() {
-        let (sink, buffer) = SpanSink::new();
-        sinks.push(Box::new(sink));
-        Some(buffer)
-    } else {
-        None
-    };
-    let timeline_path = flag_value(&args, "--timeline");
-    let timeline_csv_path = flag_value(&args, "--timeline-csv");
-    let timeline = if timeline_path.is_some() || timeline_csv_path.is_some() {
-        let sink = TimelineSink::new();
-        let state = sink.state();
-        sinks.push(Box::new(sink));
-        Some(state)
-    } else {
-        None
-    };
-    let profile_path = flag_value(&args, "--profile");
-    let profile_collapsed_path = flag_value(&args, "--profile-collapsed");
-    let prof = if profile_path.is_some() || profile_collapsed_path.is_some() {
-        Prof::enabled()
-    } else {
-        Prof::off()
-    };
-    let obs = Obs::new(sinks).with_prof(prof.clone());
+fn run(args: &Args) -> Outcome {
+    let jobs: usize = args.parsed("--jobs")?.unwrap_or(25);
+    let compute: f64 = args.parsed("--compute")?.unwrap_or(120.0);
+    let seed: u64 = args.parsed("--seed")?.unwrap_or(2006);
+    let grid_name = args.value("--grid").unwrap_or("egee");
+    let grid = GridConfig::preset(grid_name)
+        .ok_or_else(|| format!("unknown grid `{grid_name}` ({})", GridConfig::PRESETS))?;
+    let emit = Emit::parse(args.value("--emit"), false)?;
+    let (obs, sinks) = emit.attach()?;
 
     eprintln!("submitting {jobs} jobs of {compute}s to the {grid_name} grid (seed {seed})...");
     let mut sim = GridSim::new(grid, seed);
@@ -122,8 +60,8 @@ fn main() -> ExitCode {
             forward.record(&TraceEvent::from_sim(e));
         }));
     }
-    if prof.is_enabled() {
-        sim.set_prof(prof.clone());
+    if obs.prof().is_enabled() {
+        sim.set_prof(obs.prof().clone());
     }
     sim.reserve_jobs(jobs);
     for i in 0..jobs {
@@ -162,9 +100,8 @@ fn main() -> ExitCode {
         obs.record(&event);
         delivered += 1;
     }
-    if let Err(e) = obs.flush() {
-        return fail(format!("flushing event sinks: {e}"));
-    }
+    obs.flush()
+        .map_err(|e| format!("flushing event sinks: {e}"))?;
 
     let summary = summarize(sim.records());
     println!(
@@ -184,60 +121,6 @@ fn main() -> ExitCode {
         summary.mean_queue_wait_secs, summary.mean_compute_secs
     );
 
-    if let Some(path) = events_path {
-        println!("events written to {path}");
-    }
-    if let Some(path) = spans_path {
-        let tree = spans.as_ref().expect("span sink installed").snapshot();
-        match std::fs::write(path, tree.to_jsonl()) {
-            Ok(()) => println!("spans written to {path} ({} spans)", tree.len()),
-            Err(e) => return fail(format!("writing {path}: {e}")),
-        }
-    }
-    if let Some(path) = openmetrics_path {
-        let registry = metrics.as_ref().expect("metrics sink installed");
-        let tree = spans.as_ref().expect("span sink installed").snapshot();
-        let guard = registry.lock().expect("metrics registry");
-        let prof_report = prof.is_enabled().then(|| prof.report());
-        let text = render_openmetrics_with_prof(&guard, Some(&tree), prof_report.as_ref());
-        drop(guard);
-        match std::fs::write(path, text) {
-            Ok(()) => println!("openmetrics written to {path}"),
-            Err(e) => return fail(format!("writing {path}: {e}")),
-        }
-    }
-    if let Some(state) = &timeline {
-        let state = state.lock().expect("timeline state");
-        if let Some(path) = timeline_path {
-            match std::fs::write(path, state.timeline.to_json()) {
-                Ok(()) => println!("timeline written to {path}"),
-                Err(e) => return fail(format!("writing {path}: {e}")),
-            }
-        }
-        if let Some(path) = timeline_csv_path {
-            match std::fs::write(path, state.timeline.to_csv()) {
-                Ok(()) => println!("timeline csv written to {path}"),
-                Err(e) => return fail(format!("writing {path}: {e}")),
-            }
-        }
-        println!();
-        print!("{}", detect_bottlenecks(&state.stats).render());
-    }
-    if prof.is_enabled() {
-        let report = prof.report();
-        if let Some(path) = profile_path {
-            match std::fs::write(path, prof_to_json(&report)) {
-                Ok(()) => println!("profile written to {path}"),
-                Err(e) => return fail(format!("writing {path}: {e}")),
-            }
-        }
-        if let Some(path) = profile_collapsed_path {
-            match std::fs::write(path, report.render_collapsed()) {
-                Ok(()) => println!("collapsed stacks written to {path}"),
-                Err(e) => return fail(format!("writing {path}: {e}")),
-            }
-        }
-        eprint!("{}", report.render_table());
-    }
-    ExitCode::SUCCESS
+    emit.write(&sinks, None)?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -75,9 +75,8 @@ fn example_then_validate_then_run_round_trip() {
             "sp+dp+jg",
             "--seed",
             "7",
-            "--report",
-            "--provenance",
-            "prov.xml",
+            "--emit",
+            "report=-,provenance=prov.xml",
         ])
         .current_dir(dir.path())
         .output()
@@ -240,13 +239,8 @@ fn observability_flags_produce_trace_metrics_and_events() {
             "sp+dp",
             "--seed",
             "7",
-            "--events",
-            "events.jsonl",
-            "--chrome-trace",
-            "trace.json",
-            "--metrics",
-            "metrics.json",
-            "--critical-path",
+            "--emit",
+            "events=events.jsonl,chrome-trace=trace.json,metrics=metrics.json,critical-path=-",
         ])
         .current_dir(dir.path())
         .output()
@@ -319,10 +313,8 @@ fn openmetrics_and_spans_flags_expose_the_perf_observatory() {
             "7",
             "--grid",
             "ideal",
-            "--openmetrics",
-            "metrics.om",
-            "--spans",
-            "spans.jsonl",
+            "--emit",
+            "openmetrics=metrics.om,spans=spans.jsonl",
         ])
         .current_dir(dir.path())
         .output()
@@ -386,10 +378,8 @@ fn gridsim_binary_runs_a_synthetic_load_with_openmetrics() {
             "60",
             "--seed",
             "11",
-            "--openmetrics",
-            "grid.om",
-            "--spans",
-            "grid-spans.jsonl",
+            "--emit",
+            "openmetrics=grid.om,spans=grid-spans.jsonl",
         ])
         .current_dir(dir.path())
         .output()
@@ -421,4 +411,404 @@ fn gridsim_binary_runs_a_synthetic_load_with_openmetrics() {
     // EGEE overheads are stochastic but never zero: each item carries
     // a queuing phase.
     assert!(spans.contains("\"kind\":\"queuing\""), "{spans}");
+}
+
+fn gridsim() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_moteur-gridsim"))
+}
+
+/// Exit code, stdout and stderr of one invocation in `dir`.
+fn outcome(mut command: Command, dir: &tempdir::TempDir, args: &[&str]) -> (i32, String, String) {
+    let out = command
+        .args(args)
+        .current_dir(dir.path())
+        .output()
+        .expect("spawn");
+    (
+        out.status.code().expect("exited, not signalled"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn example_dir() -> tempdir::TempDir {
+    let dir = in_temp_dir();
+    let (code, _, stderr) = outcome(moteur(), &dir, &["example"]);
+    assert_eq!(code, 0, "{stderr}");
+    dir
+}
+
+const RUN: [&str; 3] = ["run", "bronze-standard.xml", "inputs-12.xml"];
+
+/// A usage error: exit 2, nothing on stdout, one line on stderr that
+/// names the subcommand and the flag.
+fn assert_usage_error(
+    command: Command,
+    dir: &tempdir::TempDir,
+    args: &[&str],
+    who: &str,
+    what: &str,
+) {
+    let (code, stdout, stderr) = outcome(command, dir, args);
+    assert_eq!(code, 2, "{args:?}: {stderr}");
+    assert_eq!(stdout, "", "{args:?} must not run anything");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(
+        stderr.starts_with(&format!("{who}: ")),
+        "{args:?}: {stderr}"
+    );
+    assert!(stderr.contains(what), "{args:?}: {stderr}");
+}
+
+/// Every subcommand of both binaries refuses a flag it does not
+/// declare, a value flag at the end of the line and a value flag
+/// followed by another flag — each of these used to exit 0 (or run a
+/// different experiment) without a word.
+#[test]
+fn undeclared_flags_and_missing_values_are_usage_errors_everywhere() {
+    let dir = example_dir();
+    // (subcommand and operands, one of its value flags, one of its switches)
+    let with_flags: [(&[&str], &str, &str); 5] = [
+        (&RUN, "--cache-dir", "--no-verify"),
+        (&["daemon"], "--socket", "--check-protocol"),
+        (&["timeline", "render", "t.json"], "--width", "--width"),
+        (&["lint", "bronze-standard.xml"], "--ndata", "--json"),
+        (&["plan", "bronze-standard.xml"], "--cap", "--json"),
+    ];
+    for (base, value_flag, other) in with_flags {
+        let who = format!("moteur {}", base[0]);
+        let needs = format!("{value_flag} needs a value");
+        for (extra, what) in [
+            (&["--bogus"][..], "unknown flag `--bogus`"),
+            (&[value_flag], &needs),
+            (&[value_flag, other], &needs),
+        ] {
+            assert_usage_error(moteur(), &dir, &[base, extra].concat(), &who, what);
+        }
+    }
+    for base in [
+        &["validate", "bronze-standard.xml"][..],
+        &["group", "bronze-standard.xml"],
+        &["dot", "bronze-standard.xml"],
+        &["cache", "stats", "nowhere"],
+        &["example"],
+    ] {
+        let who = format!("moteur {}", base[0]);
+        let args = [base, &["--jsno"]].concat();
+        assert_usage_error(moteur(), &dir, &args, &who, "unknown flag `--jsno`");
+    }
+    assert!(
+        !dir.path().join("nowhere").exists(),
+        "cache opened no store"
+    );
+
+    let who = "moteur-gridsim";
+    assert_usage_error(gridsim(), &dir, &["--bogus"], who, "unknown flag `--bogus`");
+    assert_usage_error(gridsim(), &dir, &["--jobs"], who, "--jobs needs a value");
+    assert_usage_error(
+        gridsim(),
+        &dir,
+        &["--jobs", "--seed", "1"],
+        who,
+        "--jobs needs a value",
+    );
+
+    // The two motivating lines: neither may write or batch anything.
+    let typo = [&RUN[..], &["--evnts", "x.jsonl", "--batch", "zz"]].concat();
+    assert_usage_error(
+        moteur(),
+        &dir,
+        &typo,
+        "moteur run",
+        "unknown flag `--evnts`",
+    );
+    assert!(!dir.path().join("x.jsonl").exists());
+}
+
+/// A present-but-mistyped value is an error, never the default: `--seed
+/// x` used to run seed 2006 and `--batch x` used to batch nothing. The
+/// value errors that were already caught keep their message and exit 1.
+#[test]
+fn mistyped_values_fail_before_anything_is_enacted() {
+    let dir = example_dir();
+    for (flag, value, message) in [
+        ("--seed", "x", "moteur: --seed needs an integer\n"),
+        ("--batch", "x", "moteur: --batch needs a positive integer\n"),
+        (
+            "--max-retries",
+            "abc",
+            "moteur: --max-retries needs a valid number, got `abc`\n",
+        ),
+        (
+            "--slo",
+            "fast",
+            "moteur: --slo needs a number (multiple of the predicted makespan)\n",
+        ),
+        (
+            "--fetch-cost",
+            "cheap",
+            "moteur: --fetch-cost needs a number (seconds)\n",
+        ),
+    ] {
+        let args = [&RUN[..], &[flag, value]].concat();
+        let (code, stdout, stderr) = outcome(moteur(), &dir, &args);
+        assert_eq!((code, stdout.as_str()), (1, ""), "{flag}: {stderr}");
+        assert_eq!(stderr, message);
+    }
+    let (code, stdout, stderr) = outcome(gridsim(), &dir, &["--seed", "x"]);
+    assert_eq!((code, stdout.as_str()), (1, ""), "{stderr}");
+    assert_eq!(stderr, "moteur-gridsim: --seed needs an integer\n");
+    let (code, _, stderr) = outcome(moteur(), &dir, &["daemon", "--max-jobs", "many"]);
+    assert_eq!(code, 1);
+    assert_eq!(stderr, "moteur: --max-jobs needs an integer, got `many`\n");
+}
+
+/// The fourteen per-format flags are gone, not aliased: each fails like
+/// any undeclared flag, with the `--emit` spelling as a hint. `--events
+/// --report` used to write a file called `--report`.
+#[test]
+fn removed_output_flags_point_at_emit() {
+    let dir = example_dir();
+    for (flag, hint) in [
+        ("--events", "use --emit events=PATH"),
+        ("--chrome-trace", "use --emit chrome-trace=PATH"),
+        ("--metrics", "use --emit metrics=PATH"),
+        ("--openmetrics", "use --emit openmetrics=PATH"),
+        ("--spans", "use --emit spans=PATH"),
+        ("--timeline", "use --emit timeline=PATH"),
+        ("--timeline-csv", "use --emit timeline-csv=PATH"),
+        ("--profile", "use --emit profile=PATH"),
+        ("--profile-collapsed", "use --emit profile-collapsed=PATH"),
+        ("--provenance", "use --emit provenance=PATH"),
+        ("--workflow-report", "use --emit workflow-report=PATH"),
+        ("--report", "use --emit report=-"),
+        ("--critical-path", "use --emit critical-path=-"),
+        ("--diagram", "use --emit diagram=-"),
+    ] {
+        let args = [&RUN[..], &[flag, "out.file"]].concat();
+        assert_usage_error(moteur(), &dir, &args, "moteur run", hint);
+    }
+    assert!(!dir.path().join("out.file").exists());
+    let args = [&RUN[..], &["--events", "--report"]].concat();
+    assert_usage_error(
+        moteur(),
+        &dir,
+        &args,
+        "moteur run",
+        "unknown flag `--events`",
+    );
+    assert!(!dir.path().join("--report").exists());
+    assert_usage_error(
+        gridsim(),
+        &dir,
+        &["--jobs", "2", "--events", "out.file"],
+        "moteur-gridsim",
+        "use --emit events=PATH",
+    );
+}
+
+#[test]
+fn emit_rejects_malformed_specs_before_enacting() {
+    let dir = example_dir();
+    let run = |spec: &str| outcome(moteur(), &dir, &[&RUN[..], &["--emit", spec]].concat());
+    let grid = |spec: &str| outcome(gridsim(), &dir, &["--jobs", "2", "--emit", spec]);
+    let all = "report|provenance|events|metrics|chrome-trace|spans|openmetrics|profile|\
+               profile-collapsed|timeline|timeline-csv|critical-path|diagram|workflow-report";
+    let seven = "events|spans|openmetrics|profile|profile-collapsed|timeline|timeline-csv";
+    for ((code, stdout, stderr), message) in [
+        (
+            run("evnts=e.jsonl"),
+            format!("moteur: --emit: unknown kind `evnts` ({all})\n"),
+        ),
+        (
+            run("events=a.jsonl,events=b.jsonl"),
+            "moteur: --emit: `events` given twice\n".to_string(),
+        ),
+        (
+            run("report"),
+            "moteur: --emit `report` needs KIND=PATH\n".to_string(),
+        ),
+        (
+            run("metrics=-"),
+            "moteur: --emit: `metrics` is not text; give it a file, not `-`\n".to_string(),
+        ),
+        (
+            grid("evnts=e.jsonl"),
+            format!("moteur-gridsim: --emit: unknown kind `evnts` ({seven})\n"),
+        ),
+        (
+            grid("report=-"),
+            format!(
+                "moteur-gridsim: --emit: `report` needs a workflow result, \
+                 which only `moteur run` has ({seven})\n"
+            ),
+        ),
+    ] {
+        assert_eq!((code, stdout.as_str()), (1, ""), "{stderr}");
+        assert_eq!(stderr, message);
+    }
+    assert!(!dir.path().join("a.jsonl").exists(), "no sink was created");
+}
+
+const FILE_KINDS: [(&str, &str); 11] = [
+    ("provenance", "provenance written to provenance.out"),
+    ("events", "events written to events.out"),
+    ("metrics", "metrics written to metrics.out"),
+    (
+        "chrome-trace",
+        "chrome trace written to chrome-trace.out (load in ui.perfetto.dev)",
+    ),
+    ("spans", "spans written to spans.out ("),
+    ("openmetrics", "openmetrics written to openmetrics.out"),
+    ("profile", "profile written to profile.out"),
+    (
+        "profile-collapsed",
+        "collapsed stacks written to profile-collapsed.out",
+    ),
+    ("timeline", "timeline written to timeline.out"),
+    ("timeline-csv", "timeline csv written to timeline-csv.out"),
+    (
+        "workflow-report",
+        "workflow report written to workflow-report.out",
+    ),
+];
+
+/// All fourteen kinds in one `--emit`: every file exists and is not
+/// empty, every text kind is on stdout, every "written to" line is
+/// printed exactly once.
+#[test]
+fn one_emit_writes_all_fourteen_kinds() {
+    let dir = example_dir();
+    let mut spec: Vec<String> = FILE_KINDS
+        .iter()
+        .map(|(kind, _)| format!("{kind}={kind}.out"))
+        .collect();
+    spec.extend(["report=-", "critical-path=-", "diagram=-"].map(String::from));
+    let args = [&RUN[..], &["--config", "sp+dp+jg", "--seed", "7", "--emit"]].concat();
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &[&args[..], &[&spec.join(",")]].concat());
+    assert_eq!(code, 0, "{stderr}");
+    for (kind, line) in FILE_KINDS {
+        let len = std::fs::metadata(dir.path().join(format!("{kind}.out")))
+            .unwrap_or_else(|e| panic!("{kind}: {e}"))
+            .len();
+        assert!(len > 0, "{kind} is empty");
+        assert_eq!(stdout.matches(line).count(), 1, "{line}: {stdout}");
+    }
+    assert_eq!(stdout.matches(" written to ").count(), 11, "{stdout}");
+    for section in [
+        "makespan 4229.8s over 49 jobs", // report
+        "critical path",
+        "per-service contribution",
+        "bottleneck: ",           // rides along with the timeline
+        "\nMultiTransfoTest | X", // diagram lane
+    ] {
+        assert!(stdout.contains(section), "{section}: {stdout}");
+    }
+    assert!(stderr.contains("prof: subsystem hot spots"), "{stderr}");
+    let prof = std::fs::read_to_string(dir.path().join("profile.out")).unwrap();
+    assert!(prof.contains("moteur/prof/v1"), "{prof}");
+    let timeline = std::fs::read_to_string(dir.path().join("timeline.out")).unwrap();
+    assert!(timeline.contains("moteur/timeline/v1"), "{timeline}");
+    let report = std::fs::read_to_string(dir.path().join("workflow-report.out")).unwrap();
+    assert!(report.contains("\"ok\":true"), "{report}");
+
+    // A text kind given a PATH goes to the file instead of stdout.
+    let spec = "report=report.txt";
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &[&args[..], &[spec]].concat());
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("report written to report.txt"), "{stdout}");
+    assert!(!stdout.contains("makespan 4229.8s"), "{stdout}");
+    let report = std::fs::read_to_string(dir.path().join("report.txt")).unwrap();
+    assert!(
+        report.ends_with("makespan 4229.8s over 49 jobs\n"),
+        "{report}"
+    );
+}
+
+#[test]
+fn one_emit_writes_all_seven_gridsim_kinds() {
+    let dir = in_temp_dir();
+    let offered: Vec<(&str, &str)> = FILE_KINDS
+        .into_iter()
+        .filter(|(kind, _)| {
+            !["provenance", "metrics", "chrome-trace", "workflow-report"].contains(kind)
+        })
+        .collect();
+    assert_eq!(offered.len(), 7);
+    let spec: Vec<String> = offered
+        .iter()
+        .map(|(kind, _)| format!("{kind}={kind}.out"))
+        .collect();
+    let (code, stdout, stderr) = outcome(
+        gridsim(),
+        &dir,
+        &["--jobs", "25", "--seed", "7", "--emit", &spec.join(",")],
+    );
+    assert_eq!(code, 0, "{stderr}");
+    for (kind, line) in offered {
+        let len = std::fs::metadata(dir.path().join(format!("{kind}.out")))
+            .unwrap_or_else(|e| panic!("{kind}: {e}"))
+            .len();
+        assert!(len > 0, "{kind} is empty");
+        assert_eq!(stdout.matches(line).count(), 1, "{line}: {stdout}");
+    }
+    assert_eq!(stdout.matches(" written to ").count(), 7, "{stdout}");
+    assert!(stdout.contains("delivered 25/25 jobs"), "{stdout}");
+    assert!(stdout.contains("bottleneck: "), "{stdout}");
+    assert!(stderr.contains("prof: subsystem hot spots"), "{stderr}");
+}
+
+/// `--help` is the one synopsis: exit 0, on stdout, every subcommand
+/// and every flag of the tables, the `--emit` kinds from the export
+/// table.
+#[test]
+fn help_lists_every_subcommand_and_flag() {
+    let dir = in_temp_dir();
+    let (code, help, _) = outcome(moteur(), &dir, &["--help"]);
+    assert_eq!(code, 0);
+    for line in [
+        "moteur run <workflow.xml> <inputs.xml> [--config LABEL]",
+        "moteur daemon [--socket PATH]",
+        "moteur timeline render <timeline.json> [--heatmap METRIC] [--width N]",
+        "moteur lint <workflow.xml> [--json]",
+        "[--explain M0xx]",
+        "moteur plan <workflow.xml> [--json]",
+        "moteur validate <workflow.xml>",
+        "moteur cache <stats|gc|clear> <dir>",
+        "moteur example",
+        "[--no-verify]",
+        "[--emit KIND=PATH,..]",
+        "critical-path diagram workflow-report",
+        "PATH `-` prints report, critical-path, diagram to stdout",
+    ] {
+        assert!(help.contains(line), "{line}: {help}");
+    }
+    let (code, run_help, _) = outcome(moteur(), &dir, &["run", "--help"]);
+    assert_eq!(code, 0);
+    assert!(
+        help.starts_with(&run_help),
+        "one subcommand's section of the same text"
+    );
+    let (code, grid_help, _) = outcome(gridsim(), &dir, &["--help"]);
+    assert_eq!(code, 0);
+    assert!(grid_help.starts_with("moteur-gridsim [--jobs N] [--compute SECS] [--seed N]"));
+    assert!(grid_help.contains("profile-collapsed"), "{grid_help}");
+    assert!(!grid_help.contains("workflow-report"), "{grid_help}");
+    // No subcommand is a usage error that names them all.
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &[]);
+    assert_eq!((code, stdout.as_str()), (2, ""));
+    assert!(
+        stderr.contains("<run|daemon|timeline|lint|plan|validate|group|dot|cache|example>"),
+        "{stderr}"
+    );
+    let (code, _, stderr) = outcome(moteur(), &dir, &["run", "--grid", "mars"]);
+    assert_eq!(code, 1, "operands are checked first: {stderr}");
+    let dir = example_dir();
+    let (code, _, stderr) = outcome(moteur(), &dir, &[&RUN[..], &["--grid", "mars"]].concat());
+    assert_eq!(code, 1);
+    assert_eq!(stderr, "moteur: unknown grid `mars` (egee|ideal)\n");
+    let (_, _, stderr) = outcome(moteur(), &dir, &["daemon", "--grid", "mars"]);
+    assert_eq!(stderr, "moteur: unknown grid `mars` (virtual|egee|ideal)\n");
+    let (_, _, stderr) = outcome(gridsim(), &dir, &["--grid", "mars"]);
+    assert_eq!(stderr, "moteur-gridsim: unknown grid `mars` (egee|ideal)\n");
 }

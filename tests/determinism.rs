@@ -66,8 +66,8 @@ fn run_with_events(dir: &Path, seed: &str, events: &str) {
             "sp+dp",
             "--seed",
             seed,
-            "--events",
-            events,
+            "--emit",
+            &format!("events={events}"),
         ])
         .current_dir(dir)
         .output()
@@ -101,7 +101,8 @@ fn same_seed_gridsim_runs_write_identical_event_logs() {
     let dir = tempdir::TempDir::new();
     let run = |seed: &str, events: &str| {
         let out = gridsim()
-            .args(["--jobs", "8", "--seed", seed, "--events", events])
+            .args(["--jobs", "8", "--seed", seed, "--emit"])
+            .arg(format!("events={events}"))
             .current_dir(dir.path())
             .output()
             .expect("spawn");
@@ -129,8 +130,8 @@ fn run_with_timeline(dir: &Path, seed: &str, timeline: &str) {
             "sp+dp",
             "--seed",
             seed,
-            "--timeline",
-            timeline,
+            "--emit",
+            &format!("timeline={timeline}"),
         ])
         .current_dir(dir)
         .output()
@@ -172,7 +173,8 @@ fn same_seed_gridsim_runs_write_identical_timelines() {
     let dir = tempdir::TempDir::new();
     let run = |seed: &str, timeline: &str| {
         let out = gridsim()
-            .args(["--jobs", "8", "--seed", seed, "--timeline", timeline])
+            .args(["--jobs", "8", "--seed", seed, "--emit"])
+            .arg(format!("timeline={timeline}"))
             .current_dir(dir.path())
             .output()
             .expect("spawn");

@@ -60,10 +60,8 @@ fn moteur_run_profiles_are_byte_identical_across_processes() {
                 "sp+dp",
                 "--seed",
                 "7",
-                "--profile",
-                profile,
-                "--profile-collapsed",
-                "stacks.folded",
+                "--emit",
+                &format!("profile={profile},profile-collapsed=stacks.folded"),
             ])
             .current_dir(dir.path())
             .output()
@@ -106,7 +104,8 @@ fn gridsim_profiles_are_byte_identical_across_processes() {
     let dir = TempDir::new("gridsim");
     for profile in ["g1.json", "g2.json"] {
         let out = gridsim()
-            .args(["--jobs", "25", "--seed", "11", "--profile", profile])
+            .args(["--jobs", "25", "--seed", "11", "--emit"])
+            .arg(format!("profile={profile}"))
             .current_dir(dir.path())
             .output()
             .expect("spawn");
@@ -138,10 +137,8 @@ fn openmetrics_exposition_carries_prof_counters_when_profiling() {
             "8",
             "--seed",
             "3",
-            "--profile",
-            "p.json",
-            "--openmetrics",
-            "grid.om",
+            "--emit",
+            "profile=p.json,openmetrics=grid.om",
         ])
         .current_dir(dir.path())
         .output()
