@@ -25,10 +25,22 @@ fi
 
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
-# (or the next builder) copies commands from.
+# (or the next builder) copies commands from. (`moteur-bench scale
+# --events N` is a live flag: a count of simulator events, not an output.)
 if grep -nE -e '--(events|chrome-trace|metrics|openmetrics|spans|timeline|timeline-csv|profile|profile-collapsed|provenance|workflow-report|report|critical-path|diagram)([^a-z-]|$)' \
-    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md ci.sh; then
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md ci.sh |
+  grep -v -e '--events N'; then
   echo "a removed output flag is documented: spell it --emit kind=path" >&2
+  exit 1
+fi
+
+# One front door: the eight evidence binaries are subcommands of
+# `moteur-bench`, which is a binary of the root package; a command that
+# names one of the old spellings no longer runs.
+if grep -nE -e '--bin (table1|table2|fig10|speedups|diagrams|theory|ablation|granularity)([^a-z]|$)' \
+    -e '-p moteur-bench --bi[n]' \
+    README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md ci.sh; then
+  echo "a removed bench binary is documented: spell it --bin moteur-bench -- <subcommand>" >&2
   exit 1
 fi
 
@@ -42,9 +54,9 @@ cargo test -q --offline
 
 # README's CLI reference is the binaries' own `--help`, which is derived
 # from the flag tables (src/cli.rs) and the export table (src/emit.rs):
-# rewrite the two fenced blocks between their markers and compare with
+# rewrite the three fenced blocks between their markers and compare with
 # the committed file, the same rule as the BENCH_*.json below.
-for bin in moteur moteur-gridsim; do
+for bin in moteur moteur-gridsim moteur-bench; do
   cargo run --offline --quiet --bin "$bin" -- --help >target/help.txt
   awk -v from="<!-- $bin --help -->" -v to="<!-- /$bin --help -->" '
     $0 == from {
@@ -92,14 +104,14 @@ done
 # First the sweep of the six Table-1 configurations on the ideal grid;
 # fails on model-vs-observed drift beyond 5%. Writes BENCH_point.json
 # and BENCH_summary.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   campaign --sweep ndata=1..6 --out-dir .
 
 # Fault injection: the campaign on an unreliable egee-2006 (middleware
 # retries off, >=4% failure probability) under naive / backoff /
 # timeout+replication. Fails unless timeout+replication beats naive on
 # mean makespan and nothing is quarantined; writes BENCH_faults.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   faults --out-dir .
 
 # Grid telemetry: the campaign with the timeline pipeline attached, in
@@ -107,7 +119,7 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # the timeline's per-link byte totals reconcile with the enactor and
 # the loaded regime is attributed to the CE queues; writes
 # BENCH_timeline.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   timeline --out-dir .
 
 # Static planner vs observed staging: every per-edge byte interval from
@@ -115,7 +127,7 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # that (consumer, port), and the greedy site partition must beat
 # centralized routing on the data-heavy bronze variant. Writes
 # BENCH_plan.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   plan --out-dir .
 
 # Scale campaign: a million gridsim events plus ten thousand enactor
@@ -124,7 +136,7 @@ cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # unless the event and job targets are reached inside the
 # allocations-per-event budget; writes BENCH_scale.json (counts,
 # allocations per event, peak live bytes — no throughput).
-cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --release --offline --quiet --bin moteur-bench -- \
   scale --out-dir .
 
 # Streaming campaign: a million-item stream through a bounded-port
@@ -133,7 +145,7 @@ cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # bytes beyond the materialised inputs stay inside the absolute budget
 # while undercutting the eager per-item projection by >=4x; writes
 # BENCH_stream.json.
-cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --release --offline --quiet --bin moteur-bench -- \
   stream --out-dir .
 
 # Multi-tenant daemon: a 100-submission wave across four tenants of
@@ -141,7 +153,7 @@ cargo run --release --offline --quiet -p moteur-bench --bin moteur-bench -- \
 # submission succeeds, the wave reuses >=90% of the seed tenant's
 # derivations and the p99 time-to-first-job (virtual seconds) stays
 # bounded; writes BENCH_daemon.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   daemon --out-dir .
 
 # The protocol self-test round-trips every moteur/daemon/v1 message
@@ -151,7 +163,7 @@ cargo run --offline --quiet --bin moteur -- daemon --check-protocol
 # Data manager: cold/warm pair on the deterministic chain. Fails if the
 # cold run drifts from eq. 1-4 or any warm invocation misses the cache;
 # writes BENCH_warm.json.
-cargo run --offline --quiet -p moteur-bench --bin moteur-bench -- \
+cargo run --offline --quiet --bin moteur-bench -- \
   warm --ndata 6 --out-dir .
 
 # The nine documents are committed exactly as the commands above write
@@ -167,24 +179,17 @@ git diff --exit-code -- BENCH_point.json BENCH_summary.json BENCH_warm.json \
   BENCH_stream.json BENCH_daemon.json
 
 # The paper's evidence: regenerate every results/*.txt with the command
-# EXPERIMENTS.md documents for it (stdout only; progress goes to
-# stderr) and compare with the committed files. A couple of seconds
-# once the release binaries are built.
-cargo build --release --offline -p moteur-bench --bins
-evidence() {
-  bin=$1
-  shift
-  cargo run --release --offline --quiet -p moteur-bench --bin "$bin" -- "$@" \
-    >"results/$bin.txt"
-}
-evidence table1 --repeats 5
-evidence table2 --repeats 5
-evidence speedups --repeats 5
-evidence fig10
-evidence diagrams
-evidence theory
-evidence ablation
-evidence granularity
+# EXPERIMENTS.md documents for it and compare with the committed files.
+# `paper` enacts the Bronze/EGEE campaign once (each cell exactly once)
+# and writes Table 1, Table 2, the speed-ups and Fig. 10 from it; the
+# other four print to stdout (progress goes to stderr). About a second
+# in release.
+cargo run --release --offline --quiet --bin moteur-bench -- \
+  paper --repeats 5 --out-dir results
+for doc in diagrams theory ablation granularity; do
+  cargo run --release --offline --quiet --bin moteur-bench -- "$doc" \
+    >"results/$doc.txt"
+done
 git diff --exit-code -- results/
 
 # Graceful degradation end-to-end: a run whose timeout budget is

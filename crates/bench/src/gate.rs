@@ -456,7 +456,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{daemon, faults, plan, scale, stream, sweep, timeline, warm};
+    use crate::{campaign, daemon, faults, plan, scale, stream, sweep, timeline, warm};
 
     /// A campaign, a passing document rendered by its own
     /// `render_*_json`, one mutation per table row — `(row index, label
@@ -496,7 +496,9 @@ mod tests {
 
     fn fixtures() -> Vec<Fixture> {
         let s = |v: &str| v.to_string();
-        let (_, summary) = sweep::run_sweep(&sweep::SweepSpec::new(vec![1, 2])).unwrap();
+        let spec = campaign::CampaignSpec::ideal_chain(vec![1, 2]);
+        let cells = campaign::run_campaign(&spec).unwrap();
+        let summary = sweep::summarize(&spec, sweep::Model::default(), cells).unwrap();
         let warm = warm::WarmReport {
             n_data: 2,
             seed: 1,

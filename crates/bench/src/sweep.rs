@@ -1,134 +1,46 @@
-//! Campaign sweeps for the perf observatory: run the six Table-1
-//! configurations over a range of campaign sizes, fit the paper's
-//! y-intercept/slope model (§4) to each, check model-vs-observed drift
-//! (eq. 1–4), and serialise everything in the stable `BENCH_*` schemas
-//! CI regenerates and compares with the committed files.
+//! The observatory's reading of a campaign's cells: the paper's
+//! y-intercept/slope model (§4) fitted to each configuration,
+//! model-vs-observed drift per cell (eq. 1–4), and both serialised in
+//! the stable `BENCH_*` schemas CI regenerates and compares with the
+//! committed files.
 //!
-//! The default load is [`bronze_chain_workflow`]: the Bronze-Standard
-//! critical path as a pure streaming pipeline on [`GridConfig::ideal`].
-//! On that combination the closed forms are exact, so any drift is a
-//! regression in the enactor, the model, or the instrumentation — the
-//! sweep doubles as an end-to-end correctness probe. `--workflow bronze`
-//! and `--grid egee` switch to the full Fig. 9 DAG on the stochastic
-//! EGEE grid for realistic (but noisy) numbers.
+//! The default load is [`CampaignSpec::ideal_chain`]: the
+//! Bronze-Standard critical path as a pure streaming pipeline on
+//! [`moteur_gridsim::GridConfig::ideal`]. On that combination the
+//! closed forms are exact, so any drift is a regression in the enactor,
+//! the model, or the instrumentation — the sweep doubles as an
+//! end-to-end correctness probe. `--workflow bronze` and `--grid egee`
+//! switch to the full Fig. 9 DAG on the stochastic EGEE grid for
+//! realistic (but noisy) numbers.
 
-use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow, bronze_inputs, bronze_workflow};
+use crate::campaign::{mean_series, CampaignSpec, Cell};
 use moteur::lint::CONFIG_KEYS;
 use moteur::obs::json::{array, JsonObject};
-use moteur::{
-    check_drift, predict, Enactment, EnactorConfig, InputData, MoteurError, Observation,
-    SimBackend, Workflow,
-};
-use moteur_analysis::{linear_regression, Line};
-use moteur_gridsim::GridConfig;
+use moteur::{check_drift, predict, MoteurError, Observation};
+use moteur_analysis::{compare, Line};
 
-/// Which workflow a sweep enacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepWorkflow {
-    /// The critical-path streaming chain — exact under eq. 1–4.
-    Chain,
-    /// The full Fig. 9 DAG — realistic, with branch slack the model
-    /// deliberately ignores.
-    Bronze,
-}
-
-impl SweepWorkflow {
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Chain => "bronze-chain",
-            Self::Bronze => "bronze",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "chain" | "bronze-chain" => Some(Self::Chain),
-            "bronze" => Some(Self::Bronze),
-            _ => None,
-        }
-    }
-
-    fn workflow(self) -> Workflow {
-        match self {
-            Self::Chain => bronze_chain_workflow(),
-            Self::Bronze => bronze_workflow(),
-        }
-    }
-
-    fn inputs(self, n_data: usize) -> InputData {
-        match self {
-            Self::Chain => bronze_chain_inputs(n_data),
-            Self::Bronze => bronze_inputs(n_data),
-        }
-    }
-}
-
-/// Which simulated grid a sweep runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepGrid {
-    /// Zero overhead, no failures, unbounded resources — deterministic.
-    Ideal,
-    /// The paper's EGEE characterisation — stochastic.
-    Egee,
-}
-
-impl SweepGrid {
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Ideal => "ideal",
-            Self::Egee => "egee",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        [Self::Ideal, Self::Egee]
-            .into_iter()
-            .find(|g| g.name() == s)
-    }
-
-    fn config(self) -> GridConfig {
-        GridConfig::preset(self.name()).expect("every sweep grid names a preset")
-    }
-}
-
-/// Everything that determines a sweep's numbers.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Campaign sizes (`n_data`) to sweep over; at least two for a fit.
-    pub sizes: Vec<usize>,
-    pub seed: u64,
-    pub workflow: SweepWorkflow,
-    pub grid: SweepGrid,
-    /// Per-job overhead fed to the model (the paper's `R`). Zero on the
-    /// ideal grid.
+/// What the cells are held against: the per-job overhead fed to the
+/// model (the paper's `R`; zero on the ideal grid) and the
+/// relative-error tolerance of the drift check.
+#[derive(Debug, Clone, Copy)]
+pub struct Model {
     pub overhead: f64,
-    /// Relative-error tolerance for the drift check.
     pub tolerance: f64,
 }
 
-impl SweepSpec {
-    /// The default observatory sweep: chain workflow, ideal grid,
-    /// zero modelled overhead, 5 % drift tolerance.
-    pub fn new(sizes: Vec<usize>) -> Self {
+impl Default for Model {
+    /// Zero modelled overhead, 5 % drift tolerance.
+    fn default() -> Self {
         Self {
-            sizes,
-            seed: 2006,
-            workflow: SweepWorkflow::Chain,
-            grid: SweepGrid::Ideal,
             overhead: 0.0,
             tolerance: 0.05,
         }
     }
 }
 
-/// One measured cell of the sweep: a configuration at a campaign size.
-#[derive(Debug, Clone)]
-pub struct BenchPoint {
-    /// Canonical lowercase key (`lint::predict` spelling).
-    pub config: &'static str,
-    pub n_data: usize,
-    pub makespan_secs: f64,
-    pub jobs_submitted: usize,
+/// One cell against the model's prediction for its size.
+#[derive(Debug, Clone, Copy)]
+pub struct Drift {
     pub predicted_secs: f64,
     /// `|observed − predicted| / predicted`.
     pub rel_error: f64,
@@ -137,6 +49,7 @@ pub struct BenchPoint {
 /// Per-configuration roll-up across the sweep.
 #[derive(Debug, Clone)]
 pub struct ConfigSummary {
+    /// Canonical lowercase key (`lint::predict` spelling).
     pub config: &'static str,
     /// `None` only for degenerate sweeps (fewer than two sizes).
     pub fit: Option<Line>,
@@ -148,15 +61,15 @@ pub struct ConfigSummary {
     pub drift_ok: bool,
 }
 
-/// The full campaign result in summary form.
+/// A campaign read against the model: what both `BENCH_point.json` and
+/// `BENCH_summary.json` render.
 #[derive(Debug, Clone)]
 pub struct BenchSummary {
-    pub workflow: &'static str,
-    pub grid: &'static str,
-    pub seed: u64,
-    pub sizes: Vec<usize>,
-    pub overhead: f64,
-    pub tolerance: f64,
+    pub spec: CampaignSpec,
+    pub model: Model,
+    pub cells: Vec<Cell>,
+    /// One entry per cell, in cell order.
+    pub drift: Vec<Drift>,
     /// One entry per Table-1 configuration, paper row order.
     pub configs: Vec<ConfigSummary>,
     /// Named makespan ratios at the largest size, e.g.
@@ -178,105 +91,84 @@ fn config_key(label: &str) -> &'static str {
         .expect("table1 label must have a predict key")
 }
 
-/// The speed-up ratios the summary records, as (name, numerator,
-/// denominator) over `makespan_at_max`.
+/// The speed-ups the summary records, as (name, reference, analyzed)
+/// over the Table-1 labels.
 const SPEEDUP_RATIOS: [(&str, &str, &str); 3] = [
-    ("nop_over_sp", "nop", "sp"),
-    ("nop_over_sp_dp", "nop", "sp+dp"),
-    ("nop_over_sp_dp_jg", "nop", "sp+dp+jg"),
+    ("nop_over_sp", "NOP", "SP"),
+    ("nop_over_sp_dp", "NOP", "SP+DP"),
+    ("nop_over_sp_dp_jg", "NOP", "SP+DP+JG"),
 ];
 
-/// Run the sweep: every Table-1 configuration at every size, one fresh
-/// simulated grid per cell, model prediction and drift per point.
-pub fn run_sweep(spec: &SweepSpec) -> Result<(Vec<BenchPoint>, BenchSummary), MoteurError> {
-    if spec.sizes.is_empty() {
-        return Err(MoteurError::new("sweep needs at least one campaign size"));
-    }
+/// Every cell against the model's prediction for its size.
+fn drift(spec: &CampaignSpec, model: Model, cells: &[Cell]) -> Result<Vec<Drift>, MoteurError> {
     let workflow = spec.workflow.workflow();
-    let mut points: Vec<BenchPoint> = Vec::new();
-    for &n in &spec.sizes {
-        let prediction = predict(&workflow, n, spec.overhead)?;
-        for cfg in EnactorConfig::table1_configurations() {
-            let key = config_key(cfg.label());
-            let inputs = spec.workflow.inputs(n);
-            let mut backend = SimBackend::new(spec.grid.config(), spec.seed);
-            let result =
-                Enactment::new(&workflow, &inputs, cfg.with_seed(spec.seed)).run(&mut backend)?;
-            let makespan = result.makespan.as_secs_f64();
-            let drift = check_drift(
-                &prediction,
-                &[Observation {
-                    config: key.to_string(),
-                    makespan_secs: makespan,
-                }],
-                spec.tolerance,
-            );
-            let entry = drift
-                .entries
-                .first()
-                .expect("every table1 config has a prediction row");
-            points.push(BenchPoint {
-                config: key,
-                n_data: n,
-                makespan_secs: makespan,
-                jobs_submitted: result.jobs_submitted,
-                predicted_secs: entry.predicted_secs,
-                rel_error: entry.rel_error,
-            });
-        }
+    let mut drift = Vec::new();
+    for group in cells.chunk_by(|a, b| a.n_data == b.n_data) {
+        let prediction = predict(&workflow, group[0].n_data, model.overhead)?;
+        let observed: Vec<Observation> = group
+            .iter()
+            .map(|c| Observation {
+                config: c.config.label().to_string(),
+                makespan_secs: c.makespan_secs,
+            })
+            .collect();
+        let report = check_drift(&prediction, &observed, model.tolerance);
+        drift.extend(report.entries.iter().map(|e| Drift {
+            predicted_secs: e.predicted_secs,
+            rel_error: e.rel_error,
+        }));
     }
+    if drift.len() != cells.len() {
+        return Err(MoteurError::new("a campaign cell has no prediction row"));
+    }
+    Ok(drift)
+}
 
-    let max_n = *spec.sizes.iter().max().expect("sizes not empty");
-    let configs: Vec<ConfigSummary> = EnactorConfig::table1_configurations()
+/// Read the cells of `spec` against the model: drift per cell, and per
+/// configuration the fitted line, the makespan at the largest size and
+/// the speed-ups there.
+pub fn summarize(
+    spec: &CampaignSpec,
+    model: Model,
+    cells: Vec<Cell>,
+) -> Result<BenchSummary, MoteurError> {
+    let drift = drift(spec, model, &cells)?;
+    let max_n = spec.sizes.iter().max().map_or(0.0, |&n| n as f64);
+    let series = mean_series(&cells, &spec.sizes);
+    let configs = series
         .iter()
-        .map(|cfg| {
-            let key = config_key(cfg.label());
-            let mine: Vec<&BenchPoint> = points.iter().filter(|p| p.config == key).collect();
-            let sweep: Vec<(f64, f64)> = mine
-                .iter()
-                .map(|p| (p.n_data as f64, p.makespan_secs))
-                .collect();
-            let at_max = mine
-                .iter()
-                .find(|p| p.n_data == max_n)
-                .expect("every config measured at max size");
+        .map(|s| {
+            let mine = cells.iter().zip(&drift);
+            let mine = mine.filter(|(c, _)| c.config.label() == s.label);
+            let rel_errors: Vec<f64> = mine.map(|(_, d)| d.rel_error).collect();
             ConfigSummary {
-                config: key,
-                fit: linear_regression(&sweep),
-                makespan_at_max: at_max.makespan_secs,
-                max_rel_error: mine.iter().map(|p| p.rel_error).fold(0.0, f64::max),
-                drift_ok: mine.iter().all(|p| p.rel_error <= spec.tolerance),
+                config: config_key(&s.label),
+                fit: s.fit(),
+                makespan_at_max: s
+                    .time_at(max_n)
+                    .expect("the largest size is one of the series' sizes"),
+                max_rel_error: rel_errors.iter().copied().fold(0.0, f64::max),
+                drift_ok: rel_errors.iter().all(|e| *e <= model.tolerance),
             }
         })
         .collect();
-
-    let speedup_of = |key: &str| {
-        configs
-            .iter()
-            .find(|c| c.config == key)
-            .map(|c| c.makespan_at_max)
-    };
+    let by_label = |label: &str| series.iter().find(|s| s.label == label);
     let speedups = SPEEDUP_RATIOS
         .iter()
-        .filter_map(
-            |&(name, num, den)| match (speedup_of(num), speedup_of(den)) {
-                (Some(n), Some(d)) if d > 0.0 => Some((name, n / d)),
-                _ => None,
-            },
-        )
+        .filter_map(|&(name, reference, analyzed)| {
+            let c = compare(by_label(reference)?, by_label(analyzed)?);
+            let at_max = c.speedups.iter().find(|(n, _)| *n == max_n)?;
+            Some((name, at_max.1))
+        })
         .collect();
-
-    let summary = BenchSummary {
-        workflow: spec.workflow.name(),
-        grid: spec.grid.name(),
-        seed: spec.seed,
-        sizes: spec.sizes.clone(),
-        overhead: spec.overhead,
-        tolerance: spec.tolerance,
+    Ok(BenchSummary {
+        spec: spec.clone(),
+        model,
+        cells,
+        drift,
         configs,
         speedups,
-    };
-    Ok((points, summary))
+    })
 }
 
 /// Schema tag of [`render_points_json`].
@@ -284,24 +176,24 @@ pub const POINT_SCHEMA: &str = "moteur-bench/point/v1";
 /// Schema tag of [`render_summary_json`].
 pub const SUMMARY_SCHEMA: &str = "moteur-bench/summary/v1";
 
-/// Serialise the raw sweep points (`BENCH_point.json`).
-pub fn render_points_json(spec: &SweepSpec, points: &[BenchPoint]) -> String {
-    let rows = points.iter().map(|p| {
+/// Serialise the raw cells (`BENCH_point.json`).
+pub fn render_points_json(summary: &BenchSummary) -> String {
+    let rows = summary.cells.iter().zip(&summary.drift).map(|(c, d)| {
         JsonObject::new()
-            .str("config", p.config)
-            .uint("n_data", p.n_data as u64)
-            .num("makespan_secs", p.makespan_secs)
-            .uint("jobs", p.jobs_submitted as u64)
-            .num("predicted_secs", p.predicted_secs)
-            .num("rel_error", p.rel_error)
+            .str("config", config_key(c.config.label()))
+            .uint("n_data", c.n_data as u64)
+            .num("makespan_secs", c.makespan_secs)
+            .uint("jobs", c.jobs_submitted as u64)
+            .num("predicted_secs", d.predicted_secs)
+            .num("rel_error", d.rel_error)
             .finish()
     });
     JsonObject::new()
         .str("schema", POINT_SCHEMA)
-        .str("workflow", spec.workflow.name())
-        .str("grid", spec.grid.name())
-        .uint("seed", spec.seed)
-        .num("overhead", spec.overhead)
+        .str("workflow", summary.spec.workflow.name())
+        .str("grid", &summary.spec.grid)
+        .uint("seed", summary.spec.seed)
+        .num("overhead", summary.model.overhead)
         .raw("points", &array(rows))
         .finish()
 }
@@ -342,17 +234,15 @@ pub fn render_summary_json(summary: &BenchSummary) -> String {
     for (name, ratio) in &summary.speedups {
         speedups = speedups.num(name, *ratio);
     }
+    let spec = &summary.spec;
     JsonObject::new()
         .str("schema", SUMMARY_SCHEMA)
-        .str("workflow", summary.workflow)
-        .str("grid", summary.grid)
-        .uint("seed", summary.seed)
-        .raw(
-            "sizes",
-            &array(summary.sizes.iter().map(ToString::to_string)),
-        )
-        .num("overhead", summary.overhead)
-        .num("tolerance", summary.tolerance)
+        .str("workflow", spec.workflow.name())
+        .str("grid", &spec.grid)
+        .uint("seed", spec.seed)
+        .raw("sizes", &array(spec.sizes.iter().map(ToString::to_string)))
+        .num("overhead", summary.model.overhead)
+        .num("tolerance", summary.model.tolerance)
         .raw("configs", &array(configs))
         .raw("speedups", &speedups.finish())
         .finish()
@@ -365,7 +255,10 @@ pub fn render_summary(summary: &BenchSummary) -> String {
     let _ = writeln!(
         out,
         "{} on {} grid, sizes {:?} (seed {}):",
-        summary.workflow, summary.grid, summary.sizes, summary.seed
+        summary.spec.workflow.name(),
+        summary.spec.grid,
+        summary.spec.sizes,
+        summary.spec.seed
     );
     let _ = writeln!(
         out,
@@ -397,15 +290,22 @@ pub fn render_summary(summary: &BenchSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_campaign;
 
-    fn quick_spec() -> SweepSpec {
-        SweepSpec::new(vec![1, 2, 4])
+    fn quick_spec() -> CampaignSpec {
+        CampaignSpec::ideal_chain(vec![1, 2, 4])
+    }
+
+    fn sweep(spec: &CampaignSpec) -> BenchSummary {
+        let cells = run_campaign(spec).unwrap();
+        summarize(spec, Model::default(), cells).unwrap()
     }
 
     #[test]
     fn chain_sweep_on_the_ideal_grid_matches_the_model_exactly() {
-        let (points, summary) = run_sweep(&quick_spec()).unwrap();
-        assert_eq!(points.len(), 6 * 3);
+        let summary = sweep(&quick_spec());
+        assert_eq!(summary.cells.len(), 6 * 3);
+        assert_eq!(summary.drift.len(), 6 * 3);
         assert_eq!(summary.configs.len(), 6);
         for c in &summary.configs {
             assert!(c.drift_ok, "{} drifted: {}", c.config, c.max_rel_error);
@@ -435,7 +335,7 @@ mod tests {
 
     #[test]
     fn speedups_cover_the_three_ratios() {
-        let (_, summary) = run_sweep(&quick_spec()).unwrap();
+        let summary = sweep(&quick_spec());
         let names: Vec<&str> = summary.speedups.iter().map(|(n, _)| *n).collect();
         assert_eq!(
             names,
@@ -448,9 +348,8 @@ mod tests {
 
     #[test]
     fn json_renderings_carry_the_schema_tags() {
-        let spec = SweepSpec::new(vec![1, 2]);
-        let (points, summary) = run_sweep(&spec).unwrap();
-        let pj = render_points_json(&spec, &points);
+        let summary = sweep(&CampaignSpec::ideal_chain(vec![1, 2]));
+        let pj = render_points_json(&summary);
         assert!(pj.contains("\"schema\":\"moteur-bench/point/v1\""));
         assert!(pj.contains("\"config\":\"sp+dp\""));
         let sj = render_summary_json(&summary);
@@ -459,12 +358,5 @@ mod tests {
         assert!(sj.contains("\"drift_ok\":true"));
         // Flat configurations have no break-even ratio.
         assert!(sj.contains("\"intercept_slope_ratio\":null"));
-    }
-
-    #[test]
-    fn empty_sweep_is_rejected() {
-        let mut spec = quick_spec();
-        spec.sizes.clear();
-        assert!(run_sweep(&spec).is_err());
     }
 }

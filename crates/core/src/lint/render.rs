@@ -7,21 +7,16 @@
 //! proves the output is well-formed.
 
 use crate::lint::diag::{Diagnostic, Label, LintReport, Severity};
+use crate::lint::rules::docs::RULE_DOCS;
 use crate::obs::json::{array, JsonObject, JsonValue};
 use moteur_xml::Span;
 use std::fmt::Write as _;
 
-/// Every rule code the suite can emit. JSON input is interned against
-/// this table so [`Diagnostic::code`] can stay `&'static str`.
-pub const KNOWN_CODES: &[&str] = &[
-    "M000", "M001", "M002", "M003", "M004", "M005", "M006", "M007", "M008", "M010", "M011", "M012",
-    "M013", "M014", "M020", "M021", "M030", "M031", "M040", "M041", "M042", "M050", "M051", "M060",
-    "M061", "M062", "M063", "M064", "M070", "M080", "M081", "M082", "M083", "M084", "M085",
-];
-
-/// Intern `code` against [`KNOWN_CODES`].
+/// Intern `code` against [`RULE_DOCS`], the one list of rule codes, so
+/// [`Diagnostic::code`] can stay `&'static str` through a JSON round
+/// trip.
 pub fn intern_code(code: &str) -> Option<&'static str> {
-    KNOWN_CODES.iter().copied().find(|c| *c == code)
+    RULE_DOCS.iter().map(|d| d.code).find(|c| *c == code)
 }
 
 // ---------------------------------------------------------------------

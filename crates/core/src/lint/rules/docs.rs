@@ -2,8 +2,11 @@
 //!
 //! One entry per rule code the suite can emit, table-driven so CI
 //! failures are self-describing: the renderer prints the code, the
-//! registry explains what it means and how to fix it. A sync test
-//! keeps this table and [`crate::lint::render::KNOWN_CODES`] identical.
+//! registry explains what it means and how to fix it. This table is
+//! the only list of codes: the JSON codec interns against it
+//! ([`crate::lint::intern_code`]), the fixture suite holds every
+//! emission site to its row's severity, and a root-package test holds
+//! README's rule table to its rows.
 
 use crate::lint::diag::Severity;
 
@@ -15,7 +18,7 @@ pub struct RuleDoc {
     /// Severity the rule emits at (the *strongest* one, for rules that
     /// emit at several).
     pub severity: Severity,
-    /// One-line summary, matching the README rule table.
+    /// One-line summary; the README rule table repeats it.
     pub summary: &'static str,
     /// Longer explanation: what the finding means and what to do.
     pub doc: &'static str,
@@ -151,31 +154,37 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         code: "M031",
-        severity: Severity::Warning,
-        summary: "grouping blocked by port mismatch",
-        doc: "A would-be §3.6 group is blocked by heterogeneous ports or an \
-              intermediate consumer; restructure to enable grouping.",
+        severity: Severity::Note,
+        summary: "sequential pair that job grouping cannot fuse",
+        doc: "A service feeds only one other service, yet a §3.6 condition forbids \
+              running them as one grid job: one of them is a barrier, sits in a \
+              cycle, iterates by cross product, has no executable descriptor or is \
+              under a coordination constraint, or the consumer's port mixes other \
+              producers. The message names the condition.",
     },
     RuleDoc {
         code: "M040",
-        severity: Severity::Error,
-        summary: "coordination cycle",
-        doc: "Coordination constraints form a cycle: every member waits for \
-              another, so none ever fires.",
+        severity: Severity::Warning,
+        summary: "synchronization barrier never waits",
+        doc: "A sync=\"true\" processor has no inbound data, or every stream reaching \
+              it carries a single item: there is nothing to wait for, but the \
+              barrier still blocks service parallelism through it. Drop \
+              sync=\"true\" or connect the streams it should gather.",
     },
     RuleDoc {
         code: "M041",
-        severity: Severity::Warning,
-        summary: "coordination contradicts data flow",
-        doc: "The constraint orders a consumer before its own producer (or \
-              redundantly restates a data edge); enactment may deadlock.",
+        severity: Severity::Error,
+        summary: "coordination constraint contradicts the existing order",
+        doc: "`a before b` is declared while b already precedes a through data links \
+              or other constraints (or a is b): b waits on a, whose inputs wait on \
+              b, and enactment deadlocks. Drop the constraint or reverse it.",
     },
     RuleDoc {
         code: "M042",
-        severity: Severity::Note,
-        summary: "redundant coordination constraint",
-        doc: "The data-link topology already enforces this ordering; the \
-              constraint adds nothing.",
+        severity: Severity::Warning,
+        summary: "coordination constraint duplicates a data link",
+        doc: "A data link already orders the two processors, so the constraint adds \
+              nothing and disqualifies both from job grouping (§3.6). Remove it.",
     },
     RuleDoc {
         code: "M050",
@@ -209,9 +218,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         code: "M062",
         severity: Severity::Error,
-        summary: "malformed numeric attribute",
-        doc: "A numeric attribute (compute=, bytes=, <outputsize bytes=>) does \
-              not parse as a number.",
+        summary: "attribute value does not parse",
+        doc: "A numeric attribute (compute=, bytes=, <outputsize bytes=>, a <cost> \
+              parameter) is not a number, or iteration= / the <cost> type names \
+              nothing the dialect defines.",
     },
     RuleDoc {
         code: "M063",
@@ -222,9 +232,9 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         code: "M064",
         severity: Severity::Error,
-        summary: "malformed descriptor or cost model",
-        doc: "The embedded <executable> or <cost> element does not parse; the \
-              processor is left unbound (see M008).",
+        summary: "missing or malformed <executable> descriptor",
+        doc: "The processor embeds no <executable>, or the one it embeds does not \
+              parse as a Fig. 8 descriptor; the processor is skipped.",
     },
     RuleDoc {
         code: "M070",
@@ -308,16 +318,6 @@ pub fn render_explain(doc: &RuleDoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::render::KNOWN_CODES;
-
-    #[test]
-    fn registry_and_known_codes_stay_in_sync() {
-        let documented: Vec<&str> = RULE_DOCS.iter().map(|d| d.code).collect();
-        assert_eq!(
-            documented, KNOWN_CODES,
-            "KNOWN_CODES and RULE_DOCS must list the same codes in the same order"
-        );
-    }
 
     #[test]
     fn explain_finds_rules_by_code() {

@@ -3,7 +3,7 @@
 //! span that resolves to the offending line of the source.
 
 use moteur::lint::{
-    lint_workflow, report_from_json, report_to_json, Diagnostic, LintReport, Severity,
+    explain, lint_workflow, report_from_json, report_to_json, Diagnostic, LintReport, Severity,
 };
 use moteur::{ServiceBinding, ServiceProfile, Workflow};
 use moteur_scufl::lint_source;
@@ -75,6 +75,42 @@ fn clean_fixture_has_zero_diagnostics() {
             .map(|d| (d.code, &d.message))
             .collect::<Vec<_>>()
     );
+}
+
+/// A rule is declared once, in `RULE_DOCS`: whatever fires under a
+/// code — in its own fixture or as a bystander in another's — fires at
+/// most at the documented severity, and the strongest severity the
+/// fixtures show for a code is the documented one (for a rule with one
+/// emission severity, that is an exact match). `--explain M040` used to
+/// describe an error while the rule fired as a warning.
+#[test]
+fn every_fixture_emits_each_code_at_its_documented_severity() {
+    let dir = format!("{}/tests/lint/fixtures", env!("CARGO_MANIFEST_DIR"));
+    let mut strongest = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(&dir).expect("fixture directory") {
+        let name = entry.expect("fixture").file_name();
+        let name = name.to_str().expect("fixture names are ASCII");
+        for d in lint_fixture(name).1.diagnostics {
+            let doc = explain(d.code).unwrap_or_else(|| panic!("{name}: {} undocumented", d.code));
+            assert!(
+                d.severity <= doc.severity,
+                "{name}: {} fired as {:?}, documented as {:?}",
+                d.code,
+                d.severity,
+                doc.severity
+            );
+            let seen = strongest.entry(d.code).or_insert(d.severity);
+            *seen = d.severity.max(*seen);
+        }
+    }
+    assert!(strongest.len() >= 26, "one fixture per rule: {strongest:?}");
+    for (code, seen) in strongest {
+        let documented = explain(code).expect("checked above").severity;
+        assert_eq!(
+            seen, documented,
+            "{code}: no fixture fires it as documented"
+        );
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! The model assumes per-job overheads are independent draws (an
 //! uncongested grid with spare slots); this example runs on such a
 //! grid. On a *saturated* grid, queue contention couples the jobs and
-//! batching can cut both ways — `cargo run -p moteur-bench --bin
+//! batching can cut both ways — `cargo run --bin moteur-bench --
 //! granularity` explores that regime quantitatively.
 //!
 //! Run with: `cargo run --release --example adaptive_granularity`

@@ -54,6 +54,5 @@ fn main() {
         c.speedups[0].1
     );
     println!("\nFor the full Table 1/2 reproduction run:");
-    println!("  cargo run --release -p moteur-bench --bin table1");
-    println!("  cargo run --release -p moteur-bench --bin table2");
+    println!("  cargo run --release --bin moteur-bench -- paper --repeats 5 --out-dir results");
 }

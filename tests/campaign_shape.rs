@@ -2,7 +2,7 @@
 //! reproduce the paper's qualitative claims — configuration ordering,
 //! job-count reductions from grouping, and the §5 metric directions.
 
-use moteur_repro::bench::{run_campaign, run_point};
+use moteur_repro::bench::{mean_series, run_campaign, run_point, CampaignSpec};
 use moteur_repro::moteur::EnactorConfig;
 
 #[test]
@@ -62,8 +62,8 @@ fn grouping_cuts_jobs_from_6_to_4_per_pair() {
 
 #[test]
 fn campaign_series_are_increasing_in_data_size() {
-    let results = run_campaign(&[4, 12], 3, 2);
-    for (series, _) in &results {
+    let cells = run_campaign(&CampaignSpec::paper(&[4, 12], 3, 2)).unwrap();
+    for series in &mean_series(&cells, &[4, 12]) {
         // More data never runs faster under NOP/JG/SP (strictly
         // sequential components dominate).
         if ["NOP", "JG", "SP"].contains(&series.label.as_str()) {
@@ -79,11 +79,12 @@ fn campaign_series_are_increasing_in_data_size() {
 
 #[test]
 fn dp_collapses_the_slope() {
-    let results = run_campaign(&[6, 18], 9, 2);
+    let cells = run_campaign(&CampaignSpec::paper(&[6, 18], 9, 2)).unwrap();
+    let series = mean_series(&cells, &[6, 18]);
     let slope = |label: &str| -> f64 {
-        let (s, _) = results
+        let s = series
             .iter()
-            .find(|(s, _)| s.label == label)
+            .find(|s| s.label == label)
             .expect("label exists");
         (s.points[1].1 - s.points[0].1) / (s.points[1].0 - s.points[0].0)
     };

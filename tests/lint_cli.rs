@@ -1,9 +1,10 @@
 //! End-to-end tests of `moteur lint`: exit codes, JSON round-trip,
+//! `--explain` and README's rule table against the one rule registry,
 //! `--predict` agreement with the §3.5 closed forms, and the `run`
 //! pre-flight refusing error-level workflows unless `--no-verify`.
 
 use moteur_repro::bench::bronze_workflow;
-use moteur_repro::moteur::lint::Severity;
+use moteur_repro::moteur::lint::{Severity, RULE_DOCS};
 use moteur_repro::moteur::{lint_workflow, predict, report_from_json, report_to_json, TimeMatrix};
 use std::path::Path;
 use std::process::Command;
@@ -105,8 +106,53 @@ fn lint_cli_json_round_trips() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--explain CODE` describes the rule that fires under CODE: what the
+/// deadlock workflow reports as an error is explained as an error, and
+/// M040 is the barrier warning, not the coordination cycle (M041).
+#[test]
+fn explain_describes_the_rule_that_fires_under_the_code() {
+    let explain = |code: &str| {
+        let out = moteur().args(["lint", "--explain", code]).output().unwrap();
+        assert!(out.status.success(), "{code}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let m040 = explain("M040");
+    let headline = "M040 (warning): synchronization barrier never waits\n";
+    assert!(m040.starts_with(headline), "{m040}");
+
+    let dir = temp_dir("explain");
+    let deadlock = write(&dir, "deadlock.xml", DEADLOCK);
+    let out = moteur().arg("lint").arg(&deadlock).arg("--json").output();
+    let text = String::from_utf8_lossy(&out.unwrap().stdout).into_owned();
+    let report = report_from_json(text.trim()).expect("CLI JSON parses");
+    assert!(report.has_errors());
+    for d in &report.diagnostics {
+        let head = format!("{} ({}): ", d.code, d.severity.name());
+        assert!(explain(d.code).starts_with(&head), "{head}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// README's rule table is `RULE_DOCS` row for row: code, severity and
+/// summary (the README wraps SCUFL element names in backticks).
+#[test]
+fn readme_rule_table_is_the_rule_registry_row_for_row() {
+    let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/README.md");
+    let readme = std::fs::read_to_string(readme).expect("README.md");
+    let rows: Vec<String> = readme
+        .lines()
+        .filter(|l| l.starts_with("| M0"))
+        .map(|l| l.replace('`', ""))
+        .collect();
+    let registry: Vec<String> = RULE_DOCS
+        .iter()
+        .map(|d| format!("| {} | {} | {} |", d.code, d.severity.name(), d.summary))
+        .collect();
+    assert_eq!(rows, registry);
+}
+
 /// `--predict` must agree with the closed-form makespans of eqs. 1-4
-/// (the same numbers the bench `theory` binary prints).
+/// (the same numbers `moteur-bench theory` prints).
 #[test]
 fn predict_matches_the_closed_forms_on_bronze() {
     let wf = bronze_workflow();
