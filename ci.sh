@@ -84,6 +84,11 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 # line) and a wrong one exits non-zero. About a second of ops each.
 bash benchmark/run.sh --workload memo_warm --seed 1 --seconds 1 --trace 0
 bash benchmark/run.sh --workload daemon_wave --seed 1 --seconds 1 --trace 0
+# The same through the traced binary, so every CI log carries the
+# daemon's per-stage and per-call numbers (`stage.apply_drain`,
+# `stage.apply_submit`, `daemon.step`, `daemon.submit`) to read a
+# scheduling regression from.
+bash benchmark/run.sh --workload daemon_wave --seed 1 --seconds 1 --trace 1
 
 # Static analysis over the bundled example workflows: errors AND
 # warnings fail the build (notes — e.g. grouping advice — are fine).

@@ -21,10 +21,20 @@
 //! rest. Admission control bounds live workflows per tenant; excess
 //! submissions queue and admit as earlier ones finish.
 //!
+//! The daemon is event-driven: a scheduling round visits only the
+//! *runnable* instances — those started, delivered to, timed or
+//! overtaken by the clock since they were last seen at their firing
+//! fixpoint — a timer wakes only the instances whose cached deadline
+//! has passed (the *wake index*), and a workflow text is compiled once
+//! per daemon (`cache`), not once per submission. DESIGN §4.16 has the
+//! argument for why skipping everything else changes no backend
+//! submission.
+//!
 //! The control protocol lives in [`protocol`]: newline-delimited JSON
 //! (`moteur/daemon/v1`) served over stdin/stdout or a Unix socket by
 //! `moteur daemon`.
 
+mod cache;
 pub mod protocol;
 
 use crate::backend::{Backend, BackendCompletion, InvocationId, ScopedBackend, WaitOutcome};
@@ -35,8 +45,9 @@ use crate::ft::FtConfig;
 use crate::graph::Workflow;
 use crate::obs::Obs;
 use crate::store::{DataStore, StoreStats};
+use cache::{CompileCache, CompileKey, Program};
 use moteur_gridsim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// How the daemon turns SCUFL source into an enactable workflow.
 ///
@@ -56,6 +67,28 @@ pub struct TenantConfig {
     /// Backend jobs the tenant may have in flight across all its
     /// instances.
     pub max_inflight_jobs: usize,
+}
+
+impl TenantConfig {
+    /// Refuse a configuration under which `tenant`'s workflows could
+    /// never finish, naming the field: a zero weight grants a zero
+    /// dispatch budget every round, a zero workflow ceiling leaves
+    /// every submission queued and a zero job ceiling admits
+    /// workflows that then never dispatch.
+    fn check(&self, tenant: &str) -> Result<(), MoteurError> {
+        let zero = if self.weight == 0 {
+            "weight 0 would never be scheduled"
+        } else if self.max_inflight_workflows == 0 {
+            "max_inflight_workflows 0 would queue its workflows forever"
+        } else if self.max_inflight_jobs == 0 {
+            "max_inflight_jobs 0 would never dispatch a job"
+        } else {
+            return Ok(());
+        };
+        Err(MoteurError::new(format!(
+            "tenant `{tenant}`: {zero}; configure a positive value"
+        )))
+    }
 }
 
 impl Default for TenantConfig {
@@ -131,7 +164,7 @@ impl InstanceState {
 
 /// A parsed submission waiting for admission.
 struct QueuedWork {
-    workflow: Workflow,
+    program: Program,
     inputs: InputData,
     config: EnactorConfig,
     ft: FtConfig,
@@ -157,6 +190,14 @@ struct Slot {
     jobs_submitted: usize,
     makespan_secs: Option<f64>,
     body: Body,
+    /// The instance's `next_wake()` as of its last touch — its key in
+    /// [`Daemon::wake`]. Deadlines, adaptive budgets and deferrals
+    /// change only when the instance is touched, so this is exact.
+    wake: Option<SimTime>,
+    /// The clock passed `wake` since the last pump: a backoff may be
+    /// due, which the next pump resubmits even on a spent budget (the
+    /// invocation already holds its share of the job ceiling).
+    due: bool,
 }
 
 impl Slot {
@@ -168,10 +209,24 @@ impl Slot {
     }
 }
 
+/// One tenant's instances and counters. Every collection holds ids of
+/// this tenant only, so a scheduling round never looks at a finished
+/// instance or at another tenant's.
 #[derive(Default)]
 struct TenantState {
+    name: String,
     store_hits: u64,
     store_misses: u64,
+    /// Submissions waiting for a workflow slot, oldest first.
+    queued: VecDeque<u32>,
+    /// Admitted, unfinished instances.
+    running: BTreeSet<u32>,
+    /// The running instances a pump may move: touched (started,
+    /// delivered to, timed, overtaken by the clock) since a dispatch
+    /// round last saw them at their firing fixpoint.
+    runnable: BTreeSet<u32>,
+    /// Sum of `inflight()` over `running`, kept at every touch.
+    inflight_jobs: usize,
 }
 
 /// Point-in-time view of one instance, rendered by `status` / `list`.
@@ -233,8 +288,17 @@ pub struct Daemon {
     store: DataStore,
     parser: ScuflParser,
     config: DaemonConfig,
-    tenants: BTreeMap<String, TenantState>,
+    /// Sorted by name: the order a dispatch round visits them in.
+    tenants: Vec<TenantState>,
     slots: Vec<Slot>,
+    /// Instances per [`InstanceState`], by discriminant.
+    counts: [usize; 5],
+    /// The wake index: `(cached next_wake, id)` of every running
+    /// instance that has one. Its first key is the daemon's deadline.
+    wake: BTreeSet<(SimTime, u32)>,
+    compiled: CompileCache,
+    #[cfg(test)]
+    probe: tests::Probe,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -259,22 +323,21 @@ impl Daemon {
             store,
             parser,
             config,
-            tenants: BTreeMap::new(),
+            tenants: Vec::new(),
             slots: Vec::new(),
+            counts: [0; 5],
+            wake: BTreeSet::new(),
+            compiled: CompileCache::default(),
+            #[cfg(test)]
+            probe: tests::Probe::default(),
         }
     }
 
-    /// Override the admission / fairness knobs of one tenant. A weight
-    /// of zero is rejected: it would grant the tenant a zero dispatch
-    /// budget every round, silently starving its admitted workflows
-    /// forever.
+    /// Override the admission / fairness knobs of one tenant. A zero
+    /// weight or a zero ceiling is rejected: the tenant's workflows
+    /// would be accepted and then never finish.
     pub fn set_tenant(&mut self, tenant: &str, config: TenantConfig) -> Result<(), MoteurError> {
-        if config.weight == 0 {
-            return Err(MoteurError::new(format!(
-                "tenant `{tenant}`: weight 0 would starve its workflows \
-                 forever; use a positive weight"
-            )));
-        }
+        config.check(tenant)?;
         self.config.tenant_overrides.insert(tenant.into(), config);
         Ok(())
     }
@@ -302,23 +365,40 @@ impl Daemon {
         config: EnactorConfig,
         ft: FtConfig,
     ) -> Result<u32, MoteurError> {
-        if self.config.tenant(tenant).weight == 0 {
-            // A zero-weight tenant gets a zero dispatch budget every
-            // round: its workflows would admit and then hang forever.
-            // Reject loudly at the protocol boundary instead.
-            return Err(MoteurError::new(format!(
-                "tenant `{tenant}` has weight 0 and would never be \
-                 scheduled; configure a positive weight"
-            )));
-        }
+        // A config constructed directly (bypassing `set_tenant`) can
+        // still carry a zero: reject loudly at the protocol boundary
+        // instead of accepting a workflow that would hang.
+        self.config.tenant(tenant).check(tenant)?;
         let (workflow, inputs) = (self.parser)(workflow_xml, inputs_xml)?;
         let id = u32::try_from(self.slots.len() + 1)
             .map_err(|_| MoteurError::new("daemon instance table full"))?;
-        self.tenants.entry(tenant.into()).or_default();
+        let workflow_name = workflow.name.clone();
+        let key = CompileKey::of(workflow_xml, &config);
+        let program = match self.compiled.get(key, workflow_xml) {
+            Some(compiled) => Program::Compiled(compiled),
+            None => Program::Source {
+                workflow: Box::new(workflow),
+                text: workflow_xml.into(),
+                key,
+            },
+        };
+        let t = match self.tenant_index(tenant) {
+            Ok(t) => t,
+            Err(t) => {
+                let state = TenantState {
+                    name: tenant.into(),
+                    ..TenantState::default()
+                };
+                self.tenants.insert(t, state);
+                t
+            }
+        };
+        self.tenants[t].queued.push_back(id);
+        self.counts[InstanceState::Queued as usize] += 1;
         self.slots.push(Slot {
             id,
             tenant: tenant.into(),
-            workflow_name: workflow.name.clone(),
+            workflow_name,
             state: InstanceState::Queued,
             submitted_at: self.backend.now(),
             first_job_at: None,
@@ -329,11 +409,13 @@ impl Daemon {
             jobs_submitted: 0,
             makespan_secs: None,
             body: Body::Queued(Box::new(QueuedWork {
-                workflow,
+                program,
                 inputs,
                 config,
                 ft,
             })),
+            wake: None,
+            due: false,
         });
         self.schedule();
         Ok(id)
@@ -351,18 +433,7 @@ impl Daemon {
         if self.slots[i].state.is_terminal() {
             return false;
         }
-        let slot = &mut self.slots[i];
-        if let Body::Running(instance) = &mut slot.body {
-            let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
-            let mut ctx = EnactCtx {
-                backend: &mut scoped,
-                store: Some(&mut self.store),
-            };
-            instance.abort(&mut ctx);
-        }
-        slot.body = Body::Finished;
-        slot.state = InstanceState::Cancelled;
-        slot.finished_at = Some(self.backend.now());
+        self.end(i, InstanceState::Cancelled, None);
         // A workflow slot freed up; admit queued work.
         self.schedule();
         true
@@ -380,38 +451,25 @@ impl Daemon {
 
     /// Daemon gauges plus per-tenant families, tenants sorted by name.
     pub fn metrics(&self) -> DaemonMetrics {
-        let mut running = 0;
-        let mut queued = 0;
-        let mut succeeded = 0;
-        let mut failed = 0;
-        let mut cancelled = 0;
-        for s in &self.slots {
-            match s.state {
-                InstanceState::Queued => queued += 1,
-                InstanceState::Running => running += 1,
-                InstanceState::Succeeded => succeeded += 1,
-                InstanceState::Failed => failed += 1,
-                InstanceState::Cancelled => cancelled += 1,
-            }
-        }
         let tenants = self
             .tenants
             .iter()
-            .map(|(name, t)| TenantMetrics {
-                tenant: name.clone(),
-                running: self.count_state(name, InstanceState::Running),
-                queued: self.count_state(name, InstanceState::Queued),
-                inflight_jobs: self.tenant_inflight_jobs(name),
+            .map(|t| TenantMetrics {
+                tenant: t.name.clone(),
+                running: t.running.len(),
+                queued: t.queued.len(),
+                inflight_jobs: t.inflight_jobs,
                 store_hits: t.store_hits,
                 store_misses: t.store_misses,
             })
             .collect();
+        let count = |state: InstanceState| self.counts[state as usize];
         DaemonMetrics {
-            running,
-            queued,
-            succeeded,
-            failed,
-            cancelled,
+            running: count(InstanceState::Running),
+            queued: count(InstanceState::Queued),
+            succeeded: count(InstanceState::Succeeded),
+            failed: count(InstanceState::Failed),
+            cancelled: count(InstanceState::Cancelled),
             store: self.store.stats(),
             tenants,
         }
@@ -419,54 +477,43 @@ impl Daemon {
 
     /// Step the daemon through one backend wait: admit and pump every
     /// runnable instance, then block on the earliest of the next
-    /// completion and the next fault-tolerance deadline. Returns
-    /// `false` once no instance is queued or running.
+    /// completion and the first key of the wake index. Returns `false`
+    /// once no instance is running (queued without running cannot
+    /// happen: zero workflow ceilings are refused).
     pub fn step(&mut self) -> bool {
         self.schedule();
-        let live: Vec<u32> = self
-            .slots
-            .iter()
-            .filter(|s| s.state == InstanceState::Running)
-            .map(|s| s.id)
-            .collect();
-        if live.is_empty() {
-            // Queued without running can only mean admission is wedged
-            // (a tenant configured with zero workflow slots).
+        if self.counts[InstanceState::Running as usize] == 0 {
             return false;
         }
-        let mut wake: Option<SimTime> = None;
-        for &id in &live {
-            let i = self.slot_index(id).expect("listed above");
-            if let Body::Running(instance) = &self.slots[i].body {
-                if let Some(w) = instance.next_wake() {
-                    wake = Some(wake.map_or(w, |c| c.min(w)));
-                }
-            }
-        }
-        match wake {
+        let timed_out = match self.next_wake() {
             None => match self.backend.wait_next() {
-                Some(c) => self.route(c),
+                Some(c) => {
+                    self.route(c);
+                    false
+                }
                 None => {
                     // Running instances but nothing at the backend and
                     // no timer: the shared backend lost their jobs.
                     // Fail them rather than spin forever.
-                    for id in live {
-                        self.fail(
-                            id,
-                            "backend returned no completion for in-flight work".into(),
+                    for id in self.running_ids() {
+                        self.end(
+                            id as usize - 1,
+                            InstanceState::Failed,
+                            Some("backend returned no completion for in-flight work".into()),
                         );
                     }
+                    return true;
                 }
             },
             Some(deadline) => match self.backend.wait_next_until(deadline) {
-                WaitOutcome::Completion(c) => self.route(c),
-                WaitOutcome::TimedOut => {
-                    for id in live {
-                        self.timer(id);
-                    }
+                WaitOutcome::Completion(c) => {
+                    self.route(c);
+                    false
                 }
+                WaitOutcome::TimedOut => true,
             },
-        }
+        };
+        self.wake_due(timed_out);
         true
     }
 
@@ -474,10 +521,7 @@ impl Daemon {
     /// state; returns how many succeeded overall.
     pub fn drain(&mut self) -> usize {
         while self.step() {}
-        self.slots
-            .iter()
-            .filter(|s| s.state == InstanceState::Succeeded)
-            .count()
+        self.counts[InstanceState::Succeeded as usize]
     }
 
     // -- internals ----------------------------------------------------
@@ -486,6 +530,18 @@ impl Daemon {
         // Ids are 1-based submission order.
         let i = (id as usize).checked_sub(1)?;
         (i < self.slots.len()).then_some(i)
+    }
+
+    /// Where `tenant` is, or where it would be inserted.
+    fn tenant_index(&self, tenant: &str) -> Result<usize, usize> {
+        self.tenants
+            .binary_search_by(|t| t.name.as_str().cmp(tenant))
+    }
+
+    /// The tenant of slot `i`; a slot's tenant exists from `submit` on.
+    fn tenant_of(&self, i: usize) -> usize {
+        self.tenant_index(&self.slots[i].tenant)
+            .expect("a submitted slot's tenant is registered")
     }
 
     fn status_of(&self, s: &Slot) -> InstanceStatus {
@@ -506,59 +562,127 @@ impl Daemon {
         }
     }
 
-    fn count_state(&self, tenant: &str, state: InstanceState) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.tenant == tenant && s.state == state)
-            .count()
+    fn set_state(&mut self, i: usize, state: InstanceState) {
+        self.counts[self.slots[i].state as usize] -= 1;
+        self.counts[state as usize] += 1;
+        self.slots[i].state = state;
     }
 
-    fn tenant_inflight_jobs(&self, tenant: &str) -> usize {
-        self.slots
+    /// Every running instance, ids ascending.
+    fn running_ids(&self) -> Vec<u32> {
+        let mut ids: Vec<u32> = self
+            .tenants
             .iter()
-            .filter(|s| s.tenant == tenant)
-            .map(Slot::inflight)
-            .sum()
+            .flat_map(|t| t.running.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
-    /// Credit a store-stats delta to slot `i` and its tenant.
-    fn attribute(&mut self, i: usize, before: StoreStats) {
-        let after = self.store.stats();
-        let hits = after.hits - before.hits;
-        let misses = after.misses - before.misses;
-        let slot = &mut self.slots[i];
-        slot.store_hits += hits;
-        slot.store_misses += misses;
-        if let Some(t) = self.tenants.get_mut(&slot.tenant) {
-            t.store_hits += hits;
-            t.store_misses += misses;
+    /// Take slot `i` out of its tenant's collections and the wake
+    /// index and stamp its end; hands back the instance if it was
+    /// running.
+    fn retire(&mut self, i: usize) -> Option<Box<WorkflowInstance>> {
+        let t = self.tenant_of(i);
+        let (slot, tenant) = (&mut self.slots[i], &mut self.tenants[t]);
+        slot.finished_at = Some(self.backend.now());
+        match std::mem::replace(&mut slot.body, Body::Finished) {
+            Body::Running(instance) => {
+                tenant.running.remove(&slot.id);
+                tenant.runnable.remove(&slot.id);
+                tenant.inflight_jobs -= instance.inflight();
+                if let Some(at) = slot.wake.take() {
+                    self.wake.remove(&(at, slot.id));
+                }
+                Some(instance)
+            }
+            Body::Queued(_) => {
+                tenant.queued.retain(|&id| id != slot.id);
+                None
+            }
+            Body::Finished => None,
         }
     }
 
-    fn fail(&mut self, id: u32, message: String) {
-        let Some(i) = self.slot_index(id) else { return };
-        let slot = &mut self.slots[i];
-        if let Body::Running(instance) = &mut slot.body {
-            let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
+    /// End slot `i` short of success: retract whatever it has at the
+    /// backend and record why.
+    fn end(&mut self, i: usize, state: InstanceState, error: Option<String>) {
+        if let Some(mut instance) = self.retire(i) {
+            let mut scoped = ScopedBackend::new(self.backend.as_mut(), self.slots[i].id);
             let mut ctx = EnactCtx {
                 backend: &mut scoped,
                 store: Some(&mut self.store),
             };
             instance.abort(&mut ctx);
         }
-        slot.body = Body::Finished;
-        slot.state = InstanceState::Failed;
-        slot.error = Some(message);
-        slot.finished_at = Some(self.backend.now());
+        self.set_state(i, state);
+        self.slots[i].error = error;
+    }
+
+    /// One step of running instance `i` against its scoped view of the
+    /// shared backend and store — the only way the daemon touches an
+    /// instance, so everything derived from instance state is brought
+    /// up to date here: store traffic is credited to the slot and its
+    /// tenant, the tenant's in-flight jobs and the wake index follow
+    /// the instance, and the instance is runnable again. An error
+    /// fails the instance and yields `None`.
+    fn touch<R>(
+        &mut self,
+        i: usize,
+        step: impl FnOnce(
+            &mut WorkflowInstance,
+            &mut EnactCtx<'_, ScopedBackend<'_>>,
+        ) -> Result<R, MoteurError>,
+    ) -> Option<R> {
+        let t = self.tenant_of(i);
+        let (slot, tenant) = (&mut self.slots[i], &mut self.tenants[t]);
+        let Body::Running(instance) = &mut slot.body else {
+            return None;
+        };
+        let before = self.store.stats();
+        let inflight = instance.inflight();
+        let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
+        let mut ctx = EnactCtx {
+            backend: &mut scoped,
+            store: Some(&mut self.store),
+        };
+        let result = step(instance, &mut ctx);
+        let after = self.store.stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        slot.store_hits += hits;
+        slot.store_misses += misses;
+        tenant.store_hits += hits;
+        tenant.store_misses += misses;
+        slot.jobs_submitted = instance.jobs_submitted();
+        tenant.inflight_jobs = tenant.inflight_jobs - inflight + instance.inflight();
+        tenant.runnable.insert(slot.id);
+        let wake = instance.next_wake();
+        if wake != slot.wake {
+            if let Some(at) = slot.wake {
+                self.wake.remove(&(at, slot.id));
+            }
+            if let Some(at) = wake {
+                self.wake.insert((at, slot.id));
+            }
+            slot.wake = wake;
+        }
+        match result {
+            Ok(r) => Some(r),
+            Err(e) => {
+                self.end(i, InstanceState::Failed, Some(e.message().into()));
+                None
+            }
+        }
     }
 
     /// Admission + weighted fair dispatch + reaping, to fixpoint.
     fn schedule(&mut self) {
+        let mut idle = Vec::new();
         loop {
             self.admit();
-            let dispatched = self.dispatch_round();
+            let dispatched = self.dispatch_round(&mut idle);
             // Finished instances free admission slots mid-fixpoint.
-            self.reap();
+            self.reap(&mut idle);
             if dispatched == 0 && !self.has_admittable() {
                 break;
             }
@@ -566,37 +690,65 @@ impl Daemon {
     }
 
     /// One weighted round-robin dispatch round: each tenant gets a
-    /// budget of `weight × quantum` dispatches (capped by its
-    /// in-flight job ceiling), spread over its running instances in
-    /// submission order. [`Daemon::schedule`] repeats rounds until one
-    /// dispatches nothing, so dispatch reaches the same fixpoint as
-    /// the one-shot engine's fire-to-fixpoint phase — just interleaved
-    /// fairly across tenants.
-    fn dispatch_round(&mut self) -> usize {
-        let tenant_names: Vec<String> = self.tenants.keys().cloned().collect();
+    /// budget of `weight × quantum` dispatches (capped by what its
+    /// in-flight job ceiling leaves), spread over its *runnable*
+    /// instances in submission order. An instance leaves the runnable
+    /// set when it is at its firing fixpoint: its pump came back under
+    /// the budget it was given (the firing loop stops early only on
+    /// the budget) or it is quiescent, which needs no pump to see. It
+    /// is reported in `idle` when it then has nothing in flight.
+    /// [`Daemon::schedule`] repeats rounds until one dispatches
+    /// nothing, so dispatch reaches the same fixpoint as the one-shot
+    /// engine's fire-to-fixpoint phase — just interleaved fairly
+    /// across tenants.
+    fn dispatch_round(&mut self, idle: &mut Vec<u32>) -> usize {
+        #[cfg(test)]
+        self.probe_round();
         let mut dispatched = 0;
-        for tenant in &tenant_names {
-            let cfg = self.config.tenant(tenant);
+        for t in 0..self.tenants.len() {
+            if self.tenants[t].runnable.is_empty() {
+                continue;
+            }
+            let cfg = self.config.tenant(&self.tenants[t].name);
             // saturating_mul: an extreme `--weights` value must clamp
             // the budget, not overflow it to a tiny (or panicking) cap.
-            let cap = (cfg.weight as usize)
+            let mut remaining = (cfg.weight as usize)
                 .saturating_mul(self.config.quantum())
                 .min(
                     cfg.max_inflight_jobs
-                        .saturating_sub(self.tenant_inflight_jobs(tenant)),
+                        .saturating_sub(self.tenants[t].inflight_jobs),
                 );
-            let mut remaining = cap;
-            let ids: Vec<u32> = self
-                .slots
-                .iter()
-                .filter(|s| s.tenant == *tenant && s.state == InstanceState::Running)
-                .map(|s| s.id)
-                .collect();
-            for id in ids {
-                if remaining == 0 {
-                    break;
+            // Pumping edits the set, so walk it by cursor (ids start
+            // at 1).
+            let mut last = 0u32;
+            while let Some(&id) = last
+                .checked_add(1)
+                .and_then(|from| self.tenants[t].runnable.range(from..).next())
+            {
+                last = id;
+                let i = id as usize - 1;
+                // Pump what has something to fire and a budget to fire
+                // it under; a due backoff is resubmitted regardless.
+                let due = std::mem::take(&mut self.slots[i].due);
+                let Body::Running(instance) = &self.slots[i].body else {
+                    unreachable!("a runnable id is a running instance")
+                };
+                let fired = if due || (remaining > 0 && !instance.quiescent()) {
+                    self.pump(i, remaining)
+                } else {
+                    0
+                };
+                // An error in the pump has failed and retired it.
+                if let Body::Running(instance) = &self.slots[i].body {
+                    if fired < remaining || instance.quiescent() {
+                        self.tenants[t].runnable.remove(&id);
+                        #[cfg(test)]
+                        self.probe.settled(id);
+                        if instance.inflight() == 0 {
+                            idle.push(id);
+                        }
+                    }
                 }
-                let fired = self.pump(id, Some(remaining));
                 remaining -= fired.min(remaining);
                 dispatched += fired;
             }
@@ -606,120 +758,100 @@ impl Daemon {
 
     /// Is any queued submission admissible right now?
     fn has_admittable(&self) -> bool {
-        self.slots.iter().any(|s| {
-            s.state == InstanceState::Queued
-                && self.count_state(&s.tenant, InstanceState::Running)
-                    < self.config.tenant(&s.tenant).max_inflight_workflows
+        self.tenants.iter().any(|t| {
+            !t.queued.is_empty()
+                && t.running.len() < self.config.tenant(&t.name).max_inflight_workflows
         })
     }
 
-    /// Admit queued submissions whose tenant has a free workflow slot.
+    /// Admit each tenant's oldest queued submissions while it has a
+    /// free workflow slot.
     fn admit(&mut self) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].state != InstanceState::Queued {
-                continue;
-            }
-            let tenant = self.slots[i].tenant.clone();
-            let cfg = self.config.tenant(&tenant);
-            if self.count_state(&tenant, InstanceState::Running) >= cfg.max_inflight_workflows {
-                continue;
-            }
-            let body = std::mem::replace(&mut self.slots[i].body, Body::Finished);
-            let Body::Queued(work) = body else {
-                unreachable!("queued state carries queued work")
-            };
-            let before = self.store.stats();
-            let id = self.slots[i].id;
-            let mut scoped = ScopedBackend::new(self.backend.as_mut(), id);
-            let mut ctx = EnactCtx {
-                backend: &mut scoped,
-                store: Some(&mut self.store),
-            };
-            match WorkflowInstance::start(
-                &work.workflow,
-                &work.inputs,
-                work.config,
-                work.ft,
-                &mut ctx,
-                Obs::off(),
-            ) {
-                Ok(instance) => {
-                    self.slots[i].body = Body::Running(Box::new(instance));
-                    self.slots[i].state = InstanceState::Running;
-                    self.attribute(i, before);
-                }
-                Err(e) => {
-                    self.attribute(i, before);
-                    self.fail(id, e.message().into());
-                }
+        for t in 0..self.tenants.len() {
+            let cap = self
+                .config
+                .tenant(&self.tenants[t].name)
+                .max_inflight_workflows;
+            while self.tenants[t].running.len() < cap {
+                let Some(id) = self.tenants[t].queued.pop_front() else {
+                    break;
+                };
+                self.start(id as usize - 1, t);
             }
         }
     }
 
-    /// Pump one running instance under a dispatch budget; returns how
-    /// many invocations it dispatched. Errors fail the instance.
-    fn pump(&mut self, id: u32, budget: Option<usize>) -> usize {
-        let Some(i) = self.slot_index(id) else {
-            return 0;
-        };
-        let before = self.store.stats();
+    /// Compile (or find compiled) and start the queued submission in
+    /// slot `i` of tenant `t`; a rejection makes it a failed instance.
+    fn start(&mut self, i: usize, t: usize) {
         let slot = &mut self.slots[i];
-        let Body::Running(instance) = &mut slot.body else {
-            return 0;
+        let Body::Queued(work) = std::mem::replace(&mut slot.body, Body::Finished) else {
+            unreachable!("queued state carries queued work")
         };
-        let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
-        let mut ctx = EnactCtx {
-            backend: &mut scoped,
-            store: Some(&mut self.store),
-        };
-        let result = instance.pump_budgeted(&mut ctx, budget);
-        let jobs = instance.jobs_submitted();
-        self.slots[i].jobs_submitted = jobs;
-        self.attribute(i, before);
-        match result {
-            Ok(fired) => {
-                if fired > 0 && self.slots[i].first_job_at.is_none() {
-                    self.slots[i].first_job_at = Some(self.backend.now());
-                }
-                fired
+        let QueuedWork {
+            program,
+            inputs,
+            config,
+            ft,
+        } = *work;
+        let started = self
+            .compiled
+            .resolve(program, &config)
+            .and_then(|compiled| {
+                let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
+                let mut ctx = EnactCtx {
+                    backend: &mut scoped,
+                    store: Some(&mut self.store),
+                };
+                WorkflowInstance::start(compiled, &inputs, config, ft, &mut ctx, Obs::off())
+            });
+        match started {
+            Ok(instance) => {
+                slot.body = Body::Running(Box::new(instance));
+                self.tenants[t].running.insert(slot.id);
+                self.tenants[t].runnable.insert(slot.id);
+                self.set_state(i, InstanceState::Running);
             }
-            Err(e) => {
-                self.fail(id, e.message().into());
-                0
-            }
+            Err(e) => self.end(i, InstanceState::Failed, Some(e.message().into())),
         }
     }
 
-    /// Finish every running instance whose work is exhausted. Mirrors
-    /// the one-shot loop's exit condition: after a fire-to-fixpoint
-    /// with nothing dispatched, zero in-flight work means done.
-    fn reap(&mut self) {
-        for i in 0..self.slots.len() {
-            if self.slots[i].state != InstanceState::Running || self.slots[i].inflight() > 0 {
+    /// Pump running instance `i` under a dispatch budget; returns how
+    /// many invocations it dispatched. Errors fail the instance.
+    fn pump(&mut self, i: usize, budget: usize) -> usize {
+        #[cfg(test)]
+        let quiescent = matches!(&self.slots[i].body, Body::Running(x) if x.quiescent());
+        let fired = self
+            .touch(i, |instance, ctx| instance.pump_budgeted(ctx, Some(budget)))
+            .unwrap_or(0);
+        #[cfg(test)]
+        self.probe.pumped(self.slots[i].id, fired, quiescent);
+        if fired > 0 && self.slots[i].first_job_at.is_none() {
+            self.slots[i].first_job_at = Some(self.backend.now());
+        }
+        fired
+    }
+
+    /// Finish the instances the round found at their fixpoint with
+    /// nothing in flight. Mirrors the one-shot loop's exit condition:
+    /// after a fire-to-fixpoint, zero in-flight work means done.
+    fn reap(&mut self, idle: &mut Vec<u32>) {
+        idle.sort_unstable();
+        for id in idle.drain(..) {
+            let i = id as usize - 1;
+            let Some(instance) = self.retire(i) else {
                 continue;
-            }
-            // A final unbudgeted pump distinguishes "done" from "ready
-            // work parked behind a budget cap".
-            let id = self.slots[i].id;
-            if self.pump(id, None) > 0 || self.slots[i].state != InstanceState::Running {
-                continue;
-            }
-            let body = std::mem::replace(&mut self.slots[i].body, Body::Finished);
-            let Body::Running(instance) = body else {
-                unreachable!("running state carries an instance")
             };
-            let now = self.backend.now();
-            let slot = &mut self.slots[i];
-            slot.finished_at = Some(now);
-            match instance.finish(now) {
+            match instance.finish(self.backend.now()) {
                 Ok(result) => {
-                    slot.state = InstanceState::Succeeded;
+                    self.set_state(i, InstanceState::Succeeded);
+                    let slot = &mut self.slots[i];
                     slot.jobs_submitted = result.jobs_submitted;
                     slot.makespan_secs = Some(result.makespan.as_secs_f64());
                 }
                 Err(e) => {
-                    slot.state = InstanceState::Failed;
-                    slot.error = Some(e.message().into());
+                    self.set_state(i, InstanceState::Failed);
+                    self.slots[i].error = Some(e.message().into());
                 }
             }
         }
@@ -729,48 +861,71 @@ impl Daemon {
     fn route(&mut self, mut c: BackendCompletion) {
         let id = ScopedBackend::instance_of(c.invocation.0);
         c.invocation = InvocationId(ScopedBackend::local_tag(c.invocation.0));
-        let Some(i) = self.slot_index(id) else {
-            return; // late completion of an unknown instance: drop
-        };
-        let before = self.store.stats();
-        let slot = &mut self.slots[i];
-        let Body::Running(instance) = &mut slot.body else {
-            return; // instance already cancelled/failed: drop
-        };
-        let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
-        let mut ctx = EnactCtx {
-            backend: &mut scoped,
-            store: Some(&mut self.store),
-        };
-        let result = instance.deliver(&mut ctx, c);
-        self.attribute(i, before);
-        if let Err(e) = result {
-            self.fail(id, e.message().into());
+        // A late completion of an unknown, cancelled or failed
+        // instance is dropped (`touch` finds nothing running).
+        if let Some(i) = self.slot_index(id) {
+            #[cfg(test)]
+            self.probe.touched(id);
+            self.touch(i, |instance, ctx| instance.deliver(ctx, c));
         }
     }
 
-    /// A backend wait timed out at an instance deadline: let every
-    /// running instance act on expired timeouts and due backoffs.
-    fn timer(&mut self, id: u32) {
-        let Some(i) = self.slot_index(id) else { return };
-        let before = self.store.stats();
-        let slot = &mut self.slots[i];
-        let Body::Running(instance) = &mut slot.body else {
-            return;
-        };
-        let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
-        let mut ctx = EnactCtx {
-            backend: &mut scoped,
-            store: Some(&mut self.store),
-        };
-        let result = instance.on_timer(&mut ctx);
-        self.attribute(i, before);
-        if let Err(e) = result {
-            self.fail(id, e.message().into());
+    /// The daemon's deadline: the earliest cached wake time.
+    fn next_wake(&self) -> Option<SimTime> {
+        #[cfg(test)]
+        if self.probe.exhaustive {
+            return self.scan_next_wake();
         }
+        self.wake.first().map(|&(at, _)| at)
+    }
+
+    /// After a backend wait: every instance whose cached wake time the
+    /// clock has reached is runnable again, in id order. When the wait
+    /// `timed_out` each first acts on its expired timeouts; a wake time
+    /// still standing afterwards is a due backoff, which the next pump
+    /// resubmits.
+    fn wake_due(&mut self, timed_out: bool) {
+        let now = self.backend.now();
+        for id in self.woken(now) {
+            let i = id as usize - 1;
+            if timed_out {
+                // The method path is one instantiation of `on_timer`;
+                // `touch` needs it for every scoped-backend lifetime.
+                #[allow(clippy::redundant_closure_for_method_calls)]
+                self.touch(i, |instance, ctx| instance.on_timer(ctx));
+            }
+            let slot = &mut self.slots[i];
+            if slot.state == InstanceState::Running && slot.wake.is_some_and(|at| at <= now) {
+                slot.due = true;
+                let t = self.tenant_of(i);
+                self.tenants[t].runnable.insert(id);
+            }
+            #[cfg(test)]
+            self.probe.touched(id);
+        }
+    }
+
+    /// Ids in the wake index at or before `now`, ascending.
+    fn woken(&self, now: SimTime) -> Vec<u32> {
+        #[cfg(test)]
+        if self.probe.exhaustive {
+            return self.running_ids();
+        }
+        let mut ids: Vec<u32> = self
+            .wake
+            .iter()
+            .take_while(|&&(at, _)| at <= now)
+            .map(|&(_, id)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 }
 
 // The daemon's behavioural tests live in `tests/daemon.rs`: they
 // parse SCUFL through `moteur-scufl`, whose dev-dependency cycle
 // resolves to a *separate* build of this crate inside unit tests.
+// `tests.rs` here checks the scheduler against its exhaustive mode on
+// workflows built without a parser.
+#[cfg(test)]
+mod tests;

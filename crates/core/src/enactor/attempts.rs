@@ -106,7 +106,7 @@ impl WorkflowInstance {
     /// Current timeout budget of `proc` in seconds, from its policy and
     /// the observed completion durations. `None` → no timeout applies.
     pub(super) fn timeout_secs_for(&self, proc: ProcId) -> Option<f64> {
-        let name = &self.workflow.processors[proc.0].name;
+        let name = &self.compiled.workflow.processors[proc.0].name;
         self.ft
             .policy_for(name)
             .timeout
@@ -232,7 +232,7 @@ impl WorkflowInstance {
             }
         });
         self.obs.emit(|| {
-            let processor = self.workflow.processors[proc.0].name.clone();
+            let processor = self.compiled.workflow.processors[proc.0].name.clone();
             if replica {
                 TraceEvent::JobReplicated {
                     at: now,
@@ -272,7 +272,9 @@ impl WorkflowInstance {
             self.note_ce_failure(ctx, ce);
         }
         let proc = self.pending[&logical].proc;
-        let policy = *self.ft.policy_for(&self.workflow.processors[proc.0].name);
+        let policy = *self
+            .ft
+            .policy_for(&self.compiled.workflow.processors[proc.0].name);
         let max_retries = policy.retry.max_retries();
         // Losing the last live attempt disarms the invocation: it
         // leaves the deadline index until it is resubmitted, so a
@@ -355,7 +357,9 @@ impl WorkflowInstance {
             let p = &self.pending[&logical];
             (p.proc, p.retries, p.replicas)
         };
-        let policy = *self.ft.policy_for(&self.workflow.processors[proc.0].name);
+        let policy = *self
+            .ft
+            .policy_for(&self.compiled.workflow.processors[proc.0].name);
         let budget = self.timeout_secs_for(proc).unwrap_or(0.0);
         let action = match policy.on_timeout {
             TimeoutAction::Replicate { max_replicas } if replicas >= max_replicas => {
@@ -377,7 +381,7 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobTimedOut {
             at: ctx.backend.now(),
             invocation: logical,
-            processor: self.workflow.processors[proc.0].name.clone(),
+            processor: self.compiled.workflow.processors[proc.0].name.clone(),
             timeout_secs: budget,
             action,
         });
@@ -409,7 +413,7 @@ impl WorkflowInstance {
                 self.obs.emit(|| TraceEvent::JobCancelled {
                     at: ctx.backend.now(),
                     invocation: tag,
-                    processor: self.workflow.processors[proc.0].name.clone(),
+                    processor: self.compiled.workflow.processors[proc.0].name.clone(),
                     reason: "superseded",
                 });
             }
@@ -444,8 +448,8 @@ impl WorkflowInstance {
         message: String,
     ) -> Result<(), MoteurError> {
         let pend = self.remove_pending(logical);
-        let workflow = Arc::clone(&self.workflow);
-        let name = &workflow.processors[pend.proc.0].name;
+        let compiled = Arc::clone(&self.compiled);
+        let name = &compiled.workflow.processors[pend.proc.0].name;
         self.obs.emit(|| TraceEvent::JobFailed {
             at: ctx.backend.now(),
             invocation: logical,
@@ -475,15 +479,15 @@ impl WorkflowInstance {
     /// breadth-first order — the descendants a quarantined item will
     /// never reach.
     fn descendants_of(&self, proc: ProcId) -> Vec<String> {
-        let mut seen = vec![false; self.workflow.processors.len()];
+        let mut seen = vec![false; self.compiled.workflow.processors.len()];
         seen[proc.0] = true;
         let mut queue = VecDeque::from([proc]);
         let mut out = Vec::new();
         while let Some(p) = queue.pop_front() {
-            for &(q, _) in self.routes.targets[p.0].iter().flatten() {
+            for &(q, _) in self.compiled.routes.targets[p.0].iter().flatten() {
                 if !seen[q.0] {
                     seen[q.0] = true;
-                    out.push(self.workflow.processors[q.0].name.clone());
+                    out.push(self.compiled.workflow.processors[q.0].name.clone());
                     queue.push_back(q);
                 }
             }
@@ -507,7 +511,7 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::JobCancelled {
                 at,
                 invocation: logical,
-                processor: self.workflow.processors[pend.proc.0].name.clone(),
+                processor: self.compiled.workflow.processors[pend.proc.0].name.clone(),
                 reason: "abort",
             });
         }

@@ -50,8 +50,8 @@ impl WorkflowInstance {
     ) -> Result<(), MoteurError> {
         let mut pend = self.remove_pending(logical);
         let proc_id = pend.proc;
-        let workflow = Arc::clone(&self.workflow);
-        let proc = &workflow.processors[proc_id.0];
+        let compiled = Arc::clone(&self.compiled);
+        let proc = &compiled.workflow.processors[proc_id.0];
         pend.attempts.retain(|&tag| tag != winner);
         self.cancel_attempts(ctx, proc_id, pend.attempts, true);
         if let Some(ce) = c.ce {

@@ -34,7 +34,7 @@ impl WorkflowInstance {
         proc: ProcId,
         tokens: &[Token],
     ) -> Option<InvocationKey> {
-        let digest = self.digests[proc.0]?;
+        let digest = self.compiled.digests[proc.0]?;
         ctx.store.as_ref()?;
         let mut pkeys = Vec::with_capacity(tokens.len());
         {
@@ -47,7 +47,7 @@ impl WorkflowInstance {
                 );
             }
         }
-        let name = &self.workflow.processors[proc.0].name;
+        let name = &self.compiled.workflow.processors[proc.0].name;
         Some(invocation_key(name, digest, &pkeys))
     }
 
@@ -102,11 +102,11 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::CacheMiss {
                 at: ctx.backend.now(),
                 invocation: id.0,
-                processor: self.workflow.processors[proc.0].name.clone(),
+                processor: self.compiled.workflow.processors[proc.0].name.clone(),
             });
         }
-        let workflow = Arc::clone(&self.workflow);
-        let (plan, outputs, compute) = match &workflow.processors[proc.0].binding {
+        let compiled = Arc::clone(&self.compiled);
+        let (plan, outputs, compute) = match &compiled.workflow.processors[proc.0].binding {
             Some(ServiceBinding::Descriptor {
                 descriptor,
                 profile,
@@ -143,7 +143,7 @@ impl WorkflowInstance {
         let Some((tokens, mut entry)) = self.admit(ctx, proc, matched, Some(invocation))? else {
             return Ok(());
         };
-        let binding = &self.workflow.processors[proc.0].binding;
+        let binding = &self.compiled.workflow.processors[proc.0].binding;
         let payload = if let Some(ServiceBinding::Local(service)) = binding {
             JobPayload::Local {
                 service: service.clone(),
@@ -222,7 +222,7 @@ impl WorkflowInstance {
         // submission event precedes any grid-side event for the same
         // invocation (the simulated broker reacts synchronously).
         self.obs.emit(|| {
-            let processor = self.workflow.processors[proc.0].name.clone();
+            let processor = self.compiled.workflow.processors[proc.0].name.clone();
             match payload {
                 JobPayload::Fetch { transfer_seconds } => TraceEvent::CacheHit {
                     at: submitted,
@@ -297,7 +297,7 @@ impl WorkflowInstance {
     fn output_gfn(&self, proc_name: &str, invocation: InvocationId, slot: &str) -> String {
         format!(
             "gfn://{}/{}/{}/{}",
-            self.workflow.name, proc_name, invocation.0, slot
+            self.compiled.workflow.name, proc_name, invocation.0, slot
         )
     }
 
@@ -321,7 +321,7 @@ impl WorkflowInstance {
         tokens: &[Token],
         invocation: InvocationId,
     ) -> Result<(JobPlan, ServiceOutputs), MoteurError> {
-        let p = &self.workflow.processors[proc.0];
+        let p = &self.compiled.workflow.processors[proc.0];
         // Every file the plan looks up is registered by this build
         // (inputs via `bind_port`, outputs below), so the catalog is
         // O(job), not O(stream length).
@@ -361,7 +361,7 @@ impl WorkflowInstance {
         tokens: &[Token],
         invocation: InvocationId,
     ) -> Result<(JobPlan, ServiceOutputs), MoteurError> {
-        let p = &self.workflow.processors[proc.0];
+        let p = &self.compiled.workflow.processors[proc.0];
         let mut catalog = Catalog::new();
         let mut members: Vec<GroupMember> = Vec::with_capacity(group.stages.len());
         let mut stage_outputs: Vec<HashMap<String, (String, u64)>> = Vec::new();
@@ -409,7 +409,7 @@ impl WorkflowInstance {
             for out in &stage.descriptor.outputs {
                 let gfn = format!(
                     "gfn://{}/{}~{}/{}/{}",
-                    self.workflow.name, p.name, stage.name, invocation.0, out.name
+                    self.compiled.workflow.name, p.name, stage.name, invocation.0, out.name
                 );
                 let bytes = stage.profile.output_size(&out.name);
                 catalog.register(gfn.clone(), bytes);
@@ -454,8 +454,8 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
         proc: ProcId,
     ) -> Result<(), MoteurError> {
-        let workflow = Arc::clone(&self.workflow);
-        let p = &workflow.processors[proc.0];
+        let compiled = Arc::clone(&self.compiled);
+        let p = &compiled.workflow.processors[proc.0];
         let buffers = std::mem::take(&mut self.states[proc.0].sync_buffers);
         // One list token per port: the whole collected stream.
         let tokens: Vec<Token> = buffers

@@ -28,6 +28,7 @@
 mod attempts;
 #[doc(hidden)]
 pub mod compat;
+mod compile;
 mod completion;
 mod compose;
 mod ports;
@@ -40,14 +41,14 @@ use crate::graph::{ProcId, Workflow};
 use crate::iterate::{MatchEngine, MatchedSet};
 use crate::obs::prof::Subsystem;
 use crate::obs::{Obs, TraceEvent};
-use crate::service::ServiceBinding;
-use crate::store::{descriptor_digest, group_digest, DataStore, HistoryXmlCache};
+use crate::store::{DataStore, HistoryXmlCache};
 use crate::token::Token;
 use crate::trace::{InvocationRecord, WorkflowResult};
 use crate::value::DataValue;
 use attempts::PendingJob;
+pub(crate) use compile::{CompileBits, CompiledWorkflow};
 use moteur_gridsim::{Rng, SimTime};
-use ports::{Routes, SourceCursor};
+use ports::SourceCursor;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -128,8 +129,8 @@ impl<'a> Enactment<'a> {
         self
     }
 
-    /// Enact on `backend`: start one instance, wait on the backend
-    /// until it is idle, finish it.
+    /// Enact on `backend`: compile the workflow, start one instance,
+    /// wait on the backend until it is idle, finish it.
     pub fn run<B: Backend>(self, backend: &mut B) -> Result<WorkflowResult, MoteurError> {
         let ft = self.ft.cloned().unwrap_or_default();
         let mut ctx = EnactCtx {
@@ -137,7 +138,7 @@ impl<'a> Enactment<'a> {
             store: self.store,
         };
         let mut instance = WorkflowInstance::start(
-            self.workflow,
+            CompiledWorkflow::compile(self.workflow, &self.config)?,
             self.inputs,
             self.config,
             ft,
@@ -188,7 +189,7 @@ impl<B: Backend + ?Sized> std::fmt::Debug for EnactCtx<'_, B> {
 impl std::fmt::Debug for WorkflowInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkflowInstance")
-            .field("workflow", &self.workflow.name)
+            .field("workflow", &self.compiled.workflow.name)
             .field("inflight", &self.inflight_total)
             .field("jobs_submitted", &self.jobs_submitted)
             .field("completed", &self.completed)
@@ -219,24 +220,22 @@ const SAMPLE_WINDOW: usize = 512;
 /// cooperative steps so a daemon can multiplex many live instances
 /// over one shared backend and one shared data manager.
 ///
-/// An instance owns its (post-grouping) workflow and all per-run
-/// state, but **not** the backend or the store — those are borrowed
-/// per step through an [`EnactCtx`], which is what lets N instances
-/// share them. [`Enactment::run`] is a single-instance session:
+/// An instance owns all per-run state, shares its [`CompiledWorkflow`]
+/// with every other instance started from it, and holds **neither**
+/// the backend nor the store — those are borrowed per step through an
+/// [`EnactCtx`], which is what lets N instances share them.
+/// [`Enactment::run`] is a single-instance session:
 /// [`WorkflowInstance::start`], a wait loop over the same steps,
 /// [`WorkflowInstance::finish`].
 pub struct WorkflowInstance {
-    /// Shared so a firing can hold the processor's binding by
+    /// The (post-grouping) workflow and what was derived from it.
+    /// Shared, so a firing can hold the processor's binding by
     /// reference count while it mutates the rest of the instance.
-    workflow: Arc<Workflow>,
+    compiled: Arc<CompiledWorkflow>,
     config: EnactorConfig,
     ft: FtConfig,
     rng: Rng,
     states: Vec<ProcState>,
-    /// SCC id per processor and whether that SCC is a real cycle.
-    scc_ids: Vec<usize>,
-    in_cycle: Vec<bool>,
-    routes: Routes,
     pending: HashMap<u64, PendingJob, IdHasher>,
     /// The deadline index: per processor, its armed invocations keyed
     /// `(window_start, logical id)`. Every change to a pending
@@ -271,11 +270,6 @@ pub struct WorkflowInstance {
     /// insert of this run: `provenance_key` renders each distinct tree
     /// once instead of once per call.
     history_xml: HistoryXmlCache,
-    /// Per-processor service digest: `Some` for deterministic
-    /// descriptor- or group-bound processors when a store is attached,
-    /// `None` for everything uncacheable (local bindings, sources,
-    /// sinks, non-deterministic descriptors).
-    digests: Vec<Option<u64>>,
     /// Fresh attempt tag → logical invocation id. Same-tag failure
     /// resubmits need no entry; only replicas and timeout resubmits
     /// are registered here.
@@ -297,9 +291,11 @@ pub struct WorkflowInstance {
 }
 
 impl WorkflowInstance {
-    /// Prepare a resumable instance: preflight lint, job grouping,
-    /// graph validation and source-token emission — everything
-    /// [`Enactment::run`] does before its first backend wait.
+    /// Prepare a resumable instance of `compiled` over `inputs`:
+    /// per-run state and source-token emission — with
+    /// [`CompiledWorkflow::compile`], everything [`Enactment::run`]
+    /// does before its first backend wait. `config` must carry the
+    /// bits `compiled` was compiled under.
     ///
     /// The returned instance holds no backend or store borrow; step it
     /// with [`WorkflowInstance::pump`], [`WorkflowInstance::deliver`]
@@ -307,38 +303,15 @@ impl WorkflowInstance {
     /// then close it with [`WorkflowInstance::finish`] (or
     /// [`WorkflowInstance::abort`]).
     pub fn start<B: Backend + ?Sized>(
-        workflow: &Workflow,
+        compiled: Arc<CompiledWorkflow>,
         inputs: &InputData,
         config: EnactorConfig,
         ft: FtConfig,
         ctx: &mut EnactCtx<'_, B>,
         obs: Obs,
     ) -> Result<Self, MoteurError> {
-        if config.preflight {
-            // Error-severity lint findings are exactly the structural
-            // conditions under which enactment would panic, deadlock or
-            // silently drop data — refuse them up front with a typed
-            // error instead. Run on the pre-grouping workflow so
-            // findings carry the source spans of the workflow the user
-            // wrote.
-            let findings = crate::lint::lint_errors(workflow);
-            if !findings.is_empty() {
-                let summary = findings
-                    .diagnostics
-                    .iter()
-                    .map(|d| format!("[{}] {}", d.code, d.message))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(MoteurError::lint(findings.errors(), summary));
-            }
-        }
-        let workflow = if config.job_grouping {
-            crate::grouping::group_workflow(workflow)?
-        } else {
-            workflow.clone()
-        };
-        workflow.validate()?;
-        let mut instance = Self::new(workflow, config, ft, ctx, obs);
+        debug_assert_eq!(compiled.bits(), CompileBits::of(&config));
+        let mut instance = Self::new(compiled, config, ft, ctx.backend.now(), obs);
         instance.emit_sources(inputs, ctx)?;
         Ok(instance)
     }
@@ -364,13 +337,14 @@ impl WorkflowInstance {
         self.jobs_submitted
     }
 
-    fn new<B: Backend + ?Sized>(
-        workflow: Workflow,
+    fn new(
+        compiled: Arc<CompiledWorkflow>,
         config: EnactorConfig,
         ft: FtConfig,
-        ctx: &mut EnactCtx<'_, B>,
+        start_time: SimTime,
         obs: Obs,
     ) -> Self {
+        let workflow = &compiled.workflow;
         let states = workflow
             .processors
             .iter()
@@ -383,39 +357,13 @@ impl WorkflowInstance {
                 suspended: false,
             })
             .collect();
-        let scc_ids = workflow.scc_ids();
-        let in_cycle = workflow.cycle_members();
-        let memoizing = ctx.store.is_some();
-        let digests = workflow
-            .processors
-            .iter()
-            .map(|p| match &p.binding {
-                Some(ServiceBinding::Descriptor {
-                    descriptor,
-                    profile,
-                }) if memoizing && !descriptor.nondeterministic => {
-                    Some(descriptor_digest(descriptor, profile))
-                }
-                Some(ServiceBinding::Grouped(g))
-                    if memoizing && g.stages.iter().all(|s| !s.descriptor.nondeterministic) =>
-                {
-                    Some(group_digest(g))
-                }
-                _ => None,
-            })
-            .collect();
-        let start_time = ctx.backend.now();
         let n_procs = workflow.processors.len();
-        let routes = Routes::compile(&workflow, &config, &scc_ids, &in_cycle);
         WorkflowInstance {
-            workflow: Arc::new(workflow),
+            compiled,
             config,
             ft,
             rng: Rng::new(config.seed ^ 0x4D4F_5445_5552), // "MOTEUR"
             states,
-            scc_ids,
-            in_cycle,
-            routes,
             pending: HashMap::default(),
             armed: vec![BTreeSet::new(); n_procs],
             next_invocation: 0,
@@ -432,7 +380,6 @@ impl WorkflowInstance {
             start_time,
             obs,
             history_xml: HistoryXmlCache::new(),
-            digests,
             attempt_of: HashMap::default(),
             cancelled_attempts: HashSet::default(),
             deferred: Vec::new(),
@@ -482,7 +429,7 @@ impl WorkflowInstance {
             }
         }
         for (i, st) in self.states.iter().enumerate() {
-            let p = &self.workflow.processors[i];
+            let p = &self.compiled.workflow.processors[i];
             if !st.ready.is_empty() {
                 return Err(MoteurError::new(format!(
                     "deadlock: `{}` still has {} ready invocations",
@@ -513,7 +460,7 @@ impl WorkflowInstance {
         let mut sink_counts = HashMap::new();
         let tallies = self.sink_outputs.into_iter().zip(self.sink_counts);
         for (p, (tokens, count)) in tallies.enumerate().filter(|(_, (_, n))| *n > 0) {
-            let name = &self.workflow.processors[p].name;
+            let name = &self.compiled.workflow.processors[p].name;
             sink_outputs.insert(name.clone(), tokens);
             sink_counts.insert(name.clone(), count);
         }
@@ -540,7 +487,7 @@ impl WorkflowInstance {
     fn backend_job(&self, proc: ProcId, tag: InvocationId, payload: JobPayload) -> BackendJob {
         BackendJob {
             invocation: tag,
-            processor: self.workflow.processors[proc.0].name.clone(),
+            processor: self.compiled.workflow.processors[proc.0].name.clone(),
             payload,
         }
     }
@@ -571,4 +518,4 @@ impl WorkflowInstance {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -27,7 +27,7 @@ pub(super) struct SourceCursor {
     next: u32,
 }
 
-/// The workflow's links, compiled once at [`WorkflowInstance::start`]
+/// The workflow's links, compiled once per [`super::CompiledWorkflow`]
 /// so that routing a token, checking port room and checking control
 /// links read a per-processor list instead of scanning every link.
 pub(super) struct Routes {
@@ -88,8 +88,8 @@ impl WorkflowInstance {
         inputs: &InputData,
         ctx: &mut EnactCtx<'_, B>,
     ) -> Result<(), MoteurError> {
-        for src in self.workflow.sources() {
-            let name = self.workflow.processor(src).name.clone();
+        for src in self.compiled.workflow.sources() {
+            let name = self.compiled.workflow.processor(src).name.clone();
             let values = inputs
                 .get(&name)
                 .ok_or_else(|| MoteurError::new(format!("no input data for source `{name}`")))?
@@ -140,7 +140,7 @@ impl WorkflowInstance {
     /// fill (and are not in `Routes::bounded`); every other edge holds
     /// `port_capacity` items.
     fn has_port_room(&self, p: usize) -> bool {
-        self.routes.bounded[p]
+        self.compiled.routes.bounded[p]
             .iter()
             .all(|&q| self.port_depth(p, q) < self.config.port_capacity)
     }
@@ -169,14 +169,14 @@ impl WorkflowInstance {
         if !self.obs.enabled() {
             return;
         }
-        let depth = self.routes.targets[p]
+        let depth = self.compiled.routes.targets[p]
             .iter()
             .flatten()
             .map(|&(q, _)| self.port_depth(p, q.0))
             .max()
             .unwrap_or(0);
         let at = ctx.backend.now();
-        let processor = self.workflow.processors[p].name.clone();
+        let processor = self.compiled.workflow.processors[p].name.clone();
         let capacity = self.config.port_capacity;
         self.obs.record(&if blocked {
             TraceEvent::PortSuspended {
@@ -204,7 +204,7 @@ impl WorkflowInstance {
         token: Token,
     ) {
         self.obs.emit(|| {
-            let producer = &self.workflow.processors[proc.0];
+            let producer = &self.compiled.workflow.processors[proc.0];
             TraceEvent::TokenEmitted {
                 at: ctx.backend.now(),
                 processor: producer.name.clone(),
@@ -212,8 +212,8 @@ impl WorkflowInstance {
                 index: token.index.to_string(),
             }
         });
-        for &(tp, tport) in &self.routes.targets[proc.0][out_port] {
-            let target = &self.workflow.processors[tp.0];
+        for &(tp, tport) in &self.compiled.routes.targets[proc.0][out_port] {
+            let target = &self.compiled.workflow.processors[tp.0];
             match target.kind {
                 ProcessorKind::Sink => {
                     self.sink_counts[tp.0] += 1;
@@ -275,8 +275,8 @@ impl WorkflowInstance {
             // counts against the daemon's budget.
             let mut fired = self.pump_sources(ctx);
             let exhausted = self.compute_exhausted();
-            for p in 0..self.workflow.processors.len() {
-                let proc = &self.workflow.processors[p];
+            for p in 0..self.compiled.workflow.processors.len() {
+                let proc = &self.compiled.workflow.processors[p];
                 if proc.kind != ProcessorKind::Service {
                     continue;
                 }
@@ -333,6 +333,34 @@ impl WorkflowInstance {
         Ok(dispatched)
     }
 
+    /// Is the instance certainly at its firing fixpoint, so that no pump
+    /// can dispatch or emit until a delivery or a timer changes it?
+    /// Nothing is ready, every source cursor is drained, and every
+    /// barrier has fired or still has an invocation in flight upstream
+    /// of it (with nothing ready and nothing left to emit, a processor
+    /// is exhausted exactly when nothing at or above it is in flight
+    /// and every barrier above it has fired). Sufficient, not
+    /// necessary: ready work held back by a gate answers `false`, and
+    /// the next pump finds that fixpoint itself.
+    pub fn quiescent(&self) -> bool {
+        let drained = |c: &SourceCursor| c.values.as_slice().is_empty();
+        let held = |p: usize| {
+            let above = &self.compiled.barrier_ancestors[p];
+            above.iter().any(|&q| self.states[q].inflight > 0)
+        };
+        let processors = &self.compiled.workflow.processors;
+        self.source_cursors.iter().all(drained)
+            && self
+                .states
+                .iter()
+                .zip(processors)
+                .enumerate()
+                .all(|(p, (state, proc))| {
+                    state.ready.is_empty()
+                        && (!proc.synchronization || state.barrier_fired || held(p))
+                })
+    }
+
     /// The configuration-level gates on firing `p` (DP, SP, control
     /// links), port room aside — what tells "suspended on
     /// back-pressure" from "not runnable anyway".
@@ -353,9 +381,12 @@ impl WorkflowInstance {
         // Straight over the links: a predecessor feeding several ports
         // is checked once per link, which `all` does not mind, and this
         // runs on every firing round.
-        self.workflow.in_links(ProcId(p)).all(|l| {
+        self.compiled.workflow.in_links(ProcId(p)).all(|l| {
             let q = l.from.proc.0;
-            if !include_cycle && self.in_cycle[p] && self.scc_ids[q] == self.scc_ids[p] {
+            if !include_cycle
+                && self.compiled.in_cycle[p]
+                && self.compiled.scc_ids[q] == self.compiled.scc_ids[p]
+            {
                 true
             } else {
                 exhausted[q]
@@ -364,14 +395,14 @@ impl WorkflowInstance {
     }
 
     fn control_ok(&self, p: usize, exhausted: &[bool]) -> bool {
-        self.routes.control_before[p]
+        self.compiled.routes.control_before[p]
             .iter()
             .all(|&before| exhausted[before])
     }
 
     /// Fixpoint computation of "will emit no more tokens".
     fn compute_exhausted(&self) -> Vec<bool> {
-        let n = self.workflow.processors.len();
+        let n = self.compiled.workflow.processors.len();
         let mut ex = vec![false; n];
         loop {
             let mut changed = false;
@@ -379,7 +410,7 @@ impl WorkflowInstance {
                 if ex[p] {
                     continue;
                 }
-                let proc = &self.workflow.processors[p];
+                let proc = &self.compiled.workflow.processors[p];
                 let quiet = self.states[p].ready.is_empty() && self.states[p].inflight == 0;
                 let value = match proc.kind {
                     // A source is exhausted once its cursor drained.
@@ -389,21 +420,23 @@ impl WorkflowInstance {
                         .all(|c| c.proc.0 != p || c.values.as_slice().is_empty()),
                     ProcessorKind::Sink => self.preds_exhausted(p, &ex, true),
                     ProcessorKind::Service => {
-                        if self.in_cycle[p] {
+                        if self.compiled.in_cycle[p] {
                             // A cycle exhausts collectively: every
                             // member quiet and every external
                             // predecessor exhausted.
-                            let scc = self.scc_ids[p];
-                            let members: Vec<usize> =
-                                (0..n).filter(|&m| self.scc_ids[m] == scc).collect();
+                            let scc = self.compiled.scc_ids[p];
+                            let members: Vec<usize> = (0..n)
+                                .filter(|&m| self.compiled.scc_ids[m] == scc)
+                                .collect();
                             members.iter().all(|&m| {
                                 self.states[m].ready.is_empty()
                                     && self.states[m].inflight == 0
                                     && self
+                                        .compiled
                                         .workflow
                                         .in_links(ProcId(m))
                                         .map(|l| l.from.proc.0)
-                                        .filter(|&q| self.scc_ids[q] != scc)
+                                        .filter(|&q| self.compiled.scc_ids[q] != scc)
                                         .all(|q| ex[q])
                             })
                         } else if proc.synchronization {

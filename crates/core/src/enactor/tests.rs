@@ -8,7 +8,7 @@ use super::*;
 use crate::backend::{BackendCompletion, ServiceOutputs};
 use crate::ft::{FtPolicy, RetryPolicy, TimeoutAction, TimeoutPolicy};
 use crate::obs::sinks::RingBufferSink;
-use crate::service::ServiceProfile;
+use crate::service::{ServiceBinding, ServiceProfile};
 use crate::store::StoreConfig;
 use moteur_gridsim::SimDuration;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -62,11 +62,11 @@ impl WorkflowInstance {
 
 /// What the test backend does with one submission: how long it runs
 /// and whether it fails.
-type Fate = Box<dyn FnMut(&str) -> (f64, bool)>;
+pub(crate) type Fate = Box<dyn FnMut(&str) -> (f64, bool)>;
 
 /// A virtual-time backend whose job durations and failures are chosen
 /// by the test; cancellation retracts the job.
-struct FatedBackend {
+pub(crate) struct FatedBackend {
     clock: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
@@ -75,7 +75,7 @@ struct FatedBackend {
 }
 
 impl FatedBackend {
-    fn new(fate: Fate) -> Self {
+    pub(crate) fn new(fate: Fate) -> Self {
         FatedBackend {
             clock: SimTime::ZERO,
             seq: 0,
@@ -150,13 +150,13 @@ fn forward(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
     Ok(vec![("out".into(), inputs[0].value.clone())])
 }
 
-fn items(n: u64) -> InputData {
+pub(crate) fn items(n: u64) -> InputData {
     InputData::new().set("s", (0..n).map(|i| DataValue::from(i as f64)).collect())
 }
 
 /// A random tree-shaped DAG: every service reads one earlier node
 /// (the source or a service), and every leaf gets its own sink.
-fn random_dag(rng: &mut Rng) -> Workflow {
+pub(crate) fn random_dag(rng: &mut Rng) -> Workflow {
     let mut wf = Workflow::new("random");
     let mut nodes = vec![wf.add_source("s")];
     let mut has_consumer = vec![false];
@@ -180,7 +180,7 @@ fn random_dag(rng: &mut Rng) -> Workflow {
     wf
 }
 
-fn random_policy(rng: &mut Rng) -> FtPolicy {
+pub(crate) fn random_policy(rng: &mut Rng) -> FtPolicy {
     let retry = if rng.chance(0.5) {
         RetryPolicy::Fixed { max_retries: 3 }
     } else {
@@ -227,7 +227,9 @@ fn enact_checked(
         store: None,
     };
     let config = EnactorConfig::sp_dp();
-    let mut inst = WorkflowInstance::start(wf, inputs, config, ft, &mut ctx, Obs::off()).unwrap();
+    let compiled = CompiledWorkflow::compile(wf, &config).unwrap();
+    let mut inst =
+        WorkflowInstance::start(compiled, inputs, config, ft, &mut ctx, Obs::off()).unwrap();
     let mut timeouts = 0;
     loop {
         inst.pump(&mut ctx).unwrap();
@@ -324,8 +326,9 @@ fn windows_expiring_at_the_same_instant_are_handled_in_logical_id_order() {
         store: None,
     };
     let config = EnactorConfig::sp_dp();
+    let compiled = CompiledWorkflow::compile(&wf, &config).unwrap();
     let mut inst =
-        WorkflowInstance::start(&wf, &items(1), config, ft, &mut ctx, Obs::off()).unwrap();
+        WorkflowInstance::start(compiled, &items(1), config, ft, &mut ctx, Obs::off()).unwrap();
     inst.pump(&mut ctx).unwrap();
     let c = ctx.backend.wait_next().expect("gate is running");
     inst.deliver(&mut ctx, c).unwrap();
@@ -350,7 +353,7 @@ fn windows_expiring_at_the_same_instant_are_handled_in_logical_id_order() {
 
 /// A → B over `n` files, both stages descriptor-bound, so a data
 /// manager has something to memoize.
-fn descriptor_chain(n: usize) -> (Workflow, InputData) {
+pub(crate) fn descriptor_chain(n: usize) -> (Workflow, InputData) {
     let stage = |name: &str| {
         let descriptor = ExecutableDescriptor {
             executable: FileItem {

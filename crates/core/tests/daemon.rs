@@ -252,6 +252,123 @@ fn protocol_surfaces_weight_zero_rejection_as_error_response() {
 }
 
 #[test]
+fn a_tenants_job_ceiling_holds_after_every_step() {
+    let mut d = daemon();
+    d.set_tenant(
+        "alice",
+        TenantConfig {
+            max_inflight_jobs: 4,
+            max_inflight_workflows: 2,
+            ..TenantConfig::default()
+        },
+    )
+    .unwrap();
+    let ids = [submit(&mut d, "alice", 10), submit(&mut d, "alice", 10)];
+    loop {
+        // The second instance, fresh and with nothing in flight, used to
+        // be fired to its fixpoint whatever the first one held: 4 + 10.
+        let inflight = d.metrics().tenants[0].inflight_jobs;
+        assert!(
+            inflight <= 4,
+            "{inflight} jobs in flight under a ceiling of 4"
+        );
+        if !d.step() {
+            break;
+        }
+    }
+    for id in ids {
+        let s = d.status(id).unwrap();
+        assert_eq!(s.state, InstanceState::Succeeded, "{s:?}");
+    }
+}
+
+/// A configuration per ceiling with that ceiling zero, and what the
+/// rejection must name.
+fn zero_ceilings() -> [(TenantConfig, &'static str); 2] {
+    [
+        (
+            TenantConfig {
+                max_inflight_workflows: 0,
+                ..TenantConfig::default()
+            },
+            "max_inflight_workflows 0",
+        ),
+        (
+            TenantConfig {
+                max_inflight_jobs: 0,
+                ..TenantConfig::default()
+            },
+            "max_inflight_jobs 0",
+        ),
+    ]
+}
+
+#[test]
+fn zero_ceilings_are_rejected_by_set_tenant() {
+    let mut d = daemon();
+    for (config, field) in zero_ceilings() {
+        let err = d.set_tenant("alice", config).unwrap_err();
+        assert!(err.message().contains(field), "{err:?} names {field}");
+    }
+    // The rejected overrides took no effect: alice still schedules.
+    let id = submit(&mut d, "alice", 2);
+    d.drain();
+    assert_eq!(d.status(id).unwrap().state, InstanceState::Succeeded);
+}
+
+/// A daemon whose tenant defaults carry one zero ceiling, bypassing
+/// `set_tenant`: a zero workflow ceiling used to leave the submission
+/// queued forever behind a `drain` that answered `ok`, a zero job
+/// ceiling was ignored.
+fn daemon_with_defaults(tenant_defaults: TenantConfig) -> Daemon {
+    Daemon::new(
+        Box::new(VirtualBackend::new()),
+        DataStore::in_memory(StoreConfig::default()),
+        parser,
+        DaemonConfig {
+            tenant_defaults,
+            ..DaemonConfig::default()
+        },
+    )
+}
+
+#[test]
+fn zero_ceiling_tenant_defaults_are_rejected_at_submit() {
+    for (tenant_defaults, field) in zero_ceilings() {
+        let mut d = daemon_with_defaults(tenant_defaults);
+        let err = d
+            .submit(
+                "alice",
+                &tiny_workflow(),
+                &tiny_inputs(1),
+                EnactorConfig::sp_dp(),
+                FtConfig::default(),
+            )
+            .unwrap_err();
+        assert!(err.message().contains(field), "{err:?} names {field}");
+        assert!(d.list().is_empty(), "rejected submissions take no slot");
+    }
+}
+
+#[test]
+fn protocol_surfaces_zero_ceiling_rejection_as_error_response() {
+    let workflow = tiny_workflow().replace('"', "\\\"").replace('\n', "\\n");
+    let inputs = tiny_inputs(1).replace('"', "\\\"");
+    let session = format!(
+        r#"{{"schema":"moteur/daemon/v1","op":"submit","tenant":"a","workflow":"{workflow}","inputs":"{inputs}"}}"#,
+    );
+    let mut d = daemon_with_defaults(TenantConfig {
+        max_inflight_workflows: 0,
+        ..TenantConfig::default()
+    });
+    let mut out = Vec::new();
+    serve(&mut d, session.as_bytes(), &mut out).unwrap();
+    let response = String::from_utf8(out).unwrap();
+    assert!(response.contains(r#""ok":false"#), "{response}");
+    assert!(response.contains("max_inflight_workflows 0"), "{response}");
+}
+
+#[test]
 fn malformed_scufl_is_rejected_at_submit() {
     let mut d = daemon();
     let err = d
