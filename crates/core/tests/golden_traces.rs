@@ -1,19 +1,68 @@
 //! Golden trace digests: length + FNV-1a 64 of the full JSONL event
 //! stream (or protocol response stream) of a fixed set of seeded runs,
-//! committed in `tests/golden/trace_digests.txt`. A refactor of the
-//! enactor must leave every line of that file untouched; regenerate
-//! only for an intended behaviour change with
+//! and of the documents the standard sinks derive from four of those
+//! streams, committed in `tests/golden/trace_digests.txt`. A refactor
+//! of the enactor or of a sink must leave every line of that file
+//! untouched; regenerate only for an intended behaviour change with
 //! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
 //! convention as `tests/golden/chrome_trace.json`).
 
 use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
-use moteur::{serve, Daemon, DaemonConfig, Fnv1a, RingBufferSink};
+use moteur::{
+    detect_bottlenecks, render_openmetrics_with_prof, serve, Daemon, DaemonConfig, Fnv1a,
+    MetricsSink, RingBufferSink, SloConfig, SpanSink, TimelineSink,
+};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
 const BRONZE_XML: &str = include_str!("../../../examples/workflows/bronze-standard.xml");
 const IMAGE_BYTES: u64 = 7_864_320;
+
+/// Every `TraceEvent::kind()` tag; the golden streams together must
+/// exercise each of them.
+const KINDS: [&str; 29] = [
+    "token_emitted",
+    "match_fired",
+    "group_composed",
+    "barrier_released",
+    "job_submitted",
+    "job_resubmitted",
+    "job_completed",
+    "job_failed",
+    "job_timed_out",
+    "job_replicated",
+    "job_cancelled",
+    "ce_blacklisted",
+    "cache_hit",
+    "cache_miss",
+    "edge_staged",
+    "grid_submitted",
+    "grid_matched",
+    "grid_enqueued",
+    "grid_started",
+    "grid_finished",
+    "grid_resubmitted",
+    "grid_delivered",
+    "grid_cancelled",
+    "ce_capacity",
+    "grid_link_transfer",
+    "enactor_gauges",
+    "port_suspended",
+    "port_resumed",
+    "slo_breached",
+];
+
+/// Suffixes of the derived-document lines, in [`Observed::derived`]
+/// order.
+const DERIVED: [&str; 6] = [
+    "metrics",
+    "openmetrics",
+    "spans",
+    "timeline_json",
+    "timeline_csv",
+    "bottlenecks",
+];
 
 fn digest_line(name: &str, stream: &str) -> String {
     let mut hash = Fnv1a::new();
@@ -21,17 +70,72 @@ fn digest_line(name: &str, stream: &str) -> String {
     format!("{name} len={} fnv1a={:016x}\n", stream.len(), hash.finish())
 }
 
-/// Run `enact` with a capturing sink and return the event stream as
-/// JSONL text.
-fn jsonl(enact: impl FnOnce(Obs)) -> String {
+/// The JSONL event stream of a run plus the documents the metrics,
+/// span and timeline sinks derived from it (one per [`DERIVED`] name).
+struct Observed {
+    stream: String,
+    derived: [String; 6],
+}
+
+impl Observed {
+    /// Two runs back to back: each stream and each document appended.
+    fn then(mut self, next: Observed) -> Observed {
+        self.stream += &next.stream;
+        for (doc, more) in self.derived.iter_mut().zip(next.derived) {
+            *doc += &more;
+        }
+        self
+    }
+
+    /// One digest line per derived document, named `<name>.<suffix>`.
+    fn derived_lines(&self, name: &str) -> String {
+        DERIVED
+            .iter()
+            .zip(&self.derived)
+            .map(|(suffix, doc)| digest_line(&format!("{name}.{suffix}"), doc))
+            .collect()
+    }
+}
+
+/// Run `enact` with a capturing sink and the three standard deriving
+/// sinks attached, and return what they recorded.
+fn observe(enact: impl FnOnce(Obs)) -> Observed {
     let (sink, buffer) = RingBufferSink::new(1_000_000);
-    enact(Obs::new(vec![Box::new(sink)]));
+    let (metrics, registry) = MetricsSink::new();
+    let (spans, tree) = SpanSink::new();
+    let timeline = TimelineSink::new();
+    let state = timeline.state();
+    enact(Obs::new(vec![
+        Box::new(sink),
+        Box::new(metrics),
+        Box::new(spans),
+        Box::new(timeline),
+    ]));
     assert_eq!(buffer.dropped(), 0, "ring buffer must not wrap");
-    buffer
+    let stream = buffer
         .snapshot()
         .iter()
         .map(|e| e.to_json() + "\n")
-        .collect()
+        .collect();
+    let registry = registry.lock().expect("metrics registry");
+    let tree = tree.snapshot();
+    let state = state.lock().expect("timeline state");
+    Observed {
+        stream,
+        derived: [
+            registry.to_json(),
+            render_openmetrics_with_prof(&registry, Some(&tree), None),
+            tree.to_jsonl(),
+            state.timeline.to_json(),
+            state.timeline.to_csv(),
+            detect_bottlenecks(&state.stats).to_json(),
+        ],
+    }
+}
+
+/// The JSONL event stream of `enact`.
+fn jsonl(enact: impl FnOnce(Obs)) -> String {
+    observe(enact).stream
 }
 
 fn bronze() -> Workflow {
@@ -60,8 +164,8 @@ fn bronze_inputs(n_pairs: usize) -> InputData {
 }
 
 /// Bronze-Standard on the 2006 EGEE grid model under `config`.
-fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> String {
-    jsonl(|obs| {
+fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> Observed {
+    observe(|obs| {
         let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), config.seed, &obs);
         Enactment::new(&bronze(), &bronze_inputs(n_pairs), config)
             .obs(obs)
@@ -141,7 +245,7 @@ fn descriptor(name: &str) -> ExecutableDescriptor {
 /// 1000 s outlier — under a percentile-adaptive timeout that
 /// replicates, then mutes: samples accrue, the deadline tightens over
 /// the running outlier, a replica races it.
-fn adaptive_timeout_with_replication() -> String {
+fn adaptive_timeout_with_replication() -> Observed {
     let mut wf = Workflow::new("outlier");
     let src = wf.add_source("s");
     let cost = CostModel::by_index(|idx| {
@@ -179,7 +283,7 @@ fn adaptive_timeout_with_replication() -> String {
         },
         on_timeout: TimeoutAction::Replicate { max_replicas: 2 },
     });
-    let stream = jsonl(|obs| {
+    let observed = observe(|obs| {
         let mut backend = VirtualBackend::new();
         Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
             .ft(&ft)
@@ -188,18 +292,21 @@ fn adaptive_timeout_with_replication() -> String {
             .expect("the outlier eventually completes");
     });
     for kind in ["job_timed_out", "job_replicated", "job_cancelled"] {
-        assert!(stream.contains(kind), "scenario must exercise {kind}");
+        assert!(
+            observed.stream.contains(kind),
+            "scenario must exercise {kind}"
+        );
     }
-    stream
+    observed
 }
 
 /// A store-backed enactment, cold then warm over one in-memory store:
 /// the second stream is all cache hits.
-fn cached_cold_then_warm() -> String {
+fn cached_cold_then_warm() -> Observed {
     let mut store = DataStore::in_memory(StoreConfig::default());
     let config = EnactorConfig::sp_dp_jg().with_seed(5);
     let pass = |store: &mut DataStore| {
-        jsonl(|obs| {
+        observe(|obs| {
             let mut backend = SimBackend::with_obs(GridConfig::ideal(), 5, &obs);
             Enactment::new(&bronze(), &bronze_inputs(6), config)
                 .obs(obs)
@@ -210,8 +317,8 @@ fn cached_cold_then_warm() -> String {
     };
     let cold = pass(&mut store);
     let warm = pass(&mut store);
-    assert!(warm.contains("cache_hit"), "the warm pass replays");
-    cold + &warm
+    assert!(warm.stream.contains("cache_hit"), "the warm pass replays");
+    cold.then(warm)
 }
 
 /// The five-service critical path of the Bronze Standard (crestLines →
@@ -284,7 +391,7 @@ fn batched_half_warm_store() -> String {
 /// attempts wait in the backoff queue and come back under their own
 /// tag, timed-out attempts are cancelled and relaunched under a fresh
 /// one.
-fn backoff_then_timeout_resubmit() -> String {
+fn backoff_then_timeout_resubmit() -> Observed {
     let mut grid = GridConfig::egee_2006();
     grid.failure_probability = 0.25;
     grid.max_retries = 0; // every failure reaches the enactor
@@ -301,7 +408,7 @@ fn backoff_then_timeout_resubmit() -> String {
         })
         .with_continue_on_error(true);
     let config = EnactorConfig::sp_dp().with_seed(13);
-    let stream = jsonl(|obs| {
+    let observed = observe(|obs| {
         let mut backend = SimBackend::with_obs(grid, 13, &obs);
         Enactment::new(&bronze_chain(), &chain_images(12), config)
             .ft(&ft)
@@ -309,7 +416,8 @@ fn backoff_then_timeout_resubmit() -> String {
             .run(&mut backend)
             .expect("degrades instead of aborting");
     });
-    let resubmits: Vec<JsonValue> = stream
+    let resubmits: Vec<JsonValue> = observed
+        .stream
         .lines()
         .filter(|l| l.contains("\"job_resubmitted\""))
         .map(|l| JsonValue::parse(l).expect("events are JSON"))
@@ -323,7 +431,36 @@ fn backoff_then_timeout_resubmit() -> String {
         !resubmits.iter().all(same_tag),
         "a timeout relaunched under a fresh tag"
     );
-    assert!(stream.contains("\"action\":\"resubmit\""));
+    assert!(observed.stream.contains("\"action\":\"resubmit\""));
+    observed
+}
+
+/// The Bronze chain on a grid that fails a quarter of its jobs, with
+/// CE blacklisting after two consecutive failures and an SLO the run
+/// cannot meet: the only scenario that blacklists a CE and breaches.
+fn blacklist_and_slo_breach() -> String {
+    let mut grid = GridConfig::egee_2006();
+    grid.failure_probability = 0.25;
+    grid.max_retries = 0;
+    let ft = FtConfig::from_legacy(3)
+        .with_ce_blacklist(2)
+        .with_continue_on_error(true);
+    let config = EnactorConfig::sp_dp().with_seed(17).with_slo(SloConfig {
+        predicted_makespan_secs: 600.0,
+        factor: 1.5,
+        expected_jobs: 60,
+    });
+    let stream = jsonl(|obs| {
+        let mut backend = SimBackend::with_obs(grid, 17, &obs);
+        Enactment::new(&bronze_chain(), &chain_images(12), config)
+            .ft(&ft)
+            .obs(obs)
+            .run(&mut backend)
+            .expect("degrades instead of aborting");
+    });
+    for kind in ["ce_blacklisted", "slo_breached"] {
+        assert!(stream.contains(kind), "scenario must exercise {kind}");
+    }
     stream
 }
 
@@ -393,36 +530,39 @@ fn daemon_wave() -> String {
 
 #[test]
 fn trace_digests_match_the_committed_goldens() {
-    let actual = [
-        digest_line(
-            "bronze_sp_dp_jg_egee_seed11",
-            &bronze_on_egee(EnactorConfig::sp_dp_jg().with_seed(11), 12),
-        ),
-        digest_line(
-            "bronze_sp_dp_batch3_egee_seed7",
-            &bronze_on_egee(EnactorConfig::sp_dp().with_seed(7).with_batching(3), 12),
-        ),
-        digest_line(
-            "bronze_nop_egee_seed3",
-            &bronze_on_egee(EnactorConfig::nop().with_seed(3), 4),
-        ),
-        digest_line("chain_default", &chain(None)),
-        digest_line("chain_capacity_1", &chain(Some(1))),
-        digest_line("chain_capacity_4", &chain(Some(4))),
-        digest_line("chain_capacity_64", &chain(Some(64))),
-        digest_line(
-            "adaptive_timeout_replication",
-            &adaptive_timeout_with_replication(),
-        ),
-        digest_line("run_cached_cold_then_warm", &cached_cold_then_warm()),
-        digest_line("daemon_wave_4_tenants", &daemon_wave()),
-        digest_line("batched_half_warm_store", &batched_half_warm_store()),
-        digest_line(
-            "backoff_then_timeout_resubmit",
-            &backoff_then_timeout_resubmit(),
-        ),
-    ]
-    .concat();
+    let bronze_jg = bronze_on_egee(EnactorConfig::sp_dp_jg().with_seed(11), 12);
+    let bronze_batch = bronze_on_egee(EnactorConfig::sp_dp().with_seed(7).with_batching(3), 12);
+    let bronze_nop = bronze_on_egee(EnactorConfig::nop().with_seed(3), 4);
+    let adaptive = adaptive_timeout_with_replication();
+    let cached = cached_cold_then_warm();
+    let backoff = backoff_then_timeout_resubmit();
+    let streams = [
+        ("bronze_sp_dp_jg_egee_seed11", bronze_jg.stream.clone()),
+        ("bronze_sp_dp_batch3_egee_seed7", bronze_batch.stream),
+        ("bronze_nop_egee_seed3", bronze_nop.stream),
+        ("chain_default", chain(None)),
+        ("chain_capacity_1", chain(Some(1))),
+        ("chain_capacity_4", chain(Some(4))),
+        ("chain_capacity_64", chain(Some(64))),
+        ("adaptive_timeout_replication", adaptive.stream.clone()),
+        ("run_cached_cold_then_warm", cached.stream.clone()),
+        ("daemon_wave_4_tenants", daemon_wave()),
+        ("batched_half_warm_store", batched_half_warm_store()),
+        ("backoff_then_timeout_resubmit", backoff.stream.clone()),
+        ("blacklist_and_slo_breach", blacklist_and_slo_breach()),
+    ];
+    let mut actual: String = streams
+        .iter()
+        .map(|(name, stream)| digest_line(name, stream))
+        .collect();
+    for (name, observed) in [
+        ("bronze_sp_dp_jg_egee_seed11", &bronze_jg),
+        ("adaptive_timeout_replication", &adaptive),
+        ("run_cached_cold_then_warm", &cached),
+        ("backoff_then_timeout_resubmit", &backoff),
+    ] {
+        actual += &observed.derived_lines(name);
+    }
 
     let golden_path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -441,4 +581,13 @@ fn trace_digests_match_the_committed_goldens() {
         );
     }
     assert_eq!(actual, golden, "golden file has a different set of lines");
+
+    let missing: Vec<&str> = KINDS
+        .into_iter()
+        .filter(|kind| {
+            let tag = format!("\"type\":\"{kind}\"");
+            !streams.iter().any(|(_, stream)| stream.contains(&tag))
+        })
+        .collect();
+    assert!(missing.is_empty(), "no golden stream emits {missing:?}");
 }
