@@ -284,8 +284,8 @@ impl SimBackend {
     }
 
     /// Like [`SimBackend::new`], but forwarding every simulator
-    /// lifecycle event ([`moteur_gridsim::SimEvent`]) into `obs` as
-    /// grid-level [`crate::obs::TraceEvent`]s. With a disabled handle
+    /// lifecycle event ([`moteur_gridsim::SimEvent`]) into `obs` as a
+    /// [`crate::obs::TraceEvent::Grid`]. With a disabled handle
     /// no observer is installed and the simulator's hot path is
     /// untouched.
     pub fn with_obs(config: GridConfig, seed: u64, obs: &crate::obs::Obs) -> Self {
@@ -293,7 +293,7 @@ impl SimBackend {
         if obs.enabled() {
             let forward = obs.clone();
             backend.sim.set_observer(Box::new(move |e| {
-                forward.record(&crate::obs::TraceEvent::from_sim(e));
+                forward.record(&crate::obs::TraceEvent::Grid(e.clone()));
             }));
         }
         if obs.prof().is_enabled() {

@@ -105,7 +105,7 @@ pub use lint::{
     report_to_json, Diagnostic, LintReport, Severity,
 };
 pub use model::TimeMatrix;
-pub use obs::chrome::{chrome_trace, chrome_trace_with_metrics};
+pub use obs::chrome::chrome_trace_with_metrics;
 pub use obs::critical::{analyze as critical_path, render as render_critical_path};
 pub use obs::detect::analyze as detect_bottlenecks;
 pub use obs::drift::{check_drift, Observation};

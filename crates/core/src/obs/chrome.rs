@@ -20,12 +20,8 @@ fn usec(secs: f64) -> f64 {
     secs * 1e6
 }
 
-/// Export a run as Chrome trace JSON.
-pub fn chrome_trace(result: &WorkflowResult) -> String {
-    chrome_trace_with_metrics(result, None)
-}
-
-/// Export a run, adding counter tracks from `metrics` gauge timelines.
+/// Export a run as Chrome trace JSON, adding counter tracks from
+/// `metrics` gauge timelines when given.
 pub fn chrome_trace_with_metrics(
     result: &WorkflowResult,
     metrics: Option<&MetricsRegistry>,
@@ -194,7 +190,7 @@ mod tests {
             rec("P1", 1, 0.0, 2.0, 12.0),
             rec("P1", 2, 20.0, 21.0, 30.0),
         ]);
-        let json = chrome_trace(&r);
+        let json = chrome_trace_with_metrics(&r, None);
         assert!(json.contains("\"name\":\"P1\""));
         assert!(
             json.contains("\"name\":\"P1 #2\""),
@@ -211,7 +207,7 @@ mod tests {
     #[test]
     fn wait_and_exec_spans_are_emitted_in_microseconds() {
         let r = result(vec![rec("P2", 0, 1.0, 3.0, 4.0)]);
-        let json = chrome_trace(&r);
+        let json = chrome_trace_with_metrics(&r, None);
         assert!(json.contains("\"name\":\"P2 (wait)\""));
         assert!(json.contains("\"ts\":1000000"));
         assert!(json.contains("\"dur\":2000000"), "wait = 2 s: {json}");
@@ -231,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_run_still_produces_a_valid_envelope() {
-        let json = chrome_trace(&result(vec![]));
+        let json = chrome_trace_with_metrics(&result(vec![]), None);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("process_name"));
     }

@@ -15,6 +15,7 @@
 
 use super::json::{array, JsonObject};
 use super::{EventSink, TraceEvent};
+use moteur_gridsim::{CeId, SimEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -285,6 +286,9 @@ struct JobTimes {
 #[derive(Debug)]
 pub struct MetricsSink {
     registry: Arc<Mutex<MetricsRegistry>>,
+    /// Lifecycle marks by tag, from its submission until its grid
+    /// delivery or cancellation or the invocation's terminal event —
+    /// bounded by what is in flight, like `TimelineSink`'s state.
     times: HashMap<u64, JobTimes>,
     /// Logical invocations currently holding an inflight-gauge unit,
     /// with the processor whose per-service gauge they incremented.
@@ -318,21 +322,15 @@ impl EventSink for MetricsSink {
         reg.touch(at);
         reg.inc(event.kind(), 1);
         match event {
+            // A cache hit replaces JobSubmitted for its invocation: the
+            // matching JobCompleted still fires, so the inflight gauges
+            // must be incremented here to stay balanced.
             TraceEvent::JobSubmitted {
                 invocation,
                 processor,
                 ..
-            } => {
-                if self.live.insert(*invocation, processor.clone()).is_none() {
-                    reg.gauge_add("inflight_total", at, 1);
-                    reg.gauge_add(&format!("inflight.{processor}"), at, 1);
-                }
-                self.times.entry(*invocation).or_default().submitted = Some(at);
             }
-            // A cache hit replaces JobSubmitted for its invocation: the
-            // matching JobCompleted still fires, so the inflight gauges
-            // must be incremented here to stay balanced.
-            TraceEvent::CacheHit {
+            | TraceEvent::CacheHit {
                 invocation,
                 processor,
                 ..
@@ -348,26 +346,30 @@ impl EventSink for MetricsSink {
             // replica carries the replica's fresh tag (never inserted),
             // so the logical invocation's unit survives until its own
             // terminal event; an abort-drain cancellation carries the
-            // logical tag and correctly releases it.
+            // logical tag and correctly releases it. The tag's grid
+            // marks go too: a grid job delivers before its invocation
+            // ends, and an invocation off the grid has nothing else to
+            // drop them.
             TraceEvent::JobCompleted { invocation, .. }
             | TraceEvent::JobFailed { invocation, .. }
             | TraceEvent::JobCancelled { invocation, .. } => {
+                self.times.remove(invocation);
                 if let Some(processor) = self.live.remove(invocation) {
                     reg.gauge_add("inflight_total", at, -1);
                     reg.gauge_add(&format!("inflight.{processor}"), at, -1);
                 }
             }
-            TraceEvent::GridSubmitted { invocation, .. } => {
-                self.times.entry(*invocation).or_default().submitted = Some(at);
+            TraceEvent::Grid(SimEvent::JobSubmitted { tag, .. }) => {
+                self.times.entry(*tag).or_default().submitted = Some(at);
             }
-            TraceEvent::GridStarted { invocation, .. } => {
-                self.times.entry(*invocation).or_default().started = Some(at);
+            TraceEvent::Grid(SimEvent::JobStarted { tag, .. }) => {
+                self.times.entry(*tag).or_default().started = Some(at);
             }
-            TraceEvent::GridFinished { invocation, .. } => {
-                self.times.entry(*invocation).or_default().finished = Some(at);
+            TraceEvent::Grid(SimEvent::JobFinished { tag, .. }) => {
+                self.times.entry(*tag).or_default().finished = Some(at);
             }
-            TraceEvent::GridDelivered { invocation, .. } => {
-                if let Some(t) = self.times.remove(invocation) {
+            TraceEvent::Grid(SimEvent::JobDelivered { tag, .. }) => {
+                if let Some(t) = self.times.remove(tag) {
                     if let (Some(sub), Some(start), Some(fin)) =
                         (t.submitted, t.started, t.finished)
                     {
@@ -378,12 +380,15 @@ impl EventSink for MetricsSink {
                     }
                 }
             }
-            TraceEvent::CeCapacity {
-                ce,
+            TraceEvent::Grid(SimEvent::JobCancelled { tag, .. }) => {
+                self.times.remove(tag);
+            }
+            TraceEvent::Grid(SimEvent::CeCapacity {
+                ce: CeId(ce),
                 busy,
                 queued_user,
                 ..
-            } => {
+            }) => {
                 reg.gauge_set(&format!("queue_depth.ce{ce}"), at, *queued_user as i64);
                 reg.gauge_set(&format!("busy.ce{ce}"), at, *busy as i64);
             }
@@ -395,6 +400,7 @@ impl EventSink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::grid;
     use moteur_gridsim::SimTime;
 
     #[test]
@@ -427,28 +433,14 @@ mod tests {
     #[test]
     fn sink_derives_overhead_from_lifecycle() {
         let (mut sink, registry) = MetricsSink::new();
-        let t = SimTime::from_secs_f64;
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(0.0),
-            invocation: 1,
-            name: "j".into(),
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(100.0),
-            invocation: 1,
-            ce: 0,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(160.0),
-            invocation: 1,
-            ce: 0,
-            success: true,
-        });
-        sink.record(&TraceEvent::GridDelivered {
-            at: t(165.0),
-            invocation: 1,
-            success: true,
-        });
+        for event in [
+            grid::submitted(0.0, 1),
+            grid::started(100.0, 1, 0),
+            grid::finished(160.0, 1, 0, true),
+            grid::delivered(165.0, 1, true),
+        ] {
+            sink.record(&event);
+        }
         let reg = registry.lock().unwrap();
         assert_eq!(reg.counter("grid_delivered"), 1);
         let h = reg.histogram("grid_overhead_secs").unwrap();
@@ -522,6 +514,30 @@ mod tests {
         });
         let reg = registry.lock().unwrap();
         assert_eq!(reg.gauge("inflight_total").unwrap().current, 0);
+    }
+
+    /// An invocation that never reaches the grid and a grid attempt
+    /// that is cancelled both leave nothing behind.
+    #[test]
+    fn sink_forgets_invocations_that_complete_off_grid_and_cancelled_attempts() {
+        let (mut sink, _registry) = MetricsSink::new();
+        let t = SimTime::from_secs_f64;
+        sink.record(&TraceEvent::JobSubmitted {
+            at: t(0.0),
+            invocation: 1,
+            processor: "p".into(),
+            grid: false,
+            batched: 1,
+        });
+        sink.record(&TraceEvent::JobCompleted {
+            at: t(5.0),
+            invocation: 1,
+            processor: "p".into(),
+        });
+        sink.record(&grid::submitted(6.0, 2));
+        sink.record(&grid::cancelled(9.0, 2));
+        assert!(sink.times.is_empty(), "{:?}", sink.times);
+        assert!(sink.live.is_empty(), "{:?}", sink.live);
     }
 
     #[test]

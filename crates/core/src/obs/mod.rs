@@ -13,16 +13,17 @@
 //!           JobCompleted | JobFailed
 //!           (with a data manager: CacheMiss before JobSubmitted, or
 //!           CacheHit → JobCompleted when the grid job is elided)
-//! grid:     GridSubmitted → GridMatched → GridEnqueued → GridStarted →
-//!           GridFinished → (GridResubmitted → …)* → GridDelivered,
-//!           plus CeCapacity samples
+//! grid:     Grid(SimEvent): JobSubmitted → JobMatched → JobEnqueued →
+//!           JobStarted → JobFinished → (JobResubmitted → …)* →
+//!           JobDelivered | JobCancelled, plus CeCapacity samples
 //! ```
 //!
 //! — delivered to pluggable [`EventSink`]s through a cheap [`Obs`]
-//! handle. The two layers correlate through the invocation id: the
+//! handle. The grid half is the simulator's own [`SimEvent`], carried
+//! as is. The two layers correlate through the invocation id: the
 //! enactor tags every grid job with it ([`crate::backend::SimBackend`]
 //! puts it in [`moteur_gridsim::GridJobSpec::with_tag`]), and the
-//! simulator echoes it back in every [`moteur_gridsim::SimEvent`].
+//! simulator echoes it back as every [`SimEvent`]'s `tag`.
 //!
 //! Tracing is strictly pay-for-use: [`Obs::off`] keeps every emission
 //! site a single branch, and events are built lazily (closures passed to
@@ -34,8 +35,8 @@
 //!   buffer, JSONL writer;
 //! - [`crate::MetricsSink`] — counters, gauges with timelines, fixed-bucket
 //!   histograms, exported as one JSON snapshot;
-//! - [`crate::chrome_trace`] — Chrome trace-event (Perfetto-loadable) export of the
-//!   DP/SP pipeline structure;
+//! - [`crate::chrome_trace_with_metrics`] — Chrome trace-event
+//!   (Perfetto-loadable) export of the DP/SP pipeline structure;
 //! - [`crate::critical_path`] — critical-path analysis of a finished run.
 
 pub(crate) mod chrome;
@@ -51,7 +52,7 @@ pub(crate) mod span;
 pub mod timeline;
 
 use json::JsonObject;
-use moteur_gridsim::{SimEvent, SimTime};
+use moteur_gridsim::{JobOutcome, SimEvent, SimTime};
 use std::sync::{Arc, Mutex};
 
 /// One observable transition, at enactor or grid level. `at` is always
@@ -188,77 +189,10 @@ pub enum TraceEvent {
         port: String,
         bytes: u64,
     },
-
-    /// The grid user interface accepted the job (follows the enactor's
-    /// `JobSubmitted` after the submission overhead).
-    GridSubmitted {
-        at: SimTime,
-        invocation: u64,
-        name: String,
-    },
-    /// The resource broker matched the job to a computing element.
-    GridMatched {
-        at: SimTime,
-        invocation: u64,
-        ce: usize,
-    },
-    /// The job entered a CE batch queue (`attempt` counts from 1).
-    GridEnqueued {
-        at: SimTime,
-        invocation: u64,
-        ce: usize,
-        attempt: u32,
-    },
-    /// A worker slot started executing the job.
-    GridStarted {
-        at: SimTime,
-        invocation: u64,
-        ce: usize,
-    },
-    /// The execution attempt finished on its worker.
-    GridFinished {
-        at: SimTime,
-        invocation: u64,
-        ce: usize,
-        success: bool,
-    },
-    /// A failed attempt re-entered the grid submission chain.
-    GridResubmitted {
-        at: SimTime,
-        invocation: u64,
-        attempt: u32,
-    },
-    /// The completion reached the submitter — terminal at grid level.
-    GridDelivered {
-        at: SimTime,
-        invocation: u64,
-        success: bool,
-    },
-    /// The submitter cancelled the grid job — terminal at grid level.
-    GridCancelled { at: SimTime, invocation: u64 },
-    /// A computing element's occupancy or availability changed.
-    CeCapacity {
-        at: SimTime,
-        ce: usize,
-        busy: usize,
-        queued: usize,
-        queued_user: usize,
-        slots: usize,
-        up: bool,
-    },
-    /// A started grid attempt committed its stage-in/stage-out bytes to
-    /// the CE's network link (congested durations included). Retried
-    /// attempts transfer — and therefore emit — again.
-    GridLinkTransfer {
-        at: SimTime,
-        invocation: u64,
-        ce: usize,
-        bytes_in: u64,
-        bytes_out: u64,
-        stage_in_secs: f64,
-        stage_out_secs: f64,
-    },
-
+    /// A grid-level transition, as the simulator emitted it: its `tag`
+    /// is the backend tag of the attempt (the invocation id, or a
+    /// replica's or timeout resubmit's fresh tag).
+    Grid(SimEvent),
     /// Periodic enactor-side resource gauges: invocations in flight,
     /// backoff-deferred resubmissions, quarantined items, and the data
     /// manager's occupancy (zero when no store is attached).
@@ -323,16 +257,18 @@ impl TraceEvent {
             TraceEvent::CacheHit { .. } => "cache_hit",
             TraceEvent::CacheMiss { .. } => "cache_miss",
             TraceEvent::EdgeStaged { .. } => "edge_staged",
-            TraceEvent::GridSubmitted { .. } => "grid_submitted",
-            TraceEvent::GridMatched { .. } => "grid_matched",
-            TraceEvent::GridEnqueued { .. } => "grid_enqueued",
-            TraceEvent::GridStarted { .. } => "grid_started",
-            TraceEvent::GridFinished { .. } => "grid_finished",
-            TraceEvent::GridResubmitted { .. } => "grid_resubmitted",
-            TraceEvent::GridDelivered { .. } => "grid_delivered",
-            TraceEvent::GridCancelled { .. } => "grid_cancelled",
-            TraceEvent::CeCapacity { .. } => "ce_capacity",
-            TraceEvent::GridLinkTransfer { .. } => "grid_link_transfer",
+            TraceEvent::Grid(e) => match e {
+                SimEvent::JobSubmitted { .. } => "grid_submitted",
+                SimEvent::JobMatched { .. } => "grid_matched",
+                SimEvent::JobEnqueued { .. } => "grid_enqueued",
+                SimEvent::JobStarted { .. } => "grid_started",
+                SimEvent::JobFinished { .. } => "grid_finished",
+                SimEvent::JobResubmitted { .. } => "grid_resubmitted",
+                SimEvent::JobDelivered { .. } => "grid_delivered",
+                SimEvent::JobCancelled { .. } => "grid_cancelled",
+                SimEvent::CeCapacity { .. } => "ce_capacity",
+                SimEvent::LinkTransfer { .. } => "grid_link_transfer",
+            },
             TraceEvent::EnactorGauges { .. } => "enactor_gauges",
             TraceEvent::PortSuspended { .. } => "port_suspended",
             TraceEvent::PortResumed { .. } => "port_resumed",
@@ -358,24 +294,16 @@ impl TraceEvent {
             | TraceEvent::CacheHit { at, .. }
             | TraceEvent::CacheMiss { at, .. }
             | TraceEvent::EdgeStaged { at, .. }
-            | TraceEvent::GridSubmitted { at, .. }
-            | TraceEvent::GridMatched { at, .. }
-            | TraceEvent::GridEnqueued { at, .. }
-            | TraceEvent::GridStarted { at, .. }
-            | TraceEvent::GridFinished { at, .. }
-            | TraceEvent::GridResubmitted { at, .. }
-            | TraceEvent::GridDelivered { at, .. }
-            | TraceEvent::GridCancelled { at, .. }
-            | TraceEvent::CeCapacity { at, .. }
-            | TraceEvent::GridLinkTransfer { at, .. }
             | TraceEvent::EnactorGauges { at, .. }
             | TraceEvent::PortSuspended { at, .. }
             | TraceEvent::PortResumed { at, .. }
             | TraceEvent::SloBreached { at, .. } => *at,
+            TraceEvent::Grid(e) => e.at(),
         }
     }
 
-    /// The invocation id, for job-lifecycle events.
+    /// The invocation id, for job-lifecycle events (a grid event's
+    /// `tag`).
     pub fn invocation(&self) -> Option<u64> {
         match self {
             TraceEvent::JobSubmitted { invocation, .. }
@@ -387,16 +315,8 @@ impl TraceEvent {
             | TraceEvent::JobCancelled { invocation, .. }
             | TraceEvent::CacheHit { invocation, .. }
             | TraceEvent::CacheMiss { invocation, .. }
-            | TraceEvent::EdgeStaged { invocation, .. }
-            | TraceEvent::GridSubmitted { invocation, .. }
-            | TraceEvent::GridMatched { invocation, .. }
-            | TraceEvent::GridEnqueued { invocation, .. }
-            | TraceEvent::GridStarted { invocation, .. }
-            | TraceEvent::GridFinished { invocation, .. }
-            | TraceEvent::GridResubmitted { invocation, .. }
-            | TraceEvent::GridDelivered { invocation, .. }
-            | TraceEvent::GridCancelled { invocation, .. }
-            | TraceEvent::GridLinkTransfer { invocation, .. } => Some(*invocation),
+            | TraceEvent::EdgeStaged { invocation, .. } => Some(*invocation),
+            TraceEvent::Grid(e) => e.tag(),
             _ => None,
         }
     }
@@ -412,110 +332,15 @@ impl TraceEvent {
         )
     }
 
-    /// Adapt a simulator event. The simulator's correlation tag *is*
-    /// the enactor invocation id.
-    pub fn from_sim(e: &SimEvent) -> TraceEvent {
-        match e {
-            SimEvent::JobSubmitted { at, tag, name, .. } => TraceEvent::GridSubmitted {
-                at: *at,
-                invocation: *tag,
-                name: name.clone(),
-            },
-            SimEvent::JobMatched { at, tag, ce, .. } => TraceEvent::GridMatched {
-                at: *at,
-                invocation: *tag,
-                ce: ce.0,
-            },
-            SimEvent::JobEnqueued {
-                at,
-                tag,
-                ce,
-                attempt,
-                ..
-            } => TraceEvent::GridEnqueued {
-                at: *at,
-                invocation: *tag,
-                ce: ce.0,
-                attempt: *attempt,
-            },
-            SimEvent::JobStarted { at, tag, ce, .. } => TraceEvent::GridStarted {
-                at: *at,
-                invocation: *tag,
-                ce: ce.0,
-            },
-            SimEvent::JobFinished {
-                at,
-                tag,
-                ce,
-                outcome,
-                ..
-            } => TraceEvent::GridFinished {
-                at: *at,
-                invocation: *tag,
-                ce: ce.0,
-                success: *outcome == moteur_gridsim::JobOutcome::Success,
-            },
-            SimEvent::JobResubmitted {
-                at, tag, attempt, ..
-            } => TraceEvent::GridResubmitted {
-                at: *at,
-                invocation: *tag,
-                attempt: *attempt,
-            },
-            SimEvent::JobDelivered {
-                at, tag, outcome, ..
-            } => TraceEvent::GridDelivered {
-                at: *at,
-                invocation: *tag,
-                success: *outcome == moteur_gridsim::JobOutcome::Success,
-            },
-            SimEvent::JobCancelled { at, tag, .. } => TraceEvent::GridCancelled {
-                at: *at,
-                invocation: *tag,
-            },
-            SimEvent::CeCapacity {
-                at,
-                ce,
-                busy,
-                queued,
-                queued_user,
-                slots,
-                up,
-            } => TraceEvent::CeCapacity {
-                at: *at,
-                ce: ce.0,
-                busy: *busy,
-                queued: *queued,
-                queued_user: *queued_user,
-                slots: *slots,
-                up: *up,
-            },
-            SimEvent::LinkTransfer {
-                at,
-                tag,
-                ce,
-                bytes_in,
-                bytes_out,
-                stage_in_secs,
-                stage_out_secs,
-                ..
-            } => TraceEvent::GridLinkTransfer {
-                at: *at,
-                invocation: *tag,
-                ce: ce.0,
-                bytes_in: *bytes_in,
-                bytes_out: *bytes_out,
-                stage_in_secs: *stage_in_secs,
-                stage_out_secs: *stage_out_secs,
-            },
-        }
-    }
-
-    /// One-line JSON rendering (the JSONL schema).
+    /// One-line JSON rendering (the JSONL schema): `type`, `t`, the
+    /// `invocation` when there is one, then the variant's own fields.
     pub fn to_json(&self) -> String {
-        let base = JsonObject::new()
+        let mut base = JsonObject::new()
             .str("type", self.kind())
             .num("t", self.at().as_secs_f64());
+        if let Some(invocation) = self.invocation() {
+            base = base.uint("invocation", invocation);
+        }
         match self {
             TraceEvent::TokenEmitted {
                 processor,
@@ -525,8 +350,7 @@ impl TraceEvent {
             } => base
                 .str("processor", processor)
                 .str("port", port)
-                .str("index", index)
-                .finish(),
+                .str("index", index),
             TraceEvent::MatchFired {
                 processor,
                 index,
@@ -535,8 +359,7 @@ impl TraceEvent {
             } => base
                 .str("processor", processor)
                 .str("index", index)
-                .uint("inputs", *inputs as u64)
-                .finish(),
+                .uint("inputs", *inputs as u64),
             TraceEvent::GroupComposed {
                 processor,
                 stages,
@@ -545,211 +368,78 @@ impl TraceEvent {
             } => base
                 .str("processor", processor)
                 .uint("stages", *stages as u64)
-                .uint("commands", *commands as u64)
-                .finish(),
+                .uint("commands", *commands as u64),
             TraceEvent::BarrierReleased {
                 processor, inputs, ..
             } => base
                 .str("processor", processor)
-                .uint("inputs", *inputs as u64)
-                .finish(),
+                .uint("inputs", *inputs as u64),
             TraceEvent::JobSubmitted {
-                invocation,
                 processor,
                 grid,
                 batched,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .bool("grid", *grid)
-                .uint("batched", *batched as u64)
-                .finish(),
+                .uint("batched", *batched as u64),
             TraceEvent::JobResubmitted {
-                invocation,
                 processor,
                 retry,
                 attempt,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .uint("retry", u64::from(*retry))
-                .uint("attempt", *attempt)
-                .finish(),
-            TraceEvent::JobCompleted {
-                invocation,
-                processor,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .str("processor", processor)
-                .finish(),
+                .uint("attempt", *attempt),
+            TraceEvent::JobCompleted { processor, .. }
+            | TraceEvent::CacheMiss { processor, .. } => base.str("processor", processor),
             TraceEvent::JobFailed {
-                invocation,
-                processor,
-                error,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .str("processor", processor)
-                .str("error", error)
-                .finish(),
+                processor, error, ..
+            } => base.str("processor", processor).str("error", error),
             TraceEvent::JobTimedOut {
-                invocation,
                 processor,
                 timeout_secs,
                 action,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .num("timeout_secs", *timeout_secs)
-                .str("action", action)
-                .finish(),
+                .str("action", action),
             TraceEvent::JobReplicated {
-                invocation,
                 processor,
                 replica,
                 attempt,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .uint("replica", u64::from(*replica))
-                .uint("attempt", *attempt)
-                .finish(),
+                .uint("attempt", *attempt),
             TraceEvent::JobCancelled {
-                invocation,
-                processor,
-                reason,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .str("processor", processor)
-                .str("reason", reason)
-                .finish(),
+                processor, reason, ..
+            } => base.str("processor", processor).str("reason", reason),
             TraceEvent::CeBlacklisted { ce, failures, .. } => base
                 .uint("ce", *ce as u64)
-                .uint("failures", u64::from(*failures))
-                .finish(),
+                .uint("failures", u64::from(*failures)),
             TraceEvent::CacheHit {
-                invocation,
                 processor,
                 outputs,
                 transfer_seconds,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .uint("outputs", *outputs as u64)
-                .num("transfer_seconds", *transfer_seconds)
-                .finish(),
-            TraceEvent::CacheMiss {
-                invocation,
-                processor,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .str("processor", processor)
-                .finish(),
+                .num("transfer_seconds", *transfer_seconds),
             TraceEvent::EdgeStaged {
-                invocation,
                 processor,
                 port,
                 bytes,
                 ..
             } => base
-                .uint("invocation", *invocation)
                 .str("processor", processor)
                 .str("port", port)
-                .uint("bytes", *bytes)
-                .finish(),
-            TraceEvent::GridSubmitted {
-                invocation, name, ..
-            } => base
-                .uint("invocation", *invocation)
-                .str("name", name)
-                .finish(),
-            TraceEvent::GridMatched { invocation, ce, .. } => base
-                .uint("invocation", *invocation)
-                .uint("ce", *ce as u64)
-                .finish(),
-            TraceEvent::GridEnqueued {
-                invocation,
-                ce,
-                attempt,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .uint("ce", *ce as u64)
-                .uint("attempt", u64::from(*attempt))
-                .finish(),
-            TraceEvent::GridStarted { invocation, ce, .. } => base
-                .uint("invocation", *invocation)
-                .uint("ce", *ce as u64)
-                .finish(),
-            TraceEvent::GridFinished {
-                invocation,
-                ce,
-                success,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .uint("ce", *ce as u64)
-                .bool("success", *success)
-                .finish(),
-            TraceEvent::GridResubmitted {
-                invocation,
-                attempt,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .uint("attempt", u64::from(*attempt))
-                .finish(),
-            TraceEvent::GridDelivered {
-                invocation,
-                success,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .bool("success", *success)
-                .finish(),
-            TraceEvent::GridCancelled { invocation, .. } => {
-                base.uint("invocation", *invocation).finish()
-            }
-            TraceEvent::CeCapacity {
-                ce,
-                busy,
-                queued,
-                queued_user,
-                slots,
-                up,
-                ..
-            } => base
-                .uint("ce", *ce as u64)
-                .uint("busy", *busy as u64)
-                .uint("queued", *queued as u64)
-                .uint("queued_user", *queued_user as u64)
-                .uint("slots", *slots as u64)
-                .bool("up", *up)
-                .finish(),
-            TraceEvent::GridLinkTransfer {
-                invocation,
-                ce,
-                bytes_in,
-                bytes_out,
-                stage_in_secs,
-                stage_out_secs,
-                ..
-            } => base
-                .uint("invocation", *invocation)
-                .uint("ce", *ce as u64)
-                .uint("bytes_in", *bytes_in)
-                .uint("bytes_out", *bytes_out)
-                .num("stage_in_secs", *stage_in_secs)
-                .num("stage_out_secs", *stage_out_secs)
-                .finish(),
+                .uint("bytes", *bytes),
+            TraceEvent::Grid(e) => grid_fields(base, e),
             TraceEvent::EnactorGauges {
                 inflight,
                 deferred,
@@ -762,8 +452,7 @@ impl TraceEvent {
                 .uint("deferred", *deferred as u64)
                 .uint("quarantined", *quarantined as u64)
                 .uint("cache_entries", *cache_entries as u64)
-                .uint("cache_bytes", *cache_bytes)
-                .finish(),
+                .uint("cache_bytes", *cache_bytes),
             TraceEvent::PortSuspended {
                 processor,
                 depth,
@@ -778,8 +467,7 @@ impl TraceEvent {
             } => base
                 .str("processor", processor)
                 .uint("depth", *depth as u64)
-                .uint("capacity", *capacity as u64)
-                .finish(),
+                .uint("capacity", *capacity as u64),
             TraceEvent::SloBreached {
                 predicted_secs,
                 projected_secs,
@@ -792,9 +480,60 @@ impl TraceEvent {
                 .num("projected_secs", *projected_secs)
                 .num("factor", *factor)
                 .uint("completed", *completed as u64)
-                .uint("expected", *expected as u64)
-                .finish(),
+                .uint("expected", *expected as u64),
         }
+        .finish()
+    }
+}
+
+/// The grid half of the JSONL schema: a simulator event's fields after
+/// `type`, `t` and `invocation` (its `tag`). A CE renders as its index
+/// and an outcome as `success`; the simulator's own job id is not
+/// rendered.
+fn grid_fields(o: JsonObject, e: &SimEvent) -> JsonObject {
+    let success = |outcome: &JobOutcome| *outcome == JobOutcome::Success;
+    match e {
+        SimEvent::JobSubmitted { name, .. } => o.str("name", name),
+        SimEvent::JobMatched { ce, .. } | SimEvent::JobStarted { ce, .. } => {
+            o.uint("ce", ce.0 as u64)
+        }
+        SimEvent::JobEnqueued { ce, attempt, .. } => o
+            .uint("ce", ce.0 as u64)
+            .uint("attempt", u64::from(*attempt)),
+        SimEvent::JobFinished { ce, outcome, .. } => {
+            o.uint("ce", ce.0 as u64).bool("success", success(outcome))
+        }
+        SimEvent::JobResubmitted { attempt, .. } => o.uint("attempt", u64::from(*attempt)),
+        SimEvent::JobDelivered { outcome, .. } => o.bool("success", success(outcome)),
+        SimEvent::JobCancelled { .. } => o,
+        SimEvent::CeCapacity {
+            ce,
+            busy,
+            queued,
+            queued_user,
+            slots,
+            up,
+            ..
+        } => o
+            .uint("ce", ce.0 as u64)
+            .uint("busy", *busy as u64)
+            .uint("queued", *queued as u64)
+            .uint("queued_user", *queued_user as u64)
+            .uint("slots", *slots as u64)
+            .bool("up", *up),
+        SimEvent::LinkTransfer {
+            ce,
+            bytes_in,
+            bytes_out,
+            stage_in_secs,
+            stage_out_secs,
+            ..
+        } => o
+            .uint("ce", ce.0 as u64)
+            .uint("bytes_in", *bytes_in)
+            .uint("bytes_out", *bytes_out)
+            .num("stage_in_secs", *stage_in_secs)
+            .num("stage_out_secs", *stage_out_secs),
     }
 }
 
@@ -877,13 +616,8 @@ impl Obs {
     /// Emit an event, building it only when tracing is enabled.
     #[inline]
     pub fn emit(&self, build: impl FnOnce() -> TraceEvent) {
-        if let Some(inner) = &self.inner {
-            let event = build();
-            let _prof = self.prof.scope(prof::Subsystem::Sinks);
-            let mut sinks = inner.lock().expect("obs sink lock poisoned");
-            for sink in sinks.iter_mut() {
-                sink.record(&event);
-            }
+        if self.enabled() {
+            self.record(&build());
         }
     }
 
@@ -913,7 +647,6 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moteur_gridsim::{CeId, JobId, JobOutcome};
 
     #[test]
     fn off_handle_never_builds_events() {
@@ -963,37 +696,23 @@ mod tests {
     }
 
     #[test]
-    fn sim_events_adapt_with_tag_as_invocation() {
-        let s = SimEvent::JobDelivered {
-            at: SimTime::from_secs_f64(9.0),
-            job: JobId(3),
-            tag: 42,
-            outcome: JobOutcome::Success,
-        };
-        let t = TraceEvent::from_sim(&s);
+    fn grid_events_render_their_tag_as_the_invocation() {
+        let t = grid::delivered(9.0, 42, true);
         assert_eq!(t.invocation(), Some(42));
         assert_eq!(t.kind(), "grid_delivered");
-        let c = SimEvent::CeCapacity {
-            at: SimTime::ZERO,
-            ce: CeId(2),
-            busy: 1,
-            queued: 4,
-            queued_user: 2,
-            slots: 8,
-            up: true,
-        };
-        assert_eq!(TraceEvent::from_sim(&c).kind(), "ce_capacity");
-        let l = SimEvent::LinkTransfer {
-            at: SimTime::from_secs_f64(3.0),
-            job: JobId(1),
-            tag: 7,
-            ce: CeId(2),
-            bytes_in: 1_000,
-            bytes_out: 500,
-            stage_in_secs: 2.0,
-            stage_out_secs: 1.0,
-        };
-        let t = TraceEvent::from_sim(&l);
+        assert_eq!(
+            t.to_json(),
+            "{\"type\":\"grid_delivered\",\"t\":9,\"invocation\":42,\"success\":true}"
+        );
+        let c = grid::capacity(0.0, 2, 1, 2, 8);
+        assert_eq!(c.kind(), "ce_capacity");
+        assert_eq!(c.invocation(), None);
+        assert_eq!(
+            c.to_json(),
+            "{\"type\":\"ce_capacity\",\"t\":0,\"ce\":2,\"busy\":1,\
+             \"queued\":2,\"queued_user\":2,\"slots\":8,\"up\":true}"
+        );
+        let t = grid::link(3.0, 7, 2, 1_000, 500, 2.0, 1.0);
         assert_eq!(t.kind(), "grid_link_transfer");
         assert_eq!(t.invocation(), Some(7));
         assert_eq!(
@@ -1002,5 +721,139 @@ mod tests {
              \"ce\":2,\"bytes_in\":1000,\"bytes_out\":500,\
              \"stage_in_secs\":2,\"stage_out_secs\":1}"
         );
+    }
+}
+
+/// Terse [`TraceEvent::Grid`] constructors for the sinks' unit tests:
+/// times in seconds, a CE by its index, the simulator's job id equal to
+/// the tag.
+#[cfg(test)]
+pub(crate) mod grid {
+    use super::TraceEvent;
+    use moteur_gridsim::{CeId, JobId, JobOutcome, SimEvent, SimTime};
+
+    fn at(secs: f64) -> SimTime {
+        SimTime::from_secs_f64(secs)
+    }
+
+    fn outcome(success: bool) -> JobOutcome {
+        if success {
+            JobOutcome::Success
+        } else {
+            JobOutcome::Failed
+        }
+    }
+
+    pub(crate) fn submitted(t: f64, tag: u64) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobSubmitted {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            name: format!("j{tag}"),
+        })
+    }
+
+    pub(crate) fn matched(t: f64, tag: u64, ce: usize) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobMatched {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            ce: CeId(ce),
+        })
+    }
+
+    pub(crate) fn enqueued(t: f64, tag: u64, ce: usize, attempt: u32) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobEnqueued {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            ce: CeId(ce),
+            attempt,
+        })
+    }
+
+    pub(crate) fn started(t: f64, tag: u64, ce: usize) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobStarted {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            ce: CeId(ce),
+        })
+    }
+
+    pub(crate) fn finished(t: f64, tag: u64, ce: usize, success: bool) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobFinished {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            ce: CeId(ce),
+            outcome: outcome(success),
+        })
+    }
+
+    pub(crate) fn resubmitted(t: f64, tag: u64, attempt: u32) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobResubmitted {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            attempt,
+        })
+    }
+
+    pub(crate) fn delivered(t: f64, tag: u64, success: bool) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobDelivered {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            outcome: outcome(success),
+        })
+    }
+
+    pub(crate) fn cancelled(t: f64, tag: u64) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::JobCancelled {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+        })
+    }
+
+    /// An up CE whose whole queue is user jobs.
+    pub(crate) fn capacity(
+        t: f64,
+        ce: usize,
+        busy: usize,
+        queued_user: usize,
+        slots: usize,
+    ) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::CeCapacity {
+            at: at(t),
+            ce: CeId(ce),
+            busy,
+            queued: queued_user,
+            queued_user,
+            slots,
+            up: true,
+        })
+    }
+
+    pub(crate) fn link(
+        t: f64,
+        tag: u64,
+        ce: usize,
+        bytes_in: u64,
+        bytes_out: u64,
+        stage_in_secs: f64,
+        stage_out_secs: f64,
+    ) -> TraceEvent {
+        TraceEvent::Grid(SimEvent::LinkTransfer {
+            at: at(t),
+            job: JobId(tag),
+            tag,
+            ce: CeId(ce),
+            bytes_in,
+            bytes_out,
+            stage_in_secs,
+            stage_out_secs,
+        })
     }
 }

@@ -343,6 +343,7 @@ pub fn render_with_prof(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::grid;
     use crate::obs::metrics::Histogram;
     use crate::obs::span::SpanSink;
     use crate::obs::{EventSink, TraceEvent};
@@ -415,33 +416,11 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(4.0),
-            invocation: 0,
-            name: "j".into(),
-        });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(6.0),
-            invocation: 0,
-            ce: 0,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(10.0),
-            invocation: 0,
-            ce: 0,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(30.0),
-            invocation: 0,
-            ce: 0,
-            success: true,
-        });
-        sink.record(&TraceEvent::GridDelivered {
-            at: t(31.0),
-            invocation: 0,
-            success: true,
-        });
+        sink.record(&grid::submitted(4.0, 0));
+        sink.record(&grid::enqueued(6.0, 0, 0, 1));
+        sink.record(&grid::started(10.0, 0, 0));
+        sink.record(&grid::finished(30.0, 0, 0, true));
+        sink.record(&grid::delivered(31.0, 0, true));
         sink.record(&TraceEvent::JobCompleted {
             at: t(31.0),
             invocation: 0,

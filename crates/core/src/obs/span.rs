@@ -19,13 +19,13 @@
 //! — which is exactly the decomposition the paper needs to attribute a
 //! makespan to grid overhead (everything but `execution`) versus useful
 //! compute. Phase spans are created *retrospectively* when their end
-//! marker arrives, so a run on a non-grid backend (no `Grid*` events)
+//! marker arrives, so a run on a non-grid backend (no `Grid` events)
 //! simply yields item spans without phases. A resubmitted job gets a
 //! fresh scheduling/queuing/execution chain per attempt, so retries are
 //! visible as repeated phases under one item.
 
 use super::{EventSink, TraceEvent};
-use moteur_gridsim::SimTime;
+use moteur_gridsim::{JobOutcome, SimEvent, SimTime};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -367,50 +367,27 @@ impl EventSink for SpanSink {
             tree.spans[root.0].end = Some(at);
         }
         match event {
+            // An invocation opens an item span under its service. A
+            // cache-elided one is marked cached: the only phase it can
+            // accrue is the fetch's transfer — submission, scheduling,
+            // queuing and execution never appear.
             TraceEvent::JobSubmitted {
                 invocation,
                 processor,
-                batched,
                 ..
-            } => {
-                let service = *self.services.entry(processor.clone()).or_insert_with(|| {
-                    Self::open(
-                        &mut tree,
-                        Some(root),
-                        SpanKind::Service,
-                        processor.clone(),
-                        at,
-                    )
-                });
-                let item = Self::open(
-                    &mut tree,
-                    Some(service),
-                    SpanKind::DataItem,
-                    invocation.to_string(),
-                    at,
-                );
-                if *batched > 1 {
-                    tree.spans[item.0]
-                        .attrs
-                        .push(("batched".to_string(), batched.to_string()));
-                }
-                self.items.insert(
-                    *invocation,
-                    ItemState {
-                        span: item,
-                        mark: at,
-                    },
-                );
             }
-            // A cache-elided invocation: open the item span like a
-            // submission would, but mark it cached. The only phase it
-            // can accrue is the fetch's transfer — submission,
-            // scheduling, queuing and execution never appear.
-            TraceEvent::CacheHit {
+            | TraceEvent::CacheHit {
                 invocation,
                 processor,
                 ..
             } => {
+                let attr = match event {
+                    TraceEvent::JobSubmitted { batched, .. } if *batched > 1 => {
+                        Some(("batched", batched.to_string()))
+                    }
+                    TraceEvent::CacheHit { .. } => Some(("cached", "true".to_string())),
+                    _ => None,
+                };
                 let service = *self.services.entry(processor.clone()).or_insert_with(|| {
                     Self::open(
                         &mut tree,
@@ -427,9 +404,9 @@ impl EventSink for SpanSink {
                     invocation.to_string(),
                     at,
                 );
-                tree.spans[item.0]
-                    .attrs
-                    .push(("cached".to_string(), "true".to_string()));
+                if let Some((key, value)) = attr {
+                    tree.spans[item.0].attrs.push((key.to_string(), value));
+                }
                 self.items.insert(
                     *invocation,
                     ItemState {
@@ -438,58 +415,42 @@ impl EventSink for SpanSink {
                     },
                 );
             }
-            TraceEvent::GridSubmitted { invocation, .. } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    Self::phase(&mut tree, s, GridPhase::Submission, at, &[]);
-                }
-            }
-            TraceEvent::GridEnqueued {
-                invocation,
-                ce,
-                attempt,
-                ..
-            } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    Self::phase(
+            TraceEvent::Grid(e) => {
+                let Some(s) = e.tag().and_then(|tag| self.items.get_mut(&tag)) else {
+                    return;
+                };
+                match e {
+                    SimEvent::JobSubmitted { .. } => {
+                        Self::phase(&mut tree, s, GridPhase::Submission, at, &[]);
+                    }
+                    SimEvent::JobEnqueued { ce, attempt, .. } => Self::phase(
                         &mut tree,
                         s,
                         GridPhase::Scheduling,
                         at,
-                        &[("ce", ce.to_string()), ("attempt", attempt.to_string())],
-                    );
-                }
-            }
-            TraceEvent::GridStarted { invocation, .. } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    Self::phase(&mut tree, s, GridPhase::Queuing, at, &[]);
-                }
-            }
-            TraceEvent::GridFinished {
-                invocation,
-                success,
-                ..
-            } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    Self::phase(
-                        &mut tree,
-                        s,
-                        GridPhase::Execution,
-                        at,
-                        &[("success", success.to_string())],
-                    );
-                }
-            }
-            TraceEvent::GridDelivered { invocation, .. } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    Self::phase(&mut tree, s, GridPhase::Transfer, at, &[]);
-                }
-            }
-            TraceEvent::GridResubmitted { invocation, .. } => {
-                // Failure-detection gap: advance the marker so the next
-                // attempt's scheduling span starts at resubmission, not
-                // at the failed finish.
-                if let Some(s) = self.items.get_mut(invocation) {
-                    s.mark = at;
+                        &[("ce", ce.0.to_string()), ("attempt", attempt.to_string())],
+                    ),
+                    SimEvent::JobStarted { .. } => {
+                        Self::phase(&mut tree, s, GridPhase::Queuing, at, &[]);
+                    }
+                    SimEvent::JobFinished { outcome, .. } => {
+                        let success = *outcome == JobOutcome::Success;
+                        Self::phase(
+                            &mut tree,
+                            s,
+                            GridPhase::Execution,
+                            at,
+                            &[("success", success.to_string())],
+                        );
+                    }
+                    SimEvent::JobDelivered { .. } => {
+                        Self::phase(&mut tree, s, GridPhase::Transfer, at, &[]);
+                    }
+                    // Failure-detection gap: advance the marker so the
+                    // next attempt's scheduling span starts at
+                    // resubmission, not at the failed finish.
+                    SimEvent::JobResubmitted { .. } => s.mark = at,
+                    _ => {}
                 }
             }
             TraceEvent::JobTimedOut {
@@ -510,7 +471,7 @@ impl EventSink for SpanSink {
                 // An enactor-level resubmission is a fresh try of the
                 // same data item: its grid phases continue under the
                 // one item span. Timeout resubmits carry a fresh
-                // backend tag — alias it so the new attempt's `Grid*`
+                // backend tag — alias it so the new attempt's grid
                 // events (keyed by that tag) still find the item.
                 if let Some(s) = self.items.get_mut(invocation) {
                     s.mark = at;
@@ -564,47 +525,24 @@ impl EventSink for SpanSink {
                     format!("{failures} failures"),
                 ));
             }
-            TraceEvent::JobCompleted { invocation, .. } => {
+            // A terminal event closes the item span, recording why a
+            // failed or cancelled invocation ended.
+            TraceEvent::JobCompleted { invocation, .. }
+            | TraceEvent::JobFailed { invocation, .. }
+            | TraceEvent::JobCancelled { invocation, .. } => {
                 if let Some(s) = self.items.remove(invocation) {
-                    tree.spans[s.span.0].end = Some(at);
-                    Self::close_ancestors(&mut tree, s.span, at);
-                    Self::close_attempts(
-                        &mut self.attempts_of,
-                        &mut self.items,
-                        &mut tree,
-                        *invocation,
-                        s.span,
-                        at,
-                    );
-                }
-            }
-            TraceEvent::JobFailed {
-                invocation, error, ..
-            } => {
-                if let Some(s) = self.items.remove(invocation) {
-                    tree.spans[s.span.0].end = Some(at);
-                    tree.spans[s.span.0]
-                        .attrs
-                        .push(("error".to_string(), error.clone()));
-                    Self::close_ancestors(&mut tree, s.span, at);
-                    Self::close_attempts(
-                        &mut self.attempts_of,
-                        &mut self.items,
-                        &mut tree,
-                        *invocation,
-                        s.span,
-                        at,
-                    );
-                }
-            }
-            TraceEvent::JobCancelled {
-                invocation, reason, ..
-            } => {
-                if let Some(s) = self.items.remove(invocation) {
-                    tree.spans[s.span.0].end = Some(at);
-                    tree.spans[s.span.0]
-                        .attrs
-                        .push(("cancelled".to_string(), (*reason).to_string()));
+                    let attr = match event {
+                        TraceEvent::JobFailed { error, .. } => Some(("error", error.clone())),
+                        TraceEvent::JobCancelled { reason, .. } => {
+                            Some(("cancelled", (*reason).to_string()))
+                        }
+                        _ => None,
+                    };
+                    let item = &mut tree.spans[s.span.0];
+                    item.end = Some(at);
+                    if let Some((key, value)) = attr {
+                        item.attrs.push((key.to_string(), value));
+                    }
                     Self::close_ancestors(&mut tree, s.span, at);
                     Self::close_attempts(
                         &mut self.attempts_of,
@@ -658,6 +596,7 @@ impl SpanSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::grid;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)
@@ -672,38 +611,12 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(base + 10.0),
-            invocation: inv,
-            name: format!("j{inv}"),
-        });
-        sink.record(&TraceEvent::GridMatched {
-            at: t(base + 15.0),
-            invocation: inv,
-            ce: 2,
-        });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(base + 20.0),
-            invocation: inv,
-            ce: 2,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(base + 50.0),
-            invocation: inv,
-            ce: 2,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(base + 150.0),
-            invocation: inv,
-            ce: 2,
-            success: true,
-        });
-        sink.record(&TraceEvent::GridDelivered {
-            at: t(base + 155.0),
-            invocation: inv,
-            success: true,
-        });
+        sink.record(&grid::submitted(base + 10.0, inv));
+        sink.record(&grid::matched(base + 15.0, inv, 2));
+        sink.record(&grid::enqueued(base + 20.0, inv, 2, 1));
+        sink.record(&grid::started(base + 50.0, inv, 2));
+        sink.record(&grid::finished(base + 150.0, inv, 2, true));
+        sink.record(&grid::delivered(base + 155.0, inv, true));
         sink.record(&TraceEvent::JobCompleted {
             at: t(base + 155.0),
             invocation: inv,
@@ -769,55 +682,15 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(5.0),
-            invocation: 3,
-            name: "j3".into(),
-        });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(10.0),
-            invocation: 3,
-            ce: 0,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(20.0),
-            invocation: 3,
-            ce: 0,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(30.0),
-            invocation: 3,
-            ce: 0,
-            success: false,
-        });
-        sink.record(&TraceEvent::GridResubmitted {
-            at: t(40.0),
-            invocation: 3,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(45.0),
-            invocation: 3,
-            ce: 1,
-            attempt: 2,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(50.0),
-            invocation: 3,
-            ce: 1,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(60.0),
-            invocation: 3,
-            ce: 1,
-            success: true,
-        });
-        sink.record(&TraceEvent::GridDelivered {
-            at: t(62.0),
-            invocation: 3,
-            success: true,
-        });
+        sink.record(&grid::submitted(5.0, 3));
+        sink.record(&grid::enqueued(10.0, 3, 0, 1));
+        sink.record(&grid::started(20.0, 3, 0));
+        sink.record(&grid::finished(30.0, 3, 0, false));
+        sink.record(&grid::resubmitted(40.0, 3, 1));
+        sink.record(&grid::enqueued(45.0, 3, 1, 2));
+        sink.record(&grid::started(50.0, 3, 1));
+        sink.record(&grid::finished(60.0, 3, 1, true));
+        sink.record(&grid::delivered(62.0, 3, true));
         sink.record(&TraceEvent::JobCompleted {
             at: t(62.0),
             invocation: 3,
@@ -847,11 +720,7 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(2.0),
-            invocation: 5,
-            name: "j5".into(),
-        });
+        sink.record(&grid::submitted(2.0, 5));
         sink.record(&TraceEvent::JobTimedOut {
             at: t(60.0),
             invocation: 5,
@@ -868,23 +737,9 @@ mod tests {
             retry: 1,
             attempt: 42,
         });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(65.0),
-            invocation: 42,
-            ce: 1,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(70.0),
-            invocation: 42,
-            ce: 1,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(80.0),
-            invocation: 42,
-            ce: 1,
-            success: true,
-        });
+        sink.record(&grid::enqueued(65.0, 42, 1, 1));
+        sink.record(&grid::started(70.0, 42, 1));
+        sink.record(&grid::finished(80.0, 42, 1, true));
         sink.record(&TraceEvent::JobCompleted {
             at: t(82.0),
             invocation: 5,
@@ -919,11 +774,7 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridSubmitted {
-            at: t(1.0),
-            invocation: 7,
-            name: "j7".into(),
-        });
+        sink.record(&grid::submitted(1.0, 7));
         sink.record(&TraceEvent::JobTimedOut {
             at: t(50.0),
             invocation: 7,
@@ -939,25 +790,11 @@ mod tests {
             attempt: 99,
         });
         // The replica runs its own grid chain…
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(55.0),
-            invocation: 99,
-            ce: 2,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(60.0),
-            invocation: 99,
-            ce: 2,
-        });
+        sink.record(&grid::enqueued(55.0, 99, 2, 1));
+        sink.record(&grid::started(60.0, 99, 2));
         // …the original loses the race and is superseded, then the
         // logical invocation completes.
-        sink.record(&TraceEvent::GridFinished {
-            at: t(90.0),
-            invocation: 99,
-            ce: 2,
-            success: true,
-        });
+        sink.record(&grid::finished(90.0, 99, 2, true));
         sink.record(&TraceEvent::JobCancelled {
             at: t(92.0),
             invocation: 7,

@@ -33,6 +33,7 @@
 
 use super::json::{self, JsonObject, JsonValue};
 use super::{EventSink, TraceEvent};
+use moteur_gridsim::{CeId, SimEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -516,7 +517,7 @@ pub struct TimelineState {
     pub timeline: Timeline,
     pub stats: ResourceStats,
     /// By attempt tag, from the attempt's first grid event until its
-    /// `GridDelivered` or `GridCancelled`.
+    /// grid `JobDelivered` or `JobCancelled`.
     marks: HashMap<u64, JobMarks>,
     /// Service and submission time by logical invocation id, from
     /// `JobSubmitted` / `CacheHit` until the invocation's terminal
@@ -571,13 +572,13 @@ impl EventSink for TimelineSink {
         let t = event.at().as_secs_f64();
         state.stats.t_end = state.stats.t_end.max(t);
         match event {
-            TraceEvent::CeCapacity {
-                ce,
+            TraceEvent::Grid(SimEvent::CeCapacity {
+                ce: CeId(ce),
                 busy,
                 queued_user,
                 slots,
                 ..
-            } => {
+            }) => {
                 state
                     .timeline
                     .gauge(&format!("ce{ce}.queue_depth"), t, *queued_user as f64);
@@ -598,15 +599,15 @@ impl EventSink for TimelineSink {
                 s.slots = *slots;
                 s.peak_queue_depth = s.peak_queue_depth.max(*queued_user);
             }
-            TraceEvent::GridLinkTransfer {
-                invocation,
-                ce,
+            TraceEvent::Grid(SimEvent::LinkTransfer {
+                tag,
+                ce: CeId(ce),
                 bytes_in,
                 bytes_out,
                 stage_in_secs,
                 stage_out_secs,
                 ..
-            } => {
+            }) => {
                 let bytes = bytes_in + bytes_out;
                 let secs = stage_in_secs + stage_out_secs;
                 state
@@ -618,16 +619,24 @@ impl EventSink for TimelineSink {
                     .gauge(&format!("link.ce{ce}.bandwidth"), t, occupancy);
                 *state.stats.link_bytes.entry(*ce).or_insert(0) += bytes;
                 state.stats.transfer_secs += secs;
-                let m = state.marks.entry(*invocation).or_default();
-                m.attempt_transfer = secs;
+                state.marks.entry(*tag).or_default().attempt_transfer = secs;
             }
             TraceEvent::JobSubmitted {
                 invocation,
                 processor,
                 ..
+            }
+            | TraceEvent::CacheHit {
+                invocation,
+                processor,
+                ..
             } => {
                 state.services.insert(*invocation, (processor.clone(), t));
-                state.timeline.counter("enactor.jobs_submitted", t, 1.0);
+                let counter = match event {
+                    TraceEvent::JobSubmitted { .. } => "enactor.jobs_submitted",
+                    _ => "enactor.cache_hits",
+                };
+                state.timeline.counter(counter, t, 1.0);
             }
             TraceEvent::EdgeStaged {
                 processor,
@@ -641,35 +650,28 @@ impl EventSink for TimelineSink {
                     .entry((processor.clone(), port.clone()))
                     .or_insert(0) += bytes;
             }
-            TraceEvent::CacheHit {
-                invocation,
-                processor,
-                ..
-            } => {
-                state.services.insert(*invocation, (processor.clone(), t));
-                state.timeline.counter("enactor.cache_hits", t, 1.0);
+            TraceEvent::Grid(SimEvent::JobEnqueued { tag, .. }) => {
+                state.marks.entry(*tag).or_default().enqueued = Some(t);
             }
-            TraceEvent::GridEnqueued { invocation, .. } => {
-                state.marks.entry(*invocation).or_default().enqueued = Some(t);
-            }
-            TraceEvent::GridStarted { invocation, .. } => {
-                let m = state.marks.entry(*invocation).or_default();
+            TraceEvent::Grid(SimEvent::JobStarted { tag, .. }) => {
+                let m = state.marks.entry(*tag).or_default();
                 if let Some(enq) = m.enqueued.take() {
                     state.stats.queue_wait_secs += (t - enq).max(0.0);
                 }
                 m.started = Some(t);
             }
-            TraceEvent::GridFinished { invocation, .. } => {
-                let m = state.marks.entry(*invocation).or_default();
+            TraceEvent::Grid(SimEvent::JobFinished { tag, .. }) => {
+                let m = state.marks.entry(*tag).or_default();
                 if let Some(start) = m.started.take() {
                     let exec = (t - start).max(0.0);
                     state.stats.compute_secs += (exec - m.attempt_transfer).max(0.0);
                     m.attempt_transfer = 0.0;
                 }
             }
-            TraceEvent::GridDelivered { invocation, .. }
-            | TraceEvent::GridCancelled { invocation, .. } => {
-                state.marks.remove(invocation);
+            TraceEvent::Grid(
+                SimEvent::JobDelivered { tag, .. } | SimEvent::JobCancelled { tag, .. },
+            ) => {
+                state.marks.remove(tag);
             }
             TraceEvent::JobCompleted { invocation, .. } => {
                 state.stats.completed += 1;
@@ -754,6 +756,7 @@ impl EventSink for TimelineSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::grid;
 
     #[test]
     fn counter_total_is_exact_under_downsampling() {
@@ -866,32 +869,10 @@ mod tests {
             grid: true,
             batched: 1,
         });
-        sink.record(&TraceEvent::GridEnqueued {
-            at: t(1.0),
-            invocation: 1,
-            ce: 0,
-            attempt: 1,
-        });
-        sink.record(&TraceEvent::GridStarted {
-            at: t(11.0),
-            invocation: 1,
-            ce: 0,
-        });
-        sink.record(&TraceEvent::GridLinkTransfer {
-            at: t(11.0),
-            invocation: 1,
-            ce: 0,
-            bytes_in: 700,
-            bytes_out: 300,
-            stage_in_secs: 3.0,
-            stage_out_secs: 1.0,
-        });
-        sink.record(&TraceEvent::GridFinished {
-            at: t(25.0),
-            invocation: 1,
-            ce: 0,
-            success: true,
-        });
+        sink.record(&grid::enqueued(1.0, 1, 0, 1));
+        sink.record(&grid::started(11.0, 1, 0));
+        sink.record(&grid::link(11.0, 1, 0, 700, 300, 3.0, 1.0));
+        sink.record(&grid::finished(25.0, 1, 0, true));
         sink.record(&TraceEvent::JobCompleted {
             at: t(26.0),
             invocation: 1,
@@ -924,34 +905,12 @@ mod tests {
         // later with 4 s of transfers, then run for 20 s unless `cut`.
         let attempt = |tag: u64, t: f64, cut: bool| {
             let mut events = vec![
-                TraceEvent::GridEnqueued {
-                    at: at(t),
-                    invocation: tag,
-                    ce: 0,
-                    attempt: 1,
-                },
-                TraceEvent::GridStarted {
-                    at: at(t + 10.0),
-                    invocation: tag,
-                    ce: 0,
-                },
-                TraceEvent::GridLinkTransfer {
-                    at: at(t + 10.0),
-                    invocation: tag,
-                    ce: 0,
-                    bytes_in: 700,
-                    bytes_out: 300,
-                    stage_in_secs: 3.0,
-                    stage_out_secs: 1.0,
-                },
+                grid::enqueued(t, tag, 0, 1),
+                grid::started(t + 10.0, tag, 0),
+                grid::link(t + 10.0, tag, 0, 700, 300, 3.0, 1.0),
             ];
             if !cut {
-                events.push(TraceEvent::GridFinished {
-                    at: at(t + 30.0),
-                    invocation: tag,
-                    ce: 0,
-                    success: true,
-                });
+                events.push(grid::finished(t + 30.0, tag, 0, true));
             }
             events
         };
@@ -961,15 +920,6 @@ mod tests {
             processor: processor(),
             grid: true,
             batched: 1,
-        };
-        let delivered = |t: f64, invocation: u64, success: bool| TraceEvent::GridDelivered {
-            at: at(t),
-            invocation,
-            success,
-        };
-        let grid_cancelled = |t: f64, invocation: u64| TraceEvent::GridCancelled {
-            at: at(t),
-            invocation,
         };
         let completed = |t: f64, invocation: u64| TraceEvent::JobCompleted {
             at: at(t),
@@ -986,20 +936,20 @@ mod tests {
         // 1: one attempt, delivered.
         let mut events = vec![submitted(1)];
         events.extend(attempt(1, 0.0, false));
-        events.extend([delivered(31.0, 1, true), completed(31.0, 1)]);
+        events.extend([grid::delivered(31.0, 1, true), completed(31.0, 1)]);
         // 2: timed out mid-run, resubmitted under the fresh tag 1002.
         events.push(submitted(2));
         events.extend(attempt(2, 0.0, true));
-        events.push(grid_cancelled(100.0, 2));
+        events.push(grid::cancelled(100.0, 2));
         events.extend(attempt(1002, 100.0, false));
-        events.extend([delivered(131.0, 1002, true), completed(131.0, 2)]);
+        events.extend([grid::delivered(131.0, 1002, true), completed(131.0, 2)]);
         // 3: the replica 1003 loses to the original attempt.
         events.push(submitted(3));
         events.extend(attempt(3, 0.0, false));
         events.extend(attempt(1003, 15.0, true));
         events.extend([
-            delivered(31.0, 3, true),
-            grid_cancelled(31.0, 1003),
+            grid::delivered(31.0, 3, true),
+            grid::cancelled(31.0, 1003),
             cancelled(31.0, 1003, "superseded"),
             completed(31.0, 3),
         ]);
@@ -1009,8 +959,8 @@ mod tests {
         events.extend(attempt(4, 50.0, true));
         events.extend(attempt(1004, 0.0, false));
         events.extend([
-            delivered(31.0, 1004, true),
-            grid_cancelled(31.0, 4),
+            grid::delivered(31.0, 1004, true),
+            grid::cancelled(31.0, 4),
             cancelled(31.0, 4, "superseded"),
             completed(31.0, 4),
         ]);
@@ -1018,7 +968,7 @@ mod tests {
         events.push(submitted(5));
         events.extend(attempt(5, 0.0, false));
         events.extend([
-            delivered(31.0, 5, false),
+            grid::delivered(31.0, 5, false),
             TraceEvent::JobFailed {
                 at: at(31.0),
                 invocation: 5,
@@ -1030,13 +980,8 @@ mod tests {
         // manager, no grid event at all.
         events.extend([
             submitted(6),
-            TraceEvent::GridEnqueued {
-                at: at(1.0),
-                invocation: 6,
-                ce: 0,
-                attempt: 1,
-            },
-            grid_cancelled(2.0, 6),
+            grid::enqueued(1.0, 6, 0, 1),
+            grid::cancelled(2.0, 6),
             cancelled(2.0, 6, "abort"),
             TraceEvent::CacheHit {
                 at: at(5.0),
@@ -1081,18 +1026,9 @@ mod tests {
 
     #[test]
     fn ce_utilization_integrates_busy_levels() {
-        use moteur_gridsim::SimTime;
-        let t = SimTime::from_secs_f64;
         let mut sink = TimelineSink::new();
-        let cap = |at: f64, busy: usize, queued_user: usize| TraceEvent::CeCapacity {
-            at: t(at),
-            ce: 0,
-            busy,
-            queued: queued_user,
-            queued_user,
-            slots: 2,
-            up: true,
-        };
+        let cap =
+            |at: f64, busy: usize, queued_user: usize| grid::capacity(at, 0, busy, queued_user, 2);
         sink.record(&cap(0.0, 2, 3));
         sink.record(&cap(50.0, 1, 0));
         sink.record(&cap(100.0, 0, 0));

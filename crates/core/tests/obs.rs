@@ -5,7 +5,9 @@
 //! perturb the simulation.
 
 use moteur::prelude::*;
-use moteur::{chrome_trace, critical_path, EventBuffer, JsonlSink, MetricsSink, RingBufferSink};
+use moteur::{
+    chrome_trace_with_metrics, critical_path, EventBuffer, JsonlSink, MetricsSink, RingBufferSink,
+};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::sync::{Arc, Mutex};
@@ -277,8 +279,8 @@ fn deterministic_result() -> WorkflowResult {
 
 #[test]
 fn chrome_trace_is_byte_reproducible_and_matches_the_golden_file() {
-    let first = chrome_trace(&deterministic_result());
-    let second = chrome_trace(&deterministic_result());
+    let first = chrome_trace_with_metrics(&deterministic_result(), None);
+    let second = chrome_trace_with_metrics(&deterministic_result(), None);
     assert_eq!(first, second, "two identical runs must serialise equally");
 
     let golden_path = concat!(
@@ -349,7 +351,7 @@ fn span_sink_reconstructs_the_grid_lifecycle_of_a_real_run() {
 #[test]
 fn chrome_trace_and_critical_path_cover_the_run() {
     let (_, result) = captured(17);
-    let trace = chrome_trace(&result);
+    let trace = chrome_trace_with_metrics(&result, None);
     let exec_spans = trace.matches("\"cat\":\"exec\"").count();
     assert_eq!(
         exec_spans,

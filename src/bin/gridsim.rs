@@ -57,7 +57,7 @@ fn run(args: &Args) -> Outcome {
     if obs.enabled() {
         let forward = obs.clone();
         sim.set_observer(Box::new(move |e| {
-            forward.record(&TraceEvent::from_sim(e));
+            forward.record(&TraceEvent::Grid(e.clone()));
         }));
     }
     if obs.prof().is_enabled() {
