@@ -86,7 +86,7 @@ impl CompiledWorkflow {
         };
         workflow.validate()?;
         let scc_ids = workflow.scc_ids();
-        let in_cycle = workflow.cycle_members();
+        let in_cycle = workflow.cycle_members_of(&scc_ids);
         let routes = Routes::compile(&workflow, config, &scc_ids, &in_cycle);
         let digests = workflow
             .processors

@@ -405,12 +405,17 @@ impl Workflow {
     /// Which processors sit on a data-link cycle: the members of a
     /// non-trivial SCC, and processors with a self-link.
     pub fn cycle_members(&self) -> Vec<bool> {
-        let mut on_cycle = vec![false; self.processors.len()];
-        for component in self.sccs().iter().filter(|c| c.len() > 1) {
-            for p in component {
-                on_cycle[p.0] = true;
-            }
+        self.cycle_members_of(&self.scc_ids())
+    }
+
+    /// [`Workflow::cycle_members`] from already computed
+    /// [`Workflow::scc_ids`].
+    pub(crate) fn cycle_members_of(&self, scc_ids: &[usize]) -> Vec<bool> {
+        let mut size = vec![0usize; scc_ids.len()];
+        for &c in scc_ids {
+            size[c] += 1;
         }
+        let mut on_cycle: Vec<bool> = scc_ids.iter().map(|&c| size[c] > 1).collect();
         for l in self.links.iter().filter(|l| l.from.proc == l.to.proc) {
             on_cycle[l.from.proc.0] = true;
         }

@@ -32,60 +32,103 @@ pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
     Ok(wf)
 }
 
-fn is_groupable_service(wf: &Workflow, id: ProcId, in_cycle: &[bool]) -> bool {
-    let p = wf.processor(id);
-    p.kind == ProcessorKind::Service
-        && !p.synchronization
-        && !in_cycle[id.0]
-        && p.iteration == IterationStrategy::Dot
-        && matches!(
-            p.binding,
-            Some(ServiceBinding::Descriptor { .. }) | Some(ServiceBinding::Grouped(_))
-        )
-        && !wf.control.iter().any(|(a, b)| *a == id || *b == id)
+/// The first §3.6 condition that keeps a (P, Q) pair apart, naming the
+/// processor or port it holds against. M031 renders it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Blocker<'a> {
+    /// A synchronization barrier must see the whole input stream.
+    Sync(&'a str),
+    /// A cycle's iteration count is only known at run time.
+    Cycle(&'a str),
+    /// Fusing a cross product would change the invocation count.
+    Cross(&'a str),
+    /// Without an executable descriptor there is no command line to
+    /// chain.
+    Unbound(&'a str),
+    /// Grouping would bypass a coordination constraint.
+    Control(&'a str),
+    /// Q's input `port` mixes P's data with other producers'.
+    MixedPort {
+        port: &'a str,
+        p: &'a str,
+        q: &'a str,
+    },
+}
+
+/// The service every data link out of service `p` ends at, when it is
+/// one service other than `p`: the candidate pairs of §3.6.
+pub(crate) fn sole_service_consumer(wf: &Workflow, p: ProcId) -> Option<ProcId> {
+    if wf.processor(p).kind != ProcessorKind::Service {
+        return None;
+    }
+    let succs = wf.data_succs(p);
+    let [q] = succs[..] else { return None };
+    (q != p && wf.processor(q).kind == ProcessorKind::Service).then_some(q)
+}
+
+/// The first §3.6 condition that makes the candidate pair (P, Q)
+/// ungroupable, checking each of P and Q for sync, cycle, iteration,
+/// binding and control in turn, then Q's ports; `None` when the pair
+/// groups. The transform and M030/M031 both decide here.
+pub(crate) fn blocking<'a>(
+    wf: &'a Workflow,
+    p: ProcId,
+    q: ProcId,
+    in_cycle: &[bool],
+) -> Option<Blocker<'a>> {
+    for id in [p, q] {
+        let proc = wf.processor(id);
+        let name = proc.name.as_str();
+        if proc.synchronization {
+            return Some(Blocker::Sync(name));
+        }
+        if in_cycle[id.0] {
+            return Some(Blocker::Cycle(name));
+        }
+        if proc.iteration != IterationStrategy::Dot {
+            return Some(Blocker::Cross(name));
+        }
+        if !matches!(
+            proc.binding,
+            Some(ServiceBinding::Descriptor { .. } | ServiceBinding::Grouped(_))
+        ) {
+            return Some(Blocker::Unbound(name));
+        }
+        if wf.control.iter().any(|&(a, b)| a == id || b == id) {
+            return Some(Blocker::Control(name));
+        }
+    }
+    // Each Q input port must be fed either by exactly one P output or
+    // only by other producers — otherwise the fused job cannot tell
+    // which tuple element feeds which slot.
+    let q_proc = wf.processor(q);
+    for (port, name) in q_proc.inputs.iter().enumerate() {
+        let (mut from_p, mut fed) = (0, 0);
+        for l in wf
+            .links
+            .iter()
+            .filter(|l| l.to.proc == q && l.to.port == port)
+        {
+            fed += 1;
+            from_p += usize::from(l.from.proc == p);
+        }
+        if from_p > 0 && (from_p != fed || from_p > 1) {
+            return Some(Blocker::MixedPort {
+                port: name,
+                p: &wf.processor(p).name,
+                q: &q_proc.name,
+            });
+        }
+    }
+    None
 }
 
 fn find_groupable_pair(wf: &Workflow) -> Option<(ProcId, ProcId)> {
     let in_cycle = wf.cycle_members();
-    for p in (0..wf.processors.len()).map(ProcId) {
-        if !is_groupable_service(wf, p, &in_cycle) {
-            continue;
-        }
-        let succs = wf.data_succs(p);
-        if succs.len() != 1 || succs[0] == p {
-            continue;
-        }
-        let q = succs[0];
-        if !is_groupable_service(wf, q, &in_cycle) {
-            continue;
-        }
-        // Each Q input port must be homogeneous: fed only by P or only
-        // by non-P sources.
-        let q_ports = wf.processor(q).inputs.len();
-        let mut ok = true;
-        for port in 0..q_ports {
-            let feeders: Vec<ProcId> = wf
-                .links
-                .iter()
-                .filter(|l| l.to.proc == q && l.to.port == port)
-                .map(|l| l.from.proc)
-                .collect();
-            let from_p = feeders.iter().filter(|f| **f == p).count();
-            if from_p > 0 && from_p != feeders.len() {
-                ok = false;
-                break;
-            }
-            // A P-fed port must be fed by exactly one P output.
-            if from_p > 1 {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            return Some((p, q));
-        }
-    }
-    None
+    (0..wf.processors.len()).map(ProcId).find_map(|p| {
+        let q = sole_service_consumer(wf, p)?;
+        blocking(wf, p, q, &in_cycle).is_none().then_some((p, q))
+    })
 }
 
 /// View any groupable binding as a [`GroupedBinding`].

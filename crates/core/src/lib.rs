@@ -74,6 +74,9 @@ pub mod model;
 pub mod obs;
 mod plan;
 mod provenance;
+#[cfg(test)]
+#[path = "../tests/support/random_workflow.rs"]
+mod random_workflow;
 mod report;
 mod service;
 mod store;
@@ -116,7 +119,7 @@ pub use obs::sinks::{EventBuffer, JsonlSink, RingBufferSink};
 pub use obs::span::{Span, SpanBuffer, SpanKind, SpanSink};
 pub use obs::timeline::{Timeline, TimelineSink};
 pub use obs::{EventSink, Obs, TraceEvent};
-pub use plan::interval::{CardInterval, SourceSizes};
+pub use plan::facts::{CardInterval, SourceSizes};
 pub use plan::{analyze as plan_workflow, plan_to_json, render_plan, PlanOptions};
 pub use provenance::{export_provenance, history_from_xml, history_to_xml};
 pub use report::render_report;

@@ -11,9 +11,10 @@
 use crate::error::MoteurError;
 use crate::graph::{ProcessorKind, Workflow};
 use crate::grouping::group_workflow;
-use crate::lint::rules::cardinality::output_cardinalities;
 use crate::model::TimeMatrix;
 use crate::obs::json::{array, JsonObject, JsonValue};
+use crate::plan::central_transfer_seconds;
+use crate::plan::facts::{SourceSizes, StaticFacts};
 use std::fmt::Write as _;
 
 /// One configuration's predicted cost.
@@ -70,20 +71,8 @@ pub fn predict_with_transfer(
     if n_data == 0 {
         return Err(MoteurError::new("prediction needs at least one data set"));
     }
-    let xfer = crate::plan::central_transfer_seconds(wf, n_data as u64, bandwidth);
-    let base = TimeMatrix::from_workflow_with(wf, n_data, overhead, |id| {
-        xfer.get(&wf.processor(id).name).copied().unwrap_or(0.0)
-    })?;
-    let base_jobs = job_count(wf, n_data);
-    let grouped_wf = group_workflow(wf)?;
-    let grouped_xfer = crate::plan::central_transfer_seconds(&grouped_wf, n_data as u64, bandwidth);
-    let grouped = TimeMatrix::from_workflow_with(&grouped_wf, n_data, overhead, |id| {
-        grouped_xfer
-            .get(&grouped_wf.processor(id).name)
-            .copied()
-            .unwrap_or(0.0)
-    })?;
-    let grouped_jobs = job_count(&grouped_wf, n_data);
+    let (base, base_jobs) = price(wf, n_data, overhead, bandwidth)?;
+    let (grouped, grouped_jobs) = price(&group_workflow(wf)?, n_data, overhead, bandwidth)?;
     let rows = vec![
         PredictionRow {
             config: "nop",
@@ -124,15 +113,26 @@ pub fn predict_with_transfer(
     })
 }
 
-/// Total jobs a campaign submits: one per service invocation. Barriers
-/// fire once; other services fire once per item of their output stream
-/// (cardinality analysis), defaulting to `n_data` when the stream is
-/// not statically known.
-fn job_count(wf: &Workflow, n_data: usize) -> u64 {
-    let cards = output_cardinalities(wf);
-    wf.processors
+/// One graph's eq. 1–4 matrix, each job charged its central transfers,
+/// and the jobs a campaign submits — both from one static analysis.
+fn price(
+    wf: &Workflow,
+    n_data: usize,
+    overhead: f64,
+    bandwidth: f64,
+) -> Result<(TimeMatrix, u64), MoteurError> {
+    let facts = StaticFacts::of(wf, &SourceSizes::uniform(n_data as u64));
+    let xfer = central_transfer_seconds(wf, &facts, bandwidth);
+    let matrix = TimeMatrix::from_workflow_with(wf, n_data, overhead, |id| {
+        xfer.get(&wf.processor(id).name).copied().unwrap_or(0.0)
+    })?;
+    // One job per service invocation. Barriers fire once; other
+    // services once per item of their output stream, defaulting to
+    // `n_data` when its monomial is unknown.
+    let jobs = wf
+        .processors
         .iter()
-        .zip(&cards)
+        .zip(&facts.out)
         .filter(|(p, _)| p.kind == ProcessorKind::Service)
         .map(|(p, card)| {
             if p.synchronization {
@@ -141,7 +141,8 @@ fn job_count(wf: &Workflow, n_data: usize) -> u64 {
                 card.count(n_data).unwrap_or(n_data as u64)
             }
         })
-        .sum()
+        .sum();
+    Ok((matrix, jobs))
 }
 
 /// Render the prediction as an aligned table.

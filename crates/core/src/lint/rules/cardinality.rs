@@ -1,223 +1,21 @@
-//! Iteration-strategy cardinality analysis (M020–M021).
-//!
-//! Statically propagates *symbolic stream cardinalities* from sources
-//! through the graph. Each source contributes one symbol; a stream's
-//! cardinality is a monomial over those symbols (e.g. crossing two
-//! independent sources of sizes `n` and `m` yields an `n·m` stream).
-//! With every source sized `n_D`, a monomial of total degree `d` is an
-//! `n_D^d` stream — which is exactly the predicted invocation count the
-//! `--predict` analysis needs.
+//! Iteration-strategy cardinality rules (M020–M021), over the monomial
+//! half of the static analysis (`plan::facts`): each source contributes
+//! one symbol, and with every source sized `n_D` a stream of total
+//! degree `d` carries `n_D^d` items.
 
 use crate::graph::{IterationStrategy, ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
-use std::collections::BTreeMap;
-
-/// Symbolic cardinality of a token stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Card {
-    /// Exactly one item, regardless of input sizes (a synchronization
-    /// barrier's output).
-    One,
-    /// A monomial over source names: `{referenceImage: 1}` is an
-    /// `n`-item stream, `{a: 1, b: 1}` an `n·m` stream.
-    Mono(BTreeMap<String, u32>),
-    /// Not statically determinable (cycles, merged streams).
-    Unknown,
-}
-
-impl Card {
-    /// Total degree: 0 for [`Card::One`], the exponent sum for a
-    /// monomial, `None` when unknown.
-    pub fn degree(&self) -> Option<u32> {
-        match self {
-            Card::One => Some(0),
-            Card::Mono(m) => Some(m.values().sum()),
-            Card::Unknown => None,
-        }
-    }
-
-    /// Stream length with every source sized `n_data`. `None` when
-    /// unknown.
-    pub fn count(&self, n_data: usize) -> Option<u64> {
-        self.degree().map(|d| (n_data as u64).saturating_pow(d))
-    }
-
-    /// Render the monomial symbolically: `1`, `n(src)`, `n(a)·n(b)`,
-    /// `n(x)^2` or `?`.
-    pub fn render(&self) -> String {
-        match self {
-            Card::One => "1".to_string(),
-            Card::Mono(m) => {
-                let parts: Vec<String> = m
-                    .iter()
-                    .map(|(s, e)| {
-                        if *e == 1 {
-                            format!("n({s})")
-                        } else {
-                            format!("n({s})^{e}")
-                        }
-                    })
-                    .collect();
-                if parts.is_empty() {
-                    "1".to_string()
-                } else {
-                    parts.join("·")
-                }
-            }
-            Card::Unknown => "?".to_string(),
-        }
-    }
-}
-
-/// Per-processor cardinality of the *output* stream each processor
-/// produces (one entry per processor, indexed by [`ProcId`]).
-pub fn output_cardinalities(wf: &Workflow) -> Vec<Card> {
-    let n = wf.processors.len();
-    let scc_ids = wf.scc_ids();
-    let mut scc_size: BTreeMap<usize, usize> = BTreeMap::new();
-    for &c in &scc_ids {
-        *scc_size.entry(c).or_insert(0) += 1;
-    }
-    let in_cycle = |v: usize| {
-        scc_size[&scc_ids[v]] > 1
-            || wf
-                .links
-                .iter()
-                .any(|l| l.from.proc.0 == v && l.to.proc.0 == v)
-    };
-
-    let mut cards: Vec<Option<Card>> = vec![None; n];
-    // Fixpoint iteration (the graph is tiny; cycles resolve to Unknown
-    // immediately so this converges in ≤ n passes).
-    for _ in 0..=n {
-        let mut changed = false;
-        for v in 0..n {
-            if cards[v].is_some() {
-                continue;
-            }
-            let p = &wf.processors[v];
-            let card = if in_cycle(v) {
-                Some(Card::Unknown)
-            } else if p.kind == ProcessorKind::Source {
-                Some(Card::Mono(BTreeMap::from([(p.name.clone(), 1)])))
-            } else {
-                input_cards(wf, ProcId(v), &cards).map(|ins| combine(p, &ins))
-            };
-            if card.is_some() {
-                cards[v] = card;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    cards
-        .into_iter()
-        .map(|c| c.unwrap_or(Card::Unknown))
-        .collect()
-}
-
-/// Cardinality of each *input port* stream of `proc`, or `None` while a
-/// predecessor is still unresolved. A port fed by several links is a
-/// non-deterministic merge → [`Card::Unknown`].
-pub fn input_cards(wf: &Workflow, proc: ProcId, cards: &[Option<Card>]) -> Option<Vec<Card>> {
-    let p = wf.processor(proc);
-    let mut out = Vec::with_capacity(p.inputs.len());
-    for port in 0..p.inputs.len() {
-        let feeders: Vec<ProcId> = wf
-            .links
-            .iter()
-            .filter(|l| l.to.proc == proc && l.to.port == port)
-            .map(|l| l.from.proc)
-            .collect();
-        let card = match feeders.as_slice() {
-            [] => Card::Unknown, // unconnected: M010's concern, not ours
-            [f] => cards.get(f.0).and_then(Clone::clone)?,
-            _ => Card::Unknown,
-        };
-        out.push(card);
-    }
-    Some(out)
-}
-
-/// Combine input-stream cardinalities under the processor's iteration
-/// strategy into its output-stream cardinality.
-fn combine(p: &crate::graph::Processor, inputs: &[Card]) -> Card {
-    if p.synchronization {
-        // A barrier consumes its entire input streams and fires once.
-        return Card::One;
-    }
-    if inputs.is_empty() {
-        // A no-input processor never assembles a tuple (sources are
-        // handled by the caller).
-        return Card::One;
-    }
-    match p.iteration {
-        IterationStrategy::Dot => {
-            if inputs.contains(&Card::Unknown) {
-                return Card::Unknown;
-            }
-            // Dot pairs items index-wise: the result is as long as the
-            // shortest stream. A One operand truncates everything to 1.
-            let monos: Vec<&BTreeMap<String, u32>> = inputs
-                .iter()
-                .filter_map(|c| match c {
-                    Card::Mono(m) => Some(m),
-                    _ => None,
-                })
-                .collect();
-            if monos.is_empty() {
-                return Card::One;
-            }
-            if inputs.contains(&Card::One) {
-                return Card::One;
-            }
-            monos
-                .iter()
-                .min_by_key(|m| m.values().sum::<u32>())
-                .map_or(Card::Unknown, |m| Card::Mono((*m).clone()))
-        }
-        IterationStrategy::Cross => {
-            // Cross is the product of all stream lengths: exponent maps
-            // add (One contributes a factor of 1).
-            let mut acc: BTreeMap<String, u32> = BTreeMap::new();
-            for c in inputs {
-                match c {
-                    Card::Unknown => return Card::Unknown,
-                    Card::One => {}
-                    Card::Mono(m) => {
-                        for (s, e) in m {
-                            *acc.entry(s.clone()).or_insert(0) += e;
-                        }
-                    }
-                }
-            }
-            if acc.is_empty() {
-                Card::One
-            } else {
-                Card::Mono(acc)
-            }
-        }
-    }
-}
+use crate::plan::facts::{Card, StaticFacts};
 
 /// Run the iteration-strategy cardinality rules (M020–M021).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
-    let cards = output_cardinalities(wf);
-    let resolved: Vec<Option<Card>> = cards.iter().cloned().map(Some).collect();
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.kind != ProcessorKind::Service || p.synchronization {
             continue;
         }
-        let Some(inputs) = input_cards(wf, ProcId(i), &resolved) else {
-            continue;
-        };
-        if p.iteration == IterationStrategy::Dot {
-            dot_mismatch(wf, ProcId(i), &inputs, report);
-        }
-        if p.iteration == IterationStrategy::Cross {
-            cross_blowup(wf, ProcId(i), &cards[i], report);
+        match p.iteration {
+            IterationStrategy::Dot => dot_mismatch(wf, ProcId(i), &facts.ports[i], report),
+            IterationStrategy::Cross => cross_blowup(wf, ProcId(i), &facts.out[i], report),
         }
     }
 }
@@ -230,12 +28,9 @@ fn dot_mismatch(wf: &Workflow, id: ProcId, inputs: &[Card], report: &mut LintRep
     let degrees: Vec<(usize, u32)> = inputs
         .iter()
         .enumerate()
-        .filter_map(|(port, c)| match c {
-            Card::Mono(_) | Card::One => c.degree().map(|d| (port, d)),
-            Card::Unknown => None,
-        })
+        .filter_map(|(port, c)| c.degree().map(|d| (port, d)))
         .collect();
-    // Only monomial streams participate: a constant One against an
+    // Only monomial streams participate: a one-item stream against an
     // n-stream is the degree-0 vs degree-1 case and *is* reported.
     if degrees.len() < 2 {
         return;

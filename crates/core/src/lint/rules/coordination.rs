@@ -6,11 +6,11 @@
 
 use crate::graph::{ProcId, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
-use crate::lint::rules::cardinality::{output_cardinalities, Card};
+use crate::plan::facts::StaticFacts;
 
 /// Run the barrier/coordination rules (M040–M042).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
-    no_op_barriers(wf, report);
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
+    no_op_barriers(wf, facts, report);
     coordination_cycles(wf, report);
     redundant_coordination(wf, report);
 }
@@ -19,17 +19,15 @@ pub fn check(wf: &Workflow, report: &mut LintReport) {
 /// either it has no inbound data at all, or every input stream already
 /// carries a single item. It still serialises the workflow (a barrier
 /// caps its segment's data parallelism, paper §3.4) for no benefit.
-fn no_op_barriers(wf: &Workflow, report: &mut LintReport) {
-    let cards = output_cardinalities(wf);
-    let resolved: Vec<Option<Card>> = cards.iter().cloned().map(Some).collect();
+fn no_op_barriers(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if !p.synchronization {
             continue;
         }
         let id = ProcId(i);
         let has_inbound = wf.links.iter().any(|l| l.to.proc == id);
-        let all_single = crate::lint::rules::cardinality::input_cards(wf, id, &resolved)
-            .is_some_and(|ins| !ins.is_empty() && ins.iter().all(|c| *c == Card::One));
+        let ins = &facts.ports[i];
+        let all_single = !ins.is_empty() && ins.iter().all(|c| c.degree() == Some(0));
         if !has_inbound {
             report.push(
                 Diagnostic::warning(

@@ -3,31 +3,37 @@
 
 use crate::graph::{ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
-use std::collections::HashMap;
+use crate::plan::facts::StaticFacts;
+use std::collections::{BTreeMap, HashMap};
 
-/// Run the graph structure and reachability rules (M001–M008).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
-    dangling_links(wf, report);
+/// Run the graph structure and reachability rules (M002–M008); M001 is
+/// [`dangling_links`], which runs first.
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     duplicate_names(wf, report);
     missing_bindings(wf, report);
     self_links(wf, report);
-    cycles(wf, report);
+    cycles(wf, facts, report);
     reachability(wf, report);
 }
 
 /// M001: a link references a processor or port that does not exist.
+/// Returns whether every link's processors exist.
 ///
 /// The Scufl parser emits M001 for unresolved *names*; this covers the
 /// programmatic case of out-of-range indices, which would panic the
 /// enactor's token router.
-fn dangling_links(wf: &Workflow, report: &mut LintReport) {
+pub(crate) fn dangling_links(wf: &Workflow, report: &mut LintReport) -> bool {
+    let mut processors_exist = true;
     for (i, l) in wf.links.iter().enumerate() {
         let span = wf.spans.link(i);
         let bad = match (
             wf.processors.get(l.from.proc.0),
             wf.processors.get(l.to.proc.0),
         ) {
-            (None, _) | (_, None) => Some("references a processor that does not exist".to_string()),
+            (None, _) | (_, None) => {
+                processors_exist = false;
+                Some("references a processor that does not exist".to_string())
+            }
             (Some(fp), Some(tp)) => {
                 if l.from.port >= fp.outputs.len() {
                     Some(format!("`{}` has no output port #{}", fp.name, l.from.port))
@@ -48,6 +54,7 @@ fn dangling_links(wf: &Workflow, report: &mut LintReport) {
             );
         }
     }
+    processors_exist
 }
 
 /// M007: two processors share a name — links and input bindings resolve
@@ -89,8 +96,8 @@ fn missing_bindings(wf: &Workflow, report: &mut LintReport) {
 /// exist before the invocation that produces it.
 fn self_links(wf: &Workflow, report: &mut LintReport) {
     for (i, l) in wf.links.iter().enumerate() {
-        if l.from.proc == l.to.proc && wf.processors.get(l.from.proc.0).is_some() {
-            let name = &wf.processors[l.from.proc.0].name;
+        if l.from.proc == l.to.proc {
+            let name = &wf.processor(l.from.proc).name;
             report.push(
                 Diagnostic::warning("M005", format!("`{name}` is linked to itself"))
                     .primary(wf.spans.link(i), "self-link declared here")
@@ -109,21 +116,13 @@ fn self_links(wf: &Workflow, report: &mut LintReport) {
 /// leaving the cycle bounds the iteration count at run time (Fig. 2).
 /// A cycle no link ever leaves can never deliver a result: every token
 /// circulates forever.
-fn cycles(wf: &Workflow, report: &mut LintReport) {
-    let scc_ids = wf.scc_ids();
-    let mut members: HashMap<usize, Vec<ProcId>> = HashMap::new();
-    for (v, &c) in scc_ids.iter().enumerate() {
-        members.entry(c).or_default().push(ProcId(v));
+fn cycles(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
+    let scc = &facts.scc;
+    let mut members: BTreeMap<usize, Vec<ProcId>> = BTreeMap::new();
+    for v in (0..scc.len()).filter(|&v| facts.in_cycle[v]) {
+        members.entry(scc[v]).or_default().push(ProcId(v));
     }
     for (cid, procs) in members {
-        let is_cycle = procs.len() > 1
-            || wf
-                .links
-                .iter()
-                .any(|l| l.from.proc == procs[0] && l.to.proc == procs[0]);
-        if !is_cycle {
-            continue;
-        }
         let mut names: Vec<&str> = procs
             .iter()
             .map(|p| wf.processors[p.0].name.as_str())
@@ -132,7 +131,7 @@ fn cycles(wf: &Workflow, report: &mut LintReport) {
         let has_exit = wf
             .links
             .iter()
-            .any(|l| scc_ids[l.from.proc.0] == cid && scc_ids[l.to.proc.0] != cid);
+            .any(|l| scc[l.from.proc.0] == cid && scc[l.to.proc.0] != cid);
         let span = wf.spans.processor(procs[0]);
         if has_exit {
             report.push(

@@ -1,128 +1,140 @@
 //! Job-grouping legality rules (M030–M031, paper §3.6).
 //!
-//! Mirrors the conditions of [`crate::group_workflow`]'s transform, but
-//! instead of merging it *explains*: M030 points out sequential pairs
-//! the `jg` optimisation would fuse (saving one grid submission per
-//! invocation), M031 points out pairs that look sequential yet cannot
-//! legally be fused, with the §3.6 condition that blocks them.
+//! Decides with [`crate::group_workflow`]'s own test
+//! (`grouping::blocking`), but instead of merging it *explains*: M030 points out
+//! sequential pairs the `jg` optimisation would fuse (saving one grid
+//! submission per invocation), M031 points out pairs that look
+//! sequential yet cannot legally be fused, with the §3.6 condition that
+//! blocks them.
 
-use crate::graph::{IterationStrategy, ProcId, ProcessorKind, Workflow};
+use crate::graph::{ProcId, Workflow};
+use crate::grouping::{blocking, sole_service_consumer, Blocker};
 use crate::lint::diag::{Diagnostic, LintReport};
-use crate::service::ServiceBinding;
+use crate::plan::facts::StaticFacts;
+use std::fmt;
 
 /// Run the §3.6 job-grouping rules (M030–M031).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
-    let in_cycle = wf.cycle_members();
-    for (i, p) in wf.processors.iter().enumerate() {
-        let p_id = ProcId(i);
-        if p.kind != ProcessorKind::Service {
-            continue;
-        }
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
+    for p_id in (0..wf.processors.len()).map(ProcId) {
         // Only pairs where *every* output of P flows to one service Q
         // are even candidates; branching producers are ordinary
         // workflow structure, not a missed optimisation.
-        let succs = wf.data_succs(p_id);
-        let [q_id] = succs.as_slice() else { continue };
-        let q_id = *q_id;
-        if q_id == p_id || wf.processor(q_id).kind != ProcessorKind::Service {
+        let Some(q_id) = sole_service_consumer(wf, p_id) else {
             continue;
-        }
-        match blocking_reason(wf, p_id, q_id, &in_cycle) {
-            None => {
-                let q = wf.processor(q_id);
-                report.push(
-                    Diagnostic::note(
-                        "M030",
-                        format!(
-                            "`{}` and `{}` form a sequential chain: job grouping (§3.6) \
-                             would run them as one grid job",
-                            p.name, q.name
-                        ),
-                    )
-                    .primary(wf.spans.processor(p_id), "produces only for the next stage")
-                    .secondary(wf.spans.processor(q_id), "sole consumer")
-                    .with_help("enact with the `jg` (or `sp+dp+jg`) configuration to fuse them"),
-                );
-            }
-            Some(reason) => {
-                let q = wf.processor(q_id);
-                report.push(
-                    Diagnostic::note(
-                        "M031",
-                        format!(
-                            "`{}` feeds only `{}` but the pair cannot be grouped: {reason}",
-                            p.name, q.name
-                        ),
-                    )
-                    .primary(wf.spans.processor(p_id), "produces only for the next stage")
-                    .secondary(wf.spans.processor(q_id), "sole consumer"),
-                );
-            }
+        };
+        let (p, q) = (&wf.processor(p_id).name, &wf.processor(q_id).name);
+        let d = match blocking(wf, p_id, q_id, &facts.in_cycle) {
+            None => Diagnostic::note(
+                "M030",
+                format!(
+                    "`{p}` and `{q}` form a sequential chain: job grouping (§3.6) \
+                     would run them as one grid job"
+                ),
+            )
+            .with_help("enact with the `jg` (or `sp+dp+jg`) configuration to fuse them"),
+            Some(reason) => Diagnostic::note(
+                "M031",
+                format!("`{p}` feeds only `{q}` but the pair cannot be grouped: {reason}"),
+            ),
+        };
+        report.push(
+            d.primary(wf.spans.processor(p_id), "produces only for the next stage")
+                .secondary(wf.spans.processor(q_id), "sole consumer"),
+        );
+    }
+}
+
+impl fmt::Display for Blocker<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Blocker::Sync(name) => write!(
+                f,
+                "`{name}` is a synchronization barrier and must see the whole input stream"
+            ),
+            Blocker::Cycle(name) => write!(
+                f,
+                "`{name}` is part of a cycle, whose iteration count is only known at run time"
+            ),
+            Blocker::Cross(name) => write!(
+                f,
+                "`{name}` uses the cross-product iteration strategy; fusing it would change \
+                 the invocation count"
+            ),
+            Blocker::Unbound(name) => write!(
+                f,
+                "`{name}` is not bound to an executable descriptor, so there is no command \
+                 line to chain"
+            ),
+            Blocker::Control(name) => write!(
+                f,
+                "`{name}` is subject to a coordination constraint, which grouping would bypass"
+            ),
+            Blocker::MixedPort { port, p, q } => write!(
+                f,
+                "input port `{port}` of `{q}` mixes data from `{p}` with other producers"
+            ),
         }
     }
 }
 
-/// First §3.6 condition that makes (P, Q) ungroupable, or `None` when
-/// the pair is groupable. Kept in the same order as
-/// `grouping::is_groupable_service` so the two stay in agreement.
-fn blocking_reason(wf: &Workflow, p_id: ProcId, q_id: ProcId, in_cycle: &[bool]) -> Option<String> {
-    for id in [p_id, q_id] {
-        let p = wf.processor(id);
-        if p.synchronization {
-            return Some(format!(
-                "`{}` is a synchronization barrier and must see the whole input stream",
-                p.name
-            ));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grouping::group_workflow;
+    use crate::lint::rules::lint_workflow;
+
+    /// Property: on the random workflows, every sole-consumer service
+    /// pair gets M030 exactly when [`blocking`] finds nothing and M031
+    /// naming the blocker otherwise, and [`group_workflow`] changes the
+    /// graph exactly when some M030 fires.
+    #[test]
+    fn m030_fires_iff_nothing_blocks_and_grouping_agrees() {
+        let (mut groupable, mut blocked) = (0, 0);
+        for case in 0..600 {
+            let (wf, _) = crate::random_workflow::random_workflow(case);
+            let report = lint_workflow(&wf);
+            let message = |prefix: &str| {
+                report
+                    .diagnostics
+                    .iter()
+                    .find(|d| d.message.starts_with(prefix))
+                    .map(|d| (d.code, d.message.as_str()))
+            };
+            let in_cycle = wf.cycle_members();
+            let mut pairs = 0;
+            for p_id in (0..wf.processors.len()).map(ProcId) {
+                let Some(q_id) = sole_service_consumer(&wf, p_id) else {
+                    continue;
+                };
+                pairs += 1;
+                let (p, q) = (&wf.processor(p_id).name, &wf.processor(q_id).name);
+                match blocking(&wf, p_id, q_id, &in_cycle) {
+                    None => {
+                        let found = message(&format!("`{p}` and `{q}` form"));
+                        assert_eq!(found.map(|f| f.0), Some("M030"), "case {case}: {p}→{q}");
+                        groupable += 1;
+                    }
+                    Some(reason) => {
+                        let found = message(&format!("`{p}` feeds only `{q}` but"));
+                        let (code, text) = found.unwrap_or_else(|| panic!("case {case}: {p}→{q}"));
+                        assert_eq!(code, "M031");
+                        assert!(text.ends_with(&reason.to_string()), "case {case}: {text}");
+                        blocked += 1;
+                    }
+                }
+            }
+            let count = |code: &str| report.diagnostics.iter().filter(|d| d.code == code).count();
+            assert_eq!(count("M030") + count("M031"), pairs, "case {case}");
+            let grouped = group_workflow(&wf).unwrap();
+            assert_eq!(
+                grouped.processors.len() < wf.processors.len(),
+                count("M030") > 0,
+                "case {case}"
+            );
         }
-        if in_cycle[id.0] {
-            return Some(format!(
-                "`{}` is part of a cycle, whose iteration count is only known at run time",
-                p.name
-            ));
-        }
-        if p.iteration != IterationStrategy::Dot {
-            return Some(format!(
-                "`{}` uses the cross-product iteration strategy; fusing it would change \
-                 the invocation count",
-                p.name
-            ));
-        }
-        if !matches!(
-            p.binding,
-            Some(ServiceBinding::Descriptor { .. }) | Some(ServiceBinding::Grouped(_))
-        ) {
-            return Some(format!(
-                "`{}` is not bound to an executable descriptor, so there is no command \
-                 line to chain",
-                p.name
-            ));
-        }
-        if wf.control.iter().any(|(a, b)| *a == id || *b == id) {
-            return Some(format!(
-                "`{}` is subject to a coordination constraint, which grouping would bypass",
-                p.name
-            ));
-        }
+        assert!(
+            groupable > 20 && blocked > 100,
+            "{groupable} groupable, {blocked} blocked"
+        );
     }
-    // Each Q input port must be fed either by exactly one P output or
-    // only by non-P producers — otherwise the fused job cannot tell
-    // which tuple element feeds which slot.
-    let q = wf.processor(q_id);
-    for (port, pname) in q.inputs.iter().enumerate() {
-        let feeders: Vec<ProcId> = wf
-            .links
-            .iter()
-            .filter(|l| l.to.proc == q_id && l.to.port == port)
-            .map(|l| l.from.proc)
-            .collect();
-        let from_p = feeders.iter().filter(|f| **f == p_id).count();
-        if from_p > 0 && (from_p != feeders.len() || from_p > 1) {
-            return Some(format!(
-                "input port `{pname}` of `{}` mixes data from `{}` with other producers",
-                q.name,
-                wf.processor(p_id).name
-            ));
-        }
-    }
-    None
 }

@@ -1,7 +1,8 @@
 //! The static rule registry.
 //!
 //! Each submodule contributes one family of checks over the parsed
-//! [`Workflow`] (plus its `SourceSpans` side table):
+//! [`Workflow`] (plus its `SourceSpans` side table) and the one
+//! `StaticFacts` analysis [`lint_workflow`] computes for all of them:
 //!
 //! | module         | codes       | concern                               |
 //! |----------------|-------------|---------------------------------------|
@@ -29,19 +30,25 @@ pub mod ports;
 
 use crate::graph::Workflow;
 use crate::lint::diag::LintReport;
+use crate::plan::facts::{SourceSizes, StaticFacts};
 
 /// Run every registered rule over `workflow` and return the sorted
 /// report. This is the graph-stage half of `moteur lint`; parse-stage
 /// diagnostics (M06x) come from the Scufl lenient parser.
 pub fn lint_workflow(workflow: &Workflow) -> LintReport {
     let mut report = LintReport::default();
-    graph::check(workflow, &mut report);
-    ports::check(workflow, &mut report);
-    cardinality::check(workflow, &mut report);
-    grouping::check(workflow, &mut report);
-    coordination::check(workflow, &mut report);
-    descriptors::check(workflow, &mut report);
-    plan_rules::check(workflow, &mut report);
+    // Every later rule indexes processors by link endpoint, so a link to
+    // a processor that does not exist ends the stage at its M001.
+    if graph::dangling_links(workflow, &mut report) {
+        let facts = StaticFacts::of(workflow, &SourceSizes::default());
+        graph::check(workflow, &facts, &mut report);
+        ports::check(workflow, &facts, &mut report);
+        cardinality::check(workflow, &facts, &mut report);
+        grouping::check(workflow, &facts, &mut report);
+        coordination::check(workflow, &facts, &mut report);
+        descriptors::check(workflow, &mut report);
+        plan_rules::check(workflow, &facts, &mut report);
+    }
     report.sort();
     report
 }

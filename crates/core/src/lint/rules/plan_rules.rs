@@ -10,7 +10,7 @@
 
 use crate::graph::{ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
-use crate::plan::interval::output_intervals;
+use crate::plan::facts::{CardInterval, StaticFacts};
 use crate::plan::{transfer_edges, PlanOptions};
 use crate::service::ServiceBinding;
 
@@ -19,10 +19,9 @@ use crate::service::ServiceBinding;
 const BYTE_FLOOR: u64 = 1 << 20;
 
 /// Run the interval-cardinality and transfer-model rules (M080–M085).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     let opts = PlanOptions::default();
-    let edges = transfer_edges(wf, &opts);
-    let out = output_intervals(wf, &opts.sizes);
+    let edges = transfer_edges(wf, facts, opts.default_item_bytes);
 
     // M080: a cardinality explosion the cap can prove. Cycle-driven
     // unbounded streams are M006's concern, not a provable explosion.
@@ -30,7 +29,7 @@ pub fn check(wf: &Workflow, report: &mut LintReport) {
         if p.kind != ProcessorKind::Service {
             continue;
         }
-        if let Some(hi) = out[i].hi {
+        if let Some(hi) = facts.out[i].items.hi {
             if hi >= opts.explosion_cap {
                 report.push(
                     Diagnostic::warning(
@@ -88,7 +87,7 @@ pub fn check(wf: &Workflow, report: &mut LintReport) {
         if p.kind != ProcessorKind::Service {
             continue;
         }
-        if out[i] == crate::plan::interval::CardInterval::exact(0) {
+        if facts.out[i].items == CardInterval::exact(0) {
             report.push(
                 Diagnostic::warning(
                     "M082",
@@ -116,19 +115,17 @@ pub fn check(wf: &Workflow, report: &mut LintReport) {
         if p.kind != ProcessorKind::Service {
             continue;
         }
-        for (port, pname) in p.outputs.iter().enumerate() {
-            let consumed = wf
-                .links
-                .iter()
-                .any(|l| l.from.proc.0 == i && l.from.port == port);
-            if consumed {
+        for (pname, &consumers) in p.outputs.iter().zip(&facts.consumers[i]) {
+            if consumers > 0 {
                 continue;
             }
             let size = match &p.binding {
                 Some(ServiceBinding::Descriptor { profile, .. }) => profile.output_size(pname),
                 _ => crate::plan::DEFAULT_ITEM_BYTES,
             };
-            let Some(hi) = out[i].hi else { continue };
+            let Some(hi) = facts.out[i].items.hi else {
+                continue;
+            };
             let wasted = hi.saturating_mul(size);
             if wasted >= BYTE_FLOOR {
                 report.push(
@@ -157,8 +154,8 @@ pub fn check(wf: &Workflow, report: &mut LintReport) {
         let upstream_items = wf
             .data_preds(ProcId(i))
             .into_iter()
-            .map(|pr| out[pr.0])
-            .fold(crate::plan::interval::CardInterval::exact(0), |a, b| a + b);
+            .map(|pr| facts.out[pr.0].items)
+            .fold(CardInterval::exact(0), |a, b| a + b);
         let pipelinable = upstream_items.hi.is_none_or(|hi| hi > 1);
         let service_pred = wf
             .data_preds(ProcId(i))

@@ -3,30 +3,27 @@
 
 use crate::graph::{ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
+use crate::plan::facts::StaticFacts;
 use crate::service::ServiceBinding;
 
 /// Run the port wiring and slot declaration rules (M010–M014).
-pub fn check(wf: &Workflow, report: &mut LintReport) {
-    unconnected_inputs(wf, report);
-    multiply_fed_ports(wf, report);
+pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
+    unconnected_inputs(wf, facts, report);
+    multiply_fed_ports(wf, facts, report);
     slot_declarations(wf, report);
-    unconsumed_outputs(wf, report);
+    unconsumed_outputs(wf, facts, report);
 }
 
 /// M010: an input port of a non-source processor with no inbound link.
 /// The iteration strategy can never assemble a complete input tuple, so
 /// the processor silently never fires.
-fn unconnected_inputs(wf: &Workflow, report: &mut LintReport) {
+fn unconnected_inputs(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.kind == ProcessorKind::Source {
             continue;
         }
-        for (port, pname) in p.inputs.iter().enumerate() {
-            let fed = wf
-                .links
-                .iter()
-                .any(|l| l.to.proc.0 == i && l.to.port == port);
-            if !fed {
+        for (pname, feeders) in p.inputs.iter().zip(&facts.feeders[i]) {
+            if feeders.is_empty() {
                 report.push(
                     Diagnostic::error(
                         "M010",
@@ -47,19 +44,12 @@ fn unconnected_inputs(wf: &Workflow, report: &mut LintReport) {
 /// processor. The streams interleave in completion order, so pairing
 /// under the iteration strategy becomes non-deterministic.
 /// Synchronization barriers are exempt: they consume entire streams.
-fn multiply_fed_ports(wf: &Workflow, report: &mut LintReport) {
+fn multiply_fed_ports(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.synchronization {
             continue;
         }
-        for (port, pname) in p.inputs.iter().enumerate() {
-            let feeders: Vec<usize> = wf
-                .links
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.to.proc.0 == i && l.to.port == port)
-                .map(|(li, _)| li)
-                .collect();
+        for (pname, feeders) in p.inputs.iter().zip(&facts.feeders[i]) {
             if feeders.len() > 1 {
                 let mut d = Diagnostic::warning(
                     "M011",
@@ -133,17 +123,13 @@ fn slot_declarations(wf: &Workflow, report: &mut LintReport) {
 /// M014: a service output port nothing consumes. Legal (the job still
 /// runs) but the produced file is transferred and registered for
 /// nobody.
-fn unconsumed_outputs(wf: &Workflow, report: &mut LintReport) {
+fn unconsumed_outputs(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.kind != ProcessorKind::Service {
             continue;
         }
-        for (port, pname) in p.outputs.iter().enumerate() {
-            let consumed = wf
-                .links
-                .iter()
-                .any(|l| l.from.proc.0 == i && l.from.port == port);
-            if !consumed {
+        for (pname, &consumers) in p.outputs.iter().zip(&facts.consumers[i]) {
+            if consumers == 0 {
                 report.push(
                     Diagnostic::note(
                         "M014",

@@ -1,7 +1,7 @@
 //! Whole-workflow static planning (`moteur plan`).
 //!
 //! Abstract-interprets the processor graph *before* enactment:
-//! per-port cardinality intervals ([`interval`]) are combined with
+//! per-port cardinality intervals ([`facts`]) are combined with
 //! declared item sizes into per-edge transfer-volume bounds, the
 //! eq. 1–4 makespan closed forms gain a data-transfer term, and a
 //! greedy min-cut-style partitioner groups services into site fragments
@@ -17,13 +17,13 @@
 
 #![warn(missing_docs)]
 
-pub mod interval;
+pub mod facts;
 
 use crate::graph::{Link, ProcessorKind, Workflow};
 use crate::model::TimeMatrix;
 use crate::obs::json::{array, JsonObject};
 use crate::service::ServiceBinding;
-use interval::{output_intervals, CardInterval, SourceSizes};
+use facts::{CardInterval, SourceSizes, StaticFacts};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -131,27 +131,26 @@ pub struct PlanReport {
     pub makespan_partitioned: Option<f64>,
 }
 
-/// Per-edge transfer bounds only — the cost-model-free part of the
-/// analysis. The lint rules (M080–M085) use this instead of
-/// [`analyze`]: weighing edges must not evaluate user cost models,
+/// Per-edge transfer bounds, in link order: the one builder of the
+/// edge list, read by [`analyze`], the lint rules (M080–M085) and
+/// `--predict`'s transfer term. It never evaluates user cost models,
 /// whose closures may only be defined for the enactment's actual
 /// `n_data`, not the lint sizing convention.
-pub fn transfer_edges(wf: &Workflow, opts: &PlanOptions) -> Vec<EdgePlan> {
-    let out = output_intervals(wf, &opts.sizes);
+pub fn transfer_edges(
+    wf: &Workflow,
+    facts: &StaticFacts,
+    default_item_bytes: u64,
+) -> Vec<EdgePlan> {
     wf.links
         .iter()
-        .map(|l| edge_plan(wf, l, &out, opts))
+        .map(|l| edge_plan(wf, l, facts, default_item_bytes))
         .collect()
 }
 
 /// Run the whole static analysis.
 pub fn analyze(wf: &Workflow, opts: &PlanOptions) -> PlanReport {
-    let out = output_intervals(wf, &opts.sizes);
-    let edges: Vec<EdgePlan> = wf
-        .links
-        .iter()
-        .map(|l| edge_plan(wf, l, &out, opts))
-        .collect();
+    let facts = StaticFacts::of(wf, &opts.sizes);
+    let edges = transfer_edges(wf, &facts, opts.default_item_bytes);
     let partition = partition(wf, &edges, opts.max_fragment);
     let makespan_centralized = makespan_with_charged(wf, &edges, opts, |_| true);
     let fragment_of = fragment_index(&partition);
@@ -167,8 +166,8 @@ pub fn analyze(wf: &Workflow, opts: &PlanOptions) -> PlanReport {
         intervals: wf
             .processors
             .iter()
-            .zip(&out)
-            .map(|(p, iv)| (p.name.clone(), *iv))
+            .zip(&facts.out)
+            .map(|(p, card)| (p.name.clone(), card.items))
             .collect(),
         edges,
         partition,
@@ -178,48 +177,38 @@ pub fn analyze(wf: &Workflow, opts: &PlanOptions) -> PlanReport {
 }
 
 /// Static estimate for one link.
-fn edge_plan(wf: &Workflow, link: &Link, out: &[CardInterval], opts: &PlanOptions) -> EdgePlan {
+fn edge_plan(wf: &Workflow, link: &Link, facts: &StaticFacts, default_item_bytes: u64) -> EdgePlan {
     let producer = wf.processor(link.from.proc);
     let consumer = wf.processor(link.to.proc);
-    let producer_out = out[link.from.proc.0];
+    let producer_out = facts.out[link.from.proc.0].items;
 
-    let items = match consumer.kind {
-        // A sink collects the whole stream (enactor-internal delivery).
-        ProcessorKind::Sink => producer_out,
-        _ if consumer.synchronization => {
-            // A barrier's single invocation fetches each feeder's whole
-            // stream.
-            producer_out
-        }
-        _ => {
-            let feeders = wf
-                .links
-                .iter()
-                .filter(|l| l.to.proc == link.to.proc && l.to.port == link.to.port)
-                .count();
-            let invocations = out[link.to.proc.0];
-            if feeders > 1 {
-                // Each invocation consumes one token from the merged
-                // stream; this edge's share is anywhere between nothing
-                // and all of what the producer emits (but never more
-                // than the invocation count).
-                CardInterval {
-                    lo: 0,
-                    hi: match (invocations.hi, producer_out.hi) {
-                        (Some(a), Some(b)) => Some(a.min(b)),
-                        (Some(a), None) | (None, Some(a)) => Some(a),
-                        (None, None) => None,
-                    },
-                }
-            } else {
-                // One fetch per invocation: dot skips unmatched items,
-                // cross re-fetches an item for every tuple it is in.
-                invocations
+    let items = if consumer.kind == ProcessorKind::Sink || consumer.synchronization {
+        // A sink collects the whole stream (enactor-internal delivery);
+        // a barrier's single invocation fetches each feeder's whole
+        // stream.
+        producer_out
+    } else {
+        let invocations = facts.out[link.to.proc.0].items;
+        let merged = facts.feeders[link.to.proc.0]
+            .get(link.to.port)
+            .is_some_and(|f| f.len() > 1);
+        if merged {
+            // Each invocation consumes one token from the merged
+            // stream; this edge's share is anywhere between nothing
+            // and all of what the producer emits (but never more than
+            // the invocation count).
+            CardInterval {
+                lo: 0,
+                hi: invocations.min(producer_out).hi,
             }
+        } else {
+            // One fetch per invocation: dot skips unmatched items,
+            // cross re-fetches an item for every tuple it is in.
+            invocations
         }
     };
 
-    let item_bytes = edge_item_bytes(wf, link, opts.default_item_bytes);
+    let item_bytes = edge_item_bytes(wf, link, default_item_bytes);
     EdgePlan {
         from: producer.name.clone(),
         from_port: producer
@@ -228,15 +217,11 @@ fn edge_plan(wf: &Workflow, link: &Link, out: &[CardInterval], opts: &PlanOption
             .cloned()
             .unwrap_or_else(|| "out".to_string()),
         to: consumer.name.clone(),
-        to_port: if consumer.kind == ProcessorKind::Sink {
-            "in".to_string()
-        } else {
-            consumer
-                .inputs
-                .get(link.to.port)
-                .cloned()
-                .unwrap_or_else(|| "in".to_string())
-        },
+        to_port: consumer
+            .inputs
+            .get(link.to.port)
+            .cloned()
+            .unwrap_or_else(|| "in".to_string()),
         items,
         item_bytes,
         bytes: items.scale(item_bytes),
@@ -480,20 +465,10 @@ fn per_job_transfer_bytes(
 /// eq. 1–4. Services that move nothing are absent from the map.
 pub(crate) fn central_transfer_seconds(
     wf: &Workflow,
-    n_data: u64,
+    facts: &StaticFacts,
     bandwidth: f64,
 ) -> BTreeMap<String, f64> {
-    let opts = PlanOptions {
-        sizes: SourceSizes::uniform(n_data),
-        bandwidth,
-        ..PlanOptions::default()
-    };
-    let out = output_intervals(wf, &opts.sizes);
-    let edges: Vec<EdgePlan> = wf
-        .links
-        .iter()
-        .map(|l| edge_plan(wf, l, &out, &opts))
-        .collect();
+    let edges = transfer_edges(wf, facts, DEFAULT_ITEM_BYTES);
     per_job_transfer_bytes(wf, &edges, &|_| true)
         .into_iter()
         .map(|(name, bytes)| (name, bytes as f64 / bandwidth))

@@ -5,7 +5,10 @@
 use moteur::lint::{
     explain, lint_workflow, report_from_json, report_to_json, Diagnostic, LintReport, Severity,
 };
-use moteur::{ServiceBinding, ServiceProfile, Workflow};
+use moteur::{
+    Enactment, EnactorConfig, InputData, ProcId, ServiceBinding, ServiceProfile, VirtualBackend,
+    Workflow,
+};
 use moteur_scufl::lint_source;
 use moteur_wrapper::crest_lines_example;
 
@@ -391,6 +394,46 @@ fn m008_unbound_service_programmatic() {
     let d = find(&report, "M008");
     assert_eq!(d.severity, Severity::Error);
     assert!(d.message.contains("loose"));
+}
+
+/// source → sink, plus a copy of that link retargeted at processor #7,
+/// which does not exist.
+fn link_to_missing_processor() -> Workflow {
+    let mut wf = Workflow::new("m001");
+    let src = wf.add_source("s");
+    let sink = wf.add_sink("k");
+    wf.connect(src, "out", sink, "in").unwrap();
+    let mut dangling = wf.links[0];
+    dangling.to.proc = ProcId(7);
+    wf.links.push(dangling);
+    wf
+}
+
+/// M001's programmatic case: an out-of-range processor index is
+/// reported, and the rules after it, which all index processors by link
+/// endpoint, do not run.
+#[test]
+fn m001_out_of_range_processor_is_reported_not_a_panic() {
+    let report = lint_workflow(&link_to_missing_processor());
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["M001"]);
+    assert_eq!(report.diagnostics[0].severity, Severity::Error);
+    assert!(report.diagnostics[0]
+        .message
+        .contains("processor that does not exist"));
+}
+
+/// The enactor's pre-flight runs the same lint, so the same workflow is
+/// refused with a typed error instead of a panic.
+#[test]
+fn preflight_refuses_an_out_of_range_processor_with_m001() {
+    let wf = link_to_missing_processor();
+    let inputs = InputData::new().set("s", vec!["D0".into()]);
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut VirtualBackend::new())
+        .expect_err("pre-flight refuses the workflow");
+    assert!(err.is_lint(), "{err}");
+    assert!(err.to_string().contains("[M001]"), "{err}");
 }
 
 /// M051 likewise: a port list that disagrees with the descriptor can
