@@ -7,7 +7,7 @@ use crate::plan::facts::StaticFacts;
 use std::collections::{BTreeMap, HashMap};
 
 /// Run the graph structure and reachability rules (M002–M008); M001 is
-/// [`dangling_links`], which runs first.
+/// [`links_reach_processors`], which runs first.
 pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     duplicate_names(wf, report);
     missing_bindings(wf, report);
@@ -17,12 +17,13 @@ pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport)
 }
 
 /// M001: a link references a processor or port that does not exist.
-/// Returns whether every link's processors exist.
+/// Reports every such link and returns whether every link's processors
+/// exist (a link to a missing *port* still reaches its processor).
 ///
 /// The Scufl parser emits M001 for unresolved *names*; this covers the
 /// programmatic case of out-of-range indices, which would panic the
 /// enactor's token router.
-pub(crate) fn dangling_links(wf: &Workflow, report: &mut LintReport) -> bool {
+pub(crate) fn links_reach_processors(wf: &Workflow, report: &mut LintReport) -> bool {
     let mut processors_exist = true;
     for (i, l) in wf.links.iter().enumerate() {
         let span = wf.spans.link(i);

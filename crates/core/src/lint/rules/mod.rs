@@ -30,7 +30,8 @@ pub mod ports;
 
 use crate::graph::Workflow;
 use crate::lint::diag::LintReport;
-use crate::plan::facts::{SourceSizes, StaticFacts};
+use crate::plan::facts::StaticFacts;
+use crate::plan::PlanOptions;
 
 /// Run every registered rule over `workflow` and return the sorted
 /// report. This is the graph-stage half of `moteur lint`; parse-stage
@@ -39,15 +40,18 @@ pub fn lint_workflow(workflow: &Workflow) -> LintReport {
     let mut report = LintReport::default();
     // Every later rule indexes processors by link endpoint, so a link to
     // a processor that does not exist ends the stage at its M001.
-    if graph::dangling_links(workflow, &mut report) {
-        let facts = StaticFacts::of(workflow, &SourceSizes::default());
+    if graph::links_reach_processors(workflow, &mut report) {
+        // The lint sizing convention, shared with the M080–M085 cap and
+        // item size.
+        let opts = PlanOptions::default();
+        let facts = StaticFacts::of(workflow, &opts.sizes);
         graph::check(workflow, &facts, &mut report);
         ports::check(workflow, &facts, &mut report);
         cardinality::check(workflow, &facts, &mut report);
         grouping::check(workflow, &facts, &mut report);
         coordination::check(workflow, &facts, &mut report);
         descriptors::check(workflow, &mut report);
-        plan_rules::check(workflow, &facts, &mut report);
+        plan_rules::check(workflow, &facts, &opts, &mut report);
     }
     report.sort();
     report

@@ -18,9 +18,14 @@ use crate::service::ServiceBinding;
 /// are noise on any 2006-era grid link.
 const BYTE_FLOOR: u64 = 1 << 20;
 
-/// Run the interval-cardinality and transfer-model rules (M080–M085).
-pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
-    let opts = PlanOptions::default();
+/// Run the interval-cardinality and transfer-model rules (M080–M085)
+/// over `facts`, which were built with `opts.sizes`.
+pub(crate) fn check(
+    wf: &Workflow,
+    facts: &StaticFacts,
+    opts: &PlanOptions,
+    report: &mut LintReport,
+) {
     let edges = transfer_edges(wf, facts, opts.default_item_bytes);
 
     // M080: a cardinality explosion the cap can prove. Cycle-driven
@@ -151,15 +156,14 @@ pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport)
         if !(p.kind == ProcessorKind::Service && p.synchronization) {
             continue;
         }
-        let upstream_items = wf
-            .data_preds(ProcId(i))
-            .into_iter()
+        let preds = wf.data_preds(ProcId(i));
+        let upstream_items = preds
+            .iter()
             .map(|pr| facts.out[pr.0].items)
             .fold(CardInterval::exact(0), |a, b| a + b);
         let pipelinable = upstream_items.hi.is_none_or(|hi| hi > 1);
-        let service_pred = wf
-            .data_preds(ProcId(i))
-            .into_iter()
+        let service_pred = preds
+            .iter()
             .any(|pr| wf.processors[pr.0].kind == ProcessorKind::Service);
         let service_succ = wf
             .data_succs(ProcId(i))

@@ -245,7 +245,8 @@ impl StaticFacts {
     ///   port of least degree, and the interval min;
     /// - a cross product multiplies port streams: exponents add,
     ///   intervals multiply;
-    /// - a sink is a one-port dot, so it collects its stream unchanged.
+    /// - a sink collects its first port's stream unchanged; a sink that
+    ///   declares no port collects nothing, `(?, [0, 0])`.
     pub fn of(wf: &Workflow, sizes: &SourceSizes) -> StaticFacts {
         let n = wf.processors.len();
         let mut feeders: Vec<Vec<Vec<usize>>> = wf
@@ -342,6 +343,14 @@ fn port_cards(wf: &Workflow, feeders: &[Vec<usize>], out: &[Option<Card>]) -> Op
 
 /// A processor's output stream from its input-port streams.
 fn transfer(p: &Processor, ins: &[Card]) -> Card {
+    if p.kind == ProcessorKind::Sink {
+        // Whatever a hand-built sink declares (extra ports, sync, cross),
+        // it collects its first port's stream.
+        return ins
+            .first()
+            .cloned()
+            .unwrap_or(Card::unknown(CardInterval::exact(0)));
+    }
     if p.synchronization || ins.is_empty() {
         return Card {
             mono: Some(BTreeMap::new()),
@@ -581,6 +590,24 @@ mod tests {
         // from outside the cycle.
         assert_eq!(facts.ports[looper.0][0].render(), "1");
         assert_eq!(facts.ports[looper.0][1].render(), "?");
+    }
+
+    #[test]
+    fn a_sink_without_ports_collects_nothing() {
+        // Only reachable by hand: the link into its port #0 is an M001.
+        let mut wf = Workflow::new("portless-sink");
+        let src = wf.add_source("src");
+        let sink = wf.add_sink("sink");
+        wf.processors[sink.0].inputs.clear();
+        wf.links.push(crate::graph::Link {
+            from: crate::graph::PortRef { proc: src, port: 0 },
+            to: crate::graph::PortRef {
+                proc: sink,
+                port: 0,
+            },
+        });
+        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(5));
+        assert_eq!(facts.out[sink.0], Card::unknown(CardInterval::exact(0)));
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub fn analyze(wf: &Workflow, opts: &PlanOptions) -> PlanReport {
     let edges = transfer_edges(wf, &facts, opts.default_item_bytes);
     let partition = partition(wf, &edges, opts.max_fragment);
     let makespan_centralized = makespan_with_charged(wf, &edges, opts, |_| true);
-    let fragment_of = fragment_index(&partition);
+    let fragment_of = fragment_index(&partition.fragments);
     // Sink deliveries pass through the enactor either way; only
     // fragment-internal service edges stop being routed centrally.
     let makespan_partitioned =
@@ -189,9 +189,11 @@ fn edge_plan(wf: &Workflow, link: &Link, facts: &StaticFacts, default_item_bytes
         producer_out
     } else {
         let invocations = facts.out[link.to.proc.0].items;
-        let merged = facts.feeders[link.to.proc.0]
-            .get(link.to.port)
-            .is_some_and(|f| f.len() > 1);
+        let merged = match facts.feeders[link.to.proc.0].get(link.to.port) {
+            Some(f) => f.len() > 1,
+            // A port that does not exist (M001) has no feeder list.
+            None => wf.links.iter().filter(|l| l.to == link.to).count() > 1,
+        };
         if merged {
             // Each invocation consumes one token from the merged
             // stream; this edge's share is anywhere between nothing
@@ -217,11 +219,11 @@ fn edge_plan(wf: &Workflow, link: &Link, facts: &StaticFacts, default_item_bytes
             .cloned()
             .unwrap_or_else(|| "out".to_string()),
         to: consumer.name.clone(),
-        to_port: consumer
-            .inputs
-            .get(link.to.port)
-            .cloned()
-            .unwrap_or_else(|| "in".to_string()),
+        // Every sink is reported on its one `in` port.
+        to_port: match consumer.inputs.get(link.to.port) {
+            Some(port) if consumer.kind != ProcessorKind::Sink => port.clone(),
+            _ => "in".to_string(),
+        },
         items,
         item_bytes,
         bytes: items.scale(item_bytes),
@@ -253,14 +255,10 @@ fn edge_item_bytes(wf: &Workflow, link: &Link, default: u64) -> u64 {
 fn consumer_slot_bytes(wf: &Workflow, link: &Link) -> Option<u64> {
     let consumer = wf.processor(link.to.proc);
     let port = consumer.inputs.get(link.to.port)?;
-    if let Some(ServiceBinding::Descriptor { descriptor, .. }) = &consumer.binding {
-        return descriptor
-            .inputs
-            .iter()
-            .find(|s| &s.name == port)
-            .and_then(|s| s.bytes);
-    }
-    None
+    let Some(ServiceBinding::Descriptor { descriptor, .. }) = &consumer.binding else {
+        return None;
+    };
+    descriptor.input(port)?.bytes
 }
 
 // ---------------------------------------------------------------------
@@ -340,12 +338,7 @@ pub fn partition(wf: &Workflow, edges: &[EdgePlan], max_fragment: usize) -> Part
             .then_with(|| a.processors.cmp(&b.processors))
     });
 
-    let partition = Partition {
-        fragments,
-        cut_bytes: CardInterval::exact(0),
-        total_bytes: CardInterval::exact(0),
-    };
-    let fragment_of = fragment_index(&partition);
+    let fragment_of = fragment_index(&fragments);
     let mut cut = CardInterval::exact(0);
     let mut total = CardInterval::exact(0);
     for e in edges.iter().filter(|e| e.grid) {
@@ -355,16 +348,15 @@ pub fn partition(wf: &Workflow, edges: &[EdgePlan], max_fragment: usize) -> Part
         }
     }
     Partition {
+        fragments,
         cut_bytes: cut,
         total_bytes: total,
-        ..partition
     }
 }
 
 /// Map each fragmented service name to its fragment index.
-fn fragment_index(partition: &Partition) -> BTreeMap<&str, usize> {
-    partition
-        .fragments
+fn fragment_index(fragments: &[Fragment]) -> BTreeMap<&str, usize> {
+    fragments
         .iter()
         .enumerate()
         .flat_map(|(i, f)| f.processors.iter().map(move |p| (p.as_str(), i)))
@@ -764,6 +756,57 @@ mod tests {
         let json = plan_to_json(&report);
         assert!(json.contains("\"makespan_centralized\":null"));
         assert!(json.contains("\"items_hi\":null"));
+    }
+
+    #[test]
+    fn hand_built_sinks_collect_their_first_port_on_in() {
+        // `Processor` fields are public: a sink can be given extra
+        // ports, a barrier flag and a cross product. It still collects
+        // port 0's stream, and every edge into it lands on `in`.
+        let mut wf = Workflow::new("odd-sink");
+        let a = wf.add_source("a");
+        let b = wf.add_source("b");
+        let sink = wf.add_sink("sink");
+        wf.processors[sink.0].inputs.push("extra".into());
+        wf.set_synchronization(sink, true);
+        wf.set_iteration(sink, IterationStrategy::Cross);
+        wf.connect(a, "out", sink, "in").unwrap();
+        wf.connect(b, "out", sink, "extra").unwrap();
+        let sizes = SourceSizes::uniform(4).with("b", 6);
+        let report = analyze(
+            &wf,
+            &PlanOptions {
+                sizes,
+                ..PlanOptions::default()
+            },
+        );
+        assert_eq!(report.intervals[sink.0].1, CardInterval::exact(4));
+        assert_eq!(report.edges[1].to_port, "in");
+        assert_eq!(report.edges[1].items, CardInterval::exact(6));
+    }
+
+    #[test]
+    fn links_to_a_missing_port_still_count_as_a_merge() {
+        // Two links into input port #3 of a one-port service (M001).
+        let mut wf = Workflow::new("bad-port");
+        let src = wf.add_source("src");
+        let x = wf.add_source("x");
+        let a = add(&mut wf, "a", &[("in", None)], ServiceProfile::new(1.0));
+        wf.connect(src, "out", a, "in").unwrap();
+        for from in [src, x] {
+            wf.links.push(Link {
+                from: crate::graph::PortRef {
+                    proc: from,
+                    port: 0,
+                },
+                to: crate::graph::PortRef { proc: a, port: 3 },
+            });
+        }
+        let report = analyze(&wf, &opts(4));
+        // A merged port's share of a's 4 invocations is anywhere in
+        // [0, 4], not exactly 4.
+        assert_eq!(report.edges[1].items, CardInterval { lo: 0, hi: Some(4) });
+        assert_eq!(report.edges[2].items, CardInterval { lo: 0, hi: Some(4) });
     }
 
     #[test]
