@@ -14,7 +14,6 @@
 //! — so the report carries the same metrics as the makespan model.
 
 use crate::trace::{InvocationRecord, WorkflowResult};
-use std::collections::HashMap;
 
 /// One link of the critical chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,7 +111,7 @@ pub fn analyze(result: &WorkflowResult) -> CriticalPath {
             .unwrap_or(std::cmp::Ordering::Equal)
     }) {
         let mut cur = last;
-        steps.push(step_of(cur));
+        let mut chain = vec![last];
         loop {
             let eps = 1e-9;
             let producer = records
@@ -126,34 +125,43 @@ pub fn analyze(result: &WorkflowResult) -> CriticalPath {
                 });
             match producer {
                 // Only follow the producer that actually gated this
-                // submission: its completion coincides with it.
+                // submission: its completion coincides with it. Records
+                // that take no time (cache replays on an ideal grid) can
+                // gate each other at one instant; the walk stops where
+                // it would revisit one.
                 Some(p)
-                    if (p.finished.as_secs_f64() - cur.submitted.as_secs_f64()).abs() < 1e-6 =>
+                    if (p.finished.as_secs_f64() - cur.submitted.as_secs_f64()).abs() < 1e-6
+                        && !chain.iter().any(|c| std::ptr::eq(*c, p)) =>
                 {
-                    steps.push(step_of(p));
+                    chain.push(p);
                     cur = p;
                 }
                 _ => break,
             }
         }
-        steps.reverse();
+        steps = chain.iter().rev().map(|r| step_of(r)).collect();
     }
 
-    let mut shares: HashMap<String, ServiceShare> = HashMap::new();
+    // In chain order, so services with equal shares keep one order.
+    let mut shares: Vec<ServiceShare> = Vec::new();
     for s in &steps {
-        let e = shares
-            .entry(s.processor.clone())
-            .or_insert_with(|| ServiceShare {
-                processor: s.processor.clone(),
-                steps: 0,
-                wait_secs: 0.0,
-                exec_secs: 0.0,
-            });
+        let at = match shares.iter().position(|e| e.processor == s.processor) {
+            Some(at) => at,
+            None => {
+                shares.push(ServiceShare {
+                    processor: s.processor.clone(),
+                    steps: 0,
+                    wait_secs: 0.0,
+                    exec_secs: 0.0,
+                });
+                shares.len() - 1
+            }
+        };
+        let e = &mut shares[at];
         e.steps += 1;
         e.wait_secs += s.wait_secs();
         e.exec_secs += s.exec_secs();
     }
-    let mut shares: Vec<ServiceShare> = shares.into_values().collect();
     shares.sort_by(|a, b| {
         b.total_secs()
             .partial_cmp(&a.total_secs())
@@ -314,6 +322,20 @@ mod tests {
             cp.coverage()
         );
         assert_eq!(cp.shares[0].processor, "B", "B is the longest step");
+    }
+
+    #[test]
+    fn instantaneous_records_end_the_walk_instead_of_cycling() {
+        // Two zero-length records at one instant each look like the
+        // other's producer.
+        let r = result(
+            5.0,
+            vec![rec("A", 0, 5.0, 5.0, 5.0), rec("B", 0, 5.0, 5.0, 5.0)],
+        );
+        let cp = analyze(&r);
+        assert_eq!(cp.steps.len(), 2, "{:?}", cp.steps);
+        let shares: Vec<&str> = cp.shares.iter().map(|s| s.processor.as_str()).collect();
+        assert_eq!(shares, ["A", "B"], "equal shares keep chain order");
     }
 
     #[test]
