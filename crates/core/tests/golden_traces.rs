@@ -1,7 +1,9 @@
 //! Golden trace digests: length + FNV-1a 64 of the full JSONL event
 //! stream (or protocol response stream) of a fixed set of seeded runs,
-//! and of the documents the standard sinks derive from four of those
-//! streams, committed in `tests/golden/trace_digests.txt`. A refactor
+//! of the documents the standard sinks derive from four of those
+//! streams, and of what the invocation-record readers (report, critical
+//! path, Chrome trace, diagram) render for the same four runs,
+//! committed in `tests/golden/trace_digests.txt`. A refactor
 //! of the enactor or of a sink must leave every line of that file
 //! untouched; regenerate only for an intended behaviour change with
 //! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
@@ -10,8 +12,9 @@
 use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::{
-    detect_bottlenecks, render_openmetrics_with_prof, serve, Daemon, DaemonConfig, Fnv1a,
-    MetricsSink, RingBufferSink, SloConfig, SpanSink, TimelineSink,
+    chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, render_critical_path,
+    render_openmetrics_with_prof, render_report, serve, Daemon, DaemonConfig, Fnv1a, MetricsSink,
+    RingBufferSink, SloConfig, SpanSink, TimelineSink,
 };
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -71,10 +74,12 @@ fn digest_line(name: &str, stream: &str) -> String {
 }
 
 /// The JSONL event stream of a run plus the documents the metrics,
-/// span and timeline sinks derived from it (one per [`DERIVED`] name).
+/// span and timeline sinks derived from it (one per [`DERIVED`] name),
+/// and what the readers of its invocation records render.
 struct Observed {
     stream: String,
     derived: [String; 6],
+    records: String,
 }
 
 impl Observed {
@@ -84,6 +89,7 @@ impl Observed {
         for (doc, more) in self.derived.iter_mut().zip(next.derived) {
             *doc += &more;
         }
+        self.records += &next.records;
         self
     }
 
@@ -97,15 +103,32 @@ impl Observed {
     }
 }
 
+/// The report, critical path, Chrome trace and execution diagram of a
+/// run's invocation records, concatenated; the diagram's rows are the
+/// processors in order of first completion.
+fn records_doc(result: &WorkflowResult) -> String {
+    let records = &result.invocations;
+    let mut processors: Vec<&str> = Vec::new();
+    for r in records {
+        if !processors.contains(&r.processor.as_str()) {
+            processors.push(&r.processor);
+        }
+    }
+    render_report(result)
+        + &render_critical_path(&critical_path(result))
+        + &chrome_trace_with_metrics(result, None)
+        + &diagram::render(records, &processors)
+}
+
 /// Run `enact` with a capturing sink and the three standard deriving
 /// sinks attached, and return what they recorded.
-fn observe(enact: impl FnOnce(Obs)) -> Observed {
+fn observe(enact: impl FnOnce(Obs) -> WorkflowResult) -> Observed {
     let (sink, buffer) = RingBufferSink::new(1_000_000);
     let (metrics, registry) = MetricsSink::new();
     let (spans, tree) = SpanSink::new();
     let timeline = TimelineSink::new();
     let state = timeline.state();
-    enact(Obs::new(vec![
+    let result = enact(Obs::new(vec![
         Box::new(sink),
         Box::new(metrics),
         Box::new(spans),
@@ -130,11 +153,12 @@ fn observe(enact: impl FnOnce(Obs)) -> Observed {
             state.timeline.to_csv(),
             detect_bottlenecks(&state.stats).to_json(),
         ],
+        records: records_doc(&result),
     }
 }
 
 /// The JSONL event stream of `enact`.
-fn jsonl(enact: impl FnOnce(Obs)) -> String {
+fn jsonl(enact: impl FnOnce(Obs) -> WorkflowResult) -> String {
     observe(enact).stream
 }
 
@@ -170,7 +194,7 @@ fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> Observed {
         Enactment::new(&bronze(), &bronze_inputs(n_pairs), config)
             .obs(obs)
             .run(&mut backend)
-            .expect("bronze completes");
+            .expect("bronze completes")
     })
 }
 
@@ -208,7 +232,7 @@ fn chain(capacity: Option<usize>) -> String {
         Enactment::new(&wf, &inputs, config)
             .obs(obs)
             .run(&mut backend)
-            .expect("chain completes");
+            .expect("chain completes")
     });
     assert_eq!(
         stream.contains("port_suspended") && stream.contains("port_resumed"),
@@ -289,7 +313,7 @@ fn adaptive_timeout_with_replication() -> Observed {
             .ft(&ft)
             .obs(obs)
             .run(&mut backend)
-            .expect("the outlier eventually completes");
+            .expect("the outlier eventually completes")
     });
     for kind in ["job_timed_out", "job_replicated", "job_cancelled"] {
         assert!(
@@ -312,7 +336,7 @@ fn cached_cold_then_warm() -> Observed {
                 .obs(obs)
                 .store(Some(store))
                 .run(&mut backend)
-                .expect("cached bronze completes");
+                .expect("cached bronze completes")
         })
     };
     let cold = pass(&mut store);
@@ -375,7 +399,7 @@ fn batched_half_warm_store() -> String {
                 .obs(obs)
                 .store(Some(&mut store))
                 .run(&mut backend)
-                .expect("batched chain completes");
+                .expect("batched chain completes")
         })
     };
     pass(5);
@@ -414,7 +438,7 @@ fn backoff_then_timeout_resubmit() -> Observed {
             .ft(&ft)
             .obs(obs)
             .run(&mut backend)
-            .expect("degrades instead of aborting");
+            .expect("degrades instead of aborting")
     });
     let resubmits: Vec<JsonValue> = observed
         .stream
@@ -456,7 +480,7 @@ fn blacklist_and_slo_breach() -> String {
             .ft(&ft)
             .obs(obs)
             .run(&mut backend)
-            .expect("degrades instead of aborting");
+            .expect("degrades instead of aborting")
     });
     for kind in ["ce_blacklisted", "slo_breached"] {
         assert!(stream.contains(kind), "scenario must exercise {kind}");
@@ -562,6 +586,14 @@ fn trace_digests_match_the_committed_goldens() {
         ("backoff_then_timeout_resubmit", &backoff),
     ] {
         actual += &observed.derived_lines(name);
+    }
+    for (name, observed) in [
+        ("bronze_sp_dp_jg_egee_seed11", &bronze_jg),
+        ("adaptive_timeout_replication", &adaptive),
+        ("run_cached_cold_then_warm", &cached),
+        ("backoff_then_timeout_resubmit", &backoff),
+    ] {
+        actual += &digest_line(&format!("{name}.records"), &observed.records);
     }
 
     let golden_path = concat!(
