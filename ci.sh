@@ -23,6 +23,13 @@ if grep -rnw --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
   exit 1
 fi
 
+# One record of a run: `RecordSink` builds the invocation records from
+# the event stream, so the enactor may not keep a second copy.
+if grep -rnw --include='*.rs' -e InvocationRecord crates/core/src/enactor/; then
+  echo "the enactor names InvocationRecord: records come from RecordSink" >&2
+  exit 1
+fi
+
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
 # (or the next builder) copies commands from. (`moteur-bench scale

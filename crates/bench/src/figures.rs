@@ -7,7 +7,7 @@
 use crate::bronze::{bronze_inputs, bronze_workflow};
 use moteur::model::{speedup_dp_constant, speedup_dp_given_sp_constant, speedup_sp_constant};
 use moteur::prelude::*;
-use moteur::{diagram, GranularityModel, TimeMatrix};
+use moteur::{diagram, GranularityModel, RecordSink, TimeMatrix};
 use moteur_analysis::Table;
 use moteur_gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -65,15 +65,21 @@ fn files(source: &str, n: usize, bytes: u64) -> InputData {
 }
 
 /// Enact the Fig. 1 chain P1 → P2 → P3… with the per-(service, data)
-/// durations of `t` on an ideal backend.
-fn enact_matrix(t: &TimeMatrix, config: EnactorConfig) -> Result<WorkflowResult, MoteurError> {
+/// durations of `t` on an ideal backend, observed by `obs`.
+fn enact_matrix(
+    t: &TimeMatrix,
+    config: EnactorConfig,
+    obs: Obs,
+) -> Result<WorkflowResult, MoteurError> {
     let profiles = (0..t.n_services()).map(|i| {
         let row: Vec<f64> = (0..t.n_data()).map(|j| t.get(i, j)).collect();
         ServiceProfile::new(0.0).with_cost(CostModel::by_index(move |idx| row[idx.0[0] as usize]))
     });
     let workflow = chain("source", profiles.collect());
     let mut backend = VirtualBackend::new();
-    Enactment::new(&workflow, &files("source", t.n_data(), 0), config).run(&mut backend)
+    Enactment::new(&workflow, &files("source", t.n_data(), 0), config)
+        .obs(obs)
+        .run(&mut backend)
 }
 
 /// E4/E5/E6 — the execution diagrams of **Figures 4, 5 and 6**: the
@@ -118,10 +124,11 @@ pub fn diagrams() -> Result<String, MoteurError> {
     let mut out = String::new();
     let mut totals = Vec::new();
     for (heading, title, t, config) in figures {
-        let result = enact_matrix(t, config)?;
+        let (sink, records) = RecordSink::new();
+        let result = enact_matrix(t, config, Obs::new(vec![Box::new(sink)]))?;
         let total = result.makespan.as_secs_f64();
         let _ = writeln!(out, "=== {heading} ===\n{title}  (total {total} s)");
-        let rows = diagram::render(&result.invocations, &["P3", "P2", "P1"]);
+        let rows = diagram::render(&records.snapshot(), &["P3", "P2", "P1"]);
         let _ = writeln!(out, "{rows}");
         totals.push(total);
     }
@@ -171,7 +178,7 @@ pub fn theory() -> Result<String, MoteurError> {
                 (EnactorConfig::sp(), sp),
                 (EnactorConfig::sp_dp(), dsp),
             ] {
-                let measured = enact_matrix(&t, config)?.makespan.as_secs_f64();
+                let measured = enact_matrix(&t, config, Obs::off())?.makespan.as_secs_f64();
                 ok &= (measured - sigma).abs() < 1e-6;
             }
             if ok {

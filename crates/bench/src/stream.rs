@@ -9,9 +9,11 @@
 //!   items) at the default, unbounded capacity, sampling live heap
 //!   bytes before and after while the [`moteur::WorkflowResult`] is
 //!   still held. The delta divided by the item count is the per-item
-//!   retained footprint when nothing ever fills (tokens, history
-//!   trees, invocation records, sink outputs), whose projection onto
-//!   the full stream is what a bounded capacity must undercut.
+//!   retained footprint when nothing ever fills (tokens, history trees,
+//!   sink outputs; the result keeps no invocation records, which a
+//!   `moteur::RecordSink` builds only when one is attached), whose
+//!   projection onto the full stream is what a bounded capacity must
+//!   undercut.
 //! - **stream** — the full stream (default 10⁶ items) through the same
 //!   chain at capacity `port_capacity`. The input vector is an
 //!   unavoidable O(n) cost and is measured separately; everything the
@@ -42,7 +44,7 @@ pub const STREAM_SCHEMA: &str = "moteur-bench/stream/v1";
 /// input vector, independent of stream length.
 ///
 /// At port capacity 64 the pipeline retains a few hundred tokens,
-/// in-flight jobs and capped record/sink samples — single-digit
+/// in-flight jobs and capped sink samples — single-digit
 /// megabytes in practice. 64 MB leaves an order of magnitude of
 /// headroom while still sitting far below what one million eagerly
 /// enacted items retain (hundreds of bytes each, i.e. hundreds of MB).
@@ -95,8 +97,8 @@ pub struct StreamReport {
     /// stream length in *derived* state. It includes the source
     /// cursor's one flat copy of the input values (the same order of
     /// bytes as `input_bytes`, ~30 B/item for numeric streams), but
-    /// none of the per-item tokens, history trees or records that make
-    /// unbounded enactment O(n_items × ~750 B).
+    /// none of the per-item tokens and history trees that make
+    /// unbounded enactment O(n_items × ~450 B).
     pub pipeline_peak_bytes: u64,
     /// Retained footprint per item of the unbounded reference phase.
     pub eager_bytes_per_item: f64,

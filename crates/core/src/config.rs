@@ -52,10 +52,12 @@ pub struct EnactorConfig {
     /// data items. A producer whose consumer is full suspends and
     /// resumes when the consumer drains — back-pressure end to end, so
     /// peak memory is O(capacity). The same value bounds what a run
-    /// retains: the first `port_capacity` sink tokens and invocation
-    /// records, and a window of `max(port_capacity, 512)` timeout
-    /// samples. The default, `usize::MAX`, never fills: every source
-    /// emits its whole stream at start and everything is retained.
+    /// retains: the first `port_capacity` sink tokens and a window of
+    /// `max(port_capacity, 512)` timeout samples. The enactor retains no
+    /// invocation records at any capacity; a [`crate::RecordSink`]
+    /// attached to the run keeps all of them. The default, `usize::MAX`,
+    /// never fills: every source emits its whole stream at start and
+    /// every sink token is retained.
     pub port_capacity: usize,
 }
 

@@ -6,9 +6,8 @@ use super::{EnactCtx, WorkflowInstance, SAMPLE_WINDOW};
 use crate::backend::{Backend, BackendCompletion};
 use crate::error::MoteurError;
 use crate::obs::prof::Subsystem;
-use crate::obs::TraceEvent;
+use crate::obs::{Completion, TraceEvent};
 use crate::token::{History, Token};
-use crate::trace::InvocationRecord;
 use std::sync::Arc;
 
 impl WorkflowInstance {
@@ -71,6 +70,9 @@ impl WorkflowInstance {
             samples.push(sample);
         }
         let local_outputs = c.outputs.expect("failure case handled by caller");
+        self.completed_invocations += pend.entries.len();
+        // The data indices travel on `JobCompleted`, for the record sink.
+        let mut indices = Vec::new();
         for mut entry in pend.entries {
             let outputs = match (&local_outputs, entry.grid_outputs.take()) {
                 (_, Some(synthesised)) => synthesised,
@@ -81,19 +83,6 @@ impl WorkflowInstance {
                     ))
                 }
             };
-            // Only the first `port_capacity` invocation records are
-            // retained (`completed` and `sink_counts` carry the full
-            // tallies).
-            if self.records.len() < self.config.port_capacity {
-                self.records.push(InvocationRecord {
-                    processor: proc.name.clone(),
-                    index: entry.index.clone(),
-                    submitted: pend.submitted,
-                    started: c.started_at,
-                    finished: c.finished_at,
-                    retries: pend.retries,
-                });
-            }
             let history = History::derived(proc.name.clone(), entry.input_histories);
             if let Some(key) = entry.cache_key.filter(|_| ctx.store.is_some()) {
                 let prof = self.obs.prof().clone();
@@ -139,11 +128,19 @@ impl WorkflowInstance {
                 };
                 self.route(ctx, proc_id, port_idx, token);
             }
+            indices.extend(self.obs.enabled().then_some(entry.index));
         }
         self.obs.emit(|| TraceEvent::JobCompleted {
             at: ctx.backend.now(),
             invocation: logical,
             processor: proc.name.clone(),
+            completion: Box::new(Completion {
+                submitted: pend.submitted,
+                started: c.started_at,
+                finished: c.finished_at,
+                retries: pend.retries,
+                indices,
+            }),
         });
         self.completed += 1;
         self.check_slo(ctx);

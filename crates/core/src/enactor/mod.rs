@@ -43,7 +43,7 @@ use crate::obs::prof::Subsystem;
 use crate::obs::{Obs, TraceEvent};
 use crate::store::{DataStore, HistoryXmlCache};
 use crate::token::Token;
-use crate::trace::{InvocationRecord, WorkflowResult};
+use crate::trace::WorkflowResult;
 use crate::value::DataValue;
 use attempts::PendingJob;
 pub(crate) use compile::{CompileBits, CompiledWorkflow};
@@ -251,6 +251,8 @@ pub struct WorkflowInstance {
     bytes_transferred: u64,
     /// Successfully completed logical invocations, for SLO projection.
     completed: usize,
+    /// Completed workflow invocations, each member of a batch counted.
+    completed_invocations: usize,
     /// Whether the last SLO projection exceeded the threshold (the
     /// breach event fires on the false→true transition only).
     slo_breached: bool,
@@ -263,7 +265,6 @@ pub struct WorkflowInstance {
     source_cursors: Vec<SourceCursor>,
     /// Per-processor write cursor into the `proc_samples` ring.
     sample_cursors: Vec<usize>,
-    records: Vec<InvocationRecord>,
     start_time: SimTime,
     obs: Obs,
     /// Memoized history-tree serialisations shared by every probe and
@@ -371,12 +372,12 @@ impl WorkflowInstance {
             inflight_total: 0,
             bytes_transferred: 0,
             completed: 0,
+            completed_invocations: 0,
             slo_breached: false,
             sink_outputs: vec![Vec::new(); n_procs],
             sink_counts: vec![0; n_procs],
             source_cursors: Vec::new(),
             sample_cursors: vec![0; n_procs],
-            records: Vec::new(),
             start_time,
             obs,
             history_xml: HistoryXmlCache::new(),
@@ -468,7 +469,7 @@ impl WorkflowInstance {
             sink_outputs,
             sink_counts,
             makespan: now.since(self.start_time),
-            invocations: self.records,
+            completed_invocations: self.completed_invocations,
             jobs_submitted: self.jobs_submitted,
             bytes_transferred: self.bytes_transferred,
             quarantined: self.quarantined,

@@ -122,14 +122,14 @@ pub use obs::{EventSink, Obs, TraceEvent};
 pub use plan::facts::{CardInterval, SourceSizes};
 pub use plan::{analyze as plan_workflow, plan_to_json, render_plan, PlanOptions};
 pub use provenance::{export_provenance, history_from_xml, history_to_xml};
-pub use report::render_report;
+pub use report::{render_report, service_stats};
 pub use service::{CostModel, ServiceBinding, ServiceProfile};
 pub use store::key::Fnv1a;
 pub use store::{
     invocation_key, provenance_key, DataStore, HistoryXmlCache, ProvenanceKey, StoreConfig,
 };
 pub use token::{DataIndex, History, Token};
-pub use trace::WorkflowResult;
+pub use trace::{InvocationRecord, RecordBuffer, RecordSink, WorkflowResult};
 pub use value::DataValue;
 
 /// Common imports for building and running workflows.

@@ -12,7 +12,7 @@
 
 use super::json::JsonObject;
 use super::metrics::MetricsRegistry;
-use crate::trace::WorkflowResult;
+use crate::trace::{per_processor, InvocationRecord};
 
 const PID: i64 = 1;
 
@@ -20,10 +20,10 @@ fn usec(secs: f64) -> f64 {
     secs * 1e6
 }
 
-/// Export a run as Chrome trace JSON, adding counter tracks from
-/// `metrics` gauge timelines when given.
+/// Export a run's invocation records as Chrome trace JSON, adding
+/// counter tracks from `metrics` gauge timelines when given.
 pub fn chrome_trace_with_metrics(
-    result: &WorkflowResult,
+    records: &[InvocationRecord],
     metrics: Option<&MetricsRegistry>,
 ) -> String {
     let mut events: Vec<String> = Vec::new();
@@ -41,16 +41,8 @@ pub fn chrome_trace_with_metrics(
     );
 
     // Service order: first appearance in the invocation record stream.
-    let mut processors: Vec<&str> = Vec::new();
-    for rec in &result.invocations {
-        if !processors.contains(&rec.processor.as_str()) {
-            processors.push(&rec.processor);
-        }
-    }
-
     let mut next_tid: i64 = 1;
-    for proc in &processors {
-        let mut records = result.invocations_of(proc);
+    for (proc, mut records) in per_processor(records) {
         // Total order (SimTime is integral µs) with the data index as
         // tie-breaker: equal-timestamp events always serialise the same
         // way, keeping the export byte-reproducible.
@@ -71,7 +63,7 @@ pub fn chrome_trace_with_metrics(
                     next_tid += 1;
                     lane_tids.push(tid);
                     let label = if lane_ends.len() == 1 {
-                        (*proc).to_string()
+                        proc.to_string()
                     } else {
                         format!("{proc} #{}", lane_ends.len())
                     };
@@ -155,9 +147,7 @@ pub fn chrome_trace_with_metrics(
 mod tests {
     use super::*;
     use crate::token::DataIndex;
-    use crate::trace::InvocationRecord;
-    use moteur_gridsim::{SimDuration, SimTime};
-    use std::collections::HashMap;
+    use moteur_gridsim::SimTime;
 
     fn rec(proc: &str, i: u32, sub: f64, start: f64, end: f64) -> InvocationRecord {
         InvocationRecord {
@@ -170,26 +160,14 @@ mod tests {
         }
     }
 
-    fn result(invocations: Vec<InvocationRecord>) -> WorkflowResult {
-        WorkflowResult {
-            sink_outputs: HashMap::new(),
-            sink_counts: HashMap::new(),
-            makespan: SimDuration::from_secs(1),
-            invocations,
-            jobs_submitted: 0,
-            bytes_transferred: 0,
-            quarantined: vec![],
-        }
-    }
-
     #[test]
     fn overlapping_invocations_get_distinct_lanes() {
         // Two overlapping P1 invocations (DP) and one disjoint one.
-        let r = result(vec![
+        let r = [
             rec("P1", 0, 0.0, 1.0, 10.0),
             rec("P1", 1, 0.0, 2.0, 12.0),
             rec("P1", 2, 20.0, 21.0, 30.0),
-        ]);
+        ];
         let json = chrome_trace_with_metrics(&r, None);
         assert!(json.contains("\"name\":\"P1\""));
         assert!(
@@ -206,7 +184,7 @@ mod tests {
 
     #[test]
     fn wait_and_exec_spans_are_emitted_in_microseconds() {
-        let r = result(vec![rec("P2", 0, 1.0, 3.0, 4.0)]);
+        let r = [rec("P2", 0, 1.0, 3.0, 4.0)];
         let json = chrome_trace_with_metrics(&r, None);
         assert!(json.contains("\"name\":\"P2 (wait)\""));
         assert!(json.contains("\"ts\":1000000"));
@@ -218,7 +196,7 @@ mod tests {
     fn gauge_timelines_become_counter_tracks() {
         let mut reg = MetricsRegistry::new();
         reg.gauge_set("queue_depth.ce0", 0.5, 3);
-        let r = result(vec![rec("P1", 0, 0.0, 0.0, 1.0)]);
+        let r = [rec("P1", 0, 0.0, 0.0, 1.0)];
         let json = chrome_trace_with_metrics(&r, Some(&reg));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"queue_depth.ce0\""));
@@ -227,7 +205,7 @@ mod tests {
 
     #[test]
     fn empty_run_still_produces_a_valid_envelope() {
-        let json = chrome_trace_with_metrics(&result(vec![]), None);
+        let json = chrome_trace_with_metrics(&[], None);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("process_name"));
     }

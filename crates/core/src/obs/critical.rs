@@ -13,28 +13,8 @@
 //! whose y-intercept estimates latency and slope the pipelining period
 //! — so the report carries the same metrics as the makespan model.
 
-use crate::trace::{InvocationRecord, WorkflowResult};
-
-/// One link of the critical chain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathStep {
-    pub processor: String,
-    pub index: String,
-    pub submitted_secs: f64,
-    pub started_secs: f64,
-    pub finished_secs: f64,
-    pub retries: u32,
-}
-
-impl PathStep {
-    pub fn wait_secs(&self) -> f64 {
-        self.started_secs - self.submitted_secs
-    }
-
-    pub fn exec_secs(&self) -> f64 {
-        self.finished_secs - self.started_secs
-    }
-}
+use crate::trace::{per_processor, InvocationRecord};
+use moteur_gridsim::SimDuration;
 
 /// Time one service contributes to the critical chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,7 +48,7 @@ pub struct PipelineFit {
 pub struct CriticalPath {
     pub makespan_secs: f64,
     /// Critical chain in execution order (first fired → last finished).
-    pub steps: Vec<PathStep>,
+    pub steps: Vec<InvocationRecord>,
     /// Per-service contribution, largest first.
     pub shares: Vec<ServiceShare>,
     /// Per-service completion-time fits (services with ≥ 2 invocations).
@@ -90,100 +70,58 @@ impl CriticalPath {
     }
 }
 
-fn step_of(r: &InvocationRecord) -> PathStep {
-    PathStep {
-        processor: r.processor.clone(),
-        index: r.index.to_string(),
-        submitted_secs: r.submitted.as_secs_f64(),
-        started_secs: r.started.as_secs_f64(),
-        finished_secs: r.finished.as_secs_f64(),
-        retries: r.retries,
-    }
-}
-
-/// Analyze a finished run.
-pub fn analyze(result: &WorkflowResult) -> CriticalPath {
-    let records = &result.invocations;
-    let mut steps: Vec<PathStep> = Vec::new();
-    if let Some(last) = records.iter().max_by(|a, b| {
-        a.finished
-            .partial_cmp(&b.finished)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }) {
-        let mut cur = last;
-        let mut chain = vec![last];
-        loop {
-            let eps = 1e-9;
-            let producer = records
-                .iter()
-                .filter(|r| !std::ptr::eq(*r, cur))
-                .filter(|r| r.finished.as_secs_f64() <= cur.submitted.as_secs_f64() + eps)
-                .max_by(|a, b| {
-                    a.finished
-                        .partial_cmp(&b.finished)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-            match producer {
-                // Only follow the producer that actually gated this
-                // submission: its completion coincides with it. Records
-                // that take no time (cache replays on an ideal grid) can
-                // gate each other at one instant; the walk stops where
-                // it would revisit one.
-                Some(p)
-                    if (p.finished.as_secs_f64() - cur.submitted.as_secs_f64()).abs() < 1e-6
-                        && !chain.iter().any(|c| std::ptr::eq(*c, p)) =>
-                {
-                    chain.push(p);
-                    cur = p;
-                }
-                _ => break,
+/// Analyze a finished run from its invocation records.
+pub fn analyze(records: &[InvocationRecord], makespan: SimDuration) -> CriticalPath {
+    let mut chain = Vec::from_iter(records.iter().max_by_key(|r| r.finished));
+    while let Some(&cur) = chain.last() {
+        let producer = records
+            .iter()
+            .filter(|r| !std::ptr::eq(*r, cur))
+            .filter(|r| r.finished.as_secs_f64() <= cur.submitted.as_secs_f64() + 1e-9)
+            .max_by_key(|r| r.finished);
+        match producer {
+            // Only follow the producer that actually gated this
+            // submission: its completion coincides with it. Records
+            // that take no time (cache replays on an ideal grid) can
+            // gate each other at one instant; the walk stops where it
+            // would revisit one.
+            Some(p)
+                if (p.finished.as_secs_f64() - cur.submitted.as_secs_f64()).abs() < 1e-6
+                    && !chain.iter().any(|c| std::ptr::eq(*c, p)) =>
+            {
+                chain.push(p);
             }
+            _ => break,
         }
-        steps = chain.iter().rev().map(|r| step_of(r)).collect();
     }
+    let steps: Vec<InvocationRecord> = chain.into_iter().rev().cloned().collect();
 
     // In chain order, so services with equal shares keep one order.
-    let mut shares: Vec<ServiceShare> = Vec::new();
-    for s in &steps {
-        let at = match shares.iter().position(|e| e.processor == s.processor) {
-            Some(at) => at,
-            None => {
-                shares.push(ServiceShare {
-                    processor: s.processor.clone(),
-                    steps: 0,
-                    wait_secs: 0.0,
-                    exec_secs: 0.0,
-                });
-                shares.len() - 1
-            }
-        };
-        let e = &mut shares[at];
-        e.steps += 1;
-        e.wait_secs += s.wait_secs();
-        e.exec_secs += s.exec_secs();
-    }
+    let mut shares: Vec<ServiceShare> = per_processor(&steps)
+        .into_iter()
+        .map(|(processor, on_chain)| ServiceShare {
+            processor: processor.to_string(),
+            steps: on_chain.len(),
+            wait_secs: on_chain.iter().map(|s| s.wait_secs()).sum(),
+            exec_secs: on_chain.iter().map(|s| s.exec_secs()).sum(),
+        })
+        .collect();
     shares.sort_by(|a, b| {
         b.total_secs()
             .partial_cmp(&a.total_secs())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let mut seen: Vec<&str> = Vec::new();
-    for r in records {
-        if !seen.contains(&r.processor.as_str()) {
-            seen.push(&r.processor);
-        }
-    }
-    let fits = seen
-        .iter()
-        .filter_map(|p| {
-            let of = result.invocations_of(p);
+    let fits = per_processor(records)
+        .into_iter()
+        .filter_map(|(p, mut of)| {
+            of.sort_by(|a, b| a.index.cmp(&b.index));
             fit(p, &of)
         })
         .collect();
 
     CriticalPath {
-        makespan_secs: result.makespan.as_secs_f64(),
+        makespan_secs: makespan.as_secs_f64(),
         steps,
         shares,
         fits,
@@ -261,9 +199,9 @@ pub fn render(cp: &CriticalPath) -> String {
         let _ = writeln!(
             out,
             "    {:>9.1} s  {:<16} {:<10} wait {:>7.1} s  exec {:>7.1} s",
-            s.submitted_secs,
+            s.submitted.as_secs_f64(),
             s.processor,
-            s.index,
+            s.index.to_string(),
             s.wait_secs(),
             s.exec_secs()
         );
@@ -275,8 +213,7 @@ pub fn render(cp: &CriticalPath) -> String {
 mod tests {
     use super::*;
     use crate::token::DataIndex;
-    use moteur_gridsim::{SimDuration, SimTime};
-    use std::collections::HashMap;
+    use moteur_gridsim::SimTime;
 
     fn rec(proc: &str, i: u32, sub: f64, start: f64, end: f64) -> InvocationRecord {
         InvocationRecord {
@@ -289,31 +226,22 @@ mod tests {
         }
     }
 
-    fn result(makespan: f64, invocations: Vec<InvocationRecord>) -> WorkflowResult {
-        WorkflowResult {
-            sink_outputs: HashMap::new(),
-            sink_counts: HashMap::new(),
-            makespan: SimDuration::from_secs_f64(makespan),
-            invocations,
-            jobs_submitted: 0,
-            bytes_transferred: 0,
-            quarantined: vec![],
-        }
+    fn analyze_at(makespan: f64, records: &[InvocationRecord]) -> CriticalPath {
+        analyze(records, SimDuration::from_secs_f64(makespan))
     }
 
     #[test]
     fn chain_follows_producers_backwards() {
         // A(0→10) feeds B(10→25) feeds C(25→38); D is off-path.
-        let r = result(
+        let cp = analyze_at(
             38.0,
-            vec![
+            &[
                 rec("A", 0, 0.0, 2.0, 10.0),
                 rec("D", 0, 0.0, 1.0, 5.0),
                 rec("B", 0, 10.0, 12.0, 25.0),
                 rec("C", 0, 25.0, 30.0, 38.0),
             ],
         );
-        let cp = analyze(&r);
         let chain: Vec<&str> = cp.steps.iter().map(|s| s.processor.as_str()).collect();
         assert_eq!(chain, vec!["A", "B", "C"]);
         assert!(
@@ -328,11 +256,10 @@ mod tests {
     fn instantaneous_records_end_the_walk_instead_of_cycling() {
         // Two zero-length records at one instant each look like the
         // other's producer.
-        let r = result(
+        let cp = analyze_at(
             5.0,
-            vec![rec("A", 0, 5.0, 5.0, 5.0), rec("B", 0, 5.0, 5.0, 5.0)],
+            &[rec("A", 0, 5.0, 5.0, 5.0), rec("B", 0, 5.0, 5.0, 5.0)],
         );
-        let cp = analyze(&r);
         assert_eq!(cp.steps.len(), 2, "{:?}", cp.steps);
         let shares: Vec<&str> = cp.shares.iter().map(|s| s.processor.as_str()).collect();
         assert_eq!(shares, ["A", "B"], "equal shares keep chain order");
@@ -344,8 +271,7 @@ mod tests {
         let recs: Vec<InvocationRecord> = (0..5)
             .map(|i| rec("P", i, 0.0, 0.0, 100.0 + 30.0 * i as f64))
             .collect();
-        let r = result(220.0, recs);
-        let cp = analyze(&r);
+        let cp = analyze_at(220.0, &recs);
         let f = cp.fits.iter().find(|f| f.processor == "P").unwrap();
         assert!((f.intercept_secs - 100.0).abs() < 1e-6, "{f:?}");
         assert!((f.slope_secs - 30.0).abs() < 1e-6, "{f:?}");
@@ -354,7 +280,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_benign() {
-        let cp = analyze(&result(0.0, vec![]));
+        let cp = analyze_at(0.0, &[]);
         assert!(cp.steps.is_empty());
         assert_eq!(cp.coverage(), 0.0);
         assert!(render(&cp).contains("critical path"));
@@ -362,11 +288,11 @@ mod tests {
 
     #[test]
     fn render_mentions_every_share() {
-        let r = result(
+        let cp = analyze_at(
             10.0,
-            vec![rec("A", 0, 0.0, 1.0, 6.0), rec("B", 0, 6.0, 7.0, 10.0)],
+            &[rec("A", 0, 0.0, 1.0, 6.0), rec("B", 0, 6.0, 7.0, 10.0)],
         );
-        let text = render(&analyze(&r));
+        let text = render(&cp);
         assert!(text.contains('A') && text.contains('B'), "{text}");
         assert!(
             text.contains("intercept") || !text.contains("fits"),

@@ -486,6 +486,7 @@ mod tests {
             at: t(30.0),
             invocation: 1,
             processor: "p".into(),
+            completion: Box::default(),
         });
         let reg = registry.lock().unwrap();
         let g = reg.gauge("inflight_total").unwrap();
@@ -533,6 +534,7 @@ mod tests {
             at: t(5.0),
             invocation: 1,
             processor: "p".into(),
+            completion: Box::default(),
         });
         sink.record(&grid::submitted(6.0, 2));
         sink.record(&grid::cancelled(9.0, 2));

@@ -116,6 +116,8 @@ pub enum TraceEvent {
         at: SimTime,
         invocation: u64,
         processor: String,
+        /// What its invocation records need; not rendered in the JSONL.
+        completion: Box<Completion>,
     },
     /// The invocation failed beyond the retry budget. Terminal.
     JobFailed {
@@ -235,6 +237,21 @@ pub enum TraceEvent {
         completed: usize,
         expected: usize,
     },
+}
+
+/// The payload of [`TraceEvent::JobCompleted`] a [`crate::RecordSink`]
+/// turns into one invocation record per data index.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Completion {
+    /// When the enactor first submitted the invocation.
+    pub submitted: SimTime,
+    /// The winning attempt's execution window.
+    pub started: SimTime,
+    pub finished: SimTime,
+    /// Enactor-level retries it took.
+    pub retries: u32,
+    /// The data index of every workflow invocation the job carried.
+    pub indices: Vec<crate::token::DataIndex>,
 }
 
 impl TraceEvent {
@@ -690,9 +707,30 @@ mod tests {
         assert!(TraceEvent::JobCompleted {
             at: SimTime::ZERO,
             invocation: 7,
-            processor: "x".into()
+            processor: "x".into(),
+            completion: Box::default(),
         }
         .is_terminal());
+    }
+
+    #[test]
+    fn the_completion_payload_is_boxed_and_not_rendered() {
+        // Unboxed, the payload would make every event 128 bytes.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
+        let e = TraceEvent::JobCompleted {
+            at: SimTime::from_secs_f64(3.0),
+            invocation: 2,
+            processor: "p".into(),
+            completion: Box::new(Completion {
+                retries: 4,
+                indices: vec![crate::token::DataIndex::single(1)],
+                ..Completion::default()
+            }),
+        };
+        assert_eq!(
+            e.to_json(),
+            "{\"type\":\"job_completed\",\"t\":3,\"invocation\":2,\"processor\":\"p\"}"
+        );
     }
 
     #[test]

@@ -425,6 +425,7 @@ mod tests {
             at: t(31.0),
             invocation: 0,
             processor: "p".into(),
+            completion: Box::default(),
         });
         let tree = buf.snapshot();
         let text = render(&MetricsRegistry::new(), Some(&tree));

@@ -153,6 +153,7 @@ mod tests {
             at: SimTime::from_secs_f64(i as f64),
             invocation: i,
             processor: "p".into(),
+            completion: Box::default(),
         }
     }
 

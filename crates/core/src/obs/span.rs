@@ -621,6 +621,7 @@ mod tests {
             at: t(base + 155.0),
             invocation: inv,
             processor: proc.into(),
+            completion: Box::default(),
         });
     }
 
@@ -695,6 +696,7 @@ mod tests {
             at: t(62.0),
             invocation: 3,
             processor: "p".into(),
+            completion: Box::default(),
         });
         let tree = buf.snapshot();
         let durs = tree.phase_durations();
@@ -744,6 +746,7 @@ mod tests {
             at: t(82.0),
             invocation: 5,
             processor: "p".into(),
+            completion: Box::default(),
         });
         let tree = buf.snapshot();
         let items: Vec<&Span> = tree.of_kind(SpanKind::DataItem).collect();
@@ -805,6 +808,7 @@ mod tests {
             at: t(92.0),
             invocation: 7,
             processor: "p".into(),
+            completion: Box::default(),
         });
         let tree = buf.snapshot();
         let items: Vec<&Span> = tree.of_kind(SpanKind::DataItem).collect();
@@ -852,6 +856,7 @@ mod tests {
             at: t(9.0),
             invocation: 0,
             processor: "local".into(),
+            completion: Box::default(),
         });
         let tree = buf.snapshot();
         assert_eq!(tree.of_kind(SpanKind::DataItem).count(), 1);

@@ -877,6 +877,7 @@ mod tests {
             at: t(26.0),
             invocation: 1,
             processor: "svc".into(),
+            completion: Box::default(),
         });
         let (timeline, stats) = sink.snapshot();
         assert!((stats.queue_wait_secs - 10.0).abs() < 1e-9);
@@ -925,6 +926,7 @@ mod tests {
             at: at(t),
             invocation,
             processor: processor(),
+            completion: Box::default(),
         };
         let cancelled = |t: f64, invocation: u64, reason: &'static str| TraceEvent::JobCancelled {
             at: at(t),

@@ -131,7 +131,7 @@ mod tests {
                 .collect(),
             sink_outputs,
             makespan: SimDuration::from_secs(1),
-            invocations: vec![],
+            completed_invocations: 0,
             jobs_submitted: 2,
             bytes_transferred: 0,
             quarantined: vec![],
@@ -171,7 +171,7 @@ mod tests {
             sink_outputs: HashMap::new(),
             sink_counts: HashMap::new(),
             makespan: SimDuration::ZERO,
-            invocations: vec![],
+            completed_invocations: 0,
             jobs_submitted: 0,
             bytes_transferred: 0,
             quarantined: vec![],

@@ -3,9 +3,8 @@
 //! invocations each service fired, how long they computed, and how much
 //! grid overhead they paid.
 
-use crate::trace::WorkflowResult;
-use moteur_gridsim::percentile;
-use std::collections::BTreeMap;
+use crate::trace::{per_processor, InvocationRecord};
+use moteur_gridsim::{percentile, SimDuration};
 
 /// Aggregated timings of one processor.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,41 +27,35 @@ pub struct ServiceStats {
 }
 
 /// Compute per-processor statistics, sorted by processor name.
-pub fn service_stats(result: &WorkflowResult) -> Vec<ServiceStats> {
-    let mut groups: BTreeMap<&str, Vec<(f64, f64, u32)>> = BTreeMap::new();
-    for r in &result.invocations {
-        let exec = r.finished.since(r.started).as_secs_f64();
-        let wait = r.started.since(r.submitted).as_secs_f64();
-        groups
-            .entry(&r.processor)
-            .or_default()
-            .push((exec, wait, r.retries));
-    }
+pub fn service_stats(records: &[InvocationRecord]) -> Vec<ServiceStats> {
+    let mut groups = per_processor(records);
+    groups.sort_by_key(|(name, _)| *name);
     groups
         .into_iter()
         .map(|(name, rows)| {
             let n = rows.len() as f64;
-            let execs: Vec<f64> = rows.iter().map(|(e, _, _)| *e).collect();
+            let execs: Vec<f64> = rows.iter().map(|r| r.exec_secs()).collect();
             ServiceStats {
                 processor: name.to_string(),
                 invocations: rows.len(),
-                retries: rows.iter().map(|(_, _, r)| *r).sum(),
+                retries: rows.iter().map(|r| r.retries).sum(),
                 mean_execution_secs: execs.iter().sum::<f64>() / n,
                 min_execution_secs: execs.iter().copied().fold(f64::INFINITY, f64::min),
                 max_execution_secs: execs.iter().copied().fold(0.0, f64::max),
                 p50_execution_secs: percentile(&execs, 0.50),
                 p95_execution_secs: percentile(&execs, 0.95),
                 p99_execution_secs: percentile(&execs, 0.99),
-                mean_wait_secs: rows.iter().map(|(_, w, _)| w).sum::<f64>() / n,
+                mean_wait_secs: rows.iter().map(|r| r.wait_secs()).sum::<f64>() / n,
                 total_execution_secs: execs.iter().sum(),
             }
         })
         .collect()
 }
 
-/// Render the stats as an aligned text table.
-pub fn render_report(result: &WorkflowResult) -> String {
-    let stats = service_stats(result);
+/// Render the stats as an aligned text table, closed by the run's
+/// makespan and job count.
+pub fn render_report(records: &[InvocationRecord], makespan: SimDuration, jobs: usize) -> String {
+    let stats = service_stats(records);
     let mut out = String::new();
     out.push_str(&format!(
         "{:<24} {:>6} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
@@ -93,9 +86,8 @@ pub fn render_report(result: &WorkflowResult) -> String {
         ));
     }
     out.push_str(&format!(
-        "makespan {:.1}s over {} jobs\n",
-        result.makespan.as_secs_f64(),
-        result.jobs_submitted
+        "makespan {:.1}s over {jobs} jobs\n",
+        makespan.as_secs_f64()
     ));
     out
 }
@@ -104,20 +96,10 @@ pub fn render_report(result: &WorkflowResult) -> String {
 mod tests {
     use super::*;
     use crate::token::DataIndex;
-    use crate::trace::InvocationRecord;
-    use moteur_gridsim::{SimDuration, SimTime};
-    use std::collections::HashMap;
+    use moteur_gridsim::SimTime;
 
-    fn result_with(records: Vec<InvocationRecord>) -> WorkflowResult {
-        WorkflowResult {
-            sink_outputs: HashMap::new(),
-            sink_counts: HashMap::new(),
-            makespan: SimDuration::from_secs(100),
-            invocations: records,
-            jobs_submitted: 3,
-            bytes_transferred: 0,
-            quarantined: vec![],
-        }
+    fn render(records: &[InvocationRecord]) -> String {
+        render_report(records, SimDuration::from_secs(100), 3)
     }
 
     fn rec(proc: &str, submit: f64, start: f64, end: f64, retries: u32) -> InvocationRecord {
@@ -133,11 +115,11 @@ mod tests {
 
     #[test]
     fn stats_aggregate_per_processor() {
-        let r = result_with(vec![
+        let r = [
+            rec("B", 5.0, 15.0, 20.0, 0),
             rec("A", 0.0, 10.0, 30.0, 0),
             rec("A", 0.0, 20.0, 60.0, 1),
-            rec("B", 5.0, 15.0, 20.0, 0),
-        ]);
+        ];
         let stats = service_stats(&r);
         assert_eq!(stats.len(), 2);
         let a = &stats[0];
@@ -167,16 +149,14 @@ mod tests {
 
     #[test]
     fn report_renders_rows_and_makespan() {
-        let r = result_with(vec![rec("crestLines", 0.0, 1.0, 2.0, 0)]);
-        let text = render_report(&r);
+        let text = render(&[rec("crestLines", 0.0, 1.0, 2.0, 0)]);
         assert!(text.contains("crestLines"), "{text}");
         assert!(text.contains("makespan 100.0s over 3 jobs"));
     }
 
     #[test]
     fn empty_result_renders_header_only() {
-        let r = result_with(vec![]);
-        assert!(service_stats(&r).is_empty());
-        assert!(render_report(&r).contains("makespan"));
+        assert!(service_stats(&[]).is_empty());
+        assert!(render(&[]).contains("makespan"));
     }
 }

@@ -5,8 +5,23 @@
 //! equivalence (§3.6) and failure recovery.
 
 use moteur::prelude::*;
+use moteur::{InvocationRecord, RecordBuffer, RecordSink};
 use moteur_gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
+
+/// An `Obs` whose one sink keeps the invocation records.
+fn recorded() -> (Obs, RecordBuffer) {
+    let (sink, records) = RecordSink::new();
+    (Obs::new(vec![Box::new(sink)]), records)
+}
+
+/// The records of `processor`.
+fn of<'a>(records: &'a [InvocationRecord], processor: &str) -> Vec<&'a InvocationRecord> {
+    records
+        .iter()
+        .filter(|r| r.processor == processor)
+        .collect()
+}
 
 fn descriptor(name: &str, inputs: &[&str], outputs: &[&str]) -> ExecutableDescriptor {
     ExecutableDescriptor {
@@ -211,21 +226,23 @@ fn synchronization_processor_fires_once_with_whole_streams() {
 
     let inputs = InputData::new().set("nums", vec![1.0.into(), 2.0.into(), 3.0.into(), 4.0.into()]);
     let mut backend = VirtualBackend::new();
+    let (obs, records) = recorded();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(obs)
         .run(&mut backend)
         .unwrap();
     let out = r.sink("sink");
     assert_eq!(out.len(), 1, "a barrier produces a single result");
     assert_eq!(out[0].value.as_num(), Some(5.0), "mean of 2,4,6,8");
-    assert_eq!(r.invocations_of("mean").len(), 1);
+    let records = records.snapshot();
+    assert_eq!(of(&records, "mean").len(), 1);
     // The barrier started only after every `double` finished.
-    let last_double = r
-        .invocations_of("double")
+    let last_double = of(&records, "double")
         .iter()
         .map(|i| i.finished)
         .max()
         .unwrap();
-    assert!(r.invocations_of("mean")[0].submitted >= last_double);
+    assert!(of(&records, "mean")[0].submitted >= last_double);
 }
 
 #[test]
@@ -316,7 +333,9 @@ fn fig2_loop_iterates_until_runtime_convergence() {
     // Data 0 starts at 0 (needs 5 iterations), data 1 at 3 (needs 2).
     let inputs = InputData::new().set("source", vec![0.0.into(), 3.0.into()]);
     let mut backend = VirtualBackend::new();
+    let (obs, records) = recorded();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(obs)
         .run(&mut backend)
         .unwrap();
     let mut results: Vec<f64> = r
@@ -327,8 +346,9 @@ fn fig2_loop_iterates_until_runtime_convergence() {
     results.sort_by(|a, b| a.partial_cmp(b).unwrap());
     assert_eq!(results, vec![5.0, 5.0], "both converge to the threshold");
     // Iteration counts decided at run time: 5 + 2 = 7 P2 invocations.
-    assert_eq!(r.invocations_of("P2").len(), 7);
-    assert_eq!(r.invocations_of("P3").len(), 7);
+    let records = records.snapshot();
+    assert_eq!(of(&records, "P2").len(), 7);
+    assert_eq!(of(&records, "P3").len(), 7);
 }
 
 // ---------------------------------------------------------------------
@@ -350,21 +370,14 @@ fn control_link_orders_independent_services() {
 
     let inputs = InputData::new().set("s", file_inputs(3, "d"));
     let mut backend = VirtualBackend::new();
-    let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+    let (obs, records) = recorded();
+    Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(obs)
         .run(&mut backend)
         .unwrap();
-    let a_done = r
-        .invocations_of("A")
-        .iter()
-        .map(|i| i.finished)
-        .max()
-        .unwrap();
-    let b_start = r
-        .invocations_of("B")
-        .iter()
-        .map(|i| i.submitted)
-        .min()
-        .unwrap();
+    let records = records.snapshot();
+    let a_done = of(&records, "A").iter().map(|i| i.finished).max().unwrap();
+    let b_start = of(&records, "B").iter().map(|i| i.submitted).min().unwrap();
     assert!(b_start >= a_done, "B must wait for A via the control link");
 }
 
@@ -476,11 +489,13 @@ fn enactor_resubmits_terminally_failed_grid_jobs() {
     let wf = two_stage_workflow();
     let inputs = InputData::new().set("imgs", file_inputs(6, "img"));
     let mut backend = SimBackend::new(cfg, 11);
+    let (obs, records) = recorded();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(obs)
         .run(&mut backend)
         .unwrap();
     assert_eq!(r.sink("sink").len(), 6, "all results eventually delivered");
-    let retried: u32 = r.invocations.iter().map(|i| i.retries).sum();
+    let retried: u32 = records.snapshot().iter().map(|i| i.retries).sum();
     assert!(
         retried > 0,
         "with p=0.4 over 12 jobs some retries must happen"

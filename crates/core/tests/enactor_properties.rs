@@ -8,6 +8,7 @@
 //! external property-testing dependency: the workspace builds offline).
 
 use moteur::prelude::*;
+use moteur::RecordSink;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
 fn descriptor(name: &str, inputs: usize) -> ExecutableDescriptor {
@@ -155,12 +156,16 @@ fn invocation_records_are_well_formed() {
             for n_data in 1usize..5 {
                 let wf = layered_workflow(width, depth);
                 let mut backend = VirtualBackend::new();
+                let (sink, records) = RecordSink::new();
                 let r = Enactment::new(&wf, &inputs(n_data), EnactorConfig::sp_dp())
+                    .obs(Obs::new(vec![Box::new(sink)]))
                     .run(&mut backend)
                     .unwrap();
-                assert_eq!(r.invocations.len(), (width * depth + 1) * n_data);
+                let records = records.snapshot();
+                assert_eq!(records.len(), (width * depth + 1) * n_data);
+                assert_eq!(r.completed_invocations, records.len());
                 let mut last = 0.0f64;
-                for rec in &r.invocations {
+                for rec in &records {
                     assert!(rec.submitted <= rec.started);
                     assert!(rec.started <= rec.finished);
                     last = last.max(rec.finished.as_secs_f64());

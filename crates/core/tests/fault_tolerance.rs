@@ -5,7 +5,7 @@
 //! obligation to cancel — not abandon — in-flight invocations.
 
 use moteur::prelude::*;
-use moteur::{EventBuffer, QuarantineEntry, RingBufferSink};
+use moteur::{EventBuffer, QuarantineEntry, RecordBuffer, RecordSink, RingBufferSink};
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -52,6 +52,12 @@ fn file_inputs(n: usize, prefix: &str) -> Vec<DataValue> {
 fn capture() -> (Obs, EventBuffer) {
     let (sink, buffer) = RingBufferSink::new(100_000);
     (Obs::new(vec![Box::new(sink)]), buffer)
+}
+
+/// An `Obs` whose one sink keeps the invocation records.
+fn recorded() -> (Obs, RecordBuffer) {
+    let (sink, records) = RecordSink::new();
+    (Obs::new(vec![Box::new(sink)]), records)
 }
 
 /// src → filter → next → sink, where `filter` rejects the value
@@ -150,13 +156,15 @@ fn local_failures_respect_the_retry_policy() {
     let inputs = InputData::new().set("s", vec![1.0.into()]);
     let ft = FtConfig::from_legacy(2);
     let mut backend = VirtualBackend::new();
+    let (obs, records) = recorded();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
         .ft(&ft)
+        .obs(obs)
         .run(&mut backend)
         .expect("third attempt succeeds");
     assert_eq!(calls.load(Ordering::SeqCst), 3, "initial + 2 retries");
     assert_eq!(r.sink("sink").len(), 1);
-    assert_eq!(r.invocations[0].retries, 2);
+    assert_eq!(records.snapshot()[0].retries, 2);
 }
 
 #[test]
@@ -313,13 +321,15 @@ fn critical_path_ignores_cancelled_and_replicated_attempts() {
         timeout: TimeoutPolicy::Fixed { seconds: 30.0 },
         on_timeout: TimeoutAction::Replicate { max_replicas: 1 },
     });
-    let (obs, buffer) = capture();
+    let (sink, buffer) = RingBufferSink::new(100_000);
+    let (records_sink, records) = RecordSink::new();
     let mut backend = VirtualBackend::new();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
         .ft(&ft)
-        .obs(obs)
+        .obs(Obs::new(vec![Box::new(sink), Box::new(records_sink)]))
         .run(&mut backend)
         .expect("the original attempt wins the race");
+    let records = records.snapshot();
     // Item 0 runs 0→100 and times out at 30; its replica (30→130)
     // loses and is cancelled when the original completes at t=100.
     let events = buffer.snapshot();
@@ -329,25 +339,25 @@ fn critical_path_ignores_cancelled_and_replicated_attempts() {
 
     let makespan = r.makespan.as_secs_f64();
     assert!((makespan - 100.0).abs() < 1e-6, "makespan {makespan}");
-    let cp = moteur::critical_path(&r);
+    let cp = moteur::critical_path(&records, r.makespan);
     // The cancelled replica's would-be completion (t=130) must not
     // surface anywhere in the chain: no step outlives the makespan and
     // the chain ends exactly at the winning attempt's completion.
     for step in &cp.steps {
         assert!(
-            step.finished_secs <= makespan + 1e-9,
+            step.finished.as_secs_f64() <= makespan + 1e-9,
             "step {step:?} outlives the {makespan} s makespan"
         );
     }
     let last = cp.steps.last().expect("non-empty chain");
     assert!(
-        (last.finished_secs - makespan).abs() < 1e-6,
+        (last.finished.as_secs_f64() - makespan).abs() < 1e-6,
         "chain must end at the winner's completion, got {last:?}"
     );
     // One record per logical invocation: the replica never becomes a
     // second record for (processor, index).
     let mut seen = std::collections::BTreeSet::new();
-    for rec in &r.invocations {
+    for rec in &records {
         assert!(
             seen.insert((rec.processor.clone(), format!("{:?}", rec.index))),
             "duplicate record for {} {:?}",
@@ -616,24 +626,21 @@ fn local_backend_discards_late_completion_after_timeout_resubmit() {
         },
     );
     let mut backend = LocalBackend::new();
+    let (obs, records) = recorded();
     let r = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
         .ft(&ft)
+        .obs(obs)
         .run(&mut backend)
         .expect("late completion is discarded, not fatal");
     assert_eq!(r.sink("sink").len(), 1, "exactly one result delivered");
+    let records = records.snapshot();
+    let slow: Vec<_> = records.iter().filter(|i| i.processor == "slow").collect();
     assert_eq!(
-        r.invocations
-            .iter()
-            .filter(|i| i.processor == "slow")
-            .count(),
+        slow.len(),
         1,
         "the invocation is recorded once, not once per attempt"
     );
-    let slow_rec = r
-        .invocations
-        .iter()
-        .find(|i| i.processor == "slow")
-        .unwrap();
+    let slow_rec = slow[0];
     assert!(slow_rec.retries >= 1, "the timeout consumed a retry");
     assert!(
         calls.load(Ordering::SeqCst) >= 2,

@@ -13,8 +13,8 @@ use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::{
     chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, render_critical_path,
-    render_openmetrics_with_prof, render_report, serve, Daemon, DaemonConfig, Fnv1a, MetricsSink,
-    RingBufferSink, SloConfig, SpanSink, TimelineSink,
+    render_openmetrics_with_prof, render_report, serve, Daemon, DaemonConfig, Fnv1a,
+    InvocationRecord, MetricsSink, RecordSink, RingBufferSink, SloConfig, SpanSink, TimelineSink,
 };
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -106,33 +106,34 @@ impl Observed {
 /// The report, critical path, Chrome trace and execution diagram of a
 /// run's invocation records, concatenated; the diagram's rows are the
 /// processors in order of first completion.
-fn records_doc(result: &WorkflowResult) -> String {
-    let records = &result.invocations;
+fn records_doc(records: &[InvocationRecord], result: &WorkflowResult) -> String {
     let mut processors: Vec<&str> = Vec::new();
     for r in records {
         if !processors.contains(&r.processor.as_str()) {
             processors.push(&r.processor);
         }
     }
-    render_report(result)
-        + &render_critical_path(&critical_path(result))
-        + &chrome_trace_with_metrics(result, None)
+    render_report(records, result.makespan, result.jobs_submitted)
+        + &render_critical_path(&critical_path(records, result.makespan))
+        + &chrome_trace_with_metrics(records, None)
         + &diagram::render(records, &processors)
 }
 
-/// Run `enact` with a capturing sink and the three standard deriving
-/// sinks attached, and return what they recorded.
+/// Run `enact` with a capturing sink, the three standard deriving
+/// sinks and a record sink attached, and return what they recorded.
 fn observe(enact: impl FnOnce(Obs) -> WorkflowResult) -> Observed {
     let (sink, buffer) = RingBufferSink::new(1_000_000);
     let (metrics, registry) = MetricsSink::new();
     let (spans, tree) = SpanSink::new();
     let timeline = TimelineSink::new();
     let state = timeline.state();
+    let (records_sink, records) = RecordSink::new();
     let result = enact(Obs::new(vec![
         Box::new(sink),
         Box::new(metrics),
         Box::new(spans),
         Box::new(timeline),
+        Box::new(records_sink),
     ]));
     assert_eq!(buffer.dropped(), 0, "ring buffer must not wrap");
     let stream = buffer
@@ -153,7 +154,7 @@ fn observe(enact: impl FnOnce(Obs) -> WorkflowResult) -> Observed {
             state.timeline.to_csv(),
             detect_bottlenecks(&state.stats).to_json(),
         ],
-        records: records_doc(&result),
+        records: records_doc(&records.snapshot(), &result),
     }
 }
 

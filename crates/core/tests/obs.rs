@@ -6,7 +6,8 @@
 
 use moteur::prelude::*;
 use moteur::{
-    chrome_trace_with_metrics, critical_path, EventBuffer, JsonlSink, MetricsSink, RingBufferSink,
+    chrome_trace_with_metrics, critical_path, EventBuffer, InvocationRecord, JsonlSink,
+    MetricsSink, RecordSink, RingBufferSink,
 };
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -247,13 +248,14 @@ fn observation_does_not_perturb_the_run() {
         "observation changed the clock"
     );
     assert_eq!(blind.jobs_submitted, observed.jobs_submitted);
-    assert_eq!(blind.invocations.len(), observed.invocations.len());
+    assert_eq!(blind.completed_invocations, observed.completed_invocations);
 }
 
-/// A tiny fully-deterministic run for byte-reproducibility checks:
-/// constant-cost services on the ideal grid (constant overheads, no
-/// failures), so every timestamp is the same on every execution.
-fn deterministic_result() -> WorkflowResult {
+/// The invocation records of a tiny fully-deterministic run, for
+/// byte-reproducibility checks: constant-cost services on the ideal
+/// grid (constant overheads, no failures), so every timestamp is the
+/// same on every execution.
+fn deterministic_records() -> Vec<InvocationRecord> {
     let mut wf = Workflow::new("golden");
     let src = wf.add_source("in");
     let a = wf.add_service("A", &["in"], &["out"], dsvc("A", &["in"], &["out"], 30.0));
@@ -272,15 +274,18 @@ fn deterministic_result() -> WorkflowResult {
             .collect(),
     );
     let mut backend = SimBackend::new(GridConfig::ideal(), 1);
+    let (sink, records) = RecordSink::new();
     Enactment::new(&wf, &inputs, EnactorConfig::sp_dp().with_seed(1))
+        .obs(Obs::new(vec![Box::new(sink)]))
         .run(&mut backend)
-        .expect("golden workflow completes")
+        .expect("golden workflow completes");
+    records.snapshot()
 }
 
 #[test]
 fn chrome_trace_is_byte_reproducible_and_matches_the_golden_file() {
-    let first = chrome_trace_with_metrics(&deterministic_result(), None);
-    let second = chrome_trace_with_metrics(&deterministic_result(), None);
+    let first = chrome_trace_with_metrics(&deterministic_records(), None);
+    let second = chrome_trace_with_metrics(&deterministic_records(), None);
     assert_eq!(first, second, "two identical runs must serialise equally");
 
     let golden_path = concat!(
@@ -350,16 +355,15 @@ fn span_sink_reconstructs_the_grid_lifecycle_of_a_real_run() {
 
 #[test]
 fn chrome_trace_and_critical_path_cover_the_run() {
-    let (_, result) = captured(17);
-    let trace = chrome_trace_with_metrics(&result, None);
+    let (sink, records) = RecordSink::new();
+    let result = run_with_obs(Obs::new(vec![Box::new(sink)]), 17);
+    let records = records.snapshot();
+    assert_eq!(records.len(), result.completed_invocations);
+    let trace = chrome_trace_with_metrics(&records, None);
     let exec_spans = trace.matches("\"cat\":\"exec\"").count();
-    assert_eq!(
-        exec_spans,
-        result.invocations.len(),
-        "one exec span per invocation"
-    );
+    assert_eq!(exec_spans, records.len(), "one exec span per invocation");
     assert!(trace.contains("\"displayTimeUnit\":\"ms\""));
-    let cp = critical_path(&result);
+    let cp = critical_path(&records, result.makespan);
     assert!(cp.makespan_secs > 0.0);
     assert!(!cp.steps.is_empty());
     assert!(cp.coverage() > 0.0 && cp.coverage() <= 1.0 + 1e-9);

@@ -5,7 +5,7 @@
 //! byte-identical when ports are unbounded.
 
 use moteur::prelude::*;
-use moteur::{EventBuffer, RingBufferSink};
+use moteur::{critical_path, service_stats, EventBuffer, RecordSink, RingBufferSink};
 
 fn capture() -> (Obs, EventBuffer) {
     let (sink, buffer) = RingBufferSink::new(100_000);
@@ -96,7 +96,35 @@ fn streaming_truncates_retained_outputs_but_keeps_exact_tallies() {
     .unwrap();
     assert_eq!(r.sink_count("sink"), 100);
     assert_eq!(r.sink("sink").len(), 4, "retained sample is O(capacity)");
-    assert_eq!(r.invocations.len(), 4, "records are O(capacity) too");
+}
+
+#[test]
+fn a_bounded_run_remembers_every_invocation() {
+    let (sink, records) = RecordSink::new();
+    let mut backend = VirtualBackend::new();
+    let r = Enactment::new(
+        &chain(),
+        &nums(50),
+        EnactorConfig::sp_dp().with_port_capacity(4),
+    )
+    .obs(Obs::new(vec![Box::new(sink)]))
+    .run(&mut backend)
+    .unwrap();
+    assert_eq!(
+        r.report().completed_invocations,
+        100,
+        "the capacity caps no tally"
+    );
+    let records = records.snapshot();
+    let stats = service_stats(&records);
+    let per_service: Vec<(&str, usize)> = stats
+        .iter()
+        .map(|s| (s.processor.as_str(), s.invocations))
+        .collect();
+    assert_eq!(per_service, [("double", 50), ("negate", 50)]);
+    let cp = critical_path(&records, r.makespan);
+    let last = cp.steps.last().expect("a non-empty chain");
+    assert_eq!(last.finished.as_secs_f64(), cp.makespan_secs);
 }
 
 #[test]

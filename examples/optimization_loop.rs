@@ -11,6 +11,7 @@
 //! Run with: `cargo run --example optimization_loop`
 
 use moteur_repro::moteur::prelude::*;
+use moteur_repro::moteur::RecordSink;
 
 const TARGET: f64 = 3.0;
 const RATE: f64 = 0.4;
@@ -70,22 +71,23 @@ fn main() {
     );
 
     let mut backend = LocalBackend::new();
+    let (sink, records) = RecordSink::new();
     let result = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(Obs::new(vec![Box::new(sink)]))
         .run(&mut backend)
         .expect("loop converges");
+    let p2: Vec<_> = records
+        .snapshot()
+        .into_iter()
+        .filter(|r| r.processor == "P2")
+        .collect();
 
     println!("start        iterations   final x");
     println!("----------------------------------");
     let per_datum: Vec<usize> = starts
         .iter()
         .enumerate()
-        .map(|(j, _)| {
-            result
-                .invocations
-                .iter()
-                .filter(|r| r.processor == "P2" && r.index.0 == vec![j as u32])
-                .count()
-        })
+        .map(|(j, _)| p2.iter().filter(|r| r.index.0 == vec![j as u32]).count())
         .collect();
     for (j, (&x0, iters)) in starts.iter().zip(&per_datum).enumerate() {
         let out = result
@@ -99,10 +101,6 @@ fn main() {
     println!();
     println!(
         "total P2 invocations: {} — determined at run time, impossible to declare statically",
-        result
-            .invocations
-            .iter()
-            .filter(|r| r.processor == "P2")
-            .count()
+        p2.len()
     );
 }

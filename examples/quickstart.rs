@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use moteur_repro::moteur::diagram;
 use moteur_repro::moteur::prelude::*;
+use moteur_repro::moteur::{diagram, RecordSink};
 use moteur_repro::wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
 fn unit_service(name: &str) -> ServiceBinding {
@@ -66,7 +66,10 @@ fn main() {
         EnactorConfig::sp_dp(),
     ] {
         let mut backend = VirtualBackend::new();
+        // The diagram reads the invocation records this sink keeps.
+        let (sink, records) = RecordSink::new();
         let result = Enactment::new(&wf, &inputs, config)
+            .obs(Obs::new(vec![Box::new(sink)]))
             .run(&mut backend)
             .expect("enactment succeeds");
         println!(
@@ -78,7 +81,7 @@ fn main() {
         );
         println!(
             "{}",
-            diagram::render(&result.invocations, &["P3", "P2", "P1"])
+            diagram::render(&records.snapshot(), &["P3", "P2", "P1"])
         );
     }
     println!("Workflow parallelism lets P2 and P3 overlap in every configuration;");

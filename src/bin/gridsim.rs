@@ -88,6 +88,7 @@ fn run(args: &Args) -> Outcome {
                 at: done.delivered_at,
                 invocation: done.tag,
                 processor: "synthetic".to_string(),
+                completion: Box::default(),
             }
         } else {
             TraceEvent::JobFailed {

@@ -8,8 +8,9 @@
 //!
 //! "Which output implies which sink" lives in the `needs` column and
 //! nowhere else: `openmetrics` needs metrics + spans, `chrome-trace`
-//! needs metrics, and a caller that wants a sink for its own reasons
-//! (`moteur run --slo` needs the timeline) says so with
+//! needs metrics + the invocation records (as do `report`,
+//! `critical-path` and `diagram`), and a caller that wants a sink for
+//! its own reasons (`moteur run --slo` needs the timeline) says so with
 //! [`Emit::require`], which also brings that sink's automatic rows (the
 //! bottleneck attribution).
 
@@ -18,8 +19,8 @@ use moteur::obs::timeline::TimelineState;
 use moteur::{
     chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, export_provenance,
     prof_to_json, render_critical_path, render_openmetrics_with_prof, render_report, EventSink,
-    JsonlSink, MetricsRegistry, MetricsSink, Obs, ProcessorKind, Prof, SpanBuffer, SpanSink,
-    TimelineSink, Workflow, WorkflowResult,
+    InvocationRecord, JsonlSink, MetricsRegistry, MetricsSink, Obs, ProcessorKind, Prof,
+    RecordBuffer, RecordSink, SpanBuffer, SpanSink, TimelineSink, Workflow, WorkflowResult,
 };
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -30,6 +31,7 @@ pub enum Need {
     Metrics,
     Spans,
     Timeline,
+    Records,
     Prof,
 }
 
@@ -121,12 +123,16 @@ impl Kind {
     }
 }
 
-use Need::{Jsonl, Metrics, Prof as Profiler, Spans, Timeline};
+use Need::{Jsonl, Metrics, Prof as Profiler, Records, Spans, Timeline};
 use Via::{Auto, AutoStderr, File, Text};
 
 /// The table, in the order `moteur run` has always printed its outputs.
 pub static KINDS: &[Kind] = &[
-    text("report", "report", |c| render_report(c.result()).into()),
+    text("report", "report", |c| {
+        let result = c.result();
+        render_report(&c.records(), result.makespan, result.jobs_submitted).into()
+    })
+    .needs(&[Records]),
     file("provenance", "provenance", |c| {
         export_provenance(c.result()).into()
     })
@@ -136,10 +142,10 @@ pub static KINDS: &[Kind] = &[
         .needs(&[Metrics])
         .of_result(),
     file("chrome-trace", "chrome trace", |c| Doc {
-        bytes: chrome_trace_with_metrics(c.result(), Some(&c.metrics())),
+        bytes: chrome_trace_with_metrics(&c.records(), Some(&c.metrics())),
         note: " (load in ui.perfetto.dev)".to_string(),
     })
-    .needs(&[Metrics])
+    .needs(&[Metrics, Records])
     .of_result(),
     file("spans", "spans", |c| {
         let tree = c.spans().snapshot();
@@ -177,17 +183,18 @@ pub static KINDS: &[Kind] = &[
     })
     .needs(&[Timeline]),
     text("critical-path", "critical path", |c| {
-        render_critical_path(&critical_path(c.result())).into()
-    }),
+        render_critical_path(&critical_path(&c.records(), c.result().makespan)).into()
+    })
+    .needs(&[Records]),
     text("diagram", "diagram", |c| {
-        let (wf, result) = c.run.expect("row needs the result");
-        let services = wf.processors.iter();
+        let services = c.run.expect("row needs the result").0.processors.iter();
         let names: Vec<&str> = services
             .filter(|p| p.kind == ProcessorKind::Service)
             .map(|p| p.name.as_str())
             .collect();
-        diagram::render(&result.invocations, &names).into()
-    }),
+        diagram::render(&c.records(), &names).into()
+    })
+    .needs(&[Records]),
     // A degraded run (quarantined items) always says what it lost.
     auto(Auto, |c| {
         let report = c.result().report();
@@ -210,6 +217,7 @@ pub struct Sinks {
     metrics: Option<Arc<Mutex<MetricsRegistry>>>,
     spans: Option<SpanBuffer>,
     timeline: Option<Arc<Mutex<TimelineState>>>,
+    records: Option<RecordBuffer>,
     prof: Prof,
 }
 
@@ -237,6 +245,11 @@ impl Ctx<'_> {
     fn timeline(&self) -> MutexGuard<'_, TimelineState> {
         let state = self.sinks.timeline.as_ref().expect("row needs timeline");
         state.lock().expect("timeline state")
+    }
+
+    fn records(&self) -> Vec<InvocationRecord> {
+        let records = self.sinks.records.as_ref().expect("row needs records");
+        records.snapshot()
     }
 
     fn prof(&self) -> &Prof {
@@ -360,6 +373,11 @@ impl Emit {
             sinks.push(Box::new(sink));
             state
         });
+        let records = self.needs(Records).then(|| {
+            let (sink, buffer) = RecordSink::new();
+            sinks.push(Box::new(sink));
+            buffer
+        });
         let prof = if self.needs(Profiler) {
             Prof::enabled()
         } else {
@@ -370,6 +388,7 @@ impl Emit {
             metrics,
             spans,
             timeline,
+            records,
             prof,
         };
         Ok((obs, sinks))
@@ -463,11 +482,21 @@ mod tests {
     #[test]
     fn a_spec_attaches_exactly_the_sinks_its_rows_need() {
         let emit = Emit::parse(Some("openmetrics=m.om,report=-"), true).unwrap();
-        assert!(emit.needs(Metrics) && emit.needs(Spans));
+        assert!(emit.needs(Metrics) && emit.needs(Spans) && emit.needs(Records));
         assert!(!emit.needs(Jsonl) && !emit.needs(Timeline) && !emit.needs(Profiler));
         let (obs, sinks) = emit.attach().unwrap();
         assert!(obs.enabled() && !sinks.prof.is_enabled());
         assert!(sinks.metrics.is_some() && sinks.spans.is_some() && sinks.timeline.is_none());
+        assert!(sinks.records.is_some());
+
+        let (obs, sinks) = Emit::parse(Some("workflow-report=r.json"), true)
+            .unwrap()
+            .attach()
+            .unwrap();
+        assert!(
+            !obs.enabled() && sinks.records.is_none(),
+            "no row reads records"
+        );
 
         let mut emit = Emit::parse(None, true).unwrap();
         assert!(
