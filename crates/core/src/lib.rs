@@ -88,7 +88,8 @@ mod value;
 // `crates/core/src` (DESIGN §3 lists which); everything else is
 // crate-private, so rustc reports what loses its last caller.
 pub use backend::{
-    Backend, BackendJob, InvocationId, JobPayload, LocalBackend, SimBackend, VirtualBackend,
+    Backend, BackendCompletion, BackendJob, InvocationId, JobPayload, LocalBackend, SimBackend,
+    VirtualBackend, WaitOutcome,
 };
 pub use config::{EnactorConfig, SloConfig};
 pub use daemon::protocol::{apply as daemon_apply, check_protocol, serve, Request};

@@ -1,9 +1,11 @@
 //! Golden trace digests: length + FNV-1a 64 of the full JSONL event
 //! stream (or protocol response stream) of a fixed set of seeded runs,
 //! of the documents the standard sinks derive from four of those
-//! streams, and of what the invocation-record readers (report, critical
-//! path, Chrome trace, diagram) render for the same four runs,
-//! committed in `tests/golden/trace_digests.txt`. A refactor
+//! streams, of what the invocation-record readers (report, critical
+//! path, Chrome trace, diagram) render for the same four runs, and of
+//! every job plan four grid runs hand their backend (command lines,
+//! stage-ins, registrations, compute seconds), committed in
+//! `tests/golden/trace_digests.txt`. A refactor
 //! of the enactor or of a sink must leave every line of that file
 //! untouched; regenerate only for an intended behaviour change with
 //! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
@@ -13,11 +15,13 @@ use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::{
     chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, render_critical_path,
-    render_openmetrics_with_prof, render_report, serve, Daemon, DaemonConfig, Fnv1a,
-    InvocationRecord, MetricsSink, RecordSink, RingBufferSink, SloConfig, SpanSink, TimelineSink,
+    render_openmetrics_with_prof, render_report, serve, BackendCompletion, BackendJob, Daemon,
+    DaemonConfig, Fnv1a, InvocationId, InvocationRecord, JobPayload, MetricsSink, RecordSink,
+    RingBufferSink, SloConfig, SpanSink, TimelineSink, WaitOutcome,
 };
-use moteur_gridsim::GridConfig;
+use moteur_gridsim::{GridConfig, SimTime};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
+use std::fmt::Write as _;
 
 const BRONZE_XML: &str = include_str!("../../../examples/workflows/bronze-standard.xml");
 const IMAGE_BYTES: u64 = 7_864_320;
@@ -188,15 +192,68 @@ fn bronze_inputs(n_pairs: usize) -> InputData {
         )
 }
 
-/// Bronze-Standard on the 2006 EGEE grid model under `config`.
-fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> Observed {
-    observe(|obs| {
-        let mut backend = SimBackend::with_obs(GridConfig::egee_2006(), config.seed, &obs);
+/// A [`SimBackend`] that writes down every job it is handed, in
+/// submission order: processor and invocation tag, then for a grid job
+/// its compute seconds (as bits), command lines, stage-ins and
+/// registrations with their sizes.
+struct PlanLog<'a> {
+    inner: SimBackend,
+    log: &'a mut String,
+}
+
+impl Backend for PlanLog<'_> {
+    fn submit(&mut self, job: BackendJob) -> Result<(), MoteurError> {
+        let _ = writeln!(self.log, "{} {}", job.processor, job.invocation.0);
+        if let JobPayload::Grid {
+            plan,
+            compute_seconds,
+        } = &job.payload
+        {
+            let _ = writeln!(self.log, "compute {:016x}", compute_seconds.to_bits());
+            for line in &plan.command_lines {
+                let _ = writeln!(self.log, "$ {line}");
+            }
+            for f in &plan.fetch {
+                let _ = writeln!(self.log, "< {} {}", f.name, f.bytes);
+            }
+            for f in &plan.store {
+                let _ = writeln!(self.log, "> {} {}", f.name, f.bytes);
+            }
+        }
+        self.inner.submit(job)
+    }
+    fn wait_next(&mut self) -> Option<BackendCompletion> {
+        self.inner.wait_next()
+    }
+    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
+        self.inner.wait_next_until(deadline)
+    }
+    fn cancel(&mut self, invocation: InvocationId) -> bool {
+        self.inner.cancel(invocation)
+    }
+    fn blacklist_ce(&mut self, ce: usize, blocked: bool) {
+        self.inner.blacklist_ce(ce, blocked);
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+}
+
+/// Bronze-Standard on the 2006 EGEE grid model under `config`, and the
+/// plans its jobs carried.
+fn bronze_on_egee(config: EnactorConfig, n_pairs: usize) -> (Observed, String) {
+    let mut plans = String::new();
+    let observed = observe(|obs| {
+        let mut backend = PlanLog {
+            inner: SimBackend::with_obs(GridConfig::egee_2006(), config.seed, &obs),
+            log: &mut plans,
+        };
         Enactment::new(&bronze(), &bronze_inputs(n_pairs), config)
             .obs(obs)
             .run(&mut backend)
             .expect("bronze completes")
-    })
+    });
+    (observed, plans)
 }
 
 fn double(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
@@ -415,8 +472,8 @@ fn batched_half_warm_store() -> String {
 /// exponential backoff plus a fixed timeout that resubmits: failed
 /// attempts wait in the backoff queue and come back under their own
 /// tag, timed-out attempts are cancelled and relaunched under a fresh
-/// one.
-fn backoff_then_timeout_resubmit() -> Observed {
+/// one. The plans of every attempt come back beside the observation.
+fn backoff_then_timeout_resubmit() -> (Observed, String) {
     let mut grid = GridConfig::egee_2006();
     grid.failure_probability = 0.25;
     grid.max_retries = 0; // every failure reaches the enactor
@@ -433,8 +490,12 @@ fn backoff_then_timeout_resubmit() -> Observed {
         })
         .with_continue_on_error(true);
     let config = EnactorConfig::sp_dp().with_seed(13);
+    let mut plans = String::new();
     let observed = observe(|obs| {
-        let mut backend = SimBackend::with_obs(grid, 13, &obs);
+        let mut backend = PlanLog {
+            inner: SimBackend::with_obs(grid, 13, &obs),
+            log: &mut plans,
+        };
         Enactment::new(&bronze_chain(), &chain_images(12), config)
             .ft(&ft)
             .obs(obs)
@@ -457,7 +518,7 @@ fn backoff_then_timeout_resubmit() -> Observed {
         "a timeout relaunched under a fresh tag"
     );
     assert!(observed.stream.contains("\"action\":\"resubmit\""));
-    observed
+    (observed, plans)
 }
 
 /// The Bronze chain on a grid that fails a quarter of its jobs, with
@@ -555,12 +616,13 @@ fn daemon_wave() -> String {
 
 #[test]
 fn trace_digests_match_the_committed_goldens() {
-    let bronze_jg = bronze_on_egee(EnactorConfig::sp_dp_jg().with_seed(11), 12);
-    let bronze_batch = bronze_on_egee(EnactorConfig::sp_dp().with_seed(7).with_batching(3), 12);
-    let bronze_nop = bronze_on_egee(EnactorConfig::nop().with_seed(3), 4);
+    let (bronze_jg, jg_plans) = bronze_on_egee(EnactorConfig::sp_dp_jg().with_seed(11), 12);
+    let (bronze_batch, batch_plans) =
+        bronze_on_egee(EnactorConfig::sp_dp().with_seed(7).with_batching(3), 12);
+    let (bronze_nop, nop_plans) = bronze_on_egee(EnactorConfig::nop().with_seed(3), 4);
     let adaptive = adaptive_timeout_with_replication();
     let cached = cached_cold_then_warm();
-    let backoff = backoff_then_timeout_resubmit();
+    let (backoff, backoff_plans) = backoff_then_timeout_resubmit();
     let streams = [
         ("bronze_sp_dp_jg_egee_seed11", bronze_jg.stream.clone()),
         ("bronze_sp_dp_batch3_egee_seed7", bronze_batch.stream),
@@ -595,6 +657,15 @@ fn trace_digests_match_the_committed_goldens() {
         ("backoff_then_timeout_resubmit", &backoff),
     ] {
         actual += &digest_line(&format!("{name}.records"), &observed.records);
+    }
+    for (name, plans) in [
+        ("bronze_sp_dp_jg_egee_seed11", &jg_plans),
+        ("bronze_sp_dp_batch3_egee_seed7", &batch_plans),
+        ("bronze_nop_egee_seed3", &nop_plans),
+        ("backoff_then_timeout_resubmit", &backoff_plans),
+    ] {
+        assert!(plans.contains("\n$ "), "{name} submits grid jobs");
+        actual += &digest_line(&format!("{name}.plans"), plans);
     }
 
     let golden_path = concat!(
