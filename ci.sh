@@ -30,6 +30,15 @@ if grep -rnw --include='*.rs' -e InvocationRecord crates/core/src/enactor/; then
   exit 1
 fi
 
+# Compile once, fill per firing: a processor's job plan is a template
+# built with the CompiledWorkflow, so a firing may not go back to
+# building a wrapper binding, catalog or group member.
+if grep -rnw --include='*.rs' -e Catalog -e Binding -e GroupMember \
+    -e compose_group -e plan_single crates/core/src/enactor/; then
+  echo "the enactor builds a wrapper binding: fill the processor's JobTemplate" >&2
+  exit 1
+fi
+
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
 # (or the next builder) copies commands from. (`moteur-bench scale

@@ -67,6 +67,42 @@ fn fresh_scale_json_passes_its_own_gate() {
     assert!(checks.iter().all(|c| c.ok), "{checks:?}");
 }
 
+/// A firing fills its processor's compiled job template: the plan's
+/// lists are pre-sized, each command line is one `String`, each output
+/// GFN is formatted once. Rebuilding descriptors, slot bindings, a
+/// catalog and joined command-line parts per firing, as the enactor once
+/// did, costs about 86 allocations a firing on this run.
+#[test]
+fn a_firing_allocates_at_most_thirty_times() {
+    let _alone = counting_alone();
+    let prof = moteur::Prof::enabled();
+    let obs = moteur::Obs::off().with_prof(prof.clone());
+    let mut backend =
+        moteur::SimBackend::with_obs(moteur_gridsim::GridConfig::egee_2006(), 2006, &obs);
+    let result = moteur::Enactment::new(
+        &moteur_bench::bronze::bronze_workflow(),
+        &moteur_bench::bronze::bronze_inputs(50),
+        moteur::EnactorConfig::sp_dp_jg().with_seed(2006),
+    )
+    .obs(obs)
+    .run(&mut backend)
+    .unwrap();
+    assert_eq!(result.jobs_submitted, 4 * 50 + 1);
+    let report = prof.report();
+    let fire = report
+        .subsystems
+        .iter()
+        .find(|s| s.subsystem == moteur_prof::Subsystem::Fire)
+        .unwrap();
+    assert!(fire.calls > 0 && fire.allocs > 0, "{fire:?}");
+    let per_call = fire.allocs as f64 / fire.calls as f64;
+    assert!(
+        per_call <= 30.0,
+        "{per_call:.1} allocations per firing over {} firings",
+        fire.calls
+    );
+}
+
 /// `TraceEvent::to_json` writes keys, escapes and numbers straight into
 /// one line-sized buffer: one allocation per event, a second for the
 /// few lines that outgrow it. A `String` per key or per value (sixteen

@@ -6,9 +6,10 @@
 use super::ports::Routes;
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
-use crate::graph::{ProcId, Workflow};
-use crate::service::ServiceBinding;
+use crate::graph::{ProcId, Processor, Workflow};
+use crate::service::{GroupSource, ServiceBinding, ServiceProfile};
 use crate::store::{descriptor_digest, group_digest};
+use moteur_wrapper::{ExecutableDescriptor, Feed, JobTemplate, StageSpec};
 use std::sync::Arc;
 
 /// The configuration bits compilation reads: `preflight` decides
@@ -47,6 +48,9 @@ pub(crate) struct CompiledWorkflow {
     /// uncacheable (local bindings, sources, sinks, non-deterministic
     /// descriptors). Read only while a store is attached.
     pub(super) digests: Vec<Option<u64>>,
+    /// Per-processor job-plan template: `Some` for descriptor-bound and
+    /// grouped processors. A firing fills it with its tokens.
+    pub(super) templates: Vec<Option<JobTemplate>>,
     /// Per synchronization processor, everything upstream of it over
     /// data links (empty for every other processor): while one of them
     /// has an invocation in flight the barrier cannot be released.
@@ -55,8 +59,9 @@ pub(crate) struct CompiledWorkflow {
 }
 
 impl CompiledWorkflow {
-    /// Preflight lint, job grouping, graph validation, link compilation
-    /// and service digests — in the order a rejection is reported.
+    /// Preflight lint, job grouping, graph validation, link compilation,
+    /// service digests and job templates — in the order a rejection is
+    /// reported (a template holds its faults until its first firing).
     pub(crate) fn compile(
         workflow: &Workflow,
         config: &EnactorConfig,
@@ -104,6 +109,11 @@ impl CompiledWorkflow {
                 _ => None,
             })
             .collect();
+        let templates = workflow
+            .processors
+            .iter()
+            .map(|p| job_template(&workflow.name, p))
+            .collect();
         let barrier_ancestors = workflow
             .processors
             .iter()
@@ -119,6 +129,7 @@ impl CompiledWorkflow {
             in_cycle,
             routes,
             digests,
+            templates,
             barrier_ancestors,
             bits: CompileBits::of(config),
         }))
@@ -127,6 +138,77 @@ impl CompiledWorkflow {
     /// The bits this workflow was compiled under.
     pub(crate) fn bits(&self) -> CompileBits {
         self.bits
+    }
+}
+
+/// The job-plan template of `p` when it runs on the grid: a descriptor
+/// bound to its input ports, then its fixed parameters, delivering every
+/// output under the slot's name; or a grouped binding's stages,
+/// delivering its exposed outputs on its output ports.
+fn job_template(workflow: &str, p: &Processor) -> Option<JobTemplate> {
+    match p.binding.as_ref()? {
+        ServiceBinding::Local(_) => None,
+        ServiceBinding::Descriptor {
+            descriptor,
+            profile,
+        } => {
+            let ports = p.inputs.iter().enumerate();
+            let feeds = ports.map(|(i, port)| (port.as_str(), Feed::Port(i)));
+            let spec = stage_spec(None, descriptor, profile, feeds.collect());
+            let exposed: Vec<_> = descriptor
+                .outputs
+                .iter()
+                .map(|o| (o.name.as_str(), 0, o.name.as_str()))
+                .collect();
+            Some(JobTemplate::compile(workflow, &p.name, &[spec], &exposed))
+        }
+        ServiceBinding::Grouped(group) => {
+            let stages: Vec<_> = group
+                .stages
+                .iter()
+                .map(|s| {
+                    let feeds = s.inputs.iter().map(|(slot, source)| {
+                        let feed = match source {
+                            GroupSource::ExternalPort(i) => Feed::Port(*i),
+                            GroupSource::StageOutput { stage, slot } => Feed::Stage {
+                                stage: *stage,
+                                slot,
+                            },
+                        };
+                        (slot.as_str(), feed)
+                    });
+                    stage_spec(Some(&s.name), &s.descriptor, &s.profile, feeds.collect())
+                })
+                .collect();
+            let exposed: Vec<_> = p
+                .outputs
+                .iter()
+                .zip(&group.exposed_outputs)
+                .map(|(port, (stage, slot))| (port.as_str(), *stage, slot.as_str()))
+                .collect();
+            Some(JobTemplate::compile(workflow, &p.name, &stages, &exposed))
+        }
+    }
+}
+
+/// A stage fed by `feeds`, then by its fixed parameters.
+fn stage_spec<'a>(
+    group_member: Option<&'a str>,
+    descriptor: &'a ExecutableDescriptor,
+    profile: &'a ServiceProfile,
+    mut feeds: Vec<(&'a str, Feed<'a>)>,
+) -> StageSpec<'a> {
+    let params = profile.fixed_params.iter();
+    feeds.extend(params.map(|(slot, value)| (slot.as_str(), Feed::Param(value))));
+    StageSpec {
+        group_member,
+        descriptor,
+        feeds,
+        output_bytes: descriptor
+            .outputs
+            .iter()
+            .map(|o| profile.output_size(&o.name))
+            .collect(),
     }
 }
 

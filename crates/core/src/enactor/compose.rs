@@ -1,6 +1,7 @@
 //! Composition: what a firing hands to the backend. The cache probe,
-//! the single and the batched firing over one per-member step, the one
-//! first submission, and the descriptor, grouped and barrier job plans.
+//! the single and the batched firing over one per-member step (filling
+//! the processor's compiled job template), the one first submission,
+//! and the barrier's job plan.
 
 use super::attempts::{PendEntry, PendingJob};
 use super::{EnactCtx, WorkflowInstance};
@@ -10,16 +11,12 @@ use crate::graph::ProcId;
 use crate::iterate::MatchedSet;
 use crate::obs::prof::Subsystem;
 use crate::obs::TraceEvent;
-use crate::service::{CostModel, GroupSource, GroupedBinding, ServiceBinding, ServiceProfile};
+use crate::service::{CostModel, ServiceBinding};
 use crate::store::{invocation_key, InvocationKey};
 use crate::token::{DataIndex, History, Token};
 use crate::value::DataValue;
 use moteur_gridsim::Rng;
-use moteur_wrapper::{
-    compose_group, plan_single, Binding, Catalog, ExecutableDescriptor, GroupMember, JobPlan,
-    TransferFile,
-};
-use std::collections::HashMap;
+use moteur_wrapper::{BoundOutput, JobPlan, SlotValue, TransferFile};
 use std::sync::Arc;
 
 impl WorkflowInstance {
@@ -106,31 +103,43 @@ impl WorkflowInstance {
             });
         }
         let compiled = Arc::clone(&self.compiled);
-        let (plan, outputs, compute) = match &compiled.workflow.processors[proc.0].binding {
-            Some(ServiceBinding::Descriptor {
-                descriptor,
-                profile,
-            }) => {
-                let (plan, outputs) =
-                    self.build_descriptor_job(ctx, proc, descriptor, profile, tokens, id)?;
-                let compute = eval_cost_with(&mut self.rng, &profile.compute, &entry.index);
-                (plan, outputs, compute)
+        let p = &compiled.workflow.processors[proc.0];
+        let Some(template) = &compiled.templates[proc.0] else {
+            return Err(MoteurError::new(match p.binding {
+                Some(ServiceBinding::Local(_)) => "local services compose no grid job",
+                _ => "firing an unbound processor",
+            }));
+        };
+        let job = template.fill(tokens, id.0, |port| {
+            self.obs.emit(|| TraceEvent::EdgeStaged {
+                at: ctx.backend.now(),
+                invocation: id.0,
+                processor: p.name.clone(),
+                port: p.inputs[port].clone(),
+                bytes: Self::staged_bytes(&tokens[port].value),
+            });
+        })?;
+        let compute = match &p.binding {
+            Some(ServiceBinding::Descriptor { profile, .. }) => {
+                eval_cost_with(&mut self.rng, &profile.compute, &entry.index)
             }
             Some(ServiceBinding::Grouped(group)) => {
-                let (plan, outputs) = self.build_grouped_job(ctx, proc, group, tokens, id)?;
+                self.obs.emit(|| TraceEvent::GroupComposed {
+                    at: ctx.backend.now(),
+                    processor: p.name.clone(),
+                    stages: group.stages.len(),
+                    commands: job.plan.command_lines.len(),
+                });
                 let mut compute = 0.0;
                 for stage in &group.stages {
                     compute += eval_cost_with(&mut self.rng, &stage.profile.compute, &entry.index);
                 }
-                (plan, outputs, compute)
+                compute
             }
-            Some(ServiceBinding::Local(_)) => {
-                return Err(MoteurError::new("local services compose no grid job"))
-            }
-            None => return Err(MoteurError::new("firing an unbound processor")),
+            _ => unreachable!("only grid bindings have a job template"),
         };
-        entry.grid_outputs = Some(outputs);
-        Ok((plan, compute))
+        entry.grid_outputs = Some(file_outputs(job.outputs));
+        Ok((job.plan, compute))
     }
 
     pub(super) fn fire<B: Backend + ?Sized>(
@@ -265,42 +274,6 @@ impl WorkflowInstance {
         Ok(())
     }
 
-    /// Bind one port's token into a descriptor slot.
-    fn bind_port(
-        binding: Binding,
-        descriptor: &ExecutableDescriptor,
-        slot_name: &str,
-        token: &Token,
-        catalog: &mut Catalog,
-        proc_name: &str,
-    ) -> Result<Binding, MoteurError> {
-        let slot = descriptor.input(slot_name).ok_or_else(|| {
-            MoteurError::new(format!(
-                "`{proc_name}`: input port `{slot_name}` has no matching descriptor slot"
-            ))
-        })?;
-        if slot.is_file() {
-            match &token.value {
-                DataValue::File { gfn, bytes } => {
-                    catalog.register(gfn.clone(), *bytes);
-                    Ok(binding.bind_file(slot_name, gfn.clone()))
-                }
-                other => Err(MoteurError::new(format!(
-                    "`{proc_name}`: file slot `{slot_name}` received a non-file value {other:?}"
-                ))),
-            }
-        } else {
-            Ok(binding.bind_value(slot_name, token.value.to_param_string()))
-        }
-    }
-
-    fn output_gfn(&self, proc_name: &str, invocation: InvocationId, slot: &str) -> String {
-        format!(
-            "gfn://{}/{}/{}/{}",
-            self.compiled.workflow.name, proc_name, invocation.0, slot
-        )
-    }
-
     /// Observed bytes a token contributes to grid stage-in: file sizes,
     /// summed through collected lists. Literal parameters travel inside
     /// the job description and count as zero.
@@ -310,143 +283,6 @@ impl WorkflowInstance {
             DataValue::List(items) => items.iter().map(Self::staged_bytes).sum(),
             _ => 0,
         }
-    }
-
-    fn build_descriptor_job<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-        proc: ProcId,
-        descriptor: &ExecutableDescriptor,
-        profile: &ServiceProfile,
-        tokens: &[Token],
-        invocation: InvocationId,
-    ) -> Result<(JobPlan, ServiceOutputs), MoteurError> {
-        let p = &self.compiled.workflow.processors[proc.0];
-        // Every file the plan looks up is registered by this build
-        // (inputs via `bind_port`, outputs below), so the catalog is
-        // O(job), not O(stream length).
-        let mut catalog = Catalog::new();
-        let mut binding = Binding::new();
-        for (port_idx, port_name) in p.inputs.iter().enumerate() {
-            let token = &tokens[port_idx];
-            self.obs.emit(|| TraceEvent::EdgeStaged {
-                at: ctx.backend.now(),
-                invocation: invocation.0,
-                processor: p.name.clone(),
-                port: port_name.clone(),
-                bytes: Self::staged_bytes(&token.value),
-            });
-            binding =
-                Self::bind_port(binding, descriptor, port_name, token, &mut catalog, &p.name)?;
-        }
-        for (slot, value) in &profile.fixed_params {
-            binding = binding.bind_value(slot.clone(), value.clone());
-        }
-        let mut outputs = Vec::new();
-        for out in &descriptor.outputs {
-            let gfn = self.output_gfn(&p.name, invocation, &out.name);
-            let bytes = profile.output_size(&out.name);
-            catalog.register(gfn.clone(), bytes);
-            binding = binding.bind_output(out.name.clone(), gfn.clone(), bytes);
-            outputs.push((out.name.clone(), DataValue::File { gfn, bytes }));
-        }
-        Ok((plan_single(descriptor, &binding, &catalog)?, outputs))
-    }
-
-    fn build_grouped_job<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-        proc: ProcId,
-        group: &GroupedBinding,
-        tokens: &[Token],
-        invocation: InvocationId,
-    ) -> Result<(JobPlan, ServiceOutputs), MoteurError> {
-        let p = &self.compiled.workflow.processors[proc.0];
-        let mut catalog = Catalog::new();
-        let mut members: Vec<GroupMember> = Vec::with_capacity(group.stages.len());
-        let mut stage_outputs: Vec<HashMap<String, (String, u64)>> = Vec::new();
-        for (k, stage) in group.stages.iter().enumerate() {
-            let mut binding = Binding::new();
-            for (slot_name, source) in &stage.inputs {
-                match source {
-                    GroupSource::ExternalPort(i) => {
-                        let token = &tokens[*i];
-                        self.obs.emit(|| TraceEvent::EdgeStaged {
-                            at: ctx.backend.now(),
-                            invocation: invocation.0,
-                            processor: p.name.clone(),
-                            port: p.inputs[*i].clone(),
-                            bytes: Self::staged_bytes(&token.value),
-                        });
-                        binding = Self::bind_port(
-                            binding,
-                            &stage.descriptor,
-                            slot_name,
-                            token,
-                            &mut catalog,
-                            &p.name,
-                        )?;
-                    }
-                    GroupSource::StageOutput { stage: j, slot } => {
-                        let (gfn, _bytes) = stage_outputs
-                            .get(*j)
-                            .and_then(|m| m.get(slot))
-                            .ok_or_else(|| {
-                                MoteurError::new(format!(
-                                    "grouped `{}`: stage {k} consumes missing output `{slot}` of stage {j}",
-                                    p.name
-                                ))
-                            })?
-                            .clone();
-                        binding = binding.bind_file(slot_name.clone(), gfn);
-                    }
-                }
-            }
-            for (slot, value) in &stage.profile.fixed_params {
-                binding = binding.bind_value(slot.clone(), value.clone());
-            }
-            let mut outs = HashMap::new();
-            for out in &stage.descriptor.outputs {
-                let gfn = format!(
-                    "gfn://{}/{}~{}/{}/{}",
-                    self.compiled.workflow.name, p.name, stage.name, invocation.0, out.name
-                );
-                let bytes = stage.profile.output_size(&out.name);
-                catalog.register(gfn.clone(), bytes);
-                binding = binding.bind_output(out.name.clone(), gfn.clone(), bytes);
-                outs.insert(out.name.clone(), (gfn, bytes));
-            }
-            stage_outputs.push(outs);
-            members.push(GroupMember {
-                descriptor: stage.descriptor.clone(),
-                binding,
-            });
-        }
-        // Exposed outputs become the grouped processor's output tokens,
-        // aligned with its output-port order.
-        let mut outputs = Vec::new();
-        let mut external = Vec::new();
-        for (port_idx, (stage_idx, slot)) in group.exposed_outputs.iter().enumerate() {
-            let (gfn, bytes) = stage_outputs[*stage_idx]
-                .get(slot)
-                .ok_or_else(|| {
-                    MoteurError::new(format!(
-                        "grouped `{}`: exposed output `{slot}` missing from stage {stage_idx}",
-                        p.name
-                    ))
-                })?
-                .clone();
-            external.push(gfn.clone());
-            outputs.push((p.outputs[port_idx].clone(), DataValue::File { gfn, bytes }));
-        }
-        let plan = compose_group(&members, &catalog, &external)?;
-        self.obs.emit(|| TraceEvent::GroupComposed {
-            at: ctx.backend.now(),
-            processor: p.name.clone(),
-            stages: group.stages.len(),
-            commands: plan.command_lines.len(),
-        });
-        Ok((plan, outputs))
     }
 
     pub(super) fn fire_barrier<B: Backend + ?Sized>(
@@ -494,8 +330,9 @@ impl WorkflowInstance {
                 profile,
             } => {
                 // A descriptor-bound barrier consumes arbitrarily many
-                // files per slot, which the one-value-per-slot wrapper
-                // binding cannot express: build its plan directly.
+                // files per slot, which a job template's one value per
+                // slot cannot express: build its plan directly, naming
+                // its outputs as its template does.
                 let mut fetch: Vec<TransferFile> = Vec::new();
                 for (port_idx, buf) in buffers.iter().enumerate() {
                     for t in buf {
@@ -514,18 +351,16 @@ impl WorkflowInstance {
                         }
                     }
                 }
-                let mut outputs = Vec::new();
-                let mut store = Vec::new();
-                for out in &descriptor.outputs {
-                    let gfn = self.output_gfn(&p.name, invocation, &out.name);
-                    let bytes = profile.output_size(&out.name);
-                    store.push(TransferFile {
-                        name: gfn.clone(),
-                        bytes,
-                    });
-                    outputs.push((out.name.clone(), DataValue::File { gfn, bytes }));
-                }
-                entry.grid_outputs = Some(outputs);
+                let template = compiled.templates[proc.0].as_ref();
+                let outputs = template.expect("a grid binding").outputs(invocation.0);
+                let store = outputs
+                    .iter()
+                    .map(|o| TransferFile {
+                        name: o.gfn.clone(),
+                        bytes: o.bytes,
+                    })
+                    .collect();
+                entry.grid_outputs = Some(file_outputs(outputs));
                 let plan = JobPlan {
                     command_lines: vec![format!(
                         "{} <{} collected inputs>",
@@ -547,6 +382,37 @@ impl WorkflowInstance {
             }
         };
         self.submit(ctx, proc, vec![entry], invocation, payload)
+    }
+}
+
+/// The files a grid job delivers, as the tokens' values.
+fn file_outputs(outputs: Vec<BoundOutput>) -> ServiceOutputs {
+    outputs
+        .into_iter()
+        .map(|o| {
+            (
+                o.slot,
+                DataValue::File {
+                    gfn: o.gfn,
+                    bytes: o.bytes,
+                },
+            )
+        })
+        .collect()
+}
+
+/// A token, as the value a job input carries.
+impl SlotValue for Token {
+    fn file(&self) -> Option<(&str, u64)> {
+        self.value.as_file()
+    }
+
+    fn write_param(&self, out: &mut String) {
+        self.value.write_param(out);
+    }
+
+    fn describe(&self) -> String {
+        format!("{:?}", self.value)
     }
 }
 

@@ -62,6 +62,17 @@ impl From<moteur_wrapper::WrapperError> for MoteurError {
     }
 }
 
+/// A binding fault carries the enactor's own message; a malformed
+/// command line is a wrapper error.
+impl From<moteur_wrapper::FillError> for MoteurError {
+    fn from(e: moteur_wrapper::FillError) -> Self {
+        match e {
+            moteur_wrapper::FillError::Bind(message) => MoteurError::new(message),
+            moteur_wrapper::FillError::Plan(e) => e.into(),
+        }
+    }
+}
+
 // `MoteurError` stays `Clone + Eq`, so the I/O error is captured as its
 // rendered message rather than stored as a payload.
 impl From<std::io::Error> for MoteurError {

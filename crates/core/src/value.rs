@@ -8,6 +8,7 @@
 //! synchronization processor).
 
 use std::any::Any;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A single datum on a workflow link.
@@ -67,16 +68,23 @@ impl DataValue {
         }
     }
 
-    /// Render as a command-line literal (for parameter slots).
-    pub fn to_param_string(&self) -> String {
+    /// Append as a command-line literal (for parameter slots): a list
+    /// renders its items separated by commas.
+    pub fn write_param(&self, out: &mut String) {
         match self {
-            DataValue::Str(s) => s.clone(),
-            DataValue::Num(n) => format!("{n}"),
-            DataValue::File { gfn, .. } => gfn.clone(),
-            DataValue::Opaque(_) => "<opaque>".to_string(),
+            DataValue::Str(s) => out.push_str(s),
+            DataValue::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
+            DataValue::File { gfn, .. } => out.push_str(gfn),
+            DataValue::Opaque(_) => out.push_str("<opaque>"),
             DataValue::List(v) => {
-                let parts: Vec<String> = v.iter().map(DataValue::to_param_string).collect();
-                parts.join(",")
+                for (i, item) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_param(out);
+                }
             }
         }
     }
@@ -149,18 +157,27 @@ mod tests {
 
     #[test]
     fn param_string_rendering() {
-        assert_eq!(DataValue::from("a").to_param_string(), "a");
-        assert_eq!(DataValue::Num(2.5).to_param_string(), "2.5");
+        let param = |v: DataValue| {
+            let mut out = String::new();
+            v.write_param(&mut out);
+            out
+        };
+        assert_eq!(param(DataValue::from("a")), "a");
+        assert_eq!(param(DataValue::Num(2.5)), "2.5");
         assert_eq!(
-            DataValue::File {
+            param(DataValue::File {
                 gfn: "gfn://f".into(),
                 bytes: 0
-            }
-            .to_param_string(),
+            }),
             "gfn://f"
         );
         let l = DataValue::List(vec![DataValue::from("a"), DataValue::from("b")]);
-        assert_eq!(l.to_param_string(), "a,b");
+        assert_eq!(param(l), "a,b");
+        let nested = DataValue::List(vec![
+            DataValue::List(vec![1.0.into(), 2.0.into()]),
+            "c".into(),
+        ]);
+        assert_eq!(param(nested), "1,2,c");
     }
 
     #[test]

@@ -519,6 +519,84 @@ fn local_service_errors_abort_the_workflow() {
     assert!(err.to_string().contains("broken"), "{err}");
 }
 
+/// Enact `wf` without the preflight lint, keeping the JSONL stream.
+fn enact_unchecked(
+    wf: &Workflow,
+    inputs: &InputData,
+) -> (Result<WorkflowResult, MoteurError>, String) {
+    let (sink, buffer) = moteur::RingBufferSink::new(1 << 16);
+    let mut backend = VirtualBackend::new();
+    let result = Enactment::new(wf, inputs, EnactorConfig::sp_dp().without_preflight())
+        .obs(Obs::new(vec![Box::new(sink)]))
+        .run(&mut backend);
+    let stream = buffer
+        .snapshot()
+        .iter()
+        .map(|e| e.to_json() + "\n")
+        .collect();
+    (result, stream)
+}
+
+/// A descriptor-bound processor that cannot bind what it is fed fails
+/// the run when it first fires — after staging the ports up to the
+/// faulty one, before any job is submitted — with the binding's message.
+/// Over an empty stream nothing fires, so the same workflow succeeds.
+#[test]
+fn binding_faults_fail_the_run_at_the_first_firing() {
+    // `extra` has no slot in the descriptor.
+    let mut unknown_port = Workflow::new("faulty");
+    let src = unknown_port.add_source("s");
+    let p = unknown_port.add_service(
+        "p",
+        &["in", "extra"],
+        &["out"],
+        dsvc("p", &["in"], &["out"], 10.0),
+    );
+    let sink = unknown_port.add_sink("sink");
+    unknown_port.connect(src, "out", p, "in").unwrap();
+    unknown_port.connect(src, "out", p, "extra").unwrap();
+    unknown_port.connect(p, "out", sink, "in").unwrap();
+    // The file slot `in` is fed numbers.
+    let mut non_file = Workflow::new("faulty");
+    let src = non_file.add_source("s");
+    let p = non_file.add_service("p", &["in"], &["out"], dsvc("p", &["in"], &["out"], 10.0));
+    let sink = non_file.add_sink("sink");
+    non_file.connect(src, "out", p, "in").unwrap();
+    non_file.connect(p, "out", sink, "in").unwrap();
+
+    for (wf, items, message, staged) in [
+        (
+            &unknown_port,
+            file_inputs(3, "in"),
+            "`p`: input port `extra` has no matching descriptor slot".to_string(),
+            2,
+        ),
+        (
+            &non_file,
+            vec![1.0.into(), 2.0.into()],
+            format!(
+                "`p`: file slot `in` received a non-file value {:?}",
+                DataValue::from(1.0)
+            ),
+            1,
+        ),
+    ] {
+        let (result, stream) = enact_unchecked(wf, &InputData::new().set("s", items));
+        assert_eq!(result.unwrap_err(), MoteurError::new(message));
+        assert_eq!(
+            stream.matches("\"edge_staged\"").count(),
+            staged,
+            "{stream}"
+        );
+        assert!(!stream.contains("\"job_submitted\""), "{stream}");
+
+        let (result, stream) = enact_unchecked(wf, &InputData::new().set("s", vec![]));
+        let result = result.expect("nothing fires over an empty source");
+        assert_eq!(result.jobs_submitted, 0);
+        assert!(!stream.contains("\"edge_staged\""), "{stream}");
+    }
+}
+
 #[test]
 fn missing_source_data_is_reported() {
     let wf = two_stage_workflow();

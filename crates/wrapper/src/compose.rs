@@ -11,9 +11,8 @@
 use crate::catalog::Catalog;
 use crate::descriptor::ExecutableDescriptor;
 use crate::error::WrapperError;
-use crate::invocation::{
-    command_line, push_fetch, push_item_fetch, Binding, BoundValue, JobPlan, TransferFile,
-};
+use crate::invocation::{Binding, JobPlan};
+use crate::template::bound_plan;
 
 /// One member of a grouped job: a descriptor plus its invocation
 /// binding.
@@ -38,61 +37,11 @@ pub fn compose_group(
     if members.is_empty() {
         return Err(WrapperError::new("cannot compose an empty group"));
     }
-    let mut command_lines = Vec::with_capacity(members.len());
-    let mut fetch: Vec<TransferFile> = Vec::new();
-    let mut store: Vec<TransferFile> = Vec::new();
-    // GFNs produced by members seen so far → available locally.
-    let mut produced: std::collections::HashSet<&str> = std::collections::HashSet::new();
-
-    for member in members {
-        command_lines.push(command_line(&member.descriptor, &member.binding)?);
-        push_item_fetch(&mut fetch, &member.descriptor.executable, catalog);
-        for s in &member.descriptor.sandboxes {
-            push_item_fetch(&mut fetch, s, catalog);
-        }
-        for (_, value) in &member.binding.inputs {
-            if let BoundValue::File { gfn } = value {
-                // Produced earlier in this group → local, no transfer.
-                if !produced.contains(gfn.as_str()) {
-                    push_fetch(&mut fetch, gfn.clone(), catalog.size_of(gfn));
-                }
-            }
-        }
-        for out in &member.binding.outputs {
-            produced.insert(&out.gfn);
-        }
-    }
-
-    // Consumers *within* the group, per GFN.
-    let consumed_internally: std::collections::HashSet<&str> = members
+    let members: Vec<_> = members
         .iter()
-        .flat_map(|m| m.binding.inputs.iter())
-        .filter_map(|(_, v)| match v {
-            BoundValue::File { gfn } => Some(gfn.as_str()),
-            BoundValue::Value(_) => None,
-        })
+        .map(|m| (&m.descriptor, &m.binding))
         .collect();
-
-    for member in members {
-        for out in &member.binding.outputs {
-            let internal_only = consumed_internally.contains(out.gfn.as_str())
-                && !external_outputs.iter().any(|e| e == &out.gfn);
-            if !internal_only {
-                push_store(&mut store, out.gfn.clone(), out.bytes);
-            }
-        }
-    }
-    Ok(JobPlan {
-        command_lines,
-        fetch,
-        store,
-    })
-}
-
-fn push_store(store: &mut Vec<TransferFile>, name: String, bytes: u64) {
-    if !store.iter().any(|f| f.name == name) {
-        store.push(TransferFile { name, bytes });
-    }
+    bound_plan(&members, catalog, Some(external_outputs))
 }
 
 #[cfg(test)]

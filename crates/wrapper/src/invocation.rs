@@ -4,10 +4,13 @@
 //! This is the "dynamic composition of the command line from the list
 //! of parameters at the service invocation time" of paper §3.6: the
 //! descriptor is static, the data values arrive with each invocation.
+//! A [`Binding`] names every value up front; its plan is rendered by a
+//! [`JobTemplate`](crate::JobTemplate) built from it and filled at once.
 
 use crate::catalog::Catalog;
-use crate::descriptor::{AccessMethod, ExecutableDescriptor};
+use crate::descriptor::ExecutableDescriptor;
 use crate::error::WrapperError;
+use crate::template::bound_plan;
 
 /// A value bound to an input slot at invocation time.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,14 +67,6 @@ impl Binding {
         });
         self
     }
-
-    fn input(&self, slot: &str) -> Option<&BoundValue> {
-        self.inputs.iter().find(|(n, _)| n == slot).map(|(_, v)| v)
-    }
-
-    fn output(&self, slot: &str) -> Option<&BoundOutput> {
-        self.outputs.iter().find(|o| o.slot == slot)
-    }
 }
 
 /// A file the job must fetch or register, with its size.
@@ -105,7 +100,9 @@ impl JobPlan {
     pub fn absorb(&mut self, other: JobPlan) {
         self.command_lines.extend(other.command_lines);
         for f in other.fetch {
-            push_fetch(&mut self.fetch, f.name, f.bytes);
+            if !self.fetch.iter().any(|g| g.name == f.name) {
+                self.fetch.push(f);
+            }
         }
         self.store.extend(other.store);
     }
@@ -122,61 +119,8 @@ pub fn command_line(
     desc: &ExecutableDescriptor,
     binding: &Binding,
 ) -> Result<String, WrapperError> {
-    let mut parts: Vec<String> = vec![desc.executable.value.clone()];
-    for slot in &desc.inputs {
-        let value = binding
-            .input(&slot.name)
-            .ok_or_else(|| WrapperError::new(format!("unbound input `{}`", slot.name)))?;
-        let rendered = match (slot.is_file(), value) {
-            (true, BoundValue::File { gfn }) => local_name(gfn).to_string(),
-            (false, BoundValue::Value(v)) => v.clone(),
-            (true, BoundValue::Value(_)) => {
-                return Err(WrapperError::new(format!(
-                    "input `{}` is a file slot but was bound to a literal value",
-                    slot.name
-                )))
-            }
-            (false, BoundValue::File { .. }) => {
-                return Err(WrapperError::new(format!(
-                    "input `{}` is a parameter but was bound to a file",
-                    slot.name
-                )))
-            }
-        };
-        if slot.option.is_empty() {
-            parts.push(rendered);
-        } else {
-            parts.push(slot.option.clone());
-            parts.push(rendered);
-        }
-    }
-    for slot in &desc.outputs {
-        let bound = binding
-            .output(&slot.name)
-            .ok_or_else(|| WrapperError::new(format!("unbound output `{}`", slot.name)))?;
-        if slot.option.is_empty() {
-            parts.push(local_name(&bound.gfn).to_string());
-        } else {
-            parts.push(slot.option.clone());
-            parts.push(local_name(&bound.gfn).to_string());
-        }
-    }
-    for (name, _) in &binding.inputs {
-        if desc.input(name).is_none() {
-            return Err(WrapperError::new(format!(
-                "binding names unknown input `{name}`"
-            )));
-        }
-    }
-    for out in &binding.outputs {
-        if desc.output(&out.slot).is_none() {
-            return Err(WrapperError::new(format!(
-                "binding names unknown output `{}`",
-                out.slot
-            )));
-        }
-    }
-    Ok(parts.join(" "))
+    let mut plan = plan_single(desc, binding, &Catalog::new())?;
+    Ok(plan.command_lines.swap_remove(0))
 }
 
 /// Build the full [`JobPlan`] for one (ungrouped) invocation.
@@ -188,53 +132,7 @@ pub fn plan_single(
     binding: &Binding,
     catalog: &Catalog,
 ) -> Result<JobPlan, WrapperError> {
-    let cmd = command_line(desc, binding)?;
-    let mut fetch = Vec::new();
-    push_item_fetch(&mut fetch, &desc.executable, catalog);
-    for s in &desc.sandboxes {
-        push_item_fetch(&mut fetch, s, catalog);
-    }
-    for (name, value) in &binding.inputs {
-        if let BoundValue::File { gfn } = value {
-            // Only file slots reach here (command_line validated types).
-            let _ = name;
-            push_fetch(&mut fetch, gfn.clone(), catalog.size_of(gfn));
-        }
-    }
-    let store = binding
-        .outputs
-        .iter()
-        .map(|o| TransferFile {
-            name: o.gfn.clone(),
-            bytes: o.bytes,
-        })
-        .collect();
-    Ok(JobPlan {
-        command_lines: vec![cmd],
-        fetch,
-        store,
-    })
-}
-
-pub(crate) fn push_item_fetch(
-    fetch: &mut Vec<TransferFile>,
-    item: &crate::descriptor::FileItem,
-    catalog: &Catalog,
-) {
-    let name = match &item.access {
-        AccessMethod::Url { server } => format!("{server}/{}", item.value),
-        AccessMethod::Gfn => item.value.clone(),
-        // Local files are already on the execution host: no transfer.
-        AccessMethod::Local => return,
-    };
-    let bytes = catalog.size_of(&name);
-    push_fetch(fetch, name, bytes);
-}
-
-pub(crate) fn push_fetch(fetch: &mut Vec<TransferFile>, name: String, bytes: u64) {
-    if !fetch.iter().any(|f| f.name == name) {
-        fetch.push(TransferFile { name, bytes });
-    }
+    bound_plan(&[(desc, binding)], catalog, None)
 }
 
 #[cfg(test)]

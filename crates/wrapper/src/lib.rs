@@ -21,6 +21,8 @@
 //! backend executes. [`compose_group`] merges several plans, keeping
 //! intermediate files on the worker — one submission overhead and fewer
 //! transfers, which is precisely what the JG configurations measure.
+//! Both render through a [`JobTemplate`]: the static half of a plan,
+//! which the enactor builds once per processor and fills per firing.
 //!
 //! ```
 //! use moteur_wrapper::{crest_lines_example, command_line, Binding};
@@ -43,6 +45,7 @@ pub mod error;
 pub mod invocation;
 pub mod jdl;
 pub mod lint;
+pub mod template;
 
 pub use catalog::Catalog;
 pub use compose::{compose_group, GroupMember};
@@ -55,3 +58,4 @@ pub use invocation::{
 };
 pub use jdl::{to_jdl, JdlOptions};
 pub use lint::{lint_descriptor, DescriptorFinding};
+pub use template::{Feed, FillError, FilledJob, JobTemplate, SlotValue, StageSpec};

@@ -1,0 +1,918 @@
+//! Job-plan templates: the static half of a job's plan, built once, and
+//! the fill that completes it for one invocation.
+//!
+//! Paper §3.6 splits the generic wrapper into a static part, the
+//! descriptor, and a part that arrives with each invocation: "dynamic
+//! composition of the command line from the list of parameters at the
+//! service invocation time". A [`JobTemplate`] holds everything a job's
+//! plan does not owe to its input values: the executables and sandboxes
+//! to stage in (resolved and de-duplicated), where each slot is fed
+//! from, the command line's option text, and each output's size and
+//! whether it is registered or stays on the worker. [`JobTemplate::fill`]
+//! then only writes the values into their holes and names the outputs.
+//!
+//! The enactor builds one template per processor ([`JobTemplate::compile`]);
+//! [`plan_single`](crate::plan_single) and
+//! [`compose_group`](crate::compose_group) build one from their bindings
+//! and fill it at once, so every plan is rendered by the same code.
+
+use crate::catalog::Catalog;
+use crate::descriptor::{AccessMethod, ExecutableDescriptor, InputSlot};
+use crate::error::WrapperError;
+use crate::invocation::{local_name, Binding, BoundOutput, BoundValue, JobPlan, TransferFile};
+use std::fmt::Write as _;
+
+/// What a template needs of the value one job input carries.
+pub trait SlotValue {
+    /// The GFN and size of a file value; `None` for any other value.
+    fn file(&self) -> Option<(&str, u64)>;
+    /// Append the value as a literal command-line parameter.
+    fn write_param(&self, out: &mut String);
+    /// The value as an error message quotes it.
+    fn describe(&self) -> String;
+}
+
+/// Where one slot of a stage is fed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Feed<'a> {
+    /// The job's input `i` (the processor's input port `i`).
+    Port(usize),
+    /// A parameter fixed when the service was bound.
+    Param(&'a str),
+    /// Output `slot` of the earlier stage `stage`: a file that stays on
+    /// the worker.
+    Stage { stage: usize, slot: &'a str },
+}
+
+/// One stage of a job as the enactor binds it.
+#[derive(Debug, Clone)]
+pub struct StageSpec<'a> {
+    /// The stage's name inside a grouped job; `None` for a processor
+    /// bound to one descriptor. It names the outputs' GFNs.
+    pub group_member: Option<&'a str>,
+    pub descriptor: &'a ExecutableDescriptor,
+    /// Every slot binding, in binding order: the first binding of a slot
+    /// is the one its command line shows.
+    pub feeds: Vec<(&'a str, Feed<'a>)>,
+    /// Size of each of the descriptor's outputs, in descriptor order.
+    pub output_bytes: Vec<u64>,
+}
+
+/// Why a job could not be filled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FillError {
+    /// A slot could not take what feeds it; the message names the
+    /// processor.
+    Bind(String),
+    /// The bound job has no valid command line.
+    Plan(WrapperError),
+}
+
+impl From<FillError> for WrapperError {
+    fn from(e: FillError) -> Self {
+        match e {
+            FillError::Bind(message) => WrapperError::new(message),
+            FillError::Plan(e) => e,
+        }
+    }
+}
+
+/// A filled job: its plan and the files it delivers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FilledJob {
+    pub plan: JobPlan,
+    /// One per output port, in port order; `slot` is the port's name.
+    pub outputs: Vec<BoundOutput>,
+}
+
+/// The static half of a job's plan. See the module documentation.
+#[derive(Debug, Clone)]
+pub struct JobTemplate {
+    processor: String,
+    stages: Vec<Stage>,
+    exposed: Vec<Exposed>,
+    /// The first fault found once every slot is bound: `fill` returns it
+    /// after the per-slot checks pass.
+    fault: Option<FillError>,
+    /// Upper bounds of the plan's fetch and store lists.
+    fetch_len: usize,
+    store_len: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Stage {
+    /// `gfn://{workflow}/{processor}/` or `gfn://{workflow}/{processor}~{stage}/`.
+    prefix: String,
+    /// The executable and sandboxes, resolved; none an earlier stage
+    /// already stages in.
+    fetch: Vec<TransferFile>,
+    /// The bindings a fill acts on, in binding order.
+    binds: Vec<Bind>,
+    /// The command line: text, then the value of a job input.
+    line: Vec<Piece>,
+    line_len: usize,
+    outputs: Vec<Output>,
+}
+
+#[derive(Debug, Clone)]
+enum Bind {
+    /// Job input `port` bound into `slot`; a file slot stages it in.
+    Port {
+        port: usize,
+        slot: String,
+        file: bool,
+    },
+    /// A file fixed when the template was built, staged in.
+    File(TransferFile),
+    /// A structural fault: filling stops here.
+    Fault(FillError),
+}
+
+#[derive(Debug, Clone)]
+struct Piece {
+    text: String,
+    /// The job input whose value follows, and whether its slot is a file.
+    hole: Option<(usize, bool)>,
+}
+
+#[derive(Debug, Clone)]
+struct Output {
+    name: OutputName,
+    bytes: u64,
+    /// Registered after the job, rather than left on the worker.
+    stored: bool,
+}
+
+#[derive(Debug, Clone)]
+enum OutputName {
+    /// `{prefix}{invocation}/{slot}`.
+    Slot(String),
+    /// A GFN fixed by a binding.
+    Fixed(String),
+}
+
+impl OutputName {
+    /// The file's name on the worker: what the command line shows.
+    fn local(&self) -> &str {
+        match self {
+            OutputName::Slot(s) | OutputName::Fixed(s) => local_name(s),
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Exposed {
+    port: String,
+    stage: usize,
+    output: usize,
+    /// Its position in the plan's store list, when registered.
+    stored_at: Option<usize>,
+}
+
+/// A slot binding while a template is built.
+enum Src<'a> {
+    Port(usize),
+    Param(&'a str),
+    File(&'a str, u64),
+    Produced { stage: usize, output: usize },
+    Fault(FillError),
+}
+
+/// A stage while a template is built.
+struct Draft<'a> {
+    descriptor: &'a ExecutableDescriptor,
+    prefix: String,
+    binds: Vec<(&'a str, Src<'a>)>,
+    /// Output bindings, in binding order.
+    outputs: Vec<(&'a str, Output)>,
+}
+
+impl JobTemplate {
+    /// The template of processor `processor` of workflow `workflow`,
+    /// whose job runs `stages` in order and delivers `exposed` — `(port,
+    /// stage, output slot)` per output port, in port order. An output
+    /// a later stage consumes and no port exposes stays on the worker.
+    ///
+    /// Structural faults are not errors here: they are kept and returned
+    /// by the first [`JobTemplate::fill`], so a processor that never
+    /// fires never reports them.
+    pub fn compile(
+        workflow: &str,
+        processor: &str,
+        stages: &[StageSpec<'_>],
+        exposed: &[(&str, usize, &str)],
+    ) -> JobTemplate {
+        let output_index = |stage: usize, slot: &str| {
+            let spec = stages.get(stage)?;
+            spec.descriptor.outputs.iter().position(|o| o.name == slot)
+        };
+        let mut consumed = vec![Vec::new(); stages.len()];
+        let mut drafts = Vec::with_capacity(stages.len());
+        for (k, spec) in stages.iter().enumerate() {
+            let binds = spec
+                .feeds
+                .iter()
+                .map(|&(slot, feed)| {
+                    let src = match feed {
+                        Feed::Port(i) => Src::Port(i),
+                        Feed::Param(value) => Src::Param(value),
+                        Feed::Stage { stage, slot: out } => {
+                            match output_index(stage, out).filter(|_| stage < k) {
+                                Some(output) => {
+                                    consumed[stage].push(output);
+                                    Src::Produced { stage, output }
+                                }
+                                None => Src::Fault(FillError::Bind(format!(
+                                    "grouped `{processor}`: stage {k} consumes missing output `{out}` of stage {stage}"
+                                ))),
+                            }
+                        }
+                    };
+                    (slot, src)
+                })
+                .collect();
+            let prefix = match spec.group_member {
+                Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
+                None => format!("gfn://{workflow}/{processor}/"),
+            };
+            drafts.push(Draft {
+                descriptor: spec.descriptor,
+                prefix,
+                binds,
+                outputs: Vec::new(),
+            });
+        }
+        let mut fault = None;
+        let mut ports = Vec::with_capacity(exposed.len());
+        for &(port, stage, slot) in exposed {
+            match output_index(stage, slot) {
+                Some(output) => ports.push((port.to_owned(), stage, output)),
+                None => {
+                    fault = fault.or(Some(FillError::Bind(format!(
+                        "grouped `{processor}`: exposed output `{slot}` missing from stage {stage}"
+                    ))));
+                }
+            }
+        }
+        if stages.is_empty() {
+            fault = fault.or(Some(FillError::Plan(WrapperError::new(
+                "cannot compose an empty group",
+            ))));
+        }
+        for ((k, spec), draft) in stages.iter().enumerate().zip(&mut drafts) {
+            draft.outputs = spec
+                .descriptor
+                .outputs
+                .iter()
+                .enumerate()
+                .map(|(o, out)| {
+                    let internal = consumed[k].contains(&o)
+                        && !ports.iter().any(|&(_, s, p)| (s, p) == (k, o));
+                    let output = Output {
+                        name: OutputName::Slot(out.name.clone()),
+                        bytes: spec.output_bytes[o],
+                        stored: !internal,
+                    };
+                    (out.name.as_str(), output)
+                })
+                .collect();
+        }
+        let default = Catalog::new();
+        build(processor, &drafts, ports, fault, &|name| {
+            default.size_of(name)
+        })
+    }
+
+    /// Complete the plan for one invocation over `inputs`, one value per
+    /// job input: `staged(i)` is called as input `i` is bound, in
+    /// binding order. A file input stages in at its own size (a name
+    /// bound twice, at the size bound last), each output GFN is
+    /// formatted once, and a file that stays on the worker is only named
+    /// on the command line.
+    pub fn fill<V: SlotValue>(
+        &self,
+        inputs: &[V],
+        invocation: u64,
+        mut staged: impl FnMut(usize),
+    ) -> Result<FilledJob, FillError> {
+        for bind in self.stages.iter().flat_map(|s| &s.binds) {
+            match bind {
+                Bind::Port { port, slot, file } => {
+                    staged(*port);
+                    if *file && inputs[*port].file().is_none() {
+                        return Err(FillError::Bind(format!(
+                            "`{}`: file slot `{slot}` received a non-file value {}",
+                            self.processor,
+                            inputs[*port].describe()
+                        )));
+                    }
+                }
+                Bind::File(_) => {}
+                Bind::Fault(e) => return Err(e.clone()),
+            }
+        }
+        if let Some(e) = &self.fault {
+            return Err(e.clone());
+        }
+        let mut plan = JobPlan {
+            command_lines: Vec::with_capacity(self.stages.len()),
+            fetch: Vec::with_capacity(self.fetch_len),
+            store: Vec::with_capacity(self.store_len),
+        };
+        for stage in &self.stages {
+            for f in &stage.fetch {
+                if !plan.fetch.iter().any(|g| g.name == f.name) {
+                    plan.fetch.push(f.clone());
+                }
+            }
+            for bind in &stage.binds {
+                let (name, bytes) = match bind {
+                    Bind::Port {
+                        port, file: true, ..
+                    } => inputs[*port].file().expect("checked while binding"),
+                    Bind::File(f) => (f.name.as_str(), f.bytes),
+                    _ => continue,
+                };
+                match plan.fetch.iter_mut().find(|f| f.name == name) {
+                    Some(f) => f.bytes = bytes,
+                    None => plan.fetch.push(TransferFile {
+                        name: name.to_owned(),
+                        bytes,
+                    }),
+                }
+            }
+            plan.command_lines.push(stage.render(inputs));
+            for out in stage.outputs.iter().filter(|o| o.stored) {
+                plan.store.push(TransferFile {
+                    name: stage.gfn(out, invocation),
+                    bytes: out.bytes,
+                });
+            }
+        }
+        let outputs = self.deliver(invocation, &plan.store);
+        Ok(FilledJob { plan, outputs })
+    }
+
+    /// The files a job of this template delivers under `invocation`, as
+    /// [`JobTemplate::fill`] names them, without binding any input.
+    pub fn outputs(&self, invocation: u64) -> Vec<BoundOutput> {
+        self.deliver(invocation, &[])
+    }
+
+    /// The output ports' files: a registered one shares the GFN its
+    /// `store` entry already formatted.
+    fn deliver(&self, invocation: u64, store: &[TransferFile]) -> Vec<BoundOutput> {
+        self.exposed
+            .iter()
+            .map(|e| {
+                let stage = &self.stages[e.stage];
+                let out = &stage.outputs[e.output];
+                let gfn = match e.stored_at.and_then(|k| store.get(k)) {
+                    Some(stored) => stored.name.clone(),
+                    None => stage.gfn(out, invocation),
+                };
+                BoundOutput {
+                    slot: e.port.clone(),
+                    gfn,
+                    bytes: out.bytes,
+                }
+            })
+            .collect()
+    }
+}
+
+impl Stage {
+    fn gfn(&self, out: &Output, invocation: u64) -> String {
+        match &out.name {
+            OutputName::Fixed(gfn) => gfn.clone(),
+            OutputName::Slot(slot) => {
+                let mut gfn = String::with_capacity(self.prefix.len() + 21 + slot.len());
+                gfn.push_str(&self.prefix);
+                let _ = write!(gfn, "{invocation}/");
+                gfn.push_str(slot);
+                gfn
+            }
+        }
+    }
+
+    fn render<V: SlotValue>(&self, inputs: &[V]) -> String {
+        let holes: usize = self
+            .line
+            .iter()
+            .filter_map(|p| p.hole)
+            .map(|(port, file)| match inputs[port].file() {
+                Some((gfn, _)) if file => local_name(gfn).len(),
+                _ => 16,
+            })
+            .sum();
+        let mut line = String::with_capacity(self.line_len + holes);
+        for piece in &self.line {
+            line.push_str(&piece.text);
+            match piece.hole.map(|(port, file)| (&inputs[port], file)) {
+                Some((value, true)) => {
+                    line.push_str(local_name(value.file().expect("a file slot").0));
+                }
+                Some((value, false)) => value.write_param(&mut line),
+                None => {}
+            }
+        }
+        line
+    }
+}
+
+/// The plan of one job running `members` in order, every value fixed by
+/// its binding: a template built from the bindings and filled at once.
+/// Sizes come from `catalog`. With `external` (a group), a file a member
+/// produces and a member consumes stays on the worker unless `external`
+/// lists it, and a name is registered once; without it (a single
+/// invocation), every output is registered.
+pub(crate) fn bound_plan(
+    members: &[(&ExecutableDescriptor, &Binding)],
+    catalog: &Catalog,
+    external: Option<&[String]>,
+) -> Result<JobPlan, WrapperError> {
+    let consumed: Vec<&str> = members
+        .iter()
+        .flat_map(|(_, b)| &b.inputs)
+        .filter_map(|(_, v)| match v {
+            BoundValue::File { gfn } => Some(gfn.as_str()),
+            BoundValue::Value(_) => None,
+        })
+        .collect();
+    let mut registered: Vec<&str> = Vec::new();
+    let mut drafts = Vec::with_capacity(members.len());
+    for (k, (descriptor, binding)) in members.iter().enumerate() {
+        // A file an earlier member produces is already on the worker.
+        let producer = |gfn: &str| {
+            members[..k].iter().enumerate().find_map(|(stage, (_, b))| {
+                let output = b.outputs.iter().position(|o| o.gfn == gfn)?;
+                Some(Src::Produced { stage, output })
+            })
+        };
+        let binds = binding
+            .inputs
+            .iter()
+            .map(|(slot, value)| {
+                let src = match value {
+                    BoundValue::Value(v) => Src::Param(v),
+                    BoundValue::File { gfn } => {
+                        producer(gfn).unwrap_or_else(|| Src::File(gfn, catalog.size_of(gfn)))
+                    }
+                };
+                (slot.as_str(), src)
+            })
+            .collect();
+        let outputs = binding
+            .outputs
+            .iter()
+            .map(|o| {
+                let stored = match external {
+                    None => true,
+                    Some(external) => {
+                        let internal = consumed.contains(&o.gfn.as_str())
+                            && !external.iter().any(|e| e == &o.gfn);
+                        !internal && !registered.contains(&o.gfn.as_str())
+                    }
+                };
+                if stored {
+                    registered.push(&o.gfn);
+                }
+                let output = Output {
+                    name: OutputName::Fixed(o.gfn.clone()),
+                    bytes: o.bytes,
+                    stored,
+                };
+                (o.slot.as_str(), output)
+            })
+            .collect();
+        drafts.push(Draft {
+            descriptor,
+            prefix: String::new(),
+            binds,
+            outputs,
+        });
+    }
+    let template = build("", &drafts, Vec::new(), None, &|name| catalog.size_of(name));
+    Ok(template.fill::<NoInput>(&[], 0, |_| {})?.plan)
+}
+
+/// The job inputs of a template whose every value is fixed: none.
+enum NoInput {}
+
+impl SlotValue for NoInput {
+    fn file(&self) -> Option<(&str, u64)> {
+        match *self {}
+    }
+    fn write_param(&self, _: &mut String) {
+        match *self {}
+    }
+    fn describe(&self) -> String {
+        match *self {}
+    }
+}
+
+/// Resolve every draft into a template stage. `fault` is a fault found
+/// before any command line is rendered; the first command-line fault,
+/// in stage order, follows it.
+fn build(
+    processor: &str,
+    drafts: &[Draft<'_>],
+    exposed: Vec<(String, usize, usize)>,
+    mut fault: Option<FillError>,
+    size_of: &dyn Fn(&str) -> u64,
+) -> JobTemplate {
+    let mut statics: Vec<String> = Vec::new();
+    let mut stages = Vec::with_capacity(drafts.len());
+    let mut fetch_len = 0;
+    for draft in drafts {
+        let d = draft.descriptor;
+        let mut fetch = Vec::new();
+        for item in std::iter::once(&d.executable).chain(&d.sandboxes) {
+            let name = match &item.access {
+                AccessMethod::Url { server } => format!("{server}/{}", item.value),
+                AccessMethod::Gfn => item.value.clone(),
+                // Local files are already on the execution host: no transfer.
+                AccessMethod::Local => continue,
+            };
+            if !statics.contains(&name) {
+                statics.push(name.clone());
+                fetch.push(TransferFile {
+                    bytes: size_of(&name),
+                    name,
+                });
+            }
+        }
+        let mut binds = Vec::new();
+        for (slot, src) in &draft.binds {
+            match src {
+                Src::Port(port) => {
+                    let input = d.input(slot);
+                    binds.push(Bind::Port {
+                        port: *port,
+                        slot: (*slot).to_owned(),
+                        file: input.is_some_and(InputSlot::is_file),
+                    });
+                    if input.is_none() {
+                        binds.push(Bind::Fault(FillError::Bind(format!(
+                            "`{processor}`: input port `{slot}` has no matching descriptor slot"
+                        ))));
+                    }
+                }
+                Src::File(gfn, bytes) => binds.push(Bind::File(TransferFile {
+                    name: (*gfn).to_owned(),
+                    bytes: *bytes,
+                })),
+                Src::Fault(e) => binds.push(Bind::Fault(e.clone())),
+                Src::Param(_) | Src::Produced { .. } => {}
+            }
+        }
+        fetch_len += fetch.len() + binds.len();
+        let line = compile_line(draft, drafts).unwrap_or_else(|e| {
+            fault = fault.take().or(Some(FillError::Plan(e)));
+            Vec::new()
+        });
+        stages.push(Stage {
+            prefix: draft.prefix.clone(),
+            fetch,
+            binds,
+            line_len: line.iter().map(|p| p.text.len()).sum(),
+            line,
+            outputs: draft.outputs.iter().map(|(_, o)| o.clone()).collect(),
+        });
+    }
+    let mut stored_at = Vec::new();
+    for (k, stage) in stages.iter().enumerate() {
+        for (o, out) in stage.outputs.iter().enumerate() {
+            if out.stored {
+                stored_at.push((k, o));
+            }
+        }
+    }
+    JobTemplate {
+        processor: processor.to_owned(),
+        exposed: exposed
+            .into_iter()
+            .map(|(port, stage, output)| Exposed {
+                port,
+                stage,
+                output,
+                stored_at: stored_at.iter().position(|&at| at == (stage, output)),
+            })
+            .collect(),
+        store_len: stored_at.len(),
+        stages,
+        fault,
+        fetch_len,
+    }
+}
+
+/// The command line of one stage, slots in descriptor order: every slot
+/// must be bound, the first binding of a slot is the one shown, and a
+/// binding must name a slot.
+fn compile_line(draft: &Draft<'_>, drafts: &[Draft<'_>]) -> Result<Vec<Piece>, WrapperError> {
+    let d = draft.descriptor;
+    let mut pieces = Vec::new();
+    let mut text = d.executable.value.clone();
+    for slot in &d.inputs {
+        let src = draft
+            .binds
+            .iter()
+            .find(|(name, _)| *name == slot.name)
+            .map(|(_, src)| src)
+            .ok_or_else(|| WrapperError::new(format!("unbound input `{}`", slot.name)))?;
+        option(&mut text, &slot.option);
+        match (slot.is_file(), src) {
+            (true, Src::Param(_)) => {
+                return Err(WrapperError::new(format!(
+                    "input `{}` is a file slot but was bound to a literal value",
+                    slot.name
+                )))
+            }
+            (false, Src::File(..) | Src::Produced { .. }) => {
+                return Err(WrapperError::new(format!(
+                    "input `{}` is a parameter but was bound to a file",
+                    slot.name
+                )))
+            }
+            (file, Src::Port(port)) => pieces.push(Piece {
+                text: std::mem::take(&mut text),
+                hole: Some((*port, file)),
+            }),
+            (_, Src::Param(value)) => text.push_str(value),
+            (_, Src::File(gfn, _)) => text.push_str(local_name(gfn)),
+            (_, Src::Produced { stage, output }) => {
+                text.push_str(drafts[*stage].outputs[*output].1.name.local());
+            }
+            // Filling stops at the fault before any line is rendered.
+            (_, Src::Fault(_)) => {}
+        }
+    }
+    for slot in &d.outputs {
+        let (_, out) = draft
+            .outputs
+            .iter()
+            .find(|(name, _)| *name == slot.name)
+            .ok_or_else(|| WrapperError::new(format!("unbound output `{}`", slot.name)))?;
+        option(&mut text, &slot.option);
+        text.push_str(out.name.local());
+    }
+    if let Some((name, _)) = draft.binds.iter().find(|(n, _)| d.input(n).is_none()) {
+        return Err(WrapperError::new(format!(
+            "binding names unknown input `{name}`"
+        )));
+    }
+    if let Some((slot, _)) = draft.outputs.iter().find(|(n, _)| d.output(n).is_none()) {
+        return Err(WrapperError::new(format!(
+            "binding names unknown output `{slot}`"
+        )));
+    }
+    pieces.push(Piece { text, hole: None });
+    Ok(pieces)
+}
+
+/// Separate the next part of a command line, and write its option.
+fn option(text: &mut String, option: &str) {
+    text.push(' ');
+    if !option.is_empty() {
+        text.push_str(option);
+        text.push(' ');
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::descriptor::crest_lines_example;
+    use crate::invocation::plan_single;
+
+    /// A job input of the tests: a file or a literal.
+    #[derive(Debug)]
+    enum V {
+        File(&'static str, u64),
+        Lit(&'static str),
+    }
+
+    impl SlotValue for V {
+        fn file(&self) -> Option<(&str, u64)> {
+            match self {
+                V::File(gfn, bytes) => Some((gfn, *bytes)),
+                V::Lit(_) => None,
+            }
+        }
+        fn write_param(&self, out: &mut String) {
+            match self {
+                V::File(gfn, _) => out.push_str(gfn),
+                V::Lit(v) => out.push_str(v),
+            }
+        }
+        fn describe(&self) -> String {
+            format!("{self:?}")
+        }
+    }
+
+    /// crestLines bound the way the enactor binds it: two image ports,
+    /// the scale fixed, 400 kB crest files.
+    fn crest_lines(desc: &ExecutableDescriptor) -> StageSpec<'_> {
+        StageSpec {
+            group_member: None,
+            descriptor: desc,
+            feeds: vec![
+                ("floating_image", Feed::Port(0)),
+                ("reference_image", Feed::Port(1)),
+                ("scale", Feed::Param("2")),
+            ],
+            output_bytes: vec![400_000, 400_000],
+        }
+    }
+
+    fn exposed(desc: &ExecutableDescriptor) -> Vec<(&str, usize, &str)> {
+        let outputs = desc.outputs.iter();
+        outputs
+            .map(|o| (o.name.as_str(), 0, o.name.as_str()))
+            .collect()
+    }
+
+    fn images() -> [V; 2] {
+        [
+            V::File("gfn://img/f.hdr", 7_800_000),
+            V::File("gfn://img/r.hdr", 7_800_000),
+        ]
+    }
+
+    #[test]
+    fn a_fill_renders_the_plan_the_binding_would() {
+        let desc = crest_lines_example();
+        let template = JobTemplate::compile("wf", "crest", &[crest_lines(&desc)], &exposed(&desc));
+        let mut staged = Vec::new();
+        let job = template
+            .fill(&images(), 7, |port| staged.push(port))
+            .unwrap();
+        assert_eq!(staged, [0, 1]);
+
+        let mut catalog = Catalog::new();
+        catalog.register("gfn://img/f.hdr", 7_800_000);
+        catalog.register("gfn://img/r.hdr", 7_800_000);
+        let binding = Binding::new()
+            .bind_file("floating_image", "gfn://img/f.hdr")
+            .bind_file("reference_image", "gfn://img/r.hdr")
+            .bind_value("scale", "2")
+            .bind_output(
+                "crest_reference",
+                "gfn://wf/crest/7/crest_reference",
+                400_000,
+            )
+            .bind_output("crest_floating", "gfn://wf/crest/7/crest_floating", 400_000);
+        assert_eq!(job.plan, plan_single(&desc, &binding, &catalog).unwrap());
+        assert_eq!(job.outputs, binding.outputs);
+        assert_eq!(job.outputs, template.outputs(7));
+    }
+
+    #[test]
+    fn a_group_keeps_its_intermediates_on_the_worker() {
+        let lines = crest_lines_example();
+        let matcher = ExecutableDescriptor::parse(
+            r#"<description><executable name="CrestMatch">
+                 <access type="URL"><path value="http://colors.unice.fr"/></access>
+                 <value value="cmatch"/>
+                 <input name="c1" option="-c1"><access type="GFN"/></input>
+                 <input name="c2" option="-c2"><access type="GFN"/></input>
+                 <output name="transfo" option="-o"><access type="GFN"/></output>
+               </executable></description>"#,
+        )
+        .unwrap();
+        let mut first = crest_lines(&lines);
+        first.group_member = Some("crestLines");
+        let second = StageSpec {
+            group_member: Some("crestMatch"),
+            descriptor: &matcher,
+            feeds: vec![
+                (
+                    "c1",
+                    Feed::Stage {
+                        stage: 0,
+                        slot: "crest_reference",
+                    },
+                ),
+                (
+                    "c2",
+                    Feed::Stage {
+                        stage: 0,
+                        slot: "crest_floating",
+                    },
+                ),
+            ],
+            output_bytes: vec![2048],
+        };
+        let template =
+            JobTemplate::compile("wf", "g", &[first, second], &[("transfo", 1, "transfo")]);
+        let job = template.fill(&images(), 3, |_| {}).unwrap();
+        assert_eq!(
+            job.plan.command_lines,
+            [
+                "CrestLines.pl -im1 f.hdr -im2 r.hdr -s 2 -c1 crest_reference -c2 crest_floating",
+                "cmatch -c1 crest_reference -c2 crest_floating -o transfo",
+            ]
+        );
+        let fetched: Vec<_> = job.plan.fetch.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            fetched,
+            [
+                "http://colors.unice.fr/CrestLines.pl",
+                "http://colors.unice.fr/Convert8bits.pl",
+                "http://colors.unice.fr/copy",
+                "http://colors.unice.fr/cmatch",
+                "gfn://img/f.hdr",
+                "gfn://img/r.hdr",
+            ],
+            "the shared cmatch sandbox is fetched once, before the images"
+        );
+        let gfn = "gfn://wf/g~crestMatch/3/transfo";
+        assert_eq!(
+            job.plan.store,
+            [TransferFile {
+                name: gfn.into(),
+                bytes: 2048
+            }]
+        );
+        assert_eq!(
+            job.outputs,
+            [BoundOutput {
+                slot: "transfo".into(),
+                gfn: gfn.into(),
+                bytes: 2048
+            }]
+        );
+    }
+
+    #[test]
+    fn a_name_bound_twice_stages_in_once_at_its_last_size() {
+        let desc = crest_lines_example();
+        let template = JobTemplate::compile("wf", "p", &[crest_lines(&desc)], &exposed(&desc));
+        let inputs = [V::File("gfn://img/same", 10), V::File("gfn://img/same", 20)];
+        let job = template.fill(&inputs, 0, |_| {}).unwrap();
+        let same: Vec<_> = job
+            .plan
+            .fetch
+            .iter()
+            .filter(|f| f.name == "gfn://img/same")
+            .collect();
+        assert_eq!(
+            same,
+            [&TransferFile {
+                name: "gfn://img/same".into(),
+                bytes: 20
+            }]
+        );
+    }
+
+    #[test]
+    fn structural_faults_wait_for_the_first_fill_in_binding_order() {
+        let desc = crest_lines_example();
+        let mut spec = crest_lines(&desc);
+        spec.feeds.insert(1, ("mystery", Feed::Port(2)));
+        let template = JobTemplate::compile("wf", "p", &[spec], &exposed(&desc));
+        let mut staged = Vec::new();
+        let inputs = [V::File("gfn://a", 1), V::File("gfn://b", 1), V::Lit("x")];
+        let err = template
+            .fill(&inputs, 0, |port| staged.push(port))
+            .unwrap_err();
+        let bind = "`p`: input port `mystery` has no matching descriptor slot";
+        assert_eq!(err, FillError::Bind(bind.into()));
+        assert_eq!(staged, [0, 2], "ports up to the faulty one are staged");
+
+        // A literal on a file slot before it is reported first.
+        let inputs = [V::Lit("x"), V::File("gfn://b", 1), V::Lit("x")];
+        let err = template.fill(&inputs, 0, |_| {}).unwrap_err();
+        let bind = "`p`: file slot `floating_image` received a non-file value Lit(\"x\")";
+        assert_eq!(err, FillError::Bind(bind.into()));
+
+        // A slot nothing feeds is a command-line fault, once all is bound.
+        let mut spec = crest_lines(&desc);
+        spec.feeds.pop();
+        let template = JobTemplate::compile("wf", "p", &[spec], &exposed(&desc));
+        let err = template.fill(&images(), 0, |_| {}).unwrap_err();
+        assert_eq!(
+            err,
+            FillError::Plan(WrapperError::new("unbound input `scale`"))
+        );
+
+        let err = JobTemplate::compile("wf", "g", &[], &[]).fill::<V>(&[], 0, |_| {});
+        let empty = WrapperError::new("cannot compose an empty group");
+        assert_eq!(err.unwrap_err(), FillError::Plan(empty));
+    }
+
+    #[test]
+    fn a_stage_fed_by_a_missing_output_is_a_binding_fault() {
+        let desc = crest_lines_example();
+        let mut spec = crest_lines(&desc);
+        spec.group_member = Some("a");
+        spec.feeds[1].1 = Feed::Stage {
+            stage: 0,
+            slot: "crest_reference",
+        };
+        let template = JobTemplate::compile("wf", "g", &[spec], &[]);
+        let err = template.fill(&images(), 0, |_| {}).unwrap_err();
+        let bind = "grouped `g`: stage 0 consumes missing output `crest_reference` of stage 0";
+        assert_eq!(err, FillError::Bind(bind.into()));
+    }
+}
