@@ -98,11 +98,13 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 # Correctness smokes, not measurements: every op's output is checked
 # (hits, misses, grid jobs, makespan; one ok response per protocol
 # line; JSONL lines, `job_submitted`, spans and timeline series of the
-# four standard sinks) and a wrong one exits non-zero. About a second
-# of ops each.
+# four standard sinks; every sampled sink value of the token plane,
+# `2x + 1` at its index, and two jobs per item through bounded ports)
+# and a wrong one exits non-zero. About a second of ops each.
 bash benchmark/run.sh --workload memo_warm --seed 1 --seconds 1 --trace 0
 bash benchmark/run.sh --workload bronze_observed --seed 1 --seconds 1 --trace 0
 bash benchmark/run.sh --workload daemon_wave --seed 1 --seconds 1 --trace 0
+bash benchmark/run.sh --workload stream_chain --seed 1 --seconds 1 --trace 0
 # The same through the traced binary, so every CI log carries the
 # daemon's per-stage and per-call numbers (`stage.apply_drain`,
 # `stage.apply_submit`, `daemon.step`, `daemon.submit`) to read a

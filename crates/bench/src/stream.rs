@@ -44,11 +44,11 @@ pub const STREAM_SCHEMA: &str = "moteur-bench/stream/v1";
 /// input vector, independent of stream length.
 ///
 /// At port capacity 64 the pipeline retains a few hundred tokens,
-/// in-flight jobs and capped sink samples — single-digit
-/// megabytes in practice. 64 MB leaves an order of magnitude of
-/// headroom while still sitting far below what one million eagerly
-/// enacted items retain (hundreds of bytes each, i.e. hundreds of MB).
-pub const PIPELINE_PEAK_BUDGET: u64 = 64 * 1024 * 1024;
+/// in-flight jobs and capped sink samples — about 140 kB. The source
+/// cursor shares the input stream instead of copying it, so 4 MiB
+/// fails any copy of a million-item stream (32 MB of numbers) while
+/// leaving an order of magnitude of headroom.
+pub const PIPELINE_PEAK_BUDGET: u64 = 4 * 1024 * 1024;
 
 /// Minimum factor by which the bounded pipeline peak must undercut
 /// the unbounded-capacity projection for the same stream length.
@@ -94,11 +94,11 @@ pub struct StreamReport {
     pub input_bytes: u64,
     /// Peak live bytes the bounded pipeline added beyond the
     /// materialised inputs — the axis that must stay independent of
-    /// stream length in *derived* state. It includes the source
-    /// cursor's one flat copy of the input values (the same order of
-    /// bytes as `input_bytes`, ~30 B/item for numeric streams), but
-    /// none of the per-item tokens and history trees that make
-    /// unbounded enactment O(n_items × ~450 B).
+    /// stream length. The source cursor reads the input stream in
+    /// place (it holds it by reference count), so nothing here grows
+    /// with `n_items`: not a copy of the inputs, nor the per-item
+    /// tokens and history trees that make unbounded enactment
+    /// O(n_items × ~420 B).
     pub pipeline_peak_bytes: u64,
     /// Retained footprint per item of the unbounded reference phase.
     pub eager_bytes_per_item: f64,

@@ -33,13 +33,38 @@ use std::time::Instant;
 pub struct InvocationId(pub u64);
 
 /// Hasher of the maps keyed by ids the program mints itself
-/// (invocation and attempt tags): `RandomState`'s SipHash with fixed
-/// keys. Nobody hostile picks these keys, and under insert/remove churn
-/// a table grows or rehashes in place depending on where its
-/// tombstones fall, i.e. on the hash keys — per-process keys made the
-/// live-byte high-water mark of a run differ from one process to the
-/// next. No iteration order is relied on either way.
-pub(crate) type IdHasher = std::hash::BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+/// (invocation and attempt tags): one multiply per `u64` by a fixed odd
+/// constant, rotated so a table's bucket bits come from the product's
+/// well-mixed high half (a daemon's tags differ in their upper 32
+/// bits). Nobody hostile picks these keys. The hash is fixed, not
+/// per-process: under insert/remove churn a table grows or rehashes in
+/// place depending on where its tombstones fall, i.e. on the hashes,
+/// and per-process keys made the live-byte high-water mark of a run
+/// differ from one process to the next. No iteration order is relied
+/// on either way.
+pub(crate) type IdHasher = std::hash::BuildHasherDefault<IdHash>;
+
+/// The state of one [`IdHasher`] hash.
+#[derive(Debug, Default)]
+pub(crate) struct IdHash(u64);
+
+impl std::hash::Hasher for IdHash {
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// What to run.
 #[derive(Clone)]
@@ -51,10 +76,11 @@ pub enum JobPayload {
         plan: Arc<JobPlan>,
         compute_seconds: f64,
     },
-    /// An in-process service call with its input tokens.
+    /// An in-process service call with its input tokens: the matched
+    /// tuple itself, shared with the enactor's retained copy.
     Local {
         service: Arc<dyn LocalService>,
-        inputs: Vec<Token>,
+        inputs: Arc<[Token]>,
     },
     /// A cache-elided invocation: no computation, only the simulated
     /// transfer of already-stored results back to the enactor (the
@@ -89,7 +115,9 @@ impl std::fmt::Debug for JobPayload {
 #[derive(Debug, Clone)]
 pub struct BackendJob {
     pub invocation: InvocationId,
-    pub processor: String,
+    /// The processor's name, shared with every other job and history
+    /// node of the enactment.
+    pub processor: Arc<str>,
     pub payload: JobPayload,
 }
 
@@ -333,7 +361,7 @@ impl Backend for SimBackend {
                 plan,
                 compute_seconds,
             } => {
-                let spec = GridJobSpec::new(job.processor, compute_seconds)
+                let spec = GridJobSpec::new(&*job.processor, compute_seconds)
                     .with_files(
                         plan.fetch.iter().map(|f| f.bytes).collect(),
                         plan.store.iter().map(|f| f.bytes).collect(),
@@ -351,7 +379,7 @@ impl Backend for SimBackend {
             JobPayload::Fetch { transfer_seconds } => {
                 let id = self
                     .sim
-                    .submit_fetch(job.processor, transfer_seconds, job.invocation.0);
+                    .submit_fetch(&*job.processor, transfer_seconds, job.invocation.0);
                 self.jobs.insert(job.invocation.0, id);
             }
         }
@@ -625,7 +653,7 @@ mod tests {
     fn grid_job(id: u64, secs: f64) -> BackendJob {
         BackendJob {
             invocation: InvocationId(id),
-            processor: format!("p{id}"),
+            processor: format!("p{id}").into(),
             payload: JobPayload::Grid {
                 plan: Arc::new(JobPlan {
                     command_lines: vec!["x".into()],
@@ -673,7 +701,7 @@ mod tests {
             processor: "local".into(),
             payload: JobPayload::Local {
                 service: Arc::new(svc),
-                inputs: vec![Token::from_source("s", 0, DataValue::from("v"))],
+                inputs: Arc::from([Token::from_source("s", 0, DataValue::from("v"))]),
             },
         })
         .unwrap();
@@ -708,7 +736,7 @@ mod tests {
             processor: "x".into(),
             payload: JobPayload::Local {
                 service: Arc::new(svc),
-                inputs: vec![],
+                inputs: Arc::from([]),
             },
         });
     }
@@ -726,7 +754,11 @@ mod tests {
                 processor: "dbl".into(),
                 payload: JobPayload::Local {
                     service: Arc::new(svc),
-                    inputs: vec![Token::from_source("s", i as u32, DataValue::from(i as f64))],
+                    inputs: Arc::from([Token::from_source(
+                        "s",
+                        i as u32,
+                        DataValue::from(i as f64),
+                    )]),
                 },
             })
             .unwrap();
@@ -861,7 +893,7 @@ mod tests {
             processor: "bad".into(),
             payload: JobPayload::Local {
                 service: Arc::new(svc),
-                inputs: vec![],
+                inputs: Arc::from([]),
             },
         })
         .unwrap();

@@ -39,6 +39,9 @@ impl CompileBits {
 pub(crate) struct CompiledWorkflow {
     /// The enacted (post-grouping) graph.
     pub(super) workflow: Workflow,
+    /// Per-processor name, interned once: every backend job and history
+    /// node of every instance holds it by reference count.
+    pub(super) names: Vec<Arc<str>>,
     /// SCC id per processor and whether that SCC is a real cycle.
     pub(super) scc_ids: Vec<usize>,
     pub(super) in_cycle: Vec<bool>,
@@ -60,8 +63,9 @@ pub(crate) struct CompiledWorkflow {
 
 impl CompiledWorkflow {
     /// Preflight lint, job grouping, graph validation, link compilation,
-    /// service digests and job templates — in the order a rejection is
-    /// reported (a template holds its faults until its first firing).
+    /// interned names, service digests and job templates — in the order
+    /// a rejection is reported (a template holds its faults until its
+    /// first firing).
     pub(crate) fn compile(
         workflow: &Workflow,
         config: &EnactorConfig,
@@ -93,6 +97,11 @@ impl CompiledWorkflow {
         let scc_ids = workflow.scc_ids();
         let in_cycle = workflow.cycle_members_of(&scc_ids);
         let routes = Routes::compile(&workflow, config, &scc_ids, &in_cycle);
+        let names = workflow
+            .processors
+            .iter()
+            .map(|p| Arc::from(p.name.as_str()))
+            .collect();
         let digests = workflow
             .processors
             .iter()
@@ -125,6 +134,7 @@ impl CompiledWorkflow {
             .collect();
         Ok(Arc::new(CompiledWorkflow {
             workflow,
+            names,
             scc_ids,
             in_cycle,
             routes,

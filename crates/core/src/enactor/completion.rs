@@ -69,21 +69,26 @@ impl WorkflowInstance {
         } else {
             samples.push(sample);
         }
-        let local_outputs = c.outputs.expect("failure case handled by caller");
-        self.completed_invocations += pend.entries.len();
+        let mut local_outputs = c.outputs.expect("failure case handled by caller");
+        let n_entries = pend.entries.len();
+        self.completed_invocations += n_entries;
         // The data indices travel on `JobCompleted`, for the record sink.
         let mut indices = Vec::new();
-        for mut entry in pend.entries {
-            let outputs = match (&local_outputs, entry.grid_outputs.take()) {
-                (_, Some(synthesised)) => synthesised,
-                (Some(outs), None) => outs.clone(),
+        for (k, mut entry) in pend.entries.into_iter().enumerate() {
+            // Every entry but the last gets a copy of local outputs; the
+            // last (for a single invocation, the only one) takes them.
+            let outputs = match (entry.grid_outputs.take(), &mut local_outputs) {
+                (Some(synthesised), _) => synthesised,
+                (None, Some(outs)) if k + 1 == n_entries => std::mem::take(outs),
+                (None, Some(outs)) => outs.clone(),
                 (None, None) => {
                     return Err(MoteurError::new(
                         "grid completion without synthesised outputs",
                     ))
                 }
             };
-            let history = History::derived(proc.name.clone(), entry.input_histories);
+            let name = Arc::clone(&compiled.names[proc_id.0]);
+            let history = History::derived(name, entry.input_histories);
             if let Some(key) = entry.cache_key.filter(|_| ctx.store.is_some()) {
                 let prof = self.obs.prof().clone();
                 let _prof = prof.scope(Subsystem::StoreIo);

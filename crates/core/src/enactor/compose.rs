@@ -19,6 +19,10 @@ use moteur_gridsim::Rng;
 use moteur_wrapper::{BoundOutput, JobPlan, SlotValue, TransferFile};
 use std::sync::Arc;
 
+/// A ready invocation the data manager did not know: its shared input
+/// tuple and the entry its job will carry.
+type Admitted = (Arc<[Token]>, PendEntry);
+
 impl WorkflowInstance {
     /// The key a ready invocation of `proc` over `tokens` is memoized
     /// under, when it is memoizable: a data manager is attached, the
@@ -62,7 +66,7 @@ impl WorkflowInstance {
         proc: ProcId,
         matched: MatchedSet,
         id: Option<InvocationId>,
-    ) -> Result<Option<(Vec<Token>, PendEntry)>, MoteurError> {
+    ) -> Result<Option<Admitted>, MoteurError> {
         let MatchedSet { tokens, index } = matched;
         let cache_key = self.memo_key(ctx, proc, &tokens);
         if let (Some(key), Some(store)) = (cache_key, ctx.store.as_deref_mut()) {
@@ -294,7 +298,7 @@ impl WorkflowInstance {
         let p = &compiled.workflow.processors[proc.0];
         let buffers = std::mem::take(&mut self.states[proc.0].sync_buffers);
         // One list token per port: the whole collected stream.
-        let tokens: Vec<Token> = buffers
+        let tokens: Arc<[Token]> = buffers
             .iter()
             .map(|buf| Token {
                 value: DataValue::List(buf.iter().map(|t| t.value.clone()).collect()),

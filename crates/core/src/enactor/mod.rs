@@ -54,9 +54,11 @@ use std::sync::Arc;
 
 /// The workflow's input data: one value stream per source name (the
 /// on-disk form is the input data-set XML language, see `moteur-scufl`).
+/// Each stream is shared, never copied: an enactment's source cursor
+/// reads it in place.
 #[derive(Debug, Clone, Default)]
 pub struct InputData {
-    streams: HashMap<String, Vec<DataValue>>,
+    streams: HashMap<String, Arc<Vec<DataValue>>>,
 }
 
 impl InputData {
@@ -65,12 +67,17 @@ impl InputData {
     }
 
     pub fn set(mut self, source: impl Into<String>, values: Vec<DataValue>) -> Self {
-        self.streams.insert(source.into(), values);
+        self.streams.insert(source.into(), Arc::new(values));
         self
     }
 
     pub fn get(&self, source: &str) -> Option<&[DataValue]> {
-        self.streams.get(source).map(Vec::as_slice)
+        self.streams.get(source).map(|values| values.as_slice())
+    }
+
+    /// The shared stream of `source`.
+    fn stream(&self, source: &str) -> Option<&Arc<Vec<DataValue>>> {
+        self.streams.get(source)
     }
 }
 
@@ -263,6 +270,9 @@ pub struct WorkflowInstance {
     sink_counts: Vec<usize>,
     /// Unemitted source streams, one cursor per source.
     source_cursors: Vec<SourceCursor>,
+    /// Per processor, "will emit no more tokens": refilled by every
+    /// firing round, kept here so a round allocates nothing.
+    exhausted: Vec<bool>,
     /// Per-processor write cursor into the `proc_samples` ring.
     sample_cursors: Vec<usize>,
     start_time: SimTime,
@@ -377,6 +387,7 @@ impl WorkflowInstance {
             sink_outputs: vec![Vec::new(); n_procs],
             sink_counts: vec![0; n_procs],
             source_cursors: Vec::new(),
+            exhausted: vec![false; n_procs],
             sample_cursors: vec![0; n_procs],
             start_time,
             obs,
@@ -421,7 +432,7 @@ impl WorkflowInstance {
     /// behind once the instance reports itself idle.
     fn deadlock_check(&self) -> Result<(), MoteurError> {
         for c in &self.source_cursors {
-            let left = c.values.len();
+            let left = c.remaining();
             if left > 0 {
                 return Err(MoteurError::new(format!(
                     "deadlock: source `{}` still holds {left} unemitted items",
@@ -488,7 +499,7 @@ impl WorkflowInstance {
     fn backend_job(&self, proc: ProcId, tag: InvocationId, payload: JobPayload) -> BackendJob {
         BackendJob {
             invocation: tag,
-            processor: self.compiled.workflow.processors[proc.0].name.clone(),
+            processor: Arc::clone(&self.compiled.names[proc.0]),
             payload,
         }
     }

@@ -13,18 +13,36 @@ use crate::obs::TraceEvent;
 use crate::service::ServiceBinding;
 use crate::token::Token;
 use crate::value::DataValue;
+use std::sync::Arc;
 
-/// One source's unemitted input stream. The enactor pulls items off
-/// the cursor one at a time, by move, while the source's downstream
-/// ports have room — the head of the end-to-end back-pressure chain.
-/// With unbounded ports there is always room, so the first pump drains
-/// every cursor.
+/// One source's input stream and how far it has been emitted. The
+/// stream is the caller's [`InputData`] stream, shared by reference
+/// count, never copied. The enactor pulls items off the cursor one at a
+/// time, cloning each value as it becomes a token, while the source's
+/// downstream ports have room — the head of the end-to-end
+/// back-pressure chain. With unbounded ports there is always room, so
+/// the first pump drains every cursor.
 pub(super) struct SourceCursor {
-    pub(super) proc: ProcId,
-    pub(super) name: String,
-    pub(super) values: std::vec::IntoIter<DataValue>,
+    proc: ProcId,
+    pub(super) name: Arc<str>,
+    values: Arc<Vec<DataValue>>,
     /// Stream position of the next item to emit.
     next: u32,
+}
+
+impl SourceCursor {
+    /// Items not emitted yet.
+    pub(super) fn remaining(&self) -> usize {
+        self.values.len() - self.next as usize
+    }
+
+    /// The next item as a source token; `None` once drained.
+    fn emit(&mut self) -> Option<Token> {
+        let value = self.values.get(self.next as usize)?.clone();
+        let token = Token::from_source(Arc::clone(&self.name), self.next, value);
+        self.next += 1;
+        Some(token)
+    }
 }
 
 /// The workflow's links, compiled once per [`super::CompiledWorkflow`]
@@ -89,15 +107,14 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_, B>,
     ) -> Result<(), MoteurError> {
         for src in self.compiled.workflow.sources() {
-            let name = self.compiled.workflow.processor(src).name.clone();
+            let name = Arc::clone(&self.compiled.names[src.0]);
             let values = inputs
-                .get(&name)
-                .ok_or_else(|| MoteurError::new(format!("no input data for source `{name}`")))?
-                .to_vec();
+                .stream(&name)
+                .ok_or_else(|| MoteurError::new(format!("no input data for source `{name}`")))?;
             self.source_cursors.push(SourceCursor {
                 proc: src,
+                values: Arc::clone(values),
                 name,
-                values: values.into_iter(),
                 next: 0,
             });
         }
@@ -115,16 +132,13 @@ impl WorkflowInstance {
         let mut emitted = false;
         for c in 0..self.source_cursors.len() {
             let proc = self.source_cursors[c].proc;
-            while !self.source_cursors[c].values.as_slice().is_empty() {
+            while self.source_cursors[c].remaining() > 0 {
                 if !self.has_port_room(proc.0) {
                     self.set_suspended(ctx, proc.0, true);
                     break;
                 }
                 self.set_suspended(ctx, proc.0, false);
-                let cursor = &mut self.source_cursors[c];
-                let value = cursor.values.next().expect("checked non-empty");
-                let token = Token::from_source(&cursor.name, cursor.next, value);
-                cursor.next += 1;
+                let token = self.source_cursors[c].emit().expect("checked non-empty");
                 self.route(ctx, proc, 0, token);
                 emitted = true;
             }
@@ -195,7 +209,8 @@ impl WorkflowInstance {
         });
     }
 
-    /// Deliver a token to every input port linked to `(proc, out_port)`.
+    /// Deliver a token to every input port linked to `(proc, out_port)`:
+    /// each target but the last gets a copy, the last takes the token.
     pub(super) fn route<B: Backend + ?Sized>(
         &mut self,
         ctx: &mut EnactCtx<'_, B>,
@@ -212,39 +227,58 @@ impl WorkflowInstance {
                 index: token.index.to_string(),
             }
         });
-        for &(tp, tport) in &self.compiled.routes.targets[proc.0][out_port] {
-            let target = &self.compiled.workflow.processors[tp.0];
-            match target.kind {
-                ProcessorKind::Sink => {
-                    self.sink_counts[tp.0] += 1;
-                    let out = &mut self.sink_outputs[tp.0];
-                    // Only the first `port_capacity` sink tokens are
-                    // retained; `sink_counts` carries the full tally.
-                    if out.len() < self.config.port_capacity {
-                        out.push(token.clone());
+        let compiled = Arc::clone(&self.compiled);
+        let Some((&(last, last_port), rest)) =
+            compiled.routes.targets[proc.0][out_port].split_last()
+        else {
+            return;
+        };
+        for &(tp, tport) in rest {
+            self.route_to(ctx, tp, tport, token.clone());
+        }
+        self.route_to(ctx, last, last_port, token);
+    }
+
+    /// Deliver a token to input port `tport` of `tp`.
+    fn route_to<B: Backend + ?Sized>(
+        &mut self,
+        ctx: &mut EnactCtx<'_, B>,
+        tp: ProcId,
+        tport: usize,
+        token: Token,
+    ) {
+        let target = &self.compiled.workflow.processors[tp.0];
+        match target.kind {
+            ProcessorKind::Sink => {
+                self.sink_counts[tp.0] += 1;
+                let out = &mut self.sink_outputs[tp.0];
+                // Only the first `port_capacity` sink tokens are
+                // retained; `sink_counts` carries the full tally.
+                if out.len() < self.config.port_capacity {
+                    out.push(token);
+                }
+            }
+            ProcessorKind::Service if target.synchronization => {
+                self.states[tp.0].sync_buffers[tport].push(token);
+            }
+            ProcessorKind::Service => {
+                let state = &mut self.states[tp.0];
+                let first = state.ready.len();
+                state.engine.push_into(tport, token, &mut state.ready);
+                if self.obs.enabled() {
+                    for m in self.states[tp.0].ready.range(first..) {
+                        self.obs.record(&TraceEvent::MatchFired {
+                            at: ctx.backend.now(),
+                            processor: target.name.clone(),
+                            index: m.index.to_string(),
+                            inputs: m.tokens.len(),
+                        });
                     }
                 }
-                ProcessorKind::Service if target.synchronization => {
-                    self.states[tp.0].sync_buffers[tport].push(token.clone());
-                }
-                ProcessorKind::Service => {
-                    let matches = self.states[tp.0].engine.push(tport, token.clone());
-                    if self.obs.enabled() {
-                        for m in &matches {
-                            self.obs.record(&TraceEvent::MatchFired {
-                                at: ctx.backend.now(),
-                                processor: target.name.clone(),
-                                index: m.index.to_string(),
-                                inputs: m.tokens.len(),
-                            });
-                        }
-                    }
-                    self.states[tp.0].ready.extend(matches);
-                }
-                ProcessorKind::Source => {
-                    // A link into a source is rejected by validate();
-                    // unreachable in practice.
-                }
+            }
+            ProcessorKind::Source => {
+                // A link into a source is rejected by validate();
+                // unreachable in practice.
             }
         }
     }
@@ -274,7 +308,7 @@ impl WorkflowInstance {
             // cursors. Source emission is not a dispatch and never
             // counts against the daemon's budget.
             let mut fired = self.pump_sources(ctx);
-            let exhausted = self.compute_exhausted();
+            self.compute_exhausted();
             for p in 0..self.compiled.workflow.processors.len() {
                 let proc = &self.compiled.workflow.processors[p];
                 if proc.kind != ProcessorKind::Service {
@@ -285,8 +319,8 @@ impl WorkflowInstance {
                 let local_binding = matches!(proc.binding, Some(ServiceBinding::Local(_)));
                 if proc.synchronization {
                     if !self.states[p].barrier_fired
-                        && self.preds_exhausted(p, &exhausted, true)
-                        && self.control_ok(p, &exhausted)
+                        && self.preds_exhausted(p, true)
+                        && self.control_ok(p)
                     {
                         self.fire_barrier(ctx, ProcId(p))?;
                         fired = true;
@@ -296,7 +330,7 @@ impl WorkflowInstance {
                 }
                 while !self.states[p].ready.is_empty()
                     && self.has_port_room(p)
-                    && self.can_fire_ignoring_room(p, &exhausted)
+                    && self.can_fire_ignoring_room(p)
                     && budget.is_none_or(|b| dispatched < b)
                 {
                     self.set_suspended(ctx, p, false);
@@ -318,7 +352,7 @@ impl WorkflowInstance {
                 // port is suspended: it transitions once into the
                 // suspended state and resumes when the port drains.
                 if !self.states[p].ready.is_empty()
-                    && self.can_fire_ignoring_room(p, &exhausted)
+                    && self.can_fire_ignoring_room(p)
                     && !self.has_port_room(p)
                 {
                     self.set_suspended(ctx, p, true);
@@ -343,7 +377,7 @@ impl WorkflowInstance {
     /// necessary: ready work held back by a gate answers `false`, and
     /// the next pump finds that fixpoint itself.
     pub fn quiescent(&self) -> bool {
-        let drained = |c: &SourceCursor| c.values.as_slice().is_empty();
+        let drained = |c: &SourceCursor| c.remaining() == 0;
         let held = |p: usize| {
             let above = &self.compiled.barrier_ancestors[p];
             above.iter().any(|&q| self.states[q].inflight > 0)
@@ -364,20 +398,21 @@ impl WorkflowInstance {
     /// The configuration-level gates on firing `p` (DP, SP, control
     /// links), port room aside — what tells "suspended on
     /// back-pressure" from "not runnable anyway".
-    fn can_fire_ignoring_room(&self, p: usize, exhausted: &[bool]) -> bool {
+    fn can_fire_ignoring_room(&self, p: usize) -> bool {
         if !self.config.data_parallelism && self.states[p].inflight >= 1 {
             return false;
         }
-        if !self.config.service_parallelism && !self.preds_exhausted(p, exhausted, false) {
+        if !self.config.service_parallelism && !self.preds_exhausted(p, false) {
             return false;
         }
-        self.control_ok(p, exhausted)
+        self.control_ok(p)
     }
 
-    /// Are all data predecessors of `p` exhausted? Predecessors inside
+    /// Are all data predecessors of `p` exhausted (as of the last
+    /// [`WorkflowInstance::compute_exhausted`])? Predecessors inside
     /// the same cycle are skipped unless `include_cycle` (barriers may
     /// not sit inside cycles anyway).
-    fn preds_exhausted(&self, p: usize, exhausted: &[bool], include_cycle: bool) -> bool {
+    fn preds_exhausted(&self, p: usize, include_cycle: bool) -> bool {
         // Straight over the links: a predecessor feeding several ports
         // is checked once per link, which `all` does not mind, and this
         // runs on every firing round.
@@ -389,25 +424,26 @@ impl WorkflowInstance {
             {
                 true
             } else {
-                exhausted[q]
+                self.exhausted[q]
             }
         })
     }
 
-    fn control_ok(&self, p: usize, exhausted: &[bool]) -> bool {
+    fn control_ok(&self, p: usize) -> bool {
         self.compiled.routes.control_before[p]
             .iter()
-            .all(|&before| exhausted[before])
+            .all(|&before| self.exhausted[before])
     }
 
-    /// Fixpoint computation of "will emit no more tokens".
-    fn compute_exhausted(&self) -> Vec<bool> {
+    /// Fixpoint computation of "will emit no more tokens", into
+    /// `self.exhausted`.
+    fn compute_exhausted(&mut self) {
         let n = self.compiled.workflow.processors.len();
-        let mut ex = vec![false; n];
+        self.exhausted.fill(false);
         loop {
             let mut changed = false;
             for p in 0..n {
-                if ex[p] {
+                if self.exhausted[p] {
                     continue;
                 }
                 let proc = &self.compiled.workflow.processors[p];
@@ -417,18 +453,16 @@ impl WorkflowInstance {
                     ProcessorKind::Source => self
                         .source_cursors
                         .iter()
-                        .all(|c| c.proc.0 != p || c.values.as_slice().is_empty()),
-                    ProcessorKind::Sink => self.preds_exhausted(p, &ex, true),
+                        .all(|c| c.proc.0 != p || c.remaining() == 0),
+                    ProcessorKind::Sink => self.preds_exhausted(p, true),
                     ProcessorKind::Service => {
                         if self.compiled.in_cycle[p] {
                             // A cycle exhausts collectively: every
                             // member quiet and every external
                             // predecessor exhausted.
                             let scc = self.compiled.scc_ids[p];
-                            let members: Vec<usize> = (0..n)
-                                .filter(|&m| self.compiled.scc_ids[m] == scc)
-                                .collect();
-                            members.iter().all(|&m| {
+                            let mut members = (0..n).filter(|&m| self.compiled.scc_ids[m] == scc);
+                            members.all(|m| {
                                 self.states[m].ready.is_empty()
                                     && self.states[m].inflight == 0
                                     && self
@@ -437,24 +471,22 @@ impl WorkflowInstance {
                                         .in_links(ProcId(m))
                                         .map(|l| l.from.proc.0)
                                         .filter(|&q| self.compiled.scc_ids[q] != scc)
-                                        .all(|q| ex[q])
+                                        .all(|q| self.exhausted[q])
                             })
                         } else if proc.synchronization {
-                            quiet
-                                && self.states[p].barrier_fired
-                                && self.preds_exhausted(p, &ex, true)
+                            quiet && self.states[p].barrier_fired && self.preds_exhausted(p, true)
                         } else {
-                            quiet && self.preds_exhausted(p, &ex, true)
+                            quiet && self.preds_exhausted(p, true)
                         }
                     }
                 };
                 if value {
-                    ex[p] = true;
+                    self.exhausted[p] = true;
                     changed = true;
                 }
             }
             if !changed {
-                return ex;
+                return;
             }
         }
     }

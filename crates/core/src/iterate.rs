@@ -14,12 +14,15 @@
 use crate::graph::IterationStrategy;
 use crate::token::{DataIndex, Token};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// A matched tuple ready to be fired: one token per input port, plus
-/// the invocation's result index.
+/// the invocation's result index. The tuple is shared: the ready
+/// queue, the pending invocation and the backend job all hold it by
+/// reference count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchedSet {
-    pub tokens: Vec<Token>,
+    pub tokens: Arc<[Token]>,
     pub index: DataIndex,
 }
 
@@ -55,21 +58,30 @@ impl MatchEngine {
     /// Feed one token into `port`; returns every invocation tuple this
     /// arrival completes.
     pub fn push(&mut self, port: usize, token: Token) -> Vec<MatchedSet> {
+        let mut out = VecDeque::new();
+        self.push_into(port, token, &mut out);
+        out.into()
+    }
+
+    /// Feed one token into `port`, appending every invocation tuple this
+    /// arrival completes to `ready`, in the order they are to fire.
+    pub fn push_into(&mut self, port: usize, token: Token, ready: &mut VecDeque<MatchedSet>) {
         assert!(port < self.ports(), "port {port} out of range");
         if self.ports() == 1 {
             let index = token.index.clone();
-            return vec![MatchedSet {
-                tokens: vec![token],
+            ready.push_back(MatchedSet {
+                tokens: Arc::from([token]),
                 index,
-            }];
+            });
+            return;
         }
         match self.strategy {
-            IterationStrategy::Dot => self.push_dot(port, token),
-            IterationStrategy::Cross => self.push_cross(port, token),
+            IterationStrategy::Dot => self.push_dot(port, token, ready),
+            IterationStrategy::Cross => self.push_cross(port, token, ready),
         }
     }
 
-    fn push_dot(&mut self, port: usize, token: Token) -> Vec<MatchedSet> {
+    fn push_dot(&mut self, port: usize, token: Token, ready: &mut VecDeque<MatchedSet>) {
         let index = token.index.clone();
         self.dot[port]
             .entry(index.clone())
@@ -77,14 +89,14 @@ impl MatchEngine {
             .push_back(token);
         self.dot_pending += 1;
         // A match exists when every port has a queued token at `index`.
-        let ready = self
+        let complete = self
             .dot
             .iter()
             .all(|m| m.get(&index).is_some_and(|q| !q.is_empty()));
-        if !ready {
-            return Vec::new();
+        if !complete {
+            return;
         }
-        let tokens: Vec<Token> = self
+        let tokens: Arc<[Token]> = self
             .dot
             .iter_mut()
             .map(|m| {
@@ -97,49 +109,40 @@ impl MatchEngine {
             })
             .collect();
         self.dot_pending -= tokens.len();
-        vec![MatchedSet { tokens, index }]
+        ready.push_back(MatchedSet { tokens, index });
     }
 
-    fn push_cross(&mut self, port: usize, token: Token) -> Vec<MatchedSet> {
-        // Combine the newcomer with every existing combination of the
-        // other ports, then retain it.
-        let mut partials: Vec<Vec<&Token>> = vec![Vec::new()];
-        for (p, seen) in self.cross.iter().enumerate() {
-            if p == port {
-                continue;
-            }
-            let mut next = Vec::new();
-            for partial in &partials {
-                for t in seen {
-                    let mut np = partial.clone();
-                    np.push(t);
-                    next.push(np);
+    /// Combine the newcomer with every combination of the other ports'
+    /// retained tokens, then retain it. Combinations are enumerated as
+    /// an odometer over the other ports, the highest port turning
+    /// fastest; each tuple is assembled in port order.
+    fn push_cross(&mut self, port: usize, token: Token, ready: &mut VecDeque<MatchedSet>) {
+        let ports = self.ports();
+        let others = (0..ports).filter(|&p| p != port);
+        if others.clone().all(|p| !self.cross[p].is_empty()) {
+            let mut digits = vec![0; ports];
+            'combos: loop {
+                let tokens: Arc<[Token]> = (0..ports)
+                    .map(|p| match p == port {
+                        true => token.clone(),
+                        false => self.cross[p][digits[p]].clone(),
+                    })
+                    .collect();
+                let index = tokens[1..]
+                    .iter()
+                    .fold(tokens[0].index.clone(), |acc, t| acc.concat(&t.index));
+                ready.push_back(MatchedSet { tokens, index });
+                for p in others.clone().rev() {
+                    digits[p] += 1;
+                    if digits[p] < self.cross[p].len() {
+                        continue 'combos;
+                    }
+                    digits[p] = 0;
                 }
-            }
-            partials = next;
-            if partials.is_empty() {
                 break;
             }
         }
-        let mut out = Vec::new();
-        for combo in partials {
-            // Assemble in port order, inserting the new token at `port`.
-            let mut tokens: Vec<Token> = Vec::with_capacity(self.ports());
-            let mut it = combo.into_iter();
-            for p in 0..self.ports() {
-                if p == port {
-                    tokens.push(token.clone());
-                } else {
-                    tokens.push((*it.next().expect("combo covers other ports")).clone());
-                }
-            }
-            let index = tokens
-                .iter()
-                .fold(DataIndex::scalar(), |acc, t| acc.concat(&t.index));
-            out.push(MatchedSet { tokens, index });
-        }
         self.cross[port].push(token);
-        out
     }
 
     /// Tokens buffered without a complete match yet (dot only; cross
@@ -241,10 +244,10 @@ mod tests {
         e.push(0, tok("a", 2));
         let m = e.push(1, tok("b", 5));
         assert_eq!(m.len(), 1);
-        assert_eq!(m[0].index, DataIndex(vec![2, 5]));
+        assert_eq!(m[0].index, DataIndex(Arc::from([2, 5])));
         // New arrival on port 0 pairs with the retained b5.
         let m = e.push(0, tok("a", 3));
-        assert_eq!(m[0].index, DataIndex(vec![3, 5]));
+        assert_eq!(m[0].index, DataIndex(Arc::from([3, 5])));
     }
 
     #[test]

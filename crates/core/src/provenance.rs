@@ -17,10 +17,10 @@ use std::sync::Arc;
 pub fn history_to_xml(history: &History) -> Element {
     match history {
         History::Source { source, position } => Element::new("source")
-            .with_attr("name", source.clone())
+            .with_attr("name", &**source)
             .with_attr("position", position.to_string()),
         History::Derived { processor, inputs } => {
-            let mut el = Element::new("derived").with_attr("processor", processor.clone());
+            let mut el = Element::new("derived").with_attr("processor", &**processor);
             for input in inputs {
                 el = el.with_child(history_to_xml(input));
             }

@@ -14,28 +14,27 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Taverna-style index vector identifying a datum's position in the
-/// (possibly nested, via cross products) input space.
+/// (possibly nested, via cross products) input space. Immutable once
+/// minted and shared: every token routed, matched and retained for a
+/// resubmission holds the same vector by reference count.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct DataIndex(pub Vec<u32>);
+pub struct DataIndex(pub Arc<[u32]>);
 
 impl DataIndex {
     /// The scalar index (e.g. a synchronization processor's single
     /// result).
     pub fn scalar() -> Self {
-        DataIndex(Vec::new())
+        DataIndex(Arc::from([]))
     }
 
     pub fn single(i: u32) -> Self {
-        DataIndex(vec![i])
+        DataIndex(Arc::from([i]))
     }
 
     /// Concatenate two index vectors — the index algebra of the cross
-    /// product.
+    /// product. One allocation: the chained slices have a known length.
     pub fn concat(&self, other: &DataIndex) -> DataIndex {
-        let mut v = Vec::with_capacity(self.0.len() + other.0.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        DataIndex(v)
+        DataIndex(self.0.iter().chain(other.0.iter()).copied().collect())
     }
 
     pub fn depth(&self) -> usize {
@@ -57,28 +56,30 @@ impl fmt::Display for DataIndex {
 }
 
 /// Provenance history tree (paper §4.1): every token records how it was
-/// produced, back to the workflow sources.
+/// produced, back to the workflow sources. Names are shared: an
+/// enactment interns each processor name once, so every node it builds
+/// holds its name by reference count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum History {
     /// Produced by a data source: source name and position in its
     /// stream.
-    Source { source: String, position: u32 },
+    Source { source: Arc<str>, position: u32 },
     /// Produced by a processor invocation from a set of input tokens.
     Derived {
-        processor: String,
+        processor: Arc<str>,
         inputs: Vec<Arc<History>>,
     },
 }
 
 impl History {
-    pub fn source(name: impl Into<String>, position: u32) -> Arc<History> {
+    pub fn source(name: impl Into<Arc<str>>, position: u32) -> Arc<History> {
         Arc::new(History::Source {
             source: name.into(),
             position,
         })
     }
 
-    pub fn derived(processor: impl Into<String>, inputs: Vec<Arc<History>>) -> Arc<History> {
+    pub fn derived(processor: impl Into<Arc<str>>, inputs: Vec<Arc<History>>) -> Arc<History> {
         Arc::new(History::Derived {
             processor: processor.into(),
             inputs,
@@ -88,7 +89,7 @@ impl History {
     /// All source leaves of the tree, in left-to-right order.
     pub fn sources(&self) -> Vec<(String, u32)> {
         match self {
-            History::Source { source, position } => vec![(source.clone(), *position)],
+            History::Source { source, position } => vec![(source.to_string(), *position)],
             History::Derived { inputs, .. } => inputs.iter().flat_map(|i| i.sources()).collect(),
         }
     }
@@ -100,7 +101,7 @@ impl History {
             History::Derived {
                 processor: p,
                 inputs,
-            } => p == processor || inputs.iter().any(|i| i.involves(processor)),
+            } => **p == *processor || inputs.iter().any(|i| i.involves(processor)),
         }
     }
 
@@ -124,7 +125,7 @@ pub struct Token {
 }
 
 impl Token {
-    pub fn from_source(source: &str, position: u32, value: DataValue) -> Token {
+    pub fn from_source(source: impl Into<Arc<str>>, position: u32, value: DataValue) -> Token {
         Token {
             value,
             index: DataIndex::single(position),
@@ -139,23 +140,23 @@ mod tests {
 
     #[test]
     fn index_concat_is_associative_with_lengths_adding() {
-        let a = DataIndex(vec![1, 2]);
-        let b = DataIndex(vec![3]);
-        let c = DataIndex(vec![4, 5]);
+        let a = DataIndex(Arc::from([1, 2]));
+        let b = DataIndex(Arc::from([3]));
+        let c = DataIndex(Arc::from([4, 5]));
         assert_eq!(a.concat(&b).concat(&c), a.concat(&b.concat(&c)));
         assert_eq!(a.concat(&b).depth(), 3);
     }
 
     #[test]
     fn scalar_index_is_identity_for_concat() {
-        let a = DataIndex(vec![7, 8]);
+        let a = DataIndex(Arc::from([7, 8]));
         assert_eq!(a.concat(&DataIndex::scalar()), a);
         assert_eq!(DataIndex::scalar().concat(&a), a);
     }
 
     #[test]
     fn index_display() {
-        assert_eq!(DataIndex(vec![1, 2, 3]).to_string(), "[1,2,3]");
+        assert_eq!(DataIndex(Arc::from([1, 2, 3])).to_string(), "[1,2,3]");
         assert_eq!(DataIndex::scalar().to_string(), "[]");
     }
 

@@ -194,6 +194,90 @@ fn dot_pairing_is_correct_when_branches_complete_out_of_order() {
 }
 
 // ---------------------------------------------------------------------
+// Fan-out: copies to every target but the last, shared handles
+// ---------------------------------------------------------------------
+
+/// The derived node's processor name and inputs.
+fn derived(h: &History) -> (&std::sync::Arc<str>, &[std::sync::Arc<History>]) {
+    match h {
+        History::Derived { processor, inputs } => (processor, inputs),
+        other => panic!("expected a derived node, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_fanned_out_token_reaches_every_consumer_and_shares_its_history() {
+    // items → {left, right, raw}: two local services and a sink on one
+    // output port. The sink is the last target, the one the token is
+    // moved into.
+    let left = |inputs: &[Token]| -> Result<Vec<(String, DataValue)>, String> {
+        let x = inputs[0].value.as_num().ok_or("not a number")?;
+        Ok(vec![("out".into(), DataValue::from(x * 2.0))])
+    };
+    let right = |inputs: &[Token]| -> Result<Vec<(String, DataValue)>, String> {
+        let x = inputs[0].value.as_num().ok_or("not a number")?;
+        Ok(vec![("out".into(), DataValue::from(x + 1.0))])
+    };
+    let mut wf = Workflow::new("fanout");
+    let src = wf.add_source("items");
+    let l = wf.add_service("left", &["in"], &["out"], ServiceBinding::local(left));
+    let r = wf.add_service("right", &["in"], &["out"], ServiceBinding::local(right));
+    let raw = wf.add_sink("raw");
+    let left_out = wf.add_sink("left_out");
+    let right_out = wf.add_sink("right_out");
+    wf.connect(src, "out", l, "in").unwrap();
+    wf.connect(src, "out", r, "in").unwrap();
+    wf.connect(src, "out", raw, "in").unwrap();
+    wf.connect(l, "out", left_out, "in").unwrap();
+    wf.connect(r, "out", right_out, "in").unwrap();
+
+    const N: usize = 40;
+    let inputs = InputData::new().set("items", (0..N).map(|i| DataValue::from(i as f64)).collect());
+    for config in [
+        EnactorConfig::sp_dp().with_port_capacity(4),
+        EnactorConfig::sp_dp(),
+    ] {
+        let result = Enactment::new(&wf, &inputs, config)
+            .run(&mut VirtualBackend::new())
+            .unwrap();
+        for sink in ["raw", "left_out", "right_out"] {
+            assert_eq!(result.sink_count(sink), N, "{sink} at {config:?}");
+        }
+        let position = |t: &Token| t.index.0[0] as f64;
+        let value = |t: &Token| t.value.as_num().unwrap();
+        assert!(result.sink("raw").iter().all(|t| value(t) == position(t)));
+        let lefts = result.sink("left_out");
+        assert!(lefts.iter().all(|t| value(t) == 2.0 * position(t)));
+        assert!(result
+            .sink("right_out")
+            .iter()
+            .all(|t| value(t) == position(t) + 1.0));
+
+        // Both branches and the raw sink hold the one source leaf.
+        let mut shared = 0;
+        for l in lefts {
+            let Some(r) = result.sink("right_out").iter().find(|r| r.index == l.index) else {
+                continue;
+            };
+            let (_, l_inputs) = derived(&l.history);
+            let (_, r_inputs) = derived(&r.history);
+            assert!(std::sync::Arc::ptr_eq(&l_inputs[0], &r_inputs[0]));
+            if let Some(t) = result.sink("raw").iter().find(|t| t.index == l.index) {
+                assert!(std::sync::Arc::ptr_eq(&l_inputs[0], &t.history));
+            }
+            shared += 1;
+        }
+        assert!(shared > 0, "no index retained by both branch sinks");
+
+        // Two derived nodes of one processor share its interned name.
+        let (first, _) = derived(&lefts[0].history);
+        let (second, _) = derived(&lefts[1].history);
+        assert_eq!(&**first, "left");
+        assert!(std::sync::Arc::ptr_eq(first, second));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Synchronization barriers
 // ---------------------------------------------------------------------
 

@@ -87,13 +87,17 @@ fn main() {
     let per_datum: Vec<usize> = starts
         .iter()
         .enumerate()
-        .map(|(j, _)| p2.iter().filter(|r| r.index.0 == vec![j as u32]).count())
+        .map(|(j, _)| {
+            p2.iter()
+                .filter(|r| r.index == DataIndex::single(j as u32))
+                .count()
+        })
         .collect();
     for (j, (&x0, iters)) in starts.iter().zip(&per_datum).enumerate() {
         let out = result
             .sink("converged")
             .iter()
-            .find(|t| t.index.0 == vec![j as u32])
+            .find(|t| t.index == DataIndex::single(j as u32))
             .and_then(|t| t.value.as_num())
             .expect("every datum converges");
         println!("{x0:<12} {iters:<12} {out:.5}");
