@@ -30,7 +30,7 @@
 //! exactly that row.
 
 use crate::faults::FaultStrategy;
-use crate::scale::ALLOCS_PER_EVENT_BUDGET;
+use crate::scale::{ALLOCS_PER_EVENT_BUDGET, PEAK_ALLOC_BUDGET};
 use crate::stream::{EAGER_UNDERCUT_FACTOR, PIPELINE_PEAK_BUDGET};
 use moteur::obs::json::{expect_schema, JsonValue};
 
@@ -270,7 +270,7 @@ pub static DAEMON: Campaign = Campaign {
 };
 
 /// `BENCH_scale.json`: the event and job targets were reached inside
-/// the allocations-per-event budget.
+/// the allocations-per-event and peak-live-bytes budgets.
 pub static SCALE: Campaign = Campaign {
     name: "scale",
     schema: crate::scale::SCALE_SCHEMA,
@@ -292,6 +292,13 @@ pub static SCALE: Campaign = Campaign {
             Top("allocs_per_event"),
             AtMost,
             Const(ALLOCS_PER_EVENT_BUDGET),
+        )
+        .when_alloc(),
+        row(
+            "scale/peak_alloc_budget",
+            Top("peak_alloc_bytes"),
+            AtMost,
+            Const(PEAK_ALLOC_BUDGET as f64),
         )
         .when_alloc(),
     ],
@@ -698,6 +705,13 @@ mod tests {
                         "",
                         "allocs_per_event",
                         (scale::ALLOCS_PER_EVENT_BUDGET * 2.0).to_string(),
+                    ),
+                    (
+                        3,
+                        "scale/peak_alloc_budget",
+                        "",
+                        "peak_alloc_bytes",
+                        (scale::PEAK_ALLOC_BUDGET + 1).to_string(),
                     ),
                 ],
                 required: "events_processed",

@@ -111,7 +111,7 @@ pub use plan::{
 };
 pub use scale::{
     render_scale, render_scale_json, run_scale, ScaleReport, ScaleSpec, ALLOCS_PER_EVENT_BUDGET,
-    SCALE_SCHEMA,
+    PEAK_ALLOC_BUDGET, SCALE_SCHEMA,
 };
 pub use stream::{
     render_stream, render_stream_json, run_stream, StreamReport, StreamSpec, EAGER_UNDERCUT_FACTOR,

@@ -41,6 +41,12 @@ pub const SCALE_SCHEMA: &str = "moteur-bench/scale/v1";
 /// gate without flaking on allocator-version noise.
 pub const ALLOCS_PER_EVENT_BUDGET: f64 = 12.0;
 
+/// Ceiling on the process's peak live heap bytes over both phases (gate
+/// axis). The default campaign peaks near 31.6 MB, most of it the
+/// simulator's per-job table; a second copy of every delivered job's
+/// record kept beside it (a run log) reads about 50.5 MB and fails.
+pub const PEAK_ALLOC_BUDGET: u64 = 40 * 1024 * 1024;
+
 /// Campaign shape.
 #[derive(Debug, Clone)]
 pub struct ScaleSpec {

@@ -16,7 +16,7 @@
 use crate::campaign::{mean_series, CampaignSpec, Cell};
 use moteur::lint::CONFIG_KEYS;
 use moteur::obs::json::{array, JsonObject};
-use moteur::{check_drift, predict, MoteurError, Observation};
+use moteur::{check_drift, predict, Drift, MoteurError};
 use moteur_analysis::{compare, Line};
 
 /// What the cells are held against: the per-job overhead fed to the
@@ -36,14 +36,6 @@ impl Default for Model {
             tolerance: 0.05,
         }
     }
-}
-
-/// One cell against the model's prediction for its size.
-#[derive(Debug, Clone, Copy)]
-pub struct Drift {
-    pub predicted_secs: f64,
-    /// `|observed − predicted| / predicted`.
-    pub rel_error: f64,
 }
 
 /// Per-configuration roll-up across the sweep.
@@ -102,24 +94,15 @@ const SPEEDUP_RATIOS: [(&str, &str, &str); 3] = [
 /// Every cell against the model's prediction for its size.
 fn drift(spec: &CampaignSpec, model: Model, cells: &[Cell]) -> Result<Vec<Drift>, MoteurError> {
     let workflow = spec.workflow.workflow();
-    let mut drift = Vec::new();
+    let mut drift = Vec::with_capacity(cells.len());
     for group in cells.chunk_by(|a, b| a.n_data == b.n_data) {
         let prediction = predict(&workflow, group[0].n_data, model.overhead)?;
-        let observed: Vec<Observation> = group
-            .iter()
-            .map(|c| Observation {
-                config: c.config.label().to_string(),
-                makespan_secs: c.makespan_secs,
-            })
-            .collect();
-        let report = check_drift(&prediction, &observed, model.tolerance);
-        drift.extend(report.entries.iter().map(|e| Drift {
-            predicted_secs: e.predicted_secs,
-            rel_error: e.rel_error,
-        }));
-    }
-    if drift.len() != cells.len() {
-        return Err(MoteurError::new("a campaign cell has no prediction row"));
+        for c in group {
+            drift.push(
+                check_drift(&prediction, c.config.label(), c.makespan_secs)
+                    .ok_or_else(|| MoteurError::new("a campaign cell has no prediction row"))?,
+            );
+        }
     }
     Ok(drift)
 }

@@ -14,7 +14,7 @@ use crate::bronze::{bronze_chain_inputs, bronze_chain_workflow};
 use moteur::obs::json::JsonObject;
 use moteur::{
     check_drift, predict, DataStore, Enactment, EnactorConfig, MetricsSink, MoteurError, Obs,
-    Observation, SimBackend, StoreConfig,
+    SimBackend, StoreConfig,
 };
 use moteur_gridsim::GridConfig;
 
@@ -70,19 +70,9 @@ pub fn run_warm_pair(n_data: usize, seed: u64) -> Result<WarmReport, MoteurError
         .store(Some(&mut store))
         .run(&mut backend)?;
     let cold_makespan_secs = cold.makespan.as_secs_f64();
-    let drift = check_drift(
-        &prediction,
-        &[Observation {
-            config: "sp+dp".to_string(),
-            makespan_secs: cold_makespan_secs,
-        }],
-        tolerance,
-    );
-    let entry = drift
-        .entries
-        .first()
+    let drift = check_drift(&prediction, "sp+dp", cold_makespan_secs)
         .ok_or_else(|| MoteurError::new("no sp+dp prediction row"))?;
-    let (predicted_secs, rel_error) = (entry.predicted_secs, entry.rel_error);
+    let (predicted_secs, rel_error) = (drift.predicted_secs, drift.rel_error);
 
     // Warm: same inputs, fresh grid, shared store — and a metrics sink
     // so the cache traffic shows up the same way it would in a user's

@@ -62,8 +62,9 @@ fn fresh_scale_json_passes_its_own_gate() {
     let report = run_scale(&quick_spec()).unwrap();
     let json = render_scale_json(&report);
     let checks = SCALE.check(&json).unwrap();
-    // Both targets, and the allocation budget (allocator installed).
-    assert_eq!(checks.len(), 3, "{checks:?}");
+    // Both targets, and the two allocation budgets (allocator
+    // installed).
+    assert_eq!(checks.len(), 4, "{checks:?}");
     assert!(checks.iter().all(|c| c.ok), "{checks:?}");
 }
 

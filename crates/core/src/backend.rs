@@ -21,7 +21,7 @@ use crate::error::MoteurError;
 use crate::service::LocalService;
 use crate::token::Token;
 use crate::value::DataValue;
-use moteur_gridsim::{GridConfig, GridJobSpec, GridSim, JobOutcome, SimTime};
+use moteur_gridsim::{GridConfig, GridJobSpec, GridSim, JobOutcome, JobRecord, SimTime};
 use moteur_wrapper::JobPlan;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -330,26 +330,22 @@ impl SimBackend {
         backend
     }
 
-    /// Access the underlying simulator (job records, etc.).
-    pub fn sim(&self) -> &GridSim {
-        &self.sim
-    }
-
-    /// Map a simulator completion into the backend vocabulary.
-    fn convert(c: moteur_gridsim::GridJobCompletion) -> BackendCompletion {
-        let outputs = match c.outcome {
+    /// Map a delivered job's record into the backend vocabulary.
+    fn convert(&mut self, record: JobRecord) -> BackendCompletion {
+        self.jobs.remove(&record.tag);
+        let outputs = match record.outcome {
             JobOutcome::Success => Ok(None),
             JobOutcome::Failed => Err(format!(
                 "grid job `{}` failed after {} attempts",
-                c.record.name, c.record.attempts
+                record.name, record.attempts
             )),
         };
         BackendCompletion {
-            invocation: InvocationId(c.tag),
+            invocation: InvocationId(record.tag),
             outputs,
-            started_at: c.record.started_at,
-            finished_at: c.delivered_at,
-            ce: c.record.ce.map(|ce| ce.0),
+            started_at: record.started_at,
+            finished_at: record.delivered_at,
+            ce: record.ce.map(|ce| ce.0),
         }
     }
 }
@@ -371,10 +367,10 @@ impl Backend for SimBackend {
                 self.jobs.insert(job.invocation.0, id);
             }
             JobPayload::Local { .. } => {
-                panic!(
+                return Err(MoteurError::new(format!(
                     "SimBackend cannot execute in-process services; bind `{}` to a descriptor",
                     job.processor
-                );
+                )));
             }
             JobPayload::Fetch { transfer_seconds } => {
                 let id = self
@@ -387,17 +383,13 @@ impl Backend for SimBackend {
     }
 
     fn wait_next(&mut self) -> Option<BackendCompletion> {
-        let c = self.sim.next_completion()?;
-        self.jobs.remove(&c.tag);
-        Some(Self::convert(c))
+        let record = self.sim.next_completion()?;
+        Some(self.convert(record))
     }
 
     fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
         match self.sim.next_completion_until(deadline) {
-            Some(c) => {
-                self.jobs.remove(&c.tag);
-                WaitOutcome::Completion(Self::convert(c))
-            }
+            Some(record) => WaitOutcome::Completion(self.convert(record)),
             None => WaitOutcome::TimedOut,
         }
     }
@@ -727,18 +719,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot execute in-process services")]
     fn sim_backend_rejects_local_payloads() {
         let svc = |_: &[Token]| -> Result<Vec<(String, DataValue)>, String> { Ok(vec![]) };
         let mut b = SimBackend::new(GridConfig::ideal(), 1);
-        let _ = b.submit(BackendJob {
-            invocation: InvocationId(1),
-            processor: "x".into(),
-            payload: JobPayload::Local {
-                service: Arc::new(svc),
-                inputs: Arc::from([]),
-            },
-        });
+        let err = b
+            .submit(BackendJob {
+                invocation: InvocationId(1),
+                processor: "x".into(),
+                payload: JobPayload::Local {
+                    service: Arc::new(svc),
+                    inputs: Arc::from([]),
+                },
+            })
+            .unwrap_err();
+        assert_eq!(
+            err.message(),
+            "SimBackend cannot execute in-process services; bind `x` to a descriptor"
+        );
+        assert!(b.wait_next().is_none(), "nothing was submitted");
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! Larger batches mean fewer draws from the heavy-tailed overhead
 //! distribution (smaller expected maximum) but more sequential compute
 //! per job — a convex trade-off whose argmin is the recommended batch
-//! size. Overhead parameters can be fitted from observed job records,
-//! so the granularity can adapt to the current grid weather.
-
-use moteur_gridsim::JobRecord;
+//! size. Overhead parameters can be fitted from observed per-job
+//! overheads, so the granularity can adapt to the current grid weather.
 
 /// Lognormal overhead model plus workload shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,14 +56,11 @@ impl GranularityModel {
             .unwrap_or(1)
     }
 
-    /// Fit the overhead distribution from observed job records (log
-    /// space mean/std of the measured overheads) — adapting the
-    /// granularity to the observed grid load.
-    pub fn fit_overheads(records: &[JobRecord], compute_seconds: f64, n_data: usize) -> Self {
-        let logs: Vec<f64> = records
-            .iter()
-            .map(|r| r.overhead().as_secs_f64().max(1e-3).ln())
-            .collect();
+    /// Fit the overhead distribution from observed per-job overheads in
+    /// seconds (log space mean/std) — adapting the granularity to the
+    /// observed grid load.
+    pub fn fit_overheads(overheads: &[f64], compute_seconds: f64, n_data: usize) -> Self {
+        let logs: Vec<f64> = overheads.iter().map(|o| o.max(1e-3).ln()).collect();
         let (median, sigma) = if logs.is_empty() {
             (0.0, 0.0)
         } else {
@@ -233,8 +228,10 @@ mod tests {
         for i in 0..400 {
             sim.submit(GridJobSpec::new(format!("j{i}"), 50.0));
         }
-        while sim.next_completion().is_some() {}
-        let model = GranularityModel::fit_overheads(sim.records(), 50.0, 100);
+        let overheads: Vec<f64> = std::iter::from_fn(|| sim.next_completion())
+            .map(|r| r.overhead().as_secs_f64())
+            .collect();
+        let model = GranularityModel::fit_overheads(&overheads, 50.0, 100);
         assert!(
             (model.overhead_median - 200.0).abs() < 25.0,
             "median {}",
@@ -248,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_on_empty_records_is_degenerate_but_safe() {
+    fn fit_on_no_samples_is_degenerate_but_safe() {
         let m = GranularityModel::fit_overheads(&[], 10.0, 20);
         assert_eq!(m.overhead_median, 0.0);
         assert_eq!(m.optimal_batch(), 1);

@@ -112,7 +112,7 @@ pub use model::TimeMatrix;
 pub use obs::chrome::chrome_trace_with_metrics;
 pub use obs::critical::{analyze as critical_path, render as render_critical_path};
 pub use obs::detect::analyze as detect_bottlenecks;
-pub use obs::drift::{check_drift, Observation};
+pub use obs::drift::{check_drift, Drift};
 pub use obs::metrics::{MetricsRegistry, MetricsSink};
 pub use obs::openmetrics::render_with_prof as render_openmetrics_with_prof;
 pub use obs::prof::{from_json as prof_from_json, to_json as prof_to_json, Prof, ProfReport};

@@ -2,155 +2,45 @@
 //!
 //! `lint::predict` evaluates the paper's closed forms (eq. 1–4) without
 //! enacting anything; an observed run measures what actually happened.
-//! This module closes the loop: [`check_drift`] compares observed
-//! makespans against the matching [`Prediction`] rows and produces a
-//! typed [`DriftReport`] flagging every configuration whose relative
-//! error exceeds a tolerance. On an ideal backend the two must agree
-//! almost exactly — drift there means the enactor, the model, or the
-//! instrumentation regressed, which is precisely what the bench gate
-//! wants to catch.
+//! This module closes the loop: [`check_drift`] compares an observed
+//! makespan against the matching [`Prediction`] row. On an ideal
+//! backend the two must agree almost exactly — drift there means the
+//! enactor, the model, or the instrumentation regressed, which is
+//! precisely what the bench gate wants to catch.
 
-use super::json::{array, JsonObject};
 use crate::lint::predict::Prediction;
 
-/// Drift of one configuration at one campaign size.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftEntry {
-    /// Configuration key, `lint::predict` spelling (`"sp+dp"`, …).
-    pub config: String,
-    pub n_data: usize,
+/// One observed makespan against the model's prediction for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Drift {
     pub predicted_secs: f64,
-    pub observed_secs: f64,
-    /// `observed − predicted` (positive: slower than the model).
-    pub abs_error_secs: f64,
     /// `|observed − predicted| / predicted`; `0` when both are zero,
     /// `∞` when only the prediction is zero.
     pub rel_error: f64,
-    /// True when `rel_error` exceeds the report tolerance.
-    pub flagged: bool,
 }
 
-/// Drift of a set of observations against one model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftReport {
-    /// Relative-error tolerance the entries were flagged against.
-    pub tolerance: f64,
-    pub entries: Vec<DriftEntry>,
-}
-
-impl DriftReport {
-    /// Entries beyond tolerance.
-    pub fn flagged(&self) -> impl Iterator<Item = &DriftEntry> {
-        self.entries.iter().filter(|e| e.flagged)
-    }
-
-    /// True when every entry is within tolerance.
-    pub fn ok(&self) -> bool {
-        self.entries.iter().all(|e| !e.flagged)
-    }
-
-    /// Largest relative error across entries (`0` when empty).
-    pub fn max_rel_error(&self) -> f64 {
-        self.entries.iter().map(|e| e.rel_error).fold(0.0, f64::max)
-    }
-
-    /// Serialise for the bench summary and CLI output.
-    pub fn to_json(&self) -> String {
-        let entries = self.entries.iter().map(|e| {
-            JsonObject::new()
-                .str("config", &e.config)
-                .uint("n_data", e.n_data as u64)
-                .num("predicted_secs", e.predicted_secs)
-                .num("observed_secs", e.observed_secs)
-                .num("abs_error_secs", e.abs_error_secs)
-                .num("rel_error", e.rel_error)
-                .bool("flagged", e.flagged)
-                .finish()
-        });
-        JsonObject::new()
-            .num("tolerance", self.tolerance)
-            .bool("ok", self.ok())
-            .num("max_rel_error", self.max_rel_error())
-            .raw("entries", &array(entries))
-            .finish()
-    }
-
-    /// Human rendering, one line per entry.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "drift vs eq. 1-4 (tolerance {:.1}%):",
-            self.tolerance * 100.0
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "  {:<10} n={:<5} predicted {:>12.2}s observed {:>12.2}s \
-                 error {:>+10.2}s ({:>6.2}%){}",
-                e.config,
-                e.n_data,
-                e.predicted_secs,
-                e.observed_secs,
-                e.abs_error_secs,
-                e.rel_error * 100.0,
-                if e.flagged { "  DRIFT" } else { "" }
-            );
-        }
-        out
-    }
-}
-
-/// One observed makespan to check against the model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation {
-    /// Configuration key, matched case-insensitively against prediction
-    /// rows (so both `EnactorConfig::label()`'s `"SP+DP"` and predict's
-    /// `"sp+dp"` work).
-    pub config: String,
-    pub makespan_secs: f64,
-}
-
-/// Compare observations at one campaign size against its prediction.
-///
-/// Observations whose configuration has no prediction row are skipped —
-/// the report only covers comparable pairs.
-pub fn check_drift(
-    prediction: &Prediction,
-    observations: &[Observation],
-    tolerance: f64,
-) -> DriftReport {
-    let mut entries = Vec::new();
-    for obs in observations {
-        let Some(row) = prediction
-            .rows
-            .iter()
-            .find(|r| r.config.eq_ignore_ascii_case(&obs.config))
-        else {
-            continue;
-        };
-        let abs_error = obs.makespan_secs - row.makespan;
-        let rel_error = if row.makespan == 0.0 {
-            if obs.makespan_secs == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
+/// Compare the makespan observed under `config` against its row of
+/// `prediction`. The configuration is matched case-insensitively, so
+/// both `EnactorConfig::label()`'s `"SP+DP"` and predict's `"sp+dp"`
+/// work; `None` when the prediction has no such row.
+pub fn check_drift(prediction: &Prediction, config: &str, observed_secs: f64) -> Option<Drift> {
+    let row = prediction
+        .rows
+        .iter()
+        .find(|r| r.config.eq_ignore_ascii_case(config))?;
+    let rel_error = if row.makespan == 0.0 {
+        if observed_secs == 0.0 {
+            0.0
         } else {
-            abs_error.abs() / row.makespan
-        };
-        entries.push(DriftEntry {
-            config: row.config.to_string(),
-            n_data: prediction.n_data,
-            predicted_secs: row.makespan,
-            observed_secs: obs.makespan_secs,
-            abs_error_secs: abs_error,
-            rel_error,
-            flagged: rel_error > tolerance,
-        });
-    }
-    DriftReport { tolerance, entries }
+            f64::INFINITY
+        }
+    } else {
+        (observed_secs - row.makespan).abs() / row.makespan
+    };
+    Some(Drift {
+        predicted_secs: row.makespan,
+        rel_error,
+    })
 }
 
 #[cfg(test)]
@@ -179,78 +69,28 @@ mod tests {
     }
 
     #[test]
-    fn within_tolerance_is_clean() {
-        let report = check_drift(
-            &prediction(),
-            &[
-                Observation {
-                    config: "nop".into(),
-                    makespan_secs: 1030.0,
-                },
-                Observation {
-                    config: "SP+DP".into(), // enactor label spelling
-                    makespan_secs: 99.0,
-                },
-            ],
-            0.05,
-        );
-        assert_eq!(report.entries.len(), 2);
-        assert!(report.ok());
-        assert_eq!(report.flagged().count(), 0);
-        assert!((report.max_rel_error() - 0.03).abs() < 1e-9);
-        assert_eq!(report.entries[1].config, "sp+dp", "canonical key");
+    fn configs_match_case_insensitively_and_error_is_relative() {
+        let nop = check_drift(&prediction(), "nop", 1030.0).unwrap();
+        assert_eq!(nop.predicted_secs, 1000.0);
+        assert!((nop.rel_error - 0.03).abs() < 1e-9);
+        // The enactor label spelling finds predict's row.
+        let sp_dp = check_drift(&prediction(), "SP+DP", 99.0).unwrap();
+        assert_eq!(sp_dp.predicted_secs, 100.0);
+        assert!((sp_dp.rel_error - 0.01).abs() < 1e-9);
+        // Slower and faster than the model drift alike.
+        let slow = check_drift(&prediction(), "nop", 1200.0).unwrap();
+        assert!((slow.rel_error - 0.2).abs() < 1e-9);
     }
 
     #[test]
-    fn beyond_tolerance_is_flagged_with_signed_error() {
-        let report = check_drift(
-            &prediction(),
-            &[Observation {
-                config: "nop".into(),
-                makespan_secs: 1200.0,
-            }],
-            0.05,
-        );
-        assert!(!report.ok());
-        let e = &report.entries[0];
-        assert!(e.flagged);
-        assert!((e.abs_error_secs - 200.0).abs() < 1e-9);
-        assert!((e.rel_error - 0.2).abs() < 1e-9);
-        assert!(report.render().contains("DRIFT"));
-        assert!(report.to_json().contains("\"flagged\":true"));
-        assert!(report.to_json().contains("\"ok\":false"));
-    }
-
-    #[test]
-    fn unknown_configs_are_skipped_and_zero_prediction_handled() {
+    fn unknown_configs_have_no_drift_and_zero_prediction_is_handled() {
+        assert_eq!(check_drift(&prediction(), "mystery", 1.0), None);
         let mut pred = prediction();
         pred.rows[0].makespan = 0.0;
-        let report = check_drift(
-            &pred,
-            &[
-                Observation {
-                    config: "mystery".into(),
-                    makespan_secs: 1.0,
-                },
-                Observation {
-                    config: "nop".into(),
-                    makespan_secs: 0.0,
-                },
-            ],
-            0.05,
-        );
-        assert_eq!(report.entries.len(), 1, "mystery skipped");
-        assert_eq!(report.entries[0].rel_error, 0.0);
-        assert!(report.ok());
-        let report2 = check_drift(
-            &pred,
-            &[Observation {
-                config: "nop".into(),
-                makespan_secs: 5.0,
-            }],
-            0.05,
-        );
-        assert!(report2.entries[0].rel_error.is_infinite());
-        assert!(!report2.ok());
+        assert_eq!(check_drift(&pred, "nop", 0.0).unwrap().rel_error, 0.0);
+        assert!(check_drift(&pred, "nop", 5.0)
+            .unwrap()
+            .rel_error
+            .is_infinite());
     }
 }

@@ -3,9 +3,11 @@
 //! weighted-fair dispatch.
 
 use moteur::{
-    serve, Daemon, DaemonConfig, DataStore, EnactorConfig, FtConfig, InputData, InstanceState,
-    MoteurError, StoreConfig, TenantConfig, VirtualBackend, Workflow,
+    serve, Daemon, DaemonConfig, DataStore, DataValue, EnactorConfig, FtConfig, InputData,
+    InstanceState, MoteurError, ServiceBinding, SimBackend, StoreConfig, TenantConfig, Token,
+    VirtualBackend, Workflow,
 };
+use moteur_gridsim::GridConfig;
 
 fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
     let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
@@ -57,6 +59,62 @@ fn submit(d: &mut Daemon, tenant: &str, n_data: usize) -> u32 {
         FtConfig::default(),
     )
     .expect("tiny workflow submits")
+}
+
+/// [`parser`], except that the workflow text `local` parses to a
+/// source → in-process service → sink chain over one item.
+fn parser_with_a_local_service(
+    workflow: &str,
+    inputs: &str,
+) -> Result<(Workflow, InputData), MoteurError> {
+    if workflow != "local" {
+        return parser(workflow, inputs);
+    }
+    let forward = |inputs: &[Token]| -> Result<Vec<(String, DataValue)>, String> {
+        Ok(vec![("out".into(), inputs[0].value.clone())])
+    };
+    let mut wf = Workflow::new("local");
+    let s = wf.add_source("s");
+    let p = wf.add_service("p", &["in"], &["out"], ServiceBinding::local(forward));
+    let k = wf.add_sink("k");
+    wf.connect(s, "out", p, "in")?;
+    wf.connect(p, "out", k, "in")?;
+    Ok((wf, InputData::new().set("s", vec!["D0".into()])))
+}
+
+/// A grid daemon cannot run an in-process service: the tenant that
+/// submits one gets a failed instance naming the processor, and the
+/// daemon keeps serving every other tenant.
+#[test]
+fn a_local_service_on_a_grid_daemon_fails_its_instance_not_the_daemon() {
+    let mut d = Daemon::new(
+        Box::new(SimBackend::new(GridConfig::ideal(), 2006)),
+        DataStore::in_memory(StoreConfig::default()),
+        parser_with_a_local_service,
+        DaemonConfig::default(),
+    );
+    let config = || EnactorConfig::sp_dp();
+    let a = d
+        .submit("alice", "local", "", config(), FtConfig::default())
+        .expect("the workflow parses");
+    let b = d
+        .submit(
+            "bob",
+            &tiny_workflow(),
+            &tiny_inputs(2),
+            config(),
+            FtConfig::default(),
+        )
+        .expect("tiny workflow submits");
+    d.drain();
+    let sa = d.status(a).unwrap();
+    assert_eq!(sa.state, InstanceState::Failed, "{sa:?}");
+    assert_eq!(
+        sa.error.as_deref(),
+        Some("SimBackend cannot execute in-process services; bind `p` to a descriptor")
+    );
+    let sb = d.status(b).unwrap();
+    assert_eq!(sb.state, InstanceState::Succeeded, "{sb:?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use moteur::prelude::*;
 use moteur::{EventBuffer, QuarantineEntry, RecordBuffer, RecordSink, RingBufferSink};
-use moteur_gridsim::GridConfig;
+use moteur_gridsim::{GridConfig, SimEvent};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -234,16 +234,31 @@ fn enactor_retries_compose_with_grid_middleware_retries() {
     wf.connect(p, "out", sink, "in").unwrap();
     let inputs = InputData::new().set("s", file_inputs(1, "in"));
     let ft = FtConfig::from_legacy(2); // E
-    let mut backend = SimBackend::new(cfg, 7);
+    let (obs, events) = capture();
+    let mut backend = SimBackend::with_obs(cfg, 7, &obs);
     let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
         .ft(&ft)
         .run(&mut backend)
         .unwrap_err();
     assert!(err.to_string().contains("failed"), "{err}");
-    let records = backend.sim().records();
-    assert_eq!(records.len(), 3, "E+1 enactor submissions");
-    for rec in records {
-        assert_eq!(rec.attempts, 2, "each chain burns G+1 grid attempts");
+    // Per simulator job: the attempt number of its last enqueue, and
+    // whether it was delivered.
+    let mut jobs = std::collections::BTreeMap::<u64, (u32, bool)>::new();
+    for event in events.snapshot() {
+        match event {
+            TraceEvent::Grid(SimEvent::JobEnqueued { job, attempt, .. }) => {
+                jobs.entry(job.0).or_default().0 = attempt;
+            }
+            TraceEvent::Grid(SimEvent::JobDelivered { job, .. }) => {
+                jobs.entry(job.0).or_default().1 = true;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(jobs.len(), 3, "E+1 enactor submissions");
+    for (attempts, delivered) in jobs.into_values() {
+        assert!(delivered, "every chain reaches the submitter");
+        assert_eq!(attempts, 2, "each chain burns G+1 grid attempts");
     }
 }
 

@@ -70,7 +70,9 @@ pub enum JobOutcome {
 
 /// Timestamped record of one job's trip through the grid; the paper's
 /// overhead analysis (submission + scheduling + queuing + transfers) is
-/// computed from these fields.
+/// computed from these fields. The simulator holds it while the job is
+/// in flight and hands it to the submitter, once, as the job's
+/// completion ([`crate::GridSim::next_completion`]).
 #[derive(Debug, Clone)]
 pub struct JobRecord {
     pub id: JobId,
@@ -114,16 +116,6 @@ impl JobRecord {
     pub fn queue_wait(&self) -> SimDuration {
         self.started_at.since(self.enqueued_at)
     }
-}
-
-/// Completion event returned to the submitter.
-#[derive(Debug, Clone)]
-pub struct GridJobCompletion {
-    pub id: JobId,
-    pub tag: u64,
-    pub outcome: JobOutcome,
-    pub delivered_at: SimTime,
-    pub record: JobRecord,
 }
 
 #[cfg(test)]

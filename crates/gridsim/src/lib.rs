@@ -32,7 +32,7 @@
 //! let mut sim = GridSim::new(GridConfig::egee_2006(), 42);
 //! sim.submit(GridJobSpec::new("crestLines", 90.0).with_files(vec![7_800_000; 2], vec![400_000]));
 //! let done = sim.next_completion().unwrap();
-//! assert!(done.record.overhead().as_secs_f64() > 0.0);
+//! assert!(done.overhead().as_secs_f64() > 0.0);
 //! ```
 
 pub mod config;
@@ -45,7 +45,7 @@ pub mod time;
 pub mod trace;
 
 pub use config::{CeConfig, GridConfig, NetworkConfig};
-pub use job::{CeId, GridJobCompletion, GridJobSpec, JobId, JobOutcome, JobRecord};
+pub use job::{CeId, GridJobSpec, JobId, JobOutcome, JobRecord};
 pub use obs::{SimEvent, SimObserver};
 pub use rng::{Distribution, Rng};
 pub use sim::GridSim;

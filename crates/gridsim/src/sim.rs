@@ -15,7 +15,7 @@
 
 use crate::config::{CeConfig, GridConfig, QueueDiscipline};
 use crate::event::{Event, EventQueue};
-use crate::job::{CeId, GridJobCompletion, GridJobSpec, JobId, JobOutcome, JobRecord};
+use crate::job::{CeId, GridJobSpec, JobId, JobOutcome, JobRecord};
 use crate::obs::{SimEvent, SimObserver};
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
@@ -54,11 +54,10 @@ impl CeState {
 #[derive(Debug)]
 struct JobState {
     spec: GridJobSpec,
-    record: JobRecord,
-    done: bool,
-    /// Cancelled by the submitter: in-flight events for this job become
-    /// no-ops and no completion is ever delivered.
-    cancelled: bool,
+    /// The job's record while it is in flight. Delivery moves it into
+    /// the completion queue and cancellation drops it, so `None` means
+    /// the job is settled: its remaining events are no-ops.
+    record: Option<JobRecord>,
 }
 
 /// The simulator. Drive it with [`GridSim::submit`] and
@@ -73,12 +72,12 @@ pub struct GridSim {
     /// The broker's (stale) view of each CE backlog, refreshed by the
     /// information system every `info_refresh_period`.
     broker_view: Vec<usize>,
-    completions: VecDeque<GridJobCompletion>,
+    /// Delivered records not yet handed to the submitter.
+    completions: VecDeque<JobRecord>,
     /// User jobs submitted but not yet delivered.
     outstanding: usize,
     /// User jobs currently executing (for the congestion model).
     active_user_jobs: usize,
-    finished_records: Vec<JobRecord>,
     /// Total background arrivals processed (diurnal-model testing and
     /// load introspection).
     background_arrivals: u64,
@@ -158,7 +157,6 @@ impl GridSim {
             completions: VecDeque::new(),
             outstanding: 0,
             active_user_jobs: 0,
-            finished_records: Vec::new(),
             background_arrivals: 0,
             observer: None,
             events_processed: 0,
@@ -218,6 +216,15 @@ impl GridSim {
         }
     }
 
+    /// The record of `job` while it is in flight.
+    fn record(&self, job: JobId) -> Option<&JobRecord> {
+        self.jobs[job.0 as usize].record.as_ref()
+    }
+
+    fn record_mut(&mut self, job: JobId) -> Option<&mut JobRecord> {
+        self.jobs[job.0 as usize].record.as_mut()
+    }
+
     /// Emit the current occupancy of `ce`.
     fn emit_ce_capacity(&mut self, ce_id: CeId) {
         self.emit(|sim| {
@@ -241,11 +248,6 @@ impl GridSim {
     /// Number of user jobs submitted and not yet delivered.
     pub fn outstanding(&self) -> usize {
         self.outstanding
-    }
-
-    /// Records of all delivered user jobs, in delivery order.
-    pub fn records(&self) -> &[JobRecord] {
-        &self.finished_records
     }
 
     /// Number of background-job arrivals processed so far.
@@ -279,20 +281,18 @@ impl GridSim {
         };
         self.jobs.push(JobState {
             spec,
-            record,
-            done: false,
-            cancelled: false,
+            record: Some(record),
         });
         self.outstanding += 1;
         let delay = self.config.submission_overhead.sample(&mut self.rng);
         self.schedule_in(delay, Event::BrokerReceives { job: id });
         self.emit(|sim| {
-            let state = &sim.jobs[id.0 as usize];
+            let record = sim.record(id).expect("just submitted");
             SimEvent::JobSubmitted {
                 at: sim.clock,
                 job: id,
-                tag: state.spec.tag,
-                name: state.record.name.clone(),
+                tag: record.tag,
+                name: record.name.clone(),
             }
         });
         id
@@ -332,9 +332,7 @@ impl GridSim {
         let spec = GridJobSpec::new(String::new(), 0.0).with_tag(tag);
         self.jobs.push(JobState {
             spec,
-            record,
-            done: false,
-            cancelled: false,
+            record: Some(record),
         });
         self.outstanding += 1;
         self.schedule_in(
@@ -345,14 +343,16 @@ impl GridSim {
     }
 
     /// Advance virtual time until the next user-job completion and
-    /// return it, or `None` when no user job is outstanding.
+    /// return the job's record, or `None` when no user job is
+    /// outstanding. The record is moved out: the simulator keeps no
+    /// copy of a delivered job.
     ///
     /// Profiling granularity: one `event_queue` scope per drain call
     /// (the loop runs millions of events per second, so a scope per
     /// event would measure the profiler, not the simulator); the events
     /// dispatched inside it are batch-counted as `sim_step`, and the
     /// broker's `pick_ce` scans are handed over the same way.
-    pub fn next_completion(&mut self) -> Option<GridJobCompletion> {
+    pub fn next_completion(&mut self) -> Option<JobRecord> {
         if let Some(c) = self.completions.pop_front() {
             return Some(c);
         }
@@ -389,7 +389,7 @@ impl GridSim {
     /// [`GridSim::next_completion`], this also advances time with zero
     /// outstanding jobs — background and maintenance events keep
     /// processing — so a submitter can wait out a backoff delay.
-    pub fn next_completion_until(&mut self, deadline: SimTime) -> Option<GridJobCompletion> {
+    pub fn next_completion_until(&mut self, deadline: SimTime) -> Option<JobRecord> {
         if let Some(c) = self.completions.pop_front() {
             return Some(c);
         }
@@ -438,10 +438,9 @@ impl GridSim {
         let Some(state) = self.jobs.get_mut(job.0 as usize) else {
             return false;
         };
-        if state.done || state.cancelled {
+        if state.record.take().is_none() {
             return false;
         }
-        state.cancelled = true;
         self.outstanding -= 1;
         // If the job is still sitting in a CE batch queue, pull it out
         // so it does not occupy a slot later.
@@ -553,11 +552,12 @@ impl GridSim {
     }
 
     fn on_broker_receives(&mut self, job: JobId) {
-        if self.jobs[job.0 as usize].cancelled {
+        let now = self.clock;
+        let Some(rec) = self.record_mut(job) else {
             return;
-        }
+        };
+        rec.matched_at = now;
         let ce = self.pick_ce();
-        self.jobs[job.0 as usize].record.matched_at = self.clock;
         let delay = self.config.match_delay.sample(&mut self.rng);
         self.schedule_in(delay, Event::CeReceives { job, ce });
         self.emit(|sim| SimEvent::JobMatched {
@@ -569,22 +569,21 @@ impl GridSim {
     }
 
     fn on_ce_receives(&mut self, job: JobId, ce: CeId) {
-        if self.jobs[job.0 as usize].cancelled {
+        let now = self.clock;
+        let Some(rec) = self.record_mut(job) else {
             return;
-        }
-        {
-            let rec = &mut self.jobs[job.0 as usize].record;
-            rec.enqueued_at = self.clock;
-            rec.ce = Some(ce);
-            rec.attempts += 1;
-        }
+        };
+        rec.enqueued_at = now;
+        rec.ce = Some(ce);
+        rec.attempts += 1;
+        let attempt = rec.attempts;
         self.ces[ce.0].queue.push_back(Occupant::User(job));
         self.emit(|sim| SimEvent::JobEnqueued {
             at: sim.clock,
             job,
             tag: sim.jobs[job.0 as usize].spec.tag,
             ce,
-            attempt: sim.jobs[job.0 as usize].record.attempts,
+            attempt,
         });
         self.emit_ce_capacity(ce);
         self.try_dispatch(ce);
@@ -638,16 +637,17 @@ impl GridSim {
                         ce: ce_id,
                     });
                     self.emit(|sim| {
-                        let state = &sim.jobs[job.0 as usize];
+                        let spec = &sim.jobs[job.0 as usize].spec;
+                        let record = sim.record(job).expect("a dispatched job is in flight");
                         SimEvent::LinkTransfer {
                             at: sim.clock,
                             job,
-                            tag: state.spec.tag,
+                            tag: spec.tag,
                             ce: ce_id,
-                            bytes_in: state.spec.total_input_bytes(),
-                            bytes_out: state.spec.total_output_bytes(),
-                            stage_in_secs: state.record.stage_in.as_secs_f64(),
-                            stage_out_secs: state.record.stage_out.as_secs_f64(),
+                            bytes_in: spec.total_input_bytes(),
+                            bytes_out: spec.total_output_bytes(),
+                            stage_in_secs: record.stage_in.as_secs_f64(),
+                            stage_out_secs: record.stage_out.as_secs_f64(),
                         }
                     });
                 }
@@ -664,16 +664,17 @@ impl GridSim {
         let congestion = 1.0 + self.config.network.congestion * self.active_user_jobs as f64;
         self.active_user_jobs += 1;
         let jitter = self.config.compute_jitter.sample(&mut self.rng);
-        let state = &mut self.jobs[job.0 as usize];
+        let JobState { spec, record } = &mut self.jobs[job.0 as usize];
+        let record = record.as_mut().expect("a queued job is in flight");
         let net = &self.config.network;
         let xfer = |bytes: u64| (net.transfer_latency + bytes as f64 / net.bandwidth) * congestion;
-        let stage_in: f64 = state.spec.input_files.iter().map(|&b| xfer(b)).sum();
-        let stage_out: f64 = state.spec.output_files.iter().map(|&b| xfer(b)).sum();
-        let compute = state.spec.compute_seconds * jitter / speed;
-        state.record.started_at = self.clock;
-        state.record.stage_in = SimDuration::from_secs_f64(stage_in);
-        state.record.compute = SimDuration::from_secs_f64(compute);
-        state.record.stage_out = SimDuration::from_secs_f64(stage_out);
+        let stage_in: f64 = spec.input_files.iter().map(|&b| xfer(b)).sum();
+        let stage_out: f64 = spec.output_files.iter().map(|&b| xfer(b)).sum();
+        let compute = spec.compute_seconds * jitter / speed;
+        record.started_at = self.clock;
+        record.stage_in = SimDuration::from_secs_f64(stage_in);
+        record.compute = SimDuration::from_secs_f64(compute);
+        record.stage_out = SimDuration::from_secs_f64(stage_out);
         stage_in + compute + stage_out
     }
 
@@ -681,13 +682,13 @@ impl GridSim {
         self.ces[ce.0].busy -= 1;
         if let Some(job) = job {
             self.active_user_jobs -= 1;
-            if self.jobs[job.0 as usize].cancelled {
-                // The slot drained; the discarded result goes nowhere.
+            let Some(attempts) = self.record(job).map(|rec| rec.attempts) else {
+                // Cancelled: the slot drained; the discarded result goes
+                // nowhere.
                 self.emit_ce_capacity(ce);
                 self.try_dispatch(ce);
                 return;
-            }
-            let attempts = self.jobs[job.0 as usize].record.attempts;
+            };
             let failed = self.rng.chance(self.config.failure_probability);
             if failed && attempts <= self.config.max_retries {
                 let delay = self.config.failure_detection.sample(&mut self.rng);
@@ -705,8 +706,9 @@ impl GridSim {
                 } else {
                     JobOutcome::Success
                 };
-                let rec = &mut self.jobs[job.0 as usize].record;
-                rec.finished_at = self.clock;
+                let now = self.clock;
+                let rec = self.record_mut(job).expect("checked in flight");
+                rec.finished_at = now;
                 rec.outcome = outcome;
                 let delay = self.config.notify_delay.sample(&mut self.rng);
                 self.schedule_in(delay, Event::CompletionDelivered { job });
@@ -749,71 +751,36 @@ impl GridSim {
     /// chain (the paper: "D0 was submitted twice because an error
     /// occurred").
     fn on_failure_detected(&mut self, job: JobId) {
-        if self.jobs[job.0 as usize].cancelled {
+        let Some(attempt) = self.record(job).map(|rec| rec.attempts) else {
             return;
-        }
+        };
         let delay = self.config.submission_overhead.sample(&mut self.rng);
         self.schedule_in(delay, Event::BrokerReceives { job });
         self.emit(|sim| SimEvent::JobResubmitted {
             at: sim.clock,
             job,
             tag: sim.jobs[job.0 as usize].spec.tag,
-            attempt: sim.jobs[job.0 as usize].record.attempts,
+            attempt,
         });
     }
 
+    /// Move the job's record into the completion queue: from here on
+    /// the submitter holds the only copy.
     fn on_completion_delivered(&mut self, job: JobId) {
-        let state = &mut self.jobs[job.0 as usize];
-        if state.cancelled {
+        let Some(mut record) = self.jobs[job.0 as usize].record.take() else {
+            // Cancelled while the notification was in flight.
             return;
-        }
-        debug_assert!(!state.done, "double delivery for {job:?}");
-        state.done = true;
-        state.record.delivered_at = self.clock;
+        };
+        record.delivered_at = self.clock;
         self.outstanding -= 1;
-        let tag = state.spec.tag;
-        let outcome = state.record.outcome;
-        // Move the canonical record into the delivery log and clone only
-        // the completion's copy — a delivered JobState's record is never
-        // read again, so this halves the per-delivery allocations the
-        // profiler flagged.
-        let record = std::mem::replace(&mut state.record, Self::drained_record(job));
-        self.completions.push_back(GridJobCompletion {
-            id: job,
-            tag,
-            outcome,
-            delivered_at: self.clock,
-            record: record.clone(),
-        });
-        self.finished_records.push(record);
+        let (tag, outcome) = (record.tag, record.outcome);
+        self.completions.push_back(record);
         self.emit(|sim| SimEvent::JobDelivered {
             at: sim.clock,
             job,
             tag,
             outcome,
         });
-    }
-
-    /// Allocation-free placeholder left in a delivered [`JobState`]'s
-    /// record slot (never read again: `done` gates every later access).
-    fn drained_record(job: JobId) -> JobRecord {
-        JobRecord {
-            id: job,
-            name: String::new(),
-            tag: 0,
-            submitted_at: SimTime::ZERO,
-            matched_at: SimTime::ZERO,
-            enqueued_at: SimTime::ZERO,
-            started_at: SimTime::ZERO,
-            finished_at: SimTime::ZERO,
-            delivered_at: SimTime::ZERO,
-            ce: None,
-            attempts: 0,
-            stage_in: SimDuration::ZERO,
-            compute: SimDuration::ZERO,
-            stage_out: SimDuration::ZERO,
-            outcome: JobOutcome::Success,
-        }
     }
 
     fn on_info_refresh(&mut self) {
@@ -865,8 +832,8 @@ mod tests {
             "{}",
             c.delivered_at
         );
-        assert!((c.record.queue_wait().as_secs_f64()).abs() < 1e-6);
-        assert_eq!(c.record.attempts, 1);
+        assert!((c.queue_wait().as_secs_f64()).abs() < 1e-6);
+        assert_eq!(c.attempts, 1);
     }
 
     #[test]
@@ -902,8 +869,8 @@ mod tests {
         sim.submit(GridJobSpec::new("j", 100.0));
         let c = sim.next_completion().unwrap();
         assert_eq!(c.outcome, JobOutcome::Failed);
-        assert_eq!(c.record.attempts, 3); // initial + 2 retries
-                                          // Each attempt costs 15 + 100; retries add 50 detect + 10 + 5.
+        assert_eq!(c.attempts, 3); // initial + 2 retries
+                                   // Each attempt costs 15 + 100; retries add 50 detect + 10 + 5.
         assert!(c.delivered_at.as_secs_f64() > 300.0);
     }
 
@@ -923,7 +890,7 @@ mod tests {
             if c.outcome == JobOutcome::Success {
                 successes += 1;
             }
-            max_attempts = max_attempts.max(c.record.attempts);
+            max_attempts = max_attempts.max(c.attempts);
         }
         assert_eq!(
             successes, 20,
@@ -942,9 +909,9 @@ mod tests {
         let c = sim.next_completion().unwrap();
         // Must wait for two background waves: queue wait ≈ 2000 - 15.
         assert!(
-            c.record.queue_wait().as_secs_f64() > 1900.0,
+            c.queue_wait().as_secs_f64() > 1900.0,
             "{:?}",
-            c.record.queue_wait()
+            c.queue_wait()
         );
     }
 
@@ -979,7 +946,7 @@ mod tests {
         let mut overheads = Vec::new();
         while let Some(c) = sim.next_completion() {
             if c.outcome == JobOutcome::Success {
-                overheads.push(c.record.overhead().as_secs_f64());
+                overheads.push(c.overhead().as_secs_f64());
             }
         }
         assert!(overheads.len() > 50);
@@ -1004,7 +971,7 @@ mod tests {
         sim.submit(GridJobSpec::new("j", 250.0).with_files(vec![10], vec![10]));
         let c = sim.next_completion().unwrap();
         assert!((c.delivered_at.as_secs_f64() - 250.0).abs() < 1e-6);
-        assert_eq!(c.record.overhead(), SimDuration::ZERO);
+        assert_eq!(c.overhead(), SimDuration::ZERO);
     }
 
     #[test]
@@ -1027,12 +994,11 @@ mod tests {
     }
 
     #[test]
-    fn records_accumulate_in_delivery_order() {
+    fn records_arrive_in_delivery_order() {
         let mut sim = GridSim::new(quiet_config(), 1);
         sim.submit(GridJobSpec::new("a", 10.0).with_tag(1));
         sim.submit(GridJobSpec::new("b", 20.0).with_tag(2));
-        while sim.next_completion().is_some() {}
-        let recs = sim.records();
+        let recs: Vec<JobRecord> = std::iter::from_fn(|| sim.next_completion()).collect();
         assert_eq!(recs.len(), 2);
         assert!(recs[0].delivered_at <= recs[1].delivered_at);
         assert_eq!(recs[0].tag, 1);
@@ -1059,7 +1025,7 @@ mod tests {
             sim.submit(GridJobSpec::new("j", 100.0));
         }
         while let Some(c) = sim.next_completion() {
-            assert_eq!(c.record.ce, Some(CeId(1)), "matched onto the down CE");
+            assert_eq!(c.ce, Some(CeId(1)), "matched onto the down CE");
             assert!(
                 c.delivered_at.as_secs_f64() < 1_000.0,
                 "job waited out the downtime: {}",
@@ -1079,11 +1045,11 @@ mod tests {
         let mut sim = GridSim::new(cfg, 1);
         sim.submit(GridJobSpec::new("j", 100.0));
         let c = sim.next_completion().expect("delivered after the window");
-        assert_eq!(c.record.ce, Some(CeId(0)));
+        assert_eq!(c.ce, Some(CeId(0)));
         assert!(
-            c.record.queue_wait().as_secs_f64() > 400.0,
+            c.queue_wait().as_secs_f64() > 400.0,
             "job should sit in the queue until CeUp: {:?}",
-            c.record.queue_wait()
+            c.queue_wait()
         );
     }
 
@@ -1096,7 +1062,7 @@ mod tests {
         }
         let mut n = 0;
         while let Some(c) = sim.next_completion() {
-            assert_eq!(c.record.ce, Some(CeId(1)));
+            assert_eq!(c.ce, Some(CeId(1)));
             n += 1;
         }
         assert_eq!(n, 4);
@@ -1171,7 +1137,7 @@ mod tests {
             sim.submit(GridJobSpec::new("j", 10.0));
             let c = sim.next_completion().unwrap();
             assert_eq!(c.outcome, JobOutcome::Failed);
-            assert_eq!(c.record.attempts, n + 1, "max_retries={n}");
+            assert_eq!(c.attempts, n + 1, "max_retries={n}");
         }
     }
 
@@ -1187,8 +1153,8 @@ mod tests {
         let mut max_stage_in = 0.0f64;
         let mut min_stage_in = f64::INFINITY;
         while let Some(c) = sim.next_completion() {
-            max_stage_in = max_stage_in.max(c.record.stage_in.as_secs_f64());
-            min_stage_in = min_stage_in.min(c.record.stage_in.as_secs_f64());
+            max_stage_in = max_stage_in.max(c.stage_in.as_secs_f64());
+            min_stage_in = min_stage_in.min(c.stage_in.as_secs_f64());
         }
         assert!(
             max_stage_in > 1.5 * min_stage_in,

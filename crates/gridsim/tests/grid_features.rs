@@ -75,9 +75,9 @@ fn downtime_windows_delay_dispatch_but_not_running_jobs() {
     sim.submit(GridJobSpec::new("blocked", 20.0));
     let second = sim.next_completion().unwrap();
     assert!(
-        second.record.started_at.as_secs_f64() >= 1030.0,
+        second.started_at.as_secs_f64() >= 1030.0,
         "job must wait for CeUp at t=1030: started {}",
-        second.record.started_at
+        second.started_at
     );
 }
 
@@ -127,17 +127,16 @@ fn invariants_hold_over_random_workloads() {
         }
         let mut seen = std::collections::HashSet::new();
         let mut delivered = 0;
-        while let Some(c) = sim.next_completion() {
+        while let Some(r) = sim.next_completion() {
             delivered += 1;
-            assert!(seen.insert(c.tag), "tag {} delivered twice", c.tag);
-            let r = &c.record;
+            assert!(seen.insert(r.tag), "tag {} delivered twice", r.tag);
             assert!(r.submitted_at <= r.matched_at);
             assert!(r.matched_at <= r.enqueued_at);
             assert!(r.enqueued_at <= r.started_at);
             assert!(r.started_at <= r.finished_at);
             assert!(r.finished_at <= r.delivered_at);
             assert!(r.attempts >= 1);
-            if c.outcome == JobOutcome::Success {
+            if r.outcome == JobOutcome::Success {
                 assert!(r.compute.as_secs_f64() > 0.0);
             }
         }
@@ -155,8 +154,7 @@ fn overhead_decomposition() {
         for i in 0..5 {
             sim.submit(GridJobSpec::new(format!("j{i}"), 100.0));
         }
-        while let Some(c) = sim.next_completion() {
-            let r = &c.record;
+        while let Some(r) = sim.next_completion() {
             let reconstructed = r.overhead().as_secs_f64() + r.compute.as_secs_f64();
             assert!(
                 (r.turnaround().as_secs_f64() - reconstructed).abs() < 1e-6,

@@ -43,7 +43,6 @@ pub mod compose;
 pub mod descriptor;
 pub mod error;
 pub mod invocation;
-pub mod jdl;
 pub mod lint;
 pub mod template;
 
@@ -56,6 +55,5 @@ pub use error::WrapperError;
 pub use invocation::{
     command_line, plan_single, Binding, BoundOutput, BoundValue, JobPlan, TransferFile,
 };
-pub use jdl::{to_jdl, JdlOptions};
 pub use lint::{lint_descriptor, DescriptorFinding};
 pub use template::{Feed, FillError, FilledJob, JobTemplate, SlotValue, StageSpec};

@@ -1,6 +1,6 @@
 //! Adapting job granularity to the observed grid load — the workflow
 //! the paper sketches in §5.4: probe the grid, fit the overhead
-//! distribution from the measured job records, let the probabilistic
+//! distribution from the probe's invocation records, let the probabilistic
 //! model pick a batch size, and run the remaining workload with it.
 //!
 //! The model assumes per-job overheads are independent draws (an
@@ -13,7 +13,7 @@
 
 use moteur_repro::gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
 use moteur_repro::moteur::prelude::*;
-use moteur_repro::moteur::{GranularityModel, SimBackend};
+use moteur_repro::moteur::{GranularityModel, RecordSink, SimBackend};
 use moteur_repro::wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
 const COMPUTE_SECS: f64 = 60.0;
@@ -101,16 +101,23 @@ fn main() {
         probetotal = probetotal
     );
     let mut backend = SimBackend::new(spiky_grid(), 99);
+    let (sink, records) = RecordSink::new();
     let probe = Enactment::new(&wf, &inputs(0, probetotal), EnactorConfig::sp_dp())
+        .obs(Obs::new(vec![Box::new(sink)]))
         .run(&mut backend)
         .expect("probe wave");
-    let records = backend.sim().records();
-    let model = GranularityModel::fit_overheads(records, COMPUTE_SECS, total - probetotal);
+    // A job's grid overhead is its turnaround minus its compute time.
+    let overheads: Vec<f64> = records
+        .snapshot()
+        .iter()
+        .map(|r| r.finished.since(r.submitted).as_secs_f64() - COMPUTE_SECS)
+        .collect();
+    let model = GranularityModel::fit_overheads(&overheads, COMPUTE_SECS, total - probetotal);
     println!(
         "  fitted overhead: median {:.0} s, sigma {:.2} (from {} records)",
         model.overhead_median,
         model.overhead_sigma,
-        records.len()
+        overheads.len()
     );
     let g = model.optimal_batch();
     println!(

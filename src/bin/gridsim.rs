@@ -81,7 +81,7 @@ fn run(args: &Args) -> Outcome {
                 .with_files(vec![7_800_000], vec![400_000]),
         );
     }
-    let mut delivered = 0usize;
+    let mut records = Vec::with_capacity(jobs);
     while let Some(done) = sim.next_completion() {
         let event = if done.outcome == JobOutcome::Success {
             TraceEvent::JobCompleted {
@@ -99,15 +99,15 @@ fn run(args: &Args) -> Outcome {
             }
         };
         obs.record(&event);
-        delivered += 1;
+        records.push(done);
     }
     obs.flush()
         .map_err(|e| format!("flushing event sinks: {e}"))?;
 
-    let summary = summarize(sim.records());
+    let summary = summarize(&records);
     println!(
-        "delivered {delivered}/{jobs} jobs; makespan {:.1}s; {} failures, {} resubmissions",
-        summary.makespan_secs, summary.failures, summary.resubmissions
+        "delivered {}/{jobs} jobs; makespan {:.1}s; {} failures, {} resubmissions",
+        summary.jobs, summary.makespan_secs, summary.failures, summary.resubmissions
     );
     println!(
         "overhead: mean {:.1}s ± {:.1}s, p50 {:.1}s, p95 {:.1}s, p99 {:.1}s",

@@ -417,6 +417,22 @@ fn gridsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_moteur-gridsim"))
 }
 
+/// The summary is a pure function of (jobs, compute, seed, grid): every
+/// digit of it at the default seed, so a change to where its job
+/// records come from cannot move one.
+#[test]
+fn gridsim_summary_is_pinned_at_the_default_seed() {
+    let dir = in_temp_dir();
+    let (code, stdout, _) = outcome(gridsim(), &dir, &["--jobs", "200"]);
+    assert_eq!(code, 0);
+    assert_eq!(
+        stdout,
+        "delivered 200/200 jobs; makespan 3001.8s; 0 failures, 6 resubmissions\n\
+         overhead: mean 297.2s ± 345.0s, p50 201.8s, p95 795.9s, p99 1859.9s\n\
+         mean queue wait 6.6s, mean compute 139.6s\n"
+    );
+}
+
 /// Exit code, stdout and stderr of one invocation in `dir`.
 fn outcome(mut command: Command, dir: &tempdir::TempDir, args: &[&str]) -> (i32, String, String) {
     let out = command
