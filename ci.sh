@@ -39,6 +39,15 @@ if grep -rnw --include='*.rs' -e Catalog -e Binding -e GroupMember \
   exit 1
 fi
 
+# One gate: `Workflow::validate` runs the lint's own structural rules
+# (M001, M007, M008, M010 in crates/core/src/lint/rules/), so the graph
+# module may not spell one of their messages again.
+if grep -nE 'duplicate processor name|has no binding|is not connected|unknown processor|bad port of' \
+    crates/core/src/graph.rs; then
+  echo "graph.rs re-implements a lint rule: validate() runs the lint's gate" >&2
+  exit 1
+fi
+
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
 # (or the next builder) copies commands from. (`moteur-bench scale

@@ -40,10 +40,10 @@ pub struct EnactorConfig {
     /// invocations of one descriptor-bound service are submitted as a
     /// single grid job. 1 disables batching.
     pub data_batching: usize,
-    /// Run the error-severity static lint rules before enacting and
-    /// refuse workflows with findings ([`crate::lint::lint_errors`]).
-    /// `moteur run --no-verify` turns this off, falling back to the
-    /// weaker structural `validate()`.
+    /// Run the static lint ([`crate::lint_workflow`]) before enacting
+    /// and refuse workflows with an error-severity finding. `moteur run
+    /// --no-verify` turns this off, falling back to the lint's
+    /// structural subset, [`crate::Workflow::validate`].
     pub preflight: bool,
     /// Optional SLO to track during enactment; `None` disables the
     /// burn-rate check.

@@ -7,6 +7,9 @@ use super::ports::Routes;
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
 use crate::graph::{ProcId, Processor, Workflow};
+use crate::lint::rules::lint_with_facts;
+use crate::lint::Severity;
+use crate::plan::facts::StaticFacts;
 use crate::service::{GroupSource, ServiceBinding, ServiceProfile};
 use crate::store::{descriptor_digest, group_digest};
 use moteur_wrapper::{ExecutableDescriptor, Feed, JobTemplate, StageSpec};
@@ -33,9 +36,10 @@ impl CompileBits {
     }
 }
 
-/// A workflow that passed the preflight lint, grouped and validated,
-/// with the structure every firing reads precomputed. Immutable and
-/// shared: a [`super::WorkflowInstance`] holds it by reference count.
+/// A workflow that passed the structural gate (and, unless opted out,
+/// the preflight lint), grouped, with the structure every firing reads
+/// precomputed. Immutable and shared: a [`super::WorkflowInstance`]
+/// holds it by reference count.
 pub(crate) struct CompiledWorkflow {
     /// The enacted (post-grouping) graph.
     pub(super) workflow: Workflow,
@@ -62,40 +66,59 @@ pub(crate) struct CompiledWorkflow {
 }
 
 impl CompiledWorkflow {
-    /// Preflight lint, job grouping, graph validation, link compilation,
-    /// interned names, service digests and job templates — in the order
-    /// a rejection is reported (a template holds its faults until its
-    /// first firing).
+    /// The structural gate (inside the preflight lint, or alone),
+    /// the graph's one analysis, the barrier-on-cycle refusal, job
+    /// grouping, link compilation, interned names, service digests and
+    /// job templates — in the order a rejection is reported (a template
+    /// holds its faults until its first firing).
     pub(crate) fn compile(
         workflow: &Workflow,
         config: &EnactorConfig,
     ) -> Result<Arc<Self>, MoteurError> {
-        if config.preflight {
+        let (scc_ids, mut in_cycle) = if config.preflight {
             // Error-severity lint findings are exactly the structural
             // conditions under which enactment would panic, deadlock or
             // silently drop data — refuse them up front with a typed
             // error instead. Run on the pre-grouping workflow so
             // findings carry the source spans of the workflow the user
             // wrote.
-            let findings = crate::lint::lint_errors(workflow);
-            if !findings.is_empty() {
-                let summary = findings
-                    .diagnostics
-                    .iter()
-                    .map(|d| format!("[{}] {}", d.code, d.message))
-                    .collect::<Vec<_>>()
-                    .join("; ");
-                return Err(MoteurError::lint(findings.errors(), summary));
+            let (findings, facts) = lint_with_facts(workflow);
+            match facts {
+                Some(StaticFacts { scc, in_cycle, .. }) if !findings.has_errors() => {
+                    (scc, in_cycle)
+                }
+                _ => {
+                    let summary = findings
+                        .at_least(Severity::Error)
+                        .map(|d| format!("[{}] {}", d.code, d.message))
+                        .collect::<Vec<_>>()
+                        .join("; ");
+                    return Err(MoteurError::lint(findings.errors(), summary));
+                }
             }
-        }
-        let workflow = if config.job_grouping {
-            crate::grouping::group_workflow(workflow)?
         } else {
-            workflow.clone()
+            workflow.validate()?;
+            workflow.cycles()
         };
-        workflow.validate()?;
-        let scc_ids = workflow.scc_ids();
-        let in_cycle = workflow.cycle_members_of(&scc_ids);
+        // A barrier releases once, taking its buffers (paper §2.3): a
+        // token looping back to it would have nowhere to go.
+        let mut on_cycle = workflow.processors.iter().zip(&in_cycle);
+        if let Some((p, _)) = on_cycle.find(|(p, &c)| c && p.synchronization) {
+            return Err(MoteurError::new(format!(
+                "synchronization processor `{}` sits on a data cycle",
+                p.name
+            )));
+        }
+        let grouped = match config.job_grouping {
+            true => crate::grouping::group(workflow, &mut in_cycle)?,
+            false => None,
+        };
+        // Grouping builds a new graph only when it merges a pair, and
+        // carries `in_cycle` over; its SCCs are numbered anew.
+        let (scc_ids, workflow) = match grouped {
+            Some(grouped) => (grouped.scc_ids(), grouped),
+            None => (scc_ids, workflow.clone()),
+        };
         let routes = Routes::compile(&workflow, config, &scc_ids, &in_cycle);
         let names = workflow
             .processors

@@ -63,8 +63,10 @@ pub(super) struct Routes {
 }
 
 impl Routes {
-    /// `workflow` has passed [`Workflow::validate`], so every link end
-    /// names an existing processor and port.
+    /// `workflow` has passed the structural gate
+    /// ([`Workflow::validate`]), or is the grouping of one that has, so
+    /// every link end names an existing processor and port and every
+    /// coordination constraint an existing processor.
     pub(super) fn compile(
         workflow: &Workflow,
         config: &EnactorConfig,
@@ -410,8 +412,8 @@ impl WorkflowInstance {
 
     /// Are all data predecessors of `p` exhausted (as of the last
     /// [`WorkflowInstance::compute_exhausted`])? Predecessors inside
-    /// the same cycle are skipped unless `include_cycle` (barriers may
-    /// not sit inside cycles anyway).
+    /// the same cycle are skipped unless `include_cycle` (compilation
+    /// refuses a barrier on a cycle).
     fn preds_exhausted(&self, p: usize, include_cycle: bool) -> bool {
         // Straight over the links: a predecessor feeding several ports
         // is checked once per link, which `all` does not mind, and this

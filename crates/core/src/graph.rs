@@ -329,17 +329,20 @@ impl Workflow {
             .collect()
     }
 
-    /// Strongly connected components (Tarjan), in reverse topological
-    /// order of the condensation. Singletons without self-loops are the
-    /// acyclic part; larger components are the service-approach loops.
-    pub fn sccs(&self) -> Vec<Vec<ProcId>> {
+    /// For each processor, the id of its strongly connected component
+    /// (same id ⇔ same cycle). Tarjan numbers the components in reverse
+    /// topological order of the condensation. Singletons without
+    /// self-loops are the acyclic part; larger components are the
+    /// service-approach loops.
+    pub fn scc_ids(&self) -> Vec<usize> {
         struct TarjanState {
             index: Vec<Option<usize>>,
             lowlink: Vec<usize>,
             on_stack: Vec<bool>,
             stack: Vec<usize>,
             next_index: usize,
-            components: Vec<Vec<ProcId>>,
+            ids: Vec<usize>,
+            components: usize,
         }
         fn strongconnect(v: usize, adj: &[Vec<usize>], st: &mut TarjanState) {
             st.index[v] = Some(st.next_index);
@@ -356,19 +359,20 @@ impl Workflow {
                 }
             }
             if st.lowlink[v] == st.index[v].unwrap() {
-                let mut comp = Vec::new();
                 loop {
                     let w = st.stack.pop().unwrap();
                     st.on_stack[w] = false;
-                    comp.push(ProcId(w));
+                    st.ids[w] = st.components;
                     if w == v {
                         break;
                     }
                 }
-                st.components.push(comp);
+                st.components += 1;
             }
         }
 
+        #[cfg(test)]
+        TARJAN_PASSES.with(|n| n.set(n.get() + 1));
         let n = self.processors.len();
         let mut adj = vec![Vec::new(); n];
         for l in &self.links {
@@ -380,46 +384,36 @@ impl Workflow {
             on_stack: vec![false; n],
             stack: Vec::new(),
             next_index: 0,
-            components: Vec::new(),
+            ids: vec![0; n],
+            components: 0,
         };
         for v in 0..n {
             if st.index[v].is_none() {
                 strongconnect(v, &adj, &mut st);
             }
         }
-        st.components
-    }
-
-    /// For each processor, the id of its SCC (same id ⇔ same cycle).
-    pub fn scc_ids(&self) -> Vec<usize> {
-        let comps = self.sccs();
-        let mut ids = vec![0usize; self.processors.len()];
-        for (cid, comp) in comps.iter().enumerate() {
-            for p in comp {
-                ids[p.0] = cid;
-            }
-        }
-        ids
+        st.ids
     }
 
     /// Which processors sit on a data-link cycle: the members of a
     /// non-trivial SCC, and processors with a self-link.
     pub fn cycle_members(&self) -> Vec<bool> {
-        self.cycle_members_of(&self.scc_ids())
+        self.cycles().1
     }
 
-    /// [`Workflow::cycle_members`] from already computed
-    /// [`Workflow::scc_ids`].
-    pub(crate) fn cycle_members_of(&self, scc_ids: &[usize]) -> Vec<bool> {
+    /// [`Workflow::scc_ids`] and [`Workflow::cycle_members`] from one
+    /// Tarjan pass.
+    pub(crate) fn cycles(&self) -> (Vec<usize>, Vec<bool>) {
+        let scc_ids = self.scc_ids();
         let mut size = vec![0usize; scc_ids.len()];
-        for &c in scc_ids {
+        for &c in &scc_ids {
             size[c] += 1;
         }
         let mut on_cycle: Vec<bool> = scc_ids.iter().map(|&c| size[c] > 1).collect();
         for l in self.links.iter().filter(|l| l.from.proc == l.to.proc) {
             on_cycle[l.from.proc.0] = true;
         }
-        on_cycle
+        (scc_ids, on_cycle)
     }
 
     /// Does the graph contain a data-link cycle?
@@ -477,78 +471,20 @@ impl Workflow {
         Ok(path)
     }
 
-    /// Structural validation: every link references existing ports,
-    /// every service input port is fed by at least one link, services
-    /// have bindings, sources/sinks have none.
+    /// Structural validation: the lint's structural rules — M001
+    /// (every link and coordination constraint names existing processors
+    /// and ports), M007 (unique names), M008 (services bound, sources and
+    /// sinks not) and M010 (every input port fed). The first finding is
+    /// the error. See [`crate::lint`].
     pub fn validate(&self) -> Result<(), MoteurError> {
-        let mut names = HashSet::new();
-        for p in &self.processors {
-            if !names.insert(&p.name) {
-                return Err(MoteurError::new(format!(
-                    "duplicate processor name `{}`",
-                    p.name
-                )));
-            }
-            match p.kind {
-                ProcessorKind::Service => {
-                    if p.binding.is_none() {
-                        return Err(MoteurError::new(format!(
-                            "service `{}` has no binding",
-                            p.name
-                        )));
-                    }
-                }
-                ProcessorKind::Source | ProcessorKind::Sink => {
-                    if p.binding.is_some() {
-                        return Err(MoteurError::new(format!(
-                            "source/sink `{}` must not have a binding",
-                            p.name
-                        )));
-                    }
-                }
-            }
-        }
-        for l in &self.links {
-            let fp = self
-                .processors
-                .get(l.from.proc.0)
-                .ok_or_else(|| MoteurError::new("link from unknown processor"))?;
-            let tp = self
-                .processors
-                .get(l.to.proc.0)
-                .ok_or_else(|| MoteurError::new("link to unknown processor"))?;
-            if l.from.port >= fp.outputs.len() {
-                return Err(MoteurError::new(format!(
-                    "link from bad port of `{}`",
-                    fp.name
-                )));
-            }
-            if l.to.port >= tp.inputs.len() {
-                return Err(MoteurError::new(format!(
-                    "link to bad port of `{}`",
-                    tp.name
-                )));
-            }
-        }
-        for (idx, p) in self.processors.iter().enumerate() {
-            if p.kind == ProcessorKind::Source {
-                continue;
-            }
-            for (port, pname) in p.inputs.iter().enumerate() {
-                let fed = self
-                    .links
-                    .iter()
-                    .any(|l| l.to.proc.0 == idx && l.to.port == port);
-                if !fed {
-                    return Err(MoteurError::new(format!(
-                        "input port `{pname}` of `{}` is not connected",
-                        p.name
-                    )));
-                }
-            }
-        }
-        Ok(())
+        crate::lint::rules::validate(self)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`Workflow::scc_ids`] calls made on this thread, for the tests.
+    pub(crate) static TARJAN_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -673,10 +609,15 @@ mod tests {
         assert!(w.has_cycle());
         let ids = w.scc_ids();
         assert_eq!(ids[p2.0], ids[p3.0], "P2 and P3 share a cycle");
-        let comps = w.sccs();
-        let big: Vec<_> = comps.iter().filter(|c| c.len() > 1).collect();
-        assert_eq!(big.len(), 1);
-        assert_eq!(big[0].len(), 2);
+        // Every processor in exactly one component: the loop's two
+        // members together, everything else alone.
+        let mut sizes = vec![0; w.processors.len()];
+        for &id in &ids {
+            sizes[id] += 1;
+        }
+        sizes.retain(|&s| s > 0);
+        sizes.sort_unstable();
+        assert_eq!(sizes, [1, 1, 1, 2]);
         assert!(w.critical_path_services().is_err());
     }
 
@@ -695,13 +636,5 @@ mod tests {
         let (mut w, [_, p1, p2, ..]) = fig1();
         w.add_control(p1, p2);
         assert_eq!(w.control, vec![(p1, p2)]);
-    }
-
-    #[test]
-    fn sccs_cover_every_processor_exactly_once() {
-        let (w, _) = fig2();
-        let comps = w.sccs();
-        let total: usize = comps.iter().map(Vec::len).sum();
-        assert_eq!(total, w.processors.len());
     }
 }

@@ -25,11 +25,33 @@ use crate::service::{GroupSource, GroupedBinding, GroupedStage, ServiceBinding};
 
 /// Apply grouping repeatedly until no pair can be merged.
 pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
-    let mut wf = workflow.clone();
-    while let Some((p, q)) = find_groupable_pair(&wf) {
-        wf = merge_pair(&wf, p, q)?;
+    let grouped = group(workflow, &mut workflow.cycle_members())?;
+    Ok(grouped.unwrap_or_else(|| workflow.clone()))
+}
+
+/// [`group_workflow`] given which processors of `workflow` sit on a
+/// data-link cycle; `None` when no pair merges. A merge keeps the other
+/// processors in order and appends the merged node, which sits on no
+/// cycle (neither half did, and every link out of P ends at Q), so
+/// `in_cycle` is carried across merges rather than recomputed: on
+/// return it describes the grouped graph.
+pub(crate) fn group(
+    workflow: &Workflow,
+    in_cycle: &mut Vec<bool>,
+) -> Result<Option<Workflow>, MoteurError> {
+    let mut grouped: Option<Workflow> = None;
+    loop {
+        let wf = grouped.as_ref().unwrap_or(workflow);
+        let Some((p, q)) = find_groupable_pair(wf, in_cycle) else {
+            return Ok(grouped);
+        };
+        let merged = merge_pair(wf, p, q)?;
+        for id in [p.0.max(q.0), p.0.min(q.0)] {
+            in_cycle.remove(id);
+        }
+        in_cycle.push(false);
+        grouped = Some(merged);
     }
-    Ok(wf)
 }
 
 /// The first §3.6 condition that keeps a (P, Q) pair apart, naming the
@@ -123,11 +145,10 @@ pub(crate) fn blocking<'a>(
     None
 }
 
-fn find_groupable_pair(wf: &Workflow) -> Option<(ProcId, ProcId)> {
-    let in_cycle = wf.cycle_members();
+fn find_groupable_pair(wf: &Workflow, in_cycle: &[bool]) -> Option<(ProcId, ProcId)> {
     (0..wf.processors.len()).map(ProcId).find_map(|p| {
         let q = sole_service_consumer(wf, p)?;
-        blocking(wf, p, q, &in_cycle).is_none().then_some((p, q))
+        blocking(wf, p, q, in_cycle).is_none().then_some((p, q))
     })
 }
 
@@ -522,6 +543,47 @@ mod tests {
         w.add_control(a, b);
         let g = group_workflow(&w).unwrap();
         assert!(g.find("A+B").is_none());
+    }
+
+    /// Property: the cycle membership [`group`] carries across merges is
+    /// the grouped graph's own.
+    #[test]
+    fn carried_cycle_membership_is_the_grouped_graphs() {
+        let mut merged = 0;
+        for case in 0..600 {
+            let (wf, _) = crate::random_workflow::random_workflow(case);
+            let mut in_cycle = wf.cycle_members();
+            if let Some(grouped) = group(&wf, &mut in_cycle).unwrap() {
+                assert_eq!(in_cycle, grouped.cycle_members(), "case {case}");
+                merged += 1;
+            }
+        }
+        assert!(merged > 20, "{merged} cases merged");
+    }
+
+    /// Tarjan passes one compile makes.
+    fn tarjan_passes(wf: &Workflow, config: crate::EnactorConfig) -> usize {
+        let count = || crate::graph::TARJAN_PASSES.with(std::cell::Cell::get);
+        let before = count();
+        crate::enactor::CompiledWorkflow::compile(wf, &config).unwrap();
+        count() - before
+    }
+
+    /// One structure pass per graph: the preflight's analysis serves
+    /// grouping and, when nothing merges, the enacted graph; a graph
+    /// grouping rebuilt gets one pass of its own.
+    #[test]
+    fn a_compile_analyses_each_graph_once() {
+        use crate::EnactorConfig;
+        let chain = chain2();
+        assert_eq!(tarjan_passes(&chain, EnactorConfig::sp_dp()), 1);
+        assert_eq!(tarjan_passes(&chain, EnactorConfig::sp_dp_jg()), 2);
+        let no_preflight = EnactorConfig::sp_dp_jg().without_preflight();
+        assert_eq!(tarjan_passes(&chain, no_preflight), 2);
+        let mut crossed = chain2();
+        crossed.set_iteration(crossed.find("B").unwrap(), IterationStrategy::Cross);
+        assert_eq!(tarjan_passes(&crossed, EnactorConfig::sp_dp_jg()), 1);
+        assert_eq!(tarjan_passes(&crossed, no_preflight), 1);
     }
 
     #[test]

@@ -105,8 +105,8 @@ pub use graph::{IterationStrategy, ProcId, ProcessorKind, Workflow};
 pub use grouping::group_workflow;
 pub use iterate::MatchEngine;
 pub use lint::{
-    lint_errors, lint_workflow, predict, render_human, render_prediction, report_from_json,
-    report_to_json, Diagnostic, LintReport, Severity,
+    lint_workflow, predict, render_human, render_prediction, report_from_json, report_to_json,
+    Diagnostic, LintReport, Severity,
 };
 pub use model::TimeMatrix;
 pub use obs::chrome::chrome_trace_with_metrics;

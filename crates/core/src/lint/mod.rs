@@ -13,9 +13,10 @@
 //! - [`render`] — human renderer and the JSON codec
 //! - [`mod@predict`] — eq. 1–4 makespan/job-count prediction (`--predict`)
 //!
-//! The enactor runs the error-severity subset ([`lint_errors`]) as a
-//! pre-flight and refuses to enact a workflow with findings, unless the
-//! caller opts out (`moteur run --no-verify`).
+//! The enactor runs every rule as a pre-flight and refuses to enact a
+//! workflow with an error-severity finding, unless the caller opts out
+//! (`moteur run --no-verify`); even then it refuses what the structural
+//! subset ([`crate::Workflow::validate`]) finds.
 
 #![warn(missing_docs)]
 
@@ -32,4 +33,4 @@ pub use predict::{
 };
 pub use render::{intern_code, render_human, report_from_json, report_to_json};
 pub use rules::docs::{explain, render_explain, RuleDoc, RULE_DOCS};
-pub use rules::{lint_errors, lint_workflow};
+pub use rules::lint_workflow;

@@ -88,9 +88,10 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     RuleDoc {
         code: "M008",
         severity: Severity::Error,
-        summary: "service without a binding",
+        summary: "service without a binding, or source/sink with one",
         doc: "A service processor with no executable descriptor (or local binding) \
-              can never be invoked.",
+              can never be invoked; a source or sink carrying a binding would never \
+              invoke it.",
     },
     RuleDoc {
         code: "M010",

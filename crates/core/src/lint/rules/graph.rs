@@ -6,24 +6,23 @@ use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
 use std::collections::{BTreeMap, HashMap};
 
-/// Run the graph structure and reachability rules (M002–M008); M001 is
-/// [`links_reach_processors`], which runs first.
+/// Run the graph reachability, self-link and cycle rules (M002–M006);
+/// M001, M007 and M008 belong to the structural gate, which runs first.
 pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
-    duplicate_names(wf, report);
-    missing_bindings(wf, report);
     self_links(wf, report);
     cycles(wf, facts, report);
     reachability(wf, report);
 }
 
-/// M001: a link references a processor or port that does not exist.
-/// Reports every such link and returns whether every link's processors
-/// exist (a link to a missing *port* still reaches its processor).
+/// M001: a link references a processor or port that does not exist, or
+/// a coordination constraint a processor that does not exist. Reports
+/// every such edge and returns whether every edge's processors exist
+/// (a link to a missing *port* still reaches its processor).
 ///
 /// The Scufl parser emits M001 for unresolved *names*; this covers the
 /// programmatic case of out-of-range indices, which would panic the
 /// enactor's token router.
-pub(crate) fn links_reach_processors(wf: &Workflow, report: &mut LintReport) -> bool {
+pub(super) fn references_resolve(wf: &Workflow, report: &mut LintReport) -> bool {
     let mut processors_exist = true;
     for (i, l) in wf.links.iter().enumerate() {
         let span = wf.spans.link(i);
@@ -55,12 +54,26 @@ pub(crate) fn links_reach_processors(wf: &Workflow, report: &mut LintReport) -> 
             );
         }
     }
+    let n = wf.processors.len();
+    for (i, &(before, after)) in wf.control.iter().enumerate() {
+        if before.0 >= n || after.0 >= n {
+            processors_exist = false;
+            report.push(
+                Diagnostic::error(
+                    "M001",
+                    "dangling coordination constraint: references a processor that does not exist",
+                )
+                .primary(wf.spans.control_edge(i), "constraint declared here")
+                .with_help("every coordination constraint must order two existing processors"),
+            );
+        }
+    }
     processors_exist
 }
 
 /// M007: two processors share a name — links and input bindings resolve
 /// by name, so the second processor shadows the first.
-fn duplicate_names(wf: &Workflow, report: &mut LintReport) {
+pub(super) fn duplicate_names(wf: &Workflow, report: &mut LintReport) {
     let mut first: HashMap<&str, ProcId> = HashMap::new();
     for (i, p) in wf.processors.iter().enumerate() {
         match first.entry(p.name.as_str()) {
@@ -80,16 +93,21 @@ fn duplicate_names(wf: &Workflow, report: &mut LintReport) {
 }
 
 /// M008: a service processor with no service binding can never be
-/// invoked.
-fn missing_bindings(wf: &Workflow, report: &mut LintReport) {
+/// invoked; a source or sink with one would never invoke it.
+pub(super) fn missing_bindings(wf: &Workflow, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
-        if p.kind == ProcessorKind::Service && p.binding.is_none() {
-            report.push(
-                Diagnostic::error("M008", format!("service `{}` has no binding", p.name))
-                    .primary(wf.spans.processor(ProcId(i)), "declared here")
-                    .with_help("bind the service to an executable descriptor"),
-            );
-        }
+        let message = match (p.kind, &p.binding) {
+            (ProcessorKind::Service, None) => format!("service `{}` has no binding", p.name),
+            (ProcessorKind::Source | ProcessorKind::Sink, Some(_)) => {
+                format!("source/sink `{}` must not have a binding", p.name)
+            }
+            _ => continue,
+        };
+        report.push(
+            Diagnostic::error("M008", message)
+                .primary(wf.spans.processor(ProcId(i)), "declared here")
+                .with_help("bind each service, and only services, to an executable descriptor"),
+        );
     }
 }
 

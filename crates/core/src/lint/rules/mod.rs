@@ -18,6 +18,11 @@
 //! `moteur-scufl`'s lenient parser, before a graph exists). M070 warns
 //! on non-deterministic services the data manager cannot memoize.
 //! M086–M089 are reserved for future planner-backed rules.
+//!
+//! M001, M007, M008 and M010 are the structural gate: they run first,
+//! read no analysis, and are all that [`Workflow::validate`] checks, so
+//! a workflow the enactor compiles without the preflight lint has still
+//! passed the same rules.
 
 pub mod cardinality;
 pub mod coordination;
@@ -28,6 +33,7 @@ pub mod grouping;
 pub mod plan_rules;
 pub mod ports;
 
+use crate::error::MoteurError;
 use crate::graph::Workflow;
 use crate::lint::diag::LintReport;
 use crate::plan::facts::StaticFacts;
@@ -37,10 +43,15 @@ use crate::plan::PlanOptions;
 /// report. This is the graph-stage half of `moteur lint`; parse-stage
 /// diagnostics (M06x) come from the Scufl lenient parser.
 pub fn lint_workflow(workflow: &Workflow) -> LintReport {
+    lint_with_facts(workflow).0
+}
+
+/// [`lint_workflow`], also handing back the analysis the rules read:
+/// `None` when a dangling reference ended the stage at the gate. The
+/// enactor's preflight keeps it, so a workflow is analysed once.
+pub(crate) fn lint_with_facts(workflow: &Workflow) -> (LintReport, Option<StaticFacts>) {
     let mut report = LintReport::default();
-    // Every later rule indexes processors by link endpoint, so a link to
-    // a processor that does not exist ends the stage at its M001.
-    if graph::links_reach_processors(workflow, &mut report) {
+    let facts = gate(workflow, &mut report).then(|| {
         // The lint sizing convention, shared with the M080–M085 cap and
         // item size.
         let opts = PlanOptions::default();
@@ -52,17 +63,31 @@ pub fn lint_workflow(workflow: &Workflow) -> LintReport {
         coordination::check(workflow, &facts, &mut report);
         descriptors::check(workflow, &mut report);
         plan_rules::check(workflow, &facts, &opts, &mut report);
-    }
+        facts
+    });
     report.sort();
-    report
+    (report, facts)
 }
 
-/// Error-severity subset used as the enactor's pre-flight: structural
-/// conditions under which enactment would panic, deadlock or silently
-/// drop data. Warnings and notes are not evaluated here.
-pub fn lint_errors(workflow: &Workflow) -> LintReport {
-    let mut full = lint_workflow(workflow);
-    full.diagnostics
-        .retain(|d| d.severity == crate::lint::diag::Severity::Error);
-    full
+/// The structural rules, run before any analysis: M001 (dangling links
+/// and coordination constraints), M007 (duplicate names), M008
+/// (bindings) and M010 (unconnected inputs). Returns whether every edge
+/// names existing processors: every later rule indexes processors by
+/// edge end, so when one does not, M001 ends the stage.
+fn gate(workflow: &Workflow, report: &mut LintReport) -> bool {
+    if !graph::references_resolve(workflow, report) {
+        return false;
+    }
+    graph::duplicate_names(workflow, report);
+    graph::missing_bindings(workflow, report);
+    ports::unconnected_inputs(workflow, report);
+    true
+}
+
+/// [`Workflow::validate`]: the gate's first finding as the error.
+pub(crate) fn validate(workflow: &Workflow) -> Result<(), MoteurError> {
+    let mut report = LintReport::default();
+    gate(workflow, &mut report);
+    let first = report.diagnostics.into_iter().next();
+    first.map_or(Ok(()), |d| Err(MoteurError::new(d.message)))
 }

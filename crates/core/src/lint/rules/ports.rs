@@ -6,9 +6,9 @@ use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
 use crate::service::ServiceBinding;
 
-/// Run the port wiring and slot declaration rules (M010–M014).
+/// Run the port wiring and slot declaration rules (M011–M014); M010
+/// belongs to the structural gate, which runs first.
 pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
-    unconnected_inputs(wf, facts, report);
     multiply_fed_ports(wf, facts, report);
     slot_declarations(wf, report);
     unconsumed_outputs(wf, facts, report);
@@ -16,14 +16,19 @@ pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport)
 
 /// M010: an input port of a non-source processor with no inbound link.
 /// The iteration strategy can never assemble a complete input tuple, so
-/// the processor silently never fires.
-fn unconnected_inputs(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
+/// the processor silently never fires. Scans the links rather than
+/// reading [`StaticFacts::feeders`], so the gate builds no analysis.
+pub(super) fn unconnected_inputs(wf: &Workflow, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.kind == ProcessorKind::Source {
             continue;
         }
-        for (pname, feeders) in p.inputs.iter().zip(&facts.feeders[i]) {
-            if feeders.is_empty() {
+        for (port, pname) in p.inputs.iter().enumerate() {
+            let fed = wf
+                .links
+                .iter()
+                .any(|l| l.to.proc.0 == i && l.to.port == port);
+            if !fed {
                 report.push(
                     Diagnostic::error(
                         "M010",

@@ -273,8 +273,7 @@ impl StaticFacts {
                 *c += 1;
             }
         }
-        let scc = wf.scc_ids();
-        let in_cycle = wf.cycle_members_of(&scc);
+        let (scc, in_cycle) = wf.cycles();
 
         let mut out: Vec<Option<Card>> = vec![None; n];
         let mut ports: Vec<Option<Vec<Card>>> = vec![None; n];

@@ -117,6 +117,55 @@ fn a_local_service_on_a_grid_daemon_fails_its_instance_not_the_daemon() {
     assert_eq!(sb.state, InstanceState::Succeeded, "{sb:?}");
 }
 
+/// A synchronization barrier linked to itself: the lint warns (M005)
+/// but finds no error.
+fn barrier_loop_workflow() -> String {
+    r#"<scufl name="barrier-loop">
+  <source name="s" bytes="64"/>
+  <processor name="x" compute="5" sync="true">
+    <executable name="x">
+      <access type="URL"><path value="http://h"/></access>
+      <value value="x"/>
+      <input name="in" option="-i"><access type="GFN"/></input>
+      <output name="out" option="-o"><access type="GFN"/></output>
+    </executable>
+  </processor>
+  <sink name="k"/>
+  <link from="s:out" to="x:in"/>
+  <link from="x:out" to="x:in"/>
+  <link from="x:out" to="k:in"/>
+</scufl>"#
+        .to_string()
+}
+
+/// A barrier releases once, so one on a data cycle is refused at
+/// compile time: the submitting tenant's instance fails naming it, and
+/// the daemon keeps serving every other tenant.
+#[test]
+fn a_barrier_on_a_cycle_fails_its_instance_not_the_daemon() {
+    let mut d = daemon();
+    let config = || EnactorConfig::sp_dp();
+    let a = d
+        .submit(
+            "alice",
+            &barrier_loop_workflow(),
+            &tiny_inputs(2),
+            config(),
+            FtConfig::default(),
+        )
+        .expect("the workflow parses");
+    let b = submit(&mut d, "bob", 2);
+    d.drain();
+    let sa = d.status(a).unwrap();
+    assert_eq!(sa.state, InstanceState::Failed, "{sa:?}");
+    assert_eq!(
+        sa.error.as_deref(),
+        Some("synchronization processor `x` sits on a data cycle")
+    );
+    let sb = d.status(b).unwrap();
+    assert_eq!(sb.state, InstanceState::Succeeded, "{sb:?}");
+}
+
 #[test]
 fn second_tenants_identical_submission_hits_the_shared_memo_table() {
     let mut d = daemon();

@@ -6,8 +6,8 @@ use moteur::lint::{
     explain, lint_workflow, report_from_json, report_to_json, Diagnostic, LintReport, Severity,
 };
 use moteur::{
-    Enactment, EnactorConfig, InputData, ProcId, ServiceBinding, ServiceProfile, VirtualBackend,
-    Workflow,
+    DataValue, Enactment, EnactorConfig, InputData, ProcId, ServiceBinding, ServiceProfile,
+    VirtualBackend, Workflow,
 };
 use moteur_scufl::lint_source;
 use moteur_wrapper::crest_lines_example;
@@ -436,6 +436,66 @@ fn preflight_refuses_an_out_of_range_processor_with_m001() {
     assert!(err.to_string().contains("[M001]"), "{err}");
 }
 
+/// source → sink, plus a coordination constraint whose `before` end
+/// (or, with `at_before` false, its `after` end) is processor #7, which
+/// does not exist.
+fn control_to_missing_processor(at_before: bool) -> Workflow {
+    let mut wf = Workflow::new("m001");
+    let src = wf.add_source("s");
+    let sink = wf.add_sink("k");
+    wf.connect(src, "out", sink, "in").unwrap();
+    match at_before {
+        true => wf.add_control(ProcId(7), sink),
+        false => wf.add_control(src, ProcId(7)),
+    }
+    wf
+}
+
+/// M001 covers coordination constraints too, at either end, and ends
+/// the stage as for a link: the coordination rules index processors by
+/// constraint end.
+#[test]
+fn m001_dangling_coordination_constraint_before_end() {
+    let report = lint_workflow(&control_to_missing_processor(true));
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["M001"]);
+    assert!(report.diagnostics[0]
+        .message
+        .starts_with("dangling coordination constraint"));
+}
+
+#[test]
+fn m001_dangling_coordination_constraint_after_end() {
+    let report = lint_workflow(&control_to_missing_processor(false));
+    let codes: Vec<&str> = report.diagnostics.iter().map(|d| d.code).collect();
+    assert_eq!(codes, ["M001"]);
+    assert_eq!(report.diagnostics[0].severity, Severity::Error);
+}
+
+/// Enactment refuses a dangling constraint at either end with an error,
+/// with or without the preflight lint: without it, the structural gate
+/// (`Workflow::validate`) runs the same M001 before anything reads the
+/// constraint.
+#[test]
+fn a_dangling_coordination_constraint_is_refused_under_every_compile_path() {
+    let inputs = InputData::new().set("s", vec!["D0".into()]);
+    for at_before in [true, false] {
+        let wf = control_to_missing_processor(at_before);
+        for config in [EnactorConfig::sp_dp(), EnactorConfig::sp_dp_jg()] {
+            for config in [config, config.without_preflight()] {
+                let err = Enactment::new(&wf, &inputs, config)
+                    .run(&mut VirtualBackend::new())
+                    .expect_err("the constraint is refused");
+                assert!(
+                    err.message().contains("dangling coordination constraint"),
+                    "{err}"
+                );
+                assert_eq!(err.is_lint(), config.preflight, "{err}");
+            }
+        }
+    }
+}
+
 /// M051 likewise: a port list that disagrees with the descriptor can
 /// only be built through the API.
 #[test]
@@ -482,10 +542,14 @@ fn m070_nondeterministic_descriptor_programmatic() {
     assert!(d.message.contains("stage"), "names the processor");
     assert!(d.message.contains("memoized"), "explains the consequence");
     // A warning must not block enactment preflight.
-    assert!(moteur::lint_errors(&wf)
-        .diagnostics
-        .iter()
-        .all(|d| d.code != "M070"));
+    let image = DataValue::File {
+        gfn: "gfn://x/d0".into(),
+        bytes: 64,
+    };
+    let inputs = InputData::new().set("s", vec![image]);
+    Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut VirtualBackend::new())
+        .expect("the preflight lets a warning through");
 }
 
 /// The JSON renderer round-trips a real multi-rule report exactly.

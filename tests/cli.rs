@@ -178,6 +178,44 @@ fn bad_usage_and_bad_files_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// A synchronization barrier linked to itself passes the lint (a
+/// warning and notes only), but a barrier releases once: `run` refuses
+/// it with an error naming the processor instead of crashing mid-run.
+#[test]
+fn run_refuses_a_barrier_on_a_data_cycle() {
+    let dir = in_temp_dir();
+    let workflow = r#"<scufl name="barrier-loop">
+  <source name="s" bytes="64"/>
+  <processor name="x" compute="5" sync="true">
+    <executable name="x">
+      <access type="URL"><path value="http://h"/></access>
+      <value value="x"/>
+      <input name="in" option="-i"><access type="GFN"/></input>
+      <output name="out" option="-o"><access type="GFN"/></output>
+    </executable>
+  </processor>
+  <sink name="k"/>
+  <link from="s:out" to="x:in"/>
+  <link from="x:out" to="x:in"/>
+  <link from="x:out" to="k:in"/>
+</scufl>"#;
+    let inputs = r#"<inputdata><input name="s"><item type="file" gfn="gfn://x/i0" bytes="64"/></input></inputdata>"#;
+    std::fs::write(dir.path().join("loop.xml"), workflow).unwrap();
+    std::fs::write(dir.path().join("in.xml"), inputs).unwrap();
+    for extra in [&[][..], &["--no-verify"], &["--config", "sp+dp+jg"]] {
+        let args: Vec<&str> = ["run", "loop.xml", "in.xml"]
+            .into_iter()
+            .chain(extra.iter().copied())
+            .collect();
+        let (code, _, stderr) = outcome(moteur(), &dir, &args);
+        assert_eq!(code, 1, "{stderr}");
+        assert!(
+            stderr.contains("synchronization processor `x` sits on a data cycle"),
+            "{stderr}"
+        );
+    }
+}
+
 /// Regression: a timeline file is outside input; nesting deep enough
 /// to overflow the recursive JSON parser's stack must fail like any
 /// other malformed file, not abort the process.
