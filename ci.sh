@@ -48,6 +48,14 @@ if grep -nE 'duplicate processor name|has no binding|is not connected|unknown pr
   exit 1
 fi
 
+# Parse once: the daemon reaches its injected SCUFL parser only through
+# its source cache (crates/core/src/daemon/cache.rs), so a pair of texts
+# it has parsed before is not parsed again.
+if grep -n 'parser)(' crates/core/src/daemon/mod.rs; then
+  echo "the daemon calls its parser directly: go through SourceCache::parse" >&2
+  exit 1
+fi
+
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
 # (or the next builder) copies commands from. (`moteur-bench scale

@@ -17,8 +17,8 @@
 use crate::bronze::{bronze_chain_workflow_xml, IMAGE_BYTES};
 use moteur::obs::json::{array, JsonObject};
 use moteur::{
-    Daemon, DaemonConfig, DataStore, EnactorConfig, FtConfig, InputData, InstanceState,
-    MoteurError, StoreConfig, VirtualBackend, Workflow,
+    Daemon, DaemonConfig, DataStore, EnactorConfig, FtConfig, InstanceState, MoteurError,
+    StoreConfig, VirtualBackend,
 };
 
 /// Schema tag of [`render_daemon_json`].
@@ -73,12 +73,6 @@ impl DaemonReport {
     }
 }
 
-fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
-    let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
-    let i = moteur_scufl::parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
-    Ok((w, i))
-}
-
 /// Input document for the chain workflow: `n_data` images, identical
 /// across tenants so every derived datum is shareable.
 fn chain_inputs_xml(n_data: usize) -> String {
@@ -113,7 +107,7 @@ pub fn run_daemon_campaign(
     let mut daemon = Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        moteur_scufl::parse_submission,
         DaemonConfig::default(),
     );
 

@@ -14,8 +14,8 @@
 //! slot makes a long-lived daemon quadratic in its own history.
 
 use moteur::{
-    Daemon, DaemonConfig, DataStore, Enactment, EnactorConfig, FtConfig, FtPolicy, InputData,
-    MoteurError, StoreConfig, TimeoutPolicy, VirtualBackend, Workflow,
+    Daemon, DaemonConfig, DataStore, Enactment, EnactorConfig, FtConfig, FtPolicy, StoreConfig,
+    TimeoutPolicy, VirtualBackend,
 };
 use moteur_bench::stream::{stream_chain, stream_inputs};
 use std::time::Instant;
@@ -65,12 +65,6 @@ fn four_times_the_items_cost_about_four_times_the_time() {
 
 const WAVES: usize = 100;
 
-fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
-    let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
-    let i = moteur_scufl::parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
-    Ok((w, i))
-}
-
 /// Best-of-3 wall seconds of one daemon taking `waves` waves of eight
 /// one-service, two-item workflows over four tenants, drained wave by
 /// wave — the finished instances pile up, the live ones never exceed
@@ -97,7 +91,7 @@ fn best_of_three_waves(waves: usize) -> f64 {
             let mut daemon = Daemon::new(
                 Box::new(VirtualBackend::new()),
                 DataStore::in_memory(StoreConfig::default()),
-                parser,
+                moteur_scufl::parse_submission,
                 DaemonConfig::default(),
             );
             let start = Instant::now();

@@ -25,10 +25,10 @@
 //! *runnable* instances — those started, delivered to, timed or
 //! overtaken by the clock since they were last seen at their firing
 //! fixpoint — a timer wakes only the instances whose cached deadline
-//! has passed (the *wake index*), and a workflow text is compiled once
-//! per daemon (`cache`), not once per submission. DESIGN §4.16 has the
-//! argument for why skipping everything else changes no backend
-//! submission.
+//! has passed (the *wake index*), and a (workflow, inputs) text pair is
+//! parsed, and a workflow text compiled, once per daemon (`cache`), not
+//! once per submission. DESIGN §4.16 has the argument for why skipping
+//! everything else changes no backend submission.
 //!
 //! The control protocol lives in [`protocol`]: newline-delimited JSON
 //! (`moteur/daemon/v1`) served over stdin/stdout or a Unix socket by
@@ -45,15 +45,23 @@ use crate::ft::FtConfig;
 use crate::graph::Workflow;
 use crate::obs::Obs;
 use crate::store::{DataStore, StoreStats};
-use cache::{CompileCache, CompileKey, Program};
+use cache::{Source, SourceCache, Text};
 use moteur_gridsim::SimTime;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// How the daemon turns SCUFL source into an enactable workflow.
 ///
 /// The core crate has no SCUFL parser (that lives in `moteur-scufl`,
-/// which depends on core), so the embedder injects one: the two
-/// arguments are the workflow XML and the input-data XML.
+/// which depends on core), so the embedder injects one
+/// (`moteur_scufl::parse_submission`): the two arguments are the
+/// workflow XML and the input-data XML.
+///
+/// The result must be a function of the two texts alone — the same
+/// texts, the same workflow and inputs, or the same error. The daemon
+/// relies on it: a pair it has parsed before is not parsed again, and
+/// a call for a new inputs text under a known workflow text keeps only
+/// the inputs.
 pub type ScuflParser = fn(&str, &str) -> Result<(Workflow, InputData), MoteurError>;
 
 /// Per-tenant admission and fairness knobs.
@@ -162,10 +170,11 @@ impl InstanceState {
     }
 }
 
-/// A parsed submission waiting for admission.
+/// A parsed submission waiting for admission. It holds its cache
+/// entries' parses, so their eviction cannot strand it.
 struct QueuedWork {
-    program: Program,
-    inputs: InputData,
+    source: Arc<Source>,
+    inputs: Arc<InputData>,
     config: EnactorConfig,
     ft: FtConfig,
 }
@@ -286,7 +295,6 @@ pub struct DaemonMetrics {
 pub struct Daemon {
     backend: Box<dyn Backend>,
     store: DataStore,
-    parser: ScuflParser,
     config: DaemonConfig,
     /// Sorted by name: the order a dispatch round visits them in.
     tenants: Vec<TenantState>,
@@ -296,7 +304,9 @@ pub struct Daemon {
     /// The wake index: `(cached next_wake, id)` of every running
     /// instance that has one. Its first key is the daemon's deadline.
     wake: BTreeSet<(SimTime, u32)>,
-    compiled: CompileCache,
+    /// The only way to the parser: every parse and compile goes
+    /// through it.
+    sources: SourceCache,
     #[cfg(test)]
     probe: tests::Probe,
 }
@@ -321,13 +331,12 @@ impl Daemon {
         Daemon {
             backend,
             store,
-            parser,
             config,
             tenants: Vec::new(),
             slots: Vec::new(),
             counts: [0; 5],
             wake: BTreeSet::new(),
-            compiled: CompileCache::default(),
+            sources: SourceCache::new(parser),
             #[cfg(test)]
             probe: tests::Probe::default(),
         }
@@ -353,10 +362,11 @@ impl Daemon {
     }
 
     /// Accept a workflow submission from `tenant`. The source is
-    /// parsed immediately (malformed SCUFL is rejected here, not
-    /// later); the instance is admitted at once when the tenant has a
-    /// free workflow slot, otherwise it queues. Returns the instance
-    /// id used by `status` / `cancel`.
+    /// parsed immediately, unless the daemon parsed the same pair of
+    /// texts before (malformed SCUFL is rejected here, not later); the
+    /// instance is admitted at once when the tenant has a free workflow
+    /// slot, otherwise it queues. Returns the instance id used by
+    /// `status` / `cancel`.
     pub fn submit(
         &mut self,
         tenant: &str,
@@ -369,19 +379,14 @@ impl Daemon {
         // still carry a zero: reject loudly at the protocol boundary
         // instead of accepting a workflow that would hang.
         self.config.tenant(tenant).check(tenant)?;
-        let (workflow, inputs) = (self.parser)(workflow_xml, inputs_xml)?;
+        // Refused before the cache is looked at: a refusal evicts
+        // nothing.
         let id = u32::try_from(self.slots.len() + 1)
             .map_err(|_| MoteurError::new("daemon instance table full"))?;
-        let workflow_name = workflow.name.clone();
-        let key = CompileKey::of(workflow_xml, &config);
-        let program = match self.compiled.get(key, workflow_xml) {
-            Some(compiled) => Program::Compiled(compiled),
-            None => Program::Source {
-                workflow: Box::new(workflow),
-                text: workflow_xml.into(),
-                key,
-            },
-        };
+        let (source, inputs) = self
+            .sources
+            .parse(Text::of(workflow_xml), Text::of(inputs_xml))?;
+        let workflow_name = source.workflow.name.clone();
         let t = match self.tenant_index(tenant) {
             Ok(t) => t,
             Err(t) => {
@@ -409,7 +414,7 @@ impl Daemon {
             jobs_submitted: 0,
             makespan_secs: None,
             body: Body::Queued(Box::new(QueuedWork {
-                program,
+                source,
                 inputs,
                 config,
                 ft,
@@ -789,22 +794,19 @@ impl Daemon {
             unreachable!("queued state carries queued work")
         };
         let QueuedWork {
-            program,
+            source,
             inputs,
             config,
             ft,
         } = *work;
-        let started = self
-            .compiled
-            .resolve(program, &config)
-            .and_then(|compiled| {
-                let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
-                let mut ctx = EnactCtx {
-                    backend: &mut scoped,
-                    store: Some(&mut self.store),
-                };
-                WorkflowInstance::start(compiled, &inputs, config, ft, &mut ctx, Obs::off())
-            });
+        let started = self.sources.compile(&source, &config).and_then(|compiled| {
+            let mut scoped = ScopedBackend::new(self.backend.as_mut(), slot.id);
+            let mut ctx = EnactCtx {
+                backend: &mut scoped,
+                store: Some(&mut self.store),
+            };
+            WorkflowInstance::start(compiled, &inputs, config, ft, &mut ctx, Obs::off())
+        });
         match started {
             Ok(instance) => {
                 slot.body = Body::Running(Box::new(instance));

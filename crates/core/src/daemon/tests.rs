@@ -4,8 +4,8 @@
 //! deadline and timers all of them — no runnable set, no wake index.
 //! Seeded scripts of submit / cancel / step / drain run against one
 //! daemon of each mode in lockstep; they must hand the backend the
-//! same submissions at the same times and answer `list` identically
-//! after every request.
+//! same submissions at the same times, answer every submit and `list`
+//! identically after every request, and parse and compile as often.
 
 use super::*;
 use crate::backend::BackendJob;
@@ -81,7 +81,8 @@ impl Daemon {
 /// <seed>` the same with `p1` a synchronization barrier that a control
 /// link orders after `p0`, `chain` a two-stage descriptor chain
 /// (memoizable, so later submissions replay the first one's results
-/// from the shared store). The input text is the item count.
+/// from the shared store). The input text is the item count. Any other
+/// key, or an input text that is not a count, is rejected.
 fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
     let n: usize = inputs.parse().map_err(|_| MoteurError::new("bad inputs"))?;
     if workflow == "chain" {
@@ -202,11 +203,18 @@ fn script(rng: &mut Rng) -> Vec<Op> {
     for _ in 0..12 + rng.index(12) {
         match rng.index(10) {
             0..=5 => {
-                // Few distinct texts, so the compile cache hits.
-                let workflow = match rng.index(5) {
-                    0 => "chain".to_string(),
-                    1 => format!("barrier {}", rng.index(3)),
+                // Few distinct texts, so the source cache hits; an
+                // unknown key or an inputs text that is not a count is
+                // rejected by the parser.
+                let workflow = match rng.index(10) {
+                    0 | 1 => "chain".to_string(),
+                    2 | 3 => format!("barrier {}", rng.index(3)),
+                    4 => format!("bogus {}", rng.index(3)),
                     _ => format!("dag {}", rng.index(3)),
+                };
+                let inputs = match rng.index(20) {
+                    0 => "many".to_string(),
+                    n => (1 + n % 8).to_string(),
                 };
                 let mut config = [
                     EnactorConfig::sp_dp(),
@@ -226,7 +234,7 @@ fn script(rng: &mut Rng) -> Vec<Op> {
                 ops.push(Op::Submit {
                     tenant: TENANTS[rng.index(3)],
                     workflow,
-                    inputs: (1 + rng.index(8)).to_string(),
+                    inputs,
                     config,
                     ft: Box::new(ft),
                 });
@@ -252,7 +260,8 @@ fn drain_bounded(d: &mut Daemon, what: &str) {
     panic!("{what}: no end of the drain in 100000 steps");
 }
 
-fn apply(d: &mut Daemon, op: &Op, what: &str) {
+/// What a submit answered; `None` for every other op.
+fn apply(d: &mut Daemon, op: &Op, what: &str) -> Option<Result<u32, String>> {
     match op {
         Op::Submit {
             tenant,
@@ -261,8 +270,8 @@ fn apply(d: &mut Daemon, op: &Op, what: &str) {
             config,
             ft,
         } => {
-            d.submit(tenant, workflow, inputs, *config, (**ft).clone())
-                .expect("the fake parser accepts every scripted key");
+            let submitted = d.submit(tenant, workflow, inputs, *config, (**ft).clone());
+            return Some(submitted.map_err(|e| e.message().to_string()));
         }
         Op::Cancel(id) => {
             d.cancel(*id);
@@ -274,12 +283,14 @@ fn apply(d: &mut Daemon, op: &Op, what: &str) {
         }
         Op::Drain => drain_bounded(d, what),
     }
+    None
 }
 
 #[test]
 fn event_driven_and_exhaustive_scheduling_submit_the_same_jobs_at_the_same_times() {
     let mut scripts = 0;
     let mut submissions = 0;
+    let (mut parses, mut rejected) = (0, 0);
     let mut pumps = (0, 0);
     let mut idle_pumps = (0, 0);
     let mut finished = [0usize; 5];
@@ -300,8 +311,9 @@ fn event_driven_and_exhaustive_scheduling_submit_the_same_jobs_at_the_same_times
                         let (mut event, event_log) = daemon(false, knobs, seed);
                         let (mut exhaustive, exhaustive_log) = daemon(true, knobs, seed);
                         for (k, op) in ops.iter().enumerate() {
-                            apply(&mut event, op, &what);
-                            apply(&mut exhaustive, op, &what);
+                            let answer = apply(&mut event, op, &what);
+                            assert_eq!(answer, apply(&mut exhaustive, op, &what), "{what}: op {k}");
+                            rejected += usize::from(matches!(answer, Some(Err(_))));
                             assert_eq!(event.list(), exhaustive.list(), "{what}: after op {k}");
                             let (m, x) = (event.metrics(), exhaustive.metrics());
                             assert_eq!(m, x, "{what}: after op {k}");
@@ -313,7 +325,9 @@ fn event_driven_and_exhaustive_scheduling_submit_the_same_jobs_at_the_same_times
                             }
                         }
                         assert_eq!(*event_log.borrow(), *exhaustive_log.borrow(), "{what}");
-                        assert_eq!(event.compiled.compiles, exhaustive.compiled.compiles);
+                        let (e, x) = (&event.sources, &exhaustive.sources);
+                        assert_eq!((e.parses, e.compiles), (x.parses, x.compiles), "{what}");
+                        parses += e.parses;
                         scripts += 1;
                         submissions += event_log.borrow().len();
                         pumps.0 += event.probe.pumps;
@@ -329,11 +343,13 @@ fn event_driven_and_exhaustive_scheduling_submit_the_same_jobs_at_the_same_times
         }
     }
     eprintln!(
-        "{scripts} scripts, {submissions} backend submissions; pumps {} event-driven \
-         ({} idle) vs {} exhaustive ({} idle); instances by state {finished:?}",
+        "{scripts} scripts, {submissions} backend submissions, {parses} parses, \
+         {rejected} rejected submits; pumps {} event-driven ({} idle) vs {} exhaustive \
+         ({} idle); instances by state {finished:?}",
         pumps.0, idle_pumps.0, pumps.1, idle_pumps.1
     );
     assert!(scripts >= 200);
+    assert!(rejected > 0, "the scripts reach the parser's rejection");
     // The campaign has to reach what it is about: every terminal state,
     // and a scheduler that skips most of what the exhaustive one pumps.
     let [queued, running, succeeded, failed, cancelled] = finished;

@@ -8,12 +8,7 @@ use moteur::{
     VirtualBackend, Workflow,
 };
 use moteur_gridsim::GridConfig;
-
-fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
-    let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
-    let i = moteur_scufl::parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
-    Ok((w, i))
-}
+use moteur_scufl::parse_submission;
 
 fn tiny_workflow() -> String {
     r#"<scufl name="tiny">
@@ -45,7 +40,7 @@ fn daemon() -> Daemon {
     Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        parse_submission,
         DaemonConfig::default(),
     )
 }
@@ -61,14 +56,14 @@ fn submit(d: &mut Daemon, tenant: &str, n_data: usize) -> u32 {
     .expect("tiny workflow submits")
 }
 
-/// [`parser`], except that the workflow text `local` parses to a
-/// source → in-process service → sink chain over one item.
+/// [`parse_submission`], except that the workflow text `local` parses
+/// to a source → in-process service → sink chain over one item.
 fn parser_with_a_local_service(
     workflow: &str,
     inputs: &str,
 ) -> Result<(Workflow, InputData), MoteurError> {
     if workflow != "local" {
-        return parser(workflow, inputs);
+        return parse_submission(workflow, inputs);
     }
     let forward = |inputs: &[Token]| -> Result<Vec<(String, DataValue)>, String> {
         Ok(vec![("out".into(), inputs[0].value.clone())])
@@ -258,7 +253,7 @@ fn extreme_weight_and_quantum_saturate_instead_of_overflowing() {
     let mut d = Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        parse_submission,
         DaemonConfig {
             quantum: usize::MAX,
             ..DaemonConfig::default()
@@ -307,7 +302,7 @@ fn weight_zero_tenant_default_is_rejected_at_submit() {
     let mut d = Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        parse_submission,
         DaemonConfig {
             tenant_defaults: TenantConfig {
                 weight: 0,
@@ -342,7 +337,7 @@ fn protocol_surfaces_weight_zero_rejection_as_error_response() {
     let mut d = Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        parse_submission,
         DaemonConfig {
             tenant_defaults: TenantConfig {
                 weight: 0,
@@ -431,7 +426,7 @@ fn daemon_with_defaults(tenant_defaults: TenantConfig) -> Daemon {
     Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        parse_submission,
         DaemonConfig {
             tenant_defaults,
             ..DaemonConfig::default()
@@ -476,19 +471,27 @@ fn protocol_surfaces_zero_ceiling_rejection_as_error_response() {
 }
 
 #[test]
-fn malformed_scufl_is_rejected_at_submit() {
+fn malformed_scufl_is_rejected_at_every_submit() {
     let mut d = daemon();
-    let err = d
-        .submit(
+    let mut submit_malformed = || {
+        d.submit(
             "alice",
             "<scufl",
             &tiny_inputs(1),
             EnactorConfig::sp_dp(),
             FtConfig::default(),
         )
-        .unwrap_err();
-    assert!(!err.message().is_empty());
+        .unwrap_err()
+    };
+    // A rejection is not cached: the same pair is parsed again and
+    // refused with the same message.
+    let (first, second) = (submit_malformed(), submit_malformed());
+    assert!(!first.message().is_empty());
+    assert_eq!(first.message(), second.message());
     assert!(d.list().is_empty(), "rejected submissions take no slot");
+    let id = submit(&mut d, "alice", 1);
+    d.drain();
+    assert_eq!(d.status(id).unwrap().state, InstanceState::Succeeded);
 }
 
 #[test]

@@ -550,12 +550,6 @@ fn blacklist_and_slo_breach() -> String {
     stream
 }
 
-fn parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
-    let w = moteur_scufl::parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
-    let i = moteur_scufl::parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
-    Ok((w, i))
-}
-
 /// Four tenants submit one workflow each (distinct stream lengths),
 /// the daemon drains, and every `status` plus the final `metrics`
 /// response is part of the golden stream.
@@ -600,7 +594,7 @@ fn daemon_wave() -> String {
     let mut daemon = Daemon::new(
         Box::new(VirtualBackend::new()),
         DataStore::in_memory(StoreConfig::default()),
-        parser,
+        moteur_scufl::parse_submission,
         DaemonConfig::default(),
     );
     let mut out = Vec::new();

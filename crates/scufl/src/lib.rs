@@ -50,6 +50,18 @@ pub mod workflow;
 pub use inputdata::{parse_input_data, write_input_data};
 pub use workflow::{lint_source, parse_workflow, parse_workflow_lenient, write_workflow};
 
+/// A daemon submission's two texts, parsed: the workflow, then the
+/// input data. This is the parser an embedder hands
+/// [`moteur::Daemon::new`]; an error carries the parser's message.
+pub fn parse_submission(
+    workflow: &str,
+    inputs: &str,
+) -> Result<(moteur::Workflow, moteur::InputData), moteur::MoteurError> {
+    let workflow = parse_workflow(workflow).map_err(|e| moteur::MoteurError::new(e.message))?;
+    let inputs = parse_input_data(inputs).map_err(|e| moteur::MoteurError::new(e.message))?;
+    Ok((workflow, inputs))
+}
+
 /// Error type shared by the two languages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScuflError {

@@ -46,12 +46,13 @@ use moteur_repro::moteur::lint::{explain, prediction_to_json, render_explain, Li
 use moteur_repro::moteur::{
     check_protocol, group_workflow, lint_workflow, plan_to_json, plan_workflow, predict,
     render_human, render_plan, render_prediction, report_to_json, serve, to_dot, Backend, Daemon,
-    DaemonConfig, DataStore, DataValue, Enactment, EnactorConfig, FtConfig, FtPolicy, InputData,
-    MoteurError, PlanOptions, RetryPolicy, SimBackend, SloConfig, SourceSizes, StoreConfig,
-    TenantConfig, Timeline, TimeoutAction, TimeoutPolicy, VirtualBackend, Workflow,
+    DaemonConfig, DataStore, DataValue, Enactment, EnactorConfig, FtConfig, FtPolicy, PlanOptions,
+    RetryPolicy, SimBackend, SloConfig, SourceSizes, StoreConfig, TenantConfig, Timeline,
+    TimeoutAction, TimeoutPolicy, VirtualBackend, Workflow,
 };
 use moteur_repro::scufl::{
-    lint_source, parse_input_data, parse_workflow, write_input_data, write_workflow,
+    lint_source, parse_input_data, parse_submission, parse_workflow, write_input_data,
+    write_workflow,
 };
 use std::process::ExitCode;
 
@@ -404,15 +405,6 @@ fn cmd_example(_args: &Args) -> Outcome {
     Ok(ExitCode::SUCCESS)
 }
 
-/// SCUFL parser handed to the daemon so submissions carry workflow
-/// source inline instead of file paths (the daemon may outlive the
-/// submitting client's working directory).
-fn daemon_parser(workflow: &str, inputs: &str) -> Result<(Workflow, InputData), MoteurError> {
-    let w = parse_workflow(workflow).map_err(|e| MoteurError::new(e.message))?;
-    let i = parse_input_data(inputs).map_err(|e| MoteurError::new(e.message))?;
-    Ok((w, i))
-}
-
 fn cmd_daemon(args: &Args) -> Outcome {
     if args.has("--check-protocol") {
         let ops = check_protocol().map_err(|e| e.to_string())?;
@@ -482,7 +474,7 @@ fn cmd_daemon(args: &Args) -> Outcome {
         );
     }
 
-    let mut daemon = Daemon::new(backend, store, daemon_parser, config);
+    let mut daemon = Daemon::new(backend, store, parse_submission, config);
     match args.value("--socket") {
         Some(path) => serve_socket(&mut daemon, path),
         None => {
