@@ -30,6 +30,15 @@ if grep -rnw --include='*.rs' -e InvocationRecord crates/core/src/enactor/; then
   exit 1
 fi
 
+# One lifecycle join: each fold sink keeps its invocation and attempt
+# entries in its own `obs::Lifecycle` (crates/core/src/obs/lifecycle.rs),
+# so the sinks may not grow a map keyed by a tag of their own again.
+if grep -nF 'HashMap<u64' crates/core/src/obs/metrics.rs \
+    crates/core/src/obs/span.rs crates/core/src/obs/timeline.rs; then
+  echo "a fold sink keeps its own per-tag map: store it in its Lifecycle" >&2
+  exit 1
+fi
+
 # Compile once, fill per firing: a processor's job plan is a template
 # built with the CompiledWorkflow, so a firing may not go back to
 # building a wrapper binding, catalog or group member.

@@ -14,9 +14,10 @@
 //!   central nuisance variable.
 
 use super::json::{array, JsonObject};
+use super::lifecycle::{Lifecycle, Step};
 use super::{EventSink, TraceEvent};
 use moteur_gridsim::{CeId, SimEvent};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// An instantaneous value with its peak and full history.
@@ -275,29 +276,14 @@ impl MetricsRegistry {
     }
 }
 
-#[derive(Debug, Default, Clone, Copy)]
-struct JobTimes {
-    submitted: Option<f64>,
-    started: Option<f64>,
-    finished: Option<f64>,
-}
-
 /// Folds the event stream into a shared [`MetricsRegistry`].
 #[derive(Debug)]
 pub struct MetricsSink {
     registry: Arc<Mutex<MetricsRegistry>>,
-    /// Lifecycle marks by tag, from its submission until its grid
-    /// delivery or cancellation or the invocation's terminal event —
-    /// bounded by what is in flight, like `TimelineSink`'s state.
-    times: HashMap<u64, JobTimes>,
-    /// Logical invocations currently holding an inflight-gauge unit,
-    /// with the processor whose per-service gauge they incremented.
-    /// One attempt tag = one gauge increment: fault-tolerance events
-    /// (backoff deferrals, replicas, superseded-replica cancellations)
-    /// reference tags that were never inserted here, so they cannot
-    /// double-count — a decrement happens only when the tag that
-    /// incremented is removed.
-    live: HashMap<u64, String>,
+    /// An open logical invocation holds one unit of the inflight
+    /// gauges, taken when it opens and given back when it ends: replicas,
+    /// resubmits and deferrals open nothing, so they cannot count twice.
+    pub(super) life: Lifecycle,
 }
 
 impl MetricsSink {
@@ -307,8 +293,7 @@ impl MetricsSink {
         (
             MetricsSink {
                 registry: registry.clone(),
-                times: HashMap::new(),
-                live: HashMap::new(),
+                life: Lifecycle::default(),
             },
             registry,
         )
@@ -321,74 +306,42 @@ impl EventSink for MetricsSink {
         let mut reg = self.registry.lock().expect("metrics registry lock");
         reg.touch(at);
         reg.inc(event.kind(), 1);
-        match event {
-            // A cache hit replaces JobSubmitted for its invocation: the
-            // matching JobCompleted still fires, so the inflight gauges
-            // must be incremented here to stay balanced.
-            TraceEvent::JobSubmitted {
-                invocation,
-                processor,
-                ..
+        match (event, self.life.record(event, |_| ())) {
+            // A cache hit opens an invocation like JobSubmitted, so it
+            // holds a unit too.
+            (
+                TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. },
+                Step::Opened(true),
+            ) => {
+                reg.gauge_add("inflight_total", at, 1);
+                reg.gauge_add(&format!("inflight.{processor}"), at, 1);
             }
-            | TraceEvent::CacheHit {
-                invocation,
-                processor,
-                ..
-            } => {
-                if self.live.insert(*invocation, processor.clone()).is_none() {
-                    reg.gauge_add("inflight_total", at, 1);
-                    reg.gauge_add(&format!("inflight.{processor}"), at, 1);
-                }
-                self.times.entry(*invocation).or_default().submitted = Some(at);
+            (
+                TraceEvent::JobCompleted { processor, .. }
+                | TraceEvent::JobFailed { processor, .. }
+                | TraceEvent::JobCancelled { processor, .. },
+                Step::Ended { replica: false, .. },
+            ) => {
+                reg.gauge_add("inflight_total", at, -1);
+                reg.gauge_add(&format!("inflight.{processor}"), at, -1);
             }
-            // Terminal events release the inflight unit — but only the
-            // tag that acquired one. A `JobCancelled` for a superseded
-            // replica carries the replica's fresh tag (never inserted),
-            // so the logical invocation's unit survives until its own
-            // terminal event; an abort-drain cancellation carries the
-            // logical tag and correctly releases it. The tag's grid
-            // marks go too: a grid job delivers before its invocation
-            // ends, and an invocation off the grid has nothing else to
-            // drop them.
-            TraceEvent::JobCompleted { invocation, .. }
-            | TraceEvent::JobFailed { invocation, .. }
-            | TraceEvent::JobCancelled { invocation, .. } => {
-                self.times.remove(invocation);
-                if let Some(processor) = self.live.remove(invocation) {
-                    reg.gauge_add("inflight_total", at, -1);
-                    reg.gauge_add(&format!("inflight.{processor}"), at, -1);
+            (TraceEvent::Grid(SimEvent::JobDelivered { .. }), Step::Moved(a)) => {
+                if let (Some(sub), Some(start), Some(fin)) = (a.submitted, a.started, a.finished) {
+                    // Grid overhead = everything but execution:
+                    // wait before start + notification after finish.
+                    let overhead = (start - sub) + (at - fin);
+                    reg.observe("grid_overhead_secs", Histogram::overhead_buckets, overhead);
                 }
             }
-            TraceEvent::Grid(SimEvent::JobSubmitted { tag, .. }) => {
-                self.times.entry(*tag).or_default().submitted = Some(at);
-            }
-            TraceEvent::Grid(SimEvent::JobStarted { tag, .. }) => {
-                self.times.entry(*tag).or_default().started = Some(at);
-            }
-            TraceEvent::Grid(SimEvent::JobFinished { tag, .. }) => {
-                self.times.entry(*tag).or_default().finished = Some(at);
-            }
-            TraceEvent::Grid(SimEvent::JobDelivered { tag, .. }) => {
-                if let Some(t) = self.times.remove(tag) {
-                    if let (Some(sub), Some(start), Some(fin)) =
-                        (t.submitted, t.started, t.finished)
-                    {
-                        // Grid overhead = everything but execution:
-                        // wait before start + notification after finish.
-                        let overhead = (start - sub) + (at - fin);
-                        reg.observe("grid_overhead_secs", Histogram::overhead_buckets, overhead);
-                    }
-                }
-            }
-            TraceEvent::Grid(SimEvent::JobCancelled { tag, .. }) => {
-                self.times.remove(tag);
-            }
-            TraceEvent::Grid(SimEvent::CeCapacity {
-                ce: CeId(ce),
-                busy,
-                queued_user,
-                ..
-            }) => {
+            (
+                TraceEvent::Grid(SimEvent::CeCapacity {
+                    ce: CeId(ce),
+                    busy,
+                    queued_user,
+                    ..
+                }),
+                _,
+            ) => {
                 reg.gauge_set(&format!("queue_depth.ce{ce}"), at, *queued_user as i64);
                 reg.gauge_set(&format!("busy.ce{ce}"), at, *busy as i64);
             }
@@ -515,31 +468,6 @@ mod tests {
         });
         let reg = registry.lock().unwrap();
         assert_eq!(reg.gauge("inflight_total").unwrap().current, 0);
-    }
-
-    /// An invocation that never reaches the grid and a grid attempt
-    /// that is cancelled both leave nothing behind.
-    #[test]
-    fn sink_forgets_invocations_that_complete_off_grid_and_cancelled_attempts() {
-        let (mut sink, _registry) = MetricsSink::new();
-        let t = SimTime::from_secs_f64;
-        sink.record(&TraceEvent::JobSubmitted {
-            at: t(0.0),
-            invocation: 1,
-            processor: "p".into(),
-            grid: false,
-            batched: 1,
-        });
-        sink.record(&TraceEvent::JobCompleted {
-            at: t(5.0),
-            invocation: 1,
-            processor: "p".into(),
-            completion: Box::default(),
-        });
-        sink.record(&grid::submitted(6.0, 2));
-        sink.record(&grid::cancelled(9.0, 2));
-        assert!(sink.times.is_empty(), "{:?}", sink.times);
-        assert!(sink.live.is_empty(), "{:?}", sink.live);
     }
 
     #[test]

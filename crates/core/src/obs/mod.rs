@@ -44,6 +44,7 @@ pub(crate) mod critical;
 pub(crate) mod detect;
 pub(crate) mod drift;
 pub mod json;
+pub(crate) mod lifecycle;
 pub(crate) mod metrics;
 pub(crate) mod openmetrics;
 pub(crate) mod prof;
@@ -243,7 +244,8 @@ pub enum TraceEvent {
 /// turns into one invocation record per data index.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Completion {
-    /// When the enactor first submitted the invocation.
+    /// When the enactor first submitted the invocation. Every producer
+    /// of `JobCompleted` fills it: the timeline's durations end here.
     pub submitted: SimTime,
     /// The winning attempt's execution window.
     pub started: SimTime,

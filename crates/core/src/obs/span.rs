@@ -24,9 +24,10 @@
 //! fresh scheduling/queuing/execution chain per attempt, so retries are
 //! visible as repeated phases under one item.
 
+use super::lifecycle::{Lifecycle, Step};
 use super::{EventSink, TraceEvent};
 use moteur_gridsim::{JobOutcome, SimEvent, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Identifier of a span inside one [`SpanTree`] (its index).
@@ -263,28 +264,15 @@ impl SpanBuffer {
     }
 }
 
-/// Per-invocation assembly state.
-#[derive(Debug, Clone, Copy)]
-struct ItemState {
-    span: SpanId,
-    /// Start marker of the next retro-created phase span.
-    mark: SimTime,
-}
-
 /// [`EventSink`] folding the event stream into a `SpanTree`.
 #[derive(Debug)]
 pub struct SpanSink {
     tree: Arc<Mutex<SpanTree>>,
     root: Option<SpanId>,
-    services: HashMap<String, SpanId>,
-    items: HashMap<u64, ItemState>,
-    /// Fresh attempt tags registered per logical invocation by the
-    /// fault-tolerance machinery (timeout resubmits continue the same
-    /// item span; speculative replicas get sibling spans). Cleared on
-    /// the logical invocation's terminal event so a winning replica's
-    /// span is closed even though only the loser receives an explicit
-    /// `JobCancelled`.
-    attempts_of: HashMap<u64, Vec<u64>>,
+    services: BTreeMap<String, SpanId>,
+    /// The item span of each open invocation (a replica's is its own
+    /// sibling span); an attempt's phases hang under its invocation's.
+    pub(super) life: Lifecycle<SpanId>,
 }
 
 impl SpanSink {
@@ -296,9 +284,8 @@ impl SpanSink {
             SpanSink {
                 tree: tree.clone(),
                 root: None,
-                services: HashMap::new(),
-                items: HashMap::new(),
-                attempts_of: HashMap::new(),
+                services: BTreeMap::new(),
+                life: Lifecycle::default(),
             },
             SpanBuffer { inner: tree },
         )
@@ -310,6 +297,7 @@ impl SpanSink {
         kind: SpanKind,
         name: String,
         start: SimTime,
+        attrs: Vec<(String, String)>,
     ) -> SpanId {
         let id = SpanId(tree.spans.len());
         tree.spans.push(Span {
@@ -319,266 +307,61 @@ impl SpanSink {
             name,
             start,
             end: None,
-            attrs: Vec::new(),
+            attrs,
         });
         id
     }
 
-    /// Retro-create a finished phase span `[state.mark, at]` under the
-    /// invocation's item span and advance the marker.
-    fn phase(
+    /// The item span of the invocation `event` opens: under its service,
+    /// marked cached for a cache hit (its only phase is the fetch's
+    /// transfer), or for a replica beside the item `of` it races, so the
+    /// two attempts' phase chains stay disjoint.
+    fn open_item(
         tree: &mut SpanTree,
-        state: &mut ItemState,
-        phase: GridPhase,
-        at: SimTime,
-        attrs: &[(&str, String)],
-    ) {
-        let id = Self::open(
-            tree,
-            Some(state.span),
-            SpanKind::Phase(phase),
-            phase.name().to_string(),
-            state.mark,
-        );
-        tree.spans[id.0].end = Some(at);
-        for (k, v) in attrs {
-            tree.spans[id.0].attrs.push(((*k).to_string(), v.clone()));
-        }
-        state.mark = at;
-    }
-}
-
-impl EventSink for SpanSink {
-    fn record(&mut self, event: &TraceEvent) {
+        services: &mut BTreeMap<String, SpanId>,
+        root: SpanId,
+        event: &TraceEvent,
+        of: Option<&SpanId>,
+    ) -> SpanId {
         let at = event.at();
-        let mut tree = self.tree.lock().expect("span tree lock");
-        let root = *self.root.get_or_insert_with(|| {
-            Self::open(
-                &mut tree,
-                None,
-                SpanKind::Workflow,
-                "workflow".to_string(),
-                at,
-            )
-        });
-        // The root tracks the latest timestamp seen, so it is always a
-        // closed, full-run span once the stream ends.
-        if tree.spans[root.0].end.is_none_or(|e| e < at) {
-            tree.spans[root.0].end = Some(at);
-        }
-        match event {
-            // An invocation opens an item span under its service. A
-            // cache-elided one is marked cached: the only phase it can
-            // accrue is the fetch's transfer — submission, scheduling,
-            // queuing and execution never appear.
-            TraceEvent::JobSubmitted {
-                invocation,
-                processor,
-                ..
+        let service = match event {
+            TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. } => {
+                Some(*super::metrics::entry(services, processor, || {
+                    let name = processor.clone();
+                    Self::open(tree, Some(root), SpanKind::Service, name, at, Vec::new())
+                }))
             }
-            | TraceEvent::CacheHit {
-                invocation,
-                processor,
-                ..
-            } => {
-                let attr = match event {
-                    TraceEvent::JobSubmitted { batched, .. } if *batched > 1 => {
-                        Some(("batched", batched.to_string()))
-                    }
-                    TraceEvent::CacheHit { .. } => Some(("cached", "true".to_string())),
-                    _ => None,
-                };
-                let service = *self.services.entry(processor.clone()).or_insert_with(|| {
-                    Self::open(
-                        &mut tree,
-                        Some(root),
-                        SpanKind::Service,
-                        processor.clone(),
-                        at,
-                    )
-                });
-                let item = Self::open(
-                    &mut tree,
-                    Some(service),
-                    SpanKind::DataItem,
-                    invocation.to_string(),
-                    at,
-                );
-                if let Some((key, value)) = attr {
-                    tree.spans[item.0].attrs.push((key.to_string(), value));
-                }
-                self.items.insert(
-                    *invocation,
-                    ItemState {
-                        span: item,
-                        mark: at,
-                    },
-                );
-            }
-            TraceEvent::Grid(e) => {
-                let Some(s) = e.tag().and_then(|tag| self.items.get_mut(&tag)) else {
-                    return;
-                };
-                match e {
-                    SimEvent::JobSubmitted { .. } => {
-                        Self::phase(&mut tree, s, GridPhase::Submission, at, &[]);
-                    }
-                    SimEvent::JobEnqueued { ce, attempt, .. } => Self::phase(
-                        &mut tree,
-                        s,
-                        GridPhase::Scheduling,
-                        at,
-                        &[("ce", ce.0.to_string()), ("attempt", attempt.to_string())],
-                    ),
-                    SimEvent::JobStarted { .. } => {
-                        Self::phase(&mut tree, s, GridPhase::Queuing, at, &[]);
-                    }
-                    SimEvent::JobFinished { outcome, .. } => {
-                        let success = *outcome == JobOutcome::Success;
-                        Self::phase(
-                            &mut tree,
-                            s,
-                            GridPhase::Execution,
-                            at,
-                            &[("success", success.to_string())],
-                        );
-                    }
-                    SimEvent::JobDelivered { .. } => {
-                        Self::phase(&mut tree, s, GridPhase::Transfer, at, &[]);
-                    }
-                    // Failure-detection gap: advance the marker so the
-                    // next attempt's scheduling span starts at
-                    // resubmission, not at the failed finish.
-                    SimEvent::JobResubmitted { .. } => s.mark = at,
-                    _ => {}
-                }
-            }
-            TraceEvent::JobTimedOut {
-                invocation, action, ..
-            } => {
-                if let Some(s) = self.items.get_mut(invocation) {
-                    tree.spans[s.span.0]
-                        .attrs
-                        .push(("timed_out".to_string(), (*action).to_string()));
-                    s.mark = at;
-                }
-            }
-            TraceEvent::JobResubmitted {
-                invocation,
-                attempt,
-                ..
-            } => {
-                // An enactor-level resubmission is a fresh try of the
-                // same data item: its grid phases continue under the
-                // one item span. Timeout resubmits carry a fresh
-                // backend tag — alias it so the new attempt's grid
-                // events (keyed by that tag) still find the item.
-                if let Some(s) = self.items.get_mut(invocation) {
-                    s.mark = at;
-                    let state = *s;
-                    if attempt != invocation {
-                        self.items.insert(*attempt, ItemState { mark: at, ..state });
-                        self.attempts_of
-                            .entry(*invocation)
-                            .or_default()
-                            .push(*attempt);
-                    }
-                }
-            }
+            _ => None,
+        };
+        let (parent, name, attrs) = match event {
             TraceEvent::JobReplicated {
                 invocation,
-                attempt,
                 replica,
+                attempt,
                 ..
             } => {
-                // A speculative replica races the original attempt: it
-                // appears as a sibling item span under the same
-                // service, so both attempts' phase chains stay
-                // disjoint. The loser is closed by its `JobCancelled`
-                // (reason `superseded`); a winning replica is closed
-                // by the logical invocation's terminal event below.
-                if let Some(s) = self.items.get(invocation).copied() {
-                    let parent = tree.spans[s.span.0].parent;
-                    let span = Self::open(
-                        &mut tree,
-                        parent,
-                        SpanKind::DataItem,
-                        attempt.to_string(),
-                        at,
-                    );
-                    tree.spans[span.0]
-                        .attrs
-                        .push(("replica_of".to_string(), invocation.to_string()));
-                    tree.spans[span.0]
-                        .attrs
-                        .push(("replica".to_string(), replica.to_string()));
-                    self.items.insert(*attempt, ItemState { span, mark: at });
-                    self.attempts_of
-                        .entry(*invocation)
-                        .or_default()
-                        .push(*attempt);
-                }
+                let attrs = vec![
+                    ("replica_of".to_string(), invocation.to_string()),
+                    ("replica".to_string(), replica.to_string()),
+                ];
+                (of.and_then(|of| tree.spans[of.0].parent), attempt, attrs)
             }
-            TraceEvent::CeBlacklisted { ce, failures, .. } => {
-                tree.spans[root.0].attrs.push((
-                    format!("blacklisted_ce{ce}"),
-                    format!("{failures} failures"),
-                ));
+            TraceEvent::JobSubmitted {
+                invocation,
+                batched,
+                ..
+            } => {
+                let batched = (*batched > 1).then(|| ("batched".to_string(), batched.to_string()));
+                (service, invocation, batched.into_iter().collect())
             }
-            // A terminal event closes the item span, recording why a
-            // failed or cancelled invocation ended.
-            TraceEvent::JobCompleted { invocation, .. }
-            | TraceEvent::JobFailed { invocation, .. }
-            | TraceEvent::JobCancelled { invocation, .. } => {
-                if let Some(s) = self.items.remove(invocation) {
-                    let attr = match event {
-                        TraceEvent::JobFailed { error, .. } => Some(("error", error.clone())),
-                        TraceEvent::JobCancelled { reason, .. } => {
-                            Some(("cancelled", (*reason).to_string()))
-                        }
-                        _ => None,
-                    };
-                    let item = &mut tree.spans[s.span.0];
-                    item.end = Some(at);
-                    if let Some((key, value)) = attr {
-                        item.attrs.push((key.to_string(), value));
-                    }
-                    Self::close_ancestors(&mut tree, s.span, at);
-                    Self::close_attempts(
-                        &mut self.attempts_of,
-                        &mut self.items,
-                        &mut tree,
-                        *invocation,
-                        s.span,
-                        at,
-                    );
-                }
+            TraceEvent::CacheHit { invocation, .. } => {
+                let cached = ("cached".to_string(), "true".to_string());
+                (service, invocation, vec![cached])
             }
-            _ => {}
-        }
-    }
-}
-
-impl SpanSink {
-    /// Drop every fresh attempt tag registered for `logical` and close
-    /// any still-open sibling replica span at `at` (a winning replica
-    /// never receives its own terminal event — the logical invocation
-    /// does).
-    fn close_attempts(
-        attempts_of: &mut HashMap<u64, Vec<u64>>,
-        items: &mut HashMap<u64, ItemState>,
-        tree: &mut SpanTree,
-        logical: u64,
-        item: SpanId,
-        at: SimTime,
-    ) {
-        for tag in attempts_of.remove(&logical).unwrap_or_default() {
-            if let Some(a) = items.remove(&tag) {
-                if a.span != item && tree.spans[a.span.0].end.is_none() {
-                    tree.spans[a.span.0].end = Some(at);
-                }
-            }
-        }
+            _ => unreachable!("only JobSubmitted, CacheHit and JobReplicated open an invocation"),
+        };
+        let name = name.to_string();
+        Self::open(tree, parent, SpanKind::DataItem, name, at, attrs)
     }
 
     /// Extend every ancestor's end to at least `at`.
@@ -589,6 +372,105 @@ impl SpanSink {
                 tree.spans[id.0].end = Some(at);
             }
             cursor = tree.spans[id.0].parent;
+        }
+    }
+}
+
+impl EventSink for SpanSink {
+    fn record(&mut self, event: &TraceEvent) {
+        let at = event.at();
+        let mut tree = self.tree.lock().expect("span tree lock");
+        let tree = &mut *tree;
+        let root = *self.root.get_or_insert_with(|| {
+            let name = "workflow".to_string();
+            Self::open(tree, None, SpanKind::Workflow, name, at, Vec::new())
+        });
+        // The root tracks the latest timestamp seen, so it is always a
+        // closed, full-run span once the stream ends.
+        if tree.spans[root.0].end.is_none_or(|e| e < at) {
+            tree.spans[root.0].end = Some(at);
+        }
+        let services = &mut self.services;
+        let step = self
+            .life
+            .record(event, |of| Self::open_item(tree, services, root, event, of));
+        match event {
+            // A grid transition retro-creates the finished phase span
+            // that began at the attempt's previous one (a timeout or a
+            // resubmission restarts that clock, so the next scheduling
+            // span starts there, not at the failed finish).
+            TraceEvent::Grid(e) => {
+                let Step::Moved(attempt) = step else { return };
+                let Some(&item) = attempt.invocation.and_then(|i| self.life.data(i)) else {
+                    return;
+                };
+                let phase = match e {
+                    SimEvent::JobSubmitted { .. } => GridPhase::Submission,
+                    SimEvent::JobEnqueued { .. } => GridPhase::Scheduling,
+                    SimEvent::JobStarted { .. } => GridPhase::Queuing,
+                    SimEvent::JobFinished { .. } => GridPhase::Execution,
+                    SimEvent::JobDelivered { .. } => GridPhase::Transfer,
+                    _ => return,
+                };
+                let attr = |key: &str, value: String| (key.to_string(), value);
+                let attrs = match e {
+                    SimEvent::JobEnqueued { ce, attempt, .. } => {
+                        vec![
+                            attr("ce", ce.0.to_string()),
+                            attr("attempt", attempt.to_string()),
+                        ]
+                    }
+                    SimEvent::JobFinished { outcome, .. } => {
+                        vec![attr(
+                            "success",
+                            (*outcome == JobOutcome::Success).to_string(),
+                        )]
+                    }
+                    _ => Vec::new(),
+                };
+                let (kind, name) = (SpanKind::Phase(phase), phase.name().to_string());
+                let id = Self::open(tree, Some(item), kind, name, attempt.last, attrs);
+                tree.spans[id.0].end = Some(at);
+            }
+            TraceEvent::JobTimedOut {
+                invocation, action, ..
+            } => {
+                if let Some(item) = self.life.data(*invocation) {
+                    let attr = ("timed_out".to_string(), action.to_string());
+                    tree.spans[item.0].attrs.push(attr);
+                }
+            }
+            TraceEvent::CeBlacklisted { ce, failures, .. } => {
+                tree.spans[root.0].attrs.push((
+                    format!("blacklisted_ce{ce}"),
+                    format!("{failures} failures"),
+                ));
+            }
+            // A terminal event closes the item span, recording why a
+            // failed or cancelled invocation ended, and the replica
+            // spans still open under it: a winning replica's own span
+            // gets no terminal event, its invocation's does.
+            _ => {
+                let Step::Ended { data, replicas, .. } = step else {
+                    return;
+                };
+                let attr = match event {
+                    TraceEvent::JobFailed { error, .. } => Some(("error", error.clone())),
+                    TraceEvent::JobCancelled { reason, .. } => {
+                        Some(("cancelled", (*reason).to_string()))
+                    }
+                    _ => None,
+                };
+                let item = &mut tree.spans[data.0];
+                item.end = Some(at);
+                if let Some((key, value)) = attr {
+                    item.attrs.push((key.to_string(), value));
+                }
+                Self::close_ancestors(tree, data, at);
+                for replica in replicas {
+                    tree.spans[replica.0].end.get_or_insert(at);
+                }
+            }
         }
     }
 }

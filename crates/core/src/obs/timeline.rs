@@ -32,9 +32,11 @@
 //! [`crate::detect_bottlenecks`].
 
 use super::json::{self, JsonObject, JsonValue};
+use super::lifecycle::{Attempt, Lifecycle, Step};
+use super::metrics::entry;
 use super::{EventSink, TraceEvent};
 use moteur_gridsim::{CeId, SimEvent};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Version tag of the timeline JSON export.
@@ -170,7 +172,7 @@ impl Timeline {
 
     fn series_mut(&mut self, name: &str, kind: SeriesKind) -> &mut Series {
         let capacity = self.capacity;
-        super::metrics::entry(&mut self.series, name, || Series::new(name, kind, capacity))
+        entry(&mut self.series, name, || Series::new(name, kind, capacity))
     }
 
     /// Sample a gauge level at virtual time `t`.
@@ -498,31 +500,19 @@ impl ResourceStats {
     }
 }
 
-/// Grid-level lifecycle marks of one attempt, for phase attribution.
-#[derive(Debug, Clone, Copy, Default)]
-struct JobMarks {
-    enqueued: Option<f64>,
-    started: Option<f64>,
-    /// Transfer seconds of the current attempt (from the link event).
-    attempt_transfer: f64,
-}
-
 /// Shared state behind a [`TimelineSink`] handle.
 ///
-/// Like the series, the two maps are bounded by what is in flight, not
-/// by the length of the run: each entry is dropped by the event that
-/// ends its lifecycle, so a daemon-lifetime sink does not grow.
+/// Like the series, its `Lifecycle` holds what is in flight, not what
+/// ever ran, so a daemon-lifetime sink does not grow.
 #[derive(Debug, Default)]
 pub struct TimelineState {
     pub timeline: Timeline,
     pub stats: ResourceStats,
-    /// By attempt tag, from the attempt's first grid event until its
-    /// grid `JobDelivered` or `JobCancelled`.
-    marks: HashMap<u64, JobMarks>,
-    /// Service and submission time by logical invocation id, from
-    /// `JobSubmitted` / `CacheHit` until the invocation's terminal
-    /// event.
-    services: HashMap<u64, (String, f64)>,
+    /// Only its attempt marks are read here: durations come with
+    /// `JobCompleted`.
+    pub(super) life: Lifecycle,
+    /// `EdgeStaged`'s lookup key, refilled in place: cloned per new edge.
+    edge: (String, String),
 }
 
 /// An [`EventSink`] sampling every lifecycle event into a [`Timeline`]
@@ -568,9 +558,19 @@ impl Default for TimelineSink {
 impl EventSink for TimelineSink {
     fn record(&mut self, event: &TraceEvent) {
         let mut state = self.state.lock().expect("timeline state lock poisoned");
-        let state = &mut *state;
+        let TimelineState {
+            timeline,
+            stats,
+            life,
+            edge,
+        } = &mut *state;
         let t = event.at().as_secs_f64();
-        state.stats.t_end = state.stats.t_end.max(t);
+        stats.t_end = stats.t_end.max(t);
+        // The attempt a grid event moved, as it stood before the event.
+        let before = match life.record(event, |_| ()) {
+            Step::Moved(attempt) => attempt,
+            _ => Attempt::default(),
+        };
         match event {
             TraceEvent::Grid(SimEvent::CeCapacity {
                 ce: CeId(ce),
@@ -579,20 +579,13 @@ impl EventSink for TimelineSink {
                 slots,
                 ..
             }) => {
-                state
-                    .timeline
-                    .gauge(&format!("ce{ce}.queue_depth"), t, *queued_user as f64);
-                state
-                    .timeline
-                    .gauge(&format!("ce{ce}.running"), t, *busy as f64);
+                timeline.gauge(&format!("ce{ce}.queue_depth"), t, *queued_user as f64);
+                timeline.gauge(&format!("ce{ce}.running"), t, *busy as f64);
                 if *slots > 0 {
-                    state.timeline.gauge(
-                        &format!("ce{ce}.utilization"),
-                        t,
-                        *busy as f64 / *slots as f64,
-                    );
+                    let utilization = *busy as f64 / *slots as f64;
+                    timeline.gauge(&format!("ce{ce}.utilization"), t, utilization);
                 }
-                let s = state.stats.ces.entry(*ce).or_default();
+                let s = stats.ces.entry(*ce).or_default();
                 s.busy_slot_secs += s.last_busy as f64 * (t - s.last_t).max(0.0);
                 s.last_busy = *busy;
                 s.last_t = t;
@@ -600,7 +593,6 @@ impl EventSink for TimelineSink {
                 s.peak_queue_depth = s.peak_queue_depth.max(*queued_user);
             }
             TraceEvent::Grid(SimEvent::LinkTransfer {
-                tag,
                 ce: CeId(ce),
                 bytes_in,
                 bytes_out,
@@ -610,33 +602,17 @@ impl EventSink for TimelineSink {
             }) => {
                 let bytes = bytes_in + bytes_out;
                 let secs = stage_in_secs + stage_out_secs;
-                state
-                    .timeline
-                    .counter(&format!("link.ce{ce}.bytes"), t, bytes as f64);
+                timeline.counter(&format!("link.ce{ce}.bytes"), t, bytes as f64);
                 let occupancy = if secs > 0.0 { bytes as f64 / secs } else { 0.0 };
-                state
-                    .timeline
-                    .gauge(&format!("link.ce{ce}.bandwidth"), t, occupancy);
-                *state.stats.link_bytes.entry(*ce).or_insert(0) += bytes;
-                state.stats.transfer_secs += secs;
-                state.marks.entry(*tag).or_default().attempt_transfer = secs;
+                timeline.gauge(&format!("link.ce{ce}.bandwidth"), t, occupancy);
+                *stats.link_bytes.entry(*ce).or_insert(0) += bytes;
+                stats.transfer_secs += secs;
             }
-            TraceEvent::JobSubmitted {
-                invocation,
-                processor,
-                ..
+            TraceEvent::JobSubmitted { .. } => {
+                timeline.counter("enactor.jobs_submitted", t, 1.0);
             }
-            | TraceEvent::CacheHit {
-                invocation,
-                processor,
-                ..
-            } => {
-                state.services.insert(*invocation, (processor.clone(), t));
-                let counter = match event {
-                    TraceEvent::JobSubmitted { .. } => "enactor.jobs_submitted",
-                    _ => "enactor.cache_hits",
-                };
-                state.timeline.counter(counter, t, 1.0);
+            TraceEvent::CacheHit { .. } => {
+                timeline.counter("enactor.cache_hits", t, 1.0);
             }
             TraceEvent::EdgeStaged {
                 processor,
@@ -644,67 +620,49 @@ impl EventSink for TimelineSink {
                 bytes,
                 ..
             } => {
-                *state
-                    .stats
-                    .edge_bytes
-                    .entry((processor.clone(), port.clone()))
-                    .or_insert(0) += bytes;
-            }
-            TraceEvent::Grid(SimEvent::JobEnqueued { tag, .. }) => {
-                state.marks.entry(*tag).or_default().enqueued = Some(t);
-            }
-            TraceEvent::Grid(SimEvent::JobStarted { tag, .. }) => {
-                let m = state.marks.entry(*tag).or_default();
-                if let Some(enq) = m.enqueued.take() {
-                    state.stats.queue_wait_secs += (t - enq).max(0.0);
+                edge.0.clone_from(processor);
+                edge.1.clone_from(port);
+                match stats.edge_bytes.get_mut(edge) {
+                    Some(staged) => *staged += bytes,
+                    None => {
+                        stats.edge_bytes.insert(edge.clone(), *bytes);
+                    }
                 }
-                m.started = Some(t);
             }
-            TraceEvent::Grid(SimEvent::JobFinished { tag, .. }) => {
-                let m = state.marks.entry(*tag).or_default();
-                if let Some(start) = m.started.take() {
+            TraceEvent::Grid(SimEvent::JobStarted { .. }) => {
+                if let Some(enqueued) = before.enqueued {
+                    stats.queue_wait_secs += (t - enqueued).max(0.0);
+                }
+            }
+            TraceEvent::Grid(SimEvent::JobFinished { .. }) => {
+                if let Some(start) = before.started {
                     let exec = (t - start).max(0.0);
-                    state.stats.compute_secs += (exec - m.attempt_transfer).max(0.0);
-                    m.attempt_transfer = 0.0;
+                    stats.compute_secs += (exec - before.transfer).max(0.0);
                 }
             }
-            TraceEvent::Grid(
-                SimEvent::JobDelivered { tag, .. } | SimEvent::JobCancelled { tag, .. },
-            ) => {
-                state.marks.remove(tag);
-            }
-            TraceEvent::JobCompleted { invocation, .. } => {
-                state.stats.completed += 1;
-                state.timeline.counter("enactor.completed", t, 1.0);
-                if let Some((service, submitted)) = state.services.remove(invocation) {
-                    state
-                        .stats
-                        .service_durations
-                        .entry(service)
-                        .or_default()
-                        .push(DurationSample {
-                            invocation: *invocation,
-                            secs: (t - submitted).max(0.0),
-                        });
-                }
-            }
-            TraceEvent::JobFailed { invocation, .. } => {
-                state.stats.failed += 1;
-                state.timeline.counter("enactor.failed", t, 1.0);
-                state.services.remove(invocation);
-            }
-            TraceEvent::JobCancelled {
-                invocation, reason, ..
+            // The invocation's submission is its first `JobSubmitted` /
+            // `CacheHit`, which the completion carries.
+            TraceEvent::JobCompleted {
+                invocation,
+                processor,
+                completion,
+                ..
             } => {
-                state.stats.cancelled += 1;
-                state.timeline.counter("enactor.cancelled", t, 1.0);
-                // A superseded attempt is not an invocation: its tag is
-                // fresh, or it is the logical id of the invocation whose
-                // `JobCompleted` is the next event and still needs the
-                // entry.
-                if *reason != "superseded" {
-                    state.services.remove(invocation);
-                }
+                stats.completed += 1;
+                timeline.counter("enactor.completed", t, 1.0);
+                let secs = (t - completion.submitted.as_secs_f64()).max(0.0);
+                entry(&mut stats.service_durations, processor, Vec::new).push(DurationSample {
+                    invocation: *invocation,
+                    secs,
+                });
+            }
+            TraceEvent::JobFailed { .. } => {
+                stats.failed += 1;
+                timeline.counter("enactor.failed", t, 1.0);
+            }
+            TraceEvent::JobCancelled { .. } => {
+                stats.cancelled += 1;
+                timeline.counter("enactor.cancelled", t, 1.0);
             }
             TraceEvent::EnactorGauges {
                 inflight,
@@ -714,39 +672,27 @@ impl EventSink for TimelineSink {
                 cache_bytes,
                 ..
             } => {
-                state
-                    .timeline
-                    .gauge("enactor.inflight", t, *inflight as f64);
-                state
-                    .timeline
-                    .gauge("enactor.deferred", t, *deferred as f64);
-                state
-                    .timeline
-                    .gauge("enactor.quarantined", t, *quarantined as f64);
-                state
-                    .timeline
-                    .gauge("store.entries", t, *cache_entries as f64);
-                state.timeline.gauge("store.bytes", t, *cache_bytes as f64);
+                timeline.gauge("enactor.inflight", t, *inflight as f64);
+                timeline.gauge("enactor.deferred", t, *deferred as f64);
+                timeline.gauge("enactor.quarantined", t, *quarantined as f64);
+                timeline.gauge("store.entries", t, *cache_entries as f64);
+                timeline.gauge("store.bytes", t, *cache_bytes as f64);
             }
             TraceEvent::PortSuspended {
                 processor, depth, ..
             } => {
-                state
-                    .timeline
-                    .gauge(&format!("port.depth.{processor}"), t, *depth as f64);
-                state.timeline.counter("enactor.port_suspends", t, 1.0);
+                timeline.gauge(&format!("port.depth.{processor}"), t, *depth as f64);
+                timeline.counter("enactor.port_suspends", t, 1.0);
             }
             TraceEvent::PortResumed {
                 processor, depth, ..
             } => {
-                state
-                    .timeline
-                    .gauge(&format!("port.depth.{processor}"), t, *depth as f64);
-                state.timeline.counter("enactor.port_resumes", t, 1.0);
+                timeline.gauge(&format!("port.depth.{processor}"), t, *depth as f64);
+                timeline.counter("enactor.port_resumes", t, 1.0);
             }
             TraceEvent::SloBreached { .. } => {
-                state.stats.slo_breaches += 1;
-                state.timeline.counter("enactor.slo_breaches", t, 1.0);
+                stats.slo_breaches += 1;
+                timeline.counter("enactor.slo_breaches", t, 1.0);
             }
             _ => {}
         }
@@ -890,140 +836,6 @@ mod tests {
         let d = &stats.service_durations["svc"];
         assert_eq!(d.len(), 1);
         assert!((d[0].secs - 26.0).abs() < 1e-9);
-    }
-
-    /// The sink's per-invocation and per-attempt entries end with the
-    /// lifecycle they belong to: after every kind of lifecycle has run
-    /// to its end nothing is left, and dropping them moved no aggregate
-    /// (the expected numbers are what the never-forgetting sink
-    /// computed for the same events).
-    #[test]
-    fn sink_forgets_finished_invocations_and_attempts() {
-        use moteur_gridsim::SimTime;
-        let at = SimTime::from_secs_f64;
-        let processor = || "svc".to_string();
-        // One grid attempt under `tag`: queued at `t`, started 10 s
-        // later with 4 s of transfers, then run for 20 s unless `cut`.
-        let attempt = |tag: u64, t: f64, cut: bool| {
-            let mut events = vec![
-                grid::enqueued(t, tag, 0, 1),
-                grid::started(t + 10.0, tag, 0),
-                grid::link(t + 10.0, tag, 0, 700, 300, 3.0, 1.0),
-            ];
-            if !cut {
-                events.push(grid::finished(t + 30.0, tag, 0, true));
-            }
-            events
-        };
-        let submitted = |invocation: u64| TraceEvent::JobSubmitted {
-            at: at(0.0),
-            invocation,
-            processor: processor(),
-            grid: true,
-            batched: 1,
-        };
-        let completed = |t: f64, invocation: u64| TraceEvent::JobCompleted {
-            at: at(t),
-            invocation,
-            processor: processor(),
-            completion: Box::default(),
-        };
-        let cancelled = |t: f64, invocation: u64, reason: &'static str| TraceEvent::JobCancelled {
-            at: at(t),
-            invocation,
-            processor: processor(),
-            reason,
-        };
-
-        // 1: one attempt, delivered.
-        let mut events = vec![submitted(1)];
-        events.extend(attempt(1, 0.0, false));
-        events.extend([grid::delivered(31.0, 1, true), completed(31.0, 1)]);
-        // 2: timed out mid-run, resubmitted under the fresh tag 1002.
-        events.push(submitted(2));
-        events.extend(attempt(2, 0.0, true));
-        events.push(grid::cancelled(100.0, 2));
-        events.extend(attempt(1002, 100.0, false));
-        events.extend([grid::delivered(131.0, 1002, true), completed(131.0, 2)]);
-        // 3: the replica 1003 loses to the original attempt.
-        events.push(submitted(3));
-        events.extend(attempt(3, 0.0, false));
-        events.extend(attempt(1003, 15.0, true));
-        events.extend([
-            grid::delivered(31.0, 3, true),
-            grid::cancelled(31.0, 1003),
-            cancelled(31.0, 1003, "superseded"),
-            completed(31.0, 3),
-        ]);
-        // 4: the replica 1004 wins; the loser carries the logical id
-        // and is cancelled before the invocation completes.
-        events.push(submitted(4));
-        events.extend(attempt(4, 50.0, true));
-        events.extend(attempt(1004, 0.0, false));
-        events.extend([
-            grid::delivered(31.0, 1004, true),
-            grid::cancelled(31.0, 4),
-            cancelled(31.0, 4, "superseded"),
-            completed(31.0, 4),
-        ]);
-        // 5: failed for good.
-        events.push(submitted(5));
-        events.extend(attempt(5, 0.0, false));
-        events.extend([
-            grid::delivered(31.0, 5, false),
-            TraceEvent::JobFailed {
-                at: at(31.0),
-                invocation: 5,
-                processor: processor(),
-                error: "boom".into(),
-            },
-        ]);
-        // 6: drained by an abort while queued. 7: answered by the data
-        // manager, no grid event at all.
-        events.extend([
-            submitted(6),
-            grid::enqueued(1.0, 6, 0, 1),
-            grid::cancelled(2.0, 6),
-            cancelled(2.0, 6, "abort"),
-            TraceEvent::CacheHit {
-                at: at(5.0),
-                invocation: 7,
-                processor: processor(),
-                outputs: 1,
-                transfer_seconds: 2.0,
-            },
-            completed(7.0, 7),
-        ]);
-
-        let mut sink = TimelineSink::new();
-        for event in &events {
-            sink.record(event);
-        }
-        let state = sink.state();
-        let state = state.lock().unwrap();
-        assert!(state.marks.is_empty(), "{:?}", state.marks);
-        assert!(state.services.is_empty(), "{:?}", state.services);
-        let stats = &state.stats;
-        // Eight attempts started (10 s queued, 4 s of transfers each);
-        // the five that finished computed 20 s − 4 s.
-        assert_eq!(stats.queue_wait_secs, 80.0);
-        assert_eq!(stats.transfer_secs, 32.0);
-        assert_eq!(stats.compute_secs, 80.0);
-        assert_eq!(stats.total_link_bytes(), 8000);
-        assert_eq!(
-            (stats.completed, stats.failed, stats.cancelled),
-            (5, 1, 3),
-            "{stats:?}"
-        );
-        let durations: Vec<(u64, f64)> = stats.service_durations["svc"]
-            .iter()
-            .map(|d| (d.invocation, d.secs))
-            .collect();
-        assert_eq!(
-            durations,
-            [(1, 31.0), (2, 131.0), (3, 31.0), (4, 31.0), (7, 2.0)]
-        );
-        assert_eq!(stats.t_end, 131.0);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use moteur_repro::cli::{command, text, typed, Args, Command, Flag, Outcome};
 use moteur_repro::emit::{self, Emit};
 use moteur_repro::gridsim::{summarize, GridConfig, GridJobSpec, GridSim, JobOutcome};
+use moteur_repro::moteur::obs::Completion;
 use moteur_repro::moteur::TraceEvent;
 use std::process::ExitCode;
 
@@ -88,7 +89,10 @@ fn run(args: &Args) -> Outcome {
                 at: done.delivered_at,
                 invocation: done.tag,
                 processor: "synthetic".to_string(),
-                completion: Box::default(),
+                completion: Box::new(Completion {
+                    submitted: done.submitted_at,
+                    ..Completion::default()
+                }),
             }
         } else {
             TraceEvent::JobFailed {
