@@ -39,6 +39,25 @@ if grep -nF 'HashMap<u64' crates/core/src/obs/metrics.rs \
   exit 1
 fi
 
+# Structural keys: a provenance key hashes the history's digest, minted
+# once per node (crates/core/src/token.rs), so the data manager and the
+# enactor may not render a history to XML again. The per-instance XML
+# cache that used to stand in front of that rendering survives only as
+# the shim the frozen benchmark names (crates/core/src/store/key.rs)
+# and its one re-export line.
+if grep -rnw --include='*.rs' -e history_to_xml crates/core/src/store/ \
+    crates/core/src/enactor/; then
+  echo "a key path renders XML: hash History::digest" >&2
+  exit 1
+fi
+if grep -rnw --include='*.rs' --exclude-dir=target --exclude-dir=benchmark \
+    --exclude-dir=.bench_build -e HistoryXmlCache . |
+  grep -v -e '^./crates/core/src/store/key.rs:' \
+    -e '^./crates/core/src/lib.rs:[0-9]*:pub use store::key::'; then
+  echo "HistoryXmlCache is named outside its shim: call provenance_key" >&2
+  exit 1
+fi
+
 # Compile once, fill per firing: a processor's job plan is a template
 # built with the CompiledWorkflow, so a firing may not go back to
 # building a wrapper binding, catalog or group member.

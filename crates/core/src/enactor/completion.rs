@@ -93,13 +93,13 @@ impl WorkflowInstance {
                 let prof = self.obs.prof().clone();
                 let _prof = prof.scope(Subsystem::StoreIo);
                 let mut recorded = Vec::with_capacity(outputs.len());
+                let store = ctx.store.as_deref_mut().expect("checked above");
                 for (port_name, value) in &outputs {
                     let pk = {
                         let _prof = prof.scope(Subsystem::ProvenanceKey);
-                        self.history_xml.provenance_key(value, &history)
+                        store.insert(value, &history)
                     };
-                    let store = ctx.store.as_deref_mut().expect("checked above");
-                    match pk.and_then(|k| store.insert_with_key(k, value)) {
+                    match pk {
                         Some(pk) => recorded.push((port_name.clone(), pk)),
                         None => {
                             recorded.clear();
@@ -107,7 +107,6 @@ impl WorkflowInstance {
                         }
                     }
                 }
-                let store = ctx.store.as_deref_mut().expect("checked above");
                 // Only a complete output set makes a replayable
                 // invocation; partial ones (an Opaque output, or an
                 // output too large for the store's budget) are dropped.

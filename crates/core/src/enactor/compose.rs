@@ -12,7 +12,7 @@ use crate::iterate::MatchedSet;
 use crate::obs::prof::Subsystem;
 use crate::obs::TraceEvent;
 use crate::service::{CostModel, ServiceBinding};
-use crate::store::{invocation_key, InvocationKey};
+use crate::store::{invocation_key, provenance_key, InvocationKey};
 use crate::token::{DataIndex, History, Token};
 use crate::value::DataValue;
 use moteur_gridsim::Rng;
@@ -42,10 +42,7 @@ impl WorkflowInstance {
             let prof = self.obs.prof().clone();
             let _prof = prof.scope(Subsystem::ProvenanceKey);
             for token in tokens {
-                pkeys.push(
-                    self.history_xml
-                        .provenance_key(&token.value, &token.history)?,
-                );
+                pkeys.push(provenance_key(&token.value, &token.history)?);
             }
         }
         let name = &self.compiled.workflow.processors[proc.0].name;

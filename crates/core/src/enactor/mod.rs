@@ -41,7 +41,7 @@ use crate::graph::{ProcId, Workflow};
 use crate::iterate::{MatchEngine, MatchedSet};
 use crate::obs::prof::Subsystem;
 use crate::obs::{Obs, TraceEvent};
-use crate::store::{DataStore, HistoryXmlCache};
+use crate::store::DataStore;
 use crate::token::Token;
 use crate::trace::WorkflowResult;
 use crate::value::DataValue;
@@ -277,10 +277,6 @@ pub struct WorkflowInstance {
     sample_cursors: Vec<usize>,
     start_time: SimTime,
     obs: Obs,
-    /// Memoized history-tree serialisations shared by every probe and
-    /// insert of this run: `provenance_key` renders each distinct tree
-    /// once instead of once per call.
-    history_xml: HistoryXmlCache,
     /// Fresh attempt tag → logical invocation id. Same-tag failure
     /// resubmits need no entry; only replicas and timeout resubmits
     /// are registered here.
@@ -391,7 +387,6 @@ impl WorkflowInstance {
             sample_cursors: vec![0; n_procs],
             start_time,
             obs,
-            history_xml: HistoryXmlCache::new(),
             attempt_of: HashMap::default(),
             cancelled_attempts: HashSet::default(),
             deferred: Vec::new(),

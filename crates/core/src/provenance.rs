@@ -8,20 +8,20 @@
 //! reloadable for post-hoc analysis.
 
 use crate::error::MoteurError;
-use crate::token::History;
+use crate::token::{History, HistoryNode};
 use crate::trace::WorkflowResult;
 use moteur_xml::Element;
 use std::sync::Arc;
 
 /// Serialise one history tree.
 pub fn history_to_xml(history: &History) -> Element {
-    match history {
-        History::Source { source, position } => Element::new("source")
+    match history.node() {
+        HistoryNode::Source { source, position } => Element::new("source")
             .with_attr("name", &**source)
             .with_attr("position", position.to_string()),
-        History::Derived { processor, inputs } => {
+        HistoryNode::Derived { processor, inputs } => {
             let mut el = Element::new("derived").with_attr("processor", &**processor);
-            for input in inputs {
+            for input in inputs.iter() {
                 el = el.with_child(history_to_xml(input));
             }
             el

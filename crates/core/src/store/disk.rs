@@ -7,8 +7,8 @@
 //! why a store nothing changed in since it was loaded or saved skips
 //! the write: the files already hold exactly those bytes. Loading is
 //! one linear pass over each file; it verifies the schema tag first and
-//! rejects anything else with a typed error — a future v2 layout will
-//! not be silently misread.
+//! rejects anything else with a typed error — an older (v1) store or a
+//! future layout is never silently misread.
 //!
 //! Numbers are stored as the hex spelling of their IEEE-754 bit
 //! pattern: JSON has no NaN/∞ and decimal round-trips are easy to get
@@ -208,11 +208,11 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
     match index.str_at("schema") {
         Some(s) if s == STORE_SCHEMA => {}
         Some(other) => {
+            let dir = dir.display();
             return Err(MoteurError::new(format!(
-                "data store at {} has schema `{other}`, this build reads `{STORE_SCHEMA}` \
-                 (clear the cache directory to rebuild it)",
-                dir.display()
-            )))
+                "data store at {dir} has schema `{other}`, this build reads `{STORE_SCHEMA}` \
+                 (clear it with `moteur cache clear {dir}` to rebuild it)"
+            )));
         }
         None => return Err(bad("index.json without a schema tag")),
     }
@@ -421,8 +421,15 @@ mod tests {
             assert!(s.stats().evictions > 0);
         });
         step("gc", &|s| assert!(s.gc() > 0, "evicted outputs dangle"));
-        step("clear", &|s| s.clear());
-        assert_eq!(files(&dir).1, b"", "cleared store saved empty");
+        DataStore::open_cleared(&dir, small())
+            .unwrap()
+            .save()
+            .unwrap();
+        assert_eq!(
+            files(&dir),
+            (empty_index().into_bytes(), Vec::new()),
+            "a cleared store saves empty"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -561,16 +568,24 @@ mod tests {
 
     #[test]
     fn unknown_schema_versions_are_rejected() {
-        let dir = temp_dir("schema");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join(INDEX_FILE),
-            "{\"schema\":\"moteur-store/v999\",\"invocations\":[]}\n",
-        )
-        .unwrap();
-        let err = DataStore::open(&dir, StoreConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("moteur-store/v999"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        // v1 keyed by the history's XML rendering: none of its keys is
+        // one this build mints, so it is refused like a future layout.
+        for schema in ["moteur-store/v1", "moteur-store/v999"] {
+            let dir = temp_dir("schema");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(
+                dir.join(INDEX_FILE),
+                format!("{{\"schema\":\"{schema}\",\"invocations\":[]}}\n"),
+            )
+            .unwrap();
+            let err = DataStore::open(&dir, StoreConfig::default())
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(&format!("`{schema}`")), "{err}");
+            assert!(err.contains("`moteur-store/v2`"), "{err}");
+            assert!(err.contains("moteur cache clear"), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

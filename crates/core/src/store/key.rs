@@ -3,19 +3,21 @@
 //! Identity of a data item is its *provenance*, not its storage
 //! location (§3.3/§4.1 of the paper): the history tree names exactly
 //! which source items and which processors produced a value, so hashing
-//! the canonical value bytes together with the serialised history tree
+//! the canonical value bytes together with the tree's structural digest
+//! ([`History::digest`], folded once per node when the node is minted)
 //! yields a key that is stable across runs, processes and machines —
-//! the [`ProvenanceKey`]. An invocation is then identified by the
-//! service it fires, a digest of *what the service is* (its executable
-//! descriptor, fixed parameters and output sizing) and the provenance
-//! keys of its inputs in port order — the [`InvocationKey`].
+//! the [`ProvenanceKey`]. No key renders the tree: XML is the export
+//! format of a run's provenance, not an identity. An invocation is then
+//! identified by the service it fires, a digest of *what the service
+//! is* (its executable descriptor, fixed parameters and output sizing)
+//! and the provenance keys of its inputs in port order — the
+//! [`InvocationKey`].
 //!
 //! Hashing is a hand-rolled 64-bit FNV-1a: the workspace is hermetic
 //! (no external crates), and collision resistance against adversarial
 //! inputs is a non-goal for a memoization cache — a collision costs a
 //! wrong reuse in a simulation, not a security boundary.
 
-use crate::provenance::history_to_xml;
 use crate::service::{GroupedBinding, ServiceProfile};
 use crate::token::History;
 use crate::value::DataValue;
@@ -62,7 +64,7 @@ impl Fnv1a {
 }
 
 /// Content address of one data item: hash of its canonical value bytes
-/// and its serialised history tree.
+/// and its history tree's structural digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProvenanceKey(pub u64);
 
@@ -142,81 +144,39 @@ fn hash_value(h: &mut Fnv1a, value: &DataValue) -> bool {
     }
 }
 
-/// Content address of `value` produced with `history`. `None` when the
+/// Content address of `value` produced with `history`: the value's
+/// canonical bytes followed by the tree's structural digest
+/// ([`History::digest`], computed when the node was minted), so a key
+/// costs one pass over the value and allocates nothing. `None` when the
 /// value has no canonical byte form (opaque payloads, or lists
 /// containing them).
 pub fn provenance_key(value: &DataValue, history: &History) -> Option<ProvenanceKey> {
-    provenance_key_with_xml(value, &history_to_xml(history).to_pretty_string())
-}
-
-/// [`provenance_key`] with the history tree already serialised — the
-/// shared tail that keeps the cached ([`HistoryXmlCache`]) and uncached
-/// paths byte-identical by construction.
-fn provenance_key_with_xml(value: &DataValue, history_xml: &str) -> Option<ProvenanceKey> {
     let mut h = Fnv1a::new();
     if !hash_value(&mut h, value) {
         return None;
     }
-    h.write_str(history_xml);
+    h.write_u64(history.digest());
     Some(ProvenanceKey(h.finish()))
 }
 
-/// Memoized history-tree serialisation, keyed by `Arc` identity.
-///
-/// The profiler showed `provenance_key` dominated by serialising the
-/// same history trees over and over: every cache probe re-renders the
-/// full XML of every matched token's history, and histories are shared
-/// `Arc`s that the enactor probes many times (once per downstream
-/// match, again on insert). Pointer identity is a sound cache key
-/// because histories are immutable once built; the map holds a strong
-/// reference to each keyed tree, so an address can never be reused for
-/// a different tree while its entry is alive.
-///
-/// Byte identity with the uncached path is by construction: both paths
-/// feed the same `history_to_xml(...).to_pretty_string()` output into
-/// `provenance_key_with_xml`.
+// Only for `benchmark/src/sut.rs`, which still names it; goes when it
+// is retargeted at the free function.
+#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct HistoryXmlCache {
-    map: std::collections::HashMap<usize, (std::sync::Arc<History>, std::sync::Arc<str>)>,
-}
+pub struct HistoryXmlCache;
 
 impl HistoryXmlCache {
     pub fn new() -> Self {
-        Self::default()
+        HistoryXmlCache
     }
 
-    /// Number of distinct history trees serialised so far.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The serialised pretty-printed XML of `history`, rendered at most
-    /// once per distinct tree.
-    pub fn xml(&mut self, history: &std::sync::Arc<History>) -> std::sync::Arc<str> {
-        let key = std::sync::Arc::as_ptr(history) as usize;
-        self.map
-            .entry(key)
-            .or_insert_with(|| {
-                let xml: std::sync::Arc<str> = history_to_xml(history).to_pretty_string().into();
-                (std::sync::Arc::clone(history), xml)
-            })
-            .1
-            .clone()
-    }
-
-    /// [`provenance_key`] through the cache: identical bytes, one
-    /// serialisation per distinct history tree instead of one per call.
+    /// [`provenance_key`], which no longer needs a cache.
     pub fn provenance_key(
         &mut self,
         value: &DataValue,
-        history: &std::sync::Arc<History>,
+        history: &History,
     ) -> Option<ProvenanceKey> {
-        let xml = self.xml(history);
-        provenance_key_with_xml(value, &xml)
+        provenance_key(value, history)
     }
 }
 
@@ -354,46 +314,35 @@ mod tests {
     }
 
     #[test]
-    fn cached_keys_match_uncached_keys() {
+    fn provenance_keys_match_pinned_vectors() {
+        // A change to the value encoding or to the history digest moves
+        // these, and every key a persisted store holds with them: bump
+        // `STORE_SCHEMA` in the same change.
         let src = History::source("acquisition", 3);
         let derived = History::derived("crestLines", vec![src.clone(), History::source("ref", 0)]);
-        let mut cache = HistoryXmlCache::new();
-        for history in [&src, &derived] {
-            for value in [
-                DataValue::from("img"),
-                DataValue::Num(1.5),
-                DataValue::File {
-                    gfn: "lfn://x".into(),
-                    bytes: 7_864_320,
-                },
-            ] {
-                assert_eq!(
-                    cache.provenance_key(&value, history),
-                    provenance_key(&value, history),
-                    "cache must be byte-transparent"
-                );
-            }
+        let file = DataValue::File {
+            gfn: "lfn://x".into(),
+            bytes: 7_864_320,
+        };
+        let list = DataValue::List(vec![DataValue::from("a"), DataValue::Num(-0.0)]);
+        for (value, history, pinned) in [
+            (DataValue::from("img"), &src, 0x166e_5ab8_0540_06a3),
+            (DataValue::Num(1.5), &src, 0x9bcc_17ff_7120_2ba1),
+            (file, &derived, 0x35b3_b41d_64b3_707e),
+            (list, &derived, 0x1aaf_2036_8848_759b),
+        ] {
+            let key = provenance_key(&value, history).unwrap();
+            assert_eq!(key.0, pinned, "{value:?} over {history:?}: {key}");
         }
-        assert_eq!(cache.len(), 2, "one serialisation per distinct tree");
-        // Opaque values stay uncacheable through the cached path too.
-        assert_eq!(cache.provenance_key(&DataValue::opaque(1u8), &src), None);
     }
 
     #[test]
-    fn cache_pins_trees_against_address_reuse() {
-        let mut cache = HistoryXmlCache::new();
-        let mut keys = std::collections::HashSet::new();
-        // Churn many short-lived trees: if the cache keyed by a dangling
-        // address, a recycled allocation would collide and return the
-        // previous tree's XML (wrong key). The strong ref prevents that.
-        for i in 0..256 {
-            let h = History::source("s", i);
-            let k = cache.provenance_key(&DataValue::from("v"), &h).unwrap();
-            assert_eq!(k, provenance_key(&DataValue::from("v"), &h).unwrap());
-            keys.insert(k);
+    fn the_history_xml_cache_shim_forwards_to_provenance_key() {
+        let mut shim = HistoryXmlCache::new();
+        let h = History::derived("p", vec![History::source("s", 0)]);
+        for value in [DataValue::from("v"), DataValue::opaque(1u8)] {
+            assert_eq!(shim.provenance_key(&value, &h), provenance_key(&value, &h));
         }
-        assert_eq!(keys.len(), 256, "every position hashed distinctly");
-        assert_eq!(cache.len(), 256);
     }
 
     #[test]

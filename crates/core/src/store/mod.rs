@@ -5,8 +5,9 @@
 //! overhead of *recomputing* data; this module eliminates the
 //! recomputation itself when identical work is re-enacted. Data items
 //! are addressed by [`ProvenanceKey`] — a hash of the canonical value
-//! bytes and the serialised history tree, so two runs that derive the
-//! same value through the same lineage agree on the address without
+//! bytes and the history tree's structural digest (computed once per
+//! node when the node is minted; see [`key`]), so two runs that derive
+//! the same value through the same lineage agree on the address without
 //! coordination. Completed invocations are indexed by
 //! [`InvocationKey`] (service name, descriptor digest, input keys in
 //! port order); the enactor consults that index before submitting a
@@ -28,10 +29,10 @@ mod disk;
 pub mod key;
 
 pub use key::{
-    descriptor_digest, group_digest, invocation_key, provenance_key, HistoryXmlCache,
-    InvocationKey, ProvenanceKey,
+    descriptor_digest, group_digest, invocation_key, provenance_key, InvocationKey, ProvenanceKey,
 };
 
+use crate::backend::IdHasher;
 use crate::error::MoteurError;
 use crate::token::History;
 use crate::value::DataValue;
@@ -40,8 +41,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// On-disk schema tag; bump on any incompatible layout change.
-pub const STORE_SCHEMA: &str = "moteur-store/v1";
+/// On-disk schema tag; bump on any incompatible layout or key change
+/// (v2: provenance keys hash the history tree's structural digest, not
+/// its XML rendering, so every v1 key names nothing a v2 build mints).
+pub const STORE_SCHEMA: &str = "moteur-store/v2";
 
 /// Tuning knobs of a [`DataStore`].
 #[derive(Debug, Clone)]
@@ -146,12 +149,21 @@ fn value_footprint(value: &DataValue) -> u64 {
 }
 
 /// The content-addressed data store. See the module docs.
+///
+/// Both maps hash with `IdHasher`: their keys are already FNV digests
+/// the program computed, so a keyed SipHash adds cost and nothing else
+/// (keys loaded from a cache directory were written there by this
+/// program; whoever can rewrite that directory can make it serve wrong
+/// results anyway, so flooding one bucket is no new exposure).
+/// No output depends on their iteration order: saves sort by key, and
+/// eviction picks the smallest `(last_used, key)` pair, which no two
+/// entries share.
 #[derive(Debug, Default)]
 pub struct DataStore {
     config: StoreConfig,
     dir: Option<PathBuf>,
-    data: HashMap<ProvenanceKey, DataEntry>,
-    invocations: HashMap<InvocationKey, InvocationEntry>,
+    data: HashMap<ProvenanceKey, DataEntry, IdHasher>,
+    invocations: HashMap<InvocationKey, InvocationEntry, IdHasher>,
     bytes: u64,
     tick: u64,
     hits: u64,
@@ -170,8 +182,8 @@ impl DataStore {
         DataStore {
             config,
             dir: None,
-            data: HashMap::new(),
-            invocations: HashMap::new(),
+            data: HashMap::default(),
+            invocations: HashMap::default(),
             bytes: 0,
             tick: 0,
             hits: 0,
@@ -189,9 +201,7 @@ impl DataStore {
     /// [`save`]: DataStore::save
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self, MoteurError> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let mut store = Self::in_memory(config);
-        store.dir = Some(dir.to_path_buf());
+        let mut store = Self::open_cleared(dir, config)?;
         let indexed = dir.join(disk::INDEX_FILE).exists();
         if indexed {
             disk::load(&mut store, dir)?;
@@ -199,6 +209,21 @@ impl DataStore {
         // A loaded store has nothing to write back; a directory missing
         // either file gets the pair on the first save.
         *store.dirty.get_mut() = !(indexed && dir.join(disk::DATA_FILE).exists());
+        Ok(store)
+    }
+
+    /// An empty store rooted at `dir`, whatever the directory holds:
+    /// nothing is read, and the next [`save`] overwrites both files.
+    /// This is how `moteur cache clear` empties a store this build
+    /// cannot load (an older schema, or corrupt files).
+    ///
+    /// [`save`]: DataStore::save
+    pub fn open_cleared(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self, MoteurError> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        let mut store = Self::in_memory(config);
+        store.dir = Some(dir.to_path_buf());
+        *store.dirty.get_mut() = true;
         Ok(store)
     }
 
@@ -234,18 +259,6 @@ impl DataStore {
     /// the whole store budget.
     pub fn insert(&mut self, value: &DataValue, history: &History) -> Option<ProvenanceKey> {
         let key = provenance_key(value, history)?;
-        self.insert_with_key(key, value)
-    }
-
-    /// [`DataStore::insert`] with the provenance key already computed —
-    /// the enactor's path, which derives keys through a shared
-    /// [`key::HistoryXmlCache`] so the history tree is serialised once
-    /// per distinct tree instead of once per insert.
-    pub fn insert_with_key(
-        &mut self,
-        key: ProvenanceKey,
-        value: &DataValue,
-    ) -> Option<ProvenanceKey> {
         self.tick += 1;
         if let Some(entry) = self.data.get_mut(&key) {
             entry.last_used = self.tick;
@@ -318,8 +331,8 @@ impl DataStore {
     /// Takes the two maps rather than `&self` so a caller can go on to
     /// write `data` while holding the result.
     fn complete_outputs<'a>(
-        invocations: &'a HashMap<InvocationKey, InvocationEntry>,
-        data: &HashMap<ProvenanceKey, DataEntry>,
+        invocations: &'a HashMap<InvocationKey, InvocationEntry, IdHasher>,
+        data: &HashMap<ProvenanceKey, DataEntry, IdHasher>,
         key: InvocationKey,
     ) -> Option<&'a [(String, ProvenanceKey)]> {
         invocations
@@ -338,19 +351,6 @@ impl DataStore {
         let pruned = before - self.invocations.len();
         *self.dirty.get_mut() |= pruned > 0;
         pruned
-    }
-
-    /// Drop everything (data, index and counters). The directory, if
-    /// any, is rewritten empty on the next [`DataStore::save`].
-    pub fn clear(&mut self) {
-        self.data.clear();
-        self.invocations.clear();
-        self.bytes = 0;
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.evictions = 0;
-        *self.dirty.get_mut() = true;
     }
 
     pub fn stats(&self) -> StoreStats {
@@ -486,15 +486,5 @@ mod tests {
             .insert(&file("gfn://big", 11), &History::source("s", 0))
             .is_none());
         assert_eq!(store.stats().entries, 0);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut store = DataStore::in_memory(StoreConfig::default());
-        let pk = keyed(&mut store, "gfn://a", 10, 0);
-        store.record_invocation(invocation_key("s", 0, &[]), "s", vec![("o".into(), pk)]);
-        store.clear();
-        let stats = store.stats();
-        assert_eq!(stats, StoreStats::default());
     }
 }

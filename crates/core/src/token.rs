@@ -9,6 +9,7 @@
 //! [`DataIndex`] is the positional identity used by the iteration
 //! strategies; [`History`] is the full provenance tree.
 
+use crate::store::key::Fnv1a;
 use crate::value::DataValue;
 use std::fmt;
 use std::sync::Arc;
@@ -59,46 +60,90 @@ impl fmt::Display for DataIndex {
 /// produced, back to the workflow sources. Names are shared: an
 /// enactment interns each processor name once, so every node it builds
 /// holds its name by reference count.
+///
+/// Every node carries the structural digest of its subtree, computed
+/// once when [`History::source`] or [`History::derived`] mints it (the
+/// only ways to build one, so the digest always matches the tree). A
+/// source hashes tag `1`, its name and its position; a derived node
+/// hashes tag `2`, its processor name, its input count and each input's
+/// digest in order. Names are hashed by their bytes, never by pointer,
+/// so the digest is the same in every process: it is what
+/// [`provenance_key`](crate::provenance_key) keys on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum History {
+pub struct History {
+    node: HistoryNode,
+    digest: u64,
+}
+
+/// What one [`History`] node records.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HistoryNode {
     /// Produced by a data source: source name and position in its
     /// stream.
     Source { source: Arc<str>, position: u32 },
     /// Produced by a processor invocation from a set of input tokens.
     Derived {
         processor: Arc<str>,
-        inputs: Vec<Arc<History>>,
+        inputs: Box<[Arc<History>]>,
     },
 }
 
 impl History {
     pub fn source(name: impl Into<Arc<str>>, position: u32) -> Arc<History> {
-        Arc::new(History::Source {
-            source: name.into(),
-            position,
+        let source = name.into();
+        let mut h = Fnv1a::new();
+        h.write(&[1]);
+        h.write_str(&source);
+        h.write_u64(u64::from(position));
+        Arc::new(History {
+            node: HistoryNode::Source { source, position },
+            digest: h.finish(),
         })
     }
 
     pub fn derived(processor: impl Into<Arc<str>>, inputs: Vec<Arc<History>>) -> Arc<History> {
-        Arc::new(History::Derived {
-            processor: processor.into(),
-            inputs,
+        let processor = processor.into();
+        let mut h = Fnv1a::new();
+        h.write(&[2]);
+        h.write_str(&processor);
+        h.write_u64(inputs.len() as u64);
+        for input in &inputs {
+            h.write_u64(input.digest);
+        }
+        Arc::new(History {
+            node: HistoryNode::Derived {
+                processor,
+                inputs: inputs.into_boxed_slice(),
+            },
+            digest: h.finish(),
         })
+    }
+
+    /// This node's name, position or inputs.
+    pub fn node(&self) -> &HistoryNode {
+        &self.node
+    }
+
+    /// The structural digest of this subtree (see [`History`]).
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// All source leaves of the tree, in left-to-right order.
     pub fn sources(&self) -> Vec<(String, u32)> {
-        match self {
-            History::Source { source, position } => vec![(source.to_string(), *position)],
-            History::Derived { inputs, .. } => inputs.iter().flat_map(|i| i.sources()).collect(),
+        match &self.node {
+            HistoryNode::Source { source, position } => vec![(source.to_string(), *position)],
+            HistoryNode::Derived { inputs, .. } => {
+                inputs.iter().flat_map(|i| i.sources()).collect()
+            }
         }
     }
 
     /// Does any ancestor involve `processor`?
     pub fn involves(&self, processor: &str) -> bool {
-        match self {
-            History::Source { .. } => false,
-            History::Derived {
+        match &self.node {
+            HistoryNode::Source { .. } => false,
+            HistoryNode::Derived {
                 processor: p,
                 inputs,
             } => **p == *processor || inputs.iter().any(|i| i.involves(processor)),
@@ -107,9 +152,9 @@ impl History {
 
     /// Depth of the tree (1 for a source leaf).
     pub fn depth(&self) -> usize {
-        match self {
-            History::Source { .. } => 1,
-            History::Derived { inputs, .. } => {
+        match &self.node {
+            HistoryNode::Source { .. } => 1,
+            HistoryNode::Derived { inputs, .. } => {
                 1 + inputs.iter().map(|i| i.depth()).max().unwrap_or(0)
             }
         }
@@ -195,6 +240,14 @@ mod tests {
         assert_eq!(leaf.depth(), 1);
         let d = History::derived("p", vec![leaf]);
         assert_eq!(d.depth(), 2);
+    }
+
+    #[test]
+    fn a_history_node_stays_forty_bytes() {
+        // Every token of a stream holds its own node: the digest fits in
+        // what `Box<[_]>` saves over `Vec`, so the streaming pipeline's
+        // live bytes do not grow with it.
+        assert!(std::mem::size_of::<History>() <= 40);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! equivalence (§3.6) and failure recovery.
 
 use moteur::prelude::*;
-use moteur::{InvocationRecord, RecordBuffer, RecordSink};
+use moteur::{HistoryNode, InvocationRecord, RecordBuffer, RecordSink};
 use moteur_gridsim::{CeConfig, Distribution, GridConfig, NetworkConfig};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 
@@ -199,8 +199,8 @@ fn dot_pairing_is_correct_when_branches_complete_out_of_order() {
 
 /// The derived node's processor name and inputs.
 fn derived(h: &History) -> (&std::sync::Arc<str>, &[std::sync::Arc<History>]) {
-    match h {
-        History::Derived { processor, inputs } => (processor, inputs),
+    match h.node() {
+        HistoryNode::Derived { processor, inputs } => (processor, inputs),
         other => panic!("expected a derived node, got {other:?}"),
     }
 }

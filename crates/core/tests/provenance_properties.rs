@@ -1,13 +1,14 @@
 //! Property-style tests of the provenance machinery the data manager
 //! keys on: `history_to_xml`/`history_from_xml` must round-trip
-//! arbitrarily deep and wide trees exactly, and provenance/invocation
-//! keys must be functions of *structure*, not of construction order,
+//! arbitrarily deep and wide trees exactly, every node's digest must be
+//! the structural hash of its subtree, and provenance/invocation keys
+//! must be functions of *structure*, not of construction order,
 //! sharing, or token arrival order.
 
 use moteur::{
     history_from_xml, history_to_xml, invocation_key, provenance_key, DataStore, DataValue,
-    Enactment, EnactorConfig, History, InputData, ServiceBinding, ServiceProfile, SimBackend,
-    StoreConfig, Workflow,
+    Enactment, EnactorConfig, Fnv1a, History, HistoryNode, InputData, ServiceBinding,
+    ServiceProfile, SimBackend, StoreConfig, Workflow,
 };
 use moteur_gridsim::GridConfig;
 use moteur_wrapper::crest_lines_example;
@@ -75,6 +76,73 @@ fn random_history_trees_round_trip() {
     let mut rng = Lcg(2006);
     for _ in 0..200 {
         round_trips(&random_tree(&mut rng, 6));
+    }
+}
+
+/// The digest rule, re-derived from the tree alone: a source hashes tag
+/// 1, its name and its position; a derived node hashes tag 2, its
+/// processor, its input count and its inputs' digests in order.
+fn rehash(history: &History) -> u64 {
+    let mut h = Fnv1a::new();
+    match history.node() {
+        HistoryNode::Source { source, position } => {
+            h.write(&[1]);
+            h.write_str(source);
+            h.write_u64(u64::from(*position));
+        }
+        HistoryNode::Derived { processor, inputs } => {
+            h.write(&[2]);
+            h.write_str(processor);
+            h.write_u64(inputs.len() as u64);
+            for input in inputs.iter() {
+                h.write_u64(rehash(input));
+            }
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn every_digest_is_the_structural_hash_of_its_tree() {
+    let mut rng = Lcg(2006);
+    for _ in 0..200 {
+        let tree = random_tree(&mut rng, 6);
+        assert_eq!(tree.digest(), rehash(&tree));
+        // A tree rebuilt from its export carries the same digest.
+        let back = history_from_xml(&history_to_xml(&tree)).expect("own XML parses");
+        assert_eq!(back.digest(), tree.digest());
+    }
+}
+
+#[test]
+fn any_structural_change_changes_the_key() {
+    let value = DataValue::from("payload");
+    let key = |h: &History| provenance_key(&value, h).unwrap();
+    let a = || History::source("a", 1);
+    let b = || History::source("b", 2);
+    let base = key(&History::derived("combine", vec![a(), b()]));
+    for (what, changed) in [
+        ("processor name", History::derived("merge", vec![a(), b()])),
+        (
+            "source name",
+            History::derived("combine", vec![History::source("c", 1), b()]),
+        ),
+        (
+            "source position",
+            History::derived("combine", vec![History::source("a", 3), b()]),
+        ),
+        ("input order", History::derived("combine", vec![b(), a()])),
+        ("fewer inputs", History::derived("combine", vec![a()])),
+        (
+            "more inputs",
+            History::derived("combine", vec![a(), b(), b()]),
+        ),
+        (
+            "nesting",
+            History::derived("combine", vec![History::derived("combine", vec![a(), b()])]),
+        ),
+    ] {
+        assert_ne!(key(&changed), base, "{what}");
     }
 }
 

@@ -47,7 +47,9 @@ pub enum Subsystem {
     Fire,
     /// The simulator broker's `pick_ce` matchmaking scan.
     PickCe,
-    /// `provenance_key` hashing (value bytes + serialised history tree).
+    /// Provenance keying (value bytes + the history tree's structural
+    /// digest): a firing's input keys, and each output's keyed insert
+    /// into the data store.
     ProvenanceKey,
     /// Data-manager store operations: probe, lookup, insert, save/load.
     StoreIo,

@@ -361,6 +361,15 @@ fn cmd_cache(args: &Args) -> Outcome {
     let [action, dir] = args.operands[..] else {
         return Err("cache needs an action (stats|gc|clear) and a store directory".to_string());
     };
+    // `clear` reads nothing, so it also empties a store this build
+    // cannot load: an older schema or corrupt files.
+    if action == "clear" {
+        DataStore::open_cleared(dir, StoreConfig::default())
+            .and_then(|store| store.save())
+            .map_err(|e| e.to_string())?;
+        println!("cleared {dir}");
+        return Ok(ExitCode::SUCCESS);
+    }
     let mut store = DataStore::open(dir, StoreConfig::default()).map_err(|e| e.to_string())?;
     match action {
         "stats" => println!("{dir}: {}", store.stats()),
@@ -371,11 +380,6 @@ fn cmd_cache(args: &Args) -> Outcome {
                 "pruned {pruned} dangling invocation(s); now {}",
                 store.stats()
             );
-        }
-        "clear" => {
-            store.clear();
-            store.save().map_err(|e| e.to_string())?;
-            println!("cleared {dir}");
         }
         other => return Err(format!("unknown cache action `{other}` (stats|gc|clear)")),
     }

@@ -471,6 +471,36 @@ fn gridsim_summary_is_pinned_at_the_default_seed() {
     );
 }
 
+/// `cache clear` reads nothing, so it empties a store the build refuses
+/// to open: a v1 directory (keyed by the history's XML rendering) whose
+/// schema error tells the user to run it.
+#[test]
+fn cache_clear_empties_a_store_of_an_older_schema() {
+    let dir = in_temp_dir();
+    let store = dir.path().join("store");
+    std::fs::create_dir_all(&store).unwrap();
+    std::fs::write(
+        store.join("index.json"),
+        "{\"schema\":\"moteur-store/v1\",\"invocations\":[]}\n",
+    )
+    .unwrap();
+    std::fs::write(store.join("store.jsonl"), "{\"pk\":\"00\"}\n").unwrap();
+    let (code, _, stderr) = outcome(moteur(), &dir, &["cache", "stats", "store"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("moteur cache clear"), "{stderr}");
+
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &["cache", "clear", "store"]);
+    assert_eq!((code, stdout.as_str()), (0, "cleared store\n"), "{stderr}");
+    let index = std::fs::read_to_string(store.join("index.json")).unwrap();
+    assert!(index.contains("\"moteur-store/v2\""), "{index}");
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &["cache", "stats", "store"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.starts_with("store: 0 entries (0 bytes), 0 invocations;"),
+        "{stdout}"
+    );
+}
+
 /// Exit code, stdout and stderr of one invocation in `dir`.
 fn outcome(mut command: Command, dir: &tempdir::TempDir, args: &[&str]) -> (i32, String, String) {
     let out = command
