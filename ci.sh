@@ -30,6 +30,20 @@ if grep -rnw --include='*.rs' -e InvocationRecord crates/core/src/enactor/; then
   exit 1
 fi
 
+# One backend seam: the enactor is compiled once, against
+# `&mut dyn Backend`, and every product wait is `Backend::wait(deadline)`.
+# The provided `wait_next` in backend.rs is kept only for the frozen
+# benchmark's probe, so nothing else may call it or its old deadline twin.
+if grep -rn --include='*.rs' -e 'B: Backend' crates/core/src/enactor/; then
+  echo "the enactor is generic over its backend again: step against &mut dyn Backend" >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' -e 'wait_next(_until)?\(' crates/*/src src |
+  grep -v -e '^crates/core/src/backend.rs:[0-9]*:    fn wait_next(&mut self) ->'; then
+  echo "a product path calls wait_next: call Backend::wait(deadline)" >&2
+  exit 1
+fi
+
 # One lifecycle join: each fold sink keeps its invocation and attempt
 # entries in its own `obs::Lifecycle` (crates/core/src/obs/lifecycle.rs),
 # so the sinks may not grow a map keyed by a tag of their own again.

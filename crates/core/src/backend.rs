@@ -136,29 +136,47 @@ pub struct BackendCompletion {
     pub ce: Option<usize>,
 }
 
-/// What [`Backend::wait_next_until`] produced.
+/// What [`Backend::wait`] produced.
 #[derive(Debug)]
 pub enum WaitOutcome {
-    /// A job finished before the deadline.
+    /// A job finished (before the deadline, when there was one).
     Completion(BackendCompletion),
-    /// The deadline passed first; the backend clock now sits at (or
-    /// past) the deadline even when nothing was in flight.
+    /// No completion: with a deadline, it passed first and the backend
+    /// clock now sits at (or past) it even when nothing was in flight;
+    /// without one, nothing in flight can ever complete and the clock
+    /// did not move.
     TimedOut,
 }
 
-/// An asynchronous execution backend.
+impl WaitOutcome {
+    /// The completion, if one surfaced.
+    pub fn completion(self) -> Option<BackendCompletion> {
+        match self {
+            WaitOutcome::Completion(c) => Some(c),
+            WaitOutcome::TimedOut => None,
+        }
+    }
+}
+
+/// An asynchronous execution backend: one method per decision —
+/// submit, wait, cancel, read the clock.
 pub trait Backend {
     /// Non-blocking submission. `Err` means the job was *not* accepted
     /// (e.g. an invocation tag that would corrupt a shared namespace)
     /// and no completion will ever surface for it; the caller must
     /// treat this as a hard enactment failure rather than retry.
     fn submit(&mut self, job: BackendJob) -> Result<(), MoteurError>;
-    /// Block (or advance virtual time) until the next completion;
-    /// `None` when nothing is in flight.
-    fn wait_next(&mut self) -> Option<BackendCompletion>;
-    /// Like [`Backend::wait_next`], but give up once the backend clock
-    /// reaches `deadline` — the enactor's timeout and backoff timer.
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome;
+    /// Block (or advance virtual time) until the next completion, or
+    /// until the backend clock reaches `deadline` — the enactor's
+    /// timeout and backoff timer. `None` waits for as long as anything
+    /// in flight can complete.
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome;
+    /// [`Backend::wait`] without a deadline; `None` when nothing is in
+    /// flight. Kept for the frozen benchmark's probe
+    /// (`benchmark/src/sut.rs`); the product calls [`Backend::wait`].
+    fn wait_next(&mut self) -> Option<BackendCompletion> {
+        self.wait(None).completion()
+    }
     /// Best-effort cancellation of an in-flight submission. `true`
     /// guarantees no completion will surface for it; `false` means the
     /// backend cannot retract it (already delivered, unknown, or — on
@@ -205,30 +223,6 @@ impl VirtualBackend {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Pop the next non-cancelled heap entry into a completion.
-    fn pop_live(&mut self) -> Option<BackendCompletion> {
-        loop {
-            let Reverse((at, _, invocation)) = self.heap.pop()?;
-            if self.cancelled.remove(&invocation.0) {
-                continue;
-            }
-            self.clock = self.clock.max(at);
-            let job = self.in_flight.remove(&invocation.0);
-            let started_at = job.as_ref().map_or(SimTime::ZERO, |j| j.started);
-            let outputs = match job.and_then(|j| j.local) {
-                Some(result) => result.map(Some),
-                None => Ok(None),
-            };
-            return Some(BackendCompletion {
-                invocation,
-                outputs,
-                started_at,
-                finished_at: at,
-                ce: None,
-            });
-        }
-    }
 }
 
 impl Backend for VirtualBackend {
@@ -251,27 +245,35 @@ impl Backend for VirtualBackend {
         Ok(())
     }
 
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        self.pop_live()
-    }
-
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        loop {
-            let head = self.heap.peek().map(|Reverse((at, _, inv))| (*at, *inv));
-            match head {
-                Some((_, inv)) if self.cancelled.remove(&inv.0) => {
-                    self.heap.pop();
-                }
-                Some((at, _)) if at <= deadline => {
-                    let c = self.pop_live().expect("peeked a live entry");
-                    return WaitOutcome::Completion(c);
-                }
-                _ => {
-                    self.clock = self.clock.max(deadline);
-                    return WaitOutcome::TimedOut;
-                }
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        while let Some(&Reverse((at, _, invocation))) = self.heap.peek() {
+            if self.cancelled.remove(&invocation.0) {
+                self.heap.pop();
+                continue;
             }
+            if deadline.is_some_and(|d| at > d) {
+                break;
+            }
+            self.heap.pop();
+            self.clock = self.clock.max(at);
+            let job = self.in_flight.remove(&invocation.0);
+            let started_at = job.as_ref().map_or(SimTime::ZERO, |j| j.started);
+            let outputs = match job.and_then(|j| j.local) {
+                Some(result) => result.map(Some),
+                None => Ok(None),
+            };
+            return WaitOutcome::Completion(BackendCompletion {
+                invocation,
+                outputs,
+                started_at,
+                finished_at: at,
+                ce: None,
+            });
         }
+        if let Some(d) = deadline {
+            self.clock = self.clock.max(d);
+        }
+        WaitOutcome::TimedOut
     }
 
     fn cancel(&mut self, invocation: InvocationId) -> bool {
@@ -382,13 +384,12 @@ impl Backend for SimBackend {
         Ok(())
     }
 
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        let record = self.sim.next_completion()?;
-        Some(self.convert(record))
-    }
-
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        match self.sim.next_completion_until(deadline) {
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        let record = match deadline {
+            Some(d) => self.sim.next_completion_until(d),
+            None => self.sim.next_completion(),
+        };
+        match record {
             Some(record) => WaitOutcome::Completion(self.convert(record)),
             None => WaitOutcome::TimedOut,
         }
@@ -476,10 +477,10 @@ impl Backend for LocalBackend {
                 });
             }
             JobPayload::Grid { .. } => {
-                panic!(
+                return Err(MoteurError::new(format!(
                     "LocalBackend cannot execute grid jobs; run `{}` on SimBackend",
                     job.processor
-                );
+                )));
             }
             JobPayload::Fetch { .. } => {
                 // Cached results are already in process memory; on the
@@ -498,30 +499,27 @@ impl Backend for LocalBackend {
         Ok(())
     }
 
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        let c = self.rx.recv().ok()?;
-        self.in_flight -= 1;
-        Some(c)
-    }
-
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        let remaining = deadline.since(self.wall_now());
-        let dur = std::time::Duration::from_secs_f64(remaining.as_secs_f64());
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        let timeout = deadline
+            .map(|d| std::time::Duration::from_secs_f64(d.since(self.wall_now()).as_secs_f64()));
         if self.in_flight == 0 {
             // Nothing can complete; honour the contract that the clock
-            // reaches the deadline (a real backoff sleep).
-            std::thread::sleep(dur);
+            // reaches a deadline (a real backoff sleep).
+            if let Some(timeout) = timeout {
+                std::thread::sleep(timeout);
+            }
             return WaitOutcome::TimedOut;
         }
-        match self.rx.recv_timeout(dur) {
-            Ok(c) => {
+        let received = match timeout {
+            Some(timeout) => self.rx.recv_timeout(timeout).ok(),
+            None => self.rx.recv().ok(),
+        };
+        match received {
+            Some(c) => {
                 self.in_flight -= 1;
                 WaitOutcome::Completion(c)
             }
-            Err(_) => WaitOutcome::TimedOut,
+            None => WaitOutcome::TimedOut,
         }
     }
 
@@ -613,12 +611,8 @@ impl Backend for ScopedBackend<'_> {
 
     /// Only meaningful while this instance's jobs are the only ones in
     /// flight (the one-shot path); the daemon waits on the raw backend.
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        self.inner.wait_next().map(|c| self.strip(c))
-    }
-
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        match self.inner.wait_next_until(deadline) {
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        match self.inner.wait(deadline) {
             WaitOutcome::Completion(c) => WaitOutcome::Completion(self.strip(c)),
             WaitOutcome::TimedOut => WaitOutcome::TimedOut,
         }
@@ -641,6 +635,7 @@ impl Backend for ScopedBackend<'_> {
 mod tests {
     use super::*;
     use crate::token::Token;
+    use moteur_gridsim::SimDuration;
 
     fn grid_job(id: u64, secs: f64) -> BackendJob {
         BackendJob {
@@ -662,22 +657,22 @@ mod tests {
         let mut b = VirtualBackend::new();
         b.submit(grid_job(1, 30.0)).unwrap();
         b.submit(grid_job(2, 10.0)).unwrap();
-        let first = b.wait_next().unwrap();
+        let first = b.wait(None).completion().unwrap();
         assert_eq!(first.invocation, InvocationId(2));
         assert!((first.finished_at.as_secs_f64() - 10.0).abs() < 1e-9);
-        let second = b.wait_next().unwrap();
+        let second = b.wait(None).completion().unwrap();
         assert_eq!(second.invocation, InvocationId(1));
         assert!((b.now().as_secs_f64() - 30.0).abs() < 1e-9);
-        assert!(b.wait_next().is_none());
+        assert!(b.wait(None).completion().is_none());
     }
 
     #[test]
     fn virtual_backend_submissions_after_time_advances_stack_up() {
         let mut b = VirtualBackend::new();
         b.submit(grid_job(1, 10.0)).unwrap();
-        b.wait_next().unwrap();
+        b.wait(None).completion().unwrap();
         b.submit(grid_job(2, 5.0)).unwrap(); // starts at t=10
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         assert!((c.finished_at.as_secs_f64() - 15.0).abs() < 1e-9);
         assert!((c.started_at.as_secs_f64() - 10.0).abs() < 1e-9);
     }
@@ -697,7 +692,7 @@ mod tests {
             },
         })
         .unwrap();
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         let outs = c.outputs.unwrap().unwrap();
         assert_eq!(outs[0].1.as_str(), Some("v"));
         assert_eq!(
@@ -711,7 +706,7 @@ mod tests {
     fn sim_backend_runs_grid_jobs_with_overhead() {
         let mut b = SimBackend::new(GridConfig::egee_2006(), 5);
         b.submit(grid_job(1, 60.0)).unwrap();
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         assert_eq!(c.invocation, InvocationId(1));
         assert!(c.outputs.is_ok());
         assert!(c.finished_at.as_secs_f64() > 60.0, "overhead must exist");
@@ -736,7 +731,122 @@ mod tests {
             err.message(),
             "SimBackend cannot execute in-process services; bind `x` to a descriptor"
         );
-        assert!(b.wait_next().is_none(), "nothing was submitted");
+        assert!(b.wait(None).completion().is_none(), "nothing was submitted");
+    }
+
+    #[test]
+    fn local_backend_rejects_grid_payloads() {
+        let mut b = LocalBackend::new();
+        let err = b.submit(grid_job(1, 10.0)).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "LocalBackend cannot execute grid jobs; run `p1` on SimBackend"
+        );
+        assert!(b.wait(None).completion().is_none(), "nothing was submitted");
+    }
+
+    /// One clause of the contract, run on a fresh backend.
+    type Check<'a> = dyn FnMut(&mut dyn Backend) + 'a;
+
+    /// One backend under the contract: a name for failure messages, a
+    /// way to build a fresh one, the kind of job it runs, and how far
+    /// its clock may drift during a call that does not wait (zero on a
+    /// virtual clock, scheduling noise on the wall clock).
+    struct ContractRow {
+        name: &'static str,
+        with: fn(&mut Check<'_>),
+        job: fn(u64, f64) -> BackendJob,
+        drift: f64,
+    }
+
+    /// An in-process call that returns nothing; its duration is the
+    /// wall clock's, so the requested seconds are ignored.
+    fn local_job(id: u64, _secs: f64) -> BackendJob {
+        let nothing = |_: &[Token]| -> Result<ServiceOutputs, String> { Ok(vec![]) };
+        BackendJob {
+            invocation: InvocationId(id),
+            processor: format!("p{id}").into(),
+            payload: JobPayload::Local {
+                service: Arc::new(nothing),
+                inputs: Arc::from([]),
+            },
+        }
+    }
+
+    /// The contract of [`Backend::wait`] and [`Backend::cancel`], one
+    /// clause per check, each on a fresh backend of every row. A new
+    /// backend (a replay, a fault injector) joins the table.
+    #[test]
+    fn every_backend_keeps_the_wait_contract() {
+        let rows = [
+            ContractRow {
+                name: "virtual",
+                with: |check| check(&mut VirtualBackend::new()),
+                job: grid_job,
+                drift: 0.0,
+            },
+            ContractRow {
+                name: "sim",
+                with: |check| check(&mut SimBackend::new(GridConfig::ideal(), 1)),
+                job: grid_job,
+                drift: 0.0,
+            },
+            ContractRow {
+                name: "scoped",
+                with: |check| check(&mut ScopedBackend::new(&mut VirtualBackend::new(), 3)),
+                job: grid_job,
+                drift: 0.0,
+            },
+            ContractRow {
+                name: "local",
+                with: |check| check(&mut LocalBackend::new()),
+                job: local_job,
+                drift: 1.0,
+            },
+        ];
+        for row in &rows {
+            let name = row.name;
+            // Idle, no deadline: nothing can complete, the clock stays.
+            (row.with)(&mut |b| {
+                let before = b.now();
+                assert!(matches!(b.wait(None), WaitOutcome::TimedOut), "{name}");
+                assert!(b.now().since(before).as_secs_f64() <= row.drift, "{name}");
+            });
+            // Idle, with a deadline: the clock reaches it.
+            (row.with)(&mut |b| {
+                let deadline = b.now() + SimDuration::from_secs_f64(0.05);
+                assert!(
+                    matches!(b.wait(Some(deadline)), WaitOutcome::TimedOut),
+                    "{name}"
+                );
+                assert!(b.now() >= deadline, "{name}");
+            });
+            // A job due before the deadline comes back under its tag.
+            (row.with)(&mut |b| {
+                b.submit((row.job)(7, 10.0)).unwrap();
+                let deadline = b.now() + SimDuration::from_secs_f64(100.0);
+                match b.wait(Some(deadline)) {
+                    WaitOutcome::Completion(c) => {
+                        assert_eq!(c.invocation, InvocationId(7), "{name}");
+                        assert!(c.finished_at <= deadline, "{name}");
+                    }
+                    WaitOutcome::TimedOut => panic!("{name}: the job was due"),
+                }
+            });
+            // A job whose cancel returned true never surfaces; one the
+            // backend could not retract does.
+            (row.with)(&mut |b| {
+                b.submit((row.job)(1, 10.0)).unwrap();
+                b.submit((row.job)(2, 30.0)).unwrap();
+                let cancelled = b.cancel(InvocationId(1));
+                let mut surfaced: Vec<u64> = std::iter::from_fn(|| b.wait(None).completion())
+                    .map(|c| c.invocation.0)
+                    .collect();
+                surfaced.sort_unstable();
+                let expected: &[u64] = if cancelled { &[2] } else { &[1, 2] };
+                assert_eq!(surfaced, expected, "{name}");
+            });
+        }
     }
 
     #[test]
@@ -762,7 +872,7 @@ mod tests {
             .unwrap();
         }
         let mut results = Vec::new();
-        while let Some(c) = b.wait_next() {
+        while let Some(c) = b.wait(None).completion() {
             let outs = c.outputs.unwrap().unwrap();
             results.push((c.invocation.0, outs[0].1.as_num().unwrap()));
         }
@@ -777,21 +887,21 @@ mod tests {
         b.submit(grid_job(2, 10.0)).unwrap();
         assert!(b.cancel(InvocationId(2)));
         assert!(!b.cancel(InvocationId(2)), "double cancel is false");
-        let only = b.wait_next().unwrap();
+        let only = b.wait(None).completion().unwrap();
         assert_eq!(only.invocation, InvocationId(1));
-        assert!(b.wait_next().is_none());
+        assert!(b.wait(None).completion().is_none());
     }
 
     #[test]
     fn virtual_backend_wait_until_times_out_and_advances_the_clock() {
         let mut b = VirtualBackend::new();
         b.submit(grid_job(1, 100.0)).unwrap();
-        match b.wait_next_until(SimTime::from_secs_f64(40.0)) {
+        match b.wait(Some(SimTime::from_secs_f64(40.0))) {
             WaitOutcome::TimedOut => {}
             WaitOutcome::Completion(c) => panic!("early completion {c:?}"),
         }
         assert!((b.now().as_secs_f64() - 40.0).abs() < 1e-9);
-        match b.wait_next_until(SimTime::from_secs_f64(500.0)) {
+        match b.wait(Some(SimTime::from_secs_f64(500.0))) {
             WaitOutcome::Completion(c) => {
                 assert_eq!(c.invocation, InvocationId(1));
                 assert!((c.finished_at.as_secs_f64() - 100.0).abs() < 1e-9);
@@ -806,16 +916,16 @@ mod tests {
         b.submit(grid_job(1, 60.0)).unwrap();
         b.submit(grid_job(2, 60.0)).unwrap();
         assert!(b.cancel(InvocationId(2)));
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         assert_eq!(c.invocation, InvocationId(1));
-        assert!(b.wait_next().is_none());
+        assert!(b.wait(None).completion().is_none());
     }
 
     #[test]
     fn sim_backend_reports_the_ce_of_the_final_attempt() {
         let mut b = SimBackend::new(GridConfig::egee_2006(), 5);
         b.submit(grid_job(1, 60.0)).unwrap();
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         assert!(c.ce.is_some(), "grid jobs ran somewhere: {c:?}");
     }
 
@@ -827,14 +937,14 @@ mod tests {
             scoped.submit(grid_job(7, 10.0)).unwrap();
         }
         // The raw backend sees the namespaced tag…
-        let c = raw.wait_next().unwrap();
+        let c = raw.wait(None).completion().unwrap();
         assert_eq!(c.invocation.0, (3u64 << 32) | 7);
         assert_eq!(ScopedBackend::instance_of(c.invocation.0), 3);
         assert_eq!(ScopedBackend::local_tag(c.invocation.0), 7);
         // …and a scoped wait strips it back to the local tag.
         let mut scoped = ScopedBackend::new(&mut raw, 3);
         scoped.submit(grid_job(7, 5.0)).unwrap();
-        let c = scoped.wait_next().unwrap();
+        let c = scoped.wait(None).completion().unwrap();
         assert_eq!(c.invocation, InvocationId(7));
     }
 
@@ -849,9 +959,9 @@ mod tests {
             .unwrap();
         // Instance 1 cancels its own tag 7; instance 2's tag 7 survives.
         assert!(ScopedBackend::new(&mut raw, 1).cancel(InvocationId(7)));
-        let c = raw.wait_next().unwrap();
+        let c = raw.wait(None).completion().unwrap();
         assert_eq!(ScopedBackend::instance_of(c.invocation.0), 2);
-        assert!(raw.wait_next().is_none());
+        assert!(raw.wait(None).completion().is_none());
         // Cancelling a tag the instance never submitted is a no-op.
         assert!(!ScopedBackend::new(&mut raw, 1).cancel(InvocationId(99)));
     }
@@ -873,12 +983,12 @@ mod tests {
             err.message()
         );
         // Nothing reached the raw backend.
-        assert!(raw.wait_next().is_none());
+        assert!(raw.wait(None).completion().is_none());
         // The boundary tag itself is still fine.
         ScopedBackend::new(&mut raw, 1)
             .submit(grid_job(0xFFFF_FFFF, 1.0))
             .unwrap();
-        assert!(raw.wait_next().is_some());
+        assert!(raw.wait(None).completion().is_some());
     }
 
     #[test]
@@ -895,8 +1005,8 @@ mod tests {
             },
         })
         .unwrap();
-        let c = b.wait_next().unwrap();
+        let c = b.wait(None).completion().unwrap();
         assert_eq!(c.outputs.unwrap_err(), "kaboom");
-        assert!(b.wait_next().is_none());
+        assert!(b.wait(None).completion().is_none());
     }
 }

@@ -490,33 +490,26 @@ impl Daemon {
         if self.counts[InstanceState::Running as usize] == 0 {
             return false;
         }
-        let timed_out = match self.next_wake() {
-            None => match self.backend.wait_next() {
-                Some(c) => {
-                    self.route(c);
-                    false
+        let wake = self.next_wake();
+        let timed_out = match self.backend.wait(wake) {
+            WaitOutcome::Completion(c) => {
+                self.route(c);
+                false
+            }
+            WaitOutcome::TimedOut if wake.is_some() => true,
+            WaitOutcome::TimedOut => {
+                // Running instances but nothing at the backend and no
+                // timer: the shared backend lost their jobs. Fail them
+                // rather than spin forever.
+                for id in self.running_ids() {
+                    self.end(
+                        id as usize - 1,
+                        InstanceState::Failed,
+                        Some("backend returned no completion for in-flight work".into()),
+                    );
                 }
-                None => {
-                    // Running instances but nothing at the backend and
-                    // no timer: the shared backend lost their jobs.
-                    // Fail them rather than spin forever.
-                    for id in self.running_ids() {
-                        self.end(
-                            id as usize - 1,
-                            InstanceState::Failed,
-                            Some("backend returned no completion for in-flight work".into()),
-                        );
-                    }
-                    return true;
-                }
-            },
-            Some(deadline) => match self.backend.wait_next_until(deadline) {
-                WaitOutcome::Completion(c) => {
-                    self.route(c);
-                    false
-                }
-                WaitOutcome::TimedOut => true,
-            },
+                return true;
+            }
         };
         self.wake_due(timed_out);
         true
@@ -634,10 +627,7 @@ impl Daemon {
     fn touch<R>(
         &mut self,
         i: usize,
-        step: impl FnOnce(
-            &mut WorkflowInstance,
-            &mut EnactCtx<'_, ScopedBackend<'_>>,
-        ) -> Result<R, MoteurError>,
+        step: impl FnOnce(&mut WorkflowInstance, &mut EnactCtx<'_>) -> Result<R, MoteurError>,
     ) -> Option<R> {
         let t = self.tenant_of(i);
         let (slot, tenant) = (&mut self.slots[i], &mut self.tenants[t]);

@@ -9,7 +9,9 @@
 
 use super::*;
 use crate::backend::BackendJob;
-use crate::enactor::tests::{descriptor_chain, items, random_dag, random_policy, FatedBackend};
+use crate::enactor::tests::{
+    descriptor_chain, items, random_dag, random_policy, FatedBackend, LostJobs,
+};
 use crate::store::StoreConfig;
 use moteur_gridsim::Rng;
 use std::cell::RefCell;
@@ -121,11 +123,8 @@ impl Backend for Recorder {
             .push((job.invocation.0, self.inner.now()));
         self.inner.submit(job)
     }
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        self.inner.wait_next()
-    }
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        self.inner.wait_next_until(deadline)
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        self.inner.wait(deadline)
     }
     fn cancel(&mut self, invocation: InvocationId) -> bool {
         self.inner.cancel(invocation)
@@ -356,4 +355,23 @@ fn event_driven_and_exhaustive_scheduling_submit_the_same_jobs_at_the_same_times
     assert_eq!((queued, running), (0, 0), "every script ends drained");
     assert!(succeeded > 0 && failed > 0 && cancelled > 0, "{finished:?}");
     assert!(pumps.0 * 2 < pumps.1, "{pumps:?}");
+}
+
+/// The daemon's starved run: a running instance whose jobs the shared
+/// backend lost, with no timer armed, is failed rather than waited on.
+#[test]
+fn instances_whose_jobs_the_backend_lost_fail() {
+    let store = DataStore::in_memory(StoreConfig::default());
+    let backend = Box::new(LostJobs::default());
+    let mut d = Daemon::new(backend, store, parser, DaemonConfig::default());
+    let config = EnactorConfig::sp_dp();
+    let id = d.submit("a", "chain", "2", config, FtConfig::default());
+    let id = id.expect("the chain submits");
+    assert_eq!(d.drain(), 0);
+    let status = d.status(id).unwrap();
+    assert_eq!(status.state, InstanceState::Failed, "{status:?}");
+    assert_eq!(
+        status.error.as_deref(),
+        Some("backend returned no completion for in-flight work")
+    );
 }

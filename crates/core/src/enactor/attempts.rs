@@ -3,7 +3,7 @@
 //! resubmission, speculative replica), failure, quarantine and abort.
 
 use super::{EnactCtx, WorkflowInstance};
-use crate::backend::{Backend, InvocationId, JobPayload, ServiceOutputs};
+use crate::backend::{InvocationId, JobPayload, ServiceOutputs};
 use crate::error::MoteurError;
 use crate::ft::{QuarantineEntry, TimeoutAction};
 use crate::graph::ProcId;
@@ -204,9 +204,9 @@ impl WorkflowInstance {
     /// still surface on backends that cannot retract work — and either
     /// replaces the attempts, consuming a retry, or races them as a
     /// speculative replica.
-    fn launch_attempt<B: Backend + ?Sized>(
+    fn launch_attempt(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         logical: u64,
         on_timeout: Option<TimeoutAction>,
     ) -> Result<(), MoteurError> {
@@ -260,9 +260,9 @@ impl WorkflowInstance {
     /// bookkeeping, replica survival (another attempt still racing),
     /// the processor's retry policy (immediate or backoff-deferred
     /// resubmission), and finally terminal failure.
-    pub(super) fn handle_failure<B: Backend + ?Sized>(
+    pub(super) fn handle_failure(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         logical: u64,
         tag: u64,
         ce: Option<usize>,
@@ -308,10 +308,7 @@ impl WorkflowInstance {
 
     /// Resubmit every backoff-deferred invocation whose due time has
     /// arrived.
-    pub(super) fn service_deferred<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-    ) -> Result<(), MoteurError> {
+    pub(super) fn service_deferred(&mut self, ctx: &mut EnactCtx<'_>) -> Result<(), MoteurError> {
         let now = ctx.backend.now();
         let mut due: Vec<u64> = Vec::new();
         self.deferred.retain(|&(t, id)| {
@@ -338,19 +335,16 @@ impl WorkflowInstance {
     /// merged and handled in ascending logical id. Call after a backend
     /// wait timed out at [`WorkflowInstance::next_wake`]; backoff
     /// deferrals that came due are resubmitted by the next pump.
-    pub fn on_timer<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-    ) -> Result<(), MoteurError> {
+    pub fn on_timer(&mut self, ctx: &mut EnactCtx<'_>) -> Result<(), MoteurError> {
         for logical in self.expired_at(ctx.backend.now()) {
             self.handle_one_timeout(ctx, logical)?;
         }
         Ok(())
     }
 
-    fn handle_one_timeout<B: Backend + ?Sized>(
+    fn handle_one_timeout(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         logical: u64,
     ) -> Result<(), MoteurError> {
         let (proc, retries, replicas) = {
@@ -397,9 +391,9 @@ impl WorkflowInstance {
     /// Attempts the backend cannot retract are remembered so their late
     /// completions are dropped. The `superseded` losers of a replica
     /// race each close their span with a `JobCancelled` of their own.
-    pub(super) fn cancel_attempts<B: Backend + ?Sized>(
+    pub(super) fn cancel_attempts(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         attempts: Vec<u64>,
         superseded: bool,
@@ -422,7 +416,7 @@ impl WorkflowInstance {
 
     /// Count one enactor-visible failure against `ce`; blacklist it at
     /// the configured consecutive-failure threshold.
-    fn note_ce_failure<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>, ce: usize) {
+    fn note_ce_failure(&mut self, ctx: &mut EnactCtx<'_>, ce: usize) {
         let n = self.ce_failures.entry(ce).or_insert(0);
         *n += 1;
         let failures = *n;
@@ -441,9 +435,9 @@ impl WorkflowInstance {
     /// no tokens are routed, so their history-tree descendants simply
     /// never fire — and the workflow keeps going; otherwise the
     /// enactment aborts.
-    fn terminal_failure<B: Backend + ?Sized>(
+    fn terminal_failure(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         logical: u64,
         message: String,
     ) -> Result<(), MoteurError> {
@@ -501,7 +495,7 @@ impl WorkflowInstance {
     /// [`crate::backend::ScopedBackend`] this retracts only the
     /// instance's own attempt tags — sibling instances sharing the
     /// underlying backend are untouched.
-    pub fn abort<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>) {
+    pub fn abort(&mut self, ctx: &mut EnactCtx<'_>) {
         let at = ctx.backend.now();
         let mut ids: Vec<u64> = self.pending.keys().copied().collect();
         ids.sort_unstable();

@@ -15,11 +15,11 @@ use crate::trace::WorkflowResult;
 
 // Only for `benchmark/src/sut.rs`; goes when it is retargeted.
 #[doc(hidden)]
-pub fn run_observed<B: Backend>(
+pub fn run_observed(
     workflow: &Workflow,
     inputs: &InputData,
     config: EnactorConfig,
-    backend: &mut B,
+    backend: &mut dyn Backend,
     obs: Obs,
 ) -> Result<WorkflowResult, MoteurError> {
     Enactment::new(workflow, inputs, config)
@@ -29,12 +29,12 @@ pub fn run_observed<B: Backend>(
 
 // Only for `benchmark/src/sut.rs`; goes when it is retargeted.
 #[doc(hidden)]
-pub fn run_fault_tolerant<B: Backend>(
+pub fn run_fault_tolerant(
     workflow: &Workflow,
     inputs: &InputData,
     config: EnactorConfig,
     ft: &FtConfig,
-    backend: &mut B,
+    backend: &mut dyn Backend,
     obs: Obs,
 ) -> Result<WorkflowResult, MoteurError> {
     Enactment::new(workflow, inputs, config)
@@ -45,12 +45,12 @@ pub fn run_fault_tolerant<B: Backend>(
 
 // Only for `benchmark/src/sut.rs`; goes when it is retargeted.
 #[doc(hidden)]
-pub fn run_fault_tolerant_cached<B: Backend>(
+pub fn run_fault_tolerant_cached(
     workflow: &Workflow,
     inputs: &InputData,
     config: EnactorConfig,
     ft: &FtConfig,
-    backend: &mut B,
+    backend: &mut dyn Backend,
     obs: Obs,
     store: &mut DataStore,
 ) -> Result<WorkflowResult, MoteurError> {

@@ -3,7 +3,7 @@
 //! recorded, memoized and routed downstream.
 
 use super::{EnactCtx, WorkflowInstance, SAMPLE_WINDOW};
-use crate::backend::{Backend, BackendCompletion};
+use crate::backend::BackendCompletion;
 use crate::error::MoteurError;
 use crate::obs::prof::Subsystem;
 use crate::obs::{Completion, TraceEvent};
@@ -14,9 +14,9 @@ impl WorkflowInstance {
     /// Deliver one backend completion addressed to this instance. On
     /// error the workflow has terminally failed; the caller must
     /// [`WorkflowInstance::abort`] it so no backend job is left behind.
-    pub fn deliver<B: Backend + ?Sized>(
+    pub fn deliver(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         completion: BackendCompletion,
     ) -> Result<(), MoteurError> {
         let tag = completion.invocation.0;
@@ -40,9 +40,9 @@ impl WorkflowInstance {
 
     /// The winning attempt of `logical` completed: cancel the losers,
     /// record the duration sample, and route the outputs.
-    fn handle_success<B: Backend + ?Sized>(
+    fn handle_success(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         logical: u64,
         winner: u64,
         c: BackendCompletion,
@@ -155,7 +155,7 @@ impl WorkflowInstance {
     /// Burn-rate check against the configured SLO: extrapolate the
     /// completion time from progress so far and emit
     /// [`TraceEvent::SloBreached`] on the transition into breach.
-    fn check_slo<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>) {
+    fn check_slo(&mut self, ctx: &mut EnactCtx<'_>) {
         let Some(slo) = self.config.slo else { return };
         if self.completed == 0 || slo.predicted_makespan_secs <= 0.0 {
             return;

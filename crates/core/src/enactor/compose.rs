@@ -5,7 +5,7 @@
 
 use super::attempts::{PendEntry, PendingJob};
 use super::{EnactCtx, WorkflowInstance};
-use crate::backend::{Backend, InvocationId, JobPayload, ServiceOutputs};
+use crate::backend::{InvocationId, JobPayload, ServiceOutputs};
 use crate::error::MoteurError;
 use crate::graph::ProcId;
 use crate::iterate::MatchedSet;
@@ -29,9 +29,9 @@ impl WorkflowInstance {
     /// processor has a deterministic service digest and every input
     /// token has a provenance key (no [`DataValue::Opaque`] anywhere in
     /// its value).
-    fn memo_key<B: Backend + ?Sized>(
+    fn memo_key(
         &mut self,
-        ctx: &EnactCtx<'_, B>,
+        ctx: &EnactCtx<'_>,
         proc: ProcId,
         tokens: &[Token],
     ) -> Option<InvocationKey> {
@@ -57,9 +57,9 @@ impl WorkflowInstance {
     /// leaves a batch — and `None` comes back; otherwise its input
     /// tokens and the entry its job will carry, holding the key to
     /// record the outputs under when the invocation is memoizable.
-    fn admit<B: Backend + ?Sized>(
+    fn admit(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         matched: MatchedSet,
         id: Option<InvocationId>,
@@ -88,9 +88,9 @@ impl WorkflowInstance {
     /// not know: compose its job plan under the member's own `id` and
     /// synthesise the outputs `entry` will deliver. Returns the plan
     /// and its compute seconds.
-    fn compose_member<B: Backend + ?Sized>(
+    fn compose_member(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         tokens: &[Token],
         entry: &mut PendEntry,
@@ -143,9 +143,9 @@ impl WorkflowInstance {
         Ok((job.plan, compute))
     }
 
-    pub(super) fn fire<B: Backend + ?Sized>(
+    pub(super) fn fire(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         matched: MatchedSet,
     ) -> Result<(), MoteurError> {
@@ -172,9 +172,9 @@ impl WorkflowInstance {
 
     /// Submit several ready invocations of one descriptor-bound service
     /// as a single grid job — the paper's §5.4 single-service grouping.
-    pub(super) fn fire_batch<B: Backend + ?Sized>(
+    pub(super) fn fire_batch(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         batch: Vec<MatchedSet>,
     ) -> Result<(), MoteurError> {
@@ -218,9 +218,9 @@ impl WorkflowInstance {
     /// [`TraceEvent::CacheHit`] instead of `JobSubmitted`, deliberately
     /// does **not** count towards `jobs_submitted`, and never times out
     /// (born muted, it never enters the deadline index).
-    fn submit<B: Backend + ?Sized>(
+    fn submit(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         entries: Vec<PendEntry>,
         invocation: InvocationId,
@@ -286,9 +286,9 @@ impl WorkflowInstance {
         }
     }
 
-    pub(super) fn fire_barrier<B: Backend + ?Sized>(
+    pub(super) fn fire_barrier(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
     ) -> Result<(), MoteurError> {
         let compiled = Arc::clone(&self.compiled);

@@ -3,7 +3,6 @@
 //! decides which ready invocation may go next.
 
 use super::{EnactCtx, InputData, WorkflowInstance};
-use crate::backend::Backend;
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
 use crate::graph::{ProcId, ProcessorKind, Workflow};
@@ -103,10 +102,10 @@ impl Routes {
 }
 
 impl WorkflowInstance {
-    pub(super) fn emit_sources<B: Backend + ?Sized>(
+    pub(super) fn emit_sources(
         &mut self,
         inputs: &InputData,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
     ) -> Result<(), MoteurError> {
         for src in self.compiled.workflow.sources() {
             let name = Arc::clone(&self.compiled.names[src.0]);
@@ -130,7 +129,7 @@ impl WorkflowInstance {
     /// room, suspending the source (once, with a trace event) when
     /// they fill and resuming it when they drain. Returns whether
     /// anything was emitted.
-    fn pump_sources<B: Backend + ?Sized>(&mut self, ctx: &mut EnactCtx<'_, B>) -> bool {
+    fn pump_sources(&mut self, ctx: &mut EnactCtx<'_>) -> bool {
         let mut emitted = false;
         for c in 0..self.source_cursors.len() {
             let proc = self.source_cursors[c].proc;
@@ -172,12 +171,7 @@ impl WorkflowInstance {
     /// Record a suspend/resume transition of `p`'s output ports,
     /// emitting the trace event only on the edge (idempotent within a
     /// state).
-    fn set_suspended<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-        p: usize,
-        blocked: bool,
-    ) {
+    fn set_suspended(&mut self, ctx: &mut EnactCtx<'_>, p: usize, blocked: bool) {
         if self.states[p].suspended == blocked {
             return;
         }
@@ -213,9 +207,9 @@ impl WorkflowInstance {
 
     /// Deliver a token to every input port linked to `(proc, out_port)`:
     /// each target but the last gets a copy, the last takes the token.
-    pub(super) fn route<B: Backend + ?Sized>(
+    pub(super) fn route(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         out_port: usize,
         token: Token,
@@ -242,13 +236,7 @@ impl WorkflowInstance {
     }
 
     /// Deliver a token to input port `tport` of `tp`.
-    fn route_to<B: Backend + ?Sized>(
-        &mut self,
-        ctx: &mut EnactCtx<'_, B>,
-        tp: ProcId,
-        tport: usize,
-        token: Token,
-    ) {
+    fn route_to(&mut self, ctx: &mut EnactCtx<'_>, tp: ProcId, tport: usize, token: Token) {
         let target = &self.compiled.workflow.processors[tp.0];
         match target.kind {
             ProcessorKind::Sink => {
@@ -293,9 +281,9 @@ impl WorkflowInstance {
     /// fixpoint (the one-shot behaviour, byte-identical traces
     /// included). Returns how many invocations were dispatched to the
     /// backend.
-    pub fn pump_budgeted<B: Backend + ?Sized>(
+    pub fn pump_budgeted(
         &mut self,
-        ctx: &mut EnactCtx<'_, B>,
+        ctx: &mut EnactCtx<'_>,
         budget: Option<usize>,
     ) -> Result<usize, MoteurError> {
         let prof = self.obs.prof().clone();

@@ -111,27 +111,24 @@ impl Backend for FatedBackend {
         Ok(())
     }
 
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        self.skip_cancelled();
-        let Reverse((at, _, tag)) = self.heap.pop()?;
-        self.clock = self.clock.max(at);
-        Some(BackendCompletion {
-            invocation: InvocationId(tag),
-            outputs: self.results.remove(&tag).expect("live entry"),
-            started_at: at,
-            finished_at: at,
-            ce: None,
-        })
-    }
-
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
         self.skip_cancelled();
         match self.heap.peek() {
-            Some(&Reverse((at, _, _))) if at <= deadline => {
-                WaitOutcome::Completion(self.wait_next().expect("peeked"))
+            Some(&Reverse((at, _, tag))) if deadline.is_none_or(|d| at <= d) => {
+                self.heap.pop();
+                self.clock = self.clock.max(at);
+                WaitOutcome::Completion(BackendCompletion {
+                    invocation: InvocationId(tag),
+                    outputs: self.results.remove(&tag).expect("live entry"),
+                    started_at: at,
+                    finished_at: at,
+                    ce: None,
+                })
             }
             _ => {
-                self.clock = self.clock.max(deadline);
+                if let Some(d) = deadline {
+                    self.clock = self.clock.max(d);
+                }
                 WaitOutcome::TimedOut
             }
         }
@@ -139,6 +136,34 @@ impl Backend for FatedBackend {
 
     fn cancel(&mut self, invocation: InvocationId) -> bool {
         self.results.remove(&invocation.0).is_some()
+    }
+
+    fn now(&self) -> SimTime {
+        self.clock
+    }
+}
+
+/// A backend that accepts every job and never runs one: a shared
+/// backend that lost its work.
+#[derive(Default)]
+pub(crate) struct LostJobs {
+    clock: SimTime,
+}
+
+impl Backend for LostJobs {
+    fn submit(&mut self, _job: BackendJob) -> Result<(), MoteurError> {
+        Ok(())
+    }
+
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        if let Some(d) = deadline {
+            self.clock = self.clock.max(d);
+        }
+        WaitOutcome::TimedOut
+    }
+
+    fn cancel(&mut self, _invocation: InvocationId) -> bool {
+        false
     }
 
     fn now(&self) -> SimTime {
@@ -237,16 +262,14 @@ fn enact_checked(
         if inst.inflight() == 0 {
             break;
         }
-        let outcome = match inst.next_wake() {
-            None => WaitOutcome::Completion(ctx.backend.wait_next().expect("jobs in flight")),
-            Some(deadline) => ctx.backend.wait_next_until(deadline),
-        };
-        match outcome {
+        let wake = inst.next_wake();
+        match ctx.backend.wait(wake) {
             WaitOutcome::Completion(c) => {
                 inst.deliver(&mut ctx, c).unwrap();
                 inst.assert_index_matches_scan(ctx.backend.now(), "deliver");
             }
             WaitOutcome::TimedOut => {
+                assert!(wake.is_some(), "jobs in flight");
                 timeouts += usize::from(!inst.expired_at(ctx.backend.now()).is_empty());
                 inst.on_timer(&mut ctx).unwrap();
                 inst.assert_index_matches_scan(ctx.backend.now(), "on_timer");
@@ -330,13 +353,17 @@ fn windows_expiring_at_the_same_instant_are_handled_in_logical_id_order() {
     let mut inst =
         WorkflowInstance::start(compiled, &items(1), config, ft, &mut ctx, Obs::off()).unwrap();
     inst.pump(&mut ctx).unwrap();
-    let c = ctx.backend.wait_next().expect("gate is running");
+    let c = ctx
+        .backend
+        .wait(None)
+        .completion()
+        .expect("gate is running");
     inst.deliver(&mut ctx, c).unwrap();
     inst.pump(&mut ctx).unwrap();
     let both = SimTime::from_secs_f64(30.0);
     assert_eq!(inst.next_wake(), Some(both));
     assert!(matches!(
-        ctx.backend.wait_next_until(both),
+        ctx.backend.wait(Some(both)),
         WaitOutcome::TimedOut
     ));
     assert_eq!(inst.expired_at(both), vec![0, 2]);
@@ -461,4 +488,15 @@ fn each_compat_shim_enacts_exactly_like_the_enactment_it_forwards_to() {
     assert!(streams[0].contains("job_resubmitted") && !streams[0].contains("job_failed"));
     assert!(streams[1].contains("job_failed") && !streams[1].contains("cache_hit"));
     assert!(streams[2].contains("job_failed") && streams[2].contains("cache_hit"));
+}
+
+/// With jobs in flight, no timer armed and nothing the backend can
+/// deliver, the one-shot wait loop fails instead of spinning.
+#[test]
+fn a_backend_that_loses_its_jobs_starves_the_run() {
+    let (wf, inputs) = descriptor_chain(2);
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .run(&mut LostJobs::default())
+        .unwrap_err();
+    assert_eq!(err.message(), "backend starved with jobs in flight");
 }

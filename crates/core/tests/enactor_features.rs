@@ -732,3 +732,54 @@ fn local_backend_runs_a_real_pipeline_on_threads() {
     want.sort_by(|a, b| a.partial_cmp(b).unwrap());
     assert_eq!(got, want);
 }
+
+/// A descriptor-bound processor has no place on the real-thread
+/// backend: its first submission is refused with an error, not a
+/// panic, and the run aborts — the local calls already running on
+/// worker threads are cancelled and the error comes back from `run`.
+#[test]
+fn local_backend_refuses_a_descriptor_bound_processor_and_aborts() {
+    let slow = |inputs: &[Token]| -> Result<Vec<(String, DataValue)>, String> {
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        Ok(vec![("out".into(), inputs[0].value.clone())])
+    };
+    let mut wf = Workflow::new("mixed");
+    let src = wf.add_source("s");
+    let l = wf.add_service("slow", &["in"], &["out"], ServiceBinding::local(slow));
+    let g = wf.add_service(
+        "grid",
+        &["in"],
+        &["out"],
+        dsvc("grid", &["in"], &["out"], 10.0),
+    );
+    let (ls, gs) = (wf.add_sink("local_out"), wf.add_sink("grid_out"));
+    wf.connect(src, "out", l, "in").unwrap();
+    wf.connect(src, "out", g, "in").unwrap();
+    wf.connect(l, "out", ls, "in").unwrap();
+    wf.connect(g, "out", gs, "in").unwrap();
+    let inputs = InputData::new().set("s", file_inputs(2, "in"));
+    let (sink, buffer) = moteur::RingBufferSink::new(1 << 10);
+    let mut backend = LocalBackend::new();
+    let err = Enactment::new(&wf, &inputs, EnactorConfig::sp_dp())
+        .obs(Obs::new(vec![Box::new(sink)]))
+        .run(&mut backend)
+        .unwrap_err();
+    assert_eq!(
+        err.message(),
+        "LocalBackend cannot execute grid jobs; run `grid` on SimBackend"
+    );
+    let aborted: Vec<String> = buffer
+        .snapshot()
+        .iter()
+        .map(TraceEvent::to_json)
+        .filter(|e| e.contains("job_cancelled"))
+        .collect();
+    assert_eq!(
+        aborted.len(),
+        2,
+        "both local calls were cancelled: {aborted:?}"
+    );
+    assert!(aborted
+        .iter()
+        .all(|e| e.contains("\"abort\"") && e.contains("\"slow\"")));
+}

@@ -15,9 +15,9 @@ use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::{
     chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, render_critical_path,
-    render_openmetrics_with_prof, render_report, serve, BackendCompletion, BackendJob, Daemon,
-    DaemonConfig, Fnv1a, InvocationId, InvocationRecord, JobPayload, MetricsSink, RecordSink,
-    RingBufferSink, SloConfig, SpanSink, TimelineSink, WaitOutcome,
+    render_openmetrics_with_prof, render_report, serve, BackendJob, Daemon, DaemonConfig, Fnv1a,
+    InvocationId, InvocationRecord, JobPayload, MetricsSink, RecordSink, RingBufferSink, SloConfig,
+    SpanSink, TimelineSink, WaitOutcome,
 };
 use moteur_gridsim::{GridConfig, SimTime};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -222,11 +222,8 @@ impl Backend for PlanLog<'_> {
         }
         self.inner.submit(job)
     }
-    fn wait_next(&mut self) -> Option<BackendCompletion> {
-        self.inner.wait_next()
-    }
-    fn wait_next_until(&mut self, deadline: SimTime) -> WaitOutcome {
-        self.inner.wait_next_until(deadline)
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        self.inner.wait(deadline)
     }
     fn cancel(&mut self, invocation: InvocationId) -> bool {
         self.inner.cancel(invocation)

@@ -346,40 +346,8 @@ impl GridSim {
     /// return the job's record, or `None` when no user job is
     /// outstanding. The record is moved out: the simulator keeps no
     /// copy of a delivered job.
-    ///
-    /// Profiling granularity: one `event_queue` scope per drain call
-    /// (the loop runs millions of events per second, so a scope per
-    /// event would measure the profiler, not the simulator); the events
-    /// dispatched inside it are batch-counted as `sim_step`, and the
-    /// broker's `pick_ce` scans are handed over the same way.
     pub fn next_completion(&mut self) -> Option<JobRecord> {
-        if let Some(c) = self.completions.pop_front() {
-            return Some(c);
-        }
-        if self.outstanding == 0 {
-            return None;
-        }
-        let prof = self.prof.clone();
-        let _drain = prof.scope(Subsystem::EventQueue);
-        let drained_from = self.events_processed;
-        let result = loop {
-            if let Some(c) = self.completions.pop_front() {
-                break Some(c);
-            }
-            if self.outstanding == 0 {
-                break None;
-            }
-            let (at, event) = self
-                .events
-                .pop()
-                .expect("outstanding user jobs but an empty event queue");
-            debug_assert!(at >= self.clock, "time went backwards");
-            self.clock = at;
-            self.events_processed += 1;
-            self.handle(event);
-        };
-        self.flush_batches(&prof, drained_from);
-        result
+        self.drain(None)
     }
 
     /// Advance virtual time until the next user-job completion **or**
@@ -390,8 +358,26 @@ impl GridSim {
     /// outstanding jobs — background and maintenance events keep
     /// processing — so a submitter can wait out a backoff delay.
     pub fn next_completion_until(&mut self, deadline: SimTime) -> Option<JobRecord> {
+        self.drain(Some(deadline))
+    }
+
+    /// The one drain loop behind both waits: dispatch events until a
+    /// user-job completion is delivered, or until nothing is left to
+    /// wait for — no outstanding user job without a deadline, no event
+    /// due by the deadline with one.
+    ///
+    /// Profiling granularity: one `event_queue` scope per drain call
+    /// past the two early returns (the loop runs millions of events per
+    /// second, so a scope per event would measure the profiler, not the
+    /// simulator); the events dispatched inside it are batch-counted as
+    /// `sim_step`, and the broker's `pick_ce` scans are handed over the
+    /// same way.
+    fn drain(&mut self, deadline: Option<SimTime>) -> Option<JobRecord> {
         if let Some(c) = self.completions.pop_front() {
             return Some(c);
+        }
+        if deadline.is_none() && self.outstanding == 0 {
+            return None;
         }
         let prof = self.prof.clone();
         let _drain = prof.scope(Subsystem::EventQueue);
@@ -400,19 +386,24 @@ impl GridSim {
             if let Some(c) = self.completions.pop_front() {
                 break Some(c);
             }
-            match self.events.peek_time() {
-                Some(at) if at <= deadline => {
-                    let (at, event) = self.events.pop().expect("peeked event exists");
-                    debug_assert!(at >= self.clock, "time went backwards");
-                    self.clock = at;
-                    self.events_processed += 1;
-                    self.handle(event);
+            let due = match deadline {
+                None => self.outstanding > 0,
+                Some(d) => self.events.peek_time().is_some_and(|at| at <= d),
+            };
+            if !due {
+                if let Some(d) = deadline {
+                    self.clock = self.clock.max(d);
                 }
-                _ => {
-                    self.clock = self.clock.max(deadline);
-                    break None;
-                }
+                break None;
             }
+            let (at, event) = self
+                .events
+                .pop()
+                .expect("outstanding user jobs but an empty event queue");
+            debug_assert!(at >= self.clock, "time went backwards");
+            self.clock = at;
+            self.events_processed += 1;
+            self.handle(event);
         };
         self.flush_batches(&prof, drained_from);
         result

@@ -717,8 +717,9 @@ fn cmd_run(args: &Args) -> Outcome {
         result.makespan.as_secs_f64() / 3600.0,
         result.jobs_submitted,
     );
-    for (sink, tokens) in &result.sink_outputs {
-        println!("sink {sink}: {} result(s)", tokens.len());
+    for sink in wf.sinks() {
+        let name = &wf.processors[sink.0].name;
+        println!("sink {name}: {} result(s)", result.sink_count(name));
     }
     emit.write(&sinks, Some((&wf, &result)))?;
     // Round-trip sanity so `moteur run` doubles as a format checker.

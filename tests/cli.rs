@@ -524,6 +524,29 @@ fn example_dir() -> tempdir::TempDir {
 
 const RUN: [&str; 3] = ["run", "bronze-standard.xml", "inputs-12.xml"];
 
+/// `moteur run` lists the sinks in the order the workflow declares
+/// them, whatever the process's hash seed: Bronze declares
+/// `accuracy_translation` before `accuracy_rotation`. Four processes,
+/// so a hash-ordered listing would show up.
+#[test]
+fn run_lists_sinks_in_declaration_order() {
+    let dir = example_dir();
+    for seed in ["1", "2", "3", "4"] {
+        let args = [&RUN[..], &["--seed", seed]].concat();
+        let (code, stdout, stderr) = outcome(moteur(), &dir, &args);
+        assert_eq!(code, 0, "{stderr}");
+        let sinks: Vec<&str> = stdout.lines().filter(|l| l.starts_with("sink ")).collect();
+        assert_eq!(
+            sinks,
+            [
+                "sink accuracy_translation: 1 result(s)",
+                "sink accuracy_rotation: 1 result(s)"
+            ],
+            "{stdout}"
+        );
+    }
+}
+
 /// A usage error: exit 2, nothing on stdout, one line on stderr that
 /// names the subcommand and the flag.
 fn assert_usage_error(
