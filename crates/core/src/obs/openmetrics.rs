@@ -405,8 +405,9 @@ mod tests {
         assert_eq!(text.matches("# EOF").count(), 1);
     }
 
-    #[test]
-    fn span_phases_surface_as_duration_families() {
+    /// The span tree of one grid job: submitted at 0, executing from 10
+    /// to 30, delivered and completed at 31.
+    fn one_grid_job_tree() -> crate::obs::span::SpanTree {
         let (mut sink, buf) = SpanSink::new();
         let t = SimTime::from_secs_f64;
         sink.record(&TraceEvent::JobSubmitted {
@@ -427,7 +428,12 @@ mod tests {
             processor: "p".into(),
             completion: Box::default(),
         });
-        let tree = buf.snapshot();
+        buf.snapshot()
+    }
+
+    #[test]
+    fn span_phases_surface_as_duration_families() {
+        let tree = one_grid_job_tree();
         let text = render(&MetricsRegistry::new(), Some(&tree));
         assert!(
             text.contains("moteur_phase_duration_seconds_sum{phase=\"execution\"} 20 0\n"),
@@ -437,5 +443,131 @@ mod tests {
         // Overhead = 4 + 2 + 4 + 1 = 11; makespan = 31.
         assert!(text.contains("moteur_grid_overhead_total_seconds 11 0\n"));
         assert!(text.contains("moteur_makespan_seconds 31 0\n"));
+    }
+
+    #[test]
+    fn a_profiled_run_is_one_exposition_with_unstamped_prof_families_last() {
+        use moteur_prof::{ProfReport, Subsystem, SubsystemStat};
+        let mut reg = MetricsRegistry::new();
+        reg.inc("job_submitted", 2);
+        reg.touch(7.5);
+        let stat = |subsystem, calls, wall_nanos, alloc_bytes| SubsystemStat {
+            subsystem,
+            calls,
+            wall_nanos,
+            allocs: 0,
+            alloc_bytes,
+        };
+        let report = ProfReport {
+            subsystems: vec![
+                stat(Subsystem::EnactorLoop, 3, 1_500_000_000, 4096),
+                stat(Subsystem::Fire, 0, 0, 0),
+                stat(Subsystem::PickCe, 12, 250_000, 0),
+            ],
+            paths: vec![],
+        };
+        let tree = one_grid_job_tree();
+        let expected = format!(
+            "# TYPE moteur_build_info gauge\n\
+             moteur_build_info{{version=\"{}\"}} 1 7.5\n\
+             # TYPE moteur_events_total counter\n\
+             moteur_events_total{{kind=\"job_submitted\"}} 2 7.5\n\
+             # TYPE moteur_phase_duration_seconds_sum gauge\n\
+             moteur_phase_duration_seconds_sum{{phase=\"execution\"}} 20 7.5\n\
+             moteur_phase_duration_seconds_sum{{phase=\"queuing\"}} 4 7.5\n\
+             moteur_phase_duration_seconds_sum{{phase=\"scheduling\"}} 2 7.5\n\
+             moteur_phase_duration_seconds_sum{{phase=\"submission\"}} 4 7.5\n\
+             moteur_phase_duration_seconds_sum{{phase=\"transfer\"}} 1 7.5\n\
+             # TYPE moteur_phase_count gauge\n\
+             moteur_phase_count{{phase=\"execution\"}} 1 7.5\n\
+             moteur_phase_count{{phase=\"queuing\"}} 1 7.5\n\
+             moteur_phase_count{{phase=\"scheduling\"}} 1 7.5\n\
+             moteur_phase_count{{phase=\"submission\"}} 1 7.5\n\
+             moteur_phase_count{{phase=\"transfer\"}} 1 7.5\n\
+             # TYPE moteur_grid_overhead_total_seconds gauge\n\
+             moteur_grid_overhead_total_seconds 11 7.5\n\
+             # TYPE moteur_makespan_seconds gauge\n\
+             moteur_makespan_seconds 31 7.5\n\
+             # TYPE moteur_prof_calls counter\n\
+             # HELP moteur_prof_calls Profiled scope entries per subsystem.\n\
+             moteur_prof_calls_total{{subsystem=\"enactor_loop\"}} 3\n\
+             moteur_prof_calls_total{{subsystem=\"pick_ce\"}} 12\n\
+             # TYPE moteur_prof_wall_seconds counter\n\
+             # HELP moteur_prof_wall_seconds Inclusive wall time per subsystem (measured).\n\
+             moteur_prof_wall_seconds_total{{subsystem=\"enactor_loop\"}} 1.5\n\
+             moteur_prof_wall_seconds_total{{subsystem=\"pick_ce\"}} 0.00025\n\
+             # TYPE moteur_prof_alloc_bytes counter\n\
+             # HELP moteur_prof_alloc_bytes Bytes allocated inside profiled scopes (0 without the counting allocator).\n\
+             moteur_prof_alloc_bytes_total{{subsystem=\"enactor_loop\"}} 4096\n\
+             moteur_prof_alloc_bytes_total{{subsystem=\"pick_ce\"}} 0\n\
+             # EOF\n",
+            env!("CARGO_PKG_VERSION"),
+        );
+        assert_eq!(
+            crate::render_openmetrics_with_prof(&reg, Some(&tree), Some(&report)),
+            expected
+        );
+    }
+
+    #[test]
+    fn daemon_exposition_escapes_tenant_labels_and_carries_no_timestamps() {
+        use crate::daemon::{DaemonMetrics, TenantMetrics};
+        let tenant =
+            |name: &str, running, queued, inflight_jobs, store_hits, store_misses| TenantMetrics {
+                tenant: name.to_string(),
+                running,
+                queued,
+                inflight_jobs,
+                store_hits,
+                store_misses,
+            };
+        let m = DaemonMetrics {
+            running: 1,
+            queued: 2,
+            succeeded: 3,
+            failed: 0,
+            cancelled: 4,
+            store: crate::store::StoreStats {
+                entries: 5,
+                hits: 3,
+                misses: 1,
+                ..Default::default()
+            },
+            tenants: vec![
+                tenant("a\"b\\c\n", 1, 2, 6, 3, 0),
+                tenant("z", 0, 0, 0, 0, 1),
+            ],
+        };
+        let expected = r#"# TYPE moteur_daemon_instances gauge
+moteur_daemon_instances{state="running"} 1
+moteur_daemon_instances{state="queued"} 2
+moteur_daemon_instances{state="succeeded"} 3
+moteur_daemon_instances{state="failed"} 0
+moteur_daemon_instances{state="cancelled"} 4
+# TYPE moteur_daemon_store_entries gauge
+moteur_daemon_store_entries 5
+# TYPE moteur_daemon_store_lookups counter
+moteur_daemon_store_lookups_total{outcome="hit"} 3
+moteur_daemon_store_lookups_total{outcome="miss"} 1
+# TYPE moteur_daemon_store_hit_ratio gauge
+moteur_daemon_store_hit_ratio 0.75
+# TYPE moteur_daemon_tenant_running gauge
+moteur_daemon_tenant_running{tenant="a\"b\\c\n"} 1
+moteur_daemon_tenant_running{tenant="z"} 0
+# TYPE moteur_daemon_tenant_queued gauge
+moteur_daemon_tenant_queued{tenant="a\"b\\c\n"} 2
+moteur_daemon_tenant_queued{tenant="z"} 0
+# TYPE moteur_daemon_tenant_inflight_jobs gauge
+moteur_daemon_tenant_inflight_jobs{tenant="a\"b\\c\n"} 6
+moteur_daemon_tenant_inflight_jobs{tenant="z"} 0
+# TYPE moteur_daemon_tenant_store_hits counter
+moteur_daemon_tenant_store_hits_total{tenant="a\"b\\c\n"} 3
+moteur_daemon_tenant_store_hits_total{tenant="z"} 0
+# TYPE moteur_daemon_tenant_store_misses counter
+moteur_daemon_tenant_store_misses_total{tenant="a\"b\\c\n"} 0
+moteur_daemon_tenant_store_misses_total{tenant="z"} 1
+# EOF
+"#;
+        assert_eq!(render_daemon(&m), expected);
     }
 }
