@@ -98,6 +98,21 @@ if grep -n 'parser)(' crates/core/src/daemon/mod.rs; then
   exit 1
 fi
 
+# One exposition writer: every OpenMetrics line, a run's, the daemon's
+# or the profiler's, is written by crates/core/src/obs/openmetrics.rs,
+# so no other product file may spell the format's framing, and the
+# profiler's spliced-in fragment writer may not come back.
+if grep -rnE -e '# (TYPE|HELP|EOF)' crates/*/src src |
+  grep -v -e '^crates/core/src/obs/openmetrics.rs:'; then
+  echo "OpenMetrics text is written outside obs/openmetrics.rs: use its writer" >&2
+  exit 1
+fi
+if grep -rnw --include='*.rs' --exclude-dir=target --exclude-dir=.bench_build \
+    -e openmetrics_fragment .; then
+  echo "openmetrics_fragment is back: render() writes the prof families" >&2
+  exit 1
+fi
+
 # One spelling per run output: the fourteen per-format flags that
 # `--emit kind=path` replaced may not come back in the documents a user
 # (or the next builder) copies commands from. (`moteur-bench scale

@@ -145,7 +145,6 @@ impl WorkflowInstance {
             self.armed[pend.proc.0].insert((opened, logical));
         }
         self.states[pend.proc.0].inflight += 1;
-        self.inflight_total += 1;
         self.pending.insert(logical, pend);
     }
 
@@ -183,7 +182,6 @@ impl WorkflowInstance {
             self.armed[pend.proc.0].remove(&(opened, logical));
         }
         self.states[pend.proc.0].inflight -= 1;
-        self.inflight_total -= 1;
         pend
     }
 

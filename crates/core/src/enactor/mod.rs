@@ -201,7 +201,7 @@ impl std::fmt::Debug for WorkflowInstance {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkflowInstance")
             .field("workflow", &self.compiled.workflow.name)
-            .field("inflight", &self.inflight_total)
+            .field("inflight", &self.pending.len())
             .field("jobs_submitted", &self.jobs_submitted)
             .field("completed", &self.completed)
             .finish_non_exhaustive()
@@ -247,6 +247,9 @@ pub struct WorkflowInstance {
     ft: FtConfig,
     rng: Rng,
     states: Vec<ProcState>,
+    /// Every logical invocation in flight (running at the backend or
+    /// waiting in the backoff queue), by logical id; its length is the
+    /// instance's in-flight count.
     pending: HashMap<u64, PendingJob, IdHasher>,
     /// The deadline index: per processor, its armed invocations keyed
     /// `(window_start, logical id)`. Every change to a pending
@@ -255,7 +258,6 @@ pub struct WorkflowInstance {
     armed: Vec<BTreeSet<(SimTime, u64)>>,
     next_invocation: u64,
     jobs_submitted: usize,
-    inflight_total: usize,
     /// Stage-in + stage-out bytes committed to the grid across every
     /// submitted attempt (retries and replicas transfer again). The
     /// ground truth the per-link timeline series must sum to.
@@ -296,8 +298,8 @@ pub struct WorkflowInstance {
     /// completions, feeding percentile-adaptive timeouts.
     proc_samples: Vec<Vec<f64>>,
     /// Consecutive enactor-visible failures per computing element.
-    ce_failures: HashMap<usize, u32>,
-    blacklisted: HashSet<usize>,
+    ce_failures: HashMap<usize, u32, IdHasher>,
+    blacklisted: HashSet<usize, IdHasher>,
     quarantined: Vec<QuarantineEntry>,
 }
 
@@ -337,7 +339,7 @@ impl WorkflowInstance {
     /// Logical invocations currently in flight (running at the
     /// backend or waiting in the backoff queue).
     pub fn inflight(&self) -> usize {
-        self.inflight_total
+        self.pending.len()
     }
 
     /// Backend jobs submitted so far (cache replays excluded).
@@ -376,7 +378,6 @@ impl WorkflowInstance {
             armed: vec![BTreeSet::new(); n_procs],
             next_invocation: 0,
             jobs_submitted: 0,
-            inflight_total: 0,
             bytes_transferred: 0,
             completed: 0,
             completed_invocations: 0,
@@ -392,8 +393,8 @@ impl WorkflowInstance {
             cancelled_attempts: HashSet::default(),
             deferred: Vec::new(),
             proc_samples: vec![Vec::new(); n_procs],
-            ce_failures: HashMap::new(),
-            blacklisted: HashSet::new(),
+            ce_failures: HashMap::default(),
+            blacklisted: HashSet::default(),
             quarantined: Vec::new(),
         }
     }
@@ -403,7 +404,7 @@ impl WorkflowInstance {
     fn wait_until_idle(&mut self, ctx: &mut EnactCtx<'_>) -> Result<(), MoteurError> {
         loop {
             self.pump(ctx)?;
-            if self.inflight_total == 0 {
+            if self.pending.is_empty() {
                 return self.deadlock_check();
             }
             let wake = self.next_wake();
@@ -509,7 +510,7 @@ impl WorkflowInstance {
         });
         self.obs.record(&TraceEvent::EnactorGauges {
             at: ctx.backend.now(),
-            inflight: self.inflight_total,
+            inflight: self.pending.len(),
             deferred: self.deferred.len(),
             quarantined: self.quarantined.len(),
             cache_entries,

@@ -114,7 +114,7 @@ pub use obs::critical::{analyze as critical_path, render as render_critical_path
 pub use obs::detect::analyze as detect_bottlenecks;
 pub use obs::drift::{check_drift, Drift};
 pub use obs::metrics::{MetricsRegistry, MetricsSink};
-pub use obs::openmetrics::render_with_prof as render_openmetrics_with_prof;
+pub use obs::openmetrics::render as render_openmetrics_with_prof;
 pub use obs::prof::{from_json as prof_from_json, to_json as prof_to_json, Prof, ProfReport};
 pub use obs::sinks::{EventBuffer, JsonlSink, RingBufferSink};
 pub use obs::span::{Span, SpanBuffer, SpanKind, SpanSink};

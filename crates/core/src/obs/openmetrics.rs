@@ -1,9 +1,12 @@
-//! OpenMetrics text exposition of a run's metrics and span phases.
+//! OpenMetrics text exposition: the one writer of the format.
 //!
-//! Renders one scrapeable snapshot in the [OpenMetrics text format]
-//! (the Prometheus exposition format plus the `# EOF` terminator), so
-//! counters, gauges and histograms are consumable by standard tooling
-//! without JSON post-processing:
+//! Every exposition the program emits goes through this module's
+//! `Writer`: a run's ([`render`]: its metrics, its span phases and, when
+//! profiled, the `moteur_prof_*` families) and the daemon's
+//! ([`render_daemon`]). Each is one scrapeable snapshot in the
+//! [OpenMetrics text format] (the Prometheus exposition format plus the
+//! `# EOF` terminator), so counters, gauges and histograms are
+//! consumable by standard tooling without JSON post-processing:
 //!
 //! ```text
 //! # TYPE moteur_build_info gauge
@@ -19,9 +22,12 @@
 //! # EOF
 //! ```
 //!
-//! Samples are exemplar-free but timestamp-bearing: the trailing field
-//! is the registry's latest *virtual* time, so output stays
-//! byte-deterministic for a fixed workflow and seed.
+//! Samples are exemplar-free. Whether they carry a timestamp is chosen
+//! per family: a run's registry and span families carry the registry's
+//! latest *virtual* time, so output stays byte-deterministic for a fixed
+//! workflow and seed; the profiler's families (measured wall-clock
+//! quantities) and the daemon's (it outlives any single virtual-time
+//! run) carry none.
 //!
 //! Metric values reflect end-of-run state (gauges expose their final
 //! value and their peak as two series). Span phases, when a
@@ -33,8 +39,10 @@
 //!     https://prometheus.io/docs/specs/om/open_metrics_spec/
 
 use super::metrics::MetricsRegistry;
+use super::prof::{ProfReport, SubsystemStat};
 use super::span::SpanTree;
-use std::fmt::Write as _;
+use crate::daemon::DaemonMetrics;
+use std::fmt::{Display, Write as _};
 
 /// Format a sample value: integers render bare, floats via the shortest
 /// round-trip form, non-finite values per the exposition spec.
@@ -46,20 +54,6 @@ fn num(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Escape a label value (`\`, `"`, newline).
-fn escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sanitise a free-form name into a metric-name-safe suffix.
@@ -75,57 +69,93 @@ fn sanitise(name: &str) -> String {
         .collect()
 }
 
-struct Renderer {
+/// The one writer of the text format: family headers, sample lines
+/// with escaped label values, and the terminator.
+struct Writer {
     out: String,
-    /// Timestamp appended to every sample: the registry's latest
-    /// virtual time. Exemplar-free, and — being virtual — byte-stable
-    /// for a fixed workflow and seed, unlike a wall-clock stamp.
-    ts: String,
+    /// Timestamp appended to each sample written while it is set: a
+    /// run's latest virtual time. Exemplar-free, and — being virtual —
+    /// byte-stable for a fixed workflow and seed, unlike a wall-clock
+    /// stamp. Families written after it is cleared carry none.
+    ts: Option<String>,
 }
 
-impl Renderer {
-    fn typed(&mut self, name: &str, kind: &str) {
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: &str) {
-        if labels.is_empty() {
-            let _ = writeln!(self.out, "{name} {value} {}", self.ts);
-        } else {
-            let rendered = labels
-                .iter()
-                .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let _ = writeln!(self.out, "{name}{{{rendered}}} {value} {}", self.ts);
+impl Writer {
+    fn new(ts: Option<f64>) -> Self {
+        Writer {
+            out: String::new(),
+            ts: ts.map(num),
         }
     }
+
+    /// Open a family: its `# TYPE` line, then its `# HELP` line if any.
+    fn family(&mut self, name: &str, kind: &str, help: Option<&str>) {
+        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+        if let Some(help) = help {
+            let _ = writeln!(self.out, "# HELP {name} {help}");
+        }
+    }
+
+    /// One sample line. Label values are escaped (`\`, `"`, newline).
+    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: impl Display) {
+        self.out.push_str(name);
+        for (i, (key, v)) in labels.iter().enumerate() {
+            self.out.push(if i == 0 { '{' } else { ',' });
+            let _ = write!(self.out, "{key}=\"");
+            for c in v.chars() {
+                match c {
+                    '\\' => self.out.push_str("\\\\"),
+                    '"' => self.out.push_str("\\\""),
+                    '\n' => self.out.push_str("\\n"),
+                    _ => self.out.push(c),
+                }
+            }
+            self.out.push('"');
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        let _ = write!(self.out, " {value}");
+        if let Some(ts) = &self.ts {
+            let _ = write!(self.out, " {ts}");
+        }
+        self.out.push('\n');
+    }
+
+    /// Close the snapshot with its one terminator.
+    fn finish(mut self) -> String {
+        self.out.push_str("# EOF\n");
+        self.out
+    }
 }
 
-/// Render the registry (and optionally a span tree) as an OpenMetrics
-/// text snapshot, `# EOF`-terminated. Every sample carries the
-/// registry's latest virtual time as its timestamp, and the snapshot
-/// always includes a `moteur_build_info{version=…} 1` gauge.
-pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
-    let mut r = Renderer {
-        out: String::new(),
-        ts: num(registry.latest()),
-    };
+/// Render a run as one OpenMetrics snapshot, `# EOF`-terminated: the
+/// registry, the span phases when a span tree is supplied, and the
+/// `moteur_prof_*` families of the active subsystems when a profiler
+/// report is. Registry and span samples carry the registry's latest
+/// virtual time as their timestamp; profiler samples carry none. The
+/// snapshot always includes a `moteur_build_info{version=…} 1` gauge.
+pub fn render(
+    registry: &MetricsRegistry,
+    spans: Option<&SpanTree>,
+    prof: Option<&ProfReport>,
+) -> String {
+    let mut w = Writer::new(Some(registry.latest()));
 
     // Build identity first, so a scrape is attributable to a release
     // even when the run produced no events.
-    r.typed("moteur_build_info", "gauge");
-    r.sample(
+    w.family("moteur_build_info", "gauge", None);
+    w.sample(
         "moteur_build_info",
         &[("version", env!("CARGO_PKG_VERSION"))],
-        "1",
+        1,
     );
 
     // Event counters all share one family, labelled by event kind.
     if registry.counters().next().is_some() {
-        r.typed("moteur_events_total", "counter");
+        w.family("moteur_events_total", "counter", None);
         for (kind, value) in registry.counters() {
-            r.sample("moteur_events_total", &[("kind", kind)], &value.to_string());
+            w.sample("moteur_events_total", &[("kind", kind)], value);
         }
     }
 
@@ -134,13 +164,13 @@ pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
     let hits = registry.counter("cache_hit");
     let misses = registry.counter("cache_miss");
     if hits + misses > 0 {
-        r.typed("moteur_cache_hits_total", "counter");
-        r.sample("moteur_cache_hits_total", &[], &hits.to_string());
-        r.typed("moteur_cache_misses_total", "counter");
-        r.sample("moteur_cache_misses_total", &[], &misses.to_string());
-        r.typed("moteur_cache_hit_ratio", "gauge");
+        w.family("moteur_cache_hits_total", "counter", None);
+        w.sample("moteur_cache_hits_total", &[], hits);
+        w.family("moteur_cache_misses_total", "counter", None);
+        w.sample("moteur_cache_misses_total", &[], misses);
+        w.family("moteur_cache_hit_ratio", "gauge", None);
         let ratio = hits as f64 / (hits + misses) as f64;
-        r.sample("moteur_cache_hit_ratio", &[], &num(ratio));
+        w.sample("moteur_cache_hit_ratio", &[], num(ratio));
     }
 
     // Gauges: group the known naming schemes into labelled families so
@@ -183,24 +213,13 @@ pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
         ));
     }
     for (family, samples) in &families {
-        r.typed(family, "gauge");
-        for (key, value, current, _) in samples {
-            let labels: Vec<(&str, &str)> = if key.is_empty() {
-                vec![]
-            } else {
-                vec![(key.as_str(), value.as_str())]
-            };
-            r.sample(family, &labels, &current.to_string());
-        }
-        let peak_family = format!("{family}_peak");
-        r.typed(&peak_family, "gauge");
-        for (key, value, _, peak) in samples {
-            let labels: Vec<(&str, &str)> = if key.is_empty() {
-                vec![]
-            } else {
-                vec![(key.as_str(), value.as_str())]
-            };
-            r.sample(&peak_family, &labels, &peak.to_string());
+        for (name, peak) in [(family.clone(), false), (format!("{family}_peak"), true)] {
+            w.family(&name, "gauge", None);
+            for (key, value, current, top) in samples {
+                let label = [(key.as_str(), value.as_str())];
+                let labels: &[_] = if key.is_empty() { &[] } else { &label };
+                w.sample(&name, labels, if peak { top } else { current });
+            }
         }
     }
 
@@ -211,16 +230,16 @@ pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
         } else {
             format!("moteur_{}", sanitise(name))
         };
-        r.typed(&family, "histogram");
+        w.family(&family, "histogram", None);
         let bucket = format!("{family}_bucket");
         let mut cumulative = 0u64;
         for (bound, count) in hist.bounds().iter().zip(hist.bucket_counts()) {
             cumulative += count;
-            r.sample(&bucket, &[("le", &num(*bound))], &cumulative.to_string());
+            w.sample(&bucket, &[("le", &num(*bound))], cumulative);
         }
-        r.sample(&bucket, &[("le", "+Inf")], &hist.count.to_string());
-        r.sample(&format!("{family}_sum"), &[], &num(hist.sum));
-        r.sample(&format!("{family}_count"), &[], &hist.count.to_string());
+        w.sample(&bucket, &[("le", "+Inf")], hist.count);
+        w.sample(&format!("{family}_sum"), &[], num(hist.sum));
+        w.sample(&format!("{family}_count"), &[], hist.count);
     }
 
     // Span phases: per-phase duration totals and counts, plus the
@@ -228,37 +247,69 @@ pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
     if let Some(tree) = spans {
         let durations = tree.phase_durations();
         if !durations.is_empty() {
-            r.typed("moteur_phase_duration_seconds_sum", "gauge");
+            w.family("moteur_phase_duration_seconds_sum", "gauge", None);
             for (phase, (_, sum)) in &durations {
-                r.sample(
+                w.sample(
                     "moteur_phase_duration_seconds_sum",
                     &[("phase", phase)],
-                    &num(*sum),
+                    num(*sum),
                 );
             }
-            r.typed("moteur_phase_count", "gauge");
+            w.family("moteur_phase_count", "gauge", None);
             for (phase, (count, _)) in &durations {
-                r.sample(
-                    "moteur_phase_count",
-                    &[("phase", phase)],
-                    &count.to_string(),
-                );
+                w.sample("moteur_phase_count", &[("phase", phase)], count);
             }
-            r.typed("moteur_grid_overhead_total_seconds", "gauge");
-            r.sample(
+            w.family("moteur_grid_overhead_total_seconds", "gauge", None);
+            w.sample(
                 "moteur_grid_overhead_total_seconds",
                 &[],
-                &num(tree.overhead_secs()),
+                num(tree.overhead_secs()),
             );
         }
         if let Some(root) = tree.roots().next() {
-            r.typed("moteur_makespan_seconds", "gauge");
-            r.sample("moteur_makespan_seconds", &[], &num(root.duration_secs()));
+            w.family("moteur_makespan_seconds", "gauge", None);
+            w.sample("moteur_makespan_seconds", &[], num(root.duration_secs()));
         }
     }
 
-    r.out.push_str("# EOF\n");
-    r.out
+    // Self-profiler families, active subsystems only, so an unprofiled
+    // run's snapshot is unchanged. Their wall time is measured, not
+    // virtual, so these samples carry no timestamp.
+    let active: Vec<&SubsystemStat> = prof.map_or_else(Vec::new, |report| {
+        report.subsystems.iter().filter(|s| s.calls > 0).collect()
+    });
+    if !active.is_empty() {
+        w.ts = None;
+        let families = [
+            ("moteur_prof_calls", "Profiled scope entries per subsystem."),
+            (
+                "moteur_prof_wall_seconds",
+                "Inclusive wall time per subsystem (measured).",
+            ),
+            (
+                "moteur_prof_alloc_bytes",
+                "Bytes allocated inside profiled scopes (0 without the counting allocator).",
+            ),
+        ];
+        for (column, (family, help)) in families.into_iter().enumerate() {
+            w.family(family, "counter", Some(help));
+            let total = format!("{family}_total");
+            for s in &active {
+                let values = [
+                    s.calls.to_string(),
+                    num(s.wall_nanos as f64 / 1e9),
+                    s.alloc_bytes.to_string(),
+                ];
+                w.sample(
+                    &total,
+                    &[("subsystem", s.subsystem.name())],
+                    &values[column],
+                );
+            }
+        }
+    }
+
+    w.finish()
 }
 
 /// Render a daemon metrics snapshot as OpenMetrics text: daemon-level
@@ -266,9 +317,9 @@ pub fn render(registry: &MetricsRegistry, spans: Option<&SpanTree>) -> String {
 /// plus per-tenant label families, tenants in sorted order so the
 /// snapshot is byte-stable. Timestamp-free — the daemon outlives any
 /// single virtual-time run.
-pub fn render_daemon(m: &crate::daemon::DaemonMetrics) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# TYPE moteur_daemon_instances gauge");
+pub fn render_daemon(m: &DaemonMetrics) -> String {
+    let mut w = Writer::new(None);
+    w.family("moteur_daemon_instances", "gauge", None);
     for (state, n) in [
         ("running", m.running),
         ("queued", m.queued),
@@ -276,68 +327,50 @@ pub fn render_daemon(m: &crate::daemon::DaemonMetrics) -> String {
         ("failed", m.failed),
         ("cancelled", m.cancelled),
     ] {
-        let _ = writeln!(out, "moteur_daemon_instances{{state=\"{state}\"}} {n}");
+        w.sample("moteur_daemon_instances", &[("state", state)], n);
     }
-    let _ = writeln!(out, "# TYPE moteur_daemon_store_entries gauge");
-    let _ = writeln!(out, "moteur_daemon_store_entries {}", m.store.entries);
-    let _ = writeln!(out, "# TYPE moteur_daemon_store_lookups counter");
+    w.family("moteur_daemon_store_entries", "gauge", None);
+    w.sample("moteur_daemon_store_entries", &[], m.store.entries);
+    w.family("moteur_daemon_store_lookups", "counter", None);
     for (outcome, n) in [("hit", m.store.hits), ("miss", m.store.misses)] {
-        let _ = writeln!(
-            out,
-            "moteur_daemon_store_lookups_total{{outcome=\"{outcome}\"}} {n}"
+        w.sample(
+            "moteur_daemon_store_lookups_total",
+            &[("outcome", outcome)],
+            n,
         );
     }
-    let _ = writeln!(out, "# TYPE moteur_daemon_store_hit_ratio gauge");
-    let _ = writeln!(
-        out,
-        "moteur_daemon_store_hit_ratio {}",
-        num(m.store.hit_ratio())
+    w.family("moteur_daemon_store_hit_ratio", "gauge", None);
+    w.sample(
+        "moteur_daemon_store_hit_ratio",
+        &[],
+        num(m.store.hit_ratio()),
     );
-    for (family, kind) in [
+    let tenant_families = [
         ("moteur_daemon_tenant_running", "gauge"),
         ("moteur_daemon_tenant_queued", "gauge"),
         ("moteur_daemon_tenant_inflight_jobs", "gauge"),
         ("moteur_daemon_tenant_store_hits", "counter"),
         ("moteur_daemon_tenant_store_misses", "counter"),
-    ] {
-        let _ = writeln!(out, "# TYPE {family} {kind}");
+    ];
+    for (column, (family, kind)) in tenant_families.into_iter().enumerate() {
+        w.family(family, kind, None);
+        let name = if kind == "counter" {
+            format!("{family}_total")
+        } else {
+            family.to_string()
+        };
         for t in &m.tenants {
-            let value = match family {
-                "moteur_daemon_tenant_running" => t.running as u64,
-                "moteur_daemon_tenant_queued" => t.queued as u64,
-                "moteur_daemon_tenant_inflight_jobs" => t.inflight_jobs as u64,
-                "moteur_daemon_tenant_store_hits" => t.store_hits,
-                _ => t.store_misses,
-            };
-            let name = if kind == "counter" {
-                format!("{family}_total")
-            } else {
-                family.to_string()
-            };
-            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {value}", escape(&t.tenant));
+            let values = [
+                t.running as u64,
+                t.queued as u64,
+                t.inflight_jobs as u64,
+                t.store_hits,
+                t.store_misses,
+            ];
+            w.sample(&name, &[("tenant", &t.tenant)], values[column]);
         }
     }
-    out.push_str("# EOF\n");
-    out
-}
-
-/// `render` plus the `moteur_prof_*` self-profiler families. The prof
-/// fragment is inserted before the `# EOF` terminator; a `None` or
-/// inactive report leaves the snapshot byte-identical to `render`.
-pub fn render_with_prof(
-    registry: &MetricsRegistry,
-    spans: Option<&SpanTree>,
-    prof: Option<&moteur_prof::ProfReport>,
-) -> String {
-    let mut out = render(registry, spans);
-    let fragment = prof
-        .map(super::prof::openmetrics_fragment)
-        .unwrap_or_default();
-    if !fragment.is_empty() {
-        let eof = out.len() - "# EOF\n".len();
-        out.insert_str(eof, &fragment);
-    }
-    out
+    w.finish()
 }
 
 #[cfg(test)]
@@ -358,7 +391,7 @@ mod tests {
              # EOF\n",
             env!("CARGO_PKG_VERSION"),
         );
-        assert_eq!(render(&reg, None), expected);
+        assert_eq!(render(&reg, None, None), expected);
     }
 
     #[test]
@@ -379,7 +412,7 @@ mod tests {
             50.0,
         );
         reg.touch(120.0);
-        let text = render(&reg, None);
+        let text = render(&reg, None, None);
         assert!(text.contains("# TYPE moteur_events_total counter\n"));
         // Every sample carries the registry's latest virtual time.
         assert!(text.contains("moteur_events_total{kind=\"job_submitted\"} 3 120\n"));
@@ -403,6 +436,14 @@ mod tests {
         assert!(text.ends_with("# EOF\n"));
         // Exactly one terminator.
         assert_eq!(text.matches("# EOF").count(), 1);
+    }
+
+    #[test]
+    fn an_idle_profiler_leaves_the_run_exposition_unchanged() {
+        let mut reg = MetricsRegistry::new();
+        reg.inc("job_submitted", 1);
+        let idle = crate::obs::prof::Prof::off().report();
+        assert_eq!(render(&reg, None, Some(&idle)), render(&reg, None, None));
     }
 
     /// The span tree of one grid job: submitted at 0, executing from 10
@@ -434,7 +475,7 @@ mod tests {
     #[test]
     fn span_phases_surface_as_duration_families() {
         let tree = one_grid_job_tree();
-        let text = render(&MetricsRegistry::new(), Some(&tree));
+        let text = render(&MetricsRegistry::new(), Some(&tree), None);
         assert!(
             text.contains("moteur_phase_duration_seconds_sum{phase=\"execution\"} 20 0\n"),
             "{text}"

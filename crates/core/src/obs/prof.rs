@@ -1,6 +1,7 @@
-//! Self-profiler integration: the `moteur/prof/v1` JSON codec and the
-//! `moteur_prof_*` OpenMetrics fragment over [`moteur_prof`]'s
-//! measurement core.
+//! Self-profiler integration: the `moteur/prof/v1` JSON codec over
+//! [`moteur_prof`]'s measurement core. A profiled run's
+//! `moteur_prof_*` OpenMetrics families are written with the rest of
+//! its exposition, by `obs::openmetrics::render`.
 //!
 //! The canonical JSON document is **deterministic**: it carries only
 //! quantities that are functions of the (seeded) program — per-subsystem
@@ -97,52 +98,6 @@ pub fn from_json(text: &str) -> Result<ProfReport, String> {
     Ok(ProfReport { subsystems, paths })
 }
 
-/// Render the `moteur_prof_*` OpenMetrics fragment (no `# EOF`
-/// terminator — the caller appends it; see
-/// [`super::openmetrics::render_with_prof`]). Empty when nothing was
-/// profiled, so metric exports of unprofiled runs are unchanged.
-pub fn openmetrics_fragment(report: &ProfReport) -> String {
-    use std::fmt::Write as _;
-    let active: Vec<&SubsystemStat> = report.subsystems.iter().filter(|s| s.calls > 0).collect();
-    if active.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    out.push_str("# TYPE moteur_prof_calls counter\n");
-    out.push_str("# HELP moteur_prof_calls Profiled scope entries per subsystem.\n");
-    for s in &active {
-        let _ = writeln!(
-            out,
-            "moteur_prof_calls_total{{subsystem=\"{}\"}} {}",
-            s.subsystem.name(),
-            s.calls
-        );
-    }
-    out.push_str("# TYPE moteur_prof_wall_seconds counter\n");
-    out.push_str("# HELP moteur_prof_wall_seconds Inclusive wall time per subsystem (measured).\n");
-    for s in &active {
-        let _ = writeln!(
-            out,
-            "moteur_prof_wall_seconds_total{{subsystem=\"{}\"}} {}",
-            s.subsystem.name(),
-            super::json::num(s.wall_nanos as f64 / 1e9)
-        );
-    }
-    out.push_str("# TYPE moteur_prof_alloc_bytes counter\n");
-    out.push_str(
-        "# HELP moteur_prof_alloc_bytes Bytes allocated inside profiled scopes (0 without the counting allocator).\n",
-    );
-    for s in &active {
-        let _ = writeln!(
-            out,
-            "moteur_prof_alloc_bytes_total{{subsystem=\"{}\"}} {}",
-            s.subsystem.name(),
-            s.alloc_bytes
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,22 +140,6 @@ mod tests {
         let doc = to_json(&report);
         let parsed = from_json(&doc).expect("round trip");
         assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn openmetrics_fragment_lists_active_subsystems() {
-        let fragment = openmetrics_fragment(&sample_report());
-        assert!(fragment.contains("moteur_prof_calls_total{subsystem=\"enactor_loop\"} 4"));
-        assert!(fragment.contains("moteur_prof_calls_total{subsystem=\"provenance_key\"} 4"));
-        assert!(fragment.contains("moteur_prof_wall_seconds_total{subsystem=\"enactor_loop\"}"));
-        assert!(fragment.contains("moteur_prof_alloc_bytes_total{subsystem=\"enactor_loop\"} "));
-        assert!(!fragment.contains("pick_ce"), "inactive subsystems omitted");
-        assert!(!fragment.contains("# EOF"), "caller owns the terminator");
-    }
-
-    #[test]
-    fn openmetrics_fragment_empty_without_activity() {
-        assert_eq!(openmetrics_fragment(&Prof::off().report()), "");
     }
 
     #[test]

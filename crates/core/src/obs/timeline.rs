@@ -63,6 +63,55 @@ impl SeriesKind {
     }
 }
 
+/// Why [`Timeline::from_json`] refused a document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TimelineError {
+    /// Not JSON, or not a [`TIMELINE_SCHEMA`] document; the message
+    /// says what is wrong.
+    Malformed(String),
+    /// A series whose `kind` is missing or neither `gauge` nor `counter`.
+    UnknownKind {
+        series: String,
+        kind: Option<String>,
+    },
+    /// A series point (0-based `index`) that does not start with two
+    /// numbers.
+    BadPoint { series: String, index: usize },
+}
+
+impl std::fmt::Display for TimelineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TimelineError::Malformed(message) => f.write_str(message),
+            TimelineError::UnknownKind { series, kind: None } => {
+                write!(f, "timeline: series `{series}` has no kind")
+            }
+            TimelineError::UnknownKind {
+                series,
+                kind: Some(kind),
+            } => write!(f, "timeline: series `{series}` has unknown kind `{kind}`"),
+            TimelineError::BadPoint { series, index } => write!(
+                f,
+                "timeline: series `{series}`: point {index} is not a [t, value] pair"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TimelineError {}
+
+impl From<String> for TimelineError {
+    fn from(message: String) -> Self {
+        TimelineError::Malformed(message)
+    }
+}
+
+impl From<&str> for TimelineError {
+    fn from(message: &str) -> Self {
+        TimelineError::Malformed(message.to_string())
+    }
+}
+
 /// One named time-series with deterministic fixed-capacity
 /// downsampling.
 #[derive(Debug, Clone)]
@@ -245,12 +294,14 @@ impl Timeline {
     }
 
     /// Parse a [`Timeline::to_json`] export back (for
-    /// `moteur timeline render`).
-    pub fn from_json(text: &str) -> Result<Timeline, String> {
+    /// `moteur timeline render`). A series with a missing or unknown
+    /// `kind`, or with a point that does not start with two numbers, is
+    /// refused by name rather than read as a gauge or skipped.
+    pub fn from_json(text: &str) -> Result<Timeline, TimelineError> {
         let obj = JsonValue::parse(text)?;
         match obj.str_at("schema") {
             Some(TIMELINE_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported timeline schema `{other}`")),
+            Some(other) => return Err(format!("unsupported timeline schema `{other}`").into()),
             None => return Err("timeline: missing schema field".into()),
         }
         let capacity = obj
@@ -263,15 +314,25 @@ impl Timeline {
         for e in series {
             let name = e.str_at("name").ok_or("timeline: series without name")?;
             let kind = match e.str_at("kind") {
+                Some("gauge") => SeriesKind::Gauge,
                 Some("counter") => SeriesKind::Counter,
-                _ => SeriesKind::Gauge,
+                other => {
+                    return Err(TimelineError::UnknownKind {
+                        series: name.to_string(),
+                        kind: other.map(str::to_string),
+                    })
+                }
             };
             let mut s = Series::new(name, kind, capacity);
-            for p in e.array_at("points").unwrap_or_default() {
-                if let Some([JsonValue::Number(t), JsonValue::Number(v), ..]) = p.as_array() {
-                    s.points.push((*t, *v));
-                    s.last = Some((*t, *v));
-                }
+            for (index, p) in e.array_at("points").unwrap_or_default().iter().enumerate() {
+                let Some([JsonValue::Number(t), JsonValue::Number(v), ..]) = p.as_array() else {
+                    return Err(TimelineError::BadPoint {
+                        series: name.to_string(),
+                        index,
+                    });
+                };
+                s.points.push((*t, *v));
+                s.last = Some((*t, *v));
             }
             s.seen = e.u64_at("seen").unwrap_or(0);
             s.total = e.f64_at("total").unwrap_or(0.0);
@@ -779,6 +840,30 @@ mod tests {
         let back = Timeline::from_json(&json).expect("parse");
         assert_eq!(back.to_json(), json, "round-trip is byte-stable");
         assert!((back.get("link.ce0.bytes").expect("series").total() - 1500.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn from_json_refuses_a_malformed_point_by_series() {
+        let doc = r#"{"schema":"moteur/timeline/v1","capacity":8,"series":[{"name":"ce0.running","kind":"gauge","seen":2,"points":[[0,1],["x",2]]}]}"#;
+        let err = Timeline::from_json(doc).expect_err("a point without two numbers");
+        assert_eq!(
+            err,
+            TimelineError::BadPoint {
+                series: "ce0.running".into(),
+                index: 1
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "timeline: series `ce0.running`: point 1 is not a [t, value] pair"
+        );
+        let kindless = doc.replace(r#""kind":"gauge","#, "");
+        assert_eq!(
+            Timeline::from_json(&kindless)
+                .expect_err("no kind")
+                .to_string(),
+            "timeline: series `ce0.running` has no kind"
+        );
     }
 
     #[test]

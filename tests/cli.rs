@@ -233,6 +233,21 @@ fn timeline_render_rejects_deeply_nested_json_without_aborting() {
     assert!(stderr.contains("moteur: deep.json: nesting"), "{stderr}");
 }
 
+/// A series with a kind the format does not define is refused by name,
+/// not drawn as a gauge.
+#[test]
+fn timeline_render_rejects_a_series_of_unknown_kind() {
+    let dir = in_temp_dir();
+    let doc = r#"{"schema":"moteur/timeline/v1","capacity":8,"series":[{"name":"ce0.queue_depth","kind":"bogus","seen":1,"points":[[0,1]]}]}"#;
+    std::fs::write(dir.path().join("bogus.json"), doc).unwrap();
+    let (code, _, stderr) = outcome(moteur(), &dir, &["timeline", "render", "bogus.json"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("bogus.json: timeline: series `ce0.queue_depth` has unknown kind `bogus`"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn unknown_config_is_rejected() {
     let dir = in_temp_dir();
