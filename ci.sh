@@ -53,6 +53,19 @@ if grep -nF 'HashMap<u64' crates/core/src/obs/metrics.rs \
   exit 1
 fi
 
+# Resolve once, update by position: the metrics and timeline sinks
+# build a series name only when the series is first sampled, outside
+# their `record`, so the `impl EventSink for …` bodies of the two files
+# may not format a name per event again.
+if awk '/^impl EventSink for /{body=1}
+    body && /format!/{print FILENAME ":" FNR ":" $0; found=1}
+    body && /^}/{body=0}
+    END{exit !found}' \
+    crates/core/src/obs/metrics.rs crates/core/src/obs/timeline.rs; then
+  echo "a fold sink formats a name per event: resolve its series once" >&2
+  exit 1
+fi
+
 # Structural keys: a provenance key hashes the history's digest, minted
 # once per node (crates/core/src/token.rs), so the data manager and the
 # enactor may not render a history to XML again. The per-instance XML

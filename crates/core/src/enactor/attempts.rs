@@ -230,7 +230,7 @@ impl WorkflowInstance {
             }
         });
         self.obs.emit(|| {
-            let processor = self.compiled.workflow.processors[proc.0].name.clone();
+            let processor = Arc::clone(&self.compiled.names[proc.0]);
             if replica {
                 TraceEvent::JobReplicated {
                     at: now,
@@ -373,7 +373,7 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobTimedOut {
             at: ctx.backend.now(),
             invocation: logical,
-            processor: self.compiled.workflow.processors[proc.0].name.clone(),
+            processor: Arc::clone(&self.compiled.names[proc.0]),
             timeout_secs: budget,
             action,
         });
@@ -405,7 +405,7 @@ impl WorkflowInstance {
                 self.obs.emit(|| TraceEvent::JobCancelled {
                     at: ctx.backend.now(),
                     invocation: tag,
-                    processor: self.compiled.workflow.processors[proc.0].name.clone(),
+                    processor: Arc::clone(&self.compiled.names[proc.0]),
                     reason: "superseded",
                 });
             }
@@ -445,7 +445,7 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobFailed {
             at: ctx.backend.now(),
             invocation: logical,
-            processor: name.clone(),
+            processor: Arc::clone(&compiled.names[pend.proc.0]),
             error: message.clone(),
         });
         if self.ft.continue_on_error {
@@ -503,7 +503,7 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::JobCancelled {
                 at,
                 invocation: logical,
-                processor: self.compiled.workflow.processors[pend.proc.0].name.clone(),
+                processor: Arc::clone(&self.compiled.names[pend.proc.0]),
                 reason: "abort",
             });
         }

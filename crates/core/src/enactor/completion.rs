@@ -137,7 +137,7 @@ impl WorkflowInstance {
         self.obs.emit(|| TraceEvent::JobCompleted {
             at: ctx.backend.now(),
             invocation: logical,
-            processor: proc.name.clone(),
+            processor: Arc::clone(&compiled.names[proc_id.0]),
             completion: Box::new(Completion {
                 submitted: pend.submitted,
                 started: c.started_at,

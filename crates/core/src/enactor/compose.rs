@@ -100,7 +100,7 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::CacheMiss {
                 at: ctx.backend.now(),
                 invocation: id.0,
-                processor: self.compiled.workflow.processors[proc.0].name.clone(),
+                processor: Arc::clone(&self.compiled.names[proc.0]),
             });
         }
         let compiled = Arc::clone(&self.compiled);
@@ -115,7 +115,7 @@ impl WorkflowInstance {
             self.obs.emit(|| TraceEvent::EdgeStaged {
                 at: ctx.backend.now(),
                 invocation: id.0,
-                processor: p.name.clone(),
+                processor: Arc::clone(&compiled.names[proc.0]),
                 port: p.inputs[port].clone(),
                 bytes: Self::staged_bytes(&tokens[port].value),
             });
@@ -127,7 +127,7 @@ impl WorkflowInstance {
             Some(ServiceBinding::Grouped(group)) => {
                 self.obs.emit(|| TraceEvent::GroupComposed {
                     at: ctx.backend.now(),
-                    processor: p.name.clone(),
+                    processor: Arc::clone(&compiled.names[proc.0]),
                     stages: group.stages.len(),
                     commands: job.plan.command_lines.len(),
                 });
@@ -232,7 +232,7 @@ impl WorkflowInstance {
         // submission event precedes any grid-side event for the same
         // invocation (the simulated broker reacts synchronously).
         self.obs.emit(|| {
-            let processor = self.compiled.workflow.processors[proc.0].name.clone();
+            let processor = Arc::clone(&self.compiled.names[proc.0]);
             match payload {
                 JobPayload::Fetch { transfer_seconds } => TraceEvent::CacheHit {
                     at: submitted,
@@ -310,7 +310,7 @@ impl WorkflowInstance {
         let n_inputs: usize = buffers.iter().map(Vec::len).sum();
         self.obs.emit(|| TraceEvent::BarrierReleased {
             at: ctx.backend.now(),
-            processor: p.name.clone(),
+            processor: Arc::clone(&compiled.names[proc.0]),
             inputs: n_inputs,
         });
         let invocation = self.next_id();
@@ -340,7 +340,7 @@ impl WorkflowInstance {
                         self.obs.emit(|| TraceEvent::EdgeStaged {
                             at: ctx.backend.now(),
                             invocation: invocation.0,
-                            processor: p.name.clone(),
+                            processor: Arc::clone(&compiled.names[proc.0]),
                             port: p.inputs[port_idx].clone(),
                             bytes: Self::staged_bytes(&t.value),
                         });

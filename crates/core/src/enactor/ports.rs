@@ -186,7 +186,7 @@ impl WorkflowInstance {
             .max()
             .unwrap_or(0);
         let at = ctx.backend.now();
-        let processor = self.compiled.workflow.processors[p].name.clone();
+        let processor = Arc::clone(&self.compiled.names[p]);
         let capacity = self.config.port_capacity;
         self.obs.record(&if blocked {
             TraceEvent::PortSuspended {
@@ -218,7 +218,7 @@ impl WorkflowInstance {
             let producer = &self.compiled.workflow.processors[proc.0];
             TraceEvent::TokenEmitted {
                 at: ctx.backend.now(),
-                processor: producer.name.clone(),
+                processor: Arc::clone(&self.compiled.names[proc.0]),
                 port: producer.outputs.get(out_port).cloned().unwrap_or_default(),
                 index: token.index.to_string(),
             }
@@ -259,7 +259,7 @@ impl WorkflowInstance {
                     for m in self.states[tp.0].ready.range(first..) {
                         self.obs.record(&TraceEvent::MatchFired {
                             at: ctx.backend.now(),
-                            processor: target.name.clone(),
+                            processor: Arc::clone(&self.compiled.names[tp.0]),
                             index: m.index.to_string(),
                             inputs: m.tokens.len(),
                         });

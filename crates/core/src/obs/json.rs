@@ -24,13 +24,23 @@
 
 use std::fmt::Write as _;
 
+/// True for the bytes JSON needs escaped inside a string: the quote,
+/// the backslash and the control characters. All of them are ASCII.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
 /// Append `s` to `out`, escaped for inclusion inside JSON double
-/// quotes. Every byte that needs escaping is ASCII, so the runs between
-/// them are copied whole.
+/// quotes. A clean string, the common case, is copied whole after one
+/// scan; otherwise the runs between escapes are copied whole.
 fn push_escaped(out: &mut String, s: &str) {
+    let Some(first) = s.bytes().position(needs_escape) else {
+        out.push_str(s);
+        return;
+    };
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
+    for (i, b) in s.bytes().enumerate().skip(first) {
+        if !needs_escape(b) {
             continue;
         }
         out.push_str(&s[run..i]);
@@ -59,6 +69,62 @@ fn push_num(out: &mut String, v: f64) {
     }
 }
 
+/// Append the decimal digits of `v`: the same bytes as `{v}`, without
+/// going through `core::fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Below this many microseconds, `micros / 1e6` has at most 15
+/// significant decimal digits, so its shortest round-trip spelling —
+/// what `{}` prints for the `f64` — is the exact decimal.
+const EXACT_MICROS: u64 = 1_000_000_000_000_000;
+
+/// Append `micros` microseconds as a JSON number of seconds: the same
+/// bytes as `push_num(micros as f64 / 1e6)`, written as the exact
+/// decimal (whole seconds, then the fraction without trailing zeros).
+/// At and above [`EXACT_MICROS`] it is that `push_num`.
+fn push_micros_as_secs(out: &mut String, micros: u64) {
+    if micros >= EXACT_MICROS {
+        push_num(out, micros as f64 / 1e6);
+        return;
+    }
+    push_u64(out, micros / 1_000_000);
+    let mut frac = micros % 1_000_000;
+    if frac == 0 {
+        return;
+    }
+    let mut width = 6;
+    while frac.is_multiple_of(10) {
+        frac /= 10;
+        width -= 1;
+    }
+    let mut digits = [b'0'; 7];
+    digits[0] = b'.';
+    for slot in digits[1..=width].iter_mut().rev() {
+        *slot = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    out.push_str(std::str::from_utf8(&digits[..=width]).expect("ASCII digits"));
+}
+
 /// Escape a string for inclusion inside JSON double quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -78,23 +144,32 @@ pub fn num(v: f64) -> String {
 #[derive(Debug, Default)]
 pub struct JsonObject {
     buf: String,
+    /// Whether a field has been written (the next one needs a comma).
+    fields: bool,
 }
 
 /// Starting capacity of a [`JsonObject`]: most lines of an event
 /// stream fit, so writing one is one allocation, or two.
-const LINE_CAPACITY: usize = 128;
+pub(crate) const LINE_CAPACITY: usize = 128;
 
 impl JsonObject {
     pub fn new() -> Self {
-        let mut buf = String::with_capacity(LINE_CAPACITY);
+        Self::append_to(String::with_capacity(LINE_CAPACITY))
+    }
+
+    /// An object written after whatever `buf` already holds;
+    /// [`JsonObject::finish`] hands the buffer back, so a caller that
+    /// keeps one line buffer writes every object into it.
+    pub fn append_to(mut buf: String) -> Self {
         buf.push('{');
-        JsonObject { buf }
+        JsonObject { buf, fields: false }
     }
 
     fn key(&mut self, k: &str) {
-        if self.buf.len() > 1 {
+        if self.fields {
             self.buf.push(',');
         }
+        self.fields = true;
         self.buf.push('"');
         push_escaped(&mut self.buf, k);
         self.buf.push_str("\":");
@@ -114,15 +189,23 @@ impl JsonObject {
         self
     }
 
+    /// `micros` microseconds as a number of seconds: the bytes of
+    /// `num(k, micros as f64 / 1e6)`, written without a float.
+    pub fn micros_as_secs(mut self, k: &str, micros: u64) -> Self {
+        self.key(k);
+        push_micros_as_secs(&mut self.buf, micros);
+        self
+    }
+
     pub fn int(mut self, k: &str, v: i64) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_i64(&mut self.buf, v);
         self
     }
 
     pub fn uint(mut self, k: &str, v: u64) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        push_u64(&mut self.buf, v);
         self
     }
 
@@ -522,6 +605,64 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
         assert_eq!(num(2.0), "2");
+    }
+
+    #[test]
+    fn integers_are_written_as_format_writes_them() {
+        for v in [0, 9, 10, 99, 100, 1_000_007, u64::MAX] {
+            let mut out = String::new();
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("{v}"));
+        }
+        for v in [0, -1, 42, -10, i64::MIN, i64::MAX] {
+            let mut out = String::new();
+            push_i64(&mut out, v);
+            assert_eq!(out, format!("{v}"));
+        }
+        let o = JsonObject::new().uint("u", u64::MAX).int("i", i64::MIN);
+        assert_eq!(
+            o.finish(),
+            "{\"u\":18446744073709551615,\"i\":-9223372036854775808}"
+        );
+    }
+
+    /// The exact-decimal time writer against the float it replaces.
+    fn assert_micros_match(micros: u64) {
+        let mut exact = String::new();
+        push_micros_as_secs(&mut exact, micros);
+        let mut float = String::new();
+        push_num(&mut float, micros as f64 / 1e6);
+        assert_eq!(exact, float, "{micros} µs");
+    }
+
+    #[test]
+    fn micros_are_written_as_the_float_seconds_would_be() {
+        for micros in 0..1_000_000 {
+            assert_micros_match(micros);
+        }
+        // A seeded sample of the exact range, spread over its magnitudes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let magnitude = 10u64.pow((x % 16) as u32);
+            assert_micros_match((x >> 8) % magnitude);
+        }
+        // Both sides of the fallback to the float.
+        for micros in EXACT_MICROS - 2_000..EXACT_MICROS + 2_000 {
+            assert_micros_match(micros);
+        }
+        assert_micros_match(u64::MAX);
+        let o = JsonObject::new().micros_as_secs("t", 1_500_000);
+        assert_eq!(o.finish(), "{\"t\":1.5}");
+    }
+
+    #[test]
+    fn an_object_appends_to_a_buffer_and_hands_it_back() {
+        let line = JsonObject::append_to("x".to_string()).uint("a", 1).finish();
+        assert_eq!(line, "x{\"a\":1}");
+        assert_eq!(JsonObject::append_to(String::new()).finish(), "{}");
     }
 
     #[test]

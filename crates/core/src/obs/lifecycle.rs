@@ -255,7 +255,8 @@ mod tests {
             }
             events
         };
-        let processor = |invocation: u64| if invocation == 4 { "race" } else { "svc" }.to_string();
+        let processor =
+            |invocation: u64| Arc::<str>::from(if invocation == 4 { "race" } else { "svc" });
         let submitted = |invocation: u64| TraceEvent::JobSubmitted {
             at: at(0.0),
             invocation,

@@ -15,7 +15,7 @@
 
 use super::json::{array, JsonObject};
 use super::lifecycle::{Lifecycle, Step};
-use super::{EventSink, TraceEvent};
+use super::{EventSink, TraceEvent, KINDS};
 use moteur_gridsim::{CeId, SimEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -34,6 +34,10 @@ impl Gauge {
         self.current = value;
         self.peak = self.peak.max(value);
         self.timeline.push((at, value));
+    }
+
+    fn add(&mut self, at: f64, delta: i64) {
+        self.update(at, self.current + delta);
     }
 }
 
@@ -146,11 +150,71 @@ pub(super) fn entry<'a, V>(
     map.get_mut(name).expect("present or just inserted")
 }
 
+/// Values kept by name: stored in creation order, read in name order.
+/// A sink resolves a name to its position once, when it first updates
+/// the value, and from then on updates it by position: no name is
+/// built or looked up per event.
+#[derive(Debug, Clone)]
+pub(super) struct Named<T> {
+    values: Vec<T>,
+    /// Name → position in `values`; every reader iterates this map.
+    index: BTreeMap<String, usize>,
+}
+
+impl<T> Default for Named<T> {
+    fn default() -> Self {
+        Named {
+            values: Vec::new(),
+            index: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Named<T> {
+    /// Position of `name`, created from `make` when absent.
+    pub(super) fn resolve(&mut self, name: &str, make: impl FnOnce() -> T) -> usize {
+        if let Some(&at) = self.index.get(name) {
+            return at;
+        }
+        self.values.push(make());
+        self.index.insert(name.to_string(), self.values.len() - 1);
+        self.values.len() - 1
+    }
+
+    pub(super) fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&at| &self.values[at])
+    }
+
+    /// Every value with its name, in name order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
+        self.index
+            .iter()
+            .map(|(name, &at)| (name, &self.values[at]))
+    }
+
+    pub(super) fn len(&self) -> usize {
+        self.values.len()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Named<T> {
+    type Output = T;
+    fn index(&self, at: usize) -> &T {
+        &self.values[at]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Named<T> {
+    fn index_mut(&mut self, at: usize) -> &mut T {
+        &mut self.values[at]
+    }
+}
+
 /// All metrics of one run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, Gauge>,
+    counters: Named<u64>,
+    gauges: Named<Gauge>,
     histograms: BTreeMap<String, Histogram>,
     /// Latest virtual time observed on any event, in seconds — the
     /// timestamp the OpenMetrics exposition stamps every sample with.
@@ -175,7 +239,8 @@ impl MetricsRegistry {
     }
 
     pub fn inc(&mut self, name: &str, by: u64) {
-        *entry(&mut self.counters, name, || 0) += by;
+        let at = self.counters.resolve(name, || 0);
+        self.counters[at] += by;
     }
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -187,13 +252,13 @@ impl MetricsRegistry {
     }
 
     pub fn gauge_add(&mut self, name: &str, at: f64, delta: i64) {
-        let g = entry(&mut self.gauges, name, Gauge::default);
-        let value = g.current + delta;
-        g.update(at, value);
+        let g = self.gauges.resolve(name, Gauge::default);
+        self.gauges[g].add(at, delta);
     }
 
     pub fn gauge_set(&mut self, name: &str, at: f64, value: i64) {
-        entry(&mut self.gauges, name, Gauge::default).update(at, value);
+        let g = self.gauges.resolve(name, Gauge::default);
+        self.gauges[g].update(at, value);
     }
 
     pub fn gauge(&self, name: &str) -> Option<&Gauge> {
@@ -221,14 +286,14 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> String {
         let counters = {
             let mut o = JsonObject::new();
-            for (k, v) in &self.counters {
-                o = o.uint(k, *v);
+            for (k, v) in self.counters() {
+                o = o.uint(k, v);
             }
             o.finish()
         };
         let gauges = {
             let mut o = JsonObject::new();
-            for (k, g) in &self.gauges {
+            for (k, g) in self.gauges() {
                 let timeline = array(
                     g.timeline
                         .iter()
@@ -284,6 +349,60 @@ pub struct MetricsSink {
     /// gauges, taken when it opens and given back when it ends: replicas,
     /// resubmits and deferrals open nothing, so they cannot count twice.
     pub(super) life: Lifecycle,
+    /// Positions in `registry`: they hold because values are only ever
+    /// added to a registry, never removed.
+    ids: MetricIds,
+}
+
+/// Positions in the registry the sink resolved, each on first update.
+#[derive(Debug, Default)]
+struct MetricIds {
+    /// The counter of each event kind, by [`TraceEvent::kind_index`].
+    kinds: [Option<usize>; KINDS.len()],
+    inflight_total: Option<usize>,
+    /// `inflight.<processor>`.
+    inflight: BTreeMap<Arc<str>, usize>,
+    /// `queue_depth.ce<N>` and `busy.ce<N>`, by CE index.
+    ces: Vec<Option<[usize; 2]>>,
+}
+
+impl MetricIds {
+    fn kind(&mut self, reg: &mut MetricsRegistry, event: &TraceEvent) -> usize {
+        *self.kinds[event.kind_index()]
+            .get_or_insert_with(|| reg.counters.resolve(event.kind(), || 0))
+    }
+
+    /// Move `inflight_total` and `inflight.<processor>` by `delta`.
+    fn inflight(&mut self, reg: &mut MetricsRegistry, processor: &Arc<str>, at: f64, delta: i64) {
+        let total = *self
+            .inflight_total
+            .get_or_insert_with(|| reg.gauges.resolve("inflight_total", Gauge::default));
+        reg.gauges[total].add(at, delta);
+        let own = match self.inflight.get(processor) {
+            Some(&own) => own,
+            None => {
+                let own = reg
+                    .gauges
+                    .resolve(&format!("inflight.{processor}"), Gauge::default);
+                self.inflight.insert(Arc::clone(processor), own);
+                own
+            }
+        };
+        reg.gauges[own].add(at, delta);
+    }
+
+    fn ce(&mut self, reg: &mut MetricsRegistry, ce: usize) -> [usize; 2] {
+        if self.ces.len() <= ce {
+            self.ces.resize(ce + 1, None);
+        }
+        *self.ces[ce].get_or_insert_with(|| {
+            [
+                reg.gauges
+                    .resolve(&format!("queue_depth.ce{ce}"), Gauge::default),
+                reg.gauges.resolve(&format!("busy.ce{ce}"), Gauge::default),
+            ]
+        })
+    }
 }
 
 impl MetricsSink {
@@ -294,6 +413,7 @@ impl MetricsSink {
             MetricsSink {
                 registry: registry.clone(),
                 life: Lifecycle::default(),
+                ids: MetricIds::default(),
             },
             registry,
         )
@@ -304,27 +424,23 @@ impl EventSink for MetricsSink {
     fn record(&mut self, event: &TraceEvent) {
         let at = event.at().as_secs_f64();
         let mut reg = self.registry.lock().expect("metrics registry lock");
+        let reg = &mut *reg;
         reg.touch(at);
-        reg.inc(event.kind(), 1);
+        let kind = self.ids.kind(reg, event);
+        reg.counters[kind] += 1;
         match (event, self.life.record(event, |_| ())) {
             // A cache hit opens an invocation like JobSubmitted, so it
             // holds a unit too.
             (
                 TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. },
                 Step::Opened(true),
-            ) => {
-                reg.gauge_add("inflight_total", at, 1);
-                reg.gauge_add(&format!("inflight.{processor}"), at, 1);
-            }
+            ) => self.ids.inflight(reg, processor, at, 1),
             (
                 TraceEvent::JobCompleted { processor, .. }
                 | TraceEvent::JobFailed { processor, .. }
                 | TraceEvent::JobCancelled { processor, .. },
                 Step::Ended { replica: false, .. },
-            ) => {
-                reg.gauge_add("inflight_total", at, -1);
-                reg.gauge_add(&format!("inflight.{processor}"), at, -1);
-            }
+            ) => self.ids.inflight(reg, processor, at, -1),
             (TraceEvent::Grid(SimEvent::JobDelivered { .. }), Step::Moved(a)) => {
                 if let (Some(sub), Some(start), Some(fin)) = (a.submitted, a.started, a.finished) {
                     // Grid overhead = everything but execution:
@@ -342,8 +458,9 @@ impl EventSink for MetricsSink {
                 }),
                 _,
             ) => {
-                reg.gauge_set(&format!("queue_depth.ce{ce}"), at, *queued_user as i64);
-                reg.gauge_set(&format!("busy.ce{ce}"), at, *busy as i64);
+                let [queue_depth, busy_slots] = self.ids.ce(reg, *ce);
+                reg.gauges[queue_depth].update(at, *queued_user as i64);
+                reg.gauges[busy_slots].update(at, *busy as i64);
             }
             _ => {}
         }

@@ -58,13 +58,15 @@ use std::sync::{Arc, Mutex};
 
 /// One observable transition, at enactor or grid level. `at` is always
 /// the backend clock (virtual time for simulated backends, wall time
-/// for [`crate::backend::LocalBackend`]).
+/// for [`crate::backend::LocalBackend`]). A `processor` is the shared
+/// name the compiled workflow interned, so building an event copies no
+/// name.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A processor (or source) delivered a token downstream.
     TokenEmitted {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         port: String,
         index: String,
     },
@@ -72,14 +74,14 @@ pub enum TraceEvent {
     /// input set and may fire.
     MatchFired {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         index: String,
         inputs: usize,
     },
     /// A grouped (JG) job was composed from several workflow stages.
     GroupComposed {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         stages: usize,
         commands: usize,
     },
@@ -87,7 +89,7 @@ pub enum TraceEvent {
     /// exhausted, the collected inputs fired as one invocation.
     BarrierReleased {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         inputs: usize,
     },
     /// The enactor handed an invocation to the backend. `batched` is
@@ -96,7 +98,7 @@ pub enum TraceEvent {
     JobSubmitted {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         grid: bool,
         batched: usize,
     },
@@ -108,7 +110,7 @@ pub enum TraceEvent {
     JobResubmitted {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         retry: u32,
         attempt: u64,
     },
@@ -116,7 +118,7 @@ pub enum TraceEvent {
     JobCompleted {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         /// What its invocation records need; not rendered in the JSONL.
         completion: Box<Completion>,
     },
@@ -124,7 +126,7 @@ pub enum TraceEvent {
     JobFailed {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         error: String,
     },
     /// The invocation outlived its timeout policy; the enactor reacted
@@ -132,7 +134,7 @@ pub enum TraceEvent {
     JobTimedOut {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         timeout_secs: f64,
         action: &'static str,
     },
@@ -143,7 +145,7 @@ pub enum TraceEvent {
     JobReplicated {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         replica: u32,
         attempt: u64,
     },
@@ -153,7 +155,7 @@ pub enum TraceEvent {
     JobCancelled {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         reason: &'static str,
     },
     /// A computing element was blacklisted after repeated failures;
@@ -169,7 +171,7 @@ pub enum TraceEvent {
     CacheHit {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         outputs: usize,
         transfer_seconds: f64,
     },
@@ -178,7 +180,7 @@ pub enum TraceEvent {
     CacheMiss {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
     },
     /// The enactor bound `bytes` of file data to input `port` of
     /// `processor` while composing a grid job: the observed counterpart
@@ -188,7 +190,7 @@ pub enum TraceEvent {
     EdgeStaged {
         at: SimTime,
         invocation: u64,
-        processor: String,
+        processor: Arc<str>,
         port: String,
         bytes: u64,
     },
@@ -212,7 +214,7 @@ pub enum TraceEvent {
     /// Emitted once per transition into the suspended state.
     PortSuspended {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         /// Deepest outgoing-edge occupancy at suspension.
         depth: usize,
         capacity: usize,
@@ -222,7 +224,7 @@ pub enum TraceEvent {
     /// transition out of the suspended state.
     PortResumed {
         at: SimTime,
-        processor: String,
+        processor: Arc<str>,
         /// Deepest outgoing-edge occupancy at resumption.
         depth: usize,
         capacity: usize,
@@ -256,42 +258,82 @@ pub struct Completion {
     pub indices: Vec<crate::token::DataIndex>,
 }
 
+/// Every [`TraceEvent::kind`], in declaration order (a grid event's
+/// kinds where `Grid` stands).
+pub(crate) const KINDS: [&str; 29] = [
+    "token_emitted",
+    "match_fired",
+    "group_composed",
+    "barrier_released",
+    "job_submitted",
+    "job_resubmitted",
+    "job_completed",
+    "job_failed",
+    "job_timed_out",
+    "job_replicated",
+    "job_cancelled",
+    "ce_blacklisted",
+    "cache_hit",
+    "cache_miss",
+    "edge_staged",
+    "grid_submitted",
+    "grid_matched",
+    "grid_enqueued",
+    "grid_started",
+    "grid_finished",
+    "grid_resubmitted",
+    "grid_delivered",
+    "grid_cancelled",
+    "ce_capacity",
+    "grid_link_transfer",
+    "enactor_gauges",
+    "port_suspended",
+    "port_resumed",
+    "slo_breached",
+];
+
 impl TraceEvent {
     /// Stable snake_case tag, used as the JSON `type` field and as the
     /// metrics counter key.
     pub fn kind(&self) -> &'static str {
+        KINDS[self.kind_index()]
+    }
+
+    /// Position of [`TraceEvent::kind`] in [`KINDS`]: a dense index a
+    /// sink can keep per-kind state under.
+    pub(crate) fn kind_index(&self) -> usize {
         match self {
-            TraceEvent::TokenEmitted { .. } => "token_emitted",
-            TraceEvent::MatchFired { .. } => "match_fired",
-            TraceEvent::GroupComposed { .. } => "group_composed",
-            TraceEvent::BarrierReleased { .. } => "barrier_released",
-            TraceEvent::JobSubmitted { .. } => "job_submitted",
-            TraceEvent::JobResubmitted { .. } => "job_resubmitted",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JobFailed { .. } => "job_failed",
-            TraceEvent::JobTimedOut { .. } => "job_timed_out",
-            TraceEvent::JobReplicated { .. } => "job_replicated",
-            TraceEvent::JobCancelled { .. } => "job_cancelled",
-            TraceEvent::CeBlacklisted { .. } => "ce_blacklisted",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::EdgeStaged { .. } => "edge_staged",
+            TraceEvent::TokenEmitted { .. } => 0,
+            TraceEvent::MatchFired { .. } => 1,
+            TraceEvent::GroupComposed { .. } => 2,
+            TraceEvent::BarrierReleased { .. } => 3,
+            TraceEvent::JobSubmitted { .. } => 4,
+            TraceEvent::JobResubmitted { .. } => 5,
+            TraceEvent::JobCompleted { .. } => 6,
+            TraceEvent::JobFailed { .. } => 7,
+            TraceEvent::JobTimedOut { .. } => 8,
+            TraceEvent::JobReplicated { .. } => 9,
+            TraceEvent::JobCancelled { .. } => 10,
+            TraceEvent::CeBlacklisted { .. } => 11,
+            TraceEvent::CacheHit { .. } => 12,
+            TraceEvent::CacheMiss { .. } => 13,
+            TraceEvent::EdgeStaged { .. } => 14,
             TraceEvent::Grid(e) => match e {
-                SimEvent::JobSubmitted { .. } => "grid_submitted",
-                SimEvent::JobMatched { .. } => "grid_matched",
-                SimEvent::JobEnqueued { .. } => "grid_enqueued",
-                SimEvent::JobStarted { .. } => "grid_started",
-                SimEvent::JobFinished { .. } => "grid_finished",
-                SimEvent::JobResubmitted { .. } => "grid_resubmitted",
-                SimEvent::JobDelivered { .. } => "grid_delivered",
-                SimEvent::JobCancelled { .. } => "grid_cancelled",
-                SimEvent::CeCapacity { .. } => "ce_capacity",
-                SimEvent::LinkTransfer { .. } => "grid_link_transfer",
+                SimEvent::JobSubmitted { .. } => 15,
+                SimEvent::JobMatched { .. } => 16,
+                SimEvent::JobEnqueued { .. } => 17,
+                SimEvent::JobStarted { .. } => 18,
+                SimEvent::JobFinished { .. } => 19,
+                SimEvent::JobResubmitted { .. } => 20,
+                SimEvent::JobDelivered { .. } => 21,
+                SimEvent::JobCancelled { .. } => 22,
+                SimEvent::CeCapacity { .. } => 23,
+                SimEvent::LinkTransfer { .. } => 24,
             },
-            TraceEvent::EnactorGauges { .. } => "enactor_gauges",
-            TraceEvent::PortSuspended { .. } => "port_suspended",
-            TraceEvent::PortResumed { .. } => "port_resumed",
-            TraceEvent::SloBreached { .. } => "slo_breached",
+            TraceEvent::EnactorGauges { .. } => 25,
+            TraceEvent::PortSuspended { .. } => 26,
+            TraceEvent::PortResumed { .. } => 27,
+            TraceEvent::SloBreached { .. } => 28,
         }
     }
 
@@ -354,13 +396,21 @@ impl TraceEvent {
     /// One-line JSON rendering (the JSONL schema): `type`, `t`, the
     /// `invocation` when there is one, then the variant's own fields.
     pub fn to_json(&self) -> String {
-        let mut base = JsonObject::new()
+        let mut line = String::with_capacity(json::LINE_CAPACITY);
+        self.write_json(&mut line);
+        line
+    }
+
+    /// Append [`TraceEvent::to_json`]'s line to `out`, so a writer that
+    /// keeps one line buffer renders every event without allocating.
+    pub fn write_json(&self, out: &mut String) {
+        let mut base = JsonObject::append_to(std::mem::take(out))
             .str("type", self.kind())
-            .num("t", self.at().as_secs_f64());
+            .micros_as_secs("t", self.at().0);
         if let Some(invocation) = self.invocation() {
             base = base.uint("invocation", invocation);
         }
-        match self {
+        let base = match self {
             TraceEvent::TokenEmitted {
                 processor,
                 port,
@@ -500,8 +550,8 @@ impl TraceEvent {
                 .num("factor", *factor)
                 .uint("completed", *completed as u64)
                 .uint("expected", *expected as u64),
-        }
-        .finish()
+        };
+        *out = base.finish();
     }
 }
 

@@ -2,6 +2,11 @@
 //! buffer and JSONL stream writer.
 
 use super::{EventSink, TraceEvent};
+
+/// Starting capacity of a [`JsonlSink`]'s line: the longest lines of a
+/// grid run (link transfers, with their two float durations) are under
+/// 200 bytes.
+const LINE_CAPACITY: usize = 256;
 use std::collections::VecDeque;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -82,6 +87,10 @@ impl EventSink for RingBufferSink {
 /// Writes one JSON object per line (JSONL / NDJSON).
 pub struct JsonlSink {
     out: BufWriter<Box<dyn Write + Send>>,
+    /// The line being written, kept across events: sized for the lines
+    /// of a grid run, it is rendered without allocating, and a longer
+    /// line grows it once.
+    line: String,
     /// First write error, reported on [`EventSink::flush`]. Event
     /// recording itself stays infallible.
     error: Option<std::io::Error>,
@@ -99,6 +108,7 @@ impl JsonlSink {
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
         JsonlSink {
             out: BufWriter::new(writer),
+            line: String::with_capacity(LINE_CAPACITY),
             error: None,
         }
     }
@@ -115,12 +125,10 @@ impl EventSink for JsonlSink {
         if self.error.is_some() {
             return;
         }
-        let line = event.to_json();
-        if let Err(e) = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"))
-        {
+        self.line.clear();
+        event.write_json(&mut self.line);
+        self.line.push('\n');
+        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
             self.error = Some(e);
         }
     }

@@ -327,7 +327,7 @@ impl SpanSink {
         let service = match event {
             TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. } => {
                 Some(*super::metrics::entry(services, processor, || {
-                    let name = processor.clone();
+                    let name = processor.to_string();
                     Self::open(tree, Some(root), SpanKind::Service, name, at, Vec::new())
                 }))
             }

@@ -33,7 +33,7 @@
 
 use super::json::{self, JsonObject, JsonValue};
 use super::lifecycle::{Attempt, Lifecycle, Step};
-use super::metrics::entry;
+use super::metrics::{entry, Named};
 use super::{EventSink, TraceEvent};
 use moteur_gridsim::{CeId, SimEvent};
 use std::collections::BTreeMap;
@@ -77,6 +77,8 @@ pub enum TimelineError {
     /// A series point (0-based `index`) that does not start with two
     /// numbers.
     BadPoint { series: String, index: usize },
+    /// A second series under a name already read.
+    DuplicateSeries { series: String },
 }
 
 impl std::fmt::Display for TimelineError {
@@ -94,6 +96,9 @@ impl std::fmt::Display for TimelineError {
                 f,
                 "timeline: series `{series}`: point {index} is not a [t, value] pair"
             ),
+            TimelineError::DuplicateSeries { series } => {
+                write!(f, "timeline: series `{series}` appears twice")
+            }
         }
     }
 }
@@ -147,6 +152,13 @@ impl Series {
         }
     }
 
+    /// Add `delta` to a counter and sample the running total.
+    fn add(&mut self, t: f64, delta: f64) {
+        self.total += delta;
+        self.sample(t, self.total);
+    }
+
+    /// Sample a level (a gauge) at virtual time `t`.
     fn sample(&mut self, t: f64, v: f64) {
         self.last = Some((t, v));
         if self.seen.is_multiple_of(self.keep_every) {
@@ -198,7 +210,9 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct Timeline {
     capacity: usize,
-    series: BTreeMap<String, Series>,
+    /// Read in name order; [`TimelineSink`] updates a series by the
+    /// position it resolved when the series was first sampled.
+    series: Named<Series>,
 }
 
 impl Default for Timeline {
@@ -215,26 +229,28 @@ impl Timeline {
     pub fn with_capacity(capacity: usize) -> Timeline {
         Timeline {
             capacity: capacity.max(8),
-            series: BTreeMap::new(),
+            series: Named::default(),
         }
     }
 
-    fn series_mut(&mut self, name: &str, kind: SeriesKind) -> &mut Series {
+    /// Position of the series `name`, created empty of `kind` when
+    /// absent.
+    fn resolve(&mut self, name: &str, kind: SeriesKind) -> usize {
         let capacity = self.capacity;
-        entry(&mut self.series, name, || Series::new(name, kind, capacity))
+        self.series
+            .resolve(name, || Series::new(name, kind, capacity))
     }
 
     /// Sample a gauge level at virtual time `t`.
     pub fn gauge(&mut self, name: &str, t: f64, value: f64) {
-        self.series_mut(name, SeriesKind::Gauge).sample(t, value);
+        let at = self.resolve(name, SeriesKind::Gauge);
+        self.series[at].sample(t, value);
     }
 
     /// Add `delta` to a counter and sample the running total.
     pub fn counter(&mut self, name: &str, t: f64, delta: f64) {
-        let s = self.series_mut(name, SeriesKind::Counter);
-        s.total += delta;
-        let total = s.total;
-        s.sample(t, total);
+        let at = self.resolve(name, SeriesKind::Counter);
+        self.series[at].add(t, delta);
     }
 
     pub fn get(&self, name: &str) -> Option<&Series> {
@@ -243,17 +259,17 @@ impl Timeline {
 
     /// All series in name order (deterministic iteration).
     pub fn series(&self) -> impl Iterator<Item = &Series> {
-        self.series.values()
+        self.series.iter().map(|(_, s)| s)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
+        self.series.len() == 0
     }
 
     /// Versioned single-line JSON export ([`TIMELINE_SCHEMA`]),
     /// byte-stable for a fixed event sequence.
     pub fn to_json(&self) -> String {
-        let series = json::array(self.series.values().map(|s| {
+        let series = json::array(self.series().map(|s| {
             let points = json::array(
                 s.samples()
                     .iter()
@@ -279,7 +295,7 @@ impl Timeline {
     /// CSV export: `series,kind,t,value` in series-name order.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("series,kind,t,value\n");
-        for s in self.series.values() {
+        for s in self.series() {
             for (t, v) in s.samples() {
                 out.push_str(&format!(
                     "{},{},{},{}\n",
@@ -295,8 +311,9 @@ impl Timeline {
 
     /// Parse a [`Timeline::to_json`] export back (for
     /// `moteur timeline render`). A series with a missing or unknown
-    /// `kind`, or with a point that does not start with two numbers, is
-    /// refused by name rather than read as a gauge or skipped.
+    /// `kind`, with a point that does not start with two numbers, or
+    /// under a name an earlier series took, is refused by name rather
+    /// than read as a gauge, skipped or silently replaced.
     pub fn from_json(text: &str) -> Result<Timeline, TimelineError> {
         let obj = JsonValue::parse(text)?;
         match obj.str_at("schema") {
@@ -313,6 +330,11 @@ impl Timeline {
             .ok_or("timeline: missing series array")?;
         for e in series {
             let name = e.str_at("name").ok_or("timeline: series without name")?;
+            if timeline.get(name).is_some() {
+                return Err(TimelineError::DuplicateSeries {
+                    series: name.to_string(),
+                });
+            }
             let kind = match e.str_at("kind") {
                 Some("gauge") => SeriesKind::Gauge,
                 Some("counter") => SeriesKind::Counter,
@@ -336,15 +358,14 @@ impl Timeline {
             }
             s.seen = e.u64_at("seen").unwrap_or(0);
             s.total = e.f64_at("total").unwrap_or(0.0);
-            timeline.series.insert(s.name.clone(), s);
+            timeline.series.resolve(name, || s);
         }
         Ok(timeline)
     }
 
     /// Latest virtual time across all series.
     pub fn t_end(&self) -> f64 {
-        self.series
-            .values()
+        self.series()
             .filter_map(|s| s.last.map(|(t, _)| t))
             .fold(0.0f64, f64::max)
     }
@@ -354,9 +375,8 @@ impl Timeline {
         let width = width.clamp(10, 200);
         let t_end = self.t_end();
         let label_w = self
-            .series
-            .keys()
-            .map(String::len)
+            .series()
+            .map(|s| s.name.len())
             .max()
             .unwrap_or(0)
             .max(6);
@@ -366,11 +386,11 @@ impl Timeline {
             t_end,
             width
         );
-        if self.series.is_empty() {
+        if self.is_empty() {
             out.push_str("(empty)\n");
             return out;
         }
-        for s in self.series.values() {
+        for s in self.series() {
             let buckets = bucketize(&s.samples(), t_end, width);
             let peak = buckets.iter().flatten().fold(0.0f64, |a, &b| a.max(b));
             let row: String = buckets
@@ -399,8 +419,7 @@ impl Timeline {
         let suffix = format!(".{metric}");
         let t_end = self.t_end();
         let rows: Vec<&Series> = self
-            .series
-            .values()
+            .series()
             .filter(|s| s.name.ends_with(&suffix))
             .collect();
         if rows.is_empty() {
@@ -574,6 +593,125 @@ pub struct TimelineState {
     pub(super) life: Lifecycle,
     /// `EdgeStaged`'s lookup key, refilled in place: cloned per new edge.
     edge: (String, String),
+    /// Positions in `timeline` of the series the sink samples: they hold
+    /// while `timeline` is the one the sink was built with.
+    ids: SeriesIds,
+}
+
+/// A series the sink keeps per CE.
+#[derive(Clone, Copy)]
+enum CeSeries {
+    QueueDepth,
+    Running,
+    Utilization,
+    LinkBytes,
+    LinkBandwidth,
+}
+
+impl CeSeries {
+    const COUNT: usize = CeSeries::LinkBandwidth as usize + 1;
+
+    /// The series of CE `ce`: its name and kind.
+    fn spec(self, ce: usize) -> (String, SeriesKind) {
+        match self {
+            CeSeries::QueueDepth => (format!("ce{ce}.queue_depth"), SeriesKind::Gauge),
+            CeSeries::Running => (format!("ce{ce}.running"), SeriesKind::Gauge),
+            CeSeries::Utilization => (format!("ce{ce}.utilization"), SeriesKind::Gauge),
+            CeSeries::LinkBytes => (format!("link.ce{ce}.bytes"), SeriesKind::Counter),
+            CeSeries::LinkBandwidth => (format!("link.ce{ce}.bandwidth"), SeriesKind::Gauge),
+        }
+    }
+}
+
+/// A series of fixed name.
+#[derive(Clone, Copy)]
+enum Fixed {
+    JobsSubmitted,
+    CacheHits,
+    Completed,
+    Failed,
+    Cancelled,
+    Inflight,
+    Deferred,
+    Quarantined,
+    StoreEntries,
+    StoreBytes,
+    PortSuspends,
+    PortResumes,
+    SloBreaches,
+}
+
+impl Fixed {
+    const COUNT: usize = Fixed::SloBreaches as usize + 1;
+
+    fn spec(self) -> (&'static str, SeriesKind) {
+        match self {
+            Fixed::JobsSubmitted => ("enactor.jobs_submitted", SeriesKind::Counter),
+            Fixed::CacheHits => ("enactor.cache_hits", SeriesKind::Counter),
+            Fixed::Completed => ("enactor.completed", SeriesKind::Counter),
+            Fixed::Failed => ("enactor.failed", SeriesKind::Counter),
+            Fixed::Cancelled => ("enactor.cancelled", SeriesKind::Counter),
+            Fixed::Inflight => ("enactor.inflight", SeriesKind::Gauge),
+            Fixed::Deferred => ("enactor.deferred", SeriesKind::Gauge),
+            Fixed::Quarantined => ("enactor.quarantined", SeriesKind::Gauge),
+            Fixed::StoreEntries => ("store.entries", SeriesKind::Gauge),
+            Fixed::StoreBytes => ("store.bytes", SeriesKind::Gauge),
+            Fixed::PortSuspends => ("enactor.port_suspends", SeriesKind::Counter),
+            Fixed::PortResumes => ("enactor.port_resumes", SeriesKind::Counter),
+            Fixed::SloBreaches => ("enactor.slo_breaches", SeriesKind::Counter),
+        }
+    }
+}
+
+/// Where the sink's series sit in its [`Timeline`]: each is resolved by
+/// name once, when first sampled, and updated by position after that.
+/// A series is still created only by its first sample, so the set of
+/// series is what sampling by name would make.
+#[derive(Debug, Default)]
+struct SeriesIds {
+    /// Per CE index, per [`CeSeries`].
+    ces: Vec<[Option<usize>; CeSeries::COUNT]>,
+    /// Per [`Fixed`] series.
+    fixed: [Option<usize>; Fixed::COUNT],
+    /// `port.depth.<processor>`.
+    port_depth: BTreeMap<Arc<str>, usize>,
+}
+
+impl SeriesIds {
+    fn ce<'t>(&mut self, timeline: &'t mut Timeline, ce: usize, row: CeSeries) -> &'t mut Series {
+        if self.ces.len() <= ce {
+            self.ces.resize(ce + 1, [None; CeSeries::COUNT]);
+        }
+        let at = *self.ces[ce][row as usize].get_or_insert_with(|| {
+            let (name, kind) = row.spec(ce);
+            timeline.resolve(&name, kind)
+        });
+        &mut timeline.series[at]
+    }
+
+    fn fixed<'t>(&mut self, timeline: &'t mut Timeline, row: Fixed) -> &'t mut Series {
+        let at = *self.fixed[row as usize].get_or_insert_with(|| {
+            let (name, kind) = row.spec();
+            timeline.resolve(name, kind)
+        });
+        &mut timeline.series[at]
+    }
+
+    fn port_depth<'t>(
+        &mut self,
+        timeline: &'t mut Timeline,
+        processor: &Arc<str>,
+    ) -> &'t mut Series {
+        let at = match self.port_depth.get(processor) {
+            Some(&at) => at,
+            None => {
+                let at = timeline.resolve(&format!("port.depth.{processor}"), SeriesKind::Gauge);
+                self.port_depth.insert(Arc::clone(processor), at);
+                at
+            }
+        };
+        &mut timeline.series[at]
+    }
 }
 
 /// An [`EventSink`] sampling every lifecycle event into a [`Timeline`]
@@ -624,6 +762,7 @@ impl EventSink for TimelineSink {
             stats,
             life,
             edge,
+            ids,
         } = &mut *state;
         let t = event.at().as_secs_f64();
         stats.t_end = stats.t_end.max(t);
@@ -640,11 +779,14 @@ impl EventSink for TimelineSink {
                 slots,
                 ..
             }) => {
-                timeline.gauge(&format!("ce{ce}.queue_depth"), t, *queued_user as f64);
-                timeline.gauge(&format!("ce{ce}.running"), t, *busy as f64);
+                ids.ce(timeline, *ce, CeSeries::QueueDepth)
+                    .sample(t, *queued_user as f64);
+                ids.ce(timeline, *ce, CeSeries::Running)
+                    .sample(t, *busy as f64);
                 if *slots > 0 {
                     let utilization = *busy as f64 / *slots as f64;
-                    timeline.gauge(&format!("ce{ce}.utilization"), t, utilization);
+                    ids.ce(timeline, *ce, CeSeries::Utilization)
+                        .sample(t, utilization);
                 }
                 let s = stats.ces.entry(*ce).or_default();
                 s.busy_slot_secs += s.last_busy as f64 * (t - s.last_t).max(0.0);
@@ -663,17 +805,19 @@ impl EventSink for TimelineSink {
             }) => {
                 let bytes = bytes_in + bytes_out;
                 let secs = stage_in_secs + stage_out_secs;
-                timeline.counter(&format!("link.ce{ce}.bytes"), t, bytes as f64);
+                ids.ce(timeline, *ce, CeSeries::LinkBytes)
+                    .add(t, bytes as f64);
                 let occupancy = if secs > 0.0 { bytes as f64 / secs } else { 0.0 };
-                timeline.gauge(&format!("link.ce{ce}.bandwidth"), t, occupancy);
+                ids.ce(timeline, *ce, CeSeries::LinkBandwidth)
+                    .sample(t, occupancy);
                 *stats.link_bytes.entry(*ce).or_insert(0) += bytes;
                 stats.transfer_secs += secs;
             }
             TraceEvent::JobSubmitted { .. } => {
-                timeline.counter("enactor.jobs_submitted", t, 1.0);
+                ids.fixed(timeline, Fixed::JobsSubmitted).add(t, 1.0);
             }
             TraceEvent::CacheHit { .. } => {
-                timeline.counter("enactor.cache_hits", t, 1.0);
+                ids.fixed(timeline, Fixed::CacheHits).add(t, 1.0);
             }
             TraceEvent::EdgeStaged {
                 processor,
@@ -681,7 +825,8 @@ impl EventSink for TimelineSink {
                 bytes,
                 ..
             } => {
-                edge.0.clone_from(processor);
+                edge.0.clear();
+                edge.0.push_str(processor);
                 edge.1.clone_from(port);
                 match stats.edge_bytes.get_mut(edge) {
                     Some(staged) => *staged += bytes,
@@ -710,7 +855,7 @@ impl EventSink for TimelineSink {
                 ..
             } => {
                 stats.completed += 1;
-                timeline.counter("enactor.completed", t, 1.0);
+                ids.fixed(timeline, Fixed::Completed).add(t, 1.0);
                 let secs = (t - completion.submitted.as_secs_f64()).max(0.0);
                 entry(&mut stats.service_durations, processor, Vec::new).push(DurationSample {
                     invocation: *invocation,
@@ -719,11 +864,11 @@ impl EventSink for TimelineSink {
             }
             TraceEvent::JobFailed { .. } => {
                 stats.failed += 1;
-                timeline.counter("enactor.failed", t, 1.0);
+                ids.fixed(timeline, Fixed::Failed).add(t, 1.0);
             }
             TraceEvent::JobCancelled { .. } => {
                 stats.cancelled += 1;
-                timeline.counter("enactor.cancelled", t, 1.0);
+                ids.fixed(timeline, Fixed::Cancelled).add(t, 1.0);
             }
             TraceEvent::EnactorGauges {
                 inflight,
@@ -733,27 +878,31 @@ impl EventSink for TimelineSink {
                 cache_bytes,
                 ..
             } => {
-                timeline.gauge("enactor.inflight", t, *inflight as f64);
-                timeline.gauge("enactor.deferred", t, *deferred as f64);
-                timeline.gauge("enactor.quarantined", t, *quarantined as f64);
-                timeline.gauge("store.entries", t, *cache_entries as f64);
-                timeline.gauge("store.bytes", t, *cache_bytes as f64);
+                for (row, value) in [
+                    (Fixed::Inflight, *inflight as f64),
+                    (Fixed::Deferred, *deferred as f64),
+                    (Fixed::Quarantined, *quarantined as f64),
+                    (Fixed::StoreEntries, *cache_entries as f64),
+                    (Fixed::StoreBytes, *cache_bytes as f64),
+                ] {
+                    ids.fixed(timeline, row).sample(t, value);
+                }
             }
             TraceEvent::PortSuspended {
                 processor, depth, ..
             } => {
-                timeline.gauge(&format!("port.depth.{processor}"), t, *depth as f64);
-                timeline.counter("enactor.port_suspends", t, 1.0);
+                ids.port_depth(timeline, processor).sample(t, *depth as f64);
+                ids.fixed(timeline, Fixed::PortSuspends).add(t, 1.0);
             }
             TraceEvent::PortResumed {
                 processor, depth, ..
             } => {
-                timeline.gauge(&format!("port.depth.{processor}"), t, *depth as f64);
-                timeline.counter("enactor.port_resumes", t, 1.0);
+                ids.port_depth(timeline, processor).sample(t, *depth as f64);
+                ids.fixed(timeline, Fixed::PortResumes).add(t, 1.0);
             }
             TraceEvent::SloBreached { .. } => {
                 stats.slo_breaches += 1;
-                timeline.counter("enactor.slo_breaches", t, 1.0);
+                ids.fixed(timeline, Fixed::SloBreaches).add(t, 1.0);
             }
             _ => {}
         }
@@ -863,6 +1012,28 @@ mod tests {
                 .expect_err("no kind")
                 .to_string(),
             "timeline: series `ce0.running` has no kind"
+        );
+    }
+
+    #[test]
+    fn from_json_refuses_a_duplicate_series() {
+        let mut tl = Timeline::with_capacity(8);
+        tl.gauge("ce0.running", 0.0, 1.0);
+        tl.counter("link.ce0.bytes", 1.0, 10.0);
+        let json = tl.to_json();
+        let ce0 = r#"{"name":"ce0.running","kind":"gauge","seen":1,"points":[[0,1]]}"#;
+        let twice = json.replace(ce0, &format!("{ce0},{ce0}"));
+        assert_ne!(twice, json, "the series was duplicated");
+        let err = Timeline::from_json(&twice).expect_err("a name read twice");
+        assert_eq!(
+            err,
+            TimelineError::DuplicateSeries {
+                series: "ce0.running".into()
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "timeline: series `ce0.running` appears twice"
         );
     }
 

@@ -71,7 +71,7 @@ impl EventSink for RecordSink {
         {
             let mut records = self.0.lock().expect("record lock");
             records.extend(c.indices.iter().map(|index| InvocationRecord {
-                processor: processor.clone(),
+                processor: processor.to_string(),
                 index: index.clone(),
                 submitted: c.submitted,
                 started: c.started,

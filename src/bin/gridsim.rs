@@ -24,6 +24,7 @@ use moteur_repro::gridsim::{summarize, GridConfig, GridJobSpec, GridSim, JobOutc
 use moteur_repro::moteur::obs::Completion;
 use moteur_repro::moteur::TraceEvent;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
@@ -65,6 +66,7 @@ fn run(args: &Args) -> Outcome {
         sim.set_prof(obs.prof().clone());
     }
     sim.reserve_jobs(jobs);
+    let synthetic: Arc<str> = Arc::from("synthetic");
     for i in 0..jobs {
         // Synthesize the enactor-level submission the span/metric
         // layers key item lifecycles on: here each grid job is its own
@@ -72,7 +74,7 @@ fn run(args: &Args) -> Outcome {
         obs.record(&TraceEvent::JobSubmitted {
             at: sim.now(),
             invocation: i as u64,
-            processor: "synthetic".to_string(),
+            processor: Arc::clone(&synthetic),
             grid: true,
             batched: 1,
         });
@@ -88,7 +90,7 @@ fn run(args: &Args) -> Outcome {
             TraceEvent::JobCompleted {
                 at: done.delivered_at,
                 invocation: done.tag,
-                processor: "synthetic".to_string(),
+                processor: Arc::clone(&synthetic),
                 completion: Box::new(Completion {
                     submitted: done.submitted_at,
                     ..Completion::default()
@@ -98,7 +100,7 @@ fn run(args: &Args) -> Outcome {
             TraceEvent::JobFailed {
                 at: done.delivered_at,
                 invocation: done.tag,
-                processor: "synthetic".to_string(),
+                processor: Arc::clone(&synthetic),
                 error: "grid job failed beyond retry budget".to_string(),
             }
         };

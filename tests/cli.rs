@@ -248,6 +248,23 @@ fn timeline_render_rejects_a_series_of_unknown_kind() {
     );
 }
 
+/// Two series under one name are refused by name: reading the file
+/// used to keep the later one and draw it as if nothing were wrong.
+#[test]
+fn timeline_render_rejects_a_duplicate_series() {
+    let dir = in_temp_dir();
+    let series = r#"{"name":"ce0.running","kind":"gauge","seen":1,"points":[[0,1]]}"#;
+    let doc =
+        format!(r#"{{"schema":"moteur/timeline/v1","capacity":8,"series":[{series},{series}]}}"#);
+    std::fs::write(dir.path().join("twice.json"), doc).unwrap();
+    let (code, _, stderr) = outcome(moteur(), &dir, &["timeline", "render", "twice.json"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("twice.json: timeline: series `ce0.running` appears twice"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn unknown_config_is_rejected() {
     let dir = in_temp_dir();
