@@ -31,15 +31,11 @@ fn needs_escape(b: u8) -> bool {
 }
 
 /// Append `s` to `out`, escaped for inclusion inside JSON double
-/// quotes. A clean string, the common case, is copied whole after one
-/// scan; otherwise the runs between escapes are copied whole.
+/// quotes. Every byte that needs escaping is ASCII, so the runs between
+/// them are copied whole.
 fn push_escaped(out: &mut String, s: &str) {
-    let Some(first) = s.bytes().position(needs_escape) else {
-        out.push_str(s);
-        return;
-    };
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate().skip(first) {
+    for (i, b) in s.bytes().enumerate() {
         if !needs_escape(b) {
             continue;
         }

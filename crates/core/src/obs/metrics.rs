@@ -15,7 +15,7 @@
 
 use super::json::{array, JsonObject};
 use super::lifecycle::{Lifecycle, Step};
-use super::{EventSink, TraceEvent, KINDS};
+use super::{EventSink, TraceEvent};
 use moteur_gridsim::{CeId, SimEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -151,14 +151,22 @@ pub(super) fn entry<'a, V>(
 }
 
 /// Values kept by name: stored in creation order, read in name order.
-/// A sink resolves a name to its position once, when it first updates
-/// the value, and from then on updates it by position: no name is
-/// built or looked up per event.
+///
+/// The one sink that writes a `Named` resolves each value by name once,
+/// on its first update, under a key of the sink's own (see
+/// [`Named::keyed`]), and from then on reaches it by position: no name
+/// is built or looked up per event. Those positions are kept here, with
+/// the values they index, so a `Named` replaced by a fresh one starts
+/// with none.
 #[derive(Debug, Clone)]
 pub(super) struct Named<T> {
     values: Vec<T>,
     /// Name → position in `values`; every reader iterates this map.
     index: BTreeMap<String, usize>,
+    /// Position under each dense key of the writing sink, once resolved.
+    keys: Vec<Option<usize>>,
+    /// Position of the writing sink's one per-processor value.
+    processors: BTreeMap<Arc<str>, usize>,
 }
 
 impl<T> Default for Named<T> {
@@ -166,19 +174,69 @@ impl<T> Default for Named<T> {
         Named {
             values: Vec::new(),
             index: BTreeMap::new(),
+            keys: Vec::new(),
+            processors: BTreeMap::new(),
         }
     }
 }
 
 impl<T> Named<T> {
     /// Position of `name`, created from `make` when absent.
-    pub(super) fn resolve(&mut self, name: &str, make: impl FnOnce() -> T) -> usize {
+    pub(super) fn resolve(&mut self, name: &str, make: impl FnOnce(&str) -> T) -> usize {
         if let Some(&at) = self.index.get(name) {
             return at;
         }
-        self.values.push(make());
+        self.values.push(make(name));
         self.index.insert(name.to_string(), self.values.len() - 1);
         self.values.len() - 1
+    }
+
+    /// The value under the writing sink's dense `key`: resolved by
+    /// `name()` on the key's first use, by position after that.
+    pub(super) fn keyed<N: AsRef<str>>(
+        &mut self,
+        key: usize,
+        name: impl FnOnce() -> N,
+        make: impl FnOnce(&str) -> T,
+    ) -> &mut T {
+        if self.keys.len() <= key {
+            self.keys.resize(key + 1, None);
+        }
+        let at = match self.keys[key] {
+            Some(at) => at,
+            None => {
+                let at = self.resolve(name().as_ref(), make);
+                self.keys[key] = Some(at);
+                at
+            }
+        };
+        &mut self.values[at]
+    }
+
+    /// The writing sink's value for `processor`, as [`Named::keyed`].
+    pub(super) fn per_processor(
+        &mut self,
+        processor: &Arc<str>,
+        name: impl FnOnce() -> String,
+        make: impl FnOnce(&str) -> T,
+    ) -> &mut T {
+        let at = match self.processors.get(processor) {
+            Some(&at) => at,
+            None => {
+                let at = self.resolve(&name(), make);
+                self.processors.insert(Arc::clone(processor), at);
+                at
+            }
+        };
+        &mut self.values[at]
+    }
+
+    /// The value `name`, created from `make` when absent: the by-name
+    /// write the unit tests build their fixtures with.
+    #[cfg(test)]
+    pub(super) fn entry(&mut self, name: &str, make: impl FnOnce(&str) -> T) -> &mut T {
+        let at = self.resolve(name, make);
+        &mut self.values[at]
     }
 
     pub(super) fn get(&self, name: &str) -> Option<&T> {
@@ -194,19 +252,6 @@ impl<T> Named<T> {
 
     pub(super) fn len(&self) -> usize {
         self.values.len()
-    }
-}
-
-impl<T> std::ops::Index<usize> for Named<T> {
-    type Output = T;
-    fn index(&self, at: usize) -> &T {
-        &self.values[at]
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for Named<T> {
-    fn index_mut(&mut self, at: usize) -> &mut T {
-        &mut self.values[at]
     }
 }
 
@@ -238,9 +283,9 @@ impl MetricsRegistry {
         self.latest
     }
 
-    pub fn inc(&mut self, name: &str, by: u64) {
-        let at = self.counters.resolve(name, || 0);
-        self.counters[at] += by;
+    #[cfg(test)]
+    pub(crate) fn inc(&mut self, name: &str, by: u64) {
+        *self.counters.entry(name, |_| 0) += by;
     }
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -251,14 +296,16 @@ impl MetricsRegistry {
         self.counters.iter().map(|(k, v)| (k, *v))
     }
 
-    pub fn gauge_add(&mut self, name: &str, at: f64, delta: i64) {
-        let g = self.gauges.resolve(name, Gauge::default);
-        self.gauges[g].add(at, delta);
+    #[cfg(test)]
+    pub(crate) fn gauge_add(&mut self, name: &str, at: f64, delta: i64) {
+        self.gauges.entry(name, |_| Gauge::default()).add(at, delta);
     }
 
-    pub fn gauge_set(&mut self, name: &str, at: f64, value: i64) {
-        let g = self.gauges.resolve(name, Gauge::default);
-        self.gauges[g].update(at, value);
+    #[cfg(test)]
+    pub(crate) fn gauge_set(&mut self, name: &str, at: f64, value: i64) {
+        self.gauges
+            .entry(name, |_| Gauge::default())
+            .update(at, value);
     }
 
     pub fn gauge(&self, name: &str) -> Option<&Gauge> {
@@ -349,59 +396,55 @@ pub struct MetricsSink {
     /// gauges, taken when it opens and given back when it ends: replicas,
     /// resubmits and deferrals open nothing, so they cannot count twice.
     pub(super) life: Lifecycle,
-    /// Positions in `registry`: they hold because values are only ever
-    /// added to a registry, never removed.
-    ids: MetricIds,
 }
 
-/// Positions in the registry the sink resolved, each on first update.
-#[derive(Debug, Default)]
-struct MetricIds {
-    /// The counter of each event kind, by [`TraceEvent::kind_index`].
-    kinds: [Option<usize>; KINDS.len()],
-    inflight_total: Option<usize>,
-    /// `inflight.<processor>`.
-    inflight: BTreeMap<Arc<str>, usize>,
-    /// `queue_depth.ce<N>` and `busy.ce<N>`, by CE index.
-    ces: Vec<Option<[usize; 2]>>,
+/// The [`Named::keyed`] key of `inflight_total` among the gauges; the
+/// two gauges of CE `ce` follow it at [`ce_gauge`].
+const INFLIGHT_TOTAL: usize = 0;
+
+/// The key of CE `ce`'s `queue_depth` (`busy`: false) or `busy` gauge.
+fn ce_gauge(ce: usize, busy: bool) -> usize {
+    1 + 2 * ce + busy as usize
 }
 
-impl MetricIds {
-    fn kind(&mut self, reg: &mut MetricsRegistry, event: &TraceEvent) -> usize {
-        *self.kinds[event.kind_index()]
-            .get_or_insert_with(|| reg.counters.resolve(event.kind(), || 0))
+/// What [`MetricsSink`] writes, each value resolved on its first update.
+impl MetricsRegistry {
+    fn count_kind(&mut self, event: &TraceEvent) {
+        *self
+            .counters
+            .keyed(event.kind_index(), || event.kind(), |_| 0) += 1;
     }
 
     /// Move `inflight_total` and `inflight.<processor>` by `delta`.
-    fn inflight(&mut self, reg: &mut MetricsRegistry, processor: &Arc<str>, at: f64, delta: i64) {
-        let total = *self
-            .inflight_total
-            .get_or_insert_with(|| reg.gauges.resolve("inflight_total", Gauge::default));
-        reg.gauges[total].add(at, delta);
-        let own = match self.inflight.get(processor) {
-            Some(&own) => own,
-            None => {
-                let own = reg
-                    .gauges
-                    .resolve(&format!("inflight.{processor}"), Gauge::default);
-                self.inflight.insert(Arc::clone(processor), own);
-                own
-            }
-        };
-        reg.gauges[own].add(at, delta);
+    fn inflight(&mut self, processor: &Arc<str>, at: f64, delta: i64) {
+        self.gauges
+            .keyed(INFLIGHT_TOTAL, || "inflight_total", |_| Gauge::default())
+            .add(at, delta);
+        self.gauges
+            .per_processor(
+                processor,
+                || format!("inflight.{processor}"),
+                |_| Gauge::default(),
+            )
+            .add(at, delta);
     }
 
-    fn ce(&mut self, reg: &mut MetricsRegistry, ce: usize) -> [usize; 2] {
-        if self.ces.len() <= ce {
-            self.ces.resize(ce + 1, None);
-        }
-        *self.ces[ce].get_or_insert_with(|| {
-            [
-                reg.gauges
-                    .resolve(&format!("queue_depth.ce{ce}"), Gauge::default),
-                reg.gauges.resolve(&format!("busy.ce{ce}"), Gauge::default),
-            ]
-        })
+    /// Set `queue_depth.ce<N>` and `busy.ce<N>`.
+    fn ce_load(&mut self, ce: usize, at: f64, queued_user: usize, busy: usize) {
+        self.gauges
+            .keyed(
+                ce_gauge(ce, false),
+                || format!("queue_depth.ce{ce}"),
+                |_| Gauge::default(),
+            )
+            .update(at, queued_user as i64);
+        self.gauges
+            .keyed(
+                ce_gauge(ce, true),
+                || format!("busy.ce{ce}"),
+                |_| Gauge::default(),
+            )
+            .update(at, busy as i64);
     }
 }
 
@@ -413,7 +456,6 @@ impl MetricsSink {
             MetricsSink {
                 registry: registry.clone(),
                 life: Lifecycle::default(),
-                ids: MetricIds::default(),
             },
             registry,
         )
@@ -424,23 +466,21 @@ impl EventSink for MetricsSink {
     fn record(&mut self, event: &TraceEvent) {
         let at = event.at().as_secs_f64();
         let mut reg = self.registry.lock().expect("metrics registry lock");
-        let reg = &mut *reg;
         reg.touch(at);
-        let kind = self.ids.kind(reg, event);
-        reg.counters[kind] += 1;
+        reg.count_kind(event);
         match (event, self.life.record(event, |_| ())) {
             // A cache hit opens an invocation like JobSubmitted, so it
             // holds a unit too.
             (
                 TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. },
                 Step::Opened(true),
-            ) => self.ids.inflight(reg, processor, at, 1),
+            ) => reg.inflight(processor, at, 1),
             (
                 TraceEvent::JobCompleted { processor, .. }
                 | TraceEvent::JobFailed { processor, .. }
                 | TraceEvent::JobCancelled { processor, .. },
                 Step::Ended { replica: false, .. },
-            ) => self.ids.inflight(reg, processor, at, -1),
+            ) => reg.inflight(processor, at, -1),
             (TraceEvent::Grid(SimEvent::JobDelivered { .. }), Step::Moved(a)) => {
                 if let (Some(sub), Some(start), Some(fin)) = (a.submitted, a.started, a.finished) {
                     // Grid overhead = everything but execution:
@@ -458,9 +498,7 @@ impl EventSink for MetricsSink {
                 }),
                 _,
             ) => {
-                let [queue_depth, busy_slots] = self.ids.ce(reg, *ce);
-                reg.gauges[queue_depth].update(at, *queued_user as i64);
-                reg.gauges[busy_slots].update(at, *busy as i64);
+                reg.ce_load(*ce, at, *queued_user, *busy);
             }
             _ => {}
         }
@@ -585,6 +623,40 @@ mod tests {
         });
         let reg = registry.lock().unwrap();
         assert_eq!(reg.gauge("inflight_total").unwrap().current, 0);
+    }
+
+    #[test]
+    fn a_replaced_registry_is_written_from_scratch() {
+        let (mut sink, registry) = MetricsSink::new();
+        let submit = |invocation, processor: &str| TraceEvent::JobSubmitted {
+            at: SimTime::ZERO,
+            invocation,
+            processor: processor.into(),
+            grid: true,
+            batched: 1,
+        };
+        sink.record(&grid::capacity(0.0, 3, 1, 2, 4));
+        sink.record(&submit(1, "p"));
+        // The positions the sink resolved live in the registry: a fresh
+        // one resolves every series again, on its first update.
+        *registry.lock().unwrap() = MetricsRegistry::new();
+        sink.record(&submit(2, "q"));
+        sink.record(&grid::capacity(1.0, 3, 2, 0, 4));
+        let reg = registry.lock().unwrap();
+        let names: Vec<&String> = reg.gauges().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "busy.ce3",
+                "inflight.q",
+                "inflight_total",
+                "queue_depth.ce3"
+            ]
+        );
+        assert_eq!(reg.gauge("inflight_total").unwrap().current, 1);
+        assert_eq!(reg.gauge("busy.ce3").unwrap().current, 2);
+        assert_eq!(reg.counter("job_submitted"), 1);
+        assert_eq!(reg.counter("ce_capacity"), 1);
     }
 
     #[test]

@@ -785,6 +785,159 @@ mod tests {
         );
     }
 
+    /// One event of every variant, in [`KINDS`] order.
+    fn one_of_each() -> Vec<TraceEvent> {
+        let at = SimTime::ZERO;
+        let p = || Arc::<str>::from("p");
+        vec![
+            TraceEvent::TokenEmitted {
+                at,
+                processor: p(),
+                port: "out".into(),
+                index: "[0]".into(),
+            },
+            TraceEvent::MatchFired {
+                at,
+                processor: p(),
+                index: "[0]".into(),
+                inputs: 1,
+            },
+            TraceEvent::GroupComposed {
+                at,
+                processor: p(),
+                stages: 2,
+                commands: 2,
+            },
+            TraceEvent::BarrierReleased {
+                at,
+                processor: p(),
+                inputs: 1,
+            },
+            TraceEvent::JobSubmitted {
+                at,
+                invocation: 1,
+                processor: p(),
+                grid: true,
+                batched: 1,
+            },
+            TraceEvent::JobResubmitted {
+                at,
+                invocation: 1,
+                processor: p(),
+                retry: 1,
+                attempt: 1,
+            },
+            TraceEvent::JobCompleted {
+                at,
+                invocation: 1,
+                processor: p(),
+                completion: Box::default(),
+            },
+            TraceEvent::JobFailed {
+                at,
+                invocation: 1,
+                processor: p(),
+                error: "e".into(),
+            },
+            TraceEvent::JobTimedOut {
+                at,
+                invocation: 1,
+                processor: p(),
+                timeout_secs: 1.0,
+                action: "resubmit",
+            },
+            TraceEvent::JobReplicated {
+                at,
+                invocation: 1,
+                processor: p(),
+                replica: 1,
+                attempt: 2,
+            },
+            TraceEvent::JobCancelled {
+                at,
+                invocation: 1,
+                processor: p(),
+                reason: "abort",
+            },
+            TraceEvent::CeBlacklisted {
+                at,
+                ce: 0,
+                failures: 3,
+            },
+            TraceEvent::CacheHit {
+                at,
+                invocation: 1,
+                processor: p(),
+                outputs: 1,
+                transfer_seconds: 0.0,
+            },
+            TraceEvent::CacheMiss {
+                at,
+                invocation: 1,
+                processor: p(),
+            },
+            TraceEvent::EdgeStaged {
+                at,
+                invocation: 1,
+                processor: p(),
+                port: "in".into(),
+                bytes: 1,
+            },
+            grid::submitted(0.0, 1),
+            grid::matched(0.0, 1, 0),
+            grid::enqueued(0.0, 1, 0, 1),
+            grid::started(0.0, 1, 0),
+            grid::finished(0.0, 1, 0, true),
+            grid::resubmitted(0.0, 1, 2),
+            grid::delivered(0.0, 1, true),
+            grid::cancelled(0.0, 1),
+            grid::capacity(0.0, 0, 1, 0, 2),
+            grid::link(0.0, 1, 0, 1, 1, 1.0, 1.0),
+            TraceEvent::EnactorGauges {
+                at,
+                inflight: 0,
+                deferred: 0,
+                quarantined: 0,
+                cache_entries: 0,
+                cache_bytes: 0,
+            },
+            TraceEvent::PortSuspended {
+                at,
+                processor: p(),
+                depth: 1,
+                capacity: 1,
+            },
+            TraceEvent::PortResumed {
+                at,
+                processor: p(),
+                depth: 0,
+                capacity: 1,
+            },
+            TraceEvent::SloBreached {
+                at,
+                predicted_secs: 1.0,
+                projected_secs: 2.0,
+                factor: 1.5,
+                completed: 1,
+                expected: 2,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_kind_index_is_its_tag_s_position_in_kinds() {
+        let events = one_of_each();
+        assert_eq!(events.len(), KINDS.len(), "one event per kind");
+        for (position, event) in events.iter().enumerate() {
+            assert_eq!(event.kind_index(), position, "{event:?}");
+            assert_eq!(event.kind(), KINDS[position]);
+            let line = json::JsonValue::parse(&event.to_json()).expect("event JSON");
+            assert_eq!(line.str_at("type"), Some(KINDS[position]));
+        }
+        let tags: std::collections::BTreeSet<&str> = KINDS.into_iter().collect();
+        assert_eq!(tags.len(), KINDS.len(), "each kind is its own counter");
+    }
+
     #[test]
     fn grid_events_render_their_tag_as_the_invocation() {
         let t = grid::delivered(9.0, 42, true);

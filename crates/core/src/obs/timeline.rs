@@ -210,7 +210,7 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct Timeline {
     capacity: usize,
-    /// Read in name order; [`TimelineSink`] updates a series by the
+    /// Read in name order; [`TimelineSink`] reaches a series by the
     /// position it resolved when the series was first sampled.
     series: Named<Series>,
 }
@@ -233,24 +233,24 @@ impl Timeline {
         }
     }
 
-    /// Position of the series `name`, created empty of `kind` when
-    /// absent.
-    fn resolve(&mut self, name: &str, kind: SeriesKind) -> usize {
+    /// Sample a gauge level at virtual time `t`.
+    #[cfg(test)]
+    pub(crate) fn gauge(&mut self, name: &str, t: f64, value: f64) {
         let capacity = self.capacity;
         self.series
-            .resolve(name, || Series::new(name, kind, capacity))
-    }
-
-    /// Sample a gauge level at virtual time `t`.
-    pub fn gauge(&mut self, name: &str, t: f64, value: f64) {
-        let at = self.resolve(name, SeriesKind::Gauge);
-        self.series[at].sample(t, value);
+            .entry(name, |name| Series::new(name, SeriesKind::Gauge, capacity))
+            .sample(t, value);
     }
 
     /// Add `delta` to a counter and sample the running total.
-    pub fn counter(&mut self, name: &str, t: f64, delta: f64) {
-        let at = self.resolve(name, SeriesKind::Counter);
-        self.series[at].add(t, delta);
+    #[cfg(test)]
+    pub(crate) fn counter(&mut self, name: &str, t: f64, delta: f64) {
+        let capacity = self.capacity;
+        self.series
+            .entry(name, |name| {
+                Series::new(name, SeriesKind::Counter, capacity)
+            })
+            .add(t, delta);
     }
 
     pub fn get(&self, name: &str) -> Option<&Series> {
@@ -358,7 +358,7 @@ impl Timeline {
             }
             s.seen = e.u64_at("seen").unwrap_or(0);
             s.total = e.f64_at("total").unwrap_or(0.0);
-            timeline.series.resolve(name, || s);
+            timeline.series.resolve(name, |_| s);
         }
         Ok(timeline)
     }
@@ -593,9 +593,6 @@ pub struct TimelineState {
     pub(super) life: Lifecycle,
     /// `EdgeStaged`'s lookup key, refilled in place: cloned per new edge.
     edge: (String, String),
-    /// Positions in `timeline` of the series the sink samples: they hold
-    /// while `timeline` is the one the sink was built with.
-    ids: SeriesIds,
 }
 
 /// A series the sink keeps per CE.
@@ -611,14 +608,20 @@ enum CeSeries {
 impl CeSeries {
     const COUNT: usize = CeSeries::LinkBandwidth as usize + 1;
 
-    /// The series of CE `ce`: its name and kind.
-    fn spec(self, ce: usize) -> (String, SeriesKind) {
+    fn name(self, ce: usize) -> String {
         match self {
-            CeSeries::QueueDepth => (format!("ce{ce}.queue_depth"), SeriesKind::Gauge),
-            CeSeries::Running => (format!("ce{ce}.running"), SeriesKind::Gauge),
-            CeSeries::Utilization => (format!("ce{ce}.utilization"), SeriesKind::Gauge),
-            CeSeries::LinkBytes => (format!("link.ce{ce}.bytes"), SeriesKind::Counter),
-            CeSeries::LinkBandwidth => (format!("link.ce{ce}.bandwidth"), SeriesKind::Gauge),
+            CeSeries::QueueDepth => format!("ce{ce}.queue_depth"),
+            CeSeries::Running => format!("ce{ce}.running"),
+            CeSeries::Utilization => format!("ce{ce}.utilization"),
+            CeSeries::LinkBytes => format!("link.ce{ce}.bytes"),
+            CeSeries::LinkBandwidth => format!("link.ce{ce}.bandwidth"),
+        }
+    }
+
+    fn kind(self) -> SeriesKind {
+        match self {
+            CeSeries::LinkBytes => SeriesKind::Counter,
+            _ => SeriesKind::Gauge,
         }
     }
 }
@@ -663,54 +666,40 @@ impl Fixed {
     }
 }
 
-/// Where the sink's series sit in its [`Timeline`]: each is resolved by
-/// name once, when first sampled, and updated by position after that.
-/// A series is still created only by its first sample, so the set of
-/// series is what sampling by name would make.
-#[derive(Debug, Default)]
-struct SeriesIds {
-    /// Per CE index, per [`CeSeries`].
-    ces: Vec<[Option<usize>; CeSeries::COUNT]>,
-    /// Per [`Fixed`] series.
-    fixed: [Option<usize>; Fixed::COUNT],
+/// The series [`TimelineSink`] samples, each resolved by name on its
+/// first sample: under [`Named::keyed`] keys, the [`Fixed`] rows first
+/// and then [`CeSeries::COUNT`] per CE. A series is still created only
+/// by its first sample, so the set of series is what sampling by name
+/// would make.
+impl Timeline {
+    fn fixed(&mut self, row: Fixed) -> &mut Series {
+        let capacity = self.capacity;
+        let (name, kind) = row.spec();
+        self.series.keyed(
+            row as usize,
+            || name,
+            |name| Series::new(name, kind, capacity),
+        )
+    }
+
+    fn ce(&mut self, ce: usize, row: CeSeries) -> &mut Series {
+        let capacity = self.capacity;
+        let key = Fixed::COUNT + ce * CeSeries::COUNT + row as usize;
+        self.series.keyed(
+            key,
+            || row.name(ce),
+            |name| Series::new(name, row.kind(), capacity),
+        )
+    }
+
     /// `port.depth.<processor>`.
-    port_depth: BTreeMap<Arc<str>, usize>,
-}
-
-impl SeriesIds {
-    fn ce<'t>(&mut self, timeline: &'t mut Timeline, ce: usize, row: CeSeries) -> &'t mut Series {
-        if self.ces.len() <= ce {
-            self.ces.resize(ce + 1, [None; CeSeries::COUNT]);
-        }
-        let at = *self.ces[ce][row as usize].get_or_insert_with(|| {
-            let (name, kind) = row.spec(ce);
-            timeline.resolve(&name, kind)
-        });
-        &mut timeline.series[at]
-    }
-
-    fn fixed<'t>(&mut self, timeline: &'t mut Timeline, row: Fixed) -> &'t mut Series {
-        let at = *self.fixed[row as usize].get_or_insert_with(|| {
-            let (name, kind) = row.spec();
-            timeline.resolve(name, kind)
-        });
-        &mut timeline.series[at]
-    }
-
-    fn port_depth<'t>(
-        &mut self,
-        timeline: &'t mut Timeline,
-        processor: &Arc<str>,
-    ) -> &'t mut Series {
-        let at = match self.port_depth.get(processor) {
-            Some(&at) => at,
-            None => {
-                let at = timeline.resolve(&format!("port.depth.{processor}"), SeriesKind::Gauge);
-                self.port_depth.insert(Arc::clone(processor), at);
-                at
-            }
-        };
-        &mut timeline.series[at]
+    fn port_depth(&mut self, processor: &Arc<str>) -> &mut Series {
+        let capacity = self.capacity;
+        self.series.per_processor(
+            processor,
+            || format!("port.depth.{processor}"),
+            |name| Series::new(name, SeriesKind::Gauge, capacity),
+        )
     }
 }
 
@@ -762,7 +751,6 @@ impl EventSink for TimelineSink {
             stats,
             life,
             edge,
-            ids,
         } = &mut *state;
         let t = event.at().as_secs_f64();
         stats.t_end = stats.t_end.max(t);
@@ -779,13 +767,14 @@ impl EventSink for TimelineSink {
                 slots,
                 ..
             }) => {
-                ids.ce(timeline, *ce, CeSeries::QueueDepth)
+                timeline
+                    .ce(*ce, CeSeries::QueueDepth)
                     .sample(t, *queued_user as f64);
-                ids.ce(timeline, *ce, CeSeries::Running)
-                    .sample(t, *busy as f64);
+                timeline.ce(*ce, CeSeries::Running).sample(t, *busy as f64);
                 if *slots > 0 {
                     let utilization = *busy as f64 / *slots as f64;
-                    ids.ce(timeline, *ce, CeSeries::Utilization)
+                    timeline
+                        .ce(*ce, CeSeries::Utilization)
                         .sample(t, utilization);
                 }
                 let s = stats.ces.entry(*ce).or_default();
@@ -805,19 +794,19 @@ impl EventSink for TimelineSink {
             }) => {
                 let bytes = bytes_in + bytes_out;
                 let secs = stage_in_secs + stage_out_secs;
-                ids.ce(timeline, *ce, CeSeries::LinkBytes)
-                    .add(t, bytes as f64);
+                timeline.ce(*ce, CeSeries::LinkBytes).add(t, bytes as f64);
                 let occupancy = if secs > 0.0 { bytes as f64 / secs } else { 0.0 };
-                ids.ce(timeline, *ce, CeSeries::LinkBandwidth)
+                timeline
+                    .ce(*ce, CeSeries::LinkBandwidth)
                     .sample(t, occupancy);
                 *stats.link_bytes.entry(*ce).or_insert(0) += bytes;
                 stats.transfer_secs += secs;
             }
             TraceEvent::JobSubmitted { .. } => {
-                ids.fixed(timeline, Fixed::JobsSubmitted).add(t, 1.0);
+                timeline.fixed(Fixed::JobsSubmitted).add(t, 1.0);
             }
             TraceEvent::CacheHit { .. } => {
-                ids.fixed(timeline, Fixed::CacheHits).add(t, 1.0);
+                timeline.fixed(Fixed::CacheHits).add(t, 1.0);
             }
             TraceEvent::EdgeStaged {
                 processor,
@@ -855,7 +844,7 @@ impl EventSink for TimelineSink {
                 ..
             } => {
                 stats.completed += 1;
-                ids.fixed(timeline, Fixed::Completed).add(t, 1.0);
+                timeline.fixed(Fixed::Completed).add(t, 1.0);
                 let secs = (t - completion.submitted.as_secs_f64()).max(0.0);
                 entry(&mut stats.service_durations, processor, Vec::new).push(DurationSample {
                     invocation: *invocation,
@@ -864,11 +853,11 @@ impl EventSink for TimelineSink {
             }
             TraceEvent::JobFailed { .. } => {
                 stats.failed += 1;
-                ids.fixed(timeline, Fixed::Failed).add(t, 1.0);
+                timeline.fixed(Fixed::Failed).add(t, 1.0);
             }
             TraceEvent::JobCancelled { .. } => {
                 stats.cancelled += 1;
-                ids.fixed(timeline, Fixed::Cancelled).add(t, 1.0);
+                timeline.fixed(Fixed::Cancelled).add(t, 1.0);
             }
             TraceEvent::EnactorGauges {
                 inflight,
@@ -885,24 +874,24 @@ impl EventSink for TimelineSink {
                     (Fixed::StoreEntries, *cache_entries as f64),
                     (Fixed::StoreBytes, *cache_bytes as f64),
                 ] {
-                    ids.fixed(timeline, row).sample(t, value);
+                    timeline.fixed(row).sample(t, value);
                 }
             }
             TraceEvent::PortSuspended {
                 processor, depth, ..
             } => {
-                ids.port_depth(timeline, processor).sample(t, *depth as f64);
-                ids.fixed(timeline, Fixed::PortSuspends).add(t, 1.0);
+                timeline.port_depth(processor).sample(t, *depth as f64);
+                timeline.fixed(Fixed::PortSuspends).add(t, 1.0);
             }
             TraceEvent::PortResumed {
                 processor, depth, ..
             } => {
-                ids.port_depth(timeline, processor).sample(t, *depth as f64);
-                ids.fixed(timeline, Fixed::PortResumes).add(t, 1.0);
+                timeline.port_depth(processor).sample(t, *depth as f64);
+                timeline.fixed(Fixed::PortResumes).add(t, 1.0);
             }
             TraceEvent::SloBreached { .. } => {
                 stats.slo_breaches += 1;
-                ids.fixed(timeline, Fixed::SloBreaches).add(t, 1.0);
+                timeline.fixed(Fixed::SloBreaches).add(t, 1.0);
             }
             _ => {}
         }
@@ -913,6 +902,37 @@ impl EventSink for TimelineSink {
 mod tests {
     use super::*;
     use crate::obs::grid;
+
+    #[test]
+    fn a_replaced_timeline_is_written_from_scratch() {
+        let mut sink = TimelineSink::new();
+        let suspended = |processor: &str| TraceEvent::PortSuspended {
+            at: moteur_gridsim::SimTime::ZERO,
+            processor: processor.into(),
+            depth: 4,
+            capacity: 4,
+        };
+        sink.record(&grid::capacity(0.0, 2, 1, 3, 4));
+        sink.record(&suspended("a"));
+        // The positions the sink resolved live in the timeline: a fresh
+        // one resolves every series again, on its first sample.
+        sink.state().lock().unwrap().timeline = Timeline::new();
+        sink.record(&suspended("b"));
+        sink.record(&grid::link(1.0, 7, 2, 100, 0, 1.0, 0.0));
+        let (timeline, _) = sink.snapshot();
+        let names: Vec<&str> = timeline.series().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "enactor.port_suspends",
+                "link.ce2.bandwidth",
+                "link.ce2.bytes",
+                "port.depth.b"
+            ]
+        );
+        assert_eq!(timeline.get("link.ce2.bytes").unwrap().total(), 100.0);
+        assert_eq!(timeline.get("port.depth.b").unwrap().peak(), 4.0);
+    }
 
     #[test]
     fn counter_total_is_exact_under_downsampling() {
