@@ -26,8 +26,6 @@
 //! `attempts` and `completion` — DESIGN §4.3 maps which owns what.
 
 mod attempts;
-#[doc(hidden)]
-pub mod compat;
 mod compile;
 mod completion;
 mod compose;

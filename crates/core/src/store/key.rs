@@ -159,27 +159,6 @@ pub fn provenance_key(value: &DataValue, history: &History) -> Option<Provenance
     Some(ProvenanceKey(h.finish()))
 }
 
-// Only for `benchmark/src/sut.rs`, which still names it; goes when it
-// is retargeted at the free function.
-#[doc(hidden)]
-#[derive(Debug, Default)]
-pub struct HistoryXmlCache;
-
-impl HistoryXmlCache {
-    pub fn new() -> Self {
-        HistoryXmlCache
-    }
-
-    /// [`provenance_key`], which no longer needs a cache.
-    pub fn provenance_key(
-        &mut self,
-        value: &DataValue,
-        history: &History,
-    ) -> Option<ProvenanceKey> {
-        provenance_key(value, history)
-    }
-}
-
 /// Digest of *what a descriptor-bound service is*: the full descriptor
 /// XML plus the profile's fixed parameters and output sizing (they
 /// change the produced values, so they are part of the identity; the
@@ -333,15 +312,6 @@ mod tests {
         ] {
             let key = provenance_key(&value, history).unwrap();
             assert_eq!(key.0, pinned, "{value:?} over {history:?}: {key}");
-        }
-    }
-
-    #[test]
-    fn the_history_xml_cache_shim_forwards_to_provenance_key() {
-        let mut shim = HistoryXmlCache::new();
-        let h = History::derived("p", vec![History::source("s", 0)]);
-        for value in [DataValue::from("v"), DataValue::opaque(1u8)] {
-            assert_eq!(shim.provenance_key(&value, &h), provenance_key(&value, &h));
         }
     }
 

@@ -11,8 +11,8 @@
 use crate::catalog::Catalog;
 use crate::descriptor::ExecutableDescriptor;
 use crate::error::WrapperError;
-use crate::invocation::{Binding, JobPlan};
-use crate::template::bound_plan;
+use crate::invocation::{Binding, BoundValue, JobPlan};
+use crate::template::{compile_with, Feed, SlotValue, StageSpec};
 
 /// One member of a grouped job: a descriptor plus its invocation
 /// binding.
@@ -34,14 +34,84 @@ pub fn compose_group(
     catalog: &Catalog,
     external_outputs: &[String],
 ) -> Result<JobPlan, WrapperError> {
-    if members.is_empty() {
-        return Err(WrapperError::new("cannot compose an empty group"));
-    }
     let members: Vec<_> = members
         .iter()
         .map(|m| (&m.descriptor, &m.binding))
         .collect();
-    bound_plan(&members, catalog, Some(external_outputs))
+    bound_job(&members, catalog, external_outputs)
+}
+
+/// The plan of one job running `members` in order, every value fixed by
+/// its binding. Each binding becomes a stage of a
+/// [`JobTemplate`](crate::JobTemplate): a literal is a parameter, a file
+/// an earlier member writes is that member's output, and any other file
+/// is a job input at its `catalog` size. The template is filled at once.
+/// Each of `external` that a member writes is exposed, so it is
+/// registered even when a later member reads it.
+pub(crate) fn bound_job(
+    members: &[(&ExecutableDescriptor, &Binding)],
+    catalog: &Catalog,
+    external: &[String],
+) -> Result<JobPlan, WrapperError> {
+    let mut files = Vec::new();
+    let mut stages = Vec::with_capacity(members.len());
+    for (k, &(descriptor, binding)) in members.iter().enumerate() {
+        let mut feeds = Vec::with_capacity(binding.inputs.len());
+        for (slot, value) in &binding.inputs {
+            let feed = match value {
+                BoundValue::Value(value) => Feed::Param(value),
+                BoundValue::File { gfn } => match writer(&members[..k], gfn) {
+                    Some((stage, slot)) => Feed::Stage { stage, slot },
+                    None => {
+                        files.push(BoundFile(gfn, catalog.size_of(gfn)));
+                        Feed::Port(files.len() - 1)
+                    }
+                },
+            };
+            feeds.push((slot.as_str(), feed));
+        }
+        stages.push(StageSpec {
+            group_member: None,
+            descriptor,
+            feeds,
+            output_bytes: Vec::new(),
+        });
+    }
+    let exposed: Vec<_> = external
+        .iter()
+        .filter_map(|gfn| writer(members, gfn))
+        .map(|(stage, slot)| (slot, stage, slot))
+        .collect();
+    let fixed: Vec<_> = members.iter().map(|(_, b)| b.outputs.as_slice()).collect();
+    let template = compile_with("", "", &stages, &exposed, catalog, &fixed);
+    Ok(template.fill(&files, 0, |_| {})?.plan)
+}
+
+/// The first of `members` to write `gfn`, and the output slot it is
+/// written from.
+fn writer<'a>(
+    members: &[(&ExecutableDescriptor, &'a Binding)],
+    gfn: &str,
+) -> Option<(usize, &'a str)> {
+    members.iter().enumerate().find_map(|(k, (_, binding))| {
+        let output = binding.outputs.iter().find(|o| o.gfn == gfn)?;
+        Some((k, output.slot.as_str()))
+    })
+}
+
+/// A file a binding names, as a job input: its GFN and catalog size.
+struct BoundFile<'a>(&'a str, u64);
+
+impl SlotValue for BoundFile<'_> {
+    fn file(&self) -> Option<(&str, u64)> {
+        Some((self.0, self.1))
+    }
+    fn write_param(&self, out: &mut String) {
+        out.push_str(self.0);
+    }
+    fn describe(&self) -> String {
+        self.0.to_owned()
+    }
 }
 
 #[cfg(test)]
@@ -210,6 +280,30 @@ mod tests {
             .filter(|f| f.name.contains("libshared"))
             .count();
         assert_eq!(lib_fetches, 1);
+    }
+
+    #[test]
+    fn an_output_only_an_earlier_member_reads_is_stored() {
+        // `a` reads X and writes Y; `b` reads Y and writes X over it.
+        let members = vec![
+            GroupMember {
+                descriptor: simple_desc("a"),
+                binding: Binding::new()
+                    .bind_file("in", "gfn://X")
+                    .bind_output("out", "gfn://Y", 10),
+            },
+            GroupMember {
+                descriptor: simple_desc("b"),
+                binding: Binding::new()
+                    .bind_file("in", "gfn://Y")
+                    .bind_output("out", "gfn://X", 20),
+            },
+        ];
+        let plan = compose_group(&members, &catalog(), &[]).unwrap();
+        let stored: Vec<_> = plan.store.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(stored, ["gfn://X"], "b's product is registered; Y stays");
+        assert!(plan.fetch.iter().any(|f| f.name == "gfn://X"));
+        assert!(!plan.fetch.iter().any(|f| f.name == "gfn://Y"));
     }
 
     #[test]

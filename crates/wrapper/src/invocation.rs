@@ -4,13 +4,14 @@
 //! This is the "dynamic composition of the command line from the list
 //! of parameters at the service invocation time" of paper §3.6: the
 //! descriptor is static, the data values arrive with each invocation.
-//! A [`Binding`] names every value up front; its plan is rendered by a
-//! [`JobTemplate`](crate::JobTemplate) built from it and filled at once.
+//! A [`Binding`] names every value up front; [`plan_single`] and
+//! [`command_line`] turn it into the one stage of a
+//! [`JobTemplate`](crate::JobTemplate) and fill it at once.
 
 use crate::catalog::Catalog;
+use crate::compose::bound_job;
 use crate::descriptor::ExecutableDescriptor;
 use crate::error::WrapperError;
-use crate::template::bound_plan;
 
 /// A value bound to an input slot at invocation time.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +133,7 @@ pub fn plan_single(
     binding: &Binding,
     catalog: &Catalog,
 ) -> Result<JobPlan, WrapperError> {
-    bound_plan(&[(desc, binding)], catalog, None)
+    bound_job(&[(desc, binding)], catalog, &[])
 }
 
 #[cfg(test)]

@@ -15,17 +15,18 @@
 //! 4. value parameters (inputs without an access method),
 //! 5. outputs with registration methods.
 //!
-//! From a descriptor plus a per-invocation [`Binding`], this crate
-//! synthesises the exact command line and the [`JobPlan`] (files to
-//! stage in, command lines to run, outputs to register) that the grid
-//! backend executes. [`compose_group`] merges several plans, keeping
-//! intermediate files on the worker — one submission overhead and fewer
-//! transfers, which is precisely what the JG configurations measure.
-//! Both render through a [`JobTemplate`]: the static half of a plan,
-//! which the enactor builds once per processor and fills per firing.
+//! One builder turns a descriptor into the [`JobPlan`] (files to stage
+//! in, command lines to run, outputs to register) that the grid backend
+//! executes: a [`JobTemplate`], the static half of a plan, which the
+//! enactor compiles once per processor and fills per firing. Grouped
+//! templates keep intermediate files on the worker — one submission
+//! overhead and fewer transfers, which is precisely what the JG
+//! configurations measure. [`command_line`], [`plan_single`] and
+//! [`compose_group`] are thin adapters for values all known up front: a
+//! [`Binding`] per invocation becomes a template stage, filled at once.
 //!
 //! ```
-//! use moteur_wrapper::{crest_lines_example, command_line, Binding};
+//! use moteur_wrapper::{crest_lines_example, plan_single, Binding, Catalog};
 //!
 //! let desc = crest_lines_example(); // the paper's Fig. 8 descriptor
 //! let binding = Binding::new()
@@ -34,8 +35,9 @@
 //!     .bind_value("scale", "2")
 //!     .bind_output("crest_reference", "gfn://out/cr.crest", 400_000)
 //!     .bind_output("crest_floating", "gfn://out/cf.crest", 400_000);
-//! let cmd = command_line(&desc, &binding).unwrap();
-//! assert!(cmd.starts_with("CrestLines.pl -im1 float.hdr -im2 ref.hdr -s 2"));
+//! let plan = plan_single(&desc, &binding, &Catalog::new()).unwrap();
+//! assert!(plan.command_lines[0].starts_with("CrestLines.pl -im1 float.hdr -im2 ref.hdr -s 2"));
+//! assert_eq!(plan.store.len(), 2, "both crest files are registered");
 //! ```
 
 pub mod catalog;

@@ -11,15 +11,22 @@
 //! whether it is registered or stays on the worker. [`JobTemplate::fill`]
 //! then only writes the values into their holes and names the outputs.
 //!
-//! The enactor builds one template per processor ([`JobTemplate::compile`]);
-//! [`plan_single`](crate::plan_single) and
-//! [`compose_group`](crate::compose_group) build one from their bindings
-//! and fill it at once, so every plan is rendered by the same code.
+//! The enactor compiles one template per processor
+//! ([`JobTemplate::compile`]) and fills it per firing. The `Binding` API
+//! is a thin adapter over the same builder: [`plan_single`](crate::plan_single),
+//! [`compose_group`](crate::compose_group) and
+//! [`command_line`](crate::command_line) turn each binding into a stage
+//! (a literal is a [`Feed::Param`], a file an earlier member writes a
+//! [`Feed::Stage`], any other file a [`Feed::Port`] filled with its GFN
+//! and catalog size), keep the output GFNs the binding fixed, expose a
+//! group's external outputs, and compile and fill once. So every plan
+//! is rendered by one piece of code; only the adapters size executables
+//! and sandboxes from a caller's [`Catalog`].
 
 use crate::catalog::Catalog;
 use crate::descriptor::{AccessMethod, ExecutableDescriptor, InputSlot};
 use crate::error::WrapperError;
-use crate::invocation::{local_name, Binding, BoundOutput, BoundValue, JobPlan, TransferFile};
+use crate::invocation::{local_name, BoundOutput, JobPlan, TransferFile};
 use std::fmt::Write as _;
 
 /// What a template needs of the value one job input carries.
@@ -86,6 +93,37 @@ pub struct FilledJob {
 }
 
 /// The static half of a job's plan. See the module documentation.
+///
+/// ```
+/// use moteur_wrapper::{crest_lines_example, Feed, JobTemplate, SlotValue, StageSpec};
+///
+/// /// A job input: the GFN of a 7.8 MB image.
+/// struct Image(&'static str);
+/// impl SlotValue for Image {
+///     fn file(&self) -> Option<(&str, u64)> { Some((self.0, 7_800_000)) }
+///     fn write_param(&self, out: &mut String) { out.push_str(self.0) }
+///     fn describe(&self) -> String { self.0.into() }
+/// }
+///
+/// let desc = crest_lines_example(); // the paper's Fig. 8 descriptor
+/// let stage = StageSpec {
+///     group_member: None,
+///     descriptor: &desc,
+///     feeds: vec![
+///         ("floating_image", Feed::Port(0)),
+///         ("reference_image", Feed::Port(1)),
+///         ("scale", Feed::Param("2")),
+///     ],
+///     output_bytes: vec![400_000, 400_000],
+/// };
+/// // Once per processor, delivering one output on port `crest`…
+/// let template = JobTemplate::compile("wf", "p", &[stage], &[("crest", 0, "crest_reference")]);
+/// // …then once per invocation.
+/// let images = [Image("gfn://img/f.hdr"), Image("gfn://img/r.hdr")];
+/// let job = template.fill(&images, 7, |_| {}).unwrap();
+/// assert!(job.plan.command_lines[0].starts_with("CrestLines.pl -im1 f.hdr -im2 r.hdr -s 2"));
+/// assert_eq!(job.outputs[0].gfn, "gfn://wf/p/7/crest_reference");
+/// ```
 #[derive(Debug, Clone)]
 pub struct JobTemplate {
     processor: String,
@@ -122,8 +160,6 @@ enum Bind {
         slot: String,
         file: bool,
     },
-    /// A file fixed when the template was built, staged in.
-    File(TransferFile),
     /// A structural fault: filling stops here.
     Fault(FillError),
 }
@@ -137,27 +173,13 @@ struct Piece {
 
 #[derive(Debug, Clone)]
 struct Output {
-    name: OutputName,
+    /// The GFN a binding fixed, or else the slot that names the file
+    /// `{prefix}{invocation}/{slot}`.
+    name: String,
+    fixed: bool,
     bytes: u64,
     /// Registered after the job, rather than left on the worker.
     stored: bool,
-}
-
-#[derive(Debug, Clone)]
-enum OutputName {
-    /// `{prefix}{invocation}/{slot}`.
-    Slot(String),
-    /// A GFN fixed by a binding.
-    Fixed(String),
-}
-
-impl OutputName {
-    /// The file's name on the worker: what the command line shows.
-    fn local(&self) -> &str {
-        match self {
-            OutputName::Slot(s) | OutputName::Fixed(s) => local_name(s),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -171,17 +193,22 @@ struct Exposed {
 
 /// A slot binding while a template is built.
 enum Src<'a> {
-    Port(usize),
+    /// Job input `port`; `file` when it is known to carry a file.
+    Port {
+        port: usize,
+        file: bool,
+    },
     Param(&'a str),
-    File(&'a str, u64),
-    Produced { stage: usize, output: usize },
+    Produced {
+        stage: usize,
+        output: usize,
+    },
     Fault(FillError),
 }
 
 /// A stage while a template is built.
 struct Draft<'a> {
     descriptor: &'a ExecutableDescriptor,
-    prefix: String,
     binds: Vec<(&'a str, Src<'a>)>,
     /// Output bindings, in binding order.
     outputs: Vec<(&'a str, Output)>,
@@ -202,85 +229,7 @@ impl JobTemplate {
         stages: &[StageSpec<'_>],
         exposed: &[(&str, usize, &str)],
     ) -> JobTemplate {
-        let output_index = |stage: usize, slot: &str| {
-            let spec = stages.get(stage)?;
-            spec.descriptor.outputs.iter().position(|o| o.name == slot)
-        };
-        let mut consumed = vec![Vec::new(); stages.len()];
-        let mut drafts = Vec::with_capacity(stages.len());
-        for (k, spec) in stages.iter().enumerate() {
-            let binds = spec
-                .feeds
-                .iter()
-                .map(|&(slot, feed)| {
-                    let src = match feed {
-                        Feed::Port(i) => Src::Port(i),
-                        Feed::Param(value) => Src::Param(value),
-                        Feed::Stage { stage, slot: out } => {
-                            match output_index(stage, out).filter(|_| stage < k) {
-                                Some(output) => {
-                                    consumed[stage].push(output);
-                                    Src::Produced { stage, output }
-                                }
-                                None => Src::Fault(FillError::Bind(format!(
-                                    "grouped `{processor}`: stage {k} consumes missing output `{out}` of stage {stage}"
-                                ))),
-                            }
-                        }
-                    };
-                    (slot, src)
-                })
-                .collect();
-            let prefix = match spec.group_member {
-                Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
-                None => format!("gfn://{workflow}/{processor}/"),
-            };
-            drafts.push(Draft {
-                descriptor: spec.descriptor,
-                prefix,
-                binds,
-                outputs: Vec::new(),
-            });
-        }
-        let mut fault = None;
-        let mut ports = Vec::with_capacity(exposed.len());
-        for &(port, stage, slot) in exposed {
-            match output_index(stage, slot) {
-                Some(output) => ports.push((port.to_owned(), stage, output)),
-                None => {
-                    fault = fault.or(Some(FillError::Bind(format!(
-                        "grouped `{processor}`: exposed output `{slot}` missing from stage {stage}"
-                    ))));
-                }
-            }
-        }
-        if stages.is_empty() {
-            fault = fault.or(Some(FillError::Plan(WrapperError::new(
-                "cannot compose an empty group",
-            ))));
-        }
-        for ((k, spec), draft) in stages.iter().enumerate().zip(&mut drafts) {
-            draft.outputs = spec
-                .descriptor
-                .outputs
-                .iter()
-                .enumerate()
-                .map(|(o, out)| {
-                    let internal = consumed[k].contains(&o)
-                        && !ports.iter().any(|&(_, s, p)| (s, p) == (k, o));
-                    let output = Output {
-                        name: OutputName::Slot(out.name.clone()),
-                        bytes: spec.output_bytes[o],
-                        stored: !internal,
-                    };
-                    (out.name.as_str(), output)
-                })
-                .collect();
-        }
-        let default = Catalog::new();
-        build(processor, &drafts, ports, fault, &|name| {
-            default.size_of(name)
-        })
+        compile_with(workflow, processor, stages, exposed, &Catalog::new(), &[])
     }
 
     /// Complete the plan for one invocation over `inputs`, one value per
@@ -307,7 +256,6 @@ impl JobTemplate {
                         )));
                     }
                 }
-                Bind::File(_) => {}
                 Bind::Fault(e) => return Err(e.clone()),
             }
         }
@@ -330,7 +278,6 @@ impl JobTemplate {
                     Bind::Port {
                         port, file: true, ..
                     } => inputs[*port].file().expect("checked while binding"),
-                    Bind::File(f) => (f.name.as_str(), f.bytes),
                     _ => continue,
                 };
                 match plan.fetch.iter_mut().find(|f| f.name == name) {
@@ -383,16 +330,14 @@ impl JobTemplate {
 
 impl Stage {
     fn gfn(&self, out: &Output, invocation: u64) -> String {
-        match &out.name {
-            OutputName::Fixed(gfn) => gfn.clone(),
-            OutputName::Slot(slot) => {
-                let mut gfn = String::with_capacity(self.prefix.len() + 21 + slot.len());
-                gfn.push_str(&self.prefix);
-                let _ = write!(gfn, "{invocation}/");
-                gfn.push_str(slot);
-                gfn
-            }
+        if out.fixed {
+            return out.name.clone();
         }
+        let mut gfn = String::with_capacity(self.prefix.len() + 21 + out.name.len());
+        gfn.push_str(&self.prefix);
+        let _ = write!(gfn, "{invocation}/");
+        gfn.push_str(&out.name);
+        gfn
     }
 
     fn render<V: SlotValue>(&self, inputs: &[V]) -> String {
@@ -420,111 +365,92 @@ impl Stage {
     }
 }
 
-/// The plan of one job running `members` in order, every value fixed by
-/// its binding: a template built from the bindings and filled at once.
-/// Sizes come from `catalog`. With `external` (a group), a file a member
-/// produces and a member consumes stays on the worker unless `external`
-/// lists it, and a name is registered once; without it (a single
-/// invocation), every output is registered.
-pub(crate) fn bound_plan(
-    members: &[(&ExecutableDescriptor, &Binding)],
+/// [`JobTemplate::compile`], with the executables and sandboxes sized by
+/// `catalog`. Stage `k` is a binding's when `fixed` has an entry for it:
+/// its outputs are `fixed[k]`, in binding order and under the GFNs bound
+/// there, and every job input it reads is a file. Any other stage's
+/// outputs are its descriptor's, named by slot and sized by
+/// `output_bytes`.
+pub(crate) fn compile_with<'a>(
+    workflow: &str,
+    processor: &str,
+    stages: &[StageSpec<'a>],
+    exposed: &[(&str, usize, &str)],
     catalog: &Catalog,
-    external: Option<&[String]>,
-) -> Result<JobPlan, WrapperError> {
-    let consumed: Vec<&str> = members
-        .iter()
-        .flat_map(|(_, b)| &b.inputs)
-        .filter_map(|(_, v)| match v {
-            BoundValue::File { gfn } => Some(gfn.as_str()),
-            BoundValue::Value(_) => None,
-        })
-        .collect();
-    let mut registered: Vec<&str> = Vec::new();
-    let mut drafts = Vec::with_capacity(members.len());
-    for (k, (descriptor, binding)) in members.iter().enumerate() {
-        // A file an earlier member produces is already on the worker.
-        let producer = |gfn: &str| {
-            members[..k].iter().enumerate().find_map(|(stage, (_, b))| {
-                let output = b.outputs.iter().position(|o| o.gfn == gfn)?;
-                Some(Src::Produced { stage, output })
-            })
+    fixed: &[&'a [BoundOutput]],
+) -> JobTemplate {
+    let mut drafts: Vec<Draft<'a>> = Vec::with_capacity(stages.len());
+    for (k, spec) in stages.iter().enumerate() {
+        let mut binds = Vec::with_capacity(spec.feeds.len());
+        for &(slot, feed) in &spec.feeds {
+            let src = match feed {
+                Feed::Port(port) => Src::Port {
+                    port,
+                    file: k < fixed.len(),
+                },
+                Feed::Param(value) => Src::Param(value),
+                // Only the stages before `k` are drafted yet.
+                Feed::Stage { stage, slot: out } => match output_index(&drafts, stage, out) {
+                    Some(output) => {
+                        // Read on the worker: registered only if exposed.
+                        drafts[stage].outputs[output].1.stored = false;
+                        Src::Produced { stage, output }
+                    }
+                    None => Src::Fault(FillError::Bind(format!(
+                        "grouped `{processor}`: stage {k} consumes missing output `{out}` of stage {stage}"
+                    ))),
+                },
+            };
+            binds.push((slot, src));
+        }
+        let output = |slot, name: &String, fixed, bytes| {
+            let output = Output {
+                name: name.clone(),
+                fixed,
+                bytes,
+                stored: true,
+            };
+            (slot, output)
         };
-        let binds = binding
-            .inputs
-            .iter()
-            .map(|(slot, value)| {
-                let src = match value {
-                    BoundValue::Value(v) => Src::Param(v),
-                    BoundValue::File { gfn } => {
-                        producer(gfn).unwrap_or_else(|| Src::File(gfn, catalog.size_of(gfn)))
-                    }
-                };
-                (slot.as_str(), src)
-            })
-            .collect();
-        let outputs = binding
-            .outputs
-            .iter()
-            .map(|o| {
-                let stored = match external {
-                    None => true,
-                    Some(external) => {
-                        let internal = consumed.contains(&o.gfn.as_str())
-                            && !external.iter().any(|e| e == &o.gfn);
-                        !internal && !registered.contains(&o.gfn.as_str())
-                    }
-                };
-                if stored {
-                    registered.push(&o.gfn);
-                }
-                let output = Output {
-                    name: OutputName::Fixed(o.gfn.clone()),
-                    bytes: o.bytes,
-                    stored,
-                };
-                (o.slot.as_str(), output)
-            })
-            .collect();
+        let outputs = match fixed.get(k) {
+            Some(outputs) => (outputs.iter())
+                .map(|o| output(o.slot.as_str(), &o.gfn, true, o.bytes))
+                .collect(),
+            None => (spec.descriptor.outputs.iter().zip(&spec.output_bytes))
+                .map(|(o, &bytes)| output(o.name.as_str(), &o.name, false, bytes))
+                .collect(),
+        };
         drafts.push(Draft {
-            descriptor,
-            prefix: String::new(),
+            descriptor: spec.descriptor,
             binds,
             outputs,
         });
     }
-    let template = build("", &drafts, Vec::new(), None, &|name| catalog.size_of(name));
-    Ok(template.fill::<NoInput>(&[], 0, |_| {})?.plan)
-}
-
-/// The job inputs of a template whose every value is fixed: none.
-enum NoInput {}
-
-impl SlotValue for NoInput {
-    fn file(&self) -> Option<(&str, u64)> {
-        match *self {}
+    let mut fault = None;
+    let mut ports = Vec::with_capacity(exposed.len());
+    for &(port, stage, slot) in exposed {
+        match output_index(&drafts, stage, slot) {
+            Some(output) => {
+                drafts[stage].outputs[output].1.stored = true;
+                ports.push((port, stage, output));
+            }
+            None => {
+                fault = fault.or(Some(FillError::Bind(format!(
+                    "grouped `{processor}`: exposed output `{slot}` missing from stage {stage}"
+                ))));
+            }
+        }
     }
-    fn write_param(&self, _: &mut String) {
-        match *self {}
+    if stages.is_empty() {
+        fault = fault.or(Some(FillError::Plan(WrapperError::new(
+            "cannot compose an empty group",
+        ))));
     }
-    fn describe(&self) -> String {
-        match *self {}
-    }
-}
 
-/// Resolve every draft into a template stage. `fault` is a fault found
-/// before any command line is rendered; the first command-line fault,
-/// in stage order, follows it.
-fn build(
-    processor: &str,
-    drafts: &[Draft<'_>],
-    exposed: Vec<(String, usize, usize)>,
-    mut fault: Option<FillError>,
-    size_of: &dyn Fn(&str) -> u64,
-) -> JobTemplate {
     let mut statics: Vec<String> = Vec::new();
-    let mut stages = Vec::with_capacity(drafts.len());
+    let mut built = Vec::with_capacity(drafts.len());
     let mut fetch_len = 0;
-    for draft in drafts {
+    for (draft, spec) in drafts.iter().zip(stages) {
         let d = draft.descriptor;
         let mut fetch = Vec::new();
         for item in std::iter::once(&d.executable).chain(&d.sandboxes) {
@@ -537,7 +463,7 @@ fn build(
             if !statics.contains(&name) {
                 statics.push(name.clone());
                 fetch.push(TransferFile {
-                    bytes: size_of(&name),
+                    bytes: catalog.size_of(&name),
                     name,
                 });
             }
@@ -545,34 +471,34 @@ fn build(
         let mut binds = Vec::new();
         for (slot, src) in &draft.binds {
             match src {
-                Src::Port(port) => {
+                Src::Port { port, file: bound } => {
                     let input = d.input(slot);
                     binds.push(Bind::Port {
                         port: *port,
                         slot: (*slot).to_owned(),
                         file: input.is_some_and(InputSlot::is_file),
                     });
-                    if input.is_none() {
+                    // A binding's unknown name is its command line's fault.
+                    if input.is_none() && !bound {
                         binds.push(Bind::Fault(FillError::Bind(format!(
                             "`{processor}`: input port `{slot}` has no matching descriptor slot"
                         ))));
                     }
                 }
-                Src::File(gfn, bytes) => binds.push(Bind::File(TransferFile {
-                    name: (*gfn).to_owned(),
-                    bytes: *bytes,
-                })),
                 Src::Fault(e) => binds.push(Bind::Fault(e.clone())),
                 Src::Param(_) | Src::Produced { .. } => {}
             }
         }
         fetch_len += fetch.len() + binds.len();
-        let line = compile_line(draft, drafts).unwrap_or_else(|e| {
+        let line = compile_line(draft, &drafts).unwrap_or_else(|e| {
             fault = fault.take().or(Some(FillError::Plan(e)));
             Vec::new()
         });
-        stages.push(Stage {
-            prefix: draft.prefix.clone(),
+        built.push(Stage {
+            prefix: match spec.group_member {
+                Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
+                None => format!("gfn://{workflow}/{processor}/"),
+            },
             fetch,
             binds,
             line_len: line.iter().map(|p| p.text.len()).sum(),
@@ -581,7 +507,7 @@ fn build(
         });
     }
     let mut stored_at = Vec::new();
-    for (k, stage) in stages.iter().enumerate() {
+    for (k, stage) in built.iter().enumerate() {
         for (o, out) in stage.outputs.iter().enumerate() {
             if out.stored {
                 stored_at.push((k, o));
@@ -590,20 +516,33 @@ fn build(
     }
     JobTemplate {
         processor: processor.to_owned(),
-        exposed: exposed
+        exposed: ports
             .into_iter()
             .map(|(port, stage, output)| Exposed {
-                port,
+                port: port.to_owned(),
                 stage,
                 output,
                 stored_at: stored_at.iter().position(|&at| at == (stage, output)),
             })
             .collect(),
         store_len: stored_at.len(),
-        stages,
+        stages: built,
         fault,
         fetch_len,
     }
+}
+
+/// The position of output `slot` among `stage`'s output bindings.
+fn output_index(drafts: &[Draft<'_>], stage: usize, slot: &str) -> Option<usize> {
+    let outputs = &drafts.get(stage)?.outputs;
+    outputs.iter().position(|&(name, _)| name == slot)
+}
+
+/// A parameter slot fed a file.
+fn bound_to_file(slot: &str) -> WrapperError {
+    WrapperError::new(format!(
+        "input `{slot}` is a parameter but was bound to a file"
+    ))
 }
 
 /// The command line of one stage, slots in descriptor order: every slot
@@ -628,20 +567,16 @@ fn compile_line(draft: &Draft<'_>, drafts: &[Draft<'_>]) -> Result<Vec<Piece>, W
                     slot.name
                 )))
             }
-            (false, Src::File(..) | Src::Produced { .. }) => {
-                return Err(WrapperError::new(format!(
-                    "input `{}` is a parameter but was bound to a file",
-                    slot.name
-                )))
+            (false, Src::Produced { .. } | Src::Port { file: true, .. }) => {
+                return Err(bound_to_file(&slot.name))
             }
-            (file, Src::Port(port)) => pieces.push(Piece {
+            (file, Src::Port { port, .. }) => pieces.push(Piece {
                 text: std::mem::take(&mut text),
                 hole: Some((*port, file)),
             }),
             (_, Src::Param(value)) => text.push_str(value),
-            (_, Src::File(gfn, _)) => text.push_str(local_name(gfn)),
             (_, Src::Produced { stage, output }) => {
-                text.push_str(drafts[*stage].outputs[*output].1.name.local());
+                text.push_str(local_name(&drafts[*stage].outputs[*output].1.name));
             }
             // Filling stops at the fault before any line is rendered.
             (_, Src::Fault(_)) => {}
@@ -654,7 +589,7 @@ fn compile_line(draft: &Draft<'_>, drafts: &[Draft<'_>]) -> Result<Vec<Piece>, W
             .find(|(name, _)| *name == slot.name)
             .ok_or_else(|| WrapperError::new(format!("unbound output `{}`", slot.name)))?;
         option(&mut text, &slot.option);
-        text.push_str(out.name.local());
+        text.push_str(local_name(&out.name));
     }
     if let Some((name, _)) = draft.binds.iter().find(|(n, _)| d.input(n).is_none()) {
         return Err(WrapperError::new(format!(
@@ -682,8 +617,9 @@ fn option(text: &mut String, option: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{compose_group, GroupMember};
     use crate::descriptor::crest_lines_example;
-    use crate::invocation::plan_single;
+    use crate::invocation::{plan_single, Binding};
 
     /// A job input of the tests: a file or a literal.
     #[derive(Debug)]
@@ -767,10 +703,8 @@ mod tests {
         assert_eq!(job.outputs, template.outputs(7));
     }
 
-    #[test]
-    fn a_group_keeps_its_intermediates_on_the_worker() {
-        let lines = crest_lines_example();
-        let matcher = ExecutableDescriptor::parse(
+    fn crest_match() -> ExecutableDescriptor {
+        ExecutableDescriptor::parse(
             r#"<description><executable name="CrestMatch">
                  <access type="URL"><path value="http://colors.unice.fr"/></access>
                  <value value="cmatch"/>
@@ -779,12 +713,17 @@ mod tests {
                  <output name="transfo" option="-o"><access type="GFN"/></output>
                </executable></description>"#,
         )
-        .unwrap();
-        let mut first = crest_lines(&lines);
+        .unwrap()
+    }
+
+    /// The Bronze Standard's group: crestLines feeding both crest files
+    /// to crestMatch, whose transform the job delivers.
+    fn crest_group(lines: &ExecutableDescriptor, matcher: &ExecutableDescriptor) -> JobTemplate {
+        let mut first = crest_lines(lines);
         first.group_member = Some("crestLines");
         let second = StageSpec {
             group_member: Some("crestMatch"),
-            descriptor: &matcher,
+            descriptor: matcher,
             feeds: vec![
                 (
                     "c1",
@@ -803,8 +742,48 @@ mod tests {
             ],
             output_bytes: vec![2048],
         };
-        let template =
-            JobTemplate::compile("wf", "g", &[first, second], &[("transfo", 1, "transfo")]);
+        JobTemplate::compile("wf", "g", &[first, second], &[("transfo", 1, "transfo")])
+    }
+
+    #[test]
+    fn a_fill_renders_the_plan_the_group_binding_would() {
+        let (lines, matcher) = (crest_lines_example(), crest_match());
+        let job = crest_group(&lines, &matcher).fill(&images(), 3, |_| {});
+
+        let mut catalog = Catalog::new();
+        catalog.register("gfn://img/f.hdr", 7_800_000);
+        catalog.register("gfn://img/r.hdr", 7_800_000);
+        let (crest_ref, crest_float) = (
+            "gfn://wf/g~crestLines/3/crest_reference",
+            "gfn://wf/g~crestLines/3/crest_floating",
+        );
+        let transfo = "gfn://wf/g~crestMatch/3/transfo";
+        let members = [
+            GroupMember {
+                descriptor: lines.clone(),
+                binding: Binding::new()
+                    .bind_file("floating_image", "gfn://img/f.hdr")
+                    .bind_file("reference_image", "gfn://img/r.hdr")
+                    .bind_value("scale", "2")
+                    .bind_output("crest_reference", crest_ref, 400_000)
+                    .bind_output("crest_floating", crest_float, 400_000),
+            },
+            GroupMember {
+                descriptor: matcher.clone(),
+                binding: Binding::new()
+                    .bind_file("c1", crest_ref)
+                    .bind_file("c2", crest_float)
+                    .bind_output("transfo", transfo, 2048),
+            },
+        ];
+        let grouped = compose_group(&members, &catalog, &[transfo.to_owned()]);
+        assert_eq!(job.unwrap().plan, grouped.unwrap());
+    }
+
+    #[test]
+    fn a_group_keeps_its_intermediates_on_the_worker() {
+        let (lines, matcher) = (crest_lines_example(), crest_match());
+        let template = crest_group(&lines, &matcher);
         let job = template.fill(&images(), 3, |_| {}).unwrap();
         assert_eq!(
             job.plan.command_lines,

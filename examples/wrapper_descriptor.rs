@@ -1,49 +1,40 @@
 //! The generic code wrapper in action (paper §3.6, Figs. 7–8): parse
-//! the paper's exact crestLines descriptor, bind invocation data to it,
-//! synthesise the command line, and show how composing two descriptors
-//! into a virtual grouped service eliminates intermediate transfers.
+//! the paper's exact crestLines descriptor, compile the job-plan
+//! template of a crestLines → crestMatch group once and fill it per
+//! invocation, as the enactor does, and build the same plan through the
+//! `Binding` API, a thin adapter over that template. Grouping keeps the
+//! crest files on the worker.
 //!
 //! Run with: `cargo run --example wrapper_descriptor`
 
 use moteur_repro::wrapper::{
-    command_line, compose_group, crest_lines_example, plan_single, Binding, Catalog,
-    ExecutableDescriptor, GroupMember,
+    compose_group, crest_lines_example, plan_single, Binding, Catalog, ExecutableDescriptor, Feed,
+    GroupMember, JobTemplate, SlotValue, StageSpec,
 };
+
+/// A job input as the enactor sees it: an image registered on the grid.
+struct Image(String);
+
+impl SlotValue for Image {
+    fn file(&self) -> Option<(&str, u64)> {
+        Some((&self.0, 7_864_320))
+    }
+    fn write_param(&self, out: &mut String) {
+        out.push_str(&self.0);
+    }
+    fn describe(&self) -> String {
+        self.0.clone()
+    }
+}
 
 fn main() {
     // --- The Fig. 8 descriptor, round-tripped through its XML form.
-    let descriptor = crest_lines_example();
-    let xml = descriptor.to_xml().to_pretty_string();
+    let lines = crest_lines_example();
+    let xml = lines.to_xml().to_pretty_string();
     println!("=== the paper's Fig. 8 executable descriptor ===\n{xml}");
     let reparsed = ExecutableDescriptor::parse(&xml).expect("round trip");
-    assert_eq!(reparsed, descriptor);
-
-    // --- Bind one invocation's data (dynamic declaration, §2.1).
-    let binding = Binding::new()
-        .bind_file("floating_image", "gfn://lacassagne/float000.hdr")
-        .bind_file("reference_image", "gfn://lacassagne/ref000.hdr")
-        .bind_value("scale", "2")
-        .bind_output("crest_reference", "gfn://run42/crest_ref.crest", 400_000)
-        .bind_output("crest_floating", "gfn://run42/crest_float.crest", 400_000);
-    let cmd = command_line(&descriptor, &binding).expect("complete binding");
-    println!("=== synthesised command line ===\n{cmd}\n");
-
-    // --- Transfer plan for the single job.
-    let mut catalog = Catalog::new();
-    catalog.register("gfn://lacassagne/float000.hdr", 7_864_320);
-    catalog.register("gfn://lacassagne/ref000.hdr", 7_864_320);
-    let plan = plan_single(&descriptor, &binding, &catalog).expect("plan");
-    println!("=== single-job plan ===");
-    println!(
-        "fetch {} files ({} bytes), store {} files ({} bytes)\n",
-        plan.fetch.len(),
-        plan.fetch_bytes(),
-        plan.store.len(),
-        plan.store_bytes()
-    );
-
-    // --- Group crestLines with a consumer (crestMatch) into one job.
-    let consumer = ExecutableDescriptor::parse(
+    assert_eq!(reparsed, lines);
+    let matcher = ExecutableDescriptor::parse(
         r#"<description><executable name="CrestMatch">
              <access type="URL"><path value="http://colors.unice.fr"/></access>
              <value value="cmatch"/>
@@ -52,34 +43,96 @@ fn main() {
              <output name="transfo" option="-o"><access type="GFN"/></output>
            </executable></description>"#,
     )
-    .expect("consumer descriptor");
-    let consumer_binding = Binding::new()
-        .bind_file("c1", "gfn://run42/crest_ref.crest")
-        .bind_file("c2", "gfn://run42/crest_float.crest")
-        .bind_output("transfo", "gfn://run42/transfo.trf", 2048);
-    let grouped = compose_group(
-        &[
-            GroupMember {
-                descriptor: descriptor.clone(),
-                binding: binding.clone(),
-            },
-            GroupMember {
-                descriptor: consumer.clone(),
-                binding: consumer_binding.clone(),
-            },
-        ],
-        &catalog,
-        &["gfn://run42/transfo.trf".into()],
-    )
-    .expect("grouped plan");
-    println!("=== grouped virtual service (crestLines + crestMatch) ===");
-    for line in &grouped.command_lines {
-        println!("  $ {line}");
+    .expect("crestMatch descriptor");
+
+    // --- The static half, once per grouped processor: crestLines reads
+    // the job's two images and a fixed scale; crestMatch reads both crest
+    // files crestLines writes; the job delivers crestMatch's transform.
+    let crest = |slot| Feed::Stage { stage: 0, slot };
+    let stages = [
+        StageSpec {
+            group_member: Some("crestLines"),
+            descriptor: &lines,
+            feeds: vec![
+                ("floating_image", Feed::Port(0)),
+                ("reference_image", Feed::Port(1)),
+                ("scale", Feed::Param("2")),
+            ],
+            output_bytes: vec![400_000, 400_000],
+        },
+        StageSpec {
+            group_member: Some("crestMatch"),
+            descriptor: &matcher,
+            feeds: vec![
+                ("c1", crest("crest_reference")),
+                ("c2", crest("crest_floating")),
+            ],
+            output_bytes: vec![2048],
+        },
+    ];
+    let template = JobTemplate::compile("bronze", "g", &stages, &[("transfo", 1, "transfo")]);
+
+    // --- The dynamic half, once per invocation (dynamic declaration,
+    // §2.1): only the values change.
+    let images = |k: u64| {
+        [
+            Image(format!("gfn://lacassagne/float{k:03}.hdr")),
+            Image(format!("gfn://lacassagne/ref{k:03}.hdr")),
+        ]
+    };
+    let jobs: Vec<_> = (0..2)
+        .map(|k| {
+            template
+                .fill(&images(k), k, |_| {})
+                .expect("a complete job")
+        })
+        .collect();
+    for (k, job) in jobs.iter().enumerate() {
+        println!("=== invocation {k}: one grid job ===");
+        for line in &job.plan.command_lines {
+            println!("  $ {line}");
+        }
+        println!("  delivers {}", job.outputs[0].gfn);
     }
-    let separate_fetch = plan.fetch_bytes()
-        + plan_single(&consumer, &consumer_binding, &catalog)
-            .unwrap()
-            .fetch_bytes();
+
+    // --- Invocation 0 through the Binding API: every value named up
+    // front, each binding one stage of a template filled at once.
+    let (crest_ref, crest_float) = (
+        "gfn://bronze/g~crestLines/0/crest_reference",
+        "gfn://bronze/g~crestLines/0/crest_floating",
+    );
+    let transfo = "gfn://bronze/g~crestMatch/0/transfo";
+    let lines_binding = Binding::new()
+        .bind_file("floating_image", "gfn://lacassagne/float000.hdr")
+        .bind_file("reference_image", "gfn://lacassagne/ref000.hdr")
+        .bind_value("scale", "2")
+        .bind_output("crest_reference", crest_ref, 400_000)
+        .bind_output("crest_floating", crest_float, 400_000);
+    let matcher_binding = Binding::new()
+        .bind_file("c1", crest_ref)
+        .bind_file("c2", crest_float)
+        .bind_output("transfo", transfo, 2048);
+    let mut catalog = Catalog::new();
+    catalog.register("gfn://lacassagne/float000.hdr", 7_864_320);
+    catalog.register("gfn://lacassagne/ref000.hdr", 7_864_320);
+    let members = [
+        GroupMember {
+            descriptor: lines.clone(),
+            binding: lines_binding.clone(),
+        },
+        GroupMember {
+            descriptor: matcher.clone(),
+            binding: matcher_binding.clone(),
+        },
+    ];
+    let grouped = compose_group(&members, &catalog, &[transfo.into()]).expect("grouped plan");
+    assert_eq!(grouped, jobs[0].plan, "one builder behind both APIs");
+
+    // --- What grouping saves against two separate jobs (Fig. 7).
+    let separate_fetch: u64 = [(&lines, &lines_binding), (&matcher, &matcher_binding)]
+        .iter()
+        .map(|(d, b)| plan_single(d, b, &catalog).expect("plan").fetch_bytes())
+        .sum();
     println!(
         "\nfetch {} bytes grouped vs {} bytes as two jobs — the crest files never\n\
          touch a storage element, and one submission overhead disappears (Fig. 7).",
