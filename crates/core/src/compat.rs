@@ -1,10 +1,10 @@
 //! What the frozen benchmark client names and nothing else does: the
 //! three pre-[`Enactment`] entry points, the `HistoryXmlCache` shim and
-//! the items DESIGN §3 marks `sut only`. `benchmark/src/sut.rs` is their
-//! only caller outside this file and their forwarding tests (`ci.sh`
-//! greps for any other); the crate root re-exports them from one
-//! `#[doc(hidden)]` item. They go once the benchmark names what they
-//! forward to.
+//! the items DESIGN §3 marks `sut only — compat`.
+//! `benchmark/src/sut.rs` is their only caller outside this file and
+//! their forwarding tests (`ci.sh` greps for any other); the crate root
+//! re-exports them from one `#[doc(hidden)]` item. They go once the
+//! benchmark names what they forward to.
 
 use crate::backend::Backend;
 use crate::config::EnactorConfig;
@@ -13,14 +13,13 @@ use crate::error::MoteurError;
 use crate::ft::FtConfig;
 use crate::graph::Workflow;
 use crate::obs::Obs;
-use crate::store::{provenance_key, DataStore};
+use crate::store::{provenance_key, DataStore, ProvenanceKey};
 use crate::token::History;
 use crate::trace::WorkflowResult;
 use crate::value::DataValue;
 
 pub use crate::daemon::protocol::{apply as daemon_apply, Request};
 pub use crate::iterate::MatchEngine;
-pub use crate::store::ProvenanceKey;
 
 /// `Enactment::new(…).obs(obs).run(backend)`.
 pub fn run_observed(

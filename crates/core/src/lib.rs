@@ -124,7 +124,7 @@ pub use provenance::{export_provenance, history_from_xml, history_to_xml};
 pub use report::{render_report, service_stats};
 pub use service::{CostModel, ServiceBinding, ServiceProfile};
 pub use store::key::Fnv1a;
-pub use store::{invocation_key, provenance_key, DataStore, StoreConfig};
+pub use store::{invocation_key, provenance_key, DataStore, ProvenanceKey, StoreConfig};
 pub use token::{DataIndex, History, HistoryNode, Token};
 pub use trace::{InvocationRecord, RecordBuffer, RecordSink, WorkflowResult};
 pub use value::DataValue;
@@ -133,7 +133,7 @@ pub use value::DataValue;
 #[doc(hidden)]
 pub use compat::{
     daemon_apply, run_fault_tolerant, run_fault_tolerant_cached, run_observed, HistoryXmlCache,
-    MatchEngine, ProvenanceKey, Request,
+    MatchEngine, Request,
 };
 
 /// Common imports for building and running workflows.

@@ -84,7 +84,7 @@ pub(crate) fn bound_job(
         .collect();
     let fixed: Vec<_> = members.iter().map(|(_, b)| b.outputs.as_slice()).collect();
     let template = compile_with("", "", &stages, &exposed, catalog, &fixed);
-    Ok(template.fill(&files, 0, |_| {})?.plan)
+    Ok(template.plan(&files, 0, |_| {})?)
 }
 
 /// The first of `members` to write `gfn`, and the output slot it is
@@ -118,6 +118,7 @@ impl SlotValue for BoundFile<'_> {
 mod tests {
     use super::*;
     use crate::descriptor::{AccessMethod, FileItem, InputSlot, OutputSlot};
+    use crate::invocation::TransferFile;
 
     /// `tool <in> -o <out>`-style single-input single-output descriptor.
     fn simple_desc(name: &str) -> ExecutableDescriptor {
@@ -304,6 +305,30 @@ mod tests {
         assert_eq!(stored, ["gfn://X"], "b's product is registered; Y stays");
         assert!(plan.fetch.iter().any(|f| f.name == "gfn://X"));
         assert!(!plan.fetch.iter().any(|f| f.name == "gfn://Y"));
+    }
+
+    #[test]
+    fn a_gfn_two_members_write_is_registered_once() {
+        let members: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|name| GroupMember {
+                descriptor: simple_desc(name),
+                binding: Binding::new()
+                    .bind_file("in", "gfn://data/input.img")
+                    .bind_output("out", "gfn://res/G", 10),
+            })
+            .collect();
+        for external in [vec![], vec!["gfn://res/G".to_owned()]] {
+            let plan = compose_group(&members, &catalog(), &external).unwrap();
+            assert_eq!(
+                plan.store,
+                [TransferFile {
+                    name: "gfn://res/G".into(),
+                    bytes: 10
+                }],
+                "external {external:?}"
+            );
+        }
     }
 
     #[test]

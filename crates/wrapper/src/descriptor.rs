@@ -287,21 +287,71 @@ fn required_name(el: &Element, what: &str) -> Result<String, WrapperError> {
 
 /// The paper's Fig. 8 example: the `crestLines` service descriptor.
 pub fn crest_lines_example() -> ExecutableDescriptor {
-    let url = r#"<access type="URL"><path value="http://colors.unice.fr"/></access>"#;
-    let gfn = r#"<access type="GFN"/>"#;
-    ExecutableDescriptor::parse(&format!(
-        r#"<description><executable name="CrestLines.pl">{url}<value value="CrestLines.pl"/>
-             <input name="floating_image" option="-im1">{gfn}</input>
-             <input name="reference_image" option="-im2">{gfn}</input>
-             <input name="scale" option="-s"/>
-             <output name="crest_reference" option="-c1">{gfn}</output>
-             <output name="crest_floating" option="-c2">{gfn}</output>
-             <sandbox name="convert8bits">{url}<value value="Convert8bits.pl"/></sandbox>
-             <sandbox name="copy">{url}<value value="copy"/></sandbox>
-             <sandbox name="cmatch">{url}<value value="cmatch"/></sandbox>
-           </executable></description>"#
-    ))
-    .expect("the Fig. 8 descriptor parses")
+    ExecutableDescriptor {
+        executable: FileItem {
+            name: "CrestLines.pl".into(),
+            access: AccessMethod::Url {
+                server: "http://colors.unice.fr".into(),
+            },
+            value: "CrestLines.pl".into(),
+        },
+        inputs: vec![
+            InputSlot {
+                name: "floating_image".into(),
+                option: "-im1".into(),
+                access: Some(AccessMethod::Gfn),
+                bytes: None,
+            },
+            InputSlot {
+                name: "reference_image".into(),
+                option: "-im2".into(),
+                access: Some(AccessMethod::Gfn),
+                bytes: None,
+            },
+            InputSlot {
+                name: "scale".into(),
+                option: "-s".into(),
+                access: None,
+                bytes: None,
+            },
+        ],
+        outputs: vec![
+            OutputSlot {
+                name: "crest_reference".into(),
+                option: "-c1".into(),
+                access: AccessMethod::Gfn,
+            },
+            OutputSlot {
+                name: "crest_floating".into(),
+                option: "-c2".into(),
+                access: AccessMethod::Gfn,
+            },
+        ],
+        sandboxes: vec![
+            FileItem {
+                name: "convert8bits".into(),
+                access: AccessMethod::Url {
+                    server: "http://colors.unice.fr".into(),
+                },
+                value: "Convert8bits.pl".into(),
+            },
+            FileItem {
+                name: "copy".into(),
+                access: AccessMethod::Url {
+                    server: "http://colors.unice.fr".into(),
+                },
+                value: "copy".into(),
+            },
+            FileItem {
+                name: "cmatch".into(),
+                access: AccessMethod::Url {
+                    server: "http://colors.unice.fr".into(),
+                },
+                value: "cmatch".into(),
+            },
+        ],
+        nondeterministic: false,
+    }
 }
 
 #[cfg(test)]

@@ -242,8 +242,20 @@ impl JobTemplate {
         &self,
         inputs: &[V],
         invocation: u64,
-        mut staged: impl FnMut(usize),
+        staged: impl FnMut(usize),
     ) -> Result<FilledJob, FillError> {
+        let plan = self.plan(inputs, invocation, staged)?;
+        let outputs = self.deliver(invocation, &plan.store);
+        Ok(FilledJob { plan, outputs })
+    }
+
+    /// [`JobTemplate::fill`]'s plan, without naming the delivered files.
+    pub(crate) fn plan<V: SlotValue>(
+        &self,
+        inputs: &[V],
+        invocation: u64,
+        mut staged: impl FnMut(usize),
+    ) -> Result<JobPlan, FillError> {
         for bind in self.stages.iter().flat_map(|s| &s.binds) {
             match bind {
                 Bind::Port { port, slot, file } => {
@@ -296,8 +308,7 @@ impl JobTemplate {
                 });
             }
         }
-        let outputs = self.deliver(invocation, &plan.store);
-        Ok(FilledJob { plan, outputs })
+        Ok(plan)
     }
 
     /// The files a job of this template delivers under `invocation`, as
@@ -368,8 +379,9 @@ impl Stage {
 /// [`JobTemplate::compile`], with the executables and sandboxes sized by
 /// `catalog`. Stage `k` is a binding's when `fixed` has an entry for it:
 /// its outputs are `fixed[k]`, in binding order and under the GFNs bound
-/// there, and every job input it reads is a file. Any other stage's
-/// outputs are its descriptor's, named by slot and sized by
+/// there, and every job input it reads is a file; a GFN bound to several
+/// outputs is registered once at most, by its first writer. Any other
+/// stage's outputs are its descriptor's, named by slot and sized by
 /// `output_bytes`.
 pub(crate) fn compile_with<'a>(
     workflow: &str,
@@ -403,21 +415,25 @@ pub(crate) fn compile_with<'a>(
             };
             binds.push((slot, src));
         }
-        let output = |slot, name: &String, fixed, bytes| {
+        let output = |slot, name: &String, fixed, bytes, stored| {
             let output = Output {
                 name: name.clone(),
                 fixed,
                 bytes,
-                stored: true,
+                stored,
             };
             (slot, output)
         };
         let outputs = match fixed.get(k) {
-            Some(outputs) => (outputs.iter())
-                .map(|o| output(o.slot.as_str(), &o.gfn, true, o.bytes))
+            Some(outputs) => (outputs.iter().enumerate())
+                .map(|(i, o)| {
+                    let earlier = fixed[..k].iter().flat_map(|f| f.iter());
+                    let again = earlier.chain(&outputs[..i]).any(|e| e.gfn == o.gfn);
+                    output(o.slot.as_str(), &o.gfn, true, o.bytes, !again)
+                })
                 .collect(),
             None => (spec.descriptor.outputs.iter().zip(&spec.output_bytes))
-                .map(|(o, &bytes)| output(o.name.as_str(), &o.name, false, bytes))
+                .map(|(o, &bytes)| output(o.name.as_str(), &o.name, false, bytes, true))
                 .collect(),
         };
         drafts.push(Draft {
@@ -450,7 +466,7 @@ pub(crate) fn compile_with<'a>(
     let mut statics: Vec<String> = Vec::new();
     let mut built = Vec::with_capacity(drafts.len());
     let mut fetch_len = 0;
-    for (draft, spec) in drafts.iter().zip(stages) {
+    for (k, (draft, spec)) in drafts.iter().zip(stages).enumerate() {
         let d = draft.descriptor;
         let mut fetch = Vec::new();
         for item in std::iter::once(&d.executable).chain(&d.sandboxes) {
@@ -495,7 +511,9 @@ pub(crate) fn compile_with<'a>(
             Vec::new()
         });
         built.push(Stage {
+            // A binding's stage names every output by a fixed GFN.
             prefix: match spec.group_member {
+                _ if k < fixed.len() => String::new(),
                 Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
                 None => format!("gfn://{workflow}/{processor}/"),
             },
