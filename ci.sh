@@ -155,6 +155,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release --offline
 cargo test -q --offline
 
+# Every example runs to completion, not just compiles: each asserts
+# what it demonstrates (wrapper_descriptor, for one, that compose_group
+# and a compiled template build equal plans). All six take well under a
+# second each in release.
+for example in examples/*.rs; do
+  cargo run --release --offline --quiet --example "$(basename "$example" .rs)"
+done
+
 # README's CLI reference is the binaries' own `--help`, which is derived
 # from the flag tables (src/cli.rs) and the export table (src/emit.rs):
 # rewrite the three fenced blocks between their markers and compare with

@@ -119,8 +119,7 @@ mod tests {
             let (sink, buffer) = RingBufferSink::new(100_000);
             let result = enact(&mut backend, Obs::new(vec![Box::new(sink)]), &mut store).unwrap();
             stream.extend(buffer.snapshot().iter().map(|e| e.to_json() + "\n"));
-            let mut sinks: Vec<_> = result.sink_counts.into_iter().collect();
-            sinks.sort();
+            let sinks: Vec<_> = result.sink_counts.into_iter().collect();
             results.push((result.makespan, result.jobs_submitted, sinks));
         }
         (stream, results)

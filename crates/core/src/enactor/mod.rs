@@ -47,7 +47,7 @@ use attempts::PendingJob;
 pub(crate) use compile::{CompileBits, CompiledWorkflow};
 use moteur_gridsim::{Rng, SimTime};
 use ports::SourceCursor;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// The workflow's input data: one value stream per source name (the
@@ -456,8 +456,8 @@ impl WorkflowInstance {
     pub fn finish(self, now: SimTime) -> Result<WorkflowResult, MoteurError> {
         self.deadlock_check()?;
         // Name-keyed on the way out; a sink nothing reached has no entry.
-        let mut sink_outputs = HashMap::new();
-        let mut sink_counts = HashMap::new();
+        let mut sink_outputs = BTreeMap::new();
+        let mut sink_counts = BTreeMap::new();
         let tallies = self.sink_outputs.into_iter().zip(self.sink_counts);
         for (p, (tokens, count)) in tallies.enumerate().filter(|(_, (_, n))| *n > 0) {
             let name = &self.compiled.workflow.processors[p].name;

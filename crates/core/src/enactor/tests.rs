@@ -67,7 +67,7 @@ pub(crate) struct FatedBackend {
     clock: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    results: HashMap<u64, Result<Option<ServiceOutputs>, String>>,
+    results: HashMap<u64, Result<Option<ServiceOutputs>, String>, IdHasher>,
     fate: Fate,
 }
 
@@ -77,7 +77,7 @@ impl FatedBackend {
             clock: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            results: HashMap::new(),
+            results: HashMap::default(),
             fate,
         }
     }

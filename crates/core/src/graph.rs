@@ -11,7 +11,7 @@
 use crate::error::MoteurError;
 use crate::service::ServiceBinding;
 use moteur_xml::Span;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Index of a processor inside its workflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -297,7 +297,7 @@ impl Workflow {
 
     /// Direct data predecessors (deduplicated).
     pub fn data_preds(&self, proc: ProcId) -> Vec<ProcId> {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         self.in_links(proc)
             .map(|l| l.from.proc)
             .filter(|p| seen.insert(*p))
@@ -306,7 +306,7 @@ impl Workflow {
 
     /// Direct data successors (deduplicated).
     pub fn data_succs(&self, proc: ProcId) -> Vec<ProcId> {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         self.out_links(proc)
             .map(|l| l.to.proc)
             .filter(|p| seen.insert(*p))

@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn interleaved_arrival_emits_every_cross_combo_exactly_once() {
         let mut e = MatchEngine::new(IterationStrategy::Cross, 2);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let pushes = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)];
         for (port, i) in pushes {
             for m in e.push(port, tok(if port == 0 { "a" } else { "b" }, i)) {

@@ -4,7 +4,7 @@
 use crate::graph::{ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Run the graph reachability, self-link and cycle rules (M002–M006);
 /// M001, M007 and M008 belong to the structural gate, which runs first.
@@ -74,13 +74,13 @@ pub(super) fn references_resolve(wf: &Workflow, report: &mut LintReport) -> bool
 /// M007: two processors share a name — links and input bindings resolve
 /// by name, so the second processor shadows the first.
 pub(super) fn duplicate_names(wf: &Workflow, report: &mut LintReport) {
-    let mut first: HashMap<&str, ProcId> = HashMap::new();
+    let mut first: BTreeMap<&str, ProcId> = BTreeMap::new();
     for (i, p) in wf.processors.iter().enumerate() {
         match first.entry(p.name.as_str()) {
-            std::collections::hash_map::Entry::Vacant(e) => {
+            std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(ProcId(i));
             }
-            std::collections::hash_map::Entry::Occupied(e) => {
+            std::collections::btree_map::Entry::Occupied(e) => {
                 report.push(
                     Diagnostic::error("M007", format!("duplicate processor name `{}`", p.name))
                         .primary(wf.spans.processor(ProcId(i)), "redeclared here")

@@ -448,9 +448,14 @@ mod tests {
         assert_eq!(stats.transfer_secs, 36.0);
         assert_eq!(stats.compute_secs, 96.0);
         assert_eq!(stats.total_link_bytes(), 9000);
+        let total = |name| state.timeline.get(name).expect(name).total();
         assert_eq!(
-            (stats.completed, stats.failed, stats.cancelled),
-            (6, 1, 3),
+            (
+                total("enactor.completed"),
+                total("enactor.failed"),
+                total("enactor.cancelled")
+            ),
+            (6.0, 1.0, 3.0),
             "{stats:?}"
         );
         assert_eq!(

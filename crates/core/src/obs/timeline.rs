@@ -545,10 +545,6 @@ pub struct ResourceStats {
     /// Submission→completion durations per service (logical
     /// invocations that completed successfully).
     pub service_durations: BTreeMap<String, Vec<DurationSample>>,
-    /// Completed / failed / cancelled invocation counts.
-    pub completed: usize,
-    pub failed: usize,
-    pub cancelled: usize,
     /// `SloBreached` events observed.
     pub slo_breaches: usize,
     /// Latest virtual time seen on any event.
@@ -843,7 +839,6 @@ impl EventSink for TimelineSink {
                 completion,
                 ..
             } => {
-                stats.completed += 1;
                 timeline.fixed(Fixed::Completed).add(t, 1.0);
                 let secs = (t - completion.submitted.as_secs_f64()).max(0.0);
                 entry(&mut stats.service_durations, processor, Vec::new).push(DurationSample {
@@ -851,14 +846,8 @@ impl EventSink for TimelineSink {
                     secs,
                 });
             }
-            TraceEvent::JobFailed { .. } => {
-                stats.failed += 1;
-                timeline.fixed(Fixed::Failed).add(t, 1.0);
-            }
-            TraceEvent::JobCancelled { .. } => {
-                stats.cancelled += 1;
-                timeline.fixed(Fixed::Cancelled).add(t, 1.0);
-            }
+            TraceEvent::JobFailed { .. } => timeline.fixed(Fixed::Failed).add(t, 1.0),
+            TraceEvent::JobCancelled { .. } => timeline.fixed(Fixed::Cancelled).add(t, 1.0),
             TraceEvent::EnactorGauges {
                 inflight,
                 deferred,
@@ -1106,7 +1095,8 @@ mod tests {
         assert!((stats.transfer_secs - 4.0).abs() < 1e-9);
         assert!((stats.compute_secs - 10.0).abs() < 1e-9);
         assert_eq!(stats.total_link_bytes(), 1000);
-        assert_eq!(stats.completed, 1);
+        let completed = timeline.get("enactor.completed").expect("completed series");
+        assert_eq!(completed.total(), 1.0);
         let link = timeline.get("link.ce0.bytes").expect("link series");
         assert!((link.total() - 1000.0).abs() < 1e-9);
         let d = &stats.service_durations["svc"];

@@ -62,9 +62,7 @@ pub fn history_from_xml(el: &Element) -> Result<Arc<History>, MoteurError> {
 /// Export every sink token's provenance as one `<provenance>` document.
 pub fn export_provenance(result: &WorkflowResult) -> String {
     let mut root = Element::new("provenance");
-    let mut sinks: Vec<&String> = result.sink_outputs.keys().collect();
-    sinks.sort();
-    for sink in sinks {
+    for sink in result.sink_outputs.keys() {
         let mut sink_el = Element::new("sink").with_attr("name", sink.clone());
         for token in result.sink(sink) {
             sink_el = sink_el.with_child(
@@ -84,7 +82,7 @@ mod tests {
     use crate::token::{DataIndex, Token};
     use crate::value::DataValue;
     use moteur_gridsim::SimDuration;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn sample_history() -> Arc<History> {
         History::derived(
@@ -108,7 +106,7 @@ mod tests {
 
     #[test]
     fn export_contains_every_sink_token() {
-        let mut sink_outputs = HashMap::new();
+        let mut sink_outputs = BTreeMap::new();
         sink_outputs.insert(
             "results".to_string(),
             vec![
@@ -168,8 +166,8 @@ mod tests {
     #[test]
     fn empty_result_exports_an_empty_document() {
         let result = WorkflowResult {
-            sink_outputs: HashMap::new(),
-            sink_counts: HashMap::new(),
+            sink_outputs: BTreeMap::new(),
+            sink_counts: BTreeMap::new(),
             makespan: SimDuration::ZERO,
             completed_invocations: 0,
             jobs_submitted: 0,

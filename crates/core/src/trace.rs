@@ -5,7 +5,7 @@ use crate::ft::{QuarantineEntry, WorkflowReport};
 use crate::obs::{EventSink, TraceEvent};
 use crate::token::{DataIndex, Token};
 use moteur_gridsim::{SimDuration, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Timing of one completed workflow invocation, for diagrams and
@@ -103,10 +103,10 @@ pub struct WorkflowResult {
     /// order: the first [`crate::EnactorConfig::port_capacity`] tokens
     /// per sink (all of them under the default capacity);
     /// `sink_counts` carries the full tally.
-    pub sink_outputs: HashMap<String, Vec<Token>>,
+    pub sink_outputs: BTreeMap<String, Vec<Token>>,
     /// Total number of tokens each sink received — exact whatever the
     /// port capacity.
-    pub sink_counts: HashMap<String, usize>,
+    pub sink_counts: BTreeMap<String, usize>,
     /// Total execution time (Σ of the paper's model).
     pub makespan: SimDuration,
     /// Workflow invocations that completed (each member of a batched
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn result_sink_and_report() {
-        let mut sink_outputs = HashMap::new();
+        let mut sink_outputs = BTreeMap::new();
         sink_outputs.insert(
             "accuracy".to_string(),
             vec![Token::from_source("s", 0, DataValue::from(1.0))],

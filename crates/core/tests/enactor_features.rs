@@ -122,7 +122,7 @@ fn cross_product_workflow_produces_n_times_m_results() {
         .unwrap();
     assert_eq!(r.sink("sink").len(), 12, "cross: 4 × 3");
     // All index pairs distinct and two-dimensional.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for t in r.sink("sink") {
         assert_eq!(t.index.depth(), 2);
         assert!(seen.insert(t.index.clone()));

@@ -1,9 +1,10 @@
-//! Property-style tests of the provenance machinery the data manager
-//! keys on: `history_to_xml`/`history_from_xml` must round-trip
-//! arbitrarily deep and wide trees exactly, every node's digest must be
-//! the structural hash of its subtree, and provenance/invocation keys
-//! must be functions of *structure*, not of construction order,
-//! sharing, or token arrival order.
+//! Property-style tests of provenance. The data manager keys on each
+//! history node's structural digest, minted with the node: every digest
+//! must be the hash of its subtree, and provenance/invocation keys must
+//! be functions of *structure*, not of construction order, sharing, or
+//! token arrival order. The XML export, `history_to_xml` /
+//! `history_from_xml`, must round-trip arbitrarily deep and wide trees
+//! exactly.
 
 use moteur::{
     history_from_xml, history_to_xml, invocation_key, provenance_key, DataStore, DataValue,

@@ -125,7 +125,7 @@ fn invariants_hold_over_random_workloads() {
                     .with_tag(i as u64),
             );
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut delivered = 0;
         while let Some(r) = sim.next_completion() {
             delivered += 1;

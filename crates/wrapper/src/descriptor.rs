@@ -243,14 +243,14 @@ impl ExecutableDescriptor {
 
     /// Slot-name uniqueness and basic well-formedness.
     pub fn validate(&self) -> Result<(), WrapperError> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n in self
             .inputs
             .iter()
             .map(|i| &i.name)
             .chain(self.outputs.iter().map(|o| &o.name))
         {
-            if !seen.insert(n.clone()) {
+            if !seen.insert(n) {
                 return Err(WrapperError::new(format!("duplicate slot name `{n}`")));
             }
         }

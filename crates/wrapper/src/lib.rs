@@ -21,41 +21,39 @@
 //! enactor compiles once per processor and fills per firing. Grouped
 //! templates keep intermediate files on the worker — one submission
 //! overhead and fewer transfers, which is precisely what the JG
-//! configurations measure. [`command_line`], [`plan_single`] and
-//! [`compose_group`] are thin adapters for values all known up front: a
-//! [`Binding`] per invocation becomes a template stage, filled at once.
+//! configurations measure. [`compose_group`] is a thin adapter for
+//! values all known up front: a [`Binding`] per invocation becomes a
+//! template stage, filled at once, and one member is an ungrouped job.
 //!
 //! ```
-//! use moteur_wrapper::{crest_lines_example, plan_single, Binding, Catalog};
+//! use moteur_wrapper::{compose_group, crest_lines_example, Binding, Catalog, GroupMember};
 //!
-//! let desc = crest_lines_example(); // the paper's Fig. 8 descriptor
 //! let binding = Binding::new()
 //!     .bind_file("floating_image", "gfn://img/float.hdr")
 //!     .bind_file("reference_image", "gfn://img/ref.hdr")
 //!     .bind_value("scale", "2")
 //!     .bind_output("crest_reference", "gfn://out/cr.crest", 400_000)
 //!     .bind_output("crest_floating", "gfn://out/cf.crest", 400_000);
-//! let plan = plan_single(&desc, &binding, &Catalog::new()).unwrap();
+//! // The paper's Fig. 8 descriptor, as a job of one member.
+//! let member = GroupMember { descriptor: crest_lines_example(), binding };
+//! let plan = compose_group(&[member], &Catalog::new(), &[]).unwrap();
 //! assert!(plan.command_lines[0].starts_with("CrestLines.pl -im1 float.hdr -im2 ref.hdr -s 2"));
 //! assert_eq!(plan.store.len(), 2, "both crest files are registered");
 //! ```
 
-pub mod catalog;
-pub mod compose;
-pub mod descriptor;
-pub mod error;
-pub mod invocation;
-pub mod lint;
-pub mod template;
+mod compose;
+mod descriptor;
+mod error;
+mod lint;
+mod template;
 
-pub use catalog::Catalog;
-pub use compose::{compose_group, GroupMember};
+pub use compose::{compose_group, Binding, BoundValue, Catalog, GroupMember};
 pub use descriptor::{
     crest_lines_example, AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot,
 };
 pub use error::WrapperError;
-pub use invocation::{
-    command_line, plan_single, Binding, BoundOutput, BoundValue, JobPlan, TransferFile,
-};
 pub use lint::{lint_descriptor, DescriptorFinding};
-pub use template::{Feed, FillError, FilledJob, JobTemplate, SlotValue, StageSpec};
+pub use template::{
+    BoundOutput, Feed, FillError, FilledJob, JobPlan, JobTemplate, SlotValue, StageSpec,
+    TransferFile,
+};

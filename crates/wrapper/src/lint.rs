@@ -8,7 +8,7 @@
 //! embeds the descriptor.
 
 use crate::descriptor::ExecutableDescriptor;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One suspicious fact about a descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +36,7 @@ pub fn lint_descriptor(desc: &ExecutableDescriptor) -> Vec<DescriptorFinding> {
     // Two slots sharing a command-line option produce an ambiguous
     // invocation: the executable sees the same flag twice and the
     // wrapper cannot know which value belongs to which slot.
-    let mut by_option: HashMap<&str, Vec<&str>> = HashMap::new();
+    let mut by_option: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for slot in &desc.inputs {
         if !slot.option.is_empty() {
             by_option.entry(&slot.option).or_default().push(&slot.name);
@@ -47,12 +47,7 @@ pub fn lint_descriptor(desc: &ExecutableDescriptor) -> Vec<DescriptorFinding> {
             by_option.entry(&slot.option).or_default().push(&slot.name);
         }
     }
-    let mut dups: Vec<(&str, Vec<&str>)> = by_option
-        .into_iter()
-        .filter(|(_, slots)| slots.len() > 1)
-        .collect();
-    dups.sort_unstable();
-    for (option, slots) in dups {
+    for (option, slots) in by_option.iter().filter(|(_, slots)| slots.len() > 1) {
         findings.push(DescriptorFinding::new(
             None,
             format!(

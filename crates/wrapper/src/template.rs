@@ -12,22 +12,76 @@
 //! then only writes the values into their holes and names the outputs.
 //!
 //! The enactor compiles one template per processor
-//! ([`JobTemplate::compile`]) and fills it per firing. The `Binding` API
-//! is a thin adapter over the same builder: [`plan_single`](crate::plan_single),
-//! [`compose_group`](crate::compose_group) and
-//! [`command_line`](crate::command_line) turn each binding into a stage
-//! (a literal is a [`Feed::Param`], a file an earlier member writes a
-//! [`Feed::Stage`], any other file a [`Feed::Port`] filled with its GFN
-//! and catalog size), keep the output GFNs the binding fixed, expose a
-//! group's external outputs, and compile and fill once. So every plan
-//! is rendered by one piece of code; only the adapters size executables
-//! and sandboxes from a caller's [`Catalog`].
+//! ([`JobTemplate::compile`]) and fills it per firing.
+//! [`compose_group`](crate::compose_group) is a thin adapter over the
+//! same builder: each binding becomes a stage (a literal is a
+//! [`Feed::Param`], a file an earlier member writes a [`Feed::Stage`],
+//! any other file a [`Feed::Port`]) that keeps the output GFNs the
+//! binding fixed, and the template is compiled and filled once. So every
+//! plan is rendered by one piece of code. A template stages executables
+//! and sandboxes in at a fixed 64 KiB; the adapter sizes the filled
+//! plan's files afterwards.
 
-use crate::catalog::Catalog;
 use crate::descriptor::{AccessMethod, ExecutableDescriptor, InputSlot};
 use crate::error::WrapperError;
-use crate::invocation::{local_name, BoundOutput, JobPlan, TransferFile};
 use std::fmt::Write as _;
+
+/// The size of a file nothing declares: the executables and sandboxes a
+/// template stages in, and a file a catalog does not list.
+pub(crate) const UNKNOWN_FILE_BYTES: u64 = 64 * 1024;
+
+/// A file the job must fetch or register, with its size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransferFile {
+    pub name: String,
+    pub bytes: u64,
+}
+
+/// Everything the generic wrapper needs to run one grid job: the
+/// command line(s) to execute, the files to stage in and the outputs to
+/// register afterwards.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobPlan {
+    pub command_lines: Vec<String>,
+    pub fetch: Vec<TransferFile>,
+    pub store: Vec<TransferFile>,
+}
+
+impl JobPlan {
+    pub fn fetch_bytes(&self) -> u64 {
+        self.fetch.iter().map(|f| f.bytes).sum()
+    }
+
+    pub fn store_bytes(&self) -> u64 {
+        self.store.iter().map(|f| f.bytes).sum()
+    }
+
+    /// Run `other`'s commands after this plan's in the same job: a file
+    /// both stage in is fetched once.
+    pub fn absorb(&mut self, other: JobPlan) {
+        self.command_lines.extend(other.command_lines);
+        for f in other.fetch {
+            if !self.fetch.iter().any(|g| g.name == f.name) {
+                self.fetch.push(f);
+            }
+        }
+        self.store.extend(other.store);
+    }
+}
+
+/// An output produced by the invocation: where to register it and the
+/// expected size (for the transfer model).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundOutput {
+    pub slot: String,
+    pub gfn: String,
+    pub bytes: u64,
+}
+
+/// Local (worker-side) file name for a GFN/URL: its last path segment.
+pub(crate) fn local_name(gfn: &str) -> &str {
+    gfn.rsplit('/').next().unwrap_or(gfn)
+}
 
 /// What a template needs of the value one job input carries.
 pub trait SlotValue {
@@ -229,7 +283,7 @@ impl JobTemplate {
         stages: &[StageSpec<'_>],
         exposed: &[(&str, usize, &str)],
     ) -> JobTemplate {
-        compile_with(workflow, processor, stages, exposed, &Catalog::new(), &[])
+        compile_with(workflow, processor, stages, exposed, &[])
     }
 
     /// Complete the plan for one invocation over `inputs`, one value per
@@ -376,19 +430,18 @@ impl Stage {
     }
 }
 
-/// [`JobTemplate::compile`], with the executables and sandboxes sized by
-/// `catalog`. Stage `k` is a binding's when `fixed` has an entry for it:
-/// its outputs are `fixed[k]`, in binding order and under the GFNs bound
-/// there, and every job input it reads is a file; a GFN bound to several
-/// outputs is registered once at most, by its first writer. Any other
-/// stage's outputs are its descriptor's, named by slot and sized by
+/// [`JobTemplate::compile`], with some output GFNs fixed up front. Stage
+/// `k` is a binding's when `fixed` has an entry for it: its outputs are
+/// `fixed[k]`, in binding order and under the GFNs bound there, and
+/// every job input it reads is a file; a GFN bound to several outputs is
+/// registered once at most, by its first writer. Any other stage's
+/// outputs are its descriptor's, named by slot and sized by
 /// `output_bytes`.
 pub(crate) fn compile_with<'a>(
     workflow: &str,
     processor: &str,
     stages: &[StageSpec<'a>],
     exposed: &[(&str, usize, &str)],
-    catalog: &Catalog,
     fixed: &[&'a [BoundOutput]],
 ) -> JobTemplate {
     let mut drafts: Vec<Draft<'a>> = Vec::with_capacity(stages.len());
@@ -479,7 +532,7 @@ pub(crate) fn compile_with<'a>(
             if !statics.contains(&name) {
                 statics.push(name.clone());
                 fetch.push(TransferFile {
-                    bytes: catalog.size_of(&name),
+                    bytes: UNKNOWN_FILE_BYTES,
                     name,
                 });
             }
@@ -635,9 +688,7 @@ fn option(text: &mut String, option: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compose::{compose_group, GroupMember};
     use crate::descriptor::crest_lines_example;
-    use crate::invocation::{plan_single, Binding};
 
     /// A job input of the tests: a file or a literal.
     #[derive(Debug)]
@@ -693,34 +744,6 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn a_fill_renders_the_plan_the_binding_would() {
-        let desc = crest_lines_example();
-        let template = JobTemplate::compile("wf", "crest", &[crest_lines(&desc)], &exposed(&desc));
-        let mut staged = Vec::new();
-        let job = template
-            .fill(&images(), 7, |port| staged.push(port))
-            .unwrap();
-        assert_eq!(staged, [0, 1]);
-
-        let mut catalog = Catalog::new();
-        catalog.register("gfn://img/f.hdr", 7_800_000);
-        catalog.register("gfn://img/r.hdr", 7_800_000);
-        let binding = Binding::new()
-            .bind_file("floating_image", "gfn://img/f.hdr")
-            .bind_file("reference_image", "gfn://img/r.hdr")
-            .bind_value("scale", "2")
-            .bind_output(
-                "crest_reference",
-                "gfn://wf/crest/7/crest_reference",
-                400_000,
-            )
-            .bind_output("crest_floating", "gfn://wf/crest/7/crest_floating", 400_000);
-        assert_eq!(job.plan, plan_single(&desc, &binding, &catalog).unwrap());
-        assert_eq!(job.outputs, binding.outputs);
-        assert_eq!(job.outputs, template.outputs(7));
-    }
-
     fn crest_match() -> ExecutableDescriptor {
         ExecutableDescriptor::parse(
             r#"<description><executable name="CrestMatch">
@@ -761,41 +784,6 @@ mod tests {
             output_bytes: vec![2048],
         };
         JobTemplate::compile("wf", "g", &[first, second], &[("transfo", 1, "transfo")])
-    }
-
-    #[test]
-    fn a_fill_renders_the_plan_the_group_binding_would() {
-        let (lines, matcher) = (crest_lines_example(), crest_match());
-        let job = crest_group(&lines, &matcher).fill(&images(), 3, |_| {});
-
-        let mut catalog = Catalog::new();
-        catalog.register("gfn://img/f.hdr", 7_800_000);
-        catalog.register("gfn://img/r.hdr", 7_800_000);
-        let (crest_ref, crest_float) = (
-            "gfn://wf/g~crestLines/3/crest_reference",
-            "gfn://wf/g~crestLines/3/crest_floating",
-        );
-        let transfo = "gfn://wf/g~crestMatch/3/transfo";
-        let members = [
-            GroupMember {
-                descriptor: lines.clone(),
-                binding: Binding::new()
-                    .bind_file("floating_image", "gfn://img/f.hdr")
-                    .bind_file("reference_image", "gfn://img/r.hdr")
-                    .bind_value("scale", "2")
-                    .bind_output("crest_reference", crest_ref, 400_000)
-                    .bind_output("crest_floating", crest_float, 400_000),
-            },
-            GroupMember {
-                descriptor: matcher.clone(),
-                binding: Binding::new()
-                    .bind_file("c1", crest_ref)
-                    .bind_file("c2", crest_float)
-                    .bind_output("transfo", transfo, 2048),
-            },
-        ];
-        let grouped = compose_group(&members, &catalog, &[transfo.to_owned()]);
-        assert_eq!(job.unwrap().plan, grouped.unwrap());
     }
 
     #[test]
@@ -911,5 +899,11 @@ mod tests {
         let err = template.fill(&images(), 0, |_| {}).unwrap_err();
         let bind = "grouped `g`: stage 0 consumes missing output `crest_reference` of stage 0";
         assert_eq!(err, FillError::Bind(bind.into()));
+    }
+
+    #[test]
+    fn local_name_takes_last_segment() {
+        assert_eq!(local_name("gfn://a/b/c.img"), "c.img");
+        assert_eq!(local_name("plain.txt"), "plain.txt");
     }
 }

@@ -52,7 +52,7 @@ impl Gen {
     }
 
     fn attributes(&mut self, e: &mut Element, max: usize) {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..self.below(max) {
             let k = self.name();
             if seen.insert(k.clone()) {

@@ -20,7 +20,7 @@
 use moteur_repro::moteur::prelude::*;
 use moteur_repro::registration as reg;
 use reg::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Tokens carry opaque payloads between local services.
@@ -134,7 +134,7 @@ fn main() {
     // The synchronization processor: consumes the whole result streams.
     let multi_transfo_test = move |inputs: &[Token]| -> Result<Out, String> {
         let names = ["crestMatch", "PFRegister", "Yasmina", "Baladin"];
-        let mut per_pair: HashMap<u32, Vec<AlgorithmResult>> = HashMap::new();
+        let mut per_pair: BTreeMap<u32, Vec<AlgorithmResult>> = BTreeMap::new();
         for (port, name) in names.iter().enumerate() {
             let list = inputs[port]
                 .value
@@ -149,14 +149,13 @@ fn main() {
                 });
             }
         }
-        let mut pair_results: Vec<PairResults> = per_pair
+        let pair_results: Vec<PairResults> = per_pair
             .into_iter()
             .map(|(pair_id, results)| PairResults {
                 pair_id: pair_id as usize,
                 results,
             })
             .collect();
-        pair_results.sort_by_key(|p| p.pair_id);
         let report = bronze_standard(&pair_results);
         Ok(vec![
             ("report".into(), DataValue::opaque(report)),
@@ -283,21 +282,17 @@ fn main() {
         .downcast::<Vec<PairResults>>()
         .expect("pairs token");
     println!("\nTrue errors vs the synthetic ground truth:");
-    let mut by_algo: HashMap<&str, (f64, f64, usize)> = HashMap::new();
-    for pr in pair_results {
+    let mut by_algo: BTreeMap<&str, (f64, f64, usize)> = BTreeMap::new();
+    for pr in pair_results.iter() {
         let truth = truths[pr.pair_id];
         for r in &pr.results {
-            let e = by_algo
-                .entry(Box::leak(r.algorithm.clone().into_boxed_str()))
-                .or_insert((0.0, 0.0, 0));
+            let e = by_algo.entry(&r.algorithm).or_insert((0.0, 0.0, 0));
             e.0 += r.transform.rotation_error(truth).to_degrees();
             e.1 += r.transform.translation_error(truth);
             e.2 += 1;
         }
     }
-    let mut rows: Vec<_> = by_algo.into_iter().collect();
-    rows.sort_by_key(|(n, _)| *n);
-    for (name, (rot, trans, n)) in rows {
+    for (name, (rot, trans, n)) in by_algo {
         println!(
             "  {:12} rotation {:6.3} deg   translation {:6.3} voxels",
             name,

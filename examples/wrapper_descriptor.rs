@@ -8,8 +8,8 @@
 //! Run with: `cargo run --example wrapper_descriptor`
 
 use moteur_repro::wrapper::{
-    compose_group, crest_lines_example, plan_single, Binding, Catalog, ExecutableDescriptor, Feed,
-    GroupMember, JobTemplate, SlotValue, StageSpec,
+    compose_group, crest_lines_example, Binding, Catalog, ExecutableDescriptor, Feed, GroupMember,
+    JobTemplate, SlotValue, StageSpec,
 };
 
 /// A job input as the enactor sees it: an image registered on the grid.
@@ -117,21 +117,24 @@ fn main() {
     catalog.register("gfn://lacassagne/ref000.hdr", 7_864_320);
     let members = [
         GroupMember {
-            descriptor: lines.clone(),
-            binding: lines_binding.clone(),
+            descriptor: lines,
+            binding: lines_binding,
         },
         GroupMember {
-            descriptor: matcher.clone(),
-            binding: matcher_binding.clone(),
+            descriptor: matcher,
+            binding: matcher_binding,
         },
     ];
     let grouped = compose_group(&members, &catalog, &[transfo.into()]).expect("grouped plan");
     assert_eq!(grouped, jobs[0].plan, "one builder behind both APIs");
 
     // --- What grouping saves against two separate jobs (Fig. 7).
-    let separate_fetch: u64 = [(&lines, &lines_binding), (&matcher, &matcher_binding)]
+    let separate_fetch: u64 = members
         .iter()
-        .map(|(d, b)| plan_single(d, b, &catalog).expect("plan").fetch_bytes())
+        .map(|member| {
+            let alone = compose_group(std::slice::from_ref(member), &catalog, &[]);
+            alone.expect("plan").fetch_bytes()
+        })
         .sum();
     println!(
         "\nfetch {} bytes grouped vs {} bytes as two jobs — the crest files never\n\
