@@ -317,6 +317,55 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The saved bytes of a fixed store, pinned by an FNV-1a digest of
+    /// the file pair: a file, a NaN number, a string every escape class
+    /// touches, a nested list and an invocation with two outputs.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let dir = temp_dir("golden");
+        let mut store = DataStore::open(&dir, StoreConfig::default()).unwrap();
+        let values = [
+            DataValue::File {
+                gfn: "gfn://bronze/img 01.hdr".into(),
+                bytes: 8_388_608,
+            },
+            DataValue::Num(f64::NAN),
+            DataValue::from("say \"hi\"\\path\u{1}\tend é"),
+            DataValue::List(vec![
+                DataValue::Num(-0.5),
+                DataValue::List(vec![DataValue::from(""), DataValue::Num(1e300)]),
+                DataValue::File {
+                    gfn: "gfn://x".into(),
+                    bytes: 0,
+                },
+            ]),
+        ];
+        let keys: Vec<_> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| store.insert(v, &History::source("s", i as u32)).unwrap())
+            .collect();
+        store.record_invocation(
+            invocation_key("crest\"lines", 3, &keys[..2]),
+            "crest\"lines",
+            vec![("crest".into(), keys[0]), ("out\\1".into(), keys[3])],
+        );
+        store.record_invocation(invocation_key("empty", 0, &[]), "empty", vec![]);
+        store.save().unwrap();
+        let (index, data) = files(&dir);
+        let mut h = crate::store::key::Fnv1a::new();
+        h.write(&index);
+        h.write(&data);
+        assert_eq!(
+            (index.len(), data.len(), format!("{:016x}", h.finish())),
+            (250, 528, "896c2ceca35216a9".to_string()),
+            "{}{}",
+            String::from_utf8_lossy(&index),
+            String::from_utf8_lossy(&data)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A store of `n` one-output invocations over 100-byte files, saved
     /// into `dir`; returns the invocation keys in insertion order.
     fn saved_store(dir: &Path, n: u32) -> Vec<InvocationKey> {
