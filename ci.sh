@@ -85,6 +85,18 @@ if grep -rnw --include='*.rs' -e history_to_xml crates/core/src/store/ \
   echo "a key path renders XML: hash History::digest" >&2
   exit 1
 fi
+# No tree on the store's path: the data store decodes index.json and
+# store.jsonl straight off obs::json's cursor, so the product code of
+# crates/core/src/store/ (each file above its `#[cfg(test)]` line) may
+# not name JsonValue. The parse-then-decode load the cursor replaced
+# survives only as the fuzz oracle in store/disk.rs's tests.
+if awk 'FNR == 1 {tests = 0}
+    /^#\[cfg\(test\)\]/ {tests = 1}
+    !tests && /(^|[^A-Za-z0-9_])JsonValue([^A-Za-z0-9_]|$)/ {print FILENAME ":" FNR ":" $0; found = 1}
+    END {exit !found}' crates/core/src/store/*.rs; then
+  echo "the store builds a JSON tree: read through obs::json's Cursor" >&2
+  exit 1
+fi
 # Compile once, fill per firing: a processor's job plan is a template
 # built with the CompiledWorkflow, so a firing may not go back to
 # building a wrapper binding, catalog or group member.

@@ -6,14 +6,15 @@
 //! run with the counting allocator attached:
 //!
 //! - **eager reference** — a small slice of the stream (default 10⁴
-//!   items) at the default, unbounded capacity, sampling live heap
-//!   bytes before and after while the [`moteur::WorkflowResult`] is
-//!   still held. The delta divided by the item count is the per-item
-//!   retained footprint when nothing ever fills (tokens, history trees,
-//!   sink outputs; the result keeps no invocation records, which a
-//!   `moteur::RecordSink` builds only when one is attached), whose
-//!   projection onto the full stream is what a bounded capacity must
-//!   undercut.
+//!   items, and half of that) at the default, unbounded capacity,
+//!   sampling live heap bytes before and after while the
+//!   [`moteur::WorkflowResult`] is still held. The slope of the two
+//!   deltas over the item counts is the per-item retained footprint
+//!   when nothing ever fills (tokens, history trees, sink outputs; the
+//!   result keeps no invocation records, which a `moteur::RecordSink`
+//!   builds only when one is attached), whose projection onto the full
+//!   stream is what a bounded capacity must undercut. What a run keeps
+//!   whatever its length (the result's maps, say) cancels in the slope.
 //! - **stream** — the full stream (default 10⁶ items) through the same
 //!   chain at capacity `port_capacity`. The input vector is an
 //!   unavoidable O(n) cost and is measured separately; everything the
@@ -61,9 +62,10 @@ pub struct StreamSpec {
     pub n_items: usize,
     /// Port capacity of every bounded inter-service edge.
     pub port_capacity: usize,
-    /// Stream length of the unbounded reference phase (kept small: its
-    /// whole point is to measure the per-item retained footprint that
-    /// would make the full stream infeasible).
+    /// Stream length of the unbounded reference phase, which also runs
+    /// half as many (kept small: its whole point is to measure the
+    /// per-item retained footprint that would make the full stream
+    /// infeasible). At least 2.
     pub eager_items: usize,
     pub seed: u64,
 }
@@ -146,9 +148,9 @@ pub fn stream_inputs(n: usize) -> InputData {
 /// first so the process-wide peak high-water mark during it is not
 /// contaminated by the unbounded reference.
 pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
-    if spec.n_items == 0 || spec.port_capacity == 0 || spec.eager_items == 0 {
+    if spec.n_items == 0 || spec.port_capacity == 0 || spec.eager_items < 2 {
         return Err(MoteurError::new(
-            "stream campaign needs n_items, port_capacity and eager_items > 0",
+            "stream campaign needs n_items and port_capacity > 0, eager_items >= 2",
         ));
     }
     let workflow = stream_chain();
@@ -173,20 +175,13 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
     drop(result);
     drop(inputs);
 
-    // Phase 2: the unbounded reference, measured on live bytes (immune to
-    // the high-water mark left behind by phase 1).
-    let ref_inputs = stream_inputs(spec.eager_items);
-    let live_before_eager = moteur_prof::alloc::live_bytes();
-    let mut ref_backend = VirtualBackend::new();
-    let eager_result = Enactment::new(
-        &workflow,
-        &ref_inputs,
-        EnactorConfig::sp_dp().with_seed(spec.seed),
-    )
-    .run(&mut ref_backend)?;
-    let retained = moteur_prof::alloc::live_bytes().saturating_sub(live_before_eager);
-    let eager_bytes_per_item = retained as f64 / spec.eager_items as f64;
-    drop(eager_result);
+    // Phase 2: the unbounded reference at two lengths, measured on live
+    // bytes (immune to the high-water mark left behind by phase 1).
+    let short = spec.eager_items / 2;
+    let retained_short = eager_retained(&workflow, short, spec.seed)?;
+    let retained_full = eager_retained(&workflow, spec.eager_items, spec.seed)?;
+    let eager_bytes_per_item =
+        (retained_full as f64 - retained_short as f64) / (spec.eager_items - short) as f64;
 
     Ok(StreamReport {
         spec: spec.clone(),
@@ -198,6 +193,19 @@ pub fn run_stream(spec: &StreamSpec) -> Result<StreamReport, MoteurError> {
         eager_bytes_per_item,
         eager_projected_bytes: eager_bytes_per_item * spec.n_items as f64,
     })
+}
+
+/// Live bytes an unbounded-capacity run over `n` items holds while its
+/// result is alive.
+fn eager_retained(workflow: &Workflow, n: usize, seed: u64) -> Result<u64, MoteurError> {
+    let inputs = stream_inputs(n);
+    let live_before = moteur_prof::alloc::live_bytes();
+    let mut backend = VirtualBackend::new();
+    let result = Enactment::new(workflow, &inputs, EnactorConfig::sp_dp().with_seed(seed))
+        .run(&mut backend)?;
+    let retained = moteur_prof::alloc::live_bytes().saturating_sub(live_before);
+    drop(result);
+    Ok(retained)
 }
 
 /// Serialise the report (`BENCH_stream.json`).
@@ -315,6 +323,10 @@ mod tests {
             },
             StreamSpec {
                 eager_items: 0,
+                ..quick_spec()
+            },
+            StreamSpec {
+                eager_items: 1,
                 ..quick_spec()
             },
         ] {

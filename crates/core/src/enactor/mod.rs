@@ -56,7 +56,7 @@ use std::sync::Arc;
 /// reads it in place.
 #[derive(Debug, Clone, Default)]
 pub struct InputData {
-    streams: HashMap<String, Arc<Vec<DataValue>>>,
+    streams: BTreeMap<String, Arc<Vec<DataValue>>>,
 }
 
 impl InputData {

@@ -160,7 +160,7 @@ fn as_group(p: &Processor) -> Result<GroupedBinding, MoteurError> {
             descriptor,
             profile,
         }) => {
-            let fixed: std::collections::HashSet<&str> = profile
+            let fixed: std::collections::BTreeSet<&str> = profile
                 .fixed_params
                 .iter()
                 .map(|(s, _)| s.as_str())

@@ -7,13 +7,14 @@
 //! Output is always a single line (no pretty-printing) so it can be
 //! embedded in JSONL streams and Chrome trace arrays directly.
 //!
-//! **Parser** — [`JsonValue::parse`] reads them back: daemon protocol
-//! lines, the persisted store, profiles, timelines, predictions, lint
-//! reports and the bench gate's inputs. It scans each byte once, and
-//! because documents arrive from outside the program it refuses
-//! nesting deeper than [`MAX_JSON_DEPTH`] instead of recursing until
-//! the stack overflows. [`expect_schema`] is the one way to open a
-//! schema-tagged document.
+//! **Reader** — one crate-private pull cursor reads them back. It
+//! scans each byte once, and because documents arrive from outside the
+//! program it refuses nesting deeper than [`MAX_JSON_DEPTH`] instead of
+//! recursing until the stack overflows. [`JsonValue::parse`] builds a
+//! tree over it for daemon protocol lines, profiles, timelines,
+//! predictions, lint reports and the bench gate's inputs; the persisted
+//! store decodes its files straight off the cursor, with no tree.
+//! [`expect_schema`] is the one way to open a schema-tagged document.
 //!
 //! **Numbers** — every JSON number is an `f64`; the writer spells
 //! non-finite values `null`. Counts, ids and byte sizes are read with
@@ -22,6 +23,7 @@
 //! so an out-of-range, negative or fractional value is an error at the
 //! reader rather than a silently saturated cast.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// True for the bytes JSON needs escaped inside a string: the quote,
@@ -33,7 +35,7 @@ fn needs_escape(b: u8) -> bool {
 /// Append `s` to `out`, escaped for inclusion inside JSON double
 /// quotes. Every byte that needs escaping is ASCII, so the runs between
 /// them are copied whole.
-fn push_escaped(out: &mut String, s: &str) {
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         if !needs_escape(b) {
@@ -67,7 +69,7 @@ fn push_num(out: &mut String, v: f64) {
 
 /// Append the decimal digits of `v`: the same bytes as `{v}`, without
 /// going through `core::fmt`.
-fn push_u64(out: &mut String, mut v: u64) {
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -79,6 +81,16 @@ fn push_u64(out: &mut String, mut v: u64) {
         }
     }
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `v` as 16 lowercase hex digits: the bytes of `{v:016x}`.
+pub(crate) fn push_hex16(out: &mut String, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = [0u8; 16];
+    for (i, slot) in hex.iter_mut().enumerate() {
+        *slot = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&hex).expect("ASCII digits"));
 }
 
 fn push_i64(out: &mut String, v: i64) {
@@ -265,18 +277,10 @@ impl JsonValue {
     /// trailing garbage rejected, nesting beyond [`MAX_JSON_DEPTH`]
     /// rejected).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
+        let mut cur = Cursor::new(text);
+        let value = tree(&mut cur)?;
+        cur.end()?;
+        Ok(value)
     }
 
     /// Field lookup (`None` for non-objects and absent keys).
@@ -306,10 +310,7 @@ impl JsonValue {
     /// The numeric payload as a non-negative integer no larger than
     /// 2^53, the range in which an `f64` is exact.
     pub fn as_u64(&self) -> Option<u64> {
-        const MAX_EXACT: f64 = (1u64 << 53) as f64;
-        self.as_f64()
-            .filter(|n| n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(n))
-            .map(|n| n as u64)
+        self.as_f64().and_then(exact_u64)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -367,22 +368,157 @@ pub fn expect_schema(doc: &str, label: &str, tag: &str) -> Result<JsonValue, Str
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// `n` as an integer when it is one exactly: integral, non-negative and
+/// no larger than 2^53, the range in which an `f64` is exact.
+fn exact_u64(n: f64) -> Option<u64> {
+    const MAX_EXACT: f64 = (1u64 << 53) as f64;
+    (n.fract() == 0.0 && (0.0..=MAX_EXACT).contains(&n)).then_some(n as u64)
+}
+
+/// Build the tree of the value at the cursor.
+fn tree(cur: &mut Cursor<'_>) -> Result<JsonValue, String> {
+    Ok(match cur.kind()? {
+        Kind::Object => {
+            let mut fields = Vec::new();
+            cur.fields(|cur, key| {
+                fields.push((key.to_owned(), tree(cur)?));
+                Ok(())
+            })?;
+            JsonValue::Object(fields)
+        }
+        Kind::Array => {
+            let mut items = Vec::new();
+            cur.items(|cur| {
+                items.push(tree(cur)?);
+                Ok(())
+            })?;
+            JsonValue::Array(items)
+        }
+        Kind::String => JsonValue::String(cur.string()?.into_owned()),
+        Kind::Number => JsonValue::Number(cur.number()?),
+        Kind::True => JsonValue::Bool(true),
+        Kind::False => JsonValue::Bool(false),
+        Kind::Null => JsonValue::Null,
+    })
+}
+
+/// What the next value is. A literal is consumed when it is classified;
+/// the other kinds are read by the method of their name.
+#[derive(Clone, Copy)]
+enum Kind {
+    Object,
+    Array,
+    String,
+    Number,
+    True,
+    False,
+    Null,
+}
+
+/// A pull reader over one JSON document: the crate's one byte-level
+/// JSON reader. [`JsonValue::parse`] builds a tree with it; a decoder
+/// that knows its document's shape reads the values it wants straight
+/// off it, without one.
+///
+/// Every read checks the full grammar, the nesting bound and the error
+/// texts of [`JsonValue::parse`]. A typed read ([`Cursor::object`],
+/// [`Cursor::array`], [`Cursor::str`], [`Cursor::u64`]) given a value of
+/// another kind validates and skips it, and says so (`false`, `None`),
+/// so a decoder treats a mistyped field as an absent one, as the tree's
+/// `*_at` accessors do. `Err` is always a syntax error.
+pub(crate) struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Finish the document: only whitespace may follow the value read.
+    pub(crate) fn end(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Read an object, calling `field` with each key in document order
+    /// (duplicates included); `field` must read or skip the value.
+    /// `false` when the value is not an object.
+    pub(crate) fn object(
+        &mut self,
+        field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        match self.kind()? {
+            Kind::Object => self.fields(field).map(|()| true),
+            kind => self.skip_kind(kind).map(|()| false),
+        }
+    }
+
+    /// Read an array, calling `item` once per element, which it must
+    /// read or skip. `false` when the value is not an array.
+    pub(crate) fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        match self.kind()? {
+            Kind::Array => self.items(item).map(|()| true),
+            kind => self.skip_kind(kind).map(|()| false),
+        }
+    }
+
+    /// Read a string, borrowed from the document when it holds no
+    /// escape. `None` when the value is not a string.
+    pub(crate) fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        match self.kind()? {
+            Kind::String => self.string().map(Some),
+            kind => self.skip_kind(kind).map(|()| None),
+        }
+    }
+
+    /// Read a number that is an exact non-negative integer (the rule of
+    /// [`JsonValue::as_u64`]). `None` for any other value.
+    pub(crate) fn u64(&mut self) -> Result<Option<u64>, String> {
+        match self.kind()? {
+            Kind::Number => self.number().map(exact_u64),
+            kind => self.skip_kind(kind).map(|()| None),
+        }
+    }
+
+    /// Validate the next value and step over it.
+    pub(crate) fn skip(&mut self) -> Result<(), String> {
+        let kind = self.kind()?;
+        self.skip_kind(kind)
+    }
+
+    fn skip_kind(&mut self, kind: Kind) -> Result<(), String> {
+        match kind {
+            Kind::Object => self.fields(|cur, _| cur.skip()),
+            Kind::Array => self.items(Self::skip),
+            Kind::String => self.string().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::True | Kind::False | Kind::Null => Ok(()),
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        let bytes = self.text.as_bytes();
+        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -394,24 +530,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn kind(&mut self) -> Result<Kind, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'"') => Ok(Kind::String),
+            Some(b't') => self.literal("true", Kind::True),
+            Some(b'f') => self.literal("false", Kind::False),
+            Some(b'n') => self.literal("null", Kind::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(Kind::Number),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, String>,
-    ) -> Result<JsonValue, String> {
+    fn literal(&mut self, text: &str, kind: Kind) -> Result<Kind, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(kind)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    /// Open one more level of nesting around `read`.
+    fn nested(&mut self, read: impl FnOnce(&mut Self) -> Result<(), String>) -> Result<(), String> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
@@ -419,21 +562,12 @@ impl<'a> Parser<'a> {
             ));
         }
         self.depth += 1;
-        let value = parse(self);
+        let read = read(self);
         self.depth -= 1;
-        value
+        read
     }
 
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -444,39 +578,48 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        // Every byte scanned is ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
-            .map(JsonValue::Number)
             .map_err(|_| format!("bad number `{text}` at byte {start}"))
     }
 
     /// The four hex digits of a `\u` escape starting at byte `at`.
     fn hex4(&self, at: usize) -> Result<u32, String> {
-        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let hex = self
+            .text
+            .as_bytes()
+            .get(at..at + 4)
+            .ok_or("truncated \\u escape")?;
         let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_string())?;
         u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape `{hex}`"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
-            // Copy the run up to the next delimiter in one piece, so
-            // every byte is validated and moved once. Both delimiters
-            // are ASCII: a run ends on a char boundary.
-            let rest = &self.bytes[self.pos..];
+            // Take the run up to the next delimiter in one piece. Both
+            // delimiters are ASCII, so a run of the (valid UTF-8) text
+            // ends on a char boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
             let run = rest
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
                 .ok_or("unterminated string")?;
-            out.push_str(
-                std::str::from_utf8(&rest[..run]).map_err(|_| "non-utf8 string".to_string())?,
-            );
+            let text = &self.text[self.pos..self.pos + run];
             self.pos += run + 1;
             if rest[run] == b'"' {
-                return Ok(out);
+                return Ok(match out {
+                    None => Cow::Borrowed(text),
+                    Some(mut out) => {
+                        out.push_str(text);
+                        Cow::Owned(out)
+                    }
+                });
             }
+            let out = out.get_or_insert_with(String::new);
+            out.push_str(text);
             match self.peek() {
                 Some(b'"') => out.push('"'),
                 Some(b'\\') => out.push('\\'),
@@ -492,7 +635,7 @@ impl<'a> Parser<'a> {
                     // ASCII-escaping writers spell an astral scalar as a
                     // high surrogate followed by an escaped low one.
                     if (0xD800..0xDC00).contains(&code)
-                        && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+                        && self.text.as_bytes().get(self.pos + 1..self.pos + 3) == Some(b"\\u")
                     {
                         if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
                             code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
@@ -510,57 +653,63 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
+    /// The elements of the array at the cursor, each handed to `item`.
+    fn items(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.nested(|cur| {
+            cur.expect(b'[')?;
+            cur.skip_ws();
+            if cur.peek() == Some(b']') {
+                cur.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                item(cur)?;
+                cur.skip_ws();
+                match cur.peek() {
+                    Some(b',') => cur.pos += 1,
+                    Some(b']') => {
+                        cur.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(format!("expected `,` or `]` at byte {}", cur.pos)),
+                }
+            }
+        })
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+    /// The fields of the object at the cursor, each key handed to
+    /// `field` with the cursor at its value.
+    fn fields(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.nested(|cur| {
+            cur.expect(b'{')?;
+            cur.skip_ws();
+            if cur.peek() == Some(b'}') {
+                cur.pos += 1;
+                return Ok(());
             }
-        }
+            loop {
+                cur.skip_ws();
+                let key = cur.string()?;
+                cur.skip_ws();
+                cur.expect(b':')?;
+                field(cur, &key)?;
+                cur.skip_ws();
+                match cur.peek() {
+                    Some(b',') => cur.pos += 1,
+                    Some(b'}') => {
+                        cur.pos += 1;
+                        return Ok(());
+                    }
+                    _ => return Err(format!("expected `,` or `}}` at byte {}", cur.pos)),
+                }
+            }
+        })
     }
 }
 
@@ -601,6 +750,15 @@ mod tests {
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
         assert_eq!(num(2.0), "2");
+    }
+
+    #[test]
+    fn hex_is_written_as_format_writes_it() {
+        for v in [0, 1, 0xabc, 0x7ff8_0000_0000_0000, u64::MAX] {
+            let mut out = String::new();
+            push_hex16(&mut out, v);
+            assert_eq!(out, format!("{v:016x}"));
+        }
     }
 
     #[test]
@@ -729,6 +887,49 @@ mod tests {
         assert_eq!(doc.array_at("a").map(<[JsonValue]>::len), Some(1));
         assert_eq!(doc.str_at("n"), None, "mistyped reads as absent");
         assert_eq!(doc.u64_at("missing"), None);
+    }
+
+    #[test]
+    fn the_cursor_reads_typed_values_and_skips_the_rest() {
+        let doc = r#" {"a":"plain","b":"esc\"aped","a":7,"n":[1,{"x":null}],"k":5} "#;
+        let mut cur = Cursor::new(doc);
+        let mut seen = Vec::new();
+        let is_object = cur
+            .object(|cur, key| {
+                let read = match key {
+                    "a" | "b" => match cur.str()? {
+                        Some(Cow::Borrowed(s)) => format!("borrowed {s}"),
+                        Some(Cow::Owned(s)) => format!("owned {s}"),
+                        None => "not a string".to_string(),
+                    },
+                    "n" => format!("{:?}", cur.u64()?),
+                    _ => format!("{:?}", cur.u64()?),
+                };
+                seen.push(format!("{key}: {read}"));
+                Ok(())
+            })
+            .unwrap();
+        cur.end().unwrap();
+        assert!(is_object);
+        assert_eq!(
+            seen,
+            [
+                "a: borrowed plain",
+                "b: owned esc\"aped",
+                "a: not a string",
+                "n: None",
+                "k: Some(5)"
+            ]
+        );
+        // A typed read of another kind validates what it skips.
+        let mut cur = Cursor::new("[1,{\"x\":tru}]");
+        assert_eq!(
+            cur.object(|_, _| Ok(())).unwrap_err(),
+            "bad literal at byte 8"
+        );
+        let mut cur = Cursor::new("[1] 2");
+        assert_eq!(cur.array(Cursor::skip), Ok(true));
+        assert_eq!(cur.end().unwrap_err(), "trailing data at byte 4");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 
 use super::{DataStore, InvocationKey, ProvenanceKey, STORE_SCHEMA};
 use crate::error::MoteurError;
-use crate::obs::json::JsonValue;
-use crate::obs::json::{array, JsonObject};
+use crate::obs::json::{push_escaped, push_hex16, push_u64, Cursor};
 use crate::value::DataValue;
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -89,123 +89,291 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-fn encode_value(value: &DataValue) -> Option<String> {
-    Some(match value {
-        DataValue::Str(s) => JsonObject::new().str("t", "str").str("v", s).finish(),
-        DataValue::Num(n) => JsonObject::new()
-            .str("t", "num")
-            .str("bits", &format!("{:016x}", n.to_bits()))
-            .finish(),
-        DataValue::File { gfn, bytes } => JsonObject::new()
-            .str("t", "file")
-            .str("gfn", gfn)
-            .uint("bytes", *bytes)
-            .finish(),
-        DataValue::List(items) => {
-            let encoded: Option<Vec<String>> = items.iter().map(encode_value).collect();
-            JsonObject::new()
-                .str("t", "list")
-                .raw("items", &array(encoded?))
-                .finish()
+/// Append the JSON encoding of `value` to `out`; `false` (with `out`
+/// holding a partial encoding) when it holds an opaque value, which
+/// has none.
+fn push_value(out: &mut String, value: &DataValue) -> bool {
+    match value {
+        DataValue::Str(s) => {
+            out.push_str("{\"t\":\"str\",\"v\":\"");
+            push_escaped(out, s);
+            out.push_str("\"}");
         }
-        DataValue::Opaque(_) => return None,
-    })
+        DataValue::Num(n) => {
+            out.push_str("{\"t\":\"num\",\"bits\":\"");
+            push_hex16(out, n.to_bits());
+            out.push_str("\"}");
+        }
+        DataValue::File { gfn, bytes } => {
+            out.push_str("{\"t\":\"file\",\"gfn\":\"");
+            push_escaped(out, gfn);
+            out.push_str("\",\"bytes\":");
+            push_u64(out, *bytes);
+            out.push('}');
+        }
+        DataValue::List(items) => {
+            out.push_str("{\"t\":\"list\",\"items\":[");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if !push_value(out, item) {
+                    return false;
+                }
+            }
+            out.push_str("]}");
+        }
+        DataValue::Opaque(_) => return false,
+    }
+    true
 }
 
 pub(super) fn bad(what: &str) -> MoteurError {
     MoteurError::new(format!("corrupt data store: {what}"))
 }
 
-fn decode_value(v: &JsonValue) -> Result<DataValue, MoteurError> {
-    let tag = v
-        .str_at("t")
-        .ok_or_else(|| bad("value without a `t` tag"))?;
-    match tag {
-        "str" => Ok(DataValue::Str(
-            v.str_at("v")
-                .ok_or_else(|| bad("str value without `v`"))?
-                .to_string(),
-        )),
-        "num" => {
-            let bits = v
-                .str_at("bits")
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| bad("num value without hex `bits`"))?;
-            Ok(DataValue::Num(f64::from_bits(bits)))
-        }
-        "file" => Ok(DataValue::File {
-            gfn: v
-                .str_at("gfn")
-                .ok_or_else(|| bad("file value without `gfn`"))?
-                .to_string(),
-            bytes: v
-                .u64_at("bytes")
-                .ok_or_else(|| bad("file value without valid `bytes`"))?,
-        }),
-        "list" => {
-            let items = v
-                .array_at("items")
-                .ok_or_else(|| bad("list value without `items`"))?;
-            Ok(DataValue::List(
-                items.iter().map(decode_value).collect::<Result<_, _>>()?,
-            ))
-        }
-        other => Err(bad(&format!("unknown value tag `{other}`"))),
-    }
-}
+/// Starting capacity per row of either file: a 1000-image Bronze store
+/// writes ≈ 100 bytes per index row and ≈ 125 per data line.
+const ROW_CAPACITY: usize = 128;
 
 /// Serialise `store` into `dir` (both files rewritten whole, under the
 /// directory's advisory lock, each renamed into place atomically).
 pub(super) fn save(store: &DataStore, dir: &Path) -> Result<(), MoteurError> {
     let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
     let mut invocations: Vec<_> = store.iter_invocations().collect();
-    invocations.sort_by_key(|(k, _, _)| *k);
-    let rows = invocations.into_iter().map(|(key, service, outputs)| {
-        let outs = outputs.iter().map(|(port, pk)| {
-            JsonObject::new()
-                .str("port", port)
-                .str("pk", &pk.to_hex())
-                .finish()
-        });
-        JsonObject::new()
-            .str("key", &key.to_hex())
-            .str("service", service)
-            .raw("outputs", &array(outs))
-            .finish()
-    });
-    let index = JsonObject::new()
-        .str("schema", STORE_SCHEMA)
-        .raw("invocations", &array(rows))
-        .finish();
-    write_atomic(&dir.join(INDEX_FILE), &(index + "\n"))?;
+    invocations.sort_unstable_by_key(|(k, _, _)| *k);
+    let mut index = String::with_capacity(ROW_CAPACITY * (invocations.len() + 1));
+    index.push_str("{\"schema\":\"");
+    push_escaped(&mut index, STORE_SCHEMA);
+    index.push_str("\",\"invocations\":[");
+    for (i, (key, service, outputs)) in invocations.into_iter().enumerate() {
+        if i > 0 {
+            index.push(',');
+        }
+        index.push_str("{\"key\":\"");
+        push_hex16(&mut index, key.0);
+        index.push_str("\",\"service\":\"");
+        push_escaped(&mut index, service);
+        index.push_str("\",\"outputs\":[");
+        for (j, (port, pk)) in outputs.iter().enumerate() {
+            if j > 0 {
+                index.push(',');
+            }
+            index.push_str("{\"port\":\"");
+            push_escaped(&mut index, port);
+            index.push_str("\",\"pk\":\"");
+            push_hex16(&mut index, pk.0);
+            index.push_str("\"}");
+        }
+        index.push_str("]}");
+    }
+    index.push_str("]}\n");
+    write_atomic(&dir.join(INDEX_FILE), &index)?;
 
     let mut entries: Vec<_> = store.iter_data().collect();
-    entries.sort_by_key(|(k, _, _, _)| *k);
-    let mut jsonl = String::new();
+    entries.sort_unstable_by_key(|(k, _, _, _)| *k);
+    let mut jsonl = String::with_capacity(ROW_CAPACITY * entries.len());
     for (key, value, footprint, _) in entries {
-        let encoded = encode_value(value)
-            .ok_or_else(|| MoteurError::new("opaque value in the data store"))?;
-        jsonl.push_str(
-            &JsonObject::new()
-                .str("pk", &key.to_hex())
-                .uint("footprint", footprint)
-                .raw("value", &encoded)
-                .finish(),
-        );
-        jsonl.push('\n');
+        jsonl.push_str("{\"pk\":\"");
+        push_hex16(&mut jsonl, key.0);
+        jsonl.push_str("\",\"footprint\":");
+        push_u64(&mut jsonl, footprint);
+        jsonl.push_str(",\"value\":");
+        if !push_value(&mut jsonl, value) {
+            return Err(MoteurError::new("opaque value in the data store"));
+        }
+        jsonl.push_str("}\n");
     }
     write_atomic(&dir.join(DATA_FILE), &jsonl)?;
     Ok(())
 }
 
-/// Load `dir` into an empty `store`, verifying the schema tag. Takes
-/// the same advisory lock as [`save`] so the `index.json` /
-/// `store.jsonl` pair is read as one coherent snapshot.
-pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError> {
+/// A decode that read well-formed JSON: the value, or what in the
+/// document's shape is wrong.
+type Decoded<T> = Result<T, MoteurError>;
+
+/// One memoized invocation as `index.json` lists it.
+type Row = (InvocationKey, String, Vec<(String, ProvenanceKey)>);
+
+/// Read the value of a field into `slot` unless an earlier occurrence
+/// of its key filled it: the first occurrence wins, as it does for a
+/// field lookup on a parsed tree. A later one is validated and skipped.
+fn once<'a, T>(
+    cur: &mut Cursor<'a>,
+    slot: &mut Option<T>,
+    read: impl FnOnce(&mut Cursor<'a>) -> Result<T, String>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return cur.skip();
+    }
+    *slot = Some(read(cur)?);
+    Ok(())
+}
+
+/// Read an array whose elements `decode` reads: `None` when the value
+/// is not an array, else its elements or the first element's error.
+/// Every element is read either way, so a syntax error further on still
+/// wins over a shape error, as it does for a document parsed whole.
+fn decode_array<'a, T>(
+    cur: &mut Cursor<'a>,
+    mut decode: impl FnMut(&mut Cursor<'a>) -> Result<Decoded<T>, String>,
+) -> Result<Option<Decoded<Vec<T>>>, String> {
+    let mut out = Ok(Vec::new());
+    let is_array = cur.array(|cur| {
+        let item = decode(cur)?;
+        if let Ok(items) = &mut out {
+            match item {
+                Ok(item) => items.push(item),
+                Err(e) => out = Err(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(is_array.then_some(out))
+}
+
+fn decode_value(cur: &mut Cursor<'_>) -> Result<Decoded<DataValue>, String> {
+    let (mut tag, mut v, mut bits, mut gfn, mut bytes, mut items) =
+        (None, None, None, None, None, None);
+    cur.object(|cur, key| match key {
+        "t" => once(cur, &mut tag, Cursor::str),
+        "v" => once(cur, &mut v, Cursor::str),
+        "bits" => once(cur, &mut bits, Cursor::str),
+        "gfn" => once(cur, &mut gfn, Cursor::str),
+        "bytes" => once(cur, &mut bytes, Cursor::u64),
+        "items" => once(cur, &mut items, |cur| decode_array(cur, decode_value)),
+        _ => cur.skip(),
+    })?;
+    let Some(tag) = tag.flatten() else {
+        return Ok(Err(bad("value without a `t` tag")));
+    };
+    Ok(match &*tag {
+        "str" => v
+            .flatten()
+            .map(|v| DataValue::Str(v.into_owned()))
+            .ok_or_else(|| bad("str value without `v`")),
+        "num" => bits
+            .flatten()
+            .and_then(|s| u64::from_str_radix(&s, 16).ok())
+            .map(|bits| DataValue::Num(f64::from_bits(bits)))
+            .ok_or_else(|| bad("num value without hex `bits`")),
+        "file" => match (gfn.flatten(), bytes.flatten()) {
+            (None, _) => Err(bad("file value without `gfn`")),
+            (_, None) => Err(bad("file value without valid `bytes`")),
+            (Some(gfn), Some(bytes)) => Ok(DataValue::File {
+                gfn: gfn.into_owned(),
+                bytes,
+            }),
+        },
+        "list" => match items.flatten() {
+            None => Err(bad("list value without `items`")),
+            Some(items) => items.map(DataValue::List),
+        },
+        other => Err(bad(&format!("unknown value tag `{other}`"))),
+    })
+}
+
+/// One `store.jsonl` line: its key, footprint and value.
+fn decode_entry(line: &str) -> Result<Decoded<(ProvenanceKey, u64, DataValue)>, String> {
+    let mut cur = Cursor::new(line);
+    let (mut pk, mut footprint, mut value) = (None, None, None);
+    cur.object(|cur, key| match key {
+        "pk" => once(cur, &mut pk, Cursor::str),
+        "footprint" => once(cur, &mut footprint, Cursor::u64),
+        "value" => once(cur, &mut value, decode_value),
+        _ => cur.skip(),
+    })?;
+    cur.end()?;
+    let Some(key) = pk.flatten().and_then(|pk| ProvenanceKey::from_hex(&pk)) else {
+        return Ok(Err(bad("entry without a valid `pk`")));
+    };
+    let Some(footprint) = footprint.flatten() else {
+        return Ok(Err(bad("entry without a valid `footprint`")));
+    };
+    Ok(match value {
+        None => Err(bad("entry without a `value`")),
+        Some(value) => value.map(|value| (key, footprint, value)),
+    })
+}
+
+fn decode_output(cur: &mut Cursor<'_>) -> Result<Decoded<(String, ProvenanceKey)>, String> {
+    let (mut port, mut pk) = (None, None);
+    cur.object(|cur, key| match key {
+        "port" => once(cur, &mut port, Cursor::str),
+        "pk" => once(cur, &mut pk, Cursor::str),
+        _ => cur.skip(),
+    })?;
+    let Some(port) = port.flatten() else {
+        return Ok(Err(bad("output without a `port`")));
+    };
+    Ok(pk
+        .flatten()
+        .and_then(|pk| ProvenanceKey::from_hex(&pk))
+        .map(|pk| (port.into_owned(), pk))
+        .ok_or_else(|| bad("output without a valid `pk`")))
+}
+
+fn decode_row(cur: &mut Cursor<'_>) -> Result<Decoded<Row>, String> {
+    let (mut key, mut service, mut outputs) = (None, None, None);
+    cur.object(|cur, field| match field {
+        "key" => once(cur, &mut key, Cursor::str),
+        "service" => once(cur, &mut service, Cursor::str),
+        "outputs" => once(cur, &mut outputs, |cur| decode_array(cur, decode_output)),
+        _ => cur.skip(),
+    })?;
+    let Some(key) = key.flatten().and_then(|k| InvocationKey::from_hex(&k)) else {
+        return Ok(Err(bad("invocation without a valid `key`")));
+    };
+    let Some(service) = service.flatten() else {
+        return Ok(Err(bad("invocation without a `service`")));
+    };
+    Ok(match outputs.flatten() {
+        None => Err(bad("invocation without an `outputs` array")),
+        Some(outputs) => outputs.map(|outputs| (key, service.into_owned(), outputs)),
+    })
+}
+
+/// `index.json`: its schema tag and its invocation rows, each `None`
+/// when absent or mistyped.
+type Index<'a> = (Option<Cow<'a, str>>, Option<Decoded<Vec<Row>>>);
+
+fn decode_index(text: &str) -> Result<Index<'_>, String> {
+    let mut cur = Cursor::new(text);
+    let (mut schema, mut rows) = (None, None);
+    cur.object(|cur, key| match key {
+        "schema" => once(cur, &mut schema, Cursor::str),
+        "invocations" => once(cur, &mut rows, |cur| decode_array(cur, decode_row)),
+        _ => cur.skip(),
+    })?;
+    cur.end()?;
+    Ok((schema.flatten(), rows.flatten()))
+}
+
+/// The text of `path`, or `None` when there is no such file.
+fn read_if_present(path: &Path) -> Result<Option<String>, MoteurError> {
+    match std::fs::read_to_string(path) {
+        Ok(text) => Ok(Some(text)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Load `dir` into an empty `store`, verifying the schema tag before
+/// any entry loads. Takes the same advisory lock as [`save`] so the
+/// `index.json` / `store.jsonl` pair is read as one coherent snapshot.
+/// A directory without `index.json` loads nothing, whatever else it
+/// holds. Returns whether both files were there.
+///
+/// Each file is decoded as the cursor reads it, with no tree: any
+/// syntax error in a document comes first, then what is wrong with its
+/// shape, in the order the fields are checked below.
+pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<bool, MoteurError> {
     let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
-    let index_text = std::fs::read_to_string(dir.join(INDEX_FILE))?;
-    let index = JsonValue::parse(&index_text).map_err(|e| bad(&format!("index.json: {e}")))?;
-    match index.str_at("schema") {
+    let Some(index_text) = read_if_present(&dir.join(INDEX_FILE))? else {
+        return Ok(false);
+    };
+    let (schema, rows) = decode_index(&index_text).map_err(|e| bad(&format!("index.json: {e}")))?;
+    match schema {
         Some(s) if s == STORE_SCHEMA => {}
         Some(other) => {
             let dir = dir.display();
@@ -217,56 +385,21 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError>
         None => return Err(bad("index.json without a schema tag")),
     }
 
-    let data_path = dir.join(DATA_FILE);
-    if data_path.exists() {
-        let text = std::fs::read_to_string(&data_path)?;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            let row = JsonValue::parse(line).map_err(|e| bad(&format!("store.jsonl: {e}")))?;
-            let key = row
-                .str_at("pk")
-                .and_then(ProvenanceKey::from_hex)
-                .ok_or_else(|| bad("entry without a valid `pk`"))?;
-            let footprint = row
-                .u64_at("footprint")
-                .ok_or_else(|| bad("entry without a valid `footprint`"))?;
-            let value = decode_value(
-                row.get("value")
-                    .ok_or_else(|| bad("entry without a `value`"))?,
-            )?;
-            store.load_data(key, value, footprint)?;
+    let data_text = read_if_present(&dir.join(DATA_FILE))?;
+    for line in data_text.iter().flat_map(|text| text.lines()) {
+        if line.trim().is_empty() {
+            continue;
         }
+        let (key, footprint, value) =
+            decode_entry(line).map_err(|e| bad(&format!("store.jsonl: {e}")))??;
+        store.load_data(key, value, footprint)?;
     }
 
-    let rows = index
-        .array_at("invocations")
-        .ok_or_else(|| bad("index.json without an `invocations` array"))?;
-    for row in rows {
-        let key = row
-            .str_at("key")
-            .and_then(InvocationKey::from_hex)
-            .ok_or_else(|| bad("invocation without a valid `key`"))?;
-        let service = row
-            .str_at("service")
-            .ok_or_else(|| bad("invocation without a `service`"))?
-            .to_string();
-        let outs = row
-            .array_at("outputs")
-            .ok_or_else(|| bad("invocation without an `outputs` array"))?;
-        let mut outputs = Vec::with_capacity(outs.len());
-        for o in outs {
-            let port = o
-                .str_at("port")
-                .ok_or_else(|| bad("output without a `port`"))?
-                .to_string();
-            let pk = o
-                .str_at("pk")
-                .and_then(ProvenanceKey::from_hex)
-                .ok_or_else(|| bad("output without a valid `pk`"))?;
-            outputs.push((port, pk));
-        }
+    let rows = rows.ok_or_else(|| bad("index.json without an `invocations` array"))??;
+    for (key, service, outputs) in rows {
         store.record_invocation(key, service, outputs);
     }
-    Ok(())
+    Ok(data_text.is_some())
 }
 
 #[cfg(test)]
@@ -317,13 +450,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The saved bytes of a fixed store, pinned by an FNV-1a digest of
-    /// the file pair: a file, a NaN number, a string every escape class
-    /// touches, a nested list and an invocation with two outputs.
-    #[test]
-    fn saved_bytes_are_pinned() {
-        let dir = temp_dir("golden");
-        let mut store = DataStore::open(&dir, StoreConfig::default()).unwrap();
+    /// Save a fixed store into `dir`: a file, a NaN number, a string
+    /// every escape class touches, a nested list and an invocation with
+    /// two outputs (and one with none).
+    fn save_mixed_store(dir: &Path) {
+        let mut store = DataStore::open(dir, StoreConfig::default()).unwrap();
         let values = [
             DataValue::File {
                 gfn: "gfn://bronze/img 01.hdr".into(),
@@ -352,6 +483,14 @@ mod tests {
         );
         store.record_invocation(invocation_key("empty", 0, &[]), "empty", vec![]);
         store.save().unwrap();
+    }
+
+    /// The saved bytes of [`save_mixed_store`], pinned by an FNV-1a
+    /// digest of the file pair.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let dir = temp_dir("golden");
+        save_mixed_store(&dir);
         let (index, data) = files(&dir);
         let mut h = crate::store::key::Fnv1a::new();
         h.write(&index);
@@ -644,6 +783,345 @@ mod tests {
         std::fs::write(dir.join(INDEX_FILE), empty_index()).unwrap();
         std::fs::write(dir.join(DATA_FILE), "not json\n").unwrap();
         assert!(DataStore::open(&dir, StoreConfig::default()).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The parse-then-decode load the cursor replaced, kept as the fuzz
+    /// oracle: each file is parsed whole into a `JsonValue` tree, then
+    /// its fields are read off the tree.
+    mod tree_oracle {
+        use super::super::*;
+        use crate::obs::json::JsonValue;
+        use crate::store::StoreConfig;
+
+        fn decode_value(v: &JsonValue) -> Result<DataValue, MoteurError> {
+            let tag = v
+                .str_at("t")
+                .ok_or_else(|| bad("value without a `t` tag"))?;
+            match tag {
+                "str" => Ok(DataValue::Str(
+                    v.str_at("v")
+                        .ok_or_else(|| bad("str value without `v`"))?
+                        .to_string(),
+                )),
+                "num" => {
+                    let bits = v
+                        .str_at("bits")
+                        .and_then(|s| u64::from_str_radix(s, 16).ok())
+                        .ok_or_else(|| bad("num value without hex `bits`"))?;
+                    Ok(DataValue::Num(f64::from_bits(bits)))
+                }
+                "file" => Ok(DataValue::File {
+                    gfn: v
+                        .str_at("gfn")
+                        .ok_or_else(|| bad("file value without `gfn`"))?
+                        .to_string(),
+                    bytes: v
+                        .u64_at("bytes")
+                        .ok_or_else(|| bad("file value without valid `bytes`"))?,
+                }),
+                "list" => {
+                    let items = v
+                        .array_at("items")
+                        .ok_or_else(|| bad("list value without `items`"))?;
+                    Ok(DataValue::List(
+                        items.iter().map(decode_value).collect::<Result<_, _>>()?,
+                    ))
+                }
+                other => Err(bad(&format!("unknown value tag `{other}`"))),
+            }
+        }
+
+        fn load(store: &mut DataStore, dir: &Path) -> Result<(), MoteurError> {
+            let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
+            let index_text = std::fs::read_to_string(dir.join(INDEX_FILE))?;
+            let index =
+                JsonValue::parse(&index_text).map_err(|e| bad(&format!("index.json: {e}")))?;
+            match index.str_at("schema") {
+                Some(s) if s == STORE_SCHEMA => {}
+                Some(other) => {
+                    let dir = dir.display();
+                    return Err(MoteurError::new(format!(
+                        "data store at {dir} has schema `{other}`, this build reads \
+                         `{STORE_SCHEMA}` (clear it with `moteur cache clear {dir}` to \
+                         rebuild it)"
+                    )));
+                }
+                None => return Err(bad("index.json without a schema tag")),
+            }
+
+            let data_path = dir.join(DATA_FILE);
+            if data_path.exists() {
+                let text = std::fs::read_to_string(&data_path)?;
+                for line in text.lines().filter(|l| !l.trim().is_empty()) {
+                    let row =
+                        JsonValue::parse(line).map_err(|e| bad(&format!("store.jsonl: {e}")))?;
+                    let key = row
+                        .str_at("pk")
+                        .and_then(ProvenanceKey::from_hex)
+                        .ok_or_else(|| bad("entry without a valid `pk`"))?;
+                    let footprint = row
+                        .u64_at("footprint")
+                        .ok_or_else(|| bad("entry without a valid `footprint`"))?;
+                    let value = decode_value(
+                        row.get("value")
+                            .ok_or_else(|| bad("entry without a `value`"))?,
+                    )?;
+                    store.load_data(key, value, footprint)?;
+                }
+            }
+
+            let rows = index
+                .array_at("invocations")
+                .ok_or_else(|| bad("index.json without an `invocations` array"))?;
+            for row in rows {
+                let key = row
+                    .str_at("key")
+                    .and_then(InvocationKey::from_hex)
+                    .ok_or_else(|| bad("invocation without a valid `key`"))?;
+                let service = row
+                    .str_at("service")
+                    .ok_or_else(|| bad("invocation without a `service`"))?
+                    .to_string();
+                let outs = row
+                    .array_at("outputs")
+                    .ok_or_else(|| bad("invocation without an `outputs` array"))?;
+                let mut outputs = Vec::with_capacity(outs.len());
+                for o in outs {
+                    let port = o
+                        .str_at("port")
+                        .ok_or_else(|| bad("output without a `port`"))?
+                        .to_string();
+                    let pk = o
+                        .str_at("pk")
+                        .and_then(ProvenanceKey::from_hex)
+                        .ok_or_else(|| bad("output without a valid `pk`"))?;
+                    outputs.push((port, pk));
+                }
+                store.record_invocation(key, service, outputs);
+            }
+            Ok(())
+        }
+
+        /// `DataStore::open` as it was: probe for each file, then load.
+        pub(super) fn open(dir: &Path) -> Result<DataStore, MoteurError> {
+            let mut store = DataStore::open_cleared(dir, StoreConfig::default())?;
+            let indexed = dir.join(INDEX_FILE).exists();
+            if indexed {
+                load(&mut store, dir)?;
+            }
+            *store.dirty.get_mut() = !(indexed && dir.join(DATA_FILE).exists());
+            Ok(store)
+        }
+    }
+
+    /// Everything a load decides, as text: each entry's value bits,
+    /// charge and LRU stamp, the byte gauge, the index and the dirty
+    /// flag.
+    fn snapshot(store: &DataStore) -> String {
+        let mut entries: Vec<_> = store.iter_data().collect();
+        entries.sort_by_key(|(k, _, _, _)| *k);
+        let mut out = String::new();
+        for (key, value, footprint, last_used) in entries {
+            let mut encoded = String::new();
+            assert!(push_value(&mut encoded, value), "a loaded value encodes");
+            out += &format!("{key} {footprint} {last_used} {encoded}\n");
+        }
+        let mut rows: Vec<_> = store.iter_invocations().collect();
+        rows.sort_by_key(|(k, _, _)| *k);
+        for (key, service, outputs) in rows {
+            out += &format!("{key} {service:?} {outputs:?}\n");
+        }
+        let dirty = store.dirty.load(std::sync::atomic::Ordering::Relaxed);
+        out + &format!("bytes {} dirty {dirty}", store.bytes)
+    }
+
+    /// Write the pair (`None` leaves a file out), open it both ways and
+    /// require the same store or the same error; whether it loaded.
+    fn assert_agrees(dir: &Path, index: Option<&[u8]>, data: Option<&[u8]>, case: &str) -> bool {
+        for (name, bytes) in [(INDEX_FILE, index), (DATA_FILE, data)] {
+            let path = dir.join(name);
+            match bytes {
+                Some(bytes) => std::fs::write(path, bytes).unwrap(),
+                None => {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+        }
+        let open = |result: Result<DataStore, MoteurError>| {
+            result.map(|s| snapshot(&s)).map_err(|e| e.to_string())
+        };
+        let cursor = open(DataStore::open(dir, StoreConfig::default()));
+        let tree = open(tree_oracle::open(dir));
+        assert_eq!(cursor, tree, "{case}");
+        if let Err(e) = &cursor {
+            // Besides corruption, the two refusals the tree made too: a
+            // schema tag of another version, and a file that is not
+            // UTF-8, which the read reports before any decoding.
+            assert!(
+                e.contains("corrupt data store")
+                    || e.contains("has schema")
+                    || e.contains("did not contain valid UTF-8"),
+                "{case}: {e}"
+            );
+        }
+        cursor.is_ok()
+    }
+
+    #[test]
+    fn the_cursor_loads_every_cut_of_both_files_as_the_tree_did() {
+        let dir = temp_dir("fuzz-cuts");
+        save_mixed_store(&dir);
+        let (index, data) = files(&dir);
+        assert_agrees(&dir, Some(&index), Some(&data), "whole");
+        assert_agrees(&dir, Some(&index), None, "no data file");
+        assert_agrees(&dir, None, Some(&data), "no index");
+        for cut in 0..=index.len() {
+            assert_agrees(
+                &dir,
+                Some(&index[..cut]),
+                Some(&data),
+                &format!("index cut {cut}"),
+            );
+        }
+        for cut in 0..=data.len() {
+            assert_agrees(
+                &dir,
+                Some(&index),
+                Some(&data[..cut]),
+                &format!("data cut {cut}"),
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_cursor_loads_seeded_byte_mutations_as_the_tree_did() {
+        const ALPHABET: &[u8] = b"{}[]\":,\\ \n\t-+.eE0123456789abcdeftrunlsvpk\x01\xc3\xff";
+        let dir = temp_dir("fuzz-mutations");
+        save_mixed_store(&dir);
+        let pair = files(&dir);
+        let mut rng = moteur_gridsim::Rng::new(43);
+        let (mut loaded, mut refused) = (0, 0);
+        for case in 0..3000 {
+            let (mut index, mut data) = pair.clone();
+            for _ in 0..1 + rng.index(3) {
+                let file = if rng.chance(0.5) {
+                    &mut index
+                } else {
+                    &mut data
+                };
+                let at = rng.index(file.len() + 1);
+                let byte = ALPHABET[rng.index(ALPHABET.len())];
+                match rng.index(4) {
+                    0 if at < file.len() => file[at] = byte,
+                    1 if at < file.len() => {
+                        file.remove(at);
+                    }
+                    2 => file.insert(at, byte),
+                    _ => {
+                        let end = (at + rng.index(40)).min(file.len());
+                        let span = file[at..end].to_vec();
+                        file.splice(at..at, span);
+                    }
+                }
+            }
+            match assert_agrees(&dir, Some(&index), Some(&data), &format!("mutation {case}")) {
+                true => loaded += 1,
+                false => refused += 1,
+            }
+        }
+        // Both outcomes are exercised, not just the refusal.
+        assert!(
+            loaded > 100 && refused > 100,
+            "{loaded} loaded, {refused} refused"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_cursor_reads_reordered_duplicated_and_unknown_fields_as_the_tree_did() {
+        let dir = temp_dir("fuzz-fields");
+        std::fs::create_dir_all(&dir).unwrap();
+        let schema = format!("\"schema\":\"{STORE_SCHEMA}\"");
+        let row = r#"{"key":"00000000000000aa","service":"svc","outputs":[{"port":"out","pk":"0000000000000001"}]}"#;
+        let indexes = [
+            format!("{{{schema},\"invocations\":[{row}]}}"),
+            format!("{{\"invocations\":[{row}],{schema}}}"),
+            format!("{{\"extra\":{{\"deep\":[1,{{\"x\":null}}]}},{schema},\"invocations\":[]}}"),
+            format!("{{{schema},{schema},\"invocations\":[{row}],\"invocations\":7}}"),
+            format!("{{\"schema\":7,{schema},\"invocations\":[]}}"),
+            format!("{{\"schema\":\"moteur-store/v1\",{schema},\"invocations\":[]}}"),
+            format!("{{{schema},\"invocations\":{{}},\"invocations\":[]}}"),
+            format!("{{{schema},\"invocations\":[{row},7,{row}]}}"),
+            format!(
+                "{{{schema},\"invocations\":[{{\"outputs\":[{{\"pk\":\"0000000000000001\",\
+                 \"port\":\"p\",\"port\":\"q\"}}],\"service\":\"s\",\"x\":[],\
+                 \"key\":\"00000000000000bb\",\"key\":\"zz\"}}]}}"
+            ),
+            format!("{{{schema},\"invocations\":[{{\"key\":\"+0000000000000bb\",\"service\":\"s\",\"outputs\":[]}}]}}"),
+            format!("{{{schema},\"invocations\":[{{\"key\":\"00000000000000bb\",\"service\":\"s\\u00e9\",\"outputs\":[{{\"port\":\"p\",\"pk\":1}}]}}]}}"),
+            format!("{{{schema}}}"),
+            "[]".to_string(),
+        ];
+        let value = r#"{"t":"file","gfn":"g","bytes":7}"#;
+        let lines = [
+            format!(r#"{{"pk":"0000000000000001","footprint":7,"value":{value}}}"#),
+            format!(r#"{{"value":{value},"footprint":7,"pk":"0000000000000001"}}"#),
+            format!(r#"{{"footprint":7,"pk":"0000000000000001","u":[{{}}],"value":{value}}}"#),
+            format!(r#"{{"pk":"0000000000000001","pk":7,"footprint":7,"value":{value}}}"#),
+            format!(r#"{{"pk":7,"pk":"0000000000000001","footprint":7,"value":{value}}}"#),
+            format!(r#"{{"pk":"0000000000000001","footprint":7,"value":{value},"value":7}}"#),
+            format!(r#"{{"pk":"0000000000000001","footprint":7,"value":7,"value":{value}}}"#),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"bytes":7,"gfn":"g","t":"file"}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"t":"str","t":"num","v":"a\"b"}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"items":[{"v":"x","t":"str"},{"t":"num","bits":"+1"}],"t":"list"}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"items":[{"t":"bogus"},{"t":"str"}],"t":"list"}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"t":"list","items":[{"t":"str"}],"items":[]}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"t":"str","v":"x","items":[{"t":"bogus"}]}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"t":"num","bits":"00000000000000000000ff"}}"#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7}"#.to_string(),
+            r#"{"pk":"0000000000000001","value":{"t":"str","v":"x"}} "#.to_string(),
+            r#"{"pk":"0000000000000001","footprint":7,"value":{"t":7}} trailing"#.to_string(),
+            r#"{"footprint":7,"value":{"t":"str","v":"x"},"pk":"0000000000000001","pk":"0000000000000002"}"#.to_string(),
+            "[1,2]".to_string(),
+            String::new(),
+        ];
+        let numbers = [
+            "-1",
+            "-0",
+            "0.5",
+            "1e300",
+            "9007199254740992",
+            "9007199254740994",
+            "\"7\"",
+            "null",
+            "true",
+            "[7]",
+            "{\"n\":7}",
+            "7e0",
+            "1-2",
+        ];
+        let mut cases: Vec<(String, String)> = Vec::new();
+        for index in &indexes {
+            cases.push((index.clone(), lines[0].clone()));
+        }
+        for line in &lines {
+            cases.push((indexes[0].clone(), format!("{line}\n{}\n", lines[0])));
+        }
+        for n in numbers {
+            let entry = |footprint: &str, bytes: &str| {
+                format!(
+                    r#"{{"pk":"0000000000000001","footprint":{footprint},"value":{{"t":"file","gfn":"g","bytes":{bytes}}}}}"#
+                )
+            };
+            cases.push((indexes[0].clone(), entry(n, "7")));
+            cases.push((indexes[0].clone(), entry("7", n)));
+        }
+        for (index, data) in &cases {
+            let case = format!("{index}\n{data}");
+            assert_agrees(&dir, Some(index.as_bytes()), Some(data.as_bytes()), &case);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

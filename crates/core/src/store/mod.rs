@@ -202,13 +202,9 @@ impl DataStore {
     pub fn open(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Self, MoteurError> {
         let dir = dir.as_ref();
         let mut store = Self::open_cleared(dir, config)?;
-        let indexed = dir.join(disk::INDEX_FILE).exists();
-        if indexed {
-            disk::load(&mut store, dir)?;
-        }
         // A loaded store has nothing to write back; a directory missing
         // either file gets the pair on the first save.
-        *store.dirty.get_mut() = !(indexed && dir.join(disk::DATA_FILE).exists());
+        *store.dirty.get_mut() = !disk::load(&mut store, dir)?;
         Ok(store)
     }
 
