@@ -137,9 +137,17 @@ pub(super) fn bad(what: &str) -> MoteurError {
 const ROW_CAPACITY: usize = 128;
 
 /// Serialise `store` into `dir` (both files rewritten whole, under the
-/// directory's advisory lock, each renamed into place atomically).
+/// directory's advisory lock, each renamed into place atomically). Each
+/// file's text is dropped before the next one is built.
 pub(super) fn save(store: &DataStore, dir: &Path) -> Result<(), MoteurError> {
     let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
+    write_atomic(&dir.join(INDEX_FILE), &index_text(store))?;
+    write_atomic(&dir.join(DATA_FILE), &data_text(store)?)?;
+    Ok(())
+}
+
+/// `index.json`: the schema tag and the invocations, sorted by key.
+fn index_text(store: &DataStore) -> String {
     let mut invocations: Vec<_> = store.iter_invocations().collect();
     invocations.sort_unstable_by_key(|(k, _, _)| *k);
     let mut index = String::with_capacity(ROW_CAPACITY * (invocations.len() + 1));
@@ -168,8 +176,11 @@ pub(super) fn save(store: &DataStore, dir: &Path) -> Result<(), MoteurError> {
         index.push_str("]}");
     }
     index.push_str("]}\n");
-    write_atomic(&dir.join(INDEX_FILE), &index)?;
+    index
+}
 
+/// `store.jsonl`: one line per entry, sorted by key.
+fn data_text(store: &DataStore) -> Result<String, MoteurError> {
     let mut entries: Vec<_> = store.iter_data().collect();
     entries.sort_unstable_by_key(|(k, _, _, _)| *k);
     let mut jsonl = String::with_capacity(ROW_CAPACITY * entries.len());
@@ -184,8 +195,7 @@ pub(super) fn save(store: &DataStore, dir: &Path) -> Result<(), MoteurError> {
         }
         jsonl.push_str("}\n");
     }
-    write_atomic(&dir.join(DATA_FILE), &jsonl)?;
-    Ok(())
+    Ok(jsonl)
 }
 
 /// A decode that read well-formed JSON: the value, or what in the

@@ -69,11 +69,8 @@ impl Fnv1a {
 pub struct ProvenanceKey(pub u64);
 
 impl ProvenanceKey {
-    /// Fixed-width lowercase hex, the on-disk spelling.
-    pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-
+    /// Read the on-disk spelling: 16 hex digits (a store writes them
+    /// lowercase).
     pub fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 16 {
             return None;
@@ -94,10 +91,7 @@ impl std::fmt::Display for ProvenanceKey {
 pub struct InvocationKey(pub u64);
 
 impl InvocationKey {
-    pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-
+    /// Read the on-disk spelling, as [`ProvenanceKey::from_hex`] does.
     pub fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 16 {
             return None;
@@ -318,9 +312,9 @@ mod tests {
     #[test]
     fn hex_round_trips() {
         let k = ProvenanceKey(0x00ab_cdef_0123_4567);
-        assert_eq!(ProvenanceKey::from_hex(&k.to_hex()), Some(k));
+        assert_eq!(ProvenanceKey::from_hex(&format!("{:016x}", k.0)), Some(k));
         assert!(ProvenanceKey::from_hex("xyz").is_none());
         let i = InvocationKey(7);
-        assert_eq!(InvocationKey::from_hex(&i.to_hex()), Some(i));
+        assert_eq!(InvocationKey::from_hex(&format!("{:016x}", i.0)), Some(i));
     }
 }
