@@ -6,9 +6,10 @@
 //! key, so identical contents serialise byte-identically — which is
 //! why a store nothing changed in since it was loaded or saved skips
 //! the write: the files already hold exactly those bytes. Loading is
-//! one linear pass over each file; it verifies the schema tag first and
-//! rejects anything else with a typed error — an older (v1) store or a
-//! future layout is never silently misread.
+//! one linear pass over each file through `obs::json`'s cursor, with no
+//! tree in between; it verifies the schema tag before any entry loads
+//! and rejects anything else with a typed error — an older (v1) store
+//! or a future layout is never silently misread.
 //!
 //! Numbers are stored as the hex spelling of their IEEE-754 bit
 //! pattern: JSON has no NaN/∞ and decimal round-trips are easy to get
