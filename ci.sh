@@ -197,6 +197,11 @@ git diff --exit-code -- README.md
 # registration, bench).
 cargo test --workspace --offline
 
+# The profiler's 5 % cost contract once more in the shipped build,
+# where the enactor's own cost no longer hides the profiler's (the
+# workspace run above holds it in debug).
+cargo test --release --offline -p moteur-bench --test overhead
+
 # The benchmark is a package of its own that drives the product through
 # its public surface (benchmark/src/sut.rs): building and testing it
 # here makes a signature break fail CI instead of the benchmark run.

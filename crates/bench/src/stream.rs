@@ -45,7 +45,7 @@ pub const STREAM_SCHEMA: &str = "moteur-bench/stream/v1";
 /// input vector, independent of stream length.
 ///
 /// At port capacity 64 the pipeline retains a few hundred tokens,
-/// in-flight jobs and capped sink samples — about 140 kB. The source
+/// in-flight jobs and capped sink samples — about 130 kB. The source
 /// cursor shares the input stream instead of copying it, so 4 MiB
 /// fails any copy of a million-item stream (32 MB of numbers) while
 /// leaving an order of magnitude of headroom.

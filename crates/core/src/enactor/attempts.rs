@@ -60,8 +60,11 @@ pub(super) struct PendingJob {
     /// When the current timeout window opened: original submission,
     /// restarted on every resubmission and extended on every replica.
     pub(super) window_start: SimTime,
-    /// True once timeouts stopped applying (replica cap reached, or a
-    /// cache replay that cannot time out).
+    /// True while timeouts do not apply, which never changes back:
+    /// from submission for an invocation whose processor has no
+    /// timeout (`TimeoutPolicy::None`) and for a cache replay, which
+    /// cannot time out; from the moment the replica cap is reached
+    /// otherwise. A muted invocation is not in the deadline index.
     pub(super) muted: bool,
     /// Speculative replicas launched so far.
     pub(super) replicas: u32,
@@ -106,9 +109,7 @@ impl WorkflowInstance {
     /// Current timeout budget of `proc` in seconds, from its policy and
     /// the observed completion durations. `None` → no timeout applies.
     pub(super) fn timeout_secs_for(&self, proc: ProcId) -> Option<f64> {
-        let name = &self.compiled.workflow.processors[proc.0].name;
-        self.ft
-            .policy_for(name)
+        self.policies[proc.0]
             .timeout
             .timeout_secs(&self.proc_samples[proc.0])
     }
@@ -172,7 +173,8 @@ impl WorkflowInstance {
     }
 
     /// Take a terminated invocation out of the pending table, the
-    /// in-flight counts and the deadline index.
+    /// in-flight counts and the deadline index, marking exhaustion
+    /// stale when its processor goes quiet.
     pub(super) fn remove_pending(&mut self, logical: u64) -> PendingJob {
         let pend = self
             .pending
@@ -181,7 +183,11 @@ impl WorkflowInstance {
         if let Some(opened) = pend.armed_since() {
             self.armed[pend.proc.0].remove(&(opened, logical));
         }
-        self.states[pend.proc.0].inflight -= 1;
+        let inflight = &mut self.states[pend.proc.0].inflight;
+        *inflight -= 1;
+        // A processor gone quiet may now be exhausted, and with it
+        // everything downstream.
+        self.exhausted_stale |= *inflight == 0;
         pend
     }
 
@@ -269,10 +275,7 @@ impl WorkflowInstance {
         if let Some(ce) = ce {
             self.note_ce_failure(ctx, ce);
         }
-        let proc = self.pending[&logical].proc;
-        let policy = *self
-            .ft
-            .policy_for(&self.compiled.workflow.processors[proc.0].name);
+        let policy = self.policies[self.pending[&logical].proc.0];
         let max_retries = policy.retry.max_retries();
         // Losing the last live attempt disarms the invocation: it
         // leaves the deadline index until it is resubmitted, so a
@@ -349,9 +352,7 @@ impl WorkflowInstance {
             let p = &self.pending[&logical];
             (p.proc, p.retries, p.replicas)
         };
-        let policy = *self
-            .ft
-            .policy_for(&self.compiled.workflow.processors[proc.0].name);
+        let policy = self.policies[proc.0];
         let budget = self.timeout_secs_for(proc).unwrap_or(0.0);
         let action = match policy.on_timeout {
             TimeoutAction::Replicate { max_replicas } if replicas >= max_replicas => {

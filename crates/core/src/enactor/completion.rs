@@ -5,6 +5,8 @@
 use super::{EnactCtx, WorkflowInstance, SAMPLE_WINDOW};
 use crate::backend::BackendCompletion;
 use crate::error::MoteurError;
+use crate::ft::TimeoutPolicy;
+use crate::graph::ProcId;
 use crate::obs::prof::Subsystem;
 use crate::obs::{Completion, TraceEvent};
 use crate::token::{History, Token};
@@ -39,7 +41,8 @@ impl WorkflowInstance {
     }
 
     /// The winning attempt of `logical` completed: cancel the losers,
-    /// record the duration sample, and route the outputs.
+    /// record the duration sample (adaptive timeouts only), and route
+    /// the outputs.
     fn handle_success(
         &mut self,
         ctx: &mut EnactCtx<'_>,
@@ -57,17 +60,11 @@ impl WorkflowInstance {
             // A success resets the CE's consecutive-failure count.
             self.ce_failures.insert(ce, 0);
         }
-        let sample = c.finished_at.since(pend.submitted).as_secs_f64();
-        let samples = &mut self.proc_samples[proc_id.0];
-        let window = self.config.port_capacity.max(SAMPLE_WINDOW);
-        if samples.len() >= window {
-            // The timeout statistics are bounded: overwrite the oldest
-            // sample (percentiles don't care about order).
-            let slot = self.sample_cursors[proc_id.0] % window;
-            samples[slot] = sample;
-            self.sample_cursors[proc_id.0] = self.sample_cursors[proc_id.0].wrapping_add(1);
-        } else {
-            samples.push(sample);
+        if matches!(
+            self.policies[proc_id.0].timeout,
+            TimeoutPolicy::Adaptive { .. }
+        ) {
+            self.record_sample(proc_id, c.finished_at.since(pend.submitted).as_secs_f64());
         }
         let mut local_outputs = c.outputs.expect("failure case handled by caller");
         let n_entries = pend.entries.len();
@@ -150,6 +147,21 @@ impl WorkflowInstance {
         self.check_slo(ctx);
         self.emit_gauges(ctx);
         Ok(())
+    }
+
+    /// Keep one completion-duration sample of `proc` for its adaptive
+    /// timeout. The statistics are bounded: past the window the oldest
+    /// sample is overwritten (percentiles don't care about order).
+    fn record_sample(&mut self, proc: ProcId, sample: f64) {
+        let samples = &mut self.proc_samples[proc.0];
+        let window = self.config.port_capacity.max(SAMPLE_WINDOW);
+        if samples.len() >= window {
+            let slot = self.sample_cursors[proc.0] % window;
+            samples[slot] = sample;
+            self.sample_cursors[proc.0] = self.sample_cursors[proc.0].wrapping_add(1);
+        } else {
+            samples.push(sample);
+        }
     }
 
     /// Burn-rate check against the configured SLO: extrapolate the

@@ -7,6 +7,7 @@ use super::attempts::{PendEntry, PendingJob};
 use super::{EnactCtx, WorkflowInstance};
 use crate::backend::{InvocationId, JobPayload, ServiceOutputs};
 use crate::error::MoteurError;
+use crate::ft::TimeoutPolicy;
 use crate::graph::ProcId;
 use crate::iterate::MatchedSet;
 use crate::obs::prof::Subsystem;
@@ -216,8 +217,9 @@ impl WorkflowInstance {
     /// it into the pending table. A cache replay (a `Fetch` payload) is
     /// a pure transfer in place of the elided grid job: it emits
     /// [`TraceEvent::CacheHit`] instead of `JobSubmitted`, deliberately
-    /// does **not** count towards `jobs_submitted`, and never times out
-    /// (born muted, it never enters the deadline index).
+    /// does **not** count towards `jobs_submitted`, and never times out.
+    /// Neither does an invocation of a processor without a timeout:
+    /// both are born muted and never enter the deadline index.
     fn submit(
         &mut self,
         ctx: &mut EnactCtx<'_>,
@@ -228,6 +230,7 @@ impl WorkflowInstance {
     ) -> Result<(), MoteurError> {
         let submitted = ctx.backend.now();
         let replay = matches!(payload, JobPayload::Fetch { .. });
+        let untimed = self.policies[proc.0].timeout == TimeoutPolicy::None;
         // Emit before handing the job to the backend so the enactor's
         // submission event precedes any grid-side event for the same
         // invocation (the simulated broker reacts synchronously).
@@ -267,7 +270,7 @@ impl WorkflowInstance {
                 submitted,
                 attempts: vec![invocation.0],
                 window_start: submitted,
-                muted: replay,
+                muted: replay || untimed,
                 replicas: 0,
             },
         );
@@ -307,6 +310,7 @@ impl WorkflowInstance {
             })
             .collect();
         self.states[proc.0].barrier_fired = true;
+        self.exhausted_stale = true;
         let n_inputs: usize = buffers.iter().map(Vec::len).sum();
         self.obs.emit(|| TraceEvent::BarrierReleased {
             at: ctx.backend.now(),

@@ -34,7 +34,7 @@ mod ports;
 use crate::backend::{Backend, BackendJob, IdHasher, InvocationId, JobPayload, WaitOutcome};
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
-use crate::ft::{FtConfig, QuarantineEntry};
+use crate::ft::{FtConfig, FtPolicy, QuarantineEntry};
 use crate::graph::{ProcId, Workflow};
 use crate::iterate::{MatchEngine, MatchedSet};
 use crate::obs::prof::Subsystem;
@@ -243,6 +243,9 @@ pub struct WorkflowInstance {
     compiled: Arc<CompiledWorkflow>,
     config: EnactorConfig,
     ft: FtConfig,
+    /// Each processor's fault-tolerance policy, by processor id:
+    /// `ft.policy_for` resolved once, at `new`.
+    policies: Vec<FtPolicy>,
     rng: Rng,
     states: Vec<ProcState>,
     /// Every logical invocation in flight (running at the backend or
@@ -252,7 +255,8 @@ pub struct WorkflowInstance {
     /// The deadline index: per processor, its armed invocations keyed
     /// `(window_start, logical id)`. Every change to a pending
     /// invocation goes through `insert_pending`, `update_pending` or
-    /// `remove_pending`, which keep this in step.
+    /// `remove_pending`, which keep this in step. An invocation of a
+    /// processor without a timeout is born muted, so it never enters.
     armed: Vec<BTreeSet<(SimTime, u64)>>,
     next_invocation: u64,
     jobs_submitted: usize,
@@ -274,9 +278,15 @@ pub struct WorkflowInstance {
     sink_counts: Vec<usize>,
     /// Unemitted source streams, one cursor per source.
     source_cursors: Vec<SourceCursor>,
-    /// Per processor, "will emit no more tokens": refilled by every
-    /// firing round, kept here so a round allocates nothing.
+    /// Per processor, "will emit no more tokens". Exhaustion is
+    /// monotone, so the array is recomputed only when it may have
+    /// grown (see `exhausted_stale`).
     exhausted: Vec<bool>,
+    /// Set where a processor may have become exhausted: the instance
+    /// started, a processor's in-flight count dropped to 0, a source
+    /// cursor drained or a barrier fired. The next firing round
+    /// recomputes `exhausted` and clears it.
+    exhausted_stale: bool,
     /// Per-processor write cursor into the `proc_samples` ring.
     sample_cursors: Vec<usize>,
     start_time: SimTime,
@@ -293,7 +303,9 @@ pub struct WorkflowInstance {
     /// resubmission. Deferred invocations still count as in flight.
     deferred: Vec<(SimTime, u64)>,
     /// Per-processor submission→delivery durations of successful
-    /// completions, feeding percentile-adaptive timeouts.
+    /// completions, feeding percentile-adaptive timeouts: kept only for
+    /// a processor whose policy is `TimeoutPolicy::Adaptive`, the one
+    /// reader.
     proc_samples: Vec<Vec<f64>>,
     /// Consecutive enactor-visible failures per computing element.
     ce_failures: HashMap<usize, u32, IdHasher>,
@@ -366,10 +378,16 @@ impl WorkflowInstance {
             })
             .collect();
         let n_procs = workflow.processors.len();
+        let policies = workflow
+            .processors
+            .iter()
+            .map(|p| *ft.policy_for(&p.name))
+            .collect();
         WorkflowInstance {
             compiled,
             config,
             ft,
+            policies,
             rng: Rng::new(config.seed ^ 0x4D4F_5445_5552), // "MOTEUR"
             states,
             pending: HashMap::default(),
@@ -384,6 +402,7 @@ impl WorkflowInstance {
             sink_counts: vec![0; n_procs],
             source_cursors: Vec::new(),
             exhausted: vec![false; n_procs],
+            exhausted_stale: true,
             sample_cursors: vec![0; n_procs],
             start_time,
             obs,

@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// back-pressure chain. With unbounded ports there is always room, so
 /// the first pump drains every cursor.
 pub(super) struct SourceCursor {
-    proc: ProcId,
+    pub(super) proc: ProcId,
     pub(super) name: Arc<str>,
     values: Arc<Vec<DataValue>>,
     /// Stream position of the next item to emit.
@@ -142,6 +142,8 @@ impl WorkflowInstance {
                 let token = self.source_cursors[c].emit().expect("checked non-empty");
                 self.route(ctx, proc, 0, token);
                 emitted = true;
+                // A drained source is exhausted.
+                self.exhausted_stale |= self.source_cursors[c].remaining() == 0;
             }
         }
         emitted
@@ -298,7 +300,9 @@ impl WorkflowInstance {
             // cursors. Source emission is not a dispatch and never
             // counts against the daemon's budget.
             let mut fired = self.pump_sources(ctx);
-            self.compute_exhausted();
+            if self.exhausted_stale {
+                self.compute_exhausted();
+            }
             for p in 0..self.compiled.workflow.processors.len() {
                 let proc = &self.compiled.workflow.processors[p];
                 if proc.kind != ProcessorKind::Service {
@@ -398,8 +402,8 @@ impl WorkflowInstance {
         self.control_ok(p)
     }
 
-    /// Are all data predecessors of `p` exhausted (as of the last
-    /// [`WorkflowInstance::compute_exhausted`])? Predecessors inside
+    /// Are all data predecessors of `p` exhausted (as of the firing
+    /// round's [`WorkflowInstance::compute_exhausted`])? Predecessors inside
     /// the same cycle are skipped unless `include_cycle` (compilation
     /// refuses a barrier on a cycle).
     fn preds_exhausted(&self, p: usize, include_cycle: bool) -> bool {
@@ -426,10 +430,15 @@ impl WorkflowInstance {
     }
 
     /// Fixpoint computation of "will emit no more tokens", into
-    /// `self.exhausted`.
+    /// `self.exhausted`; clears the stale mark. Exhaustion is monotone:
+    /// a drained source stays drained, and a quiet processor whose
+    /// predecessors are exhausted never receives another token. So the
+    /// iteration starts from the kept array instead of from all-false,
+    /// and a round with no stale mark skips it: only the changes that
+    /// set the mark can make a processor exhausted.
     fn compute_exhausted(&mut self) {
         let n = self.compiled.workflow.processors.len();
-        self.exhausted.fill(false);
+        self.exhausted_stale = false;
         loop {
             let mut changed = false;
             for p in 0..n {

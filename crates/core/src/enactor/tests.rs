@@ -1,11 +1,14 @@
-//! The deadline index against its oracle: the full scan over `pending`
-//! that `next_wake` and `handle_timeouts` used to be, kept here as the
-//! reference every step of a seeded random enactment is compared with.
+//! The instance's lazily kept state against its oracles, compared
+//! after every step of seeded random enactments: the deadline index
+//! against the full scan over `pending` that `next_wake` and
+//! `handle_timeouts` used to be, and the kept exhaustion array against
+//! the fixpoint every firing round used to recompute from scratch.
 
 use super::attempts::PendingJob;
 use super::*;
 use crate::backend::{BackendCompletion, ServiceOutputs};
 use crate::ft::{FtPolicy, RetryPolicy, TimeoutAction, TimeoutPolicy};
+use crate::graph::ProcessorKind;
 use crate::service::{ServiceBinding, ServiceProfile};
 use moteur_gridsim::SimDuration;
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
@@ -54,6 +57,79 @@ impl WorkflowInstance {
         assert_eq!(indexed, scanned, "index contents after {step}");
         assert_eq!(self.next_wake(), self.scan_next_wake(), "after {step}");
         assert_eq!(self.expired_at(now), self.scan_expired(now), "after {step}");
+    }
+
+    /// "Will emit no more tokens", computed from scratch over the
+    /// current state: the fixpoint every firing round recomputed
+    /// before exhaustion was kept.
+    fn fresh_exhausted(&self) -> Vec<bool> {
+        let compiled = &self.compiled;
+        let wf = &compiled.workflow;
+        let n = wf.processors.len();
+        let quiet = |m: usize| self.states[m].ready.is_empty() && self.states[m].inflight == 0;
+        let mut exhausted = vec![false; n];
+        loop {
+            let mut changed = false;
+            for p in 0..n {
+                if exhausted[p] {
+                    continue;
+                }
+                let preds = |ex: &[bool]| wf.in_links(ProcId(p)).all(|l| ex[l.from.proc.0]);
+                let proc = &wf.processors[p];
+                let value = match proc.kind {
+                    ProcessorKind::Source => self
+                        .source_cursors
+                        .iter()
+                        .all(|c| c.proc.0 != p || c.remaining() == 0),
+                    ProcessorKind::Sink => preds(&exhausted),
+                    ProcessorKind::Service if compiled.in_cycle[p] => {
+                        let scc = compiled.scc_ids[p];
+                        (0..n).filter(|&m| compiled.scc_ids[m] == scc).all(|m| {
+                            quiet(m)
+                                && wf
+                                    .in_links(ProcId(m))
+                                    .map(|l| l.from.proc.0)
+                                    .filter(|&q| compiled.scc_ids[q] != scc)
+                                    .all(|q| exhausted[q])
+                        })
+                    }
+                    ProcessorKind::Service => {
+                        quiet(p)
+                            && (!proc.synchronization || self.states[p].barrier_fired)
+                            && preds(&exhausted)
+                    }
+                };
+                if value {
+                    exhausted[p] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return exhausted;
+            }
+        }
+    }
+
+    /// Exhaustion is what a fresh fixpoint says once the stale mark is
+    /// cleared, and never claims more than it while the mark is set;
+    /// no invocation of a processor without a timeout is armed.
+    fn assert_lazy_state_matches_oracles(&self, step: &str) {
+        let fresh = self.fresh_exhausted();
+        if self.exhausted_stale {
+            for (p, (&kept, &now)) in self.exhausted.iter().zip(&fresh).enumerate() {
+                assert!(
+                    !kept || now,
+                    "processor {p} exhausted too early after {step}"
+                );
+            }
+        } else {
+            assert_eq!(self.exhausted, fresh, "exhaustion after {step}");
+        }
+        for (p, armed) in self.armed.iter().enumerate() {
+            if self.policies[p].timeout == TimeoutPolicy::None {
+                assert!(armed.is_empty(), "untimed processor {p} armed after {step}");
+            }
+        }
     }
 }
 
@@ -236,11 +312,12 @@ pub(crate) fn random_policy(rng: &mut Rng) -> FtPolicy {
 }
 
 /// Enact with the public step API, exactly as the one-shot loop does,
-/// checking the index against the scan after every step. Returns how
-/// many timer wake-ups found something expired.
+/// checking the lazily kept state against its oracles after every
+/// step. Returns how many timer wake-ups found something expired.
 fn enact_checked(
     wf: &Workflow,
     inputs: &InputData,
+    config: EnactorConfig,
     ft: FtConfig,
     backend: &mut FatedBackend,
 ) -> (WorkflowResult, usize) {
@@ -248,7 +325,6 @@ fn enact_checked(
         backend,
         store: None,
     };
-    let config = EnactorConfig::sp_dp();
     let compiled = CompiledWorkflow::compile(wf, &config).unwrap();
     let mut inst =
         WorkflowInstance::start(compiled, inputs, config, ft, &mut ctx, Obs::off()).unwrap();
@@ -256,6 +332,7 @@ fn enact_checked(
     loop {
         inst.pump(&mut ctx).unwrap();
         inst.assert_index_matches_scan(ctx.backend.now(), "pump");
+        inst.assert_lazy_state_matches_oracles("pump");
         if inst.inflight() == 0 {
             break;
         }
@@ -264,12 +341,14 @@ fn enact_checked(
             WaitOutcome::Completion(c) => {
                 inst.deliver(&mut ctx, c).unwrap();
                 inst.assert_index_matches_scan(ctx.backend.now(), "deliver");
+                inst.assert_lazy_state_matches_oracles("deliver");
             }
             WaitOutcome::TimedOut => {
                 assert!(wake.is_some(), "jobs in flight");
                 timeouts += usize::from(!inst.expired_at(ctx.backend.now()).is_empty());
                 inst.on_timer(&mut ctx).unwrap();
                 inst.assert_index_matches_scan(ctx.backend.now(), "on_timer");
+                inst.assert_lazy_state_matches_oracles("on_timer");
             }
         }
     }
@@ -301,13 +380,152 @@ fn the_deadline_index_agrees_with_the_full_scan_at_every_step() {
             };
             (secs, fate_rng.chance(1.0 / 6.0))
         }));
-        let (result, fired) = enact_checked(&wf, &inputs, ft, &mut backend);
+        let config = EnactorConfig::sp_dp();
+        let (result, fired) = enact_checked(&wf, &inputs, config, ft, &mut backend);
         timeouts += fired;
         quarantined += result.quarantined.len();
     }
     // The campaign has to reach the paths the index exists for.
     assert!(timeouts > 100, "only {timeouts} timer wake-ups expired");
     assert!(quarantined > 0, "no retry budget was ever exhausted");
+}
+
+/// Fig. 2's loop body: a number goes up by one, anything else passes.
+fn increment(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
+    let value = &inputs[0].value;
+    let next = value
+        .as_num()
+        .map_or(value.clone(), |v| DataValue::from(v + 1.0));
+    Ok(vec![("out".into(), next)])
+}
+
+/// Fig. 2's exit test: a number below 6 goes round again.
+fn converged(inputs: &[Token]) -> Result<Vec<(String, DataValue)>, String> {
+    let value = inputs[0].value.clone();
+    let port = match value.as_num() {
+        Some(v) if v < 6.0 => "again",
+        _ => "done",
+    };
+    Ok(vec![(port.into(), value)])
+}
+
+/// What `random_shaped` put in a workflow.
+#[derive(Default)]
+struct Shape {
+    barrier: bool,
+    control: bool,
+    cycle: bool,
+}
+
+/// `random_dag`'s tree, with each reader of exhaustion but the SP-off
+/// stage gate added at random: one service a synchronization barrier,
+/// one service a Fig. 2 loop (an incrementer and its exit test on a
+/// data cycle), and a control link from one service to a later one.
+fn random_shaped(rng: &mut Rng) -> (Workflow, Shape) {
+    let mut wf = Workflow::new("shaped");
+    let mut shape = Shape::default();
+    // Every node with the output port its consumers read.
+    let mut nodes = vec![(wf.add_source("s"), "out")];
+    let mut has_consumer = vec![false];
+    let services = 2 + rng.index(4);
+    let barrier = rng.chance(0.5).then(|| rng.index(services));
+    let cycle = rng.chance(0.5).then(|| rng.index(services));
+    for k in 0..services {
+        let from = rng.index(nodes.len());
+        let (upstream, port) = nodes[from];
+        let node = if cycle == Some(k) {
+            let body = wf.add_service(
+                format!("p{k}"),
+                &["in"],
+                &["out"],
+                ServiceBinding::local(increment),
+            );
+            let exit = wf.add_service(
+                format!("p{k}exit"),
+                &["in"],
+                &["again", "done"],
+                ServiceBinding::local(converged),
+            );
+            wf.connect(upstream, port, body, "in").unwrap();
+            wf.connect(body, "out", exit, "in").unwrap();
+            wf.connect(exit, "again", body, "in").unwrap();
+            shape.cycle = true;
+            (exit, "done")
+        } else {
+            let p = wf.add_service(
+                format!("p{k}"),
+                &["in"],
+                &["out"],
+                ServiceBinding::local(forward),
+            );
+            wf.connect(upstream, port, p, "in").unwrap();
+            if barrier == Some(k) {
+                wf.set_synchronization(p, true);
+                shape.barrier = true;
+            }
+            (p, "out")
+        };
+        has_consumer[from] = true;
+        nodes.push(node);
+        has_consumer.push(false);
+    }
+    if rng.chance(0.5) {
+        // Nodes are in data order, so a link from an earlier service
+        // to a later one never contradicts the data flow.
+        let before = 1 + rng.index(services - 1);
+        let after = before + 1 + rng.index(services - before);
+        wf.add_control(nodes[before].0, nodes[after].0);
+        shape.control = true;
+    }
+    for (k, &(leaf, port)) in nodes.iter().enumerate().filter(|(k, _)| !has_consumer[*k]) {
+        let sink = wf.add_sink(format!("sink{k}"));
+        wf.connect(leaf, port, sink, "in").unwrap();
+    }
+    (wf, shape)
+}
+
+#[test]
+fn kept_exhaustion_agrees_with_a_fresh_fixpoint_at_every_step() {
+    let mut rng = Rng::new(0x5EED_E8A5);
+    let (mut barriers, mut controls, mut cycles, mut sp_off) = (0, 0, 0, 0);
+    for _ in 0..200 {
+        let (wf, shape) = random_shaped(&mut rng);
+        let mut config = [
+            EnactorConfig::nop(),
+            EnactorConfig::sp(),
+            EnactorConfig::dp(),
+            EnactorConfig::sp_dp(),
+        ][rng.index(4)];
+        if !shape.control && rng.chance(0.5) {
+            // Back-pressure drains the source in pieces. (A control
+            // link behind a bounded edge can wait on a producer its own
+            // full ports hold back, so those runs stay unbounded.)
+            config = config.with_port_capacity(1 + rng.index(3));
+        }
+        let ft = FtConfig::from_legacy(0)
+            .with_default(random_policy(&mut rng))
+            .with_continue_on_error(true);
+        let mut fate_rng = rng.fork(1);
+        let mut backend = FatedBackend::new(Box::new(move |_| {
+            (5.0 + fate_rng.index(40) as f64, fate_rng.chance(1.0 / 8.0))
+        }));
+        let inputs = items(1 + rng.index(6) as u64);
+        let (result, _) = enact_checked(&wf, &inputs, config, ft, &mut backend);
+        assert!(result.completed_invocations > 0);
+        barriers += usize::from(shape.barrier);
+        controls += usize::from(shape.control);
+        cycles += usize::from(shape.cycle);
+        sp_off += usize::from(!config.service_parallelism);
+    }
+    // Every reader of exhaustion is reached many times over.
+    for (reader, runs) in [
+        ("barrier", barriers),
+        ("control link", controls),
+        ("cycle", cycles),
+        ("SP off", sp_off),
+    ] {
+        assert!(runs > 50, "only {runs} runs with a {reader}");
+    }
 }
 
 #[test]

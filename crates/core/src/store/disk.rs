@@ -360,10 +360,15 @@ fn decode_index(text: &str) -> Result<Index<'_>, String> {
     Ok((schema.flatten(), rows.flatten()))
 }
 
-/// The text of `path`, or `None` when there is no such file.
-fn read_if_present(path: &Path) -> Result<Option<String>, MoteurError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => Ok(Some(text)),
+/// The text of the store file `name` in `dir`, or `None` when there is
+/// no such file. Bytes that are not UTF-8 are corruption, reported
+/// with the file and the offset of the first bad byte.
+fn read_if_present(dir: &Path, name: &str) -> Result<Option<String>, MoteurError> {
+    match std::fs::read(dir.join(name)) {
+        Ok(bytes) => String::from_utf8(bytes).map(Some).map_err(|e| {
+            let at = e.utf8_error().valid_up_to();
+            bad(&format!("{name}: invalid UTF-8 at byte {at}"))
+        }),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e.into()),
     }
@@ -380,7 +385,7 @@ fn read_if_present(path: &Path) -> Result<Option<String>, MoteurError> {
 /// shape, in the order the fields are checked below.
 pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<bool, MoteurError> {
     let _lock = LockGuard::acquire(dir, LOCK_TIMEOUT)?;
-    let Some(index_text) = read_if_present(&dir.join(INDEX_FILE))? else {
+    let Some(index_text) = read_if_present(dir, INDEX_FILE)? else {
         return Ok(false);
     };
     let (schema, rows) = decode_index(&index_text).map_err(|e| bad(&format!("index.json: {e}")))?;
@@ -396,7 +401,7 @@ pub(super) fn load(store: &mut DataStore, dir: &Path) -> Result<bool, MoteurErro
         None => return Err(bad("index.json without a schema tag")),
     }
 
-    let data_text = read_if_present(&dir.join(DATA_FILE))?;
+    let data_text = read_if_present(dir, DATA_FILE)?;
     for line in data_text.iter().flat_map(|text| text.lines()) {
         if line.trim().is_empty() {
             continue;
@@ -947,9 +952,20 @@ mod tests {
         out + &format!("bytes {} dirty {dirty}", store.bytes)
     }
 
+    /// How a pair of files opened.
+    enum Opened {
+        Loaded,
+        Refused,
+        /// Refused at the read of a file that is not UTF-8.
+        NotUtf8,
+    }
+
     /// Write the pair (`None` leaves a file out), open it both ways and
-    /// require the same store or the same error; whether it loaded.
-    fn assert_agrees(dir: &Path, index: Option<&[u8]>, data: Option<&[u8]>, case: &str) -> bool {
+    /// require the same store or the same error; how it opened. A file
+    /// that is not UTF-8 is the one exception: the tree's read fails
+    /// with the bare i/o error, and the cursor's must name the file and
+    /// the first bad byte instead.
+    fn assert_agrees(dir: &Path, index: Option<&[u8]>, data: Option<&[u8]>, case: &str) -> Opened {
         for (name, bytes) in [(INDEX_FILE, index), (DATA_FILE, data)] {
             let path = dir.join(name);
             match bytes {
@@ -964,19 +980,39 @@ mod tests {
         };
         let cursor = open(DataStore::open(dir, StoreConfig::default()));
         let tree = open(tree_oracle::open(dir));
-        assert_eq!(cursor, tree, "{case}");
-        if let Err(e) = &cursor {
-            // Besides corruption, the two refusals the tree made too: a
-            // schema tag of another version, and a file that is not
-            // UTF-8, which the read reports before any decoding.
-            assert!(
-                e.contains("corrupt data store")
-                    || e.contains("has schema")
-                    || e.contains("did not contain valid UTF-8"),
-                "{case}: {e}"
+        if tree
+            .as_ref()
+            .is_err_and(|e| e.contains("did not contain valid UTF-8"))
+        {
+            // Both read the index first, and the data file only once
+            // the index decoded.
+            let files = [(INDEX_FILE, index), (DATA_FILE, data)];
+            let first_bad = files.into_iter().find_map(|(name, bytes)| {
+                let at = std::str::from_utf8(bytes?).err()?.valid_up_to();
+                Some(format!(
+                    "moteur error: corrupt data store: {name}: invalid UTF-8 at byte {at}"
+                ))
+            });
+            assert_eq!(
+                cursor,
+                Err(first_bad.expect("a file is not UTF-8")),
+                "{case}"
             );
+            return Opened::NotUtf8;
         }
-        cursor.is_ok()
+        assert_eq!(cursor, tree, "{case}");
+        match &cursor {
+            Ok(_) => Opened::Loaded,
+            Err(e) => {
+                // Besides corruption, the one refusal the tree made
+                // too: a schema tag of another version.
+                assert!(
+                    e.contains("corrupt data store") || e.contains("has schema"),
+                    "{case}: {e}"
+                );
+                Opened::Refused
+            }
+        }
     }
 
     #[test]
@@ -1013,7 +1049,7 @@ mod tests {
         save_mixed_store(&dir);
         let pair = files(&dir);
         let mut rng = moteur_gridsim::Rng::new(43);
-        let (mut loaded, mut refused) = (0, 0);
+        let (mut loaded, mut refused, mut not_utf8) = (0, 0, 0);
         for case in 0..3000 {
             let (mut index, mut data) = pair.clone();
             for _ in 0..1 + rng.index(3) {
@@ -1038,14 +1074,15 @@ mod tests {
                 }
             }
             match assert_agrees(&dir, Some(&index), Some(&data), &format!("mutation {case}")) {
-                true => loaded += 1,
-                false => refused += 1,
+                Opened::Loaded => loaded += 1,
+                Opened::Refused => refused += 1,
+                Opened::NotUtf8 => not_utf8 += 1,
             }
         }
-        // Both outcomes are exercised, not just the refusal.
+        // Every outcome is exercised, not just the refusal.
         assert!(
-            loaded > 100 && refused > 100,
-            "{loaded} loaded, {refused} refused"
+            loaded > 100 && refused > 100 && not_utf8 > 100,
+            "{loaded} loaded, {refused} refused, {not_utf8} not UTF-8"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

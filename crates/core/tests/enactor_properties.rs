@@ -137,7 +137,7 @@ fn results_are_independent_of_configuration() {
                     // Dot joins pair per-index: every result derives from a
                     // single source position across all chains.
                     for (_, sources) in fingerprint(&r) {
-                        let positions: std::collections::HashSet<u32> =
+                        let positions: std::collections::BTreeSet<u32> =
                             sources.iter().map(|(_, p)| *p).collect();
                         assert_eq!(positions.len(), 1, "provenance mixes data sets");
                     }

@@ -89,9 +89,9 @@ pub struct GridSim {
     events_processed: u64,
     /// Self-profiler handle; [`Prof::off`] keeps every scope a branch.
     prof: Prof,
-    /// `pick_ce` calls and their wall nanos since the last drain
-    /// flushed them to the profiler.
-    picks: (u64, u64),
+    /// `pick_ce` calls since the last drain flushed them to the
+    /// profiler, how many of them were timed, and their wall nanos.
+    picks: (u64, u64, u64),
 }
 
 impl std::fmt::Debug for GridSim {
@@ -161,7 +161,7 @@ impl GridSim {
             observer: None,
             events_processed: 0,
             prof: Prof::off(),
-            picks: (0, 0),
+            picks: (0, 0, 0),
         };
         // Dispatch the initial backlog so workers start busy.
         for i in 0..sim.ces.len() {
@@ -413,9 +413,14 @@ impl GridSim {
     /// `event_queue` scope: the events dispatched since
     /// `drained_from`, and the broker's matchmaking scans.
     fn flush_batches(&mut self, prof: &Prof, drained_from: u64) {
-        prof.add_batch(Subsystem::SimStep, self.events_processed - drained_from, 0);
-        let (calls, wall_nanos) = std::mem::take(&mut self.picks);
-        prof.add_batch(Subsystem::PickCe, calls, wall_nanos);
+        prof.add_batch(
+            Subsystem::SimStep,
+            self.events_processed - drained_from,
+            0,
+            0,
+        );
+        let (calls, timed, wall_nanos) = std::mem::take(&mut self.picks);
+        prof.add_batch(Subsystem::PickCe, calls, timed, wall_nanos);
     }
 
     /// Cancel a submitted job. Returns `true` if the job was still in
@@ -507,7 +512,7 @@ impl GridSim {
     /// fall back to the least-bad one, modelling a match that will sit
     /// in its queue until the CE returns.
     fn pick_ce(&mut self) -> CeId {
-        let started = self.prof.is_enabled().then(Instant::now);
+        let started = self.prof.times_next(Subsystem::PickCe).then(Instant::now);
         let mut best_available: Option<usize> = None;
         let mut best_available_rank = f64::INFINITY;
         let mut best_any = 0usize;
@@ -535,9 +540,10 @@ impl GridSim {
         let best = best_available.unwrap_or(best_any);
         // The broker optimistically counts its own decision.
         self.broker_view[best] += 1;
+        self.picks.0 += u64::from(self.prof.is_enabled());
         if let Some(started) = started {
-            self.picks.0 += 1;
-            self.picks.1 += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.picks.1 += 1;
+            self.picks.2 += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
         CeId(best)
     }

@@ -19,8 +19,26 @@
 //!    and therefore excluded from the canonical JSON document (see
 //!    [`ProfReport`]) — they surface in the human hot-spot table, the
 //!    collapsed-stack export and the OpenMetrics counters instead.
-//! 3. **Cheap when on.** Slots are relaxed atomics; a scope costs two
-//!    monotonic clock reads plus a handful of uncontended atomic adds.
+//! 3. **Cheap when on.** Slots are relaxed atomics; a scope costs a
+//!    handful of uncontended atomic adds and, on one scope in 16 of its
+//!    subsystem only, two monotonic clock reads.
+//!
+//! **Sampled wall time.** Calls and allocations are counted on every
+//! scope, so they are exact. The clock is read on the first scope of
+//! each subsystem and then on one in 16 on average (`TIMED_EVERY`, a
+//! constant). The gap to the next timed scope is drawn from 1 to 31 by
+//! a hash of the scope's number, so that a workload whose costly calls
+//! recur with a fixed period cannot line up with the sampling: timing
+//! every 16th `fire` scope of the capacity-64 stream chain read 789
+//! ms/op where timing every scope reads 431–444. Each call path keeps how
+//! many of its calls were timed, and its wall time is reported as the
+//! timed total scaled by `calls / timed`. A scope that runs once per
+//! run (`enactor_loop`) is therefore timed exactly, and a hot one is an
+//! estimate over one call in 16. A path none of whose calls happened to
+//! be timed reports no wall time. A hot
+//! loop that batch-counts its calls instead of opening scopes asks
+//! [`Prof::times_next`] which of them to time, by the same rule, and
+//! hands over how many it timed with [`Prof::add_batch`].
 //!
 //! Timers are *inclusive*: a `provenance_key` scope entered inside the
 //! `enactor_loop` scope counts toward both. The per-path table (used by
@@ -105,18 +123,38 @@ impl Subsystem {
 
 const N_SUBSYSTEMS: usize = Subsystem::ALL.len();
 
+/// One scope in this many of a subsystem reads the clock, on average,
+/// counting from its first (see the crate docs on sampled wall time).
+/// Two clock reads cost about as much as the rest of a scope together,
+/// and a hot scope wraps well under a microsecond of work.
+const TIMED_EVERY: u64 = 16;
+
+/// How many calls after call `n` the next timed one comes: 1 to
+/// `2 · TIMED_EVERY − 1`, `TIMED_EVERY` on average, from a hash of `n`
+/// (the splitmix64 finaliser), so the gaps follow no period.
+fn gap_after(n: u64) -> u64 {
+    let mut h = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 31;
+    1 + h % (2 * TIMED_EVERY - 1)
+}
+
 /// One subsystem's accumulators. Relaxed atomics: totals are exact (no
 /// sample loss), only cross-slot ordering is unspecified, which a
 /// post-run snapshot never observes.
 ///
 /// A subsystem's calls and wall time are the sums over the call paths
 /// that end in it (every scope lands in exactly one), so closing a
-/// scope adds them once, in the path table; `calls` and `wall_nanos`
-/// here take only what a full path table turned away.
+/// scope adds them once, in the path table; `calls` here take only
+/// what a full path table turned away. `opened` numbers the
+/// subsystem's scopes and `next_timed` is the number of the next one to
+/// time.
 #[derive(Debug, Default)]
 struct Slot {
-    calls: AtomicU64,
-    wall_nanos: AtomicU64,
+    opened: AtomicU64,
+    next_timed: AtomicU64,
+    calls: Calls,
     allocs: AtomicU64,
     alloc_bytes: AtomicU64,
 }
@@ -126,8 +164,47 @@ struct Slot {
 #[derive(Debug, Default)]
 struct PathSlot {
     key: AtomicU64,
+    calls: Calls,
+}
+
+/// Calls counted, how many of them were timed, and the wall nanos of
+/// the timed ones.
+#[derive(Debug, Default)]
+struct Calls {
     calls: AtomicU64,
+    timed: AtomicU64,
     wall_nanos: AtomicU64,
+}
+
+impl Calls {
+    /// Count `calls` more, `timed` of which took `wall_nanos`; an
+    /// untimed call leaves the timing counters alone.
+    fn add(&self, calls: u64, timed: u64, wall_nanos: u64) {
+        self.calls.fetch_add(calls, Ordering::Relaxed);
+        if timed != 0 {
+            self.timed.fetch_add(timed, Ordering::Relaxed);
+            self.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+        }
+    }
+
+    /// The calls and their estimated wall nanos: the timed total
+    /// scaled to every call.
+    fn snapshot(&self) -> (u64, u64) {
+        let calls = self.calls.load(Ordering::Relaxed);
+        let timed = self.timed.load(Ordering::Relaxed);
+        let wall_nanos = self.wall_nanos.load(Ordering::Relaxed);
+        (calls, estimate_wall(calls, timed, wall_nanos))
+    }
+}
+
+/// The wall time of `calls` calls, `timed` of which took `wall_nanos`
+/// together.
+fn estimate_wall(calls: u64, timed: u64, wall_nanos: u64) -> u64 {
+    if timed == 0 || timed == calls {
+        return wall_nanos;
+    }
+    let scaled = u128::from(wall_nanos) * u128::from(calls) / u128::from(timed);
+    u64::try_from(scaled).unwrap_or(u64::MAX)
 }
 
 /// Capacity of the call-path table (a power of two). A run of this
@@ -147,9 +224,23 @@ struct ProfInner {
 }
 
 impl ProfInner {
-    /// Count `calls` invocations totalling `wall_nanos` of the
-    /// subsystem `path` ends in, reached along `path`.
-    fn add(&self, path: u64, calls: u64, wall_nanos: u64) {
+    /// Number one more call of `subsystem`; whether it is a timed one.
+    /// Loads and stores, not atomic adds: two threads racing here can
+    /// only shift which calls are timed, never what is counted.
+    fn times_next(&self, subsystem: Subsystem) -> bool {
+        let slot = &self.slots[subsystem.index()];
+        let n = slot.opened.load(Ordering::Relaxed);
+        slot.opened.store(n + 1, Ordering::Relaxed);
+        if n < slot.next_timed.load(Ordering::Relaxed) {
+            return false;
+        }
+        slot.next_timed.store(n + gap_after(n), Ordering::Relaxed);
+        true
+    }
+
+    /// Count `calls` invocations of the subsystem `path` ends in,
+    /// reached along `path`, `timed` of which took `wall_nanos`.
+    fn add(&self, path: u64, calls: u64, timed: u64, wall_nanos: u64) {
         // Fibonacci hashing: paths differ in their low bytes.
         let hash = path.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut i = (hash >> (u64::BITS - PATH_SLOTS.trailing_zeros())) as usize;
@@ -163,15 +254,14 @@ impl ProfInner {
                 key => key,
             };
             if key == path {
-                slot.calls.fetch_add(calls, Ordering::Relaxed);
-                slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+                slot.calls.add(calls, timed, wall_nanos);
                 return;
             }
             i = (i + 1) % PATH_SLOTS;
         }
-        let slot = &self.slots[leaf_index(path)];
-        slot.calls.fetch_add(calls, Ordering::Relaxed);
-        slot.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+        self.slots[leaf_index(path)]
+            .calls
+            .add(calls, timed, wall_nanos);
     }
 }
 
@@ -246,8 +336,10 @@ impl Prof {
     }
 
     /// Enter `subsystem`: returns an RAII guard that accumulates the
-    /// scope's call count, inclusive wall time and allocator deltas on
-    /// drop. On a disabled handle this is a no-op (no clock read).
+    /// scope's call count and allocator deltas on drop, and its
+    /// inclusive wall time when it is one of the subsystem's timed
+    /// scopes (see the crate docs). On a disabled handle this is a
+    /// no-op (no clock read).
     #[inline]
     pub fn scope(&self, subsystem: Subsystem) -> ProfScope<'_> {
         match &self.inner {
@@ -259,12 +351,13 @@ impl Prof {
                     c.set(path);
                     (prev, path)
                 });
+                let timed = inner.times_next(subsystem);
                 let (start_allocs, start_bytes) = alloc::totals();
                 ProfScope {
                     active: Some(ActiveScope {
                         inner,
                         subsystem,
-                        start: Instant::now(),
+                        start: timed.then(Instant::now),
                         start_allocs,
                         start_bytes,
                         prev_path,
@@ -275,9 +368,21 @@ impl Prof {
         }
     }
 
-    /// Record `calls` completed invocations of `subsystem` totalling
-    /// `wall_nanos`, attributed one level below the current call path,
-    /// without opening a scope per invocation.
+    /// Whether the next call of `subsystem` is one of its timed calls,
+    /// by the rule scopes follow (the first, then one in 16 on average,
+    /// at irregular gaps): for a hot
+    /// loop that times its own calls and hands them over through
+    /// [`Prof::add_batch`]. Always `false` on a disabled handle.
+    #[inline]
+    pub fn times_next(&self, subsystem: Subsystem) -> bool {
+        self.inner
+            .as_ref()
+            .is_some_and(|inner| inner.times_next(subsystem))
+    }
+
+    /// Record `calls` completed invocations of `subsystem`, `timed` of
+    /// which took `wall_nanos` together, attributed one level below the
+    /// current call path, without opening a scope per invocation.
     ///
     /// Hot loops use this instead of [`Prof::scope`]: the simulator
     /// dispatches millions of events per second, and a scope per event
@@ -285,13 +390,13 @@ impl Prof {
     /// table than stepping the simulation. The enclosing drain loop
     /// opens one real scope (which carries the wall time and the
     /// allocator deltas) and batch-counts its iterations through here.
-    pub fn add_batch(&self, subsystem: Subsystem, calls: u64, wall_nanos: u64) {
+    pub fn add_batch(&self, subsystem: Subsystem, calls: u64, timed: u64, wall_nanos: u64) {
         let Some(inner) = &self.inner else { return };
         if calls == 0 && wall_nanos == 0 {
             return;
         }
         let path = push_path(CURRENT_PATH.with(Cell::get), subsystem);
-        inner.add(path, calls, wall_nanos);
+        inner.add(path, calls, timed, wall_nanos);
     }
 
     /// Snapshot the counters into an immutable report.
@@ -303,10 +408,11 @@ impl Prof {
             .iter()
             .map(|&s| {
                 let slot = &inner.slots[s.index()];
+                let (calls, wall_nanos) = slot.calls.snapshot();
                 SubsystemStat {
                     subsystem: s,
-                    calls: slot.calls.load(Ordering::Relaxed),
-                    wall_nanos: slot.wall_nanos.load(Ordering::Relaxed),
+                    calls,
+                    wall_nanos,
                     allocs: slot.allocs.load(Ordering::Relaxed),
                     alloc_bytes: slot.alloc_bytes.load(Ordering::Relaxed),
                 }
@@ -316,11 +422,8 @@ impl Prof {
             .paths
             .iter()
             .map(|slot| {
-                (
-                    slot.key.load(Ordering::Relaxed),
-                    slot.calls.load(Ordering::Relaxed),
-                    slot.wall_nanos.load(Ordering::Relaxed),
-                )
+                let (calls, wall_nanos) = slot.calls.snapshot();
+                (slot.key.load(Ordering::Relaxed), calls, wall_nanos)
             })
             .filter(|&(packed, ..)| packed != 0)
             .collect();
@@ -345,7 +448,8 @@ impl Prof {
 struct ActiveScope<'a> {
     inner: &'a ProfInner,
     subsystem: Subsystem,
-    start: Instant,
+    /// When the scope opened; `None` for a scope that is not timed.
+    start: Option<Instant>,
     start_allocs: u64,
     start_bytes: u64,
     prev_path: u64,
@@ -371,7 +475,9 @@ impl Drop for ProfScope<'_> {
         let Some(scope) = self.active.take() else {
             return;
         };
-        let nanos = u64::try_from(scope.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let nanos = scope.start.map_or(0, |start| {
+            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
         let (allocs, bytes) = alloc::totals();
         // Nothing was allocated (or the counting allocator is not
         // installed): leave the slot's cache line alone.
@@ -383,7 +489,8 @@ impl Drop for ProfScope<'_> {
                 .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
         }
         CURRENT_PATH.with(|c| c.set(scope.prev_path));
-        scope.inner.add(scope.path, 1, nanos);
+        let timed = u64::from(scope.start.is_some());
+        scope.inner.add(scope.path, 1, timed, nanos);
     }
 }
 
@@ -392,7 +499,8 @@ impl Drop for ProfScope<'_> {
 pub struct SubsystemStat {
     pub subsystem: Subsystem,
     pub calls: u64,
-    /// Inclusive wall time (measured; excluded from the canonical JSON).
+    /// Inclusive wall time (measured over the timed scopes and scaled
+    /// to every call; excluded from the canonical JSON).
     pub wall_nanos: u64,
     /// Allocations observed while the scope was open (0 unless the
     /// counting allocator is installed).
@@ -613,9 +721,9 @@ mod tests {
         let prof = Prof::enabled();
         {
             let _drain = prof.scope(Subsystem::EventQueue);
-            prof.add_batch(Subsystem::SimStep, 1000, 0);
+            prof.add_batch(Subsystem::SimStep, 1000, 0, 0);
         }
-        prof.add_batch(Subsystem::SimStep, 0, 0); // no-op
+        prof.add_batch(Subsystem::SimStep, 0, 0, 0); // no-op
         let report = prof.report();
         let steps = report
             .subsystems
@@ -631,7 +739,7 @@ mod tests {
             .expect("batch lands below the open scope");
         assert_eq!(nested.calls, 1000);
         // A disabled handle swallows batches like it swallows scopes.
-        Prof::off().add_batch(Subsystem::SimStep, 5, 5);
+        Prof::off().add_batch(Subsystem::SimStep, 5, 5, 5);
         assert!(Prof::off().report().subsystems.is_empty());
     }
 
@@ -671,6 +779,70 @@ mod tests {
         for stat in &report.subsystems {
             assert_eq!(stat.calls, 1 + N_SUBSYSTEMS as u64, "{:?}", stat.subsystem);
         }
+    }
+
+    /// Each path's (calls, timed calls), in ascending order.
+    fn path_counts(prof: &Prof) -> Vec<(u64, u64)> {
+        let inner = prof.inner.as_ref().unwrap();
+        let mut counts: Vec<(u64, u64)> = inner
+            .paths
+            .iter()
+            .filter(|slot| slot.key.load(Ordering::Relaxed) != 0)
+            .map(|slot| {
+                let calls = &slot.calls;
+                (
+                    calls.calls.load(Ordering::Relaxed),
+                    calls.timed.load(Ordering::Relaxed),
+                )
+            })
+            .collect();
+        counts.sort_unstable();
+        counts
+    }
+
+    #[test]
+    fn every_call_is_counted_and_one_in_timed_every_is_timed() {
+        let prof = Prof::enabled();
+        let n = 1000 * TIMED_EVERY;
+        {
+            let _outer = prof.scope(Subsystem::EnactorLoop);
+            for _ in 0..n {
+                let _inner = prof.scope(Subsystem::Fire);
+            }
+        }
+        let counts = path_counts(&prof);
+        // The once-per-run scope is timed; the hot one about 1,000
+        // times.
+        assert_eq!(counts[0], (1, 1));
+        assert_eq!(counts[1].0, n);
+        assert!((900..=1100).contains(&counts[1].1), "{counts:?}");
+        let gaps: Vec<u64> = (0..1000).map(gap_after).collect();
+        assert!(gaps.iter().all(|g| (1..2 * TIMED_EVERY).contains(g)));
+        assert!(gaps.windows(2).any(|w| w[0] != w[1]), "no fixed period");
+    }
+
+    #[test]
+    fn sampled_wall_time_is_scaled_to_every_call() {
+        let prof = Prof::enabled();
+        let pause = std::time::Duration::from_millis(2);
+        let n = 4 * TIMED_EVERY;
+        for call in 0..n {
+            let _s = prof.scope(Subsystem::StoreIo);
+            if call == 0 {
+                std::thread::sleep(pause);
+            }
+        }
+        // The first call is timed, and stands for `n / timed` calls.
+        let [(calls, timed)] = path_counts(&prof)[..] else {
+            panic!("one path")
+        };
+        assert_eq!(calls, n);
+        let wall = prof.report().subsystems[Subsystem::StoreIo.index()].wall_nanos;
+        let floor = pause.as_nanos() as u64 * n / timed;
+        assert!(wall >= floor, "{wall} ns < {floor} ns");
+        assert_eq!(estimate_wall(5, 0, 0), 0, "never timed");
+        assert_eq!(estimate_wall(5, 5, 7), 7, "all timed");
+        assert_eq!(estimate_wall(32, 2, 10), 160);
     }
 
     #[test]

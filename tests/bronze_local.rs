@@ -40,7 +40,7 @@ fn mini_workflow() -> Workflow {
     };
     let test = |inputs: &[Token]| -> Result<Out, String> {
         // Means of the two algorithm streams, paired by pair id.
-        let mut pairs: std::collections::HashMap<u32, Vec<RigidTransform>> = Default::default();
+        let mut pairs: std::collections::BTreeMap<u32, Vec<RigidTransform>> = Default::default();
         for input in inputs.iter().take(2) {
             for v in input.value.as_list().ok_or("stream")? {
                 let (pair, t) = *v.downcast::<Tagged>().ok_or("tag")?;
