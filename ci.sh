@@ -97,12 +97,21 @@ if awk 'FNR == 1 {tests = 0}
   echo "the store builds a JSON tree: read through obs::json's Cursor" >&2
   exit 1
 fi
-# Compile once, fill per firing: a processor's job plan is a template
+# Compile once, render on read: a processor's job plan is a template
 # built with the CompiledWorkflow, so a firing may not go back to
-# building a wrapper binding, catalog or group member.
+# building a wrapper binding, catalog or group member. A firing checks
+# its tuple against the template and its grid job carries both (a
+# `GridPlan`, crates/core/src/backend.rs), which renders the plan only
+# when read, so the enactor may not render one either: it neither fills
+# a template nor writes a JobPlan itself.
 if grep -rnw --include='*.rs' -e Catalog -e Binding -e GroupMember \
-    -e compose_group -e plan_single crates/core/src/enactor/; then
-  echo "the enactor builds a wrapper binding: fill the processor's JobTemplate" >&2
+    -e compose_group crates/core/src/enactor/; then
+  echo "the enactor builds a wrapper binding: check the processor's JobTemplate" >&2
+  exit 1
+fi
+if grep -rnE --include='*.rs' -e '\.fill\(' -e 'JobPlan[[:space:]]*\{' \
+    crates/core/src/enactor/; then
+  echo "the enactor renders a job plan: hand the backend a GridPlan" >&2
   exit 1
 fi
 

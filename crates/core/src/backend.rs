@@ -22,7 +22,7 @@ use crate::service::LocalService;
 use crate::token::Token;
 use crate::value::DataValue;
 use moteur_gridsim::{GridConfig, GridJobSpec, GridSim, JobOutcome, JobRecord, SimTime};
-use moteur_wrapper::JobPlan;
+use moteur_wrapper::{JobPlan, JobTemplate, TransferFile};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
@@ -71,9 +71,9 @@ impl std::hash::Hasher for IdHash {
 pub enum JobPayload {
     /// A wrapper-service grid job: transfer plan plus compute seconds.
     /// The plan is shared, so the copy the enactor keeps for a possible
-    /// resubmission costs a reference count, not the command lines.
+    /// resubmission costs a reference count.
     Grid {
-        plan: Arc<JobPlan>,
+        plan: Arc<GridPlan>,
         compute_seconds: f64,
     },
     /// An in-process service call with its input tokens: the matched
@@ -96,7 +96,7 @@ impl std::fmt::Debug for JobPayload {
                 compute_seconds,
             } => f
                 .debug_struct("Grid")
-                .field("commands", &plan.command_lines.len())
+                .field("commands", &plan.commands())
                 .field("compute_seconds", compute_seconds)
                 .finish(),
             JobPayload::Local { inputs, .. } => f
@@ -109,6 +109,230 @@ impl std::fmt::Debug for JobPayload {
                 .finish(),
         }
     }
+}
+
+/// A grid job's plan as the enactor hands it over: the processor's
+/// compiled job template and the input tuples of the invocations the job
+/// runs, each already checked against the template when it fired. The
+/// [`JobPlan`] (command lines, fetch and store names) is rendered only
+/// by [`GridPlan::render`]; the sizes a backend and the byte accounting
+/// read come from [`JobTemplate::fetch`]'s walk, which allocates
+/// nothing.
+pub struct GridPlan(PlanSource);
+
+enum PlanSource {
+    /// Invocations of one template, in the order the job runs them.
+    Template {
+        template: Arc<JobTemplate>,
+        first: GridMember,
+        rest: Vec<GridMember>,
+    },
+    /// A descriptor-bound synchronization barrier: one list token per
+    /// port, every file value of which is staged in, repeats included,
+    /// since a template's one value per slot cannot express it.
+    Barrier {
+        template: Arc<JobTemplate>,
+        inputs: Arc<[Token]>,
+        invocation: u64,
+    },
+}
+
+/// One invocation a grid job runs: its matched tuple, shared with the
+/// ready queue and the pending entry, and its invocation id.
+pub(crate) struct GridMember {
+    pub(crate) inputs: Arc<[Token]>,
+    pub(crate) invocation: u64,
+}
+
+impl GridPlan {
+    /// A job running `first`, then each of `rest`, through `template`.
+    pub(crate) fn members(
+        template: Arc<JobTemplate>,
+        first: GridMember,
+        rest: Vec<GridMember>,
+    ) -> Self {
+        GridPlan(PlanSource::Template {
+            template,
+            first,
+            rest,
+        })
+    }
+
+    /// The job of a barrier over `inputs`, registering `template`'s
+    /// outputs under `invocation`.
+    pub(crate) fn barrier(
+        template: Arc<JobTemplate>,
+        inputs: Arc<[Token]>,
+        invocation: u64,
+    ) -> Self {
+        GridPlan(PlanSource::Barrier {
+            template,
+            inputs,
+            invocation,
+        })
+    }
+
+    /// The plan's command lines, stage-ins and registrations.
+    pub fn render(&self) -> JobPlan {
+        match &self.0 {
+            PlanSource::Template {
+                template,
+                first,
+                rest,
+            } => {
+                let members = std::iter::once(first).chain(rest);
+                template.render(members.map(|m| (&*m.inputs, m.invocation)))
+            }
+            PlanSource::Barrier {
+                template,
+                inputs,
+                invocation,
+            } => {
+                let collected: usize = inputs.iter().map(|t| collected(t).len()).sum();
+                JobPlan {
+                    command_lines: vec![format!(
+                        "{} <{collected} collected inputs>",
+                        template.executable()
+                    )],
+                    fetch: (self.fetch())
+                        .map(|(name, bytes)| TransferFile {
+                            name: name.to_owned(),
+                            bytes,
+                        })
+                        .collect(),
+                    store: (template.outputs(*invocation).into_iter())
+                        .map(|o| TransferFile {
+                            name: o.gfn,
+                            bytes: o.bytes,
+                        })
+                        .collect(),
+                }
+            }
+        }
+    }
+
+    /// How many command lines the job runs.
+    pub fn commands(&self) -> usize {
+        match &self.0 {
+            PlanSource::Template { template, rest, .. } => template.stages() * (1 + rest.len()),
+            PlanSource::Barrier { .. } => 1,
+        }
+    }
+
+    /// Bytes staged in.
+    pub fn fetch_bytes(&self) -> u64 {
+        self.fetch().map(|(_, bytes)| bytes).sum()
+    }
+
+    /// Bytes registered.
+    pub fn store_bytes(&self) -> u64 {
+        self.store().sum()
+    }
+
+    /// The plan the job would carry had each member been filled on
+    /// firing and the later ones absorbed into the first's, as the
+    /// enactor built it before plans were rendered on read; for a
+    /// barrier, every collected file in collection order.
+    #[cfg(test)]
+    pub(crate) fn eager(&self) -> JobPlan {
+        match &self.0 {
+            PlanSource::Template {
+                template,
+                first,
+                rest,
+            } => {
+                let fill = |m: &GridMember| template.fill(&m.inputs, m.invocation, |_| {});
+                let mut plan = fill(first).expect("checked on firing").plan;
+                for m in rest {
+                    plan.absorb(fill(m).expect("checked on firing").plan);
+                }
+                plan
+            }
+            PlanSource::Barrier {
+                template,
+                inputs,
+                invocation,
+            } => {
+                let values = inputs.iter().flat_map(|t| collected(t).iter());
+                let mut plan = JobPlan {
+                    command_lines: vec![format!(
+                        "{} <{} collected inputs>",
+                        template.executable(),
+                        values.clone().count()
+                    )],
+                    fetch: Vec::new(),
+                    store: Vec::new(),
+                };
+                for value in values {
+                    if let DataValue::File { gfn, bytes } = value {
+                        plan.fetch.push(TransferFile {
+                            name: gfn.clone(),
+                            bytes: *bytes,
+                        });
+                    }
+                }
+                for o in template.outputs(*invocation) {
+                    plan.store.push(TransferFile {
+                        name: o.gfn,
+                        bytes: o.bytes,
+                    });
+                }
+                plan
+            }
+        }
+    }
+
+    /// Each stage-in's size, then each registration's, in plan order.
+    pub(crate) fn sizes(&self) -> (Vec<u64>, Vec<u64>) {
+        let mut fetch = Vec::with_capacity(self.fetch().count());
+        fetch.extend(self.fetch().map(|(_, bytes)| bytes));
+        (fetch, self.store().collect())
+    }
+
+    /// Every stage-in as `(name, bytes)`, in plan order.
+    fn fetch(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
+        let (members, barrier) = match &self.0 {
+            PlanSource::Template {
+                template,
+                first,
+                rest,
+            } => {
+                let members = std::iter::once(first).chain(rest);
+                (Some(template.fetch(members.map(|m| &*m.inputs))), None)
+            }
+            PlanSource::Barrier { inputs, .. } => {
+                let files = inputs.iter().flat_map(collected);
+                (None, Some(files.filter_map(DataValue::as_file)))
+            }
+        };
+        members
+            .into_iter()
+            .flatten()
+            .chain(barrier.into_iter().flatten())
+    }
+
+    /// Every registration's size, in plan order. A descriptor's template
+    /// registers each of its outputs, in descriptor order, which is the
+    /// order a barrier delivers them in.
+    fn store(&self) -> impl Iterator<Item = u64> + '_ {
+        match &self.0 {
+            PlanSource::Template { template, rest, .. } => template.store_sizes(1 + rest.len()),
+            PlanSource::Barrier { template, .. } => template.store_sizes(1),
+        }
+    }
+}
+
+impl std::fmt::Debug for GridPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GridPlan")
+            .field("commands", &self.commands())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The values a barrier's list token collected.
+fn collected(token: &Token) -> &[DataValue] {
+    token.value.as_list().unwrap_or_default()
 }
 
 /// A submitted job.
@@ -359,11 +583,9 @@ impl Backend for SimBackend {
                 plan,
                 compute_seconds,
             } => {
+                let (fetch, store) = plan.sizes();
                 let spec = GridJobSpec::new(&*job.processor, compute_seconds)
-                    .with_files(
-                        plan.fetch.iter().map(|f| f.bytes).collect(),
-                        plan.store.iter().map(|f| f.bytes).collect(),
-                    )
+                    .with_files(fetch, store)
                     .with_tag(job.invocation.0);
                 let id = self.sim.submit(spec);
                 self.jobs.insert(job.invocation.0, id);
@@ -642,11 +864,14 @@ mod tests {
             invocation: InvocationId(id),
             processor: format!("p{id}").into(),
             payload: JobPayload::Grid {
-                plan: Arc::new(JobPlan {
-                    command_lines: vec!["x".into()],
-                    fetch: vec![],
-                    store: vec![],
-                }),
+                plan: Arc::new(GridPlan::members(
+                    Arc::new(JobTemplate::compile("wf", "p", &[], &[])),
+                    GridMember {
+                        inputs: Arc::from([]),
+                        invocation: id,
+                    },
+                    Vec::new(),
+                )),
                 compute_seconds: secs,
             },
         }

@@ -9,7 +9,7 @@ use crate::ft::{QuarantineEntry, TimeoutAction};
 use crate::graph::ProcId;
 use crate::obs::TraceEvent;
 use crate::store::InvocationKey;
-use crate::token::{DataIndex, History, Token};
+use crate::token::{DataIndex, Token};
 use moteur_gridsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,7 +18,9 @@ use std::sync::Arc;
 /// carry several).
 pub(super) struct PendEntry {
     pub(super) index: DataIndex,
-    pub(super) input_histories: Vec<Arc<History>>,
+    /// The matched tuple, shared with the ready queue it came from and
+    /// the job's payload; its histories become the outputs' history.
+    pub(super) inputs: Arc<[Token]>,
     /// Pre-synthesised output tokens for grid jobs (`None` → the
     /// completion carries real outputs from a local service).
     pub(super) grid_outputs: Option<ServiceOutputs>,
@@ -28,16 +30,16 @@ pub(super) struct PendEntry {
 }
 
 impl PendEntry {
-    /// The entry of the invocation at `index` consuming `tokens`.
+    /// The entry of the invocation at `index` consuming `inputs`.
     pub(super) fn of(
         index: DataIndex,
-        tokens: &[Token],
+        inputs: Arc<[Token]>,
         grid_outputs: Option<ServiceOutputs>,
         cache_key: Option<InvocationKey>,
     ) -> Self {
         PendEntry {
             index,
-            input_histories: tokens.iter().map(|t| t.history.clone()).collect(),
+            inputs,
             grid_outputs,
             cache_key,
         }

@@ -56,8 +56,9 @@ pub(crate) struct CompiledWorkflow {
     /// descriptors). Read only while a store is attached.
     pub(super) digests: Vec<Option<u64>>,
     /// Per-processor job-plan template: `Some` for descriptor-bound and
-    /// grouped processors. A firing fills it with its tokens.
-    pub(super) templates: Vec<Option<JobTemplate>>,
+    /// grouped processors. A firing checks its tokens against it, and
+    /// its grid job carries it to render the plan from.
+    pub(super) templates: Vec<Option<Arc<JobTemplate>>>,
     /// Per synchronization processor, everything upstream of it over
     /// data links (empty for every other processor): while one of them
     /// has an invocation in flight the barrier cannot be released.
@@ -144,7 +145,7 @@ impl CompiledWorkflow {
         let templates = workflow
             .processors
             .iter()
-            .map(|p| job_template(&workflow.name, p))
+            .map(|p| job_template(&workflow.name, p).map(Arc::new))
             .collect();
         let barrier_ancestors = workflow
             .processors

@@ -1,11 +1,12 @@
 //! Composition: what a firing hands to the backend. The cache probe,
-//! the single and the batched firing over one per-member step (filling
-//! the processor's compiled job template), the one first submission,
-//! and the barrier's job plan.
+//! the single and the batched firing over one per-member step (checking
+//! the matched tuple against the processor's compiled job template), the
+//! one first submission, and the barrier's job. A grid job carries its
+//! template and input tuples; its plan is rendered only when read.
 
 use super::attempts::{PendEntry, PendingJob};
 use super::{EnactCtx, WorkflowInstance};
-use crate::backend::{InvocationId, JobPayload, ServiceOutputs};
+use crate::backend::{GridMember, GridPlan, InvocationId, JobPayload, ServiceOutputs};
 use crate::error::MoteurError;
 use crate::ft::TimeoutPolicy;
 use crate::graph::ProcId;
@@ -17,12 +18,8 @@ use crate::store::{invocation_key, provenance_key, InvocationKey};
 use crate::token::{DataIndex, History, Token};
 use crate::value::DataValue;
 use moteur_gridsim::Rng;
-use moteur_wrapper::{BoundOutput, JobPlan, SlotValue, TransferFile};
+use moteur_wrapper::{BoundOutput, JobTemplate, SlotValue};
 use std::sync::Arc;
-
-/// A ready invocation the data manager did not know: its shared input
-/// tuple and the entry its job will carry.
-type Admitted = (Arc<[Token]>, PendEntry);
 
 impl WorkflowInstance {
     /// The key a ready invocation of `proc` over `tokens` is memoized
@@ -31,7 +28,7 @@ impl WorkflowInstance {
     /// token has a provenance key (no [`DataValue::Opaque`] anywhere in
     /// its value).
     fn memo_key(
-        &mut self,
+        &self,
         ctx: &EnactCtx<'_>,
         proc: ProcId,
         tokens: &[Token],
@@ -40,8 +37,7 @@ impl WorkflowInstance {
         ctx.store.as_ref()?;
         let mut pkeys = Vec::with_capacity(tokens.len());
         {
-            let prof = self.obs.prof().clone();
-            let _prof = prof.scope(Subsystem::ProvenanceKey);
+            let _prof = self.obs.prof().scope(Subsystem::ProvenanceKey);
             for token in tokens {
                 pkeys.push(provenance_key(&token.value, &token.history)?);
             }
@@ -55,48 +51,46 @@ impl WorkflowInstance {
     /// hit needs none of it; an unbound processor has no digest, so it
     /// cannot hit). A memoized invocation is replayed here after a
     /// simulated transfer — under `id`, or under a fresh id when it
-    /// leaves a batch — and `None` comes back; otherwise its input
-    /// tokens and the entry its job will carry, holding the key to
-    /// record the outputs under when the invocation is memoizable.
+    /// leaves a batch — and `None` comes back; otherwise the entry its
+    /// job will carry: the shared input tuple, and the key to record the
+    /// outputs under when the invocation is memoizable.
     fn admit(
         &mut self,
         ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         matched: MatchedSet,
         id: Option<InvocationId>,
-    ) -> Result<Option<Admitted>, MoteurError> {
+    ) -> Result<Option<PendEntry>, MoteurError> {
         let MatchedSet { tokens, index } = matched;
         let cache_key = self.memo_key(ctx, proc, &tokens);
         if let (Some(key), Some(store)) = (cache_key, ctx.store.as_deref_mut()) {
-            let prof = self.obs.prof().clone();
-            let io = prof.scope(Subsystem::StoreIo);
+            let io = self.obs.prof().scope(Subsystem::StoreIo);
             if let Some(outputs) = store.lookup(key) {
                 let cost = store.fetch_cost();
                 let transfer_seconds = cost.map_or(0.0, |d| d.sample(&mut self.rng).max(0.0));
                 drop(io);
                 let id = id.unwrap_or_else(|| self.next_id());
-                let entry = PendEntry::of(index, &tokens, Some(outputs), None);
+                let entry = PendEntry::of(index, tokens, Some(outputs), None);
                 let replay = JobPayload::Fetch { transfer_seconds };
                 self.submit(ctx, proc, vec![entry], id, replay)?;
                 return Ok(None);
             }
         }
-        let entry = PendEntry::of(index, &tokens, None, cache_key);
-        Ok(Some((tokens, entry)))
+        Ok(Some(PendEntry::of(index, tokens, None, cache_key)))
     }
 
     /// The second half, for a grid-bound member the data manager did
-    /// not know: compose its job plan under the member's own `id` and
-    /// synthesise the outputs `entry` will deliver. Returns the plan
-    /// and its compute seconds.
+    /// not know: check its input tuple against the processor's template
+    /// under the member's own `id` (a binding fault fails the firing
+    /// here) and synthesise the outputs `entry` will deliver. Returns
+    /// the template its job renders from and its compute seconds.
     fn compose_member(
         &mut self,
         ctx: &mut EnactCtx<'_>,
         proc: ProcId,
-        tokens: &[Token],
         entry: &mut PendEntry,
         id: InvocationId,
-    ) -> Result<(JobPlan, f64), MoteurError> {
+    ) -> Result<(Arc<JobTemplate>, f64), MoteurError> {
         if entry.cache_key.is_some() {
             self.obs.emit(|| TraceEvent::CacheMiss {
                 at: ctx.backend.now(),
@@ -112,7 +106,8 @@ impl WorkflowInstance {
                 _ => "firing an unbound processor",
             }));
         };
-        let job = template.fill(tokens, id.0, |port| {
+        let tokens = &entry.inputs;
+        template.check(tokens, |port| {
             self.obs.emit(|| TraceEvent::EdgeStaged {
                 at: ctx.backend.now(),
                 invocation: id.0,
@@ -130,7 +125,7 @@ impl WorkflowInstance {
                     at: ctx.backend.now(),
                     processor: Arc::clone(&compiled.names[proc.0]),
                     stages: group.stages.len(),
-                    commands: job.plan.command_lines.len(),
+                    commands: template.stages(),
                 });
                 let mut compute = 0.0;
                 for stage in &group.stages {
@@ -140,8 +135,8 @@ impl WorkflowInstance {
             }
             _ => unreachable!("only grid bindings have a job template"),
         };
-        entry.grid_outputs = Some(file_outputs(job.outputs));
-        Ok((job.plan, compute))
+        entry.grid_outputs = Some(file_outputs(template.outputs(id.0)));
+        Ok((Arc::clone(template), compute))
     }
 
     pub(super) fn fire(
@@ -151,20 +146,24 @@ impl WorkflowInstance {
         matched: MatchedSet,
     ) -> Result<(), MoteurError> {
         let invocation = self.next_id();
-        let Some((tokens, mut entry)) = self.admit(ctx, proc, matched, Some(invocation))? else {
+        let Some(mut entry) = self.admit(ctx, proc, matched, Some(invocation))? else {
             return Ok(());
         };
         let binding = &self.compiled.workflow.processors[proc.0].binding;
         let payload = if let Some(ServiceBinding::Local(service)) = binding {
             JobPayload::Local {
                 service: service.clone(),
-                inputs: tokens,
+                inputs: Arc::clone(&entry.inputs),
             }
         } else {
-            let (plan, compute_seconds) =
-                self.compose_member(ctx, proc, &tokens, &mut entry, invocation)?;
+            let (template, compute_seconds) =
+                self.compose_member(ctx, proc, &mut entry, invocation)?;
+            let member = GridMember {
+                inputs: Arc::clone(&entry.inputs),
+                invocation: invocation.0,
+            };
             JobPayload::Grid {
-                plan: Arc::new(plan),
+                plan: Arc::new(GridPlan::members(template, member, Vec::new())),
                 compute_seconds,
             }
         };
@@ -187,27 +186,32 @@ impl WorkflowInstance {
         for matched in batch {
             misses.extend(self.admit(ctx, proc, matched, None)?);
         }
-        let mut job: Option<(JobPlan, f64)> = None;
-        let mut entries = Vec::with_capacity(misses.len());
-        for (k, (tokens, mut entry)) in misses.into_iter().enumerate() {
-            let member = InvocationId(invocation.0 * 1_000_000 + k as u64);
-            let (plan, compute) = self.compose_member(ctx, proc, &tokens, &mut entry, member)?;
+        let n_misses = misses.len();
+        let mut job = None;
+        let mut entries = Vec::with_capacity(n_misses);
+        for (k, mut entry) in misses.into_iter().enumerate() {
+            let id = InvocationId(invocation.0 * 1_000_000 + k as u64);
+            let (template, compute) = self.compose_member(ctx, proc, &mut entry, id)?;
+            let member = GridMember {
+                inputs: Arc::clone(&entry.inputs),
+                invocation: id.0,
+            };
             entries.push(entry);
             match &mut job {
-                // The first member's plan is the batch's: a batch of
-                // one submits it untouched.
-                None => job = Some((plan, compute)),
-                Some((merged, compute_total)) => {
-                    merged.absorb(plan);
+                // The first member leads the job: a batch of one runs
+                // it alone.
+                None => job = Some((template, member, Vec::with_capacity(n_misses - 1), compute)),
+                Some((_, _, rest, compute_total)) => {
+                    rest.push(member);
                     *compute_total += compute;
                 }
             }
         }
-        let Some((plan, compute_seconds)) = job else {
+        let Some((template, first, rest, compute_seconds)) = job else {
             return Ok(());
         };
         let payload = JobPayload::Grid {
-            plan: Arc::new(plan),
+            plan: Arc::new(GridPlan::members(template, first, rest)),
             compute_seconds,
         };
         self.submit(ctx, proc, entries, invocation, payload)
@@ -297,21 +301,22 @@ impl WorkflowInstance {
         let compiled = Arc::clone(&self.compiled);
         let p = &compiled.workflow.processors[proc.0];
         let buffers = std::mem::take(&mut self.states[proc.0].sync_buffers);
-        // One list token per port: the whole collected stream.
+        let n_inputs: usize = buffers.iter().map(Vec::len).sum();
+        // One list token per port: the whole collected stream, its
+        // values moved out of the buffer.
         let tokens: Arc<[Token]> = buffers
-            .iter()
-            .map(|buf| Token {
-                value: DataValue::List(buf.iter().map(|t| t.value.clone()).collect()),
-                index: DataIndex::scalar(),
-                history: History::derived(
-                    format!("{}:collect", p.name),
-                    buf.iter().map(|t| t.history.clone()).collect(),
-                ),
+            .into_iter()
+            .map(|buf| {
+                let histories = buf.iter().map(|t| Arc::clone(&t.history)).collect();
+                Token {
+                    value: DataValue::List(buf.into_iter().map(|t| t.value).collect()),
+                    index: DataIndex::scalar(),
+                    history: History::derived(format!("{}:collect", p.name), histories),
+                }
             })
             .collect();
         self.states[proc.0].barrier_fired = true;
         self.exhausted_stale = true;
-        let n_inputs: usize = buffers.iter().map(Vec::len).sum();
         self.obs.emit(|| TraceEvent::BarrierReleased {
             at: ctx.backend.now(),
             processor: Arc::clone(&compiled.names[proc.0]),
@@ -324,59 +329,34 @@ impl WorkflowInstance {
             .ok_or_else(|| MoteurError::new("synchronization processor without binding"))?;
         // Synchronization barriers consume whole streams; they are
         // never memoized.
-        let mut entry = PendEntry::of(DataIndex::scalar(), &tokens, None, None);
+        let mut entry = PendEntry::of(DataIndex::scalar(), Arc::clone(&tokens), None, None);
         let payload = match binding {
             ServiceBinding::Local(service) => JobPayload::Local {
                 service: service.clone(),
                 inputs: tokens,
             },
-            ServiceBinding::Descriptor {
-                descriptor,
-                profile,
-            } => {
+            ServiceBinding::Descriptor { profile, .. } => {
                 // A descriptor-bound barrier consumes arbitrarily many
                 // files per slot, which a job template's one value per
-                // slot cannot express: build its plan directly, naming
-                // its outputs as its template does.
-                let mut fetch: Vec<TransferFile> = Vec::new();
-                for (port_idx, buf) in buffers.iter().enumerate() {
-                    for t in buf {
+                // slot cannot express: its job stages in every file it
+                // collected and names its outputs as its template does.
+                for (port_idx, list) in tokens.iter().enumerate() {
+                    for value in list.value.as_list().unwrap_or_default() {
                         self.obs.emit(|| TraceEvent::EdgeStaged {
                             at: ctx.backend.now(),
                             invocation: invocation.0,
                             processor: Arc::clone(&compiled.names[proc.0]),
                             port: p.inputs[port_idx].clone(),
-                            bytes: Self::staged_bytes(&t.value),
+                            bytes: Self::staged_bytes(value),
                         });
-                        if let DataValue::File { gfn, bytes } = &t.value {
-                            fetch.push(TransferFile {
-                                name: gfn.clone(),
-                                bytes: *bytes,
-                            });
-                        }
                     }
                 }
                 let template = compiled.templates[proc.0].as_ref();
-                let outputs = template.expect("a grid binding").outputs(invocation.0);
-                let store = outputs
-                    .iter()
-                    .map(|o| TransferFile {
-                        name: o.gfn.clone(),
-                        bytes: o.bytes,
-                    })
-                    .collect();
-                entry.grid_outputs = Some(file_outputs(outputs));
-                let plan = JobPlan {
-                    command_lines: vec![format!(
-                        "{} <{} collected inputs>",
-                        descriptor.executable.value, n_inputs
-                    )],
-                    fetch,
-                    store,
-                };
+                let template = Arc::clone(template.expect("a grid binding"));
+                entry.grid_outputs = Some(file_outputs(template.outputs(invocation.0)));
                 let index = DataIndex::scalar();
                 JobPayload::Grid {
-                    plan: Arc::new(plan),
+                    plan: Arc::new(GridPlan::barrier(template, tokens, invocation.0)),
                     compute_seconds: eval_cost_with(&mut self.rng, &profile.compute, &index),
                 }
             }

@@ -150,17 +150,16 @@ impl<'a> Enactment<'a> {
             &mut ctx,
             self.obs,
         )?;
-        {
-            let prof = instance.obs.prof().clone();
-            let _prof = prof.scope(Subsystem::EnactorLoop);
-            if let Err(e) = instance.wait_until_idle(&mut ctx) {
-                // A workflow abort must not abandon in-flight
-                // invocations: cancel their backend jobs and close
-                // their spans before the error propagates.
-                instance.abort(&mut ctx);
-                return Err(e);
-            }
+        let run = instance.obs.prof().open(Subsystem::EnactorLoop);
+        let waited = instance.wait_until_idle(&mut ctx);
+        if waited.is_err() {
+            // A workflow abort must not abandon in-flight
+            // invocations: cancel their backend jobs and close
+            // their spans before the error propagates.
+            instance.abort(&mut ctx);
         }
+        instance.obs.prof().close(run);
+        waited?;
         let now = ctx.backend.now();
         instance.finish(now)
     }

@@ -288,8 +288,21 @@ impl WorkflowInstance {
         ctx: &mut EnactCtx<'_>,
         budget: Option<usize>,
     ) -> Result<usize, MoteurError> {
-        let prof = self.obs.prof().clone();
-        let firing = prof.scope(Subsystem::Fire);
+        let firing = self.obs.prof().open(Subsystem::Fire);
+        let dispatched = self.fire_ready(ctx, budget);
+        self.obs.prof().close(firing);
+        let dispatched = dispatched?;
+        self.service_deferred(ctx)?;
+        Ok(dispatched)
+    }
+
+    /// The firing half of [`WorkflowInstance::pump_budgeted`]: fire to
+    /// fixpoint or to the budget; how many invocations went out.
+    fn fire_ready(
+        &mut self,
+        ctx: &mut EnactCtx<'_>,
+        budget: Option<usize>,
+    ) -> Result<usize, MoteurError> {
         let mut dispatched = 0usize;
         loop {
             if budget.is_some_and(|b| dispatched >= b) {
@@ -356,8 +369,6 @@ impl WorkflowInstance {
                 break;
             }
         }
-        drop(firing);
-        self.service_deferred(ctx)?;
         Ok(dispatched)
     }
 

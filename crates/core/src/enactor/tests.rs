@@ -6,7 +6,7 @@
 
 use super::attempts::PendingJob;
 use super::*;
-use crate::backend::{BackendCompletion, ServiceOutputs};
+use crate::backend::{BackendCompletion, ServiceOutputs, VirtualBackend};
 use crate::ft::{FtPolicy, RetryPolicy, TimeoutAction, TimeoutPolicy};
 use crate::graph::ProcessorKind;
 use crate::service::{ServiceBinding, ServiceProfile};
@@ -643,4 +643,160 @@ fn a_backend_that_loses_its_jobs_starves_the_run() {
         .run(&mut LostJobs::default())
         .unwrap_err();
     assert_eq!(err.message(), "backend starved with jobs in flight");
+}
+
+/// A virtual backend that holds every grid job's plan, as the backend
+/// reads it, to the plan the enactor rendered eagerly before plans were
+/// rendered on read (see [`GridPlan::eager`]), and counts the jobs of
+/// each shape it saw.
+#[derive(Default)]
+struct PlanCheck {
+    inner: VirtualBackend,
+    /// Single-stage, grouped, batched and barrier jobs.
+    seen: [usize; 4],
+}
+
+impl Backend for PlanCheck {
+    fn submit(&mut self, job: BackendJob) -> Result<(), MoteurError> {
+        if let JobPayload::Grid { plan, .. } = &job.payload {
+            let rendered = plan.render();
+            assert_eq!(rendered, plan.eager(), "{}", job.processor);
+            let (fetch, store) = plan.sizes();
+            assert_eq!(
+                fetch,
+                rendered.fetch.iter().map(|f| f.bytes).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                store,
+                rendered.store.iter().map(|f| f.bytes).collect::<Vec<_>>()
+            );
+            assert_eq!(plan.fetch_bytes(), rendered.fetch_bytes());
+            assert_eq!(plan.store_bytes(), rendered.store_bytes());
+            assert_eq!(plan.commands(), rendered.command_lines.len());
+            let lines = &rendered.command_lines;
+            let shape = match () {
+                _ if lines[0].ends_with("collected inputs>") => 3,
+                _ if rendered.store.len() > 2 || lines.len() > 2 => 2,
+                _ if lines.len() == 2 => 1,
+                _ => 0,
+            };
+            self.seen[shape] += 1;
+        }
+        self.inner.submit(job)
+    }
+    fn wait(&mut self, deadline: Option<SimTime>) -> WaitOutcome {
+        self.inner.wait(deadline)
+    }
+    fn cancel(&mut self, invocation: InvocationId) -> bool {
+        self.inner.cancel(invocation)
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+}
+
+/// crestLines → crestMatch (groupable) → a descriptor-bound barrier,
+/// over image pairs in which one GFN is bound to both ports at two
+/// sizes and others name an executable or a sandbox of the job.
+fn crest_pairs() -> (Workflow, InputData) {
+    let matcher = ExecutableDescriptor::parse(
+        r#"<description><executable name="CrestMatch">
+             <access type="URL"><path value="http://colors.unice.fr"/></access>
+             <value value="CrestMatch.pl"/>
+             <input name="c1" option="-c1"><access type="GFN"/></input>
+             <input name="c2" option="-c2"><access type="GFN"/></input>
+             <output name="transfo" option="-o"><access type="GFN"/></output>
+           </executable></description>"#,
+    )
+    .unwrap();
+    let collect = ExecutableDescriptor::parse(
+        r#"<description><executable name="Collect">
+             <access type="URL"><path value="http://colors.unice.fr"/></access>
+             <value value="collect"/>
+             <input name="transfo" option="-t"><access type="GFN"/></input>
+             <output name="summary" option="-o"><access type="GFN"/></output>
+           </executable></description>"#,
+    )
+    .unwrap();
+    let lines = ServiceProfile::new(10.0)
+        .with_fixed_param("scale", "2")
+        .with_output_bytes("crest_reference", 400_000)
+        .with_output_bytes("crest_floating", 400_000);
+    let mut wf = Workflow::new("crest");
+    let floating = wf.add_source("floating");
+    let reference = wf.add_source("reference");
+    let l = wf.add_service(
+        "crestLines",
+        &["floating_image", "reference_image"],
+        &["crest_reference", "crest_floating"],
+        ServiceBinding::descriptor(moteur_wrapper::crest_lines_example(), lines),
+    );
+    let m = wf.add_service(
+        "crestMatch",
+        &["c1", "c2"],
+        &["transfo"],
+        ServiceBinding::descriptor(matcher, ServiceProfile::new(5.0)),
+    );
+    let c = wf.add_service(
+        "collect",
+        &["transfo"],
+        &["summary"],
+        ServiceBinding::descriptor(collect, ServiceProfile::new(1.0)),
+    );
+    wf.set_synchronization(c, true);
+    let sink = wf.add_sink("sink");
+    wf.connect(floating, "out", l, "floating_image").unwrap();
+    wf.connect(reference, "out", l, "reference_image").unwrap();
+    wf.connect(l, "crest_reference", m, "c1").unwrap();
+    wf.connect(l, "crest_floating", m, "c2").unwrap();
+    wf.connect(m, "transfo", c, "transfo").unwrap();
+    wf.connect(c, "summary", sink, "in").unwrap();
+    let file = |gfn: &str, bytes| DataValue::File {
+        gfn: gfn.into(),
+        bytes,
+    };
+    let floating_images = vec![
+        file("gfn://img/same", 10),
+        file("http://colors.unice.fr/CrestLines.pl", 5),
+        file("gfn://img/f2", 7),
+        file("http://colors.unice.fr/CrestMatch.pl", 11),
+        file("gfn://img/f4", 8),
+    ];
+    let reference_images = vec![
+        file("gfn://img/same", 20),
+        file("http://colors.unice.fr/copy", 9),
+        file("gfn://img/same", 30),
+        file("gfn://img/r3", 12),
+        file("gfn://img/f4", 13),
+    ];
+    let inputs = InputData::new()
+        .set("floating", floating_images)
+        .set("reference", reference_images);
+    (wf, inputs)
+}
+
+/// Every grid job's plan, rendered on read, is the plan its members'
+/// eager fill (and absorb) renders, and the sizes the backend is handed
+/// are that plan's: single-stage jobs, the crestLines → crestMatch group,
+/// batches of three of each, and the barrier.
+#[test]
+fn every_plan_rendered_on_read_is_the_eager_plan() {
+    let (wf, inputs) = crest_pairs();
+    let mut seen = [0; 4];
+    for config in [
+        EnactorConfig::sp_dp(),
+        EnactorConfig::sp_dp_jg(),
+        EnactorConfig::sp_dp().with_batching(3),
+        EnactorConfig::sp_dp_jg().with_batching(3),
+    ] {
+        let mut backend = PlanCheck::default();
+        let result = Enactment::new(&wf, &inputs, config)
+            .run(&mut backend)
+            .unwrap();
+        assert_eq!(result.sink_counts["sink"], 1);
+        for (total, n) in seen.iter_mut().zip(backend.seen) {
+            *total += n;
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
 }

@@ -11,9 +11,10 @@
 //! the token's [`DataIndex`], exactly the provenance-based pairing the
 //! paper prescribes.
 
+use crate::backend::IdHasher;
 use crate::graph::IterationStrategy;
 use crate::token::{DataIndex, Token};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// A matched tuple ready to be fired: one token per input port, plus
@@ -30,29 +31,43 @@ pub struct MatchedSet {
 #[derive(Debug)]
 pub struct MatchEngine {
     strategy: IterationStrategy,
-    /// Dot state: per port, tokens queued by index (queues handle loop
-    /// feedback where the same index legitimately recurs).
-    dot: Vec<BTreeMap<DataIndex, VecDeque<Token>>>,
+    ports: usize,
+    /// Dot state: the unmatched tokens of each index that has any, one
+    /// hash join over every port. Looked up by index only, never
+    /// iterated, so the table's order cannot show.
+    dot: HashMap<DataIndex, DotSlot, IdHasher>,
     /// Tokens currently queued in `dot`, kept as a count so
     /// [`MatchEngine::pending`] — read on every port-room check — is
-    /// O(1) however long the queues grow.
+    /// O(1) however many indices wait.
     dot_pending: usize,
     /// Cross state: per port, all tokens seen so far.
     cross: Vec<Vec<Token>>,
+}
+
+/// The unmatched tokens of one index. Each port queues its tokens in
+/// arrival order: the oldest is the port's head, and the later ones,
+/// which only loop feedback resending an index brings, wait in one
+/// overflow in arrival order. A match takes every head, so at rest at
+/// least one port has none.
+#[derive(Debug)]
+struct DotSlot {
+    heads: Box<[Option<Token>]>,
+    overflow: VecDeque<(usize, Token)>,
 }
 
 impl MatchEngine {
     pub fn new(strategy: IterationStrategy, ports: usize) -> Self {
         MatchEngine {
             strategy,
-            dot: (0..ports).map(|_| BTreeMap::new()).collect(),
+            ports,
+            dot: HashMap::default(),
             dot_pending: 0,
             cross: (0..ports).map(|_| Vec::new()).collect(),
         }
     }
 
     pub fn ports(&self) -> usize {
-        self.dot.len()
+        self.ports
     }
 
     /// Feed one token into `port`; returns every invocation tuple this
@@ -81,34 +96,42 @@ impl MatchEngine {
         }
     }
 
+    /// Queue `token` at its index and, when that gives every port a
+    /// head there, take the heads as a match, in port order, and
+    /// promote each port's next queued token: one lookup, and one
+    /// removal when the index has nothing left.
     fn push_dot(&mut self, port: usize, token: Token, ready: &mut VecDeque<MatchedSet>) {
-        let index = token.index.clone();
-        self.dot[port]
-            .entry(index.clone())
-            .or_default()
-            .push_back(token);
-        self.dot_pending += 1;
-        // A match exists when every port has a queued token at `index`.
-        let complete = self
+        let ports = self.ports;
+        let slot = self
             .dot
-            .iter()
-            .all(|m| m.get(&index).is_some_and(|q| !q.is_empty()));
-        if !complete {
+            .entry(token.index.clone())
+            .or_insert_with(|| DotSlot {
+                heads: (0..ports).map(|_| None).collect(),
+                overflow: VecDeque::new(),
+            });
+        self.dot_pending += 1;
+        let head = &mut slot.heads[port];
+        if head.is_some() {
+            slot.overflow.push_back((port, token));
             return;
         }
-        let tokens: Arc<[Token]> = self
-            .dot
-            .iter_mut()
-            .map(|m| {
-                let q = m.get_mut(&index).expect("checked above");
-                let t = q.pop_front().expect("checked non-empty");
-                if q.is_empty() {
-                    m.remove(&index);
-                }
-                t
-            })
+        *head = Some(token);
+        if slot.heads.iter().any(Option::is_none) {
+            return;
+        }
+        let tokens: Arc<[Token]> = (slot.heads.iter_mut())
+            .map(|head| head.take().expect("every port has a head"))
             .collect();
-        self.dot_pending -= tokens.len();
+        self.dot_pending -= ports;
+        let index = tokens[port].index.clone();
+        if slot.overflow.is_empty() {
+            self.dot.remove(&index);
+        } else {
+            for (p, head) in slot.heads.iter_mut().enumerate() {
+                let next = slot.overflow.iter().position(|&(q, _)| q == p);
+                *head = next.and_then(|k| slot.overflow.remove(k)).map(|(_, t)| t);
+            }
+        }
         ready.push_back(MatchedSet { tokens, index });
     }
 
@@ -277,6 +300,79 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 9, "3 × 3");
+    }
+
+    /// The dot engine the hash join replaced, kept as its oracle: per
+    /// port, an ordered map from index to the tokens queued there.
+    #[derive(Default)]
+    struct PerPortQueues {
+        dot: Vec<std::collections::BTreeMap<DataIndex, VecDeque<Token>>>,
+        pending: usize,
+    }
+
+    impl PerPortQueues {
+        fn new(ports: usize) -> Self {
+            let dot = (0..ports).map(|_| Default::default()).collect();
+            PerPortQueues { dot, pending: 0 }
+        }
+
+        fn push(&mut self, port: usize, token: Token) -> Vec<MatchedSet> {
+            let index = token.index.clone();
+            let queue = self.dot[port].entry(index.clone()).or_default();
+            queue.push_back(token);
+            self.pending += 1;
+            let complete = (self.dot.iter()).all(|m| m.get(&index).is_some_and(|q| !q.is_empty()));
+            if !complete {
+                return Vec::new();
+            }
+            let tokens: Arc<[Token]> = (self.dot.iter_mut())
+                .map(|m| {
+                    let q = m.get_mut(&index).expect("checked above");
+                    let t = q.pop_front().expect("checked non-empty");
+                    if q.is_empty() {
+                        m.remove(&index);
+                    }
+                    t
+                })
+                .collect();
+            self.pending -= tokens.len();
+            vec![MatchedSet { tokens, index }]
+        }
+    }
+
+    /// Seeded streams of 2–4 ports, pushed in random port order, with
+    /// indices drawn from a small space so they recur (loop feedback
+    /// resending an index) and a share of them of depth 2: after every
+    /// push the hash join emits what the per-port queues emit, tokens,
+    /// index and order, and holds as many tokens back.
+    #[test]
+    fn the_hash_join_matches_the_per_port_queues_push_by_push() {
+        use moteur_gridsim::Rng;
+        for seed in 0..300 {
+            let mut rng = Rng::new(seed);
+            let ports = 2 + rng.index(3);
+            let mut engine = MatchEngine::new(IterationStrategy::Dot, ports);
+            let mut oracle = PerPortQueues::new(ports);
+            let mut matched = 0;
+            for step in 0..120u32 {
+                let port = rng.index(ports);
+                let index: Arc<[u32]> = match rng.chance(0.25) {
+                    true => Arc::from([rng.index(3) as u32, rng.index(3) as u32]),
+                    false => Arc::from([rng.index(6) as u32]),
+                };
+                let token = Token {
+                    value: DataValue::from(f64::from(step)),
+                    index: DataIndex(index),
+                    history: crate::token::History::source("s", step),
+                };
+                let want = oracle.push(port, token.clone());
+                let got = engine.push(port, token);
+                assert_eq!(got, want, "seed {seed}, step {step}");
+                assert_eq!(engine.pending(), oracle.pending, "seed {seed}, step {step}");
+                matched += got.len();
+            }
+            assert!(matched > 0, "seed {seed} matched nothing");
+        }
     }
 
     #[test]

@@ -89,8 +89,8 @@ mod value;
 // `crates/core/src` (DESIGN §3 lists which); everything else is
 // crate-private, so rustc reports what loses its last caller.
 pub use backend::{
-    Backend, BackendCompletion, BackendJob, InvocationId, JobPayload, LocalBackend, SimBackend,
-    VirtualBackend, WaitOutcome,
+    Backend, BackendCompletion, BackendJob, GridPlan, InvocationId, JobPayload, LocalBackend,
+    SimBackend, VirtualBackend, WaitOutcome,
 };
 pub use config::{EnactorConfig, SloConfig};
 pub use daemon::protocol::{check_protocol, serve};

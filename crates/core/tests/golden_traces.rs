@@ -210,6 +210,7 @@ impl Backend for PlanLog<'_> {
         } = &job.payload
         {
             let _ = writeln!(self.log, "compute {:016x}", compute_seconds.to_bits());
+            let plan = plan.render();
             for line in &plan.command_lines {
                 let _ = writeln!(self.log, "$ {line}");
             }

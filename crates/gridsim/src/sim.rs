@@ -379,8 +379,7 @@ impl GridSim {
         if deadline.is_none() && self.outstanding == 0 {
             return None;
         }
-        let prof = self.prof.clone();
-        let _drain = prof.scope(Subsystem::EventQueue);
+        let drain = self.prof.open(Subsystem::EventQueue);
         let drained_from = self.events_processed;
         let result = loop {
             if let Some(c) = self.completions.pop_front() {
@@ -405,14 +404,16 @@ impl GridSim {
             self.events_processed += 1;
             self.handle(event);
         };
-        self.flush_batches(&prof, drained_from);
+        self.flush_batches(drained_from);
+        self.prof.close(drain);
         result
     }
 
     /// Hand the drain's batch counters to the profiler, below the open
     /// `event_queue` scope: the events dispatched since
     /// `drained_from`, and the broker's matchmaking scans.
-    fn flush_batches(&mut self, prof: &Prof, drained_from: u64) {
+    fn flush_batches(&mut self, drained_from: u64) {
+        let prof = &self.prof;
         prof.add_batch(
             Subsystem::SimStep,
             self.events_processed - drained_from,

@@ -19,14 +19,18 @@
 //!    and therefore excluded from the canonical JSON document (see
 //!    [`ProfReport`]) — they surface in the human hot-spot table, the
 //!    collapsed-stack export and the OpenMetrics counters instead.
-//! 3. **Cheap when on.** Slots are relaxed atomics; a scope costs a
-//!    handful of uncontended atomic adds and, on one scope in 16 of its
-//!    subsystem only, two monotonic clock reads.
+//! 3. **Cheap when on.** Slots are relaxed atomics, bumped by a load and
+//!    a store rather than an atomic add; a scope costs a few of them,
+//!    two thread-local accesses and, on one scope in 64 of its
+//!    subsystem only, two monotonic clock reads. A handle counts
+//!    exactly while one thread at a time opens scopes through it, as an
+//!    enactment and its simulator do; threads racing on one handle may
+//!    lose each other's counts, never tear them.
 //!
 //! **Sampled wall time.** Calls and allocations are counted on every
 //! scope, so they are exact. The clock is read on the first scope of
-//! each subsystem and then on one in 16 on average (`TIMED_EVERY`, a
-//! constant). The gap to the next timed scope is drawn from 1 to 31 by
+//! each subsystem and then on one in 64 on average (`TIMED_EVERY`, a
+//! constant). The gap to the next timed scope is drawn from 1 to 127 by
 //! a hash of the scope's number, so that a workload whose costly calls
 //! recur with a fixed period cannot line up with the sampling: timing
 //! every 16th `fire` scope of the capacity-64 stream chain read 789
@@ -34,7 +38,7 @@
 //! many of its calls were timed, and its wall time is reported as the
 //! timed total scaled by `calls / timed`. A scope that runs once per
 //! run (`enactor_loop`) is therefore timed exactly, and a hot one is an
-//! estimate over one call in 16. A path none of whose calls happened to
+//! estimate over one call in 64. A path none of whose calls happened to
 //! be timed reports no wall time. A hot
 //! loop that batch-counts its calls instead of opening scopes asks
 //! [`Prof::times_next`] which of them to time, by the same rule, and
@@ -125,9 +129,12 @@ const N_SUBSYSTEMS: usize = Subsystem::ALL.len();
 
 /// One scope in this many of a subsystem reads the clock, on average,
 /// counting from its first (see the crate docs on sampled wall time).
-/// Two clock reads cost about as much as the rest of a scope together,
-/// and a hot scope wraps well under a microsecond of work.
-const TIMED_EVERY: u64 = 16;
+/// A hot scope wraps well under a microsecond of work, and a clock read
+/// inside a running enactment costs far more than in a loop of them: on
+/// a 2-core VM, the 1,200-item bronze chain of `overhead.rs` (release,
+/// best of 20) read 9–13 % profiler overhead timing one scope in 16,
+/// 0.8–3.3 % timing none, and 0.6–3.6 % timing one in 64.
+const TIMED_EVERY: u64 = 64;
 
 /// How many calls after call `n` the next timed one comes: 1 to
 /// `2 · TIMED_EVERY − 1`, `TIMED_EVERY` on average, from a hash of `n`
@@ -140,9 +147,10 @@ fn gap_after(n: u64) -> u64 {
     1 + h % (2 * TIMED_EVERY - 1)
 }
 
-/// One subsystem's accumulators. Relaxed atomics: totals are exact (no
-/// sample loss), only cross-slot ordering is unspecified, which a
-/// post-run snapshot never observes.
+/// One subsystem's accumulators. Relaxed atomics, bumped by [`bump`]:
+/// totals are exact (no sample loss) while one thread at a time writes
+/// them, and only cross-slot ordering is unspecified, which a post-run
+/// snapshot never observes.
 ///
 /// A subsystem's calls and wall time are the sums over the call paths
 /// that end in it (every scope lands in exactly one), so closing a
@@ -180,10 +188,10 @@ impl Calls {
     /// Count `calls` more, `timed` of which took `wall_nanos`; an
     /// untimed call leaves the timing counters alone.
     fn add(&self, calls: u64, timed: u64, wall_nanos: u64) {
-        self.calls.fetch_add(calls, Ordering::Relaxed);
+        bump(&self.calls, calls);
         if timed != 0 {
-            self.timed.fetch_add(timed, Ordering::Relaxed);
-            self.wall_nanos.fetch_add(wall_nanos, Ordering::Relaxed);
+            bump(&self.timed, timed);
+            bump(&self.wall_nanos, wall_nanos);
         }
     }
 
@@ -195,6 +203,18 @@ impl Calls {
         let wall_nanos = self.wall_nanos.load(Ordering::Relaxed);
         (calls, estimate_wall(calls, timed, wall_nanos))
     }
+}
+
+/// Add `n` to `counter` by a relaxed load and store. A scope is opened
+/// and closed by the thread that runs the enactment, so the counter has
+/// one writer at a time, and an atomic add's locked bus cycle (a third
+/// of a closing scope, measured) buys nothing.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
 /// The wall time of `calls` calls, `timed` of which took `wall_nanos`
@@ -227,6 +247,7 @@ impl ProfInner {
     /// Number one more call of `subsystem`; whether it is a timed one.
     /// Loads and stores, not atomic adds: two threads racing here can
     /// only shift which calls are timed, never what is counted.
+    #[inline]
     fn times_next(&self, subsystem: Subsystem) -> bool {
         let slot = &self.slots[subsystem.index()];
         let n = slot.opened.load(Ordering::Relaxed);
@@ -240,6 +261,7 @@ impl ProfInner {
 
     /// Count `calls` invocations of the subsystem `path` ends in,
     /// reached along `path`, `timed` of which took `wall_nanos`.
+    #[inline]
     fn add(&self, path: u64, calls: u64, timed: u64, wall_nanos: u64) {
         // Fibonacci hashing: paths differ in their low bytes.
         let hash = path.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -342,34 +364,65 @@ impl Prof {
     /// no-op (no clock read).
     #[inline]
     pub fn scope(&self, subsystem: Subsystem) -> ProfScope<'_> {
-        match &self.inner {
-            None => ProfScope { active: None },
-            Some(inner) => {
-                let (prev_path, path) = CURRENT_PATH.with(|c| {
-                    let prev = c.get();
-                    let path = push_path(prev, subsystem);
-                    c.set(path);
-                    (prev, path)
-                });
-                let timed = inner.times_next(subsystem);
-                let (start_allocs, start_bytes) = alloc::totals();
-                ProfScope {
-                    active: Some(ActiveScope {
-                        inner,
-                        subsystem,
-                        start: timed.then(Instant::now),
-                        start_allocs,
-                        start_bytes,
-                        prev_path,
-                        path,
-                    }),
-                }
-            }
+        ProfScope {
+            prof: self,
+            open: self.open(subsystem),
         }
     }
 
+    /// [`Prof::scope`] without the guard: the open scope borrows
+    /// nothing, so a caller that mutates the value holding this handle
+    /// keeps the scope open across that without cloning the handle.
+    /// It counts once [`Prof::close`]d on the same handle, and not at
+    /// all if dropped unclosed.
+    #[inline]
+    pub fn open(&self, subsystem: Subsystem) -> OpenScope {
+        let Some(inner) = &self.inner else {
+            return OpenScope(None);
+        };
+        let (prev_path, path) = CURRENT_PATH.with(|c| {
+            let prev = c.get();
+            let path = push_path(prev, subsystem);
+            c.set(path);
+            (prev, path)
+        });
+        let timed = inner.times_next(subsystem);
+        let (start_allocs, start_bytes) = alloc::totals();
+        OpenScope(Some(ScopeStart {
+            subsystem,
+            start: timed.then(Instant::now),
+            start_allocs,
+            start_bytes,
+            prev_path,
+            path,
+        }))
+    }
+
+    /// Close a scope [`Prof::open`] returned: count the call, its
+    /// allocator deltas and, when it was timed, its wall time.
+    #[inline]
+    pub fn close(&self, scope: OpenScope) {
+        let (Some(inner), Some(scope)) = (&self.inner, scope.0) else {
+            return;
+        };
+        let nanos = scope.start.map_or(0, |start| {
+            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        let (allocs, bytes) = alloc::totals();
+        // Nothing was allocated (or the counting allocator is not
+        // installed): leave the slot's cache line alone.
+        if allocs != scope.start_allocs {
+            let slot = &inner.slots[scope.subsystem.index()];
+            bump(&slot.allocs, allocs.saturating_sub(scope.start_allocs));
+            bump(&slot.alloc_bytes, bytes.saturating_sub(scope.start_bytes));
+        }
+        CURRENT_PATH.with(|c| c.set(scope.prev_path));
+        let timed = u64::from(scope.start.is_some());
+        inner.add(scope.path, 1, timed, nanos);
+    }
+
     /// Whether the next call of `subsystem` is one of its timed calls,
-    /// by the rule scopes follow (the first, then one in 16 on average,
+    /// by the rule scopes follow (the first, then one in 64 on average,
     /// at irregular gaps): for a hot
     /// loop that times its own calls and hands them over through
     /// [`Prof::add_batch`]. Always `false` on a disabled handle.
@@ -445,8 +498,15 @@ impl Prof {
     }
 }
 
-struct ActiveScope<'a> {
-    inner: &'a ProfInner,
+/// A scope [`Prof::open`] returned, to hand to [`Prof::close`]; empty on
+/// a disabled handle.
+#[derive(Debug)]
+#[must_use = "a scope counts only once closed"]
+pub struct OpenScope(Option<ScopeStart>);
+
+/// What closing a scope needs of its opening.
+#[derive(Debug)]
+struct ScopeStart {
     subsystem: Subsystem,
     /// When the scope opened; `None` for a scope that is not timed.
     start: Option<Instant>,
@@ -456,41 +516,17 @@ struct ActiveScope<'a> {
     path: u64,
 }
 
-impl std::fmt::Debug for ActiveScope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActiveScope")
-            .field("subsystem", &self.subsystem)
-            .finish_non_exhaustive()
-    }
-}
-
-/// RAII guard returned by [`Prof::scope`]; accumulates on drop.
+/// RAII guard returned by [`Prof::scope`]; closes its scope on drop.
 #[derive(Debug)]
 pub struct ProfScope<'a> {
-    active: Option<ActiveScope<'a>>,
+    prof: &'a Prof,
+    open: OpenScope,
 }
 
 impl Drop for ProfScope<'_> {
     fn drop(&mut self) {
-        let Some(scope) = self.active.take() else {
-            return;
-        };
-        let nanos = scope.start.map_or(0, |start| {
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        });
-        let (allocs, bytes) = alloc::totals();
-        // Nothing was allocated (or the counting allocator is not
-        // installed): leave the slot's cache line alone.
-        if allocs != scope.start_allocs {
-            let slot = &scope.inner.slots[scope.subsystem.index()];
-            slot.allocs
-                .fetch_add(allocs.saturating_sub(scope.start_allocs), Ordering::Relaxed);
-            slot.alloc_bytes
-                .fetch_add(bytes.saturating_sub(scope.start_bytes), Ordering::Relaxed);
-        }
-        CURRENT_PATH.with(|c| c.set(scope.prev_path));
-        let timed = u64::from(scope.start.is_some());
-        scope.inner.add(scope.path, 1, timed, nanos);
+        self.prof
+            .close(std::mem::replace(&mut self.open, OpenScope(None)));
     }
 }
 

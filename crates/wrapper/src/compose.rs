@@ -155,7 +155,8 @@ pub fn compose_group(
         .map(|m| m.binding.outputs.as_slice())
         .collect();
     let template = compile_with("", "", &stages, &exposed, &fixed);
-    let mut plan = template.plan(&files, 0, |_| {})?;
+    template.check(&files, |_| {})?;
+    let mut plan = template.render(std::iter::once((files.as_slice(), 0)));
     for file in &mut plan.fetch {
         file.bytes = catalog.size_of(&file.name);
     }

@@ -183,21 +183,44 @@ pub struct JobTemplate {
     processor: String,
     stages: Vec<Stage>,
     exposed: Vec<Exposed>,
-    /// The first fault found once every slot is bound: `fill` returns it
-    /// after the per-slot checks pass.
+    /// What one invocation stages in, repeats included, in plan order:
+    /// per stage its executable and sandboxes, then its file inputs in
+    /// binding order.
+    staged: Vec<Staged>,
+    /// The registered outputs of one invocation, `(stage, output)` in
+    /// plan order.
+    stored: Vec<(usize, usize)>,
+    /// The first fault found once every slot is bound: `check` returns
+    /// it after the per-slot checks pass.
     fault: Option<FillError>,
-    /// Upper bounds of the plan's fetch and store lists.
-    fetch_len: usize,
-    store_len: usize,
+    /// The first stage's executable.
+    executable: String,
+}
+
+/// One stage-in of an invocation.
+#[derive(Debug, Clone)]
+enum Staged {
+    /// An executable or sandbox, resolved, at [`UNKNOWN_FILE_BYTES`]. No
+    /// two are equal: a stage leaves out what an earlier one stages in.
+    Static(String),
+    /// The file job input `port` carries, at its own size.
+    Port(usize),
+}
+
+impl Staged {
+    /// The file's name over `inputs`, and its size when bound there.
+    fn resolve<'a, V: SlotValue>(&'a self, inputs: &'a [V]) -> Option<(&'a str, Option<u64>)> {
+        match self {
+            Staged::Static(name) => Some((name, None)),
+            Staged::Port(port) => (inputs[*port].file()).map(|(name, bytes)| (name, Some(bytes))),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Stage {
     /// `gfn://{workflow}/{processor}/` or `gfn://{workflow}/{processor}~{stage}/`.
     prefix: String,
-    /// The executable and sandboxes, resolved; none an earlier stage
-    /// already stages in.
-    fetch: Vec<TransferFile>,
     /// The bindings a fill acts on, in binding order.
     binds: Vec<Bind>,
     /// The command line: text, then the value of a job input.
@@ -241,8 +264,6 @@ struct Exposed {
     port: String,
     stage: usize,
     output: usize,
-    /// Its position in the plan's store list, when registered.
-    stored_at: Option<usize>,
 }
 
 /// A slot binding while a template is built.
@@ -287,29 +308,33 @@ impl JobTemplate {
     }
 
     /// Complete the plan for one invocation over `inputs`, one value per
-    /// job input: `staged(i)` is called as input `i` is bound, in
-    /// binding order. A file input stages in at its own size (a name
-    /// bound twice, at the size bound last), each output GFN is
-    /// formatted once, and a file that stays on the worker is only named
-    /// on the command line.
+    /// job input: [`JobTemplate::check`] the binding, then
+    /// [`JobTemplate::render`] the plan of a job running it alone and
+    /// name the files it delivers.
     pub fn fill<V: SlotValue>(
         &self,
         inputs: &[V],
         invocation: u64,
         staged: impl FnMut(usize),
     ) -> Result<FilledJob, FillError> {
-        let plan = self.plan(inputs, invocation, staged)?;
-        let outputs = self.deliver(invocation, &plan.store);
-        Ok(FilledJob { plan, outputs })
+        self.check(inputs, staged)?;
+        let plan = self.render(std::iter::once((inputs, invocation)));
+        Ok(FilledJob {
+            plan,
+            outputs: self.outputs(invocation),
+        })
     }
 
-    /// [`JobTemplate::fill`]'s plan, without naming the delivered files.
-    pub(crate) fn plan<V: SlotValue>(
+    /// Bind `inputs`, one value per job input, without rendering
+    /// anything: `staged(i)` is called as input `i` is bound, in binding
+    /// order, a file slot must receive a file, and a structural fault of
+    /// the template is returned at its place in the binding walk. A
+    /// binding that passes renders (see [`JobTemplate::render`]).
+    pub fn check<V: SlotValue>(
         &self,
         inputs: &[V],
-        invocation: u64,
         mut staged: impl FnMut(usize),
-    ) -> Result<JobPlan, FillError> {
+    ) -> Result<(), FillError> {
         for bind in self.stages.iter().flat_map(|s| &s.binds) {
             match bind {
                 Bind::Port { port, slot, file } => {
@@ -325,71 +350,174 @@ impl JobTemplate {
                 Bind::Fault(e) => return Err(e.clone()),
             }
         }
-        if let Some(e) = &self.fault {
-            return Err(e.clone());
+        match &self.fault {
+            Some(e) => Err(e.clone()),
+            None => Ok(()),
         }
+    }
+
+    /// How many stages a job of this template runs: the command lines
+    /// one invocation renders.
+    pub fn stages(&self) -> usize {
+        self.stages.len()
+    }
+
+    /// The executable the first stage runs, as its command line names it.
+    pub fn executable(&self) -> &str {
+        &self.executable
+    }
+
+    /// The plan of one job running `members` in order, each `(inputs,
+    /// invocation)` already [checked](JobTemplate::check): their command
+    /// lines, the files [`JobTemplate::fetch`] walks, and each member's
+    /// registered outputs. One member renders what [`JobTemplate::fill`]
+    /// returns; several render the first member's plan with each later
+    /// one [absorbed](JobPlan::absorb) in turn.
+    pub fn render<'a, V, I>(&'a self, members: I) -> JobPlan
+    where
+        V: SlotValue + 'a,
+        I: Iterator<Item = (&'a [V], u64)> + Clone,
+    {
+        let fetch = self.fetch(members.clone().map(|(inputs, _)| inputs));
         let mut plan = JobPlan {
-            command_lines: Vec::with_capacity(self.stages.len()),
-            fetch: Vec::with_capacity(self.fetch_len),
-            store: Vec::with_capacity(self.store_len),
+            command_lines: Vec::new(),
+            fetch: fetch
+                .map(|(name, bytes)| TransferFile {
+                    name: name.to_owned(),
+                    bytes,
+                })
+                .collect(),
+            store: Vec::new(),
         };
-        for stage in &self.stages {
-            for f in &stage.fetch {
-                if !plan.fetch.iter().any(|g| g.name == f.name) {
-                    plan.fetch.push(f.clone());
-                }
-            }
-            for bind in &stage.binds {
-                let (name, bytes) = match bind {
-                    Bind::Port {
-                        port, file: true, ..
-                    } => inputs[*port].file().expect("checked while binding"),
-                    _ => continue,
-                };
-                match plan.fetch.iter_mut().find(|f| f.name == name) {
-                    Some(f) => f.bytes = bytes,
-                    None => plan.fetch.push(TransferFile {
-                        name: name.to_owned(),
-                        bytes,
-                    }),
-                }
-            }
-            plan.command_lines.push(stage.render(inputs));
-            for out in stage.outputs.iter().filter(|o| o.stored) {
-                plan.store.push(TransferFile {
+        for (inputs, invocation) in members {
+            plan.command_lines
+                .extend(self.stages.iter().map(|stage| stage.render(inputs)));
+            plan.store.extend(self.stored.iter().map(|&(s, o)| {
+                let (stage, out) = (&self.stages[s], &self.stages[s].outputs[o]);
+                TransferFile {
                     name: stage.gfn(out, invocation),
                     bytes: out.bytes,
-                });
-            }
+                }
+            }));
         }
-        Ok(plan)
+        plan
+    }
+
+    /// Every file a job running `members` (each member's checked inputs,
+    /// in order) stages in, as `(name, bytes)` in the order its plan
+    /// lists them, without allocating. This walk is the one place the
+    /// rule lives: within one member a name staged twice (two ports, or
+    /// a port and an executable or sandbox) is fetched once, at its first
+    /// position and at the size bound last, and across members the first
+    /// member to stage a name fetches it.
+    pub fn fetch<'a, V, I>(&'a self, members: I) -> impl Iterator<Item = (&'a str, u64)> + 'a
+    where
+        V: SlotValue + 'a,
+        I: Iterator<Item = &'a [V]> + Clone + 'a,
+    {
+        Fetch {
+            template: self,
+            all: members.clone(),
+            members: members.enumerate(),
+            member: None,
+            next: 0,
+        }
+    }
+
+    /// The sizes of the files a job running `members` invocations
+    /// registers, in plan order.
+    pub fn store_sizes(&self, members: usize) -> impl Iterator<Item = u64> + '_ {
+        let sizes = self
+            .stored
+            .iter()
+            .map(|&(s, o)| self.stages[s].outputs[o].bytes);
+        (0..members).flat_map(move |_| sizes.clone())
     }
 
     /// The files a job of this template delivers under `invocation`, as
     /// [`JobTemplate::fill`] names them, without binding any input.
     pub fn outputs(&self, invocation: u64) -> Vec<BoundOutput> {
-        self.deliver(invocation, &[])
-    }
-
-    /// The output ports' files: a registered one shares the GFN its
-    /// `store` entry already formatted.
-    fn deliver(&self, invocation: u64, store: &[TransferFile]) -> Vec<BoundOutput> {
         self.exposed
             .iter()
             .map(|e| {
                 let stage = &self.stages[e.stage];
                 let out = &stage.outputs[e.output];
-                let gfn = match e.stored_at.and_then(|k| store.get(k)) {
-                    Some(stored) => stored.name.clone(),
-                    None => stage.gfn(out, invocation),
-                };
                 BoundOutput {
                     slot: e.port.clone(),
-                    gfn,
+                    gfn: stage.gfn(out, invocation),
                     bytes: out.bytes,
                 }
             })
             .collect()
+    }
+
+    /// The fetch entry of stage-in `i` over one member's `inputs`: none
+    /// when an earlier stage-in names the same file, else its name at the
+    /// size the last input bound to it carries ([`UNKNOWN_FILE_BYTES`]
+    /// for an executable or sandbox no input names).
+    fn fetched<'a, V: SlotValue>(&'a self, inputs: &'a [V], i: usize) -> Option<(&'a str, u64)> {
+        let (name, mut bytes) = self.staged[i].resolve(inputs)?;
+        let (before, after) = self.staged.split_at(i);
+        for earlier in before {
+            // Executables and sandboxes never repeat one another.
+            let both_static = bytes.is_none() && matches!(earlier, Staged::Static(_));
+            if !both_static && earlier.resolve(inputs).is_some_and(|(n, _)| n == name) {
+                return None;
+            }
+        }
+        for later in &after[1..] {
+            if let Some((n, Some(b))) = later.resolve(inputs) {
+                if n == name {
+                    bytes = Some(b);
+                }
+            }
+        }
+        Some((name, bytes.unwrap_or(UNKNOWN_FILE_BYTES)))
+    }
+
+    /// Whether one member's `inputs` stage `name` in.
+    fn stages_in<V: SlotValue>(&self, inputs: &[V], name: &str) -> bool {
+        (self.staged.iter()).any(|e| e.resolve(inputs).is_some_and(|(n, _)| n == name))
+    }
+}
+
+/// The walk [`JobTemplate::fetch`] returns.
+struct Fetch<'a, V, I> {
+    template: &'a JobTemplate,
+    all: I,
+    members: std::iter::Enumerate<I>,
+    /// The member being walked, and its position.
+    member: Option<(usize, &'a [V])>,
+    /// Its next stage-in.
+    next: usize,
+}
+
+impl<'a, V: SlotValue, I: Iterator<Item = &'a [V]> + Clone> Iterator for Fetch<'a, V, I> {
+    type Item = (&'a str, u64);
+
+    fn next(&mut self) -> Option<(&'a str, u64)> {
+        let template = self.template;
+        loop {
+            let (k, inputs) = match self.member {
+                Some(member) => member,
+                None => {
+                    self.next = 0;
+                    *self.member.insert(self.members.next()?)
+                }
+            };
+            while self.next < template.staged.len() {
+                let i = self.next;
+                self.next += 1;
+                let Some((name, bytes)) = template.fetched(inputs, i) else {
+                    continue;
+                };
+                let mut earlier = self.all.clone().take(k);
+                if !earlier.any(|e| template.stages_in(e, name)) {
+                    return Some((name, bytes));
+                }
+            }
+            self.member = None;
+        }
     }
 }
 
@@ -517,11 +645,10 @@ pub(crate) fn compile_with<'a>(
     }
 
     let mut statics: Vec<String> = Vec::new();
+    let mut staged = Vec::new();
     let mut built = Vec::with_capacity(drafts.len());
-    let mut fetch_len = 0;
     for (k, (draft, spec)) in drafts.iter().zip(stages).enumerate() {
         let d = draft.descriptor;
-        let mut fetch = Vec::new();
         for item in std::iter::once(&d.executable).chain(&d.sandboxes) {
             let name = match &item.access {
                 AccessMethod::Url { server } => format!("{server}/{}", item.value),
@@ -531,10 +658,7 @@ pub(crate) fn compile_with<'a>(
             };
             if !statics.contains(&name) {
                 statics.push(name.clone());
-                fetch.push(TransferFile {
-                    bytes: UNKNOWN_FILE_BYTES,
-                    name,
-                });
+                staged.push(Staged::Static(name));
             }
         }
         let mut binds = Vec::new();
@@ -542,10 +666,14 @@ pub(crate) fn compile_with<'a>(
             match src {
                 Src::Port { port, file: bound } => {
                     let input = d.input(slot);
+                    let file = input.is_some_and(InputSlot::is_file);
+                    if file {
+                        staged.push(Staged::Port(*port));
+                    }
                     binds.push(Bind::Port {
                         port: *port,
                         slot: (*slot).to_owned(),
-                        file: input.is_some_and(InputSlot::is_file),
+                        file,
                     });
                     // A binding's unknown name is its command line's fault.
                     if input.is_none() && !bound {
@@ -558,7 +686,6 @@ pub(crate) fn compile_with<'a>(
                 Src::Param(_) | Src::Produced { .. } => {}
             }
         }
-        fetch_len += fetch.len() + binds.len();
         let line = compile_line(draft, &drafts).unwrap_or_else(|e| {
             fault = fault.take().or(Some(FillError::Plan(e)));
             Vec::new()
@@ -570,36 +697,34 @@ pub(crate) fn compile_with<'a>(
                 Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
                 None => format!("gfn://{workflow}/{processor}/"),
             },
-            fetch,
             binds,
             line_len: line.iter().map(|p| p.text.len()).sum(),
             line,
             outputs: draft.outputs.iter().map(|(_, o)| o.clone()).collect(),
         });
     }
-    let mut stored_at = Vec::new();
+    let mut stored = Vec::new();
     for (k, stage) in built.iter().enumerate() {
-        for (o, out) in stage.outputs.iter().enumerate() {
-            if out.stored {
-                stored_at.push((k, o));
-            }
-        }
+        let outputs = stage.outputs.iter().enumerate();
+        stored.extend(outputs.filter(|(_, o)| o.stored).map(|(o, _)| (k, o)));
     }
     JobTemplate {
         processor: processor.to_owned(),
+        staged,
+        stored,
         exposed: ports
             .into_iter()
             .map(|(port, stage, output)| Exposed {
                 port: port.to_owned(),
                 stage,
                 output,
-                stored_at: stored_at.iter().position(|&at| at == (stage, output)),
             })
             .collect(),
-        store_len: stored_at.len(),
+        executable: stages
+            .first()
+            .map_or_else(String::new, |s| s.descriptor.executable.value.clone()),
         stages: built,
         fault,
-        fetch_len,
     }
 }
 
@@ -899,6 +1024,183 @@ mod tests {
         let err = template.fill(&images(), 0, |_| {}).unwrap_err();
         let bind = "grouped `g`: stage 0 consumes missing output `crest_reference` of stage 0";
         assert_eq!(err, FillError::Bind(bind.into()));
+    }
+
+    /// crestLines, then a matcher whose executable no earlier stage
+    /// stages in.
+    fn pf_match() -> ExecutableDescriptor {
+        ExecutableDescriptor::parse(
+            r#"<description><executable name="PFMatchICP">
+                 <access type="URL"><path value="http://colors.unice.fr"/></access>
+                 <value value="PFMatchICP"/>
+                 <input name="c1" option="-c1"><access type="GFN"/></input>
+                 <input name="c2" option="-c2"><access type="GFN"/></input>
+                 <output name="transfo" option="-o"><access type="GFN"/></output>
+               </executable></description>"#,
+        )
+        .unwrap()
+    }
+
+    fn files(list: &[(&str, u64)]) -> Vec<TransferFile> {
+        let file = |&(name, bytes): &(&str, u64)| TransferFile {
+            name: name.into(),
+            bytes,
+        };
+        list.iter().map(file).collect()
+    }
+
+    const CREST: &str = "http://colors.unice.fr/CrestLines.pl";
+    const CONVERT: &str = "http://colors.unice.fr/Convert8bits.pl";
+    const COPY: &str = "http://colors.unice.fr/copy";
+    const CMATCH: &str = "http://colors.unice.fr/cmatch";
+    const UNKNOWN: u64 = UNKNOWN_FILE_BYTES;
+    const LINES: &str = "-s 2 -c1 crest_reference -c2 crest_floating";
+
+    /// Render `members` and hold the plan to `want`, which the eager
+    /// builder (fill each member, absorb the later ones) rendered before
+    /// plans were rendered on read; then hold the sizing walk to the
+    /// rendered plan's files.
+    fn assert_renders(template: &JobTemplate, members: &[(&[V], u64)], want: &JobPlan) {
+        let rendered = template.render(members.iter().copied());
+        assert_eq!(&rendered, want);
+        let (first, rest) = members.split_first().unwrap();
+        let mut eager = template.fill(first.0, first.1, |_| {}).unwrap().plan;
+        for &(inputs, invocation) in rest {
+            eager.absorb(template.fill(inputs, invocation, |_| {}).unwrap().plan);
+        }
+        assert_eq!(&eager, want);
+        let walked: Vec<_> = template.fetch(members.iter().map(|m| m.0)).collect();
+        let fetched: Vec<_> = (want.fetch.iter())
+            .map(|f| (f.name.as_str(), f.bytes))
+            .collect();
+        assert_eq!(walked, fetched);
+        let stored: Vec<_> = want.store.iter().map(|f| f.bytes).collect();
+        assert_eq!(
+            template.store_sizes(members.len()).collect::<Vec<_>>(),
+            stored
+        );
+    }
+
+    /// A GFN bound to both image ports at two sizes stages in once, at
+    /// the last size; a GFN equal to an executable or sandbox URL is that
+    /// file, staged at the place the executable or sandbox has and at the
+    /// input's size, or at the input's place when a later stage's
+    /// executable names it; across the members of a batch the first to
+    /// stage a name fetches it.
+    #[test]
+    fn a_plan_rendered_on_read_is_the_eager_plan() {
+        let (lines, matcher, pf) = (crest_lines_example(), crest_match(), pf_match());
+        let single = JobTemplate::compile("wf", "p", &[crest_lines(&lines)], &exposed(&lines));
+        let group = crest_group(&lines, &matcher);
+        let other = crest_group(&lines, &pf);
+        let same = [V::File("gfn://img/same", 10), V::File("gfn://img/same", 20)];
+        let sandbox = [V::File(COPY, 5), V::File("gfn://img/r.hdr", 7_800_000)];
+        let later_exe = [
+            V::File("gfn://img/f.hdr", 6),
+            V::File("http://colors.unice.fr/PFMatchICP", 9),
+        ];
+        let statics = |copy| {
+            vec![
+                (CREST, UNKNOWN),
+                (CONVERT, UNKNOWN),
+                (COPY, copy),
+                (CMATCH, UNKNOWN),
+            ]
+        };
+        let crest_store = |inv: u64| {
+            let name = |slot| format!("gfn://wf/p/{inv}/{slot}");
+            [name("crest_reference"), name("crest_floating")].map(|name| TransferFile {
+                name,
+                bytes: 400_000,
+            })
+        };
+        let transfo = |stage: &str, inv: u64| TransferFile {
+            name: format!("gfn://wf/g~{stage}/{inv}/transfo"),
+            bytes: 2048,
+        };
+        let cmatch_line = "cmatch -c1 crest_reference -c2 crest_floating -o transfo";
+
+        let mut fetch = statics(UNKNOWN);
+        fetch.push(("gfn://img/same", 20));
+        let plan = JobPlan {
+            command_lines: vec![format!("CrestLines.pl -im1 same -im2 same {LINES}")],
+            fetch: files(&fetch),
+            store: crest_store(5).into(),
+        };
+        assert_renders(&single, &[(&same, 5)], &plan);
+        let plan = JobPlan {
+            command_lines: vec![plan.command_lines[0].clone(), cmatch_line.into()],
+            store: vec![transfo("crestMatch", 5)],
+            ..plan
+        };
+        assert_renders(&group, &[(&same, 5)], &plan);
+
+        let mut fetch = statics(5);
+        fetch.push(("gfn://img/r.hdr", 7_800_000));
+        let plan = JobPlan {
+            command_lines: vec![format!("CrestLines.pl -im1 copy -im2 r.hdr {LINES}")],
+            fetch: files(&fetch),
+            store: crest_store(5).into(),
+        };
+        assert_renders(&single, &[(&sandbox, 5)], &plan);
+        let plan = JobPlan {
+            command_lines: vec![plan.command_lines[0].clone(), cmatch_line.into()],
+            store: vec![transfo("crestMatch", 5)],
+            ..plan
+        };
+        assert_renders(&group, &[(&sandbox, 5)], &plan);
+
+        let mut fetch = statics(UNKNOWN);
+        fetch.extend([
+            ("gfn://img/f.hdr", 6),
+            ("http://colors.unice.fr/PFMatchICP", 9),
+        ]);
+        let plan = JobPlan {
+            command_lines: vec![
+                format!("CrestLines.pl -im1 f.hdr -im2 PFMatchICP {LINES}"),
+                "PFMatchICP -c1 crest_reference -c2 crest_floating -o transfo".into(),
+            ],
+            fetch: files(&fetch),
+            store: vec![transfo("crestMatch", 5)],
+        };
+        assert_renders(&other, &[(&later_exe, 5)], &plan);
+
+        // A batch of three, as `data_batching = 3` submits one.
+        let second = [V::File(CREST, 3), V::File("gfn://img/same", 40)];
+        let third = [V::File("gfn://img/x", 1), V::File("gfn://img/y", 2)];
+        let batch: [(&[V], u64); 3] = [
+            (&same, 7_000_000),
+            (&second, 7_000_001),
+            (&third, 7_000_002),
+        ];
+        let mut fetch = statics(UNKNOWN);
+        fetch.extend([
+            ("gfn://img/same", 20),
+            ("gfn://img/x", 1),
+            ("gfn://img/y", 2),
+        ]);
+        let lines = [
+            format!("CrestLines.pl -im1 same -im2 same {LINES}"),
+            format!("CrestLines.pl -im1 CrestLines.pl -im2 same {LINES}"),
+            format!("CrestLines.pl -im1 x -im2 y {LINES}"),
+        ];
+        let plan = JobPlan {
+            command_lines: lines.to_vec(),
+            fetch: files(&fetch),
+            store: (7_000_000..7_000_003).flat_map(crest_store).collect(),
+        };
+        assert_renders(&single, &batch, &plan);
+        let plan = JobPlan {
+            command_lines: lines
+                .iter()
+                .flat_map(|l| [l.clone(), cmatch_line.into()])
+                .collect(),
+            store: (7_000_000..7_000_003)
+                .map(|inv| transfo("crestMatch", inv))
+                .collect(),
+            ..plan
+        };
+        assert_renders(&group, &batch, &plan);
     }
 
     #[test]
