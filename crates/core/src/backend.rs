@@ -282,11 +282,15 @@ impl GridPlan {
         }
     }
 
-    /// Each stage-in's size, then each registration's, in plan order.
+    /// Each stage-in's size, then each registration's, in plan order,
+    /// each list allocated at its length: the simulator keeps them for
+    /// every job it runs.
     pub(crate) fn sizes(&self) -> (Vec<u64>, Vec<u64>) {
         let mut fetch = Vec::with_capacity(self.fetch().count());
         fetch.extend(self.fetch().map(|(_, bytes)| bytes));
-        (fetch, self.store().collect())
+        let mut store = Vec::with_capacity(self.store().count());
+        store.extend(self.store());
+        (fetch, store)
     }
 
     /// Every stage-in as `(name, bytes)`, in plan order.

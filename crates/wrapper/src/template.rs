@@ -12,15 +12,18 @@
 //! then only writes the values into their holes and names the outputs.
 //!
 //! The enactor compiles one template per processor
-//! ([`JobTemplate::compile`]) and fills it per firing.
+//! ([`JobTemplate::compile`]), [checks](JobTemplate::check) each
+//! firing's values against it, and hands the template and the values to
+//! the backend, which [renders](JobTemplate::render) the plan only if it
+//! reads it; the file sizes come from [`JobTemplate::fetch`]'s walk.
 //! [`compose_group`](crate::compose_group) is a thin adapter over the
 //! same builder: each binding becomes a stage (a literal is a
 //! [`Feed::Param`], a file an earlier member writes a [`Feed::Stage`],
 //! any other file a [`Feed::Port`]) that keeps the output GFNs the
-//! binding fixed, and the template is compiled and filled once. So every
-//! plan is rendered by one piece of code. A template stages executables
-//! and sandboxes in at a fixed 64 KiB; the adapter sizes the filled
-//! plan's files afterwards.
+//! binding fixed, and the template is compiled, checked and rendered
+//! once. So every plan is rendered by one piece of code. A template
+//! stages executables and sandboxes in at a fixed 64 KiB; the adapter
+//! sizes the rendered plan's files afterwards.
 
 use crate::descriptor::{AccessMethod, ExecutableDescriptor, InputSlot};
 use crate::error::WrapperError;
@@ -296,8 +299,8 @@ impl JobTemplate {
     /// a later stage consumes and no port exposes stays on the worker.
     ///
     /// Structural faults are not errors here: they are kept and returned
-    /// by the first [`JobTemplate::fill`], so a processor that never
-    /// fires never reports them.
+    /// by the first [`JobTemplate::check`] (or [`JobTemplate::fill`]), so
+    /// a processor that never fires never reports them.
     pub fn compile(
         workflow: &str,
         processor: &str,
