@@ -90,7 +90,8 @@ pub struct GridSim {
     /// Self-profiler handle; [`Prof::off`] keeps every scope a branch.
     prof: Prof,
     /// `pick_ce` calls since the last drain flushed them to the
-    /// profiler, how many of them were timed, and their wall nanos.
+    /// profiler, how many calls their timed ones stand for, and those
+    /// ones' wall nanos, each times what it stands for.
     picks: (u64, u64, u64),
 }
 
@@ -420,8 +421,8 @@ impl GridSim {
             0,
             0,
         );
-        let (calls, timed, wall_nanos) = std::mem::take(&mut self.picks);
-        prof.add_batch(Subsystem::PickCe, calls, timed, wall_nanos);
+        let (calls, represented, wall_nanos) = std::mem::take(&mut self.picks);
+        prof.add_batch(Subsystem::PickCe, calls, represented, wall_nanos);
     }
 
     /// Cancel a submitted job. Returns `true` if the job was still in
@@ -513,7 +514,8 @@ impl GridSim {
     /// fall back to the least-bad one, modelling a match that will sit
     /// in its queue until the CE returns.
     fn pick_ce(&mut self) -> CeId {
-        let started = self.prof.times_next(Subsystem::PickCe).then(Instant::now);
+        let weight = self.prof.times_next(Subsystem::PickCe);
+        let started = (weight != 0).then(Instant::now);
         let mut best_available: Option<usize> = None;
         let mut best_available_rank = f64::INFINITY;
         let mut best_any = 0usize;
@@ -543,8 +545,9 @@ impl GridSim {
         self.broker_view[best] += 1;
         self.picks.0 += u64::from(self.prof.is_enabled());
         if let Some(started) = started {
-            self.picks.1 += 1;
-            self.picks.2 += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.picks.1 += weight;
+            self.picks.2 += nanos.saturating_mul(weight);
         }
         CeId(best)
     }

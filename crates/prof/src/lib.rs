@@ -34,15 +34,20 @@
 //! a hash of the scope's number, so that a workload whose costly calls
 //! recur with a fixed period cannot line up with the sampling: timing
 //! every 16th `fire` scope of the capacity-64 stream chain read 789
-//! ms/op where timing every scope reads 431–444. Each call path keeps how
-//! many of its calls were timed, and its wall time is reported as the
-//! timed total scaled by `calls / timed`. A scope that runs once per
-//! run (`enactor_loop`) is therefore timed exactly, and a hot one is an
-//! estimate over one call in 64. A path none of whose calls happened to
-//! be timed reports no wall time. A hot
-//! loop that batch-counts its calls instead of opening scopes asks
-//! [`Prof::times_next`] which of them to time, by the same rule, and
-//! hands over how many it timed with [`Prof::add_batch`].
+//! ms/op where timing every scope reads 431–444. A timed scope stands
+//! for itself and the untimed calls since the previous timed one, so
+//! the first stands for itself alone: a run's first `fire` scope emits
+//! the sources and fires the first wave, and scaled up like a hot one
+//! it read 364 ms of `fire` in a 114 ms traced `bronze_dsp_jg`
+//! enactment.
+//! Each call path keeps how many calls its timed ones stand for and
+//! their wall nanos weighted alike, and reports that total scaled to
+//! its calls. A scope that runs once per run (`enactor_loop`) is
+//! therefore timed exactly, and a hot one is an estimate over one call
+//! in 64. A path none of whose calls happened to be timed reports no
+//! wall time. A hot loop that batch-counts its calls instead of opening
+//! scopes asks [`Prof::times_next`] which of them to time, by the same
+//! rule, and hands over what they stand for with [`Prof::add_batch`].
 //!
 //! Timers are *inclusive*: a `provenance_key` scope entered inside the
 //! `enactor_loop` scope counts toward both. The per-path table (used by
@@ -135,6 +140,8 @@ const N_SUBSYSTEMS: usize = Subsystem::ALL.len();
 /// best of 20) read 9–13 % profiler overhead timing one scope in 16,
 /// 0.8–3.3 % timing none, and 0.6–3.6 % timing one in 64.
 const TIMED_EVERY: u64 = 64;
+// A gap fits the low byte of `Slot::next_timed`.
+const _: () = assert!(2 * TIMED_EVERY - 1 <= 0xff);
 
 /// How many calls after call `n` the next timed one comes: 1 to
 /// `2 · TIMED_EVERY − 1`, `TIMED_EVERY` on average, from a hash of `n`
@@ -156,8 +163,9 @@ fn gap_after(n: u64) -> u64 {
 /// that end in it (every scope lands in exactly one), so closing a
 /// scope adds them once, in the path table; `calls` here take only
 /// what a full path table turned away. `opened` numbers the
-/// subsystem's scopes and `next_timed` is the number of the next one to
-/// time.
+/// subsystem's scopes, and `next_timed` is the number of the next one to
+/// time, shifted left 8 bits over the gap that leads to it (what that
+/// call stands for).
 #[derive(Debug, Default)]
 struct Slot {
     opened: AtomicU64,
@@ -175,33 +183,34 @@ struct PathSlot {
     calls: Calls,
 }
 
-/// Calls counted, how many of them were timed, and the wall nanos of
-/// the timed ones.
+/// Calls counted, how many calls the timed ones stand for, and their
+/// wall nanos, each times what it stands for.
 #[derive(Debug, Default)]
 struct Calls {
     calls: AtomicU64,
-    timed: AtomicU64,
+    represented: AtomicU64,
     wall_nanos: AtomicU64,
 }
 
 impl Calls {
-    /// Count `calls` more, `timed` of which took `wall_nanos`; an
-    /// untimed call leaves the timing counters alone.
-    fn add(&self, calls: u64, timed: u64, wall_nanos: u64) {
+    /// Count `calls` more, whose timed ones stand for `represented`
+    /// calls and took `wall_nanos` so weighted; an untimed call leaves
+    /// the timing counters alone.
+    fn add(&self, calls: u64, represented: u64, wall_nanos: u64) {
         bump(&self.calls, calls);
-        if timed != 0 {
-            bump(&self.timed, timed);
+        if represented != 0 {
+            bump(&self.represented, represented);
             bump(&self.wall_nanos, wall_nanos);
         }
     }
 
-    /// The calls and their estimated wall nanos: the timed total
+    /// The calls and their estimated wall nanos: the weighted total
     /// scaled to every call.
     fn snapshot(&self) -> (u64, u64) {
         let calls = self.calls.load(Ordering::Relaxed);
-        let timed = self.timed.load(Ordering::Relaxed);
+        let represented = self.represented.load(Ordering::Relaxed);
         let wall_nanos = self.wall_nanos.load(Ordering::Relaxed);
-        (calls, estimate_wall(calls, timed, wall_nanos))
+        (calls, estimate_wall(calls, represented, wall_nanos))
     }
 }
 
@@ -217,13 +226,14 @@ fn bump(counter: &AtomicU64, n: u64) {
     );
 }
 
-/// The wall time of `calls` calls, `timed` of which took `wall_nanos`
-/// together.
-fn estimate_wall(calls: u64, timed: u64, wall_nanos: u64) -> u64 {
-    if timed == 0 || timed == calls {
+/// The wall time of `calls` calls whose timed ones stand for
+/// `represented` of them and took `wall_nanos` so weighted; the calls
+/// after the last timed one are estimated alike.
+fn estimate_wall(calls: u64, represented: u64, wall_nanos: u64) -> u64 {
+    if represented == 0 || represented == calls {
         return wall_nanos;
     }
-    let scaled = u128::from(wall_nanos) * u128::from(calls) / u128::from(timed);
+    let scaled = u128::from(wall_nanos) * u128::from(calls) / u128::from(represented);
     u64::try_from(scaled).unwrap_or(u64::MAX)
 }
 
@@ -244,25 +254,32 @@ struct ProfInner {
 }
 
 impl ProfInner {
-    /// Number one more call of `subsystem`; whether it is a timed one.
+    /// Number one more call of `subsystem`; how many calls it stands
+    /// for when it is a timed one, 0 when it is not: itself and the
+    /// untimed calls since the previous timed one, so the first call
+    /// (a run's start-up, often the costliest) stands for itself alone.
     /// Loads and stores, not atomic adds: two threads racing here can
     /// only shift which calls are timed, never what is counted.
     #[inline]
-    fn times_next(&self, subsystem: Subsystem) -> bool {
+    fn times_next(&self, subsystem: Subsystem) -> u64 {
         let slot = &self.slots[subsystem.index()];
         let n = slot.opened.load(Ordering::Relaxed);
         slot.opened.store(n + 1, Ordering::Relaxed);
-        if n < slot.next_timed.load(Ordering::Relaxed) {
-            return false;
+        let next = slot.next_timed.load(Ordering::Relaxed);
+        if n < next >> 8 {
+            return 0;
         }
-        slot.next_timed.store(n + gap_after(n), Ordering::Relaxed);
-        true
+        let gap = gap_after(n);
+        slot.next_timed
+            .store((n + gap) << 8 | gap, Ordering::Relaxed);
+        (next & 0xff).max(1)
     }
 
     /// Count `calls` invocations of the subsystem `path` ends in,
-    /// reached along `path`, `timed` of which took `wall_nanos`.
+    /// reached along `path`, whose timed ones stand for `represented`
+    /// calls and took `wall_nanos` so weighted.
     #[inline]
-    fn add(&self, path: u64, calls: u64, timed: u64, wall_nanos: u64) {
+    fn add(&self, path: u64, calls: u64, represented: u64, wall_nanos: u64) {
         // Fibonacci hashing: paths differ in their low bytes.
         let hash = path.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut i = (hash >> (u64::BITS - PATH_SLOTS.trailing_zeros())) as usize;
@@ -276,14 +293,14 @@ impl ProfInner {
                 key => key,
             };
             if key == path {
-                slot.calls.add(calls, timed, wall_nanos);
+                slot.calls.add(calls, represented, wall_nanos);
                 return;
             }
             i = (i + 1) % PATH_SLOTS;
         }
         self.slots[leaf_index(path)]
             .calls
-            .add(calls, timed, wall_nanos);
+            .add(calls, represented, wall_nanos);
     }
 }
 
@@ -386,11 +403,12 @@ impl Prof {
             c.set(path);
             (prev, path)
         });
-        let timed = inner.times_next(subsystem);
+        let weight = inner.times_next(subsystem);
         let (start_allocs, start_bytes) = alloc::totals();
         OpenScope(Some(ScopeStart {
             subsystem,
-            start: timed.then(Instant::now),
+            start: (weight != 0).then(Instant::now),
+            weight,
             start_allocs,
             start_bytes,
             prev_path,
@@ -417,25 +435,28 @@ impl Prof {
             bump(&slot.alloc_bytes, bytes.saturating_sub(scope.start_bytes));
         }
         CURRENT_PATH.with(|c| c.set(scope.prev_path));
-        let timed = u64::from(scope.start.is_some());
-        inner.add(scope.path, 1, timed, nanos);
+        let weighted = nanos.saturating_mul(scope.weight);
+        inner.add(scope.path, 1, scope.weight, weighted);
     }
 
-    /// Whether the next call of `subsystem` is one of its timed calls,
-    /// by the rule scopes follow (the first, then one in 64 on average,
-    /// at irregular gaps): for a hot
-    /// loop that times its own calls and hands them over through
-    /// [`Prof::add_batch`]. Always `false` on a disabled handle.
+    /// How many calls the next call of `subsystem` stands for when it is
+    /// one of its timed calls, by the rule scopes follow (the first, then
+    /// one in 64 on average, at irregular gaps), and 0 when it is
+    /// not: for a hot loop that times its own calls and hands them over
+    /// through [`Prof::add_batch`]. Always 0 on a disabled handle.
     #[inline]
-    pub fn times_next(&self, subsystem: Subsystem) -> bool {
+    pub fn times_next(&self, subsystem: Subsystem) -> u64 {
         self.inner
             .as_ref()
-            .is_some_and(|inner| inner.times_next(subsystem))
+            .map_or(0, |inner| inner.times_next(subsystem))
     }
 
-    /// Record `calls` completed invocations of `subsystem`, `timed` of
-    /// which took `wall_nanos` together, attributed one level below the
-    /// current call path, without opening a scope per invocation.
+    /// Record `calls` completed invocations of `subsystem`, attributed
+    /// one level below the current call path, without opening a scope
+    /// per invocation: their timed calls stand for `represented` calls
+    /// (the sum of what [`Prof::times_next`] returned for them), and
+    /// `wall_nanos` is the sum of each one's wall nanos times what it
+    /// stands for.
     ///
     /// Hot loops use this instead of [`Prof::scope`]: the simulator
     /// dispatches millions of events per second, and a scope per event
@@ -443,13 +464,13 @@ impl Prof {
     /// table than stepping the simulation. The enclosing drain loop
     /// opens one real scope (which carries the wall time and the
     /// allocator deltas) and batch-counts its iterations through here.
-    pub fn add_batch(&self, subsystem: Subsystem, calls: u64, timed: u64, wall_nanos: u64) {
+    pub fn add_batch(&self, subsystem: Subsystem, calls: u64, represented: u64, wall_nanos: u64) {
         let Some(inner) = &self.inner else { return };
         if calls == 0 && wall_nanos == 0 {
             return;
         }
         let path = push_path(CURRENT_PATH.with(Cell::get), subsystem);
-        inner.add(path, calls, timed, wall_nanos);
+        inner.add(path, calls, represented, wall_nanos);
     }
 
     /// Snapshot the counters into an immutable report.
@@ -510,6 +531,9 @@ struct ScopeStart {
     subsystem: Subsystem,
     /// When the scope opened; `None` for a scope that is not timed.
     start: Option<Instant>,
+    /// How many calls a timed scope stands for (see
+    /// [`Prof::times_next`]); 0 for one that is not timed.
+    weight: u64,
     start_allocs: u64,
     start_bytes: u64,
     prev_path: u64,
@@ -817,7 +841,8 @@ mod tests {
         }
     }
 
-    /// Each path's (calls, timed calls), in ascending order.
+    /// Each path's (calls, calls its timed ones stand for), in
+    /// ascending order.
     fn path_counts(prof: &Prof) -> Vec<(u64, u64)> {
         let inner = prof.inner.as_ref().unwrap();
         let mut counts: Vec<(u64, u64)> = inner
@@ -828,7 +853,7 @@ mod tests {
                 let calls = &slot.calls;
                 (
                     calls.calls.load(Ordering::Relaxed),
-                    calls.timed.load(Ordering::Relaxed),
+                    calls.represented.load(Ordering::Relaxed),
                 )
             })
             .collect();
@@ -847,18 +872,28 @@ mod tests {
             }
         }
         let counts = path_counts(&prof);
-        // The once-per-run scope is timed; the hot one about 1,000
-        // times.
+        // The once-per-run scope is timed and stands for itself; the
+        // hot one's timed calls stand for every call up to the last of
+        // them, less than one gap from the end.
         assert_eq!(counts[0], (1, 1));
         assert_eq!(counts[1].0, n);
-        assert!((900..=1100).contains(&counts[1].1), "{counts:?}");
+        assert!(
+            (n - 2 * TIMED_EVERY..=n).contains(&counts[1].1),
+            "{counts:?}"
+        );
+        // About 1,000 of the hot calls are timed.
+        let fresh = Prof::enabled();
+        let timed = (0..n)
+            .filter(|_| fresh.times_next(Subsystem::Fire) != 0)
+            .count();
+        assert!((900..=1100).contains(&timed), "{timed}");
         let gaps: Vec<u64> = (0..1000).map(gap_after).collect();
         assert!(gaps.iter().all(|g| (1..2 * TIMED_EVERY).contains(g)));
         assert!(gaps.windows(2).any(|w| w[0] != w[1]), "no fixed period");
     }
 
     #[test]
-    fn sampled_wall_time_is_scaled_to_every_call() {
+    fn a_slow_first_call_is_counted_once_not_scaled_up() {
         let prof = Prof::enabled();
         let pause = std::time::Duration::from_millis(2);
         let n = 4 * TIMED_EVERY;
@@ -868,14 +903,17 @@ mod tests {
                 std::thread::sleep(pause);
             }
         }
-        // The first call is timed, and stands for `n / timed` calls.
-        let [(calls, timed)] = path_counts(&prof)[..] else {
+        // The first call stands for itself alone, so the estimate holds
+        // its pause once; scaled to every call like a later timed one,
+        // it would read about `pause · n / timed`, some 50 pauses.
+        let [(calls, _)] = path_counts(&prof)[..] else {
             panic!("one path")
         };
         assert_eq!(calls, n);
         let wall = prof.report().subsystems[Subsystem::StoreIo.index()].wall_nanos;
-        let floor = pause.as_nanos() as u64 * n / timed;
-        assert!(wall >= floor, "{wall} ns < {floor} ns");
+        let pause = pause.as_nanos() as u64;
+        assert!(wall >= pause, "{wall} ns < {pause} ns");
+        assert!(wall < 16 * pause, "{wall} ns scaled the first call up");
         assert_eq!(estimate_wall(5, 0, 0), 0, "never timed");
         assert_eq!(estimate_wall(5, 5, 7), 7, "all timed");
         assert_eq!(estimate_wall(32, 2, 10), 160);
