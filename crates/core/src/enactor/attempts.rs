@@ -9,7 +9,7 @@ use crate::ft::{QuarantineEntry, TimeoutAction};
 use crate::graph::ProcId;
 use crate::obs::TraceEvent;
 use crate::store::InvocationKey;
-use crate::token::{DataIndex, History, Token};
+use crate::token::{DataIndex, Token};
 use moteur_gridsim::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,8 +18,9 @@ use std::sync::Arc;
 /// carry several).
 pub(super) struct PendEntry {
     pub(super) index: DataIndex,
-    /// What the outputs' history is derived from.
-    pub(super) inputs: Inputs,
+    /// The matched tuple, shared with the ready queue it came from and
+    /// the job's payload; its histories become the outputs' history.
+    pub(super) inputs: Arc<[Token]>,
     /// Pre-synthesised output tokens for grid jobs (`None` → the
     /// completion carries real outputs from a local service).
     pub(super) grid_outputs: Option<ServiceOutputs>,
@@ -28,31 +29,11 @@ pub(super) struct PendEntry {
     pub(super) cache_key: Option<InvocationKey>,
 }
 
-/// A pending invocation's inputs, as its outputs' history needs them.
-pub(super) enum Inputs {
-    /// The matched tuple, shared with the ready queue it came from and
-    /// the job's payload.
-    Tuple(Arc<[Token]>),
-    /// A cache replay's input histories: its job carries no tuple, so
-    /// the entry keeps these rather than every input token.
-    Histories(Vec<Arc<History>>),
-}
-
-impl Inputs {
-    /// The input histories, in port order.
-    pub(super) fn histories(self) -> Vec<Arc<History>> {
-        match self {
-            Inputs::Tuple(tokens) => tokens.iter().map(|t| Arc::clone(&t.history)).collect(),
-            Inputs::Histories(histories) => histories,
-        }
-    }
-}
-
 impl PendEntry {
     /// The entry of the invocation at `index` consuming `inputs`.
     pub(super) fn of(
         index: DataIndex,
-        inputs: Inputs,
+        inputs: Arc<[Token]>,
         grid_outputs: Option<ServiceOutputs>,
         cache_key: Option<InvocationKey>,
     ) -> Self {

@@ -85,7 +85,8 @@ impl WorkflowInstance {
                 }
             };
             let name = Arc::clone(&compiled.names[proc_id.0]);
-            let history = History::derived(name, entry.inputs.histories());
+            let inputs = entry.inputs.iter().map(|t| Arc::clone(&t.history));
+            let history = History::derived(name, inputs.collect());
             if let Some(key) = entry.cache_key.filter(|_| ctx.store.is_some()) {
                 let prof = self.obs.prof();
                 let _prof = prof.scope(Subsystem::StoreIo);

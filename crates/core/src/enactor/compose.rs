@@ -4,7 +4,7 @@
 //! one first submission, and the barrier's job. A grid job carries its
 //! template and input tuples; its plan is rendered only when read.
 
-use super::attempts::{Inputs, PendEntry, PendingJob};
+use super::attempts::{PendEntry, PendingJob};
 use super::{EnactCtx, WorkflowInstance};
 use crate::backend::{GridMember, GridPlan, InvocationId, JobPayload, ServiceOutputs};
 use crate::error::MoteurError;
@@ -20,10 +20,6 @@ use crate::value::DataValue;
 use moteur_gridsim::Rng;
 use moteur_wrapper::{BoundOutput, JobTemplate, SlotValue};
 use std::sync::Arc;
-
-/// A ready invocation the data manager did not know: its shared input
-/// tuple and the entry its job will carry.
-type Admitted = (Arc<[Token]>, PendEntry);
 
 impl WorkflowInstance {
     /// The key a ready invocation of `proc` over `tokens` is memoized
@@ -55,17 +51,16 @@ impl WorkflowInstance {
     /// hit needs none of it; an unbound processor has no digest, so it
     /// cannot hit). A memoized invocation is replayed here after a
     /// simulated transfer — under `id`, or under a fresh id when it
-    /// leaves a batch — and `None` comes back; otherwise its input
-    /// tuple and the entry its job will carry, which shares the tuple
-    /// and holds the key to record the outputs under when the
-    /// invocation is memoizable.
+    /// leaves a batch — and `None` comes back; otherwise the entry its
+    /// job will carry: the shared input tuple, and the key to record the
+    /// outputs under when the invocation is memoizable.
     fn admit(
         &mut self,
         ctx: &mut EnactCtx<'_>,
         proc: ProcId,
         matched: MatchedSet,
         id: Option<InvocationId>,
-    ) -> Result<Option<Admitted>, MoteurError> {
+    ) -> Result<Option<PendEntry>, MoteurError> {
         let MatchedSet { tokens, index } = matched;
         let cache_key = self.memo_key(ctx, proc, &tokens);
         if let (Some(key), Some(store)) = (cache_key, ctx.store.as_deref_mut()) {
@@ -75,16 +70,13 @@ impl WorkflowInstance {
                 let transfer_seconds = cost.map_or(0.0, |d| d.sample(&mut self.rng).max(0.0));
                 drop(io);
                 let id = id.unwrap_or_else(|| self.next_id());
-                let histories = tokens.iter().map(|t| Arc::clone(&t.history));
-                let inputs = Inputs::Histories(histories.collect());
-                let entry = PendEntry::of(index, inputs, Some(outputs), None);
+                let entry = PendEntry::of(index, tokens, Some(outputs), None);
                 let replay = JobPayload::Fetch { transfer_seconds };
                 self.submit(ctx, proc, vec![entry], id, replay)?;
                 return Ok(None);
             }
         }
-        let entry = PendEntry::of(index, Inputs::Tuple(Arc::clone(&tokens)), None, cache_key);
-        Ok(Some((tokens, entry)))
+        Ok(Some(PendEntry::of(index, tokens, None, cache_key)))
     }
 
     /// The second half, for a grid-bound member the data manager did
@@ -96,7 +88,6 @@ impl WorkflowInstance {
         &mut self,
         ctx: &mut EnactCtx<'_>,
         proc: ProcId,
-        tokens: &[Token],
         entry: &mut PendEntry,
         id: InvocationId,
     ) -> Result<(Arc<JobTemplate>, f64), MoteurError> {
@@ -115,6 +106,7 @@ impl WorkflowInstance {
                 _ => "firing an unbound processor",
             }));
         };
+        let tokens = &entry.inputs;
         template.check(tokens, |port| {
             self.obs.emit(|| TraceEvent::EdgeStaged {
                 at: ctx.backend.now(),
@@ -154,20 +146,20 @@ impl WorkflowInstance {
         matched: MatchedSet,
     ) -> Result<(), MoteurError> {
         let invocation = self.next_id();
-        let Some((tokens, mut entry)) = self.admit(ctx, proc, matched, Some(invocation))? else {
+        let Some(mut entry) = self.admit(ctx, proc, matched, Some(invocation))? else {
             return Ok(());
         };
         let binding = &self.compiled.workflow.processors[proc.0].binding;
         let payload = if let Some(ServiceBinding::Local(service)) = binding {
             JobPayload::Local {
                 service: service.clone(),
-                inputs: tokens,
+                inputs: Arc::clone(&entry.inputs),
             }
         } else {
             let (template, compute_seconds) =
-                self.compose_member(ctx, proc, &tokens, &mut entry, invocation)?;
+                self.compose_member(ctx, proc, &mut entry, invocation)?;
             let member = GridMember {
-                inputs: tokens,
+                inputs: Arc::clone(&entry.inputs),
                 invocation: invocation.0,
             };
             JobPayload::Grid {
@@ -197,11 +189,11 @@ impl WorkflowInstance {
         let n_misses = misses.len();
         let mut job = None;
         let mut entries = Vec::with_capacity(n_misses);
-        for (k, (tokens, mut entry)) in misses.into_iter().enumerate() {
+        for (k, mut entry) in misses.into_iter().enumerate() {
             let id = InvocationId(invocation.0 * 1_000_000 + k as u64);
-            let (template, compute) = self.compose_member(ctx, proc, &tokens, &mut entry, id)?;
+            let (template, compute) = self.compose_member(ctx, proc, &mut entry, id)?;
             let member = GridMember {
-                inputs: tokens,
+                inputs: Arc::clone(&entry.inputs),
                 invocation: id.0,
             };
             entries.push(entry);
@@ -337,8 +329,7 @@ impl WorkflowInstance {
             .ok_or_else(|| MoteurError::new("synchronization processor without binding"))?;
         // Synchronization barriers consume whole streams; they are
         // never memoized.
-        let inputs = Inputs::Tuple(Arc::clone(&tokens));
-        let mut entry = PendEntry::of(DataIndex::scalar(), inputs, None, None);
+        let mut entry = PendEntry::of(DataIndex::scalar(), Arc::clone(&tokens), None, None);
         let payload = match binding {
             ServiceBinding::Local(service) => JobPayload::Local {
                 service: service.clone(),
