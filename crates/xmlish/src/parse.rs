@@ -8,6 +8,12 @@
 use crate::ast::{Element, Node};
 use crate::error::{Position, Span, XmlError, XmlErrorKind};
 
+/// The deepest element nesting [`parse`] accepts: the root is level 1,
+/// and an element opened below level `MAX_XML_DEPTH` is a
+/// [`XmlErrorKind::TooDeep`] at its `<`. The parser recurses once per
+/// level, so without a bound one hostile document overflows the stack.
+pub const MAX_XML_DEPTH: usize = 128;
+
 /// Parse a complete document and return its root element.
 ///
 /// Leading XML declarations, processing instructions and comments are
@@ -15,7 +21,7 @@ use crate::error::{Position, Span, XmlError, XmlErrorKind};
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut cur = Cursor::new(input);
     cur.skip_misc();
-    let root = cur.parse_element()?;
+    let root = cur.parse_element(1)?;
     cur.skip_misc();
     if !cur.at_end() {
         return Err(cur.error(XmlErrorKind::ContentAfterRoot));
@@ -150,7 +156,13 @@ impl<'a> Cursor<'a> {
         Ok(self.input[start..self.pos].to_string())
     }
 
-    fn parse_element(&mut self) -> Result<Element, XmlError> {
+    /// Parse one element at nesting level `depth` (the root is 1).
+    fn parse_element(&mut self, depth: usize) -> Result<Element, XmlError> {
+        if depth > MAX_XML_DEPTH {
+            return Err(self.error(XmlErrorKind::TooDeep {
+                limit: MAX_XML_DEPTH,
+            }));
+        }
         let open_start = self.pos;
         self.expect("<")?;
         let name = self.parse_name()?;
@@ -188,7 +200,7 @@ impl<'a> Cursor<'a> {
             return Ok(element);
         }
         self.expect(">")?;
-        self.parse_content(&mut element)?;
+        self.parse_content(&mut element, depth)?;
         element.span = Span::new(open_start, self.pos);
         Ok(element)
     }
@@ -217,7 +229,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parse children up to and including the matching end tag.
-    fn parse_content(&mut self, element: &mut Element) -> Result<(), XmlError> {
+    fn parse_content(&mut self, element: &mut Element, depth: usize) -> Result<(), XmlError> {
         let mut text = String::new();
         loop {
             if self.at_end() {
@@ -281,7 +293,7 @@ impl<'a> Cursor<'a> {
             }
             if self.starts_with("<") {
                 flush_text(&mut text, element);
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.children.push(Node::Element(child));
                 continue;
             }
@@ -317,25 +329,23 @@ impl<'a> Cursor<'a> {
             "amp" => Ok('&'),
             "apos" => Ok('\''),
             "quot" => Ok('"'),
-            _ if body.starts_with("#x") || body.starts_with("#X") => {
-                let code = u32::from_str_radix(&body[2..], 16).map_err(|_| {
-                    XmlError::new(
-                        start_pos,
-                        XmlErrorKind::BadCharacterReference { body: body.into() },
-                    )
-                })?;
-                char::from_u32(code).ok_or(XmlError::new(
-                    start_pos,
-                    XmlErrorKind::CharacterOutOfRange { code },
-                ))
-            }
             _ if body.starts_with('#') => {
-                let code = body[1..].parse::<u32>().map_err(|_| {
+                let bad = || {
                     XmlError::new(
                         start_pos,
                         XmlErrorKind::BadCharacterReference { body: body.into() },
                     )
-                })?;
+                };
+                let (digits, radix) = match body[1..].strip_prefix(['x', 'X']) {
+                    Some(hex) => (hex, 16),
+                    None => (&body[1..], 10),
+                };
+                // `CharRef` is digits only; `from_str_radix` alone would
+                // also take a leading `+`.
+                if digits.starts_with('+') {
+                    return Err(bad());
+                }
+                let code = u32::from_str_radix(digits, radix).map_err(|_| bad())?;
                 char::from_u32(code).ok_or(XmlError::new(
                     start_pos,
                     XmlErrorKind::CharacterOutOfRange { code },
@@ -501,6 +511,44 @@ mod tests {
             err.kind,
             XmlErrorKind::BadCharacterReference { .. }
         ));
+    }
+
+    #[test]
+    fn a_signed_character_reference_is_refused_at_the_ampersand() {
+        for src in ["<a>&#+65;</a>", "<a>&#x+41;</a>", "<a v='&#X+41;'/>"] {
+            let err = parse(src).unwrap_err();
+            assert!(
+                matches!(&err.kind, XmlErrorKind::BadCharacterReference { .. }),
+                "{src}: {err}"
+            );
+            assert_eq!(&src[err.offset()..=err.offset()], "&", "{src}");
+        }
+        assert_eq!(parse("<a>&#X41;&#x2b;</a>").unwrap().text(), "A+");
+    }
+
+    fn nested(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error_at_the_offending_lt() {
+        let e = parse(&nested(MAX_XML_DEPTH)).unwrap();
+        assert_eq!(e.element_count(), MAX_XML_DEPTH);
+        let err = parse(&nested(MAX_XML_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.kind,
+            XmlErrorKind::TooDeep {
+                limit: MAX_XML_DEPTH
+            }
+        );
+        assert_eq!(err.offset(), 3 * MAX_XML_DEPTH, "the deepest `<`");
+        assert_eq!(err.position.column as usize, 3 * MAX_XML_DEPTH + 1);
+        // Far past the limit it is the same error, not a stack overflow.
+        let err = parse(&nested(100_000)).unwrap_err();
+        assert_eq!(err.offset(), 3 * MAX_XML_DEPTH);
+        // Siblings do not add depth.
+        let wide = format!("<a>{}</a>", "<b/>".repeat(10 * MAX_XML_DEPTH));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

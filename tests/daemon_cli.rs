@@ -220,6 +220,31 @@ fn deeply_nested_request_gets_an_error_response_and_the_session_continues() {
     );
 }
 
+/// A workflow nested far past the XML parser's depth limit is refused
+/// in the response; it used to overflow the daemon's stack and abort it.
+#[test]
+fn deeply_nested_workflow_gets_an_error_response_and_the_session_continues() {
+    let depth = 100_000;
+    let workflow = "<a>".repeat(depth) + &"</a>".repeat(depth);
+    let submit = format!(
+        r#"{{"schema":"moteur/daemon/v1","op":"submit","tenant":"t","workflow":"{workflow}","inputs":"{}"}}"#,
+        tiny_inputs_json(1)
+    );
+    let responses = run_session(&[submit, req("metrics")]);
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(responses[0].contains(r#""ok":false"#), "{}", responses[0]);
+    assert!(
+        responses[0].contains("nested deeper than 128 levels"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].contains(r#""op":"metrics","ok":true"#),
+        "{}",
+        responses[1]
+    );
+}
+
 /// Regression: a stock `json.dumps` client ASCII-escapes astral
 /// characters as surrogate pairs, which the parser used to reject.
 #[test]
