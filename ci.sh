@@ -97,6 +97,19 @@ if awk 'FNR == 1 {tests = 0}
   echo "the store builds a JSON tree: read through obs::json's Cursor" >&2
   exit 1
 fi
+# No hash order in a committed byte: every product HashMap / HashSet
+# names the fixed-seed `IdHasher` as its hasher. clippy.toml bans the
+# seeded constructors, but a map built by `collect()` or `Default` with
+# the std hasher passes that ban, so no product line (each file above
+# its `#[cfg(test)]` line) may name `HashMap<` or `HashSet<` without
+# `IdHasher`.
+if awk 'FNR == 1 {tests = 0}
+    /^#\[cfg\(test\)\]/ {tests = 1}
+    !tests && /Hash(Map|Set)</ && !/IdHasher/ {print FILENAME ":" FNR ":" $0; found = 1}
+    END {exit !found}' $(find crates/*/src src -name '*.rs' | sort); then
+  echo "a product map has the std hasher: name IdHasher as its third parameter" >&2
+  exit 1
+fi
 # Compile once, render on read: a processor's job plan is a template
 # built with the CompiledWorkflow, so a firing may not go back to
 # building a wrapper binding, catalog or group member. A firing checks

@@ -75,11 +75,10 @@ fn render_label(out: &mut String, label: &Label, path: &str, source: Option<&str
     let _ = writeln!(out, "{line:>gutter$} | {text}");
     // Caret row: primary labels get `^`, secondary `-`.
     let pad = source[line_start..start].chars().count();
-    let span_on_line = label.span.end.min(line_end).saturating_sub(start).max(1);
-    let marks = source[start..(start + span_on_line).min(line_end.max(start))]
-        .chars()
-        .count()
-        .max(1);
+    // At least one mark, counted in characters: an empty span before a
+    // multi-byte character still gets its caret.
+    let end = label.span.end.clamp(start, line_end);
+    let marks = source[start..end].chars().count().max(1);
     let mark = if label.primary { '^' } else { '-' };
     let _ = writeln!(
         out,
@@ -208,6 +207,23 @@ mod tests {
         assert!(text.contains("^^^^^^^^^^ declared here"));
         assert!(text.contains("= help: bind it"));
         assert!(text.contains("wf.xml: 1 error"));
+    }
+
+    #[test]
+    fn an_empty_span_before_a_multibyte_character_gets_one_caret() {
+        let source = "<scufl x=\u{e9}/>\n";
+        let at = source.find('\u{e9}').unwrap();
+        let mut r = LintReport::default();
+        r.push(
+            Diagnostic::error("M000", "expected a quoted attribute value")
+                .primary(Span::new(at, at), "XML does not parse beyond this point"),
+        );
+        let text = render_human(&r, "wf.xml", Some(source));
+        assert!(text.contains("--> wf.xml:1:10"), "{text}");
+        assert!(
+            text.contains("|          ^ XML does not parse beyond this point"),
+            "{text}"
+        );
     }
 
     #[test]

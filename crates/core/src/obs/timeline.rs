@@ -413,8 +413,9 @@ impl Timeline {
 
     /// ASCII heatmap of every series named `<row>.<metric>`: one row
     /// per matching series, columns are time buckets, intensity is
-    /// normalised against the global peak.
-    pub fn render_heatmap(&self, metric: &str, width: usize) -> String {
+    /// normalised against the global peak. `None` when no series
+    /// matches.
+    pub fn render_heatmap(&self, metric: &str, width: usize) -> Option<String> {
         let width = width.clamp(10, 200);
         let suffix = format!(".{metric}");
         let t_end = self.t_end();
@@ -423,7 +424,7 @@ impl Timeline {
             .filter(|s| s.name.ends_with(&suffix))
             .collect();
         if rows.is_empty() {
-            return format!("no `{metric}` series recorded\n");
+            return None;
         }
         let grids: Vec<(String, Vec<Option<f64>>)> = rows
             .iter()
@@ -452,7 +453,7 @@ impl Timeline {
                 .collect();
             out.push_str(&format!("{label:label_w$} |{row}|\n"));
         }
-        out
+        Some(out)
     }
 }
 
@@ -1058,14 +1059,14 @@ mod tests {
                 );
             }
         }
-        let heat = tl.render_heatmap("queue_depth", 40);
+        let heat = tl.render_heatmap("queue_depth", 40).unwrap();
         assert!(heat.contains("queue_depth heatmap"), "{heat}");
         assert!(heat.contains("ce0"), "{heat}");
         assert!(heat.lines().count() >= 4, "{heat}");
         assert!(heat.is_ascii(), "ASCII only: {heat}");
         let spark = tl.render(40);
         assert!(spark.contains("ce2.queue_depth"), "{spark}");
-        assert!(tl.render_heatmap("nothing", 40).contains("no `nothing`"));
+        assert_eq!(tl.render_heatmap("nothing", 40), None);
     }
 
     #[test]

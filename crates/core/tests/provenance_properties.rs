@@ -4,7 +4,7 @@
 //! be functions of *structure*, not of construction order, sharing, or
 //! token arrival order. The XML export, `history_to_xml` /
 //! `history_from_xml`, must round-trip arbitrarily deep and wide trees
-//! exactly.
+//! exactly, and their text as deep as the XML parser's nesting bound.
 
 use moteur::{
     history_from_xml, history_to_xml, invocation_key, provenance_key, DataStore, DataValue,
@@ -53,15 +53,34 @@ fn round_trips(history: &Arc<History>) {
     assert_eq!(&history_from_xml(&reparsed).expect("parses"), history);
 }
 
+/// `stages` derivations over one source: `stages + 1` nested elements.
+fn chain(stages: usize) -> Arc<History> {
+    let mut h = History::source("origin", 0);
+    for i in 0..stages {
+        h = History::derived(format!("stage{i}"), vec![h]);
+    }
+    h
+}
+
 #[test]
 fn deep_history_chains_round_trip() {
     // A 300-deep derivation chain — far beyond any real workflow, to
     // catch accidental recursion limits or depth-dependent rendering.
-    let mut h = History::source("origin", 0);
-    for i in 0..300 {
-        h = History::derived(format!("stage{i}"), vec![h]);
-    }
-    round_trips(&h);
+    let h = chain(300);
+    let el = history_to_xml(&h);
+    assert_eq!(&history_from_xml(&el).expect("own XML parses"), &h);
+    // Its text nests deeper than the XML parser's bound, which keeps a
+    // hostile document from overflowing the stack: it is refused with
+    // the typed error, and the deepest chain within the bound
+    // round-trips through its text.
+    let err = moteur_xml::parse(&el.to_pretty_string()).unwrap_err();
+    assert_eq!(
+        err.kind,
+        moteur_xml::XmlErrorKind::TooDeep {
+            limit: moteur_xml::MAX_XML_DEPTH
+        }
+    );
+    round_trips(&chain(moteur_xml::MAX_XML_DEPTH - 1));
 }
 
 #[test]

@@ -14,8 +14,12 @@
 //! - comments (`<!-- -->`), XML declarations (`<?xml ...?>`) and
 //!   processing instructions (skipped),
 //! - CDATA sections,
-//! - a position-tracking lexer producing typed errors ([`XmlErrorKind`])
-//!   with line/column *and* byte-offset info,
+//! - typed errors ([`XmlErrorKind`]) with line/column *and* byte-offset
+//!   info; the parser's cursor is one byte offset, and an error's line
+//!   and column are computed from it ([`Span::line_col`]) only when the
+//!   error is built,
+//! - a nesting bound ([`MAX_XML_DEPTH`]), so a hostile document is an
+//!   error rather than a stack overflow,
 //! - byte [`Span`]s on every parsed element and attribute, so
 //!   downstream diagnostics can point back into the source text.
 //!

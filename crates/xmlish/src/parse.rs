@@ -1,9 +1,13 @@
-//! Recursive-descent parser over a position-tracking cursor.
+//! Recursive-descent parser over a byte-offset cursor.
 //!
-//! Every parse failure is a typed [`XmlErrorKind`] carrying the byte
-//! offset where it was detected, and every parsed element/attribute is
-//! annotated with its byte [`Span`] — the raw material for the lint
-//! engine's source-anchored diagnostics.
+//! The cursor is the input and one byte offset into it. Text, attribute
+//! values, comments and CDATA are scanned over byte slices, and each
+//! run is copied out whole. Every parse failure is a typed
+//! [`XmlErrorKind`] at the byte offset where it was detected, and its
+//! line and column come from that offset ([`Span::line_col`]) when the
+//! error is built. Every parsed element/attribute is annotated with its
+//! byte [`Span`] — the raw material for the lint engine's
+//! source-anchored diagnostics.
 
 use crate::ast::{Element, Node};
 use crate::error::{Position, Span, XmlError, XmlErrorKind};
@@ -19,7 +23,7 @@ pub const MAX_XML_DEPTH: usize = 128;
 /// Leading XML declarations, processing instructions and comments are
 /// skipped; trailing content other than whitespace/comments is an error.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
-    let mut cur = Cursor::new(input);
+    let mut cur = Cursor { input, pos: 0 };
     cur.skip_misc();
     let root = cur.parse_element(1)?;
     cur.skip_misc();
@@ -31,32 +35,27 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 
 struct Cursor<'a> {
     input: &'a str,
-    /// Byte offset into `input`.
+    /// Byte offset into `input`, always on a `char` boundary.
     pos: usize,
-    line: u32,
-    column: u32,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(input: &'a str) -> Self {
-        Cursor {
-            input,
-            pos: 0,
-            line: 1,
-            column: 1,
-        }
-    }
-
-    fn position(&self) -> Position {
-        Position {
-            line: self.line,
-            column: self.column,
-            offset: self.pos,
-        }
+    /// An error at byte `offset`. Only here is the offset turned into a
+    /// line and column: a parse that succeeds never counts lines.
+    fn error_at(&self, offset: usize, kind: XmlErrorKind) -> XmlError {
+        let (line, column) = Span::new(offset, offset).line_col(self.input);
+        XmlError::new(
+            Position {
+                line,
+                column,
+                offset,
+            },
+            kind,
+        )
     }
 
     fn error(&self, kind: XmlErrorKind) -> XmlError {
-        XmlError::new(self.position(), kind)
+        self.error_at(self.pos, kind)
     }
 
     fn at_end(&self) -> bool {
@@ -71,31 +70,16 @@ impl<'a> Cursor<'a> {
         self.rest().chars().next()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.column = 1;
-        } else {
-            self.column += 1;
-        }
-        Some(c)
-    }
-
     fn starts_with(&self, s: &str) -> bool {
         self.rest().starts_with(s)
     }
 
     fn eat(&mut self, s: &str) -> bool {
-        if self.starts_with(s) {
-            for _ in s.chars() {
-                self.bump();
-            }
-            true
-        } else {
-            false
+        let found = self.starts_with(s);
+        if found {
+            self.pos += s.len();
         }
+        found
     }
 
     fn expect(&mut self, s: &str) -> Result<(), XmlError> {
@@ -107,9 +91,8 @@ impl<'a> Cursor<'a> {
     }
 
     fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
+        let rest = self.rest();
+        self.pos += rest.len() - rest.trim_start().len();
     }
 
     /// Skip whitespace, comments, XML declarations and processing
@@ -132,28 +115,47 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Move past the next `end`, or to the end of the input if none.
     fn skip_until(&mut self, end: &str) -> Result<(), ()> {
-        while !self.at_end() {
-            if self.eat(end) {
-                return Ok(());
+        match self.rest().find(end) {
+            Some(at) => {
+                self.pos += at + end.len();
+                Ok(())
             }
-            self.bump();
+            None => {
+                self.pos = self.input.len();
+                Err(())
+            }
         }
-        Err(())
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(c) if is_name_start(c) => {
-                self.bump();
-            }
-            _ => return Err(self.error(XmlErrorKind::ExpectedName)),
+    /// [`Self::skip_until`] inside an element, where a missing `end`
+    /// leaves `construct` unterminated at the end of the input.
+    fn skip_past(&mut self, end: &str, construct: &'static str) -> Result<(), XmlError> {
+        self.skip_until(end)
+            .map_err(|()| self.error(XmlErrorKind::Unterminated { construct }))
+    }
+
+    /// Append the input up to the next byte in `stops` (all ASCII, so
+    /// the cut is a `char` boundary), or up to its end, to `out`.
+    fn copy_until(&mut self, out: &mut String, stops: &[u8]) {
+        let rest = self.rest();
+        let len = rest
+            .bytes()
+            .position(|b| stops.contains(&b))
+            .unwrap_or(rest.len());
+        out.push_str(&rest[..len]);
+        self.pos += len;
+    }
+
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
+        let rest = self.rest();
+        if !rest.starts_with(is_name_start) {
+            return Err(self.error(XmlErrorKind::ExpectedName));
         }
-        while matches!(self.peek(), Some(c) if is_name_char(c)) {
-            self.bump();
-        }
-        Ok(self.input[start..self.pos].to_string())
+        let len = rest.find(|c| !is_name_char(c)).unwrap_or(rest.len());
+        self.pos += len;
+        Ok(&rest[..len])
     }
 
     /// Parse one element at nesting level `depth` (the root is 1).
@@ -165,8 +167,7 @@ impl<'a> Cursor<'a> {
         }
         let open_start = self.pos;
         self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut element = Element::new(name);
+        let mut element = Element::new(self.parse_name()?);
 
         // Attributes.
         loop {
@@ -174,22 +175,20 @@ impl<'a> Cursor<'a> {
             match self.peek() {
                 Some('>') | Some('/') => break,
                 Some(c) if is_name_start(c) => {
-                    let attr_pos = self.position();
+                    let attr_start = self.pos;
                     let attr = self.parse_name()?;
                     self.skip_whitespace();
                     self.expect("=")?;
                     self.skip_whitespace();
                     let value = self.parse_attr_value()?;
-                    if element.attr(&attr).is_some() {
-                        return Err(XmlError::new(
-                            attr_pos,
-                            XmlErrorKind::DuplicateAttribute { name: attr },
+                    if element.attr(attr).is_some() {
+                        return Err(self.error_at(
+                            attr_start,
+                            XmlErrorKind::DuplicateAttribute { name: attr.into() },
                         ));
                     }
-                    element.attributes.push((attr, value));
-                    element
-                        .attr_spans
-                        .push(Span::new(attr_pos.offset, self.pos));
+                    element.attributes.push((attr.into(), value));
+                    element.attr_spans.push(Span::new(attr_start, self.pos));
                 }
                 _ => return Err(self.error(XmlErrorKind::ExpectedAttribute)),
             }
@@ -209,20 +208,17 @@ impl<'a> Cursor<'a> {
         let Some(quote @ ('"' | '\'')) = self.peek() else {
             return Err(self.error(XmlErrorKind::ExpectedAttrValue));
         };
-        self.bump();
+        self.pos += 1;
         let mut value = String::new();
         loop {
+            self.copy_until(&mut value, &[quote as u8, b'<', b'&']);
             match self.peek() {
                 None => return Err(self.error(XmlErrorKind::UnterminatedAttrValue)),
-                Some(c) if c == quote => {
-                    self.bump();
-                    return Ok(value);
-                }
                 Some('<') => return Err(self.error(XmlErrorKind::AngleInAttrValue)),
                 Some('&') => value.push(self.parse_reference()?),
-                Some(c) => {
-                    value.push(c);
-                    self.bump();
+                Some(_) => {
+                    self.pos += 1; // the closing quote
+                    return Ok(value);
                 }
             }
         }
@@ -237,91 +233,54 @@ impl<'a> Cursor<'a> {
                     name: element.name.clone(),
                 }));
             }
-            if self.starts_with("</") {
+            if self.eat("</") {
                 flush_text(&mut text, element);
-                self.expect("</")?;
-                let close_pos = self.position();
+                let close_start = self.pos;
                 let close = self.parse_name()?;
                 if close != element.name {
-                    return Err(XmlError::new(
-                        close_pos,
+                    return Err(self.error_at(
+                        close_start,
                         XmlErrorKind::MismatchedEndTag {
                             expected: element.name.clone(),
-                            found: close,
+                            found: close.into(),
                         },
                     ));
                 }
                 self.skip_whitespace();
-                self.expect(">")?;
-                return Ok(());
+                return self.expect(">");
             }
-            if self.starts_with("<!--") {
-                self.expect("<!--")?;
-                if self.skip_until("-->").is_err() {
-                    return Err(self.error(XmlErrorKind::Unterminated {
-                        construct: "comment",
-                    }));
-                }
-                continue;
-            }
-            if self.starts_with("<![CDATA[") {
-                self.expect("<![CDATA[")?;
+            if self.eat("<!--") {
+                self.skip_past("-->", "comment")?;
+            } else if self.eat("<![CDATA[") {
                 let start = self.pos;
-                loop {
-                    if self.at_end() {
-                        return Err(self.error(XmlErrorKind::Unterminated {
-                            construct: "CDATA section",
-                        }));
-                    }
-                    if self.starts_with("]]>") {
-                        text.push_str(&self.input[start..self.pos]);
-                        self.expect("]]>")?;
-                        break;
-                    }
-                    self.bump();
-                }
-                continue;
-            }
-            if self.starts_with("<?") {
-                self.expect("<?")?;
-                if self.skip_until("?>").is_err() {
-                    return Err(self.error(XmlErrorKind::Unterminated {
-                        construct: "processing instruction",
-                    }));
-                }
-                continue;
-            }
-            if self.starts_with("<") {
+                self.skip_past("]]>", "CDATA section")?;
+                text.push_str(&self.input[start..self.pos - "]]>".len()]);
+            } else if self.eat("<?") {
+                self.skip_past("?>", "processing instruction")?;
+            } else if self.starts_with("<") {
                 flush_text(&mut text, element);
                 let child = self.parse_element(depth + 1)?;
                 element.children.push(Node::Element(child));
-                continue;
-            }
-            match self.peek() {
-                Some('&') => text.push(self.parse_reference()?),
-                Some(c) => {
-                    text.push(c);
-                    self.bump();
-                }
-                None => unreachable!("at_end checked above"),
+            } else if self.starts_with("&") {
+                text.push(self.parse_reference()?);
+            } else {
+                self.copy_until(&mut text, b"<&");
             }
         }
     }
 
     /// Parse `&...;` — predefined entity or character reference.
     fn parse_reference(&mut self) -> Result<char, XmlError> {
-        let start_pos = self.position();
-        self.expect("&")?;
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c != ';' && !c.is_whitespace()) {
-            self.bump();
-        }
-        let body = &self.input[start..self.pos];
+        self.expect("&")?;
+        let rest = self.rest();
+        let len = rest
+            .find(|c: char| c == ';' || c.is_whitespace())
+            .unwrap_or(rest.len());
+        let body = &rest[..len];
+        self.pos += len;
         if !self.eat(";") {
-            return Err(XmlError::new(
-                start_pos,
-                XmlErrorKind::UnterminatedReference,
-            ));
+            return Err(self.error_at(start, XmlErrorKind::UnterminatedReference));
         }
         match body {
             "lt" => Ok('<'),
@@ -331,8 +290,8 @@ impl<'a> Cursor<'a> {
             "quot" => Ok('"'),
             _ if body.starts_with('#') => {
                 let bad = || {
-                    XmlError::new(
-                        start_pos,
+                    self.error_at(
+                        start,
                         XmlErrorKind::BadCharacterReference { body: body.into() },
                     )
                 };
@@ -346,15 +305,10 @@ impl<'a> Cursor<'a> {
                     return Err(bad());
                 }
                 let code = u32::from_str_radix(digits, radix).map_err(|_| bad())?;
-                char::from_u32(code).ok_or(XmlError::new(
-                    start_pos,
-                    XmlErrorKind::CharacterOutOfRange { code },
-                ))
+                char::from_u32(code)
+                    .ok_or_else(|| self.error_at(start, XmlErrorKind::CharacterOutOfRange { code }))
             }
-            other => Err(XmlError::new(
-                start_pos,
-                XmlErrorKind::UnknownEntity { name: other.into() },
-            )),
+            other => Err(self.error_at(start, XmlErrorKind::UnknownEntity { name: other.into() })),
         }
     }
 }

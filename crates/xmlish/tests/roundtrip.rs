@@ -1,28 +1,21 @@
-//! Randomised round-trip tests: any tree the AST can represent must
-//! survive serialise → parse unchanged (modulo the documented whitespace
-//! normalisation, which the generator avoids by construction).
-//!
-//! Uses a local splitmix64 generator instead of an external
-//! property-testing crate so the workspace builds and tests offline.
+//! Randomised tests of the parser. Round trips: any tree the AST can
+//! represent must survive serialise → parse unchanged (modulo the
+//! documented whitespace normalisation, which the generator avoids by
+//! construction). The oracle: on every cut and seeded mutation of
+//! representative documents, on hostile depth and on megabyte runs,
+//! `parse` must build the tree, spans included, or the error, position
+//! included, of the char-at-a-time parser it replaced.
 
-use moteur_xml::{parse, Element};
+#[path = "support/mutate.rs"]
+mod mutate;
+#[path = "oracle/parse.rs"]
+mod oracle;
 
-/// Deterministic splitmix64 — enough randomness for structural fuzzing.
-struct Gen(u64);
+use moteur_xml::{parse, Element, MAX_XML_DEPTH};
+use mutate::{hostile_variants, Gen};
 
+/// Structure generators over the shared splitmix64 [`Gen`].
 impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
     /// `[a-zA-Z_][a-zA-Z0-9_.-]{0,11}`
     fn name(&mut self) -> String {
         const FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_";
@@ -109,7 +102,7 @@ fn element_count_stable_across_roundtrip() {
 }
 
 #[test]
-fn parser_never_panics_on_arbitrary_input() {
+fn arbitrary_input_parses_as_the_oracle_parses_it() {
     const EXTRA: &[u8] = b"<>&\"'";
     let mut g = Gen(4);
     for _ in 0..512 {
@@ -122,6 +115,146 @@ fn parser_never_panics_on_arbitrary_input() {
                 }
             })
             .collect();
-        let _ = parse(&s); // may error, must not panic
+        assert_agrees(&s, "arbitrary"); // may error, must not panic
     }
+}
+
+/// Parse `text` with both parsers and require the same tree with the
+/// same element and attribute spans (`Element`'s equality ignores
+/// spans), or the same error: kind, line, column and offset. Returns
+/// whether it parsed.
+fn assert_agrees(text: &str, case: &str) -> bool {
+    fn same_spans(new: &Element, old: &Element, case: &str) {
+        assert_eq!(new.span, old.span, "{case}: span of <{}>", new.name);
+        assert_eq!(
+            new.attr_spans, old.attr_spans,
+            "{case}: attribute spans of <{}>",
+            new.name
+        );
+        for (n, o) in new.elements().zip(old.elements()) {
+            same_spans(n, o, case);
+        }
+    }
+    let new = parse(text);
+    match (&new, &oracle::parse(text)) {
+        (Ok(new), Ok(old)) => {
+            assert_eq!(new, old, "{case}");
+            same_spans(new, old, case);
+        }
+        (new, old) => assert_eq!(new, old, "{case}"),
+    }
+    new.is_ok()
+}
+
+/// A 12-pair input data set as `moteur_scufl::write_input_data` lays
+/// one out.
+fn input_document() -> String {
+    let mut doc = String::from("<inputdata>\n");
+    for stream in ["referenceImage", "floatingImage"] {
+        doc += &format!("  <input name=\"{stream}\">\n");
+        for pair in 0..12 {
+            doc += &format!(
+                "    <item type=\"file\" gfn=\"gfn://bronze/{stream}/{pair:03}.img\" bytes=\"7864320\"/>\n"
+            );
+        }
+        doc += "  </input>\n";
+    }
+    doc += "  <input name=\"methodToTest\">\n";
+    for method in ["crestMatch", "PFMatchICP", "Yasmina", "Baladin"] {
+        doc += &format!("    <item type=\"string\" value=\"{method}\"/>\n");
+    }
+    doc + "  </input>\n</inputdata>\n"
+}
+
+/// A Fig. 8 executable descriptor carrying every construct the parser
+/// knows: declaration, comments, a processing instruction, CDATA, the
+/// five entities and both character-reference forms, both quote styles,
+/// CRLF and tab, and non-ASCII text and whitespace (U+00A0, U+2028),
+/// which columns count as one character each.
+const DESCRIPTOR: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\r
+<!-- Fig. 8 — crestLines -->\r
+<description>\r
+\t<executable name=\"CrestLines.pl\" note='a &lt;b&gt; &amp; &quot;c&quot; &apos;d&apos;'>
+    <access type=\"URL\"><path value=\"http://colors.unice.fr\"/></access>
+    <value value=\"CrestLines.pl\"/>
+    <input name=\"floating_image\" option=\"-im1\"><access type=\"GFN\"/></input>
+    <input name=\"scale\" option=\"-s\">échelle\u{a0}&#233;&#x2028;\u{2028}fin</input>
+    <output name=\"crest_reference\" option=\"-c1\"><access type=\"GFN\"/></output>
+    <?wrapper stage-in?>
+    <sandbox name=\"convert8bits\">
+      <access type=\"URL\"><path value=\"http://colors.unice.fr\"/></access>
+      <value value=\"Convert8bits.pl\"/><![CDATA[ raw <not> & parsed ]]>
+    </sandbox>
+  </executable >
+</description >
+<!-- trailer -->
+";
+
+/// The whole of `doc` parses, and its cuts and 1,000 mutations drawn
+/// from `seed` parse as the oracle parses them, some to a tree and most
+/// to an error.
+fn agrees_on_hostile_variants(name: &str, doc: &str, seed: u64) {
+    assert!(assert_agrees(doc, name), "{name} parses whole");
+    let variants = hostile_variants(doc, seed, 1000);
+    let parsed = variants
+        .iter()
+        .enumerate()
+        .filter(|(i, text)| assert_agrees(text, &format!("{name} variant {i}")))
+        .count();
+    assert!(
+        parsed > 20 && parsed < variants.len() / 2,
+        "{name}: {parsed} of {} variants parsed",
+        variants.len()
+    );
+}
+
+#[test]
+fn the_bronze_workflow_cut_and_mutated_parses_as_the_oracle_parses_it() {
+    let doc = include_str!("../../../examples/workflows/bronze-standard.xml");
+    agrees_on_hostile_variants("bronze workflow", doc, 47);
+}
+
+#[test]
+fn an_input_data_set_cut_and_mutated_parses_as_the_oracle_parses_it() {
+    agrees_on_hostile_variants("12-pair inputs", &input_document(), 48);
+}
+
+#[test]
+fn a_descriptor_cut_and_mutated_parses_as_the_oracle_parses_it() {
+    agrees_on_hostile_variants("descriptor", DESCRIPTOR, 49);
+}
+
+fn nested(depth: usize, open: &str, close: &str) -> String {
+    open.repeat(depth) + &close.repeat(depth)
+}
+
+#[test]
+fn nesting_at_and_past_the_limit_parses_as_the_oracle_parses_it() {
+    for (open, close) in [("<a>", "</a>"), ("<a x='1'>\n t ", "</a >\n")] {
+        for depth in [MAX_XML_DEPTH - 1, MAX_XML_DEPTH, MAX_XML_DEPTH + 1, 20_000] {
+            let doc = nested(depth, open, close);
+            let parsed = assert_agrees(&doc, &format!("{open} x {depth}"));
+            assert_eq!(parsed, depth <= MAX_XML_DEPTH, "{open} x {depth}");
+            assert_agrees(&doc[..doc.len() / 2], &format!("{open} x {depth}, cut"));
+        }
+    }
+}
+
+#[test]
+fn megabyte_values_and_text_runs_parse_as_the_oracle_parses_them() {
+    let run = "abc déf\n".repeat(1 << 17);
+    let value = format!("<a v=\"{run}\" w='&amp;{run}'>{run}&lt;<![CDATA[{run}]]></a>");
+    assert!(assert_agrees(&value, "megabyte runs"));
+    for cut in [value.len() / 3, value.len() / 2, value.len() - 5] {
+        assert_agrees(&value[..cut], &format!("megabyte runs cut at {cut}"));
+    }
+    assert_agrees(
+        &format!("<a v=\"{run}<\"/>"),
+        "angle after a megabyte value",
+    );
+    assert_agrees(
+        &format!("<a>{run}&bogus;</a>"),
+        "bad entity after a megabyte run",
+    );
+    assert_agrees(&format!("<a>{run}</b>"), "mismatch after a megabyte run");
 }

@@ -200,10 +200,9 @@ fn cmd_timeline(args: &Args) -> Outcome {
     let width: usize = args.parsed("--width")?.unwrap_or(72);
     match args.value("--heatmap") {
         Some(metric) => {
-            let rendered = tl.render_heatmap(metric, width);
-            if rendered.is_empty() {
-                return Err(format!("{path}: no series named `*.{metric}`"));
-            }
+            let rendered = tl
+                .render_heatmap(metric, width)
+                .ok_or_else(|| format!("{path}: no series named `*.{metric}`"))?;
             print!("{rendered}");
         }
         None => print!("{}", tl.render(width)),

@@ -248,6 +248,26 @@ fn timeline_render_rejects_a_series_of_unknown_kind() {
     );
 }
 
+/// A heatmap of a metric no series records is refused by name, with
+/// nothing drawn: it used to print a placeholder line and exit 0.
+#[test]
+fn timeline_render_refuses_a_heatmap_of_an_unrecorded_metric() {
+    let dir = in_temp_dir();
+    let doc = r#"{"schema":"moteur/timeline/v1","capacity":8,"series":[{"name":"ce0.queue_depth","kind":"gauge","seen":1,"points":[[0,1]]}]}"#;
+    std::fs::write(dir.path().join("tl.json"), doc).unwrap();
+    let render = ["timeline", "render", "tl.json", "--heatmap"];
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &[&render[..], &["running"]].concat());
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("moteur: tl.json: no series named `*.running`"),
+        "{stderr}"
+    );
+    let (code, stdout, stderr) = outcome(moteur(), &dir, &[&render[..], &["queue_depth"]].concat());
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.starts_with("queue_depth heatmap"), "{stdout}");
+}
+
 /// Two series under one name are refused by name: reading the file
 /// used to keep the later one and draw it as if nothing were wrong.
 #[test]

@@ -89,6 +89,23 @@ fn lint_cli_exit_codes_follow_severity() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An XML error just before a multi-byte character is drawn with its
+/// caret; the renderer used to slice through the character and panic.
+#[test]
+fn an_xml_error_before_a_non_ascii_character_is_rendered_not_a_panic() {
+    let dir = temp_dir("non-ascii");
+    let path = write(&dir, "bad.xml", "<scufl x=\u{e9}/>\n");
+    let out = moteur().args(["lint"]).arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "a lint error, not a panic");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("error[M000]: expected a quoted attribute value"),
+        "{text}"
+    );
+    assert!(text.contains("bad.xml:1:10"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn lint_cli_json_round_trips() {
     let dir = temp_dir("json");
