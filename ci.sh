@@ -64,13 +64,15 @@ fi
 
 # Resolve once, update by position: the metrics and timeline sinks
 # build a series name only when the series is first sampled, outside
-# their `record`, so the `impl EventSink for …` bodies of the two files
-# may not format a name per event again.
+# their `record`, and a span holds typed values that only its readers
+# turn into text, so the `impl EventSink for …` bodies of the three
+# fold sinks may not format or stringify per event again.
 if awk '/^impl EventSink for /{body=1}
-    body && /format!/{print FILENAME ":" FNR ":" $0; found=1}
+    body && /format!|\.to_string\(\)/{print FILENAME ":" FNR ":" $0; found=1}
     body && /^}/{body=0}
     END{exit !found}' \
-    crates/core/src/obs/metrics.rs crates/core/src/obs/timeline.rs; then
+    crates/core/src/obs/metrics.rs crates/core/src/obs/timeline.rs \
+    crates/core/src/obs/span.rs; then
   echo "a fold sink formats a name per event: resolve its series once" >&2
   exit 1
 fi

@@ -115,12 +115,12 @@ pub use obs::metrics::{MetricsRegistry, MetricsSink};
 pub use obs::openmetrics::render as render_openmetrics_with_prof;
 pub use obs::prof::{from_json as prof_from_json, to_json as prof_to_json, Prof, ProfReport};
 pub use obs::sinks::{EventBuffer, JsonlSink, RingBufferSink};
-pub use obs::span::{Span, SpanBuffer, SpanKind, SpanSink};
+pub use obs::span::{Span, SpanAttr, SpanAttrs, SpanBuffer, SpanKind, SpanName, SpanSink};
 pub use obs::timeline::{Timeline, TimelineSink};
 pub use obs::{EventSink, Obs, TraceEvent};
 pub use plan::facts::{CardInterval, SourceSizes};
 pub use plan::{analyze as plan_workflow, plan_to_json, render_plan, PlanOptions};
-pub use provenance::{export_provenance, history_from_xml, history_to_xml};
+pub use provenance::{export_provenance, history_from_xml, history_to_xml, ProvenanceTooDeep};
 pub use report::{render_report, service_stats};
 pub use service::{CostModel, ServiceBinding, ServiceProfile};
 pub use store::key::Fnv1a;

@@ -7,6 +7,10 @@
 //! Output is always a single line (no pretty-printing) so it can be
 //! embedded in JSONL streams and Chrome trace arrays directly.
 //!
+//! The event stream's lines, the one hot document, are written by the
+//! crate-private `Line` instead: the same bytes in one pass, each key
+//! pre-quoted at compile time (`key!`).
+//!
 //! **Reader** — one crate-private pull cursor reads them back. It
 //! scans each byte once, and because documents arrive from outside the
 //! program it refuses nesting deeper than [`MAX_JSON_DEPTH`] instead of
@@ -67,9 +71,20 @@ fn push_num(out: &mut String, v: f64) {
     }
 }
 
+/// Append ASCII `digits` one `char` each, which skips the UTF-8 check
+/// a `&str` of them would cost.
+fn push_ascii(out: &mut String, digits: &[u8]) {
+    out.extend(digits.iter().map(|&d| char::from(d)));
+}
+
 /// Append the decimal digits of `v`: the same bytes as `{v}`, without
 /// going through `core::fmt`.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    if v < 10 {
+        // Most counts of an event line are one digit.
+        out.push(char::from(b'0' + v as u8));
+        return;
+    }
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -80,7 +95,7 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    push_ascii(out, &digits[at..]);
 }
 
 /// Append `v` as 16 lowercase hex digits: the bytes of `{v:016x}`.
@@ -90,7 +105,7 @@ pub(crate) fn push_hex16(out: &mut String, v: u64) {
     for (i, slot) in hex.iter_mut().enumerate() {
         *slot = DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
     }
-    out.push_str(std::str::from_utf8(&hex).expect("ASCII digits"));
+    push_ascii(out, &hex);
 }
 
 fn push_i64(out: &mut String, v: i64) {
@@ -130,7 +145,7 @@ fn push_micros_as_secs(out: &mut String, micros: u64) {
         *slot = b'0' + (frac % 10) as u8;
         frac /= 10;
     }
-    out.push_str(std::str::from_utf8(&digits[..=width]).expect("ASCII digits"));
+    push_ascii(out, &digits[..=width]);
 }
 
 /// Escape a string for inclusion inside JSON double quotes.
@@ -233,6 +248,66 @@ impl JsonObject {
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
+    }
+}
+
+/// `,"name":` — the pre-quoted key of a field a [`Line`] writes.
+macro_rules! key {
+    ($name:literal) => {
+        concat!(",\"", $name, "\":")
+    };
+}
+pub(crate) use key;
+
+/// A single-line JSON object written in one pass, for the event
+/// stream's hot path: a constant head that opens it and ends with its
+/// first key (`{"type":"ce_capacity","t":`), that key's value, each
+/// further field after its pre-quoted [`key!`], then [`Line::close`].
+/// The bytes are [`JsonObject`]'s for the same fields, but no key is
+/// escaped or checked for a comma at run time, so a key is a literal
+/// that needs no escaping.
+pub(crate) struct Line<'a>(&'a mut String);
+
+impl<'a> Line<'a> {
+    pub(crate) fn open(out: &'a mut String, head: &str) -> Self {
+        out.push_str(head);
+        Line(out)
+    }
+
+    /// The value of the head's own key: `micros` as seconds.
+    pub(crate) fn secs(self, micros: u64) -> Self {
+        push_micros_as_secs(self.0, micros);
+        self
+    }
+
+    pub(crate) fn str(self, key: &str, v: &str) -> Self {
+        self.0.push_str(key);
+        self.0.push('"');
+        push_escaped(self.0, v);
+        self.0.push('"');
+        self
+    }
+
+    pub(crate) fn uint(self, key: &str, v: u64) -> Self {
+        self.0.push_str(key);
+        push_u64(self.0, v);
+        self
+    }
+
+    pub(crate) fn num(self, key: &str, v: f64) -> Self {
+        self.0.push_str(key);
+        push_num(self.0, v);
+        self
+    }
+
+    pub(crate) fn bool(self, key: &str, v: bool) -> Self {
+        self.0.push_str(key);
+        self.0.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    pub(crate) fn close(self) {
+        self.0.push('}');
     }
 }
 

@@ -213,7 +213,7 @@ mod tests {
     use super::*;
     use crate::obs::span::GridPhase;
     use crate::obs::{grid, Completion, EventSink, Obs};
-    use crate::{MetricsSink, Span, SpanKind, SpanSink, TimelineSink};
+    use crate::{MetricsSink, Span, SpanKind, SpanName, SpanSink, TimelineSink};
     use std::sync::{Arc, Mutex};
 
     /// A sink handed to an `Obs` that the test can still reach.
@@ -423,15 +423,16 @@ mod tests {
         assert_eq!(durations("race"), [(4, 31.0)]);
         let tree = buffer.snapshot();
         let at = SimTime::from_secs_f64;
-        let open: Vec<&str> = tree
+        let open: Vec<String> = tree
             .spans()
             .iter()
             .filter(|s| s.end.is_none())
-            .map(|s| s.name.as_str())
+            .map(|s| s.name.to_string())
             .collect();
         assert!(open.is_empty(), "open spans {open:?}");
-        let replica = tree.spans().iter().find(|s| s.name == "1004").unwrap();
-        assert_eq!(replica.attr("replica_of"), Some("4"));
+        let is_replica = |s: &&Span| s.name == SpanName::Invocation(1004);
+        let replica = tree.spans().iter().find(is_replica).unwrap();
+        assert_eq!(replica.attr("replica_of").as_deref(), Some("4"));
         // The bare jobs have no item to hang phases on: only they were
         // seen by the grid's submission, and only the root reaches 231 s.
         let bare = |s: &&Span| {

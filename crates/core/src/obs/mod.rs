@@ -52,7 +52,7 @@ pub(crate) mod sinks;
 pub(crate) mod span;
 pub mod timeline;
 
-use json::JsonObject;
+use json::{key, Line};
 use moteur_gridsim::{JobOutcome, SimEvent, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -258,9 +258,21 @@ pub struct Completion {
     pub indices: Vec<crate::token::DataIndex>,
 }
 
-/// Every [`TraceEvent::kind`], in declaration order (a grid event's
-/// kinds where `Grid` stands).
-pub(crate) const KINDS: [&str; 29] = [
+/// Declares [`KINDS`] and each kind's line head from one list, so a
+/// kind is named in one place.
+macro_rules! kinds {
+    ($($kind:literal,)*) => {
+        /// Every [`TraceEvent::kind`], in declaration order (a grid
+        /// event's kinds where `Grid` stands).
+        pub(crate) const KINDS: [&str; 29] = [$($kind,)*];
+
+        /// Each kind's JSONL line head, by [`TraceEvent::kind_index`]:
+        /// the line up to the value of its `t` field.
+        const HEADS: [&str; 29] = [$(concat!("{\"type\":\"", $kind, "\",\"t\":"),)*];
+    };
+}
+
+kinds! {
     "token_emitted",
     "match_fired",
     "group_composed",
@@ -290,7 +302,7 @@ pub(crate) const KINDS: [&str; 29] = [
     "port_suspended",
     "port_resumed",
     "slo_breached",
-];
+}
 
 impl TraceEvent {
     /// Stable snake_case tag, used as the JSON `type` field and as the
@@ -402,207 +414,293 @@ impl TraceEvent {
     }
 
     /// Append [`TraceEvent::to_json`]'s line to `out`, so a writer that
-    /// keeps one line buffer renders every event without allocating.
+    /// keeps one buffer renders every event without allocating. One
+    /// pass: the kind's constant head, then each field after its
+    /// pre-quoted key.
     pub fn write_json(&self, out: &mut String) {
-        let mut base = JsonObject::append_to(std::mem::take(out))
-            .str("type", self.kind())
-            .micros_as_secs("t", self.at().0);
-        if let Some(invocation) = self.invocation() {
-            base = base.uint("invocation", invocation);
-        }
-        let base = match self {
+        let line = Line::open(out, HEADS[self.kind_index()]);
+        match self {
             TraceEvent::TokenEmitted {
+                at,
                 processor,
                 port,
                 index,
-                ..
-            } => base
-                .str("processor", processor)
-                .str("port", port)
-                .str("index", index),
+            } => line
+                .secs(at.0)
+                .str(key!("processor"), processor)
+                .str(key!("port"), port)
+                .str(key!("index"), index),
             TraceEvent::MatchFired {
+                at,
                 processor,
                 index,
                 inputs,
-                ..
-            } => base
-                .str("processor", processor)
-                .str("index", index)
-                .uint("inputs", *inputs as u64),
+            } => line
+                .secs(at.0)
+                .str(key!("processor"), processor)
+                .str(key!("index"), index)
+                .uint(key!("inputs"), *inputs as u64),
             TraceEvent::GroupComposed {
+                at,
                 processor,
                 stages,
                 commands,
-                ..
-            } => base
-                .str("processor", processor)
-                .uint("stages", *stages as u64)
-                .uint("commands", *commands as u64),
+            } => line
+                .secs(at.0)
+                .str(key!("processor"), processor)
+                .uint(key!("stages"), *stages as u64)
+                .uint(key!("commands"), *commands as u64),
             TraceEvent::BarrierReleased {
-                processor, inputs, ..
-            } => base
-                .str("processor", processor)
-                .uint("inputs", *inputs as u64),
+                at,
+                processor,
+                inputs,
+            } => line
+                .secs(at.0)
+                .str(key!("processor"), processor)
+                .uint(key!("inputs"), *inputs as u64),
             TraceEvent::JobSubmitted {
+                at,
+                invocation,
                 processor,
                 grid,
                 batched,
-                ..
-            } => base
-                .str("processor", processor)
-                .bool("grid", *grid)
-                .uint("batched", *batched as u64),
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .bool(key!("grid"), *grid)
+                .uint(key!("batched"), *batched as u64),
             TraceEvent::JobResubmitted {
+                at,
+                invocation,
                 processor,
                 retry,
                 attempt,
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .uint(key!("retry"), u64::from(*retry))
+                .uint(key!("attempt"), *attempt),
+            TraceEvent::JobCompleted {
+                at,
+                invocation,
+                processor,
                 ..
-            } => base
-                .str("processor", processor)
-                .uint("retry", u64::from(*retry))
-                .uint("attempt", *attempt),
-            TraceEvent::JobCompleted { processor, .. }
-            | TraceEvent::CacheMiss { processor, .. } => base.str("processor", processor),
+            }
+            | TraceEvent::CacheMiss {
+                at,
+                invocation,
+                processor,
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor),
             TraceEvent::JobFailed {
-                processor, error, ..
-            } => base.str("processor", processor).str("error", error),
+                at,
+                invocation,
+                processor,
+                error,
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .str(key!("error"), error),
             TraceEvent::JobTimedOut {
+                at,
+                invocation,
                 processor,
                 timeout_secs,
                 action,
-                ..
-            } => base
-                .str("processor", processor)
-                .num("timeout_secs", *timeout_secs)
-                .str("action", action),
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .num(key!("timeout_secs"), *timeout_secs)
+                .str(key!("action"), action),
             TraceEvent::JobReplicated {
+                at,
+                invocation,
                 processor,
                 replica,
                 attempt,
-                ..
-            } => base
-                .str("processor", processor)
-                .uint("replica", u64::from(*replica))
-                .uint("attempt", *attempt),
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .uint(key!("replica"), u64::from(*replica))
+                .uint(key!("attempt"), *attempt),
             TraceEvent::JobCancelled {
-                processor, reason, ..
-            } => base.str("processor", processor).str("reason", reason),
-            TraceEvent::CeBlacklisted { ce, failures, .. } => base
-                .uint("ce", *ce as u64)
-                .uint("failures", u64::from(*failures)),
+                at,
+                invocation,
+                processor,
+                reason,
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .str(key!("reason"), reason),
+            TraceEvent::CeBlacklisted { at, ce, failures } => line
+                .secs(at.0)
+                .uint(key!("ce"), *ce as u64)
+                .uint(key!("failures"), u64::from(*failures)),
             TraceEvent::CacheHit {
+                at,
+                invocation,
                 processor,
                 outputs,
                 transfer_seconds,
-                ..
-            } => base
-                .str("processor", processor)
-                .uint("outputs", *outputs as u64)
-                .num("transfer_seconds", *transfer_seconds),
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .uint(key!("outputs"), *outputs as u64)
+                .num(key!("transfer_seconds"), *transfer_seconds),
             TraceEvent::EdgeStaged {
+                at,
+                invocation,
                 processor,
                 port,
                 bytes,
-                ..
-            } => base
-                .str("processor", processor)
-                .str("port", port)
-                .uint("bytes", *bytes),
-            TraceEvent::Grid(e) => grid_fields(base, e),
+            } => line
+                .secs(at.0)
+                .uint(key!("invocation"), *invocation)
+                .str(key!("processor"), processor)
+                .str(key!("port"), port)
+                .uint(key!("bytes"), *bytes),
+            TraceEvent::Grid(e) => grid_fields(line, e),
             TraceEvent::EnactorGauges {
+                at,
                 inflight,
                 deferred,
                 quarantined,
                 cache_entries,
                 cache_bytes,
-                ..
-            } => base
-                .uint("inflight", *inflight as u64)
-                .uint("deferred", *deferred as u64)
-                .uint("quarantined", *quarantined as u64)
-                .uint("cache_entries", *cache_entries as u64)
-                .uint("cache_bytes", *cache_bytes),
+            } => line
+                .secs(at.0)
+                .uint(key!("inflight"), *inflight as u64)
+                .uint(key!("deferred"), *deferred as u64)
+                .uint(key!("quarantined"), *quarantined as u64)
+                .uint(key!("cache_entries"), *cache_entries as u64)
+                .uint(key!("cache_bytes"), *cache_bytes),
             TraceEvent::PortSuspended {
+                at,
                 processor,
                 depth,
                 capacity,
-                ..
             }
             | TraceEvent::PortResumed {
+                at,
                 processor,
                 depth,
                 capacity,
-                ..
-            } => base
-                .str("processor", processor)
-                .uint("depth", *depth as u64)
-                .uint("capacity", *capacity as u64),
+            } => line
+                .secs(at.0)
+                .str(key!("processor"), processor)
+                .uint(key!("depth"), *depth as u64)
+                .uint(key!("capacity"), *capacity as u64),
             TraceEvent::SloBreached {
+                at,
                 predicted_secs,
                 projected_secs,
                 factor,
                 completed,
                 expected,
-                ..
-            } => base
-                .num("predicted_secs", *predicted_secs)
-                .num("projected_secs", *projected_secs)
-                .num("factor", *factor)
-                .uint("completed", *completed as u64)
-                .uint("expected", *expected as u64),
-        };
-        *out = base.finish();
+            } => line
+                .secs(at.0)
+                .num(key!("predicted_secs"), *predicted_secs)
+                .num(key!("projected_secs"), *projected_secs)
+                .num(key!("factor"), *factor)
+                .uint(key!("completed"), *completed as u64)
+                .uint(key!("expected"), *expected as u64),
+        }
+        .close();
     }
 }
 
-/// The grid half of the JSONL schema: a simulator event's fields after
-/// `type`, `t` and `invocation` (its `tag`). A CE renders as its index
-/// and an outcome as `success`; the simulator's own job id is not
+/// The grid half of the JSONL schema: a simulator event's line after
+/// its head, with its `tag` as the `invocation`. A CE renders as its
+/// index and an outcome as `success`; the simulator's own job id is not
 /// rendered.
-fn grid_fields(o: JsonObject, e: &SimEvent) -> JsonObject {
+fn grid_fields<'a>(line: Line<'a>, e: &SimEvent) -> Line<'a> {
     let success = |outcome: &JobOutcome| *outcome == JobOutcome::Success;
     match e {
-        SimEvent::JobSubmitted { name, .. } => o.str("name", name),
-        SimEvent::JobMatched { ce, .. } | SimEvent::JobStarted { ce, .. } => {
-            o.uint("ce", ce.0 as u64)
-        }
-        SimEvent::JobEnqueued { ce, attempt, .. } => o
-            .uint("ce", ce.0 as u64)
-            .uint("attempt", u64::from(*attempt)),
-        SimEvent::JobFinished { ce, outcome, .. } => {
-            o.uint("ce", ce.0 as u64).bool("success", success(outcome))
-        }
-        SimEvent::JobResubmitted { attempt, .. } => o.uint("attempt", u64::from(*attempt)),
-        SimEvent::JobDelivered { outcome, .. } => o.bool("success", success(outcome)),
-        SimEvent::JobCancelled { .. } => o,
+        SimEvent::JobSubmitted { at, tag, name, .. } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .str(key!("name"), name),
+        SimEvent::JobMatched { at, tag, ce, .. } | SimEvent::JobStarted { at, tag, ce, .. } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .uint(key!("ce"), ce.0 as u64),
+        SimEvent::JobEnqueued {
+            at,
+            tag,
+            ce,
+            attempt,
+            ..
+        } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .uint(key!("ce"), ce.0 as u64)
+            .uint(key!("attempt"), u64::from(*attempt)),
+        SimEvent::JobFinished {
+            at,
+            tag,
+            ce,
+            outcome,
+            ..
+        } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .uint(key!("ce"), ce.0 as u64)
+            .bool(key!("success"), success(outcome)),
+        SimEvent::JobResubmitted {
+            at, tag, attempt, ..
+        } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .uint(key!("attempt"), u64::from(*attempt)),
+        SimEvent::JobDelivered {
+            at, tag, outcome, ..
+        } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .bool(key!("success"), success(outcome)),
+        SimEvent::JobCancelled { at, tag, .. } => line.secs(at.0).uint(key!("invocation"), *tag),
         SimEvent::CeCapacity {
+            at,
             ce,
             busy,
             queued,
             queued_user,
             slots,
             up,
-            ..
-        } => o
-            .uint("ce", ce.0 as u64)
-            .uint("busy", *busy as u64)
-            .uint("queued", *queued as u64)
-            .uint("queued_user", *queued_user as u64)
-            .uint("slots", *slots as u64)
-            .bool("up", *up),
+        } => line
+            .secs(at.0)
+            .uint(key!("ce"), ce.0 as u64)
+            .uint(key!("busy"), *busy as u64)
+            .uint(key!("queued"), *queued as u64)
+            .uint(key!("queued_user"), *queued_user as u64)
+            .uint(key!("slots"), *slots as u64)
+            .bool(key!("up"), *up),
         SimEvent::LinkTransfer {
+            at,
+            tag,
             ce,
             bytes_in,
             bytes_out,
             stage_in_secs,
             stage_out_secs,
             ..
-        } => o
-            .uint("ce", ce.0 as u64)
-            .uint("bytes_in", *bytes_in)
-            .uint("bytes_out", *bytes_out)
-            .num("stage_in_secs", *stage_in_secs)
-            .num("stage_out_secs", *stage_out_secs),
+        } => line
+            .secs(at.0)
+            .uint(key!("invocation"), *tag)
+            .uint(key!("ce"), ce.0 as u64)
+            .uint(key!("bytes_in"), *bytes_in)
+            .uint(key!("bytes_out"), *bytes_out)
+            .num(key!("stage_in_secs"), *stage_in_secs)
+            .num(key!("stage_out_secs"), *stage_out_secs),
     }
 }
 

@@ -1,16 +1,26 @@
 //! Built-in [`EventSink`] implementations: bounded in-memory ring
 //! buffer and JSONL stream writer.
+//!
+//! [`JsonlSink`] renders each event's line straight into the one output
+//! buffer it keeps and hands the writer whole buffers, so a line is
+//! written once and copied once, by the writer. Recording stays on the
+//! emitting thread: on a host with no spare core a writer thread only
+//! moves the same work, plus a copy of each event, onto a contended
+//! one.
 
 use super::{EventSink, TraceEvent};
-
-/// Starting capacity of a [`JsonlSink`]'s line: the longest lines of a
-/// grid run (link transfers, with their two float durations) are under
-/// 200 bytes.
-const LINE_CAPACITY: usize = 256;
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// Bytes of rendered lines a [`JsonlSink`] hands its writer at once.
+const HANDOVER: usize = 32 * 1024;
+
+/// Its buffer's capacity: a handover plus room for the line that
+/// crosses it (the lines of a grid run are under 200 bytes), so the
+/// buffer never grows for them.
+const BUFFER: usize = HANDOVER + 4 * 1024;
 
 /// Shared view over a [`RingBufferSink`]'s contents.
 #[derive(Debug, Clone)]
@@ -86,13 +96,12 @@ impl EventSink for RingBufferSink {
 
 /// Writes one JSON object per line (JSONL / NDJSON).
 pub struct JsonlSink {
-    out: BufWriter<Box<dyn Write + Send>>,
-    /// The line being written, kept across events: sized for the lines
-    /// of a grid run, it is rendered without allocating, and a longer
-    /// line grows it once.
-    line: String,
+    out: Box<dyn Write + Send>,
+    /// Whole lines not yet handed to `out`.
+    buf: String,
     /// First write error, reported on [`EventSink::flush`]. Event
-    /// recording itself stays infallible.
+    /// recording itself stays infallible: after an error, events are
+    /// dropped until the flush that reports it.
     error: Option<std::io::Error>,
 }
 
@@ -107,8 +116,8 @@ impl std::fmt::Debug for JsonlSink {
 impl JsonlSink {
     pub fn new(writer: Box<dyn Write + Send>) -> Self {
         JsonlSink {
-            out: BufWriter::new(writer),
-            line: String::with_capacity(LINE_CAPACITY),
+            out: writer,
+            buf: String::with_capacity(BUFFER),
             error: None,
         }
     }
@@ -118,6 +127,16 @@ impl JsonlSink {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(Box::new(file)))
     }
+
+    /// Hand the buffered lines to the writer, keeping the first error.
+    fn hand_over(&mut self) {
+        if self.error.is_none() && !self.buf.is_empty() {
+            if let Err(e) = self.out.write_all(self.buf.as_bytes()) {
+                self.error = Some(e);
+            }
+        }
+        self.buf.clear();
+    }
 }
 
 impl EventSink for JsonlSink {
@@ -125,15 +144,15 @@ impl EventSink for JsonlSink {
         if self.error.is_some() {
             return;
         }
-        self.line.clear();
-        event.write_json(&mut self.line);
-        self.line.push('\n');
-        if let Err(e) = self.out.write_all(self.line.as_bytes()) {
-            self.error = Some(e);
+        event.write_json(&mut self.buf);
+        self.buf.push('\n');
+        if self.buf.len() >= HANDOVER {
+            self.hand_over();
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
+        self.hand_over();
         if let Some(e) = self.error.take() {
             return Err(e);
         }
@@ -147,6 +166,7 @@ impl Drop for JsonlSink {
     /// complete, parseable file. Errors cannot propagate from drop and
     /// are discarded.
     fn drop(&mut self) {
+        self.hand_over();
         let _ = self.out.flush();
     }
 }
@@ -205,6 +225,67 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains("\"type\":\"job_completed\""));
+        }
+    }
+
+    /// A writer whose `n`th write fails; the others land in `written`.
+    struct FailsOn {
+        n: usize,
+        writes: usize,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Write for FailsOn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.writes == self.n {
+                return Err(std::io::Error::other(format!("write {} failed", self.n)));
+            }
+            self.written.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_writer_is_reported_on_flush_and_later_events_are_dropped() {
+        for n in [1, 2, 3] {
+            let written = Arc::new(Mutex::new(Vec::new()));
+            let writer = FailsOn {
+                n,
+                writes: 0,
+                written: written.clone(),
+            };
+            let mut sink = JsonlSink::new(Box::new(writer));
+            // Enough lines for several handovers, so the failure falls
+            // mid-stream for every `n`.
+            let lines = 4 * HANDOVER / ev(0).to_json().len();
+            for i in 0..lines as u64 {
+                sink.record(&ev(i));
+            }
+            let before_flush = written.lock().unwrap().len();
+            let err = sink.flush().expect_err("the failed write is reported");
+            assert_eq!(err.to_string(), format!("write {n} failed"));
+            let text = String::from_utf8(written.lock().unwrap().clone()).unwrap();
+            assert_eq!(
+                text.len(),
+                before_flush,
+                "nothing written after the failure"
+            );
+            assert!(text.is_empty() || text.ends_with('\n'), "whole lines only");
+            let handed = text.lines().count();
+            assert!(handed < lines, "events after the failure are dropped");
+            for (i, line) in text.lines().enumerate() {
+                assert_eq!(line, ev(i as u64).to_json());
+            }
+            // Reported once; the sink writes again, and dropping it
+            // neither panics nor loses what it holds.
+            sink.record(&ev(0));
+            drop(sink);
+            let last = ev(0).to_json() + "\n";
+            assert!(written.lock().unwrap().ends_with(last.as_bytes()));
         }
     }
 

@@ -23,10 +23,18 @@
 //! simply yields item spans without phases. A resubmitted job gets a
 //! fresh scheduling/queuing/execution chain per attempt, so retries are
 //! visible as repeated phases under one item.
+//!
+//! A span owns no string of its own: its [`SpanName`] is its kind's
+//! static name, the processor's interned name or the invocation id, and
+//! its attributes are typed [`SpanAttr`] values under static keys, the
+//! first two kept inline. Only [`SpanTree::to_jsonl`],
+//! [`SpanTree::render`] and [`Span::attr`] turn them into text. The tree
+//! is shared with its snapshots rather than copied into them.
 
 use super::lifecycle::{Lifecycle, Step};
 use super::{EventSink, TraceEvent};
 use moteur_gridsim::{JobOutcome, SimEvent, SimTime};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -95,20 +103,133 @@ impl SpanKind {
     }
 }
 
-/// One node of the span tree.
+/// What a span is called, besides its kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpanName {
+    /// The workflow root's and a phase's: the name of its kind.
+    Static(&'static str),
+    /// A service span's: the processor's interned name.
+    Service(Arc<str>),
+    /// An item span's: its invocation id (a replica's backend tag).
+    Invocation(u64),
+}
+
+impl std::fmt::Display for SpanName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpanName::Static(name) => f.write_str(name),
+            SpanName::Service(name) => f.write_str(name),
+            SpanName::Invocation(id) => write!(f, "{id}"),
+        }
+    }
+}
+
+/// One typed span attribute; [`SpanAttr::key`] and [`SpanAttr::value`]
+/// are its text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpanAttr {
+    /// A scheduling phase's CE index.
+    Ce(usize),
+    /// A scheduling phase's attempt, from 1.
+    Attempt(u32),
+    /// An execution phase's outcome.
+    Success(bool),
+    /// An item whose job carries more than one workflow invocation.
+    Batched(usize),
+    /// An item the data manager answered from its cache.
+    Cached,
+    /// A replica item's logical invocation.
+    ReplicaOf(u64),
+    /// A replica item's number, from 1.
+    Replica(u32),
+    /// Why a failed item ended.
+    Error(Box<str>),
+    /// Why a cancelled item ended.
+    Cancelled(&'static str),
+    /// An item's timeout reaction (`resubmit` or `replicate`).
+    TimedOut(&'static str),
+    /// The root's: a CE the submitter blacklisted, after `failures`.
+    Blacklisted { ce: usize, failures: u32 },
+}
+
+impl SpanAttr {
+    /// The attribute's key; a blacklisting's names its CE
+    /// (`blacklisted_ce4`), every other key is static.
+    pub fn key(&self) -> Cow<'static, str> {
+        Cow::Borrowed(match self {
+            SpanAttr::Ce(_) => "ce",
+            SpanAttr::Attempt(_) => "attempt",
+            SpanAttr::Success(_) => "success",
+            SpanAttr::Batched(_) => "batched",
+            SpanAttr::Cached => "cached",
+            SpanAttr::ReplicaOf(_) => "replica_of",
+            SpanAttr::Replica(_) => "replica",
+            SpanAttr::Error(_) => "error",
+            SpanAttr::Cancelled(_) => "cancelled",
+            SpanAttr::TimedOut(_) => "timed_out",
+            SpanAttr::Blacklisted { ce, .. } => return Cow::Owned(format!("blacklisted_ce{ce}")),
+        })
+    }
+
+    /// The attribute's value as text.
+    pub fn value(&self) -> Cow<'_, str> {
+        match self {
+            SpanAttr::Ce(n) | SpanAttr::Batched(n) => Cow::Owned(n.to_string()),
+            SpanAttr::Attempt(n) | SpanAttr::Replica(n) => Cow::Owned(n.to_string()),
+            SpanAttr::ReplicaOf(id) => Cow::Owned(id.to_string()),
+            SpanAttr::Success(ok) => Cow::Borrowed(if *ok { "true" } else { "false" }),
+            SpanAttr::Cached => Cow::Borrowed("true"),
+            SpanAttr::Error(error) => Cow::Borrowed(error),
+            SpanAttr::Cancelled(why) | SpanAttr::TimedOut(why) => Cow::Borrowed(why),
+            SpanAttr::Blacklisted { failures, .. } => Cow::Owned(format!("{failures} failures")),
+        }
+    }
+}
+
+/// A span's attributes, in insertion order. A span opens with at most
+/// two, kept inline; only a later timeout, error or blacklisting goes
+/// to the heap.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SpanAttrs {
+    inline: [Option<SpanAttr>; 2],
+    more: Vec<SpanAttr>,
+}
+
+impl SpanAttrs {
+    pub fn iter(&self) -> impl Iterator<Item = &SpanAttr> {
+        self.inline.iter().flatten().chain(&self.more)
+    }
+
+    fn push(&mut self, attr: SpanAttr) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(attr),
+            None => self.more.push(attr),
+        }
+    }
+}
+
+impl<const N: usize> From<[SpanAttr; N]> for SpanAttrs {
+    fn from(attrs: [SpanAttr; N]) -> Self {
+        let mut all = SpanAttrs::default();
+        for attr in attrs {
+            all.push(attr);
+        }
+        all
+    }
+}
+
+/// One node of the span tree. It owns no heap memory of its own unless
+/// it carries more than two attributes or an error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     pub id: SpanId,
     pub parent: Option<SpanId>,
     pub kind: SpanKind,
-    /// Workflow/service name, `item <invocation>` or the phase name.
-    pub name: String,
+    pub name: SpanName,
     pub start: SimTime,
     /// `None` while the span is still open (run aborted mid-flight).
     pub end: Option<SimTime>,
-    /// Free-form attributes (`ce`, `attempt`, `batched`, `error`, …),
-    /// in insertion order.
-    pub attrs: Vec<(String, String)>,
+    pub attrs: SpanAttrs,
 }
 
 impl Span {
@@ -118,18 +239,20 @@ impl Span {
             .map_or(0.0, |e| e.as_secs_f64() - self.start.as_secs_f64())
     }
 
-    pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    /// The value of the first attribute keyed `key`, as text.
+    pub fn attr(&self, key: &str) -> Option<Cow<'_, str>> {
+        let attr = self.attrs.iter().find(|a| a.key() == key)?;
+        Some(attr.value())
     }
 }
 
 /// An immutable snapshot of the span hierarchy of one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanTree {
-    spans: Vec<Span>,
+    /// Shared with the snapshots taken of it: a snapshot copies
+    /// nothing, and the sink's next event copies the spans if one is
+    /// still held.
+    spans: Arc<Vec<Span>>,
 }
 
 impl SpanTree {
@@ -168,7 +291,7 @@ impl SpanTree {
     /// phase's stable name. Phases that never occurred are absent.
     pub fn phase_durations(&self) -> BTreeMap<&'static str, (u64, f64)> {
         let mut out = BTreeMap::new();
-        for s in &self.spans {
+        for s in self.spans.iter() {
             if let SpanKind::Phase(p) = s.kind {
                 let e = out.entry(p.name()).or_insert((0u64, 0.0f64));
                 e.0 += 1;
@@ -201,10 +324,11 @@ impl SpanTree {
         while let Some((id, depth)) = stack.pop() {
             let s = &self.spans[id.0];
             let open = if s.end.is_none() { " (open)" } else { "" };
-            let label = if s.name == s.kind.name() {
-                s.name.clone()
+            let name = s.name.to_string();
+            let label = if name == s.kind.name() {
+                name
             } else {
-                format!("{} {}", s.kind.name(), s.name)
+                format!("{} {name}", s.kind.name())
             };
             let _ = writeln!(
                 out,
@@ -229,11 +353,11 @@ impl SpanTree {
     pub fn to_jsonl(&self) -> String {
         use super::json::JsonObject;
         let mut out = String::new();
-        for s in &self.spans {
+        for s in self.spans.iter() {
             let mut o = JsonObject::new()
                 .uint("id", s.id.0 as u64)
                 .str("kind", s.kind.name())
-                .str("name", &s.name)
+                .str("name", &s.name.to_string())
                 .num("start", s.start.as_secs_f64());
             if let Some(p) = s.parent {
                 o = o.uint("parent", p.0 as u64);
@@ -241,8 +365,8 @@ impl SpanTree {
             if let Some(e) = s.end {
                 o = o.num("end", e.as_secs_f64());
             }
-            for (k, v) in &s.attrs {
-                o = o.str(k, v);
+            for attr in s.attrs.iter() {
+                o = o.str(&attr.key(), &attr.value());
             }
             out.push_str(&o.finish());
             out.push('\n');
@@ -258,7 +382,9 @@ pub struct SpanBuffer {
 }
 
 impl SpanBuffer {
-    /// Copy of the tree as recorded so far.
+    /// The tree as recorded so far. It shares the sink's spans: taking
+    /// it copies none, and the sink copies them once if it records
+    /// while the snapshot is held.
     pub fn snapshot(&self) -> SpanTree {
         self.inner.lock().expect("span tree lock").clone()
     }
@@ -292,15 +418,15 @@ impl SpanSink {
     }
 
     fn open(
-        tree: &mut SpanTree,
+        spans: &mut Vec<Span>,
         parent: Option<SpanId>,
         kind: SpanKind,
-        name: String,
+        name: SpanName,
         start: SimTime,
-        attrs: Vec<(String, String)>,
+        attrs: SpanAttrs,
     ) -> SpanId {
-        let id = SpanId(tree.spans.len());
-        tree.spans.push(Span {
+        let id = SpanId(spans.len());
+        spans.push(Span {
             id,
             parent,
             kind,
@@ -317,7 +443,7 @@ impl SpanSink {
     /// transfer), or for a replica beside the item `of` it races, so the
     /// two attempts' phase chains stay disjoint.
     fn open_item(
-        tree: &mut SpanTree,
+        spans: &mut Vec<Span>,
         services: &mut BTreeMap<String, SpanId>,
         root: SpanId,
         event: &TraceEvent,
@@ -327,8 +453,15 @@ impl SpanSink {
         let service = match event {
             TraceEvent::JobSubmitted { processor, .. } | TraceEvent::CacheHit { processor, .. } => {
                 Some(*super::metrics::entry(services, processor, || {
-                    let name = processor.to_string();
-                    Self::open(tree, Some(root), SpanKind::Service, name, at, Vec::new())
+                    let name = SpanName::Service(processor.clone());
+                    Self::open(
+                        spans,
+                        Some(root),
+                        SpanKind::Service,
+                        name,
+                        at,
+                        SpanAttrs::default(),
+                    )
                 }))
             }
             _ => None,
@@ -340,38 +473,41 @@ impl SpanSink {
                 attempt,
                 ..
             } => {
-                let attrs = vec![
-                    ("replica_of".to_string(), invocation.to_string()),
-                    ("replica".to_string(), replica.to_string()),
+                let attrs = [
+                    SpanAttr::ReplicaOf(*invocation),
+                    SpanAttr::Replica(*replica),
                 ];
-                (of.and_then(|of| tree.spans[of.0].parent), attempt, attrs)
+                (of.and_then(|of| spans[of.0].parent), attempt, attrs.into())
             }
             TraceEvent::JobSubmitted {
                 invocation,
                 batched,
                 ..
             } => {
-                let batched = (*batched > 1).then(|| ("batched".to_string(), batched.to_string()));
-                (service, invocation, batched.into_iter().collect())
+                let attrs = if *batched > 1 {
+                    [SpanAttr::Batched(*batched)].into()
+                } else {
+                    SpanAttrs::default()
+                };
+                (service, invocation, attrs)
             }
             TraceEvent::CacheHit { invocation, .. } => {
-                let cached = ("cached".to_string(), "true".to_string());
-                (service, invocation, vec![cached])
+                (service, invocation, [SpanAttr::Cached].into())
             }
             _ => unreachable!("only JobSubmitted, CacheHit and JobReplicated open an invocation"),
         };
-        let name = name.to_string();
-        Self::open(tree, parent, SpanKind::DataItem, name, at, attrs)
+        let name = SpanName::Invocation(*name);
+        Self::open(spans, parent, SpanKind::DataItem, name, at, attrs)
     }
 
     /// Extend every ancestor's end to at least `at`.
-    fn close_ancestors(tree: &mut SpanTree, from: SpanId, at: SimTime) {
-        let mut cursor = tree.spans[from.0].parent;
+    fn close_ancestors(spans: &mut [Span], from: SpanId, at: SimTime) {
+        let mut cursor = spans[from.0].parent;
         while let Some(id) = cursor {
-            if tree.spans[id.0].end.is_none_or(|e| e < at) {
-                tree.spans[id.0].end = Some(at);
+            if spans[id.0].end.is_none_or(|e| e < at) {
+                spans[id.0].end = Some(at);
             }
-            cursor = tree.spans[id.0].parent;
+            cursor = spans[id.0].parent;
         }
     }
 }
@@ -380,20 +516,29 @@ impl EventSink for SpanSink {
     fn record(&mut self, event: &TraceEvent) {
         let at = event.at();
         let mut tree = self.tree.lock().expect("span tree lock");
-        let tree = &mut *tree;
+        // Unshared but for a snapshot taken since the last event, which
+        // this first write after it copies.
+        let spans = Arc::make_mut(&mut tree.spans);
         let root = *self.root.get_or_insert_with(|| {
-            let name = "workflow".to_string();
-            Self::open(tree, None, SpanKind::Workflow, name, at, Vec::new())
+            let name = SpanName::Static(SpanKind::Workflow.name());
+            Self::open(
+                spans,
+                None,
+                SpanKind::Workflow,
+                name,
+                at,
+                SpanAttrs::default(),
+            )
         });
         // The root tracks the latest timestamp seen, so it is always a
         // closed, full-run span once the stream ends.
-        if tree.spans[root.0].end.is_none_or(|e| e < at) {
-            tree.spans[root.0].end = Some(at);
+        if spans[root.0].end.is_none_or(|e| e < at) {
+            spans[root.0].end = Some(at);
         }
         let services = &mut self.services;
-        let step = self
-            .life
-            .record(event, |of| Self::open_item(tree, services, root, event, of));
+        let step = self.life.record(event, |of| {
+            Self::open_item(spans, services, root, event, of)
+        });
         match event {
             // A grid transition retro-creates the finished phase span
             // that began at the attempt's previous one (a timeout or a
@@ -412,39 +557,31 @@ impl EventSink for SpanSink {
                     SimEvent::JobDelivered { .. } => GridPhase::Transfer,
                     _ => return,
                 };
-                let attr = |key: &str, value: String| (key.to_string(), value);
                 let attrs = match e {
                     SimEvent::JobEnqueued { ce, attempt, .. } => {
-                        vec![
-                            attr("ce", ce.0.to_string()),
-                            attr("attempt", attempt.to_string()),
-                        ]
+                        [SpanAttr::Ce(ce.0), SpanAttr::Attempt(*attempt)].into()
                     }
                     SimEvent::JobFinished { outcome, .. } => {
-                        vec![attr(
-                            "success",
-                            (*outcome == JobOutcome::Success).to_string(),
-                        )]
+                        [SpanAttr::Success(*outcome == JobOutcome::Success)].into()
                     }
-                    _ => Vec::new(),
+                    _ => SpanAttrs::default(),
                 };
-                let (kind, name) = (SpanKind::Phase(phase), phase.name().to_string());
-                let id = Self::open(tree, Some(item), kind, name, attempt.last, attrs);
-                tree.spans[id.0].end = Some(at);
+                let (kind, name) = (SpanKind::Phase(phase), SpanName::Static(phase.name()));
+                let id = Self::open(spans, Some(item), kind, name, attempt.last, attrs);
+                spans[id.0].end = Some(at);
             }
             TraceEvent::JobTimedOut {
                 invocation, action, ..
             } => {
                 if let Some(item) = self.life.data(*invocation) {
-                    let attr = ("timed_out".to_string(), action.to_string());
-                    tree.spans[item.0].attrs.push(attr);
+                    spans[item.0].attrs.push(SpanAttr::TimedOut(action));
                 }
             }
             TraceEvent::CeBlacklisted { ce, failures, .. } => {
-                tree.spans[root.0].attrs.push((
-                    format!("blacklisted_ce{ce}"),
-                    format!("{failures} failures"),
-                ));
+                let (ce, failures) = (*ce, *failures);
+                spans[root.0]
+                    .attrs
+                    .push(SpanAttr::Blacklisted { ce, failures });
             }
             // A terminal event closes the item span, recording why a
             // failed or cancelled invocation ended, and the replica
@@ -455,20 +592,20 @@ impl EventSink for SpanSink {
                     return;
                 };
                 let attr = match event {
-                    TraceEvent::JobFailed { error, .. } => Some(("error", error.clone())),
-                    TraceEvent::JobCancelled { reason, .. } => {
-                        Some(("cancelled", (*reason).to_string()))
+                    TraceEvent::JobFailed { error, .. } => {
+                        Some(SpanAttr::Error(error.as_str().into()))
                     }
+                    TraceEvent::JobCancelled { reason, .. } => Some(SpanAttr::Cancelled(reason)),
                     _ => None,
                 };
-                let item = &mut tree.spans[data.0];
+                let item = &mut spans[data.0];
                 item.end = Some(at);
-                if let Some((key, value)) = attr {
-                    item.attrs.push((key.to_string(), value));
+                if let Some(attr) = attr {
+                    item.attrs.push(attr);
                 }
-                Self::close_ancestors(tree, data, at);
+                Self::close_ancestors(spans, data, at);
                 for replica in replicas {
-                    tree.spans[replica.0].end.get_or_insert(at);
+                    spans[replica.0].end.get_or_insert(at);
                 }
             }
         }
@@ -517,7 +654,7 @@ mod tests {
         assert_eq!(root.end, Some(t(155.0)));
         let service = tree.children(root.id).next().expect("service span");
         assert_eq!(service.kind, SpanKind::Service);
-        assert_eq!(service.name, "crestLines");
+        assert_eq!(service.name, SpanName::Service("crestLines".into()));
         assert_eq!(service.end, Some(t(155.0)));
         let item = tree.children(service.id).next().expect("item span");
         assert_eq!(item.kind, SpanKind::DataItem);
@@ -590,8 +727,8 @@ mod tests {
         let execs: Vec<&Span> = tree
             .of_kind(SpanKind::Phase(GridPhase::Execution))
             .collect();
-        assert_eq!(execs[0].attr("success"), Some("false"));
-        assert_eq!(execs[1].attr("success"), Some("true"));
+        assert_eq!(execs[0].attr("success").as_deref(), Some("false"));
+        assert_eq!(execs[1].attr("success").as_deref(), Some("true"));
     }
 
     #[test]
@@ -634,7 +771,7 @@ mod tests {
         let items: Vec<&Span> = tree.of_kind(SpanKind::DataItem).collect();
         assert_eq!(items.len(), 1, "resubmits do not grow sibling items");
         let item = items[0];
-        assert_eq!(item.attr("timed_out"), Some("resubmit"));
+        assert_eq!(item.attr("timed_out").as_deref(), Some("resubmit"));
         assert_eq!(item.end, Some(t(82.0)));
         // The fresh attempt's phases hang off the one item span, and
         // its scheduling starts at the resubmission (60), not at the
@@ -697,8 +834,8 @@ mod tests {
         assert_eq!(items.len(), 2, "replica appears as a sibling item");
         let (orig, replica) = (items[0], items[1]);
         assert_eq!(orig.parent, replica.parent, "siblings under one service");
-        assert_eq!(replica.attr("replica_of"), Some("7"));
-        assert_eq!(replica.attr("replica"), Some("1"));
+        assert_eq!(replica.attr("replica_of").as_deref(), Some("7"));
+        assert_eq!(replica.attr("replica").as_deref(), Some("1"));
         // Every span is closed — no open replica after the terminal
         // event, even though only the original got a JobCancelled.
         assert!(tree.spans().iter().all(|s| s.end.is_some()));
@@ -721,7 +858,7 @@ mod tests {
         });
         let tree = buf.snapshot();
         let root = tree.roots().next().expect("root");
-        assert_eq!(root.attr("blacklisted_ce4"), Some("3 failures"));
+        assert_eq!(root.attr("blacklisted_ce4").as_deref(), Some("3 failures"));
     }
 
     #[test]
@@ -764,8 +901,8 @@ mod tests {
         });
         let tree = buf.snapshot();
         let item = tree.of_kind(SpanKind::DataItem).next().unwrap();
-        assert_eq!(item.attr("error"), Some("boom"));
-        assert_eq!(item.attr("batched"), Some("3"));
+        assert_eq!(item.attr("error").as_deref(), Some("boom"));
+        assert_eq!(item.attr("batched").as_deref(), Some("3"));
         let text = tree.render();
         assert!(text.starts_with("workflow"), "{text}");
         assert!(text.contains("\n  service p"), "{text}");

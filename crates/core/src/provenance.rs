@@ -5,7 +5,10 @@
 //! semantic-provenance literature for e-Science (its ref. \[32\]). This
 //! module makes the recorded provenance a first-class artifact: every
 //! sink token's full history tree, exportable as an XML document and
-//! reloadable for post-hoc analysis.
+//! reloadable for post-hoc analysis. The document nests one element per
+//! derivation, so a history deeper than the XML reader's bound
+//! ([`moteur_xml::MAX_XML_DEPTH`], less the three wrapper levels) is
+//! refused with [`ProvenanceTooDeep`] instead of written.
 
 use crate::error::MoteurError;
 use crate::token::{History, HistoryNode};
@@ -59,8 +62,63 @@ pub fn history_from_xml(el: &Element) -> Result<Arc<History>, MoteurError> {
     }
 }
 
-/// Export every sink token's provenance as one `<provenance>` document.
-pub fn export_provenance(result: &WorkflowResult) -> String {
+/// Levels the export wraps a history in: `<provenance>`, `<sink>`,
+/// `<data>`.
+const WRAPPERS: usize = 3;
+
+/// A sink token's history nests deeper than an XML document may:
+/// exported, the document would be one [`moteur_xml::parse`] refuses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProvenanceTooDeep {
+    /// The sink whose token it is.
+    pub sink: String,
+    /// Elements from the document root to its deepest source.
+    pub depth: usize,
+    /// The deepest document the reader accepts,
+    /// [`moteur_xml::MAX_XML_DEPTH`].
+    pub limit: usize,
+}
+
+impl std::fmt::Display for ProvenanceTooDeep {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "provenance of sink `{}` nests {} elements deep, beyond the {} an XML document may",
+            self.sink, self.depth, self.limit
+        )
+    }
+}
+
+impl std::error::Error for ProvenanceTooDeep {}
+
+/// Elements on the longest root-to-source path of `history`, walked
+/// with a stack of its own rather than the call stack.
+fn depth(history: &History) -> usize {
+    let mut deepest = 0;
+    let mut stack = vec![(history, 1)];
+    while let Some((node, depth)) = stack.pop() {
+        deepest = deepest.max(depth);
+        if let HistoryNode::Derived { inputs, .. } = node.node() {
+            stack.extend(inputs.iter().map(|input| (&**input, depth + 1)));
+        }
+    }
+    deepest
+}
+
+/// Export every sink token's provenance as one `<provenance>` document,
+/// or refuse, before writing any of it, a history the document could
+/// not hold.
+pub fn export_provenance(result: &WorkflowResult) -> Result<String, ProvenanceTooDeep> {
+    let limit = moteur_xml::MAX_XML_DEPTH;
+    for sink in result.sink_outputs.keys() {
+        for token in result.sink(sink) {
+            let depth = WRAPPERS + depth(&token.history);
+            if depth > limit {
+                let sink = sink.clone();
+                return Err(ProvenanceTooDeep { sink, depth, limit });
+            }
+        }
+    }
     let mut root = Element::new("provenance");
     for sink in result.sink_outputs.keys() {
         let mut sink_el = Element::new("sink").with_attr("name", sink.clone());
@@ -73,7 +131,7 @@ pub fn export_provenance(result: &WorkflowResult) -> String {
         }
         root = root.with_child(sink_el);
     }
-    root.to_pretty_string()
+    Ok(root.to_pretty_string())
 }
 
 #[cfg(test)]
@@ -134,7 +192,7 @@ mod tests {
             bytes_transferred: 0,
             quarantined: vec![],
         };
-        let xml = export_provenance(&result);
+        let xml = export_provenance(&result).expect("shallow histories");
         let doc = moteur_xml::parse(&xml).unwrap();
         assert_eq!(doc.name, "provenance");
         let sink = doc.child("sink").unwrap();
@@ -149,6 +207,61 @@ mod tests {
             4,
             "crestMatch + crestLines + 2 sources"
         );
+    }
+
+    /// A result whose one sink holds one token of `history`.
+    fn result_of(history: Arc<History>) -> WorkflowResult {
+        let token = Token {
+            value: DataValue::from(1.0),
+            index: DataIndex::single(0),
+            history,
+        };
+        WorkflowResult {
+            sink_outputs: BTreeMap::from([("out".to_string(), vec![token])]),
+            sink_counts: BTreeMap::from([("out".to_string(), 1)]),
+            makespan: SimDuration::ZERO,
+            completed_invocations: 1,
+            jobs_submitted: 1,
+            bytes_transferred: 0,
+            quarantined: vec![],
+        }
+    }
+
+    /// `stages` derivations over one source: `stages + 1` elements.
+    fn chain(stages: usize) -> Arc<History> {
+        let mut h = History::source("origin", 0);
+        for i in 0..stages {
+            h = History::derived(format!("stage{i}"), vec![h]);
+        }
+        h
+    }
+
+    #[test]
+    fn the_deepest_exportable_history_round_trips_and_one_more_level_is_refused() {
+        let limit = moteur_xml::MAX_XML_DEPTH;
+        // Three wrapper levels, then `stages + 1` history elements.
+        let deepest = chain(limit - WRAPPERS - 1);
+        let xml = export_provenance(&result_of(deepest.clone())).expect("within the bound");
+        let doc = moteur_xml::parse(&xml).expect("the reader accepts what the export writes");
+        let data = doc.child("sink").and_then(|s| s.child("data")).unwrap();
+        let history = data.elements().next().expect("the history element");
+        assert_eq!(history_from_xml(history).unwrap(), deepest);
+
+        let err = export_provenance(&result_of(chain(limit - WRAPPERS))).unwrap_err();
+        assert_eq!(
+            err,
+            ProvenanceTooDeep {
+                sink: "out".to_string(),
+                depth: limit + 1,
+                limit,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "provenance of sink `out` nests 129 elements deep, beyond the 128 an XML document may"
+        );
+        let err = export_provenance(&result_of(chain(1_000))).unwrap_err();
+        assert_eq!(err.depth, 1_000 + 1 + WRAPPERS);
     }
 
     #[test]
@@ -174,7 +287,7 @@ mod tests {
             bytes_transferred: 0,
             quarantined: vec![],
         };
-        let xml = export_provenance(&result);
+        let xml = export_provenance(&result).expect("shallow histories");
         let doc = moteur_xml::parse(&xml).unwrap();
         assert_eq!(doc.element_count(), 1);
     }

@@ -9,19 +9,27 @@
 //! of the enactor or of a sink must leave every line of that file
 //! untouched; regenerate only for an intended behaviour change with
 //! `MOTEUR_BLESS=1 cargo test -p moteur --test golden_traces` (same
-//! convention as `tests/golden/chrome_trace.json`).
+//! convention as `tests/golden/chrome_trace.json`). Every event line is
+//! also compared with the former line writer's
+//! (`support/event_line_oracle.rs`), and with what a `JsonlSink` on the
+//! same run streamed.
 
+#[path = "support/event_line_oracle.rs"]
+mod event_line_oracle;
+
+use event_line_oracle::OracleLine;
 use moteur::obs::json::JsonValue;
 use moteur::prelude::*;
 use moteur::{
     chrome_trace_with_metrics, critical_path, detect_bottlenecks, diagram, render_critical_path,
     render_openmetrics_with_prof, render_report, serve, BackendJob, Daemon, DaemonConfig, Fnv1a,
-    InvocationId, InvocationRecord, JobPayload, MetricsSink, RecordSink, RingBufferSink, SloConfig,
-    SpanSink, TimelineSink, WaitOutcome,
+    InvocationId, InvocationRecord, JobPayload, JsonlSink, MetricsSink, RecordSink, RingBufferSink,
+    SloConfig, SpanSink, TimelineSink, WaitOutcome,
 };
 use moteur_gridsim::{GridConfig, SimTime};
 use moteur_wrapper::{AccessMethod, ExecutableDescriptor, FileItem, InputSlot, OutputSlot};
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex};
 
 const BRONZE_XML: &str = include_str!("../../../examples/workflows/bronze-standard.xml");
 const IMAGE_BYTES: u64 = 7_864_320;
@@ -123,28 +131,57 @@ fn records_doc(records: &[InvocationRecord], result: &WorkflowResult) -> String 
         + &diagram::render(records, &processors)
 }
 
-/// Run `enact` with a capturing sink, the three standard deriving
-/// sinks and a record sink attached, and return what they recorded.
+/// A writer whose bytes the test reads back.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("shared bytes").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Run `enact` with a capturing sink, a JSONL sink, the three standard
+/// deriving sinks and a record sink attached, and return what they
+/// recorded.
 fn observe(enact: impl FnOnce(Obs) -> WorkflowResult) -> Observed {
     let (sink, buffer) = RingBufferSink::new(1_000_000);
+    let written = Shared::default();
     let (metrics, registry) = MetricsSink::new();
     let (spans, tree) = SpanSink::new();
     let timeline = TimelineSink::new();
     let state = timeline.state();
     let (records_sink, records) = RecordSink::new();
-    let result = enact(Obs::new(vec![
+    let obs = Obs::new(vec![
         Box::new(sink),
+        Box::new(JsonlSink::new(Box::new(written.clone()))),
         Box::new(metrics),
         Box::new(spans),
         Box::new(timeline),
         Box::new(records_sink),
-    ]));
+    ]);
+    let result = enact(obs.clone());
+    obs.flush().expect("in-memory writer");
     assert_eq!(buffer.dropped(), 0, "ring buffer must not wrap");
-    let stream = buffer
+    let stream: String = buffer
         .snapshot()
         .iter()
-        .map(|e| e.to_json() + "\n")
+        .map(|e| {
+            let line = e.to_json();
+            assert_eq!(line, e.oracle_line(), "the former writer's bytes");
+            line + "\n"
+        })
         .collect();
+    let written = written.0.lock().expect("shared bytes");
+    assert!(
+        *written == stream.as_bytes(),
+        "the JSONL sink streams the events' lines"
+    );
     let registry = registry.lock().expect("metrics registry");
     let tree = tree.snapshot();
     let state = state.lock().expect("timeline state");

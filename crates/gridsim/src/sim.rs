@@ -1162,4 +1162,48 @@ mod tests {
             "later dispatches should see congestion: {min_stage_in} vs {max_stage_in}"
         );
     }
+
+    /// A seeded run with file transfers, failures and cancellations:
+    /// the FNV-1a digest of every event, every record (their `Debug`
+    /// text) and the simulator's next RNG draw after the run. A change
+    /// to what the simulator keeps of a settled job must leave it
+    /// unchanged.
+    #[test]
+    fn a_seeded_run_with_transfers_failures_and_cancellations_is_pinned() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut cfg = GridConfig::egee_2006();
+        cfg.failure_probability = 0.2;
+        let mut sim = GridSim::new(cfg, 2016);
+        let log = Rc::new(RefCell::new(String::new()));
+        let sink = log.clone();
+        sim.set_observer(Box::new(move |e| {
+            sink.borrow_mut().push_str(&format!("{e:?}\n"));
+        }));
+        let mut ids = Vec::new();
+        for i in 0..120u64 {
+            let inputs = (0..i % 4).map(|k| 1_000_000 * (k + i)).collect();
+            let spec = GridJobSpec::new(format!("j{i}"), 60.0 + i as f64)
+                .with_files(inputs, vec![500_000 * (i % 3)])
+                .with_tag(i);
+            ids.push(sim.submit(spec));
+        }
+        let (mut delivered, mut cancelled) = (0, 0);
+        while let Some(record) = sim.next_completion() {
+            log.borrow_mut().push_str(&format!("{record:?}\n"));
+            delivered += 1;
+            if delivered % 10 == 0 {
+                // Cancel a job at whatever stage it reached.
+                cancelled += usize::from(sim.cancel(ids[delivered * 7 % ids.len()]));
+            }
+        }
+        assert!(cancelled > 0 && delivered + cancelled == ids.len());
+        assert!(sim.jobs.iter().all(|state| state.record.is_none()));
+        let mut text = std::mem::take(&mut *log.borrow_mut());
+        text.push_str(&format!("next draw {}\n", sim.rng.next_u64()));
+        let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((text.len(), digest), (331_154, 253_489_287_444_021_188));
+    }
 }

@@ -80,10 +80,11 @@ pub struct Kind {
     /// A file prints "`written` written to PATH".
     pub written: &'static str,
     /// `None`: the sink wrote the file as the events arrived.
-    pub render: Option<fn(&Ctx) -> Doc>,
+    /// An `Err` is the run's error: the row writes nothing.
+    pub render: Option<Render>,
 }
 
-type Render = fn(&Ctx) -> Doc;
+type Render = fn(&Ctx) -> Result<Doc, String>;
 
 const fn kind(name: &'static str, via: Via, written: &'static str, render: Option<Render>) -> Kind {
     Kind {
@@ -130,60 +131,66 @@ use Via::{Auto, AutoStderr, File, Text};
 pub static KINDS: &[Kind] = &[
     text("report", "report", |c| {
         let result = c.result();
-        render_report(&c.records(), result.makespan, result.jobs_submitted).into()
+        Ok(render_report(&c.records(), result.makespan, result.jobs_submitted).into())
     })
     .needs(&[Records]),
+    // Refused, with no file written, when a history nests deeper than
+    // the document may.
     file("provenance", "provenance", |c| {
-        export_provenance(c.result()).into()
+        export_provenance(c.result())
+            .map(Doc::from)
+            .map_err(|e| e.to_string())
     })
     .of_result(),
     kind("events", File, "events", None).needs(&[Jsonl]),
-    file("metrics", "metrics", |c| c.metrics().to_json().into())
+    file("metrics", "metrics", |c| Ok(c.metrics().to_json().into()))
         .needs(&[Metrics])
         .of_result(),
-    file("chrome-trace", "chrome trace", |c| Doc {
-        bytes: chrome_trace_with_metrics(&c.records(), Some(&c.metrics())),
-        note: " (load in ui.perfetto.dev)".to_string(),
+    file("chrome-trace", "chrome trace", |c| {
+        Ok(Doc {
+            bytes: chrome_trace_with_metrics(&c.records(), Some(&c.metrics())),
+            note: " (load in ui.perfetto.dev)".to_string(),
+        })
     })
     .needs(&[Metrics, Records])
     .of_result(),
     file("spans", "spans", |c| {
         let tree = c.spans().snapshot();
-        Doc {
+        Ok(Doc {
             bytes: tree.to_jsonl(),
             note: format!(" ({} spans)", tree.len()),
-        }
+        })
     })
     .needs(&[Spans]),
     file("openmetrics", "openmetrics", |c| {
         let tree = c.spans().snapshot();
         let prof = c.prof().is_enabled().then(|| c.prof().report());
-        render_openmetrics_with_prof(&c.metrics(), Some(&tree), prof.as_ref()).into()
+        Ok(render_openmetrics_with_prof(&c.metrics(), Some(&tree), prof.as_ref()).into())
     })
     .needs(&[Metrics, Spans]),
     file("profile", "profile", |c| {
-        prof_to_json(&c.prof().report()).into()
+        Ok(prof_to_json(&c.prof().report()).into())
     })
     .needs(&[Profiler]),
     file("profile-collapsed", "collapsed stacks", |c| {
-        c.prof().report().render_collapsed().into()
+        Ok(c.prof().report().render_collapsed().into())
     })
     .needs(&[Profiler]),
-    auto(AutoStderr, |c| c.prof().report().render_table().into()).needs(&[Profiler]),
+    auto(AutoStderr, |c| Ok(c.prof().report().render_table().into())).needs(&[Profiler]),
     file("timeline", "timeline", |c| {
-        c.timeline().timeline.to_json().into()
+        Ok(c.timeline().timeline.to_json().into())
     })
     .needs(&[Timeline]),
     file("timeline-csv", "timeline csv", |c| {
-        c.timeline().timeline.to_csv().into()
+        Ok(c.timeline().timeline.to_csv().into())
     })
     .needs(&[Timeline]),
     auto(Auto, |c| {
-        detect_bottlenecks(&c.timeline().stats).render().into()
+        Ok(detect_bottlenecks(&c.timeline().stats).render().into())
     })
     .needs(&[Timeline]),
     text("critical-path", "critical path", |c| {
-        render_critical_path(&critical_path(&c.records(), c.result().makespan)).into()
+        Ok(render_critical_path(&critical_path(&c.records(), c.result().makespan)).into())
     })
     .needs(&[Records]),
     text("diagram", "diagram", |c| {
@@ -192,21 +199,21 @@ pub static KINDS: &[Kind] = &[
             .filter(|p| p.kind == ProcessorKind::Service)
             .map(|p| p.name.as_str())
             .collect();
-        diagram::render(&c.records(), &names).into()
+        Ok(diagram::render(&c.records(), &names).into())
     })
     .needs(&[Records]),
     // A degraded run (quarantined items) always says what it lost.
     auto(Auto, |c| {
         let report = c.result().report();
-        if report.ok() {
+        Ok(if report.ok() {
             Doc::default()
         } else {
             report.render().into()
-        }
+        })
     })
     .of_result(),
     file("workflow-report", "workflow report", |c| {
-        c.result().report().to_json().into()
+        Ok(c.result().report().to_json().into())
     })
     .of_result(),
 ];
@@ -411,7 +418,10 @@ impl Emit {
             if path.is_none() && !automatic {
                 continue;
             }
-            let doc = kind.render.map_or_else(Doc::default, |render| render(&ctx));
+            let doc = match kind.render {
+                Some(render) => render(&ctx)?,
+                None => Doc::default(),
+            };
             match path {
                 None if kind.via == AutoStderr => eprint!("{}", doc.bytes),
                 None | Some("-") if doc.bytes.is_empty() => {}

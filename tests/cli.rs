@@ -216,6 +216,64 @@ fn run_refuses_a_barrier_on_a_data_cycle() {
     }
 }
 
+/// A linear chain of `stages` grid services over one file.
+fn chain_workflow(stages: usize) -> String {
+    let mut xml = String::from("<scufl name=\"chain\">\n  <source name=\"s\" bytes=\"64\"/>\n");
+    for i in 0..stages {
+        xml += &format!(
+            r#"  <processor name="p{i}" compute="1">
+    <executable name="x">
+      <access type="URL"><path value="http://h"/></access>
+      <value value="x"/>
+      <input name="in" option="-i"><access type="GFN"/></input>
+      <output name="out" option="-o"><access type="GFN"/></output>
+    </executable>
+  </processor>
+"#
+        );
+    }
+    xml += "  <sink name=\"k\"/>\n  <link from=\"s:out\" to=\"p0:in\"/>\n";
+    for i in 1..stages {
+        xml += &format!("  <link from=\"p{}:out\" to=\"p{i}:in\"/>\n", i - 1);
+    }
+    xml + &format!(
+        "  <link from=\"p{}:out\" to=\"k:in\"/>\n</scufl>\n",
+        stages - 1
+    )
+}
+
+/// A provenance document deeper than the XML reader's bound is refused
+/// with the depth and the bound, and no file is written; one level
+/// shallower is written and reads back.
+#[test]
+fn run_refuses_a_provenance_document_its_reader_would_refuse() {
+    let dir = in_temp_dir();
+    let inputs = r#"<inputdata><input name="s"><item type="file" gfn="gfn://x/i0" bytes="64"/></input></inputdata>"#;
+    std::fs::write(dir.path().join("in.xml"), inputs).unwrap();
+    // Wrappers (3) + services + the source: 128 levels, then 129.
+    for (stages, fits) in [(124, true), (125, false)] {
+        let workflow = format!("chain{stages}.xml");
+        std::fs::write(dir.path().join(&workflow), chain_workflow(stages)).unwrap();
+        let out = format!("prov{stages}.xml");
+        let emit = format!("provenance={out}");
+        let args = ["run", workflow.as_str(), "in.xml", "--emit", emit.as_str()];
+        let (code, _, stderr) = outcome(moteur(), &dir, &args);
+        let written = dir.path().join(&out);
+        if fits {
+            assert_eq!(code, 0, "{stderr}");
+            let doc = std::fs::read_to_string(&written).expect("provenance file");
+            moteur_repro::xml::parse(&doc).expect("the reader accepts it");
+        } else {
+            assert_eq!(code, 1, "{stderr}");
+            assert!(
+                stderr.contains("provenance of sink `k` nests 129 elements deep, beyond the 128"),
+                "{stderr}"
+            );
+            assert!(!written.exists(), "no provenance file is written");
+        }
+    }
+}
+
 /// Regression: a timeline file is outside input; nesting deep enough
 /// to overflow the recursive JSON parser's stack must fail like any
 /// other malformed file, not abort the process.
