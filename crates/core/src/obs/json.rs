@@ -80,11 +80,6 @@ fn push_ascii(out: &mut String, digits: &[u8]) {
 /// Append the decimal digits of `v`: the same bytes as `{v}`, without
 /// going through `core::fmt`.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
-    if v < 10 {
-        // Most counts of an event line are one digit.
-        out.push(char::from(b'0' + v as u8));
-        return;
-    }
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {

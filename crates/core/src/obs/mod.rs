@@ -418,196 +418,149 @@ impl TraceEvent {
     /// pass: the kind's constant head, then each field after its
     /// pre-quoted key.
     pub fn write_json(&self, out: &mut String) {
-        let line = Line::open(out, HEADS[self.kind_index()]);
+        let mut line = Line::open(out, HEADS[self.kind_index()]).secs(self.at().0);
+        if let Some(invocation) = self.invocation() {
+            line = line.uint(key!("invocation"), invocation);
+        }
         match self {
             TraceEvent::TokenEmitted {
-                at,
                 processor,
                 port,
                 index,
+                ..
             } => line
-                .secs(at.0)
                 .str(key!("processor"), processor)
                 .str(key!("port"), port)
                 .str(key!("index"), index),
             TraceEvent::MatchFired {
-                at,
                 processor,
                 index,
                 inputs,
+                ..
             } => line
-                .secs(at.0)
                 .str(key!("processor"), processor)
                 .str(key!("index"), index)
                 .uint(key!("inputs"), *inputs as u64),
             TraceEvent::GroupComposed {
-                at,
                 processor,
                 stages,
                 commands,
+                ..
             } => line
-                .secs(at.0)
                 .str(key!("processor"), processor)
                 .uint(key!("stages"), *stages as u64)
                 .uint(key!("commands"), *commands as u64),
             TraceEvent::BarrierReleased {
-                at,
-                processor,
-                inputs,
+                processor, inputs, ..
             } => line
-                .secs(at.0)
                 .str(key!("processor"), processor)
                 .uint(key!("inputs"), *inputs as u64),
             TraceEvent::JobSubmitted {
-                at,
-                invocation,
                 processor,
                 grid,
                 batched,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .bool(key!("grid"), *grid)
                 .uint(key!("batched"), *batched as u64),
             TraceEvent::JobResubmitted {
-                at,
-                invocation,
                 processor,
                 retry,
                 attempt,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .uint(key!("retry"), u64::from(*retry))
                 .uint(key!("attempt"), *attempt),
-            TraceEvent::JobCompleted {
-                at,
-                invocation,
-                processor,
-                ..
-            }
-            | TraceEvent::CacheMiss {
-                at,
-                invocation,
-                processor,
-            } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
-                .str(key!("processor"), processor),
+            TraceEvent::JobCompleted { processor, .. }
+            | TraceEvent::CacheMiss { processor, .. } => line.str(key!("processor"), processor),
             TraceEvent::JobFailed {
-                at,
-                invocation,
-                processor,
-                error,
+                processor, error, ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .str(key!("error"), error),
             TraceEvent::JobTimedOut {
-                at,
-                invocation,
                 processor,
                 timeout_secs,
                 action,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .num(key!("timeout_secs"), *timeout_secs)
                 .str(key!("action"), action),
             TraceEvent::JobReplicated {
-                at,
-                invocation,
                 processor,
                 replica,
                 attempt,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .uint(key!("replica"), u64::from(*replica))
                 .uint(key!("attempt"), *attempt),
             TraceEvent::JobCancelled {
-                at,
-                invocation,
-                processor,
-                reason,
+                processor, reason, ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .str(key!("reason"), reason),
-            TraceEvent::CeBlacklisted { at, ce, failures } => line
-                .secs(at.0)
+            TraceEvent::CeBlacklisted { ce, failures, .. } => line
                 .uint(key!("ce"), *ce as u64)
                 .uint(key!("failures"), u64::from(*failures)),
             TraceEvent::CacheHit {
-                at,
-                invocation,
                 processor,
                 outputs,
                 transfer_seconds,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .uint(key!("outputs"), *outputs as u64)
                 .num(key!("transfer_seconds"), *transfer_seconds),
             TraceEvent::EdgeStaged {
-                at,
-                invocation,
                 processor,
                 port,
                 bytes,
+                ..
             } => line
-                .secs(at.0)
-                .uint(key!("invocation"), *invocation)
                 .str(key!("processor"), processor)
                 .str(key!("port"), port)
                 .uint(key!("bytes"), *bytes),
             TraceEvent::Grid(e) => grid_fields(line, e),
             TraceEvent::EnactorGauges {
-                at,
                 inflight,
                 deferred,
                 quarantined,
                 cache_entries,
                 cache_bytes,
+                ..
             } => line
-                .secs(at.0)
                 .uint(key!("inflight"), *inflight as u64)
                 .uint(key!("deferred"), *deferred as u64)
                 .uint(key!("quarantined"), *quarantined as u64)
                 .uint(key!("cache_entries"), *cache_entries as u64)
                 .uint(key!("cache_bytes"), *cache_bytes),
             TraceEvent::PortSuspended {
-                at,
                 processor,
                 depth,
                 capacity,
+                ..
             }
             | TraceEvent::PortResumed {
-                at,
                 processor,
                 depth,
                 capacity,
+                ..
             } => line
-                .secs(at.0)
                 .str(key!("processor"), processor)
                 .uint(key!("depth"), *depth as u64)
                 .uint(key!("capacity"), *capacity as u64),
             TraceEvent::SloBreached {
-                at,
                 predicted_secs,
                 projected_secs,
                 factor,
                 completed,
                 expected,
+                ..
             } => line
-                .secs(at.0)
                 .num(key!("predicted_secs"), *predicted_secs)
                 .num(key!("projected_secs"), *projected_secs)
                 .num(key!("factor"), *factor)
@@ -618,66 +571,35 @@ impl TraceEvent {
     }
 }
 
-/// The grid half of the JSONL schema: a simulator event's line after
-/// its head, with its `tag` as the `invocation`. A CE renders as its
-/// index and an outcome as `success`; the simulator's own job id is not
-/// rendered.
+/// The grid half of the JSONL schema: a simulator event's fields after
+/// its head and its `tag` (rendered as the `invocation`). A CE renders
+/// as its index and an outcome as `success`; the simulator's own job id
+/// is not rendered.
 fn grid_fields<'a>(line: Line<'a>, e: &SimEvent) -> Line<'a> {
     let success = |outcome: &JobOutcome| *outcome == JobOutcome::Success;
     match e {
-        SimEvent::JobSubmitted { at, tag, name, .. } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
-            .str(key!("name"), name),
-        SimEvent::JobMatched { at, tag, ce, .. } | SimEvent::JobStarted { at, tag, ce, .. } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
-            .uint(key!("ce"), ce.0 as u64),
-        SimEvent::JobEnqueued {
-            at,
-            tag,
-            ce,
-            attempt,
-            ..
-        } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
+        SimEvent::JobSubmitted { name, .. } => line.str(key!("name"), name),
+        SimEvent::JobMatched { ce, .. } | SimEvent::JobStarted { ce, .. } => {
+            line.uint(key!("ce"), ce.0 as u64)
+        }
+        SimEvent::JobEnqueued { ce, attempt, .. } => line
             .uint(key!("ce"), ce.0 as u64)
             .uint(key!("attempt"), u64::from(*attempt)),
-        SimEvent::JobFinished {
-            at,
-            tag,
-            ce,
-            outcome,
-            ..
-        } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
+        SimEvent::JobFinished { ce, outcome, .. } => line
             .uint(key!("ce"), ce.0 as u64)
             .bool(key!("success"), success(outcome)),
-        SimEvent::JobResubmitted {
-            at, tag, attempt, ..
-        } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
-            .uint(key!("attempt"), u64::from(*attempt)),
-        SimEvent::JobDelivered {
-            at, tag, outcome, ..
-        } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
-            .bool(key!("success"), success(outcome)),
-        SimEvent::JobCancelled { at, tag, .. } => line.secs(at.0).uint(key!("invocation"), *tag),
+        SimEvent::JobResubmitted { attempt, .. } => line.uint(key!("attempt"), u64::from(*attempt)),
+        SimEvent::JobDelivered { outcome, .. } => line.bool(key!("success"), success(outcome)),
+        SimEvent::JobCancelled { .. } => line,
         SimEvent::CeCapacity {
-            at,
             ce,
             busy,
             queued,
             queued_user,
             slots,
             up,
+            ..
         } => line
-            .secs(at.0)
             .uint(key!("ce"), ce.0 as u64)
             .uint(key!("busy"), *busy as u64)
             .uint(key!("queued"), *queued as u64)
@@ -685,8 +607,6 @@ fn grid_fields<'a>(line: Line<'a>, e: &SimEvent) -> Line<'a> {
             .uint(key!("slots"), *slots as u64)
             .bool(key!("up"), *up),
         SimEvent::LinkTransfer {
-            at,
-            tag,
             ce,
             bytes_in,
             bytes_out,
@@ -694,8 +614,6 @@ fn grid_fields<'a>(line: Line<'a>, e: &SimEvent) -> Line<'a> {
             stage_out_secs,
             ..
         } => line
-            .secs(at.0)
-            .uint(key!("invocation"), *tag)
             .uint(key!("ce"), ce.0 as u64)
             .uint(key!("bytes_in"), *bytes_in)
             .uint(key!("bytes_out"), *bytes_out)

@@ -161,8 +161,7 @@ impl Series {
     /// Sample a level (a gauge) at virtual time `t`.
     fn sample(&mut self, t: f64, v: f64) {
         self.last = Some((t, v));
-        // `keep_every` is a power of two: a mask, not a division.
-        if self.seen & (self.keep_every - 1) == 0 {
+        if self.seen.is_multiple_of(self.keep_every) {
             self.points.push((t, v));
             if self.points.len() >= self.capacity {
                 let mut i = 0usize;

@@ -14,6 +14,7 @@ use crate::error::MoteurError;
 use crate::token::{History, HistoryNode};
 use crate::trace::WorkflowResult;
 use moteur_xml::Element;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Serialise one history tree.
@@ -92,17 +93,35 @@ impl std::fmt::Display for ProvenanceTooDeep {
 impl std::error::Error for ProvenanceTooDeep {}
 
 /// Elements on the longest root-to-source path of `history`, walked
-/// with a stack of its own rather than the call stack.
+/// with a stack of its own rather than the call stack. Each node is
+/// measured once, however many parents list it, so a chain of diamonds
+/// costs its nodes rather than its paths.
 fn depth(history: &History) -> usize {
-    let mut deepest = 0;
-    let mut stack = vec![(history, 1)];
-    while let Some((node, depth)) = stack.pop() {
-        deepest = deepest.max(depth);
-        if let HistoryNode::Derived { inputs, .. } = node.node() {
-            stack.extend(inputs.iter().map(|input| (&**input, depth + 1)));
+    let mut known: BTreeMap<*const History, usize> = BTreeMap::new();
+    let mut stack = vec![history];
+    while let Some(&node) = stack.last() {
+        if known.contains_key(&(node as *const History)) {
+            stack.pop();
+            continue;
+        }
+        let inputs = match node.node() {
+            HistoryNode::Derived { inputs, .. } => &inputs[..],
+            HistoryNode::Source { .. } => &[],
+        };
+        let pending = stack.len();
+        stack.extend(
+            inputs
+                .iter()
+                .filter(|input| !known.contains_key(&Arc::as_ptr(input)))
+                .map(|input| &**input),
+        );
+        if stack.len() == pending {
+            let below = inputs.iter().map(|input| known[&Arc::as_ptr(input)]);
+            known.insert(node, 1 + below.max().unwrap_or(0));
+            stack.pop();
         }
     }
-    deepest
+    known[&(history as *const History)]
 }
 
 /// Export every sink token's provenance as one `<provenance>` document,
@@ -262,6 +281,18 @@ mod tests {
         );
         let err = export_provenance(&result_of(chain(1_000))).unwrap_err();
         assert_eq!(err.depth, 1_000 + 1 + WRAPPERS);
+    }
+
+    #[test]
+    fn a_chain_of_diamonds_is_measured_by_its_nodes_not_its_paths() {
+        // Each level derives from the one below twice, as a processor
+        // fed twice from one upstream token: 2^200 root-to-source paths.
+        let mut h = History::source("origin", 0);
+        for i in 0..200 {
+            h = History::derived(format!("stage{i}"), vec![h.clone(), h]);
+        }
+        let err = export_provenance(&result_of(h)).unwrap_err();
+        assert_eq!(err.depth, 200 + 1 + WRAPPERS);
     }
 
     #[test]

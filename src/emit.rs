@@ -80,7 +80,8 @@ pub struct Kind {
     /// A file prints "`written` written to PATH".
     pub written: &'static str,
     /// `None`: the sink wrote the file as the events arrived.
-    /// An `Err` is the run's error: the row writes nothing.
+    /// An `Err` is the run's error: the row writes nothing, the other
+    /// rows are still written.
     pub render: Option<Render>,
 }
 
@@ -403,13 +404,16 @@ impl Emit {
 
     /// Write every selected row, and every automatic row whose needs are
     /// attached, in table order. `run` is the enacted workflow and its
-    /// result, for the caller that parsed the spec `with_result`.
+    /// result, for the caller that parsed the spec `with_result`. A row
+    /// that fails writes nothing and the rest are still written; the
+    /// first failure is the error.
     pub fn write(
         &self,
         sinks: &Sinks,
         run: Option<(&Workflow, &WorkflowResult)>,
     ) -> Result<(), String> {
         let ctx = Ctx { sinks, run };
+        let mut failed = None;
         for kind in KINDS {
             let automatic = matches!(kind.via, Auto | AutoStderr)
                 && kind.needs.iter().all(|n| self.needs(*n))
@@ -418,8 +422,12 @@ impl Emit {
             if path.is_none() && !automatic {
                 continue;
             }
-            let doc = match kind.render {
-                Some(render) => render(&ctx)?,
+            let doc = match kind.render.map(|render| render(&ctx)) {
+                Some(Ok(doc)) => doc,
+                Some(Err(e)) => {
+                    failed.get_or_insert(e);
+                    continue;
+                }
                 None => Doc::default(),
             };
             match path {
@@ -428,14 +436,16 @@ impl Emit {
                 None | Some("-") => print!("\n{}", doc.bytes),
                 Some(path) => {
                     if kind.render.is_some() {
-                        std::fs::write(path, doc.bytes)
-                            .map_err(|e| format!("writing {path}: {e}"))?;
+                        if let Err(e) = std::fs::write(path, doc.bytes) {
+                            failed.get_or_insert(format!("writing {path}: {e}"));
+                            continue;
+                        }
                     }
                     println!("{} written to {path}{}", kind.written, doc.note);
                 }
             }
         }
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 }
 

@@ -255,10 +255,13 @@ fn run_refuses_a_provenance_document_its_reader_would_refuse() {
         let workflow = format!("chain{stages}.xml");
         std::fs::write(dir.path().join(&workflow), chain_workflow(stages)).unwrap();
         let out = format!("prov{stages}.xml");
-        let emit = format!("provenance={out}");
+        // A later row of the table is written either way.
+        let report = format!("report{stages}.json");
+        let emit = format!("provenance={out},workflow-report={report}");
         let args = ["run", workflow.as_str(), "in.xml", "--emit", emit.as_str()];
         let (code, _, stderr) = outcome(moteur(), &dir, &args);
         let written = dir.path().join(&out);
+        assert!(dir.path().join(&report).exists(), "{stderr}");
         if fits {
             assert_eq!(code, 0, "{stderr}");
             let doc = std::fs::read_to_string(&written).expect("provenance file");
