@@ -6,10 +6,9 @@
 use super::ports::Routes;
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
-use crate::graph::{ProcId, Processor, Workflow};
+use crate::graph::{GraphIndex, Processor, Workflow};
 use crate::lint::rules::lint_with_facts;
 use crate::lint::Severity;
-use crate::plan::facts::StaticFacts;
 use crate::service::{GroupSource, ServiceBinding, ServiceProfile};
 use crate::store::{descriptor_digest, group_digest};
 use moteur_wrapper::{ExecutableDescriptor, Feed, JobTemplate, StageSpec};
@@ -46,9 +45,8 @@ pub(crate) struct CompiledWorkflow {
     /// Per-processor name, interned once: every backend job and history
     /// node of every instance holds it by reference count.
     pub(super) names: Vec<Arc<str>>,
-    /// SCC id per processor and whether that SCC is a real cycle.
-    pub(super) scc_ids: Vec<usize>,
-    pub(super) in_cycle: Vec<bool>,
+    /// The enacted graph's adjacency, components and cycle membership.
+    pub(super) graph: GraphIndex,
     pub(super) routes: Routes,
     /// Per-processor service digest: `Some` for deterministic
     /// descriptor- or group-bound processors, `None` for everything
@@ -76,7 +74,7 @@ impl CompiledWorkflow {
         workflow: &Workflow,
         config: &EnactorConfig,
     ) -> Result<Arc<Self>, MoteurError> {
-        let (scc_ids, mut in_cycle) = if config.preflight {
+        let graph = if config.preflight {
             // Error-severity lint findings are exactly the structural
             // conditions under which enactment would panic, deadlock or
             // silently drop data — refuse them up front with a typed
@@ -85,9 +83,7 @@ impl CompiledWorkflow {
             // wrote.
             let (findings, facts) = lint_with_facts(workflow);
             match facts {
-                Some(StaticFacts { scc, in_cycle, .. }) if !findings.has_errors() => {
-                    (scc, in_cycle)
-                }
+                Some(facts) if !findings.has_errors() => facts.graph,
                 _ => {
                     let summary = findings
                         .at_least(Severity::Error)
@@ -98,29 +94,25 @@ impl CompiledWorkflow {
                 }
             }
         } else {
-            workflow.validate()?;
-            workflow.cycles()
+            crate::lint::rules::validate(workflow)?
         };
         // A barrier releases once, taking its buffers (paper §2.3): a
         // token looping back to it would have nowhere to go.
-        let mut on_cycle = workflow.processors.iter().zip(&in_cycle);
+        let mut on_cycle = workflow.processors.iter().zip(&graph.in_cycle);
         if let Some((p, _)) = on_cycle.find(|(p, &c)| c && p.synchronization) {
             return Err(MoteurError::new(format!(
                 "synchronization processor `{}` sits on a data cycle",
                 p.name
             )));
         }
+        // Grouping builds a new graph, with its own index, only when it
+        // merges a pair.
         let grouped = match config.job_grouping {
-            true => crate::grouping::group(workflow, &mut in_cycle)?,
+            true => crate::grouping::group(workflow, &graph)?,
             false => None,
         };
-        // Grouping builds a new graph only when it merges a pair, and
-        // carries `in_cycle` over; its SCCs are numbered anew.
-        let (scc_ids, workflow) = match grouped {
-            Some(grouped) => (grouped.scc_ids(), grouped),
-            None => (scc_ids, workflow.clone()),
-        };
-        let routes = Routes::compile(&workflow, config, &scc_ids, &in_cycle);
+        let (workflow, graph) = grouped.unwrap_or_else(|| (workflow.clone(), graph));
+        let routes = Routes::compile(&workflow, config, &graph);
         let names = workflow
             .processors
             .iter()
@@ -152,15 +144,17 @@ impl CompiledWorkflow {
             .iter()
             .enumerate()
             .map(|(p, proc)| match proc.synchronization {
-                true => ancestors(&workflow, p),
+                true => {
+                    let above = graph.closure(std::iter::once(p), false);
+                    (0..above.len()).filter(|&q| above[q] && q != p).collect()
+                }
                 false => Vec::new(),
             })
             .collect();
         Ok(Arc::new(CompiledWorkflow {
             workflow,
             names,
-            scc_ids,
-            in_cycle,
+            graph,
             routes,
             digests,
             templates,
@@ -244,22 +238,4 @@ fn stage_spec<'a>(
             .map(|o| profile.output_size(&o.name))
             .collect(),
     }
-}
-
-/// The processors with a data path into `p`, nearest first.
-fn ancestors(workflow: &Workflow, p: usize) -> Vec<usize> {
-    let mut seen = vec![false; workflow.processors.len()];
-    seen[p] = true;
-    let mut found = Vec::new();
-    let mut next = vec![p];
-    while let Some(q) = next.pop() {
-        for link in workflow.in_links(ProcId(q)) {
-            let from = link.from.proc.0;
-            if !std::mem::replace(&mut seen[from], true) {
-                found.push(from);
-                next.push(from);
-            }
-        }
-    }
-    found
 }

@@ -5,7 +5,7 @@
 use super::{EnactCtx, InputData, WorkflowInstance};
 use crate::config::EnactorConfig;
 use crate::error::MoteurError;
-use crate::graph::{ProcId, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, ProcId, ProcessorKind, Workflow};
 use crate::iterate::MatchedSet;
 use crate::obs::prof::Subsystem;
 use crate::obs::TraceEvent;
@@ -66,12 +66,7 @@ impl Routes {
     /// ([`Workflow::validate`]), or is the grouping of one that has, so
     /// every link end names an existing processor and port and every
     /// coordination constraint an existing processor.
-    pub(super) fn compile(
-        workflow: &Workflow,
-        config: &EnactorConfig,
-        scc_ids: &[usize],
-        in_cycle: &[bool],
-    ) -> Self {
+    pub(super) fn compile(workflow: &Workflow, config: &EnactorConfig, graph: &GraphIndex) -> Self {
         let n = workflow.processors.len();
         let mut targets: Vec<Vec<Vec<(ProcId, usize)>>> = workflow
             .processors
@@ -84,7 +79,7 @@ impl Routes {
             targets[p][l.from.port].push((l.to.proc, l.to.port));
             let consumer = &workflow.processors[q];
             let collects = consumer.kind != ProcessorKind::Service || consumer.synchronization;
-            let intra_cycle = in_cycle[p] && scc_ids[q] == scc_ids[p];
+            let intra_cycle = graph.in_cycle[p] && graph.scc(q) == graph.scc(p);
             if config.service_parallelism && !collects && !intra_cycle {
                 bounded[p].push(q);
             }
@@ -418,20 +413,11 @@ impl WorkflowInstance {
     /// the same cycle are skipped unless `include_cycle` (compilation
     /// refuses a barrier on a cycle).
     fn preds_exhausted(&self, p: usize, include_cycle: bool) -> bool {
-        // Straight over the links: a predecessor feeding several ports
-        // is checked once per link, which `all` does not mind, and this
-        // runs on every firing round.
-        self.compiled.workflow.in_links(ProcId(p)).all(|l| {
-            let q = l.from.proc.0;
-            if !include_cycle
-                && self.compiled.in_cycle[p]
-                && self.compiled.scc_ids[q] == self.compiled.scc_ids[p]
-            {
-                true
-            } else {
-                self.exhausted[q]
-            }
-        })
+        let graph = &self.compiled.graph;
+        let own_cycle = !include_cycle && graph.in_cycle[p];
+        graph
+            .preds(p)
+            .all(|q| (own_cycle && graph.scc(q) == graph.scc(p)) || self.exhausted[q])
     }
 
     fn control_ok(&self, p: usize) -> bool {
@@ -440,63 +426,64 @@ impl WorkflowInstance {
             .all(|&before| self.exhausted[before])
     }
 
-    /// Fixpoint computation of "will emit no more tokens", into
-    /// `self.exhausted`; clears the stale mark. Exhaustion is monotone:
-    /// a drained source stays drained, and a quiet processor whose
-    /// predecessors are exhausted never receives another token. So the
-    /// iteration starts from the kept array instead of from all-false,
-    /// and a round with no stale mark skips it: only the changes that
-    /// set the mark can make a processor exhausted.
+    /// "Will emit no more tokens", into `self.exhausted`; clears the
+    /// stale mark. Exhaustion is monotone: a drained source stays
+    /// drained, and a quiet processor whose predecessors are exhausted
+    /// never receives another token. So the kept array is only ever
+    /// extended, and a round with no stale mark skips this: only the
+    /// changes that set the mark can make a processor exhausted.
+    ///
+    /// One pass over the components in topological order: every
+    /// predecessor outside a component is final when the component is
+    /// visited. A cycle exhausts collectively, once every member is
+    /// quiet and every predecessor outside it is exhausted; its members
+    /// are swept until none changes, for a sink a hand-built graph puts
+    /// on one.
     fn compute_exhausted(&mut self) {
-        let n = self.compiled.workflow.processors.len();
         self.exhausted_stale = false;
-        loop {
-            let mut changed = false;
-            for p in 0..n {
-                if self.exhausted[p] {
-                    continue;
-                }
-                let proc = &self.compiled.workflow.processors[p];
-                let quiet = self.states[p].ready.is_empty() && self.states[p].inflight == 0;
-                let value = match proc.kind {
-                    // A source is exhausted once its cursor drained.
-                    ProcessorKind::Source => self
-                        .source_cursors
-                        .iter()
-                        .all(|c| c.proc.0 != p || c.remaining() == 0),
-                    ProcessorKind::Sink => self.preds_exhausted(p, true),
-                    ProcessorKind::Service => {
-                        if self.compiled.in_cycle[p] {
-                            // A cycle exhausts collectively: every
-                            // member quiet and every external
-                            // predecessor exhausted.
-                            let scc = self.compiled.scc_ids[p];
-                            let mut members = (0..n).filter(|&m| self.compiled.scc_ids[m] == scc);
-                            members.all(|m| {
-                                self.states[m].ready.is_empty()
-                                    && self.states[m].inflight == 0
-                                    && self
-                                        .compiled
-                                        .workflow
-                                        .in_links(ProcId(m))
-                                        .map(|l| l.from.proc.0)
-                                        .filter(|&q| self.compiled.scc_ids[q] != scc)
-                                        .all(|q| self.exhausted[q])
-                            })
-                        } else if proc.synchronization {
-                            quiet && self.states[p].barrier_fired && self.preds_exhausted(p, true)
-                        } else {
-                            quiet && self.preds_exhausted(p, true)
-                        }
+        let (graph, processors) = (&self.compiled.graph, &self.compiled.workflow.processors);
+        let quiet =
+            |me: &Self, m: usize| me.states[m].ready.is_empty() && me.states[m].inflight == 0;
+        for component in graph.components() {
+            let members = || component.iter().map(|&m| m as usize);
+            let mut collective = None;
+            loop {
+                let mut changed = false;
+                for p in members() {
+                    if self.exhausted[p] {
+                        continue;
                     }
-                };
-                if value {
-                    self.exhausted[p] = true;
-                    changed = true;
+                    let value = match processors[p].kind {
+                        // A source is exhausted once its cursor drained.
+                        ProcessorKind::Source => self
+                            .source_cursors
+                            .iter()
+                            .all(|c| c.proc.0 != p || c.remaining() == 0),
+                        ProcessorKind::Sink => self.preds_exhausted(p, true),
+                        ProcessorKind::Service if graph.in_cycle[p] => *collective
+                            .get_or_insert_with(|| {
+                                members().all(|m| {
+                                    quiet(self, m)
+                                        && graph
+                                            .preds(m)
+                                            .filter(|&q| graph.scc(q) != graph.scc(p))
+                                            .all(|q| self.exhausted[q])
+                                })
+                            }),
+                        ProcessorKind::Service => {
+                            quiet(self, p)
+                                && (!processors[p].synchronization || self.states[p].barrier_fired)
+                                && self.preds_exhausted(p, true)
+                        }
+                    };
+                    if value {
+                        self.exhausted[p] = true;
+                        changed = true;
+                    }
                 }
-            }
-            if !changed {
-                return;
+                if !changed || component.len() == 1 {
+                    break;
+                }
             }
         }
     }

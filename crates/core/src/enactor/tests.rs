@@ -74,7 +74,8 @@ impl WorkflowInstance {
                 if exhausted[p] {
                     continue;
                 }
-                let preds = |ex: &[bool]| wf.in_links(ProcId(p)).all(|l| ex[l.from.proc.0]);
+                let in_links = |m: usize| wf.links.iter().filter(move |l| l.to.proc.0 == m);
+                let preds = |ex: &[bool]| in_links(p).all(|l| ex[l.from.proc.0]);
                 let proc = &wf.processors[p];
                 let value = match proc.kind {
                     ProcessorKind::Source => self
@@ -82,14 +83,13 @@ impl WorkflowInstance {
                         .iter()
                         .all(|c| c.proc.0 != p || c.remaining() == 0),
                     ProcessorKind::Sink => preds(&exhausted),
-                    ProcessorKind::Service if compiled.in_cycle[p] => {
-                        let scc = compiled.scc_ids[p];
-                        (0..n).filter(|&m| compiled.scc_ids[m] == scc).all(|m| {
+                    ProcessorKind::Service if compiled.graph.in_cycle[p] => {
+                        let scc = compiled.graph.scc(p);
+                        (0..n).filter(|&m| compiled.graph.scc(m) == scc).all(|m| {
                             quiet(m)
-                                && wf
-                                    .in_links(ProcId(m))
+                                && in_links(m)
                                     .map(|l| l.from.proc.0)
-                                    .filter(|&q| compiled.scc_ids[q] != scc)
+                                    .filter(|&q| compiled.graph.scc(q) != scc)
                                     .all(|q| exhausted[q])
                         })
                     }

@@ -11,7 +11,6 @@
 use crate::error::MoteurError;
 use crate::service::ServiceBinding;
 use moteur_xml::Span;
-use std::collections::BTreeSet;
 
 /// Index of a processor inside its workflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -285,34 +284,6 @@ impl Workflow {
         self.control.push((before, after));
     }
 
-    /// Links arriving at `proc`.
-    pub fn in_links(&self, proc: ProcId) -> impl Iterator<Item = &Link> {
-        self.links.iter().filter(move |l| l.to.proc == proc)
-    }
-
-    /// Links leaving `proc`.
-    pub fn out_links(&self, proc: ProcId) -> impl Iterator<Item = &Link> {
-        self.links.iter().filter(move |l| l.from.proc == proc)
-    }
-
-    /// Direct data predecessors (deduplicated).
-    pub fn data_preds(&self, proc: ProcId) -> Vec<ProcId> {
-        let mut seen = BTreeSet::new();
-        self.in_links(proc)
-            .map(|l| l.from.proc)
-            .filter(|p| seen.insert(*p))
-            .collect()
-    }
-
-    /// Direct data successors (deduplicated).
-    pub fn data_succs(&self, proc: ProcId) -> Vec<ProcId> {
-        let mut seen = BTreeSet::new();
-        self.out_links(proc)
-            .map(|l| l.to.proc)
-            .filter(|p| seen.insert(*p))
-            .collect()
-    }
-
     /// Sources of the workflow.
     pub fn sources(&self) -> Vec<ProcId> {
         (0..self.processors.len())
@@ -329,96 +300,9 @@ impl Workflow {
             .collect()
     }
 
-    /// For each processor, the id of its strongly connected component
-    /// (same id ⇔ same cycle). Tarjan numbers the components in reverse
-    /// topological order of the condensation. Singletons without
-    /// self-loops are the acyclic part; larger components are the
-    /// service-approach loops.
-    pub fn scc_ids(&self) -> Vec<usize> {
-        struct TarjanState {
-            index: Vec<Option<usize>>,
-            lowlink: Vec<usize>,
-            on_stack: Vec<bool>,
-            stack: Vec<usize>,
-            next_index: usize,
-            ids: Vec<usize>,
-            components: usize,
-        }
-        fn strongconnect(v: usize, adj: &[Vec<usize>], st: &mut TarjanState) {
-            st.index[v] = Some(st.next_index);
-            st.lowlink[v] = st.next_index;
-            st.next_index += 1;
-            st.stack.push(v);
-            st.on_stack[v] = true;
-            for &w in &adj[v] {
-                if st.index[w].is_none() {
-                    strongconnect(w, adj, st);
-                    st.lowlink[v] = st.lowlink[v].min(st.lowlink[w]);
-                } else if st.on_stack[w] {
-                    st.lowlink[v] = st.lowlink[v].min(st.index[w].unwrap());
-                }
-            }
-            if st.lowlink[v] == st.index[v].unwrap() {
-                loop {
-                    let w = st.stack.pop().unwrap();
-                    st.on_stack[w] = false;
-                    st.ids[w] = st.components;
-                    if w == v {
-                        break;
-                    }
-                }
-                st.components += 1;
-            }
-        }
-
-        #[cfg(test)]
-        TARJAN_PASSES.with(|n| n.set(n.get() + 1));
-        let n = self.processors.len();
-        let mut adj = vec![Vec::new(); n];
-        for l in &self.links {
-            adj[l.from.proc.0].push(l.to.proc.0);
-        }
-        let mut st = TarjanState {
-            index: vec![None; n],
-            lowlink: vec![0; n],
-            on_stack: vec![false; n],
-            stack: Vec::new(),
-            next_index: 0,
-            ids: vec![0; n],
-            components: 0,
-        };
-        for v in 0..n {
-            if st.index[v].is_none() {
-                strongconnect(v, &adj, &mut st);
-            }
-        }
-        st.ids
-    }
-
-    /// Which processors sit on a data-link cycle: the members of a
-    /// non-trivial SCC, and processors with a self-link.
-    pub fn cycle_members(&self) -> Vec<bool> {
-        self.cycles().1
-    }
-
-    /// [`Workflow::scc_ids`] and [`Workflow::cycle_members`] from one
-    /// Tarjan pass.
-    pub(crate) fn cycles(&self) -> (Vec<usize>, Vec<bool>) {
-        let scc_ids = self.scc_ids();
-        let mut size = vec![0usize; scc_ids.len()];
-        for &c in &scc_ids {
-            size[c] += 1;
-        }
-        let mut on_cycle: Vec<bool> = scc_ids.iter().map(|&c| size[c] > 1).collect();
-        for l in self.links.iter().filter(|l| l.from.proc == l.to.proc) {
-            on_cycle[l.from.proc.0] = true;
-        }
-        (scc_ids, on_cycle)
-    }
-
     /// Does the graph contain a data-link cycle?
     pub fn has_cycle(&self) -> bool {
-        self.cycle_members().contains(&true)
+        GraphIndex::of(self).in_cycle.contains(&true)
     }
 
     /// Number of *services* on the longest source→sink path (`n_W` of
@@ -431,42 +315,39 @@ impl Workflow {
     /// execution order — the critical path of the theoretical model.
     /// Only valid for acyclic graphs.
     pub fn critical_path(&self) -> Result<Vec<ProcId>, MoteurError> {
-        if self.has_cycle() {
+        let graph = GraphIndex::of(self);
+        if graph.in_cycle.contains(&true) {
             return Err(MoteurError::new(
                 "critical path undefined on cyclic workflows",
             ));
         }
-        // Memoised longest path (service count) with successor tracking.
-        fn longest(
-            w: &Workflow,
-            v: usize,
-            memo: &mut [Option<(usize, Option<usize>)>],
-        ) -> (usize, Option<usize>) {
-            if let Some(m) = memo[v] {
-                return m;
+        // Per processor, the most services on a path starting there and
+        // the successor it continues through. Successors come first in
+        // reverse topological order, so each is final when read; among
+        // equally long ones the last distinct successor in link order
+        // wins.
+        let n = self.processors.len();
+        let mut best: Vec<(usize, Option<usize>)> = vec![(0, None); n];
+        let mut seen = vec![usize::MAX; n];
+        for v in graph.order.iter().rev().map(|&v| v as usize) {
+            let own = usize::from(self.processors[v].kind == ProcessorKind::Service);
+            let mut next: Option<(usize, usize)> = None;
+            for s in graph.succs(v) {
+                if std::mem::replace(&mut seen[s], v) != v
+                    && next.is_none_or(|(len, _)| best[s].0 >= len)
+                {
+                    next = Some((best[s].0, s));
+                }
             }
-            let own = usize::from(w.processors[v].kind == ProcessorKind::Service);
-            let best = w
-                .data_succs(ProcId(v))
-                .into_iter()
-                .map(|s| (longest(w, s.0, memo).0, s.0))
-                .max_by_key(|(len, _)| *len);
-            let r = match best {
-                Some((len, succ)) => (own + len, Some(succ)),
-                None => (own, None),
-            };
-            memo[v] = Some(r);
-            r
+            best[v] = next.map_or((own, None), |(len, s)| (own + len, Some(s)));
         }
-        let mut memo = vec![None; self.processors.len()];
-        let start = (0..self.processors.len()).max_by_key(|&v| longest(self, v, &mut memo).0);
         let mut path = Vec::new();
-        let mut cur = start;
+        let mut cur = (0..n).max_by_key(|&v| best[v].0);
         while let Some(v) = cur {
             if self.processors[v].kind == ProcessorKind::Service {
                 path.push(ProcId(v));
             }
-            cur = memo[v].and_then(|(_, succ)| succ);
+            cur = best[v].1;
         }
         Ok(path)
     }
@@ -477,14 +358,218 @@ impl Workflow {
     /// sinks not) and M010 (every input port fed). The first finding is
     /// the error. See [`crate::lint`].
     pub fn validate(&self) -> Result<(), MoteurError> {
-        crate::lint::rules::validate(self)
+        crate::lint::rules::validate(self).map(drop)
+    }
+}
+
+/// The workflow's structure, built once in O(P + L) and read by every
+/// walk over it: processor-level adjacency in both directions, as flat
+/// arrays in link order, and the strongly connected components in
+/// topological order of the condensation. The lint and the planner
+/// hold one in their `StaticFacts`, a compiled workflow one for the
+/// graph it enacts.
+///
+/// The links must name existing processors (the structural gate's
+/// M001 condition); ports are not read.
+#[derive(Debug)]
+pub(crate) struct GraphIndex {
+    /// `preds[pred_at[p]..pred_at[p + 1]]` holds the producer of each
+    /// link into `p`, in link order, and `in_links` at the same
+    /// positions the link's index.
+    pred_at: Vec<u32>,
+    preds: Vec<u32>,
+    in_links: Vec<u32>,
+    /// `succs[succ_at[p]..succ_at[p + 1]]`: the consumer of each link
+    /// out of `p`, in link order.
+    succ_at: Vec<u32>,
+    succs: Vec<u32>,
+    /// Component id per processor (same id ⇔ same cycle), numbered as
+    /// Tarjan completes them: in reverse topological order of the
+    /// condensation.
+    scc: Vec<u32>,
+    /// Which processors sit on a data-link cycle: the members of a
+    /// non-trivial component, and processors with a self-link.
+    pub(crate) in_cycle: Vec<bool>,
+    /// Every processor once, components in topological order, each
+    /// component's members adjacent and in index order.
+    order: Vec<u32>,
+}
+
+impl GraphIndex {
+    /// Index `wf`: both adjacencies, then Tarjan over the successors
+    /// with an explicit call stack, visiting roots in index order and
+    /// successors in link order.
+    pub(crate) fn of(wf: &Workflow) -> GraphIndex {
+        #[cfg(test)]
+        INDEX_BUILDS.with(|n| n.set(n.get() + 1));
+        let n = wf.processors.len();
+        let (mut pred_at, mut succ_at) = (vec![0u32; n + 1], vec![0u32; n + 1]);
+        for l in &wf.links {
+            pred_at[l.to.proc.0 + 1] += 1;
+            succ_at[l.from.proc.0 + 1] += 1;
+        }
+        for p in 0..n {
+            pred_at[p + 1] += pred_at[p];
+            succ_at[p + 1] += succ_at[p];
+        }
+        let (mut next_pred, mut next_succ) = (pred_at.clone(), succ_at.clone());
+        let mut preds = vec![0u32; wf.links.len()];
+        let mut in_links = vec![0u32; wf.links.len()];
+        let mut succs = vec![0u32; wf.links.len()];
+        for (i, l) in wf.links.iter().enumerate() {
+            let (from, to) = (l.from.proc.0, l.to.proc.0);
+            let at = next_pred[to] as usize;
+            (preds[at], in_links[at]) = (from as u32, i as u32);
+            succs[next_succ[from] as usize] = to as u32;
+            next_pred[to] += 1;
+            next_succ[from] += 1;
+        }
+
+        const UNSEEN: u32 = u32::MAX;
+        let mut index = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut scc = vec![0u32; n];
+        let mut components = 0u32;
+        // Each frame is a processor and the position of the next
+        // successor it visits.
+        let mut calls: Vec<(usize, usize)> = Vec::new();
+        let mut visited = 0u32;
+        for root in 0..n {
+            if index[root] != UNSEEN {
+                continue;
+            }
+            let mut enter = Some(root);
+            loop {
+                if let Some(v) = enter.take() {
+                    (index[v], low[v]) = (visited, visited);
+                    visited += 1;
+                    stack.push(v as u32);
+                    on_stack[v] = true;
+                    calls.push((v, succ_at[v] as usize));
+                }
+                let Some((v, at)) = calls.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                if *at < succ_at[v + 1] as usize {
+                    let w = succs[*at] as usize;
+                    *at += 1;
+                    if index[w] == UNSEEN {
+                        enter = Some(w);
+                    } else if on_stack[w] {
+                        low[v] = low[v].min(index[w]);
+                    }
+                    continue;
+                }
+                calls.pop();
+                if low[v] == index[v] {
+                    loop {
+                        let w = stack.pop().expect("v is on the stack") as usize;
+                        on_stack[w] = false;
+                        scc[w] = components;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    components += 1;
+                }
+                if let Some(&(u, _)) = calls.last() {
+                    low[u] = low[u].min(low[v]);
+                }
+            }
+        }
+
+        // Members per component, then every component placed at its
+        // topological position: the last one Tarjan completed first.
+        let mut size = vec![0u32; components as usize];
+        for &c in &scc {
+            size[c as usize] += 1;
+        }
+        let mut in_cycle: Vec<bool> = scc.iter().map(|&c| size[c as usize] > 1).collect();
+        for l in wf.links.iter().filter(|l| l.from.proc == l.to.proc) {
+            in_cycle[l.from.proc.0] = true;
+        }
+        let mut slot = vec![0u32; components as usize];
+        for c in (0..slot.len().saturating_sub(1)).rev() {
+            slot[c] = slot[c + 1] + size[c + 1];
+        }
+        let mut order = vec![0u32; n];
+        for (p, &c) in scc.iter().enumerate() {
+            order[slot[c as usize] as usize] = p as u32;
+            slot[c as usize] += 1;
+        }
+        GraphIndex {
+            pred_at,
+            preds,
+            in_links,
+            succ_at,
+            succs,
+            scc,
+            in_cycle,
+            order,
+        }
+    }
+
+    /// The producer of each link into `p`, in link order (a producer
+    /// feeding `p` over several links appears once per link).
+    pub(crate) fn preds(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = self.pred_at[p] as usize..self.pred_at[p + 1] as usize;
+        self.preds[range].iter().map(|&q| q as usize)
+    }
+
+    /// The index into `Workflow::links` of each link into `p`, in link
+    /// order.
+    pub(crate) fn in_links(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = self.pred_at[p] as usize..self.pred_at[p + 1] as usize;
+        self.in_links[range].iter().map(|&l| l as usize)
+    }
+
+    /// The consumer of each link out of `p`, in link order.
+    pub(crate) fn succs(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let range = self.succ_at[p] as usize..self.succ_at[p + 1] as usize;
+        self.succs[range].iter().map(|&q| q as usize)
+    }
+
+    /// Which processors `roots` reach, themselves included, following
+    /// links `forward` or against them.
+    pub(crate) fn closure(&self, roots: impl Iterator<Item = usize>, forward: bool) -> Vec<bool> {
+        let mut found = vec![false; self.scc.len()];
+        let mut stack: Vec<usize> = roots
+            .filter(|&v| !std::mem::replace(&mut found[v], true))
+            .collect();
+        while let Some(v) = stack.pop() {
+            let (at, next) = match forward {
+                true => (&self.succ_at, &self.succs),
+                false => (&self.pred_at, &self.preds),
+            };
+            for &w in &next[at[v] as usize..at[v + 1] as usize] {
+                if !std::mem::replace(&mut found[w as usize], true) {
+                    stack.push(w as usize);
+                }
+            }
+        }
+        found
+    }
+
+    /// The component id of `p`.
+    pub(crate) fn scc(&self, p: usize) -> usize {
+        self.scc[p] as usize
+    }
+
+    /// The components' members, components in topological order: every
+    /// link either stays inside a component or leads to a later one.
+    pub(crate) fn components(&self) -> impl Iterator<Item = &[u32]> {
+        self.order
+            .chunk_by(|&a, &b| self.scc[a as usize] == self.scc[b as usize])
     }
 }
 
 #[cfg(test)]
 thread_local! {
-    /// [`Workflow::scc_ids`] calls made on this thread, for the tests.
-    pub(crate) static TARJAN_PASSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// [`GraphIndex::of`] calls made on this thread, for the tests.
+    pub(crate) static INDEX_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -526,11 +611,11 @@ mod tests {
     #[test]
     fn preds_and_succs() {
         let (w, [src, p1, p2, p3, sink]) = fig1();
-        assert_eq!(w.data_preds(p1), vec![src]);
-        let mut succs = w.data_succs(p1);
-        succs.sort();
-        assert_eq!(succs, vec![p2, p3]);
-        assert_eq!(w.data_preds(sink).len(), 2);
+        let graph = GraphIndex::of(&w);
+        assert_eq!(graph.preds(p1.0).collect::<Vec<_>>(), [src.0]);
+        assert_eq!(graph.succs(p1.0).collect::<Vec<_>>(), [p2.0, p3.0]);
+        assert_eq!(graph.preds(sink.0).collect::<Vec<_>>(), [p2.0, p3.0]);
+        assert_eq!(graph.in_links(sink.0).collect::<Vec<_>>(), [3, 4]);
     }
 
     #[test]
@@ -607,17 +692,12 @@ mod tests {
     fn fig2_loop_is_detected_as_cycle() {
         let (w, [_, _, p2, p3, _]) = fig2();
         assert!(w.has_cycle());
-        let ids = w.scc_ids();
-        assert_eq!(ids[p2.0], ids[p3.0], "P2 and P3 share a cycle");
-        // Every processor in exactly one component: the loop's two
-        // members together, everything else alone.
-        let mut sizes = vec![0; w.processors.len()];
-        for &id in &ids {
-            sizes[id] += 1;
-        }
-        sizes.retain(|&s| s > 0);
-        sizes.sort_unstable();
-        assert_eq!(sizes, [1, 1, 1, 2]);
+        let graph = GraphIndex::of(&w);
+        assert_eq!(graph.scc(p2.0), graph.scc(p3.0), "P2 and P3 share a cycle");
+        // Every processor in exactly one component, in topological
+        // order: the loop's two members together, everything else alone.
+        let components: Vec<&[u32]> = graph.components().collect();
+        assert_eq!(components, [&[0][..], &[1], &[2, 3], &[4]]);
         assert!(w.critical_path_services().is_err());
     }
 
@@ -636,5 +716,141 @@ mod tests {
         let (mut w, [_, p1, p2, ..]) = fig1();
         w.add_control(p1, p2);
         assert_eq!(w.control, vec![(p1, p2)]);
+    }
+
+    /// A workflow of `n` processors of random kinds joined by random
+    /// links, duplicates and self-links included; with `acyclic`, every
+    /// link runs forward in a random order of the processors.
+    fn random_digraph(case: u64, acyclic: bool) -> Workflow {
+        let mut rng = moteur_gridsim::Rng::new(case);
+        let n = 1 + rng.index(14);
+        let mut w = Workflow::new("digraph");
+        let mut rank: Vec<usize> = (0..n).collect();
+        for i in 0..n {
+            let kind =
+                [ProcessorKind::Source, ProcessorKind::Service][usize::from(rng.chance(0.8))];
+            w.push(Processor {
+                name: format!("p{i}"),
+                kind,
+                inputs: vec!["in".into()],
+                outputs: vec!["out".into()],
+                iteration: IterationStrategy::Dot,
+                synchronization: false,
+                binding: None,
+                item_bytes: None,
+            });
+            rank.swap(i, rng.index(i + 1));
+        }
+        for _ in 0..rng.index(3 * n + 1) {
+            let (mut a, mut b) = (rng.index(n), rng.index(n));
+            if acyclic {
+                if a == b {
+                    continue;
+                }
+                if rank[a] > rank[b] {
+                    (a, b) = (b, a);
+                }
+            }
+            w.links.push(Link {
+                from: PortRef {
+                    proc: ProcId(a),
+                    port: 0,
+                },
+                to: PortRef {
+                    proc: ProcId(b),
+                    port: 0,
+                },
+            });
+        }
+        w
+    }
+
+    /// The index against the recursive oracles: Tarjan's numbering, the
+    /// cycle members and the critical path (tie-breaks included), and
+    /// components in topological order.
+    fn assert_matches_oracles(w: &Workflow, what: &str) {
+        let graph = GraphIndex::of(w);
+        let ids: Vec<usize> = (0..w.processors.len()).map(|p| graph.scc(p)).collect();
+        assert_eq!(ids, crate::graph_oracle::scc_ids(w), "{what}: SCC ids");
+        assert_eq!(
+            graph.in_cycle,
+            crate::graph_oracle::cycle_members(w),
+            "{what}"
+        );
+        let paths = (w.critical_path(), crate::graph_oracle::critical_path(w));
+        match paths {
+            (Ok(index), Ok(oracle)) => assert_eq!(index, oracle, "{what}: critical path"),
+            (Err(_), Err(_)) => {}
+            other => panic!("{what}: critical paths {other:?}"),
+        }
+        let mut position = vec![0; w.processors.len()];
+        for (i, component) in graph.components().enumerate() {
+            for &p in component {
+                position[p as usize] = i;
+            }
+        }
+        for l in &w.links {
+            assert!(
+                position[l.from.proc.0] <= position[l.to.proc.0],
+                "{what}: order"
+            );
+        }
+    }
+
+    #[test]
+    fn the_index_matches_the_recursive_oracles() {
+        use crate::hostile_structure::{mutate, MUTATIONS};
+        for case in 0..600 {
+            let (wf, _) = crate::random_workflow::random_workflow(case);
+            assert_matches_oracles(&wf, &format!("random {case}"));
+            let grouped = crate::grouping::group_workflow(&wf).unwrap();
+            assert_matches_oracles(&grouped, &format!("random {case} grouped"));
+            for m in MUTATIONS {
+                let mutant = mutate(wf.clone(), case, m);
+                let n = mutant.processors.len();
+                if mutant
+                    .links
+                    .iter()
+                    .all(|l| l.from.proc.0 < n && l.to.proc.0 < n)
+                {
+                    assert_matches_oracles(&mutant, &format!("random {case} {m:?}"));
+                }
+            }
+            assert_matches_oracles(&random_digraph(case, false), &format!("digraph {case}"));
+            assert_matches_oracles(&random_digraph(case, true), &format!("dag {case}"));
+        }
+    }
+
+    /// No walk over the graph recurses: a 200,000-service chain passes
+    /// the critical path, the gate, the lint, grouping and compilation
+    /// on a 1 MiB stack (each recursive walk needed a frame per
+    /// service).
+    #[test]
+    fn a_long_chain_is_analysed_and_compiled_on_a_small_stack() {
+        const SERVICES: usize = 200_000;
+        let run = || {
+            let mut w = Workflow::new("chain");
+            let echo = |_: &[crate::token::Token]| -> Result<Vec<(String, crate::value::DataValue)>, String> {
+                Ok(vec![])
+            };
+            let binding = ServiceBinding::local(echo);
+            let mut prev = (w.add_source("src"), "out");
+            for i in 0..SERVICES {
+                let p = w.add_service(format!("s{i}"), &["in"], &["out"], binding.clone());
+                w.connect(prev.0, prev.1, p, "in").unwrap();
+                prev = (p, "out");
+            }
+            let sink = w.add_sink("sink");
+            w.connect(prev.0, prev.1, sink, "in").unwrap();
+            assert_eq!(w.critical_path_services().unwrap(), SERVICES);
+            w.validate().unwrap();
+            assert!(!crate::lint::lint_workflow(&w).has_errors());
+            let grouped = crate::grouping::group_workflow(&w).unwrap();
+            assert_eq!(grouped.processors.len(), SERVICES + 2);
+            let config = crate::EnactorConfig::sp_dp_jg();
+            crate::enactor::CompiledWorkflow::compile(&w, &config).unwrap();
+        };
+        let thread = std::thread::Builder::new().stack_size(1 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
     }
 }

@@ -20,37 +20,30 @@
 //!   change invocation cardinality).
 
 use crate::error::MoteurError;
-use crate::graph::{IterationStrategy, ProcId, Processor, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, IterationStrategy, ProcId, Processor, ProcessorKind, Workflow};
 use crate::service::{GroupSource, GroupedBinding, GroupedStage, ServiceBinding};
 
 /// Apply grouping repeatedly until no pair can be merged.
 pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
-    let grouped = group(workflow, &mut workflow.cycle_members())?;
-    Ok(grouped.unwrap_or_else(|| workflow.clone()))
+    let grouped = group(workflow, &GraphIndex::of(workflow))?;
+    Ok(grouped.map_or_else(|| workflow.clone(), |(grouped, _)| grouped))
 }
 
-/// [`group_workflow`] given which processors of `workflow` sit on a
-/// data-link cycle; `None` when no pair merges. A merge keeps the other
-/// processors in order and appends the merged node, which sits on no
-/// cycle (neither half did, and every link out of P ends at Q), so
-/// `in_cycle` is carried across merges rather than recomputed: on
-/// return it describes the grouped graph.
+/// [`group_workflow`] given `workflow`'s index: the grouped graph and
+/// its own index, or `None` when no pair merges.
 pub(crate) fn group(
     workflow: &Workflow,
-    in_cycle: &mut Vec<bool>,
-) -> Result<Option<Workflow>, MoteurError> {
-    let mut grouped: Option<Workflow> = None;
+    graph: &GraphIndex,
+) -> Result<Option<(Workflow, GraphIndex)>, MoteurError> {
+    let mut grouped: Option<(Workflow, GraphIndex)> = None;
     loop {
-        let wf = grouped.as_ref().unwrap_or(workflow);
-        let Some((p, q)) = find_groupable_pair(wf, in_cycle) else {
+        let (wf, graph) = grouped.as_ref().map_or((workflow, graph), |(w, g)| (w, g));
+        let Some((p, q)) = find_groupable_pair(wf, graph) else {
             return Ok(grouped);
         };
-        let merged = merge_pair(wf, p, q)?;
-        for id in [p.0.max(q.0), p.0.min(q.0)] {
-            in_cycle.remove(id);
-        }
-        in_cycle.push(false);
-        grouped = Some(merged);
+        let merged = merge_pair(wf, graph, p, q)?;
+        let index = GraphIndex::of(&merged);
+        grouped = Some((merged, index));
     }
 }
 
@@ -79,13 +72,18 @@ pub(crate) enum Blocker<'a> {
 
 /// The service every data link out of service `p` ends at, when it is
 /// one service other than `p`: the candidate pairs of §3.6.
-pub(crate) fn sole_service_consumer(wf: &Workflow, p: ProcId) -> Option<ProcId> {
+pub(crate) fn sole_service_consumer(
+    wf: &Workflow,
+    graph: &GraphIndex,
+    p: ProcId,
+) -> Option<ProcId> {
     if wf.processor(p).kind != ProcessorKind::Service {
         return None;
     }
-    let succs = wf.data_succs(p);
-    let [q] = succs[..] else { return None };
-    (q != p && wf.processor(q).kind == ProcessorKind::Service).then_some(q)
+    let mut succs = graph.succs(p.0);
+    let q = succs.next()?;
+    let sole = succs.all(|s| s == q) && q != p.0;
+    (sole && wf.processors[q].kind == ProcessorKind::Service).then_some(ProcId(q))
 }
 
 /// The first §3.6 condition that makes the candidate pair (P, Q)
@@ -94,9 +92,9 @@ pub(crate) fn sole_service_consumer(wf: &Workflow, p: ProcId) -> Option<ProcId> 
 /// groups. The transform and M030/M031 both decide here.
 pub(crate) fn blocking<'a>(
     wf: &'a Workflow,
+    graph: &GraphIndex,
     p: ProcId,
     q: ProcId,
-    in_cycle: &[bool],
 ) -> Option<Blocker<'a>> {
     for id in [p, q] {
         let proc = wf.processor(id);
@@ -104,7 +102,7 @@ pub(crate) fn blocking<'a>(
         if proc.synchronization {
             return Some(Blocker::Sync(name));
         }
-        if in_cycle[id.0] {
+        if graph.in_cycle[id.0] {
             return Some(Blocker::Cycle(name));
         }
         if proc.iteration != IterationStrategy::Dot {
@@ -126,13 +124,11 @@ pub(crate) fn blocking<'a>(
     let q_proc = wf.processor(q);
     for (port, name) in q_proc.inputs.iter().enumerate() {
         let (mut from_p, mut fed) = (0, 0);
-        for l in wf
-            .links
-            .iter()
-            .filter(|l| l.to.proc == q && l.to.port == port)
-        {
-            fed += 1;
-            from_p += usize::from(l.from.proc == p);
+        for l in graph.in_links(q.0).map(|l| &wf.links[l]) {
+            if l.to.port == port {
+                fed += 1;
+                from_p += usize::from(l.from.proc == p);
+            }
         }
         if from_p > 0 && (from_p != fed || from_p > 1) {
             return Some(Blocker::MixedPort {
@@ -145,10 +141,10 @@ pub(crate) fn blocking<'a>(
     None
 }
 
-fn find_groupable_pair(wf: &Workflow, in_cycle: &[bool]) -> Option<(ProcId, ProcId)> {
+fn find_groupable_pair(wf: &Workflow, graph: &GraphIndex) -> Option<(ProcId, ProcId)> {
     (0..wf.processors.len()).map(ProcId).find_map(|p| {
-        let q = sole_service_consumer(wf, p)?;
-        blocking(wf, p, q, in_cycle).is_none().then_some((p, q))
+        let q = sole_service_consumer(wf, graph, p)?;
+        blocking(wf, graph, p, q).is_none().then_some((p, q))
     })
 }
 
@@ -186,7 +182,12 @@ fn as_group(p: &Processor) -> Result<GroupedBinding, MoteurError> {
     }
 }
 
-fn merge_pair(wf: &Workflow, p_id: ProcId, q_id: ProcId) -> Result<Workflow, MoteurError> {
+fn merge_pair(
+    wf: &Workflow,
+    graph: &GraphIndex,
+    p_id: ProcId,
+    q_id: ProcId,
+) -> Result<Workflow, MoteurError> {
     let p = wf.processor(p_id);
     let q = wf.processor(q_id);
     let pg = as_group(p)?;
@@ -207,10 +208,10 @@ fn merge_pair(wf: &Workflow, p_id: ProcId, q_id: ProcId) -> Result<Workflow, Mot
         .map(|port| prefixed(&p.name, port, p.binding.as_ref()))
         .collect();
     for (port, port_name) in q.inputs.iter().enumerate() {
-        let feeder = wf
-            .links
-            .iter()
-            .find(|l| l.to.proc == q_id && l.to.port == port && l.from.proc == p_id);
+        let feeder = graph
+            .in_links(q_id.0)
+            .map(|l| &wf.links[l])
+            .find(|l| l.to.port == port && l.from.proc == p_id);
         match feeder {
             Some(l) => q_port_kind.push(QPort::FromP {
                 p_out_port: l.from.port,
@@ -545,25 +546,9 @@ mod tests {
         assert!(g.find("A+B").is_none());
     }
 
-    /// Property: the cycle membership [`group`] carries across merges is
-    /// the grouped graph's own.
-    #[test]
-    fn carried_cycle_membership_is_the_grouped_graphs() {
-        let mut merged = 0;
-        for case in 0..600 {
-            let (wf, _) = crate::random_workflow::random_workflow(case);
-            let mut in_cycle = wf.cycle_members();
-            if let Some(grouped) = group(&wf, &mut in_cycle).unwrap() {
-                assert_eq!(in_cycle, grouped.cycle_members(), "case {case}");
-                merged += 1;
-            }
-        }
-        assert!(merged > 20, "{merged} cases merged");
-    }
-
-    /// Tarjan passes one compile makes.
-    fn tarjan_passes(wf: &Workflow, config: crate::EnactorConfig) -> usize {
-        let count = || crate::graph::TARJAN_PASSES.with(std::cell::Cell::get);
+    /// Graph indices one compile builds.
+    fn index_builds(wf: &Workflow, config: crate::EnactorConfig) -> usize {
+        let count = || crate::graph::INDEX_BUILDS.with(std::cell::Cell::get);
         let before = count();
         crate::enactor::CompiledWorkflow::compile(wf, &config).unwrap();
         count() - before
@@ -576,14 +561,14 @@ mod tests {
     fn a_compile_analyses_each_graph_once() {
         use crate::EnactorConfig;
         let chain = chain2();
-        assert_eq!(tarjan_passes(&chain, EnactorConfig::sp_dp()), 1);
-        assert_eq!(tarjan_passes(&chain, EnactorConfig::sp_dp_jg()), 2);
+        assert_eq!(index_builds(&chain, EnactorConfig::sp_dp()), 1);
+        assert_eq!(index_builds(&chain, EnactorConfig::sp_dp_jg()), 2);
         let no_preflight = EnactorConfig::sp_dp_jg().without_preflight();
-        assert_eq!(tarjan_passes(&chain, no_preflight), 2);
+        assert_eq!(index_builds(&chain, no_preflight), 2);
         let mut crossed = chain2();
         crossed.set_iteration(crossed.find("B").unwrap(), IterationStrategy::Cross);
-        assert_eq!(tarjan_passes(&crossed, EnactorConfig::sp_dp_jg()), 1);
-        assert_eq!(tarjan_passes(&crossed, no_preflight), 1);
+        assert_eq!(index_builds(&crossed, EnactorConfig::sp_dp_jg()), 1);
+        assert_eq!(index_builds(&crossed, no_preflight), 1);
     }
 
     #[test]

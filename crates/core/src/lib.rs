@@ -68,7 +68,13 @@ mod error;
 mod ft;
 mod granularity;
 mod graph;
+#[cfg(test)]
+#[path = "../tests/support/graph_oracle.rs"]
+mod graph_oracle;
 mod grouping;
+#[cfg(test)]
+#[path = "../tests/support/hostile_structure.rs"]
+mod hostile_structure;
 mod iterate;
 pub mod lint;
 pub mod model;

@@ -9,7 +9,7 @@
 //! `moteur run` on an ideal backend by construction.
 
 use crate::error::MoteurError;
-use crate::graph::{ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, ProcessorKind, Workflow};
 use crate::grouping::group_workflow;
 use crate::model::TimeMatrix;
 use crate::obs::json::{array, JsonObject, JsonValue};
@@ -121,7 +121,7 @@ fn price(
     overhead: f64,
     bandwidth: f64,
 ) -> Result<(TimeMatrix, u64), MoteurError> {
-    let facts = StaticFacts::of(wf, &SourceSizes::uniform(n_data as u64));
+    let facts = StaticFacts::of(wf, GraphIndex::of(wf), &SourceSizes::uniform(n_data as u64));
     let xfer = central_transfer_seconds(wf, &facts, bandwidth);
     let matrix = TimeMatrix::from_workflow_with(wf, n_data, overhead, |id| {
         xfer.get(&wf.processor(id).name).copied().unwrap_or(0.0)

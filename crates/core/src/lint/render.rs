@@ -9,7 +9,7 @@
 use crate::lint::diag::{Diagnostic, Label, LintReport, Severity};
 use crate::lint::rules::docs::RULE_DOCS;
 use crate::obs::json::{array, JsonObject, JsonValue};
-use moteur_xml::Span;
+use moteur_xml::{LineIndex, Span};
 use std::fmt::Write as _;
 
 /// Intern `code` against [`RULE_DOCS`], the one list of rule codes, so
@@ -28,32 +28,33 @@ pub fn intern_code(code: &str) -> Option<&'static str> {
 /// available, followed by a summary line.
 pub fn render_human(report: &LintReport, path: &str, source: Option<&str>) -> String {
     let mut out = String::new();
+    let lines = source.map(LineIndex::new);
     for d in &report.diagnostics {
-        render_diagnostic(&mut out, d, path, source);
+        render_diagnostic(&mut out, d, path, lines.as_ref());
         out.push('\n');
     }
     let _ = writeln!(out, "{}: {}", path, report.summary());
     out
 }
 
-fn render_diagnostic(out: &mut String, d: &Diagnostic, path: &str, source: Option<&str>) {
+fn render_diagnostic(out: &mut String, d: &Diagnostic, path: &str, lines: Option<&LineIndex>) {
     let _ = writeln!(out, "{}[{}]: {}", d.severity, d.code, d.message);
     for label in &d.labels {
-        render_label(out, label, path, source);
+        render_label(out, label, path, lines);
     }
     if let Some(help) = &d.help {
         let _ = writeln!(out, "  = help: {help}");
     }
 }
 
-fn render_label(out: &mut String, label: &Label, path: &str, source: Option<&str>) {
+fn render_label(out: &mut String, label: &Label, path: &str, lines: Option<&LineIndex>) {
     if label.span.is_empty() {
         if !label.message.is_empty() {
             let _ = writeln!(out, "  = note: {}", label.message);
         }
         return;
     }
-    let Some(source) = source else {
+    let Some(lines) = lines else {
         let _ = writeln!(
             out,
             "  --> {path}:@{}..{}: {}",
@@ -61,14 +62,13 @@ fn render_label(out: &mut String, label: &Label, path: &str, source: Option<&str
         );
         return;
     };
-    let (line, col) = label.span.line_col(source);
+    let (line, col) = lines.line_col(label.span.start);
     let _ = writeln!(out, "  --> {path}:{line}:{col}");
     // The full source line containing the span start.
+    let source = lines.source();
     let start = label.span.start.min(source.len());
-    let line_start = source[..start].rfind('\n').map_or(0, |i| i + 1);
-    let line_end = source[start..]
-        .find('\n')
-        .map_or(source.len(), |i| start + i);
+    let (_, range) = lines.line(start);
+    let (line_start, line_end) = (range.start, range.end);
     let text = &source[line_start..line_end];
     let gutter = line.to_string().len().max(2);
     let _ = writeln!(out, "{:gutter$} |", "");

@@ -4,15 +4,15 @@
 //! parallelism (they defeat the Σ_SP/Σ_DP optimisations of eq. 2–4), so
 //! ones that buy nothing are worth flagging.
 
-use crate::graph::{ProcId, Workflow};
+use crate::graph::{GraphIndex, ProcId, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
 
 /// Run the barrier/coordination rules (M040–M042).
 pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     no_op_barriers(wf, facts, report);
-    coordination_cycles(wf, report);
-    redundant_coordination(wf, report);
+    coordination_cycles(wf, &facts.graph, report);
+    redundant_coordination(wf, &facts.graph, report);
 }
 
 /// M040: a synchronization barrier that never holds anything back —
@@ -25,7 +25,7 @@ fn no_op_barriers(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
             continue;
         }
         let id = ProcId(i);
-        let has_inbound = wf.links.iter().any(|l| l.to.proc == id);
+        let has_inbound = facts.graph.preds(i).next().is_some();
         let ins = &facts.ports[i];
         let all_single = !ins.is_empty() && ins.iter().all(|c| c.degree() == Some(0));
         if !has_inbound {
@@ -58,7 +58,7 @@ fn no_op_barriers(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
 /// precedes `a` through data and/or control edges. The enactor can
 /// never satisfy both orders: `b`'s jobs wait on `a`, whose inputs wait
 /// on `b` — a deadlock, not a cycle bounded by conditional routing.
-fn coordination_cycles(wf: &Workflow, report: &mut LintReport) {
+fn coordination_cycles(wf: &Workflow, graph: &GraphIndex, report: &mut LintReport) {
     for (ci, &(a, b)) in wf.control.iter().enumerate() {
         if a == b {
             report.push(
@@ -73,7 +73,7 @@ fn coordination_cycles(wf: &Workflow, report: &mut LintReport) {
             );
             continue;
         }
-        if reaches(wf, b, a, ci) {
+        if reaches(wf, graph, b, a, ci) {
             report.push(
                 Diagnostic::error(
                     "M041",
@@ -95,7 +95,7 @@ fn coordination_cycles(wf: &Workflow, report: &mut LintReport) {
 
 /// Can `from` reach `to` through data links and control edges (skipping
 /// control edge `skip`, the one under examination)?
-fn reaches(wf: &Workflow, from: ProcId, to: ProcId, skip: usize) -> bool {
+fn reaches(wf: &Workflow, graph: &GraphIndex, from: ProcId, to: ProcId, skip: usize) -> bool {
     let mut seen = vec![false; wf.processors.len()];
     let mut stack = vec![from];
     seen[from.0] = true;
@@ -103,10 +103,9 @@ fn reaches(wf: &Workflow, from: ProcId, to: ProcId, skip: usize) -> bool {
         if v == to {
             return true;
         }
-        for s in wf.data_succs(v) {
-            if !seen[s.0] {
-                seen[s.0] = true;
-                stack.push(s);
+        for s in graph.succs(v.0) {
+            if !std::mem::replace(&mut seen[s], true) {
+                stack.push(ProcId(s));
             }
         }
         for (ci, &(a, b)) in wf.control.iter().enumerate() {
@@ -123,12 +122,12 @@ fn reaches(wf: &Workflow, from: ProcId, to: ProcId, skip: usize) -> bool {
 /// already orders. The data dependency enforces the same sequencing,
 /// so the constraint only disqualifies both endpoints from job
 /// grouping (§3.6) without adding anything.
-fn redundant_coordination(wf: &Workflow, report: &mut LintReport) {
+fn redundant_coordination(wf: &Workflow, graph: &GraphIndex, report: &mut LintReport) {
     for (ci, &(a, b)) in wf.control.iter().enumerate() {
         if a == b {
             continue; // M041's case
         }
-        let direct = wf.links.iter().any(|l| l.from.proc == a && l.to.proc == b);
+        let direct = graph.succs(a.0).any(|s| s == b.0);
         if direct {
             report.push(
                 Diagnostic::warning(

@@ -1,7 +1,7 @@
 //! Graph-structure rules (M001–M008): link sanity, reachability,
 //! cycles and naming.
 
-use crate::graph::{ProcId, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
 use std::collections::BTreeMap;
@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
     self_links(wf, report);
     cycles(wf, facts, report);
-    reachability(wf, report);
+    reachability(wf, &facts.graph, report);
 }
 
 /// M001: a link references a processor or port that does not exist, or
@@ -136,22 +136,23 @@ fn self_links(wf: &Workflow, report: &mut LintReport) {
 /// A cycle no link ever leaves can never deliver a result: every token
 /// circulates forever.
 fn cycles(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
-    let scc = &facts.scc;
-    let mut members: BTreeMap<usize, Vec<ProcId>> = BTreeMap::new();
-    for v in (0..scc.len()).filter(|&v| facts.in_cycle[v]) {
-        members.entry(scc[v]).or_default().push(ProcId(v));
-    }
-    for (cid, procs) in members {
-        let mut names: Vec<&str> = procs
+    let graph = &facts.graph;
+    // Tarjan's numbering, as the components were completed.
+    for members in graph.components().collect::<Vec<_>>().into_iter().rev() {
+        let first = members[0] as usize;
+        if !graph.in_cycle[first] {
+            continue;
+        }
+        let mut names: Vec<&str> = members
             .iter()
-            .map(|p| wf.processors[p.0].name.as_str())
+            .map(|&p| wf.processors[p as usize].name.as_str())
             .collect();
         names.sort_unstable();
-        let has_exit = wf
-            .links
+        let cid = graph.scc(first);
+        let has_exit = members
             .iter()
-            .any(|l| scc[l.from.proc.0] == cid && scc[l.to.proc.0] != cid);
-        let span = wf.spans.processor(procs[0]);
+            .any(|&p| graph.succs(p as usize).any(|s| graph.scc(s) != cid));
+        let span = wf.spans.processor(ProcId(first));
         if has_exit {
             report.push(
                 Diagnostic::note(
@@ -186,40 +187,11 @@ fn cycles(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport) {
 /// A processor no source can feed never receives a token and never
 /// fires (M002). A reachable processor from which no sink is reachable
 /// computes results that are silently discarded (M003).
-fn reachability(wf: &Workflow, report: &mut LintReport) {
+fn reachability(wf: &Workflow, graph: &GraphIndex, report: &mut LintReport) {
     let n = wf.processors.len();
-    // Forward closure from sources.
-    let mut reachable = vec![false; n];
-    let mut stack: Vec<usize> = (0..n)
-        .filter(|&v| wf.processors[v].kind == ProcessorKind::Source)
-        .collect();
-    for &v in &stack {
-        reachable[v] = true;
-    }
-    while let Some(v) = stack.pop() {
-        for s in wf.data_succs(ProcId(v)) {
-            if !reachable[s.0] {
-                reachable[s.0] = true;
-                stack.push(s.0);
-            }
-        }
-    }
-    // Backward closure from sinks.
-    let mut feeds_sink = vec![false; n];
-    let mut stack: Vec<usize> = (0..n)
-        .filter(|&v| wf.processors[v].kind == ProcessorKind::Sink)
-        .collect();
-    for &v in &stack {
-        feeds_sink[v] = true;
-    }
-    while let Some(v) = stack.pop() {
-        for p in wf.data_preds(ProcId(v)) {
-            if !feeds_sink[p.0] {
-                feeds_sink[p.0] = true;
-                stack.push(p.0);
-            }
-        }
-    }
+    let of_kind = |kind| (0..n).filter(move |&v| wf.processors[v].kind == kind);
+    let reachable = graph.closure(of_kind(ProcessorKind::Source), true);
+    let feeds_sink = graph.closure(of_kind(ProcessorKind::Sink), false);
     for v in 0..n {
         let p = &wf.processors[v];
         let span = wf.spans.processor(ProcId(v));

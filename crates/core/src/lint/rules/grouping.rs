@@ -19,11 +19,11 @@ pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport)
         // Only pairs where *every* output of P flows to one service Q
         // are even candidates; branching producers are ordinary
         // workflow structure, not a missed optimisation.
-        let Some(q_id) = sole_service_consumer(wf, p_id) else {
+        let Some(q_id) = sole_service_consumer(wf, &facts.graph, p_id) else {
             continue;
         };
         let (p, q) = (&wf.processor(p_id).name, &wf.processor(q_id).name);
-        let d = match blocking(wf, p_id, q_id, &facts.in_cycle) {
+        let d = match blocking(wf, &facts.graph, p_id, q_id) {
             None => Diagnostic::note(
                 "M030",
                 format!(
@@ -100,15 +100,15 @@ mod tests {
                     .find(|d| d.message.starts_with(prefix))
                     .map(|d| (d.code, d.message.as_str()))
             };
-            let in_cycle = wf.cycle_members();
+            let graph = crate::graph::GraphIndex::of(&wf);
             let mut pairs = 0;
             for p_id in (0..wf.processors.len()).map(ProcId) {
-                let Some(q_id) = sole_service_consumer(&wf, p_id) else {
+                let Some(q_id) = sole_service_consumer(&wf, &graph, p_id) else {
                     continue;
                 };
                 pairs += 1;
                 let (p, q) = (&wf.processor(p_id).name, &wf.processor(q_id).name);
-                match blocking(&wf, p_id, q_id, &in_cycle) {
+                match blocking(&wf, &graph, p_id, q_id) {
                     None => {
                         let found = message(&format!("`{p}` and `{q}` form"));
                         assert_eq!(found.map(|f| f.0), Some("M030"), "case {case}: {p}→{q}");

@@ -34,7 +34,7 @@ pub mod plan_rules;
 pub mod ports;
 
 use crate::error::MoteurError;
-use crate::graph::Workflow;
+use crate::graph::{GraphIndex, Workflow};
 use crate::lint::diag::LintReport;
 use crate::plan::facts::StaticFacts;
 use crate::plan::PlanOptions;
@@ -51,11 +51,11 @@ pub fn lint_workflow(workflow: &Workflow) -> LintReport {
 /// enactor's preflight keeps it, so a workflow is analysed once.
 pub(crate) fn lint_with_facts(workflow: &Workflow) -> (LintReport, Option<StaticFacts>) {
     let mut report = LintReport::default();
-    let facts = gate(workflow, &mut report).then(|| {
+    let facts = gate(workflow, &mut report).map(|graph| {
         // The lint sizing convention, shared with the M080–M085 cap and
         // item size.
         let opts = PlanOptions::default();
-        let facts = StaticFacts::of(workflow, &opts.sizes);
+        let facts = StaticFacts::of(workflow, graph, &opts.sizes);
         graph::check(workflow, &facts, &mut report);
         ports::check(workflow, &facts, &mut report);
         cardinality::check(workflow, &facts, &mut report);
@@ -71,23 +71,31 @@ pub(crate) fn lint_with_facts(workflow: &Workflow) -> (LintReport, Option<Static
 
 /// The structural rules, run before any analysis: M001 (dangling links
 /// and coordination constraints), M007 (duplicate names), M008
-/// (bindings) and M010 (unconnected inputs). Returns whether every edge
-/// names existing processors: every later rule indexes processors by
-/// edge end, so when one does not, M001 ends the stage.
-fn gate(workflow: &Workflow, report: &mut LintReport) -> bool {
+/// (bindings) and M010 (unconnected inputs). Returns the graph's index
+/// when every edge names existing processors: every later rule indexes
+/// processors by edge end, so when one does not, M001 ends the stage.
+fn gate(workflow: &Workflow, report: &mut LintReport) -> Option<GraphIndex> {
     if !graph::references_resolve(workflow, report) {
-        return false;
+        return None;
     }
+    let index = GraphIndex::of(workflow);
     graph::duplicate_names(workflow, report);
     graph::missing_bindings(workflow, report);
-    ports::unconnected_inputs(workflow, report);
-    true
+    ports::unconnected_inputs(workflow, &index, report);
+    Some(index)
 }
 
-/// [`Workflow::validate`]: the gate's first finding as the error.
-pub(crate) fn validate(workflow: &Workflow) -> Result<(), MoteurError> {
+/// [`Workflow::validate`]: the gate's first finding as the error, or
+/// the index of the graph that passed it.
+pub(crate) fn validate(workflow: &Workflow) -> Result<GraphIndex, MoteurError> {
     let mut report = LintReport::default();
-    gate(workflow, &mut report);
-    let first = report.diagnostics.into_iter().next();
-    first.map_or(Ok(()), |d| Err(MoteurError::new(d.message)))
+    let index = gate(workflow, &mut report);
+    match (report.diagnostics.into_iter().next(), index) {
+        (None, Some(index)) => Ok(index),
+        (first, _) => Err(MoteurError::new(
+            first
+                .expect("a gate that builds no index reports M001")
+                .message,
+        )),
+    }
 }

@@ -156,19 +156,17 @@ pub(crate) fn check(
         if !(p.kind == ProcessorKind::Service && p.synchronization) {
             continue;
         }
-        let preds = wf.data_preds(ProcId(i));
+        let mut preds: Vec<usize> = facts.graph.preds(i).collect();
+        preds.sort_unstable();
+        preds.dedup();
         let upstream_items = preds
             .iter()
-            .map(|pr| facts.out[pr.0].items)
+            .map(|&pr| facts.out[pr].items)
             .fold(CardInterval::exact(0), |a, b| a + b);
         let pipelinable = upstream_items.hi.is_none_or(|hi| hi > 1);
-        let service_pred = preds
-            .iter()
-            .any(|pr| wf.processors[pr.0].kind == ProcessorKind::Service);
-        let service_succ = wf
-            .data_succs(ProcId(i))
-            .into_iter()
-            .any(|s| wf.processors[s.0].kind == ProcessorKind::Service);
+        let is_service = |q: usize| wf.processors[q].kind == ProcessorKind::Service;
+        let service_pred = preds.iter().any(|&pr| is_service(pr));
+        let service_succ = facts.graph.succs(i).any(is_service);
         if pipelinable && service_pred && service_succ {
             report.push(
                 Diagnostic::note(
@@ -206,16 +204,8 @@ pub(crate) fn check(
         .map(|(i, _)| i)
         .collect();
     if !nondet.is_empty() {
-        let mut tainted = vec![false; wf.processors.len()];
-        let mut stack = nondet.clone();
-        while let Some(v) = stack.pop() {
-            for s in wf.data_succs(ProcId(v)) {
-                if !tainted[s.0] {
-                    tainted[s.0] = true;
-                    stack.push(s.0);
-                }
-            }
-        }
+        // The roots are non-deterministic, so never reported themselves.
+        let tainted = facts.graph.closure(nondet.iter().copied(), true);
         for (i, p) in wf.processors.iter().enumerate() {
             let deterministic_descriptor = matches!(
                 &p.binding,

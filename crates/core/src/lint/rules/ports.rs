@@ -1,7 +1,7 @@
 //! Port-typing rules (M010–M014): wiring completeness and
 //! `<param>`/`<outputsize>` slot declarations.
 
-use crate::graph::{ProcId, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, ProcId, ProcessorKind, Workflow};
 use crate::lint::diag::{Diagnostic, LintReport};
 use crate::plan::facts::StaticFacts;
 use crate::service::ServiceBinding;
@@ -16,31 +16,31 @@ pub(crate) fn check(wf: &Workflow, facts: &StaticFacts, report: &mut LintReport)
 
 /// M010: an input port of a non-source processor with no inbound link.
 /// The iteration strategy can never assemble a complete input tuple, so
-/// the processor silently never fires. Scans the links rather than
-/// reading [`StaticFacts::feeders`], so the gate builds no analysis.
-pub(super) fn unconnected_inputs(wf: &Workflow, report: &mut LintReport) {
+/// the processor silently never fires. Reads the gate's graph index
+/// rather than [`StaticFacts::feeders`], so the gate builds no analysis.
+pub(super) fn unconnected_inputs(wf: &Workflow, graph: &GraphIndex, report: &mut LintReport) {
     for (i, p) in wf.processors.iter().enumerate() {
         if p.kind == ProcessorKind::Source {
             continue;
         }
-        for (port, pname) in p.inputs.iter().enumerate() {
-            let fed = wf
-                .links
-                .iter()
-                .any(|l| l.to.proc.0 == i && l.to.port == port);
-            if !fed {
-                report.push(
-                    Diagnostic::error(
-                        "M010",
-                        format!("input port `{pname}` of `{}` is not connected", p.name),
-                    )
-                    .primary(wf.spans.processor(ProcId(i)), "declared here")
-                    .with_help(format!(
-                        "add a <link to=\"{}:{pname}\"/>, or fix the slot with a <param>",
-                        p.name
-                    )),
-                );
+        let mut fed = vec![false; p.inputs.len()];
+        for l in graph.in_links(i) {
+            if let Some(f) = fed.get_mut(wf.links[l].to.port) {
+                *f = true;
             }
+        }
+        for (pname, _) in p.inputs.iter().zip(fed).filter(|(_, fed)| !fed) {
+            report.push(
+                Diagnostic::error(
+                    "M010",
+                    format!("input port `{pname}` of `{}` is not connected", p.name),
+                )
+                .primary(wf.spans.processor(ProcId(i)), "declared here")
+                .with_help(format!(
+                    "add a <link to=\"{}:{pname}\"/>, or fix the slot with a <param>",
+                    p.name
+                )),
+            );
         }
     }
 }

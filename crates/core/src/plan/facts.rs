@@ -25,7 +25,7 @@
 //! port's feeder links, each output port's consumer count, and each
 //! processor's SCC and cycle membership.
 
-use crate::graph::{IterationStrategy, Processor, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, IterationStrategy, Processor, ProcessorKind, Workflow};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -221,12 +221,8 @@ pub(crate) struct StaticFacts {
     pub feeders: Vec<Vec<Vec<usize>>>,
     /// Number of links leaving each output port.
     pub consumers: Vec<Vec<usize>>,
-    /// Each processor's strongly connected component
-    /// ([`Workflow::scc_ids`]).
-    pub scc: Vec<usize>,
-    /// Which processors sit on a data-link cycle
-    /// ([`Workflow::cycle_members`]): a non-trivial SCC or a self-link.
-    pub in_cycle: Vec<bool>,
+    /// The graph's adjacency, components and cycle membership.
+    pub graph: GraphIndex,
 }
 
 impl StaticFacts {
@@ -247,7 +243,12 @@ impl StaticFacts {
     ///   intervals multiply;
     /// - a sink collects its first port's stream unchanged; a sink that
     ///   declares no port collects nothing, `(?, [0, 0])`.
-    pub fn of(wf: &Workflow, sizes: &SourceSizes) -> StaticFacts {
+    ///
+    /// One pass over `graph`'s components in topological order: a
+    /// processor's feeders sit in earlier components, whose streams are
+    /// final, or in its own cycle, whose streams are unbounded whatever
+    /// they carry.
+    pub fn of(wf: &Workflow, graph: GraphIndex, sizes: &SourceSizes) -> StaticFacts {
         let n = wf.processors.len();
         let mut feeders: Vec<Vec<Vec<usize>>> = wf
             .processors
@@ -273,69 +274,45 @@ impl StaticFacts {
                 *c += 1;
             }
         }
-        let (scc, in_cycle) = wf.cycles();
-
-        let mut out: Vec<Option<Card>> = vec![None; n];
-        let mut ports: Vec<Option<Vec<Card>>> = vec![None; n];
-        // Cycles resolve immediately, so the acyclic remainder
-        // converges in ≤ n passes.
-        for _ in 0..=n {
-            let mut changed = false;
-            for v in 0..n {
-                if ports[v].is_none() {
-                    ports[v] = port_cards(wf, &feeders[v], &out);
-                    changed |= ports[v].is_some();
-                }
-                if out[v].is_some() {
-                    continue;
-                }
-                let p = &wf.processors[v];
-                out[v] = if in_cycle[v] {
-                    Some(Card::unknown(CardInterval::unbounded()))
-                } else if p.kind == ProcessorKind::Source {
-                    Some(Card {
-                        mono: Some(BTreeMap::from([(p.name.clone(), 1)])),
-                        items: CardInterval::exact(sizes.of(&p.name)),
-                    })
-                } else {
-                    ports[v].as_deref().map(|ins| transfer(p, ins))
-                };
-                changed |= out[v].is_some();
+        let mut out = vec![Card::unknown(CardInterval::unbounded()); n];
+        let mut ports = vec![Vec::new(); n];
+        for v in graph.components().flatten().map(|&v| v as usize) {
+            ports[v] = port_cards(wf, &feeders[v], &out);
+            let p = &wf.processors[v];
+            if graph.in_cycle[v] {
+                continue;
             }
-            if !changed {
-                break;
-            }
+            out[v] = if p.kind == ProcessorKind::Source {
+                Card {
+                    mono: Some(BTreeMap::from([(p.name.clone(), 1)])),
+                    items: CardInterval::exact(sizes.of(&p.name)),
+                }
+            } else {
+                transfer(p, &ports[v])
+            };
         }
         StaticFacts {
-            // Only a link from a processor that does not exist leaves
-            // anything unresolved; stay sound with the unbounded interval.
-            out: out
-                .into_iter()
-                .map(|c| c.unwrap_or_else(|| Card::unknown(CardInterval::unbounded())))
-                .collect(),
-            ports: ports.into_iter().map(Option::unwrap_or_default).collect(),
+            out,
+            ports,
             feeders,
             consumers,
-            scc,
-            in_cycle,
+            graph,
         }
     }
 }
 
-/// Each input port's stream, or `None` while a feeder is unresolved.
-fn port_cards(wf: &Workflow, feeders: &[Vec<usize>], out: &[Option<Card>]) -> Option<Vec<Card>> {
-    let feeder = |l: usize| out.get(wf.links[l].from.proc.0)?.as_ref();
+/// Each input port's stream.
+fn port_cards(wf: &Workflow, feeders: &[Vec<usize>], out: &[Card]) -> Vec<Card> {
+    let feeder = |l: usize| &out[wf.links[l].from.proc.0];
     feeders
         .iter()
         .map(|links| match links.as_slice() {
-            [] => Some(Card::unknown(CardInterval::exact(0))),
-            [l] => feeder(*l).cloned(),
-            many => many
-                .iter()
-                .try_fold(CardInterval::exact(0), |sum, &l| {
-                    Some(sum + feeder(l)?.items)
-                })
-                .map(Card::unknown),
+            [] => Card::unknown(CardInterval::exact(0)),
+            [l] => feeder(*l).clone(),
+            many => Card::unknown(
+                many.iter()
+                    .fold(CardInterval::exact(0), |sum, &l| sum + feeder(l).items),
+            ),
         })
         .collect()
 }
@@ -427,7 +404,7 @@ mod tests {
     }
 
     fn items(wf: &Workflow, sizes: &SourceSizes) -> Vec<CardInterval> {
-        StaticFacts::of(wf, sizes)
+        StaticFacts::of(wf, GraphIndex::of(wf), sizes)
             .out
             .into_iter()
             .map(|c| c.items)
@@ -510,7 +487,7 @@ mod tests {
         let src = wf.add_source("src");
         let a = service(&mut wf, "a", &["in", "never_fed"]);
         wf.connect(src, "out", a, "in").unwrap();
-        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(5));
+        let facts = StaticFacts::of(&wf, GraphIndex::of(&wf), &SourceSizes::uniform(5));
         // Dot of [5,5] with [0,0] can never assemble a tuple, and the
         // unfed port has no monomial.
         assert_eq!(facts.out[a.0], Card::unknown(CardInterval::exact(0)));
@@ -536,7 +513,7 @@ mod tests {
         wf.connect(c, "out", x, "r").unwrap();
         wf.connect(x, "out", sink, "in").unwrap();
         let sizes = SourceSizes::uniform(3).with("b", 7).with("c", 4);
-        let facts = StaticFacts::of(&wf, &sizes);
+        let facts = StaticFacts::of(&wf, GraphIndex::of(&wf), &sizes);
         assert_eq!(facts.out[d.0].items, CardInterval::exact(3));
         assert_eq!(facts.out[x.0].items, CardInterval::exact(12));
         assert_eq!(facts.out[sink.0].items, CardInterval::exact(12));
@@ -557,7 +534,11 @@ mod tests {
         wf.connect(src, "out", all, "in").unwrap();
         wf.connect(all, "out", d, "one").unwrap();
         wf.connect(empty, "out", d, "none").unwrap();
-        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(4).with("empty", 0));
+        let facts = StaticFacts::of(
+            &wf,
+            GraphIndex::of(&wf),
+            &SourceSizes::uniform(4).with("empty", 0),
+        );
         assert_eq!(facts.out[d.0].render(), "1");
         assert_eq!(facts.out[d.0].items, CardInterval::exact(0));
     }
@@ -576,7 +557,7 @@ mod tests {
         wf.connect(barrier, "out", looper, "in").unwrap();
         wf.connect(looper, "out", looper, "feedback").unwrap();
         wf.connect(looper, "out", sink, "in").unwrap();
-        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(9));
+        let facts = StaticFacts::of(&wf, GraphIndex::of(&wf), &SourceSizes::uniform(9));
         assert_eq!(facts.out[barrier.0].items, CardInterval::exact(1));
         assert_eq!(facts.out[barrier.0].render(), "1");
         assert_eq!(
@@ -605,7 +586,7 @@ mod tests {
                 port: 0,
             },
         });
-        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(5));
+        let facts = StaticFacts::of(&wf, GraphIndex::of(&wf), &SourceSizes::uniform(5));
         assert_eq!(facts.out[sink.0], Card::unknown(CardInterval::exact(0)));
     }
 
@@ -619,7 +600,11 @@ mod tests {
         wf.connect(a, "out", m, "in").unwrap();
         wf.connect(b, "out", m, "in").unwrap();
         wf.connect(m, "out", sink, "in").unwrap();
-        let facts = StaticFacts::of(&wf, &SourceSizes::uniform(4).with("b", 6));
+        let facts = StaticFacts::of(
+            &wf,
+            GraphIndex::of(&wf),
+            &SourceSizes::uniform(4).with("b", 6),
+        );
         assert_eq!(facts.out[m.0], Card::unknown(CardInterval::exact(10)));
         assert_eq!(facts.consumers[a.0], [1]);
         assert_eq!(facts.feeders[m.0], [vec![0, 1]]);
@@ -634,7 +619,7 @@ mod tests {
         for case in 0..600 {
             let (wf, sizes) = crate::random_workflow::random_workflow(case);
             let n = sizes.default_n;
-            let facts = StaticFacts::of(&wf, &SourceSizes::uniform(n));
+            let facts = StaticFacts::of(&wf, GraphIndex::of(&wf), &SourceSizes::uniform(n));
             for (proc, card) in facts
                 .out
                 .iter()

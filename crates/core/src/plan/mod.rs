@@ -19,7 +19,7 @@
 
 pub mod facts;
 
-use crate::graph::{Link, ProcessorKind, Workflow};
+use crate::graph::{GraphIndex, Link, ProcessorKind, Workflow};
 use crate::model::TimeMatrix;
 use crate::obs::json::{array, JsonObject};
 use crate::service::ServiceBinding;
@@ -149,7 +149,7 @@ pub fn transfer_edges(
 
 /// Run the whole static analysis.
 pub fn analyze(wf: &Workflow, opts: &PlanOptions) -> PlanReport {
-    let facts = StaticFacts::of(wf, &opts.sizes);
+    let facts = StaticFacts::of(wf, GraphIndex::of(wf), &opts.sizes);
     let edges = transfer_edges(wf, &facts, opts.default_item_bytes);
     let partition = partition(wf, &edges, opts.max_fragment);
     let makespan_centralized = makespan_with_charged(wf, &edges, opts, |_| true);

@@ -131,31 +131,51 @@ impl History {
 
     /// All source leaves of the tree, in left-to-right order.
     pub fn sources(&self) -> Vec<(String, u32)> {
-        match &self.node {
-            HistoryNode::Source { source, position } => vec![(source.to_string(), *position)],
-            HistoryNode::Derived { inputs, .. } => {
-                inputs.iter().flat_map(|i| i.sources()).collect()
+        let mut found = Vec::new();
+        let mut next = vec![self];
+        while let Some(h) = next.pop() {
+            match &h.node {
+                HistoryNode::Source { source, position } => {
+                    found.push((source.to_string(), *position));
+                }
+                HistoryNode::Derived { inputs, .. } => {
+                    next.extend(inputs.iter().rev().map(|i| &**i));
+                }
             }
         }
+        found
     }
+}
 
-    /// Does any ancestor involve `processor`?
-    pub fn involves(&self, processor: &str) -> bool {
-        match &self.node {
-            HistoryNode::Source { .. } => false,
-            HistoryNode::Derived {
-                processor: p,
-                inputs,
-            } => **p == *processor || inputs.iter().any(|i| i.involves(processor)),
-        }
-    }
-
-    /// Depth of the tree (1 for a source leaf).
-    pub fn depth(&self) -> usize {
-        match &self.node {
-            HistoryNode::Source { .. } => 1,
-            HistoryNode::Derived { inputs, .. } => {
-                1 + inputs.iter().map(|i| i.depth()).max().unwrap_or(0)
+/// Dropping a node releases each input it held the last handle to, and
+/// so on up the tree, without recursion: a derivation chain as long as
+/// a loop's iteration count would otherwise need a frame per node. The
+/// first input released at each step is walked next; only the others
+/// wait on a stack, so a chain, or a node whose inputs are still shared
+/// (the common drop), allocates nothing.
+impl Drop for History {
+    fn drop(&mut self) {
+        let HistoryNode::Derived { inputs, .. } = &mut self.node else {
+            return;
+        };
+        let mut next = std::mem::take(inputs);
+        let mut waiting: Vec<Box<[Arc<History>]>> = Vec::new();
+        loop {
+            let mut first = None;
+            for input in next.into_vec() {
+                if let Some(mut last) = Arc::into_inner(input) {
+                    if let HistoryNode::Derived { inputs, .. } = &mut last.node {
+                        let inputs = std::mem::take(inputs);
+                        match first {
+                            None => first = Some(inputs),
+                            Some(_) => waiting.push(inputs),
+                        }
+                    }
+                }
+            }
+            match first.or_else(|| waiting.pop()) {
+                Some(inputs) => next = inputs,
+                None => return,
             }
         }
     }
@@ -220,26 +240,39 @@ mod tests {
         );
     }
 
+    /// A 100,000-deep derivation (a loop's token after as many
+    /// iterations) is built, compared, walked and dropped on a 64 KiB
+    /// stack: each recursive walk needed a frame per node.
     #[test]
-    fn history_involves_searches_ancestors() {
-        let h = History::derived(
-            "PFRegister",
-            vec![History::derived(
-                "PFMatchICP",
-                vec![History::source("img", 3)],
-            )],
-        );
-        assert!(h.involves("PFMatchICP"));
-        assert!(h.involves("PFRegister"));
-        assert!(!h.involves("Yasmina"));
-    }
-
-    #[test]
-    fn history_depth() {
-        let leaf = History::source("s", 0);
-        assert_eq!(leaf.depth(), 1);
-        let d = History::derived("p", vec![leaf]);
-        assert_eq!(d.depth(), 2);
+    fn a_deep_history_is_walked_and_dropped_without_recursion() {
+        const DEPTH: usize = 100_000;
+        let run = || {
+            let mut h = History::source("s", 7);
+            for _ in 0..DEPTH {
+                h = History::derived("p", vec![h]);
+            }
+            let shared = Arc::clone(&h);
+            assert_eq!(h.sources(), vec![("s".to_string(), 7)]);
+            let mut depth = 1;
+            let mut node = &*h;
+            while let HistoryNode::Derived { inputs, .. } = node.node() {
+                depth += 1;
+                node = &inputs[0];
+            }
+            assert_eq!(depth, DEPTH + 1);
+            drop(h);
+            drop(shared);
+            // Two released inputs per level: one is walked, one waits.
+            let mut comb = History::source("s", 0);
+            for i in 0..DEPTH as u32 {
+                let side = History::derived("q", vec![History::source("t", i)]);
+                comb = History::derived("p", vec![side, comb]);
+            }
+            assert_eq!(comb.sources().len(), DEPTH + 1);
+            drop(comb);
+        };
+        let thread = std::thread::Builder::new().stack_size(64 << 10);
+        thread.spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

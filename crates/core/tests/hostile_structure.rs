@@ -18,44 +18,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 #[path = "support/random_workflow.rs"]
 mod random_workflow;
 
+#[path = "support/hostile_structure.rs"]
+mod hostile;
+
+use hostile::{mutate, MUTATIONS};
+
 const CASES: u64 = 400;
-
-#[derive(Debug, Clone, Copy)]
-enum Mutation {
-    LinkFromProc,
-    LinkToProc,
-    LinkFromPort,
-    LinkToPort,
-    ControlBefore,
-    ControlAfter,
-}
-
-const MUTATIONS: [Mutation; 6] = [
-    Mutation::LinkFromProc,
-    Mutation::LinkToProc,
-    Mutation::LinkFromPort,
-    Mutation::LinkToPort,
-    Mutation::ControlBefore,
-    Mutation::ControlAfter,
-];
-
-/// `wf` with `mutation` applied to its `case`-th link (modulo the link
-/// count) or to a new coordination constraint.
-fn mutate(mut wf: Workflow, case: u64, mutation: Mutation) -> Workflow {
-    let n = wf.processors.len();
-    let li = case as usize % wf.links.len();
-    let some = ProcId(case as usize % n);
-    let link = &mut wf.links[li];
-    match mutation {
-        Mutation::LinkFromProc => link.from.proc = ProcId(n),
-        Mutation::LinkToProc => link.to.proc = ProcId(n + 1),
-        Mutation::LinkFromPort => link.from.port = wf.processors[link.from.proc.0].outputs.len(),
-        Mutation::LinkToPort => link.to.port = wf.processors[link.to.proc.0].inputs.len(),
-        Mutation::ControlBefore => wf.add_control(ProcId(n), some),
-        Mutation::ControlAfter => wf.add_control(some, ProcId(n + 2)),
-    }
-    wf
-}
 
 fn inputs(wf: &Workflow) -> InputData {
     wf.sources()

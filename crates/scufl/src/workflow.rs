@@ -23,11 +23,12 @@
 use crate::ScuflError;
 use moteur::lint::{Diagnostic, Severity};
 use moteur::{
-    CostModel, IterationStrategy, ProcessorKind, ServiceBinding, ServiceProfile, Workflow,
+    CostModel, IterationStrategy, ProcId, ProcessorKind, ServiceBinding, ServiceProfile, Workflow,
 };
 use moteur_gridsim::Distribution;
 use moteur_wrapper::ExecutableDescriptor;
 use moteur_xml::Element;
+use std::collections::BTreeMap;
 
 /// Parse a workflow document strictly: the first parse-stage diagnostic
 /// becomes the error, and the result is validated.
@@ -86,7 +87,11 @@ fn build_workflow(root: &Element) -> (Workflow, Vec<Diagnostic>) {
     let mut diags = Vec::new();
     let mut wf = Workflow::new(root.attr("name").unwrap_or("workflow"));
     wf.spans.workflow = root.span;
+    // Link and coordination ends resolve by name, the first declaration
+    // winning (a later one is M007).
+    let mut ids: BTreeMap<&str, ProcId> = BTreeMap::new();
     for el in root.elements() {
+        let added = wf.processors.len();
         match el.name.as_str() {
             "source" => {
                 if let Some(name) = required(el, "name", &mut diags) {
@@ -118,6 +123,9 @@ fn build_workflow(root: &Element) -> (Workflow, Vec<Diagnostic>) {
                     .with_help("expected <source>, <sink>, <processor>, <link> or <coordination>"),
             ),
         }
+        if let (Some(name), true) = (el.attr("name"), wf.processors.len() > added) {
+            ids.entry(name).or_insert(ProcId(added));
+        }
     }
     for el in root.children_named("link") {
         let Some((fp, fport)) = endpoint(el, "from", &mut diags) else {
@@ -126,10 +134,10 @@ fn build_workflow(root: &Element) -> (Workflow, Vec<Diagnostic>) {
         let Some((tp, tport)) = endpoint(el, "to", &mut diags) else {
             continue;
         };
-        let Some(from) = resolve(&wf, &fp, el, "link from unknown processor", &mut diags) else {
+        let Some(from) = resolve(&ids, &fp, el, "link from unknown processor", &mut diags) else {
             continue;
         };
-        let Some(to) = resolve(&wf, &tp, el, "link to unknown processor", &mut diags) else {
+        let Some(to) = resolve(&ids, &tp, el, "link to unknown processor", &mut diags) else {
             continue;
         };
         match wf.connect(from, &fport, to, &tport) {
@@ -147,10 +155,10 @@ fn build_workflow(root: &Element) -> (Workflow, Vec<Diagnostic>) {
         let Some(after) = required(el, "to", &mut diags) else {
             continue;
         };
-        let Some(b) = resolve(&wf, &before, el, "coordination from unknown", &mut diags) else {
+        let Some(b) = resolve(&ids, &before, el, "coordination from unknown", &mut diags) else {
             continue;
         };
-        let Some(a) = resolve(&wf, &after, el, "coordination to unknown", &mut diags) else {
+        let Some(a) = resolve(&ids, &after, el, "coordination to unknown", &mut diags) else {
             continue;
         };
         wf.add_control(b, a);
@@ -320,14 +328,14 @@ fn endpoint(el: &Element, attr: &str, diags: &mut Vec<Diagnostic>) -> Option<(St
 }
 
 fn resolve(
-    wf: &Workflow,
+    ids: &BTreeMap<&str, ProcId>,
     name: &str,
     el: &Element,
     what: &str,
     diags: &mut Vec<Diagnostic>,
-) -> Option<moteur::ProcId> {
-    match wf.find(name) {
-        Some(id) => Some(id),
+) -> Option<ProcId> {
+    match ids.get(name) {
+        Some(&id) => Some(id),
         None => {
             diags.push(
                 Diagnostic::error("M001", format!("{what} `{name}`"))

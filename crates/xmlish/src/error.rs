@@ -52,15 +52,54 @@ impl Span {
     /// 1-based (line, column) of `start` within `source`, counting
     /// columns in characters. Returns (1, 1) when out of range.
     pub fn line_col(&self, source: &str) -> (u32, u32) {
-        let upto = &source[..self.start.min(source.len())];
-        let line = upto.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
-        let col = upto
-            .rsplit_once('\n')
-            .map_or(upto, |(_, tail)| tail)
-            .chars()
-            .count() as u32
-            + 1;
-        (line, col)
+        LineIndex::new(source).line_col(self.start)
+    }
+}
+
+/// Where each line of a source text starts, built in one pass, so that
+/// any number of byte offsets become lines and columns at one binary
+/// search each.
+#[derive(Debug, Clone)]
+pub struct LineIndex<'a> {
+    source: &'a str,
+    /// Byte offset of each line's first byte: 0, then one past every
+    /// `\n`.
+    starts: Vec<usize>,
+}
+
+impl<'a> LineIndex<'a> {
+    pub fn new(source: &'a str) -> Self {
+        let newlines = source.bytes().enumerate().filter(|&(_, b)| b == b'\n');
+        let starts = std::iter::once(0).chain(newlines.map(|(i, _)| i + 1));
+        LineIndex {
+            source,
+            starts: starts.collect(),
+        }
+    }
+
+    /// The indexed text.
+    pub fn source(&self) -> &'a str {
+        self.source
+    }
+
+    /// The 1-based line holding `offset` (clamped to the text's length)
+    /// and that line's byte range, without its `\n`.
+    pub fn line(&self, offset: usize) -> (u32, std::ops::Range<usize>) {
+        let offset = offset.min(self.source.len());
+        let line = self.starts.partition_point(|&s| s <= offset);
+        let end = self
+            .starts
+            .get(line)
+            .map_or(self.source.len(), |next| next - 1);
+        (line as u32, self.starts[line - 1]..end)
+    }
+
+    /// 1-based (line, column) of `offset`, counting columns in
+    /// characters; an offset past the end is the text's end.
+    pub fn line_col(&self, offset: usize) -> (u32, u32) {
+        let (line, range) = self.line(offset);
+        let before = &self.source[range.start..offset.min(self.source.len())];
+        (line, before.chars().count() as u32 + 1)
     }
 }
 
@@ -260,5 +299,9 @@ mod tests {
         assert_eq!(Span::new(4, 5).line_col(src), (2, 2));
         assert_eq!(Span::new(7, 8).line_col(src), (3, 1));
         assert_eq!(Span::new(999, 999).line_col(src), (3, 2));
+        let lines = LineIndex::new(src);
+        assert_eq!(lines.line(4), (2, 3..6));
+        assert_eq!(lines.line(6), (2, 3..6));
+        assert_eq!(lines.line(999), (3, 7..8));
     }
 }

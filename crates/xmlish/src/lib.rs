@@ -48,6 +48,6 @@ mod parse;
 mod write;
 
 pub use ast::{Element, Node};
-pub use error::{Position, Span, XmlError, XmlErrorKind};
+pub use error::{LineIndex, Position, Span, XmlError, XmlErrorKind};
 pub use parse::{parse, MAX_XML_DEPTH};
 pub use write::{escape_attr, escape_text};
