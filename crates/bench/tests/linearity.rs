@@ -15,15 +15,17 @@
 //!
 //! And the cost of a workflow must not grow faster than its graph:
 //! parsing, linting and rendering a service chain four times as long
-//! costs about four times as much, and so does enacting it, or a
-//! fan-out four times as wide, up to the firing round's one scan over
+//! costs about four times as much, and so does grouping it into one
+//! job (each merge edits the graph in place, where rebuilding and
+//! rescanning it per merge read about 13×), and so does enacting it, or
+//! a fan-out four times as wide, up to the firing round's one scan over
 //! every processor (about 16× for a round per service on a chain, where
 //! a walk over every link per processor per round read 64×).
 
 use moteur::lint::{lint_workflow, render_human};
 use moteur::{
-    Daemon, DaemonConfig, DataStore, Enactment, EnactorConfig, FtConfig, FtPolicy, StoreConfig,
-    TimeoutPolicy, VirtualBackend,
+    group_workflow, Daemon, DaemonConfig, DataStore, Enactment, EnactorConfig, FtConfig, FtPolicy,
+    StoreConfig, TimeoutPolicy, VirtualBackend,
 };
 use moteur_bench::stream::{stream_chain, stream_inputs};
 use std::fmt::Write as _;
@@ -224,6 +226,37 @@ fn graph_ratio(label: &str, n: usize, fan_out: bool, work: fn(&str) -> usize) ->
 #[test]
 fn a_chain_four_times_as_long_lints_in_about_four_times_the_time() {
     let ratio = graph_ratio("lint chain", 1_000, false, lint_and_render);
+    assert!(
+        ratio <= 2.0,
+        "ratio {ratio:.2} (1.0 is linear, 4.0 quadratic)"
+    );
+}
+
+/// Best-of-5 wall seconds of job grouping on the chain of `n`
+/// descriptor-bound services, every pair of which groups.
+fn best_of_five_groupings(n: usize) -> f64 {
+    let workflow = moteur_scufl::parse_workflow(&graph(n, false)).unwrap();
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            let grouped = group_workflow(&workflow).unwrap();
+            let elapsed = start.elapsed().as_secs_f64();
+            assert_eq!(grouped.processors.len(), 3, "source, one group, sink");
+            elapsed
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+fn a_chain_four_times_as_long_groups_in_about_four_times_the_time() {
+    const SERVICES: usize = 500;
+    let small = best_of_five_groupings(SERVICES);
+    let large = best_of_five_groupings(4 * SERVICES);
+    let ratio = large / (4.0 * small);
+    eprintln!(
+        "group chain: {SERVICES} services {small:.4} s -> {} {large:.4} s, ratio {ratio:.2}",
+        4 * SERVICES
+    );
     assert!(
         ratio <= 2.0,
         "ratio {ratio:.2} (1.0 is linear, 4.0 quadratic)"

@@ -315,7 +315,11 @@ impl Workflow {
     /// execution order — the critical path of the theoretical model.
     /// Only valid for acyclic graphs.
     pub fn critical_path(&self) -> Result<Vec<ProcId>, MoteurError> {
-        let graph = GraphIndex::of(self);
+        self.critical_path_in(&GraphIndex::of(self))
+    }
+
+    /// [`Workflow::critical_path`] read from this workflow's index.
+    pub(crate) fn critical_path_in(&self, graph: &GraphIndex) -> Result<Vec<ProcId>, MoteurError> {
         if graph.in_cycle.contains(&true) {
             return Err(MoteurError::new(
                 "critical path undefined on cyclic workflows",

@@ -1,27 +1,20 @@
 //! The job-grouping graph transform (paper §3.6).
 //!
-//! Finds sequential chains of descriptor-bound services — P whose every
-//! output link targets a single successor Q — and merges them into a
-//! *virtual grouped service* submitted as one grid job. On the paper's
-//! application (Fig. 9) this merges `crestLines`+`crestMatch` and
+//! Merges a service P into the one service Q that every data link out
+//! of P ends at, into a *virtual grouped service* submitted as one grid
+//! job, until no pair merges, so chains of any length collapse. On the
+//! paper's application (Fig. 9) this merges `crestLines`+`crestMatch` and
 //! `PFMatchICP`+`PFRegister`, cutting 6 job submissions per image pair
-//! down to 4.
-//!
-//! A pair (P, Q) is groupable when:
-//!
-//! - both are plain services bound to descriptors (or already-grouped
-//!   services, so chains of any length collapse),
-//! - neither is a synchronization processor or involved in a cycle or
-//!   a coordination constraint,
-//! - every data link out of P ends at Q (so no third party needs P's
-//!   outputs), and each of Q's input ports is fed either only by P or
-//!   only by non-P processors,
-//! - both use the dot-product iteration strategy (grouping must not
-//!   change invocation cardinality).
+//! down to 4. [`blocking`] holds the conditions: both members are
+//! descriptor-bound (or grouped) dot-product services, neither is a
+//! barrier, on a cycle or under a coordination constraint, and each of
+//! Q's ports is fed by one link from P or by other producers only.
 
 use crate::error::MoteurError;
 use crate::graph::{GraphIndex, IterationStrategy, ProcId, Processor, ProcessorKind, Workflow};
 use crate::service::{GroupSource, GroupedBinding, GroupedStage, ServiceBinding};
+use std::collections::BTreeSet;
+use std::mem::take;
 
 /// Apply grouping repeatedly until no pair can be merged.
 pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
@@ -31,19 +24,199 @@ pub fn group_workflow(workflow: &Workflow) -> Result<Workflow, MoteurError> {
 
 /// [`group_workflow`] given `workflow`'s index: the grouped graph and
 /// its own index, or `None` when no pair merges.
+///
+/// Each step merges the first live processor that passes the §3.6 test
+/// with its sole service consumer, by position: the written processors,
+/// then the merged ones in creation order, as if each merge rebuilt the
+/// graph without the pair and appended the merged processor. The
+/// worklist holds, in that order, every processor not yet tested: all at
+/// first, then after each merge the merged processor and each producer
+/// that fed both members, the only verdicts a merge can change.
 pub(crate) fn group(
     workflow: &Workflow,
     graph: &GraphIndex,
 ) -> Result<Option<(Workflow, GraphIndex)>, MoteurError> {
-    let mut grouped: Option<(Workflow, GraphIndex)> = None;
-    loop {
-        let (wf, graph) = grouped.as_ref().map_or((workflow, graph), |(w, g)| (w, g));
-        let Some((p, q)) = find_groupable_pair(wf, graph) else {
-            return Ok(grouped);
+    let mut work = Work::new(workflow, graph);
+    let mut worklist: BTreeSet<usize> = (0..workflow.processors.len()).collect();
+    while let Some(p) = worklist.pop_first() {
+        let q = sole_service_consumer(&work.wf, &work, ProcId(p));
+        if let Some(q) = q.filter(|&q| blocking(&work.wf, &work, ProcId(p), q).is_none()) {
+            worklist.remove(&q.0);
+            worklist.extend(work.merge(p, q.0)?);
+        }
+    }
+    if work.live.len() == workflow.processors.len() {
+        return Ok(None);
+    }
+    let grouped = work.finish();
+    let graph = GraphIndex::of(&grouped);
+    Ok(Some((grouped, graph)))
+}
+
+/// The structure the §3.6 test reads: the written graph's
+/// [`GraphIndex`], or the lists [`group`] edits in place.
+pub(crate) trait Adjacency {
+    /// The consumer of each link out of `p`.
+    fn succs(&self, p: usize) -> impl Iterator<Item = usize> + '_;
+    /// The index into the workflow's links of each link into `p`.
+    fn in_links(&self, p: usize) -> impl Iterator<Item = usize> + '_;
+    /// Whether `p` sits on a data-link cycle.
+    fn in_cycle(&self, p: usize) -> bool;
+}
+
+impl Adjacency for GraphIndex {
+    fn succs(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        GraphIndex::succs(self, p)
+    }
+    fn in_links(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        GraphIndex::in_links(self, p)
+    }
+    fn in_cycle(&self, p: usize) -> bool {
+        self.in_cycle[p]
+    }
+}
+
+/// The graph [`group`] merges in place. Processors keep their slots:
+/// the written ones, then each merged one appended. `ins` and `outs`
+/// list each slot's links by their index into `wf.links`, where a
+/// dropped link stays, still leaving its retired producer.
+struct Work {
+    wf: Workflow,
+    ins: Vec<Vec<usize>>,
+    outs: Vec<Vec<usize>>,
+    /// The written graph's: merging neither makes nor breaks a cycle.
+    in_cycle: Vec<bool>,
+    live: Vec<bool>,
+}
+
+impl Adjacency for Work {
+    fn succs(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.outs[p].iter().map(|&l| self.wf.links[l].to.proc.0)
+    }
+    fn in_links(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ins[p].iter().copied()
+    }
+    fn in_cycle(&self, p: usize) -> bool {
+        self.in_cycle.get(p) == Some(&true)
+    }
+}
+
+impl Work {
+    fn new(wf: &Workflow, graph: &GraphIndex) -> Work {
+        let n = wf.processors.len();
+        let mut work = Work {
+            wf: wf.clone(),
+            ins: vec![Vec::new(); n],
+            outs: vec![Vec::new(); n],
+            in_cycle: graph.in_cycle.clone(),
+            live: vec![true; n],
         };
-        let merged = merge_pair(wf, graph, p, q)?;
-        let index = GraphIndex::of(&merged);
-        grouped = Some((merged, index));
+        for (i, l) in wf.links.iter().enumerate() {
+            work.ins[l.to.proc.0].push(i);
+            work.outs[l.from.proc.0].push(i);
+        }
+        work
+    }
+
+    /// Merge P into its sole consumer Q: retire both, append the merged
+    /// processor (P's ports, then each Q port P does not feed; Q's
+    /// outputs), drop the P→Q links (all of P's) and re-point the rest.
+    /// Returns the processors to test again: the merged one, and each
+    /// producer that fed both members.
+    fn merge(&mut self, p: usize, q: usize) -> Result<Vec<usize>, MoteurError> {
+        let m = self.wf.processors.len();
+        let (pg, mut inputs) = take_group(&mut self.wf.processors[p])?;
+        let (qg, _) = take_group(&mut self.wf.processors[q])?;
+        let (pp, qp) = (&self.wf.processors[p], &self.wf.processors[q]);
+        // Where each Q port reads inside the group: the output of P's
+        // that feeds it (one at most, as `blocking` passed), or the
+        // merged port it becomes.
+        let mut from_p = vec![None; qp.inputs.len()];
+        let links = self.ins[q].iter().map(|&l| &self.wf.links[l]);
+        for l in links.filter(|l| l.from.proc.0 == p) {
+            let (stage, slot) = pg.exposed_outputs[l.from.port].clone();
+            from_p[l.to.port] = Some(GroupSource::StageOutput { stage, slot });
+        }
+        let source: Vec<GroupSource> = (from_p.into_iter().zip(&qp.inputs))
+            .map(|(src, port)| {
+                src.unwrap_or_else(|| {
+                    inputs.push(format!("{}.{port}", qp.name));
+                    GroupSource::ExternalPort(inputs.len() - 1)
+                })
+            })
+            .collect();
+        let shift = pg.stages.len();
+        let mut stages = pg.stages;
+        stages.extend(qg.stages.into_iter().map(|mut stage| {
+            for (_, src) in &mut stage.inputs {
+                match src {
+                    GroupSource::StageOutput { stage, .. } => *stage += shift,
+                    GroupSource::ExternalPort(i) => *src = source[*i].clone(),
+                }
+            }
+            stage
+        }));
+        let exposed_outputs = (qg.exposed_outputs.into_iter())
+            .map(|(stage, slot)| (stage + shift, slot))
+            .collect();
+        let merged = Processor {
+            name: format!("{}+{}", pp.name, qp.name),
+            kind: ProcessorKind::Service,
+            inputs,
+            outputs: qp.outputs.clone(),
+            iteration: IterationStrategy::Dot,
+            synchronization: false,
+            binding: Some(ServiceBinding::Grouped(GroupedBinding {
+                stages,
+                exposed_outputs,
+            })),
+            item_bytes: None,
+        };
+
+        let (mut ins, outs) = (take(&mut self.ins[p]), take(&mut self.outs[q]));
+        let fed_p: Vec<ProcId> = ins.iter().map(|&l| self.wf.links[l].from.proc).collect();
+        let mut again = vec![m];
+        for &l in &ins {
+            self.wf.links[l].to.proc = ProcId(m);
+        }
+        for l in take(&mut self.ins[q]) {
+            let link = &mut self.wf.links[l];
+            if let GroupSource::ExternalPort(port) = source[link.to.port] {
+                again.extend(fed_p.contains(&link.from.proc).then_some(link.from.proc.0));
+                (link.to.proc, link.to.port) = (ProcId(m), port);
+                ins.push(l);
+            }
+        }
+        for &l in &outs {
+            self.wf.links[l].from.proc = ProcId(m);
+        }
+        self.wf.processors.push(merged);
+        self.ins.push(ins);
+        self.outs.push(outs);
+        self.live.push(true);
+        (self.live[p], self.live[q]) = (false, false);
+        Ok(again)
+    }
+
+    /// The grouped graph: the live processors in slot order, then every
+    /// link not dropped, in the written order, both renumbered.
+    fn finish(self) -> Workflow {
+        let (wf, live) = (self.wf, self.live);
+        let mut out = Workflow::new(wf.name);
+        let mut id = vec![ProcId(usize::MAX); live.len()];
+        for (slot, proc) in wf.processors.into_iter().enumerate() {
+            if live[slot] {
+                id[slot] = out.push(proc);
+            }
+        }
+        for mut l in wf.links.into_iter().filter(|l| live[l.from.proc.0]) {
+            (l.from.proc, l.to.proc) = (id[l.from.proc.0], id[l.to.proc.0]);
+            out.links.push(l);
+        }
+        for (a, b) in wf.control {
+            out.control.push((id[a.0], id[b.0]));
+        }
+        out
     }
 }
 
@@ -74,7 +247,7 @@ pub(crate) enum Blocker<'a> {
 /// one service other than `p`: the candidate pairs of §3.6.
 pub(crate) fn sole_service_consumer(
     wf: &Workflow,
-    graph: &GraphIndex,
+    graph: &impl Adjacency,
     p: ProcId,
 ) -> Option<ProcId> {
     if wf.processor(p).kind != ProcessorKind::Service {
@@ -92,7 +265,7 @@ pub(crate) fn sole_service_consumer(
 /// groups. The transform and M030/M031 both decide here.
 pub(crate) fn blocking<'a>(
     wf: &'a Workflow,
-    graph: &GraphIndex,
+    graph: &impl Adjacency,
     p: ProcId,
     q: ProcId,
 ) -> Option<Blocker<'a>> {
@@ -102,7 +275,7 @@ pub(crate) fn blocking<'a>(
         if proc.synchronization {
             return Some(Blocker::Sync(name));
         }
-        if graph.in_cycle[id.0] {
+        if graph.in_cycle(id.0) {
             return Some(Blocker::Cycle(name));
         }
         if proc.iteration != IterationStrategy::Dot {
@@ -120,220 +293,57 @@ pub(crate) fn blocking<'a>(
     }
     // Each Q input port must be fed either by exactly one P output or
     // only by other producers — otherwise the fused job cannot tell
-    // which tuple element feeds which slot.
+    // which tuple element feeds which slot. One pass counts each
+    // port's links, and those from P.
     let q_proc = wf.processor(q);
-    for (port, name) in q_proc.inputs.iter().enumerate() {
-        let (mut from_p, mut fed) = (0, 0);
-        for l in graph.in_links(q.0).map(|l| &wf.links[l]) {
-            if l.to.port == port {
-                fed += 1;
-                from_p += usize::from(l.from.proc == p);
-            }
-        }
-        if from_p > 0 && (from_p != fed || from_p > 1) {
-            return Some(Blocker::MixedPort {
-                port: name,
-                p: &wf.processor(p).name,
-                q: &q_proc.name,
-            });
+    let mut fed = vec![(0, 0); q_proc.inputs.len()];
+    for l in graph.in_links(q.0).map(|l| &wf.links[l]) {
+        if let Some((all, from_p)) = fed.get_mut(l.to.port) {
+            *all += 1;
+            *from_p += usize::from(l.from.proc == p);
         }
     }
-    None
-}
-
-fn find_groupable_pair(wf: &Workflow, graph: &GraphIndex) -> Option<(ProcId, ProcId)> {
-    (0..wf.processors.len()).map(ProcId).find_map(|p| {
-        let q = sole_service_consumer(wf, graph, p)?;
-        blocking(wf, graph, p, q).is_none().then_some((p, q))
+    let port = fed
+        .iter()
+        .position(|&(all, from_p)| from_p > 0 && (from_p != all || from_p > 1))?;
+    Some(Blocker::MixedPort {
+        port: &q_proc.inputs[port],
+        p: &wf.processor(p).name,
+        q: &q_proc.name,
     })
 }
 
-/// View any groupable binding as a [`GroupedBinding`].
-fn as_group(p: &Processor) -> Result<GroupedBinding, MoteurError> {
-    match &p.binding {
-        Some(ServiceBinding::Grouped(g)) => Ok(g.clone()),
+/// Take a retiring member's binding, viewed as a [`GroupedBinding`],
+/// with the names its ports take in the merged processor: a single
+/// stage's prefixed by its name, so ports stay unique across merges; a
+/// group's are already.
+fn take_group(p: &mut Processor) -> Result<(GroupedBinding, Vec<String>), MoteurError> {
+    match p.binding.take() {
+        Some(ServiceBinding::Grouped(g)) => Ok((g, p.inputs.clone())),
         Some(ServiceBinding::Descriptor {
             descriptor,
             profile,
         }) => {
-            let fixed: std::collections::BTreeSet<&str> = profile
-                .fixed_params
-                .iter()
-                .map(|(s, _)| s.as_str())
-                .collect();
-            let inputs = p
-                .inputs
-                .iter()
-                .enumerate()
-                .filter(|(_, port)| !fixed.contains(port.as_str()))
+            let inputs = (p.inputs.iter().enumerate())
+                .filter(|(_, port)| profile.fixed_param(port).is_none())
                 .map(|(i, port)| (port.clone(), GroupSource::ExternalPort(i)))
                 .collect();
-            Ok(GroupedBinding {
-                stages: vec![GroupedStage {
-                    name: p.name.clone(),
-                    descriptor: descriptor.clone(),
-                    profile: profile.clone(),
-                    inputs,
-                }],
-                exposed_outputs: p.outputs.iter().map(|o| (0, o.clone())).collect(),
-            })
+            let name = p.name.clone();
+            let ports = p.inputs.iter().map(|i| format!("{name}.{i}")).collect();
+            let stages = vec![GroupedStage {
+                name,
+                descriptor,
+                profile,
+                inputs,
+            }];
+            let exposed_outputs = p.outputs.iter().map(|o| (0, o.clone())).collect();
+            let binding = GroupedBinding {
+                stages,
+                exposed_outputs,
+            };
+            Ok((binding, ports))
         }
         _ => Err(MoteurError::new(format!("`{}` is not groupable", p.name))),
-    }
-}
-
-fn merge_pair(
-    wf: &Workflow,
-    graph: &GraphIndex,
-    p_id: ProcId,
-    q_id: ProcId,
-) -> Result<Workflow, MoteurError> {
-    let p = wf.processor(p_id);
-    let q = wf.processor(q_id);
-    let pg = as_group(p)?;
-    let qg = as_group(q)?;
-    let p_stage_count = pg.stages.len();
-
-    // Classify Q's input ports: fed by P (→ which P output port) or
-    // external (→ new merged port index).
-    #[derive(Clone, Copy)]
-    enum QPort {
-        FromP { p_out_port: usize },
-        External { merged_port: usize },
-    }
-    let mut q_port_kind = Vec::with_capacity(q.inputs.len());
-    let mut merged_inputs: Vec<String> = p
-        .inputs
-        .iter()
-        .map(|port| prefixed(&p.name, port, p.binding.as_ref()))
-        .collect();
-    for (port, port_name) in q.inputs.iter().enumerate() {
-        let feeder = graph
-            .in_links(q_id.0)
-            .map(|l| &wf.links[l])
-            .find(|l| l.to.port == port && l.from.proc == p_id);
-        match feeder {
-            Some(l) => q_port_kind.push(QPort::FromP {
-                p_out_port: l.from.port,
-            }),
-            None => {
-                q_port_kind.push(QPort::External {
-                    merged_port: merged_inputs.len(),
-                });
-                merged_inputs.push(format!("{}.{}", q.name, port_name));
-            }
-        }
-    }
-
-    // Remap Q's stage input sources into the merged group.
-    let remap = |src: &GroupSource| -> GroupSource {
-        match src {
-            GroupSource::StageOutput { stage, slot } => GroupSource::StageOutput {
-                stage: stage + p_stage_count,
-                slot: slot.clone(),
-            },
-            GroupSource::ExternalPort(qi) => match q_port_kind[*qi] {
-                QPort::FromP { p_out_port } => {
-                    let (stage, slot) = pg.exposed_outputs[p_out_port].clone();
-                    GroupSource::StageOutput { stage, slot }
-                }
-                QPort::External { merged_port } => GroupSource::ExternalPort(merged_port),
-            },
-        }
-    };
-    let mut stages = pg.stages.clone();
-    for stage in &qg.stages {
-        stages.push(GroupedStage {
-            name: stage.name.clone(),
-            descriptor: stage.descriptor.clone(),
-            profile: stage.profile.clone(),
-            inputs: stage
-                .inputs
-                .iter()
-                .map(|(s, src)| (s.clone(), remap(src)))
-                .collect(),
-        });
-    }
-    let exposed_outputs = qg
-        .exposed_outputs
-        .iter()
-        .map(|(stage, slot)| (stage + p_stage_count, slot.clone()))
-        .collect();
-
-    let merged = Processor {
-        name: format!("{}+{}", p.name, q.name),
-        kind: ProcessorKind::Service,
-        inputs: merged_inputs,
-        outputs: q.outputs.clone(),
-        iteration: IterationStrategy::Dot,
-        synchronization: false,
-        binding: Some(ServiceBinding::Grouped(GroupedBinding {
-            stages,
-            exposed_outputs,
-        })),
-        item_bytes: None,
-    };
-
-    // Rebuild the workflow with P and Q replaced by the merged node.
-    let mut out = Workflow::new(wf.name.clone());
-    let mut id_map: Vec<Option<ProcId>> = vec![None; wf.processors.len()];
-    for (i, proc) in wf.processors.iter().enumerate() {
-        if ProcId(i) == p_id || ProcId(i) == q_id {
-            continue;
-        }
-        id_map[i] = Some(out.push(proc.clone()));
-    }
-    let merged_id = out.push(merged);
-    id_map[p_id.0] = Some(merged_id);
-    id_map[q_id.0] = Some(merged_id);
-
-    for l in &wf.links {
-        // Internal P→Q links disappear.
-        if l.from.proc == p_id && l.to.proc == q_id {
-            continue;
-        }
-        let (from_proc, from_port) = if l.from.proc == q_id {
-            (merged_id, l.from.port) // Q's outputs keep their positions
-        } else {
-            (id_map[l.from.proc.0].expect("mapped"), l.from.port)
-        };
-        let (to_proc, to_port) = if l.to.proc == p_id {
-            (merged_id, l.to.port) // P's inputs keep their positions
-        } else if l.to.proc == q_id {
-            let QPort::External { merged_port } = q_port_kind[l.to.port] else {
-                unreachable!("non-P links to a P-fed port were excluded by the pair check")
-            };
-            (merged_id, merged_port)
-        } else {
-            (id_map[l.to.proc.0].expect("mapped"), l.to.port)
-        };
-        out.links.push(crate::graph::Link {
-            from: crate::graph::PortRef {
-                proc: from_proc,
-                port: from_port,
-            },
-            to: crate::graph::PortRef {
-                proc: to_proc,
-                port: to_port,
-            },
-        });
-    }
-    for (a, b) in &wf.control {
-        out.control.push((
-            id_map[a.0].expect("control procs are never grouped"),
-            id_map[b.0].expect("control procs are never grouped"),
-        ));
-    }
-    Ok(out)
-}
-
-/// Merged input-port name. Single-stage descriptor processors keep the
-/// raw slot names prefixed by their own name so the ports stay unique
-/// across repeated merges.
-fn prefixed(proc_name: &str, port: &str, binding: Option<&ServiceBinding>) -> String {
-    match binding {
-        Some(ServiceBinding::Grouped(_)) => port.to_string(), // already prefixed
-        _ => format!("{proc_name}.{port}"),
     }
 }
 
@@ -546,6 +556,273 @@ mod tests {
         assert!(g.find("A+B").is_none());
     }
 
+    /// A source feeding `lengths.len()` descriptor chains, each into a
+    /// sink of its own; `order` lists the chain of each service in the
+    /// order they are added, so the chains interleave as it says.
+    fn chains(lengths: &[usize], order: &[usize]) -> Workflow {
+        let mut w = Workflow::new("chains");
+        let s = w.add_source("src");
+        let mut tail: Vec<(ProcId, usize)> = vec![(s, 0); lengths.len()];
+        for &c in order {
+            let name = format!("c{c}s{}", tail[c].1);
+            let v = w.add_service(&name, &["in"], &["out"], svc(&name, &["in"], &["out"]));
+            w.connect(tail[c].0, "out", v, "in").unwrap();
+            tail[c] = (v, tail[c].1 + 1);
+        }
+        for (c, &(v, len)) in tail.iter().enumerate() {
+            assert_eq!(len, lengths[c]);
+            let k = w.add_sink(format!("k{c}"));
+            w.connect(v, "out", k, "in").unwrap();
+        }
+        w
+    }
+
+    /// A source into a chain of `n` descriptor services into a sink.
+    fn chain(n: usize) -> Workflow {
+        chains(&[n], &vec![0; n])
+    }
+
+    /// `src → A → B → C → sink` plus `A → C`: A feeds two services,
+    /// so only (B, C) is a candidate pair until they merge.
+    fn diamond() -> Workflow {
+        let mut w = Workflow::new("diamond");
+        let s = w.add_source("src");
+        let a = w.add_service("A", &["in"], &["o"], svc("A", &["in"], &["o"]));
+        let b = w.add_service("B", &["i"], &["o"], svc("B", &["i"], &["o"]));
+        let c = w.add_service("C", &["x", "y"], &["o"], svc("C", &["x", "y"], &["o"]));
+        let k = w.add_sink("sink");
+        w.connect(s, "out", a, "in").unwrap();
+        w.connect(a, "o", b, "i").unwrap();
+        w.connect(b, "o", c, "x").unwrap();
+        w.connect(a, "o", c, "y").unwrap();
+        w.connect(c, "o", k, "in").unwrap();
+        w
+    }
+
+    /// `P1 → Q` and `P2 → Q` on separate ports, both fed by the source.
+    fn in_tree() -> Workflow {
+        let mut w = Workflow::new("in-tree");
+        let s = w.add_source("src");
+        let p1 = w.add_service("P1", &["in"], &["o"], svc("P1", &["in"], &["o"]));
+        let p2 = w.add_service("P2", &["in"], &["o"], svc("P2", &["in"], &["o"]));
+        let q = w.add_service("Q", &["a", "b"], &["o"], svc("Q", &["a", "b"], &["o"]));
+        let k = w.add_sink("sink");
+        w.connect(s, "out", p1, "in").unwrap();
+        w.connect(s, "out", p2, "in").unwrap();
+        w.connect(p1, "o", q, "a").unwrap();
+        w.connect(p2, "o", q, "b").unwrap();
+        w.connect(q, "o", k, "in").unwrap();
+        w
+    }
+
+    /// A chain of `n` services each reading the previous one's output
+    /// and the source, the first with a fixed parameter port and the
+    /// last fed from the second source on a third port.
+    fn external_inputs(n: usize) -> Workflow {
+        let mut w = Workflow::new("external");
+        let (s, t) = (w.add_source("src"), w.add_source("other"));
+        let mut prev = None;
+        for i in 0..n {
+            let name = format!("e{i}");
+            let ports = ["prev", "img", "extra"];
+            let binding = ServiceBinding::descriptor(
+                desc(&name, &ports, &["out"]),
+                ServiceProfile::new(1.0).with_fixed_param("extra", "2"),
+            );
+            let v = w.add_service(&name, &ports, &["out"], binding);
+            w.connect(prev.unwrap_or(s), "out", v, "prev").unwrap();
+            w.connect(s, "out", v, "img").unwrap();
+            if i + 1 == n {
+                w.connect(t, "out", v, "extra").unwrap();
+            }
+            prev = Some(v);
+        }
+        let k = w.add_sink("sink");
+        w.connect(prev.unwrap(), "out", k, "in").unwrap();
+        w
+    }
+
+    /// Bronze-Standard's topology (paper Fig. 9): its ports in
+    /// declaration order, `crestLines`' fixed `scale` parameter and the
+    /// synchronization barrier.
+    fn bronze() -> Workflow {
+        let mut w = Workflow::new("bronze-standard");
+        let [r, f, m] =
+            ["referenceImage", "floatingImage", "methodToTest"].map(|s| w.add_source(s));
+        let mut service = |name: &str, ins: &[&str], outs: &[&str]| {
+            let mut profile = ServiceProfile::new(10.0);
+            if ins.contains(&"scale") {
+                profile = profile.with_fixed_param("scale", "2");
+            }
+            let binding = ServiceBinding::descriptor(desc(name, ins, outs), profile);
+            w.add_service(name, ins, outs, binding)
+        };
+        let images = ["floating_image", "reference_image"];
+        let lines = service(
+            "crestLines",
+            &[images[0], images[1], "scale"],
+            &["crest_reference", "crest_floating"],
+        );
+        let matcher = service(
+            "crestMatch",
+            &["crest_reference", "crest_floating"],
+            &["transfo"],
+        );
+        let icp = service(
+            "PFMatchICP",
+            &["init", images[0], images[1]],
+            &["raw_transfo"],
+        );
+        let register = service("PFRegister", &["raw"], &["transfo"]);
+        let yasmina = service("Yasmina", &["init", images[0], images[1]], &["transfo"]);
+        let baladin = service("Baladin", &["init", images[0], images[1]], &["transfo"]);
+        let ins = [
+            "method",
+            "transfo_cm",
+            "transfo_pf",
+            "transfo_y",
+            "transfo_b",
+        ];
+        let test = service(
+            "MultiTransfoTest",
+            &ins,
+            &["accuracy_translation", "accuracy_rotation"],
+        );
+        w.set_synchronization(test, true);
+        let sinks = ["accuracy_translation", "accuracy_rotation"].map(|k| w.add_sink(k));
+        let links = [
+            (r, "out", lines, "reference_image"),
+            (f, "out", lines, "floating_image"),
+            (lines, "crest_reference", matcher, "crest_reference"),
+            (lines, "crest_floating", matcher, "crest_floating"),
+            (matcher, "transfo", icp, "init"),
+            (matcher, "transfo", yasmina, "init"),
+            (matcher, "transfo", baladin, "init"),
+            (r, "out", icp, "reference_image"),
+            (f, "out", icp, "floating_image"),
+            (r, "out", yasmina, "reference_image"),
+            (f, "out", yasmina, "floating_image"),
+            (r, "out", baladin, "reference_image"),
+            (f, "out", baladin, "floating_image"),
+            (icp, "raw_transfo", register, "raw"),
+            (m, "out", test, "method"),
+            (matcher, "transfo", test, "transfo_cm"),
+            (register, "transfo", test, "transfo_pf"),
+            (yasmina, "transfo", test, "transfo_y"),
+            (baladin, "transfo", test, "transfo_b"),
+            (test, "accuracy_translation", sinks[0], "in"),
+            (test, "accuracy_rotation", sinks[1], "in"),
+        ];
+        for (from, out, to, port) in links {
+            w.connect(from, out, to, port).unwrap();
+        }
+        w
+    }
+
+    /// [`group`] against the rebuild-and-rescan loop it replaced: the
+    /// same processors, names, stage order, port names, bindings, links
+    /// and control edges, in the same order, and the same index.
+    /// Returns whether a pair merged.
+    fn matches_oracle(wf: &Workflow, what: &str) -> bool {
+        let graph = GraphIndex::of(wf);
+        let grouped = group(wf, &graph).unwrap();
+        let oracle = crate::grouping_oracle::group(wf, &graph).unwrap();
+        assert_eq!(format!("{grouped:?}"), format!("{oracle:?}"), "{what}");
+        // A binding's `Debug` names only its stages: compare them whole.
+        let bindings = |g: &Option<(Workflow, GraphIndex)>| -> Vec<String> {
+            let Some((wf, _)) = g else { return Vec::new() };
+            let binding = |p: &Processor| match &p.binding {
+                Some(ServiceBinding::Grouped(g)) => format!("{g:?}"),
+                Some(ServiceBinding::Descriptor {
+                    descriptor,
+                    profile,
+                }) => {
+                    format!("{descriptor:?} {profile:?}")
+                }
+                other => format!("{other:?}"),
+            };
+            wf.processors.iter().map(binding).collect()
+        };
+        assert_eq!(bindings(&grouped), bindings(&oracle), "{what}");
+        grouped.is_some()
+    }
+
+    #[test]
+    fn grouping_in_place_matches_the_rebuilding_oracle() {
+        use crate::hostile_structure::{mutate, MUTATIONS};
+        let (mut cases, mut merged) = (0, 0);
+        let mut check = |wf: &Workflow, what: &str| {
+            cases += 1;
+            merged += usize::from(matches_oracle(wf, what));
+        };
+        for case in 0..600 {
+            let (wf, _) = crate::random_workflow::random_workflow(case);
+            check(&wf, &format!("random {case}"));
+            for m in MUTATIONS {
+                let mutant = mutate(wf.clone(), case, m);
+                if mutant.validate().is_ok() {
+                    check(&mutant, &format!("random {case} {m:?}"));
+                }
+            }
+        }
+        check(&bronze(), "bronze");
+        check(&diamond(), "diamond");
+        check(&in_tree(), "in-tree");
+        for n in 1..=64 {
+            check(&chain(n), &format!("chain {n}"));
+            check(&external_inputs(n), &format!("external inputs {n}"));
+        }
+        // Chain 0 starts first; chain 1 finishes merging first.
+        check(&chains(&[4, 2], &[0, 1, 1, 0, 0, 0]), "interleaved");
+        check(
+            &chains(&[5, 3, 2], &[0, 1, 2, 0, 2, 1, 0, 1, 0, 0]),
+            "three interleaved",
+        );
+        eprintln!("{cases} graphs, {merged} with a merge, equal to the oracle");
+        assert!(merged >= 190, "{merged} of {cases} graphs merged a pair");
+    }
+
+    /// The diamond `A → B → C, A → C` fuses whole: once B and C merge,
+    /// A feeds only `B+C`, a pair M030 could not name.
+    #[test]
+    fn merging_runs_to_a_fixpoint_that_closes_diamonds() {
+        let w = diamond();
+        let report = crate::lint::lint_workflow(&w);
+        let m030: Vec<&str> = (report.diagnostics.iter())
+            .filter(|d| d.code == "M030")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(m030.len(), 1, "{m030:?}");
+        assert!(m030[0].starts_with("`B` and `C` form"), "{}", m030[0]);
+        let g = group_workflow(&w).unwrap();
+        g.validate().unwrap();
+        let names: Vec<&str> = g.processors.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["src", "sink", "A+B+C"]);
+        let merged = g.processor(g.find("A+B+C").unwrap());
+        let Some(ServiceBinding::Grouped(gb)) = &merged.binding else {
+            panic!("expected grouped");
+        };
+        let stages: Vec<&str> = gb.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(stages, ["A", "B", "C"]);
+        assert_eq!(merged.inputs, ["A.in"]);
+    }
+
+    /// Stage order follows merge order: P1 merges into Q first, then P2
+    /// into `P1+Q`, so P2's stage comes first.
+    #[test]
+    fn an_in_tree_stages_its_producers_in_merge_order() {
+        let g = group_workflow(&in_tree()).unwrap();
+        g.validate().unwrap();
+        let names: Vec<&str> = g.processors.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["src", "sink", "P2+P1+Q"]);
+        let merged = g.processor(g.find("P2+P1+Q").unwrap());
+        let Some(ServiceBinding::Grouped(gb)) = &merged.binding else {
+            panic!("expected grouped");
+        };
+        let stages: Vec<&str> = gb.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(stages, ["P2", "P1", "Q"]);
+    }
+
     /// Graph indices one compile builds.
     fn index_builds(wf: &Workflow, config: crate::EnactorConfig) -> usize {
         let count = || crate::graph::INDEX_BUILDS.with(std::cell::Cell::get);
@@ -560,15 +837,19 @@ mod tests {
     #[test]
     fn a_compile_analyses_each_graph_once() {
         use crate::EnactorConfig;
-        let chain = chain2();
-        assert_eq!(index_builds(&chain, EnactorConfig::sp_dp()), 1);
-        assert_eq!(index_builds(&chain, EnactorConfig::sp_dp_jg()), 2);
+        let two = chain2();
+        assert_eq!(index_builds(&two, EnactorConfig::sp_dp()), 1);
+        assert_eq!(index_builds(&two, EnactorConfig::sp_dp_jg()), 2);
         let no_preflight = EnactorConfig::sp_dp_jg().without_preflight();
-        assert_eq!(index_builds(&chain, no_preflight), 2);
+        assert_eq!(index_builds(&two, no_preflight), 2);
         let mut crossed = chain2();
         crossed.set_iteration(crossed.find("B").unwrap(), IterationStrategy::Cross);
         assert_eq!(index_builds(&crossed, EnactorConfig::sp_dp_jg()), 1);
         assert_eq!(index_builds(&crossed, no_preflight), 1);
+        // Four merges, one index for the grouped graph.
+        let five = chain(5);
+        assert_eq!(index_builds(&five, EnactorConfig::sp_dp_jg()), 2);
+        assert_eq!(index_builds(&five, no_preflight), 2);
     }
 
     #[test]

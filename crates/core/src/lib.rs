@@ -73,6 +73,9 @@ mod graph;
 mod graph_oracle;
 mod grouping;
 #[cfg(test)]
+#[path = "../tests/support/grouping_oracle.rs"]
+mod grouping_oracle;
+#[cfg(test)]
 #[path = "../tests/support/hostile_structure.rs"]
 mod hostile_structure;
 mod iterate;

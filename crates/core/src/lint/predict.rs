@@ -10,7 +10,6 @@
 
 use crate::error::MoteurError;
 use crate::graph::{GraphIndex, ProcessorKind, Workflow};
-use crate::grouping::group_workflow;
 use crate::model::TimeMatrix;
 use crate::obs::json::{array, JsonObject, JsonValue};
 use crate::plan::central_transfer_seconds;
@@ -71,45 +70,34 @@ pub fn predict_with_transfer(
     if n_data == 0 {
         return Err(MoteurError::new("prediction needs at least one data set"));
     }
-    let (base, base_jobs) = price(wf, n_data, overhead, bandwidth)?;
-    let (grouped, grouped_jobs) = price(&group_workflow(wf)?, n_data, overhead, bandwidth)?;
-    let rows = vec![
-        PredictionRow {
-            config: "nop",
-            jobs: base_jobs,
-            makespan: base.sigma_sequential(),
-        },
-        PredictionRow {
-            config: "jg",
-            jobs: grouped_jobs,
-            makespan: grouped.sigma_sequential(),
-        },
-        PredictionRow {
-            config: "dp",
-            jobs: base_jobs,
-            makespan: base.sigma_dp(),
-        },
-        PredictionRow {
-            config: "sp",
-            jobs: base_jobs,
-            makespan: base.sigma_sp(),
-        },
-        PredictionRow {
-            config: "sp+dp",
-            jobs: base_jobs,
-            makespan: base.sigma_dsp(),
-        },
-        PredictionRow {
-            config: "sp+dp+jg",
-            jobs: grouped_jobs,
-            makespan: grouped.sigma_dsp(),
-        },
+    // One index per graph: the written graph's serves grouping and its
+    // own pricing; the grouped graph's comes with it.
+    let graph = GraphIndex::of(wf);
+    let grouped = crate::grouping::group(wf, &graph)?;
+    let base = price(wf, graph, n_data, overhead, bandwidth)?;
+    let ((base, base_jobs), (grouped, grouped_jobs)) = match grouped {
+        Some((grouped, graph)) => (base, price(&grouped, graph, n_data, overhead, bandwidth)?),
+        None => (base.clone(), base),
+    };
+    let rows = [
+        ("nop", base_jobs, base.sigma_sequential()),
+        ("jg", grouped_jobs, grouped.sigma_sequential()),
+        ("dp", base_jobs, base.sigma_dp()),
+        ("sp", base_jobs, base.sigma_sp()),
+        ("sp+dp", base_jobs, base.sigma_dsp()),
+        ("sp+dp+jg", grouped_jobs, grouped.sigma_dsp()),
     ];
     Ok(Prediction {
         n_data,
         overhead,
         n_services: base.n_services(),
-        rows,
+        rows: (rows.into_iter())
+            .map(|(config, jobs, makespan)| PredictionRow {
+                config,
+                jobs,
+                makespan,
+            })
+            .collect(),
     })
 }
 
@@ -117,13 +105,15 @@ pub fn predict_with_transfer(
 /// and the jobs a campaign submits — both from one static analysis.
 fn price(
     wf: &Workflow,
+    graph: GraphIndex,
     n_data: usize,
     overhead: f64,
     bandwidth: f64,
 ) -> Result<(TimeMatrix, u64), MoteurError> {
-    let facts = StaticFacts::of(wf, GraphIndex::of(wf), &SourceSizes::uniform(n_data as u64));
+    let facts = StaticFacts::of(wf, graph, &SourceSizes::uniform(n_data as u64));
     let xfer = central_transfer_seconds(wf, &facts, bandwidth);
-    let matrix = TimeMatrix::from_workflow_with(wf, n_data, overhead, |id| {
+    let path = wf.critical_path_in(&facts.graph)?;
+    let matrix = TimeMatrix::along(wf, path, n_data, overhead, |id| {
         xfer.get(&wf.processor(id).name).copied().unwrap_or(0.0)
     })?;
     // One job per service invocation. Barriers fire once; other
@@ -279,6 +269,19 @@ mod tests {
         let sink = wf.add_sink("sink");
         wf.connect(prev, "out", sink, "in").unwrap();
         wf
+    }
+
+    /// One index per graph: the written chain's serves grouping and its
+    /// pricing, and grouping hands over the grouped graph's.
+    #[test]
+    fn a_prediction_indexes_each_graph_once() {
+        let count = || crate::graph::INDEX_BUILDS.with(std::cell::Cell::get);
+        let before = count();
+        predict(&chain(5, 100.0), 12, 0.0).unwrap();
+        assert_eq!(count() - before, 2);
+        let before = count();
+        predict(&chain(1, 100.0), 12, 0.0).unwrap();
+        assert_eq!(count() - before, 1, "nothing merges: one graph");
     }
 
     #[test]

@@ -84,11 +84,17 @@ impl TimeMatrix {
     pub fn sigma_sp(&self) -> f64 {
         let (nw, nd) = (self.n_services(), self.n_data());
         let mut m = vec![vec![0.0f64; nd]; nw];
+        // The first row and column are prefix sums: kept running, in
+        // `Iterator::sum`'s order and from its -0.0, so each value is
+        // the one summing its prefix anew gave.
+        let (mut row, mut column) = (-0.0, -0.0);
         for j in 1..nd {
-            m[0][j] = (0..j).map(|k| self.t[0][k]).sum();
+            row += self.t[0][j - 1];
+            m[0][j] = row;
         }
         for i in 1..nw {
-            m[i][0] = (0..i).map(|k| self.t[k][0]).sum();
+            column += self.t[i - 1][0];
+            m[i][0] = column;
         }
         for i in 1..nw {
             for j in 1..nd {
@@ -138,6 +144,18 @@ impl TimeMatrix {
     ) -> Result<TimeMatrix, MoteurError> {
         assert!(n_data > 0, "need at least one data set");
         let path = workflow.critical_path()?;
+        Self::along(workflow, path, n_data, per_job_overhead, extra)
+    }
+
+    /// [`TimeMatrix::from_workflow_with`] along a critical path already
+    /// found.
+    pub(crate) fn along(
+        workflow: &Workflow,
+        path: Vec<crate::graph::ProcId>,
+        n_data: usize,
+        per_job_overhead: f64,
+        extra: impl Fn(crate::graph::ProcId) -> f64,
+    ) -> Result<TimeMatrix, MoteurError> {
         if path.is_empty() {
             return Err(MoteurError::new("workflow has no services"));
         }

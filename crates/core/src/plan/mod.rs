@@ -417,17 +417,27 @@ fn per_job_transfer_bytes(
     // exists, otherwise the guaranteed floor.
     let estimate = |iv: CardInterval| iv.hi.unwrap_or(iv.lo);
 
+    // The charged edges into and out of each processor name, in edge
+    // order: one pass over the edges, not one per service.
+    let mut by_name: BTreeMap<&str, (Vec<&EdgePlan>, Vec<&EdgePlan>)> = BTreeMap::new();
+    for e in edges.iter().filter(|e| charged(e)) {
+        by_name.entry(&e.to).or_default().0.push(e);
+        by_name.entry(&e.from).or_default().1.push(e);
+    }
     let mut per: BTreeMap<String, u64> = BTreeMap::new();
     for p in wf
         .processors
         .iter()
         .filter(|p| p.kind == ProcessorKind::Service)
     {
+        let (into, out_of) = by_name
+            .get(p.name.as_str())
+            .map_or((&[][..], &[][..]), |(i, o)| (i, o));
         let mut bytes: u64 = 0;
         // Fetch side. Ports are deduplicated: a multi-fed port still
         // delivers one item per invocation, so charge the widest item.
         let mut per_port: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in edges.iter().filter(|e| charged(e) && e.to == p.name) {
+        for e in into {
             if p.synchronization {
                 bytes = bytes.saturating_add(estimate(e.bytes));
             } else {
@@ -440,7 +450,7 @@ fn per_job_transfer_bytes(
         // edge, whatever its fan-out (the store to the enactor's
         // storage happens once; consumers fetch from there).
         let mut out_ports: BTreeMap<&str, u64> = BTreeMap::new();
-        for e in edges.iter().filter(|e| charged(e) && e.from == p.name) {
+        for e in out_of {
             let slot = out_ports.entry(e.from_port.as_str()).or_insert(0);
             *slot = (*slot).max(e.item_bytes);
         }

@@ -69,7 +69,7 @@ impl fmt::Display for DataIndex {
 /// digest in order. Names are hashed by their bytes, never by pointer,
 /// so the digest is the same in every process: it is what
 /// [`provenance_key`](crate::provenance_key) keys on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct History {
     node: HistoryNode,
     digest: u64,
@@ -144,6 +144,58 @@ impl History {
             }
         }
         found
+    }
+}
+
+/// Equal digests, then equal trees, walked with an explicit stack: a
+/// derivation chain as long as a loop's iteration count needs no frame
+/// per node, unequal digests end the walk at once, and a pair of
+/// handles to one node is equal without a look inside. The first input
+/// pair of each node is walked next; only the others wait, so a chain
+/// allocates nothing.
+impl PartialEq for History {
+    fn eq(&self, other: &History) -> bool {
+        /// A node's name, its position (a source's only) and its inputs.
+        fn parts(h: &History) -> (&str, Option<u32>, &[Arc<History>]) {
+            match &h.node {
+                HistoryNode::Source { source, position } => (source, Some(*position), &[]),
+                HistoryNode::Derived { processor, inputs } => (processor, None, inputs),
+            }
+        }
+        let (mut next, mut waiting) = (Some((self, other)), Vec::new());
+        while let Some((a, b)) = next.take().or_else(|| waiting.pop()) {
+            if std::ptr::eq(a, b) {
+                continue;
+            }
+            let ((name, position, inputs), (n, p, i)) = (parts(a), parts(b));
+            if a.digest != b.digest || name != n || position != p || inputs.len() != i.len() {
+                return false;
+            }
+            let mut pairs = inputs.iter().zip(i).map(|(x, y)| (&**x, &**y));
+            next = pairs.next();
+            waiting.extend(pairs);
+        }
+        true
+    }
+}
+
+impl Eq for History {}
+
+/// Shallow: the node's kind, its name, its position or input count,
+/// and its digest, never the subtree below it.
+impl fmt::Debug for History {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("History");
+        match &self.node {
+            HistoryNode::Source { source, position } => {
+                d.field("source", source).field("position", position)
+            }
+            HistoryNode::Derived { processor, inputs } => {
+                d.field("derived", processor).field("inputs", &inputs.len())
+            }
+        };
+        d.field("digest", &format_args!("{:#018x}", self.digest))
+            .finish()
     }
 }
 
@@ -260,6 +312,20 @@ mod tests {
                 node = &inputs[0];
             }
             assert_eq!(depth, DEPTH + 1);
+            // Built apart, so no pair of nodes shares a pointer.
+            let mut twin = History::source("s", 7);
+            let mut other = History::source("s", 8);
+            for _ in 0..DEPTH {
+                twin = History::derived("p", vec![twin]);
+                other = History::derived("p", vec![other]);
+            }
+            assert_eq!(h, twin);
+            assert_eq!(h, shared);
+            assert_ne!(h, other);
+            assert_ne!(other, twin);
+            let shown = format!("{h:?}");
+            assert!(shown.starts_with(r#"History { derived: "p", inputs: 1, digest: 0x"#));
+            drop((twin, other));
             drop(h);
             drop(shared);
             // Two released inputs per level: one is walked, one waits.

@@ -198,6 +198,8 @@ pub struct JobTemplate {
     fault: Option<FillError>,
     /// The first stage's executable.
     executable: String,
+    /// `gfn://{workflow}/{processor}`.
+    gfn_head: String,
 }
 
 /// One stage-in of an invocation.
@@ -222,7 +224,10 @@ impl Staged {
 
 #[derive(Debug, Clone)]
 struct Stage {
-    /// `gfn://{workflow}/{processor}/` or `gfn://{workflow}/{processor}~{stage}/`.
+    /// What follows the template's `gfn_head` in the GFN directory of
+    /// this stage's outputs: `/`, or `~{stage}/` in a group. The head
+    /// is kept once, not per stage, as a group's processor name grows
+    /// with its stage count.
     prefix: String,
     /// The bindings a fill acts on, in binding order.
     binds: Vec<Bind>,
@@ -254,7 +259,7 @@ struct Piece {
 #[derive(Debug, Clone)]
 struct Output {
     /// The GFN a binding fixed, or else the slot that names the file
-    /// `{prefix}{invocation}/{slot}`.
+    /// `{gfn_head}{prefix}{invocation}/{slot}`.
     name: String,
     fixed: bool,
     bytes: u64,
@@ -398,7 +403,7 @@ impl JobTemplate {
             plan.store.extend(self.stored.iter().map(|&(s, o)| {
                 let (stage, out) = (&self.stages[s], &self.stages[s].outputs[o]);
                 TransferFile {
-                    name: stage.gfn(out, invocation),
+                    name: stage.gfn(&self.gfn_head, out, invocation),
                     bytes: out.bytes,
                 }
             }));
@@ -447,7 +452,7 @@ impl JobTemplate {
                 let out = &stage.outputs[e.output];
                 BoundOutput {
                     slot: e.port.clone(),
-                    gfn: stage.gfn(out, invocation),
+                    gfn: stage.gfn(&self.gfn_head, out, invocation),
                     bytes: out.bytes,
                 }
             })
@@ -525,11 +530,12 @@ impl<'a, V: SlotValue, I: Iterator<Item = &'a [V]> + Clone> Iterator for Fetch<'
 }
 
 impl Stage {
-    fn gfn(&self, out: &Output, invocation: u64) -> String {
+    fn gfn(&self, head: &str, out: &Output, invocation: u64) -> String {
         if out.fixed {
             return out.name.clone();
         }
-        let mut gfn = String::with_capacity(self.prefix.len() + 21 + out.name.len());
+        let mut gfn = String::with_capacity(head.len() + self.prefix.len() + 21 + out.name.len());
+        gfn.push_str(head);
         gfn.push_str(&self.prefix);
         let _ = write!(gfn, "{invocation}/");
         gfn.push_str(&out.name);
@@ -697,8 +703,8 @@ pub(crate) fn compile_with<'a>(
             // A binding's stage names every output by a fixed GFN.
             prefix: match spec.group_member {
                 _ if k < fixed.len() => String::new(),
-                Some(member) => format!("gfn://{workflow}/{processor}~{member}/"),
-                None => format!("gfn://{workflow}/{processor}/"),
+                Some(member) => format!("~{member}/"),
+                None => "/".to_owned(),
             },
             binds,
             line_len: line.iter().map(|p| p.text.len()).sum(),
@@ -713,6 +719,7 @@ pub(crate) fn compile_with<'a>(
     }
     JobTemplate {
         processor: processor.to_owned(),
+        gfn_head: format!("gfn://{workflow}/{processor}"),
         staged,
         stored,
         exposed: ports
